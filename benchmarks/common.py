@@ -6,9 +6,9 @@ pytest-benchmark additionally measures the wall-clock cost of the Python
 implementation for the headline kernel of each table.
 
 Workloads are scaled down from the paper's (fewer time-steps, and for
-CHARMM a smaller atom count) so the full suite runs in minutes;
-``EXPERIMENTS.md`` records the scaling next to each paper-vs-measured
-comparison.  Set ``REPRO_BENCH_FULL=1`` for paper-sized runs.
+CHARMM a smaller atom count) so the full suite runs in minutes; the
+``*_config`` functions below state each scaling next to the paper's size.
+Set ``REPRO_BENCH_FULL=1`` for paper-sized runs.
 
 Executor backend selection: pass ``--backend=NAME`` to any table script
 (or set ``REPRO_BENCH_BACKEND``) to run its data transport through a

@@ -83,6 +83,26 @@ def nonbond_pair_forces(
     return f_i, energy
 
 
+def accumulate_pair_forces(
+    n: int, i: np.ndarray, j: np.ndarray, f_i: np.ndarray
+) -> np.ndarray:
+    """Sum pair forces into a fresh ``(n, 3)`` array: ``+f_i[k]`` onto atom
+    ``i[k]``, ``-f_i[k]`` onto atom ``j[k]`` (Newton's third law).
+
+    ``bincount`` folds each atom's contributions in element order starting
+    from 0.0 -- all of ``i`` first, then all of ``j`` -- so the sums are
+    bitwise those of an unbuffered scatter-add (``ufunc.at``) of ``f_i`` at
+    ``i`` followed by one of ``-f_i`` at ``j`` onto a zero array, at a
+    fraction of the cost.
+    """
+    idx = np.concatenate((i, j))
+    weights = np.concatenate((f_i.T, -f_i.T), axis=1)
+    forces = np.empty((n, f_i.shape[1]))
+    for c, w in enumerate(weights):
+        forces[:, c] = np.bincount(idx, weights=w, minlength=n)
+    return forces
+
+
 def compute_bonded_forces(
     positions: np.ndarray,
     bonds: np.ndarray,
@@ -90,13 +110,11 @@ def compute_bonded_forces(
     box: float,
 ) -> tuple[np.ndarray, float]:
     """Sequential bonded forces over the whole system."""
-    forces = np.zeros_like(positions)
     if bonds.size == 0:
-        return forces, 0.0
+        return np.zeros_like(positions), 0.0
     ib, jb = bonds[:, 0], bonds[:, 1]
     f_i, energy = bond_pair_forces(positions[ib], positions[jb], ff, box)
-    np.add.at(forces, ib, f_i)
-    np.add.at(forces, jb, -f_i)
+    forces = accumulate_pair_forces(positions.shape[0], ib, jb, f_i)
     return forces, float(energy.sum())
 
 
@@ -109,9 +127,8 @@ def compute_nonbonded_forces(
     box: float,
 ) -> tuple[np.ndarray, float]:
     """Sequential non-bonded forces from a CSR half list."""
-    forces = np.zeros_like(positions)
     if jnb.size == 0:
-        return forces, 0.0
+        return np.zeros_like(positions), 0.0
     i_idx = np.repeat(
         np.arange(inblo.size - 1, dtype=np.int64), np.diff(inblo)
     )
@@ -119,8 +136,7 @@ def compute_nonbonded_forces(
         positions[i_idx], positions[jnb], charges[i_idx], charges[jnb],
         ff, box,
     )
-    np.add.at(forces, i_idx, f_i)
-    np.add.at(forces, jnb, -f_i)
+    forces = accumulate_pair_forces(positions.shape[0], i_idx, jnb, f_i)
     return forces, float(energy.sum())
 
 

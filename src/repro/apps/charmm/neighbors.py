@@ -2,12 +2,21 @@
 
 Builds the CSR-style half neighbor list the paper's Figure 2 iterates:
 ``inblo(i) .. inblo(i+1)-1`` index into ``jnb``, listing atom ``i``'s
-partners with index greater than ``i`` inside the cutoff.  A linked-cell
-algorithm keeps list generation O(n) at fixed density; this is the
+partners with index greater than ``i`` inside the cutoff.  This is the
 "non-bonded list update" whose cost Table 2 reports.
+
+The builder is a linked-cell sweep over the half shell of neighbour-cell
+offsets: atoms are bucketed into cells at least one cutoff wide, and for
+each of the 14 offsets (the cell itself plus one of every ``{o, -o}``
+pair of the 26 surrounding cells) every ``(atom, partner)`` candidate of
+every cell is expanded at once, so each pair of adjacent cells -- and
+each candidate distance -- is visited exactly once.  One sort of the
+surviving pairs at the end emits the list; cost is O(n) at fixed density.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -17,6 +26,38 @@ def _cell_index(coords: np.ndarray, n_cells: int, box: float) -> np.ndarray:
     scaled = np.floor(coords / box * n_cells).astype(np.int64)
     np.clip(scaled, 0, n_cells - 1, out=scaled)
     return (scaled[:, 0] * n_cells + scaled[:, 1]) * n_cells + scaled[:, 2]
+
+
+def _half_shell_offsets(
+    n_cells: int,
+) -> list[tuple[tuple[int, int, int], bool]]:
+    """Neighbour-cell offsets modulo ``n_cells``, one per ``{o, -o}`` class.
+
+    Returns ``(offset, self_inverse)`` entries.  A sweep of all cells with
+    an offset that is not its own inverse meets every unordered cell pair
+    once; a self-inverse offset (the zero offset, and every offset once
+    ``n_cells <= 2`` aliases ``+1`` with ``-1``) meets it from both sides,
+    which the caller resolves by keeping only ``atom < partner``.  With
+    ``n_cells >= 3`` this is the usual 13 + 1 half shell.
+    """
+    seen: set[tuple[int, int, int]] = set()
+    offsets = []
+    for o in product((0, 1, -1), repeat=3):
+        fwd = tuple(x % n_cells for x in o)
+        back = tuple(-x % n_cells for x in o)
+        if fwd in seen or back in seen:
+            continue
+        seen.add(fwd)
+        offsets.append((fwd, fwd == back))
+    return offsets
+
+
+def _csr_flat_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[r] .. starts[r] + counts[r] - 1`` for every ``r``,
+    concatenated (the flat gather index of a CSR row selection)."""
+    total = int(counts.sum())
+    shift = np.cumsum(counts) - counts
+    return np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
 
 
 def build_nonbonded_list(
@@ -36,78 +77,49 @@ def build_nonbonded_list(
         raise ValueError(f"positions must be (n, 3), got {pos.shape}")
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if box <= 2 * cutoff - 1e-12 and box <= 0:
-        raise ValueError("invalid box")
+    if box <= 0:
+        raise ValueError(f"box must be positive, got {box}")
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     n_cells = max(1, int(np.floor(box / cutoff)))
     wrapped = np.mod(pos, box)
     cells = _cell_index(wrapped, n_cells, box)
+    # atoms grouped by cell; the stable sort keeps each cell ascending
     order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    # start offset of each cell in the sorted order
-    cell_starts = np.searchsorted(
-        sorted_cells, np.arange(n_cells**3 + 1, dtype=np.int64)
-    )
+    home = cells[order]
+    cell_counts = np.bincount(cells, minlength=n_cells**3)
+    cell_starts = np.cumsum(cell_counts) - cell_counts
+    hx, rem = np.divmod(home, n_cells * n_cells)
+    hy, hz = np.divmod(rem, n_cells)
 
     cut2 = cutoff * cutoff
-    pair_i: list[np.ndarray] = []
-    pair_j: list[np.ndarray] = []
-
-    # neighbor cell offsets (half-shell to avoid double visits)
-    offsets = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                offsets.append((dx, dy, dz))
-
-    occupied = np.unique(cells)
-    for c in occupied.tolist():
-        lo, hi = cell_starts[c], cell_starts[c + 1]
-        atoms_c = order[lo:hi]
-        cz = c % n_cells
-        cy = (c // n_cells) % n_cells
-        cx = c // (n_cells * n_cells)
-        cand_list = [atoms_c]
-        for dx, dy, dz in offsets:
-            if (dx, dy, dz) == (0, 0, 0):
-                continue
-            nx, ny, nz = (cx + dx) % n_cells, (cy + dy) % n_cells, (cz + dz) % n_cells
-            nc = (nx * n_cells + ny) * n_cells + nz
-            if nc == c:
-                continue
-            lo2, hi2 = cell_starts[nc], cell_starts[nc + 1]
-            if hi2 > lo2:
-                cand_list.append(order[lo2:hi2])
-        cand = np.unique(np.concatenate(cand_list))
-        if cand.size < 2:
-            continue
-        # pairwise distances atoms_c x cand with minimum image
-        d = wrapped[atoms_c][:, None, :] - wrapped[cand][None, :, :]
+    keys = []
+    # one offset at a time: peak memory is one offset's candidates
+    for (ox, oy, oz), self_inverse in _half_shell_offsets(n_cells):
+        there = (
+            ((hx + ox) % n_cells) * n_cells + (hy + oy) % n_cells
+        ) * n_cells + (hz + oz) % n_cells
+        counts = cell_counts[there]
+        a = np.repeat(order, counts)
+        b = order.take(_csr_flat_index(cell_starts[there], counts))
+        # np.take (of rows, and of flatnonzero positions rather than a
+        # boolean mask) is several times faster than fancy indexing
+        if self_inverse:
+            keep = np.flatnonzero(a < b)
+            a, b = a.take(keep), b.take(keep)
+        d = wrapped.take(a, axis=0) - wrapped.take(b, axis=0)
         d -= box * np.round(d / box)
-        dist2 = np.einsum("ijk,ijk->ij", d, d)
-        ii, jj = np.nonzero((dist2 <= cut2) & (atoms_c[:, None] < cand[None, :]))
-        if ii.size:
-            pair_i.append(atoms_c[ii])
-            pair_j.append(cand[jj])
+        near = np.flatnonzero(np.einsum("ij,ij->i", d, d) <= cut2)
+        a, b = a.take(near), b.take(near)
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
 
-    if pair_i:
-        ai = np.concatenate(pair_i)
-        aj = np.concatenate(pair_j)
-        # dedupe (a pair can be seen from both cells when n_cells is small)
-        key = ai * n + aj
-        _, uniq_idx = np.unique(key, return_index=True)
-        ai, aj = ai[uniq_idx], aj[uniq_idx]
-        order2 = np.lexsort((aj, ai))
-        ai, aj = ai[order2], aj[order2]
-    else:
-        ai = np.zeros(0, dtype=np.int64)
-        aj = np.zeros(0, dtype=np.int64)
-
+    # (i, j) packed as i * n + j: one sort orders by atom, then partner
+    key = np.sort(np.concatenate(keys))
+    ai, jnb = np.divmod(key, n)
     inblo = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ai, minlength=n), out=inblo[1:])
-    return inblo, aj.astype(np.int64)
+    return inblo, jnb
 
 
 def list_stats(inblo: np.ndarray) -> dict:
@@ -150,10 +162,5 @@ def take_csr_rows(
     """
     rows = np.asarray(rows, dtype=np.int64)
     counts = inblo[rows + 1] - inblo[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    starts = inblo[rows]
-    shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    flat = np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
+    flat = _csr_flat_index(inblo[rows], counts)
     return np.repeat(rows, counts), jnb[flat]

@@ -30,6 +30,7 @@ from repro.apps.charmm.forces import (
     BOND_OPS,
     INTEGRATE_OPS,
     NONBOND_OPS,
+    accumulate_pair_forces,
     bond_pair_forces,
     nonbond_pair_forces,
 )
@@ -372,8 +373,7 @@ class ParallelMD:
             ib_l, jb_l = self.ib_loc[p], self.jb_loc[p]
             if ib_l.size:
                 f_i, eb = bond_pair_forces(ps[ib_l], ps[jb_l], ff, s.box)
-                np.add.at(fb_stack, ib_l, f_i)
-                np.add.at(fb_stack, jb_l, -f_i)
+                fb_stack = accumulate_pair_forces(ps.shape[0], ib_l, jb_l, f_i)
                 energy += float(eb.sum())
                 m.charge_compute(p, BOND_OPS * ib_l.size, "compute")
 
@@ -383,8 +383,7 @@ class ParallelMD:
                 f_i, en = nonbond_pair_forces(
                     ps[i_l], ps[j_l], qs[i_l], qs[j_l], ff, s.box
                 )
-                np.add.at(fn_stack, i_l, f_i)
-                np.add.at(fn_stack, j_l, -f_i)
+                fn_stack = accumulate_pair_forces(ps.shape[0], i_l, j_l, f_i)
                 energy += float(en.sum())
                 m.charge_compute(p, NONBOND_OPS * i_l.size, "compute")
 

@@ -124,13 +124,17 @@ class ParallelDSMC:
     def total_particles(self) -> int:
         return int(self.local_counts().sum())
 
+    def _cells_by_rank(self) -> list[np.ndarray]:
+        """Cell id of every particle, per owning rank."""
+        return [self.grid.cell_of(ps.positions) for ps in self.parts]
+
+    def _loads_of(self, cells_by_rank: list[np.ndarray]) -> np.ndarray:
+        return np.bincount(np.concatenate(cells_by_rank),
+                           minlength=self.grid.n_cells)
+
     def cell_loads(self) -> np.ndarray:
         """Global particles-per-cell (host-side assembly)."""
-        loads = np.zeros(self.grid.n_cells, dtype=np.int64)
-        for ps in self.parts:
-            if ps.n:
-                np.add.at(loads, self.grid.cell_of(ps.positions), 1)
-        return loads
+        return self._loads_of(self._cells_by_rank())
 
     # ------------------------------------------------------------------
     # one simulation step
@@ -169,14 +173,15 @@ class ParallelDSMC:
         else:
             self.parts = self._migrate_regular(moved)
 
-        # --- 3. collisions on owned cells --------------------------------
+        # --- 3. collisions on owned cells (they change velocities only,
+        # so the same cell ids also give the step's cell loads) -----------
+        cells_by_rank = self._cells_by_rank()
         n_pairs_total = 0
         for p in m.ranks():
             ps = self.parts[p]
             if ps.n >= 2:
-                cells = grid.cell_of(ps.positions)
                 new_vel, n_pairs = collide_cells(
-                    ps.ids, cells, ps.velocities,
+                    ps.ids, cells_by_rank[p], ps.velocities,
                     self.step_count, cfg.collision_seed,
                 )
                 self.parts[p] = ParticleSet(
@@ -187,7 +192,7 @@ class ParallelDSMC:
             m.charge_memops(p, 2 * ps.n, "compute")  # cell reindexing
         m.barrier()
 
-        loads = self.cell_loads()
+        loads = self._loads_of(cells_by_rank)
         self.trace.n_particles.append(self.total_particles())
         self.trace.n_collisions.append(n_pairs_total)
         self.trace.max_cell_load.append(int(loads.max()) if loads.size else 0)

@@ -10,11 +10,18 @@ with SplitMix64, fully vectorized over uint64 numpy arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_M1_INT = 0xBF58476D1CE4E5B9
+_M2_INT = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+_GAMMA = np.uint64(_GAMMA_INT)
+_M1 = np.uint64(_M1_INT)
+_M2 = np.uint64(_M2_INT)
 _U53 = np.uint64((1 << 53) - 1)
 
 
@@ -32,20 +39,53 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray:
     return z if np.ndim(x) else z[0]
 
 
+def _splitmix64_int(x: int) -> int:
+    """``splitmix64`` on one Python integer (wraps at 64 bits by masking)."""
+    z = (x + _GAMMA_INT) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
+@functools.cache
+def _position_salt(position: int) -> int:
+    """Salt of the key at ``position``, computed once per position."""
+    return _splitmix64_int(position + 1)
+
+
+def _as_uint64(x: int | np.ndarray) -> np.ndarray:
+    return np.uint64(x) if isinstance(x, int) else x
+
+
 def _combine(*keys) -> np.ndarray:
     """Hash-combine several integer keys (arrays broadcast together).
 
     Each key is salted with its position so the combination is
     order-sensitive: ``hash(a, b) != hash(b, a)``.
+
+    Most keys are scalars (seed, step, stream tags).  Those are folded in
+    Python integer arithmetic, which costs a fraction of a numpy call on a
+    0-d array; only array keys, and the folds after the first of them,
+    go through the vectorized ``splitmix64``.
     """
     if not keys:
         raise ValueError("need at least one key")
     acc = None
     for i, k in enumerate(keys):
+        # the int64 -> uint64 round trip defines how negative and
+        # >= 2**63 keys wrap, for scalars and arrays alike
         arr = np.asarray(k, dtype=np.int64).astype(np.uint64)
-        h = splitmix64(arr ^ splitmix64(np.uint64(i + 1)))
-        acc = h if acc is None else splitmix64(acc ^ h)
-    return acc
+        if arr.ndim == 0:
+            h = _splitmix64_int(int(arr) ^ _position_salt(i))
+        else:
+            h = splitmix64(arr ^ np.uint64(_position_salt(i)))
+        if acc is None:
+            acc = h
+        elif isinstance(acc, int) and isinstance(h, int):
+            acc = _splitmix64_int(acc ^ h)
+        else:
+            acc = splitmix64(_as_uint64(acc) ^ _as_uint64(h))
+    return _as_uint64(acc)
 
 
 def hash_uniform(*keys) -> np.ndarray:

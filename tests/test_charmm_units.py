@@ -3,6 +3,8 @@ integrator)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.charmm import (
     ForceField,
@@ -15,6 +17,7 @@ from repro.apps.charmm import (
     take_csr_rows,
 )
 from repro.apps.charmm.forces import (
+    accumulate_pair_forces,
     compute_bonded_forces,
     compute_nonbonded_forces,
     nonbond_pair_forces,
@@ -132,6 +135,42 @@ class TestNeighborList:
             build_nonbonded_list(np.zeros((3, 2)), 1.0, 5.0)
         with pytest.raises(ValueError):
             build_nonbonded_list(np.zeros((3, 3)), -1.0, 5.0)
+        with pytest.raises(ValueError, match="box must be positive, got 0"):
+            build_nonbonded_list(np.zeros((3, 3)), 1.0, 0)
+        with pytest.raises(ValueError, match="got -5.0"):
+            build_nonbonded_list(np.zeros((3, 3)), 1.0, -5.0)
+
+    # (box, cutoff, cells per dimension).  One and two cells alias the
+    # periodic neighbour offsets; (4, 2), (4, 1) put the cutoff exactly on
+    # the cell width.  Every cell width is a dyadic number, so positions
+    # on the eighth-of-a-cell lattice below have exact distances and pairs
+    # at exactly the cutoff exercise the ``<=``.
+    @pytest.mark.parametrize("box, cutoff, n_cells", [
+        (4.0, 2.5, 1), (4.0, 1.9, 2), (4.0, 2.0, 2), (6.0, 1.9, 3),
+        (4.0, 1.0, 4), (5.0, 0.9, 5),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_property(self, box, cutoff, n_cells, data):
+        """Exact ``(inblo, jnb)`` equality with the O(n^2) reference: 0-2
+        atoms, empty cells, atoms on cell faces and the box edge, positions
+        outside ``[0, box)``, and off-lattice atoms."""
+        assert int(np.floor(box / cutoff)) == n_cells
+        # lattice coordinate k -> k/8 of a cell, over [-box, 2 * box]
+        coord = st.integers(-8 * n_cells, 16 * n_cells)
+        atoms = data.draw(st.lists(
+            st.tuples(coord, coord, coord, st.booleans()), max_size=40))
+        lattice = np.array([a[:3] for a in atoms], dtype=np.float64)
+        pos = lattice.reshape(-1, 3) * (box / n_cells / 8)
+        off_lattice = np.array([a[3] for a in atoms], dtype=bool)
+        jitter = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        pos[off_lattice] += jitter.uniform(0, box / n_cells / 8,
+                                           (int(off_lattice.sum()), 3))
+        inblo, jnb = build_nonbonded_list(pos, cutoff, box)
+        ref_inblo, ref_jnb = brute_force_nonbonded_list(pos, cutoff, box)
+        assert inblo.dtype == ref_inblo.dtype and jnb.dtype == ref_jnb.dtype
+        assert np.array_equal(inblo, ref_inblo)
+        assert np.array_equal(jnb, ref_jnb)
 
     def test_list_stats(self, rng):
         pos = rng.random((50, 3)) * 5.0
@@ -155,6 +194,24 @@ class TestNeighborList:
 
 
 class TestForces:
+    @pytest.mark.parametrize("n, m", [(0, 0), (6, 0), (1, 5), (4, 200),
+                                      (300, 5000)])
+    def test_accumulate_pair_forces_bitwise(self, rng, n, m):
+        """Same bytes as the unbuffered scatter-add it replaced, with
+        indices repeated within and shared between ``i`` and ``j``
+        (including ``i[k] == j[k]``) and magnitudes spread over 16 decades
+        so that any other summation order would show."""
+        i = rng.integers(0, max(n, 1), m)
+        j = rng.integers(0, max(n, 1), m)
+        j[::7] = i[::7]
+        f = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, (m, 1))
+        ref = np.zeros((n, 3))
+        np.add.at(ref, i, f)
+        np.add.at(ref, j, -f)
+        got = accumulate_pair_forces(n, i, j, f)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
     def test_newtons_third_law_bonded(self, rng):
         s = build_small_system(90, seed=2)
         f, e = compute_bonded_forces(s.positions, s.bonds, s.forcefield, s.box)

@@ -54,6 +54,70 @@ class TestHashUniform:
         assert abs(u.mean() - 0.5) < 0.01
 
 
+def _reference_combine(*keys):
+    """The all-numpy ``_combine`` that preceded the scalar-folding one."""
+    acc = None
+    for i, k in enumerate(keys):
+        arr = np.asarray(k, dtype=np.int64).astype(np.uint64)
+        h = splitmix64(arr ^ splitmix64(np.uint64(i + 1)))
+        acc = h if acc is None else splitmix64(acc ^ h)
+    return acc
+
+
+_IDS = np.arange(200, dtype=np.int64) * 7 - 300
+_HUGE = np.array([2**63, 2**64 - 1, 5], dtype=np.uint64)
+
+
+class TestCombineMatchesReference:
+    """Folding scalar keys in Python must not change a single bit."""
+
+    @pytest.mark.parametrize("keys", [
+        (3,), (3, 4, 5), (-1, 0, -7),                  # scalar-only
+        (np.uint64(2**63 + 5), 2), (np.int64(-9), np.int32(4)),
+        (np.array(5), 2),                              # 0-d array
+        (_IDS,), (_IDS, 3, 101), (np.array([5]), 2),   # array-first
+        (3, _IDS), (1, 2, _IDS),                       # array-last
+        (1, 2, _IDS, 101),                             # scalars both sides
+        (_IDS, _IDS[::-1].copy()), (7, _IDS, -2, _IDS * 3, 9),  # two-array
+        (_IDS[:5, None], 4, _IDS[None, :7]),           # broadcasting
+        (_HUGE, 1), (-5, _HUGE, 2**63 - 1),            # >= 2**63, negative
+        (0,) * 12 + (_IDS,),                           # many positions
+    ])
+    def test_bit_identical(self, keys):
+        from repro.util.prng import _combine
+
+        got, ref = _combine(*keys), _reference_combine(*keys)
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).dtype == np.uint64
+        assert np.array_equal(got, ref)
+        assert np.array_equal(hash_permutation_key(*keys), ref)
+        bits = ref & np.uint64((1 << 53) - 1)
+        assert np.array_equal(hash_uniform(*keys),
+                              bits.astype(np.float64) / float(1 << 53))
+
+    @pytest.mark.parametrize("keys", [(4, 9), (4, _IDS), (_IDS, 9, 2)])
+    def test_unit_vectors_use_the_same_streams(self, keys):
+        def uniform(*k):
+            bits = _reference_combine(*k) & np.uint64((1 << 53) - 1)
+            return bits.astype(np.float64) / float(1 << 53)
+
+        theta = 2.0 * np.pi * uniform(*keys, 101)
+        assert np.array_equal(
+            hash_unit_vector(2, *keys),
+            np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        z = 2.0 * uniform(*keys, 211) - 1.0
+        phi = 2.0 * np.pi * uniform(*keys, 223)
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        assert np.array_equal(
+            hash_unit_vector(3, *keys),
+            np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1))
+
+    def test_python_int_beyond_int64_still_rejected(self):
+        with pytest.raises(OverflowError):
+            hash_uniform(2**63, _IDS)
+
+
 class TestHashUnitVector:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unit_length(self, dim):
