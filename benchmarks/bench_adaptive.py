@@ -4,7 +4,8 @@ The paper's premise (§5.3.1) is that adaptive applications touch only a
 small subset of an indirection array between inspector invocations — a
 CHARMM non-bonded list regenerated every ``update_every`` steps changes
 a few percent of its pair entries.  This benchmark times that regime at
-16 simulated ranks under the vectorized backend:
+16 and at 128 simulated ranks (same total sizes) under the vectorized
+backend:
 
 * **full path** — ``clear_stamp`` + ``chaos_hash`` of the whole updated
   array + ``build_schedule`` from scratch (what every adaptive step cost
@@ -19,6 +20,8 @@ never come from skipped work.  The JSON result records:
 
 * ``delta_speedup`` — full-path / delta-path wall clock for a 2%-churn
   update (gated: >= 2x acceptance, erosion fails CI);
+* ``delta_speedup_p128`` — the same ratio at 128 ranks, where any work
+  per rank *pair* would show (gated the same way);
 * ``hit_rate`` — schedule-cache hit fraction over a deterministic
   adaptive loop driven through ``IrregularReduction`` (gated — it is a
   pure function of the caching logic, so any erosion is a logic bug);
@@ -51,6 +54,7 @@ from repro.core import (  # noqa: E402
 from repro.sim import Machine  # noqa: E402
 
 N_RANKS = 16
+N_RANKS_WIDE = 128  # the rank-count dimension of the delta path
 BACKEND = "vectorized"
 CHURN = 0.02  # fraction of the non-bonded list touched per update
 PAGE_BUDGET_BYTES = 1 << 18  # 256 KiB/rank for the paged-eviction probe
@@ -62,9 +66,9 @@ def workload():
     return dict(n_global=160_000, n_refs=640_000, rounds=3)
 
 
-def _split(a: np.ndarray) -> list[np.ndarray]:
-    per = a.size // N_RANKS
-    return [a[p * per:(p + 1) * per].copy() for p in range(N_RANKS)]
+def _split(a: np.ndarray, n_ranks: int = N_RANKS) -> list[np.ndarray]:
+    per = a.size // n_ranks
+    return [a[p * per:(p + 1) * per].copy() for p in range(n_ranks)]
 
 
 def _schedules_equal(a, b) -> bool:
@@ -77,7 +81,8 @@ def _schedules_equal(a, b) -> bool:
     ) and a.ghost_size == b.ghost_size
 
 
-def bench_delta_speedup(cfg: dict, seed: int = 23) -> dict[str, float]:
+def bench_delta_speedup(cfg: dict, seed: int = 23,
+                        n_ranks: int = N_RANKS) -> dict[str, float]:
     """Time full-rebuild vs delta-rebuild adaptive steps side by side.
 
     Two identical runtimes start from the same cold inspector state; each
@@ -89,18 +94,18 @@ def bench_delta_speedup(cfg: dict, seed: int = 23) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     n, n_refs = cfg["n_global"], cfg["n_refs"]
     refs = rng.integers(0, n, n_refs)
-    owner_map = rng.integers(0, N_RANKS, n)
+    owner_map = rng.integers(0, n_ranks, n)
 
     ctxs, tables, groups, = [], [], []
     for _ in range(2):
-        m = Machine(N_RANKS)
+        m = Machine(n_ranks)
         ctx = ExecutionContext.resolve(m, BACKEND)
         tt = TranslationTable.from_map(m, owner_map)
         hts = make_hash_tables(ctx, tt)
         ctxs.append(ctx)
         tables.append(tt)
         groups.append(hts)
-    idx = _split(refs)
+    idx = _split(refs, n_ranks)
     for ctx, tt, hts in zip(ctxs, tables, groups):
         chaos_hash(ctx, hts, tt, [a.copy() for a in idx], "nb")
     sched_delta = build_schedule(ctxs[1], groups[1], "nb")
@@ -225,12 +230,16 @@ def bench_paged_budget(cfg: dict, seed: int = 31) -> dict[str, float]:
 def main() -> None:
     cfg = workload()
     delta = bench_delta_speedup(cfg)
+    wide = bench_delta_speedup(cfg, n_ranks=N_RANKS_WIDE)
     hits = bench_hit_rate(cfg)
     paged = bench_paged_budget(cfg)
     rows = [
         ["full rebuild (s)", delta["t_full_s"]],
         ["delta rebuild (s)", delta["t_delta_s"]],
         ["delta_speedup", delta["delta_speedup"]],
+        [f"full rebuild, P={N_RANKS_WIDE} (s)", wide["t_full_s"]],
+        [f"delta rebuild, P={N_RANKS_WIDE} (s)", wide["t_delta_s"]],
+        ["delta_speedup_p128", wide["delta_speedup"]],
         ["cache hit_rate", hits["hit_rate"]],
         ["page hit_rate", paged["page_hit_rate"]],
         ["page evictions", paged["page_evictions"]],
@@ -247,16 +256,20 @@ def main() -> None:
             "churn": CHURN,
             "page_budget_bytes": PAGE_BUDGET_BYTES,
             "delta_speedup": delta["delta_speedup"],
+            "delta_speedup_p128": wide["delta_speedup"],
             "hit_rate": hits["hit_rate"],
             "wall_clock_s": {"full": delta["t_full_s"],
-                             "delta": delta["t_delta_s"]},
+                             "delta": delta["t_delta_s"],
+                             "full_p128": wide["t_full_s"],
+                             "delta_p128": wide["t_delta_s"]},
             "cache": hits,
             "paged": paged,
         },
     )
-    if delta["delta_speedup"] < 2.0:
-        print(f"WARNING: delta speedup {delta['delta_speedup']:.2f}x below "
-              "the 2x acceptance target", file=sys.stderr)
+    for label, res in ((f"P={N_RANKS}", delta), (f"P={N_RANKS_WIDE}", wide)):
+        if res["delta_speedup"] < 2.0:
+            print(f"WARNING: delta speedup {res['delta_speedup']:.2f}x at "
+                  f"{label} below the 2x acceptance target", file=sys.stderr)
 
 
 if __name__ == "__main__":

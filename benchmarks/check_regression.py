@@ -93,16 +93,17 @@ def _backend_ratios(payload: dict) -> dict[str, float]:
 
 
 def _adaptive_ratios(payload: dict) -> dict[str, float]:
-    """Delta-vs-full rebuild speedup and cache hit fractions.
+    """Delta-vs-full rebuild speedups and cache hit fractions.
 
-    ``delta_speedup`` is a same-process wall-clock ratio (machine
-    independent, like the other gated ratios); ``hit_rate`` is a pure
+    ``delta_speedup`` (P=16) and ``delta_speedup_p128`` are same-process
+    wall-clock ratios (machine independent, like the other gated
+    ratios); ``hit_rate`` is a pure
     function of the caching logic over a deterministic adaptive loop, so
     any erosion is a logic bug rather than noise.  The paged-translation
     hit rate stays advisory — it depends on the byte budget constant.
     """
     ratios: dict[str, float] = {}
-    for key in ("delta_speedup", "hit_rate"):
+    for key in ("delta_speedup", "delta_speedup_p128", "hit_rate"):
         if key in payload:
             ratios[key] = float(payload[key])
     paged = payload.get("paged", {})
@@ -119,7 +120,7 @@ CHECKS = (
     ("BENCH_backends.json", "backend_ablation.json", _backend_ratios,
      frozenset({"gather_scatter", "scatter_append", "fused_pipeline"})),
     ("BENCH_adaptive.json", "bench_adaptive.json", _adaptive_ratios,
-     frozenset({"delta_speedup", "hit_rate"})),
+     frozenset({"delta_speedup", "delta_speedup_p128", "hit_rate"})),
 )
 
 

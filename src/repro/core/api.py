@@ -384,12 +384,14 @@ class IrregularReduction:
         """One indirection array changed: re-hash it, repair the schedule.
 
         ``touched`` (optional) gives per-rank *positions* into the
-        array's slices that may differ from the currently bound values;
-        all other positions must be unchanged.  With it, the update is
-        recorded as a delta payload and the cached schedule is repaired
-        incrementally; without it the whole array is re-hashed and the
-        schedule rebuilt from scratch.  Either way the result is
-        identical to a cold inspector run over the new values.
+        array's slices that may differ from the currently bound values
+        (repeats are ignored, positions outside a slice are a
+        ``ValueError``); all other positions must be unchanged.  With
+        it, the update is recorded as a delta payload and the cached
+        schedule is repaired incrementally; without it the whole array
+        is re-hashed and the schedule rebuilt from scratch.  Either way
+        the result is identical to a cold inspector run over the new
+        values.
         """
         if name not in self._indirections:
             raise KeyError(f"unknown indirection array {name!r}")
@@ -402,7 +404,16 @@ class IrregularReduction:
             self.rt.modification_record.touch(stamp)
         else:
             m.check_per_rank(touched, f"touched positions for {name!r}")
-            pos = [np.asarray(t, dtype=np.int64) for t in touched]
+            # a position listed twice would move its stamp references
+            # twice in rehash_delta
+            pos = [np.unique(np.asarray(t, dtype=np.int64)) for t in touched]
+            for p in m.ranks():
+                if pos[p].size and not (
+                        0 <= pos[p][0] and pos[p][-1] < old[p].size):
+                    raise ValueError(
+                        f"rank {p}: touched positions of {name!r} must lie "
+                        f"in [0, {old[p].size})"
+                    )
             payload = (
                 pos,
                 [old[p][pos[p]] for p in m.ranks()],

@@ -40,6 +40,9 @@ import numpy as np
 from repro.core.compiled import (
     concat_csr,
     normalize_csr,
+    offsets_from_counts,
+    split_csr,
+    stream_perm,
     zero_csr,
 )
 from repro.core.context import ensure_context
@@ -176,15 +179,27 @@ def splice_schedules(
     ``delta`` a schedule built over only the *newly participating*
     entries, and ``dropped_bufs[p]`` the ghost-buffer slots of entries
     that left rank ``p``'s selection.  The result is bitwise-identical
-    to a cold rebuild: dropped entries are filtered out of the base
-    segments, delta entries are merged in, and each ``(receiver,
-    source)`` segment is re-sorted into the canonical cold-build order —
-    ascending hash-table slot, recovered through the per-rank
-    ghost-buffer → slot inverse (``build_schedule`` selects slots with
-    ``np.flatnonzero`` and groups owner-stably, so slot order *is* the
-    cold segment order).  Requires ``base`` and ``delta`` to be built
-    against the same live table group with no intervening purge (a purge
-    recycles ghost slots, retargeting the inverse).
+    to a cold rebuild.
+
+    The splice is a positional *edit script* on the CSR buffers.  A cold
+    build orders every receive buffer by ``(owner, hash-table slot)``
+    (``build_schedule`` selects slots with ``np.flatnonzero`` and groups
+    them owner-stably), so the position of an edit is a lower bound over
+    that key, read through the rank's live ghost-slot -> key inverse:
+    where a delta entry goes in, where a dropped entry sits.  Element
+    ``k`` of ``p``'s segment from ``q`` is element ``k`` of ``q``'s
+    segment to ``p``, so the same ``(segment, k)`` positions edit the
+    send buffers and nothing is transposed.  Positions are found per
+    receiver, carried over to the senders machine-wide, and applied
+    buffer by buffer: one key gather and one copy per buffer plus a
+    binary search per edit -- O(stream + delta * log) with rank-sized
+    temporaries and no iteration over rank pairs.
+
+    ``base`` must describe the live tables as they were before the
+    update, with no purge in between (a purge recycles ghost slots).
+    That is checked where the edit script sees it: a ghost slot of
+    ``base`` that is no longer live, or a dropped entry that is not
+    found at its own position, raises ``ValueError``.
     """
     ctx = ensure_context(ctx, "splice_schedules")
     machine = ctx.machine
@@ -192,96 +207,86 @@ def splice_schedules(
     n = base.n_ranks
     if delta.n_ranks != n:
         raise ValueError("base and delta schedules span different machines")
-    z = lambda: np.zeros(0, dtype=np.int64)  # noqa: E731
 
-    # buf -> slot inverse per rank (live entries only; purged rows carry
-    # buf == -1 and never appear)
-    inv: list[np.ndarray] = []
+    # per receiver: position of every dropped / delta entry in its base
+    # receive buffer, and the entry's owner
+    drop_at, drop_src, ins_at, ins_src = [], [], [], []
     for p in machine.ranks():
         ht = htables[p]
-        iv = np.full(ht.ghost_capacity(), -1, dtype=np.int64)
-        bufs = ht.buf[: ht.n_entries]
-        live = bufs >= 0
-        iv[bufs[live]] = np.flatnonzero(live)
-        inv.append(iv)
-        machine.charge_memops(p, ht.n_entries, category)
+        ne = ht.n_entries
+        # ghost slot -> owner-major slot key of the live off-processor
+        # entries (purged and on-processor rows carry buf == -1)
+        live = np.flatnonzero(ht.buf[:ne] >= 0)
+        key = np.full(ht.ghost_capacity(), -1, dtype=np.int64)
+        key[ht.buf[live]] = ht.proc[live] * ne + live
+        machine.charge_memops(p, ne, category)
+        base_key = key[base.recv_slots[p]]
+        dkey = key[np.asarray(dropped_bufs[p], dtype=np.int64)]
+        ikey = key[delta.recv_slots[p]]
+        at = base_key.searchsorted(dkey)
+        if ((base_key.size and base_key.min() < 0)
+                or (at >= base_key.size).any()
+                or (base_key[at] != dkey).any()):
+            raise ValueError(
+                "base schedule does not match the live tables on rank "
+                f"{p} (built against other tables, or purged since)"
+            )
+        drop_at.append(at)
+        drop_src.append(dkey // ne)
+        ins_at.append(base_key.searchsorted(ikey))
+        ins_src.append(ikey // ne)
 
-    recv_segments: list[list[np.ndarray]] = [[z()] * n for _ in range(n)]
-    send_segments: list[list[np.ndarray]] = [[z()] * n for _ in range(n)]
-    for p in machine.ranks():  # receiver
-        drop = np.asarray(dropped_bufs[p], dtype=np.int64)
-        keep = None
-        if drop.size:
-            # O(1)-per-element membership via a ghost-slot lookup table
-            # (the per-segment np.isin sort path dwarfed the splice)
-            dropped = np.zeros(htables[p].ghost_capacity(), dtype=bool)
-            dropped[drop] = True
-            keep = ~dropped[base.recv_slots[p]]
-        boff = base.recv_offsets[p]
-        merged = 0
-        for q in machine.ranks():  # source
-            b_recv = base.recv_view(p, q)
-            b_send = base.send_view(q, p)
-            if keep is not None and b_recv.size:
-                kseg = keep[int(boff[q]):int(boff[q + 1])]
-                if not kseg.all():
-                    b_recv = b_recv[kseg]
-                    b_send = b_send[kseg]
-            d_recv = delta.recv_view(p, q)
-            # dropping preserves the base segment's canonical ascending-
-            # slot order, so a sort is only needed when both sides are
-            # non-empty and must interleave
-            if d_recv.size == 0:
-                recv_segments[p][q] = b_recv
-                send_segments[q][p] = b_send
-                merged += b_recv.size
-                continue
-            if b_recv.size == 0:
-                recv_segments[p][q] = d_recv
-                send_segments[q][p] = delta.send_view(q, p)
-                merged += d_recv.size
-                continue
-            # both sides are already in canonical ascending-slot order
-            # (disjoint slot sets), so this is a linear merge of two
-            # sorted sequences, not a sort
-            ib = inv[p][b_recv]
-            idv = inv[p][d_recv]
-            nb, nd = ib.size, idv.size
-            at = np.searchsorted(ib, idv) + np.arange(nd)
-            base_at = np.ones(nb + nd, dtype=bool)
-            base_at[at] = False
-            recv = np.empty(nb + nd, dtype=np.int64)
-            send = np.empty(nb + nd, dtype=np.int64)
-            recv[at] = d_recv
-            recv[base_at] = b_recv
-            send[at] = delta.send_view(q, p)
-            send[base_at] = b_send
-            recv_segments[p][q] = recv
-            send_segments[q][p] = send
-            merged += recv.size
-        machine.charge_memops(p, merged, category)
+    # the same edits seen by the senders: element k of (p <- q) is
+    # element k of (q -> p)
+    recv_off = np.stack(base.recv_offsets)   # [p, q]
+    send_off = np.stack(base.send_offsets)   # [q, p]
 
-    from repro.core.compiled import offsets_from_counts
+    def at_sender(at, src):
+        """Per-receiver positions -> receiver, sender and position in
+        the sender's buffer of every edit, in receiver order."""
+        recv = np.repeat(np.arange(n), [a.size for a in at])
+        at, send = np.concatenate(at), np.concatenate(src)
+        return recv, send, send_off[send, recv] + at - recv_off[recv, send]
 
-    send_indices, send_offsets = [], []
-    recv_slots, recv_offsets = [], []
+    receiver, sender, at = at_sender(drop_at, drop_src)
+    dropped = np.bincount(sender * n + receiver,
+                          minlength=n * n).reshape(n, n)   # [q, p]
+    drop_send = split_csr(at[np.argsort(sender, kind="stable")],
+                          offsets_from_counts(dropped.sum(axis=1)))
+    # the delta's send buffers list its entries sender-major
+    at = at_sender(ins_at, ins_src)[2]
+    ins_send = np.empty_like(at)
+    ins_send[stream_perm(delta.counts())] = at
+    ins_send = split_csr(ins_send,
+                         offsets_from_counts(delta.counts().sum(axis=1)))
+
+    def edited(old, drop, ins, values):
+        """``old`` without the positions ``drop`` and with ``values``
+        put in before the (ascending) positions ``ins``."""
+        keep = np.ones(old.size, dtype=bool)
+        keep[drop] = False
+        at = ins - np.sort(drop).searchsorted(ins) + np.arange(ins.size)
+        out = np.empty(old.size - drop.size + ins.size, dtype=np.int64)
+        out[at] = values
+        kept = np.ones(out.size, dtype=bool)
+        kept[at] = False
+        out[kept] = old[keep]
+        return out
+
+    recv_slots, send_indices = [], []
     for r in machine.ranks():
-        s_counts = np.array([send_segments[r][d].size
-                             for d in machine.ranks()], dtype=np.int64)
-        r_counts = np.array([recv_segments[r][s].size
-                             for s in machine.ranks()], dtype=np.int64)
-        send_indices.append(
-            np.concatenate(send_segments[r]) if s_counts.sum() else z())
-        recv_slots.append(
-            np.concatenate(recv_segments[r]) if r_counts.sum() else z())
-        send_offsets.append(offsets_from_counts(s_counts))
-        recv_offsets.append(offsets_from_counts(r_counts))
+        recv_slots.append(edited(base.recv_slots[r], drop_at[r], ins_at[r],
+                                 delta.recv_slots[r]))
+        send_indices.append(edited(base.send_indices[r], drop_send[r],
+                                   ins_send[r], delta.send_indices[r]))
+        machine.charge_memops(r, recv_slots[r].size, category)
+    counts = base.counts() + delta.counts() - dropped
     return Schedule(
         n_ranks=n,
         send_indices=send_indices,
-        send_offsets=send_offsets,
+        send_offsets=[offsets_from_counts(row) for row in counts],
         recv_slots=recv_slots,
-        recv_offsets=recv_offsets,
+        recv_offsets=[offsets_from_counts(col) for col in counts.T],
         ghost_size=list(delta.ghost_size),
     )
 

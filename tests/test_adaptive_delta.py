@@ -176,3 +176,227 @@ def test_delta_schedule_traffic_identity(backend):
         assert np.array_equal(g_f[p], g_d[p])
     assert m_full.traffic.snapshot() == m_delta.traffic.snapshot()
     assert list(m_full.traffic.messages) == list(m_delta.traffic.messages)
+
+
+# ---------------------------------------------------------------------
+# the splice as an edit script: named cases, wide machines, accounting
+# ---------------------------------------------------------------------
+SPLICE_CASES = (
+    "empty_delta", "drop_only", "insert_only", "segment_emptied",
+    "segment_created", "empty_rank", "fresh_ghosts", "purged_rows",
+    "mixed",
+)
+
+
+def _splice_scenario(case, n_ranks, seed):
+    """``(owner map, per-rank slices, touched positions, new values)``.
+
+    Global indices ``< n_seen`` may be referenced initially, the upper
+    half never is; ownership is cyclic, so ``g % n_ranks`` owns ``g``.
+    """
+    rng = np.random.default_rng(seed)
+    P = n_ranks
+    n_seen = 12 * P
+    n = 2 * n_seen
+    idx = [rng.integers(0, n_seen, 30) for _ in range(P)]
+    far = P - 1  # rank 0's partner in the single-segment cases
+    if case == "empty_rank":
+        idx[far] = np.zeros(0, dtype=np.int64)
+    if case in ("segment_emptied", "segment_created"):
+        idx[0][idx[0] % P == far] = 0  # rank 0 owns global index 0
+    if case == "segment_emptied":
+        idx[0][7] = far  # the one reference rank 0 makes to ``far``
+    pos, new = [], []
+    for p, a in enumerate(idx):
+        uniq, first, cnt = np.unique(a, return_index=True,
+                                     return_counts=True)
+        if case == "empty_delta" or a.size == 0:
+            t, v = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        elif case == "drop_only":
+            # singly referenced values give way to the most referenced
+            t = first[cnt == 1]
+            v = np.full(t.size, uniq[np.argmax(cnt)])
+        elif case == "insert_only":
+            # one of several references moves to a never-seen value
+            t = first[cnt > 1]
+            v = n_seen + rng.choice(n_seen, size=t.size, replace=False)
+        elif case == "segment_emptied":
+            t, v = np.array([7]), np.array([0])
+            t, v = (t, v) if p == 0 else (t[:0], v[:0])
+        elif case == "segment_created":
+            t, v = np.array([7]), np.array([n_seen + far])
+            t, v = (t, v) if p == 0 else (t[:0], v[:0])
+        else:
+            t = rng.choice(a.size, size=a.size // 3, replace=False)
+            lo = n_seen if case == "fresh_ghosts" else 0
+            v = rng.integers(lo, n, t.size)
+        pos.append(t)
+        new.append(v)
+    return np.arange(n) % P, idx, pos, new
+
+
+def _hashed_env(ctx, owner, idx, purged):
+    tt = TranslationTable.from_map(ctx.machine, owner)
+    hts = make_hash_tables(ctx, tt)
+    chaos_hash(ctx, hts, tt, [a.copy() for a in idx], "s")
+    if purged:
+        # a released stamp over never-seen values leaves purged rows
+        # (buf == -1) and free ghost slots behind
+        half = owner.size // 2
+        extra = [half + (p + np.arange(40)) % half
+                 for p in range(ctx.n_ranks)]
+        chaos_hash(ctx, hts, tt, extra, "t")
+        clear_stamp(ctx, hts, "t", release=True)
+    return tt, hts
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n_ranks", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("case", SPLICE_CASES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
+    """``delta_rebuild_schedule`` against a cold clear/rehash/build:
+    identical CSR buffers, no message, and exactly the two per-rank
+    ``memops`` charges (table scan, merged buffer) of one splice."""
+    from unittest import mock
+
+    import repro.core.schedule as schedule_mod
+
+    owner, idx, pos, new = _splice_scenario(case, n_ranks, seed)
+    nxt = [a.copy() for a in idx]
+    for a, t, v in zip(nxt, pos, new):
+        a[t] = v
+    ctx_f = ExecutionContext.resolve(Machine(n_ranks), backend)
+    ctx_d = ExecutionContext.resolve(Machine(n_ranks), backend)
+    try:
+        tt_f, hts_f = _hashed_env(ctx_f, owner, idx, case == "purged_rows")
+        tt_d, hts_d = _hashed_env(ctx_d, owner, idx, case == "purged_rows")
+        base = build_schedule(ctx_d, hts_d, "s")
+        old_capacity = [ht.ghost_capacity() for ht in hts_d]
+
+        clear_stamp(ctx_f, hts_f, "s")
+        chaos_hash(ctx_f, hts_f, tt_f, nxt, "s")
+        cold = build_schedule(ctx_f, hts_f, "s")
+
+        # bracket the one splice call: clocks and traffic around it
+        m = ctx_d.machine
+        seen = {}
+        splice = schedule_mod.splice_schedules
+
+        def bracketed(*args, **kwargs):
+            seen["clock"] = [c.time for c in m.clocks]
+            seen["traffic"] = m.traffic.snapshot()
+            seen["entries"] = [ht.n_entries for ht in hts_d]
+            out = splice(*args, **kwargs)
+            seen["after"] = [c.time for c in m.clocks]
+            return out
+
+        with mock.patch.object(schedule_mod, "splice_schedules", bracketed):
+            rehash = rehash_delta(ctx_d, hts_d, tt_d, "s",
+                                  [a[t] for a, t in zip(idx, pos)], new)
+            got = delta_rebuild_schedule(ctx_d, hts_d, "s", base, rehash)
+        _assert_schedule_equal(cold, got)
+        assert m.traffic.snapshot() == seen["traffic"]
+        for p in range(n_ranks):
+            t = seen["clock"][p]
+            t += m.cost_model.memory_time(seen["entries"][p])
+            t += m.cost_model.memory_time(got.recv_slots[p].size)
+            assert seen["after"][p] == t
+
+        # each named case really exercises what it is named after
+        before, after = base.counts(), got.counts()
+        if case == "empty_delta":
+            assert np.array_equal(before, after)
+        if n_ranks > 1:
+            if case == "drop_only":
+                assert (after <= before).all() and after.sum() < before.sum()
+            if case == "insert_only":
+                assert (after >= before).all() and after.sum() > before.sum()
+            if case == "segment_emptied":
+                assert (before[-1, 0], after[-1, 0]) == (1, 0)
+            if case == "segment_created":
+                assert (before[-1, 0], after[-1, 0]) == (0, 1)
+            if case == "empty_rank":
+                assert hts_d[-1].n_entries == 0
+            if case == "fresh_ghosts":
+                assert any(ht.ghost_capacity() > cap
+                           for ht, cap in zip(hts_d, old_capacity))
+            if case == "purged_rows":
+                assert any((ht.buf[:ht.n_entries] < 0).any()
+                           and ht._free_slots.size for ht in hts_d)
+    finally:
+        ctx_f.close()
+        ctx_d.close()
+
+
+def test_splice_never_walks_rank_pairs(monkeypatch):
+    """Structural guard: the splice edits whole CSR buffers; it must not
+    fall back to visiting ``(receiver, source)`` pairs one view at a
+    time (16 384 of them at P=128)."""
+    from repro.core import Schedule
+
+    n_ranks = 32
+    ctx = ExecutionContext.resolve(Machine(n_ranks), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 5, 40 * n_ranks, 60)
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(6), idx,
+                                      40 * n_ranks, 0.2)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    views = []
+    for name in ("send_view", "recv_view"):
+        monkeypatch.setattr(
+            Schedule, name,
+            lambda self, rank, other, name=name: views.append(name))
+    spliced = delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+    assert views == []
+    assert spliced.total_elements() != base.total_elements()
+
+
+def test_stale_base_schedule_is_rejected():
+    """A base that no longer describes the live tables (its rows were
+    purged and their ghost slots recycled after it was built) must not
+    be spliced."""
+    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    clear_stamp(ctx, hts, "s", purge=True)
+    fresh = [np.arange(p, 60, 4) for p in range(4)]
+    chaos_hash(ctx, hts, tt, fresh, "s")
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), fresh,
+                                      60, 0.3)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    with pytest.raises(ValueError, match="does not match the live tables"):
+        delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+
+
+def test_purge_between_build_and_delta_falls_back_to_full_build():
+    """Through the facade the rejected splice is a ``DeltaFallback``:
+    the adapt recovers through the full inspector, the result is right,
+    and the cache counts a build, not a delta rebuild."""
+    from repro.core import ChaosRuntime, IrregularReduction, split_by_block
+
+    rng = np.random.default_rng(11)
+    n, refs = 60, 120
+    m = Machine(4)
+    rt = ChaosRuntime(ExecutionContext.resolve(m, "vectorized"))
+    tt = rt.irregular_table(rng.integers(0, 4, n))
+    ia_g, ib_g = rng.integers(0, n, refs), rng.integers(0, n, refs)
+    ib = [a.copy() for a in split_by_block(ib_g, m)]
+    loop = IrregularReduction(rt, tt, "nb").bind(
+        ia=split_by_block(ia_g, m), ib=[a.copy() for a in ib])
+    loop.setup()
+    # the cached schedule covers ia | ib; purge ia's rows behind its back
+    rt.clear_stamp(tt, "nb:ia", purge=True)
+    touched = []
+    for a in ib:
+        pos = rng.choice(a.size, size=5, replace=False)
+        a[pos] = rng.integers(0, n, 5)
+        touched.append(pos)
+    loop.adapt("ib", [a.copy() for a in ib], touched=touched)
+    st = rt.cache_stats("nb")
+    assert (st.builds, st.delta_rebuilds) == (2, 0)
+    x_g, y_g = rng.standard_normal(n), rng.standard_normal(n)
+    x, y = rt.distribute(x_g, tt), rt.distribute(y_g, tt)
+    loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+    expected = x_g.copy()
+    np.add.at(expected, ia_g, y_g[np.concatenate(ib)])
+    assert np.allclose(x.to_global(), expected, rtol=1e-10)

@@ -165,6 +165,47 @@ class TestIrregularReduction:
         # must still recover the array name from the stamp
         assert loop.localized("ib") is not None
 
+    def test_adapt_repeated_touched_position(self, rng):
+        """A position listed twice must move its stamp references once.
+        Counted twice, the old value loses the reference another
+        position still holds, its entry leaves the schedule and its
+        ghost is no longer gathered — silently."""
+        m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng, n=40, e=40)
+        ia = split_by_block(ia_g, m)
+        ib = [a.copy() for a in split_by_block(ib_g, m)]
+        # two global indices rank 0 neither owns nor references
+        unseen = np.setdiff1d(
+            np.flatnonzero(tt.dist.owner(np.arange(40)) != 0),
+            np.concatenate([ia[0], ib[0]]))
+        twice, fresh = int(unseen[0]), int(unseen[1])
+        ib[0][[3, 5]] = twice
+        loop = IrregularReduction(rt, tt, "L").bind(
+            ia=ia, ib=[a.copy() for a in ib])
+        loop.setup()
+        y = rt.distribute(y_g, tt)
+        none = np.zeros(0, np.int64)
+        for value in (fresh, twice):  # position 3 moves away, then back
+            ib[0][3] = value
+            loop.adapt("ib", [a.copy() for a in ib],
+                       touched=[np.array([3, 3])] + [none] * 3)
+            x = rt.distribute(x_g, tt)
+            loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+            expected = x_g.copy()
+            np.add.at(expected, ia_g, y_g[np.concatenate(ib)])
+            assert np.allclose(x.to_global(), expected)
+        assert rt.cache_stats("L").delta_rebuilds == 2
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_adapt_touched_out_of_range_rejected(self, rng, bad):
+        m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng, n=40, e=40)
+        ia = split_by_block(ia_g, m)
+        loop = IrregularReduction(rt, tt, "L").bind(ia=ia)
+        loop.setup()
+        none = np.zeros(0, np.int64)
+        with pytest.raises(ValueError, match="rank 2"):
+            loop.adapt("ia", ia, touched=[none, none, np.array([0, bad]),
+                                          none])
+
     def test_adapt_untouched_positions_must_not_change(self, rng):
         m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng)
         loop = IrregularReduction(rt, tt, "L").bind(
