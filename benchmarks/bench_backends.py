@@ -9,11 +9,12 @@ every paper table) under each registered backend, on two workloads:
   columns) so backend differences can be attributed;
 * a DSMC-style particle migration — one ``scatter_append`` per round
   over a light-weight schedule;
-* a fused four-field halo exchange — the same irregular gather over
-  four ``(n, 3)`` float64 fields, once as four ``gather`` calls and
-  once as a single :func:`run_pipeline` chain, so the fused-executor
-  speedup (single-permutation, destination-sorted kernels) is measured
-  against the unfused path *on the same backend*.
+* a four-field halo exchange — the same irregular gather over four
+  ``(n, 3)`` float64 fields as one :func:`run_pipeline` chain (one
+  four-stage plan).  Four separate ``gather`` calls are four one-stage
+  plans through the same executor, so there is no second path to
+  compare against; the script only asserts that splitting the chain up
+  is not faster than the chain.
 
 All backends charge identical virtual time — the difference measured
 here is pure wall-clock interpreter cost: the serial backend walks every
@@ -79,8 +80,8 @@ def lightweight_env(n_particles: int = 200_000, seed: int = 7):
     return ctx, sched, values
 
 
-def fused_env(n: int = 48_000, n_ref: int = 200_000, n_fields: int = 4,
-              seed: int = 3):
+def halo_env(n: int = 48_000, n_ref: int = 200_000, n_fields: int = 4,
+             seed: int = 3):
     """Four-field halo exchange: one irregular schedule, four ``(n, 3)``
     float64 fields gathered through it (positions, velocities, forces,
     dipoles — any per-element vector data sharing one indirection)."""
@@ -96,31 +97,31 @@ def fused_env(n: int = 48_000, n_ref: int = 200_000, n_fields: int = 4,
     return rt.ctx, sched, fields
 
 
-def time_fused(ctx, sched, fields, rounds: int) -> dict[str, float]:
-    """Best wall-clock seconds for the four-field exchange, unfused
-    (four ``gather`` calls) vs fused (one ``run_pipeline`` chain); the
-    warm-up round also asserts the fusion contract — bitwise-identical
-    ghosts and exactly equal traffic, fused vs unfused."""
+def time_halo(ctx, sched, fields, rounds: int) -> dict[str, float]:
+    """Best wall-clock seconds for the four-field exchange as one chain
+    (``halo_x4``) and as four ``gather`` calls (``halo_x4_calls``); the
+    warm-up round also asserts the chain contract — bitwise-identical
+    ghosts and exactly equal traffic either way."""
     machine = ctx.machine
     ghosts = [allocate_ghosts(sched, f) for f in fields]
 
-    def unfused():
+    def calls():
         for f, g in zip(fields, ghosts):
             gather(ctx, sched, f, g)
 
-    def fused():
+    def chain():
         run_pipeline(ctx, [gather_phase(sched, f, g)
                            for f, g in zip(fields, ghosts)],
-                     category="comm", loop_id="bench:fused_halo")
+                     category="comm", loop_id="bench:halo")
 
     t0 = machine.traffic.snapshot()
-    unfused()
+    calls()
     t1 = machine.traffic.snapshot()
     ref = [[x.copy() for x in g] for g in ghosts]
     for g in ghosts:
         for x in g:
             x.fill(0)
-    fused()
+    chain()
     t2 = machine.traffic.snapshot()
 
     def delta(a, b):
@@ -130,21 +131,19 @@ def time_fused(ctx, sched, fields, rounds: int) -> dict[str, float]:
                 "by_tag": {t: tuple(np.subtract(v, a["by_tag"].get(t, zero)))
                            for t, v in b["by_tag"].items()}}
 
-    assert delta(t0, t1) == delta(t1, t2), "fused traffic differs"
+    assert delta(t0, t1) == delta(t1, t2), "chain traffic differs"
     for rg, g in zip(ref, ghosts):
         for x, y in zip(rg, g):
-            assert np.array_equal(x, y), "fused ghosts differ"
-    best = {"pipeline_unfused": float("inf"),
-            "pipeline_fused": float("inf")}
+            assert np.array_equal(x, y), "chain ghosts differ"
+    best = {"halo_x4_calls": float("inf"), "halo_x4": float("inf")}
     for _ in range(rounds):
         t = time.perf_counter()
-        unfused()
-        best["pipeline_unfused"] = min(best["pipeline_unfused"],
-                                       time.perf_counter() - t)
+        calls()
+        best["halo_x4_calls"] = min(best["halo_x4_calls"],
+                                    time.perf_counter() - t)
         t = time.perf_counter()
-        fused()
-        best["pipeline_fused"] = min(best["pipeline_fused"],
-                                     time.perf_counter() - t)
+        chain()
+        best["halo_x4"] = min(best["halo_x4"], time.perf_counter() - t)
     return best
 
 
@@ -183,7 +182,7 @@ def time_scatter_append(ctx, sched, values, rounds: int) -> float:
 def generate_table(rounds: int = 5):
     md = charmm_env()
     ctx, lw_sched, values = lightweight_env()
-    fu_ctx0, fu_sched, fu_fields = fused_env()
+    fu_ctx0, fu_sched, fu_fields = halo_env()
     times: dict[str, dict[str, float]] = {}
     for backend in BACKENDS:
         # one context per backend for all of its timings, so warm-up
@@ -200,14 +199,14 @@ def generate_table(rounds: int = 5):
         phases["scatter_append"] = time_scatter_append(
             lw_ctx, lw_sched, values, rounds
         )
-        phases.update(time_fused(fu_ctx, fu_sched, fu_fields, rounds))
+        phases.update(time_halo(fu_ctx, fu_sched, fu_fields, rounds))
         times[backend] = phases
         for derived, base in ((md_ctx, md.ctx), (lw_ctx, ctx),
                               (fu_ctx, fu_ctx0)):
             if derived is not base:
                 derived.close()
     columns = ("gather", "scatter_op", "gather_scatter", "scatter_append",
-               "pipeline_unfused", "pipeline_fused")
+               "halo_x4")
     rows = [
         [backend] + [times[backend][col] * 1e3 for col in columns]
         for backend in BACKENDS
@@ -215,31 +214,24 @@ def generate_table(rounds: int = 5):
     # one speedup row per non-reference backend; the vectorized keys
     # stay unsuffixed because the regression gate reads them by name,
     # and only the round-level metrics carry speedups (the per-phase
-    # columns are attribution detail, not gates).  ``fused_pipeline`` is
-    # fused vs unfused *on the same backend* — the fused-executor win,
-    # not the backend-vs-serial win.
+    # columns are attribution detail, not gates)
+    gated = ("gather_scatter", "scatter_append", "halo_x4")
     speedups: dict[str, float] = {}
     for backend in BACKENDS:
         if backend == "serial":
             continue
         suffix = "" if backend == "vectorized" else f"_{backend}"
-        for phase in ("gather_scatter", "scatter_append"):
+        for phase in gated:
             speedups[f"{phase}{suffix}"] = (
                 times["serial"][phase] / max(times[backend][phase], 1e-12)
             )
-        speedups[f"fused_pipeline{suffix}"] = (
-            times[backend]["pipeline_unfused"]
-            / max(times[backend]["pipeline_fused"], 1e-12)
-        )
-        rows.append([f"speedup {backend} (x)", "", "",
-                     speedups[f"gather_scatter{suffix}"],
-                     speedups[f"scatter_append{suffix}"], "",
-                     speedups[f"fused_pipeline{suffix}"]])
+        rows.append([f"speedup {backend} (x)", "", ""]
+                    + [speedups[f"{phase}{suffix}"] for phase in gated])
     print_table(
         f"Backend ablation: executor wall-clock at P={N_RANKS} "
         f"(ms per round, best of {rounds})",
         ["Backend", "gather", "scatter_op", "gather+scatter_op",
-         "scatter_append", "halo x4 unfused", "halo x4 fused"],
+         "scatter_append", "halo x4"],
         rows,
         float_fmt="{:.3f}",
         json_name="backend_ablation",
@@ -252,16 +244,25 @@ def generate_table(rounds: int = 5):
 def test_backend_ablation():
     times, speedups = generate_table()
     # acceptance: compiled plans beat the pair loop by >= 3x on the
-    # CHARMM executor phase at 16 simulated ranks, and the fused
-    # single-permutation pipeline beats the unfused vectorized path by
-    # >= 1.5x on the four-field halo exchange
+    # CHARMM executor phase at 16 simulated ranks and by >= 1.5x on the
+    # migration and the four-field halo chain
     assert speedups["gather_scatter"] >= 3.0, speedups
     assert speedups["scatter_append"] >= 1.5, speedups
-    assert speedups["fused_pipeline"] >= 1.5, speedups
+    assert speedups["halo_x4"] >= 1.5, speedups
+    check_chain_not_slower(times)
+
+
+def check_chain_not_slower(times) -> None:
+    """One four-stage plan must not lose to four one-stage plans (it
+    does the same moves with one validation and one rank loop); 10 %
+    covers best-of-N timer noise."""
+    v = times["vectorized"]
+    assert v["halo_x4"] <= 1.1 * v["halo_x4_calls"], v
 
 
 if __name__ == "__main__":
     times, speedups = generate_table()
+    check_chain_not_slower(times)
     print(f"\nexecutor-phase speedup: {speedups['gather_scatter']:.1f}x, "
           f"migration speedup: {speedups['scatter_append']:.1f}x, "
-          f"fused-pipeline speedup: {speedups['fused_pipeline']:.1f}x")
+          f"halo-chain speedup: {speedups['halo_x4']:.1f}x")

@@ -118,7 +118,7 @@ CHECKS = (
     ("BENCH_inspector.json", "bench_inspector.json", _inspector_ratios,
      frozenset({"hash+schedule"})),
     ("BENCH_backends.json", "backend_ablation.json", _backend_ratios,
-     frozenset({"gather_scatter", "scatter_append", "fused_pipeline"})),
+     frozenset({"gather_scatter", "scatter_append", "halo_x4"})),
     ("BENCH_adaptive.json", "bench_adaptive.json", _adaptive_ratios,
      frozenset({"delta_speedup", "delta_speedup_p128", "hit_rate"})),
 )

@@ -6,8 +6,10 @@ pipeline, spanning both halves of the inspector/executor split:
 * **inspector phase** — index analysis (``chaos_hash`` probing/insertion
   via the backend's key store), localization, schedule generation from
   stamped hash tables, and translation-table lookup accounting;
-* **executor phase** — gather, scatter, scatter-with-op, append-order
-  particle migration, and remap application.
+* **executor phase** — :meth:`Backend.run_fused`: a *stage list*, each
+  stage one precomputed pack → exchange → place plan.  ``gather``,
+  ``scatter``, ``scatter_op``, ``scatter_append(_multi)`` and
+  ``remap_array`` are that one method run over a one-stage list.
 
 The module-level functions in :mod:`repro.core.inspector`,
 :mod:`repro.core.schedule`, :mod:`repro.core.translation`,
@@ -21,14 +23,16 @@ their first argument (``ctx.machine`` is the machine to charge).
 Four implementations ship with the runtime:
 
 * ``serial`` — the reference semantics: a Python dict operation per hash
-  key, a Python loop per communicating ``(p, q)`` rank pair;
+  key, a Python loop per communicating ``(p, q)`` rank pair, one
+  per-primitive method per stage kind;
 * ``vectorized`` — the default: a batched open-addressed key store,
   argsort/bincount schedule grouping, count-matrix communication
-  accounting (:meth:`Machine.exchange_compiled`), and compiled flat
-  executor plans (:mod:`repro.core.compiled`);
+  accounting (:meth:`Machine.exchange_compiled`), and one composed
+  index pair per stage over compiled flat plans
+  (:mod:`repro.core.compiled`);
 * ``threaded`` — the vectorized per-rank kernels with the rank loops of
-  the executor/lightweight/remap phases (and the owner-grouped schedule
-  build) fanned out over a per-context thread pool;
+  the executor (and the owner-grouped schedule build) fanned out over a
+  per-context thread pool;
 * ``multiprocess`` — the same rank kernels executed by a per-context
   *process* pool over shared-memory views of the compiled plan buffers
   and rank-partitioned data, sidestepping the GIL entirely.
@@ -43,10 +47,13 @@ nothing, so the serial and vectorized backends pay no lifecycle cost.
 Backends must be *observationally identical*: same results bitwise
 (localized indices, ghost-slot assignment, schedules, executor data),
 same traffic statistics message-for-message, same virtual-time totals
-(up to float summation order).  ``tests/test_backends.py`` and
-``tests/test_inspector_backends.py`` enforce this on randomized
-workloads.  New execution strategies (sharded, alternative transports)
-plug in via :func:`register_backend` without touching applications.
+(up to float summation order).  The suites sweeping
+``tests/conftest.py:ALL_BACKENDS`` (``test_backends.py``,
+``test_inspector_backends.py``, ``test_fused.py``,
+``test_adaptive_delta.py``, the CHARMM/DSMC parallel suites, ...)
+enforce this on randomized workloads.  New execution strategies
+(sharded, alternative transports) plug in via :func:`register_backend`
+without touching applications.
 """
 
 from __future__ import annotations
@@ -56,8 +63,6 @@ import threading
 import weakref
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Callable
-
 import numpy as np
 
 #: environment variable consulted for the initial default backend
@@ -100,16 +105,11 @@ class BackendResources:
     override :meth:`_release`.
     """
 
-    __slots__ = ("backend", "_closed", "fused_kernels", "__weakref__")
+    __slots__ = ("backend", "_closed", "__weakref__")
 
     def __init__(self, backend: "Backend"):
         self.backend = backend
         self._closed = False
-        #: dtype-specialized fused apply kernels, keyed ``(dtype, op
-        #: name)`` — populated at ``open(ctx)`` time by backends that
-        #: execute fused pipelines in one pass (``None`` means every
-        #: stage uses the generic numpy fallback)
-        self.fused_kernels: dict | None = None
 
     @property
     def closed(self) -> bool:
@@ -292,64 +292,21 @@ class Backend(ABC):
     # executor phase
     # ------------------------------------------------------------------
     @abstractmethod
-    def gather(self, ctx, sched, data, ghosts, category: str):
-        """Fill ``ghosts`` with off-processor elements; returns ``ghosts``."""
-
-    @abstractmethod
-    def scatter(self, ctx, sched, data, ghosts, op: Callable | None,
-                category: str) -> None:
-        """Return ghost values to owners; ``op=None`` overwrites,
-        otherwise ``op.at`` combines (source-rank-ascending order)."""
-
-    @abstractmethod
-    def scatter_append(self, ctx, sched, values, category: str):
-        """Move elements to destination ranks, appending kept-local first
-        then arrivals by source rank; returns new per-rank arrays."""
-
-    @abstractmethod
-    def scatter_append_multi(self, ctx, sched, arrays, category: str):
-        """Like :meth:`scatter_append` for several aligned attribute sets
-        sharing one set of messages; returns ``out[k][p]``."""
-
-    @abstractmethod
-    def remap_array(self, ctx, plan, data, category: str):
-        """Apply a remap plan to one per-rank array set; returns new
-        arrays."""
-
     def run_fused(self, ctx, fused, binds, category: str) -> list:
-        """Execute a fused pipeline; returns one result per stage.
+        """Execute a stage list; returns one result per stage.
 
         ``fused`` is a :class:`~repro.core.compiled.FusedPlan` whose
-        stage chain the executor layer has already validated and deemed
-        legal to fuse; ``binds`` aligns one
-        :class:`~repro.core.compiled.StageBind` with each stage.  Stage
-        results match the unfused primitives: ghost arrays for gather,
-        ``None`` for scatter, fresh per-rank arrays for append/remap.
+        stages the executor layer has already validated and — when
+        there are several — deemed legal to run as one plan; ``binds``
+        aligns one :class:`~repro.core.compiled.StageBind` with each
+        stage.  Stage results: the ghost arrays for gather, ``None`` for
+        scatter, fresh per-rank arrays for remap, and one fresh per-rank
+        list per bound column for append.
 
-        This default is the *reference multi-pass implementation* (the
-        serial backend's semantics): each stage runs through its own
-        unfused primitive, in order.  One-pass backends override it but
-        must stay bitwise-identical — same results, same traffic
-        message-for-message, same per-rank clock sequences.
+        Every backend must stay bitwise-identical to the serial
+        reference — same results, same traffic message-for-message,
+        same per-rank clock sequences.
         """
-        out = []
-        for stage, bind in zip(fused.stages, binds):
-            if stage.kind == "gather":
-                out.append(self.gather(ctx, stage.sched, bind.sources,
-                                       bind.dests, category))
-            elif stage.kind == "scatter":
-                self.scatter(ctx, stage.sched, bind.dests, bind.sources,
-                             stage.op, category)
-                out.append(None)
-            elif stage.kind == "append":
-                out.append(self.scatter_append(ctx, stage.sched,
-                                               bind.sources, category))
-            elif stage.kind == "remap":
-                out.append(self.remap_array(ctx, stage.sched,
-                                            bind.sources, category))
-            else:  # pragma: no cover - FusedPlan validates kinds
-                raise ValueError(f"unknown fused stage {stage.kind!r}")
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

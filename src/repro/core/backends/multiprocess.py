@@ -61,11 +61,7 @@ from repro.core.backends.base import (
     collect_futures,
     register_backend,
 )
-from repro.core.backends.vectorized import (
-    RankKernel,
-    VectorizedBackend,
-    default_fused_registry,
-)
+from repro.core.backends.vectorized import RankKernel, VectorizedBackend
 
 #: environment variable selecting the worker start method
 START_METHOD_ENV_VAR = "REPRO_MP_START_METHOD"
@@ -196,18 +192,6 @@ class ShmArena:
         """Copy ``arr`` (flattened) into scratch; ref plus parent view."""
         return self._write(self._scratch, arr.reshape(-1))
 
-    def alloc_scratch(self, length: int, dtype) -> tuple[ShmRef, np.ndarray]:
-        """Uninitialized scratch output buffer of ``length`` scalars."""
-        dtype = np.dtype(dtype)
-        if length == 0:
-            return (ShmRef("", 0, 0, str(dtype)),
-                    np.zeros(0, dtype=dtype))
-        segment, offset = self._scratch.alloc(length * dtype.itemsize)
-        view = np.ndarray(length, dtype=dtype,
-                          buffer=segment.buf, offset=offset)
-        ref = ShmRef(segment.name, offset, int(length), str(dtype))
-        return ref, view
-
     def reset_scratch(self) -> None:
         self._scratch.reset()
 
@@ -241,91 +225,39 @@ def _attach(ref: ShmRef) -> np.ndarray:
                       buffer=segment.buf, offset=ref.offset)
 
 
-def _k_gather_place(ranks, bufs, consts):
-    k, base = consts["k"], consts["recv_base"]
-    fwd, place, flat = bufs["fwd"], bufs["place"], bufs["flat"]
-    ghost = bufs["ghost"]
-    for p in ranks:
-        lo, hi = base[p] * k, base[p + 1] * k
-        if hi > lo:
-            ghost[p][place[lo:hi]] = flat[fwd[lo:hi]]
-
-
-def _k_scatter_apply(ranks, bufs, consts):
-    k, base = consts["k"], consts["send_base"]
-    op = getattr(np, consts["op"]) if consts["op"] else None
-    rev, send, flat = bufs["rev"], bufs["send"], bufs["flat"]
-    data = bufs["data"]
-    for p in ranks:
-        lo, hi = base[p] * k, base[p + 1] * k
-        if hi > lo:
-            seg = flat[rev[lo:hi]]
-            if op is None:
-                data[p][send[lo:hi]] = seg
-            else:
-                op.at(data[p], send[lo:hi], seg)
-
-
-def _k_append_stream(ranks, bufs, consts):
-    k, base = consts["k"], consts["recv_base"]
-    fwd, flat, out = bufs["fwd"], bufs["flat"], bufs["out"]
-    for p in ranks:
-        lo, hi = base[p] * k, base[p + 1] * k
-        if hi > lo:
-            out[p][:] = flat[fwd[lo:hi]]
-
-
-def _k_remap_place(ranks, bufs, consts):
-    k, base = consts["k"], consts["recv_base"]
-    fwd, place, flat = bufs["fwd"], bufs["place"], bufs["flat"]
-    out = bufs["out"]
-    for p in ranks:
-        buf = out[p]
-        buf[:] = 0
-        lo, hi = base[p] * k, base[p + 1] * k
-        if hi > lo:
-            buf[place[lo:hi]] = flat[fwd[lo:hi]]
-
-
 def _k_fused_apply(ranks, bufs, consts):
-    """All stages of a fused pipeline over one rank range.
+    """Every column of a stage list over one rank range.
 
-    Ranks loop outer, stages inner — per-rank the stages run in chain
+    Ranks loop outer, columns inner — per rank the stages run in chain
     order, so two stages writing the same target keep the sequential
-    semantics.  Each stage is one composed assign from its flattened
-    source concat (``fl``) through the (possibly destination-sorted)
-    index pair ``sf``/``ap``; ``dense`` marks segments whose slots are
-    ``0..n-1`` in order, where the store is one contiguous write and no
-    ``ap`` vector ships at all.  Combining stages fold with the
-    unsorted vectors — ``op.at`` order is part of the bitwise contract.
+    semantics.  Each column is one composed pass from its flattened
+    source concat (``fl``) through the index pair ``src``/``dst``; a
+    column without a ``dst`` vector is an append, which fills its
+    output contiguously.  Combiners fold in stream order — ``op.at``
+    order is part of the bitwise contract.
     """
-    n_stages = consts["n_stages"]
-    ops = consts["ops"]
-    bounds, dense = consts["bounds"], consts["dense"]
     for p in ranks:
-        for s in range(n_stages):
-            lo, hi = bounds[s][p], bounds[s][p + 1]
+        for s, (op, bounds) in enumerate(zip(consts["ops"],
+                                             consts["bounds"])):
+            lo, hi = bounds[p], bounds[p + 1]
             if hi <= lo:
                 continue
-            dst = bufs[f"io{s}"][p]
-            seg = bufs[f"fl{s}"][bufs[f"sf{s}"][lo:hi]]
-            if ops[s] is not None:
-                getattr(np, ops[s]).at(dst, bufs[f"ap{s}"][lo:hi], seg)
-            elif dense[s]:
-                dst[:hi - lo] = seg
+            out = bufs[f"io{s}"][p]
+            src = bufs[f"src{s}"][lo:hi]
+            dst = bufs.get(f"dst{s}")
+            if dst is None:
+                bufs[f"fl{s}"].take(src, out=out, mode="clip")
+                continue
+            seg = bufs[f"fl{s}"][src]
+            if op is None:
+                out[dst[lo:hi]] = seg
             else:
-                dst[bufs[f"ap{s}"][lo:hi]] = seg
+                getattr(np, op).at(out, dst[lo:hi], seg)
 
 
 #: module-level (hence picklable-by-reference) kernel bodies, keyed by
 #: the :class:`RankKernel` name built in ``vectorized.py``
-_KERNELS = {
-    "gather_place": _k_gather_place,
-    "scatter_apply": _k_scatter_apply,
-    "append_stream": _k_append_stream,
-    "remap_place": _k_remap_place,
-    "fused_apply": _k_fused_apply,
-}
+_KERNELS = {"fused_apply": _k_fused_apply}
 
 
 def _run_rank_chunk(name, ranks, refs, consts) -> None:
@@ -342,19 +274,6 @@ def _run_rank_chunk(name, ranks, refs, consts) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-def _plain(value):
-    """Constants as they cross the boundary: never a numpy object."""
-    if isinstance(value, np.ndarray):
-        return tuple(int(x) for x in value)
-    if isinstance(value, np.ufunc):
-        return value.__name__
-    if isinstance(value, np.dtype):
-        return str(value)
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _chunk_ranks(n_ranks: int, width: int) -> list[list[int]]:
     """Contiguous rank ranges, one per worker, balanced to ±1."""
     width = max(1, min(int(width), int(n_ranks)))
@@ -416,9 +335,7 @@ class MultiprocessBackend(VectorizedBackend):
     # lifecycle
     # ------------------------------------------------------------------
     def open(self, ctx) -> MultiprocessResources:
-        res = MultiprocessResources(self, ctx.machine.n_ranks)
-        res.fused_kernels = default_fused_registry()
-        return res
+        return MultiprocessResources(self, ctx.machine.n_ranks)
 
     # ------------------------------------------------------------------
     # rank-loop execution hook
@@ -433,18 +350,9 @@ class MultiprocessBackend(VectorizedBackend):
     def _shippable(fn) -> bool:
         if not isinstance(fn, RankKernel) or fn.name not in _KERNELS:
             return False  # bare closure (inspector phase, fallbacks)
-        if fn.work <= 0 or fn.work < _ship_threshold():
-            return False  # the round-trip would cost more than the kernel
-        op = fn.consts.get("op")
-        if op is not None and not (isinstance(op, np.ufunc)
-                                   and getattr(np, op.__name__, None) is op):
-            return False  # only named numpy ufuncs cross the boundary
-        for name in fn.consts.get("ops") or ():
-            # fused combiners cross pre-plainified, as ufunc names
-            if name is not None and not isinstance(
-                    getattr(np, name, None), np.ufunc):
-                return False
-        return True
+        # work 0: a kernel that must stay in the calling process (a
+        # combiner with no numpy name to cross the boundary under)
+        return fn.work > 0 and fn.work >= _ship_threshold()
 
     def _ship(self, ctx, res: MultiprocessResources,
               kernel: RankKernel) -> list:
@@ -481,36 +389,11 @@ class MultiprocessBackend(VectorizedBackend):
                     ref, view = entry
                 rank_refs.append(ref)
             refs[key] = rank_refs
-        out_views = self._alloc_outputs(kernel, arena, refs, n_ranks)
-        consts = {key: _plain(v) for key, v in kernel.consts.items()}
         collect_futures([
-            pool.submit(_run_rank_chunk, kernel.name, chunk, refs, consts)
+            pool.submit(_run_rank_chunk, kernel.name, chunk, refs,
+                        kernel.consts)
             for chunk in _chunk_ranks(n_ranks, res.n_workers)
         ])
         for flat, view in copyback:
             flat[:] = view
-        if out_views is None:
-            return [None] * n_ranks
-        trailing = kernel.consts["trailing"]
-        return [v.reshape((-1,) + trailing).copy() for v in out_views]
-
-    @staticmethod
-    def _alloc_outputs(kernel, arena, refs, n_ranks):
-        """Scratch buffers for value-returning kernels (sizes are known
-        to the parent from the plan bounds — workers never send arrays
-        back, they fill these and return ``None``)."""
-        if kernel.name == "append_stream":
-            base = kernel.consts["recv_base"]
-            counts = [int(base[p + 1] - base[p]) for p in range(n_ranks)]
-        elif kernel.name == "remap_place":
-            counts = list(kernel.consts["new_sizes"])
-        else:
-            return None
-        k, dtype = kernel.consts["k"], kernel.consts["dtype"]
-        rank_refs, views = [], []
-        for count in counts:
-            ref, view = arena.alloc_scratch(count * k, dtype)
-            rank_refs.append(ref)
-            views.append(view)
-        refs["out"] = rank_refs
-        return views
+        return [None] * n_ranks

@@ -211,9 +211,33 @@ class SerialBackend(Backend):
             m.charge_memops(h, served, category)
 
     # ------------------------------------------------------------------
+    # executor phase: the reference multi-pass stage loop
+    # ------------------------------------------------------------------
+    def run_fused(self, ctx, fused, binds, category):
+        """Each stage through its own per-primitive method below, in
+        order — the semantics every other backend is tested against."""
+        out = []
+        for stage, bind in zip(fused.stages, binds):
+            if stage.kind == "gather":
+                out.append(self.gather(ctx, stage.sched, bind.columns[0],
+                                       bind.dests, category))
+            elif stage.kind == "scatter":
+                self.scatter(ctx, stage.sched, bind.dests, bind.columns[0],
+                             stage.op, category)
+                out.append(None)
+            elif stage.kind == "append":
+                out.append(self.scatter_append_multi(
+                    ctx, stage.sched, bind.columns, category))
+            else:  # remap (FusedPlan validates kinds)
+                out.append(self.remap_array(ctx, stage.sched,
+                                            bind.columns[0], category))
+        return out
+
+    # ------------------------------------------------------------------
     # regular schedules
     # ------------------------------------------------------------------
     def gather(self, ctx, sched, data, ghosts, category):
+        """Fill ``ghosts`` with off-processor elements; returns ``ghosts``."""
         machine = ctx.machine
         n = machine.n_ranks
         send = [[None] * n for _ in machine.ranks()]
@@ -237,6 +261,8 @@ class SerialBackend(Backend):
 
     def scatter(self, ctx, sched, data, ghosts, op: Callable | None,
                 category) -> None:
+        """Return ghost values to owners; ``op=None`` overwrites,
+        otherwise ``op.at`` combines (source-rank-ascending order)."""
         machine = ctx.machine
         n = machine.n_ranks
         send = [[None] * n for _ in machine.ranks()]
@@ -263,40 +289,10 @@ class SerialBackend(Backend):
     # ------------------------------------------------------------------
     # light-weight schedules
     # ------------------------------------------------------------------
-    def scatter_append(self, ctx, sched, values, category):
-        machine = ctx.machine
-        n = machine.n_ranks
-        send = [[None] * n for _ in machine.ranks()]
-        for p in machine.ranks():
-            v = np.asarray(values[p])
-            for q in machine.ranks():
-                sel = sched.send_view(p, q)
-                if sel.size:
-                    send[p][q] = v[sel]
-            machine.charge_copyops(p, v.shape[0], category)
-        received = machine.alltoallv(send, tag="scatter_append",
-                                     category=category)
-        out: list[np.ndarray] = []
-        for p in machine.ranks():
-            parts = []
-            # kept-local first, then arrivals by source rank:
-            if received[p][p] is not None and np.size(received[p][p]):
-                parts.append(np.asarray(received[p][p]))
-            for q in machine.ranks():
-                if q == p:
-                    continue
-                got = received[p][q]
-                if got is not None and np.size(got):
-                    parts.append(np.asarray(got))
-                    machine.charge_copyops(p, np.shape(got)[0], category)
-            if parts:
-                out.append(np.concatenate(parts, axis=0))
-            else:
-                v = np.asarray(values[p])
-                out.append(np.zeros((0,) + v.shape[1:], dtype=v.dtype))
-        return out
-
     def scatter_append_multi(self, ctx, sched, arrays, category):
+        """Move the aligned columns ``arrays[k][p]`` with one set of
+        messages, appending kept-local first then arrivals by source
+        rank; returns ``out[k][p]``."""
         machine = ctx.machine
         n = machine.n_ranks
         n_attr = len(arrays)
@@ -339,6 +335,8 @@ class SerialBackend(Backend):
     # remap plans
     # ------------------------------------------------------------------
     def remap_array(self, ctx, plan, data, category):
+        """Apply a remap plan to one per-rank array set; returns new
+        arrays."""
         machine = ctx.machine
         n = machine.n_ranks
         send = [[None] * n for _ in machine.ranks()]

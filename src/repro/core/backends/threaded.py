@@ -43,10 +43,7 @@ from repro.core.backends.base import (
     collect_futures,
     register_backend,
 )
-from repro.core.backends.vectorized import (
-    VectorizedBackend,
-    default_fused_registry,
-)
+from repro.core.backends.vectorized import VectorizedBackend
 
 
 class ThreadedResources(PooledResources):
@@ -71,9 +68,7 @@ class ThreadedBackend(VectorizedBackend):
     # lifecycle
     # ------------------------------------------------------------------
     def open(self, ctx) -> ThreadedResources:
-        res = ThreadedResources(self, ctx.machine.n_ranks)
-        res.fused_kernels = default_fused_registry()
-        return res
+        return ThreadedResources(self, ctx.machine.n_ranks)
 
     # ------------------------------------------------------------------
     # rank-loop execution hook

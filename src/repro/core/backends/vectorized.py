@@ -19,14 +19,14 @@ request/reply matrices the same way, with page-miss detection for
 **Executor half.**  Instead of visiting every ``(p, q)`` rank pair in
 Python, this backend derives (once, cached) the machine-wide view of the
 schedule's CSR buffers — the global send-stream → receive-stream
-permutation of :mod:`repro.core.compiled` — and then executes each
-collective with O(P) numpy calls.
+permutation of :mod:`repro.core.compiled` — and runs every transport
+primitive as a stage list through :meth:`VectorizedBackend.run_fused`.
 
-The fast path goes further: because the simulated machine holds every
-rank's data in one process, a whole collective is ONE flat gather.  The
-plan caches *composed* scalar index vectors — pack selection ∘ global
-permutation ∘ row→scalar expansion — keyed by the data layout, so a
-steady-state executor round is essentially
+Because the simulated machine holds every rank's data in one process, a
+whole collective is ONE flat gather.  The plan caches *composed* scalar
+index vectors — pack selection ∘ global permutation ∘ row→scalar
+expansion — keyed by the data layout, so a steady-state executor round
+is essentially
 
     concat(data)  →  one fancy-gather  →  per-rank placement / ufunc.at
 
@@ -43,28 +43,19 @@ raveling would copy) are delegated wholesale to the serial reference.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.backends.base import (
-    Backend,
-    BackendResources,
-    register_backend,
-    row_nbytes,
-)
-from repro.core.compiled import (
-    compile_lightweight_schedule,
-    compile_remap_plan,
-    compile_schedule,
-    offsets_from_counts,
-)
+from repro.core.backends.base import Backend, register_backend, row_nbytes
+from repro.core.compiled import is_named_ufunc, offsets_from_counts
 from repro.core.hashtable import OpenAddressedKeyStore
 
 
-def _flat_layout(arrays) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-    """(leading sizes, trailing shape, row width) when every per-rank
-    array is C-contiguous with one dtype and row shape; else ``None``."""
+def _flat_layout(arrays) -> tuple | None:
+    """``(leading sizes, trailing shape, row width, dtype)`` when every
+    per-rank array is C-contiguous with one dtype and row shape; else
+    ``None``."""
     first = np.asarray(arrays[0])
     trailing = first.shape[1:]
     dtype = first.dtype
@@ -78,7 +69,7 @@ def _flat_layout(arrays) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
                 or not a.flags.c_contiguous):
             return None
         sizes.append(a.shape[0])
-    return tuple(sizes), trailing, k
+    return tuple(sizes), trailing, k, dtype
 
 
 def _serial():
@@ -88,44 +79,23 @@ def _serial():
     return get_backend(SerialBackend.name)
 
 
-# ----------------------------------------------------------------------
-# dtype-specialized fused apply kernels
-# ----------------------------------------------------------------------
-def _fused_assign_generic(flat, st, lo, hi, dst):
-    """Placement for any dtype: one composed fancy assign, straight from
-    the flattened source concat into the destination slots."""
-    dst[st.dst_index[lo:hi]] = flat[st.src_index[lo:hi]]
+#: message tag of each stage kind (what the traffic log records)
+_STAGE_TAGS = {"gather": "gather", "scatter": "scatter",
+               "append": "scatter_append", "remap": "remap_data"}
 
 
-def _fused_assign_sorted(flat, st, lo, hi, dst):
-    """float64/int64 fast path: the destination-sorted composed pair —
-    stores land in ascending order, and when the rank's slots are dense
-    the whole segment collapses to one contiguous write.  Bitwise-safe
-    because the per-segment sort is stable (see ``_sort_segments``)."""
-    seg = flat[st.sf[lo:hi]]
-    if st.sp is None:
-        dst[:hi - lo] = seg
-    else:
-        dst[st.sp[lo:hi]] = seg
+class _Move(NamedTuple):
+    """One column of one stage, bound for this call: the plan's composed
+    index pair (:meth:`~repro.core.compiled.CompiledPlan.move`), the
+    stage's combiner, the flattened source concat and flat views of the
+    per-rank arrays written into."""
 
-
-def default_fused_registry() -> dict:
-    """The stock dtype-specialized kernel registry, keyed ``(dtype, op
-    name)``.
-
-    Populated into ``BackendResources.fused_kernels`` at ``open(ctx)``
-    time.  Only pure-placement specializations are registered: a
-    combining stage (``op.at``) must keep numpy's exact accumulation
-    grouping to stay bitwise-identical to the serial reference, so
-    combiners always run the generic unsorted path.  Any ``(dtype, op)``
-    pair missing from the registry falls back to the generic numpy
-    kernel — the fallback is mandatory, specializations only ever add
-    speed.
-    """
-    registry: dict = {}
-    for dt in (np.dtype(np.float64), np.dtype(np.int64)):
-        registry[(dt, None)] = _fused_assign_sorted
-    return registry
+    src_index: np.ndarray
+    dst_index: np.ndarray | None
+    bounds: tuple
+    op: object
+    flat: np.ndarray
+    dests: list
 
 
 class RankKernel:
@@ -145,9 +115,9 @@ class RankKernel:
       data stream), copied into scratch shared memory each call;
     * ``inout`` — per-rank arrays the kernel mutates in place (ghost
       stores, scatter targets);
-    * ``consts`` — small scalars/offset vectors describing the stream
-      bounds (converted to plain tuples before crossing a process
-      boundary — no ndarray is ever pickled).
+    * ``consts`` — the stream bounds and combiner names, as plain
+      tuples of Python values: they cross a process boundary pickled,
+      and no ndarray ever may.
 
     ``work`` is the total payload bytes the kernel moves machine-wide;
     backends use it to decide whether shipping the kernel beats running
@@ -181,14 +151,6 @@ class VectorizedBackend(Backend):
     per-pair Python loops)."""
 
     name = "vectorized"
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def open(self, ctx) -> BackendResources:
-        res = BackendResources(self)
-        res.fused_kernels = default_fused_registry()
-        return res
 
     # ------------------------------------------------------------------
     # rank-loop execution hook
@@ -388,390 +350,119 @@ class VectorizedBackend(Backend):
             m.charge_memops(h, int(served[h]), category)
 
     # ------------------------------------------------------------------
-    # regular schedules
-    # ------------------------------------------------------------------
-    def gather(self, ctx, sched, data, ghosts, category):
-        machine = ctx.machine
-        plan = compile_schedule(sched)
-        layout = _flat_layout(data)
-        glayout = _flat_layout(ghosts)
-        if layout is None or glayout is None or layout[1] != glayout[1]:
-            return _serial().gather(ctx, sched, data, ghosts, category)
-        sizes, _, k = layout
-        for p in machine.ranks():
-            if plan.send_idx[p].size:
-                machine.charge_copyops(p, plan.send_idx[p].size, category)
-        machine.exchange_compiled(
-            plan.counts, [row_nbytes(np.asarray(d)) for d in data],
-            tag="gather", category=category,
-        )
-        # the global fancy gather runs *inside* the rank kernel, one
-        # receive-stream slice per rank, so parallel backends spread the
-        # expensive part instead of just the placement
-        flat = np.concatenate(data, axis=0).reshape(-1)
-        fwd = plan.forward_flat(sizes, k)
-        place = plan.place_stream(k)
-
-        def place_rank(p):
-            sl = plan.recv_slice(p, k)
-            if sl.stop > sl.start:
-                ghosts[p].reshape(-1)[place[sl]] = flat[fwd[sl]]
-
-        self._run_ranks(ctx, RankKernel(
-            "gather_place", place_rank,
-            work=plan.total * k * flat.dtype.itemsize,
-            plans={"fwd": fwd, "place": place},
-            data={"flat": flat},
-            inout={"ghost": ghosts},
-            consts={"k": k, "recv_base": plan.recv_base},
-        ))
-        for p in machine.ranks():
-            if plan.place_idx[p].size:
-                machine.charge_copyops(p, plan.place_idx[p].size, category)
-        return ghosts
-
-    def scatter(self, ctx, sched, data, ghosts, op: Callable | None,
-                category) -> None:
-        machine = ctx.machine
-        plan = compile_schedule(sched)
-        layout = _flat_layout(data)
-        glayout = _flat_layout(ghosts)
-        if layout is None or glayout is None or layout[1] != glayout[1]:
-            return _serial().scatter(ctx, sched, data, ghosts, op,
-                                     category)
-        gsizes, _, k = glayout
-        for p in machine.ranks():
-            if plan.place_idx[p].size:
-                machine.charge_copyops(p, plan.place_idx[p].size, category)
-        machine.exchange_compiled(
-            plan.counts.T, [row_nbytes(np.asarray(g)) for g in ghosts],
-            tag="scatter", category=category,
-        )
-        flat = np.concatenate(ghosts, axis=0).reshape(-1)
-        rev = plan.reverse_flat(gsizes, k)
-        send = plan.send_stream(k)
-
-        def apply_rank(p):
-            sl = plan.send_slice(p, k)
-            if sl.stop > sl.start:
-                seg = flat[rev[sl]]
-                target = data[p].reshape(-1)
-                if op is None:
-                    target[send[sl]] = seg
-                else:
-                    op.at(target, send[sl], seg)
-
-        self._run_ranks(ctx, RankKernel(
-            "scatter_apply", apply_rank,
-            work=plan.total * k * flat.dtype.itemsize,
-            plans={"rev": rev, "send": send},
-            data={"flat": flat},
-            inout={"data": data},
-            consts={"k": k, "send_base": plan.send_base, "op": op},
-        ))
-        for p in machine.ranks():
-            if plan.send_idx[p].size:
-                machine.charge_copyops(p, plan.send_idx[p].size, category)
-
-    # ------------------------------------------------------------------
-    # light-weight schedules
-    # ------------------------------------------------------------------
-    def scatter_append(self, ctx, sched, values, category):
-        machine = ctx.machine
-        plan = compile_lightweight_schedule(sched)
-        layout = _flat_layout(values)
-        if layout is None:
-            return _serial().scatter_append(ctx, sched, values, category)
-        sizes, trailing, k = layout
-        for p in machine.ranks():
-            machine.charge_copyops(p, np.asarray(values[p]).shape[0],
-                                   category)
-        machine.exchange_compiled(
-            plan.counts, [row_nbytes(np.asarray(v)) for v in values],
-            tag="scatter_append", category=category,
-        )
-        flat = np.concatenate(values, axis=0).reshape(-1)
-        fwd = plan.forward_flat(sizes, k)
-        dtype = np.asarray(values[0]).dtype
-
-        def assemble_rank(p):
-            sl = plan.recv_slice(p, k)
-            if sl.stop > sl.start:
-                return flat[fwd[sl]].reshape((-1,) + trailing)
-            return np.zeros((0,) + trailing, dtype=dtype)
-
-        out = self._run_ranks(ctx, RankKernel(
-            "append_stream", assemble_rank,
-            work=plan.total * k * flat.dtype.itemsize,
-            plans={"fwd": fwd},
-            data={"flat": flat},
-            consts={"k": k, "recv_base": plan.recv_base,
-                    "trailing": trailing, "dtype": dtype},
-        ))
-        for p in machine.ranks():
-            arrived_n = int(plan.recv_base[p + 1] - plan.recv_base[p])
-            from_others = arrived_n - int(plan.counts[p, p])
-            if from_others:
-                machine.charge_copyops(p, from_others, category)
-        return out
-
-    def scatter_append_multi(self, ctx, sched, arrays, category):
-        machine = ctx.machine
-        plan = compile_lightweight_schedule(sched)
-        layouts = [_flat_layout(values) for values in arrays]
-        if any(layout is None for layout in layouts):
-            return _serial().scatter_append_multi(ctx, sched, arrays,
-                                                  category)
-        n_attr = len(arrays)
-        elem_bytes = np.zeros(machine.n_ranks, dtype=np.int64)
-        for p in machine.ranks():
-            for k in range(n_attr):
-                elem_bytes[p] += row_nbytes(np.asarray(arrays[k][p]))
-            machine.charge_copyops(
-                p, n_attr * plan.send_idx[p].size, category
-            )
-        machine.exchange_compiled(plan.counts, elem_bytes,
-                                  tag="scatter_append", category=category)
-        cols = []
-        for values, (sizes, trailing, k) in zip(arrays, layouts):
-            flat = np.concatenate(values, axis=0).reshape(-1)
-            fwd = plan.forward_flat(sizes, k)
-            dtype = np.asarray(values[0]).dtype
-
-            def assemble_rank(p, flat=flat, fwd=fwd, trailing=trailing,
-                              k=k, dtype=dtype):
-                sl = plan.recv_slice(p, k)
-                if sl.stop > sl.start:
-                    return flat[fwd[sl]].reshape((-1,) + trailing)
-                return np.zeros((0,) + trailing, dtype=dtype)
-
-            cols.append(self._run_ranks(ctx, RankKernel(
-                "append_stream", assemble_rank,
-                work=plan.total * k * flat.dtype.itemsize,
-                plans={"fwd": fwd},
-                data={"flat": flat},
-                consts={"k": k, "recv_base": plan.recv_base,
-                        "trailing": trailing, "dtype": dtype},
-            )))
-        for p in machine.ranks():
-            arrived = int(plan.recv_base[p + 1] - plan.recv_base[p])
-            from_others = arrived - int(plan.counts[p, p])
-            if from_others:
-                machine.charge_copyops(p, n_attr * from_others, category)
-        return cols
-
-    # ------------------------------------------------------------------
-    # remap plans
-    # ------------------------------------------------------------------
-    def remap_array(self, ctx, plan, data, category):
-        machine = ctx.machine
-        cp = compile_remap_plan(plan)
-        layout = _flat_layout(data)
-        if layout is None:
-            return _serial().remap_array(ctx, plan, data, category)
-        sizes, trailing, k = layout
-        for p in machine.ranks():
-            if cp.send_idx[p].size:
-                machine.charge_copyops(p, cp.send_idx[p].size, category)
-        machine.exchange_compiled(
-            cp.counts, [row_nbytes(np.asarray(d)) for d in data],
-            tag="remap_data", category=category,
-        )
-        flat = np.concatenate(data, axis=0).reshape(-1)
-        fwd = cp.forward_flat(sizes, k)
-        place = cp.place_stream(k)
-        new_sizes = tuple(int(n) for n in plan.new_sizes)
-        dtype = np.asarray(data[0]).dtype
-
-        def place_rank(p):
-            new_local = np.zeros((new_sizes[p],) + trailing, dtype=dtype)
-            sl = cp.recv_slice(p, k)
-            if sl.stop > sl.start:
-                new_local.reshape(-1)[place[sl]] = flat[fwd[sl]]
-            return new_local
-
-        out = self._run_ranks(ctx, RankKernel(
-            "remap_place", place_rank,
-            work=cp.total * k * flat.dtype.itemsize,
-            plans={"fwd": fwd, "place": place},
-            data={"flat": flat},
-            consts={"k": k, "recv_base": cp.recv_base,
-                    "new_sizes": new_sizes, "trailing": trailing,
-                    "dtype": dtype},
-        ))
-        for p in machine.ranks():
-            if cp.place_idx[p].size:
-                machine.charge_copyops(p, cp.place_idx[p].size, category)
-        return out
-
-    # ------------------------------------------------------------------
-    # fused pipelines
+    # executor phase: stage lists
     # ------------------------------------------------------------------
     def run_fused(self, ctx, fused, binds, category):
-        """One-pass fused execution: every stage moves its data with a
-        single composed kernel, all stages inside one rank loop.
+        """Every column of every stage moves with one composed kernel,
+        all of them inside one rank loop.
 
-        Per stage the data path is one fancy assign through the
-        composed ``pack ∘ permute ∘ place`` index vector — destination
-        slots written straight from the flattened source concat, with
-        no intermediate exchange stream.  Pure-placement stages use the
-        destination-sorted variant from the dtype registry (ascending
-        stores, contiguous when dense); combining stages keep the
-        unsorted ``op.at`` fold order.  Accounting is charged per stage
-        in stage order before any data moves; since rank kernels never
-        touch the machine, the clock/traffic call sequence is exactly
-        the unfused one.  Inputs the flat layout cannot express fall
-        back to the reference multi-pass default.
+        Per column the data path is one pass through the composed
+        ``pack ∘ permute ∘ place`` index pair — destination slots
+        written (or combined with ``op.at``, in stream order) straight
+        from the flattened source concat, with no intermediate exchange
+        stream.  Accounting is charged per stage in stage order before
+        any data moves; rank kernels never touch the machine.  Inputs
+        the flat layout cannot express fall back to the serial
+        reference for the whole call.
         """
         machine = ctx.machine
-        stages = fused.stages
-        key = []
-        trailings = []
-        flats = []
-        for stage, bind in zip(stages, binds):
-            layout = _flat_layout(bind.sources)
-            if layout is None:
-                return super().run_fused(ctx, fused, binds, category)
-            sizes, trailing, k = layout
-            dtype = np.asarray(bind.sources[0]).dtype
-            if bind.dests is not None:
-                dlayout = _flat_layout(bind.dests)
-                if (dlayout is None or dlayout[1] != trailing
-                        or np.asarray(bind.dests[0]).dtype != dtype):
-                    return super().run_fused(ctx, fused, binds, category)
-            key.append((k, str(dtype), sizes))
-            trailings.append(trailing)
-            flats.append(np.concatenate(
-                [np.asarray(a).reshape(-1) for a in bind.sources]))
-        combined = fused.layout(tuple(key))
-        layouts = combined.stages
+        moves: list[_Move] = []
+        results = []   # one per stage
+        for stage, bind in zip(fused.stages, binds):
+            outs = []
+            for col in bind.columns:
+                layout = _flat_layout(col)
+                dlayout = (layout if bind.dests is None
+                           else _flat_layout(bind.dests))
+                if (layout is None or dlayout is None
+                        or dlayout[1] != layout[1]):
+                    return _serial().run_fused(ctx, fused, binds, category)
+                sizes, trailing, k, dtype = layout
+                if stage.kind == "append":
+                    base = stage.plan.recv_base
+                    out = [np.empty((int(base[p + 1] - base[p]),) + trailing,
+                                    dtype=dtype)
+                           for p in machine.ranks()]
+                elif stage.kind == "remap":
+                    out = [np.zeros((int(m),) + trailing, dtype=dtype)
+                           for m in stage.sched.new_sizes]
+                else:
+                    out = bind.dests
+                outs.append(out)
+                moves.append(_Move(
+                    *stage.plan.move(stage.kind, sizes, k), stage.op,
+                    np.concatenate([np.asarray(a).reshape(-1) for a in col]),
+                    [np.asarray(d).reshape(-1) for d in out]))
+            results.append(None if stage.kind == "scatter"
+                           else outs if stage.kind == "append" else outs[0])
 
-        for stage, bind in zip(stages, binds):
-            self._charge_fused_stage(machine, stage, bind, category)
-
-        # stage results + the per-rank arrays the apply phase writes
-        results = []
-        dests = []
-        dest_flats = []
-        for stage, bind, st, trailing in zip(stages, binds, layouts,
-                                             trailings):
-            if stage.kind == "scatter":
-                results.append(None)
-                dests.append(bind.dests)
-            elif stage.kind == "gather":
-                results.append(bind.dests)
-                dests.append(bind.dests)
-            elif stage.kind == "append":
-                base = stage.plan.recv_base
-                outs = [
-                    np.empty((int(base[p + 1] - base[p]),) + trailing,
-                             dtype=st.dtype)
-                    for p in machine.ranks()
-                ]
-                results.append(outs)
-                dests.append(outs)
-            else:  # remap
-                outs = [
-                    np.zeros((int(m),) + trailing, dtype=st.dtype)
-                    for m in stage.sched.new_sizes
-                ]
-                results.append(outs)
-                dests.append(outs)
-            dest_flats.append([np.asarray(d).reshape(-1)
-                               for d in dests[-1]])
-
-        # dtype-specialized apply kernels for the pure-placement stages;
-        # combiners keep the generic ``op.at`` path (bitwise contract)
-        registry = getattr(ctx.resources, "fused_kernels", None) or {}
-        stage_fns = [
-            registry.get((st.dtype, None), _fused_assign_generic)
-            if st.mode == "assign" else None
-            for st in layouts
-        ]
+        for stage, bind in zip(fused.stages, binds):
+            self._charge_stage(machine, stage, bind, category)
 
         def apply_rank(p):
-            for st, fn, flat, dflat in zip(layouts, stage_fns, flats,
-                                           dest_flats):
-                lo = st.bounds[p]
-                hi = st.bounds[p + 1]
+            for mv in moves:
+                lo = mv.bounds[p]
+                hi = mv.bounds[p + 1]
                 if hi <= lo:
                     continue
-                dst = dflat[p]
-                if st.mode == "fill":
-                    dst[:hi - lo] = flat[st.src_index[lo:hi]]
-                elif st.mode == "accum":
-                    st.op.at(dst, st.dst_index[lo:hi],
-                             flat[st.src_index[lo:hi]])
+                if mv.dst_index is None:
+                    # straight into the output, no temporary: only the
+                    # non-raising modes of take() write unbuffered, and
+                    # _prepare has bounded the indices already
+                    mv.flat.take(mv.src_index[lo:hi], out=mv.dests[p],
+                                 mode="clip")
+                    continue
+                seg = mv.flat[mv.src_index[lo:hi]]
+                if mv.op is None:
+                    mv.dests[p][mv.dst_index[lo:hi]] = seg
                 else:
-                    fn(flat, st, lo, hi, dst)
+                    mv.op.at(mv.dests[p], mv.dst_index[lo:hi], seg)
 
-        data = {f"fl{s}": flat for s, flat in enumerate(flats)}
-        inout = {f"io{s}": ds for s, ds in enumerate(dests)}
+        # the shippable payload; work 0 keeps the kernel in this process
+        # when a combiner has no numpy name to cross a boundary under
+        named = all(mv.op is None or is_named_ufunc(mv.op) for mv in moves)
+        plans = {f"src{s}": mv.src_index for s, mv in enumerate(moves)}
+        plans.update((f"dst{s}", mv.dst_index) for s, mv in enumerate(moves)
+                     if mv.dst_index is not None)
         self._run_ranks(ctx, RankKernel(
-            "fused_apply", apply_rank, work=combined.work,
-            plans=combined.plans, data=data, inout=inout,
-            consts=combined.consts,
+            "fused_apply", apply_rank,
+            work=sum(mv.src_index.size * mv.flat.itemsize
+                     for mv in moves) if named else 0,
+            plans=plans,
+            data={f"fl{s}": mv.flat for s, mv in enumerate(moves)},
+            inout={f"io{s}": mv.dests for s, mv in enumerate(moves)},
+            consts={"ops": tuple(getattr(mv.op, "__name__", None)
+                                 for mv in moves),
+                    "bounds": tuple(mv.bounds for mv in moves)},
         ))
         return results
 
     @staticmethod
-    def _charge_fused_stage(machine, stage, bind, category) -> None:
-        """Charge one fused stage exactly like its unfused primitive:
-        pre-copyops, the compiled exchange, post-copyops, in that order."""
+    def _charge_stage(machine, stage, bind, category) -> None:
+        """Charge one stage as the serial reference does: pack copyops,
+        the compiled exchange, placement copyops — one set of messages
+        per stage, however many columns it binds."""
         plan = stage.plan
-        if stage.kind == "gather":
-            for p in machine.ranks():
-                if plan.send_idx[p].size:
-                    machine.charge_copyops(p, plan.send_idx[p].size,
-                                           category)
-            machine.exchange_compiled(
-                plan.counts,
-                [row_nbytes(np.asarray(d)) for d in bind.sources],
-                tag="gather", category=category,
-            )
-            for p in machine.ranks():
-                if plan.place_idx[p].size:
-                    machine.charge_copyops(p, plan.place_idx[p].size,
-                                           category)
-        elif stage.kind == "scatter":
-            for p in machine.ranks():
-                if plan.place_idx[p].size:
-                    machine.charge_copyops(p, plan.place_idx[p].size,
-                                           category)
-            machine.exchange_compiled(
-                plan.counts.T,
-                [row_nbytes(np.asarray(g)) for g in bind.sources],
-                tag="scatter", category=category,
-            )
-            for p in machine.ranks():
-                if plan.send_idx[p].size:
-                    machine.charge_copyops(p, plan.send_idx[p].size,
-                                           category)
-        elif stage.kind == "append":
-            for p in machine.ranks():
-                machine.charge_copyops(
-                    p, np.asarray(bind.sources[p]).shape[0], category)
-            machine.exchange_compiled(
-                plan.counts,
-                [row_nbytes(np.asarray(v)) for v in bind.sources],
-                tag="scatter_append", category=category,
-            )
-            for p in machine.ranks():
-                arrived = int(plan.recv_base[p + 1] - plan.recv_base[p])
-                from_others = arrived - int(plan.counts[p, p])
-                if from_others:
-                    machine.charge_copyops(p, from_others, category)
-        else:  # remap
-            for p in machine.ranks():
-                if plan.send_idx[p].size:
-                    machine.charge_copyops(p, plan.send_idx[p].size,
-                                           category)
-            machine.exchange_compiled(
-                plan.counts,
-                [row_nbytes(np.asarray(d)) for d in bind.sources],
-                tag="remap_data", category=category,
-            )
-            for p in machine.ranks():
-                if plan.place_idx[p].size:
-                    machine.charge_copyops(p, plan.place_idx[p].size,
-                                           category)
+        n_cols = len(bind.columns)
+        counts = plan.counts
+        packed = [a.size for a in plan.send_idx]
+        if stage.kind == "append":
+            # kept-local rows arrive without a copy
+            placed = (counts.sum(axis=0) - counts.diagonal()).tolist()
+        else:
+            placed = [a.size for a in plan.place_idx]
+        if stage.kind == "scatter":
+            packed, placed, counts = placed, packed, counts.T
+        for p in machine.ranks():
+            # an append packs every rank's rows, an empty rank's too
+            if packed[p] or stage.kind == "append":
+                machine.charge_copyops(p, n_cols * packed[p], category)
+        machine.exchange_compiled(
+            counts,
+            [sum(row_nbytes(np.asarray(col[p])) for col in bind.columns)
+             for p in machine.ranks()],
+            tag=_STAGE_TAGS[stage.kind], category=category,
+        )
+        for p in machine.ranks():
+            if placed[p]:
+                machine.charge_copyops(p, n_cols * placed[p], category)

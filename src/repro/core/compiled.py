@@ -24,15 +24,15 @@ object itself (schedules are immutable after construction), so repeated
 executor calls — the common case the paper's inspector/executor split is
 built around — pay nothing.
 
-On top of single plans sits *plan fusion*: a :class:`FusedPlan` composes
-a chain of compiled plans (a schedule gather feeding a scatter/apply, a
-schedule + lightweight + remap sequence in one loop body) into one
-combined execution — a single scratch stream per stage plus one
-pack/permute/apply index triple each, all lazily derived from the
-per-plan caches above and cached on the lead plan alongside the
-``_cached`` compile results.  Backends execute it through
-``Backend.run_fused``; legality is decided by the executor layer
-(:func:`repro.core.executor.fusable`).
+On top of single plans sits the *stage list*: a :class:`FusedPlan` is a
+chain of compiled plans — one stage for a single ``gather`` or
+``scatter_append``, several for a loop body's schedule + lightweight +
+remap sequence — executed by ``Backend.run_fused`` as one composed
+source-index / destination-index pair per stage
+(:meth:`CompiledPlan.move`, cached with the other layouts on each
+stage's own plan).  It is the only way the executor moves data; whether
+a multi-stage chain may run as one list is decided by the executor
+layer (:func:`repro.core.executor.fusable`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Any
 import numpy as np
 
 _CACHE_ATTR = "_compiled_plan"
-_FUSED_CACHE_ATTR = "_fused_plans"
 
 
 # ---------------------------------------------------------------------
@@ -228,19 +227,6 @@ class CompiledPlan:
             self._inv_perm = inv
         return self._inv_perm
 
-    def recv_slice(self, rank: int, k: int = 1) -> slice:
-        """Slice of the global receive stream holding ``rank``'s arrivals.
-
-        ``k`` scales the bounds for flattened (scalar-element) streams.
-        """
-        return slice(int(self.recv_base[rank]) * k,
-                     int(self.recv_base[rank + 1]) * k)
-
-    def send_slice(self, rank: int, k: int = 1) -> slice:
-        """Slice of the global send stream packed by ``rank``."""
-        return slice(int(self.send_base[rank]) * k,
-                     int(self.send_base[rank + 1]) * k)
-
     # -- composed flat layouts (cached per data layout) -----------------
     #
     # The simulated machine holds every rank's data in one process, so a
@@ -249,129 +235,83 @@ class CompiledPlan:
     # pack selection, the global permutation, and the row→scalar
     # expansion into single precomputed index vectors, keyed by the
     # concatenation layout (per-rank leading sizes) and the row width
-    # ``k`` — both stable across executor calls in steady state.
+    # ``k`` — both stable across executor calls in steady state.  Cached,
+    # they keep their identity for the plan's lifetime, which is what
+    # makes a process backend's export-once-per-plan shared-memory
+    # caching sound.
+
+    def _memo(self, key: tuple, build):
+        out = self._layouts.get(key)
+        if out is None:
+            out = self._layouts[key] = build()
+        return out
+
+    def _rows(self, per_rank: list[np.ndarray],
+              sizes: tuple[int, ...] | None = None) -> np.ndarray:
+        """Per-rank row indices as one machine-wide vector; with
+        ``sizes``, rebased into the axis-0 concatenation of per-rank
+        arrays of those leading lengths."""
+        if not self.total:
+            return np.zeros(0, dtype=np.int64)
+        if sizes is None:
+            return np.concatenate(per_rank)
+        base = offsets_from_counts(np.asarray(sizes, dtype=np.int64))
+        return np.concatenate(
+            [a + base[p] for p, a in enumerate(per_rank)])
 
     def forward_flat(self, sizes: tuple[int, ...], k: int) -> np.ndarray:
         """Scalar gather indices into ravel(concat(source arrays)),
         ordered as the global receive stream."""
-        key = ("fwd", sizes, k)
-        out = self._layouts.get(key)
-        if out is None:
-            base = np.zeros(self.n_ranks + 1, dtype=np.int64)
-            np.cumsum(np.asarray(sizes, dtype=np.int64), out=base[1:])
-            rows = np.concatenate(
-                [self.send_idx[p] + base[p] for p in range(self.n_ranks)]
-            ) if self.total else np.zeros(0, dtype=np.int64)
-            out = _expand(rows[self.perm], k)
-            self._layouts[key] = out
-        return out
+        return self._memo(("fwd", sizes, k), lambda: _expand(
+            self._rows(self.send_idx, sizes)[self.perm], k))
 
     def reverse_flat(self, sizes: tuple[int, ...], k: int) -> np.ndarray:
         """Scalar gather indices into ravel(concat(ghost arrays)),
         ordered as the global *send* stream (the scatter direction)."""
-        key = ("rev", sizes, k)
-        out = self._layouts.get(key)
-        if out is None:
-            base = np.zeros(self.n_ranks + 1, dtype=np.int64)
-            np.cumsum(np.asarray(sizes, dtype=np.int64), out=base[1:])
-            rows = np.concatenate(
-                [self.place_idx[p] + base[p] for p in range(self.n_ranks)]
-            ) if self.total else np.zeros(0, dtype=np.int64)
-            out = _expand(rows[self.inv_perm()], k)
-            self._layouts[key] = out
-        return out
-
-    def place_flat(self, k: int) -> list[np.ndarray]:
-        """Per-rank scalar placement indices (``place_idx`` expanded)."""
-        key = ("place", k)
-        out = self._layouts.get(key)
-        if out is None:
-            out = [_expand(a, k) for a in self.place_idx]
-            self._layouts[key] = out
-        return out
-
-    def send_flat(self, k: int) -> list[np.ndarray]:
-        """Per-rank scalar apply indices (``send_idx`` expanded)."""
-        key = ("send", k)
-        out = self._layouts.get(key)
-        if out is None:
-            out = [_expand(a, k) for a in self.send_idx]
-            self._layouts[key] = out
-        return out
-
-    # -- machine-wide streams (cached; shared-memory export surface) ----
-    #
-    # The concatenations below give one flat array per plan instead of a
-    # per-rank list: ``place_stream`` holds the scalar placement indices
-    # of the whole receive stream (rank ``p``'s segment is delimited by
-    # ``recv_base[p] * k``), ``send_stream`` the scalar apply indices of
-    # the whole send stream (delimited by ``send_base[p] * k``).  Rank
-    # kernels slice them by stream bounds, so a backend that runs rank
-    # kernels in other processes can materialize each plan as a handful
-    # of stable flat buffers — cached here, they keep their identity for
-    # the plan's lifetime, which is what makes export-once-per-plan
-    # shared-memory caching sound.
+        return self._memo(("rev", sizes, k), lambda: _expand(
+            self._rows(self.place_idx, sizes)[self.inv_perm()], k))
 
     def place_stream(self, k: int) -> np.ndarray:
-        """All ranks' scalar placement indices, receive-stream order."""
-        key = ("pstream", k)
-        out = self._layouts.get(key)
-        if out is None:
-            parts = self.place_flat(k)
-            out = (np.concatenate(parts) if self.total
-                   else np.zeros(0, dtype=np.int64))
-            self._layouts[key] = out
-        return out
+        """All ranks' scalar placement indices, receive-stream order
+        (rank ``p``'s segment is delimited by ``recv_base[p] * k``)."""
+        return self._memo(("pstream", k), lambda: _expand(
+            self._rows(self.place_idx), k))
 
     def send_stream(self, k: int) -> np.ndarray:
-        """All ranks' scalar apply indices, send-stream order."""
-        key = ("sstream", k)
-        out = self._layouts.get(key)
-        if out is None:
-            parts = self.send_flat(k)
-            out = (np.concatenate(parts) if self.total
-                   else np.zeros(0, dtype=np.int64))
-            self._layouts[key] = out
-        return out
+        """All ranks' scalar apply indices, send-stream order (rank
+        ``p``'s segment is delimited by ``send_base[p] * k``)."""
+        return self._memo(("sstream", k), lambda: _expand(
+            self._rows(self.send_idx), k))
 
-    # -- destination-sorted compositions (fused one-pass executors) -----
-    #
-    # Sorting each rank's (source, destination) index pairs by
-    # destination turns the apply phase's scattered stores into
-    # ascending ones — and, when a rank's slots are dense (0..n-1 in
-    # order, the common case for exact-size ghost buffers, appends and
-    # remaps), into one contiguous write.  The argsort is *stable*, so
-    # duplicate destinations keep their stream order and a fancy assign
-    # (last write wins) lands bitwise-identical values; reordering is
-    # only ever legal for placement, never for combiners, whose fold
-    # order the unsorted vectors preserve.
+    def move(self, kind: str, sizes: tuple[int, ...], k: int) -> tuple:
+        """One column of a ``kind`` stage as a single composed pass:
+        ``(src_index, dst_index, bounds)``.
 
-    def forward_sorted(
-        self, sizes: tuple[int, ...], k: int
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """:meth:`forward_flat` ∘ :meth:`place_stream`, sorted by
-        destination per receiving rank; ``(src, dst)`` with ``dst`` of
-        ``None`` when every rank's slots are dense."""
-        key = ("sfwd", sizes, k)
-        out = self._layouts.get(key)
-        if out is None:
-            out = _sort_segments(self.forward_flat(sizes, k),
-                                 self.place_stream(k), self.recv_base, k)
-            self._layouts[key] = out
-        return out
-
-    def reverse_sorted(
-        self, sizes: tuple[int, ...], k: int
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """:meth:`reverse_flat` ∘ :meth:`send_stream`, sorted by
-        destination per sending rank (the scatter direction)."""
-        key = ("srev", sizes, k)
-        out = self._layouts.get(key)
-        if out is None:
-            out = _sort_segments(self.reverse_flat(sizes, k),
-                                 self.send_stream(k), self.send_base, k)
-            self._layouts[key] = out
-        return out
+        Destination slots are written straight from the flattened
+        source concat, with no intermediate stream.  ``src_index`` maps
+        destination stream positions to source scalars; ``dst_index``
+        maps them into the per-rank destination buffers; rank ``p``
+        owns ``[bounds[p], bounds[p + 1])`` of both.  Three modes follow
+        from the stage: *fill* (``dst_index`` is ``None``: appends land
+        contiguously), *assign* (no combiner) and *accum* (``op.at``).
+        One index pair serves all three and every dtype: the vectors
+        are in stream order, which is the combiner's fold order bit for
+        bit.  Holds arrays only — a cached entry must not keep a plan
+        or schedule alive.
+        """
+        def build():
+            if kind in FORWARD_KINDS:
+                # local data, send order → receive stream → placement
+                src, base = self.forward_flat(sizes, k), self.recv_base
+                dst = None if kind == "append" else self.place_stream(k)
+            else:
+                # ghost data, receive order → send stream → local elements
+                src, base = self.reverse_flat(sizes, k), self.send_base
+                dst = self.send_stream(k)
+            # scalar stream bounds as plain ints: the apply kernel's
+            # rank loop slices with these every call
+            return src, dst, tuple(int(b) * k for b in base.tolist())
+        return self._memo(("move", kind, sizes, k), build)
 
 
 class CompiledSchedule(CompiledPlan):
@@ -397,42 +337,6 @@ def _expand(rows: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return rows
     return (rows[:, None] * k + np.arange(k, dtype=np.int64)).reshape(-1)
-
-
-def _sort_segments(
-    src: np.ndarray, dst: np.ndarray, base: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sort each rank's ``(src, dst)`` index pairs by destination.
-
-    ``base`` is the row-offset vector delimiting rank segments in the
-    stream (``recv_base`` or ``send_base``).  The per-segment argsort is
-    stable so duplicate destinations keep stream order; a fancy assign
-    through the sorted pair is therefore bitwise-identical to the
-    unsorted one.  Returns ``(sorted_src, sorted_dst)``; ``sorted_dst``
-    is ``None`` when every segment is dense (``0..len-1`` in order), in
-    which case the apply collapses to one contiguous write per rank.
-    """
-    sf = np.empty_like(src)
-    sp = np.empty_like(dst)
-    dense = True
-    for p in range(base.size - 1):
-        lo, hi = int(base[p]) * k, int(base[p + 1]) * k
-        seg_dst = dst[lo:hi]
-        order = np.argsort(seg_dst, kind="stable")
-        seg = seg_dst[order]
-        sp[lo:hi] = seg
-        sf[lo:hi] = src[lo:hi][order]
-        if dense:
-            n = hi - lo
-            dense = (
-                n == 0
-                or (
-                    int(seg[0]) == 0
-                    and int(seg[-1]) == n - 1
-                    and np.array_equal(seg, np.arange(n, dtype=seg.dtype))
-                )
-            )
-    return sf, (None if dense else sp)
 
 
 def _compile(
@@ -514,25 +418,34 @@ def compile_remap_plan(plan) -> CompiledRemapPlan:
 
 
 # ---------------------------------------------------------------------
-# plan fusion
+# stage lists
 # ---------------------------------------------------------------------
 #: stage kinds whose data flows send stream → receive stream; the rest
 #: ("scatter", with or without a combiner) flow the reverse direction
 FORWARD_KINDS = frozenset({"gather", "append", "remap"})
 
-#: every stage kind a fused pipeline understands
+#: every stage kind a stage list understands
 STAGE_KINDS = FORWARD_KINDS | {"scatter"}
+
+
+def is_named_ufunc(op) -> bool:
+    """Whether ``op`` is a numpy ufunc reachable as ``np.<name>`` — the
+    only combiners that can cross a process boundary (by name) and the
+    only ones a multi-stage chain may carry."""
+    return (isinstance(op, np.ufunc)
+            and getattr(np, op.__name__, None) is op)
 
 
 @dataclass(frozen=True)
 class FusedStage:
-    """One collective inside a fused pipeline.
+    """One collective of a stage list.
 
     ``kind`` names the executor primitive (``"gather"``, ``"scatter"``
     — with ``op`` for the combining variant — ``"append"``,
     ``"remap"``); ``sched`` is the CSR-native plan object the reference
-    backends dispatch on, ``plan`` its compiled machine-wide view, and
-    ``op`` the combining ufunc for scatter stages (``None`` overwrites).
+    backend dispatches on, ``plan`` its compiled machine-wide view, and
+    ``op`` the combiner for scatter stages (``None`` overwrites; any
+    object with ``.at`` combines).
     """
 
     kind: str
@@ -543,135 +456,51 @@ class FusedStage:
 
 @dataclass
 class StageBind:
-    """Per-call data binding for one fused stage.
+    """Per-call data binding for one stage.
 
-    ``sources`` are the arrays the stage packs from (local data for the
-    forward kinds, ghost buffers for scatter); ``dests`` are the arrays
-    it writes into — ``None`` for the value-returning kinds (append,
-    remap), whose outputs the backend allocates.
+    A stage is one set of messages; ``columns[c][p]`` are the aligned
+    per-rank arrays that travel in them (local data for the forward
+    kinds, ghost buffers for scatter).  Gather, scatter and remap
+    stages bind exactly one column.  An append stage binds one or more
+    — a particle code ships ids, positions and velocities as one record
+    — so its row's wire size is the sum over columns and its pack /
+    arrival copies are charged ``n_columns ×`` rows, while the data
+    itself moves column by column.  ``dests`` are the arrays the column
+    is written into; ``None`` for the value-returning kinds, whose
+    outputs the backend allocates.
+
+    Stage results: the ghost arrays for gather, ``None`` for scatter,
+    ``out[p]`` for remap, ``out[c][p]`` for append.
     """
 
-    sources: list
+    columns: list
     dests: list | None = None
-
-
-class _StageLayout:
-    """One stage's composed index vectors for a fixed data layout.
-
-    Each stage collapses to a single composed pass — destination slots
-    fancy-assigned straight from the flattened source concat, with no
-    intermediate stream.  ``src_index`` maps destination stream
-    positions to source scalars; ``dst_index`` maps them into the
-    per-rank destination buffers (``None`` for appends, which fill
-    contiguously).  Assign-mode stages additionally carry the
-    destination-sorted pair ``(sf, sp)`` from the plan's
-    ``forward_sorted`` / ``reverse_sorted`` caches: stores land in
-    ascending order (``sp`` is ``None`` when dense — one contiguous
-    write).  Combining stages never sort; the unsorted vectors preserve
-    the ufunc's fold order bit for bit.
-    """
-
-    __slots__ = ("mode", "k", "dtype", "op", "base", "bounds",
-                 "src_index", "dst_index", "sf", "sp")
-
-    def __init__(self, stage: FusedStage, k: int, dtype: np.dtype,
-                 sizes: tuple[int, ...]):
-        plan = stage.plan
-        self.k = k
-        self.dtype = dtype
-        self.op = stage.op
-        if stage.kind in FORWARD_KINDS:
-            # local data, send order → receive stream → placement slots
-            self.src_index = plan.forward_flat(sizes, k)
-            self.base = plan.recv_base
-            if stage.kind == "append":
-                self.dst_index = None
-                self.mode = "fill"
-                self.sf, self.sp = self.src_index, None
-            else:
-                self.dst_index = plan.place_stream(k)
-                self.mode = "assign"
-                self.sf, self.sp = plan.forward_sorted(sizes, k)
-        else:
-            # ghost data, receive order → send stream → local elements
-            self.src_index = plan.reverse_flat(sizes, k)
-            self.base = plan.send_base
-            self.dst_index = plan.send_stream(k)
-            if stage.op is None:
-                self.mode = "assign"
-                self.sf, self.sp = plan.reverse_sorted(sizes, k)
-            else:
-                self.mode = "accum"
-                self.sf = self.sp = None
-        # scalar stream bounds as a plain list: the apply kernel's rank
-        # loop slices with these every call
-        self.bounds = [int(b) * k for b in self.base.tolist()]
-
-
-class _FusedLayout:
-    """All per-stage layouts for one data-layout key, plus the static
-    half of the shippable rank-kernel payload.
-
-    ``plans`` (the stable index vectors, exported to shared memory once
-    per plan), ``consts`` and ``work`` depend only on the layout key, so
-    they are built here once and reused every call; the executor adds
-    the per-call halves (``data``, ``inout``) on top.
-    """
-
-    __slots__ = ("stages", "plans", "consts", "work")
-
-    def __init__(self, stages: list[_StageLayout]):
-        self.stages = stages
-        self.plans = {}
-        ks, modes, ops, bases, dense = [], [], [], [], []
-        self.work = 0
-        for s, st in enumerate(stages):
-            if st.mode == "accum":
-                self.plans[f"sf{s}"] = st.src_index
-                self.plans[f"ap{s}"] = st.dst_index
-                dense.append(False)
-            else:
-                self.plans[f"sf{s}"] = st.sf
-                if st.sp is not None:
-                    self.plans[f"ap{s}"] = st.sp
-                dense.append(st.sp is None)
-            ks.append(st.k)
-            modes.append(st.mode)
-            ops.append(None if st.op is None
-                       else getattr(st.op, "__name__", None))
-            bases.append(tuple(st.bounds))
-            self.work += st.src_index.size * st.dtype.itemsize
-        self.consts = {"n_stages": len(stages), "ks": tuple(ks),
-                       "modes": tuple(modes), "ops": tuple(ops),
-                       "bounds": tuple(bases), "dense": tuple(dense)}
 
 
 @dataclass
 class FusedPlan:
-    """A chain of compiled plans executed as one combined pipeline.
+    """A chain of compiled plans executed as one stage list.
 
     The stages keep their individual count matrices and accounting —
-    traffic and clocks are charged per stage, identical to the unfused
-    sequence — but a backend's fused executor moves each stage's data
-    in a single composed pass (destination slots assigned straight from
-    the flattened sources through one permutation), instead of one full
-    gather → exchange → apply round per phase.  Layouts (the per-stage
-    composed index vectors) are derived lazily per
-    ``(row width, dtype, source sizes)`` chain and cached for the
-    plan's lifetime, like the single-plan ``_layouts`` caches they
-    borrow from.
+    traffic and clocks are charged per stage, in stage order — while a
+    backend's executor moves each column's data in a single composed
+    pass (:meth:`CompiledPlan.move`).  The object is a validated tuple
+    and nothing more: every cached layout lives on the stage's own
+    compiled plan.  Never cache one *on* a compiled plan —
+    ``FusedStage.plan`` would close a reference cycle, and a dropped
+    schedule must die by reference count (adaptive loops and particle
+    codes drop one per step, often with the collector off).
     """
 
     stages: tuple[FusedStage, ...]
-    _layouts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.stages:
-            raise ValueError("a fused plan needs at least one stage")
+            raise ValueError("a stage list needs at least one stage")
         n = self.stages[0].plan.n_ranks
         for stage in self.stages:
             if stage.kind not in STAGE_KINDS:
-                raise ValueError(f"unknown fused stage kind {stage.kind!r}")
+                raise ValueError(f"unknown stage kind {stage.kind!r}")
             if stage.plan.n_ranks != n:
                 raise ValueError("fused stages span different machines")
         self.stages = tuple(self.stages)
@@ -691,41 +520,3 @@ class FusedPlan:
             and mine.op is theirs.op
             for mine, theirs in zip(self.stages, stages)
         )
-
-    def layout(self, key: tuple) -> _FusedLayout:
-        """Per-stage composed layouts (plus the static kernel payload)
-        for one ``((k, dtype, sizes), ...)`` key."""
-        out = self._layouts.get(key)
-        if out is None:
-            out = _FusedLayout([
-                _StageLayout(stage, k, np.dtype(dtype), sizes)
-                for stage, (k, dtype, sizes) in zip(self.stages, key)
-            ])
-            self._layouts[key] = out
-        return out
-
-
-def compile_fused(stages) -> FusedPlan:
-    """Fused view of a stage chain; cached on the lead compiled plan.
-
-    The cache key is the chain identity — plan object ids, kinds and
-    combiner names.  The cached :class:`FusedPlan` holds strong
-    references to every stage plan, so the ids cannot be recycled while
-    the entry is alive; a ``matches`` check guards against it anyway.
-    """
-    stages = tuple(stages)
-    lead = stages[0].plan
-    key = tuple(
-        (s.kind, id(s.plan),
-         None if s.op is None else getattr(s.op, "__name__", repr(s.op)))
-        for s in stages
-    )
-    cache = getattr(lead, _FUSED_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(lead, _FUSED_CACHE_ATTR, cache)
-    fused = cache.get(key)
-    if fused is None or not fused.matches(stages):
-        fused = FusedPlan(stages=stages)
-        cache[key] = fused
-    return fused

@@ -19,18 +19,23 @@ transport: ``serial`` reproduces the historical pair-loop semantics,
 numpy operations, ``threaded`` fans the per-rank loops out over the
 context's worker pool.
 
-**Fused pipelines.**  Consecutive collectives in one loop body can run
-as a single fused pass: wrap each in a phase constructor
-(:func:`gather_phase`, :func:`scatter_phase`, :func:`scatter_op_phase`,
-plus :func:`~repro.core.lightweight.append_phase` and
+**One path.**  A schedule is a precomputed pack → exchange → place
+plan, and every primitive is that plan run in one direction or the
+other: each function here (and :func:`~repro.core.lightweight.
+scatter_append`, :func:`~repro.core.remap.remap_array`) builds one
+:class:`PipelinePhase`, validates it in :meth:`PipelinePhase._prepare`
+and runs a one-stage list through ``Backend.run_fused``.
+
+**Pipelines.**  Consecutive collectives in one loop body can run as a
+single plan: wrap each in a phase constructor (:func:`gather_phase`,
+:func:`scatter_phase`, :func:`scatter_op_phase`, plus
+:func:`~repro.core.lightweight.append_phase` and
 :func:`~repro.core.remap.remap_phase`) and hand the chain to
 :func:`run_pipeline`.  When the chain is legal to fuse
 (:func:`fusable`: no stage reads an array another stage writes, only
-named-ufunc combiners) the backend executes one combined
-pack → permute → apply pipeline over the compiled plans
-(:func:`~repro.core.compiled.compile_fused`); otherwise — and on any
-backend without a one-pass implementation — it falls back to the
-reference phase-by-phase path.  Results, traffic and clocks are
+named-ufunc combiners) the backend executes it as one stage list
+(:class:`~repro.core.compiled.FusedPlan`); otherwise the stages run as
+consecutive one-stage lists.  Results, traffic and clocks are
 bitwise-identical either way.
 """
 
@@ -44,10 +49,10 @@ from repro.core.compiled import (
     FusedPlan,
     FusedStage,
     StageBind,
-    compile_fused,
     compile_lightweight_schedule,
     compile_remap_plan,
     compile_schedule,
+    is_named_ufunc,
 )
 from repro.core.context import ensure_context
 from repro.core.reuse import FUSED_SUFFIX
@@ -82,25 +87,9 @@ def gather(
     stacked (see :func:`stack_local_ghost`).
     """
     ctx = ensure_context(ctx, "gather")
-    machine = ctx.machine
-    machine.check_per_rank(data, "data")
-    if ghosts is None:
-        ghosts = allocate_ghosts(sched, data)
-    machine.check_per_rank(ghosts, "ghosts")
-    plan = compile_schedule(sched)
-    for p in machine.ranks():
-        if plan.send_max[p] >= np.asarray(data[p]).shape[0]:
-            raise IndexError(
-                f"rank {p}: schedule wants element {int(plan.send_max[p])} "
-                f"but local array has {np.asarray(data[p]).shape[0]}"
-            )
-        g = np.asarray(ghosts[p])
-        if g.shape[0] < sched.ghost_size[p]:
-            raise ValueError(
-                f"rank {p}: ghost buffer {g.shape[0]} < required "
-                f"{sched.ghost_size[p]}"
-            )
-    return ctx.backend.gather(ctx, sched, data, ghosts, category)
+    return _run_stages(
+        ctx, [PipelinePhase("gather", sched, data, dests=ghosts)], category
+    )[0]
 
 
 def scatter(
@@ -117,9 +106,9 @@ def scatter(
     at ``sched.send_view(q, p)``.
     """
     ctx = ensure_context(ctx, "scatter")
-    ctx.machine.check_per_rank(data, "data")
-    ctx.machine.check_per_rank(ghosts, "ghosts")
-    ctx.backend.scatter(ctx, sched, data, ghosts, None, category)
+    _run_stages(
+        ctx, [PipelinePhase("scatter", sched, ghosts, dests=data)], category
+    )
 
 
 def scatter_op(
@@ -139,11 +128,12 @@ def scatter_op(
     ``scatter_op(np.add)`` folds all contributions into the owners.
     """
     ctx = ensure_context(ctx, "scatter_op")
-    if not hasattr(op, "at"):
-        raise TypeError(f"op {op!r} must be a ufunc with an .at method")
-    ctx.machine.check_per_rank(data, "data")
-    ctx.machine.check_per_rank(ghosts, "ghosts")
-    ctx.backend.scatter(ctx, sched, data, ghosts, op, category)
+    if op is None:  # a phase without a combiner is an overwriting scatter
+        raise TypeError("scatter_op needs a combiner; use scatter to overwrite")
+    _run_stages(
+        ctx, [PipelinePhase("scatter", sched, ghosts, dests=data, op=op)],
+        category,
+    )
 
 
 def stack_local_ghost(
@@ -172,91 +162,105 @@ def split_local_ghost(
 
 
 # ----------------------------------------------------------------------
-# fused pipelines
+# stage lists
 # ----------------------------------------------------------------------
 class PipelinePhase:
-    """One collective inside a :func:`run_pipeline` chain.
+    """One collective: a single primitive call, or one link of a
+    :func:`run_pipeline` chain.
 
     Built by the phase constructors (:func:`gather_phase`,
     :func:`scatter_phase`, :func:`scatter_op_phase`,
     :func:`~repro.core.lightweight.append_phase`,
     :func:`~repro.core.remap.remap_phase`); ``sources`` are the arrays
     the stage reads, ``dests`` the arrays it writes (``None`` for the
-    value-returning kinds, whose outputs the backend allocates).
+    value-returning kinds, whose outputs the backend allocates).  An
+    append phase reads one or more aligned columns (``sources[c][p]``)
+    and yields ``out[c][p]``; with ``single`` set, ``sources`` is one
+    per-rank list and so is the result.
     """
 
-    __slots__ = ("kind", "sched", "sources", "dests", "op")
+    __slots__ = ("kind", "sched", "sources", "dests", "op", "single")
 
-    def __init__(self, kind, sched, sources, dests=None, op=None):
+    def __init__(self, kind, sched, sources, dests=None, op=None,
+                 single=False):
         self.kind = kind
         self.sched = sched
         self.sources = sources
         self.dests = dests
         self.op = op
+        self.single = single
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PipelinePhase({self.kind!r})"
 
+    def columns(self) -> list:
+        """The per-rank lists this phase reads, one per column."""
+        if self.kind == "append" and not self.single:
+            return list(self.sources)
+        return [self.sources]
+
     def _prepare(self, ctx) -> tuple[FusedStage, StageBind]:
-        """Validate like the unfused wrapper; compile the stage plan."""
+        """The one validation site of every transport call; compiles
+        the stage plan."""
         machine = ctx.machine
-        if self.kind == "gather":
-            machine.check_per_rank(self.sources, "data")
-            if self.dests is None:
-                self.dests = allocate_ghosts(self.sched, self.sources)
-            machine.check_per_rank(self.dests, "ghosts")
-            plan = compile_schedule(self.sched)
-            for p in machine.ranks():
-                if plan.send_max[p] >= np.asarray(self.sources[p]).shape[0]:
-                    raise IndexError(
-                        f"rank {p}: schedule wants element "
-                        f"{int(plan.send_max[p])} but local array has "
-                        f"{np.asarray(self.sources[p]).shape[0]}"
-                    )
-                g = np.asarray(self.dests[p])
-                if g.shape[0] < self.sched.ghost_size[p]:
-                    raise ValueError(
-                        f"rank {p}: ghost buffer {g.shape[0]} < required "
-                        f"{self.sched.ghost_size[p]}"
-                    )
-            return (FusedStage("gather", self.sched, plan),
-                    StageBind(self.sources, self.dests))
-        if self.kind == "scatter":
+        if self.kind in ("gather", "scatter"):
             if self.op is not None and not hasattr(self.op, "at"):
                 raise TypeError(
                     f"op {self.op!r} must be a ufunc with an .at method"
                 )
-            machine.check_per_rank(self.dests, "data")
-            machine.check_per_rank(self.sources, "ghosts")
+            gathering = self.kind == "gather"
+            data = self.sources if gathering else self.dests
+            machine.check_per_rank(data, "data")
+            if gathering and self.dests is None:
+                self.dests = allocate_ghosts(self.sched, data)
+            ghosts = self.dests if gathering else self.sources
+            machine.check_per_rank(ghosts, "ghosts")
             plan = compile_schedule(self.sched)
-            return (FusedStage("scatter", self.sched, plan, op=self.op),
-                    StageBind(self.sources, self.dests))
-        if self.kind == "append":
-            machine.check_per_rank(self.sources, "values")
-            plan = compile_lightweight_schedule(self.sched)
+            _check_pack_bounds(machine, plan, data, "schedule")
+            # a short ghost buffer would make the flat layout address
+            # the next rank's ghosts, silently, in either direction
             for p in machine.ranks():
-                v = np.asarray(self.sources[p])
-                expected = plan.send_idx[p].size
-                if v.shape[0] != expected:
+                n_ghost = np.asarray(ghosts[p]).shape[0]
+                if n_ghost < self.sched.ghost_size[p]:
                     raise ValueError(
-                        f"rank {p}: values has {v.shape[0]} elements, "
-                        f"schedule covers {expected}"
+                        f"rank {p}: ghost buffer {n_ghost} < required "
+                        f"{self.sched.ghost_size[p]}"
                     )
+            return (FusedStage(self.kind, self.sched, plan, op=self.op),
+                    StageBind([self.sources], self.dests))
+        if self.kind == "append":
+            columns = self.columns()
+            plan = compile_lightweight_schedule(self.sched)
+            for c, values in enumerate(columns):
+                machine.check_per_rank(values, f"values[{c}]")
+                for p in machine.ranks():
+                    n_rows = np.asarray(values[p]).shape[0]
+                    if n_rows != plan.send_idx[p].size:
+                        raise ValueError(
+                            f"rank {p}, column {c}: {n_rows} elements, "
+                            f"schedule covers {plan.send_idx[p].size}"
+                        )
+                _check_pack_bounds(machine, plan, values, "schedule")
             return (FusedStage("append", self.sched, plan),
-                    StageBind(self.sources))
+                    StageBind(columns))
         if self.kind == "remap":
             machine.check_per_rank(self.sources, "data")
             plan = compile_remap_plan(self.sched)
-            for p in machine.ranks():
-                if plan.send_max[p] >= np.asarray(self.sources[p]).shape[0]:
-                    raise IndexError(
-                        f"rank {p}: remap plan wants element "
-                        f"{int(plan.send_max[p])} but local array has "
-                        f"{np.asarray(self.sources[p]).shape[0]} rows"
-                    )
+            _check_pack_bounds(machine, plan, self.sources, "remap plan")
             return (FusedStage("remap", self.sched, plan),
-                    StageBind(self.sources))
+                    StageBind([self.sources]))
         raise ValueError(f"unknown pipeline phase kind {self.kind!r}")
+
+
+def _check_pack_bounds(machine, plan, data, what: str) -> None:
+    """Every row a compiled plan packs must exist in ``data``."""
+    for p in machine.ranks():
+        n_rows = np.asarray(data[p]).shape[0]
+        if plan.send_max[p] >= n_rows:
+            raise IndexError(
+                f"rank {p}: {what} wants element {int(plan.send_max[p])} "
+                f"but local array has {n_rows}"
+            )
 
 
 def gather_phase(
@@ -316,17 +320,16 @@ def fusable(phases) -> tuple[bool, str]:
     """
     writes = set()
     for phase in phases:
-        if phase.op is not None and not (
-            isinstance(phase.op, np.ufunc)
-            and getattr(np, phase.op.__name__, None) is phase.op
-        ):
+        if phase.op is not None and not is_named_ufunc(phase.op):
             return False, "combiner is not a named numpy ufunc"
         for d in phase.dests or ():
             writes.add(id(_root(d)))
     for phase in phases:
-        for s in phase.sources:
-            if id(_root(s)) in writes:
-                return False, "a stage reads an array another stage writes"
+        for column in phase.columns():
+            for s in column:
+                if id(_root(s)) in writes:
+                    return (False,
+                            "a stage reads an array another stage writes")
     return True, ""
 
 
@@ -334,7 +337,7 @@ def _fused_for(ctx, stages, loop_id) -> FusedPlan:
     """The chain's :class:`FusedPlan`, through the context's
     :class:`~repro.core.reuse.ScheduleCache` when a loop id is given."""
     if loop_id is None:
-        return compile_fused(stages)
+        return FusedPlan(stages)
     cache = ctx.schedule_cache
     key = loop_id + FUSED_SUFFIX
     cached = cache.peek(key)
@@ -348,8 +351,7 @@ def _fused_for(ctx, stages, loop_id) -> FusedPlan:
     # (builds += 1) without resetting the hit counter the way
     # invalidate() would — and without the stale probe counting a hit
     cache.record.touch(key)
-    fused, _ = cache.get_or_build(key, (key,),
-                                  lambda: compile_fused(stages))
+    fused, _ = cache.get_or_build(key, (key,), lambda: FusedPlan(stages))
     return fused
 
 
@@ -375,22 +377,25 @@ def run_pipeline(
     ``ScheduleCache.fused_stats`` / ``ChaosRuntime.cache_stats``.
     """
     ctx = ensure_context(ctx, "run_pipeline")
-    phases = list(phases)
+    return _run_stages(ctx, list(phases), category, loop_id)
+
+
+def _run_stages(ctx, phases, category, loop_id=None) -> list:
+    """Validate ``phases`` and run them through ``Backend.run_fused``:
+    as one stage list when the chain is legal to fuse, otherwise as
+    consecutive one-stage lists (``loop_id`` keys only a fused chain)."""
     if not phases:
         return []
-    stages = []
-    binds = []
-    for phase in phases:
-        stage, bind = phase._prepare(ctx)
-        stages.append(stage)
-        binds.append(bind)
-    ok, _reason = fusable(phases)
-    if ok:
-        fused = _fused_for(ctx, stages, loop_id)
-        return ctx.backend.run_fused(ctx, fused, binds, category)
-    # illegal chain: the reference multi-pass path, explicitly through
-    # the base implementation so one-pass overrides are bypassed
-    from repro.core.backends.base import Backend
-    return Backend.run_fused(ctx.backend, ctx,
-                             FusedPlan(stages=tuple(stages)), binds,
-                             category)
+    prepared = [phase._prepare(ctx) for phase in phases]
+    if fusable(phases)[0]:
+        stages, binds = zip(*prepared)
+        results = ctx.backend.run_fused(
+            ctx, _fused_for(ctx, stages, loop_id), binds, category)
+    else:
+        results = [
+            ctx.backend.run_fused(ctx, FusedPlan((stage,)), (bind,),
+                                  category)[0]
+            for stage, bind in prepared
+        ]
+    return [r[0] if phase.single else r
+            for phase, r in zip(phases, results)]

@@ -21,13 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiled import (
-    compile_lightweight_schedule,
-    csr_counts,
-    normalize_csr,
-    offsets_from_counts,
-)
+from repro.core.compiled import csr_counts, normalize_csr, offsets_from_counts
 from repro.core.context import ensure_context
+from repro.core.executor import PipelinePhase, _run_stages
 
 
 @dataclass
@@ -155,18 +151,9 @@ def scatter_append(
     expensive part, reusing it is free.
     """
     ctx = ensure_context(ctx, "scatter_append")
-    machine = ctx.machine
-    machine.check_per_rank(values, "values")
-    plan = compile_lightweight_schedule(sched)
-    for p in machine.ranks():
-        v = np.asarray(values[p])
-        expected = plan.send_idx[p].size
-        if v.shape[0] != expected:
-            raise ValueError(
-                f"rank {p}: values has {v.shape[0]} elements, schedule "
-                f"covers {expected}"
-            )
-    return ctx.backend.scatter_append(ctx, sched, values, category)
+    return _run_stages(
+        ctx, [PipelinePhase("append", sched, values, single=True)], category
+    )[0]
 
 
 def scatter_append_multi(
@@ -185,22 +172,11 @@ def scatter_append_multi(
     as :func:`scatter_append`.
     """
     ctx = ensure_context(ctx, "scatter_append_multi")
-    machine = ctx.machine
     if not arrays:
         return []
-    for k, vs in enumerate(arrays):
-        machine.check_per_rank(vs, f"arrays[{k}]")
-    plan = compile_lightweight_schedule(sched)
-    for p in machine.ranks():
-        expected = plan.send_idx[p].size
-        for k in range(len(arrays)):
-            v = np.asarray(arrays[k][p])
-            if v.shape[0] != expected:
-                raise ValueError(
-                    f"rank {p}, attribute {k}: {v.shape[0]} elements, "
-                    f"schedule covers {expected}"
-                )
-    return ctx.backend.scatter_append_multi(ctx, sched, arrays, category)
+    return _run_stages(
+        ctx, [PipelinePhase("append", sched, arrays)], category
+    )[0]
 
 
 def append_phase(sched: LightweightSchedule, values: list[np.ndarray]):
@@ -208,6 +184,4 @@ def append_phase(sched: LightweightSchedule, values: list[np.ndarray]):
     :func:`~repro.core.executor.run_pipeline` — e.g. migrating several
     aligned particle attributes over one schedule in a single fused
     pass.  The phase's result slot holds the new per-rank arrays."""
-    from repro.core.executor import PipelinePhase
-
-    return PipelinePhase("append", sched, values)
+    return PipelinePhase("append", sched, values, single=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.compiled import (
-    compile_remap_plan,
     csr_counts,
     normalize_csr,
     offsets_from_counts,
@@ -28,6 +27,7 @@ from repro.core.compiled import (
 )
 from repro.core.context import ensure_context
 from repro.core.distribution import Distribution
+from repro.core.executor import PipelinePhase, _run_stages
 
 
 @dataclass
@@ -166,16 +166,9 @@ def remap_array(
     the paper remaps all atom-associated arrays with one plan.
     """
     ctx = ensure_context(ctx, "remap_array")
-    machine = ctx.machine
-    machine.check_per_rank(data, "data")
-    cp = compile_remap_plan(plan)
-    for p in machine.ranks():
-        if cp.send_max[p] >= np.asarray(data[p]).shape[0]:
-            raise IndexError(
-                f"rank {p}: remap plan wants element {int(cp.send_max[p])}"
-                f" but local array has {np.asarray(data[p]).shape[0]} rows"
-            )
-    return ctx.backend.remap_array(ctx, plan, data, category)
+    return _run_stages(
+        ctx, [PipelinePhase("remap", plan, data)], category
+    )[0]
 
 
 def remap_phase(plan: RemapPlan, data: list[np.ndarray]):
@@ -184,8 +177,6 @@ def remap_phase(plan: RemapPlan, data: list[np.ndarray]):
     atom-associated arrays with one plan, which fuses into a single
     pack/permute/apply pass.  The phase's result slot holds the new
     per-rank arrays."""
-    from repro.core.executor import PipelinePhase
-
     return PipelinePhase("remap", plan, data)
 
 

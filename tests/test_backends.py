@@ -226,6 +226,20 @@ class TestRegistry:
         assert isinstance(get_backend("vectorized"), VectorizedBackend)
         assert get_backend("serial") is get_backend("serial")
 
+    def test_one_executor_path(self):
+        """Transport is ``run_fused`` and nothing else: no per-primitive
+        method on the compiled-plan backends, one worker kernel."""
+        from repro.core.backends import multiprocess
+
+        primitives = {"gather", "scatter", "scatter_append",
+                      "scatter_append_multi", "remap_array"}
+        assert "run_fused" in Backend.__abstractmethods__
+        assert not primitives & Backend.__abstractmethods__
+        assert not primitives & set(vars(VectorizedBackend))
+        # the serial reference keeps them; append only in the multi form
+        assert primitives - set(vars(SerialBackend)) == {"scatter_append"}
+        assert multiprocess._KERNELS.keys() == {"fused_apply"}
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             get_backend("quantum")

@@ -1,4 +1,4 @@
-"""ExecutionContext: resolution order, immutability, removal, seam gate.
+"""ExecutionContext: resolution order, immutability, removal.
 
 The context is the one carrier object for per-run state; these tests pin
 down its contract:
@@ -12,14 +12,10 @@ down its contract:
   is *gone* — the former shim call shapes now raise :class:`TypeError`;
 * serial and vectorized contexts stay *bitwise equal* end-to-end on the
   CHARMM and DSMC pipelines (results and traffic; the threaded backend
-  joins the comparison in ``test_threaded_backend.py``);
-* no kwarg threading or resurrected deprecated call site survives under
-  ``src/repro/{core,lang,apps}`` (the same scan the CI lint gate runs).
+  joins the comparison in ``test_threaded_backend.py``).
 """
 
 import dataclasses
-import importlib.util
-import os
 
 import numpy as np
 import pytest
@@ -325,17 +321,3 @@ class TestEndToEndEquivalence:
         assert m_s.traffic.snapshot() == m_v.traffic.snapshot()
         assert m_s.traffic.messages == m_v.traffic.messages
 
-
-# ---------------------------------------------------------------------
-# seam gate: zero legacy call sites under src/
-# ---------------------------------------------------------------------
-def test_no_legacy_call_sites_under_src():
-    """The acceptance grep, executable: no ``backend=`` threading outside
-    the context shim module, no nested pair-accessor call site outside
-    the three plan modules that define them."""
-    tools = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "tools", "check_context_seam.py")
-    spec = importlib.util.spec_from_file_location("check_context_seam", tools)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    assert mod.scan() == []

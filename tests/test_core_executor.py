@@ -5,10 +5,14 @@ import pytest
 
 from repro.core import (
     ChaosRuntime,
+    ExecutionContext,
     allocate_ghosts,
     gather,
+    run_pipeline,
     scatter,
     scatter_op,
+    scatter_op_phase,
+    scatter_phase,
     split_local_ghost,
     stack_local_ghost,
 )
@@ -145,6 +149,47 @@ class TestScatter:
         ghosts = allocate_ghosts(sched, x.local)
         with pytest.raises(TypeError):
             scatter_op(rt.ctx, sched, x.local, ghosts, lambda a, b: a + b)
+
+
+class TestScatterBounds:
+    """A scatter validates its buffers like a gather does, on every
+    backend, called alone or as a pipeline stage.  (The flat layout
+    offsets ghost slots by the *actual* buffer sizes, so a short buffer
+    used to read the next rank's ghosts without an error.)"""
+
+    def _calls(self, ctx, sched, data, ghosts):
+        return [
+            lambda: scatter(ctx, sched, data, ghosts),
+            lambda: scatter_op(ctx, sched, data, ghosts, np.add),
+            lambda: run_pipeline(ctx, [scatter_phase(sched, data, ghosts)]),
+            lambda: run_pipeline(
+                ctx, [scatter_op_phase(sched, data, ghosts, np.add),
+                      scatter_op_phase(sched, data, ghosts, np.maximum)]),
+        ]
+
+    def test_short_ghost_buffer_rejected(self, rng, backend_name):
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng, n_ref=80)
+        ctx = ExecutionContext.resolve(m, backend_name)
+        ghosts = [np.ones(g) for g in sched.ghost_size]
+        assert sched.ghost_size[0] > 2
+        ghosts[0] = ghosts[0][:-2]
+        before = [a.copy() for a in x.local]
+        for call in self._calls(ctx, sched, x.local, ghosts):
+            with pytest.raises(ValueError, match="rank 0"):
+                call()
+        for a, b in zip(before, x.local):
+            assert np.array_equal(a, b)
+        ctx.close()
+
+    def test_short_local_array_rejected(self, rng, backend_name):
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
+        ctx = ExecutionContext.resolve(m, backend_name)
+        ghosts = allocate_ghosts(sched, x.local)
+        short = [a[:1] for a in x.local]
+        for call in self._calls(ctx, sched, short, ghosts):
+            with pytest.raises(IndexError):
+                call()
+        ctx.close()
 
 
 class TestStacking:

@@ -7,6 +7,7 @@ from repro.core import (
     ExecutionContext,
     build_lightweight_schedule,
     scatter_append,
+    scatter_append_multi,
 )
 from repro.sim import Machine
 
@@ -139,3 +140,47 @@ class TestScatterAppend:
         sched = build_lightweight_schedule(ctx4, dest)
         out = scatter_append(ctx4, sched, [np.zeros(0)] * 4)
         assert all(o.size == 0 for o in out)
+
+    def test_selection_past_the_array_rejected(self, backend_name):
+        """A hand-built schedule selecting a row its rank does not hold
+        is an error on every backend (the flat layout would otherwise
+        read the next rank's rows)."""
+        from csr_helpers import lightweight_from_pairs
+
+        z = np.zeros(0, dtype=np.int64)
+        sched = lightweight_from_pairs(
+            n_ranks=2,
+            send_sel=[[np.array([0]), np.array([2])], [z, np.array([0])]],
+            recv_counts=np.array([[1, 0], [1, 1]]),
+        )
+        ctx = ExecutionContext.resolve(Machine(2), backend_name)
+        with pytest.raises(IndexError):
+            scatter_append(ctx, sched, [np.arange(2.0), np.arange(1.0)])
+        ctx.close()
+
+    @pytest.mark.parametrize("trailing", [(), (3,)])
+    def test_single_is_the_one_column_multi(self, backend_name, trailing):
+        """``scatter_append(v)`` and ``scatter_append_multi([v])[0]`` are
+        one code path: equal bytes, traffic and per-rank clocks on every
+        backend, 1-D and ``(n, 3)`` rows, rank 2 empty."""
+        observed = []
+        for multi in (False, True):
+            rng = np.random.default_rng(5)
+            m = Machine(4, record_messages=True)
+            ctx = ExecutionContext.resolve(m, backend_name)
+            n_per = [9, 14, 0, 6]
+            dest = [rng.integers(0, 4, c) for c in n_per]
+            values = [rng.standard_normal((c,) + trailing) for c in n_per]
+            sched = build_lightweight_schedule(ctx, dest)
+            m.reset_clocks()
+            m.reset_traffic()
+            out = (scatter_append_multi(ctx, sched, [values])[0] if multi
+                   else scatter_append(ctx, sched, values))
+            observed.append((
+                [(o.dtype, o.shape, o.tobytes()) for o in out],
+                m.traffic.snapshot(), list(m.traffic.messages),
+                [c.snapshot() for c in m.clocks],
+            ))
+            ctx.close()
+        assert observed[0] == observed[1]
+        assert sum(shape[0] for _, shape, _ in observed[0][0]) == 29

@@ -16,11 +16,16 @@ Covered here:
   filling one shared table-wide ghost buffer in one pass;
 * legality fallbacks — a non-ufunc combiner and a chain whose scatter
   reads the ghosts its gather writes both run unfused, with identical
-  results;
+  results; a three-stage illegal chain equals its primitives called one
+  by one on the same backend, clocks exactly;
+* a three-column append stage sharing a chain with a gather stage;
 * empty machines, empty schedules and zero-size plans;
 * fused-plan cache counters under a ``loop_id`` (hits, builds, and the
   hit-preserving rebuild when a schedule is re-inspected).
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +35,9 @@ from hypothesis import strategies as st
 from repro.core import (
     ChaosRuntime,
     ExecutionContext,
+    PipelinePhase,
     allocate_ghosts,
+    build_lightweight_schedule,
     clear_stamp,
     fusable,
     gather,
@@ -39,6 +46,7 @@ from repro.core import (
     remap_array,
     remap_phase,
     run_pipeline,
+    scatter_append_multi,
     scatter_op,
     scatter_op_phase,
     split_by_block,
@@ -342,6 +350,80 @@ def test_read_write_overlap_falls_back(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_illegal_chain_equals_primitives_one_by_one(backend):
+    """gather → scatter_op of those ghosts → remap of the scattered
+    data: every later stage reads what an earlier one wrote, so the
+    chain must behave as the three calls made in order."""
+    observed = []
+    for chained in (False, True):
+        m, x, sched, rng = _schedule_env(47, 4, 60, 130, (3,))
+        ctx = ExecutionContext.resolve(m, backend)
+        try:
+            rt = ChaosRuntime(ctx)
+            new_tt = rt.irregular_table(rng.integers(0, 4, 60))
+            plan = remap(ctx, x.ttable.dist, new_tt.dist)
+            m.reset_clocks()
+            m.reset_traffic()
+            g = allocate_ghosts(sched, x.local)
+            if chained:
+                phases = [gather_phase(sched, x.local, g),
+                          scatter_op_phase(sched, x.local, g, np.add),
+                          remap_phase(plan, x.local)]
+                assert not fusable(phases)[0]
+                _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
+                assert none is None
+            else:
+                gather(ctx, sched, x.local, g)
+                scatter_op(ctx, sched, x.local, g, np.add)
+                moved = remap_array(ctx, plan, x.local, category="comm")
+            observed.append(_observe(m, g, x.local, moved))
+        finally:
+            ctx.close()
+    _assert_same(observed[0], observed[1])
+    assert observed[0][3] == observed[1][3]  # same backend: clocks exact
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_three_column_append_stage_in_a_chain(backend):
+    """One append stage carrying ids, positions and velocities next to
+    a gather stage equals ``gather`` + ``scatter_append_multi``: one set
+    of append messages, columns moved one by one."""
+    observed = []
+    for chained in (False, True):
+        m, x, sched, rng = _schedule_env(53, 4, 50, 110, ())
+        ctx = ExecutionContext.resolve(m, backend)
+        try:
+            n_per = [12, 0, 7, 20]  # rank 1 sends nothing
+            lw = build_lightweight_schedule(
+                ctx, [rng.integers(0, 4, c) for c in n_per])
+            cols = [
+                [np.arange(c, dtype=np.int64) + 100 * p
+                 for p, c in enumerate(n_per)],
+                [rng.standard_normal((c, 3)) for c in n_per],
+                [rng.standard_normal(c) for c in n_per],
+            ]
+            m.reset_clocks()
+            m.reset_traffic()
+            g = allocate_ghosts(sched, x.local)
+            if chained:
+                _, out = run_pipeline(
+                    ctx, [gather_phase(sched, x.local, g),
+                          PipelinePhase("append", lw, cols)])
+            else:
+                gather(ctx, sched, x.local, g)
+                out = scatter_append_multi(ctx, lw, cols)
+            assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
+            observed.append(_observe(m, g, *out))
+        finally:
+            ctx.close()
+    _assert_same(observed[0], observed[1])
+    assert observed[0][3] == observed[1][3]
+    # three columns, one message per communicating pair
+    tags = observed[0][1]["by_tag"]
+    assert tags["scatter_append"][0] == lw.total_messages()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n_ranks,n,n_ref", [(1, 1, 0), (3, 3, 0),
                                              (4, 0, 0), (2, 1, 1)])
 def test_fused_empty_and_tiny(backend, n_ranks, n, n_ref):
@@ -356,6 +438,33 @@ def test_fused_empty_and_tiny(backend, n_ranks, n, n_ref):
     try:
         assert run_pipeline(ctx, []) == []
     finally:
+        ctx.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dropped_schedules_die_by_refcount(backend):
+    """Executing a plan — alone or in a chain — must not tie it into a
+    reference cycle: adaptive loops drop a schedule per step, and with
+    the collector off (the benchmark's timed regions) a cycle per
+    schedule is a leak."""
+    m, x, sched, rng = _schedule_env(61, 4, 50, 110, ())
+    ctx = ExecutionContext.resolve(m, backend)
+    lw = build_lightweight_schedule(
+        ctx, [rng.integers(0, 4, 9) for _ in range(4)])
+    vals = [rng.standard_normal(9) for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        g = gather(ctx, sched, x.local)
+        scatter_op(ctx, sched, x.local, g, np.add)
+        scatter_append_multi(ctx, lw, [vals, vals])
+        run_pipeline(ctx, [gather_phase(sched, x.local),
+                           PipelinePhase("append", lw, [vals])])
+        refs = [weakref.ref(sched), weakref.ref(lw)]
+        del sched, lw
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
         ctx.close()
 
 
