@@ -83,8 +83,14 @@ def _inspector_ratios(payload: dict) -> dict[str, float]:
     for phase in sorted(set(serial) & set(vec)):
         if vec[phase] > 0:
             ratios[phase] = serial[phase] / vec[phase]
-    if "speedup_hash_plus_schedule" in payload:
-        ratios["hash+schedule"] = float(payload["speedup_hash_plus_schedule"])
+    if "hash+schedule" in ratios:  # derived from the phases above
+        del ratios["hash+schedule"]
+    for key, name in (("speedup_hash_plus_schedule", "hash+schedule"),
+                      ("speedup_hash_plus_schedule_p128",
+                       "hash+schedule_p128"),
+                      ("speedup_rehash_delta_p128", "rehash_delta_p128")):
+        if key in payload:
+            ratios[name] = float(payload[key])
     return ratios
 
 
@@ -116,7 +122,7 @@ def _adaptive_ratios(payload: dict) -> dict[str, float]:
 #:  ratio extractor, metrics that gate — the rest are advisory)
 CHECKS = (
     ("BENCH_inspector.json", "bench_inspector.json", _inspector_ratios,
-     frozenset({"hash+schedule"})),
+     frozenset({"hash+schedule", "hash+schedule_p128"})),
     ("BENCH_backends.json", "backend_ablation.json", _backend_ratios,
      frozenset({"gather_scatter", "scatter_append", "halo_x4"})),
     ("BENCH_adaptive.json", "bench_adaptive.json", _adaptive_ratios,

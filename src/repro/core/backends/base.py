@@ -25,14 +25,14 @@ Four implementations ship with the runtime:
 * ``serial`` — the reference semantics: a Python dict operation per hash
   key, a Python loop per communicating ``(p, q)`` rank pair, one
   per-primitive method per stage kind;
-* ``vectorized`` — the default: a batched open-addressed key store,
-  argsort/bincount schedule grouping, count-matrix communication
+* ``vectorized`` — the default: every rank's indices as one stream
+  through the table group's key arena, one stable sort per schedule
+  build, count-matrix communication
   accounting (:meth:`Machine.exchange_compiled`), and one composed
   index pair per stage over compiled flat plans
   (:mod:`repro.core.compiled`);
 * ``threaded`` — the vectorized per-rank kernels with the rank loops of
-  the executor (and the owner-grouped schedule build) fanned out over a
-  per-context thread pool;
+  the executor fanned out over a per-context thread pool;
 * ``multiprocess`` — the same rank kernels executed by a per-context
   *process* pool over shared-memory views of the compiled plan buffers
   and rank-partitioned data, sidestepping the GIL entirely.
@@ -63,7 +63,10 @@ import threading
 import weakref
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+
 import numpy as np
+
+from repro.core.hashtable import group_of, split_stream, stream_of
 
 #: environment variable consulted for the initial default backend
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -246,9 +249,10 @@ class Backend(ABC):
     # inspector phase
     # ------------------------------------------------------------------
     @abstractmethod
-    def make_key_store(self):
-        """Fresh key store for a new :class:`IndexHashTable` (the
-        global-index → slot map this backend analyses indices with)."""
+    def make_key_store(self, n_ranks: int):
+        """Fresh key store for the hash-table group of an ``n_ranks``
+        machine (the global-index → slot map this backend analyses
+        indices with; see :mod:`repro.core.hashtable`)."""
 
     @abstractmethod
     def chaos_hash(self, ctx, htables, ttable, idx, stamp,
@@ -263,18 +267,21 @@ class Backend(ABC):
         arrays (the unchanged-array fast path).
 
         Concrete: the only backend-specific structure is the key store
-        already attached to each table, so one implementation serves
-        every backend.
+        already behind the tables, so one implementation — every rank's
+        indices as one stream through the group — serves every backend.
         """
         from repro.core.inspector import _PROBE_COST
 
         machine = ctx.machine
-        out = []
-        for p in machine.ranks():
-            arr = idx[p]
-            machine.charge_memops(p, _PROBE_COST * arr.size, category)
-            out.append(htables[p].localize(arr) if arr.size else arr)
-        return out
+        group = group_of(htables)
+        keys, sizes = stream_of(idx)
+        for p, n in enumerate(sizes.tolist()):
+            machine.charge_memops(p, _PROBE_COST * n, category)
+        rows = group.store.lookup(keys, sizes)
+        if rows.size and rows.min() < 0:
+            raise KeyError(
+                f"global index {int(keys[rows < 0][0])} not hashed yet")
+        return split_stream(group.localize(rows, sizes), sizes)
 
     @abstractmethod
     def build_schedule(self, ctx, htables, expr, category: str):

@@ -36,8 +36,8 @@ class SerialBackend(Backend):
     # ------------------------------------------------------------------
     # inspector phase: index analysis
     # ------------------------------------------------------------------
-    def make_key_store(self):
-        return DictKeyStore()
+    def make_key_store(self, n_ranks):
+        return DictKeyStore(n_ranks)
 
     def chaos_hash(self, ctx, htables, ttable, idx, stamp, category):
         from repro.core.inspector import _INSERT_COST, _PROBE_COST

@@ -2,8 +2,8 @@
 
 Once communication plans are compiled, the CHAOS pipeline is
 embarrassingly parallel across ranks: the per-rank kernels of the
-executor, lightweight and remap phases (and the owner-grouped schedule
-build) read shared inputs and write only rank-owned outputs —
+executor, lightweight and remap phases read shared inputs and write
+only rank-owned outputs —
 preallocated CSR slices or per-rank arrays.  This backend inherits every
 kernel from :class:`~repro.core.backends.vectorized.VectorizedBackend`
 and overrides exactly one hook, ``_run_ranks``, to submit the rank loop

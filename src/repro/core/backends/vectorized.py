@@ -1,17 +1,17 @@
 """Vectorized backend: batched inspector engine + compiled executor plans.
 
-**Inspector half.**  Index analysis uses the open-addressed int64 key
-store (:class:`~repro.core.hashtable.OpenAddressedKeyStore`): probing and
-insertion of a whole indirection array run as a handful of numpy passes
-instead of one dict operation per key, and localization reuses the
-``np.unique`` inverse so each distinct index is translated once.
-Schedule generation groups stamped entries by owner with a stable argsort
-plus ``np.bincount`` and emits the CSR-native
-:class:`~repro.core.schedule.Schedule` buffers directly — the owner-grouped
-request stream *is* the receive storage, and each receiver's flat send
-buffer is one concatenation of request segments, so no per-pair list is
-ever assembled — while charging the size/request
-exchanges straight from count matrices via
+**Inspector half.**  The hash tables of all ranks are one group
+(:class:`~repro.core.hashtable.HashTableGroup`) behind a rank-segmented
+key arena: ``chaos_hash`` probes every rank's references as one
+rank-major stream, translates and inserts only the distinct missing keys,
+and stamps, counts and localizes row by row — in cache-sized blocks of
+ranks, with no Python loop over ranks.  Schedule generation takes the
+stamped entries grouped by ``(requester, owner)`` with one stable sort
+per block and emits the CSR-native :class:`~repro.core.schedule.Schedule`
+buffers directly — the owner-grouped request stream *is* the receive
+storage, and its :func:`~repro.core.compiled.stream_perm` transposition
+the send storage, so no per-pair list is ever assembled — while charging
+the size/request exchanges straight from count matrices via
 :meth:`Machine.exchange_compiled`; translation-table lookups build their
 request/reply matrices the same way, with page-miss detection for
 ``paged`` storage done by ``np.isin`` against the sorted page cache.
@@ -48,8 +48,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.core.backends.base import Backend, register_backend, row_nbytes
-from repro.core.compiled import is_named_ufunc, offsets_from_counts
-from repro.core.hashtable import OpenAddressedKeyStore
+from repro.core.compiled import (
+    is_named_ufunc,
+    row_offsets,
+    stream_perm,
+)
+from repro.core.hashtable import (
+    RankKeyArena,
+    group_of,
+    split_stream,
+    stream_of,
+)
 
 
 def _flat_layout(arrays) -> tuple | None:
@@ -172,54 +181,37 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     # inspector phase: index analysis
     # ------------------------------------------------------------------
-    def make_key_store(self):
-        return OpenAddressedKeyStore()
+    def make_key_store(self, n_ranks):
+        return RankKeyArena(n_ranks)
 
     def chaos_hash(self, ctx, htables, ttable, idx, stamp, category):
-        from repro.core.inspector import _INSERT_COST, _PROBE_COST
+        from repro.core.inspector import (
+            _INSERT_COST,
+            _PROBE_COST,
+            translate_missing,
+        )
 
         machine = ctx.machine
-        # Step 1: probe; one unique pass per rank, inverse kept so the
-        # final localization is a gather instead of a second probe.
-        new_per_rank: list[np.ndarray] = []
-        uniq_per_rank: list[np.ndarray] = []
-        inv_per_rank: list[np.ndarray] = []
-        cnt_per_rank: list[np.ndarray] = []
-        for p in machine.ranks():
-            machine.charge_memops(p, _PROBE_COST * idx[p].size, category)
-            uniq, inv, cnt = np.unique(idx[p], return_inverse=True,
-                                       return_counts=True)
-            uniq_per_rank.append(uniq)
-            inv_per_rank.append(inv)
-            cnt_per_rank.append(cnt)
-            new_per_rank.append(htables[p].store.missing(uniq))
+        group = group_of(htables)
+        # Step 1: probe every reference of every rank as one stream.
+        keys, sizes = stream_of(idx)
+        for p, n in enumerate(sizes.tolist()):
+            machine.charge_memops(p, _PROBE_COST * n, category)
+        rows = group.store.lookup(keys, sizes)
 
-        # Step 2: translate only the new uniques.
-        owners, offsets = ttable.dereference(ctx, new_per_rank,
-                                             category=category)
+        # Step 2: translate and insert only the distinct new indices.
+        miss = np.flatnonzero(rows < 0)
+        rows[miss], n_new = translate_missing(
+            ctx, group, ttable, keys, sizes, miss, category)
 
-        # Step 3: insert, stamp, localize via the unique inverse.
-        localized: list[np.ndarray] = []
-        for p in machine.ranks():
-            ht = htables[p]
-            new = new_per_rank[p]
-            machine.charge_memops(p, _INSERT_COST * new.size, category)
-            ht.insert_translated(new, owners[p], offsets[p])
-            if idx[p].size:
-                uniq = uniq_per_rank[p]
-                slots = ht.lookup_slots(uniq)
-                ht.stamp_slots(slots, stamp, counts=cnt_per_rank[p])
-                machine.charge_memops(p, uniq.size, category)
-                loc_uniq = np.where(
-                    ht.proc[slots] == ht.rank,
-                    ht.off[slots],
-                    ht.n_local + ht.buf[slots],
-                ).astype(np.int64)
-                localized.append(loc_uniq[inv_per_rank[p]])
-            else:
-                ht.registry.acquire(stamp)  # stamp exists on empty ranks
-                localized.append(np.zeros(0, dtype=np.int64))
-        return localized
+        # Step 3: stamp with reference counts, localize row by row.
+        distinct = group.stamp_references(stamp, rows, sizes)
+        for p, (new, n, uniq) in enumerate(zip(
+                n_new.tolist(), sizes.tolist(), distinct.tolist())):
+            machine.charge_memops(p, _INSERT_COST * new, category)
+            if n:
+                machine.charge_memops(p, uniq, category)
+        return split_stream(group.localize(rows, sizes), sizes)
 
     # ------------------------------------------------------------------
     # inspector phase: schedule generation
@@ -229,80 +221,36 @@ class VectorizedBackend(Backend):
 
         machine = ctx.machine
         n = machine.n_ranks
+        group = group_of(htables)
+        if isinstance(expr, str):
+            expr = htables[0].expr(expr)
+        # the stamped off-processor entries, each rank's grouped by
+        # owner: that stream *is* the receive storage
+        counts, requests, recv_slots = group.requests(expr)
+        n_sel = counts.sum(axis=1)
+        for p, (n_entries, sel) in enumerate(zip(
+                group.n_entries.tolist(), n_sel.tolist())):
+            machine.charge_memops(p, n_entries + 2 * sel, category)
 
-        def group_rank(p):
-            """Owner-grouped request stream for one rank (pure kernel)."""
-            ht = htables[p]
-            sel_expr = ht.expr(expr) if isinstance(expr, str) else expr
-            slots = ht.select(sel_expr, off_processor_only=True)
-            gs = ht.ghost_capacity()
-            if slots.size == 0:
-                z = np.zeros(0, dtype=np.int64)
-                crow = np.zeros(n, dtype=np.int64)
-                return ht.n_entries, 0, gs, crow, z, z
-            owners = ht.proc[slots]
-            # owners are ranks < n: a narrow dtype makes the stable radix
-            # argsort several times cheaper than on int64
-            if n <= np.iinfo(np.uint16).max:
-                order = np.argsort(owners.astype(np.uint16), kind="stable")
-            else:
-                order = np.argsort(owners, kind="stable")
-            slots = slots[order]
-            crow = np.bincount(owners[order], minlength=n)
-            # fancy indexing already yields fresh arrays; the schedule
-            # constructor coerces dtype only if it is not int64 yet
-            return (ht.n_entries, slots.size, gs, crow,
-                    ht.off[slots], ht.buf[slots])
-
-        grouped = self._run_ranks(ctx, group_rank)
-
-        counts = np.zeros((n, n), dtype=np.int64)  # [p][q]: p requests of q
-        requests: list[np.ndarray] = []   # flat, owner-ascending, per rank
-        recv_slots: list[np.ndarray] = []
-        recv_offsets: list[np.ndarray] = []
-        ghost_size = [0] * n
-        for p in machine.ranks():
-            n_entries, n_sel, gs, crow, req, buf = grouped[p]
-            machine.charge_memops(p, n_entries + 2 * n_sel, category)
-            ghost_size[p] = gs
-            counts[p] = crow
-            requests.append(req)
-            recv_slots.append(buf)
-            recv_offsets.append(offsets_from_counts(crow))
-
-        # Size exchange (schedule setup), then the request exchange —
+        # Size exchange (schedule setup), then the request exchange --
         # charged from count matrices; the request data itself becomes
-        # the receivers' send lists directly: each receiver's flat send
-        # buffer is one concatenation of the senders' request segments
-        # (sources ascending), no nested per-pair lists anywhere.
+        # the owners' send lists: the same stream transposed to
+        # owner-major order (requesters ascending), no per-pair list.
         machine.alltoall_lengths_compiled(counts, tag="sched_sizes",
                                           category=category)
         machine.exchange_compiled(counts, 8, tag="sched_requests",
                                   category=category)
         recv_totals = counts.sum(axis=0)
-
-        def concat_rank(q):
-            """One receiver's flat send buffer (pure kernel)."""
-            if recv_totals[q]:
-                return np.concatenate([
-                    requests[p][recv_offsets[p][q]:recv_offsets[p][q + 1]]
-                    for p in np.flatnonzero(counts[:, q])
-                ])
-            return np.zeros(0, dtype=np.int64)
-
-        send_indices = self._run_ranks(ctx, concat_rank)
-        send_offsets = []
-        for q in machine.ranks():
-            send_offsets.append(offsets_from_counts(counts[:, q]))
-            if recv_totals[q]:
-                machine.charge_memops(q, int(recv_totals[q]), category)
+        for q in np.flatnonzero(recv_totals).tolist():
+            machine.charge_memops(q, int(recv_totals[q]), category)
         return Schedule(
             n_ranks=n,
-            send_indices=send_indices,
-            send_offsets=send_offsets,
-            recv_slots=recv_slots,
-            recv_offsets=recv_offsets,
-            ghost_size=ghost_size,
+            send_indices=split_stream(requests[stream_perm(counts)],
+                                      recv_totals),
+            send_offsets=list(row_offsets(counts.T)),
+            recv_slots=split_stream(recv_slots, n_sel),
+            recv_offsets=list(row_offsets(counts)),
+            ghost_size=group.n_ghost.tolist(),
         )
 
     # ------------------------------------------------------------------

@@ -94,6 +94,13 @@ def offsets_from_counts(counts_row: np.ndarray) -> np.ndarray:
     return off
 
 
+def row_offsets(counts: np.ndarray) -> np.ndarray:
+    """The CSR offset vector of every row of a count matrix."""
+    off = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=off[:, 1:])
+    return off
+
+
 def normalize_csr(
     flats: list[np.ndarray], offsets: list[np.ndarray], n_segments: int,
     what: str,
@@ -164,10 +171,8 @@ def stream_perm(counts: np.ndarray, self_first: bool = False) -> np.ndarray:
     """
     n = counts.shape[0]
     send_base = offsets_from_counts(counts.sum(axis=1))
-    row_off = np.zeros((n, n + 1), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=row_off[:, 1:])
     # starts[p, q] = global send-stream position of the p -> q segment
-    starts = send_base[:n, None] + row_off[:, :n]
+    starts = send_base[:n, None] + row_offsets(counts)[:, :n]
     if self_first:
         # source visit order per receiver: itself first, then ascending
         eye = np.arange(n)

@@ -1,9 +1,10 @@
-"""The stamped index-analysis hash table (paper §3.2.2).
+"""The stamped index-analysis hash tables (paper §3.2.2), one group per
+machine.
 
-For each global index hashed in, the table stores: the global index, its
+For each global index hashed in, a table stores: the global index, its
 translated address (owner processor + offset), the local ghost-buffer slot
 assigned if the element is off-processor, and a *stamp* bitmask recording
-which indirection arrays entered it.  Keeping the table across adaptive
+which indirection arrays entered it.  Keeping the tables across adaptive
 steps is the paper's central inspector optimization: when an indirection
 array changes, most entries are already present and index analysis becomes
 a cheap lookup instead of a translation-table round trip.
@@ -15,12 +16,23 @@ stamps (Figure 6):
 * ``stamp_b - stamp_a``  → incremental schedule (only what earlier
   schedules did not fetch).
 
-The *key store* — the global-index → slot map at the heart of index
-analysis — is pluggable: :class:`DictKeyStore` is the reference
-(one Python dict operation per key, used by the serial backend) and
-:class:`OpenAddressedKeyStore` is a batched open-addressed int64 table
-(used by the vectorized backend).  Both assign identical slots, so the
-choice is invisible to everything above.
+**One group, per-rank views.**  :class:`HashTableGroup` owns the tables of
+every rank of a machine: the entry columns and the per-stamp refcount
+planes are ``(n_ranks, rows_cap)`` arenas, and one *key store* maps
+``(rank, global index)`` to a row.  Its operations take a **rank-major
+stream** — the ranks' keys concatenated in rank order, plus the per-rank
+``sizes`` — and walk it in cache-sized blocks of consecutive ranks, so
+hashing, re-hashing, clearing and schedule building cost a number of
+numpy passes set by the amount of data, not by the rank count.
+:class:`IndexHashTable` is rank ``p``'s *view* of the group (row ``p`` of
+every arena, one-rank streams): the serial reference,
+:mod:`repro.core.verify` and the tests read tables through it.
+
+Two key stores implement the stream interface; callers choose the rows,
+so the choice is invisible above: :class:`RankKeyArena`, a rank-segmented
+open-addressed int64 table (every backend but ``serial``), and
+:class:`DictKeyStore`, one Python dict operation per key — ``serial``'s
+semantics oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +41,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.compiled import offsets_from_counts, split_csr
+
 _GROW = 1024
+
+#: stream elements per cache block (see :func:`_blocks`)
+_BLOCK = 1 << 15
+
+#: free rows / ghost slots are kept as sorted ``rank << 32 | id`` words
+_RANK_SHIFT = 32
+_ID_MASK = (1 << _RANK_SHIFT) - 1
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each rank's segment of a stream begins."""
+    return np.cumsum(sizes) - sizes
+
+
+def _rank_of(sizes: np.ndarray, r0: int = 0, r1: int | None = None
+             ) -> np.ndarray:
+    """Rank of every element of a rank-major stream (of the part of it
+    that belongs to the ranks ``[r0, r1)``)."""
+    r1 = sizes.size if r1 is None else r1
+    return np.repeat(np.arange(r0, r1, dtype=np.int64), sizes[r0:r1])
+
+
+def _blocks(sizes: np.ndarray):
+    """Cut a rank-major stream into cache-sized blocks at rank boundaries.
+
+    Yields ``(r0, r1, lo, hi)``: the ranks ``[r0, r1)`` hold the elements
+    ``stream[lo:hi]``, at most :data:`_BLOCK` of them (a larger rank is a
+    block of its own).  Consecutive ranks own consecutive segments of
+    every arena, so a block's working set — its slice of the stream and
+    the table rows it touches — stays cache-sized, and the temporaries
+    block-sized, however large the machine-wide tables are.
+    """
+    ends = np.cumsum(sizes)
+    r0 = lo = 0
+    while r0 < ends.size:
+        r1 = max(r0 + 1, int(ends.searchsorted(lo + _BLOCK, side="right")))
+        hi = int(ends[r1 - 1])
+        if hi > lo:
+            yield r0, r1, lo, hi
+        r0, lo = r1, hi
+
+
+def stream_of(per_rank: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank arrays as one rank-major stream: ``(flat, sizes)``."""
+    sizes = np.array([a.size for a in per_rank], dtype=np.int64)
+    return np.concatenate(per_rank), sizes
+
+
+def split_stream(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """The per-rank views of a rank-major stream (undoes
+    :func:`stream_of`)."""
+    return split_csr(flat, offsets_from_counts(sizes))
 
 
 class StampRegistry:
@@ -110,357 +176,614 @@ class StampExpr:
         return sel
 
 
+# ----------------------------------------------------------------------
+# key stores: rank-major streams of keys -> rows
+# ----------------------------------------------------------------------
 class DictKeyStore:
-    """Reference key store: one Python dict operation per key.
-
-    This is the historical (interpreter-bound) index-analysis path; the
-    serial backend keeps it as the semantics oracle.
-    """
+    """Reference key store: one dict per rank, one dict operation per key
+    — the historical (interpreter-bound) index-analysis path, kept by the
+    serial backend as the semantics oracle of :class:`RankKeyArena`."""
 
     kind = "dict"
 
-    def __init__(self) -> None:
-        self._slot_of: dict[int, int] = {}
+    def __init__(self, n_ranks: int) -> None:
+        self._row_of: list[dict[int, int]] = [{} for _ in range(n_ranks)]
 
-    def __len__(self) -> int:
-        return len(self._slot_of)
+    def _segments(self, keys: np.ndarray, sizes: np.ndarray):
+        """``(dict, that rank's keys as a list)`` per non-empty rank."""
+        keys = np.asarray(keys, dtype=np.int64)
+        lo = 0
+        for d, n in zip(self._row_of, np.asarray(sizes).tolist()):
+            if n:
+                yield d, keys[lo:lo + n].tolist()
+            lo += n
 
-    def __contains__(self, key: int) -> bool:
-        return int(key) in self._slot_of
+    def lookup(self, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Row of each key, -1 where absent."""
+        return np.array([d.get(k, -1)
+                         for d, seg in self._segments(keys, sizes)
+                         for k in seg], dtype=np.int64)
 
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Slot of each key, -1 where absent."""
-        get = self._slot_of.get
-        return np.fromiter(
-            (get(int(k), -1) for k in keys), dtype=np.int64, count=keys.size
-        )
+    def insert(self, keys: np.ndarray, sizes: np.ndarray,
+               rows: np.ndarray) -> None:
+        """Map each key to its row; a duplicate (within its rank's
+        segment or against the store) is an error and leaves the store
+        untouched."""
+        for d, seg in self._segments(keys, sizes):
+            seen: set[int] = set()
+            for k in seg:
+                if k in d or k in seen:
+                    raise ValueError(f"duplicate insert of global index {k}")
+                seen.add(k)
+        rows = iter(np.asarray(rows, dtype=np.int64).tolist())
+        for d, seg in self._segments(keys, sizes):
+            d.update(zip(seg, rows))
 
-    def missing(self, sorted_uniques: np.ndarray) -> np.ndarray:
-        """Subset of (already unique, sorted) keys not in the store."""
-        has = self._slot_of
-        return np.array(
-            [k for k in sorted_uniques.tolist() if k not in has],
-            dtype=np.int64,
-        )
-
-    def insert(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Map each key to its slot; duplicates are an error."""
-        slot_of = self._slot_of
-        for k, s in zip(keys.tolist(), slots.tolist()):
-            if k in slot_of:
-                raise ValueError(f"duplicate insert of global index {k}")
-            slot_of[k] = s
-
-    def delete(self, keys: np.ndarray) -> int:
+    def delete(self, keys: np.ndarray, sizes: np.ndarray) -> int:
         """Forget the given keys; returns how many were present."""
-        slot_of = self._slot_of
-        removed = 0
-        for k in np.unique(np.asarray(keys, dtype=np.int64)).tolist():
-            if slot_of.pop(k, None) is not None:
-                removed += 1
-        return removed
+        return sum(d.pop(k, None) is not None
+                   for d, seg in self._segments(keys, sizes) for k in seg)
 
     def compact(self) -> None:
         """No-op: a dict never holds tombstones."""
 
-    @property
-    def capacity(self) -> int:
-        return len(self._slot_of)
-
-    @property
-    def tombstones(self) -> int:
-        return 0
-
-    def nbytes(self) -> int:
-        """Approximate table bytes (key + value words per entry)."""
-        return 16 * len(self._slot_of)
+    def live(self) -> np.ndarray:
+        """Live keys per rank."""
+        return np.array([len(d) for d in self._row_of], dtype=np.int64)
 
 
-class OpenAddressedKeyStore:
-    """Batched open-addressed int64 hash table (linear probing).
+class RankKeyArena:
+    """Rank-segmented open-addressed int64 hash table (linear probing).
 
-    All operations are vectorized: a lookup of ``m`` keys runs a handful
-    of numpy passes (expected O(1) probe rounds at load factor <= 1/2)
-    instead of ``m`` dict operations.  Keys must be non-negative (-1 is
-    the empty-slot sentinel, -2 the tombstone left by :meth:`delete`);
-    global array indices always are.  Slot assignment is identical to
-    :class:`DictKeyStore` — callers choose the slots, the store only maps
-    keys to them.
+    One flat ``n_ranks * cap`` key array and value array: rank ``p`` owns
+    the slots ``[p * cap, (p + 1) * cap)`` and every rank has the same
+    power-of-two ``cap``.  A key of rank ``p`` starts probing at
+    ``p * cap + (hash & (cap - 1))`` and steps with ``(pos & ~(cap - 1))
+    | ((pos + 1) & (cap - 1))`` — absolute positions, so a block of a
+    rank-major stream is probed by one sequence of numpy passes (expected
+    O(1) rounds at load factor <= 1/2) with no per-rank table to look up.
 
+    Keys must be non-negative (-1 is the empty-slot sentinel, -2 the
+    tombstone left by :meth:`delete`); global array indices always are.
     Deletion writes tombstones so probe chains through the deleted key
-    stay intact; tombstones count toward the load factor (probing must
-    still terminate) and are swept out by :meth:`compact`, which runs
-    automatically once they outnumber the live entries — the table
+    stay intact; tombstones count toward a rank's load factor (probing
+    must still terminate) and are swept out by :meth:`compact`, which
+    runs automatically once they outnumber the live entries — the arena
     *shrinks* back toward its live size instead of leaking slots across
-    adaptive steps.
+    adaptive steps.  Growth is the same rehash with a larger capacity.
     """
 
     kind = "open-addressed"
     MIN_CAP = 64  # power of two
     _TOMB = -2  # deleted-slot sentinel (probe skips, insert never reuses)
 
-    def __init__(self) -> None:
-        self._cap = self.MIN_CAP
-        self._keys = np.full(self._cap, -1, dtype=np.int64)
-        self._vals = np.zeros(self._cap, dtype=np.int64)
-        self._n = 0
-        self._tombs = 0
+    def __init__(self, n_ranks: int) -> None:
+        self.n_ranks = int(n_ranks)
+        self._live = np.zeros(self.n_ranks, dtype=np.int64)
+        self._tombs = np.zeros(self.n_ranks, dtype=np.int64)
+        self._allocate(self.MIN_CAP)
 
-    def __len__(self) -> int:
-        return self._n
+    def _allocate(self, cap: int) -> None:
+        self._cap = cap
+        self._keys = np.full(self.n_ranks * cap, -1, dtype=np.int64)
+        self._vals = np.zeros(self.n_ranks * cap, dtype=np.int64)
 
-    def __contains__(self, key: int) -> bool:
-        k = np.asarray([key], dtype=np.int64)
-        return bool(k[0] >= 0 and self.lookup(k)[0] >= 0)
-
-    @staticmethod
-    def _hash(keys: np.ndarray) -> np.ndarray:
+    def _home(self, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # splitmix64 finalizer: avalanches low/high bits so sequential
         # global indices spread uniformly; uint64 arithmetic wraps.
         h = keys.astype(np.uint64)
         h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return h ^ (h >> np.uint64(31))
+        h ^= h >> np.uint64(31)
+        h &= np.uint64(self._cap - 1)
+        return h.astype(np.int64) + ranks * self._cap
 
-    def _probe(self, keys: np.ndarray) -> np.ndarray:
+    def _step(self, pos: np.ndarray) -> np.ndarray:
+        capmask = self._cap - 1
+        return (pos & ~capmask) | ((pos + 1) & capmask)
+
+    def _stream(self, keys: np.ndarray, sizes: np.ndarray):
+        """The stream's keys and per-rank sizes, checked and coerced."""
+        keys = np.asarray(keys, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.size != self.n_ranks or sizes.sum() != keys.size:
+            raise ValueError("sizes must split the stream over the ranks")
+        return keys, sizes
+
+    def _probe(self, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Position of each key's slot, or of the first empty slot hit.
 
         Tombstones are passed over (the sought key may live beyond
-        them).  Live entries plus tombstones never exceed half the
-        capacity, so probing terminates.
+        them).  A rank's live entries plus tombstones never exceed half
+        the capacity, so probing terminates.
         """
-        capmask = self._cap - 1
-        pos = (self._hash(keys) & np.uint64(capmask)).astype(np.int64)
-        pending = np.arange(keys.size, dtype=np.int64)
+        table = self._keys
+        pos = self._home(keys, ranks)
+        tk = table[pos]
+        pending = np.flatnonzero((tk != keys) & (tk != -1))
         while pending.size:
-            tk = self._keys[pos[pending]]
-            done = (tk == keys[pending]) | (tk == -1)
-            pending = pending[~done]
-            pos[pending] = (pos[pending] + 1) & capmask
+            at = self._step(pos[pending])
+            pos[pending] = at
+            tk = table[at]
+            pending = pending[(tk != keys[pending]) & (tk != -1)]
         return pos
 
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Slot of each key, -1 where absent."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0 or self._n == 0:
-            return np.full(keys.size, -1, dtype=np.int64)
-        if keys.min() < 0:
-            # negative keys can never be stored (-1 is the empty-slot
-            # sentinel, which a probe for -1 would match); report them
-            # absent and probe only the rest
-            neg = keys < 0
-            out = np.full(keys.size, -1, dtype=np.int64)
-            out[~neg] = self.lookup(keys[~neg])
-            return out
-        pos = self._probe(keys)
-        return np.where(self._keys[pos] == keys, self._vals[pos],
-                        np.int64(-1))
+    def lookup(self, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Row of each key, -1 where absent."""
+        keys, sizes = self._stream(keys, sizes)
+        out = np.empty(keys.size, dtype=np.int64)
+        for r0, r1, lo, hi in _blocks(sizes):
+            k = keys[lo:hi]
+            pos = self._probe(k, _rank_of(sizes, r0, r1))
+            out[lo:hi] = np.where(self._keys[pos] == k, self._vals[pos], -1)
+        if keys.size and keys.min() < 0:
+            # negative keys can never be stored, but a probe for a
+            # sentinel value "finds" it in an empty or deleted slot
+            out[keys < 0] = -1
+        return out
 
-    def missing(self, sorted_uniques: np.ndarray) -> np.ndarray:
-        """Subset of (already unique, sorted) keys not in the store."""
-        uniq = np.asarray(sorted_uniques, dtype=np.int64)
-        return uniq[self.lookup(uniq) < 0]
-
-    def insert(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Map each key to its slot; duplicates are an error."""
-        keys = np.asarray(keys, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int64)
+    def insert(self, keys: np.ndarray, sizes: np.ndarray,
+               rows: np.ndarray) -> None:
+        """Map each key to its row; a duplicate (within its rank's
+        segment or against the store) is an error and leaves the store
+        untouched."""
+        keys, sizes = self._stream(keys, sizes)
+        rows = np.asarray(rows, dtype=np.int64)
         if keys.size == 0:
             return
         if keys.min() < 0:
             raise ValueError(
                 "open-addressed key store requires non-negative keys"
             )
-        # intra-batch uniqueness: adjacent check (the inspector always
-        # passes sorted uniques, so the sort below rarely runs)
-        if keys.size > 1:
-            srt = keys if np.all(keys[:-1] < keys[1:]) else np.sort(keys)
-            dup = srt[:-1][srt[:-1] == srt[1:]]
+        # uniqueness within each rank's segment: adjacent check (the
+        # inspector always passes sorted uniques, so the sort rarely runs)
+        rising = keys[1:] > keys[:-1]
+        starts = _starts(sizes)
+        rising[starts[(starts > 0) & (sizes > 0)] - 1] = True  # next rank
+        if not rising.all():
+            ranks = _rank_of(sizes)
+            order = np.lexsort((keys, ranks))
+            sk, sr = keys[order], ranks[order]
+            dup = sk[1:][(sk[1:] == sk[:-1]) & (sr[1:] == sr[:-1])]
             if dup.size:
                 raise ValueError(
                     f"duplicate insert of global index {int(dup[0])}"
                 )
         # tombstones occupy probe positions, so they count toward the
         # load factor; rehashing (grow) sweeps them out
-        need = self._n + self._tombs + keys.size
-        if need * 2 > self._cap:
-            self._grow(self._n + keys.size)
-        self._scatter_insert(keys, slots)
-        self._n += keys.size
+        if np.any((self._live + self._tombs + sizes) * 2 > self._cap):
+            self.compact(int((self._live + sizes).max()))
+        placed: list[np.ndarray] = []
+        try:
+            for r0, r1, lo, hi in _blocks(sizes):
+                self._place(keys[lo:hi], _rank_of(sizes, r0, r1),
+                            rows[lo:hi], placed)
+        except ValueError:
+            # the slots written were empty before (tombstones are never
+            # reused): emptying them again restores the store exactly
+            for pos in placed:
+                self._keys[pos] = -1
+            raise
+        self._live += sizes
 
-    def delete(self, keys: np.ndarray) -> int:
-        """Tombstone the given keys; returns how many were present.
-
-        Compacts automatically when tombstones outnumber live entries.
-        """
-        keys = np.unique(np.asarray(keys, dtype=np.int64))
-        keys = keys[keys >= 0]
-        if keys.size == 0 or self._n == 0:
-            return 0
-        pos = self._probe(keys)
-        hit = pos[self._keys[pos] == keys]
-        if hit.size == 0:
-            return 0
-        self._keys[hit] = self._TOMB
-        removed = int(hit.size)
-        self._n -= removed
-        self._tombs += removed
-        if self._tombs > max(self._n, self.MIN_CAP // 2):
-            self.compact()
-        return removed
-
-    def compact(self) -> None:
-        """Rehash live entries into the smallest adequate table.
-
-        Drops every tombstone and shrinks capacity back toward the live
-        size (never below ``MIN_CAP``) — the release half of the
-        adaptive clear/rehash cycle.
-        """
-        cap = self.MIN_CAP
-        while self._n * 2 > cap:
-            cap *= 2
-        old_keys, old_vals = self._keys, self._vals
-        live = old_keys >= 0
-        self._cap = cap
-        self._keys = np.full(cap, -1, dtype=np.int64)
-        self._vals = np.zeros(cap, dtype=np.int64)
-        self._tombs = 0
-        if live.any():
-            self._scatter_insert(old_keys[live], old_vals[live])
-
-    @property
-    def capacity(self) -> int:
-        return self._cap
-
-    @property
-    def tombstones(self) -> int:
-        return self._tombs
-
-    def nbytes(self) -> int:
-        """Table bytes (key + value int64 words per capacity slot)."""
-        return self._cap * 16
-
-    def _grow(self, need: int) -> None:
-        cap = self._cap
-        while need * 2 > cap:
-            cap *= 2
-        old_keys, old_vals = self._keys, self._vals
-        live = old_keys >= 0  # skips both empties (-1) and tombstones (-2)
-        self._cap = cap
-        self._keys = np.full(cap, -1, dtype=np.int64)
-        self._vals = np.zeros(cap, dtype=np.int64)
-        self._tombs = 0
-        if live.any():
-            self._scatter_insert(old_keys[live], old_vals[live])
-
-    def _scatter_insert(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Place unique keys; resolves intra-batch collisions by
+    def _place(self, keys, ranks, rows, placed: list) -> None:
+        """Place unique keys; resolves collisions within the batch by
         write-then-verify rounds (losers of a contended slot re-probe).
         Meeting an equal stored key while probing means the key is
         already present — the duplicate-insert error, detected for free.
+        Every position written is appended to ``placed``.
         """
-        capmask = self._cap - 1
-        pos = (self._hash(keys) & np.uint64(capmask)).astype(np.int64)
-        pending = np.arange(keys.size, dtype=np.int64)
-        while pending.size:
-            tk = self._keys[pos[pending]]
-            clash = tk == keys[pending]
+        table = self._keys
+        at = self._home(keys, ranks)
+        while keys.size:
+            tk = table[at]
+            clash = tk == keys
             if clash.any():
                 raise ValueError(
-                    "duplicate insert of global index "
-                    f"{int(keys[pending[clash][0]])}"
+                    f"duplicate insert of global index {int(keys[clash][0])}"
                 )
-            occupied = tk != -1
-            blocked = pending[occupied]
-            pos[blocked] = (pos[blocked] + 1) & capmask
-            cand = pending[~occupied]
-            if cand.size:
-                self._keys[pos[cand]] = keys[cand]  # last write wins
-                won = self._keys[pos[cand]] == keys[cand]
-                winners = cand[won]
-                self._vals[pos[winners]] = vals[winners]
-                losers = cand[~won]
-                pos[losers] = (pos[losers] + 1) & capmask
-                pending = np.concatenate([blocked, losers])
-            else:
-                pending = blocked
+            free = tk == -1
+            table[at[free]] = keys[free]  # last write wins
+            won = table[at] == keys
+            placed.append(at[won])
+            self._vals[placed[-1]] = rows[won]
+            lost = ~won
+            keys, rows, at = keys[lost], rows[lost], self._step(at[lost])
+
+    def delete(self, keys: np.ndarray, sizes: np.ndarray) -> int:
+        """Tombstone the given (distinct) keys; returns how many were
+        present.  Compacts once tombstones outnumber live entries."""
+        keys, sizes = self._stream(keys, sizes)
+        removed = 0
+        for r0, r1, lo, hi in _blocks(sizes):
+            k, ranks = keys[lo:hi], _rank_of(sizes, r0, r1)
+            pos = self._probe(k, ranks)
+            hit = (self._keys[pos] == k) & (k >= 0)
+            self._keys[pos[hit]] = self._TOMB
+            gone = np.bincount(ranks[hit], minlength=self.n_ranks)
+            self._live -= gone
+            self._tombs += gone
+            removed += int(gone.sum())
+        if self._tombs.sum() > max(self._live.sum(),
+                                   self.n_ranks * self.MIN_CAP // 2):
+            self.compact()
+        return removed
+
+    def compact(self, need: int | None = None) -> None:
+        """Rehash the live entries into the smallest arena that fits
+        ``need`` keys per rank (default: the fullest rank's live count)
+        at load factor <= 1/2.
+
+        Drops every tombstone; shrinks the common capacity back toward
+        the live size (never below ``MIN_CAP``) — the release half of
+        the adaptive clear/rehash cycle — or grows it for an insert.
+        """
+        need = int(self._live.max()) if need is None else need
+        cap = self.MIN_CAP
+        while need * 2 > cap:
+            cap *= 2
+        old_keys, old_vals = self._keys, self._vals
+        at = np.flatnonzero(old_keys >= 0)  # skips empties and tombstones
+        self._allocate(cap)
+        self._tombs[:] = 0
+        for r0, r1, lo, hi in _blocks(self._live):
+            blk = at[lo:hi]
+            self._place(old_keys[blk], _rank_of(self._live, r0, r1),
+                        old_vals[blk], [])
+
+    def live(self) -> np.ndarray:
+        """Live keys per rank."""
+        return self._live.copy()
+
+    @property
+    def capacity(self) -> int:
+        """Slots per rank."""
+        return self._cap
+
+    @property
+    def tombstones(self) -> np.ndarray:
+        """Tombstones per rank."""
+        return self._tombs.copy()
 
 
-class IndexHashTable:
-    """One rank's index-analysis table.
+# ----------------------------------------------------------------------
+# the group and its per-rank views
+# ----------------------------------------------------------------------
+class HashTableGroup:
+    """The index-analysis tables of every rank of one machine.
 
     Entry attributes (global index, owner, offset, ghost slot, stamp
-    mask) live in parallel numpy arrays; the global-index → slot map is a
-    pluggable *key store* (see module docstring).  The store only affects
-    wall-clock speed — slot assignment and every observable result are
-    identical across stores.
+    mask) live in ``(n_ranks, rows_cap)`` arenas — row ``p`` is rank
+    ``p``'s table, ``n_entries[p]`` its high-water row count; the
+    global-index → row map is ``store`` (see module docstring; backends
+    choose it via ``Backend.make_key_store(n_ranks)``).  The store only
+    affects wall-clock speed — row assignment and every observable
+    result are identical across stores.
 
-    Parameters
-    ----------
-    rank:
-        The owning rank (entries whose translated owner equals ``rank``
-        are *on-processor* and get no ghost-buffer slot).
-    n_local:
-        Local size of the data array this table indexes; localized
-        off-processor references are numbered ``n_local + buffer_slot``.
-    store:
-        Key store instance; defaults to the :class:`DictKeyStore`
-        reference.  Backends choose via ``Backend.make_key_store()``.
+    ``n_local[p]`` is rank ``p``'s local size of the data array the
+    tables index: localized off-processor references are numbered
+    ``n_local[p] + buffer_slot``.  An entry whose translated owner equals
+    its rank is *on-processor* and gets no ghost slot.
     """
 
-    def __init__(self, rank: int, n_local: int,
-                 registry: StampRegistry | None = None, store=None):
-        if rank < 0:
-            raise ValueError(f"negative rank {rank}")
-        if n_local < 0:
-            raise ValueError(f"negative local size {n_local}")
-        self.rank = int(rank)
-        self.n_local = int(n_local)
+    _COLUMNS = ("g", "proc", "off", "buf", "mask")
+
+    def __init__(self, n_local, store, registry: StampRegistry | None = None):
+        self.n_local = np.asarray(n_local, dtype=np.int64)
+        if self.n_local.ndim != 1 or self.n_local.size == 0:
+            raise ValueError("need one local size per rank")
+        if self.n_local.min() < 0:
+            raise ValueError(f"negative local size {int(self.n_local.min())}")
+        self.n_ranks = n = int(self.n_local.size)
+        self.store = store
         self.registry = registry if registry is not None else StampRegistry()
-        self.store = store if store is not None else DictKeyStore()
-        self.n_entries = 0
-        self._cap = _GROW
-        self.g = np.zeros(self._cap, dtype=np.int64)       # global index
-        self.proc = np.zeros(self._cap, dtype=np.int64)    # translated owner
-        self.off = np.zeros(self._cap, dtype=np.int64)     # translated offset
-        self.buf = np.full(self._cap, -1, dtype=np.int64)  # ghost slot or -1
-        self.mask = np.zeros(self._cap, dtype=np.int64)    # stamp bits
-        self.n_ghost = 0                                    # slots assigned
-        # per-stamp per-slot reference counts (how many *positions* of the
-        # indirection array reference the slot) — maintained only for
-        # stamps hashed with counts; the basis of exact delta restamping
-        self._stamp_refs: dict[str, np.ndarray] = {}
-        # rows/ghost-slots freed by a purging clear_stamp, recycled
-        # (ascending) before fresh ones are appended
-        self._free_slots = np.zeros(0, dtype=np.int64)
+        self.n_entries = np.zeros(n, dtype=np.int64)
+        self.n_ghost = np.zeros(n, dtype=np.int64)  # slots assigned
+        self.rows_cap = _GROW
+        self.g = np.zeros((n, _GROW), dtype=np.int64)      # global index
+        self.proc = np.zeros((n, _GROW), dtype=np.int64)   # translated owner
+        self.off = np.zeros((n, _GROW), dtype=np.int64)    # translated offset
+        self.buf = np.full((n, _GROW), -1, dtype=np.int64)  # ghost slot or -1
+        self.mask = np.zeros((n, _GROW), dtype=np.int64)   # stamp bits
+        self._refs: dict[str, np.ndarray] = {}  # see ref_plane
+        # rows/ghost slots freed by a purging clear_stamp, recycled
+        # (ascending per rank) before fresh ones are appended
+        self._free_rows = np.zeros(0, dtype=np.int64)
         self._free_bufs = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def _grow_to(self, n: int) -> None:
-        if n <= self._cap:
+    def _grow_rows(self, need: int) -> None:
+        """Widen every arena to hold ``need`` rows per rank."""
+        old = self.rows_cap
+        if need <= old:
             return
-        new_cap = max(n, self._cap * 2)
-        for name in ("g", "proc", "off", "buf", "mask"):
-            old = getattr(self, name)
-            fill = -1 if name == "buf" else 0
-            arr = np.full(new_cap, fill, dtype=np.int64)
-            arr[: self._cap] = old[: self._cap]
-            setattr(self, name, arr)
-        for name, old in self._stamp_refs.items():
-            arr = np.zeros(new_cap, dtype=np.int64)
-            arr[: self._cap] = old[: self._cap]
-            self._stamp_refs[name] = arr
-        self._cap = new_cap
+        # doubling, or a quarter of headroom above a larger jump: a cold
+        # hash followed by small deltas must not copy every arena again
+        cap = max(need + need // 4, old * 2)
+        for name in self._COLUMNS:
+            wide = (np.full((self.n_ranks, cap), -1, dtype=np.int64)
+                    if name == "buf"
+                    else np.zeros((self.n_ranks, cap), dtype=np.int64))
+            wide[:, :old] = getattr(self, name)
+            setattr(self, name, wide)
+        for name, plane in self._refs.items():
+            wide = np.zeros((self.n_ranks, cap), dtype=np.int64)
+            wide[:, :old] = plane
+            self._refs[name] = wide
+        self.rows_cap = cap
+
+    def views(self) -> list["IndexHashTable"]:
+        """One :class:`IndexHashTable` per rank (the group keeps no
+        reference to them: a cycle would outlive its last user until
+        the next garbage collection)."""
+        return [IndexHashTable(self, p) for p in range(self.n_ranks)]
+
+    def flat(self, ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Positions of ``(rank, row)`` pairs in the raveled arenas
+        (valid until the arenas next grow)."""
+        return ranks * self.rows_cap + rows
+
+    @staticmethod
+    def _take(free, sizes, high):
+        """Ids for a rank-major stream of ``sizes`` new items per rank:
+        each rank's recycled ids first (ascending), then fresh ones above
+        its high-water mark.  Returns ``(ids, remaining free list, new
+        high-water marks)``."""
+        count = np.arange(sizes.sum(), dtype=np.int64)
+        if free.size == 0:
+            return (count + np.repeat(high - _starts(sizes), sizes), free,
+                    high + sizes)
+        owner = free >> _RANK_SHIFT
+        n_free = np.bincount(owner, minlength=sizes.size)
+        take = np.minimum(n_free, sizes)
+        taken = (np.arange(free.size) - _starts(n_free)[owner]) < take[owner]
+        within = count - np.repeat(_starts(sizes), sizes)
+        ids = within + np.repeat(high - take, sizes)
+        ids[within < np.repeat(take, sizes)] = free[taken] & _ID_MASK
+        return ids, free[~taken], high + sizes - take
+
+    def insert(self, keys, sizes, owners, offsets) -> np.ndarray:
+        """Insert a rank-major stream of new (already-translated)
+        entries; returns their rows.
+
+        Off-processor entries receive ghost-buffer slots in stream
+        order.  A key that repeats within its rank's segment or is
+        already present is an error, raised before any table state
+        changes (the store's insert is all-or-nothing and runs first).
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        owners = np.asarray(owners, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if not (keys.size == owners.size == offsets.size == sizes.sum()):
+            raise ValueError("gidx/owners/offsets length mismatch")
+        ranks = _rank_of(sizes)
+        rows, free_rows, n_entries = self._take(
+            self._free_rows, sizes, self.n_entries)
+        ghost = np.flatnonzero(owners != ranks)
+        bufs, free_bufs, n_ghost = self._take(
+            self._free_bufs,
+            np.diff(ghost.searchsorted(offsets_from_counts(sizes))),
+            self.n_ghost)
+        self._grow_rows(int(n_entries.max()))
+        self.store.insert(keys, sizes, rows)
+        at = self.flat(ranks, rows)
+        self.g.ravel()[at] = keys
+        self.proc.ravel()[at] = owners
+        self.off.ravel()[at] = offsets
+        self.buf.ravel()[at[ghost]] = bufs
+        # mask and refcounts of a fresh or recycled row are zero already
+        self._free_rows, self.n_entries = free_rows, n_entries
+        self._free_bufs, self.n_ghost = free_bufs, n_ghost
+        return rows
+
+    def ref_plane(self, name: str) -> np.ndarray:
+        """The stamp's ``(n_ranks, rows_cap)`` plane of per-row reference
+        counts (how many *positions* of the indirection array reference
+        the row), created all zero on first use.  A stamp has one while
+        it is hashed with counts — the basis of exact delta restamping."""
+        if name not in self._refs:
+            self._refs[name] = np.zeros((self.n_ranks, self.rows_cap),
+                                        dtype=np.int64)
+        return self._refs[name]
+
+    def counted(self, name: str) -> bool:
+        """Whether reference counts are maintained for the stamp."""
+        return name in self._refs
+
+    def stamp_references(self, name: str, rows, sizes) -> np.ndarray:
+        """Stamp the rows a rank-major stream of *references* resolves
+        to and count the references per row.  Returns the number of
+        distinct rows referenced on each rank."""
+        bit = self.registry.acquire(name)
+        plane = self.ref_plane(name)
+        hw = int(self.n_entries.max())
+        distinct = np.zeros(self.n_ranks, dtype=np.int64)
+        for r0, r1, lo, hi in _blocks(sizes):
+            count = np.bincount(
+                _rank_of(sizes, r0, r1) * hw + (rows[lo:hi] - r0 * hw),
+                minlength=(r1 - r0) * hw).reshape(-1, hw)
+            plane[r0:r1, :hw] += count
+            hit = count > 0
+            mask = self.mask[r0:r1, :hw]
+            np.bitwise_or(mask, bit, out=mask, where=hit)
+            distinct[r0:r1] = hit.sum(axis=1)
+        return distinct
+
+    def stamp_delta(self, name: str, added: np.ndarray, dropped: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Reconcile a stamp's refcounts after an aligned subset update.
+
+        ``added`` / ``dropped`` are the arena positions (:meth:`flat`) of
+        the rows the new / old values at the touched positions reference,
+        one per reference.  The stamp bit is set wherever references were
+        added and cleared wherever the count reached zero — the masks end
+        up exactly as a full clear + rehash of the updated indirection
+        array would leave them.  Returns ``(affected positions ascending,
+        their masks before)``; nothing changes if a count would go
+        negative.
+        """
+        bit = self.registry.acquire(name)
+        refs, mask = self.ref_plane(name).ravel(), self.mask.ravel()
+        aff, inv = np.unique(np.concatenate([dropped, added]),
+                             return_inverse=True)
+        n_sub = np.bincount(inv[:dropped.size], minlength=aff.size)
+        n_add = np.bincount(inv[dropped.size:], minlength=aff.size)
+        after = refs[aff] + n_add - n_sub
+        if after.size and after.min() < 0:
+            rank, row = divmod(int(aff[after < 0][0]), self.rows_cap)
+            raise ValueError(
+                f"stamp {name!r} refcount underflow at rank {rank} slot "
+                f"{row} — old values do not match the recorded references"
+            )
+        pre = mask[aff]
+        post = np.where(n_add > 0, pre | bit, pre)
+        post[(n_sub > 0) & (after == 0)] &= ~bit
+        refs[aff] = after
+        mask[aff] = post
+        return aff, pre
+
+    def clear_stamp(self, name: str, purge: bool) -> int:
+        """Remove a stamp's bit from every entry of every rank and drop
+        its refcounts; returns how many entries carried it.  ``purge``
+        also *deletes* the entries left with an empty mask: their keys
+        are tombstoned (the store compacts itself) and their rows and
+        ghost slots recycled by later inserts, so clearing shrinks the
+        tables instead of leaking slots."""
+        bit = self.registry.mask_of(name)
+        live = self.mask[:, :int(self.n_entries.max())]
+        carried = (live & bit) != 0
+        live &= ~bit
+        self._refs.pop(name, None)
+        if purge:
+            self._purge(*np.nonzero(carried & (live == 0)))
+        return int(np.count_nonzero(carried))
+
+    def _purge(self, ranks: np.ndarray, rows: np.ndarray) -> None:
+        """Delete fully-unstamped rows (a rank-major stream); recycle
+        their rows and ghost slots."""
+        if rows.size == 0:
+            return
+        at = self.flat(ranks, rows)
+        self.store.delete(self.g.ravel()[at],
+                          np.bincount(ranks, minlength=self.n_ranks))
+        bufs = self.buf.ravel()[at]
+        ghost = bufs >= 0
+        self._free_bufs = np.sort(np.concatenate(
+            [self._free_bufs, ranks[ghost] << _RANK_SHIFT | bufs[ghost]]))
+        self._free_rows = np.sort(np.concatenate(
+            [self._free_rows, ranks << _RANK_SHIFT | rows]))
+        for column in (self.g, self.proc, self.off, self.buf):
+            column.ravel()[at] = -1
+        for plane in self._refs.values():  # the rows' masks are zero
+            plane.ravel()[at] = 0
+
+    def localize(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Local/localized index of each row of a rank-major stream:
+        owned elements map to their local offset, off-processor elements
+        (the live rows holding a ghost slot) to ``n_local + slot``."""
+        out = np.empty(rows.size, dtype=np.int64)
+        off, buf = self.off.ravel(), self.buf.ravel()
+        for r0, r1, lo, hi in _blocks(sizes):
+            at = self.flat(_rank_of(sizes, r0, r1), rows[lo:hi])
+            slot = buf[at]
+            np.add(slot, np.repeat(self.n_local[r0:r1], sizes[r0:r1]),
+                   out=out[lo:hi])
+            np.copyto(out[lo:hi], off[at], where=slot < 0)
+        return out
+
+    def requests(self, expr: StampExpr
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The off-processor entries matching a stamp expression, in the
+        order of a schedule's receive buffers: rank-major, each rank's
+        entries grouped by owner (ascending), rows ascending within an
+        owner.  Returns ``(counts, off, buf)`` — ``counts[p, q]`` entries
+        of rank ``p`` owned by ``q``, and the entries' translated offsets
+        and ghost slots in that order."""
+        n = self.n_ranks
+        counts = np.zeros((n, n), dtype=np.int64)
+        offs, bufs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for r0, r1, _, _ in _blocks(self.n_entries):
+            sel = expr.matches(self.mask[r0:r1])
+            sel &= self.proc[r0:r1] != np.arange(r0, r1)[:, None]
+            at = np.flatnonzero(sel)  # rows ascending, rank by rank
+            at += r0 * self.rows_cap
+            pair = (np.repeat(np.arange(r1 - r0), sel.sum(axis=1)) * n
+                    + self.proc.ravel()[at])
+            # a stable sort groups by owner; the keys are small, and a
+            # narrow dtype makes the radix sort several times cheaper
+            narrow = np.uint16 if (r1 - r0) * n <= 1 << 16 else np.int64
+            at = at[np.argsort(pair.astype(narrow), kind="stable")]
+            counts[r0:r1] = np.bincount(
+                pair, minlength=(r1 - r0) * n).reshape(-1, n)
+            offs.append(self.off.ravel()[at])
+            bufs.append(self.buf.ravel()[at])
+        return counts, np.concatenate(offs), np.concatenate(bufs)
+
+    def free_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per rank: purged rows and ghost slots awaiting recycling
+        (ascending, the order they are handed out again)."""
+        cuts = np.arange(1, self.n_ranks) << _RANK_SHIFT
+        return tuple(np.split(free & _ID_MASK, np.searchsorted(free, cuts))
+                     for free in (self._free_rows, self._free_bufs))
+
+
+def group_of(htables: list["IndexHashTable"]) -> HashTableGroup:
+    """The group whose per-rank views ``htables`` are, in rank order."""
+    group = htables[0].group
+    if len(htables) != group.n_ranks or any(
+            ht.group is not group or ht.rank != p
+            for p, ht in enumerate(htables)):
+        raise ValueError(
+            "hash tables must be the per-rank views of one group, in rank "
+            "order (as returned by make_hash_tables)"
+        )
+    return group
+
+
+class IndexHashTable:
+    """Rank ``rank``'s view of a :class:`HashTableGroup`.
+
+    ``g/proc/off/buf/mask`` are the rank's rows of the group's arenas
+    (writable views, re-read on every access because the arenas may
+    grow); the methods are one-rank streams through the group.
+    """
+
+    __slots__ = ("group", "rank")
+
+    def __init__(self, group: HashTableGroup, rank: int):
+        if not 0 <= rank < group.n_ranks:
+            raise ValueError(f"rank {rank} outside the group's "
+                             f"{group.n_ranks} ranks")
+        self.group = group
+        self.rank = int(rank)
+
+    registry = property(lambda self: self.group.registry)
+    n_local = property(lambda self: int(self.group.n_local[self.rank]))
+    n_entries = property(lambda self: int(self.group.n_entries[self.rank]))
+    n_ghost = property(lambda self: int(self.group.n_ghost[self.rank]))
+    g = property(lambda self: self.group.g[self.rank])
+    proc = property(lambda self: self.group.proc[self.rank])
+    off = property(lambda self: self.group.off[self.rank])
+    buf = property(lambda self: self.group.buf[self.rank])
+    mask = property(lambda self: self.group.mask[self.rank])
+
+    def _sizes(self, n: int) -> np.ndarray:
+        """``sizes`` of a stream that lives entirely on this rank."""
+        sizes = np.zeros(self.group.n_ranks, dtype=np.int64)
+        sizes[self.rank] = n
+        return sizes
 
     # ------------------------------------------------------------------
     def lookup_slots(self, gidx: np.ndarray) -> np.ndarray:
         """Slot of each global index, or -1 if absent."""
-        return self.store.lookup(np.asarray(gidx, dtype=np.int64))
+        gidx = np.asarray(gidx, dtype=np.int64)
+        return self.group.store.lookup(gidx, self._sizes(gidx.size))
 
     def missing_uniques(self, gidx: np.ndarray) -> np.ndarray:
         """Unique global indices from ``gidx`` not yet in the table."""
         uniq = np.unique(np.asarray(gidx, dtype=np.int64))
-        return self.store.missing(uniq)
+        return uniq[self.lookup_slots(uniq) < 0]
 
     def insert_translated(
         self, gidx: np.ndarray, owners: np.ndarray, offsets: np.ndarray
@@ -468,49 +791,11 @@ class IndexHashTable:
         """Insert new (already-translated) entries; returns their slots.
 
         Off-processor entries receive ghost-buffer slots in insertion
-        order.  Duplicate keys in ``gidx`` are an error (pass uniques).
+        order.  Duplicate keys are an error (pass uniques) and leave the
+        table untouched.
         """
-        gidx = np.asarray(gidx, dtype=np.int64)
-        owners = np.asarray(owners, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if not (gidx.size == owners.size == offsets.size):
-            raise ValueError("gidx/owners/offsets length mismatch")
-        n_new = gidx.size
-        if n_new == 0:
-            return np.zeros(0, dtype=np.int64)
-        # recycle purged rows (ascending) before appending fresh ones
-        take = min(self._free_slots.size, n_new)
-        n_append = n_new - take
-        self._grow_to(self.n_entries + n_append)
-        if take:
-            reused = self._free_slots[:take]
-            self._free_slots = self._free_slots[take:]
-            slots = np.concatenate([reused, np.arange(
-                self.n_entries, self.n_entries + n_append, dtype=np.int64)])
-        else:
-            slots = np.arange(self.n_entries, self.n_entries + n_new,
-                              dtype=np.int64)
-        self.g[slots] = gidx
-        self.proc[slots] = owners
-        self.off[slots] = offsets
-        self.mask[slots] = 0
-        for refs in self._stamp_refs.values():
-            refs[slots] = 0
-        offproc = owners != self.rank
-        n_off = int(np.count_nonzero(offproc))
-        takeb = min(self._free_bufs.size, n_off)
-        fresh = np.arange(self.n_ghost, self.n_ghost + n_off - takeb,
-                          dtype=np.int64)
-        if takeb:
-            bufs = np.concatenate([self._free_bufs[:takeb], fresh])
-            self._free_bufs = self._free_bufs[takeb:]
-        else:
-            bufs = fresh
-        self.buf[slots[offproc]] = bufs
-        self.n_ghost += n_off - takeb
-        self.store.insert(gidx, slots)
-        self.n_entries += n_append
-        return slots
+        return self.group.insert(gidx, self._sizes(np.size(gidx)),
+                                 owners, offsets)
 
     def stamp_slots(self, slots: np.ndarray, stamp_name: str,
                     counts: np.ndarray | None = None) -> None:
@@ -518,119 +803,19 @@ class IndexHashTable:
 
         ``counts`` (aligned with ``slots``) records how many positions of
         the indirection array reference each slot; passing it maintains
-        per-slot reference counts, the book-keeping that makes exact
-        *delta* restamping (:meth:`stamp_delta`) possible.  Stamping
-        without counts drops any refcounts held for the stamp — the stamp
+        the stamp's reference counts (:meth:`HashTableGroup.ref_plane`).
+        Stamping without counts drops them, on every rank — the stamp
         falls back to full clear/rehash semantics.
         """
         bit = self.registry.acquire(stamp_name)
         slots = np.asarray(slots, dtype=np.int64)
         self.mask[slots] |= bit
         if counts is None:
-            self._stamp_refs.pop(stamp_name, None)
+            self.group._refs.pop(stamp_name, None)
         else:
-            refs = self._stamp_refs.get(stamp_name)
-            if refs is None:
-                refs = np.zeros(self._cap, dtype=np.int64)
-                self._stamp_refs[stamp_name] = refs
-            refs[slots] += np.asarray(counts, dtype=np.int64)
+            self.group.ref_plane(stamp_name)[self.rank, slots] += np.asarray(
+                counts, dtype=np.int64)
 
-    def has_stamp_counts(self, stamp_name: str) -> bool:
-        """Whether per-slot refcounts are maintained for the stamp."""
-        return stamp_name in self._stamp_refs
-
-    def stamp_delta(
-        self,
-        stamp_name: str,
-        add_slots: np.ndarray,
-        add_counts: np.ndarray,
-        sub_slots: np.ndarray,
-        sub_counts: np.ndarray,
-    ) -> np.ndarray:
-        """Reconcile a stamp's refcounts after an aligned subset update.
-
-        Adds references for the new values at touched positions and drops
-        references for the old ones; the stamp bit is set wherever the
-        count became positive and cleared wherever it reached zero — the
-        resulting mask is exactly what a full clear + rehash of the
-        updated indirection array would produce.  Returns the slots whose
-        count dropped to zero (entries leaving the stamp's selection).
-        """
-        bit = self.registry.mask_of(stamp_name)
-        refs = self._stamp_refs.get(stamp_name)
-        if refs is None:
-            raise ValueError(
-                f"stamp {stamp_name!r} has no reference counts (hashed "
-                "without counts); delta restamping needs a counted hash"
-            )
-        add_slots = np.asarray(add_slots, dtype=np.int64)
-        sub_slots = np.asarray(sub_slots, dtype=np.int64)
-        if add_slots.size:
-            refs[add_slots] += np.asarray(add_counts, dtype=np.int64)
-            self.mask[add_slots] |= bit
-        dropped = np.zeros(0, dtype=np.int64)
-        if sub_slots.size:
-            refs[sub_slots] -= np.asarray(sub_counts, dtype=np.int64)
-            after = refs[sub_slots]
-            if np.any(after < 0):
-                bad = sub_slots[after < 0][0]
-                raise ValueError(
-                    f"stamp {stamp_name!r} refcount underflow at slot "
-                    f"{int(bad)} — old values do not match the recorded "
-                    "references"
-                )
-            dropped = sub_slots[after == 0]
-            self.mask[dropped] &= ~bit
-        return dropped
-
-    def clear_stamp(self, stamp_name: str, release: bool = False,
-                    purge: bool | None = None) -> int:
-        """Remove a stamp's bit from every entry.
-
-        With ``release=True`` the bit itself is freed for reuse (the paper
-        reuses the cleared stamp when re-hashing a regenerated non-bonded
-        list).  ``purge`` (default: follows ``release``) additionally
-        *deletes* entries left with an empty stamp mask — their key-store
-        keys are tombstoned (the store compacts itself) and their rows and
-        ghost-buffer slots are recycled by later inserts, so releasing a
-        stamp shrinks the table instead of leaking slots.  Returns the
-        number of entries that carried the stamp.
-        """
-        if purge is None:
-            purge = release
-        bit = self.registry.mask_of(stamp_name)
-        live = self.mask[: self.n_entries]
-        carried = (live & bit) != 0
-        n = int(np.count_nonzero(carried))
-        live &= ~bit
-        self._stamp_refs.pop(stamp_name, None)
-        if purge:
-            dead = np.flatnonzero(carried & (live == 0)).astype(np.int64)
-            self._purge_slots(dead)
-        if release:
-            self.registry.release(stamp_name)
-        return n
-
-    def _purge_slots(self, slots: np.ndarray) -> int:
-        """Delete fully-unstamped rows; recycle their slots and bufs."""
-        if slots.size == 0:
-            return 0
-        self.store.delete(self.g[slots])
-        bufs = self.buf[slots]
-        bufs = bufs[bufs >= 0]
-        self.g[slots] = -1
-        self.proc[slots] = -1
-        self.off[slots] = -1
-        self.buf[slots] = -1
-        self.mask[slots] = 0
-        for refs in self._stamp_refs.values():
-            refs[slots] = 0
-        self._free_slots = np.sort(
-            np.concatenate([self._free_slots, slots]))
-        self._free_bufs = np.sort(np.concatenate([self._free_bufs, bufs]))
-        return int(slots.size)
-
-    # ------------------------------------------------------------------
     def localize(self, gidx: np.ndarray) -> np.ndarray:
         """Translate global indices to local/localized indices.
 
@@ -642,12 +827,7 @@ class IndexHashTable:
         if np.any(slots < 0):
             missing = np.asarray(gidx, dtype=np.int64)[slots < 0][0]
             raise KeyError(f"global index {missing} not hashed yet")
-        out = np.where(
-            self.proc[slots] == self.rank,
-            self.off[slots],
-            self.n_local + self.buf[slots],
-        )
-        return out.astype(np.int64)
+        return self.group.localize(slots, self._sizes(slots.size))
 
     def select(self, expr: StampExpr, off_processor_only: bool = True
                ) -> np.ndarray:
@@ -669,26 +849,10 @@ class IndexHashTable:
         """Ghost-buffer slots assigned so far (size the ghost region)."""
         return self.n_ghost
 
-    def nbytes(self) -> int:
-        """Resident bytes: entry columns, refcount planes, key store."""
-        n = 5 * self._cap * 8  # g/proc/off/buf/mask
-        n += len(self._stamp_refs) * self._cap * 8
-        store_bytes = getattr(self.store, "nbytes", None)
-        if callable(store_bytes):
-            n += store_bytes()
-        return n
-
     def __len__(self) -> int:
         # live entries: the high-water row count minus purged rows
         # awaiting recycling
-        return self.n_entries - int(self._free_slots.size)
+        return self.n_entries - self.group.free_lists()[0][self.rank].size
 
     def __contains__(self, gidx: int) -> bool:
-        return int(gidx) in self.store
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"IndexHashTable(rank={self.rank}, entries={self.n_entries}, "
-            f"ghost={self.n_ghost}, store={self.store.kind!r}, "
-            f"stamps={self.registry.names()})"
-        )
+        return bool(self.lookup_slots(np.array([gidx]))[0] >= 0)

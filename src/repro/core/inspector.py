@@ -13,10 +13,14 @@ The back half — schedule generation from stamped entries — lives in
 Every function takes an :class:`~repro.core.context.ExecutionContext`
 first: the context carries the machine and the resolved *backend*
 (:mod:`repro.core.backends`) executing the analysis — ``serial``
-analyses indices one dict operation at a time (the reference semantics),
-``vectorized`` (the default) probes and inserts whole arrays through a
-batched open-addressed key store.  The same backend also performs the
-translation-table lookups ``chaos_hash`` triggers.
+analyses indices rank by rank, one dict operation per key (the reference
+semantics); ``vectorized`` (the default) probes and inserts every rank's
+indices as one rank-major stream through the table group's key arena.
+The adaptive steps below (:func:`clear_stamp`, :func:`rehash_delta`,
+:func:`delta_rebuild_schedule`) are written once, on the
+:class:`~repro.core.hashtable.HashTableGroup` behind the tables: a
+constant number of machine-wide passes whatever the rank count, with the
+simulated work still charged rank by rank.
 """
 
 from __future__ import annotations
@@ -25,8 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.compiled import offsets_from_counts
 from repro.core.context import ensure_context
-from repro.core.hashtable import IndexHashTable, StampExpr, StampRegistry
+from repro.core.hashtable import (
+    HashTableGroup,
+    IndexHashTable,
+    StampExpr,
+    group_of,
+    split_stream,
+    stream_of,
+)
 from repro.core.translation import TranslationTable
 
 #: memops charged per hash probe / per new-entry insert
@@ -43,23 +55,45 @@ def make_hash_tables(
 ) -> list[IndexHashTable]:
     """One hash table per rank for arrays distributed like ``ttable``.
 
-    All tables share one :class:`StampRegistry` so stamp names mean the
-    same thing on every rank.  The context's backend selects the key
-    store backing each table (dict reference vs batched open
-    addressing); every store assigns identical slots, so the choice only
-    affects wall-clock speed.
+    The tables are the per-rank views of one
+    :class:`~repro.core.hashtable.HashTableGroup` (one stamp registry, so
+    stamp names mean the same thing on every rank).  The context's
+    backend selects the key store behind the group (dict reference vs
+    the rank-segmented arena); every store assigns identical slots, so
+    the choice only affects wall-clock speed.
     """
     ctx = ensure_context(ctx, "make_hash_tables")
-    registry = StampRegistry()
-    return [
-        IndexHashTable(
-            rank=p,
-            n_local=ttable.dist.local_size(p),
-            registry=registry,
-            store=ctx.backend.make_key_store(),
-        )
-        for p in ctx.machine.ranks()
-    ]
+    n = ctx.machine.n_ranks
+    return HashTableGroup(
+        [ttable.dist.local_size(p) for p in range(n)],
+        store=ctx.backend.make_key_store(n),
+    ).views()
+
+
+def translate_missing(ctx, group, ttable, keys, sizes, miss, category):
+    """Translate and insert the distinct never-seen keys of a stream.
+
+    ``miss`` are the positions, in the rank-major stream ``keys`` of
+    per-rank ``sizes``, of the references a lookup did not find.  Each
+    rank's distinct missing keys are translated (one collective
+    dereference) and inserted in ascending order — the order that fixes
+    slot and ghost assignment.  Returns ``(rows of the missing
+    references, new entries per rank)``; the caller charges the inserts.
+    """
+    n, span = group.n_ranks, max(1, ttable.dist.n_global)
+    new = ttable.dist.check_indices(keys[miss])
+    # rank p's keys made distinct from every other rank's: p * span + key
+    base = np.arange(n + 1) * span
+    n_miss = np.diff(miss.searchsorted(offsets_from_counts(sizes)))
+    new += np.repeat(base[:n], n_miss)
+    new, inverse = np.unique(new, return_inverse=True)
+    n_new = np.diff(new.searchsorted(base))
+    new -= np.repeat(base[:n], n_new)
+    owners, offsets = ttable.dereference(
+        ctx, split_stream(new, n_new), category=category)
+    rows = group.insert(new, n_new, np.concatenate(owners),
+                        np.concatenate(offsets))
+    return rows[inverse], n_new
 
 
 def _normalize(indices: list[np.ndarray | None]) -> list[np.ndarray]:
@@ -116,16 +150,16 @@ def clear_stamp(
     ctx = ensure_context(ctx, "clear_stamp")
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
+    group = group_of(htables)
     if purge is None:
         purge = release
-    total = 0
-    for p in m.ranks():
-        ht = htables[p]
-        m.charge_memops(p, ht.n_entries, category)
-        if stamp in ht.registry:
-            total += ht.clear_stamp(stamp, release=False, purge=purge)
-    if release and htables and stamp in htables[0].registry:
-        htables[0].registry.release(stamp)
+    for p, n_entries in enumerate(group.n_entries.tolist()):
+        m.charge_memops(p, n_entries, category)
+    if stamp not in group.registry:
+        return 0
+    total = group.clear_stamp(stamp, purge=purge)
+    if release:
+        group.registry.release(stamp)
     return total
 
 
@@ -176,88 +210,47 @@ def rehash_delta(
     m.check_per_rank(htables, "hash tables")
     m.check_per_rank(old_indices, "old indices")
     m.check_per_rank(new_indices, "new indices")
-    old = _normalize(old_indices)
-    new = _normalize(new_indices)
-    uniq_old: list[np.ndarray] = []
-    cnt_old: list[np.ndarray] = []
-    uniq_new: list[np.ndarray] = []
-    inv_new: list[np.ndarray] = []
-    cnt_new: list[np.ndarray] = []
-    pre_slots: list[np.ndarray] = []
-    missing: list[np.ndarray] = []
-    for p in m.ranks():
-        ht = htables[p]
-        if old[p].size != new[p].size:
-            raise ValueError(
-                f"rank {p}: old/new touched values must be aligned "
-                f"({old[p].size} vs {new[p].size})"
-            )
-        m.charge_memops(
-            p, _PROBE_COST * (old[p].size + new[p].size), category
+    group = group_of(htables)
+    old, n_old = stream_of(_normalize(old_indices))
+    new, n_new = stream_of(_normalize(new_indices))
+    if np.any(n_old != n_new):
+        p = int(np.flatnonzero(n_old != n_new)[0])
+        raise ValueError(
+            f"rank {p}: old/new touched values must be aligned "
+            f"({n_old[p]} vs {n_new[p]})"
         )
-        uo, co = np.unique(old[p], return_counts=True)
-        un, iv, cn = np.unique(new[p], return_inverse=True,
-                               return_counts=True)
-        if not ht.has_stamp_counts(stamp):
-            if uo.size:
-                raise ValueError(
-                    f"stamp {stamp!r} has no reference counts on rank "
-                    f"{p}; hash it with chaos_hash before delta updates"
-                )
-            # the original hash saw an empty slice on this rank: start
-            # the stamp's refcount plane at zero
-            ht.stamp_slots(np.zeros(0, dtype=np.int64), stamp,
-                           counts=np.zeros(0, dtype=np.int64))
-        slots = ht.lookup_slots(un)
-        uniq_old.append(uo)
-        cnt_old.append(co)
-        uniq_new.append(un)
-        inv_new.append(iv)
-        cnt_new.append(cn)
-        pre_slots.append(slots)
-        missing.append(un[slots < 0])
+    for p, n in enumerate((n_old + n_new).tolist()):
+        m.charge_memops(p, _PROBE_COST * n, category)
+    if not group.counted(stamp) and n_old.any():
+        raise ValueError(
+            f"stamp {stamp!r} has no reference counts; hash it with "
+            "chaos_hash before delta updates"
+        )
+    ranks = np.repeat(np.arange(group.n_ranks), n_new)
 
-    # translate only the never-seen values (collective)
-    owners, offsets = ttable.dereference(ctx, missing, category=category)
+    # translate and insert only the never-seen values (collective)
+    rows_new = group.store.lookup(new, n_new)
+    miss = np.flatnonzero(rows_new < 0)
+    rows_new[miss], inserted = translate_missing(
+        ctx, group, ttable, new, n_new, miss, category)
+    rows_old = group.store.lookup(old, n_old)
+    if rows_old.size and rows_old.min() < 0:
+        p = int(ranks[rows_old < 0][0])
+        bad = old[(rows_old < 0) & (ranks == p)].min()
+        raise KeyError(f"rank {p}: old value {int(bad)} was never hashed")
 
-    affected: list[np.ndarray] = []
-    pre_masks: list[np.ndarray] = []
-    localized: list[np.ndarray] = []
-    for p in m.ranks():
-        ht = htables[p]
-        m.charge_memops(p, _INSERT_COST * missing[p].size, category)
-        # insert_translated assigns slots in sorted-unique key order —
-        # exactly the order ``missing[p]`` is in — so the fresh slots
-        # drop straight into the probe results without a second lookup
-        fresh = ht.insert_translated(missing[p], owners[p], offsets[p])
-        slots_new = pre_slots[p]
-        if fresh.size:
-            slots_new = slots_new.copy()
-            slots_new[slots_new < 0] = fresh
-        slots_old = ht.lookup_slots(uniq_old[p])
-        if np.any(slots_old < 0):
-            bad = uniq_old[p][slots_old < 0][0]
-            raise KeyError(
-                f"rank {p}: old value {int(bad)} was never hashed"
-            )
-        aff = np.unique(np.concatenate([slots_old, slots_new]))
-        pre = ht.mask[aff].copy()
-        ht.stamp_delta(stamp, slots_new, cnt_new[p], slots_old,
-                       cnt_old[p])
-        m.charge_memops(p, aff.size, category)
-        affected.append(aff)
-        pre_masks.append(pre)
-        # localize through the unique inverse: owned -> local offset,
-        # off-processor -> n_local + ghost buf (matches ht.localize)
-        loc_un = np.where(
-            ht.proc[slots_new] == ht.rank,
-            ht.off[slots_new],
-            ht.n_local + ht.buf[slots_new],
-        ).astype(np.int64)
-        localized.append(loc_un[inv_new[p]] if new[p].size
-                         else np.zeros(0, dtype=np.int64))
-    return DeltaRehash(affected_slots=affected, pre_masks=pre_masks,
-                       localized=localized)
+    aff, pre = group.stamp_delta(stamp, group.flat(ranks, rows_new),
+                                 group.flat(ranks, rows_old))
+    aff_ranks, aff_rows = np.divmod(aff, group.rows_cap)
+    n_aff = np.bincount(aff_ranks, minlength=group.n_ranks)
+    for p, (n_ins, n) in enumerate(zip(inserted.tolist(), n_aff.tolist())):
+        m.charge_memops(p, _INSERT_COST * n_ins, category)
+        m.charge_memops(p, n, category)
+    return DeltaRehash(
+        affected_slots=split_stream(aff_rows, n_aff),
+        pre_masks=split_stream(pre, n_aff),
+        localized=split_stream(group.localize(rows_new, n_new), n_new),
+    )
 
 
 def delta_rebuild_schedule(
@@ -283,37 +276,39 @@ def delta_rebuild_schedule(
     ctx = ensure_context(ctx, "delta_rebuild_schedule")
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
-    registry = htables[0].registry
+    group = group_of(htables)
+    registry = group.registry
     if _DELTA_STAMP in registry:
         raise RuntimeError(
             "delta_rebuild_schedule is not re-entrant (scratch stamp "
             f"{_DELTA_STAMP!r} is live)"
         )
-    registry.acquire(_DELTA_STAMP)
+    sel = htables[0].expr(expr) if isinstance(expr, str) else expr
+    rows, n_aff = stream_of(rehash.affected_slots)
+    ranks = np.repeat(np.arange(group.n_ranks), n_aff)
+    at = group.flat(ranks, rows)
+    mask = group.mask.ravel()
+    was = sel.matches(np.concatenate(rehash.pre_masks))
+    now = sel.matches(mask[at])
+    offp = group.proc.ravel()[at] != ranks
+    newly = at[now & ~was & offp]
+    left = was & ~now & offp
+    dropped_bufs = split_stream(
+        group.buf.ravel()[at[left]],
+        np.bincount(ranks[left], minlength=group.n_ranks))
+    for p, n in enumerate(n_aff.tolist()):
+        m.charge_memops(p, n, category)
+    bit = registry.acquire(_DELTA_STAMP)
     try:
-        dropped_bufs: list[np.ndarray] = []
-        for p in m.ranks():
-            ht = htables[p]
-            aff = rehash.affected_slots[p]
-            post = ht.mask[aff]
-            sel = ht.expr(expr) if isinstance(expr, str) else expr
-            was = sel.matches(rehash.pre_masks[p])
-            now = sel.matches(post)
-            offp = ht.proc[aff] != ht.rank
-            newly = aff[now & ~was & offp]
-            dropped = aff[was & ~now & offp]
-            dropped_bufs.append(ht.buf[dropped].astype(np.int64))
-            if newly.size:
-                bit = registry.mask_of(_DELTA_STAMP)
-                ht.mask[newly] |= bit
-            m.charge_memops(p, aff.size, category)
+        mask[newly] |= bit
         delta = build_schedule(ctx, htables, _DELTA_STAMP,
                                category=category)
         return splice_schedules(ctx, htables, base_schedule, delta,
                                 dropped_bufs, category=category)
     finally:
-        for ht in htables:
-            ht.clear_stamp(_DELTA_STAMP, release=False, purge=False)
+        # the bit was set on exactly these slots (the arenas do not grow
+        # in between: nothing is inserted)
+        mask[newly] &= ~bit
         registry.release(_DELTA_STAMP)
 
 

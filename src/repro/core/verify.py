@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.compiled import csr_counts
 from repro.core.distribution import Distribution
-from repro.core.hashtable import IndexHashTable
+from repro.core.hashtable import IndexHashTable, group_of
 from repro.core.lightweight import LightweightSchedule
 from repro.core.remap import RemapPlan
 from repro.core.schedule import Schedule
@@ -118,6 +118,53 @@ def check_schedule_against_hash_tables(
                 f"rank {p}: schedule fills slots no entry references: "
                 f"{orphan[:5].tolist()}"
             )
+    return problems
+
+
+def check_hash_tables(htables: list[IndexHashTable]) -> list[str]:
+    """Internal invariants of a table group, rank by rank: every live
+    row's key probes back to its row; ghost slots are distinct and below
+    ``n_ghost``; recycled rows and ghost slots are disjoint from live
+    ones; a counted stamp's refcount is positive exactly where its bit
+    is set; the key store holds one key per live row and (open
+    addressing) keeps live keys plus tombstones within half its
+    capacity."""
+    problems: list[str] = []
+    group = group_of(htables)
+    store = group.store
+    free_rows, free_bufs = group.free_lists()
+    if np.any(store.live() != group.n_entries - [a.size for a in free_rows]):
+        problems.append("key store and tables disagree on the live counts")
+    if hasattr(store, "capacity") and np.any(
+            (store.live() + store.tombstones) * 2 > store.capacity):
+        problems.append("a rank's live keys + tombstones exceed half the "
+                        "key-store capacity")
+    for p, ht in enumerate(htables):
+        ne = ht.n_entries
+        live = np.flatnonzero(ht.g[:ne] >= 0)
+        if not np.array_equal(np.setdiff1d(np.arange(ne), live),
+                              free_rows[p]):
+            problems.append(f"rank {p}: free rows are not exactly the "
+                            "purged rows")
+        if not np.array_equal(ht.lookup_slots(ht.g[live]), live):
+            problems.append(f"rank {p}: a live row's key does not probe "
+                            "back to its row")
+        bufs = ht.buf[live]
+        bufs = bufs[bufs >= 0]
+        ghost = np.concatenate([bufs, free_bufs[p]])
+        if ghost.size and (ghost.max() >= ht.n_ghost
+                           or np.unique(ghost).size != ghost.size):
+            problems.append(f"rank {p}: ghost slots (live + free) are not "
+                            f"distinct ids below {ht.n_ghost}")
+        if np.any((ht.proc[live] == p) != (ht.buf[live] < 0)):
+            problems.append(f"rank {p}: ghost slot on an owned entry, or "
+                            "none on an off-processor one")
+        for name in filter(group.counted, group.registry.names()):
+            bit = group.registry.mask_of(name)
+            counts = group.ref_plane(name)[p, :ne]
+            if np.any((counts > 0) != ((ht.mask[:ne] & bit) != 0)):
+                problems.append(f"rank {p}: stamp {name!r} refcounts and "
+                                "mask bits disagree")
     return problems
 
 

@@ -25,6 +25,7 @@ from repro.core import (
     allocate_ghosts,
     build_schedule,
     chaos_hash,
+    check_hash_tables,
     clear_stamp,
     delta_rebuild_schedule,
     gather,
@@ -324,7 +325,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
                            for ht, cap in zip(hts_d, old_capacity))
             if case == "purged_rows":
                 assert any((ht.buf[:ht.n_entries] < 0).any()
-                           and ht._free_slots.size for ht in hts_d)
+                           and len(ht) < ht.n_entries for ht in hts_d)
     finally:
         ctx_f.close()
         ctx_d.close()
@@ -368,6 +369,30 @@ def test_stale_base_schedule_is_rejected():
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
 
 
+def test_rejected_splice_leaves_no_scratch_stamp_behind():
+    """The scratch stamp marks only the newly selected entries and is
+    taken off exactly those again -- also when the splice raises -- so a
+    later delta rebuild is neither blocked nor polluted."""
+    from repro.core.inspector import _DELTA_STAMP
+
+    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    stale = type(base).empty(4)
+    _, old_vals, new_vals, idx = _churn(np.random.default_rng(4), idx,
+                                        60, 0.5)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    masks = [ht.mask[:ht.n_entries].copy() for ht in hts]
+    with pytest.raises(ValueError, match="does not match the live tables"):
+        delta_rebuild_schedule(ctx, hts, "s", stale, rehash)
+    assert _DELTA_STAMP not in hts[0].registry
+    for ht, before in zip(hts, masks):
+        assert np.array_equal(ht.mask[:ht.n_entries], before)
+    # the same rehash still splices into the right base
+    _assert_schedule_equal(
+        delta_rebuild_schedule(ctx, hts, "s", base, rehash),
+        build_schedule(ctx, hts, "s"))
+
+
 def test_purge_between_build_and_delta_falls_back_to_full_build():
     """Through the facade the rejected splice is a ``DeltaFallback``:
     the adapt recovers through the full inspector, the result is right,
@@ -394,6 +419,7 @@ def test_purge_between_build_and_delta_falls_back_to_full_build():
     loop.adapt("ib", [a.copy() for a in ib], touched=touched)
     st = rt.cache_stats("nb")
     assert (st.builds, st.delta_rebuilds) == (2, 0)
+    assert check_hash_tables(rt.hash_tables(tt)) == []
     x_g, y_g = rng.standard_normal(n), rng.standard_normal(n)
     x, y = rt.distribute(x_g, tt), rt.distribute(y_g, tt)
     loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})

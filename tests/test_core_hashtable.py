@@ -1,7 +1,8 @@
-"""Unit tests: stamped index hash table and stamp algebra.
+"""Unit tests: stamped index hash tables and stamp algebra.
 
-``TestIndexHashTable`` runs once per key store (dict reference and
-open-addressed) — the store must be invisible to table behaviour.
+``TestIndexHashTable`` runs once per key store — the dict *reference*
+and the rank-segmented arena behind every real table *group* — the
+store must be invisible to table behaviour.
 """
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from repro.core import (
     DictKeyStore,
+    HashTableGroup,
     IndexHashTable,
-    OpenAddressedKeyStore,
+    RankKeyArena,
     StampExpr,
     StampRegistry,
 )
@@ -72,10 +74,22 @@ class TestStampExpr:
         assert np.array_equal(e.matches(masks), [True, True, False, True])
 
 
-@pytest.fixture(params=[DictKeyStore, OpenAddressedKeyStore],
-                ids=["dict", "open-addressed"])
+@pytest.fixture(params=[DictKeyStore, RankKeyArena],
+                ids=["reference", "group"])
 def store_cls(request):
     return request.param
+
+
+def _table_state(ht):
+    """Everything observable about one rank's table."""
+    n = ht.n_entries
+    group = ht.group
+    free_rows, free_bufs = group.free_lists()
+    return (n, ht.n_ghost, len(ht),
+            *(getattr(group, c)[ht.rank, :n].tolist()
+              for c in group._COLUMNS),
+            free_rows[ht.rank].tolist(), free_bufs[ht.rank].tolist(),
+            group.store.live().tolist())
 
 
 class TestIndexHashTable:
@@ -84,8 +98,10 @@ class TestIndexHashTable:
         self.store_cls = store_cls
 
     def make(self, rank=0, n_local=10):
-        return IndexHashTable(rank=rank, n_local=n_local,
-                              store=self.store_cls())
+        n_ranks = 3
+        group = HashTableGroup([n_local] * n_ranks,
+                               store=self.store_cls(n_ranks))
+        return group.views()[rank]
 
     def test_insert_and_lookup(self):
         ht = self.make()
@@ -97,6 +113,15 @@ class TestIndexHashTable:
         assert ht.lookup_slots(np.array([99]))[0] == -1
         assert len(ht) == 3
         assert 17 in ht and 99 not in ht
+
+    def test_ranks_do_not_see_each_other(self):
+        ht = self.make(rank=1)
+        other = ht.group.views()[0]
+        ht.insert_translated(np.array([4]), np.array([1]), np.array([0]))
+        assert 4 in ht and 4 not in other
+        assert (len(ht), len(other)) == (1, 0)
+        assert other.insert_translated(
+            np.array([4]), np.array([1]), np.array([0])).tolist() == [0]
 
     def test_ghost_slots_only_for_offproc(self):
         ht = self.make(rank=1)
@@ -114,6 +139,33 @@ class TestIndexHashTable:
         ht.insert_translated(np.array([1]), np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             ht.insert_translated(np.array([1]), np.array([0]), np.array([1]))
+
+    @pytest.mark.parametrize("batch", [[9, 7], [9, 9], [11, 9, 7, 12]])
+    def test_failed_insert_changes_nothing(self, batch):
+        """A rejected batch (a key already present, or repeated within
+        the batch) must leave table, free lists and key store exactly as
+        they were: the retry of its valid part then behaves as if the
+        failure never happened."""
+        def prepared():
+            ht = self.make(rank=1)
+            s = ht.insert_translated(np.array([3, 5, 7]), np.array([0, 1, 2]),
+                                     np.array([3, 5, 7]))
+            ht.stamp_slots(s[:1], "gone")
+            ht.stamp_slots(s[1:], "kept")
+            ht.group.clear_stamp("gone", purge=True)  # a free row + ghost
+            return ht
+
+        failed, clean = prepared(), prepared()
+        owners = np.zeros(len(batch), dtype=np.int64)
+        with pytest.raises(ValueError, match="duplicate insert"):
+            failed.insert_translated(np.array(batch), owners, owners)
+        assert _table_state(failed) == _table_state(clean)
+        for ht in (failed, clean):
+            ht.insert_translated(np.array([9, 12]), np.array([0, 1]),
+                                 np.array([9, 12]))
+        assert _table_state(failed) == _table_state(clean)
+        assert failed.localize(np.array([9, 12, 7])).tolist() == \
+            clean.localize(np.array([9, 12, 7])).tolist()
 
     def test_length_mismatch_rejected(self):
         ht = self.make()
@@ -152,6 +204,10 @@ class TestIndexHashTable:
         assert sel_a.tolist() == [0, 1]
         assert sel_b_minus_a.tolist() == [2]
         assert sel_union.tolist() == [0, 1, 2]
+        # the group's machine-wide selection is the same, owner-grouped
+        counts, off, buf = ht.group.requests(ht.expr("a", "b"))
+        assert counts.tolist() == [[0, 2, 1], [0, 0, 0], [0, 0, 0]]
+        assert (off.tolist(), buf.tolist()) == ([0, 1, 0], [0, 1, 2])
 
     def test_select_off_processor_only(self):
         ht = self.make(rank=1)
@@ -166,18 +222,33 @@ class TestIndexHashTable:
         ht = self.make()
         s = ht.insert_translated(np.array([9]), np.array([1]), np.array([0]))
         ht.stamp_slots(s, "nb")
-        n = ht.clear_stamp("nb")
+        n = ht.group.clear_stamp("nb", purge=False)
         assert n == 1
         assert ht.select(ht.expr("nb")).size == 0
         assert len(ht) == 1  # entry retained for reuse
         assert ht.ghost_capacity() == 1  # slot retained
 
-    def test_clear_stamp_release_frees_bit(self):
+    def test_purging_clear_recycles_row_and_ghost_slot(self):
+        ht = self.make()
+        s = ht.insert_translated(np.array([9, 4]), np.array([1, 1]),
+                                 np.array([0, 1]))
+        ht.stamp_slots(s[:1], "nb")
+        ht.stamp_slots(s[1:], "kept")
+        assert ht.group.clear_stamp("nb", purge=True) == 1
+        assert len(ht) == 1 and 9 not in ht and 4 in ht
+        assert ht.ghost_capacity() == 2  # high-water mark stays
+        again = ht.insert_translated(np.array([30]), np.array([1]),
+                                     np.array([5]))
+        assert again.tolist() == [0] and ht.buf[0] == 0  # both recycled
+        assert ht.n_entries == 2 and ht.ghost_capacity() == 2
+
+    def test_uncounted_stamp_drops_refcounts(self):
         ht = self.make()
         s = ht.insert_translated(np.array([9]), np.array([1]), np.array([0]))
+        ht.stamp_slots(s, "nb", counts=np.array([3]))
+        assert ht.group.ref_plane("nb")[ht.rank, s[0]] == 3
         ht.stamp_slots(s, "nb")
-        ht.clear_stamp("nb", release=True)
-        assert "nb" not in ht.registry
+        assert not ht.group.counted("nb")
 
     def test_growth_beyond_initial_capacity(self):
         ht = self.make(n_local=0)
@@ -187,12 +258,16 @@ class TestIndexHashTable:
         )
         assert len(ht) == n
         assert ht.n_ghost == n
+        assert ht.g[:n].tolist() == list(range(n))
+        assert len(ht.group.views()[1]) == 0
 
     def test_bad_init(self):
         with pytest.raises(ValueError):
-            IndexHashTable(rank=-1, n_local=0)
+            HashTableGroup([], store=self.store_cls(0))
         with pytest.raises(ValueError):
-            IndexHashTable(rank=0, n_local=-1)
+            HashTableGroup([3, -1], store=self.store_cls(2))
+        with pytest.raises(ValueError):
+            IndexHashTable(self.make().group, 7)
 
 
 # ----------------------------------------------------------------------
@@ -201,100 +276,117 @@ class TestIndexHashTable:
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+N_RANKS = 3
+UNIVERSE = np.arange(201, dtype=np.int64)
+
+
+def _stream(per_rank):
+    """Per-rank key lists -> (rank-major distinct keys, sizes)."""
+    parts = [np.unique(np.asarray(k, dtype=np.int64)) for k in per_rank]
+    return (np.concatenate(parts),
+            np.array([a.size for a in parts], dtype=np.int64))
+
+
+def _lookup_universe(store):
+    return store.lookup(np.tile(UNIVERSE, N_RANKS),
+                        np.full(N_RANKS, UNIVERSE.size))
+
 
 @st.composite
 def _store_op_sequences(draw):
-    """Random insert/delete/compact programs over a small key universe.
+    """Random insert/delete/compact programs over a small key universe,
+    each step one rank-major stream (ranks may be empty).
 
     Small universe on purpose: re-inserting a previously deleted key is
-    the interesting case (the open-addressed store must probe *past* its
-    tombstone on lookup yet never resurrect the tombstoned slot).
+    the interesting case (the arena must probe *past* its tombstone on
+    lookup yet never resurrect the tombstoned slot).
     """
-    n_ops = draw(st.integers(1, 8))
-    ops = []
-    for _ in range(n_ops):
-        kind = draw(st.sampled_from(["insert", "delete", "compact"]))
-        keys = draw(st.lists(st.integers(0, 200), max_size=40))
-        ops.append((kind, keys))
-    return ops
+    keys = st.lists(st.integers(0, 200), max_size=40)
+    return draw(st.lists(
+        st.tuples(st.sampled_from(["insert", "delete", "compact"]),
+                  st.tuples(*[keys] * N_RANKS)),
+        min_size=1, max_size=8))
+
+
+def _apply(store, kind, per_rank, next_row):
+    """One program step; inserts skip keys already present."""
+    keys, sizes = _stream(per_rank)
+    if kind == "insert":
+        fresh = store.lookup(keys, sizes) < 0
+        keys, sizes = _stream(
+            [seg[f] for seg, f in zip(np.split(keys, np.cumsum(sizes)[:-1]),
+                                      np.split(fresh, np.cumsum(sizes)[:-1]))])
+        store.insert(keys, sizes, next_row + np.arange(keys.size))
+        return keys.size
+    if kind == "delete":
+        return store.delete(keys, sizes)
+    store.compact()
+    return 0
 
 
 class TestKeyStoreDeleteCompact:
-    """The open-addressed store under churn, with the dict store as the
-    executable model — any divergence in lookups, sizes, or delete
-    counts is a probe-chain bug."""
-
-    UNIVERSE = np.arange(201, dtype=np.int64)
+    """The arena under churn, with the dict store as the executable
+    model — any divergence in lookups, sizes, or delete counts is a
+    probe-chain bug."""
 
     @given(ops=_store_op_sequences())
     @settings(max_examples=60, deadline=None)
-    def test_oa_store_matches_dict_reference(self, ops):
-        oa, ref = OpenAddressedKeyStore(), DictKeyStore()
-        next_slot = 0
-        for kind, keys in ops:
-            arr = np.unique(np.asarray(keys, dtype=np.int64))
+    def test_arena_matches_dict_reference(self, ops):
+        arena, ref = RankKeyArena(N_RANKS), DictKeyStore(N_RANKS)
+        next_row = 0
+        for kind, per_rank in ops:
+            n = _apply(arena, kind, per_rank, next_row)
+            assert n == _apply(ref, kind, per_rank, next_row)
             if kind == "insert":
-                fresh = arr[ref.lookup(arr) < 0]
-                slots = np.arange(next_slot, next_slot + fresh.size,
-                                  dtype=np.int64)
-                next_slot += fresh.size
-                oa.insert(fresh, slots)
-                ref.insert(fresh, slots)
-            elif kind == "delete":
-                assert oa.delete(arr) == ref.delete(arr)
-            else:
-                oa.compact()
-                ref.compact()
-            assert len(oa) == len(ref)
-            # auto-compaction keeps tombstones bounded by live entries
-            assert oa.tombstones <= max(
-                len(oa), OpenAddressedKeyStore.MIN_CAP // 2
-            )
-            assert np.array_equal(oa.lookup(self.UNIVERSE),
-                                  ref.lookup(self.UNIVERSE))
+                next_row += n
+            assert np.array_equal(arena.live(), ref.live())
+            # automatic compaction bounds the tombstones, and no rank
+            # ever fills more than half its segment
+            assert arena.tombstones.sum() <= max(
+                arena.live().sum(), N_RANKS * RankKeyArena.MIN_CAP // 2)
+            assert np.all((arena.live() + arena.tombstones) * 2
+                          <= arena.capacity)
+            assert np.array_equal(_lookup_universe(arena),
+                                  _lookup_universe(ref))
 
     @given(ops=_store_op_sequences())
     @settings(max_examples=30, deadline=None)
     def test_compact_is_a_lookup_noop(self, ops):
-        oa = OpenAddressedKeyStore()
-        next_slot = 0
-        for kind, keys in ops:
-            arr = np.unique(np.asarray(keys, dtype=np.int64))
+        arena = RankKeyArena(N_RANKS)
+        next_row = 0
+        for kind, per_rank in ops:
+            n = _apply(arena, "insert" if kind == "insert" else "delete",
+                       per_rank, next_row)
             if kind == "insert":
-                fresh = arr[oa.lookup(arr) < 0]
-                oa.insert(fresh, np.arange(next_slot,
-                                           next_slot + fresh.size,
-                                           dtype=np.int64))
-                next_slot += fresh.size
-            else:
-                oa.delete(arr)
-        before = oa.lookup(self.UNIVERSE)
-        oa.compact()
-        assert oa.tombstones == 0
-        assert len(oa) * 2 <= oa.capacity
-        assert np.array_equal(oa.lookup(self.UNIVERSE), before)
+                next_row += n
+        before = _lookup_universe(arena)
+        arena.compact()
+        assert arena.tombstones.sum() == 0
+        assert arena.live().max() * 2 <= arena.capacity
+        assert np.array_equal(_lookup_universe(arena), before)
 
     @given(keys=st.lists(st.integers(0, 10_000), min_size=1,
                          max_size=300, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_delete_all_then_compact_shrinks(self, keys):
-        oa = OpenAddressedKeyStore()
-        arr = np.sort(np.asarray(keys, dtype=np.int64))
-        oa.insert(arr, np.arange(arr.size, dtype=np.int64))
-        grown_nbytes = oa.nbytes()
-        assert oa.delete(arr) == arr.size
-        oa.compact()
-        assert len(oa) == 0
-        assert oa.tombstones == 0
-        assert oa.capacity == OpenAddressedKeyStore.MIN_CAP
-        assert oa.nbytes() <= grown_nbytes
-        assert np.all(oa.lookup(arr) == -1)
+        arena = RankKeyArena(N_RANKS)
+        arr, sizes = _stream([keys, [], keys[:7]])
+        arena.insert(arr, sizes, np.arange(arr.size))
+        grown = arena.capacity
+        assert arena.delete(arr, sizes) == arr.size
+        arena.compact()
+        assert arena.live().sum() == 0
+        assert arena.tombstones.sum() == 0
+        assert arena.capacity == RankKeyArena.MIN_CAP
+        assert arena.capacity <= grown
+        assert np.all(arena.lookup(arr, sizes) == -1)
 
     def test_reinsert_after_tombstone_gets_new_mapping(self):
-        oa = OpenAddressedKeyStore()
-        oa.insert(np.array([7, 8, 9]), np.array([0, 1, 2]))
-        assert oa.delete(np.array([8])) == 1
-        assert 8 not in oa
-        oa.insert(np.array([8]), np.array([5]))
-        assert np.array_equal(oa.lookup(np.array([7, 8, 9])),
+        arena = RankKeyArena(1)
+        arena.insert(np.array([7, 8, 9]), np.array([3]), np.array([0, 1, 2]))
+        assert arena.delete(np.array([8]), np.array([1])) == 1
+        assert arena.lookup(np.array([8]), np.array([1]))[0] == -1
+        arena.insert(np.array([8]), np.array([1]), np.array([5]))
+        assert np.array_equal(arena.lookup(np.array([7, 8, 9]),
+                                           np.array([3])),
                               np.array([0, 5, 2]))

@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.verify import (
     check_distribution,
+    check_hash_tables,
     check_lightweight,
     check_remap_plan,
     check_schedule,
@@ -80,6 +81,40 @@ class TestScheduleChecks:
                 assert any("beyond local size" in msg for msg in problems)
                 return
         pytest.skip("no off-processor traffic in this draw")
+
+
+class TestHashTableChecks:
+    def make(self, rng):
+        m = Machine(4)
+        rt = ChaosRuntime(m)
+        tt = rt.irregular_table(rng.integers(0, 4, 40))
+        rt.hash_indirection(tt, split_by_block(rng.integers(0, 40, 100), m),
+                            "s")
+        rt.hash_indirection(tt, split_by_block(rng.integers(0, 40, 60), m),
+                            "t")
+        rt.clear_stamp(tt, "t", purge=True)  # leaves recycled rows behind
+        return rt.hash_tables(tt)
+
+    def test_live_tables_pass(self, rng):
+        assert check_hash_tables(self.make(rng)) == []
+
+    @pytest.mark.parametrize("damage, symptom", [
+        (lambda ht, row: ht.g.__setitem__(row, 39 - ht.g[row]),
+         "probe back"),
+        (lambda ht, row: ht.buf.__setitem__(
+            np.flatnonzero(ht.buf[:ht.n_entries] >= 0)[:2], 0),
+         "ghost slots"),
+        (lambda ht, row: ht.mask.__setitem__(slice(0, ht.n_entries), 0),
+         "refcounts and mask bits"),
+        (lambda ht, row: ht.g.__setitem__(row, -1), "free rows"),
+    ])
+    def test_damage_is_reported(self, rng, damage, symptom):
+        hts = self.make(rng)
+        ht = hts[1]
+        live = np.flatnonzero(ht.g[:ht.n_entries] >= 0)
+        damage(ht, live[0])
+        problems = check_hash_tables(hts)
+        assert any("rank 1" in p and symptom in p for p in problems), problems
 
 
 class TestLightweightChecks:

@@ -1,8 +1,9 @@
 """Inspector-phase backend equivalence: serial vs vectorized engine.
 
-The serial backend (dict key store, per-pair Python loops) defines the
-semantics; the vectorized inspector engine (open-addressed key store,
-argsort/bincount grouping, count-matrix accounting) must be
+The serial backend (dict key store, per-rank and per-pair Python loops)
+defines the semantics; the vectorized inspector engine (one rank-major
+stream through the group's key arena, one stable sort per schedule,
+count-matrix accounting) must be
 observationally identical on randomized adaptive workloads:
 
 * bitwise-identical localized indices, ghost-slot assignment, and
@@ -24,16 +25,20 @@ from hypothesis import strategies as st
 from repro.core import (
     DictKeyStore,
     ExecutionContext,
-    OpenAddressedKeyStore,
+    RankKeyArena,
     StampRegistry,
     TranslationTable,
     build_schedule,
     chaos_hash,
+    check_hash_tables,
     clear_stamp,
+    delta_rebuild_schedule,
     localize_only,
     make_hash_tables,
+    rehash_delta,
     split_by_block,
 )
+from repro.core.hashtable import group_of
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
@@ -187,83 +192,276 @@ def test_stamp_release_reacquire_cycles_agree(seed, n_ranks, n, rounds):
 
 
 # ---------------------------------------------------------------------
+# the table group against P independent dict tables, step by step
+# ---------------------------------------------------------------------
+SHAPES = ("even", "empty_ranks", "one_huge")
+STEPS = ("hash", "delta", "purge", "release")
+
+
+def _rank_sizes(rng, n_ranks, shape, per_rank):
+    sizes = np.full(n_ranks, per_rank)
+    if shape == "empty_ranks":
+        sizes[rng.random(n_ranks) < 0.4] = 0
+    if shape == "one_huge":  # forces common-capacity and row-arena growth
+        sizes[rng.integers(n_ranks)] = 100 * max(per_rank, 12)
+    return sizes
+
+
+class _World:
+    """One backend's machine, tables and the arrays hashed so far."""
+
+    def __init__(self, backend, n_ranks, n, seed):
+        self.m = Machine(n_ranks, record_messages=True)
+        self.ctx = ExecutionContext.resolve(self.m, backend)
+        rng = np.random.default_rng(seed)
+        self.tt = TranslationTable.from_map(
+            self.m, rng.integers(0, n_ranks, n))
+        self.hts = make_hash_tables(self.ctx, self.tt)
+        self.arrays = {}     # stamp -> current per-rank global indices
+        self.schedules = {}  # stamp -> schedule built after the last step
+
+    def step(self, kind, stamp, fresh, touched):
+        """Apply one step; returns what it produced (localized indices,
+        a spliced schedule) for comparison."""
+        ctx, hts, tt = self.ctx, self.hts, self.tt
+        out = []
+        if kind == "hash":
+            if stamp in hts[0].registry:
+                clear_stamp(ctx, hts, stamp)
+            self.arrays[stamp] = [a.copy() for a in fresh]
+            out.append(chaos_hash(ctx, hts, tt, fresh, stamp))
+        elif kind == "delta" and stamp in self.arrays:
+            cur = self.arrays[stamp]
+            pos = [t[t < a.size] for t, a in zip(touched, cur)]
+            # any function of the old values will do: seen and unseen
+            new = [(a[t] * 3 + 1) % tt.dist.n_global
+                   for a, t in zip(cur, pos)]
+            rehash = rehash_delta(ctx, hts, tt, stamp,
+                                  [a[t] for a, t in zip(cur, pos)], new)
+            for a, t, v in zip(cur, pos, new):
+                a[t] = v
+            out.append(rehash.localized)
+            spliced = delta_rebuild_schedule(
+                ctx, hts, stamp, self.schedules[stamp], rehash)
+            cold = build_schedule(ctx, hts, stamp)
+            _assert_schedules_equal(_schedule_state(spliced),
+                                    _schedule_state(cold))
+            out.append(_schedule_state(spliced))
+        elif kind in ("purge", "release") and stamp in hts[0].registry:
+            clear_stamp(ctx, hts, stamp, release=kind == "release",
+                        purge=True)
+            self.arrays.pop(stamp, None)
+        live = sorted(self.arrays)
+        self.schedules = {s: build_schedule(ctx, hts, s) for s in live}
+        if len(live) == 2:
+            out.append(_schedule_state(build_schedule(
+                ctx, hts, hts[0].expr(*live))))
+        return out
+
+    def state(self):
+        group = group_of(self.hts)
+        # a plane nobody counted into yet (every rank's slice was empty)
+        # is the same as no plane
+        refs = [(name, [plane[p, :ht.n_entries].tolist()
+                        for p, ht in enumerate(self.hts)])
+                for name, plane in sorted(group._refs.items())
+                if plane.any()]
+        return ([_table_state(ht) for ht in self.hts], refs,
+                [_schedule_state(s) for _, s in sorted(
+                    self.schedules.items())])
+
+
+def _assert_same(a, b):
+    """Nested lists/tuples of arrays and scalars, equal bit for bit."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert a == b
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_ranks=st.sampled_from([1, 3, 16, 64]),
+    shape=st.sampled_from(SHAPES),
+    per_rank=st.integers(0, 30),
+    steps=st.lists(st.tuples(st.sampled_from(STEPS),
+                             st.sampled_from(["a", "b"])),
+                   min_size=2, max_size=7),
+)
+def test_group_tracks_independent_dict_tables(seed, n_ranks, shape,
+                                              per_rank, steps):
+    """Interleaved hashes, delta re-hashes, purging clears and stamp
+    releases: after every step the group behind the vectorized backend
+    must equal P dict-backed tables driven rank by rank through serial
+    -- rows, ghost slots, masks, refcounts, localized arrays, built and
+    spliced schedules, clocks and traffic -- and satisfy its own
+    invariants (probe-back, free lists, load factor)."""
+    n = 40 * n_ranks
+    rng = np.random.default_rng(seed)
+    ref = _World("serial", n_ranks, n, seed)
+    got = _World("vectorized", n_ranks, n, seed)
+    for kind, stamp in [("hash", "a")] + steps:
+        sizes = _rank_sizes(rng, n_ranks, shape, per_rank)
+        fresh = [rng.integers(0, n, k) for k in sizes]
+        for a in fresh[:2]:
+            a[:2] = [0, n - 1][:a.size]  # the extreme keys
+        touched = [np.flatnonzero(rng.random(k) < 0.3) for k in sizes]
+        out_ref = ref.step(kind, stamp, [a.copy() for a in fresh], touched)
+        out_got = got.step(kind, stamp, [a.copy() for a in fresh], touched)
+        _assert_same(out_ref, out_got)
+        _assert_same(ref.state(), got.state())
+        assert ref.m.traffic.snapshot() == got.m.traffic.snapshot()
+        assert list(ref.m.traffic.messages) == list(got.m.traffic.messages)
+        _assert_clocks_match(_clock_snapshots(ref.m),
+                             _clock_snapshots(got.m))
+        assert check_hash_tables(ref.hts) == []
+        assert check_hash_tables(got.hts) == []
+
+
+def test_kernel_entries_do_not_depend_on_the_rank_count(monkeypatch):
+    """The "no Python loop over ranks" guarantee, stated as a test: the
+    same workload (same references, same table) enters the arena's probe
+    and placement kernels equally often on 4 and on 64 ranks."""
+    from repro.core import RankKeyArena
+
+    def kernel_entries(n_ranks):
+        calls = {"_probe": 0, "_place": 0}
+        for name in calls:
+            kernel = getattr(RankKeyArena, name)
+
+            def counted(self, *args, _name=name, _kernel=kernel):
+                calls[_name] += 1
+                return _kernel(self, *args)
+            monkeypatch.setattr(RankKeyArena, name, counted)
+        rng = np.random.default_rng(5)
+        n, refs = 2560, 2816
+        m = Machine(n_ranks)
+        ctx = ExecutionContext.resolve(m, "vectorized")
+        tt = TranslationTable.from_map(m, rng.integers(0, n_ranks, n))
+        hts = make_hash_tables(ctx, tt)
+        idx = np.array_split(rng.integers(0, n, refs), n_ranks)
+        chaos_hash(ctx, hts, tt, idx, "s")
+        base = build_schedule(ctx, hts, "s")
+        localize_only(ctx, hts, idx)
+        old = [a[:a.size // 20] for a in idx]
+        rehash = rehash_delta(ctx, hts, tt, "s", old,
+                              [(a + 7) % n for a in old])
+        delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+        clear_stamp(ctx, hts, "s", release=True)
+        monkeypatch.undo()
+        return calls
+
+    few, many = kernel_entries(4), kernel_entries(64)
+    assert few == many
+    assert few["_probe"] >= 5 and few["_place"] >= 2
+
+
+# ---------------------------------------------------------------------
 # key stores
 # ---------------------------------------------------------------------
+def _random_stream(rng, n_ranks, batch, key_bits, distinct):
+    """A rank-major stream with uneven (possibly empty) rank segments."""
+    parts = [rng.integers(0, 1 << key_bits, rng.integers(0, batch + 1))
+             for _ in range(n_ranks)]
+    if distinct:
+        parts = [np.unique(a) for a in parts]
+    return (np.concatenate(parts),
+            np.array([a.size for a in parts], dtype=np.int64))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 100_000),
+    n_ranks=st.sampled_from([1, 3, 16]),
     n_batches=st.integers(1, 5),
     batch=st.integers(0, 200),
     key_bits=st.sampled_from([4, 16, 40, 62]),
 )
-def test_key_stores_agree(seed, n_batches, batch, key_bits):
-    """Open-addressed store returns exactly what the dict store does,
-    across growth, collisions and arbitrary key magnitudes."""
+def test_key_stores_agree(seed, n_ranks, n_batches, batch, key_bits):
+    """The arena returns exactly what the dict reference does, across
+    growth, collisions, empty ranks and arbitrary key magnitudes."""
     rng = np.random.default_rng(seed)
-    ref, fast = DictKeyStore(), OpenAddressedKeyStore()
-    next_slot = 0
+    ref, fast = DictKeyStore(n_ranks), RankKeyArena(n_ranks)
+    next_row = 0
     for _ in range(n_batches):
-        keys = np.unique(rng.integers(0, 1 << key_bits, batch))
-        new = ref.missing(keys)
-        assert np.array_equal(new, fast.missing(keys))
-        slots = np.arange(next_slot, next_slot + new.size, dtype=np.int64)
-        next_slot += new.size
-        ref.insert(new, slots)
-        fast.insert(new, slots)
-        probe = rng.integers(0, 1 << key_bits, batch)
-        assert np.array_equal(ref.lookup(probe), fast.lookup(probe))
-        assert len(ref) == len(fast)
-    for k in rng.integers(0, 1 << key_bits, 20).tolist():
-        assert (k in ref) == (k in fast)
+        keys, sizes = _random_stream(rng, n_ranks, batch, key_bits, True)
+        found = ref.lookup(keys, sizes)
+        assert np.array_equal(found, fast.lookup(keys, sizes))
+        ranks = np.repeat(np.arange(n_ranks), sizes)[found < 0]
+        new, n_new = keys[found < 0], np.bincount(ranks, minlength=n_ranks)
+        rows = np.arange(next_row, next_row + new.size, dtype=np.int64)
+        next_row += new.size
+        ref.insert(new, n_new, rows)
+        fast.insert(new, n_new, rows)
+        probe = _random_stream(rng, n_ranks, batch, key_bits, False)
+        assert np.array_equal(ref.lookup(*probe), fast.lookup(*probe))
+        assert np.array_equal(ref.live(), fast.live())
 
 
-class TestOpenAddressedKeyStore:
+class TestRankKeyArena:
+    ONE = np.array([1])
+
     def test_growth_preserves_entries(self):
-        s = OpenAddressedKeyStore()
+        s = RankKeyArena(2)
         keys = np.arange(0, 10_000, 7, dtype=np.int64)
-        s.insert(keys, np.arange(keys.size, dtype=np.int64))
-        assert s._cap > OpenAddressedKeyStore.MIN_CAP  # grew
-        assert np.array_equal(s.lookup(keys),
+        sizes = np.array([keys.size, 0])
+        s.insert(keys, sizes, np.arange(keys.size, dtype=np.int64))
+        assert s.capacity > RankKeyArena.MIN_CAP  # grew, for every rank
+        assert np.array_equal(s.lookup(keys, sizes),
                               np.arange(keys.size, dtype=np.int64))
-        assert s.lookup(np.array([1, 8, 15]))[0] == -1
+        assert s.lookup(np.array([1, 8, 15]), np.array([3, 0]))[0] == -1
+        # the other rank's segment holds none of them
+        assert np.all(s.lookup(keys, sizes[::-1]) == -1)
 
     def test_duplicate_insert_rejected(self):
-        s = OpenAddressedKeyStore()
-        s.insert(np.array([5]), np.array([0]))
+        s = RankKeyArena(1)
+        s.insert(np.array([5]), self.ONE, np.array([0]))
         with pytest.raises(ValueError, match="duplicate insert"):
-            s.insert(np.array([5]), np.array([1]))
+            s.insert(np.array([5]), self.ONE, np.array([1]))
 
     def test_intra_batch_duplicate_rejected(self):
-        s = OpenAddressedKeyStore()
+        s = RankKeyArena(2)
         with pytest.raises(ValueError, match="duplicate insert"):
-            s.insert(np.array([3, 4, 3]), np.arange(3))
+            s.insert(np.array([3, 4, 3]), np.array([3, 0]), np.arange(3))
+        # the same key on two ranks is two keys
+        s.insert(np.array([3, 4, 3]), np.array([2, 1]), np.arange(3))
+        assert s.live().tolist() == [2, 1]
 
     def test_negative_keys_rejected(self):
-        s = OpenAddressedKeyStore()
+        s = RankKeyArena(1)
         with pytest.raises(ValueError, match="non-negative"):
-            s.insert(np.array([-1]), np.array([0]))
+            s.insert(np.array([-1]), self.ONE, np.array([0]))
 
     def test_negative_keys_lookup_absent(self):
-        # -1 is the empty-slot sentinel: a probe for it must not match
-        # an empty slot and report a stale slot value
-        s = OpenAddressedKeyStore()
-        s.insert(np.array([5, 7, 9]), np.array([0, 1, 2]))
-        assert s.lookup(np.array([-1, 5, -3, 9])).tolist() == [-1, 0, -1, 2]
-        assert s.missing(np.array([-1, 5])).tolist() == [-1]
-        assert -1 not in s
+        # -1 / -2 are the empty-slot and tombstone sentinels: a probe
+        # for them must not match such a slot and report a stale row
+        s = RankKeyArena(1)
+        s.insert(np.array([5, 7, 9]), np.array([3]), np.array([0, 1, 2]))
+        s.delete(np.array([7]), self.ONE)
+        assert s.lookup(np.array([-1, 5, -2, 9]),
+                        np.array([4])).tolist() == [-1, 0, -1, 2]
 
     def test_empty_ops(self):
-        s = OpenAddressedKeyStore()
+        s = RankKeyArena(3)
         empty = np.zeros(0, dtype=np.int64)
-        s.insert(empty, empty)
-        assert s.lookup(empty).size == 0
-        assert s.missing(empty).size == 0
-        assert len(s) == 0
+        none = np.zeros(3, dtype=np.int64)
+        s.insert(empty, none, empty)
+        assert s.lookup(empty, none).size == 0
+        assert s.delete(empty, none) == 0
+        assert s.live().tolist() == [0, 0, 0]
 
     def test_lookup_before_any_insert(self):
-        s = OpenAddressedKeyStore()
-        assert s.lookup(np.array([0, 99])).tolist() == [-1, -1]
-        assert 0 not in s
+        s = RankKeyArena(2)
+        assert s.lookup(np.array([0, 99]), np.array([1, 1])).tolist() == [-1, -1]
+
+    def test_sizes_must_cover_the_stream(self):
+        with pytest.raises(ValueError, match="sizes"):
+            RankKeyArena(2).lookup(np.array([1, 2, 3]), np.array([1, 1]))
 
 
 def test_make_hash_tables_uses_backend_key_store():
@@ -271,10 +469,23 @@ def test_make_hash_tables_uses_backend_key_store():
     tt = TranslationTable.from_map(m, np.array([0, 1, 2, 0, 1, 2]))
     serial = make_hash_tables(ExecutionContext.resolve(m, "serial"), tt)
     vec = make_hash_tables(ExecutionContext.resolve(m, "vectorized"), tt)
-    assert all(ht.store.kind == "dict" for ht in serial)
-    assert all(ht.store.kind == "open-addressed" for ht in vec)
-    # one shared registry per group, as before
-    assert all(ht.registry is serial[0].registry for ht in serial)
+    assert serial[0].group.store.kind == "dict"
+    assert vec[0].group.store.kind == "open-addressed"
+    # one group (and so one registry) behind the per-rank views
+    assert all(ht.group is serial[0].group for ht in serial)
+    assert [ht.rank for ht in vec] == [0, 1, 2]
+    assert serial[0].registry is serial[2].registry
+
+
+def test_tables_of_two_groups_cannot_be_mixed():
+    m = Machine(2)
+    tt = TranslationTable.from_map(m, np.array([0, 1, 0, 1]))
+    ctx = ExecutionContext.resolve(m, "vectorized")
+    a, b = make_hash_tables(ctx, tt), make_hash_tables(ctx, tt)
+    with pytest.raises(ValueError, match="one group"):
+        chaos_hash(ctx, [a[0], b[1]], tt, [np.array([1]), None], "s")
+    with pytest.raises(ValueError, match="one group"):
+        build_schedule(ctx, a[::-1], "s")
 
 
 # ---------------------------------------------------------------------
