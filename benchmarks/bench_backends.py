@@ -1,7 +1,7 @@
 """Backend ablation: serial vs vectorized vs threaded vs multiprocess.
 
 Times the *executor phase* (the per-step data transport that dominates
-every paper table) under each registered backend, on two workloads:
+every paper table) under each registered backend, on four workloads:
 
 * the Table-1 CHARMM setup at 16 simulated ranks — one coordinate
   ``gather`` plus one force ``scatter_op(np.add)`` per round over the
@@ -14,15 +14,21 @@ every paper table) under each registered backend, on two workloads:
   four-stage plan).  Four separate ``gather`` calls are four one-stage
   plans through the same executor, so there is no second path to
   compare against; the script only asserts that splitting the chain up
-  is not faster than the chain.
+  is not faster than the chain;
+* the rank-count column, ``sweep_p64``: the e2e ``static_sweep`` shape at
+  quarter size on 64 ranks (``(n, 3)`` gather + scalar gather +
+  ``scatter_add`` over one windowed schedule), serial vs vectorized
+  only.  At P=16 a Python loop over ranks hides inside the numpy work;
+  at P=64 it is most of a round, so this ratio is what fails if the
+  flat executor ever grows a rank loop again.
 
 All backends charge identical virtual time — the difference measured
 here is pure wall-clock interpreter cost: the serial backend walks every
 ``(p, q)`` rank pair in Python, the vectorized backend executes a
-compiled flat plan with a handful of fused numpy operations, the
-threaded backend fans the vectorized per-rank kernels over its
+compiled flat plan — one flat move per stage column, no loop over ranks
+— the threaded backend fans rank ranges of that kernel over its
 per-context worker pool (GIL-bound), and the multiprocess backend ships
-the same kernels to worker processes over shared-memory plan views.
+the same ranges to worker processes over shared-memory views.
 The pooled backends' ratios are advisory — they exercise the
 resource-owning backend seam end-to-end, and their wall-clock win
 scales with the cores of the benchmarking host, which CI does not pin.
@@ -95,6 +101,40 @@ def halo_env(n: int = 48_000, n_ref: int = 200_000, n_fields: int = 4,
                                            machine), "halo")
     sched = rt.build_schedule(tt, "halo")
     return rt.ctx, sched, fields
+
+
+def sweep_env(n: int = 30_000, edges: int = 120_000, n_ranks: int = 64,
+              seed: int = 5):
+    """The ``static_sweep`` e2e workload at quarter size: block-owned
+    elements, edges whose endpoints lie within ~1.5 blocks."""
+    rng = np.random.default_rng(seed)
+    machine = Machine(n_ranks)
+    rt = ChaosRuntime(machine)
+    tt = rt.irregular_table(np.arange(n) * n_ranks // n)
+    ia = np.sort(rng.integers(0, n, edges))
+    window = (3 * n) // (2 * n_ranks)
+    ib = (ia + rng.integers(-window, window + 1, edges)) % n
+    rt.hash_indirection(tt, split_by_block(ia, machine), "ia")
+    rt.hash_indirection(tt, split_by_block(ib, machine), "ib")
+    sched = rt.build_schedule(tt, rt.stamp_expr(tt, "ia", "ib"))
+    arrays = (rt.distribute(rng.standard_normal((n, 3)), tt),
+              rt.distribute(rng.standard_normal(n), tt),
+              rt.zeros_like_table(tt))
+    return rt.ctx, sched, arrays
+
+
+def time_sweep(ctx, sched, arrays, rounds: int) -> float:
+    """Best wall-clock seconds for one sweep step (fresh ghosts each
+    gather, as the workload does)."""
+    x3, x1, y1 = arrays
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        gather(ctx, sched, x3.local)
+        g1 = gather(ctx, sched, x1.local)
+        scatter_op(ctx, sched, y1.local, g1, np.add)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def time_halo(ctx, sched, fields, rounds: int) -> dict[str, float]:
@@ -183,6 +223,7 @@ def generate_table(rounds: int = 5):
     md = charmm_env()
     ctx, lw_sched, values = lightweight_env()
     fu_ctx0, fu_sched, fu_fields = halo_env()
+    sw_ctx0, sw_sched, sw_arrays = sweep_env()
     times: dict[str, dict[str, float]] = {}
     for backend in BACKENDS:
         # one context per backend for all of its timings, so warm-up
@@ -200,38 +241,47 @@ def generate_table(rounds: int = 5):
             lw_ctx, lw_sched, values, rounds
         )
         phases.update(time_halo(fu_ctx, fu_sched, fu_fields, rounds))
+        derived = [(md_ctx, md.ctx), (lw_ctx, ctx), (fu_ctx, fu_ctx0)]
+        if backend in ("serial", "vectorized"):
+            sw_ctx = sw_ctx0.with_backend(backend)
+            derived.append((sw_ctx, sw_ctx0))
+            time_sweep(sw_ctx, sw_sched, sw_arrays, 1)   # compose once
+            phases["sweep_p64"] = time_sweep(sw_ctx, sw_sched, sw_arrays,
+                                             rounds)
         times[backend] = phases
-        for derived, base in ((md_ctx, md.ctx), (lw_ctx, ctx),
-                              (fu_ctx, fu_ctx0)):
-            if derived is not base:
-                derived.close()
+        for ctx_b, base in derived:
+            if ctx_b is not base:
+                ctx_b.close()
     columns = ("gather", "scatter_op", "gather_scatter", "scatter_append",
-               "halo_x4")
+               "halo_x4", "sweep_p64")
     rows = [
-        [backend] + [times[backend][col] * 1e3 for col in columns]
+        [backend] + [times[backend][col] * 1e3 if col in times[backend]
+                     else "" for col in columns]
         for backend in BACKENDS
     ]
     # one speedup row per non-reference backend; the vectorized keys
     # stay unsuffixed because the regression gate reads them by name,
     # and only the round-level metrics carry speedups (the per-phase
     # columns are attribution detail, not gates)
-    gated = ("gather_scatter", "scatter_append", "halo_x4")
+    gated = ("gather_scatter", "scatter_append", "halo_x4", "sweep_p64")
     speedups: dict[str, float] = {}
     for backend in BACKENDS:
         if backend == "serial":
             continue
         suffix = "" if backend == "vectorized" else f"_{backend}"
         for phase in gated:
-            speedups[f"{phase}{suffix}"] = (
-                times["serial"][phase] / max(times[backend][phase], 1e-12)
-            )
+            if phase in times[backend]:
+                speedups[f"{phase}{suffix}"] = (
+                    times["serial"][phase]
+                    / max(times[backend][phase], 1e-12))
         rows.append([f"speedup {backend} (x)", "", ""]
-                    + [speedups[f"{phase}{suffix}"] for phase in gated])
+                    + [speedups.get(f"{phase}{suffix}", "")
+                       for phase in gated])
     print_table(
-        f"Backend ablation: executor wall-clock at P={N_RANKS} "
-        f"(ms per round, best of {rounds})",
+        f"Backend ablation: executor wall-clock at P={N_RANKS}, last "
+        f"column P=64 (ms per round, best of {rounds})",
         ["Backend", "gather", "scatter_op", "gather+scatter_op",
-         "scatter_append", "halo x4"],
+         "scatter_append", "halo x4", "sweep P=64"],
         rows,
         float_fmt="{:.3f}",
         json_name="backend_ablation",
@@ -249,6 +299,8 @@ def test_backend_ablation():
     assert speedups["gather_scatter"] >= 3.0, speedups
     assert speedups["scatter_append"] >= 1.5, speedups
     assert speedups["halo_x4"] >= 1.5, speedups
+    # a rank loop in the flat executor costs this column most
+    assert speedups["sweep_p64"] >= 9.0, speedups
     check_chain_not_slower(times)
 
 
@@ -265,4 +317,5 @@ if __name__ == "__main__":
     check_chain_not_slower(times)
     print(f"\nexecutor-phase speedup: {speedups['gather_scatter']:.1f}x, "
           f"migration speedup: {speedups['scatter_append']:.1f}x, "
-          f"halo-chain speedup: {speedups['halo_x4']:.1f}x")
+          f"halo-chain speedup: {speedups['halo_x4']:.1f}x, "
+          f"P=64 sweep speedup: {speedups['sweep_p64']:.1f}x")

@@ -19,10 +19,12 @@ the facade keeps simple irregular loops (Figure 1) to a few lines — see
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
 
+from repro.core.compiled import RankArena
 from repro.core.context import ExecutionContext, resolve_component
 from repro.core.distribution import (
     BlockDistribution,
@@ -58,22 +60,27 @@ class DistributedArray:
 
     ``local[p]`` holds rank ``p``'s elements in local-offset order; rows
     (axis 0) are distributed, trailing dimensions ride along (so an
-    ``(n, 3)`` coordinate array distributes by atom).
+    ``(n, 3)`` coordinate array distributes by atom).  ``local`` is a
+    :class:`~repro.core.compiled.RankArena` (views of one buffer, which
+    the executor moves without a rank loop) whenever dtype and row shape
+    agree across ranks: a plain list is adopted by one copy.
     """
 
     def __init__(self, machine: Machine, ttable: TranslationTable,
                  local: list[np.ndarray]):
         machine.check_per_rank(local, "local arrays")
-        for p in machine.ranks():
-            expect = ttable.dist.local_size(p)
-            if np.asarray(local[p]).shape[0] != expect:
-                raise ValueError(
-                    f"rank {p}: local array has {np.asarray(local[p]).shape[0]}"
-                    f" rows, distribution owns {expect}"
-                )
+        local = RankArena.adopt(local)
+        rows = np.array([a.shape[0] for a in local])
+        expect = ttable.dist.local_sizes()
+        if (rows != expect).any():
+            p = int(np.flatnonzero(rows != expect)[0])
+            raise ValueError(
+                f"rank {p}: local array has {rows[p]} rows, distribution "
+                f"owns {expect[p]}"
+            )
         self.machine = machine
         self.ttable = ttable
-        self.local = [np.asarray(a) for a in local]
+        self.local = local
 
     # ------------------------------------------------------------------
     @classmethod
@@ -139,9 +146,8 @@ class DistributedArray:
         return DistributedArray(self.machine, new_ttable, new_local)
 
     def copy(self) -> "DistributedArray":
-        return DistributedArray(
-            self.machine, self.ttable, [a.copy() for a in self.local]
-        )
+        return DistributedArray(   # an arena copies as one buffer
+            self.machine, self.ttable, copy.deepcopy(self.local))
 
 
 class ChaosRuntime:
@@ -251,11 +257,8 @@ class ChaosRuntime:
 
     def zeros_like_table(self, ttable: TranslationTable, dtype=np.float64,
                          trailing: tuple = ()) -> DistributedArray:
-        local = [
-            np.zeros((ttable.dist.local_size(p),) + trailing, dtype=dtype)
-            for p in self.machine.ranks()
-        ]
-        return DistributedArray(self.machine, ttable, local)
+        return DistributedArray(self.machine, ttable, RankArena.zeros(
+            ttable.dist.local_sizes(), trailing, dtype))
 
     # ---- Phase E: inspector --------------------------------------------
     def hash_tables(self, ttable: TranslationTable) -> list[IndexHashTable]:
@@ -513,11 +516,9 @@ class IrregularReduction:
         sched = self.schedule
         # gather every distinct rhs array once
         stacked: dict[int, list[np.ndarray]] = {}
-        ghost_of: dict[int, list[np.ndarray]] = {}
         for da, _ in rhs.values():
             if id(da) not in stacked:
                 g = self.rt.gather(sched, da)
-                ghost_of[id(da)] = g
                 stacked[id(da)] = stack_local_ghost(da.local, g)
         lhs_ghosts = self.rt.ghosts_for(sched, lhs)
         lhs_stacked = stack_local_ghost(lhs.local, lhs_ghosts)
@@ -526,9 +527,9 @@ class IrregularReduction:
             args = [stacked[id(da)][p][self.localized(idx_name)[p]]
                     for da, idx_name in rhs.values()]
             contrib = kernel(*args) if args else kernel()
-            n_iter = lhs_idx[p].size
             op.at(lhs_stacked[p], lhs_idx[p], contrib)
-            m.charge_compute(p, compute_ops_per_iter * n_iter, "compute")
+        m.charge_compute_vec(
+            compute_ops_per_iter * np.array([i.size for i in lhs_idx]))
         # write back: local part mutated in place via views? stacking copies,
         # so split explicitly:
         for p in m.ranks():

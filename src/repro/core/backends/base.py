@@ -27,15 +27,17 @@ Four implementations ship with the runtime:
   per-primitive method per stage kind;
 * ``vectorized`` — the default: every rank's indices as one stream
   through the table group's key arena, one stable sort per schedule
-  build, count-matrix communication
-  accounting (:meth:`Machine.exchange_compiled`), and one composed
-  index pair per stage over compiled flat plans
-  (:mod:`repro.core.compiled`);
-* ``threaded`` — the vectorized per-rank kernels with the rank loops of
-  the executor fanned out over a per-context thread pool;
-* ``multiprocess`` — the same rank kernels executed by a per-context
-  *process* pool over shared-memory views of the compiled plan buffers
-  and rank-partitioned data, sidestepping the GIL entirely.
+  build, count-matrix communication accounting
+  (:meth:`Machine.exchange_compiled`) with one array charge per charge
+  kind per stage, and one flat move per stage column — a composed index
+  pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
+  :meth:`~repro.core.compiled.CompiledPlan.move`), no loop over ranks;
+* ``threaded`` — the same kernel with its rank ranges (one contiguous
+  range per worker) fanned out over a per-context thread pool;
+* ``multiprocess`` — the same kernel over the same ranges in a
+  per-context *process* pool, on shared-memory views of the index pair
+  and the two flat buffers of each move, sidestepping the GIL
+  entirely.
 
 Backends are also *resource owners*: :meth:`Backend.open` creates a
 per-context :class:`BackendResources` handle (thread pools, scratch
@@ -75,6 +77,14 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 def pool_width(n_ranks: int) -> int:
     """Worker count for a rank pool: one per rank, capped by the host."""
     return max(1, min(int(n_ranks), os.cpu_count() or 1))
+
+
+def chunk_ranks(n_ranks: int, width: int) -> list[range]:
+    """Contiguous rank ranges, one per worker, balanced to ±1."""
+    width = max(1, min(int(width), int(n_ranks)))
+    base, extra = divmod(n_ranks, width)
+    stops = np.cumsum([base + (i < extra) for i in range(width)]).tolist()
+    return [range(lo, hi) for lo, hi in zip([0] + stops, stops)]
 
 
 def collect_futures(futures) -> list:
@@ -230,7 +240,7 @@ class Backend(ABC):
     def _owned_resources(self, ctx, cls: type) -> BackendResources:
         """The context's resource handle, verified owned, open, and of
         type ``cls`` — the shared entry check of every resource-backed
-        ``_run_ranks`` implementation."""
+        ``_run_ranks`` (rank-range fan-out) implementation."""
         res = ctx.resources
         if not isinstance(res, cls) or res.backend is not self:
             raise RuntimeError(
@@ -275,8 +285,7 @@ class Backend(ABC):
         machine = ctx.machine
         group = group_of(htables)
         keys, sizes = stream_of(idx)
-        for p, n in enumerate(sizes.tolist()):
-            machine.charge_memops(p, _PROBE_COST * n, category)
+        machine.charge_memops_vec(_PROBE_COST * sizes, category)
         rows = group.store.lookup(keys, sizes)
         if rows.size and rows.min() < 0:
             raise KeyError(
@@ -312,7 +321,12 @@ class Backend(ABC):
 
         Every backend must stay bitwise-identical to the serial
         reference — same results, same traffic message-for-message,
-        same per-rank clock sequences.
+        same per-rank clock sequences.  Per-rank lists a backend
+        allocates (append and remap results) may be
+        :class:`~repro.core.compiled.RankArena` views of one buffer;
+        lists it is handed may be arenas or plain lists, and it must
+        trust an arena's buffer only through
+        :func:`~repro.core.compiled.as_arena`.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

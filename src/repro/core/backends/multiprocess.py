@@ -8,33 +8,33 @@ per-context :class:`~concurrent.futures.ProcessPoolExecutor`, with all
 array payloads crossing the process boundary as *descriptors* into
 POSIX shared memory, never as pickled ndarrays:
 
-* **plan buffers** (``forward_flat``, ``place_stream``, ...) are
-  exported to the arena's *static* region once per compiled plan —
-  their identity is stable for the plan's lifetime (they are cached on
-  the plan), so steady-state calls reuse the same segments;
-* **per-call data** (the concatenated rank-partitioned stream, the
-  in/out rank arrays) is copied into the *scratch* region, which is
-  reset at the start of every shipped call;
+* **plan buffers** (the composed index pair and rank bounds of
+  :meth:`~repro.core.compiled.CompiledPlan.move`) are exported to the
+  arena's *static* region once per compiled plan — their identity is
+  stable for the plan's lifetime (they are cached on the plan), so
+  steady-state calls reuse the same segments;
+* **per-call data** (each move's rank-major source and destination
+  buffer, one descriptor apiece) is copied into the *scratch* region,
+  which is reset at the start of every shipped call;
 * **messages** are ``(segment name, offset, length, dtype)`` tuples
   plus plain-int constants.  ``tests/test_multiprocess_backend.py``
   instruments the pickler to prove no ndarray payload ever crosses.
 
 Work is chunked: each worker receives a contiguous range of ranks and
-runs the kernel loop over it, so a machine with more ranks than cores
-costs one round-trip per worker, not per rank.  All machine accounting
+runs the kernel over it, so a machine with more ranks than cores costs
+one round-trip per worker, not per rank.  All machine accounting
 (clocks, traffic) stays on the calling process in rank order — workers
 only move bytes.
 
-Whether a kernel is worth shipping is decided per call from
-:attr:`RankKernel.work` (total payload *bytes* moved machine-wide)
-against ``REPRO_MP_SHIP_THRESHOLD`` (default 32768 bytes): tiny
-exchanges run inline on the vectorized path, since a process round-trip
-costs more than the kernel.  Counting bytes rather than scalars means
-wide rows (3-vectors of float64) cross the threshold as early as their
-payload warrants, instead of being under-counted by a factor of the row
-width.  Kernels that cannot ship — bare closures from the inspector
-phase, scatter with a non-ufunc combiner, serial fallbacks — also run
-inline, so every primitive works under this backend.
+Whether a kernel is worth shipping is decided per call from the payload
+*bytes* its move carries against ``REPRO_MP_SHIP_THRESHOLD`` (default
+32768): tiny exchanges run inline on the vectorized path, since a
+process round-trip costs more than the kernel.  Counting bytes rather
+than scalars means wide rows (3-vectors of float64) cross the threshold
+as early as their payload warrants, instead of being under-counted by a
+factor of the row width.  Kernels that cannot ship — bare closures,
+scatter with a non-ufunc combiner, serial fallbacks — also run inline,
+so every primitive works under this backend.
 
 Lifecycle follows :class:`~repro.core.backends.base.PooledResources`:
 the pool and arena are owned by the per-context resource handle,
@@ -58,10 +58,16 @@ import numpy as np
 
 from repro.core.backends.base import (
     PooledResources,
+    chunk_ranks as _chunk_ranks,
     collect_futures,
     register_backend,
 )
-from repro.core.backends.vectorized import RankKernel, VectorizedBackend
+from repro.core.backends.vectorized import (
+    VectorizedBackend,
+    _Move,
+    fused_apply,
+)
+from repro.core.compiled import is_named_ufunc
 
 #: environment variable selecting the worker start method
 START_METHOD_ENV_VAR = "REPRO_MP_START_METHOD"
@@ -225,68 +231,25 @@ def _attach(ref: ShmRef) -> np.ndarray:
                       buffer=segment.buf, offset=ref.offset)
 
 
-def _k_fused_apply(ranks, bufs, consts):
-    """Every column of a stage list over one rank range.
-
-    Ranks loop outer, columns inner — per rank the stages run in chain
-    order, so two stages writing the same target keep the sequential
-    semantics.  Each column is one composed pass from its flattened
-    source concat (``fl``) through the index pair ``src``/``dst``; a
-    column without a ``dst`` vector is an append, which fills its
-    output contiguously.  Combiners fold in stream order — ``op.at``
-    order is part of the bitwise contract.
-    """
-    for p in ranks:
-        for s, (op, bounds) in enumerate(zip(consts["ops"],
-                                             consts["bounds"])):
-            lo, hi = bounds[p], bounds[p + 1]
-            if hi <= lo:
-                continue
-            out = bufs[f"io{s}"][p]
-            src = bufs[f"src{s}"][lo:hi]
-            dst = bufs.get(f"dst{s}")
-            if dst is None:
-                bufs[f"fl{s}"].take(src, out=out, mode="clip")
-                continue
-            seg = bufs[f"fl{s}"][src]
-            if op is None:
-                out[dst[lo:hi]] = seg
-            else:
-                getattr(np, op).at(out, dst[lo:hi], seg)
+def _k_fused_apply(lo, hi, refs):
+    """The vectorized backend's kernel over one rank range: rebuild the
+    move on the attached buffers and run
+    :func:`~repro.core.backends.vectorized.fused_apply` — one kernel,
+    whichever process executes it."""
+    *plans, op, src, dst = refs
+    fused_apply(_Move(*(ref and _attach(ref) for ref in plans),
+                      op and getattr(np, op), _attach(src), _attach(dst)),
+                lo, hi)
 
 
-#: module-level (hence picklable-by-reference) kernel bodies, keyed by
-#: the :class:`RankKernel` name built in ``vectorized.py``
-_KERNELS = {"fused_apply": _k_fused_apply}
-
-
-def _run_rank_chunk(name, ranks, refs, consts) -> None:
-    """Worker entry point: resolve descriptors, run one rank range."""
-    bufs = {}
-    for key, ref in refs.items():
-        if isinstance(ref, ShmRef):
-            bufs[key] = _attach(ref)
-        else:
-            bufs[key] = [_attach(r) for r in ref]
-    _KERNELS[name](ranks, bufs, consts)
+#: module-level (hence picklable-by-reference) worker bodies, keyed by
+#: the name of the in-process kernel they stand for
+_KERNELS = {fused_apply.__name__: _k_fused_apply}
 
 
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-def _chunk_ranks(n_ranks: int, width: int) -> list[list[int]]:
-    """Contiguous rank ranges, one per worker, balanced to ±1."""
-    width = max(1, min(int(width), int(n_ranks)))
-    base, extra = divmod(n_ranks, width)
-    chunks, start = [], 0
-    for i in range(width):
-        stop = start + base + (1 if i < extra else 0)
-        if stop > start:
-            chunks.append(list(range(start, stop)))
-        start = stop
-    return chunks
-
-
 class MultiprocessResources(PooledResources):
     """Per-context process pool plus the shared-memory arena."""
 
@@ -338,62 +301,39 @@ class MultiprocessBackend(VectorizedBackend):
         return MultiprocessResources(self, ctx.machine.n_ranks)
 
     # ------------------------------------------------------------------
-    # rank-loop execution hook
+    # rank-range execution hook
     # ------------------------------------------------------------------
     def _run_ranks(self, ctx, fn) -> list:
         res = self._owned_resources(ctx, MultiprocessResources)
         if not self._shippable(fn):
-            return [fn(p) for p in ctx.machine.ranks()]
+            return [fn(0, ctx.machine.n_ranks)]
         return self._ship(ctx, res, fn)
 
     @staticmethod
     def _shippable(fn) -> bool:
-        if not isinstance(fn, RankKernel) or fn.name not in _KERNELS:
-            return False  # bare closure (inspector phase, fallbacks)
-        # work 0: a kernel that must stay in the calling process (a
-        # combiner with no numpy name to cross the boundary under)
-        return fn.work > 0 and fn.work >= _ship_threshold()
+        if getattr(fn, "func", None) is not fused_apply:
+            return False  # bare closure
+        mv = fn.args[0]
+        # a combiner with no numpy name to cross the boundary under
+        # keeps the kernel in the calling process
+        if mv.op is not None and not is_named_ufunc(mv.op):
+            return False
+        work = mv.src_index.size * mv.src.itemsize
+        return work > 0 and work >= _ship_threshold()
 
-    def _ship(self, ctx, res: MultiprocessResources,
-              kernel: RankKernel) -> list:
-        n_ranks = ctx.machine.n_ranks
+    def _ship(self, ctx, res: MultiprocessResources, kernel) -> list:
+        mv = kernel.args[0]
         pool = res.ensure_pool()
         arena = res.arena
         arena.reset_scratch()
-        refs: dict = {
-            key: arena.export_plan(arr)
-            for key, arr in kernel.plans.items()
-        }
-        for key, arr in kernel.data.items():
-            refs[key], _ = arena.export_scratch(arr)
-        copyback = []
-        exported: dict = {}
-        for key, arrays in kernel.inout.items():
-            rank_refs = []
-            for arr in arrays:
-                flat = arr.reshape(-1)
-                # one scratch copy per distinct memory region: a fused
-                # pipeline may target the same array from several
-                # stages, and separate copies would lose all but the
-                # last stage's writes on copy-back
-                memo = ((flat.__array_interface__["data"][0],
-                         flat.nbytes, flat.dtype.str)
-                        if flat.size else None)
-                entry = exported.get(memo) if memo is not None else None
-                if entry is None:
-                    ref, view = arena.export_scratch(flat)
-                    if memo is not None:
-                        exported[memo] = (ref, view)
-                        copyback.append((flat, view))
-                else:
-                    ref, view = entry
-                rank_refs.append(ref)
-            refs[key] = rank_refs
+        dst_ref, view = arena.export_scratch(mv.dst)
+        refs = (*(a if a is None else arena.export_plan(a) for a in mv[:3]),
+                getattr(mv.op, "__name__", None),
+                arena.export_scratch(mv.src)[0], dst_ref)
+        chunks = _chunk_ranks(ctx.machine.n_ranks, res.n_workers)
         collect_futures([
-            pool.submit(_run_rank_chunk, kernel.name, chunk, refs,
-                        kernel.consts)
-            for chunk in _chunk_ranks(n_ranks, res.n_workers)
+            pool.submit(_KERNELS[kernel.func.__name__], c.start, c.stop, refs)
+            for c in chunks
         ])
-        for flat, view in copyback:
-            flat[:] = view
-        return [None] * n_ranks
+        mv.dst[:] = view
+        return [None] * len(chunks)

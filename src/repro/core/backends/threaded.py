@@ -1,13 +1,17 @@
-"""Threaded backend: vectorized per-rank kernels fanned over a pool.
+"""Threaded backend: the vectorized executor kernel fanned over a pool.
 
-Once communication plans are compiled, the CHAOS pipeline is
-embarrassingly parallel across ranks: the per-rank kernels of the
-executor, lightweight and remap phases read shared inputs and write
-only rank-owned outputs —
-preallocated CSR slices or per-rank arrays.  This backend inherits every
-kernel from :class:`~repro.core.backends.vectorized.VectorizedBackend`
-and overrides exactly one hook, ``_run_ranks``, to submit the rank loop
-to a :class:`concurrent.futures.ThreadPoolExecutor`.
+Once communication plans are compiled, a forward move (gather, append,
+remap) is embarrassingly parallel across destination ranks: the kernel
+of a rank range reads shared inputs and writes only the slice of the
+destination buffer its ranks own.  This backend inherits everything
+from :class:`~repro.core.backends.vectorized.VectorizedBackend`
+and overrides exactly one hook, ``_run_ranks``, to submit one contiguous
+rank range per worker — not one task per rank — to a
+:class:`concurrent.futures.ThreadPoolExecutor`.  A scatter folds in
+stream order and cannot be split by destination rank; its rank bounds
+put the whole stream in the first range, so it runs as a single task.
+The hook returns when every range is done, which is the barrier that
+keeps two moves into one array in stage order.
 
 The pool is a *per-context resource* built on the shared
 :class:`~repro.core.backends.base.PooledResources` lifecycle:
@@ -18,20 +22,19 @@ component's ``close()`` shuts it down deterministically, with a
 garbage-collection finalizer as the safety net.
 
 Correctness is inherited, not re-derived: all machine accounting
-(clocks, traffic) happens on the calling thread in rank order — worker
-threads never touch the machine — and each rank kernel computes exactly
-what the vectorized backend computes, writing into disjoint outputs.
+(clocks, traffic) happens on the calling thread — worker threads never
+touch the machine — and each range computes exactly what the vectorized
+backend computes for it, writing into disjoint slices.
 Results, schedules and traffic statistics are therefore bitwise
 identical to ``vectorized`` (enforced by ``tests/test_threaded_backend.py``
 four ways against ``serial`` and ``multiprocess`` too).
 
 Because the simulated machine runs in one process, the fan-out contends
-with the GIL; the win is bounded by how much of each kernel numpy runs
-with the GIL released (fancy indexing, argsort, ``ufunc.at``).  Real
-speedups need rank counts and payloads large enough to amortize the
-submit overhead — for true parallelism over the same kernels see the
-``multiprocess`` backend, which runs them in worker *processes* over
-shared memory.
+with the GIL; the win is bounded by how much of each range numpy runs
+with the GIL released (``take``, fancy assignment).  Real speedups need
+payloads large enough to amortize the submit overhead — for true
+parallelism over the same kernel see the ``multiprocess`` backend, which
+runs the ranges in worker *processes* over shared memory.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.backends.base import (
     PooledResources,
+    chunk_ranks,
     collect_futures,
     register_backend,
 )
@@ -60,7 +64,7 @@ class ThreadedResources(PooledResources):
 
 @register_backend
 class ThreadedBackend(VectorizedBackend):
-    """Vectorized kernels with the rank loops run on a worker pool."""
+    """The vectorized kernel with its rank ranges run on a worker pool."""
 
     name = "threaded"
 
@@ -71,11 +75,12 @@ class ThreadedBackend(VectorizedBackend):
         return ThreadedResources(self, ctx.machine.n_ranks)
 
     # ------------------------------------------------------------------
-    # rank-loop execution hook
+    # rank-range execution hook
     # ------------------------------------------------------------------
     def _run_ranks(self, ctx, fn) -> list:
         res = self._owned_resources(ctx, ThreadedResources)
         pool = res.ensure_pool()
-        return collect_futures(
-            [pool.submit(fn, p) for p in ctx.machine.ranks()]
-        )
+        return collect_futures([
+            pool.submit(fn, c.start, c.stop)
+            for c in chunk_ranks(ctx.machine.n_ranks, res.n_workers)
+        ])

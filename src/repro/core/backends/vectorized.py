@@ -23,33 +23,42 @@ permutation of :mod:`repro.core.compiled` — and runs every transport
 primitive as a stage list through :meth:`VectorizedBackend.run_fused`.
 
 Because the simulated machine holds every rank's data in one process, a
-whole collective is ONE flat gather.  The plan caches *composed* scalar
-index vectors — pack selection ∘ global permutation ∘ row→scalar
-expansion — keyed by the data layout, so a steady-state executor round
-is essentially
+column of a collective is ONE flat move between two rank-major buffers
+(:class:`~repro.core.compiled.RankArena`; a plain per-rank list is
+concatenated on the way in and staged on the way out).  The plan caches
+the *composed* index pair — pack selection ∘ global permutation ∘
+placement ∘ row→scalar expansion — keyed by the two layouts, so a
+steady-state gather is one ``take`` straight into the ghost arena and a
+scatter one blocked ``ufunc.at`` walk, whatever the rank count.
 
-    concat(data)  →  one fancy-gather  →  per-rank placement / ufunc.at
-
-Accounting goes through :meth:`Machine.exchange_compiled`, which charges
-clocks/traffic straight from the plan's count matrix.  Results are
-bitwise identical to :class:`SerialBackend` — accumulation visits sources
-in the same rank-ascending order the pair loop uses, and flattening rows
-to scalars preserves each scalar's fold order — and traffic statistics
-match message-for-message.  Inputs the flat layout cannot express
-without changing semantics (per-rank dtype or row-shape mismatches,
-where concatenation would promote values; non-contiguous arrays, where
-raveling would copy) are delegated wholesale to the serial reference.
+Accounting goes through :meth:`Machine.exchange_compiled` and the
+machine's array charges: one call per charge kind per stage.  Results
+are bitwise identical to :class:`SerialBackend` — each element's
+contributions fold in the same requester-ascending order the pair loop
+uses, and flattening rows to scalars preserves each scalar's fold order
+— and traffic statistics match message-for-message.  Inputs the flat
+layout cannot express without changing semantics (per-rank dtype or
+row-shape mismatches, where concatenation would promote values;
+non-contiguous arrays, where raveling would copy) are delegated
+wholesale to the serial reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.backends.base import Backend, register_backend, row_nbytes
+from repro.core.backends.base import (
+    Backend,
+    get_backend,
+    register_backend,
+)
 from repro.core.compiled import (
-    is_named_ufunc,
+    RankArena,
+    as_arena,
+    rank_layout,
     row_offsets,
     stream_perm,
 )
@@ -60,32 +69,9 @@ from repro.core.hashtable import (
     stream_of,
 )
 
-
-def _flat_layout(arrays) -> tuple | None:
-    """``(leading sizes, trailing shape, row width, dtype)`` when every
-    per-rank array is C-contiguous with one dtype and row shape; else
-    ``None``."""
-    first = np.asarray(arrays[0])
-    trailing = first.shape[1:]
-    dtype = first.dtype
-    k = 1
-    for dim in trailing:
-        k *= int(dim)
-    sizes = []
-    for a in arrays:
-        a = np.asarray(a)
-        if (a.shape[1:] != trailing or a.dtype != dtype
-                or not a.flags.c_contiguous):
-            return None
-        sizes.append(a.shape[0])
-    return tuple(sizes), trailing, k, dtype
-
-
-def _serial():
-    # resolved lazily to avoid a circular import at module load
-    from repro.core.backends.serial import SerialBackend
-    from repro.core.backends.base import get_backend
-    return get_backend(SerialBackend.name)
+#: scalars per slice of an indexed stream walk: the gathered segment
+#: stays cache-resident between its read and its write or fold
+_STREAM_BLOCK = 1 << 15
 
 
 #: message tag of each stage kind (what the traffic log records)
@@ -95,63 +81,60 @@ _STAGE_TAGS = {"gather": "gather", "scatter": "scatter",
 
 class _Move(NamedTuple):
     """One column of one stage, bound for this call: the plan's composed
-    index pair (:meth:`~repro.core.compiled.CompiledPlan.move`), the
-    stage's combiner, the flattened source concat and flat views of the
-    per-rank arrays written into."""
+    :meth:`~repro.core.compiled.CompiledPlan.move`, the stage's combiner
+    and the raveled source and destination buffers.  ``dst`` is ``None``
+    until a plain destination list (``staged``) has its staging buffer."""
 
     src_index: np.ndarray
     dst_index: np.ndarray | None
-    bounds: tuple
+    bounds: np.ndarray
     op: object
-    flat: np.ndarray
-    dests: list
+    src: np.ndarray
+    dst: np.ndarray | None
+    staged: list | None = None
 
 
-class RankKernel:
-    """A named per-rank kernel: a closure plus its shippable payload.
+def fused_apply(move: _Move, lo: int, hi: int) -> None:
+    """The one executor kernel: destination ranks ``[lo, hi)`` of one
+    column move.
 
-    In-process backends (vectorized, threaded) call it exactly like the
-    bare closure it wraps.  Backends that execute rank kernels in
-    *other processes* cannot pickle a closure; they look up
-    :attr:`name` in their module-level kernel table and rebuild the
-    same computation from the declarative payload instead:
-
-    * ``plans`` — plan-derived flat arrays (``forward_flat``,
-      ``place_stream``, ...).  Their identity is stable for the
-      compiled plan's lifetime, so they are exported to shared memory
-      once per plan and reused every call;
-    * ``data`` — per-call arrays (the concatenated rank-partitioned
-      data stream), copied into scratch shared memory each call;
-    * ``inout`` — per-rank arrays the kernel mutates in place (ghost
-      stores, scatter targets);
-    * ``consts`` — the stream bounds and combiner names, as plain
-      tuples of Python values: they cross a process boundary pickled,
-      and no ndarray ever may.
-
-    ``work`` is the total payload bytes the kernel moves machine-wide;
-    backends use it to decide whether shipping the kernel beats running
-    it inline (``work=0`` marks a kernel that must stay in the calling
-    process).
+    A covering forward move is a single ``take`` into its destination
+    slice; an indexed move walks its stream share in cache-sized slices,
+    in stream order — the combiner's fold order bit for bit.
     """
+    src_index, dst_index, bounds, op, src, dst, _ = move
+    a, b = int(bounds[lo]), int(bounds[hi])
+    if dst_index is None:
+        if src.dtype == dst.dtype:
+            # straight into the output, no temporary: only the
+            # non-raising modes of take() write unbuffered, and
+            # _prepare has bounded the indices already
+            src.take(src_index[a:b], out=dst[a:b], mode="clip")
+        else:
+            dst[a:b] = src.take(src_index[a:b])
+        return
+    for i in range(a, b, _STREAM_BLOCK):
+        j = min(i + _STREAM_BLOCK, b)
+        seg = src.take(src_index[i:j])
+        if op is None:
+            dst[dst_index[i:j]] = seg
+        else:
+            op.at(dst, dst_index[i:j], seg)
 
-    __slots__ = ("name", "fn", "work", "plans", "data", "inout", "consts")
 
-    def __init__(self, name: str, fn: Callable, *, work: int = 0,
-                 plans: dict | None = None, data: dict | None = None,
-                 inout: dict | None = None, consts: dict | None = None):
-        self.name = name
-        self.fn = fn
-        self.work = int(work)
-        self.plans = plans or {}
-        self.data = data or {}
-        self.inout = inout or {}
-        self.consts = consts or {}
+def _concat(arrays) -> np.ndarray:
+    """A plain per-rank list as one raveled rank-major buffer."""
+    return np.concatenate([np.asarray(a).reshape(-1) for a in arrays])
 
-    def __call__(self, p: int):
-        return self.fn(p)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RankKernel({self.name!r}, work={self.work})"
+def _copy_back(dests: list, staged: np.ndarray) -> None:
+    """Write a staging buffer back into the plain per-rank list it
+    stands for."""
+    lo = 0
+    for a in dests:
+        a = np.asarray(a).reshape(-1)
+        a[...] = staged[lo:lo + a.size]
+        lo += a.size
 
 
 @register_backend
@@ -162,21 +145,24 @@ class VectorizedBackend(Backend):
     name = "vectorized"
 
     # ------------------------------------------------------------------
-    # rank-loop execution hook
+    # rank-range execution hook
     # ------------------------------------------------------------------
     def _run_ranks(self, ctx, fn) -> list:
-        """Run ``fn(p)`` for every rank; results in rank order.
+        """Run ``fn(lo, hi)`` over rank ranges that partition the
+        machine; one result per range, in rank order.
 
-        Every embarrassingly-parallel per-rank loop below goes through
-        this hook so :class:`~repro.core.backends.threaded.ThreadedBackend`
-        can fan it out over the worker pool in ``ctx.resources``.  The
-        closures passed here are *pure rank kernels*: they read shared
-        inputs and write only rank-``p``-owned outputs (disjoint arrays
-        or preallocated CSR slices), and never touch ``ctx.machine`` —
-        all clock/traffic charging stays with the caller, in rank order,
-        so accounting is bitwise-identical however the loop executes.
+        The executor's kernel — ``partial(fused_apply, move)`` — goes
+        through this hook so the pooled backends can fan the ranges out
+        over the workers in ``ctx.resources`` (a process backend ships
+        the move it reads off the partial, not the closure); returning
+        is the barrier between one move and the next.  The kernel is
+        *pure*: it reads shared inputs, writes only outputs owned by
+        the ranks of its range, and never touches ``ctx.machine`` — all
+        charging stays with the caller, so accounting is
+        bitwise-identical however the ranges execute.  Here: the whole
+        machine in one call.
         """
-        return [fn(p) for p in ctx.machine.ranks()]
+        return [fn(0, ctx.machine.n_ranks)]
 
     # ------------------------------------------------------------------
     # inspector phase: index analysis
@@ -195,8 +181,7 @@ class VectorizedBackend(Backend):
         group = group_of(htables)
         # Step 1: probe every reference of every rank as one stream.
         keys, sizes = stream_of(idx)
-        for p, n in enumerate(sizes.tolist()):
-            machine.charge_memops(p, _PROBE_COST * n, category)
+        machine.charge_memops_vec(_PROBE_COST * sizes, category)
         rows = group.store.lookup(keys, sizes)
 
         # Step 2: translate and insert only the distinct new indices.
@@ -206,11 +191,8 @@ class VectorizedBackend(Backend):
 
         # Step 3: stamp with reference counts, localize row by row.
         distinct = group.stamp_references(stamp, rows, sizes)
-        for p, (new, n, uniq) in enumerate(zip(
-                n_new.tolist(), sizes.tolist(), distinct.tolist())):
-            machine.charge_memops(p, _INSERT_COST * new, category)
-            if n:
-                machine.charge_memops(p, uniq, category)
+        machine.charge_memops_vec(_INSERT_COST * n_new, category)
+        machine.charge_memops_vec(distinct, category, mask=sizes > 0)
         return split_stream(group.localize(rows, sizes), sizes)
 
     # ------------------------------------------------------------------
@@ -228,9 +210,7 @@ class VectorizedBackend(Backend):
         # owner: that stream *is* the receive storage
         counts, requests, recv_slots = group.requests(expr)
         n_sel = counts.sum(axis=1)
-        for p, (n_entries, sel) in enumerate(zip(
-                group.n_entries.tolist(), n_sel.tolist())):
-            machine.charge_memops(p, n_entries + 2 * sel, category)
+        machine.charge_memops_vec(group.n_entries + 2 * n_sel, category)
 
         # Size exchange (schedule setup), then the request exchange --
         # charged from count matrices; the request data itself becomes
@@ -241,8 +221,8 @@ class VectorizedBackend(Backend):
         machine.exchange_compiled(counts, 8, tag="sched_requests",
                                   category=category)
         recv_totals = counts.sum(axis=0)
-        for q in np.flatnonzero(recv_totals).tolist():
-            machine.charge_memops(q, int(recv_totals[q]), category)
+        machine.charge_memops_vec(recv_totals, category,
+                                  mask=recv_totals > 0)
         return Schedule(
             n_ranks=n,
             send_indices=split_stream(requests[stream_perm(counts)],
@@ -261,8 +241,7 @@ class VectorizedBackend(Backend):
 
         m = ctx.machine
         if ttable.storage == "replicated":
-            for p in m.ranks():
-                m.charge_memops(p, qs[p].size, category)
+            m.charge_memops_vec([q.size for q in qs], category)
             return
         n = m.n_ranks
         counts = np.zeros((n, n), dtype=np.int64)  # requests p -> home
@@ -293,124 +272,108 @@ class VectorizedBackend(Backend):
         reply_words = (counts.T * _ENTRY_BYTES) // 8
         m.exchange_compiled(reply_words, 8, tag="ttable_lookup_rep",
                             category=category)
-        served = counts.sum(axis=0)
-        for h in m.ranks():
-            m.charge_memops(h, int(served[h]), category)
+        m.charge_memops_vec(counts.sum(axis=0), category)
 
     # ------------------------------------------------------------------
     # executor phase: stage lists
     # ------------------------------------------------------------------
     def run_fused(self, ctx, fused, binds, category):
-        """Every column of every stage moves with one composed kernel,
-        all of them inside one rank loop.
+        """Every column of every stage is one flat move, each through
+        the one kernel, :func:`fused_apply`.
 
         Per column the data path is one pass through the composed
-        ``pack ∘ permute ∘ place`` index pair — destination slots
+        ``pack ∘ permute ∘ place`` index pair — destination scalars
         written (or combined with ``op.at``, in stream order) straight
-        from the flattened source concat, with no intermediate exchange
-        stream.  Accounting is charged per stage in stage order before
-        any data moves; rank kernels never touch the machine.  Inputs
-        the flat layout cannot express fall back to the serial
-        reference for the whole call.
+        from the rank-major source buffer, with no intermediate exchange
+        stream.  Arenas are addressed in place; a plain source list is
+        concatenated, a plain destination list is staged (concat in,
+        kernel, per-rank copy back).  Accounting is charged per stage in
+        stage order before any data moves.  Inputs the flat layout
+        cannot express fall back to the serial reference for the whole
+        call.
         """
         machine = ctx.machine
         moves: list[_Move] = []
-        results = []   # one per stage
+        results, charges = [], []
         for stage, bind in zip(fused.stages, binds):
-            outs = []
+            plan, outs, row_bytes = stage.plan, [], 0
             for col in bind.columns:
-                layout = _flat_layout(col)
+                layout = rank_layout(col)
                 dlayout = (layout if bind.dests is None
-                           else _flat_layout(bind.dests))
+                           else rank_layout(bind.dests))
                 if (layout is None or dlayout is None
                         or dlayout[1] != layout[1]):
-                    return _serial().run_fused(ctx, fused, binds, category)
+                    return get_backend("serial").run_fused(
+                        ctx, fused, binds, category)
                 sizes, trailing, k, dtype = layout
+                out, dsizes = bind.dests, dlayout[0]
                 if stage.kind == "append":
-                    base = stage.plan.recv_base
-                    out = [np.empty((int(base[p + 1] - base[p]),) + trailing,
-                                    dtype=dtype)
-                           for p in machine.ranks()]
+                    dsizes = tuple(np.diff(plan.recv_base).tolist())
                 elif stage.kind == "remap":
-                    out = [np.zeros((int(m),) + trailing, dtype=dtype)
-                           for m in stage.sched.new_sizes]
-                else:
-                    out = bind.dests
-                outs.append(out)
+                    dsizes = tuple(int(m) for m in stage.sched.new_sizes)
+                src_index, dst_index, bounds = plan.move(
+                    stage.kind, sizes, dsizes, k)
+                if out is None:
+                    # rows no arrival covers read as zero
+                    alloc = np.empty if dst_index is None else np.zeros
+                    out = RankArena(alloc((sum(dsizes),) + trailing,
+                                          dtype=dtype), dsizes)
+                arena, dest = as_arena(col), as_arena(out)
                 moves.append(_Move(
-                    *stage.plan.move(stage.kind, sizes, k), stage.op,
-                    np.concatenate([np.asarray(a).reshape(-1) for a in col]),
-                    [np.asarray(d).reshape(-1) for d in out]))
+                    src_index, dst_index, bounds, stage.op,
+                    _concat(col) if arena is None else arena.flat.reshape(-1),
+                    None if dest is None else dest.flat.reshape(-1),
+                    None if dest is not None else out))
+                outs.append(out)
+                row_bytes += k * dtype.itemsize
             results.append(None if stage.kind == "scatter"
                            else outs if stage.kind == "append" else outs[0])
+            charges.append((stage, len(bind.columns), row_bytes))
 
-        for stage, bind in zip(fused.stages, binds):
-            self._charge_stage(machine, stage, bind, category)
+        for charge in charges:
+            self._charge_stage(machine, *charge, category)
 
-        def apply_rank(p):
-            for mv in moves:
-                lo = mv.bounds[p]
-                hi = mv.bounds[p + 1]
-                if hi <= lo:
-                    continue
-                if mv.dst_index is None:
-                    # straight into the output, no temporary: only the
-                    # non-raising modes of take() write unbuffered, and
-                    # _prepare has bounded the indices already
-                    mv.flat.take(mv.src_index[lo:hi], out=mv.dests[p],
-                                 mode="clip")
-                    continue
-                seg = mv.flat[mv.src_index[lo:hi]]
-                if mv.op is None:
-                    mv.dests[p][mv.dst_index[lo:hi]] = seg
-                else:
-                    mv.op.at(mv.dests[p], mv.dst_index[lo:hi], seg)
-
-        # the shippable payload; work 0 keeps the kernel in this process
-        # when a combiner has no numpy name to cross a boundary under
-        named = all(mv.op is None or is_named_ufunc(mv.op) for mv in moves)
-        plans = {f"src{s}": mv.src_index for s, mv in enumerate(moves)}
-        plans.update((f"dst{s}", mv.dst_index) for s, mv in enumerate(moves)
-                     if mv.dst_index is not None)
-        self._run_ranks(ctx, RankKernel(
-            "fused_apply", apply_rank,
-            work=sum(mv.src_index.size * mv.flat.itemsize
-                     for mv in moves) if named else 0,
-            plans=plans,
-            data={f"fl{s}": mv.flat for s, mv in enumerate(moves)},
-            inout={f"io{s}": mv.dests for s, mv in enumerate(moves)},
-            consts={"ops": tuple(getattr(mv.op, "__name__", None)
-                                 for mv in moves),
-                    "bounds": tuple(mv.bounds for mv in moves)},
-        ))
+        # Moves run in stage order with a barrier after each, which
+        # keeps every array's writes in the order fusable() promises.  A
+        # plain destination list is staged; it may alias any other
+        # target, so it is copied back before anything else is written
+        # — consecutive stages into one list share the staging buffer.
+        held = None   # (plain destination list, its staging buffer)
+        for mv in moves:
+            if held is not None and held[0] is not mv.staged:
+                _copy_back(*held)
+                held = None
+            if mv.staged is not None:
+                if held is None:
+                    held = (mv.staged, _concat(mv.staged))
+                mv = mv._replace(dst=held[1])
+            self._run_ranks(ctx, partial(fused_apply, mv))
+        if held is not None:
+            _copy_back(*held)
         return results
 
     @staticmethod
-    def _charge_stage(machine, stage, bind, category) -> None:
+    def _charge_stage(machine, stage, n_cols, row_bytes, category) -> None:
         """Charge one stage as the serial reference does: pack copyops,
         the compiled exchange, placement copyops — one set of messages
-        per stage, however many columns it binds."""
+        per stage, however many columns it binds, one array call per
+        charge."""
         plan = stage.plan
-        n_cols = len(bind.columns)
         counts = plan.counts
-        packed = [a.size for a in plan.send_idx]
+        packed = np.diff(plan.send_base)
+        placed = np.diff(plan.recv_base)
         if stage.kind == "append":
             # kept-local rows arrive without a copy
-            placed = (counts.sum(axis=0) - counts.diagonal()).tolist()
-        else:
-            placed = [a.size for a in plan.place_idx]
+            placed = placed - counts.diagonal()
         if stage.kind == "scatter":
             packed, placed, counts = placed, packed, counts.T
-        for p in machine.ranks():
-            # an append packs every rank's rows, an empty rank's too
-            if packed[p] or stage.kind == "append":
-                machine.charge_copyops(p, n_cols * packed[p], category)
-        machine.exchange_compiled(
-            counts,
-            [sum(row_nbytes(np.asarray(col[p])) for col in bind.columns)
-             for p in machine.ranks()],
-            tag=_STAGE_TAGS[stage.kind], category=category,
-        )
-        for p in machine.ranks():
-            if placed[p]:
-                machine.charge_copyops(p, n_cols * placed[p], category)
+        # an append packs every rank's rows, an empty rank's too
+        machine.charge_copyops_vec(
+            n_cols * packed, category,
+            mask=None if stage.kind == "append" else packed > 0)
+        machine.exchange_compiled(counts, row_bytes,
+                                  tag=_STAGE_TAGS[stage.kind],
+                                  category=category)
+        machine.charge_copyops_vec(n_cols * placed, category,
+                                   mask=placed > 0)
+

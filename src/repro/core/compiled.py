@@ -29,14 +29,18 @@ chain of compiled plans — one stage for a single ``gather`` or
 ``scatter_append``, several for a loop body's schedule + lightweight +
 remap sequence — executed by ``Backend.run_fused`` as one composed
 source-index / destination-index pair per stage
-(:meth:`CompiledPlan.move`, cached with the other layouts on each
-stage's own plan).  It is the only way the executor moves data; whether
-a multi-stage chain may run as one list is decided by the executor
-layer (:func:`repro.core.executor.fusable`).
+(:meth:`CompiledPlan.move`, cached on each stage's own plan) over
+*rank arenas* (:class:`RankArena`: per-rank arrays that are views of one
+rank-major buffer, so a column is addressed as one flat array).  It is
+the only way the executor moves data; whether a multi-stage chain may
+run as one list is decided by the executor layer
+(:func:`repro.core.executor.fusable`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -77,8 +81,103 @@ def split_csr(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
     ``i`` is ``flat[offsets[i]:offsets[i + 1]]``.  The inverse of
     :func:`concat_csr`; returns views, not copies.
     """
-    return [flat[int(offsets[i]):int(offsets[i + 1])]
-            for i in range(offsets.size - 1)]
+    bounds = offsets.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class RankArena(list):
+    """Per-rank arrays that are views of one rank-major buffer — the
+    executor's counterpart of :func:`repro.core.hashtable.split_stream`.
+
+    Callers see an ordinary per-rank list; the executor addresses the
+    whole column as ``flat`` (C-contiguous, rank 0's rows first) with no
+    per-call concatenation and no per-rank loop.  ``sizes`` holds the
+    per-rank row counts, ``layout`` the hashable ``(sizes, trailing
+    shape, row width, dtype)`` the composed index vectors are keyed by.
+
+    It *is* a list, so any element can be rebound; the executor
+    therefore trusts ``flat`` only through :func:`as_arena`.  A rebound
+    element degrades the arena to the plain list it also is — slower,
+    never wrong.  In-place writes (``arena[p][i] = v``, ``arena[p] +=
+    w``) go to ``flat`` and keep it an arena.
+    """
+
+    __slots__ = ("flat", "sizes", "layout", "_views")
+
+    def __init__(self, flat: np.ndarray, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        offsets = offsets_from_counts(self.sizes)
+        if flat.shape[0] != offsets[-1] or not flat.flags.c_contiguous:
+            raise ValueError("arena buffer must be C-contiguous with one "
+                             "row per element of every rank")
+        super().__init__(split_csr(flat, offsets))
+        self.flat = flat
+        self._views = tuple(self)
+        trailing = flat.shape[1:]
+        self.layout = (tuple(self.sizes.tolist()), trailing,
+                       math.prod(trailing), flat.dtype)
+
+    @classmethod
+    def zeros(cls, sizes, trailing=(), dtype=np.float64) -> "RankArena":
+        sizes = np.asarray(sizes, dtype=np.int64)
+        return cls(np.zeros((int(sizes.sum()),) + tuple(trailing),
+                            dtype=dtype), sizes)
+
+    @staticmethod
+    def adopt(arrays) -> list:
+        """``arrays`` as an arena (one copy; an intact arena is returned
+        as it is) when they have a flat layout (:func:`rank_layout`),
+        else as a plain list of ndarrays."""
+        if as_arena(arrays) is not None:
+            return arrays
+        arrays = [np.asarray(a) for a in arrays]
+        layout = rank_layout(arrays)
+        if layout is None:
+            return arrays
+        return RankArena(np.concatenate(arrays, axis=0), layout[0])
+
+    def __reduce__(self):
+        # copies and pickles rebuild the views over the copied buffer; a
+        # degraded arena travels as the plain list it has become
+        if as_arena(self) is None:
+            return list, (list(self),)
+        return RankArena, (self.flat, self.sizes)
+
+
+def as_arena(arrays) -> RankArena | None:
+    """``arrays`` if it is a :class:`RankArena` whose every element is
+    still the view it was built with (one C-speed identity pass), else
+    ``None``."""
+    if type(arrays) is RankArena and len(arrays) == len(arrays._views) \
+            and all(map(operator.is_, arrays, arrays._views)):
+        return arrays
+    return None
+
+
+def rank_layout(arrays) -> tuple | None:
+    """``(leading sizes, trailing shape, row width, dtype)`` when every
+    per-rank array is C-contiguous with one dtype and row shape — O(1)
+    on an intact arena — else ``None``."""
+    if as_arena(arrays) is not None:
+        return arrays.layout
+    first = np.asarray(arrays[0])
+    trailing, dtype = first.shape[1:], first.dtype
+    sizes = []
+    for a in arrays:
+        a = np.asarray(a)
+        if (a.shape[1:] != trailing or a.dtype != dtype
+                or not a.flags.c_contiguous):
+            return None
+        sizes.append(a.shape[0])
+    return tuple(sizes), trailing, math.prod(trailing), dtype
+
+
+def root_of(a: np.ndarray) -> np.ndarray:
+    """The array owning ``a``'s memory (follows the view chain)."""
+    a = np.asarray(a)
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def csr_counts(offsets: list[np.ndarray]) -> np.ndarray:
@@ -212,111 +311,85 @@ class CompiledPlan:
     recv_base: np.ndarray       # (n + 1,) global receive-stream offsets
     perm: np.ndarray            # send stream -> receive stream
     send_max: np.ndarray        # (n,) max pack index per rank (-1 if none)
-    _inv_perm: np.ndarray | None = field(default=None, repr=False)
+    place_max: np.ndarray | None  # (n,) max placement slot, likewise
     _layouts: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def total(self) -> int:
-        """Elements moved machine-wide (including rank-local segments)."""
-        return int(self.perm.size)
-
-    def inv_perm(self) -> np.ndarray:
-        """Receive-stream -> send-stream permutation (lazily computed).
-
-        Used by reverse-direction collectives (scatter): values packed in
-        receive-stream order are delivered to send-stream positions.
-        """
-        if self._inv_perm is None:
-            inv = np.empty(self.perm.size, dtype=np.int64)
-            inv[self.perm] = np.arange(self.perm.size, dtype=np.int64)
-            self._inv_perm = inv
-        return self._inv_perm
-
-    # -- composed flat layouts (cached per data layout) -----------------
+    # -- composed flat moves (cached per data layout) -------------------
     #
     # The simulated machine holds every rank's data in one process, so a
-    # collective can be executed as ONE flat gather over the per-rank
-    # arrays concatenated along axis 0.  The compositions below fold the
-    # pack selection, the global permutation, and the row→scalar
-    # expansion into single precomputed index vectors, keyed by the
-    # concatenation layout (per-rank leading sizes) and the row width
-    # ``k`` — both stable across executor calls in steady state.  Cached,
-    # they keep their identity for the plan's lifetime, which is what
-    # makes a process backend's export-once-per-plan shared-memory
-    # caching sound.
+    # column of a collective is ONE flat move between two rank-major
+    # buffers.  The composition below folds the pack selection, the
+    # global permutation, the placement and the row→scalar expansion
+    # into one index pair, keyed by the two buffer layouts and the row
+    # width ``k`` — all stable across executor calls in steady state.
+    # Cached, the vectors keep their identity for the plan's lifetime,
+    # which is what makes a process backend's export-once-per-plan
+    # shared-memory caching sound.  Only the pair is cached: its factors
+    # are as large again and nothing else reads them.
 
-    def _memo(self, key: tuple, build):
-        out = self._layouts.get(key)
-        if out is None:
-            out = self._layouts[key] = build()
-        return out
-
-    def _rows(self, per_rank: list[np.ndarray],
-              sizes: tuple[int, ...] | None = None) -> np.ndarray:
-        """Per-rank row indices as one machine-wide vector; with
-        ``sizes``, rebased into the axis-0 concatenation of per-rank
-        arrays of those leading lengths."""
-        if not self.total:
-            return np.zeros(0, dtype=np.int64)
-        if sizes is None:
-            return np.concatenate(per_rank)
-        base = offsets_from_counts(np.asarray(sizes, dtype=np.int64))
+    @staticmethod
+    def _rows(per_rank: list[np.ndarray], sizes: tuple[int, ...]
+              ) -> np.ndarray:
+        """Per-rank row indices as one machine-wide vector addressing the
+        axis-0 concatenation of per-rank arrays of leading lengths
+        ``sizes``."""
+        start = offsets_from_counts(np.asarray(sizes, dtype=np.int64))
         return np.concatenate(
-            [a + base[p] for p, a in enumerate(per_rank)])
+            [a + start[p] for p, a in enumerate(per_rank)])
 
-    def forward_flat(self, sizes: tuple[int, ...], k: int) -> np.ndarray:
-        """Scalar gather indices into ravel(concat(source arrays)),
-        ordered as the global receive stream."""
-        return self._memo(("fwd", sizes, k), lambda: _expand(
-            self._rows(self.send_idx, sizes)[self.perm], k))
-
-    def reverse_flat(self, sizes: tuple[int, ...], k: int) -> np.ndarray:
-        """Scalar gather indices into ravel(concat(ghost arrays)),
-        ordered as the global *send* stream (the scatter direction)."""
-        return self._memo(("rev", sizes, k), lambda: _expand(
-            self._rows(self.place_idx, sizes)[self.inv_perm()], k))
-
-    def place_stream(self, k: int) -> np.ndarray:
-        """All ranks' scalar placement indices, receive-stream order
-        (rank ``p``'s segment is delimited by ``recv_base[p] * k``)."""
-        return self._memo(("pstream", k), lambda: _expand(
-            self._rows(self.place_idx), k))
-
-    def send_stream(self, k: int) -> np.ndarray:
-        """All ranks' scalar apply indices, send-stream order (rank
-        ``p``'s segment is delimited by ``send_base[p] * k``)."""
-        return self._memo(("sstream", k), lambda: _expand(
-            self._rows(self.send_idx), k))
-
-    def move(self, kind: str, sizes: tuple[int, ...], k: int) -> tuple:
+    def move(self, kind: str, src_sizes: tuple[int, ...],
+             dst_sizes: tuple[int, ...], k: int) -> tuple:
         """One column of a ``kind`` stage as a single composed pass:
-        ``(src_index, dst_index, bounds)``.
+        ``(src_index, dst_index, bounds)`` over the raveled rank-major
+        source and destination buffers.
 
-        Destination slots are written straight from the flattened
-        source concat, with no intermediate stream.  ``src_index`` maps
-        destination stream positions to source scalars; ``dst_index``
-        maps them into the per-rank destination buffers; rank ``p``
-        owns ``[bounds[p], bounds[p + 1])`` of both.  Three modes follow
-        from the stage: *fill* (``dst_index`` is ``None``: appends land
-        contiguously), *assign* (no combiner) and *accum* (``op.at``).
-        One index pair serves all three and every dtype: the vectors
-        are in stream order, which is the combiner's fold order bit for
-        bit.  Holds arrays only — a cached entry must not keep a plan
-        or schedule alive.
+        *Forward kinds* give every slot one writer, so the stream is
+        ordered by destination (one inverse scatter at row level, no
+        sort).  When it covers every destination row exactly once —
+        checked here, slots unique included — ``dst_index`` is ``None``
+        and position ``i`` of ``src_index`` feeds destination scalar
+        ``i``; a stage that covers only part of its buffer (two gathers
+        sharing one ghost list, oversize buffers whose tails must
+        survive) keeps the pair in receive-stream order.  *Scatter*
+        folds, so stream order is part of the result: the pair is in
+        receive-stream order, where each element's contributions arrive
+        requester-ascending exactly as the pair loop delivers them, and
+        which needs no inverse permutation.  Destination ranks
+        ``[lo, hi)`` own stream positions ``[bounds[lo], bounds[hi])``;
+        a scatter cannot be split by destination rank, so its bounds
+        put the whole stream in rank 0's share.  Holds arrays only — a
+        cached entry must not keep a plan or schedule alive.
         """
         def build():
             if kind in FORWARD_KINDS:
                 # local data, send order → receive stream → placement
-                src, base = self.forward_flat(sizes, k), self.recv_base
-                dst = None if kind == "append" else self.place_stream(k)
+                src = self._rows(self.send_idx, src_sizes)[self.perm]
+                n_dst = sum(dst_sizes)
+                dst, bounds = None, self.recv_base
+                if kind != "append":    # appends land contiguously
+                    dst = self._rows(self.place_idx, dst_sizes)
+                    if dst.size == n_dst:
+                        by_slot = np.full(n_dst, -1, dtype=np.int64)
+                        by_slot[dst] = src
+                        # n_dst writes that leave no row unwritten hit
+                        # n_dst distinct rows: the stage is a bijection
+                        if by_slot.min(initial=0) >= 0:
+                            src, dst = by_slot, None
+                            bounds = offsets_from_counts(
+                                np.asarray(dst_sizes, dtype=np.int64))
             else:
-                # ghost data, receive order → send stream → local elements
-                src, base = self.reverse_flat(sizes, k), self.send_base
-                dst = self.send_stream(k)
-            # scalar stream bounds as plain ints: the apply kernel's
-            # rank loop slices with these every call
-            return src, dst, tuple(int(b) * k for b in base.tolist())
-        return self._memo(("move", kind, sizes, k), build)
+                # ghost data, receive order → owners' local elements
+                src = self._rows(self.place_idx, src_sizes)
+                dst = self._rows(self.send_idx, dst_sizes)[self.perm]
+                bounds = np.full(self.n_ranks + 1, src.size, dtype=np.int64)
+                bounds[0] = 0
+            return (_expand(src, k), None if dst is None else _expand(dst, k),
+                    bounds * k)
+        key = (kind, src_sizes, dst_sizes, k)
+        out = self._layouts.get(key)
+        if out is None:
+            out = self._layouts[key] = build()
+        return out
 
 
 class CompiledSchedule(CompiledPlan):
@@ -359,9 +432,10 @@ def _compile(
     the count matrix, stream bases and the global permutation are new.
     """
     counts = csr_counts(send_off)
-    send_max = np.array(
-        [int(a.max()) if a.size else -1 for a in send_idx], dtype=np.int64
-    )
+
+    def rank_max(per_rank):
+        return np.array([int(a.max()) if a.size else -1 for a in per_rank],
+                        dtype=np.int64)
     send_base = offsets_from_counts(counts.sum(axis=1))
     recv_base = offsets_from_counts(counts.sum(axis=0))
     return cls(
@@ -373,7 +447,8 @@ def _compile(
         send_base=send_base,
         recv_base=recv_base,
         perm=stream_perm(counts, self_first=self_first),
-        send_max=send_max,
+        send_max=rank_max(send_idx),
+        place_max=None if place_idx is None else rank_max(place_idx),
     )
 
 

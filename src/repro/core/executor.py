@@ -16,8 +16,8 @@ Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
 transport: ``serial`` reproduces the historical pair-loop semantics,
 ``vectorized`` (the default) executes a compiled flat plan with fused
-numpy operations, ``threaded`` fans the per-rank loops out over the
-context's worker pool.
+numpy operations, ``threaded`` and ``multiprocess`` fan rank ranges of
+the same kernel out over the context's worker pool.
 
 **One path.**  A schedule is a precomputed pack → exchange → place
 plan, and every primitive is that plan run in one direction or the
@@ -48,27 +48,32 @@ import numpy as np
 from repro.core.compiled import (
     FusedPlan,
     FusedStage,
+    RankArena,
     StageBind,
+    as_arena,
     compile_lightweight_schedule,
     compile_remap_plan,
     compile_schedule,
     is_named_ufunc,
+    rank_layout,
+    root_of,
 )
 from repro.core.context import ensure_context
 from repro.core.reuse import FUSED_SUFFIX
 from repro.core.schedule import Schedule
 
 
-def _ghost_like(local: np.ndarray, n_ghost: int) -> np.ndarray:
-    shape = (n_ghost,) + local.shape[1:]
-    return np.zeros(shape, dtype=local.dtype)
-
-
 def allocate_ghosts(
     sched: Schedule, data: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Fresh ghost buffers matching ``data``'s dtype/row-shape."""
-    return [_ghost_like(d, g) for d, g in zip(data, sched.ghost_size)]
+    """Fresh ghost buffers matching ``data``'s dtype/row-shape: one
+    :class:`~repro.core.compiled.RankArena` when those agree across
+    ranks, else one array per rank."""
+    layout = rank_layout(data)
+    if layout is not None:
+        return RankArena.zeros(sched.ghost_size, layout[1], layout[3])
+    return [np.zeros((g,) + d.shape[1:], dtype=d.dtype)
+            for d, g in zip(map(np.asarray, data), sched.ghost_size)]
 
 
 def gather(
@@ -210,57 +215,66 @@ class PipelinePhase:
                 )
             gathering = self.kind == "gather"
             data = self.sources if gathering else self.dests
-            machine.check_per_rank(data, "data")
+            n_rows = _leading(machine, data, "data")
             if gathering and self.dests is None:
                 self.dests = allocate_ghosts(self.sched, data)
             ghosts = self.dests if gathering else self.sources
-            machine.check_per_rank(ghosts, "ghosts")
+            n_ghost = _leading(machine, ghosts, "ghosts")
             plan = compile_schedule(self.sched)
-            _check_pack_bounds(machine, plan, data, "schedule")
-            # a short ghost buffer would make the flat layout address
-            # the next rank's ghosts, silently, in either direction
-            for p in machine.ranks():
-                n_ghost = np.asarray(ghosts[p]).shape[0]
-                if n_ghost < self.sched.ghost_size[p]:
-                    raise ValueError(
-                        f"rank {p}: ghost buffer {n_ghost} < required "
-                        f"{self.sched.ghost_size[p]}"
-                    )
+            _check_pack_bounds(plan, n_rows, "schedule")
+            # a ghost buffer shorter than the schedule's (or than a slot
+            # it places) would make the flat layout address the next
+            # rank's ghosts, silently, in either direction
+            need = np.maximum(self.sched.ghost_size, plan.place_max + 1)
+            if (n_ghost < need).any():
+                p = int(np.flatnonzero(n_ghost < need)[0])
+                raise ValueError(f"rank {p}: ghost buffer {n_ghost[p]} < "
+                                 f"required {need[p]}")
             return (FusedStage(self.kind, self.sched, plan, op=self.op),
                     StageBind([self.sources], self.dests))
         if self.kind == "append":
             columns = self.columns()
             plan = compile_lightweight_schedule(self.sched)
+            covered = np.diff(plan.send_base)
             for c, values in enumerate(columns):
-                machine.check_per_rank(values, f"values[{c}]")
-                for p in machine.ranks():
-                    n_rows = np.asarray(values[p]).shape[0]
-                    if n_rows != plan.send_idx[p].size:
-                        raise ValueError(
-                            f"rank {p}, column {c}: {n_rows} elements, "
-                            f"schedule covers {plan.send_idx[p].size}"
-                        )
-                _check_pack_bounds(machine, plan, values, "schedule")
+                n_rows = _leading(machine, values, f"values[{c}]")
+                if (n_rows != covered).any():
+                    p = int(np.flatnonzero(n_rows != covered)[0])
+                    raise ValueError(
+                        f"rank {p}, column {c}: {n_rows[p]} elements, "
+                        f"schedule covers {covered[p]}")
+                _check_pack_bounds(plan, n_rows, "schedule")
             return (FusedStage("append", self.sched, plan),
                     StageBind(columns))
         if self.kind == "remap":
-            machine.check_per_rank(self.sources, "data")
+            n_rows = _leading(machine, self.sources, "data")
             plan = compile_remap_plan(self.sched)
-            _check_pack_bounds(machine, plan, self.sources, "remap plan")
+            _check_pack_bounds(plan, n_rows, "remap plan")
+            if (plan.place_max >= np.asarray(self.sched.new_sizes)).any():
+                raise IndexError("remap plan places a row past new_sizes")
             return (FusedStage("remap", self.sched, plan),
                     StageBind([self.sources]))
         raise ValueError(f"unknown pipeline phase kind {self.kind!r}")
 
 
-def _check_pack_bounds(machine, plan, data, what: str) -> None:
-    """Every row a compiled plan packs must exist in ``data``."""
-    for p in machine.ranks():
-        n_rows = np.asarray(data[p]).shape[0]
-        if plan.send_max[p] >= n_rows:
-            raise IndexError(
-                f"rank {p}: {what} wants element {int(plan.send_max[p])} "
-                f"but local array has {n_rows}"
-            )
+def _leading(machine, arrays, what: str) -> np.ndarray:
+    """Leading lengths of a per-rank sequence (one entry per rank,
+    checked): read off an arena, looked up one by one on a plain list."""
+    machine.check_per_rank(arrays, what)
+    if as_arena(arrays) is not None:
+        return arrays.sizes
+    return np.array([np.asarray(a).shape[0] for a in arrays],
+                    dtype=np.int64)
+
+
+def _check_pack_bounds(plan, n_rows: np.ndarray, what: str) -> None:
+    """Every row a compiled plan packs must exist in the data."""
+    bad = plan.send_max >= n_rows
+    if bad.any():
+        p = int(np.flatnonzero(bad)[0])
+        raise IndexError(
+            f"rank {p}: {what} wants element {int(plan.send_max[p])} "
+            f"but local array has {n_rows[p]}")
 
 
 def gather_phase(
@@ -291,15 +305,12 @@ def scatter_op_phase(
     return PipelinePhase("scatter", sched, ghosts, dests=data, op=op)
 
 
-def _root(a: np.ndarray) -> np.ndarray:
-    """The array owning ``a``'s memory (follows the view chain)."""
-    if not isinstance(a, np.ndarray):
-        a = np.asarray(a)
-    base = a.base
-    while isinstance(base, np.ndarray):
-        a = base
-        base = a.base
-    return a
+def _roots(arrays) -> set[int]:
+    """Identities of the arrays owning the memory behind a per-rank
+    sequence — a single one behind an arena."""
+    if as_arena(arrays) is not None:
+        return {id(root_of(arrays.flat))}
+    return {id(root_of(a)) for a in arrays}
 
 
 def fusable(phases) -> tuple[bool, str]:
@@ -311,25 +322,23 @@ def fusable(phases) -> tuple[bool, str]:
     * combiners must be *named numpy ufuncs* (``np.add``, ...), the only
       ops every backend can apply — and ship across process boundaries;
     * no stage may *read* an array any stage *writes* (compared by
-      owning memory): the fused executor packs every stage's sources
+      owning memory): the fused executor binds every stage's sources
       before applying any stage, so a later stage reading an earlier
       stage's output would see stale data.  Stages may freely *write*
-      the same target (even all of them): the apply pass runs ranks
-      outer, stages inner, preserving the sequential stage order per
+      the same target (even all of them): the moves run in stage order
+      over the whole machine, preserving the sequential stage order per
       array.
     """
     writes = set()
     for phase in phases:
         if phase.op is not None and not is_named_ufunc(phase.op):
             return False, "combiner is not a named numpy ufunc"
-        for d in phase.dests or ():
-            writes.add(id(_root(d)))
+        if phase.dests is not None:
+            writes |= _roots(phase.dests)
     for phase in phases:
         for column in phase.columns():
-            for s in column:
-                if id(_root(s)) in writes:
-                    return (False,
-                            "a stage reads an array another stage writes")
+            if writes & _roots(column):
+                return False, "a stage reads an array another stage writes"
     return True, ""
 
 

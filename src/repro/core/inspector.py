@@ -153,8 +153,7 @@ def clear_stamp(
     group = group_of(htables)
     if purge is None:
         purge = release
-    for p, n_entries in enumerate(group.n_entries.tolist()):
-        m.charge_memops(p, n_entries, category)
+    m.charge_memops_vec(group.n_entries, category)
     if stamp not in group.registry:
         return 0
     total = group.clear_stamp(stamp, purge=purge)
@@ -219,8 +218,7 @@ def rehash_delta(
             f"rank {p}: old/new touched values must be aligned "
             f"({n_old[p]} vs {n_new[p]})"
         )
-    for p, n in enumerate((n_old + n_new).tolist()):
-        m.charge_memops(p, _PROBE_COST * n, category)
+    m.charge_memops_vec(_PROBE_COST * (n_old + n_new), category)
     if not group.counted(stamp) and n_old.any():
         raise ValueError(
             f"stamp {stamp!r} has no reference counts; hash it with "
@@ -243,9 +241,8 @@ def rehash_delta(
                                  group.flat(ranks, rows_old))
     aff_ranks, aff_rows = np.divmod(aff, group.rows_cap)
     n_aff = np.bincount(aff_ranks, minlength=group.n_ranks)
-    for p, (n_ins, n) in enumerate(zip(inserted.tolist(), n_aff.tolist())):
-        m.charge_memops(p, _INSERT_COST * n_ins, category)
-        m.charge_memops(p, n, category)
+    m.charge_memops_vec(_INSERT_COST * inserted, category)
+    m.charge_memops_vec(n_aff, category)
     return DeltaRehash(
         affected_slots=split_stream(aff_rows, n_aff),
         pre_masks=split_stream(pre, n_aff),
@@ -296,8 +293,7 @@ def delta_rebuild_schedule(
     dropped_bufs = split_stream(
         group.buf.ravel()[at[left]],
         np.bincount(ranks[left], minlength=group.n_ranks))
-    for p, n in enumerate(n_aff.tolist()):
-        m.charge_memops(p, n, category)
+    m.charge_memops_vec(n_aff, category)
     bit = registry.acquire(_DELTA_STAMP)
     try:
         mask[newly] |= bit

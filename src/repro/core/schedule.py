@@ -211,6 +211,7 @@ def splice_schedules(
     # per receiver: position of every dropped / delta entry in its base
     # receive buffer, and the entry's owner
     drop_at, drop_src, ins_at, ins_src = [], [], [], []
+    machine.charge_memops_vec([ht.n_entries for ht in htables], category)
     for p in machine.ranks():
         ht = htables[p]
         ne = ht.n_entries
@@ -219,7 +220,6 @@ def splice_schedules(
         live = np.flatnonzero(ht.buf[:ne] >= 0)
         key = np.full(ht.ghost_capacity(), -1, dtype=np.int64)
         key[ht.buf[live]] = ht.proc[live] * ne + live
-        machine.charge_memops(p, ne, category)
         base_key = key[base.recv_slots[p]]
         dkey = key[np.asarray(dropped_bufs[p], dtype=np.int64)]
         ikey = key[delta.recv_slots[p]]
@@ -279,7 +279,7 @@ def splice_schedules(
                                  delta.recv_slots[r]))
         send_indices.append(edited(base.send_indices[r], drop_send[r],
                                    ins_send[r], delta.send_indices[r]))
-        machine.charge_memops(r, recv_slots[r].size, category)
+    machine.charge_memops_vec([a.size for a in recv_slots], category)
     counts = base.counts() + delta.counts() - dropped
     return Schedule(
         n_ranks=n,

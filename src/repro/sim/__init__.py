@@ -19,11 +19,7 @@ from repro.sim.topology import Topology, Hypercube, Mesh2D, FullCrossbar
 from repro.sim.clock import Clock, ClockArray
 from repro.sim.message import Message, TrafficStats
 from repro.sim.machine import Machine
-from repro.sim.metrics import (
-    load_balance_index,
-    TimeBreakdown,
-    PhaseTimer,
-)
+from repro.sim.metrics import load_balance_index
 
 __all__ = [
     "CostModel",
@@ -40,6 +36,4 @@ __all__ = [
     "TrafficStats",
     "Machine",
     "load_balance_index",
-    "TimeBreakdown",
-    "PhaseTimer",
 ]

@@ -132,6 +132,33 @@ class Machine:
         self.check_rank(rank)
         self.clocks[rank].advance(seconds, category)
 
+    def _charge_vec(self, unit: float, ops, category: str, mask) -> None:
+        ops = np.asarray(ops, dtype=np.float64)
+        if ops.shape != (self.n_ranks,):
+            raise ValueError(
+                f"need one op count per rank, got shape {ops.shape}")
+        if ops.min() < 0:
+            raise ValueError(f"negative op count: {ops.min()}")
+        self.clocks.advance(unit * ops, category, mask)
+
+    def charge_compute_vec(self, ops, category: str = "compute",
+                           mask=None) -> None:
+        """:meth:`charge_compute` for every rank at once: ``ops[p]`` work
+        units on rank ``p``; a boolean ``mask`` leaves the ranks it
+        excludes untouched.  Per rank the same float add as the scalar
+        form, so clocks are bit-identical either way."""
+        self._charge_vec(self.cost_model.flop, ops, category, mask)
+
+    def charge_memops_vec(self, ops, category: str = "inspector",
+                          mask=None) -> None:
+        """:meth:`charge_memops` for every rank at once."""
+        self._charge_vec(self.cost_model.memop, ops, category, mask)
+
+    def charge_copyops_vec(self, ops, category: str = "comm",
+                           mask=None) -> None:
+        """:meth:`charge_copyops` for every rank at once."""
+        self._charge_vec(self.cost_model.copyop, ops, category, mask)
+
     def barrier(self, category: str = "comm") -> float:
         """Synchronize all clocks to the slowest rank."""
         del category  # idle time is recorded under "idle" by the clocks
@@ -206,8 +233,7 @@ class Machine:
             per_rank = np.zeros(self.n_ranks)
             np.add.at(per_rank, src, dts)
             np.add.at(per_rank, dst, dts)
-            for p in np.nonzero(per_rank)[0]:
-                self.clocks[int(p)].advance(float(per_rank[p]), category)
+            self.clocks.advance(per_rank, category, mask=per_rank != 0)
             records = None
             if self.traffic.record:
                 records = [
@@ -326,12 +352,15 @@ class Machine:
             for r in range(rounds):
                 step_bytes = nbytes * (1 << r)
                 dt = self.cost_model.message_time(step_bytes)
+                self.clocks.advance(np.full(self.n_ranks, dt), category)
                 for p in self.ranks():
-                    self.clocks[p].advance(dt, category)
+                    # recursive doubling; off the hypercube the partner
+                    # is the ring neighbour at the same distance
+                    dst = p ^ (1 << r)
+                    if dst >= self.n_ranks:
+                        dst = (p + (1 << r)) % self.n_ranks
                     self.traffic.add(
-                        Message(src=p, dst=p ^ 1 if self.n_ranks > 1 else p,
-                                nbytes=step_bytes, tag=tag)
-                    )
+                        Message(src=p, dst=dst, nbytes=step_bytes, tag=tag))
         if sync:
             self.barrier()
         return [list(gathered) for _ in self.ranks()]
@@ -354,8 +383,7 @@ class Machine:
             rounds = max(1, (self.n_ranks - 1).bit_length())
             dt = self.cost_model.message_time(max(1, nbytes))
             for _ in range(rounds):
-                for p in self.ranks():
-                    self.clocks[p].advance(dt, category)
+                self.clocks.advance(np.full(self.n_ranks, dt), category)
             self.traffic.add(
                 Message(src=root, dst=(root + 1) % self.n_ranks,
                         nbytes=nbytes * (self.n_ranks - 1), tag=tag)
@@ -385,8 +413,7 @@ class Machine:
             rounds = max(1, (self.n_ranks - 1).bit_length())
             dt = self.cost_model.message_time(nbytes)
             for _ in range(rounds):
-                for p in self.ranks():
-                    self.clocks[p].advance(dt, category)
+                self.clocks.advance(np.full(self.n_ranks, dt), category)
             self.traffic.add(Message(src=0, dst=0, nbytes=nbytes * rounds, tag=tag))
         if sync:
             self.barrier()

@@ -9,9 +9,6 @@ LB == 1.0 is perfect balance; the paper reports 1.03-1.08 for CHARMM.
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,87 +30,3 @@ def load_balance_index(computation_times: Sequence[float]) -> float:
 def imbalance_from_weights(weights: Sequence[float]) -> float:
     """Load-balance index computed directly from per-rank work weights."""
     return load_balance_index(weights)
-
-
-@dataclass
-class TimeBreakdown:
-    """A labelled breakdown of virtual time, mirroring the paper's tables.
-
-    Keys follow the paper's row names: ``execution``, ``computation``,
-    ``communication``, ``partition``, ``remap``, ``inspector``,
-    ``executor``, ...
-    """
-
-    entries: dict[str, float] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> float:
-        return self.entries.get(key, 0.0)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        self.entries[key] = float(value)
-
-    def add(self, key: str, value: float) -> None:
-        self.entries[key] = self.entries.get(key, 0.0) + float(value)
-
-    def total(self) -> float:
-        return sum(self.entries.values())
-
-    def as_row(self, keys: Sequence[str]) -> list[float]:
-        return [self[k] for k in keys]
-
-    def merged_with(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        out = TimeBreakdown(dict(self.entries))
-        for k, v in other.entries.items():
-            out.add(k, v)
-        return out
-
-
-class PhaseTimer:
-    """Measures *wall-clock* time per named phase (host-side, not virtual).
-
-    Benchmarks use this alongside the virtual clocks: virtual time gives
-    the paper-shaped numbers, wall time shows what the Python implementation
-    actually costs.
-    """
-
-    def __init__(self) -> None:
-        self.totals: dict[str, float] = defaultdict(float)
-        self.counts: dict[str, int] = defaultdict(int)
-        self._starts: dict[str, float] = {}
-
-    def start(self, phase: str) -> None:
-        if phase in self._starts:
-            raise RuntimeError(f"phase {phase!r} already running")
-        self._starts[phase] = time.perf_counter()
-
-    def stop(self, phase: str) -> float:
-        t0 = self._starts.pop(phase, None)
-        if t0 is None:
-            raise RuntimeError(f"phase {phase!r} was not started")
-        dt = time.perf_counter() - t0
-        self.totals[phase] += dt
-        self.counts[phase] += 1
-        return dt
-
-    class _Ctx:
-        def __init__(self, timer: "PhaseTimer", phase: str):
-            self.timer, self.phase = timer, phase
-
-        def __enter__(self):
-            self.timer.start(self.phase)
-            return self
-
-        def __exit__(self, *exc):
-            self.timer.stop(self.phase)
-            return False
-
-    def phase(self, name: str) -> "_Ctx":
-        """Context manager: ``with timer.phase('inspector'): ...``"""
-        return PhaseTimer._Ctx(self, name)
-
-    def mean(self, phase: str) -> float:
-        n = self.counts.get(phase, 0)
-        return self.totals[phase] / n if n else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.totals)

@@ -240,6 +240,23 @@ class TestRegistry:
         assert primitives - set(vars(SerialBackend)) == {"scatter_append"}
         assert multiprocess._KERNELS.keys() == {"fused_apply"}
 
+    def test_one_flat_kernel(self):
+        """No per-rank kernel beside the flat one: every backend runs
+        ``fused_apply`` over a rank range, the worker entry included."""
+        import inspect
+        import pathlib
+
+        import repro
+        from repro.core.backends import multiprocess, vectorized
+
+        src = pathlib.Path(repro.__file__).parent
+        assert not [p for p in src.rglob("*.py")
+                    if "apply_rank" in p.read_text()]
+        assert list(inspect.signature(vectorized.fused_apply).parameters) \
+            == ["move", "lo", "hi"]
+        worker = multiprocess._KERNELS["fused_apply"]
+        assert list(inspect.signature(worker).parameters)[:2] == ["lo", "hi"]
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             get_backend("quantum")

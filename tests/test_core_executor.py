@@ -1,12 +1,17 @@
 """Unit tests: gather / scatter / scatter_op against numpy oracles."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ChaosRuntime,
     ExecutionContext,
+    RankArena,
     allocate_ghosts,
+    as_arena,
     gather,
     run_pipeline,
     scatter,
@@ -56,6 +61,15 @@ class TestGather:
         if any(g > 0 for g in sched.ghost_size):
             with pytest.raises(ValueError):
                 gather(rt.ctx, sched, x.local, bad)
+
+    def test_gather_accepts_array_likes(self, rng, backend_name):
+        # allocate_ghosts used to read .shape off a plain list
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
+        ctx = ExecutionContext.resolve(m, backend_name)
+        ghosts = gather(ctx, sched, [a.tolist() for a in x.local])
+        for got, ref in zip(ghosts, rt.gather(sched, x)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        ctx.close()
 
     def test_gather_2d_rows(self, rng):
         m = Machine(4)
@@ -192,6 +206,26 @@ class TestScatterBounds:
         ctx.close()
 
 
+    def test_slots_past_the_buffer_rejected(self, rng, backend_name):
+        # a schedule (or remap plan) that understates the room it needs
+        # would make the flat layout write into the next rank's buffer
+        import dataclasses
+
+        from repro.core import remap, remap_array
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng, n_ref=80)
+        ctx = ExecutionContext.resolve(m, backend_name)
+        lying = dataclasses.replace(
+            sched, ghost_size=[max(0, g - 1) for g in sched.ghost_size])
+        with pytest.raises(ValueError, match="ghost buffer"):
+            gather(ctx, lying, x.local)
+        plan = remap(ctx, tt.dist, rt.block_table(x.n_global).dist)
+        lying = dataclasses.replace(
+            plan, new_sizes=[max(0, n - 1) for n in plan.new_sizes])
+        with pytest.raises(IndexError, match="new_sizes"):
+            remap_array(ctx, lying, x.local)
+        ctx.close()
+
+
 class TestStacking:
     def test_roundtrip(self, rng):
         data = [rng.standard_normal(5), rng.standard_normal(3)]
@@ -206,3 +240,71 @@ class TestStacking:
             stack_local_ghost([np.zeros(1)], [])
         with pytest.raises(ValueError):
             split_local_ghost([np.zeros(1)], [1, 2])
+
+
+class TestRankArena:
+    """The executor trusts an arena's buffer only while every element
+    is the view it was built with; anything else is a plain list."""
+
+    def test_producers_hand_out_arenas(self, rng):
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
+        for seq in (x.local, x.copy().local, rt.zeros_like_table(tt).local,
+                    allocate_ghosts(sched, x.local), rt.gather(sched, x),
+                    x.redistribute(rt.block_table(x.n_global)).local):
+            assert as_arena(seq) is seq and isinstance(seq, list)
+            assert all(a.base is not None for a in seq if a.size)
+        assert x.copy().local.flat is not x.local.flat
+        # mixed dtypes cannot share a buffer: a plain list, as before
+        mixed = [a.astype(np.float32 if p else np.float64)
+                 for p, a in enumerate(x.local)]
+        assert type(RankArena.adopt(mixed)) is list
+        assert type(allocate_ghosts(sched, mixed)) is list
+
+    def test_writes_through_elements_reach_the_next_gather(self, rng):
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
+        x.local[1][...] = 7.0
+        x.local[2] += 1.0            # rebinds the element to itself
+        assert as_arena(x.local) is x.local
+        ref = rt.gather(sched, rt.distribute(x.to_global(), tt))
+        for got, want in zip(rt.gather(sched, x), ref):
+            assert np.array_equal(got, want)
+
+    def test_rebound_element_degrades_to_a_list(self, rng):
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
+        ref = [g.copy() for g in rt.gather(sched, x)]
+        x.local[0] = x.local[0] * 2.0   # no longer a view of the buffer
+        assert as_arena(x.local) is None
+        ref_g = rt.gather(sched, rt.distribute(x.to_global(), tt))
+        for got, want, old in zip(rt.gather(sched, x), ref_g, ref):
+            assert np.array_equal(got, want)
+        assert any(not np.array_equal(a, b) for a, b in zip(ref_g, ref))
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, copy.copy,
+        lambda a: pickle.loads(pickle.dumps(a))])
+    def test_copies_are_valid_arenas_or_plain_lists(self, rng, clone):
+        m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
+        for seq in (x.local, self._degraded(x.local)):
+            twin = clone(seq)
+            assert type(twin) is list or as_arena(twin) is twin
+            assert (as_arena(twin) is None) == (as_arena(seq) is None)
+            for a, b in zip(seq, twin):
+                assert np.array_equal(a, b)
+            if clone is not copy.copy:   # a deep copy owns its memory
+                twin[0][...] = -1.0
+                assert not np.array_equal(seq[0], twin[0]) or not seq[0].size
+            # whatever it is, the executor reads what the elements hold
+            if as_arena(twin) is not None:
+                assert np.array_equal(twin.flat, np.concatenate(list(twin)))
+
+    @staticmethod
+    def _degraded(arena):
+        out = RankArena(arena.flat.copy(), arena.sizes)
+        out[-1] = out[-1].copy()
+        return out
+
+    def test_bad_buffers_rejected(self):
+        with pytest.raises(ValueError):
+            RankArena(np.zeros(5), [2, 2])
+        with pytest.raises(ValueError):
+            RankArena(np.zeros((4, 2)).T, [1, 1])

@@ -21,11 +21,17 @@ Covered here:
 * a three-column append stage sharing a chain with a gather stage;
 * empty machines, empty schedules and zero-size plans;
 * fused-plan cache counters under a ``loop_id`` (hits, builds, and the
-  hit-preserving rebuild when a schedule is re-inspected).
+  hit-preserving rebuild when a schedule is re-inspected);
+* the flat-move differential: every primitive over every buffer shape
+  the executor distinguishes (arena, plain list, degraded arena,
+  oversize or shared ghost buffers, another dtype, empty ranks) equals
+  ``serial`` byte for byte, message for message, clock for clock.
 """
 
 import gc
+import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +42,9 @@ from repro.core import (
     ChaosRuntime,
     ExecutionContext,
     PipelinePhase,
+    RankArena,
     allocate_ghosts,
+    as_arena,
     build_lightweight_schedule,
     clear_stamp,
     fusable,
@@ -46,11 +54,13 @@ from repro.core import (
     remap_array,
     remap_phase,
     run_pipeline,
+    scatter,
     scatter_append_multi,
     scatter_op,
     scatter_op_phase,
     split_by_block,
 )
+from repro.core.backends.multiprocess import SHIP_THRESHOLD_ENV_VAR
 from repro.core.reuse import FUSED_SUFFIX
 from repro.sim import Machine
 
@@ -504,3 +514,121 @@ def test_fused_cache_stats_and_rebuild():
     # schedule-cache slot for the same loop id is untouched
     assert rt.cache_stats("loop") == (0, 0)
     assert rt.schedule_cache.stats("loop" + FUSED_SUFFIX) == (2, 2)
+
+
+# ---------------------------------------------------------------------
+# the flat move, differentially: op x buffer shape x backend == serial
+# ---------------------------------------------------------------------
+_OPS = ("gather", "scatter", "scatter_add", "scatter_max", "append1",
+        "append2", "append3", "remap")
+_SHAPES = ("arena", "plain", "rebound", "oversize", "shared_ghosts",
+           "other_dtype", "empty_ranks")
+
+
+def _shape_buffers(shape, rng, seq):
+    """``seq`` (an arena) as the buffer shape under test."""
+    if shape == "plain":
+        return [a.copy() for a in seq]
+    if shape == "rebound":   # one element rebound: a degraded arena
+        seq = RankArena(seq.flat.copy(), seq.sizes)
+        p = int(rng.integers(len(seq)))
+        seq[p] = seq[p].copy()
+        assert as_arena(seq) is None
+        return seq
+    return seq
+
+
+def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
+    """Run one primitive on one backend; observe bytes, traffic, clocks."""
+    rng = np.random.default_rng(seed)
+    m = Machine(n_ranks, record_messages=True)
+    rt = ChaosRuntime(m)
+    live = max(1, n_ranks // 2) if shape == "empty_ranks" else n_ranks
+    tt = rt.irregular_table(rng.integers(0, live, n))
+    x = rt.distribute(rng.standard_normal((n, k) if k > 1 else n), tt)
+    rt.hash_indirection(tt, split_by_block(rng.integers(0, n, n_ref), m), "a")
+    rt.hash_indirection(tt, split_by_block(rng.integers(0, n, n_ref // 2 + 1),
+                                           m), "b")
+    sched, sched_b = rt.build_schedule(tt, "a"), rt.build_schedule(tt, "b")
+    ctx = ExecutionContext.resolve(m, backend)
+    try:
+        data = _shape_buffers(shape, rng, x.local)
+        if op.startswith("append"):
+            sizes = rng.integers(0, 9, n_ranks)
+            if shape == "empty_ranks":
+                sizes[::2] = 0
+            lw = build_lightweight_schedule(
+                ctx, [rng.integers(0, n_ranks, c) for c in sizes])
+            cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
+                                                         else c)
+                                     for c in sizes]),
+                    RankArena.adopt([np.arange(c) + 100 * p
+                                     for p, c in enumerate(sizes)]),
+                    RankArena.adopt([rng.standard_normal(c) for c in sizes])]
+            cols = [_shape_buffers(shape, rng, c)
+                    for c in cols[:int(op[-1])]]
+        elif op == "remap":
+            plan = remap(ctx, tt.dist, rt.irregular_table(
+                rng.integers(0, n_ranks, n)).dist)
+        ghosts = allocate_ghosts(sched, x.local)
+        if shape == "oversize":   # tails must survive every primitive
+            ghosts = RankArena(
+                np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
+                        .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
+        elif shape == "other_dtype":
+            ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
+        ghosts = _shape_buffers(shape, rng, ghosts)
+        if op != "gather":   # give the scatters something to return
+            for g in ghosts:
+                g[...] = rng.standard_normal(g.shape)
+        m.reset_clocks()
+        m.reset_traffic()
+        out = []
+        if op == "gather" and shape == "shared_ghosts":
+            run_pipeline(ctx, [gather_phase(sched, data, ghosts),
+                               gather_phase(sched_b, data, ghosts)])
+        elif op == "gather":
+            gather(ctx, sched, data, ghosts)
+        elif op == "scatter":
+            scatter(ctx, sched, data, ghosts)
+        elif op.startswith("scatter_"):
+            scatter_op(ctx, sched, data, ghosts,
+                       np.add if op == "scatter_add" else np.maximum)
+        elif op == "remap":
+            out = [remap_array(ctx, plan, data)]
+        else:
+            out = scatter_append_multi(ctx, lw, cols)
+        arrays = [*data, *ghosts, *(a for o in out for a in o)]
+        return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+                m.traffic.snapshot(), list(m.traffic.messages),
+                _clock_snapshots(m))
+    finally:
+        ctx.close()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    op=st.sampled_from(_OPS),
+    shape=st.sampled_from(_SHAPES),
+    seed=st.integers(0, 10_000),
+    n_ranks=st.integers(1, 5),
+    n=st.integers(1, 40),
+    n_ref=st.integers(0, 90),
+    k=st.sampled_from([1, 3]),
+)
+def test_flat_moves_equal_serial(op, shape, seed, n_ranks, n, n_ref, k):
+    # threshold 0: the multiprocess backend really ships every move
+    with mock.patch.dict(os.environ, {SHIP_THRESHOLD_ENV_VAR: "0"}):
+        ref = _flat_case("serial", op, shape, seed, n_ranks, n, n_ref, k)
+        flat = [_flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k)
+                for backend in BACKENDS[1:]]
+    for backend, got in zip(BACKENDS[1:], flat):
+        assert got[:3] == ref[:3], backend   # bytes, traffic: exact
+        # the pair loop charges message by message, the flat path once
+        # per stage: the same categories on the same ranks (a
+        # round-off-sized wait may or may not exist), values to float
+        # summation order
+        assert ([set(c) - {"idle"} for c in got[3]]
+                == [set(c) - {"idle"} for c in ref[3]])
+        _assert_clocks_match(ref[3], got[3])
+        assert got == flat[0], backend       # one kernel: clocks exact

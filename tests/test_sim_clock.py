@@ -1,8 +1,9 @@
 """Unit tests: virtual clocks."""
 
+import numpy as np
 import pytest
 
-from repro.sim import Clock, ClockArray
+from repro.sim import Clock, ClockArray, Machine
 
 
 class TestClock:
@@ -99,3 +100,72 @@ class TestClockArray:
         ca[0].advance(1.0)
         ca.reset()
         assert ca.max_time() == 0.0
+
+
+class TestArrayCharges:
+    """An array charge is the scalar loop, bit for bit: same adds, same
+    order per rank, same categories on the same ranks."""
+
+    OPS = [0, 3, 1e6 + 0.1, 0, 7, 123456789]
+
+    def _scalar(self, charge, ops, category, mask):
+        m = Machine(len(ops))
+        for _ in range(3):   # accumulation, not just one product
+            for p, n in enumerate(ops):
+                if mask is None or mask[p]:
+                    getattr(m, charge)(p, n, category)
+        return [c.snapshot() for c in m.clocks]
+
+    @pytest.mark.parametrize("charge", ["charge_compute", "charge_memops",
+                                        "charge_copyops"])
+    @pytest.mark.parametrize("mask", [None, [True, False, True, True,
+                                             False, False]])
+    def test_equals_scalar_loop(self, charge, mask):
+        m = Machine(len(self.OPS))
+        for _ in range(3):
+            getattr(m, charge + "_vec")(
+                self.OPS, "x", None if mask is None else np.array(mask))
+        assert ([c.snapshot() for c in m.clocks]
+                == self._scalar(charge, self.OPS, "x", mask))
+
+    def test_masked_out_ranks_are_untouched(self):
+        m = Machine(3)
+        m.charge_memops_vec([5, 5, 0], "x", mask=np.array([True, False, True]))
+        snaps = [c.snapshot() for c in m.clocks]
+        assert set(snaps[0]) == {"x", "total"}
+        assert snaps[1] == {"total": 0.0}
+        assert snaps[2] == {"x": 0.0, "total": 0.0}  # a zero charge is one
+
+    def test_bad_op_counts_rejected(self):
+        m = Machine(3)
+        with pytest.raises(ValueError):
+            m.charge_copyops_vec([1, -1, 1])
+        with pytest.raises(ValueError):
+            m.charge_copyops_vec([1, 1])
+        with pytest.raises(ValueError):
+            m.clocks.advance(np.array([1.0, -1.0, 0.0]), "x")
+
+    def test_barrier_idle_accounting(self):
+        ca, ref = ClockArray(4), [Clock() for _ in range(4)]
+        for step in ([0.1, 0.7, 0.3, 0.7], [0.2, 0.0, 0.05, 0.3]):
+            ca.advance(np.array(step), "work")
+            t = ca.barrier()
+            for c, dt in zip(ref, step):
+                c.advance(dt, "work")
+            assert t == max(c.time for c in ref)
+            for c in ref:
+                c.wait_until(t)
+            assert [c.snapshot() for c in ca] == [c.snapshot() for c in ref]
+        # the slowest rank of both rounds never waited: no "idle" key
+        assert "idle" not in ca[3].snapshot()
+        assert ca.barrier() == t and "idle" not in ca[3].snapshot()
+
+    def test_views_and_array_share_storage(self):
+        ca = ClockArray(2)
+        ca[1].advance(2.0, "comm")
+        ca.advance(np.array([1.0, 1.0]), "comm", mask=np.array([True, False]))
+        assert ca.time.tolist() == [1.0, 2.0]
+        assert ca[0].categories == {"comm": 1.0}
+        ca[0].reset()
+        assert ca[0].snapshot() == {"total": 0.0}
+        assert ca[1].snapshot() == {"comm": 2.0, "total": 2.0}

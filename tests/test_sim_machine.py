@@ -121,6 +121,29 @@ class TestCollectives:
         machine4.allgather([np.zeros(100)] * 4)
         assert machine4.execution_time() > 0
 
+    @pytest.mark.parametrize("n_ranks", [2, 3, 5, 8])
+    def test_allgather_partners_are_ranks(self, n_ranks):
+        # every round used to log p ^ 1: rank 2 of 3 "sent" to rank 3
+        m = Machine(n_ranks, record_messages=True)
+        ref = Machine(n_ranks)
+        m.allgather([np.zeros(16)] * n_ranks)
+        ref.allgather([np.zeros(16)] * n_ranks)
+        msgs = m.traffic.messages
+        rounds = [msgs[i:i + n_ranks] for i in range(0, len(msgs), n_ranks)]
+        assert len(rounds) == (n_ranks - 1).bit_length()
+        for r, msgs in enumerate(rounds):
+            assert [msg.src for msg in msgs] == list(range(n_ranks))
+            assert all(0 <= msg.dst < n_ranks and msg.dst != msg.src
+                       for msg in msgs)
+        dsts = [[msg.dst for msg in msgs] for msgs in rounds]
+        assert len({tuple(d) for d in dsts}) == len(rounds)
+        if n_ranks == 8:   # a hypercube: a new partner every round
+            assert all(len({d[p] for d in dsts}) == 3 for p in range(8))
+        # the record is all that changed
+        assert m.traffic.snapshot() == ref.traffic.snapshot()
+        assert [c.snapshot() for c in m.clocks] == \
+            [c.snapshot() for c in ref.clocks]
+
     def test_bcast(self, machine8):
         out = machine8.bcast({"k": 1}, root=3)
         assert all(x == {"k": 1} for x in out)

@@ -1,10 +1,8 @@
-"""Unit tests: metrics (load-balance index, breakdowns, phase timer)."""
-
-import time
+"""Unit tests: metrics (load-balance index)."""
 
 import pytest
 
-from repro.sim import PhaseTimer, TimeBreakdown, load_balance_index
+from repro.sim import load_balance_index
 
 
 class TestLoadBalanceIndex:
@@ -31,69 +29,3 @@ class TestLoadBalanceIndex:
 
     def test_lower_bound_is_one(self):
         assert load_balance_index([3, 1, 2, 2]) >= 1.0
-
-
-class TestTimeBreakdown:
-    def test_set_get(self):
-        tb = TimeBreakdown()
-        tb["partition"] = 1.5
-        assert tb["partition"] == 1.5
-        assert tb["missing"] == 0.0
-
-    def test_add_accumulates(self):
-        tb = TimeBreakdown()
-        tb.add("comm", 1.0)
-        tb.add("comm", 2.0)
-        assert tb["comm"] == pytest.approx(3.0)
-
-    def test_total(self):
-        tb = TimeBreakdown({"a": 1.0, "b": 2.0})
-        assert tb.total() == pytest.approx(3.0)
-
-    def test_as_row(self):
-        tb = TimeBreakdown({"a": 1.0})
-        assert tb.as_row(["a", "b"]) == [1.0, 0.0]
-
-    def test_merged_with(self):
-        a = TimeBreakdown({"x": 1.0})
-        b = TimeBreakdown({"x": 2.0, "y": 3.0})
-        m = a.merged_with(b)
-        assert m["x"] == pytest.approx(3.0)
-        assert m["y"] == pytest.approx(3.0)
-        assert a["x"] == 1.0  # originals untouched
-
-
-class TestPhaseTimer:
-    def test_measures_something(self):
-        t = PhaseTimer()
-        with t.phase("work"):
-            time.sleep(0.005)
-        assert t.totals["work"] >= 0.004
-        assert t.counts["work"] == 1
-
-    def test_mean(self):
-        t = PhaseTimer()
-        for _ in range(3):
-            with t.phase("p"):
-                pass
-        assert t.counts["p"] == 3
-        assert t.mean("p") == pytest.approx(t.totals["p"] / 3)
-
-    def test_mean_of_unknown_phase(self):
-        assert PhaseTimer().mean("nope") == 0.0
-
-    def test_double_start_rejected(self):
-        t = PhaseTimer()
-        t.start("x")
-        with pytest.raises(RuntimeError):
-            t.start("x")
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            PhaseTimer().stop("never")
-
-    def test_snapshot(self):
-        t = PhaseTimer()
-        with t.phase("a"):
-            pass
-        assert "a" in t.snapshot()

@@ -274,14 +274,16 @@ class TestLifecycle:
         # pool reusable
         ctx = ExecutionContext.resolve(Machine(4), "threaded")
 
-        def boom(p):
-            if p == 2:
+        def boom(lo, hi):
+            if lo <= 2 < hi:
                 raise ValueError("rank 2 kernel failed")
-            return p
+            return list(range(lo, hi))
 
         with pytest.raises(ValueError, match="rank 2"):
             ctx.backend._run_ranks(ctx, boom)
-        assert ctx.backend._run_ranks(ctx, lambda p: p) == [0, 1, 2, 3]
+        # a kernel takes a rank range; the ranges partition the machine
+        ranges = ctx.backend._run_ranks(ctx, lambda lo, hi: (lo, hi))
+        assert [p for lo, hi in ranges for p in range(lo, hi)] == [0, 1, 2, 3]
         ctx.close()
 
     def test_threaded_rejects_foreign_resources(self):
