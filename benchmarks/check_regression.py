@@ -11,16 +11,20 @@ on shared CI runners to gate on individually.
 
 Baselines are committed JSON files at the repository root
 (``BENCH_inspector.json``, ``BENCH_backends.json``,
-``BENCH_adaptive.json``); fresh results are the files the benchmark
-scripts write under ``benchmarks/results/``.  The adaptive-caching gate
-extends the same idea to the incremental inspector: its delta-vs-full
-rebuild speedup is a same-process ratio, and its schedule-cache hit rate
-is deterministic, so both gate without machine sensitivity.
+``BENCH_adaptive.json``, ``BENCH_lang.json``); fresh results are the
+files the benchmark scripts write under ``benchmarks/results/``.  The
+adaptive-caching gate extends the same idea to the incremental
+inspector: its delta-vs-full rebuild speedup is a same-process ratio,
+and its schedule-cache hit rate is deterministic, so both gate without
+machine sensitivity.
 ``--update`` refreshes a baseline when the gated ratios improved or
 stayed within a small drift tolerance: a sequence of sub-threshold
 erosions cannot ratchet itself into the baseline, one lucky fast run
 cannot pin the baseline out of reach, and an unchanged run produces no
-file diff (so CI's refresh commit is skipped).
+file diff (so CI's refresh commit is skipped).  The compiler-path gate
+(``bench_lang.py``) is the same kind of number: the sequential numpy
+oracle against a compiled ``run_loop``, and one Figure-11 step at two
+cell counts — both sides of each ratio from one process.
 
 The gate degrades gracefully but never silently: a *missing* committed
 baseline is a clear skip message (first run on a fresh fork), a metric
@@ -35,6 +39,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_inspector.py
     PYTHONPATH=src python benchmarks/bench_backends.py
     PYTHONPATH=src python benchmarks/bench_adaptive.py
+    PYTHONPATH=src python benchmarks/bench_lang.py
     python benchmarks/check_regression.py            # gate (CI)
     python benchmarks/check_regression.py --update   # refresh baselines
                                                      # (main branch only)
@@ -59,7 +64,7 @@ DEFAULT_RESULTS = os.path.join(REPO_ROOT, "benchmarks", "results")
 
 #: scripts whose JSON results the gate consumes, in run order
 GATED_BENCH_SCRIPTS = ("bench_inspector.py", "bench_backends.py",
-                       "bench_adaptive.py")
+                       "bench_adaptive.py", "bench_lang.py")
 
 
 def run_gated_benches() -> None:
@@ -94,7 +99,7 @@ def _inspector_ratios(payload: dict) -> dict[str, float]:
     return ratios
 
 
-def _backend_ratios(payload: dict) -> dict[str, float]:
+def _speedups(payload: dict) -> dict[str, float]:
     return {k: float(v) for k, v in payload.get("speedups", {}).items()}
 
 
@@ -123,13 +128,18 @@ def _adaptive_ratios(payload: dict) -> dict[str, float]:
 CHECKS = (
     ("BENCH_inspector.json", "bench_inspector.json", _inspector_ratios,
      frozenset({"hash+schedule", "hash+schedule_p128"})),
-    ("BENCH_backends.json", "backend_ablation.json", _backend_ratios,
+    ("BENCH_backends.json", "backend_ablation.json", _speedups,
      # sweep_p64 is the rank-count column: a Python loop over ranks in
      # the executor is invisible at P=16 and most of a round at P=64
      frozenset({"gather_scatter", "scatter_append", "halo_x4",
                 "sweep_p64"})),
     ("BENCH_adaptive.json", "bench_adaptive.json", _adaptive_ratios,
      frozenset({"delta_speedup", "delta_speedup_p128", "hit_rate"})),
+    # a Python loop over ranks x statements sinks the first ratio, one
+    # over cells the second; the re-inspection ratio is mostly core's
+    # hashing and stays advisory
+    ("BENCH_lang.json", "bench_lang.json", _speedups,
+     frozenset({"fig10_iter_p32", "fig11_cell_scaling"})),
 )
 
 

@@ -514,6 +514,18 @@ class IrregularReduction:
         """
         m = self.rt.machine
         sched = self.schedule
+        # the localized indices address this loop's distribution: an
+        # array laid out otherwise would be read and folded at the wrong
+        # elements without any error
+        operands = [("lhs", lhs)] + [(f"rhs[{k!r}]", da)
+                                     for k, (da, _) in rhs.items()]
+        for what, da in operands:
+            if (da.ttable is not self.ttable
+                    and da.ttable.dist != self.ttable.dist):
+                raise ValueError(
+                    f"{what} is not distributed like the loop "
+                    f"{self.name!r}: build it on the loop's translation "
+                    "table (or an equal distribution)")
         # gather every distinct rhs array once
         stacked: dict[int, list[np.ndarray]] = {}
         for da, _ in rhs.values():

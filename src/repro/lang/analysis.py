@@ -15,8 +15,9 @@ decide before it can generate inspector/executor code (paper §5.3):
   - ``cell_append`` — nested FORALL whose body is a single
     ``REDUCE(APPEND, …)`` (Figure 11, the DSMC MOVE), lowered to
     light-weight schedules,
-  - ``local_assign`` — loops that touch only directly-indexed aligned
-    arrays (no communication).
+  - ``local_assign`` — a single FORALL of ``a(i) = constant`` fills over
+    aligned arrays (no communication); every other assignment is
+    rejected here, with its line.
 """
 
 from __future__ import annotations
@@ -241,6 +242,22 @@ class Analyzer:
 
         loop_vars = {loop.var} | ({inner.var} if inner else set())
         reduces = [s for s in body if isinstance(s, Reduce)]
+        # the one assignment the executors implement is an owner-local
+        # constant fill; anything else used to run "successfully" and
+        # leave its target untouched
+        for s in body:
+            if isinstance(s, Assign) and not (
+                inner is None and not reduces
+                and len(s.target.subscripts) == 1
+                and isinstance(s.target.subscripts[0], VarRef)
+                and s.target.subscripts[0].name == loop.var
+                and isinstance(s.value, Num)
+            ):
+                raise AnalysisError(
+                    "unsupported assignment: only `a(i) = constant` over "
+                    "the loop variable, in a single FORALL without REDUCE",
+                    s.line,
+                )
 
         # cell-append template (Figure 11)
         if inner is not None and reduces and all(

@@ -14,6 +14,21 @@ compiler-generated code has:
 * ``REDUCE(APPEND, …)`` nests lower to light-weight schedules and
   ``scatter_append`` (§5.2.1).
 
+**Data model.**  The instance keeps data in the rank-major layout the
+runtime below it uses.  A distributed 1-D array is one
+:class:`~repro.core.compiled.RankArena` — rank 0's elements first, each
+rank's in local-offset order — from the moment its decomposition is
+distributed; the *rank-major index* of a decomposition (``order[k]`` =
+global element at arena position ``k``) turns distribution, assembly and
+the CSR iteration space into single takes/scatters.  A ragged (cell)
+array is one CSR pair ``(flat, offsets)`` in *global* cell order, whatever
+the distribution; ``get_array`` hands out its rows as views.  A loop's
+index patterns are rank-major streams over the whole machine's
+iterations, built once per inspector run, and reduction, local and
+append loops evaluate each statement once over that stream — host time
+grows with data volume, not with ranks × cells × statements.  Per-rank
+simulated work is charged exactly as a rank-by-rank execution would.
+
 ``interpret_sequential`` executes the same program on plain numpy arrays
 — the oracle the parallel execution is tested against.
 """
@@ -21,11 +36,18 @@ compiler-generated code has:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from repro.core.compiled import (
+    RankArena,
+    grouped_arange,
+    offsets_from_counts,
+    split_csr,
+)
 from repro.core.context import resolve_component
 from repro.core.distribution import (
     BlockDistribution,
@@ -33,7 +55,8 @@ from repro.core.distribution import (
     Distribution,
     IrregularDistribution,
 )
-from repro.core.executor import gather, scatter_op, stack_local_ghost
+from repro.core.executor import gather, scatter_op
+from repro.core.hashtable import split_stream, stream_of
 from repro.core.inspector import chaos_hash, clear_stamp, make_hash_tables
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.lightweight import build_lightweight_schedule, scatter_append
@@ -41,12 +64,11 @@ from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats
 from repro.core.schedule import build_schedule
 from repro.core.translation import TranslationTable
-from repro.lang.analysis import Analyzer, analyze
+from repro.lang.analysis import Analyzer, analyze, classify_subscript
 from repro.lang.ast_nodes import (
     AlignStmt,
     ArrayDecl,
     ArrayRef,
-    Assign,
     BinOp,
     Call,
     DecompositionStmt,
@@ -56,7 +78,6 @@ from repro.lang.ast_nodes import (
     FullSlice,
     Num,
     Program,
-    Reduce,
     UnaryOp,
     VarRef,
 )
@@ -73,6 +94,14 @@ _REDUCE_OPS = {
     "MAX": (np.maximum, -np.inf),
     "MIN": (np.minimum, np.inf),
     "PROD": (np.multiply, 1.0),
+}
+
+_BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "**": operator.pow,
 }
 
 _INTRINSICS = {
@@ -108,12 +137,148 @@ def compile_program(source: str) -> CompiledProgram:
                            plans=plans)
 
 
+def _ragged_csr(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell rows as one CSR pair ``(flat, offsets)`` in cell order.
+    ``flat`` is a fresh buffer of the rows' own dtype (empty rows do not
+    vote: a ``[]`` must not promote an INTEGER routing array to float)."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    filled = list(itertools.compress(rows, lens.tolist()))
+    flat = np.concatenate(filled) if filled else np.zeros(0)
+    return flat, offsets_from_counts(lens)
+
+
+def _check_ragged_bounds(name: str, sizes: np.ndarray, lens: np.ndarray,
+                         line: int | None = None) -> None:
+    """``size(c)`` must fit row ``c`` of every ragged array a nest walks —
+    one vector compare, shared by the instance and the oracle so both
+    refuse the same programs with the same message."""
+    if lens.size != sizes.size:
+        raise ExecutionError(
+            f"ragged array {name!r} has {lens.size} rows, the loop spans "
+            f"{sizes.size} cells", line)
+    bad = (sizes < 0) | (sizes > lens)
+    if bad.any():
+        c = int(np.flatnonzero(bad)[0])
+        raise ExecutionError(
+            f"ragged array {name!r}: cell {c + 1} holds {int(lens[c])} "
+            f"entries, the inner loop bound there is {int(sizes[c])}", line)
+
+
+def _lower_reduction(plan: ReductionPlan, symbols, host: dict) -> tuple:
+    """A reduction nest's body, resolved once per plan: ``(reads, targets,
+    body)`` — the distributed arrays to gather, ``{target: (ufunc,
+    identity)}`` and one ``(ufunc, target, pattern key, value)`` per
+    REDUCE, where ``value(read)`` evaluates the statement over the whole
+    stream given ``read(array, pattern key)``.  Subscripts are classified
+    here, never while running.  The instance caches the result, so nothing
+    in it may refer back to the instance (scalars are looked up in
+    ``host``): that would be a cycle only the collector can free."""
+    nest = plan.nest
+    loop_vars = {nest.outer.var} | ({nest.inner.var} if nest.inner else set())
+    keys = {pat.key() for pat in plan.index_patterns}
+    reads = set(plan.gather_arrays)
+
+    def pattern_of(ref: ArrayRef) -> str:
+        key = classify_subscript(ref.subscripts[0], loop_vars).key()
+        if key not in keys:
+            raise ExecutionError(
+                f"{ref.name!r} is indexed by {key}, which no distributed "
+                "array of the loop uses", ref.line)
+        return key
+
+    def leaf(expr: VarRef | ArrayRef) -> tuple | None:
+        """What ``read`` is asked for: ``(array, pattern key)``, ``(None,
+        key)`` for a loop variable's own value, ``None`` for a scalar."""
+        if isinstance(expr, VarRef):
+            if expr.name not in loop_vars:
+                return None
+            if f"var:{expr.name}" not in keys:
+                raise ExecutionError(
+                    f"loop variable {expr.name!r} not available as a value",
+                    expr.line)
+            return None, f"var:{expr.name}"
+        info = symbols.arrays.get(expr.name)
+        if info is None:
+            raise ExecutionError(f"undeclared array {expr.name!r}", expr.line)
+        if info.ragged:
+            raise ExecutionError(
+                f"ragged array {expr.name!r} cannot be read in a reduction",
+                expr.line)
+        if info.decomposition is not None:
+            reads.add(expr.name)
+        return expr.name, pattern_of(expr)
+
+    targets: dict[str, tuple] = {}
+    body = []
+    # every statement is a REDUCE: analysis rejects assignments in a nest
+    # that has one, and REDUCE-free nests lower to LocalPlan
+    for stmt in nest.statements:
+        if stmt.op not in _REDUCE_OPS:
+            raise ExecutionError(f"unsupported REDUCE op {stmt.op}",
+                                 stmt.line)
+        op = _REDUCE_OPS[stmt.op]
+        if targets.setdefault(stmt.target.name, op) is not op:
+            raise ExecutionError("mixed reduction ops on one target",
+                                 stmt.line)
+        body.append((op[0], stmt.target.name, pattern_of(stmt.target),
+                     _lower_expr(stmt.value, leaf, host)))
+    return sorted(reads), targets, body
+
+
+def _lower_expr(expr: Expr, leaf, host: dict):
+    """One statement expression as a function of ``read`` (see
+    :func:`_lower_reduction`): the tree is walked here, once."""
+    if isinstance(expr, Num):
+        return lambda read: expr.value
+    if isinstance(expr, Call):
+        func = _INTRINSICS[expr.func]
+        args = [_lower_expr(a, leaf, host) for a in expr.args]
+        return lambda read: func(*[a(read) for a in args])
+    if isinstance(expr, UnaryOp):
+        operand = _lower_expr(expr.operand, leaf, host)
+        return lambda read: -operand(read)
+    if isinstance(expr, BinOp):
+        if expr.op not in _BINOPS:
+            raise ExecutionError(f"unknown operator {expr.op!r}", expr.line)
+        op = _BINOPS[expr.op]
+        a = _lower_expr(expr.left, leaf, host)
+        b = _lower_expr(expr.right, leaf, host)
+        return lambda read: op(a(read), b(read))
+    if isinstance(expr, (VarRef, ArrayRef)):
+        ref = leaf(expr)
+        if ref is not None:
+            return lambda read: read(*ref)
+
+        def scalar(read):
+            v = host.get(expr.name)
+            if v is None or np.ndim(v) != 0:
+                raise ExecutionError(f"unbound scalar {expr.name!r}",
+                                     expr.line)
+            return float(v)
+        return scalar
+    if isinstance(expr, FullSlice):
+        raise ExecutionError("':' only allowed in REDUCE(APPEND) targets",
+                             expr.line)
+    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+
+
 @dataclass
 class _DecompState:
     size: int
     ttable: TranslationTable | None = None
     htables: list | None = None
     version: int = 0
+    #: rank-major index of the distribution: ``order[k]`` is the global
+    #: element at position ``k`` of the axis-0 concatenation of the
+    #: per-rank local arrays, ``counts[p]`` how many rank ``p`` owns
+    order: np.ndarray | None = None
+    counts: np.ndarray | None = None
+
+    def per_rank(self, per_element: np.ndarray) -> np.ndarray:
+        """Per-rank sums of a count given per element in rank-major
+        order (a rank may own nothing, which rules out ``reduceat``)."""
+        running = offsets_from_counts(per_element)
+        return np.diff(running[offsets_from_counts(self.counts)])
 
 
 class ProgramInstance:
@@ -141,9 +306,14 @@ class ProgramInstance:
         self.machine = ctx.machine
         self.ttable_storage = ttable_storage
         self.symbols = compiled.analyzer.symbols
+        #: replicated arrays, scalars, and the global value a distributed
+        #: array was last given host-side
         self.host: dict[str, Any] = {}
-        self.local: dict[str, list[np.ndarray]] = {}   # distributed 1-D
-        self.ragged: dict[str, list[list[np.ndarray]]] = {}  # per-rank rows
+        #: distributed 1-D arrays, one arena each (owned by the instance:
+        #: written through ``flat``, elements never rebound)
+        self.local: dict[str, RankArena] = {}
+        #: ragged cell arrays as CSR ``(flat, offsets)``, global cell order
+        self.ragged: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.decomps: dict[str, _DecompState] = {
             name: _DecompState(size=d.size)
             for name, d in self.symbols.decomps.items()
@@ -155,8 +325,14 @@ class ProgramInstance:
         #: must not collide on "loop1"-style keys; a process-wide counter
         #: (never recycled, unlike id()) keeps scopes distinct
         self._cache_scope = f"prog{next(_PROGRAM_COUNTER)}"
-        if bindings:
-            for k, v in bindings.items():
+        #: reduction bodies, resolved once per plan
+        #: (:func:`_lower_reduction`)
+        self._bodies: dict[str, tuple] = {}
+        for k, v in (bindings or {}).items():
+            info = self.symbols.arrays.get(k)
+            if info is not None and info.ragged:
+                self.ragged[k] = _ragged_csr(v)
+            else:
                 self.host[k] = v
         # allocate declared-but-unbound arrays
         for name, info in self.symbols.arrays.items():
@@ -210,26 +386,22 @@ class ProgramInstance:
             if info.decomposition == decomp
         ]
 
+    def _arena(self, name: str, line: int | None = None) -> RankArena:
+        arena = self.local.get(name)
+        if arena is None:
+            raise ExecutionError(f"array {name!r} not distributed yet", line)
+        return arena
+
     def get_array(self, name: str) -> Any:
-        """Current global value (assembles distributed arrays host-side)."""
-        info = self.symbols.arrays.get(name)
-        if info is not None and info.ragged and name in self.ragged:
-            dist = self._ttable(info.decomposition).dist
-            rows: list[np.ndarray | None] = [None] * dist.n_global
-            for p in self.machine.ranks():
-                for c, row in zip(dist.global_indices(p).tolist(),
-                                  self.ragged[name][p]):
-                    rows[c] = row
-            return [
-                r if r is not None else np.zeros(0) for r in rows
-            ]
+        """Current global value: a distributed array assembled host-side,
+        a ragged array as its list of per-cell rows (views of the CSR
+        buffer, in global cell order)."""
+        if name in self.ragged:
+            return split_csr(*self.ragged[name])
         if name in self.local:
-            dist = self._ttable(self._decomp_of(name)).dist
-            first = self.local[name][0]
-            out = np.zeros((dist.n_global,) + first.shape[1:],
-                           dtype=first.dtype)
-            for p in self.machine.ranks():
-                out[dist.global_indices(p)] = self.local[name][p]
+            flat = self.local[name].flat
+            out = np.empty_like(flat)
+            out[self.decomps[self._decomp_of(name)].order] = flat
             return out
         if name in self.host:
             return self.host[name]
@@ -240,30 +412,11 @@ class ProgramInstance:
         info = self.symbols.arrays.get(name)
         self.record.touch(name)
         if info is not None and info.ragged:
-            self._set_ragged(name, value)
+            self.ragged[name] = _ragged_csr(value)
             return
-        arr = np.asarray(value)
-        self.host[name] = arr
+        self.host[name] = np.asarray(value)
         if name in self.local:
-            dist = self._ttable(self._decomp_of(name)).dist
-            if arr.shape[0] != dist.n_global:
-                raise ExecutionError(
-                    f"{name!r}: value has {arr.shape[0]} elements, "
-                    f"distribution expects {dist.n_global}"
-                )
-            self.local[name] = [
-                arr[dist.global_indices(p)] for p in self.machine.ranks()
-            ]
-
-    def _set_ragged(self, name: str, rows: list) -> None:
-        info = self.symbols.array(name)
-        self.host[name] = [np.asarray(r, dtype=np.float64) for r in rows]
-        if info.decomposition and self.decomps[info.decomposition].ttable:
-            dist = self.decomps[info.decomposition].ttable.dist
-            self.ragged[name] = [
-                [self.host[name][c] for c in dist.global_indices(p).tolist()]
-                for p in self.machine.ranks()
-            ]
+            self._distribute_array(name)
 
     # ==================================================================
     # execution
@@ -299,10 +452,9 @@ class ProgramInstance:
         )
 
     def _exec_align(self, stmt: AlignStmt) -> None:
-        st = self.decomps[stmt.target]
-        if st.ttable is not None:
+        if self.decomps[stmt.target].ttable is not None:
             for name in stmt.arrays:
-                self._distribute_array(name, st.ttable.dist)
+                self._distribute_array(name)
 
     def _exec_distribute(self, stmt: DistributeStmt) -> None:
         st = self.decomps[stmt.target]
@@ -330,43 +482,38 @@ class ProgramInstance:
 
         old = st.ttable
         st.ttable = TranslationTable(m, dist, storage=self.ttable_storage)
+        st.order, st.counts = stream_of(
+            [dist.global_indices(p) for p in m.ranks()])
         st.version += 1
         st.htables = None
         self.record.touch(f"__decomp__:{stmt.target}")
         if old is None:
             for name in self._aligned_arrays(stmt.target):
-                self._distribute_array(name, dist)
+                self._distribute_array(name)
         else:
             # redistribution: one remap plan moves every aligned array
+            # (ragged arrays are global CSR: nothing to move)
             plan = remap(self.ctx, old.dist, dist, category="remap")
             for name in self._aligned_arrays(stmt.target):
-                info = self.symbols.array(name)
-                if info.ragged:
-                    self._set_ragged(name, self.host.get(name, []))
-                elif name in self.local:
-                    self.local[name] = remap_array(
+                if name in self.local:
+                    self.local[name] = RankArena.adopt(remap_array(
                         self.ctx, plan, self.local[name], category="remap",
-                    )
+                    ))
 
-    def _distribute_array(self, name: str, dist: Distribution) -> None:
+    def _distribute_array(self, name: str) -> None:
+        """Scatter an aligned 1-D array's host value into its arena: one
+        take through the rank-major index of the decomposition."""
         info = self.symbols.array(name)
         if info.ragged:
-            rows = self.host.get(name)
-            if rows is not None:
-                self._set_ragged(name, rows)
             return
-        g = np.asarray(self.host.get(
-            name, np.zeros(dist.n_global,
-                           dtype=np.float64 if info.dtype == "real"
-                           else np.int64)
-        ))
-        if g.shape[0] != dist.n_global:
+        st = self.decomps[info.decomposition]
+        g = np.asarray(self.host[name])
+        if g.shape[0] != st.size:
             raise ExecutionError(
                 f"array {name!r} has {g.shape[0]} elements, decomposition "
-                f"expects {dist.n_global}"
+                f"expects {st.size}"
             )
-        self.local[name] = [g[dist.global_indices(p)]
-                            for p in self.machine.ranks()]
+        self.local[name] = RankArena(g[st.order], st.counts)
 
     # ==================================================================
     # loops
@@ -397,188 +544,155 @@ class ProgramInstance:
             return int(v)
         raise ExecutionError("unsupported loop bound", getattr(expr, "line", None))
 
-    # ---- index-space construction -------------------------------------
-    def _iteration_space(self, plan: ReductionPlan) -> dict[str, Any]:
-        """Per-rank global index arrays for every subscript pattern.
+    def _int_array(self, name: str) -> np.ndarray:
+        return np.asarray(self.get_array(name), dtype=np.int64)
 
-        Returns ``{"gidx": {pattern_key: [per-rank np arrays]},
-        "n_iter": [per-rank iteration counts]}`` (0-based indices).
-        """
+    def _ragged_stream(self, name: str, sizes: np.ndarray,
+                       st: _DecompState, line: int) -> np.ndarray:
+        """The first ``sizes[c]`` entries of every row ``c`` of ragged
+        array ``name`` as one rank-major stream: the cells each rank
+        owns, in its local order."""
+        if name not in self.ragged:
+            raise ExecutionError(f"ragged array {name!r} has no value", line)
+        flat, offsets = self.ragged[name]
+        _check_ragged_bounds(name, sizes, np.diff(offsets), line)
+        return flat[grouped_arange(offsets[st.order], sizes[st.order])]
+
+    # ---- index-space construction -------------------------------------
+    def _iteration_space(self, plan: ReductionPlan
+                         ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Global indices of every subscript pattern over the machine's
+        iterations: ``({pattern_key: rank-major stream}, per-rank
+        iteration counts)`` (0-based indices)."""
         nest = plan.nest
         m = self.machine
-        decomp = nest.decomposition
-        tt = self._ttable(decomp)
-        dist = tt.dist
-        lo = self._bound_value(nest.outer.lower)
-        hi = self._bound_value(nest.outer.upper)
+        st = self.decomps[nest.decomposition]
+        tt = self._ttable(nest.decomposition)
+        outer = nest.outer
+        lo = self._bound_value(outer.lower)
+        hi = self._bound_value(outer.upper)
         if lo != 1:
-            raise ExecutionError("outer FORALL must start at 1",
-                                 nest.outer.line)
+            raise ExecutionError("outer FORALL must start at 1", outer.line)
+        what = "CSR" if nest.kind == "csr" else nest.kind
+        if nest.kind != "flat" and hi != st.size:
+            raise ExecutionError(
+                f"{what} outer loop must span the decomposition", outer.line)
 
-        gidx: dict[str, list[np.ndarray]] = {}
+        def unsupported(pat):
+            return ExecutionError(
+                f"unsupported pattern {pat.key()} in {what} loop", outer.line)
+
+        gidx: dict[str, np.ndarray] = {}
         if nest.kind == "csr":
-            if hi != dist.n_global:
-                raise ExecutionError(
-                    "CSR outer loop must span the decomposition",
-                    nest.outer.line,
-                )
-            inblo = np.asarray(self.get_array(nest.csr_offsets),
-                               dtype=np.int64)
-            jname = None
+            # 1-based positions -> 0-based CSR offsets, rows rank-major
+            offsets0 = self._int_array(nest.csr_offsets) - 1
+            starts = offsets0[st.order]
+            counts = offsets0[st.order + 1] - starts
+            n_iter = st.per_rank(counts)
+            of_var = {outer.var: np.repeat(st.order, counts),
+                      nest.inner.var: grouped_arange(starts, counts)}
             for pat in plan.index_patterns:
-                if pat.kind == "indirect":
-                    jname = pat.indirection
-            offsets0 = inblo - 1  # 1-based positions -> 0-based CSR offsets
-            i_per, jv_per = [], []
-            for p in m.ranks():
-                rows = dist.global_indices(p)
-                counts = offsets0[rows + 1] - offsets0[rows]
-                total = int(counts.sum())
-                i_exp = np.repeat(rows, counts)
-                if jname is not None and total:
-                    jarr = np.asarray(self.get_array(jname), dtype=np.int64)
-                    starts = offsets0[rows]
-                    shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                    flat = (np.repeat(starts - shift, counts)
-                            + np.arange(total, dtype=np.int64))
-                    jv = jarr[flat] - 1
-                else:
-                    jv = np.zeros(total, dtype=np.int64)
-                i_per.append(i_exp)
-                jv_per.append(jv)
-                m.charge_memops(p, 2 * total, "inspector")
-            for pat in plan.index_patterns:
-                if pat.kind == "loopvar" and pat.loopvar == nest.outer.var:
-                    gidx[pat.key()] = i_per
+                if pat.kind == "loopvar" and pat.loopvar == outer.var:
+                    gidx[pat.key()] = of_var[outer.var]
                 elif pat.kind == "indirect":
-                    gidx[pat.key()] = jv_per
+                    gidx[pat.key()] = self._int_array(
+                        pat.indirection)[of_var[pat.loopvar]] - 1
                 else:
-                    raise ExecutionError(
-                        f"unsupported pattern {pat.key()} in CSR loop",
-                        nest.outer.line,
-                    )
-            n_iter = [a.size for a in i_per]
+                    raise unsupported(pat)
+            m.charge_memops_vec(2 * n_iter, "inspector")
         elif nest.kind == "ragged":
-            if hi != dist.n_global:
-                raise ExecutionError(
-                    "ragged outer loop must span the decomposition",
-                    nest.outer.line,
-                )
-            sizes = np.asarray(self.get_array(nest.csr_offsets),
-                               dtype=np.int64)
-            routing_rows = None
+            sizes = self._int_array(nest.csr_offsets)
             for pat in plan.index_patterns:
-                if pat.kind == "indirect2":
-                    routing_rows = self.get_array(pat.indirection)
-            cell_per, val_per = [], []
-            for p in m.ranks():
-                rows = dist.global_indices(p)
-                counts = sizes[rows]
-                cell_exp = np.repeat(rows, counts)
-                if routing_rows is not None:
-                    vals = (
-                        np.concatenate(
-                            [np.asarray(routing_rows[c][: sizes[c]],
-                                        dtype=np.int64)
-                             for c in rows.tolist()]
-                        ) - 1
-                        if rows.size and counts.sum()
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                else:
-                    vals = np.zeros(cell_exp.size, dtype=np.int64)
-                cell_per.append(cell_exp)
-                val_per.append(vals)
-                m.charge_memops(p, 2 * cell_exp.size, "inspector")
-            for pat in plan.index_patterns:
-                if pat.kind == "loopvar" and pat.loopvar == nest.outer.var:
-                    gidx[pat.key()] = cell_per
+                if pat.kind == "loopvar" and pat.loopvar == outer.var:
+                    gidx[pat.key()] = np.repeat(st.order, sizes[st.order])
                 elif pat.kind == "indirect2":
-                    gidx[pat.key()] = val_per
+                    gidx[pat.key()] = self._ragged_stream(
+                        pat.indirection, sizes, st, outer.line
+                    ).astype(np.int64) - 1
                 else:
-                    raise ExecutionError(
-                        f"unsupported pattern {pat.key()} in ragged loop",
-                        nest.outer.line,
-                    )
-            n_iter = [a.size for a in cell_per]
+                    raise unsupported(pat)
+            n_iter = st.per_rank(sizes[st.order])
+            m.charge_memops_vec(2 * n_iter, "inspector")
         else:  # flat
             n_total = hi - lo + 1
-            ind_values: dict[str, np.ndarray] = {}
+            blocks: dict[str, list[np.ndarray]] = {}
             for pat in plan.index_patterns:
                 if pat.kind == "indirect":
-                    arr = np.asarray(self.get_array(pat.indirection),
-                                     dtype=np.int64)
+                    arr = self._int_array(pat.indirection)
                     if arr.shape[0] < n_total:
                         raise ExecutionError(
                             f"indirection {pat.indirection!r} shorter than "
-                            "the loop range", nest.outer.line,
+                            "the loop range", outer.line,
                         )
-                    ind_values[pat.key()] = arr[:n_total] - 1
+                    values = arr[:n_total] - 1
                 elif pat.kind == "loopvar":
-                    if n_total != dist.n_global:
+                    if n_total != st.size:
                         raise ExecutionError(
                             "direct references require the loop to span "
-                            "the decomposition", nest.outer.line,
+                            "the decomposition", outer.line,
                         )
-                    ind_values[pat.key()] = np.arange(n_total, dtype=np.int64)
+                    values = np.arange(n_total, dtype=np.int64)
                 else:
-                    raise ExecutionError(
-                        f"unsupported pattern {pat.key()} in flat loop",
-                        nest.outer.line,
-                    )
+                    raise unsupported(pat)
+                blocks[pat.key()] = split_by_block(values, m)
             # Phase C/D: almost-owner-computes over the accessed elements
-            keys = list(ind_values)
-            accesses = [
-                [split_by_block(ind_values[k], m)[p] for k in keys]
-                for p in m.ranks()
-            ]
             assign = partition_iterations(
-                self.ctx, tt, accesses, rule="almost-owner-computes",
-                category="inspector",
+                self.ctx, tt,
+                [[b[p] for b in blocks.values()] for p in m.ranks()],
+                rule="almost-owner-computes", category="inspector",
             )
-            for k in keys:
-                gidx[k] = assign.remap_iteration_data(
-                    self.ctx, split_by_block(ind_values[k], m),
-                    category="inspector",
-                )
-            n_iter = [gidx[keys[0]][p].size for p in m.ranks()] if keys \
-                else [0] * m.n_ranks
-        return {"gidx": gidx, "n_iter": n_iter}
+            for key, block in blocks.items():
+                gidx[key] = RankArena.adopt(assign.remap_iteration_data(
+                    self.ctx, block, category="inspector")).flat
+            n_iter = assign.counts
+        return gidx, n_iter
 
     # ---- inspector -----------------------------------------------------
     def _inspect(self, plan: ReductionPlan) -> dict[str, Any]:
-        nest = plan.nest
-        decomp = nest.decomposition
-        deps = plan.dependency_names() + (f"__decomp__:{decomp}",)
-
-        def build():
-            tt = self._ttable(decomp)
-            hts = self._htables(decomp)
-            space = self._iteration_space(plan)
-            loc: dict[str, list[np.ndarray]] = {}
-            for pat in plan.index_patterns:
-                stamp = plan.stamp_for(pat)
-                if stamp in hts[0].registry:
-                    clear_stamp(self.ctx, hts, stamp, category="inspector")
-                loc[pat.key()] = chaos_hash(
-                    self.ctx, hts, tt, space["gidx"][pat.key()], stamp,
-                    category="inspector",
-                )
-            expr = hts[0].expr(*[plan.stamp_for(p)
-                                 for p in plan.index_patterns])
-            sched = build_schedule(self.ctx, hts, expr,
-                                   category="inspector")
-            return {
-                "schedule": sched,
-                "loc": loc,
-                "gidx": space["gidx"],
-                "n_iter": space["n_iter"],
-            }
-
+        """The loop's inspector state, through the schedule cache: rebuilt
+        only when an indirection array or the distribution was touched."""
+        deps = plan.dependency_names() + (
+            f"__decomp__:{plan.nest.decomposition}",)
         value, _rebuilt = self.cache.get_or_build(
-            self.cache_key(plan.loop_id), deps, build
+            self.cache_key(plan.loop_id), deps,
+            lambda: self._run_inspector(plan),
         )
         return value
+
+    def _run_inspector(self, plan: ReductionPlan) -> dict[str, Any]:
+        """Hash every subscript pattern and build the loop's schedule.
+        Returns the schedule, the per-rank iteration counts and, per
+        pattern, two rank-major streams: ``gidx`` (global indices) and
+        ``pos`` (positions in the executor's stacked buffer, see
+        :meth:`_exec_reduction`)."""
+        decomp = plan.nest.decomposition
+        tt = self._ttable(decomp)
+        hts = self._htables(decomp)
+        st = self.decomps[decomp]
+        gidx, n_iter = self._iteration_space(plan)
+        pos: dict[str, np.ndarray] = {}
+        for pat in plan.index_patterns:
+            stamp = plan.stamp_for(pat)
+            if stamp in hts[0].registry:
+                clear_stamp(self.ctx, hts, stamp, category="inspector")
+            pos[pat.key()] = np.concatenate(chaos_hash(
+                self.ctx, hts, tt, split_stream(gidx[pat.key()], n_iter),
+                stamp, category="inspector",
+            ))
+        expr = hts[0].expr(*[plan.stamp_for(p) for p in plan.index_patterns])
+        sched = build_schedule(self.ctx, hts, expr, category="inspector")
+        # rebase the localized indices (owned: local offset, ghost:
+        # n_local + slot), once, onto the stacked buffer: every rank's
+        # local part, then every rank's ghost part
+        n_ghost = np.asarray(sched.ghost_size, dtype=np.int64)
+        n_local = np.repeat(st.counts, n_iter)
+        own_base = np.repeat(offsets_from_counts(st.counts)[:-1], n_iter)
+        ghost_base = np.repeat(
+            st.size + offsets_from_counts(n_ghost)[:-1] - st.counts, n_iter)
+        for loc in pos.values():
+            loc += np.where(loc < n_local, own_base, ghost_base)
+        return {"schedule": sched, "pos": pos, "gidx": gidx,
+                "n_iter": n_iter}
 
     def cache_key(self, loop_id: str) -> str:
         """This instance's ScheduleCache key for one of its loops (the
@@ -595,280 +709,138 @@ class ProgramInstance:
         """Aggregate :class:`CacheStats` over this instance's loops."""
         return self.cache.total_stats(prefix=f"{self._cache_scope}:")
 
-    # ---- expression evaluation ------------------------------------------
-    def _eval(self, expr: Expr, env: dict[str, Any], rank: int):
-        if isinstance(expr, Num):
-            return expr.value
-        if isinstance(expr, Call):
-            args = [self._eval(a, env, rank) for a in expr.args]
-            return _INTRINSICS[expr.func](*args)
-        if isinstance(expr, UnaryOp):
-            v = self._eval(expr.operand, env, rank)
-            return -v
-        if isinstance(expr, BinOp):
-            a = self._eval(expr.left, env, rank)
-            b = self._eval(expr.right, env, rank)
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                return a / b
-            if expr.op == "**":
-                return a ** b
-            raise ExecutionError(f"unknown operator {expr.op!r}", expr.line)
-        if isinstance(expr, VarRef):
-            if expr.name in env["loop_vars"]:
-                key = f"var:{expr.name}"
-                if key in env["gidx"]:
-                    return env["gidx"][key][rank].astype(np.float64) + 1.0
-                raise ExecutionError(
-                    f"loop variable {expr.name!r} not available as a value",
-                    expr.line,
-                )
-            v = self.host.get(expr.name)
-            if v is not None and np.ndim(v) == 0:
-                return float(v)
-            raise ExecutionError(f"unbound scalar {expr.name!r}", expr.line)
-        if isinstance(expr, ArrayRef):
-            info = self.symbols.arrays.get(expr.name)
-            if info is None:
-                raise ExecutionError(f"undeclared array {expr.name!r}",
-                                     expr.line)
-            pat_key = env["pattern_of"](expr)
-            if info.decomposition is not None and expr.name in env["stacked"]:
-                idx = env["loc"][pat_key][rank]
-                return env["stacked"][expr.name][rank][idx]
-            # replicated array: index by global values
-            g = np.asarray(self.get_array(expr.name))
-            idx = env["gidx"][pat_key][rank]
-            return g[idx]
-        if isinstance(expr, FullSlice):
-            raise ExecutionError("':' only allowed in REDUCE(APPEND) targets",
-                                 expr.line)
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
     # ---- reduction executor ----------------------------------------------
     def _exec_reduction(self, plan: ReductionPlan) -> None:
         nest = plan.nest
         m = self.machine
-        decomp = nest.decomposition
-        if decomp is None:
+        line = nest.outer.line
+        if nest.decomposition is None:
             raise ExecutionError("reduction loop touches no distributed array",
-                                 nest.outer.line)
+                                 line)
         state = self._inspect(plan)
-        sched = state["schedule"]
-        loop_vars = {nest.outer.var} | (
-            {nest.inner.var} if nest.inner else set()
-        )
+        sched, pos, gidx = state["schedule"], state["pos"], state["gidx"]
+        lowered = self._bodies.get(plan.loop_id)
+        if lowered is None:
+            lowered = self._bodies[plan.loop_id] = _lower_reduction(
+                plan, self.symbols, self.host)
+        reads, targets, body = lowered
+        n_own = self.decomps[nest.decomposition].size
+        n_ghost = sum(sched.ghost_size)
 
-        def pattern_of(ref: ArrayRef) -> str:
-            from repro.lang.analysis import classify_subscript
-            return classify_subscript(ref.subscripts[0], loop_vars).key()
+        # one stacked buffer per distributed array read in the loop:
+        # every rank's local part, then every rank's gathered ghosts —
+        # the layout ``pos`` addresses
+        stacked: dict[str, np.ndarray] = {}
+        for name in reads:
+            local = self._arena(name, line)
+            ghosts = RankArena.adopt(
+                gather(self.ctx, sched, local, category="comm"))
+            stacked[name] = np.concatenate([local.flat, ghosts.flat])
 
-        # gather every distributed array read in the loop
-        stacked: dict[str, list[np.ndarray]] = {}
-        read_arrays = set(plan.gather_arrays)
-        for stmt in nest.statements:
-            from repro.lang.ast_nodes import array_refs
-            for ref in array_refs(stmt.value):
-                info = self.symbols.arrays.get(ref.name)
-                if info is not None and info.decomposition == decomp \
-                        and not info.ragged:
-                    read_arrays.add(ref.name)
-        ghosts_of: dict[str, list[np.ndarray]] = {}
-        for name in sorted(read_arrays):
-            if name not in self.local:
-                raise ExecutionError(f"array {name!r} not distributed yet",
-                                     nest.outer.line)
-            g = gather(self.ctx, sched, self.local[name], category="comm")
-            ghosts_of[name] = g
-            stacked[name] = stack_local_ghost(self.local[name], g)
+        taken: dict[tuple, np.ndarray] = {}
 
-        env = {
-            "stacked": stacked,
-            "loc": state["loc"],
-            "gidx": state["gidx"],
-            "pattern_of": pattern_of,
-            "loop_vars": loop_vars,
-        }
+        def read(name, key):
+            """The value stream of one ``(array, pattern)`` reference,
+            taken once per execution however often the body names it."""
+            got = taken.get((name, key))
+            if got is None:
+                if name is None:  # the loop variable's own (1-based) value
+                    got = gidx[key].astype(np.float64) + 1.0
+                elif name in stacked:
+                    got = stacked[name].take(pos[key], axis=0)
+                else:  # replicated array: index by global values
+                    got = np.asarray(self.get_array(name))[gidx[key]]
+                taken[name, key] = got
+            return got
 
-        # accumulate per target array (zero/identity-initialized stacked)
-        target_names = {t.array for t in plan.reduce_targets}
-        acc: dict[str, list[np.ndarray]] = {}
-        ops: dict[str, Any] = {}
-        for stmt in nest.statements:
-            if isinstance(stmt, Reduce):
-                if stmt.op not in _REDUCE_OPS:
-                    raise ExecutionError(f"unsupported REDUCE op {stmt.op}",
-                                         stmt.line)
-                prev = ops.get(stmt.target.name)
-                if prev is not None and prev is not _REDUCE_OPS[stmt.op][0]:
-                    raise ExecutionError(
-                        "mixed reduction ops on one target", stmt.line
-                    )
-                ops[stmt.target.name] = _REDUCE_OPS[stmt.op][0]
-        for name in target_names:
-            ufunc = ops[name]
-            identity = next(v for u, v in _REDUCE_OPS.values() if u is ufunc)
-            locs = self.local[name]
-            acc[name] = [
-                np.full(locs[p].shape[0] + sched.ghost_size[p], identity,
-                        dtype=np.float64)
-                for p in m.ranks()
-            ]
-
-        for p in m.ranks():
-            for stmt in nest.statements:
-                if isinstance(stmt, Reduce):
-                    contrib = self._eval(stmt.value, env, p)
-                    key = pattern_of(stmt.target)
-                    idx = state["loc"][key][p]
-                    if np.ndim(contrib) == 0:
-                        contrib = np.full(idx.size, float(contrib))
-                    ops[stmt.target.name].at(acc[stmt.target.name][p], idx,
-                                             contrib)
-                elif isinstance(stmt, Assign):
-                    value = self._eval(stmt.value, env, p)
-                    key = pattern_of(stmt.target)
-                    idx = state["loc"][key][p]
-                    tgt = stacked.get(stmt.target.name)
-                    if tgt is None:
-                        raise ExecutionError(
-                            "assignment target must be gathered", stmt.line
-                        )
-                    tgt[p][idx] = value
-            m.charge_compute(
-                p, plan.compute_ops_per_iter * state["n_iter"][p], "compute"
-            )
+        # accumulate per target array into an identity-initialized buffer
+        # of the stacked layout: stream order keeps every rank's
+        # iterations in order and ranks' positions are disjoint, so each
+        # fold is the rank-by-rank fold bit for bit
+        acc = {name: np.full(n_own + n_ghost, identity, dtype=np.float64)
+               for name, (_, identity) in targets.items()}
+        for ufunc, name, key, value in body:
+            ufunc.at(acc[name], pos[key], value(read))
+        m.charge_compute_vec(plan.compute_ops_per_iter * state["n_iter"],
+                             "compute")
 
         # fold accumulators into owners: local part elementwise, ghost part
         # via scatter_op
-        for name in target_names:
-            ufunc = ops[name]
-            ghost_acc = []
-            for p in m.ranks():
-                n_local = self.local[name][p].shape[0]
-                local_acc = acc[name][p][:n_local]
-                self.local[name][p][...] = ufunc(
-                    self.local[name][p], local_acc.astype(
-                        self.local[name][p].dtype, copy=False
-                    )
-                )
-                ghost_acc.append(acc[name][p][n_local:].astype(
-                    self.local[name][p].dtype, copy=False
-                ))
-            scatter_op(self.ctx, sched, self.local[name], ghost_acc, ufunc,
+        for name, (ufunc, _) in targets.items():
+            local = self._arena(name, line)
+            folded = acc[name].astype(local.flat.dtype, copy=False)
+            ufunc(local.flat, folded[:n_own], out=local.flat)
+            scatter_op(self.ctx, sched, local,
+                       RankArena(folded[n_own:], sched.ghost_size), ufunc,
                        category="comm")
         m.barrier()
 
     # ---- local loops ------------------------------------------------------
     def _exec_local(self, plan: LocalPlan) -> None:
+        """``a(j) = constant`` over a whole decomposition (the only
+        assignment analysis lets through): no communication."""
         nest = plan.nest
         m = self.machine
         decomp = nest.decomposition
         if decomp is None:
-            # purely replicated loop: run host-side on rank 0's budget
             raise ExecutionError(
                 "local loops must touch a distributed array", nest.outer.line
             )
-        dist = self._ttable(decomp).dist
-        hi = self._bound_value(nest.outer.upper)
-        if hi != dist.n_global:
+        self._ttable(decomp)  # raises when used before DISTRIBUTE
+        st = self.decomps[decomp]
+        if self._bound_value(nest.outer.upper) != st.size:
             raise ExecutionError(
                 "local loop must span the decomposition", nest.outer.line
             )
-        for p in m.ranks():
-            for stmt in nest.statements:
-                if not isinstance(stmt, Assign):
-                    raise ExecutionError("local loops support assignments only",
-                                         stmt.line)
-                if not (len(stmt.target.subscripts) == 1
-                        and isinstance(stmt.target.subscripts[0], VarRef)):
-                    raise ExecutionError(
-                        "local assignment must use the loop variable",
-                        stmt.line,
-                    )
-                if isinstance(stmt.value, Num):
-                    self.local[stmt.target.name][p][...] = stmt.value.value
-                else:
-                    raise ExecutionError(
-                        "only constant local assignments are supported",
-                        stmt.line,
-                    )
-            m.charge_compute(p, dist.local_size(p), "compute")
+        for stmt in nest.statements:
+            self._arena(stmt.target.name, stmt.line).flat[...] = \
+                stmt.value.value
+        m.charge_compute_vec(st.counts, "compute")
         m.barrier()
 
     # ---- append loops -------------------------------------------------------
     def _exec_append(self, plan: AppendPlan) -> None:
         """REDUCE(APPEND): light-weight-schedule data movement (§5.2.1)."""
-        nest = plan.nest
         m = self.machine
+        line = plan.nest.outer.line
         decomp = self._decomp_of(plan.target)
         tt = self._ttable(decomp)
-        dist = tt.dist
-        sizes = np.asarray(self.get_array(plan.size_array), dtype=np.int64)
-        routing = self.get_array(plan.routing)
-        source = self.get_array(plan.source)
+        st = self.decomps[decomp]
+        sizes = self._int_array(plan.size_array)
+        # what travels is int64 cells and float64 values whatever the
+        # bound dtypes, so the bytes on the wire do not depend on them
+        dest_cell = self._ragged_stream(
+            plan.routing, sizes, st, line).astype(np.int64) - 1
+        values = self._ragged_stream(
+            plan.source, sizes, st, line).astype(np.float64, copy=False)
+        if dest_cell.size and (
+            dest_cell.min() < 0 or dest_cell.max() >= st.size
+        ):
+            raise ExecutionError(
+                f"routing array {plan.routing!r} holds out-of-range cells",
+                line,
+            )
+        n_iter = st.per_rank(sizes[st.order])
+        m.charge_memops_vec(2 * n_iter, "inspector")
 
-        dest_cell_per, values_per = [], []
-        for p in m.ranks():
-            rows = dist.global_indices(p)
-            cells_vals = []
-            vals = []
-            for c in rows.tolist():
-                k = int(sizes[c])
-                if k == 0:
-                    continue
-                cells_vals.append(np.asarray(routing[c][:k],
-                                             dtype=np.int64) - 1)
-                vals.append(np.asarray(source[c][:k], dtype=np.float64))
-            dest_cell = (np.concatenate(cells_vals) if cells_vals
-                         else np.zeros(0, dtype=np.int64))
-            value = (np.concatenate(vals) if vals
-                     else np.zeros(0, dtype=np.float64))
-            if dest_cell.size and (
-                dest_cell.min() < 0 or dest_cell.max() >= dist.n_global
-            ):
-                raise ExecutionError(
-                    f"routing array {plan.routing!r} holds out-of-range cells",
-                    nest.outer.line,
-                )
-            dest_cell_per.append(dest_cell)
-            values_per.append(value)
-            m.charge_memops(p, 2 * dest_cell.size, "inspector")
-
-        dest_rank = [tt.owner_local(d) if d.size else d
-                     for d in dest_cell_per]
-        sched = build_lightweight_schedule(self.ctx, dest_rank,
-                                           category="inspector")
-        arrived_vals = scatter_append(self.ctx, sched, values_per,
-                                      category="comm")
-        arrived_cells = scatter_append(self.ctx, sched, dest_cell_per,
-                                       category="comm")
-        # regroup arrivals into ragged rows of the target
-        new_rows_global: list[np.ndarray | None] = [None] * dist.n_global
-        for p in m.ranks():
-            cells = arrived_cells[p]
-            vals = arrived_vals[p]
-            rows = dist.global_indices(p)
-            order = np.argsort(cells, kind="stable")
-            sc = cells[order]
-            sv = vals[order]
-            bounds = np.searchsorted(sc, rows)
-            bounds_hi = np.searchsorted(sc, rows, side="right")
-            for c, lo, hi2 in zip(rows.tolist(), bounds.tolist(),
-                                  bounds_hi.tolist()):
-                new_rows_global[c] = sv[lo:hi2]
-            m.charge_memops(p, vals.size, "comm")
+        sched = build_lightweight_schedule(
+            self.ctx, split_stream(tt.owner_local(dest_cell), n_iter),
+            category="inspector")
+        vals = RankArena.adopt(scatter_append(
+            self.ctx, sched, RankArena(values, n_iter), category="comm"))
+        cells = RankArena.adopt(scatter_append(
+            self.ctx, sched, RankArena(dest_cell, n_iter), category="comm"))
+        # regroup arrivals into the target's rows.  Ranks own disjoint
+        # cells, so ONE stable sort of the machine-wide arrival stream is
+        # every rank's own stable sort: arrival order inside a cell stays
+        order = np.argsort(cells.flat, kind="stable")
+        m.charge_memops_vec(vals.sizes, "comm")
         m.barrier()
-        self.host[plan.target] = [
-            r if r is not None else np.zeros(0) for r in new_rows_global
-        ]
         self.record.touch(plan.target)
-        self._set_ragged(plan.target, self.host[plan.target])
+        self.ragged[plan.target] = (
+            vals.flat[order],
+            offsets_from_counts(np.bincount(cells.flat, minlength=st.size)),
+        )
 
 
 # =====================================================================
@@ -906,6 +878,15 @@ def interpret_sequential(compiled: CompiledProgram,
         if isinstance(expr, VarRef):
             return int(state[expr.name])
         raise ExecutionError("unsupported loop bound")
+
+    def cell_sizes(nest, ragged_names) -> np.ndarray:
+        """The inner-loop bound of every cell, checked against the rows
+        of the ragged arrays the nest walks."""
+        sizes = np.asarray(state[nest.csr_offsets], dtype=np.int64)[:hi]
+        for name in ragged_names:
+            lens = np.fromiter(map(len, state[name]), dtype=np.int64)
+            _check_ragged_bounds(name, sizes, lens[:hi], nest.outer.line)
+        return sizes
 
     def eval_expr(expr, idx_env):
         if isinstance(expr, Num):
@@ -964,7 +945,7 @@ def interpret_sequential(compiled: CompiledProgram,
             continue
         if nest.kind == "cell_append":
             plan = compiled.plans[nest.loop_id]
-            sizes = np.asarray(state[plan.size_array], dtype=np.int64)
+            sizes = cell_sizes(nest, (plan.routing, plan.source))
             routing = state[plan.routing]
             source = state[plan.source]
             new_rows = [[] for _ in range(hi)]
@@ -991,7 +972,8 @@ def interpret_sequential(compiled: CompiledProgram,
             if nest.inner is not None:
                 idx_env[nest.inner.var] = flat  # positions into jnb
         elif nest.kind == "ragged":
-            sizes = np.asarray(state[nest.csr_offsets], dtype=np.int64)
+            sizes = cell_sizes(nest, [n for n in nest.indirections
+                                      if isinstance(state.get(n), list)])
             rows = np.arange(hi, dtype=np.int64)
             cell_exp = np.repeat(rows, sizes[rows])
             slot_exp = (np.arange(cell_exp.size, dtype=np.int64)
@@ -1005,17 +987,13 @@ def interpret_sequential(compiled: CompiledProgram,
 
         # In CSR loops, jnb(j) means "value at position j of jnb": our
         # ref_index handles ArrayRef subscripts by indexing the indirection
-        # with the inner variable's positions.
+        # with the inner variable's positions.  Every statement is a
+        # REDUCE: analysis rejects assignments in a nest that has one.
         for stmt in nest.statements:
-            if isinstance(stmt, Reduce):
-                ufunc, _ = _REDUCE_OPS[stmt.op]
-                tgt_idx = ref_index(stmt.target, idx_env)
-                contrib = eval_expr(stmt.value, idx_env)
-                if np.ndim(contrib) == 0:
-                    contrib = np.full(np.size(tgt_idx), float(contrib))
-                ufunc.at(state[stmt.target.name], tgt_idx, contrib)
-            elif isinstance(stmt, Assign):
-                tgt_idx = ref_index(stmt.target, idx_env)
-                state[stmt.target.name][tgt_idx] = eval_expr(stmt.value,
-                                                             idx_env)
+            ufunc, _ = _REDUCE_OPS[stmt.op]
+            tgt_idx = ref_index(stmt.target, idx_env)
+            contrib = eval_expr(stmt.value, idx_env)
+            if np.ndim(contrib) == 0:
+                contrib = np.full(np.size(tgt_idx), float(contrib))
+            ufunc.at(state[stmt.target.name], tgt_idx, contrib)
     return state

@@ -257,3 +257,35 @@ class TestIrregularReduction:
         loop.setup()
         loop.execute(x, "ia", lambda v: 2 * v, {"y": (y, "ib")})
         assert np.allclose(x.to_global(), 2.0)
+
+    @pytest.mark.parametrize("wrong", ["lhs", "rhs"])
+    def test_execute_rejects_another_distribution(self, rng, wrong):
+        """A block loop handed a cyclic array of the same size used to
+        fold at the wrong elements without an error."""
+        m = Machine(4)
+        rt = ChaosRuntime(m)
+        n = 16
+        block, cyclic = rt.block_table(n), rt.cyclic_table(n)
+        x = rt.distribute(np.zeros(n), cyclic if wrong == "lhs" else block)
+        y = rt.distribute(rng.standard_normal(n),
+                          cyclic if wrong == "rhs" else block)
+        idx = split_by_block(rng.integers(0, n, 40), m)
+        loop = IrregularReduction(rt, block, "L").bind(ia=idx, ib=idx)
+        loop.setup()
+        with pytest.raises(ValueError, match=wrong):
+            loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+
+    def test_execute_accepts_an_equal_distribution(self, rng):
+        """A second table over the same distribution is the same layout."""
+        m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng)
+        same = rt.irregular_table(tt.dist.to_map_array())
+        assert same is not tt
+        x = rt.distribute(x_g, same)
+        y = rt.distribute(y_g, tt)
+        loop = IrregularReduction(rt, tt, "L").bind(
+            ia=split_by_block(ia_g, m), ib=split_by_block(ib_g, m))
+        loop.setup()
+        loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+        expected = x_g.copy()
+        np.add.at(expected, ia_g, y_g[ib_g])
+        assert np.allclose(x.to_global(), expected)

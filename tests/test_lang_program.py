@@ -1,9 +1,18 @@
 """Integration tests: compiled-program execution vs the sequential
 interpreter oracle."""
 
+import gc
+import sys
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import ExecutionContext
+from repro.core.compiled import as_arena
 from repro.lang import (
     ExecutionError,
     ProgramInstance,
@@ -11,6 +20,12 @@ from repro.lang import (
     interpret_sequential,
 )
 from repro.sim import Machine
+
+from conftest import ALL_BACKENDS
+
+#: the backends that execute the compiled flat plans: their virtual
+#: clocks agree exactly (serial's only up to float summation order)
+FLAT_BACKENDS = tuple(b for b in ALL_BACKENDS if b != "serial")
 
 
 def charmm_source(n, n_edges, n_offsets):
@@ -260,3 +275,418 @@ END DO
         inst = ProgramInstance(prog, Machine(2), {})
         with pytest.raises(ExecutionError):
             inst.get_array("ghost")
+
+
+# =====================================================================
+# differential: every backend against the others and against the oracle
+# =====================================================================
+FIGURE8 = """
+      REAL x({n}), y({n})
+      INTEGER map({n}), ia({e}), ib({e})
+C$ DECOMPOSITION reg({n})
+C$ DISTRIBUTE reg(BLOCK)
+C$ ALIGN x, y WITH reg
+      FORALL i = 1, {e}
+        REDUCE({op}, x(ia(i)), y(ib(i)))
+      END DO
+"""
+
+
+def owner_map(layout, rng, n, p):
+    """The ``map`` array of one named layout (``None``: stay BLOCK)."""
+    if layout == "block":
+        return None
+    owners = rng.integers(0, p, n)
+    if layout == "empty_rank" and p > 1:
+        owners[owners == p - 1] = 0
+    return owners
+
+
+def observe(inst, names):
+    """Everything the backends must agree on after a run."""
+    m = inst.machine
+    values = {}
+    for name in names:
+        v = inst.get_array(name)
+        values[name] = ([r.tobytes() for r in v] if isinstance(v, list)
+                        else np.asarray(v).tobytes())
+    return (values, m.traffic.snapshot(),
+            [c.snapshot() for c in m.clocks])
+
+
+def assert_backends_agree(run, names):
+    """``run(backend)`` drives one instance; returns the serial one's
+    arrays (for the oracle comparison)."""
+    seen, arrays = {}, None
+    for backend in ALL_BACKENDS:
+        inst = run(backend)
+        try:
+            seen[backend] = observe(inst, names)
+            if backend == "serial":
+                arrays = {n: inst.get_array(n) for n in names}
+        finally:
+            inst.close()
+    ref = seen["serial"]
+    for backend in FLAT_BACKENDS:
+        values, traffic, clocks = seen[backend]
+        assert values == ref[0], backend
+        assert traffic == ref[1], backend
+        assert clocks == seen[FLAT_BACKENDS[0]][2], backend
+        # against serial: up to float summation order, which may also
+        # open (or close) an "idle" gap of a few ulps at a barrier
+        for ca, cb in zip(clocks, ref[2]):
+            assert set(ca) - {"idle"} == set(cb) - {"idle"}
+            for key in set(ca) | set(cb):
+                assert ca.get(key, 0.0) == pytest.approx(
+                    cb.get(key, 0.0), rel=1e-9, abs=1e-15), key
+    return arrays
+
+
+LAYOUTS = st.sampled_from(["block", "map", "empty_rank"])
+RANKS = st.sampled_from([1, 3, 16])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), p=RANKS, layout=LAYOUTS,
+       op=st.sampled_from(["SUM", "MAX", "MIN", "PROD"]))
+def test_flat_reduction_differential(seed, p, layout, op):
+    rng = np.random.default_rng(seed)
+    n, e = 37, 150
+    prog = compile_program(FIGURE8.format(n=n, e=e, op=op))
+    b = dict(x=rng.uniform(0.5, 1.5, n), y=rng.uniform(0.5, 1.5, n),
+             map=np.zeros(n, dtype=np.int64),
+             ia=rng.integers(1, n + 1, e), ib=rng.integers(1, n + 1, e))
+    owners = owner_map(layout, rng, n, p)
+    loop = prog.loop_ids()[0]
+
+    def run(backend):
+        inst = ProgramInstance(
+            prog, ExecutionContext.resolve(Machine(p), backend),
+            copy_bindings(b))
+        inst.execute()
+        if owners is not None:
+            inst.set_array("map", owners)
+            inst.redistribute("reg", "map")
+        inst.run_loop(loop)
+        return inst
+
+    got = assert_backends_agree(run, ["x", "y"])
+    seq = interpret_sequential(prog, copy_bindings(b))
+    seq = interpret_sequential(prog, dict(copy_bindings(b), x=seq["x"]))
+    assert np.allclose(got["x"], seq["x"], rtol=1e-9, atol=1e-9)
+    assert np.array_equal(got["y"], b["y"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), p=RANKS, layout=LAYOUTS)
+def test_csr_reduction_differential(seed, p, layout):
+    """Figure 10: two subscript patterns, two targets, a redistribute
+    between two executions."""
+    rng = np.random.default_rng(seed)
+    n = 41
+    b = charmm_bindings(rng, n, p=p)
+    prog = compile_program(charmm_source(n, b["jnb"].size, n + 1))
+    owners = owner_map(layout, rng, n, p)
+    loop = prog.loop_ids()[0]
+
+    def run(backend):
+        inst = ProgramInstance(
+            prog, ExecutionContext.resolve(Machine(p), backend),
+            copy_bindings(b))
+        inst.execute()
+        if owners is not None:
+            inst.set_array("map", owners)
+            inst.redistribute("reg", "map")
+        inst.run_loop(loop)
+        return inst
+
+    got = assert_backends_agree(run, ["dx", "dy", "x"])
+    seq = interpret_sequential(prog, copy_bindings(b))
+    for name in ("dx", "dy"):  # x, y never change: two equal executions
+        assert np.allclose(got[name], 2 * seq[name], rtol=1e-9, atol=1e-9)
+    assert np.array_equal(got["x"], b["x"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), p=RANKS, layout=LAYOUTS,
+       crowd=st.sampled_from(["even", "empty_cells", "one_heavy_cell"]))
+def test_append_differential(seed, p, layout, crowd):
+    """Figure 11 (append + zero + count) over several steps driven by
+    ``set_array``, with a redistribute after the first."""
+    rng = np.random.default_rng(seed)
+    nc, steps = 20, 3
+    sizes = rng.integers(0, 6, nc)
+    if crowd == "empty_cells":
+        sizes[rng.random(nc) < 0.7] = 0
+    elif crowd == "one_heavy_cell":
+        sizes[rng.integers(nc)] = 60
+    sizes = sizes.astype(np.int64)
+    vel0 = [rng.standard_normal(s) for s in sizes]
+    owners = owner_map(layout, rng, nc, p)
+    prog = compile_program(TestDsmcTemplate.SRC.format(nc=nc))
+
+    def routing(step, rows):
+        """A particle's next cell follows from its value and the step,
+        not from its slot: append order inside a cell is unspecified, and
+        the oracle's may differ from the instance's."""
+        return [(np.abs(r) * 1e3 * (step + 3)).astype(np.int64) % nc + 1
+                for r in rows]
+
+    def run(backend):
+        inst = ProgramInstance(
+            prog, ExecutionContext.resolve(Machine(p), backend),
+            dict(size=sizes.copy(), vel=[r.copy() for r in vel0],
+                 icell=routing(0, vel0), new_size=np.zeros(nc)))
+        inst.execute()
+        if owners is not None:
+            inst.set_array("map", owners)
+            inst.redistribute("celltemp", "map")
+        for step in range(1, steps):
+            inst.set_array("size", inst.get_array("new_size"))
+            inst.set_array("icell", routing(step, inst.get_array("vel")))
+            for loop in prog.loop_ids():
+                inst.run_loop(loop)
+        return inst
+
+    got = assert_backends_agree(run, ["vel", "new_size", "size"])
+    cur, rows = sizes, vel0
+    for step in range(steps):
+        seq = interpret_sequential(prog, dict(
+            size=cur, vel=rows, icell=routing(step, rows),
+            new_size=np.zeros(nc)))
+        cur, rows = seq["new_size"].astype(np.int64), seq["vel"]
+    # append order inside a cell is unspecified: sizes and multisets
+    assert np.array_equal(got["new_size"], cur)
+    assert [len(r) for r in got["vel"]] == cur.tolist()
+    for mine, ref in zip(got["vel"], rows):
+        assert np.array_equal(np.sort(mine), np.sort(ref))
+
+
+# =====================================================================
+# pinned simulated cost
+# =====================================================================
+class TestPinnedSimulatedCost:
+    """Messages, bytes and virtual time of two small runs, recorded at
+    e6895f1 (the per-rank tree-walking runtime) before the rank-major
+    one replaced it: the compiler path may get faster on the host, its
+    simulated cost may not move."""
+
+    def check(self, machine, n_messages, total_bytes, seconds):
+        assert machine.traffic.n_messages == n_messages
+        assert machine.traffic.total_bytes == total_bytes
+        assert machine.execution_time() == pytest.approx(seconds, rel=1e-12)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_figure10_with_redistribute(self, backend):
+        rng = np.random.default_rng(1910)
+        n, p = 60, 4
+        deg = rng.integers(0, 9, n)
+        inblo = np.ones(n + 1, dtype=np.int64)
+        inblo[1:] = 1 + np.cumsum(deg)
+        jnb = rng.integers(1, n + 1, int(deg.sum()))
+        prog = compile_program(charmm_source(n, jnb.size, n + 1))
+        m = Machine(p)
+        with ProgramInstance(prog, ExecutionContext.resolve(m, backend), dict(
+                x=rng.standard_normal(n), y=rng.standard_normal(n),
+                dx=np.zeros(n), dy=np.zeros(n), map=rng.integers(0, p, n),
+                jnb=jnb, inblo=inblo)) as inst:
+            inst.execute()
+            loop = prog.loop_ids()[0]
+            inst.run_loop(loop)
+            inst.set_array("map", rng.integers(0, p, n))
+            inst.redistribute("reg", "map")
+            inst.run_loop(loop)
+            inst.run_loop(loop)
+        self.check(m, 384, 24584, 0.02066273)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_figure11_three_steps(self, backend):
+        rng = np.random.default_rng(1911)
+        nc, p = 24, 4
+        sizes = rng.integers(0, 7, nc).astype(np.int64)
+        prog = compile_program(TestDsmcTemplate.SRC.format(nc=nc))
+        m = Machine(p)
+        with ProgramInstance(prog, ExecutionContext.resolve(m, backend), dict(
+                size=sizes, vel=[rng.standard_normal(s) for s in sizes],
+                icell=[rng.integers(1, nc + 1, s) for s in sizes],
+                new_size=np.zeros(nc))) as inst:
+            inst.execute()
+            for _ in range(2):
+                sizes = np.asarray(inst.get_array("new_size"),
+                                   dtype=np.int64)
+                inst.set_array("size", sizes)
+                inst.set_array("icell", [rng.integers(1, nc + 1, s)
+                                         for s in sizes])
+                for loop in prog.loop_ids():
+                    inst.run_loop(loop)
+        self.check(m, 224, 5952, 0.010246289999999995)
+
+
+# =====================================================================
+# data model: arenas + CSR
+# =====================================================================
+class TestDataModel:
+    def dsmc(self, rng, nc=10, p=3):
+        b = TestDsmcTemplate().make(rng, nc)
+        prog = compile_program(TestDsmcTemplate.SRC.format(nc=nc))
+        return prog, ProgramInstance(prog, Machine(p), b), b
+
+    def test_ragged_rows_are_views_of_the_csr_buffer(self, rng):
+        prog, inst, b = self.dsmc(rng)
+        inst.execute()
+        flat, offsets = inst.ragged["vel"]
+        rows = inst.get_array("vel")
+        assert isinstance(rows, list) and len(rows) == 10
+        assert np.array_equal(np.concatenate(rows), flat)
+        assert [len(r) for r in rows] == np.diff(offsets).tolist()
+        assert all(np.shares_memory(r, flat) for r in rows if r.size)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32,
+                                       np.float64])
+    def test_ragged_set_get_roundtrips_dtype_and_values(self, rng, dtype):
+        prog, inst, b = self.dsmc(rng)
+        inst.execute()
+        rows = [rng.integers(1, 11, k).astype(dtype) for k in (3, 0, 5)]
+        rows += [[] for _ in range(7)]  # an empty list must not promote
+        inst.set_array("icell", rows)
+        got = inst.get_array("icell")
+        assert all(r.dtype == dtype for r in got)
+        assert all(np.array_equal(g, r) for g, r in zip(got, rows))
+        rows[0][0] = 99  # the instance holds its own copy
+        assert inst.get_array("icell")[0][0] != 99
+
+    def test_distributed_arrays_stay_intact_arenas(self, rng):
+        n = 40
+        b = charmm_bindings(rng, n)
+        prog = compile_program(charmm_source(n, b["jnb"].size, n + 1))
+        inst = ProgramInstance(prog, Machine(4), copy_bindings(b))
+
+        def intact():
+            assert sorted(inst.local) == ["dx", "dy", "x", "y"]
+            for name, arena in inst.local.items():
+                assert as_arena(arena) is not None, name
+                assert arena.flat.shape[0] == n
+
+        inst.execute()
+        intact()
+        inst.run_loop(prog.loop_ids()[0])
+        intact()
+        inst.set_array("x", rng.standard_normal(n))
+        intact()
+        inst.set_array("map", rng.integers(0, 4, n))
+        inst.redistribute("reg", "map")
+        intact()
+        inst.run_loop(prog.loop_ids()[0])
+        intact()
+
+    def test_instance_dies_by_reference_count(self, rng):
+        """The job server runs with many short-lived instances and the
+        benchmark with the collector off: a back-reference from the cached
+        loop bodies to the instance would keep every one of them (and its
+        arrays) alive until a collection."""
+        n, e = 20, 50
+        prog = compile_program(FIGURE8.format(n=n, e=e, op="SUM").replace(
+            "y(ib(i))", "y(ib(i)) * scale"))
+        gc.disable()
+        try:
+            inst = ProgramInstance(prog, Machine(2), dict(
+                x=np.zeros(n), y=np.ones(n), map=np.zeros(n, dtype=np.int64),
+                ia=rng.integers(1, n + 1, e), ib=rng.integers(1, n + 1, e),
+                scale=2.0))
+            inst.execute()
+            ref = weakref.ref(inst)
+            inst.close()
+            del inst
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+# =====================================================================
+# shape: host work grows with data volume, not with ranks or cells
+# =====================================================================
+def count_calls(fn):
+    """C-level calls made while ``fn()`` runs, by name; the ones made
+    directly from ``lang/program.py`` also under ``"lang:" + name``."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            name = ("ufunc." if isinstance(owner, np.ufunc) else "") \
+                + arg.__name__
+            calls[name] += 1
+            if frame.f_code.co_filename.endswith("lang/program.py"):
+                calls["lang:" + name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestLoopShape:
+    def test_reduction_body_runs_once_whatever_the_rank_count(self, rng):
+        n = 64
+        b = charmm_bindings(rng, n, p=4)
+        prog = compile_program(charmm_source(n, b["jnb"].size, n + 1))
+        loop = prog.loop_ids()[0]
+        folds = {}
+        for p in (4, 32):
+            b["map"] = np.arange(n) % p
+            inst = ProgramInstance(
+                prog, ExecutionContext.resolve(Machine(p), "vectorized"),
+                copy_bindings(b))
+            inst.execute()
+            calls = count_calls(lambda: inst.run_loop(loop))
+            # the body: one fold per REDUCE statement, not per rank
+            assert calls["lang:ufunc.at"] == 4
+            folds[p] = calls["ufunc.at"]
+        # with the executor's scatter folds and the machine's charging
+        assert folds[4] == folds[32]
+
+    def test_append_step_does_not_walk_cells(self, rng):
+        particles, totals = 600, {}
+        for nc in (256, 4096):
+            cells = np.sort(rng.integers(0, nc, particles))
+            sizes = np.bincount(cells, minlength=nc)
+            split = np.cumsum(sizes)[:-1]
+            prog = compile_program(TestDsmcTemplate.SRC.format(nc=nc))
+            inst = ProgramInstance(
+                prog, ExecutionContext.resolve(Machine(4), "vectorized"),
+                dict(size=sizes,
+                     vel=np.split(rng.standard_normal(particles), split),
+                     icell=np.split(rng.integers(1, nc + 1, particles),
+                                    split),
+                     new_size=np.zeros(nc)))
+            inst.execute()
+            inst.set_array("size", inst.get_array("new_size"))
+            inst.set_array("icell", np.split(
+                rng.integers(1, nc + 1, particles),
+                np.cumsum(inst.get_array("new_size").astype(int))[:-1]))
+            append = prog.loop_ids()[0]
+            totals[nc] = sum(count_calls(
+                lambda: inst.run_loop(append)).values())
+        assert totals[256] == totals[4096]
+
+    def test_subscripts_are_classified_once_per_plan(self, rng, monkeypatch):
+        n = 30
+        b = charmm_bindings(rng, n)
+        prog = compile_program(charmm_source(n, b["jnb"].size, n + 1))
+        inst = ProgramInstance(prog, Machine(4), copy_bindings(b))
+        inst.execute()
+
+        def classify_again(*args, **kwargs):
+            raise AssertionError("classify_subscript called while running")
+
+        monkeypatch.setattr("repro.lang.program.classify_subscript",
+                            classify_again)
+        loop = prog.loop_ids()[0]
+        inst.run_loop(loop)
+        inst.set_array("jnb", rng.integers(1, n + 1, b["jnb"].size))
+        inst.run_loop(loop)  # inspector reruns, the body is not re-lowered
+        inst.set_array("map", rng.integers(0, 4, n))
+        inst.redistribute("reg", "map")
+        inst.run_loop(loop)
