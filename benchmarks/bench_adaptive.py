@@ -72,13 +72,9 @@ def _split(a: np.ndarray, n_ranks: int = N_RANKS) -> list[np.ndarray]:
 
 
 def _schedules_equal(a, b) -> bool:
-    return all(
-        np.array_equal(a.send_indices[p], b.send_indices[p])
-        and np.array_equal(a.send_offsets[p], b.send_offsets[p])
-        and np.array_equal(a.recv_slots[p], b.recv_slots[p])
-        and np.array_equal(a.recv_offsets[p], b.recv_offsets[p])
-        for p in range(a.n_ranks)
-    ) and a.ghost_size == b.ghost_size
+    return all(np.array_equal(x, y) for x, y in (
+        (a.counts, b.counts), (a.send, b.send), (a.place, b.place),
+        (a.extent, b.extent)))
 
 
 def bench_delta_speedup(cfg: dict, seed: int = 23,

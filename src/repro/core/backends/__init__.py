@@ -3,11 +3,11 @@
 Importing this package registers the four built-in backends:
 
 * ``serial`` — reference pair-loop semantics,
-* ``vectorized`` — compiled flat plans (the default),
+* ``vectorized`` — flat plans moved by fused numpy kernels (the default),
 * ``threaded`` — vectorized kernels with the rank loops fanned out over
   a per-context worker *thread* pool,
 * ``multiprocess`` — the same kernels shipped to worker *processes*
-  over shared-memory views of the compiled plan buffers.
+  over shared-memory views of the plans' index buffers.
 
 Selection happens through the
 :class:`~repro.core.context.ExecutionContext` every primitive takes

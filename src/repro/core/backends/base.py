@@ -31,7 +31,7 @@ Four implementations ship with the runtime:
   (:meth:`Machine.exchange_compiled`) with one array charge per charge
   kind per stage, and one flat move per stage column — a composed index
   pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
-  :meth:`~repro.core.compiled.CompiledPlan.move`), no loop over ranks;
+  :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks;
 * ``threaded`` — the same kernel with its rank ranges (one contiguous
   range per worker) fanned out over a per-context thread pool;
 * ``multiprocess`` — the same kernel over the same ranges in a

@@ -1,5 +1,5 @@
 """Multiprocess backend: rank kernels in worker *processes* over
-shared-memory views of the compiled plans.
+shared-memory views of the plans' composed moves.
 
 The threaded backend fans the per-rank executor kernels over threads,
 but every kernel still competes for one GIL.  This backend runs the
@@ -9,8 +9,8 @@ array payloads crossing the process boundary as *descriptors* into
 POSIX shared memory, never as pickled ndarrays:
 
 * **plan buffers** (the composed index pair and rank bounds of
-  :meth:`~repro.core.compiled.CompiledPlan.move`) are exported to the
-  arena's *static* region once per compiled plan — their identity is
+  :meth:`~repro.core.compiled.CommPlan.move`) are exported to the
+  arena's *static* region once per plan — their identity is
   stable for the plan's lifetime (they are cached on the plan), so
   steady-state calls reuse the same segments;
 * **per-call data** (each move's rank-major source and destination
@@ -159,8 +159,8 @@ class ShmArena:
     """Per-context shared-memory arena with static and scratch regions.
 
     The *static* region holds plan-derived buffers, exported at most
-    once per array object (keyed by identity — sound because compiled
-    plans cache their flat layouts for the plan's lifetime, and the
+    once per array object (keyed by identity — sound because plans
+    cache their composed moves for the plan's lifetime, and the
     cache keeps a strong reference so ids cannot be recycled).  The
     *scratch* region holds per-call payloads and is reset before every
     shipped kernel.  ``close()`` unlinks every segment; the names are

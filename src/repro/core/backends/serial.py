@@ -6,9 +6,9 @@ lookups visit every communicating ``(p, q)`` rank pair with Python
 loops, and the executor packs one small numpy payload per pair through
 :meth:`Machine.alltoallv`.  It is deliberately unclever — the behaviour
 (results, traffic statistics, clock charges) of every other backend is
-defined as "whatever this one does".  The *plans* it emits are still
-CSR-native: per-pair payloads are zero-copy views of the flat buffers,
-never nested Python lists.
+defined as "whatever this one does".  The *plans* it emits are the
+same flat plans every backend builds: per-pair payloads are zero-copy
+views of their streams, never nested Python lists.
 
 Like every backend, it receives a pre-validated
 :class:`~repro.core.context.ExecutionContext` plus arguments: the
@@ -128,12 +128,10 @@ class SerialBackend(Backend):
         ]
         received = machine.alltoallv(send_payload, tag="sched_requests",
                                      category=category)
-        # Each receiver's flat send buffer is one concatenation of the
-        # request segments it was sent (sources ascending).
+        # Each owner's send list is one concatenation of the request
+        # segments it was sent (sources ascending).
         send_indices: list[np.ndarray] = []
-        send_offsets: list[np.ndarray] = []
         for q in machine.ranks():
-            send_offsets.append(offsets_from_counts(counts[:, q]))
             parts = [np.asarray(received[q][p], dtype=np.int64)
                      for p in machine.ranks()
                      if received[q][p] is not None and np.size(received[q][p])]
@@ -142,14 +140,8 @@ class SerialBackend(Backend):
                 machine.charge_memops(q, int(counts[:, q].sum()), category)
             else:
                 send_indices.append(z())
-        return Schedule(
-            n_ranks=n,
-            send_indices=send_indices,
-            send_offsets=send_offsets,
-            recv_slots=recv_slots,
-            recv_offsets=recv_offsets,
-            ghost_size=ghost_size,
-        )
+        return Schedule(counts=counts.T, send=np.concatenate(send_indices),
+                        place=np.concatenate(recv_slots), extent=ghost_size)
 
     # ------------------------------------------------------------------
     # inspector phase: translation-table lookups
@@ -219,17 +211,17 @@ class SerialBackend(Backend):
         out = []
         for stage, bind in zip(fused.stages, binds):
             if stage.kind == "gather":
-                out.append(self.gather(ctx, stage.sched, bind.columns[0],
+                out.append(self.gather(ctx, stage.plan, bind.columns[0],
                                        bind.dests, category))
             elif stage.kind == "scatter":
-                self.scatter(ctx, stage.sched, bind.dests, bind.columns[0],
+                self.scatter(ctx, stage.plan, bind.dests, bind.columns[0],
                              stage.op, category)
                 out.append(None)
             elif stage.kind == "append":
                 out.append(self.scatter_append_multi(
-                    ctx, stage.sched, bind.columns, category))
+                    ctx, stage.plan, bind.columns, category))
             else:  # remap (FusedPlan validates kinds)
-                out.append(self.remap_array(ctx, stage.sched,
+                out.append(self.remap_array(ctx, stage.plan,
                                             bind.columns[0], category))
         return out
 

@@ -7,20 +7,21 @@ rank-major stream, translates and inserts only the distinct missing keys,
 and stamps, counts and localizes row by row — in cache-sized blocks of
 ranks, with no Python loop over ranks.  Schedule generation takes the
 stamped entries grouped by ``(requester, owner)`` with one stable sort
-per block and emits the CSR-native :class:`~repro.core.schedule.Schedule`
-buffers directly — the owner-grouped request stream *is* the receive
-storage, and its :func:`~repro.core.compiled.stream_perm` transposition
-the send storage, so no per-pair list is ever assembled — while charging
-the size/request exchanges straight from count matrices via
+per block and emits the flat :class:`~repro.core.schedule.Schedule`
+streams directly — the owner-grouped request stream *is* the receive
+stream, and its :func:`~repro.core.compiled.stream_perm` transposition
+the send stream, so no per-rank or per-pair list is ever assembled —
+while charging the size/request exchanges straight from count matrices
+via
 :meth:`Machine.exchange_compiled`; translation-table lookups build their
 request/reply matrices the same way, with page-miss detection for
 ``paged`` storage done by ``np.isin`` against the sorted page cache.
 
 **Executor half.**  Instead of visiting every ``(p, q)`` rank pair in
-Python, this backend derives (once, cached) the machine-wide view of the
-schedule's CSR buffers — the global send-stream → receive-stream
-permutation of :mod:`repro.core.compiled` — and runs every transport
-primitive as a stage list through :meth:`VectorizedBackend.run_fused`.
+Python, this backend runs every transport primitive as a stage list
+through :meth:`VectorizedBackend.run_fused`, over the plan's own
+machine-wide streams and their send → receive permutation (derived
+once and cached on the :class:`~repro.core.compiled.CommPlan`).
 
 Because the simulated machine holds every rank's data in one process, a
 column of a collective is ONE flat move between two rank-major buffers
@@ -59,7 +60,6 @@ from repro.core.compiled import (
     RankArena,
     as_arena,
     rank_layout,
-    row_offsets,
     stream_perm,
 )
 from repro.core.hashtable import (
@@ -81,7 +81,7 @@ _STAGE_TAGS = {"gather": "gather", "scatter": "scatter",
 
 class _Move(NamedTuple):
     """One column of one stage, bound for this call: the plan's composed
-    :meth:`~repro.core.compiled.CompiledPlan.move`, the stage's combiner
+    :meth:`~repro.core.compiled.CommPlan.move`, the stage's combiner
     and the raveled source and destination buffers.  ``dst`` is ``None``
     until a plain destination list (``staged``) has its staging buffer."""
 
@@ -202,7 +202,6 @@ class VectorizedBackend(Backend):
         from repro.core.schedule import Schedule
 
         machine = ctx.machine
-        n = machine.n_ranks
         group = group_of(htables)
         if isinstance(expr, str):
             expr = htables[0].expr(expr)
@@ -223,15 +222,8 @@ class VectorizedBackend(Backend):
         recv_totals = counts.sum(axis=0)
         machine.charge_memops_vec(recv_totals, category,
                                   mask=recv_totals > 0)
-        return Schedule(
-            n_ranks=n,
-            send_indices=split_stream(requests[stream_perm(counts)],
-                                      recv_totals),
-            send_offsets=list(row_offsets(counts.T)),
-            recv_slots=split_stream(recv_slots, n_sel),
-            recv_offsets=list(row_offsets(counts)),
-            ghost_size=group.n_ghost.tolist(),
-        )
+        return Schedule(counts=counts.T, send=requests[stream_perm(counts)],
+                        place=recv_slots, extent=group.n_ghost)
 
     # ------------------------------------------------------------------
     # inspector phase: translation-table lookups
@@ -307,10 +299,8 @@ class VectorizedBackend(Backend):
                         ctx, fused, binds, category)
                 sizes, trailing, k, dtype = layout
                 out, dsizes = bind.dests, dlayout[0]
-                if stage.kind == "append":
-                    dsizes = tuple(np.diff(plan.recv_base).tolist())
-                elif stage.kind == "remap":
-                    dsizes = tuple(int(m) for m in stage.sched.new_sizes)
+                if stage.kind in ("append", "remap"):
+                    dsizes = tuple(plan.extent.tolist())
                 src_index, dst_index, bounds = plan.move(
                     stage.kind, sizes, dsizes, k)
                 if out is None:

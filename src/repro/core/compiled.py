@@ -1,39 +1,35 @@
-"""Compiled communication plans and shared CSR-layout helpers.
+"""Communication plans, rank arenas and stage lists.
 
-The schedules themselves (:class:`~repro.core.schedule.Schedule`,
-:class:`~repro.core.lightweight.LightweightSchedule`,
-:class:`~repro.core.remap.RemapPlan`) are CSR-native: each rank stores
-one concatenated int64 index vector plus a per-partner offset vector.
-The helpers here (:func:`concat_csr`, :func:`split_csr`,
-:func:`csr_counts`, :func:`grouped_arange`, :func:`stream_perm`) define
-that layout in one place for builders and consumers alike.
+One object, :class:`CommPlan`, is the paper's schedule artifact for
+every kind of move (§3.2.1, Tables 4–5): a ``(P, P)`` count matrix, the
+flat *send stream* of pack selections (sender-major, destination-minor),
+the flat *receive stream* of placement slots (receiver-major,
+source-minor; absent for an append, whose arrivals land in order) and a
+``(P,)`` vector of destination extents.  :class:`~repro.core.schedule.
+Schedule`, :class:`~repro.core.lightweight.LightweightSchedule` and
+:class:`~repro.core.remap.RemapPlan` are thin subclasses that only name
+those parts the way their kind does.  Everything else is derived once
+and cached on the plan: per-rank offsets and per-rank / per-pair views
+(for the serial reference, the validators and tests — views of the flat
+buffers, never copies), stream bases, the send → receive stream
+permutation, the per-rank index maxima the executor bounds-checks
+against, and the composed index pairs of :meth:`CommPlan.move`.  With
+those an executor backend moves all data of a collective with a handful
+of fused numpy operations, however many rank pairs communicate.
 
-A *compiled* plan adds the machine-wide view on top: a single global
-permutation that reorders the machine-wide *send stream* (sender-major,
-destination-minor) into the machine-wide *receive stream*
-(receiver-major, source-minor).  With those arrays in hand an executor
-backend can move all data for a collective with a handful of fused numpy
-operations — one ``take`` per rank plus one permutation — regardless of
-how many rank pairs communicate.  Because the schedules already store
-flat buffers, compilation performs no flattening of its own: it shares
-the schedule's arrays and only derives the count matrix and the global
-permutation.
-
-Compilation is performed once per schedule and cached on the schedule
-object itself (schedules are immutable after construction), so repeated
-executor calls — the common case the paper's inspector/executor split is
-built around — pay nothing.
+The CSR helpers (:func:`split_csr`, :func:`offsets_from_counts`,
+:func:`grouped_arange`, :func:`stream_perm`) define the layout in one
+place for builders and consumers alike.
 
 On top of single plans sits the *stage list*: a :class:`FusedPlan` is a
-chain of compiled plans — one stage for a single ``gather`` or
+chain of plans — one stage for a single ``gather`` or
 ``scatter_append``, several for a loop body's schedule + lightweight +
 remap sequence — executed by ``Backend.run_fused`` as one composed
-source-index / destination-index pair per stage
-(:meth:`CompiledPlan.move`, cached on each stage's own plan) over
-*rank arenas* (:class:`RankArena`: per-rank arrays that are views of one
-rank-major buffer, so a column is addressed as one flat array).  It is
-the only way the executor moves data; whether a multi-stage chain may
-run as one list is decided by the executor layer
+source-index / destination-index pair per stage (:meth:`CommPlan.move`)
+over *rank arenas* (:class:`RankArena`: per-rank arrays that are views
+of one rank-major buffer, so a column is addressed as one flat array).
+It is the only way the executor moves data; whether a multi-stage chain
+may run as one list is decided by the executor layer
 (:func:`repro.core.executor.fusable`).
 """
 
@@ -41,29 +37,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, ClassVar
 
 import numpy as np
-
-_CACHE_ATTR = "_compiled_plan"
 
 
 # ---------------------------------------------------------------------
 # CSR layout helpers
 # ---------------------------------------------------------------------
-def concat_csr(parts, group: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate arrays into a ``(flat, offsets)`` CSR pair.
-
-    ``offsets`` delimits one segment per part; with ``group > 1`` every
-    ``group`` consecutive parts fold into a single segment (used when
-    merging schedules: one segment per destination, several source
-    schedules each).  ``flat`` is int64, ``offsets`` has
-    ``len(parts) // group + 1`` entries.
-    """
+def concat_csr(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate arrays into a ``(flat, offsets)`` CSR pair: ``flat``
+    is int64, ``offsets`` delimits one segment per part."""
     sizes = np.array([np.asarray(a).size for a in parts], dtype=np.int64)
-    if group > 1:
-        sizes = sizes.reshape(-1, group).sum(axis=1)
     offsets = offsets_from_counts(sizes)
     if offsets[-1]:
         flat = np.concatenate(
@@ -180,11 +167,6 @@ def root_of(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def csr_counts(offsets: list[np.ndarray]) -> np.ndarray:
-    """Per-rank offset vectors → dense ``(n, n)`` segment-size matrix."""
-    return np.diff(np.stack(offsets), axis=1)
-
-
 def offsets_from_counts(counts_row: np.ndarray) -> np.ndarray:
     """Segment sizes → the ``(n + 1,)`` CSR offset vector (inverse of
     ``np.diff``; the one construction every builder performs)."""
@@ -198,49 +180,6 @@ def row_offsets(counts: np.ndarray) -> np.ndarray:
     off = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
     np.cumsum(counts, axis=1, out=off[:, 1:])
     return off
-
-
-def normalize_csr(
-    flats: list[np.ndarray], offsets: list[np.ndarray], n_segments: int,
-    what: str,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Coerce per-rank CSR buffers to int64 and validate their shape.
-
-    Each offset vector must be ``(n_segments + 1,)``, start at 0, be
-    non-decreasing, and end at its flat array's length.  Returns the
-    coerced buffers plus the dense segment-size matrix (validation
-    computes it anyway, constructors reuse it for consistency checks).
-    """
-    if len(flats) != len(offsets):
-        raise ValueError(f"{what}: need one offset vector per flat array")
-    flats = [np.asarray(a, dtype=np.int64) for a in flats]
-    offsets = [np.asarray(o, dtype=np.int64) for o in offsets]
-    for i, off in enumerate(offsets):
-        if off.shape != (n_segments + 1,):
-            raise ValueError(
-                f"{what}[{i}]: offsets must have shape ({n_segments + 1},),"
-                f" got {off.shape}"
-            )
-    off_mat = np.stack(offsets)
-    sizes = np.array([a.size for a in flats], dtype=np.int64)
-    counts = np.diff(off_mat, axis=1)
-    bad = ((off_mat[:, 0] != 0) | (off_mat[:, -1] != sizes)
-           | (counts < 0).any(axis=1))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"{what}[{i}]: offsets must run non-decreasing from 0 to "
-            f"{sizes[i]}, got {offsets[i].tolist()}"
-        )
-    return flats, offsets, counts
-
-
-def zero_csr(n_ranks: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All-empty per-rank CSR buffers (``n_ranks`` empty segments each)."""
-    return (
-        [np.zeros(0, dtype=np.int64) for _ in range(n_ranks)],
-        [np.zeros(n_ranks + 1, dtype=np.int64) for _ in range(n_ranks)],
-    )
 
 
 def grouped_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -286,33 +225,181 @@ def stream_perm(counts: np.ndarray, self_first: bool = False) -> np.ndarray:
     return grouped_arange(seg_starts, sizes)
 
 
-@dataclass
-class CompiledPlan:
-    """Machine-wide flat form of a CSR-native communication plan.
+def bucket_by_destination(sizes: np.ndarray, dest: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a rank-major stream (``sizes[p]`` elements of rank ``p``)
+    by each element's destination rank ``dest``, stably.
 
-    ``send_idx[p]`` / ``send_off[p]`` are the plan's own CSR buffers
-    (shared, not copied): rank ``p``'s pack selections concatenated
-    destination-ascending with the ``(n_ranks + 1,)`` offset vector.
-    ``place_idx[p]`` (when the plan places, rather than appends) holds
-    the placement slots in *receive-stream* order — the order arrivals
-    appear after applying :attr:`perm`.
+    Returns ``(order, local, counts)``: the stream positions in
+    send-stream order (sender-major, destinations ascending, original
+    order within a pair — every rank's elements stay in its own slice),
+    the same positions counted from each rank's slice start (a plan's
+    send stream) and the ``(P, P)`` count matrix.  One sort of
+    ``rank * P + dest`` keys; below 2**16 of them a narrow dtype makes
+    the stable radix argsort several times cheaper than on int64.
+    """
+    n = sizes.size
+    rank = np.repeat(np.arange(n), sizes)
+    key = rank * n + dest
+    order = np.argsort(key.astype(np.uint16) if n * n <= 1 << 16 else key,
+                       kind="stable")
+    local = order - offsets_from_counts(sizes)[rank]
+    return order, local, np.bincount(key, minlength=n * n).reshape(n, n)
 
-    ``perm`` maps the global send stream to the global receive stream:
-    ``recv_stream = send_stream[perm]``.  ``send_base``/``recv_base``
-    delimit each rank's slice of the respective global stream.
+
+def _rank_max(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Largest entry of each rank's segment of a rank-major stream
+    (-1 for an empty segment)."""
+    out = np.full(sizes.size, -1, dtype=np.int64)
+    nonempty = sizes > 0
+    if nonempty.any():
+        out[nonempty] = np.maximum.reduceat(
+            flat, offsets_from_counts(sizes)[:-1][nonempty])
+    return out
+
+
+# ---------------------------------------------------------------------
+# the plan
+# ---------------------------------------------------------------------
+@dataclass(eq=False)
+class CommPlan:
+    """A communication plan, flat and rank-major.
+
+    ``counts[p, q]`` — elements rank ``p`` sends to rank ``q``;
+    ``send`` — local rows each sender packs, sender-major with
+    destinations ascending; ``place`` — destination rows where arrivals
+    land, receiver-major with sources ascending, aligned element-wise
+    with the senders' segments (``None`` when arrivals append in
+    order); ``extent[p]`` — destination rows rank ``p`` needs.
+
+    A plan is immutable by convention: everything derived from it is
+    cached on it.  The per-rank and per-pair accessors are views of the
+    flat buffers; a write through one (the validators' tests corrupt
+    plans that way) is a write into the plan.
     """
 
-    n_ranks: int
-    send_idx: list[np.ndarray]
-    send_off: list[np.ndarray]
-    place_idx: list[np.ndarray] | None
-    counts: np.ndarray          # (n, n): counts[p, q] = elements p -> q
-    send_base: np.ndarray       # (n + 1,) global send-stream offsets
-    recv_base: np.ndarray       # (n + 1,) global receive-stream offsets
-    perm: np.ndarray            # send stream -> receive stream
-    send_max: np.ndarray        # (n,) max pack index per rank (-1 if none)
-    place_max: np.ndarray | None  # (n,) max placement slot, likewise
-    _layouts: dict = field(default_factory=dict, repr=False)
+    counts: np.ndarray
+    send: np.ndarray
+    place: np.ndarray | None
+    extent: np.ndarray
+
+    #: receive-stream order: sources ascending, or each receiver's
+    #: kept-local segment first (an append's arrival order)
+    self_first: ClassVar[bool] = False
+
+    def __post_init__(self):
+        for name in ("counts", "send", "place", "extent"):
+            a = getattr(self, name)
+            if a is not None and np.asarray(a).dtype.kind not in "iu":
+                raise ValueError(f"{name} buffer must hold integers, got "
+                                 f"{np.asarray(a).dtype}")
+        counts = self.counts = np.ascontiguousarray(self.counts,
+                                                    dtype=np.int64)
+        self.send = np.asarray(self.send, dtype=np.int64)
+        if self.place is not None:
+            self.place = np.asarray(self.place, dtype=np.int64)
+        self.extent = np.array(self.extent, dtype=np.int64)  # own copy
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+            raise ValueError(
+                f"count matrix must be (P, P), got shape {counts.shape}")
+        if counts.min(initial=0) < 0:
+            raise ValueError("negative element count in the count matrix")
+        for name, a in (("send", self.send), ("place", self.place)):
+            if a is not None and (a.ndim != 1 or a.size != counts.sum()):
+                raise ValueError(f"{name} buffer holds {a.size} elements, "
+                                 f"the count matrix {counts.sum()}")
+        if self.extent.shape != (self.n_ranks,):
+            raise ValueError(f"extent vector must have shape "
+                             f"({self.n_ranks},), got {self.extent.shape}")
+        if self.place is None and not np.array_equal(self.extent,
+                                                     counts.sum(axis=0)):
+            raise ValueError("an append plan's extents must be its "
+                             "arrival totals")
+        self._moves: dict = {}
+
+    # -- derived layout (cached) ----------------------------------------
+    @property
+    def n_ranks(self) -> int:
+        return self.counts.shape[0]
+
+    @cached_property
+    def send_offsets(self) -> np.ndarray:
+        """``(P, P + 1)``: row ``p`` delimits rank ``p``'s send segment
+        for each destination."""
+        return row_offsets(self.counts)
+
+    @cached_property
+    def place_offsets(self) -> np.ndarray:
+        """``(P, P + 1)``: row ``p`` delimits rank ``p``'s placement
+        segment from each source."""
+        return row_offsets(self.counts.T)
+
+    @cached_property
+    def send_base(self) -> np.ndarray:
+        """``(P + 1,)``: each rank's slice of the send stream."""
+        return offsets_from_counts(self.counts.sum(axis=1))
+
+    @cached_property
+    def recv_base(self) -> np.ndarray:
+        """``(P + 1,)``: each rank's slice of the receive stream."""
+        return offsets_from_counts(self.counts.sum(axis=0))
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """Send stream → receive stream: ``recv = send_stream[perm]``."""
+        return stream_perm(self.counts, self.self_first)
+
+    @cached_property
+    def send_max(self) -> np.ndarray:
+        """``(P,)`` largest row each rank packs (-1 if none)."""
+        return _rank_max(self.send, np.diff(self.send_base))
+
+    @cached_property
+    def place_max(self) -> np.ndarray:
+        """``(P,)`` largest row placed on each rank (-1 if none)."""
+        if self.place is None:
+            return np.full(self.n_ranks, -1, dtype=np.int64)
+        return _rank_max(self.place, np.diff(self.recv_base))
+
+    @cached_property
+    def send_rows(self) -> tuple[np.ndarray, ...]:
+        """Per rank: the view of its send segment."""
+        return tuple(split_csr(self.send, self.send_base))
+
+    @cached_property
+    def place_rows(self) -> tuple[np.ndarray, ...]:
+        """Per rank: the view of its placement segment."""
+        return tuple(split_csr(self.place, self.recv_base))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan's own buffers (caches excluded)."""
+        return sum(a.nbytes for a in (self.counts, self.send, self.place,
+                                      self.extent) if a is not None)
+
+    # -- per-pair views and totals ---------------------------------------
+    def send_view(self, rank: int, dest: int) -> np.ndarray:
+        """Zero-copy view of ``rank``'s send segment for ``dest``."""
+        off = self.send_offsets[rank]
+        return self.send_rows[rank][off[dest]:off[dest + 1]]
+
+    def place_view(self, rank: int, src: int) -> np.ndarray:
+        """Zero-copy view of ``rank``'s placement slots for ``src``."""
+        off = self.place_offsets[rank]
+        return self.place_rows[rank][off[src]:off[src + 1]]
+
+    def send_sizes(self, rank: int) -> np.ndarray:
+        return self.counts[rank]
+
+    def total_messages(self) -> int:
+        """Messages per execution (non-empty ``(p, q)`` pairs, p != q)."""
+        off_diag = self.counts.copy()
+        np.fill_diagonal(off_diag, 0)
+        return int(np.count_nonzero(off_diag))
+
+    def elements_moved(self) -> int:
+        """Elements that change ranks (excludes kept-local ones)."""
+        return int(self.counts.sum() - self.counts.trace())
 
     # -- composed flat moves (cached per data layout) -------------------
     #
@@ -328,14 +415,13 @@ class CompiledPlan:
     # are as large again and nothing else reads them.
 
     @staticmethod
-    def _rows(per_rank: list[np.ndarray], sizes: tuple[int, ...]
-              ) -> np.ndarray:
-        """Per-rank row indices as one machine-wide vector addressing the
-        axis-0 concatenation of per-rank arrays of leading lengths
-        ``sizes``."""
+    def _rows(stream: np.ndarray, base: np.ndarray,
+              sizes: tuple[int, ...]) -> np.ndarray:
+        """A rank-major index stream (rank slices ``base``) as indices
+        into the axis-0 concatenation of per-rank arrays of leading
+        lengths ``sizes``."""
         start = offsets_from_counts(np.asarray(sizes, dtype=np.int64))
-        return np.concatenate(
-            [a + start[p] for p, a in enumerate(per_rank)])
+        return stream + np.repeat(start[:-1], np.diff(base))
 
     def move(self, kind: str, src_sizes: tuple[int, ...],
              dst_sizes: tuple[int, ...], k: int) -> tuple:
@@ -358,16 +444,17 @@ class CompiledPlan:
         ``[lo, hi)`` own stream positions ``[bounds[lo], bounds[hi])``;
         a scatter cannot be split by destination rank, so its bounds
         put the whole stream in rank 0's share.  Holds arrays only — a
-        cached entry must not keep a plan or schedule alive.
+        cached entry must not keep a plan alive.
         """
         def build():
             if kind in FORWARD_KINDS:
                 # local data, send order → receive stream → placement
-                src = self._rows(self.send_idx, src_sizes)[self.perm]
+                src = self._rows(self.send, self.send_base,
+                                 src_sizes)[self.perm]
                 n_dst = sum(dst_sizes)
                 dst, bounds = None, self.recv_base
                 if kind != "append":    # appends land contiguously
-                    dst = self._rows(self.place_idx, dst_sizes)
+                    dst = self._rows(self.place, self.recv_base, dst_sizes)
                     if dst.size == n_dst:
                         by_slot = np.full(n_dst, -1, dtype=np.int64)
                         by_slot[dst] = src
@@ -379,35 +466,18 @@ class CompiledPlan:
                                 np.asarray(dst_sizes, dtype=np.int64))
             else:
                 # ghost data, receive order → owners' local elements
-                src = self._rows(self.place_idx, src_sizes)
-                dst = self._rows(self.send_idx, dst_sizes)[self.perm]
+                src = self._rows(self.place, self.recv_base, src_sizes)
+                dst = self._rows(self.send, self.send_base,
+                                 dst_sizes)[self.perm]
                 bounds = np.full(self.n_ranks + 1, src.size, dtype=np.int64)
                 bounds[0] = 0
             return (_expand(src, k), None if dst is None else _expand(dst, k),
                     bounds * k)
         key = (kind, src_sizes, dst_sizes, k)
-        out = self._layouts.get(key)
+        out = self._moves.get(key)
         if out is None:
-            out = self._layouts[key] = build()
+            out = self._moves[key] = build()
         return out
-
-
-class CompiledSchedule(CompiledPlan):
-    """Compiled form of :class:`~repro.core.schedule.Schedule`."""
-
-
-class CompiledLightweightSchedule(CompiledPlan):
-    """Compiled form of a light-weight (append-order) schedule.
-
-    ``place_idx`` is ``None``: arrivals append, they are never permuted
-    into prescribed slots.  The receive stream for rank ``p`` is ordered
-    kept-local first, then arrivals by source rank — matching
-    :func:`repro.core.lightweight.scatter_append` semantics exactly.
-    """
-
-
-class CompiledRemapPlan(CompiledPlan):
-    """Compiled form of :class:`~repro.core.remap.RemapPlan`."""
 
 
 def _expand(rows: np.ndarray, k: int) -> np.ndarray:
@@ -415,86 +485,6 @@ def _expand(rows: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return rows
     return (rows[:, None] * k + np.arange(k, dtype=np.int64)).reshape(-1)
-
-
-def _compile(
-    cls,
-    n: int,
-    send_idx: list[np.ndarray],
-    send_off: list[np.ndarray],
-    place_idx: list[np.ndarray] | None,
-    self_first: bool = False,
-) -> CompiledPlan:
-    """Derive the machine-wide view of CSR-native plan buffers.
-
-    The per-rank ``send_idx`` / ``send_off`` / ``place_idx`` arrays are
-    shared with the plan (plans are immutable after construction); only
-    the count matrix, stream bases and the global permutation are new.
-    """
-    counts = csr_counts(send_off)
-
-    def rank_max(per_rank):
-        return np.array([int(a.max()) if a.size else -1 for a in per_rank],
-                        dtype=np.int64)
-    send_base = offsets_from_counts(counts.sum(axis=1))
-    recv_base = offsets_from_counts(counts.sum(axis=0))
-    return cls(
-        n_ranks=n,
-        send_idx=send_idx,
-        send_off=send_off,
-        place_idx=place_idx,
-        counts=counts,
-        send_base=send_base,
-        recv_base=recv_base,
-        perm=stream_perm(counts, self_first=self_first),
-        send_max=rank_max(send_idx),
-        place_max=None if place_idx is None else rank_max(place_idx),
-    )
-
-
-def _cached(sched, builder):
-    plan = getattr(sched, _CACHE_ATTR, None)
-    if plan is None:
-        plan = builder()
-        setattr(sched, _CACHE_ATTR, plan)
-    return plan
-
-
-def compile_schedule(sched) -> CompiledSchedule:
-    """Machine-wide view of a :class:`Schedule`; cached on the schedule.
-
-    The schedule's flat buffers are shared directly: ``recv_slots`` is
-    already the receive stream's placement order (source-ascending).
-    """
-    return _cached(
-        sched,
-        lambda: _compile(
-            CompiledSchedule, sched.n_ranks, sched.send_indices,
-            sched.send_offsets, sched.recv_slots,
-        ),
-    )
-
-
-def compile_lightweight_schedule(sched) -> CompiledLightweightSchedule:
-    """Machine-wide view of a :class:`LightweightSchedule`; cached."""
-    return _cached(
-        sched,
-        lambda: _compile(
-            CompiledLightweightSchedule, sched.n_ranks, sched.send_sel,
-            sched.send_offsets, None, self_first=True,
-        ),
-    )
-
-
-def compile_remap_plan(plan) -> CompiledRemapPlan:
-    """Machine-wide view of a :class:`RemapPlan`; cached on the plan."""
-    return _cached(
-        plan,
-        lambda: _compile(
-            CompiledRemapPlan, plan.n_ranks, plan.send_sel,
-            plan.send_offsets, plan.place_sel,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------
@@ -522,15 +512,13 @@ class FusedStage:
 
     ``kind`` names the executor primitive (``"gather"``, ``"scatter"``
     — with ``op`` for the combining variant — ``"append"``,
-    ``"remap"``); ``sched`` is the CSR-native plan object the reference
-    backend dispatches on, ``plan`` its compiled machine-wide view, and
-    ``op`` the combiner for scatter stages (``None`` overwrites; any
-    object with ``.at`` combines).
+    ``"remap"``); ``plan`` is the :class:`CommPlan` it runs, and ``op``
+    the combiner for scatter stages (``None`` overwrites; any object
+    with ``.at`` combines).
     """
 
     kind: str
-    sched: Any
-    plan: CompiledPlan
+    plan: CommPlan
     op: Any = None
 
 
@@ -559,17 +547,17 @@ class StageBind:
 
 @dataclass
 class FusedPlan:
-    """A chain of compiled plans executed as one stage list.
+    """A chain of plans executed as one stage list.
 
     The stages keep their individual count matrices and accounting —
     traffic and clocks are charged per stage, in stage order — while a
     backend's executor moves each column's data in a single composed
-    pass (:meth:`CompiledPlan.move`).  The object is a validated tuple
-    and nothing more: every cached layout lives on the stage's own
-    compiled plan.  Never cache one *on* a compiled plan —
-    ``FusedStage.plan`` would close a reference cycle, and a dropped
-    schedule must die by reference count (adaptive loops and particle
-    codes drop one per step, often with the collector off).
+    pass (:meth:`CommPlan.move`).  The object is a validated tuple and
+    nothing more: every cached layout lives on the stage's own plan.
+    Never cache one *on* a plan — ``FusedStage.plan`` would close a
+    reference cycle, and a dropped schedule must die by reference count
+    (adaptive loops and particle codes drop one per step, often with the
+    collector off).
     """
 
     stages: tuple[FusedStage, ...]
@@ -591,8 +579,8 @@ class FusedPlan:
 
     def matches(self, stages) -> bool:
         """Whether this fused plan was built from exactly ``stages``
-        (same compiled plans by identity, same kinds and combiners) —
-        the staleness check for cache layers keyed by loop id."""
+        (same plans by identity, same kinds and combiners) — the
+        staleness check for cache layers keyed by loop id."""
         if len(stages) != len(self.stages):
             return False
         return all(

@@ -15,7 +15,7 @@ can serve many schedules.
 Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
 transport: ``serial`` reproduces the historical pair-loop semantics,
-``vectorized`` (the default) executes a compiled flat plan with fused
+``vectorized`` (the default) moves the plan's flat streams with fused
 numpy operations, ``threaded`` and ``multiprocess`` fan rank ranges of
 the same kernel out over the context's worker pool.
 
@@ -46,14 +46,12 @@ from typing import Callable
 import numpy as np
 
 from repro.core.compiled import (
+    STAGE_KINDS,
     FusedPlan,
     FusedStage,
     RankArena,
     StageBind,
     as_arena,
-    compile_lightweight_schedule,
-    compile_remap_plan,
-    compile_schedule,
     is_named_ufunc,
     rank_layout,
     root_of,
@@ -184,12 +182,12 @@ class PipelinePhase:
     per-rank list and so is the result.
     """
 
-    __slots__ = ("kind", "sched", "sources", "dests", "op", "single")
+    __slots__ = ("kind", "plan", "sources", "dests", "op", "single")
 
-    def __init__(self, kind, sched, sources, dests=None, op=None,
+    def __init__(self, kind, plan, sources, dests=None, op=None,
                  single=False):
         self.kind = kind
-        self.sched = sched
+        self.plan = plan
         self.sources = sources
         self.dests = dests
         self.op = op
@@ -205,56 +203,47 @@ class PipelinePhase:
         return [self.sources]
 
     def _prepare(self, ctx) -> tuple[FusedStage, StageBind]:
-        """The one validation site of every transport call; compiles
-        the stage plan."""
-        machine = ctx.machine
-        if self.kind in ("gather", "scatter"):
-            if self.op is not None and not hasattr(self.op, "at"):
-                raise TypeError(
-                    f"op {self.op!r} must be a ufunc with an .at method"
-                )
-            gathering = self.kind == "gather"
-            data = self.sources if gathering else self.dests
-            n_rows = _leading(machine, data, "data")
-            if gathering and self.dests is None:
-                self.dests = allocate_ghosts(self.sched, data)
-            ghosts = self.dests if gathering else self.sources
-            n_ghost = _leading(machine, ghosts, "ghosts")
-            plan = compile_schedule(self.sched)
-            _check_pack_bounds(plan, n_rows, "schedule")
-            # a ghost buffer shorter than the schedule's (or than a slot
-            # it places) would make the flat layout address the next
-            # rank's ghosts, silently, in either direction
-            need = np.maximum(self.sched.ghost_size, plan.place_max + 1)
-            if (n_ghost < need).any():
-                p = int(np.flatnonzero(n_ghost < need)[0])
-                raise ValueError(f"rank {p}: ghost buffer {n_ghost[p]} < "
-                                 f"required {need[p]}")
-            return (FusedStage(self.kind, self.sched, plan, op=self.op),
-                    StageBind([self.sources], self.dests))
-        if self.kind == "append":
-            columns = self.columns()
-            plan = compile_lightweight_schedule(self.sched)
-            covered = np.diff(plan.send_base)
-            for c, values in enumerate(columns):
-                n_rows = _leading(machine, values, f"values[{c}]")
-                if (n_rows != covered).any():
-                    p = int(np.flatnonzero(n_rows != covered)[0])
-                    raise ValueError(
-                        f"rank {p}, column {c}: {n_rows[p]} elements, "
-                        f"schedule covers {covered[p]}")
-                _check_pack_bounds(plan, n_rows, "schedule")
-            return (FusedStage("append", self.sched, plan),
-                    StageBind(columns))
-        if self.kind == "remap":
-            n_rows = _leading(machine, self.sources, "data")
-            plan = compile_remap_plan(self.sched)
-            _check_pack_bounds(plan, n_rows, "remap plan")
-            if (plan.place_max >= np.asarray(self.sched.new_sizes)).any():
-                raise IndexError("remap plan places a row past new_sizes")
-            return (FusedStage("remap", self.sched, plan),
-                    StageBind([self.sources]))
-        raise ValueError(f"unknown pipeline phase kind {self.kind!r}")
+        """The one validation site of every transport call: every row
+        the plan packs exists in the arrays it packs from, and every
+        row it places fits its destination — the ghost buffers of a
+        gather or scatter, the plan's own extents for the arrays an
+        append or remap allocates.  In the flat layout a violation
+        would silently address the next rank's rows."""
+        if self.kind not in STAGE_KINDS:
+            raise ValueError(f"unknown pipeline phase kind {self.kind!r}")
+        if self.op is not None and not hasattr(self.op, "at"):
+            raise TypeError(
+                f"op {self.op!r} must be a ufunc with an .at method")
+        machine, plan = ctx.machine, self.plan
+        scatter = self.kind == "scatter"
+        covered = np.diff(plan.send_base)
+        for c, values in enumerate([self.dests] if scatter
+                                   else self.columns()):
+            n_rows = _leading(machine, values, "data")
+            if self.kind == "append" and (n_rows != covered).any():
+                p = int(np.flatnonzero(n_rows != covered)[0])
+                raise ValueError(
+                    f"rank {p}, column {c}: {n_rows[p]} elements, "
+                    f"schedule covers {covered[p]}")
+            if (plan.send_max >= n_rows).any():
+                p = int(np.flatnonzero(plan.send_max >= n_rows)[0])
+                raise IndexError(
+                    f"rank {p}: plan wants element {plan.send_max[p]} "
+                    f"but local array has {n_rows[p]}")
+        if self.kind == "gather" and self.dests is None:
+            self.dests = allocate_ghosts(plan, self.sources)
+        ghosts = self.sources if scatter else self.dests
+        if ghosts is None:
+            room, what = plan.extent, "plan extent"
+        else:
+            room, what = _leading(machine, ghosts, "ghosts"), "ghost buffer"
+        need = np.maximum(plan.extent, plan.place_max + 1)
+        if (room < need).any():
+            p = int(np.flatnonzero(room < need)[0])
+            raise ValueError(f"rank {p}: {what} {room[p]} < required "
+                             f"{need[p]}")
+        return (FusedStage(self.kind, plan, self.op),
+                StageBind(self.columns(), self.dests))
 
 
 def _leading(machine, arrays, what: str) -> np.ndarray:
@@ -265,16 +254,6 @@ def _leading(machine, arrays, what: str) -> np.ndarray:
         return arrays.sizes
     return np.array([np.asarray(a).shape[0] for a in arrays],
                     dtype=np.int64)
-
-
-def _check_pack_bounds(plan, n_rows: np.ndarray, what: str) -> None:
-    """Every row a compiled plan packs must exist in the data."""
-    bad = plan.send_max >= n_rows
-    if bad.any():
-        p = int(np.flatnonzero(bad)[0])
-        raise IndexError(
-            f"rank {p}: {what} wants element {int(plan.send_max[p])} "
-            f"but local array has {n_rows[p]}")
 
 
 def gather_phase(

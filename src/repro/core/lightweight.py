@@ -9,79 +9,40 @@ translation-table lookups) and cheaper to use (receivers append, never
 reorder), which is why ``scatter_append`` beats ``gather``/``scatter`` by
 large factors in DSMC (Table 4).
 
-Like :class:`~repro.core.schedule.Schedule`, the plan is CSR-native: one
-flat int64 selection vector per rank plus a per-destination offset
-vector — the bucketing argsort's output *is* the storage, no per-pair
-list assembly happens at all.
+:class:`LightweightSchedule` is a :class:`~repro.core.compiled.CommPlan`
+without a placement stream: the count matrix, the sender-major stream of
+selections (the bucketing sort's output *is* the storage) and each
+rank's arrival total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.compiled import csr_counts, normalize_csr, offsets_from_counts
+from repro.core.compiled import CommPlan, bucket_by_destination
 from repro.core.context import ensure_context
 from repro.core.executor import PipelinePhase, _run_stages
 
 
-@dataclass
-class LightweightSchedule:
-    """Destination-bucketed move plan, CSR-native and rank-major.
+class LightweightSchedule(CommPlan):
+    """Destination-bucketed move plan.
 
     ``send_sel[p]`` holds positions (into rank ``p``'s source arrays) of
-    every element, concatenated destination-ascending — including the
-    kept-local segment for ``q == p``; ``send_offsets[p]`` is the
-    ``(n_ranks + 1,)`` delimiter vector (the segment for ``q`` is
-    ``send_sel[p][send_offsets[p][q]:send_offsets[p][q + 1]]``).
+    every element, destination-ascending — including the kept-local
+    segment for ``q == p`` — delimited by ``send_offsets[p]``;
     ``recv_counts[p][q]`` is how many elements ``p`` receives from ``q``.
+    Arrivals append: each receiver's kept-local elements first, then
+    the other sources ascending.
     """
 
-    n_ranks: int
-    send_sel: list[np.ndarray]
-    send_offsets: list[np.ndarray]
-    recv_counts: np.ndarray  # (n_ranks, n_ranks): [p][q] = p receives from q
-
-    def __post_init__(self):
-        if len(self.send_sel) != self.n_ranks:
-            raise ValueError("send_sel must have one flat array per rank")
-        self.send_sel, self.send_offsets, send_counts = normalize_csr(
-            self.send_sel, self.send_offsets, self.n_ranks, "send_sel"
-        )
-        self.recv_counts = np.asarray(self.recv_counts, dtype=np.int64)
-        if self.recv_counts.shape != (self.n_ranks, self.n_ranks):
-            raise ValueError("recv_counts must be (n_ranks, n_ranks)")
-        if not np.array_equal(send_counts, self.recv_counts.T):
-            p, q = np.argwhere(send_counts != self.recv_counts.T)[0]
-            raise ValueError(
-                f"inconsistent: {p} sends {send_counts[p, q]} "
-                f"to {q}, which expects {self.recv_counts[q, p]}"
-            )
-
-    # -- flat layout accessors ------------------------------------------
-    def send_view(self, rank: int, dest: int) -> np.ndarray:
-        """Zero-copy view of ``rank``'s selection for ``dest``."""
-        off = self.send_offsets[rank]
-        return self.send_sel[rank][int(off[dest]):int(off[dest + 1])]
+    self_first = True
+    send_sel = property(lambda self: self.send_rows)
+    recv_counts = property(lambda self: self.counts.T)
+    total_moved = CommPlan.elements_moved
 
     def recv_total(self, rank: int) -> int:
         """Total elements rank will hold after the move (incl. kept)."""
-        return int(self.recv_counts[rank].sum())
-
-    def send_sizes(self, rank: int) -> np.ndarray:
-        return np.diff(self.send_offsets[rank])
-
-    def total_messages(self) -> int:
-        off_diag = csr_counts(self.send_offsets)
-        np.fill_diagonal(off_diag, 0)
-        return int(np.count_nonzero(off_diag))
-
-    def total_moved(self) -> int:
-        """Elements crossing rank boundaries (excludes kept-local)."""
-        off_diag = csr_counts(self.send_offsets)
-        np.fill_diagonal(off_diag, 0)
-        return int(off_diag.sum())
+        return int(self.extent[rank])
 
 
 def build_lightweight_schedule(
@@ -94,42 +55,29 @@ def build_lightweight_schedule(
     ``dest_ranks[p][i]`` is the rank that element ``i`` of rank ``p``'s
     local arrays must move to.  Cost: one local bucketing pass per rank
     plus a single message-size exchange — no translation table, no hash
-    table, no permutation list.  The stable bucketing argsort is emitted
-    directly as the CSR selection vector.
+    table, no permutation list.  Every rank's elements are bucketed as
+    one machine-wide stream
+    (:func:`~repro.core.compiled.bucket_by_destination`), whose sort
+    order is the send stream.
     """
     ctx = ensure_context(ctx, "build_lightweight_schedule")
     machine = ctx.machine
     machine.check_per_rank(dest_ranks, "dest_ranks")
     n = machine.n_ranks
-    counts = np.zeros((n, n), dtype=np.int64)
-    send_sel: list[np.ndarray] = []
-    send_offsets: list[np.ndarray] = []
-
-    for p in machine.ranks():
-        d = np.asarray(dest_ranks[p], dtype=np.int64)
-        if d.size and (d.min() < 0 or d.max() >= n):
-            bad = d[(d < 0) | (d >= n)][0]
-            raise ValueError(f"destination rank {bad} out of range on rank {p}")
-        machine.charge_memops(p, d.size, category)
-        if d.size == 0:
-            send_sel.append(np.zeros(0, dtype=np.int64))
-            send_offsets.append(offsets_from_counts(counts[p]))
-            continue
-        # destinations are ranks < n: a narrow dtype makes the stable
-        # radix argsort several times cheaper than on int64
-        if n <= np.iinfo(np.uint16).max:
-            order = np.argsort(d.astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(d, kind="stable")
-        counts[p] = np.bincount(d, minlength=n)
-        send_sel.append(np.asarray(order, dtype=np.int64))
-        send_offsets.append(offsets_from_counts(counts[p]))
-
+    sizes = np.fromiter(map(len, dest_ranks), np.int64, n)
+    dest = np.asarray(np.concatenate(dest_ranks), dtype=np.int64)
+    bad = (dest < 0) | (dest >= n)
+    if bad.any():
+        at = int(np.flatnonzero(bad)[0])
+        p = int(np.cumsum(sizes).searchsorted(at, side="right"))
+        raise ValueError(
+            f"destination rank {dest[at]} out of range on rank {p}")
+    machine.charge_memops_vec(sizes, category)
+    _, send, counts = bucket_by_destination(sizes, dest)
     machine.alltoall_lengths_compiled(counts, tag="lw_sizes",
                                       category=category)
-    return LightweightSchedule(n_ranks=n, send_sel=send_sel,
-                               send_offsets=send_offsets,
-                               recv_counts=counts.T.copy())
+    return LightweightSchedule(counts=counts, send=send, place=None,
+                               extent=counts.sum(axis=0))
 
 
 def scatter_append(

@@ -6,22 +6,18 @@ of identically-distributed arrays.  The plan is the analogue of a
 communication schedule specialized for a full redistribution: every element
 has exactly one source and one destination.
 
-Like :class:`~repro.core.schedule.Schedule`, the plan is CSR-native: flat
-int64 selection/placement vectors per rank plus per-partner offset
-vectors.  The placement side is assembled by permuting the global
-sender-major placement stream receiver-major
-(:func:`repro.core.compiled.stream_perm`) — no per-pair list assembly.
+:class:`RemapPlan` is a :class:`~repro.core.compiled.CommPlan`: the count
+matrix, the sender-major stream of *old* local offsets, the
+receiver-major stream of *new* local offsets and the new local sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.compiled import (
-    csr_counts,
-    normalize_csr,
+    CommPlan,
+    bucket_by_destination,
     offsets_from_counts,
     stream_perm,
 )
@@ -30,63 +26,20 @@ from repro.core.distribution import Distribution
 from repro.core.executor import PipelinePhase, _run_stages
 
 
-@dataclass
-class RemapPlan:
-    """A built redistribution plan, CSR-native and rank-major.
+class RemapPlan(CommPlan):
+    """A built redistribution plan.
 
     ``send_sel[p]`` — *old* local offsets on ``p`` of every element,
-    concatenated destination-ascending (``q == p`` for stay-local
-    elements), delimited by ``send_offsets[p]``; ``place_sel[p]`` — *new*
-    local offsets on ``p`` where arrivals land, concatenated
-    source-ascending (aligned element-wise with the senders' segments),
-    delimited by ``place_offsets[p]``.  ``new_sizes[p]`` — new local
-    array length.
+    destination-ascending (``q == p`` for stay-local elements),
+    delimited by ``send_offsets[p]``; ``place_sel[p]`` — *new* local
+    offsets on ``p`` where arrivals land, source-ascending (aligned
+    element-wise with the senders' segments), delimited by
+    ``place_offsets[p]``.  ``new_sizes[p]`` — new local array length.
     """
 
-    n_ranks: int
-    send_sel: list[np.ndarray]
-    send_offsets: list[np.ndarray]
-    place_sel: list[np.ndarray]
-    place_offsets: list[np.ndarray]
-    new_sizes: list[int]
-
-    def __post_init__(self):
-        n = self.n_ranks
-        if len(self.send_sel) != n or len(self.place_sel) != n:
-            raise ValueError("remap buffers must have one entry per rank")
-        self.send_sel, self.send_offsets, send_counts = normalize_csr(
-            self.send_sel, self.send_offsets, n, "send_sel"
-        )
-        self.place_sel, self.place_offsets, place_counts = normalize_csr(
-            self.place_sel, self.place_offsets, n, "place_sel"
-        )
-        if not np.array_equal(send_counts, place_counts.T):
-            p, q = np.argwhere(send_counts != place_counts.T)[0]
-            raise ValueError(
-                f"remap plan inconsistent between ranks {p} and {q}"
-            )
-
-    # -- flat layout accessors ------------------------------------------
-    def send_view(self, rank: int, dest: int) -> np.ndarray:
-        """Zero-copy view of ``rank``'s selection for ``dest``."""
-        off = self.send_offsets[rank]
-        return self.send_sel[rank][int(off[dest]):int(off[dest + 1])]
-
-    def place_view(self, rank: int, src: int) -> np.ndarray:
-        """Zero-copy view of ``rank``'s placement slots for ``src``."""
-        off = self.place_offsets[rank]
-        return self.place_sel[rank][int(off[src]):int(off[src + 1])]
-
-    def elements_moved(self) -> int:
-        """Elements that change ranks (excludes stay-local)."""
-        off_diag = csr_counts(self.send_offsets)
-        np.fill_diagonal(off_diag, 0)
-        return int(off_diag.sum())
-
-    def total_messages(self) -> int:
-        off_diag = csr_counts(self.send_offsets)
-        np.fill_diagonal(off_diag, 0)
-        return int(np.count_nonzero(off_diag))
+    send_sel = property(lambda self: self.send_rows)
+    place_sel = property(lambda self: self.place_rows)
+    new_sizes = property(lambda self: self.extent)
 
 
 def remap(
@@ -99,7 +52,9 @@ def remap(
 
     Both distributions must describe the same global array on the same
     machine.  Cost: one pass over owned elements per rank plus a
-    message-size exchange.
+    message-size exchange.  The old distribution's elements are
+    bucketed by new owner as one machine-wide stream
+    (:func:`~repro.core.compiled.bucket_by_destination`).
     """
     ctx = ensure_context(ctx, "remap")
     machine = ctx.machine
@@ -111,46 +66,25 @@ def remap(
     if old_dist.n_ranks != machine.n_ranks or new_dist.n_ranks != machine.n_ranks:
         raise ValueError("distributions sized for a different machine")
     n = machine.n_ranks
-    counts = np.zeros((n, n), dtype=np.int64)
-    send_sel: list[np.ndarray] = []
-    send_offsets: list[np.ndarray] = []
-    place_by_sender: list[np.ndarray] = []
+    # the old distribution's global indices, rank by rank in local order
+    g = np.arange(old_dist.n_global, dtype=np.int64)
+    owner = old_dist.owner(g)
+    sizes = np.bincount(owner, minlength=n)
+    stream = np.empty_like(g)
+    stream[offsets_from_counts(sizes)[owner] + old_dist.local_index(g)] = g
+    machine.charge_memops_vec(sizes, category)
 
-    for p in machine.ranks():
-        g = old_dist.global_indices(p)
-        machine.charge_memops(p, g.size, category)
-        if g.size == 0:
-            send_sel.append(np.zeros(0, dtype=np.int64))
-            send_offsets.append(offsets_from_counts(counts[p]))
-            place_by_sender.append(np.zeros(0, dtype=np.int64))
-            continue
-        new_owner = new_dist.owner(g)
-        new_off = new_dist.local_index(g)
-        order = np.argsort(new_owner, kind="stable")
-        counts[p] = np.bincount(new_owner, minlength=n)
-        send_sel.append(np.asarray(order, dtype=np.int64))
-        send_offsets.append(offsets_from_counts(counts[p]))
-        # new local offsets, aligned with the send stream (dest-ascending)
-        place_by_sender.append(np.asarray(new_off[order], dtype=np.int64))
-
+    new_owner = new_dist.owner(stream)
+    order, send, counts = bucket_by_destination(sizes, new_owner)
     machine.alltoall_lengths_compiled(counts, tag="remap_sizes",
                                       category=category)
-
-    # receiver-major reorder of the placement stream: place_sel[q] is the
-    # concatenation (sources ascending) of what each sender computed
-    perm = stream_perm(counts)
-    place_stream = (np.concatenate(place_by_sender)[perm]
-                    if perm.size else np.zeros(0, dtype=np.int64))
-    recv_base = offsets_from_counts(counts.sum(axis=0))
-    place_sel = [place_stream[int(recv_base[q]):int(recv_base[q + 1])]
-                 for q in machine.ranks()]
-    place_offsets = [offsets_from_counts(counts[:, q])
-                     for q in machine.ranks()]
-
-    new_sizes = [new_dist.local_size(p) for p in machine.ranks()]
-    return RemapPlan(n_ranks=n, send_sel=send_sel,
-                     send_offsets=send_offsets, place_sel=place_sel,
-                     place_offsets=place_offsets, new_sizes=new_sizes)
+    return RemapPlan(
+        counts=counts,
+        send=send,
+        # new local offsets of the same elements, receiver-major
+        place=new_dist.local_index(stream[order[stream_perm(counts)]]),
+        extent=np.bincount(new_owner, minlength=n),
+    )
 
 
 def remap_array(

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 #: suffix appended to a loop id to key its fused-plan cache entry —
 #: fusion effectiveness stays observable per loop without changing the
 #: shape of :meth:`ScheduleCache.stats`
@@ -109,26 +107,17 @@ class DeltaFallback(Exception):
 def value_nbytes(value: Any) -> int:
     """Approximate resident bytes of a cached value.
 
-    Counts ndarray buffers, recursing through lists/tuples/dicts and
-    through objects exposing CSR schedule buffers (``send_indices`` et
-    al.); scalars and opaque objects count as zero — the figure feeds an
-    observability counter, not an allocator.
+    Counts anything with an ``nbytes`` — ndarrays, and communication
+    plans (:attr:`~repro.core.compiled.CommPlan.nbytes`: their flat
+    buffers, count matrix and extents) — recursing through
+    lists/tuples/dicts; other objects count as zero — the figure feeds
+    an observability counter, not an allocator.
     """
-    if value is None:
-        return 0
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
     if isinstance(value, (list, tuple)):
         return sum(value_nbytes(v) for v in value)
     if isinstance(value, dict):
         return sum(value_nbytes(v) for v in value.values())
-    total = 0
-    for attr in ("send_indices", "send_offsets", "recv_slots",
-                 "recv_offsets"):
-        arrs = getattr(value, attr, None)
-        if arrs is not None:
-            total += value_nbytes(arrs)
-    return total
+    return int(getattr(value, "nbytes", 0))
 
 
 class ModificationRecord:

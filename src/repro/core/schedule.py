@@ -1,20 +1,14 @@
 """Communication schedules (paper §3.2.1) and schedule generation.
 
-A schedule for rank ``p`` stores exactly what the paper lists:
-
-1. *send list* — local elements ``p`` must send to each other rank,
-2. *permutation list* — where incoming off-processor elements land in
-   ``p``'s ghost buffer,
-3. *send sizes* and 4. *fetch sizes* — per-destination message sizes.
-
-The paper hands these to the communication layer as flat index/offset
-buffers, and since the CSR-native refactor :class:`Schedule` stores them
-the same way: one concatenated int64 index vector per rank plus a
-``(n_ranks + 1,)`` offset vector delimiting each partner's segment —
-no nested per-pair Python lists anywhere in the dataclass.  Per-pair
-views are available through :meth:`Schedule.send_view` /
-:meth:`Schedule.recv_view` (zero-copy slices); the kwarg-era nested
-accessors are gone.
+A schedule stores exactly what the paper lists: the *send lists* (local
+elements each rank sends to each other rank), the *permutation list*
+(where incoming off-processor elements land in the receiver's ghost
+buffer) and the *send* / *fetch sizes*.  :class:`Schedule` is a
+:class:`~repro.core.compiled.CommPlan` — one count matrix, one flat
+sender-major send stream, one flat receiver-major stream of ghost slots
+and the per-rank ghost-buffer sizes — and only names those parts the
+way the paper does (``send_indices[p]``, ``recv_slots[p]``,
+``send_view(p, q)``, ... are views of the flat buffers).
 
 Schedules are built collectively from the stamped hash tables
 (:func:`build_schedule`): each rank selects the off-processor entries
@@ -26,124 +20,57 @@ algebra for free.
 :func:`build_schedule` validates and dispatches to the backend carried
 by its :class:`~repro.core.context.ExecutionContext`: ``serial`` walks
 the stamped entries per rank in Python (the reference), ``vectorized``
-(the default) groups by owner with argsort/bincount; both emit the flat
-CSR buffers directly — zero per-pair list assembly — and produce
-bitwise-identical schedules and traffic statistics.
+(the default) groups every rank's entries by owner in one stream; both
+produce bitwise-identical schedules and traffic statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.compiled import (
-    concat_csr,
-    normalize_csr,
-    offsets_from_counts,
-    split_csr,
-    stream_perm,
-    zero_csr,
-)
+from repro.core.compiled import CommPlan, offsets_from_counts
 from repro.core.context import ensure_context
-from repro.core.hashtable import IndexHashTable, StampExpr
+from repro.core.hashtable import IndexHashTable, StampExpr, group_of
 
 
-@dataclass
-class Schedule:
-    """A built communication schedule, CSR-native and rank-major.
+class Schedule(CommPlan):
+    """A built communication schedule.
 
     ``send_indices[p]`` — local offsets on ``p`` of every element ``p``
-    sends, concatenated destination-ascending; ``send_offsets[p]`` is the
-    ``(n_ranks + 1,)`` vector delimiting each destination's segment (the
-    segment for ``q`` is ``send_indices[p][send_offsets[p][q]:
-    send_offsets[p][q + 1]]``).  ``recv_slots[p]`` / ``recv_offsets[p]``
-    hold the ghost-buffer slots where data arriving at ``p`` is placed,
-    concatenated source-ascending and aligned element-wise with the
-    senders' segments.  ``ghost_size[p]`` — ghost-buffer slots rank ``p``
-    must allocate.
+    sends, destination-ascending, delimited by ``send_offsets[p]``;
+    ``recv_slots[p]`` — the ghost-buffer slots where data arriving at
+    ``p`` is placed, source-ascending and aligned element-wise with the
+    senders' segments, delimited by ``recv_offsets[p]``;
+    ``ghost_size[p]`` — ghost-buffer slots rank ``p`` must allocate.
     """
 
-    n_ranks: int
-    send_indices: list[np.ndarray]
-    send_offsets: list[np.ndarray]
-    recv_slots: list[np.ndarray]
-    recv_offsets: list[np.ndarray]
-    ghost_size: list[int]
-
-    def __post_init__(self):
-        n = self.n_ranks
-        if len(self.send_indices) != n or len(self.recv_slots) != n:
-            raise ValueError("schedule buffers must have one entry per rank")
-        self.send_indices, self.send_offsets, send_counts = normalize_csr(
-            self.send_indices, self.send_offsets, n, "send"
-        )
-        self.recv_slots, self.recv_offsets, recv_counts = normalize_csr(
-            self.recv_slots, self.recv_offsets, n, "recv"
-        )
-        if not np.array_equal(send_counts, recv_counts.T):
-            p, q = np.argwhere(send_counts != recv_counts.T)[0]
-            raise ValueError(
-                f"schedule inconsistent: {p} sends {send_counts[p, q]} to "
-                f"{q} but {q} expects {recv_counts[q, p]}"
-            )
-        self._counts = send_counts
-
-    # -- flat layout accessors ------------------------------------------
-    def counts(self) -> np.ndarray:
-        """``(n_ranks, n_ranks)`` matrix: ``counts[p, q]`` elements
-        ``p`` sends to ``q``."""
-        return self._counts
-
-    def send_view(self, rank: int, dest: int) -> np.ndarray:
-        """Zero-copy view of ``rank``'s send segment for ``dest``."""
-        off = self.send_offsets[rank]
-        return self.send_indices[rank][int(off[dest]):int(off[dest + 1])]
-
-    def recv_view(self, rank: int, src: int) -> np.ndarray:
-        """Zero-copy view of ``rank``'s ghost slots for data from ``src``."""
-        off = self.recv_offsets[rank]
-        return self.recv_slots[rank][int(off[src]):int(off[src + 1])]
+    ghost_size = property(lambda self: self.extent)
+    send_indices = property(lambda self: self.send_rows)
+    recv_slots = property(lambda self: self.place_rows)
+    recv_offsets = property(lambda self: self.place_offsets)
+    recv_view = CommPlan.place_view
 
     # -- paper's four components, per rank ------------------------------
     def send_list(self, rank: int) -> np.ndarray:
-        """All local elements ``rank`` sends, concatenated by destination
-        (the native storage — zero-copy)."""
-        return self.send_indices[rank]
+        """All local elements ``rank`` sends, concatenated by destination."""
+        return self.send_rows[rank]
 
     def permutation_list(self, rank: int) -> np.ndarray:
-        """Ghost-buffer placement order of incoming elements (zero-copy)."""
-        return self.recv_slots[rank]
-
-    def send_sizes(self, rank: int) -> np.ndarray:
-        return np.diff(self.send_offsets[rank])
+        """Ghost-buffer placement order of incoming elements."""
+        return self.place_rows[rank]
 
     def fetch_sizes(self, rank: int) -> np.ndarray:
-        return np.diff(self.recv_offsets[rank])
+        return self.counts[:, rank]
 
-    # -- aggregate stats -------------------------------------------------
     def total_elements(self) -> int:
         """Off-processor elements moved by one gather with this schedule."""
-        return int(self._counts.sum())
-
-    def total_messages(self) -> int:
-        """Messages per gather (non-empty (p,q) pairs, p != q)."""
-        off_diag = self._counts.copy()
-        np.fill_diagonal(off_diag, 0)
-        return int(np.count_nonzero(off_diag))
+        return int(self.counts.sum())
 
     @classmethod
     def empty(cls, n_ranks: int) -> "Schedule":
-        send, send_off = zero_csr(n_ranks)
-        recv, recv_off = zero_csr(n_ranks)
-        return cls(
-            n_ranks=n_ranks,
-            send_indices=send,
-            send_offsets=send_off,
-            recv_slots=recv,
-            recv_offsets=recv_off,
-            ghost_size=[0] * n_ranks,
-        )
+        z = np.zeros(0, dtype=np.int64)
+        return cls(counts=np.zeros((n_ranks, n_ranks), dtype=np.int64),
+                   send=z, place=z, extent=np.zeros(n_ranks, dtype=np.int64))
 
 
 def build_schedule(
@@ -181,149 +108,123 @@ def splice_schedules(
     that left rank ``p``'s selection.  The result is bitwise-identical
     to a cold rebuild.
 
-    The splice is a positional *edit script* on the CSR buffers.  A cold
-    build orders every receive buffer by ``(owner, hash-table slot)``
-    (``build_schedule`` selects slots with ``np.flatnonzero`` and groups
-    them owner-stably), so the position of an edit is a lower bound over
-    that key, read through the rank's live ghost-slot -> key inverse:
-    where a delta entry goes in, where a dropped entry sits.  Element
-    ``k`` of ``p``'s segment from ``q`` is element ``k`` of ``q``'s
-    segment to ``p``, so the same ``(segment, k)`` positions edit the
-    send buffers and nothing is transposed.  Positions are found per
-    receiver, carried over to the senders machine-wide, and applied
-    buffer by buffer: one key gather and one copy per buffer plus a
-    binary search per edit -- O(stream + delta * log) with rank-sized
-    temporaries and no iteration over rank pairs.
+    The splice is a positional *edit script* on the flat buffers.  A
+    cold build orders the receive stream by ``(receiver, owner,
+    hash-table row)`` (``build_schedule`` selects rows ascending and
+    groups them owner-stably), so keying every ghost slot by the entry
+    holding it — one machine-wide inverse over the tables — makes the
+    base's keys ascend along the whole stream.  Where a dropped entry
+    sits and where a delta entry goes in are then one ``searchsorted``
+    each over those keys.  Element ``k`` of ``p``'s segment from ``q``
+    is element ``k`` of ``q``'s segment to ``p``, so the same edits,
+    shifted segment by segment, apply to the send stream: one edit per
+    buffer, no iteration over ranks or rank pairs.
 
     ``base`` must describe the live tables as they were before the
     update, with no purge in between (a purge recycles ghost slots).
     That is checked where the edit script sees it: a ghost slot of
-    ``base`` that is no longer live, or a dropped entry that is not
-    found at its own position, raises ``ValueError``.
+    ``base`` that is no longer live (or out of order), or a dropped
+    entry that is not found at its own position, raises ``ValueError``.
     """
     ctx = ensure_context(ctx, "splice_schedules")
     machine = ctx.machine
     machine.check_per_rank(htables, "hash tables")
+    machine.check_per_rank(dropped_bufs, "dropped slots")
     n = base.n_ranks
     if delta.n_ranks != n:
         raise ValueError("base and delta schedules span different machines")
+    group = group_of(htables)
+    machine.charge_memops_vec(group.n_entries, category)
 
-    # per receiver: position of every dropped / delta entry in its base
-    # receive buffer, and the entry's owner
-    drop_at, drop_src, ins_at, ins_src = [], [], [], []
-    machine.charge_memops_vec([ht.n_entries for ht in htables], category)
-    for p in machine.ranks():
-        ht = htables[p]
-        ne = ht.n_entries
-        # ghost slot -> owner-major slot key of the live off-processor
-        # entries (purged and on-processor rows carry buf == -1)
-        live = np.flatnonzero(ht.buf[:ne] >= 0)
-        key = np.full(ht.ghost_capacity(), -1, dtype=np.int64)
-        key[ht.buf[live]] = ht.proc[live] * ne + live
-        base_key = key[base.recv_slots[p]]
-        dkey = key[np.asarray(dropped_bufs[p], dtype=np.int64)]
-        ikey = key[delta.recv_slots[p]]
-        at = base_key.searchsorted(dkey)
-        if ((base_key.size and base_key.min() < 0)
-                or (at >= base_key.size).any()
-                or (base_key[at] != dkey).any()):
-            raise ValueError(
-                "base schedule does not match the live tables on rank "
-                f"{p} (built against other tables, or purged since)"
-            )
-        drop_at.append(at)
-        drop_src.append(dkey // ne)
-        ins_at.append(base_key.searchsorted(ikey))
-        ins_src.append(ikey // ne)
+    # ghost slot -> (receiver, owner, row) key of the entry holding it,
+    # one region per receiver (slot s of rank p at region[p] + 1 + s).
+    # The arenas' rows in use are walked whole: rows without a ghost
+    # slot (buf == -1: on-processor or purged) all land in their
+    # region's spare first position, which no slot reads.
+    rows_cap, used = group.rows_cap, int(group.n_entries.max())
+    span = n * rows_cap                     # the keys of one receiver
+    # keys below 2**31 move as int32: half the bytes to write and search
+    dtype = np.int32 if n * span < 1 << 31 else np.int64
+    region = offsets_from_counts(group.n_ghost + 1)
+    key = np.full(region[-1], -1, dtype=dtype)
+    entry_key = group.proc[:, :used].astype(dtype)
+    entry_key *= rows_cap
+    entry_key += np.arange(used, dtype=dtype)
+    entry_key += np.arange(0, n * span, span, dtype=dtype)[:, None]
+    key[group.buf[:, :used] + (region[:-1, None] + 1)] = entry_key
 
-    # the same edits seen by the senders: element k of (p <- q) is
-    # element k of (q -> p)
-    recv_off = np.stack(base.recv_offsets)   # [p, q]
-    send_off = np.stack(base.send_offsets)   # [q, p]
+    def keys_of(slots, per_rank):
+        at = slots + np.repeat(region[:-1] + 1, per_rank)
+        if slots.size and (slots.min() < 0 or at.max() >= key.size):
+            raise ValueError(_STALE)
+        return key[at]
 
-    def at_sender(at, src):
-        """Per-receiver positions -> receiver, sender and position in
-        the sender's buffer of every edit, in receiver order."""
-        recv = np.repeat(np.arange(n), [a.size for a in at])
-        at, send = np.concatenate(at), np.concatenate(src)
-        return recv, send, send_off[send, recv] + at - recv_off[recv, send]
+    # a slot past its rank's ghost slots reads another receiver's key, a
+    # slot no entry holds reads -1: the base's keys must ascend, and
+    # start and end every receiver's segment in that receiver's range;
+    # a dropped slot must read its own receiver's key, found in the base
+    base_key = keys_of(base.place, base.counts.sum(axis=0))
+    n_drop = np.fromiter(map(len, dropped_bufs), np.int64, n)
+    dkey = keys_of(np.asarray(np.concatenate(dropped_bufs), dtype=np.int64),
+                   n_drop)
+    first, last = base.recv_base[:-1], base.recv_base[1:] - 1
+    held = np.flatnonzero(first <= last)
+    if ((base_key[1:] <= base_key[:-1]).any()
+            or not np.array_equal(base_key[first[held]] // span, held)
+            or not np.array_equal(base_key[last[held]] // span, held)
+            or not np.array_equal(dkey // span,
+                                  np.repeat(np.arange(n), n_drop))):
+        raise ValueError(_STALE)
+    dkey.sort()
+    drop_at = base_key.searchsorted(dkey)
+    if ((drop_at >= base_key.size).any()
+            or (base_key[np.minimum(drop_at, base_key.size - 1)]
+                != dkey).any()):
+        raise ValueError(_STALE)
+    ikey = keys_of(delta.place, delta.counts.sum(axis=0))
+    ins_at = base_key.searchsorted(ikey)
 
-    receiver, sender, at = at_sender(drop_at, drop_src)
-    dropped = np.bincount(sender * n + receiver,
-                          minlength=n * n).reshape(n, n)   # [q, p]
-    drop_send = split_csr(at[np.argsort(sender, kind="stable")],
-                          offsets_from_counts(dropped.sum(axis=1)))
-    # the delta's send buffers list its entries sender-major
-    at = at_sender(ins_at, ins_src)[2]
-    ins_send = np.empty_like(at)
-    ins_send[stream_perm(delta.counts())] = at
-    ins_send = split_csr(ins_send,
-                         offsets_from_counts(delta.counts().sum(axis=1)))
+    # the same edits seen by the senders: a key's pair (receiver p,
+    # owner q) names the receive segment it sits in, and element k of
+    # (p <- q) is element k of (q -> p)
+    recv_seg = offsets_from_counts(base.counts.T.ravel())   # [p * n + q]
+    send_seg = offsets_from_counts(base.counts.ravel())     # [q * n + p]
 
-    def edited(old, drop, ins, values):
-        """``old`` without the positions ``drop`` and with ``values``
-        put in before the (ascending) positions ``ins``."""
-        keep = np.ones(old.size, dtype=bool)
-        keep[drop] = False
-        at = ins - np.sort(drop).searchsorted(ins) + np.arange(ins.size)
-        out = np.empty(old.size - drop.size + ins.size, dtype=np.int64)
-        out[at] = values
-        kept = np.ones(out.size, dtype=bool)
-        kept[at] = False
-        out[kept] = old[keep]
-        return out
+    def at_sender(at, keys):
+        pair = keys // rows_cap
+        sender_pair = pair % n * n + pair // n
+        return at - recv_seg[pair] + send_seg[sender_pair], sender_pair
 
-    recv_slots, send_indices = [], []
-    for r in machine.ranks():
-        recv_slots.append(edited(base.recv_slots[r], drop_at[r], ins_at[r],
-                                 delta.recv_slots[r]))
-        send_indices.append(edited(base.send_indices[r], drop_send[r],
-                                   ins_send[r], delta.send_indices[r]))
-    machine.charge_memops_vec([a.size for a in recv_slots], category)
-    counts = base.counts() + delta.counts() - dropped
-    return Schedule(
-        n_ranks=n,
-        send_indices=send_indices,
-        send_offsets=[offsets_from_counts(row) for row in counts],
-        recv_slots=recv_slots,
-        recv_offsets=[offsets_from_counts(col) for col in counts.T],
-        ghost_size=list(delta.ghost_size),
+    drop_send, drop_pair = at_sender(drop_at, dkey)
+    ins_send = np.empty_like(ins_at)
+    # the delta's send stream lists its entries sender-major
+    ins_send[delta.perm] = at_sender(ins_at, ikey)[0]
+
+    counts = (base.counts + delta.counts
+              - np.bincount(drop_pair, minlength=n * n).reshape(n, n))
+    spliced = Schedule(
+        counts=counts,
+        send=_edited(base.send, drop_send, ins_send, delta.send),
+        place=_edited(base.place, drop_at, ins_at, delta.place),
+        extent=delta.extent,
     )
+    machine.charge_memops_vec(counts.sum(axis=0), category)
+    return spliced
 
 
-def merge_schedules(ctx, scheds: list[Schedule],
-                    category: str = "inspector") -> Schedule:
-    """Merge already-built schedules into one (duplicates NOT removed).
+_STALE = ("base schedule does not match the live tables (built against "
+          "other tables, or purged since)")
 
-    Prefer building a merged schedule from the hash table via a stamp
-    union, which removes duplicates; this helper exists for schedules
-    whose hash tables are gone, and for testing the difference between
-    the two approaches.
-    """
-    ctx = ensure_context(ctx, "merge_schedules")
-    machine = ctx.machine
-    if not scheds:
-        raise ValueError("need at least one schedule to merge")
-    n = scheds[0].n_ranks
-    for s in scheds:
-        if s.n_ranks != n:
-            raise ValueError("schedules span different machines")
-    # per (p, q), input-schedule order is preserved within the segment
-    send, send_off = zip(*(
-        concat_csr([s.send_view(p, q) for q in range(n) for s in scheds],
-                   group=len(scheds))
-        for p in range(n)
-    ))
-    recv, recv_off = zip(*(
-        concat_csr([s.recv_view(p, q) for q in range(n) for s in scheds],
-                   group=len(scheds))
-        for p in range(n)
-    ))
-    ghost_size = [max(s.ghost_size[p] for s in scheds) for p in range(n)]
-    for p in range(n):
-        machine.charge_memops(
-            p, sum(s.send_sizes(p).sum() for s in scheds), category
-        )
-    return Schedule(n_ranks=n, send_indices=list(send),
-                    send_offsets=list(send_off), recv_slots=list(recv),
-                    recv_offsets=list(recv_off), ghost_size=ghost_size)
+
+def _edited(old, drop, ins, values):
+    """``old`` without the positions ``drop`` and with ``values`` put in
+    before the (ascending) positions ``ins``."""
+    keep = np.ones(old.size, dtype=bool)
+    keep[drop] = False
+    at = ins - np.sort(drop).searchsorted(ins) + np.arange(ins.size)
+    out = np.empty(old.size - drop.size + ins.size, dtype=np.int64)
+    out[at] = values
+    kept = np.ones(out.size, dtype=bool)
+    kept[at] = False
+    out[kept] = old[keep]
+    return out

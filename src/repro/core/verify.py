@@ -3,16 +3,15 @@
 Debugging aids a runtime-library user reaches for when a parallel loop
 produces wrong answers: each function checks the internal invariants of
 one artifact and returns a list of human-readable problems (empty = OK).
-They are pure inspections — no communication is charged — and they walk
-the plans' native flat CSR buffers directly (offset-vector arithmetic
-and ``np.unique``), never the deprecated nested per-pair views.
+They are pure inspections — no communication is charged — and they
+read the plans through their per-rank views of the flat buffers and
+their count matrices (offset arithmetic and ``np.unique``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compiled import csr_counts
 from repro.core.distribution import Distribution
 from repro.core.hashtable import IndexHashTable, group_of
 from repro.core.lightweight import LightweightSchedule
@@ -61,8 +60,8 @@ def check_schedule(sched: Schedule, dist: Distribution | None = None
     """Send/recv symmetry, slot uniqueness, ghost bounds, index ranges."""
     problems: list[str] = []
     n = sched.n_ranks
-    send_counts = csr_counts(sched.send_offsets)
-    recv_counts = csr_counts(sched.recv_offsets)
+    send_counts = sched.counts
+    recv_counts = np.diff(sched.recv_offsets, axis=1)
     for p, q in np.argwhere(send_counts != recv_counts.T):
         problems.append(
             f"{p}->{q}: sends {send_counts[p, q]} but receiver expects "
@@ -172,7 +171,7 @@ def check_lightweight(sched: LightweightSchedule) -> list[str]:
     """Counts symmetric; selections disjoint and covering."""
     problems: list[str] = []
     n = sched.n_ranks
-    send_counts = csr_counts(sched.send_offsets)
+    send_counts = sched.counts
     for p, q in np.argwhere(send_counts != sched.recv_counts.T):
         problems.append(f"{p}->{q}: count mismatch")
     for p in range(n):
@@ -202,8 +201,8 @@ def check_remap_plan(plan: RemapPlan) -> list[str]:
     """Every new slot filled exactly once; no slot out of range."""
     problems: list[str] = []
     n = plan.n_ranks
-    send_counts = csr_counts(plan.send_offsets)
-    place_counts = csr_counts(plan.place_offsets)
+    send_counts = plan.counts
+    place_counts = np.diff(plan.place_offsets, axis=1)
     for p, q in np.argwhere(send_counts != place_counts.T):
         problems.append(f"{p}->{q}: plan asymmetry")
     for p in range(n):

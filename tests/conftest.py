@@ -3,7 +3,12 @@
 ``ALL_BACKENDS`` is the single source of truth for the registered
 backend names the equivalence suites sweep; import it (``from conftest
 import ALL_BACKENDS``) instead of repeating the tuple per file.
+``count_calls`` is the probe of the shape tests (host work that must not
+grow with the rank count).
 """
+
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +18,28 @@ from repro.sim import Machine
 
 #: every built-in backend, serial (the reference semantics) first
 ALL_BACKENDS = ("serial", "vectorized", "threaded", "multiprocess")
+
+
+def count_calls(fn):
+    """C-level calls made while ``fn()`` runs, by name; the ones made
+    directly from ``lang/program.py`` also under ``"lang:" + name``."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            name = ("ufunc." if isinstance(owner, np.ufunc) else "") \
+                + arg.__name__
+            calls[name] += 1
+            if frame.f_code.co_filename.endswith("lang/program.py"):
+                calls["lang:" + name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def pytest_addoption(parser):

@@ -1,12 +1,13 @@
-"""Test-side nested-list helpers for CSR-native plans.
+"""Test-side nested-list helpers for flat communication plans.
 
-The runtime stores every communication plan as flat CSR buffers; the
-kwarg-era nested constructors (``from_pair_lists``) and accessors
-(``send_pairs`` et al.) were deleted from ``src/`` in PR 5.  Tests that
-want to build a plan from one small array per ``(p, q)`` pair — or to
-compare the flat buffers against their nested presentation — use these
-helpers instead, which concatenate/split through the same public CSR
-layout functions the builders use.
+The runtime stores every communication plan as one count matrix plus
+flat send / placement streams; the nested constructors
+(``from_pair_lists``) and accessors (``send_pairs`` et al.) were deleted
+from ``src/`` long ago.  Tests that want to build a plan from one small
+array per ``(p, q)`` pair — or to compare the flat buffers against their
+nested presentation — use these helpers, which concatenate through the
+public CSR layout function and split through the plans' own per-pair
+views.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import LightweightSchedule, RemapPlan, Schedule
-from repro.core.compiled import concat_csr, split_csr
+from repro.core.compiled import concat_csr
+
+
+def _flat_pairs(pairs: list[list[np.ndarray]]):
+    """Nested ``[p][q]`` arrays -> ``(flat stream, (P, P) sizes)``."""
+    flat, offsets = concat_csr([a for row in pairs for a in row])
+    return flat, np.diff(offsets).reshape(len(pairs), len(pairs))
+
+
+def _check_transposed(sizes: np.ndarray, counts: np.ndarray, what: str):
+    if not np.array_equal(sizes, counts.T):
+        raise ValueError(f"{what} pairs disagree with the send pairs")
 
 
 def schedule_from_pairs(
@@ -23,17 +35,14 @@ def schedule_from_pairs(
     recv_slots: list[list[np.ndarray]],
     ghost_size: list[int],
 ) -> Schedule:
-    """Build a :class:`Schedule` from nested per-pair index lists."""
-    send, send_off = zip(*(concat_csr(row) for row in send_indices))
-    recv, recv_off = zip(*(concat_csr(row) for row in recv_slots))
-    return Schedule(
-        n_ranks=n_ranks,
-        send_indices=list(send),
-        send_offsets=list(send_off),
-        recv_slots=list(recv),
-        recv_offsets=list(recv_off),
-        ghost_size=ghost_size,
-    )
+    """Build a :class:`Schedule` from nested per-pair index lists
+    (``recv_slots[p][q]``: slots on ``p`` for data from ``q``)."""
+    send, counts = _flat_pairs(send_indices)
+    place, recv_sizes = _flat_pairs(recv_slots)
+    sched = Schedule(counts=counts, send=send, place=place,
+                     extent=ghost_size)
+    _check_transposed(recv_sizes, counts, "receive")
+    return sched
 
 
 def lightweight_from_pairs(
@@ -41,12 +50,14 @@ def lightweight_from_pairs(
     send_sel: list[list[np.ndarray]],
     recv_counts: np.ndarray,
 ) -> LightweightSchedule:
-    """Build a :class:`LightweightSchedule` from nested selection lists."""
-    flat, offs = zip(*(concat_csr(row) for row in send_sel))
-    return LightweightSchedule(
-        n_ranks=n_ranks, send_sel=list(flat), send_offsets=list(offs),
-        recv_counts=recv_counts,
-    )
+    """Build a :class:`LightweightSchedule` from nested selection lists
+    (``recv_counts[p][q]``: elements ``p`` receives from ``q``)."""
+    send, counts = _flat_pairs(send_sel)
+    recv_counts = np.asarray(recv_counts)
+    sched = LightweightSchedule(counts=counts, send=send, place=None,
+                                extent=recv_counts.sum(axis=1))
+    _check_transposed(recv_counts, counts, "receive-count")
+    return sched
 
 
 def remap_from_pairs(
@@ -56,31 +67,23 @@ def remap_from_pairs(
     new_sizes: list[int],
 ) -> RemapPlan:
     """Build a :class:`RemapPlan` from nested selection/placement lists."""
-    send, send_off = zip(*(concat_csr(row) for row in send_sel))
-    place, place_off = zip(*(concat_csr(row) for row in place_sel))
-    return RemapPlan(
-        n_ranks=n_ranks, send_sel=list(send), send_offsets=list(send_off),
-        place_sel=list(place), place_offsets=list(place_off),
-        new_sizes=new_sizes,
-    )
+    send, counts = _flat_pairs(send_sel)
+    place, place_sizes = _flat_pairs(place_sel)
+    plan = RemapPlan(counts=counts, send=send, place=place, extent=new_sizes)
+    _check_transposed(place_sizes, counts, "placement")
+    return plan
 
 
 def send_pair_views(plan) -> list[list[np.ndarray]]:
-    """Nested ``[p][q]`` views of a plan's send-side CSR buffers."""
-    flats = getattr(plan, "send_indices", None)
-    if flats is None:
-        flats = plan.send_sel
-    return [split_csr(flats[p], plan.send_offsets[p])
-            for p in range(plan.n_ranks)]
+    """Nested ``[p][q]`` views of a plan's send stream."""
+    n = plan.n_ranks
+    return [[plan.send_view(p, q) for q in range(n)] for p in range(n)]
 
 
-def recv_pair_views(sched: Schedule) -> list[list[np.ndarray]]:
-    """Nested ``[p][q]`` views of a schedule's receive-side buffers."""
-    return [split_csr(sched.recv_slots[p], sched.recv_offsets[p])
-            for p in range(sched.n_ranks)]
+def recv_pair_views(plan) -> list[list[np.ndarray]]:
+    """Nested ``[p][q]`` views of a plan's placement stream."""
+    n = plan.n_ranks
+    return [[plan.place_view(p, q) for q in range(n)] for p in range(n)]
 
 
-def place_pair_views(plan: RemapPlan) -> list[list[np.ndarray]]:
-    """Nested ``[p][q]`` views of a remap plan's placement buffers."""
-    return [split_csr(plan.place_sel[p], plan.place_offsets[p])
-            for p in range(plan.n_ranks)]
+place_pair_views = recv_pair_views

@@ -306,7 +306,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
             assert seen["after"][p] == t
 
         # each named case really exercises what it is named after
-        before, after = base.counts(), got.counts()
+        before, after = base.counts, got.counts
         if case == "empty_delta":
             assert np.array_equal(before, after)
         if n_ranks > 1:
@@ -365,6 +365,21 @@ def test_stale_base_schedule_is_rejected():
     _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), fresh,
                                       60, 0.3)
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    with pytest.raises(ValueError, match="does not match the live tables"):
+        delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+
+
+@pytest.mark.parametrize("rank", [0, 3])
+def test_base_slot_past_its_ghost_slots_is_rejected(rank):
+    """In the machine-wide key inverse a slot past rank p's ghost slots
+    reads the next rank's keys (or past the end): the splice must notice
+    rather than edit another receiver's segment."""
+    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    assert base.recv_slots[rank].size
+    base.recv_slots[rank][-1] = hts[rank].ghost_capacity()
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
 

@@ -164,6 +164,32 @@ class TestValueNbytes:
         assert value_nbytes(None) == 0
         assert value_nbytes(42) == 0
 
+    def test_cached_plans_count_their_buffers(self, ctx4, rng):
+        """Every plan kind is resident with its flat buffers, count
+        matrix and extents — not only the kinds a duck-typed attribute
+        list happens to name."""
+        from repro.core import (
+            BlockDistribution,
+            IrregularDistribution,
+            build_lightweight_schedule,
+            remap,
+        )
+
+        plan = remap(ctx4, BlockDistribution(40, 4),
+                     IrregularDistribution(rng.integers(0, 4, 40), 4))
+        lw = build_lightweight_schedule(
+            ctx4, [rng.integers(0, 4, 9) for _ in range(4)])
+        cache = ScheduleCache()
+        cache.get_or_build("remap", (), lambda: plan)
+        cache.get_or_build("lw", (), lambda: lw)
+        # 40 selections, 40 placements, a 4 x 4 count matrix, 4 extents
+        assert cache.stats("remap").resident_bytes == 8 * (40 + 40 + 16 + 4)
+        assert cache.stats("remap").resident_bytes == (
+            plan.send.nbytes + plan.place.nbytes + plan.counts.nbytes
+            + plan.extent.nbytes)
+        assert cache.stats("lw").resident_bytes == (
+            lw.send.nbytes + lw.counts.nbytes + lw.extent.nbytes)
+
 
 class TestDeltaChains:
     def test_chain_replay_in_order(self):

@@ -5,10 +5,8 @@ import pytest
 
 from repro.core import (
     ChaosRuntime,
-    ExecutionContext,
     Schedule,
     build_schedule,
-    merge_schedules,
 )
 from repro.sim import Machine
 
@@ -44,16 +42,23 @@ class TestScheduleStructure:
             )
 
     def test_csr_offsets_validated(self):
-        z = np.zeros(0, dtype=np.int64)
-        with pytest.raises(ValueError):
-            Schedule(
-                n_ranks=2,
-                send_indices=[np.array([0, 1]), z],
-                send_offsets=[np.array([0, 1, 1]), np.zeros(3, np.int64)],
-                recv_slots=[z, z],
-                recv_offsets=[np.zeros(3, np.int64), np.zeros(3, np.int64)],
-                ghost_size=[0, 0],
-            )
+        # one malformed plan per message of the constructor's validation
+        counts = np.array([[0, 2], [1, 0]])
+        good = dict(counts=counts, send=np.array([0, 1, 2]),
+                    place=np.array([0, 0, 1]), extent=np.array([1, 2]))
+        Schedule(**good)
+        cases = [
+            (dict(counts=np.zeros((2, 3), np.int64)), r"\(P, P\)"),
+            (dict(counts=np.array([[0, 4], [-1, 0]])), "negative"),
+            (dict(send=np.array([0, 1])), "send buffer holds 2"),
+            (dict(place=np.arange(4)), "place buffer holds 4"),
+            (dict(extent=np.array([1, 2, 3])), "extent vector"),
+            (dict(send=np.array([0.0, 1.0, 2.0])), "integers"),
+            (dict(place=np.array([True, False, True])), "integers"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Schedule(**{**good, **bad})
 
     def test_sizes(self):
         m, rt, tt = make_env()
@@ -137,23 +142,3 @@ class TestBuildSchedule:
         sched = build_schedule(rt.ctx, rt.hash_tables(tt), "s")
         assert sched.total_elements() == 1
 
-
-class TestMergeSchedules:
-    def test_concatenates(self):
-        m, rt, tt = make_env()
-        rt.hash_indirection(tt, [np.array([8]), None], "a")
-        rt.hash_indirection(tt, [np.array([9]), None], "b")
-        s1 = rt.build_schedule(tt, "a")
-        s2 = rt.build_schedule(tt, "b")
-        merged = merge_schedules(rt.ctx, [s1, s2])
-        assert merged.total_elements() == 2
-        assert merged.ghost_size[0] == 2
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            merge_schedules(ExecutionContext.resolve(Machine(2)), [])
-
-    def test_mismatched_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            merge_schedules(ExecutionContext.resolve(Machine(2)),
-                            [Schedule.empty(2), Schedule.empty(3)])

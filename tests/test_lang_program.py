@@ -2,9 +2,7 @@
 interpreter oracle."""
 
 import gc
-import sys
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from repro.lang import (
 )
 from repro.sim import Machine
 
-from conftest import ALL_BACKENDS
+from conftest import ALL_BACKENDS, count_calls
 
 #: the backends that execute the compiled flat plans: their virtual
 #: clocks agree exactly (serial's only up to float summation order)
@@ -605,28 +603,6 @@ class TestDataModel:
 # =====================================================================
 # shape: host work grows with data volume, not with ranks or cells
 # =====================================================================
-def count_calls(fn):
-    """C-level calls made while ``fn()`` runs, by name; the ones made
-    directly from ``lang/program.py`` also under ``"lang:" + name``."""
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event == "c_call":
-            owner = getattr(arg, "__self__", None)
-            name = ("ufunc." if isinstance(owner, np.ufunc) else "") \
-                + arg.__name__
-            calls[name] += 1
-            if frame.f_code.co_filename.endswith("lang/program.py"):
-                calls["lang:" + name] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 class TestLoopShape:
     def test_reduction_body_runs_once_whatever_the_rank_count(self, rng):
         n = 64

@@ -1,11 +1,12 @@
-"""Property tests: the CSR-native schedule layout and its nested views.
+"""Property tests: the flat plan layout and its nested views.
 
-The flat int64 buffers + per-(rank, dest) offset vectors are the native
-representation; per-pair views (``send_view`` / ``recv_view``, plus the
-nested test helpers in ``csr_helpers.py``) are derived, zero-copy.
-These tests pin down that the two presentations agree exactly —
-round-trip through nested pair lists, merged and incremental schedules,
-empty ranks and ``n_global == 0`` — under every registered backend.
+A count matrix plus flat int64 send / placement streams are the native
+representation; per-rank and per-pair views (``send_indices[p]``,
+``send_view`` / ``recv_view``, plus the nested test helpers in
+``csr_helpers.py``) are derived, zero-copy.  These tests pin down that
+the two presentations agree exactly — round-trip through nested pair
+lists, merged and incremental schedules, empty ranks and
+``n_global == 0`` — under every registered backend.
 """
 
 import numpy as np
@@ -29,7 +30,6 @@ from repro.core import (
     build_schedule,
     chaos_hash,
     make_hash_tables,
-    merge_schedules,
     split_by_block,
 )
 from repro.core.distribution import BlockDistribution, IrregularDistribution
@@ -38,6 +38,7 @@ from repro.core.translation import TranslationTable
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
+from conftest import count_calls
 
 
 def _assert_schedule_equal(a: Schedule, b: Schedule) -> None:
@@ -52,7 +53,7 @@ def _assert_schedule_equal(a: Schedule, b: Schedule) -> None:
 
 def _check_csr_invariants(sched: Schedule) -> None:
     n = sched.n_ranks
-    counts = sched.counts()
+    counts = sched.counts
     for p in range(n):
         assert sched.send_offsets[p][0] == 0
         assert sched.send_offsets[p][-1] == sched.send_indices[p].size
@@ -131,10 +132,21 @@ class TestScheduleCSR:
                 assert got == want
 
     def test_concatenation_merge_csr(self, backend):
+        # a duplicate-keeping merge (each pair's segments concatenated)
+        # is an ordinary plan: the layout holds repeated slots
         ctx, tt, hts = _pipeline(backend)
         sa = build_schedule(ctx, hts, "a")
         sb = build_schedule(ctx, hts, "b")
-        merged = merge_schedules(ctx, [sa, sb])
+        pairs = [send_pair_views(s) for s in (sa, sb)]
+        recvs = [recv_pair_views(s) for s in (sa, sb)]
+        n = ctx.n_ranks
+        merged = schedule_from_pairs(
+            n,
+            [[np.concatenate([x[p][q] for x in pairs]) for q in range(n)]
+             for p in range(n)],
+            [[np.concatenate([x[p][q] for x in recvs]) for q in range(n)]
+             for p in range(n)],
+            list(np.maximum(sa.ghost_size, sb.ghost_size)))
         _check_csr_invariants(merged)
         assert merged.total_elements() == (sa.total_elements()
                                            + sb.total_elements())
@@ -272,3 +284,69 @@ def test_runtime_build_schedule_is_csr(rng):
     _check_csr_invariants(sched)
     assert isinstance(sched.send_indices[0], np.ndarray)
     assert sched.send_indices[0].ndim == 1
+
+
+class TestPlanBuildShape:
+    """Plans are built over the machine-wide stream: the C-level calls a
+    splice, a light-weight schedule or a remap plan makes are the same
+    at 16 and at 128 ranks on the same data volume (a loop over ranks
+    would multiply them by the rank count)."""
+
+    N = 4096  # elements, and references per build, on every machine
+
+    def _splice_calls(self, n_ranks, monkeypatch):
+        import repro.core.schedule as schedule_mod
+        from repro.core import delta_rebuild_schedule, rehash_delta
+
+        rng = np.random.default_rng(7)
+        ctx = ExecutionContext.resolve(Machine(n_ranks), "vectorized")
+        tt = TranslationTable.from_map(ctx.machine,
+                                       rng.integers(0, n_ranks, self.N))
+        hts = make_hash_tables(ctx, tt)
+        per = self.N // n_ranks
+        idx = [rng.integers(0, self.N, per) for _ in range(n_ranks)]
+        chaos_hash(ctx, hts, tt, idx, "s")
+        base = build_schedule(ctx, hts, "s")
+        old = [a[:per // 8] for a in idx]
+        rehash = rehash_delta(ctx, hts, tt, "s", old,
+                              [rng.integers(0, self.N, a.size) for a in old])
+        real, seen = schedule_mod.splice_schedules, []
+
+        def counted(*args, **kwargs):
+            out = []
+            seen.append(count_calls(lambda: out.append(real(*args, **kwargs))))
+            return out[0]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule_mod, "splice_schedules", counted)
+            spliced = delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+        _assert_schedule_equal(spliced, build_schedule(ctx, hts, "s"))
+        return seen[0]
+
+    def test_splice_calls_do_not_grow_with_ranks(self, monkeypatch):
+        assert (self._splice_calls(16, monkeypatch)
+                == self._splice_calls(128, monkeypatch))
+
+    def test_lightweight_build_calls_do_not_grow_with_ranks(self):
+        calls = []
+        for n_ranks in (16, 128):
+            rng = np.random.default_rng(8)
+            ctx = ExecutionContext.resolve(Machine(n_ranks), "vectorized")
+            ctx.machine.hop_matrix()  # the machine's own one-time set-up
+            dest = split_by_block(rng.integers(0, n_ranks, self.N),
+                                  ctx.machine)
+            calls.append(count_calls(
+                lambda: build_lightweight_schedule(ctx, dest)))
+        assert calls[0] == calls[1]
+
+    def test_remap_calls_do_not_grow_with_ranks(self):
+        calls = []
+        for n_ranks in (16, 128):
+            rng = np.random.default_rng(9)
+            ctx = ExecutionContext.resolve(Machine(n_ranks), "vectorized")
+            ctx.machine.hop_matrix()
+            old = BlockDistribution(self.N, n_ranks)
+            new = IrregularDistribution(rng.integers(0, n_ranks, self.N),
+                                        n_ranks)
+            calls.append(count_calls(lambda: remap(ctx, old, new)))
+        assert calls[0] == calls[1]

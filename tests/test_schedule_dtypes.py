@@ -2,10 +2,11 @@
 
 Callers historically controlled the dtype of the schedule index buffers —
 an int32 indirection array produced an int32 schedule, and downstream
-code (compiled plans, fancy indexing) silently depended on whatever
-arrived.  Construction now coerces every flat buffer and offset vector to
-int64, whether a schedule is built directly from CSR buffers or
-assembled from nested per-pair lists (``tests/csr_helpers.py``).
+code (the executor's composed moves, fancy indexing) silently depended
+on whatever arrived.  Construction now coerces the count matrix and
+every flat buffer to int64, whether a plan is built directly from flat
+buffers or assembled from nested per-pair lists
+(``tests/csr_helpers.py``).
 """
 
 import numpy as np
@@ -17,12 +18,7 @@ from csr_helpers import (
     send_pair_views,
 )
 
-from repro.core import (
-    Schedule,
-    compile_lightweight_schedule,
-    compile_remap_plan,
-    compile_schedule,
-)
+from repro.core import Schedule
 
 
 def _rows(n, arrs):
@@ -49,21 +45,15 @@ def test_schedule_coerces_int32_indices():
 
 
 def test_schedule_coerces_int32_csr_buffers():
-    off = lambda *v: np.asarray(v, dtype=np.int32)  # noqa: E731
-    sched = Schedule(
-        n_ranks=2,
-        send_indices=[np.array([0, 1], dtype=np.int32),
-                      np.array([2], dtype=np.int32)],
-        send_offsets=[off(0, 0, 2), off(0, 1, 1)],
-        recv_slots=[np.array([0], dtype=np.int32),
-                    np.array([1, 0], dtype=np.int32)],
-        recv_offsets=[off(0, 0, 1), off(0, 2, 2)],
-        ghost_size=[2, 1],
-    )
+    i32 = lambda *v: np.asarray(v, dtype=np.int32)  # noqa: E731
+    sched = Schedule(counts=np.array([[0, 2], [1, 0]], dtype=np.int32),
+                     send=i32(0, 1, 2), place=i32(0, 1, 0),
+                     extent=i32(2, 1))
     for p in range(2):
         assert sched.send_indices[p].dtype == np.int64
         assert sched.recv_slots[p].dtype == np.int64
-    assert sched.counts().dtype == np.int64
+    assert sched.counts.dtype == np.int64
+    assert sched.ghost_size.dtype == np.int64
 
 
 def test_pair_views_roundtrip():
@@ -104,21 +94,19 @@ def test_remap_plan_coerces_int32_indices():
 
 
 def test_compiled_plans_are_int64():
+    # the machine-wide view every executor reads: flat streams,
+    # permutation, bases
     sched = _sched_2ranks()
-    plan = compile_schedule(sched)
-    for p in range(2):
-        assert plan.send_idx[p].dtype == np.int64
-        assert plan.place_idx[p].dtype == np.int64
-    assert plan.perm.dtype == np.int64
-    assert plan.counts.dtype == np.int64
+    for a in (sched.send, sched.place, sched.perm, sched.counts,
+              sched.send_base, sched.recv_base):
+        assert a.dtype == np.int64
 
     lw = lightweight_from_pairs(
         n_ranks=1,
         send_sel=[[np.array([0, 1], dtype=np.int32)]],
         recv_counts=np.array([[2]]),
     )
-    lwp = compile_lightweight_schedule(lw)
-    assert lwp.send_idx[0].dtype == np.int64
+    assert lw.send.dtype == lw.perm.dtype == np.int64
 
     rp = remap_from_pairs(
         n_ranks=1,
@@ -126,11 +114,13 @@ def test_compiled_plans_are_int64():
         place_sel=[[np.array([0], dtype=np.int32)]],
         new_sizes=[1],
     )
-    cp = compile_remap_plan(rp)
-    assert cp.send_idx[0].dtype == np.int64
-    assert cp.place_idx[0].dtype == np.int64
+    assert rp.send.dtype == rp.place.dtype == np.int64
 
 
 def test_compiled_plan_cached_on_schedule():
-    sched = Schedule.empty(1)
-    assert compile_schedule(sched) is compile_schedule(sched)
+    # derived views are computed once and cached on the plan itself
+    sched = _sched_2ranks()
+    assert sched.perm is sched.perm
+    assert sched.send_indices is sched.send_indices
+    assert sched.move("gather", (2, 3), (2, 2), 1) \
+        is sched.move("gather", (2, 3), (2, 2), 1)
