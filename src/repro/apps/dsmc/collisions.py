@@ -12,7 +12,7 @@ oracle requirement), so all randomness is counter-based
    vector keyed by both ids — elastic hard-sphere kinematics preserve
    momentum and kinetic energy exactly.
 
-Fully vectorized across all cells at once via a single lexsort.
+Fully vectorized across all cells at once via one cell-major sort.
 """
 
 from __future__ import annotations
@@ -30,6 +30,22 @@ COLLIDE_OPS = 150.0
 MOVE_OPS = 40.0
 
 
+def _pair_order(hkey: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Particles by cell, within a cell by hash key: ``np.lexsort((hkey,
+    cells))`` as a key sort plus a stable cell sort — a radix sort on
+    ``uint16`` cell ids when they fit.  Exact because ``hkey`` is a
+    bijection of the particle id, so keys tie only for a repeated id,
+    which is rejected."""
+    by_key = np.argsort(hkey)
+    sorted_keys = hkey[by_key]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise ValueError("duplicate particle ids")
+    c = cells[by_key]
+    if c.size and c.min() >= 0 and c.max() < 1 << 16:
+        c = c.astype(np.uint16)
+    return by_key[np.argsort(c, kind="stable")]
+
+
 def collide_cells(
     ids: np.ndarray,
     cells: np.ndarray,
@@ -41,6 +57,7 @@ def collide_cells(
 
     Input arrays may be any permutation of the global particle set (or any
     subset closed under whole cells); results are identical per particle.
+    Ids must be unique (``ValueError`` otherwise).
     """
     ids = np.asarray(ids, dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
@@ -52,26 +69,25 @@ def collide_cells(
         return vel.copy(), 0
 
     hkey = hash_permutation_key(seed, 71, step, ids)
-    order = np.lexsort((hkey, cells))
-    sc = cells[order]
+    order = _pair_order(hkey, cells)
+    sc = cells.take(order)
     # segment-local index of each particle within its cell
-    seg_start = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
-    seg_id = np.cumsum(np.concatenate(([0], (sc[1:] != sc[:-1]).astype(np.int64))))
-    local_idx = np.arange(n, dtype=np.int64) - seg_start[seg_id]
-    seg_len = np.diff(np.concatenate((seg_start, [n])))
-    my_len = seg_len[seg_id]
+    same_as_next = np.append(sc[1:] == sc[:-1], False)
+    pos = np.arange(n, dtype=np.int64)
+    seg_start = np.maximum.accumulate(
+        np.where(np.insert(same_as_next[:-1], 0, False), 0, pos))
     # pair k = (local 2k, local 2k+1); odd leftover skips
-    is_first = (local_idx % 2 == 0) & (local_idx + 1 < my_len)
-    a = order[is_first]
-    b_positions = np.flatnonzero(is_first) + 1
-    b = order[b_positions]
+    first = np.flatnonzero(((pos - seg_start) % 2 == 0) & same_as_next)
+    a = order.take(first)
+    b = order.take(first + 1)
 
     new_vel = vel.copy()
     if a.size == 0:
         return new_vel, 0
-    id_lo = np.minimum(ids[a], ids[b])
-    id_hi = np.maximum(ids[a], ids[b])
-    v1, v2 = vel[a], vel[b]
+    ids_a, ids_b = ids.take(a), ids.take(b)
+    id_lo = np.minimum(ids_a, ids_b)
+    id_hi = np.maximum(ids_a, ids_b)
+    v1, v2 = vel.take(a, axis=0), vel.take(b, axis=0)
     vcm = 0.5 * (v1 + v2)
     vrel = np.linalg.norm(v1 - v2, axis=1)
     direction = hash_unit_vector(vel.shape[1], seed, 83, step, id_lo, id_hi)

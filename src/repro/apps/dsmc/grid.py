@@ -52,12 +52,13 @@ class CartesianGrid:
             raise ValueError(
                 f"positions must be (n, {self.dim}), got {pos.shape}"
             )
-        multi = np.empty((pos.shape[0], self.dim), dtype=np.int64)
+        flat = np.zeros(pos.shape[0], dtype=np.int64)
         for k in range(self.dim):
             c = np.floor(pos[:, k] / self.cell_size[k]).astype(np.int64)
             np.clip(c, 0, self.shape[k] - 1, out=c)
-            multi[:, k] = c
-        return multi @ self._strides
+            c *= self._strides[k]
+            flat += c
+        return flat
 
     def cell_coords(self, cells: np.ndarray) -> np.ndarray:
         """(n, dim) integer grid coordinates from flat ids."""

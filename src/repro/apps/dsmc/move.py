@@ -42,12 +42,16 @@ def advance_positions(
     return ParticleSet(ids=pset.ids, positions=pos, velocities=vel)
 
 
-def remove_outflow(pset: ParticleSet, grid: CartesianGrid) -> ParticleSet:
-    """Drop particles that left through either x boundary."""
-    keep = (pset.positions[:, 0] >= 0.0) & (
+def outflow_keep(pset: ParticleSet, grid: CartesianGrid) -> np.ndarray:
+    """Mask of the particles still inside the domain along x."""
+    return (pset.positions[:, 0] >= 0.0) & (
         pset.positions[:, 0] < grid.lengths[0]
     )
-    return pset.select(keep)
+
+
+def remove_outflow(pset: ParticleSet, grid: CartesianGrid) -> ParticleSet:
+    """Drop particles that left through either x boundary."""
+    return pset.select(outflow_keep(pset, grid))
 
 
 def move_phase(

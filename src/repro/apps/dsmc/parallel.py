@@ -1,18 +1,35 @@
 """CHAOS-parallel DSMC driver (paper §4.2).
 
 Cells are distributed over ranks (BLOCK initially, or by a partitioner);
-each rank holds the particles of its cells.  Every step:
+each rank holds the particles of its cells.
 
-1. **move** — each rank advances its particles (same pure kernels as the
-   sequential driver) and computes destination cells,
+The particles of the whole machine are one struct-of-arrays *stream*,
+``self.particles`` (``ids (n,)``, ``positions (n, dim)``, ``velocities
+(n, dim)``), in rank-major order, and one ``(P,)`` vector ``self.sizes``:
+rank ``p`` owns rows ``[off[p], off[p + 1])`` of every attribute, ``off``
+being the running sum of ``sizes``.  The migration primitives see a
+rank's rows as :class:`~repro.core.compiled.RankArena` views of the
+stream, so every phase of a step is one pass over the machine, never a
+loop over ranks, and every per-rank cost is one vector charge with the
+operands a loop over ranks would charge.  Every step:
+
+1. **move** — the stream drifts, reflects off the transverse walls and
+   loses its outflow (the pure, elementwise kernels
+   :class:`SequentialDSMC` runs); the kept rows' rank labels give the
+   new ``sizes``.  Inflow joins the owner of its cell, after that rank's
+   moved particles,
 2. **migration** — particles whose new cell lives elsewhere move, either
    with a **light-weight schedule** (one bucketing pass + size exchange +
    ``scatter_append``, the paper's fast path) or with **regular
    schedules** (per-step index translation: a new particle numbering, a
    translation-table build, and a permutation-ordered remap — what PARTI
    would have to do; the Table 4 comparison),
-3. **collide** — per-cell collisions on owned cells (deterministic
-   counter-based randomness ⇒ bit-identical to the sequential oracle),
+3. **collide** — one :func:`collide_cells` call over the stream.  After
+   migration every rank holds exactly the particles of its cells, and
+   collisions are per particle on any subset closed under whole cells,
+   so this is every rank colliding its own (deterministic counter-based
+   randomness ⇒ bit-identical to the sequential oracle); per-rank pair
+   counts come from the cell loads,
 4. optionally every ``remap_every`` steps — **cell remapping** with RCB /
    RIB / chain to restore load balance (Table 5).
 """
@@ -23,9 +40,10 @@ import numpy as np
 
 from repro.apps.dsmc.collisions import COLLIDE_OPS, MOVE_OPS, collide_cells
 from repro.apps.dsmc.grid import CartesianGrid
-from repro.apps.dsmc.move import advance_positions, remove_outflow
+from repro.apps.dsmc.move import advance_positions, outflow_keep
 from repro.apps.dsmc.particles import ParticleSet, inflow_particles
 from repro.apps.dsmc.sequential import DSMCConfig, DSMCTrace, initial_population
+from repro.core.compiled import RankArena, offsets_from_counts, split_csr
 from repro.core.context import resolve_component
 from repro.core.distribution import BlockDistribution, IrregularDistribution
 from repro.core.lightweight import (
@@ -92,13 +110,11 @@ class ParallelDSMC:
             dist = res.to_distribution(m.n_ranks)
         self.cell_table = TranslationTable(m, dist, storage=ttable_storage)
 
-        # initial particles, split by cell owner
+        # initial particles, grouped by cell owner (each rank's in id order)
         init = initial_population(grid, self.config)
-        cells = grid.cell_of(init.positions)
-        owners = self.cell_table.owner_local(cells)
-        self.parts: list[ParticleSet] = [
-            init.select(owners == p) for p in m.ranks()
-        ]
+        owners = self.cell_table.owner_local(grid.cell_of(init.positions))
+        self.particles = init.select(np.argsort(owners, kind="stable"))
+        self.sizes = np.bincount(owners, minlength=m.n_ranks)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -119,22 +135,15 @@ class ParallelDSMC:
         return self.cell_table.dist
 
     def local_counts(self) -> np.ndarray:
-        return np.array([ps.n for ps in self.parts], dtype=np.int64)
+        return self.sizes.copy()
 
     def total_particles(self) -> int:
-        return int(self.local_counts().sum())
-
-    def _cells_by_rank(self) -> list[np.ndarray]:
-        """Cell id of every particle, per owning rank."""
-        return [self.grid.cell_of(ps.positions) for ps in self.parts]
-
-    def _loads_of(self, cells_by_rank: list[np.ndarray]) -> np.ndarray:
-        return np.bincount(np.concatenate(cells_by_rank),
-                           minlength=self.grid.n_cells)
+        return int(self.sizes.sum())
 
     def cell_loads(self) -> np.ndarray:
         """Global particles-per-cell (host-side assembly)."""
-        return self._loads_of(self._cells_by_rank())
+        return np.bincount(self.grid.cell_of(self.particles.positions),
+                           minlength=self.grid.n_cells)
 
     # ------------------------------------------------------------------
     # one simulation step
@@ -144,92 +153,86 @@ class ParallelDSMC:
         cfg = self.config
         grid = self.grid
 
-        # --- 1. local move (drift + transverse reflection + outflow) ----
-        moved: list[ParticleSet] = []
-        for p in m.ranks():
-            ps = self.parts[p]
-            if ps.n:
-                ps = remove_outflow(advance_positions(ps, grid, cfg.dt), grid)
-            m.charge_compute(p, MOVE_OPS * max(ps.n, 0), "compute")
-            moved.append(ps)
+        # --- 1. move (drift + transverse reflection + outflow) ----------
+        moved = advance_positions(self.particles, grid, cfg.dt)
+        keep = outflow_keep(moved, grid)
+        labels = np.repeat(np.arange(m.n_ranks), self.sizes)[keep]
+        moved = moved.select(keep)
+        sizes = np.bincount(labels, minlength=m.n_ranks)
+        m.charge_compute_vec(MOVE_OPS * sizes, "compute")
 
         # --- inflow: deterministic; each new molecule starts on the rank
-        # owning its cell (boundary cells belong to somebody) -------------
+        # owning its cell (boundary cells belong to somebody), after that
+        # rank's moved particles --------------------------------------
         if cfg.inflow_rate > 0:
             incoming = inflow_particles(
                 grid, self.step_count, cfg.inflow_rate, self.next_id, cfg.flow
             )
             self.next_id += cfg.inflow_rate
-            in_cells = grid.cell_of(incoming.positions)
-            in_owner = self.cell_table.owner_local(in_cells)
-            for p in m.ranks():
-                mine = incoming.select(in_owner == p)
-                if mine.n:
-                    moved[p] = moved[p].concat(mine)
+            labels = np.concatenate((labels, self.cell_table.owner_local(
+                grid.cell_of(incoming.positions))))
+            moved = moved.concat(incoming).select(
+                np.argsort(labels, kind="stable"))
+            sizes = np.bincount(labels, minlength=m.n_ranks)
 
         # --- 2. migration to new cell owners ----------------------------
         if self.migration == "lightweight":
-            self.parts = self._migrate_lightweight(moved)
+            self._migrate_lightweight(moved, sizes, "inspector", "comm")
         else:
-            self.parts = self._migrate_regular(moved)
+            self._migrate_regular(moved, sizes)
 
         # --- 3. collisions on owned cells (they change velocities only,
         # so the same cell ids also give the step's cell loads) -----------
-        cells_by_rank = self._cells_by_rank()
-        n_pairs_total = 0
-        for p in m.ranks():
-            ps = self.parts[p]
-            if ps.n >= 2:
-                new_vel, n_pairs = collide_cells(
-                    ps.ids, cells_by_rank[p], ps.velocities,
-                    self.step_count, cfg.collision_seed,
-                )
-                self.parts[p] = ParticleSet(
-                    ids=ps.ids, positions=ps.positions, velocities=new_vel
-                )
-                n_pairs_total += n_pairs
-                m.charge_compute(p, COLLIDE_OPS * n_pairs, "compute")
-            m.charge_memops(p, 2 * ps.n, "compute")  # cell reindexing
+        ps, sizes = self.particles, self.sizes
+        cells = grid.cell_of(ps.positions)
+        new_vel, n_pairs = collide_cells(
+            ps.ids, cells, ps.velocities, self.step_count, cfg.collision_seed,
+        )
+        self.particles = ParticleSet(
+            ids=ps.ids, positions=ps.positions, velocities=new_vel
+        )
+        loads = np.bincount(cells, minlength=grid.n_cells)
+        rank_pairs = np.bincount(
+            self.cell_table.owner_local(np.arange(grid.n_cells)),
+            weights=loads // 2, minlength=m.n_ranks)
+        m.charge_compute_vec(COLLIDE_OPS * rank_pairs, "compute",
+                             mask=sizes >= 2)
+        m.charge_memops_vec(2 * sizes, "compute")  # cell reindexing
         m.barrier()
 
-        loads = self._loads_of(cells_by_rank)
         self.trace.n_particles.append(self.total_particles())
-        self.trace.n_collisions.append(n_pairs_total)
-        self.trace.max_cell_load.append(int(loads.max()) if loads.size else 0)
+        self.trace.n_collisions.append(n_pairs)
+        self.trace.max_cell_load.append(int(loads.max()))
         self.step_count += 1
 
     # ------------------------------------------------------------------
-    def _dest_ranks(self, moved: list[ParticleSet]) -> list[np.ndarray]:
-        dest = []
-        for p in self.machine.ranks():
-            ps = moved[p]
-            if ps.n:
-                cells = self.grid.cell_of(ps.positions)
-                dest.append(self.cell_table.owner_local(cells))
-                self.machine.charge_memops(p, ps.n, "inspector")
-            else:
-                dest.append(np.zeros(0, dtype=np.int64))
-        return dest
+    @staticmethod
+    def _arenas(ps: ParticleSet, sizes) -> list[RankArena]:
+        """The stream's attributes as per-rank views, one arena each."""
+        return [RankArena(a, sizes)
+                for a in (ps.ids, ps.positions, ps.velocities)]
 
-    def _migrate_lightweight(self, moved: list[ParticleSet]
-                             ) -> list[ParticleSet]:
+    def _adopt(self, columns) -> None:
+        """Make migrated ``(ids, positions, velocities)`` the stream."""
+        ids, pos, vel = map(RankArena.adopt, columns)
+        self.particles = ParticleSet(ids=ids.flat, positions=pos.flat,
+                                     velocities=vel.flat)
+        self.sizes = ids.sizes
+
+    def _migrate_lightweight(self, ps: ParticleSet, sizes,
+                             build_category: str, move_category: str) -> None:
         """The paper's fast path: one light-weight schedule moves all
-        particle attributes; arrivals append in arbitrary order."""
-        dest = self._dest_ranks(moved)
-        sched = build_lightweight_schedule(self.ctx, dest,
-                                           category="inspector")
-        ids, pos, vel = scatter_append_multi(
-            self.ctx, sched,
-            [[ps.ids for ps in moved],
-             [ps.positions for ps in moved],
-             [ps.velocities for ps in moved]],
-        )
-        return [
-            ParticleSet(ids=i, positions=x, velocities=v)
-            for i, x, v in zip(ids, pos, vel)
-        ]
+        particle attributes to the owners of their cells; arrivals
+        append in arbitrary order."""
+        dest = self.cell_table.owner_local(self.grid.cell_of(ps.positions))
+        self.machine.charge_memops_vec(sizes, "inspector", mask=sizes > 0)
+        sched = build_lightweight_schedule(
+            self.ctx, split_csr(dest, offsets_from_counts(sizes)),
+            category=build_category)
+        self._adopt(scatter_append_multi(
+            self.ctx, sched, self._arenas(ps, sizes), category=move_category))
 
-    def _migrate_regular(self, moved: list[ParticleSet]) -> list[ParticleSet]:
+    def _migrate_regular(self, ps: ParticleSet, sizes) -> None:
         """The PARTI-style path Table 4 compares against: arrivals must be
         placed in a prescribed order, so every step pays
 
@@ -238,52 +241,26 @@ class ParallelDSMC:
         * a permutation-ordered remap (schedule with placement lists).
         """
         m = self.machine
-        # global canonical order after the move: by (destination cell, id)
-        all_ids = np.concatenate([ps.ids for ps in moved])
-        all_pos = np.concatenate([ps.positions for ps in moved])
-        all_vel = np.concatenate([ps.velocities for ps in moved])
-        src_rank = np.concatenate([
-            np.full(moved[p].n, p, dtype=np.int64) for p in m.ranks()
-        ])
-        n = all_ids.size
-        if n == 0:
-            return [ParticleSet.empty(self.grid.dim) for _ in m.ranks()]
-        cells = self.grid.cell_of(all_pos)
-        owner = self.cell_table.owner_local(cells)
-        order = np.lexsort((all_ids, cells))
-        # new global slot of each particle = its position in this order
-        slot_of = np.empty(n, dtype=np.int64)
-        slot_of[order] = np.arange(n, dtype=np.int64)
-        # old distribution: particles grouped by source rank, slot = global
-        # rank-major position; new distribution: owner of each slot
-        old_map = src_rank.copy()
-        old_dist = IrregularDistribution(old_map, m.n_ranks)
+        self.particles, self.sizes = ps, sizes
+        if ps.n == 0:
+            return
+        owner = self.cell_table.owner_local(self.grid.cell_of(ps.positions))
+        # old distribution: a particle's slot is its stream position, so
+        # its owner is the rank it sits on; new: the owner of its cell
+        old_dist = IrregularDistribution(
+            np.repeat(np.arange(m.n_ranks), sizes), m.n_ranks)
+        # charge: sort by (destination cell, id) + numbering
+        m.charge_memops_vec(6.0 * sizes, "inspector")
+        new_dist = IrregularDistribution(owner, m.n_ranks)
         # the slot-indexed new distribution needs a translation table build
         # every step — the dominant regular-schedule overhead
-        new_map_for_old_index = np.empty(n, dtype=np.int64)
-        new_map_for_old_index[:] = owner  # owner of particle (by old index)
-        # charge: sort + numbering
-        for p in m.ranks():
-            m.charge_memops(p, 6.0 * moved[p].n, "inspector")
-        new_dist = IrregularDistribution(new_map_for_old_index, m.n_ranks)
         TranslationTable(m, new_dist, storage=self.ttable_storage)
         plan = remap(self.ctx, old_dist, new_dist, category="inspector")
-        # data arrays in old (source-rank) layout:
-        per_rank = lambda arr: [  # noqa: E731
-            arr[src_rank == p] for p in m.ranks()
-        ]
-        ids, pos, vel = run_pipeline(
+        self._adopt(run_pipeline(
             self.ctx,
-            [remap_phase(plan, per_rank(all_ids)),
-             remap_phase(plan, per_rank(all_pos)),
-             remap_phase(plan, per_rank(all_vel))],
+            [remap_phase(plan, col) for col in self._arenas(ps, sizes)],
             category="remap", loop_id="dsmc:particles_remap",
-        )
-        del slot_of
-        return [
-            ParticleSet(ids=i, positions=x, velocities=v)
-            for i, x, v in zip(ids, pos, vel)
-        ]
+        ))
 
     # ------------------------------------------------------------------
     # periodic cell remapping (Table 5)
@@ -296,25 +273,12 @@ class ParallelDSMC:
             m, partitioner, self.grid.cell_centers(),
             weights=loads + 0.01, category="partition",
         )
-        new_table = TranslationTable(
+        self.cell_table = TranslationTable(
             m, res.to_distribution(m.n_ranks), storage=self.ttable_storage
         )
-        self.cell_table = new_table
         # move particles to the new owners of their cells (one message
         # set carries all three attributes)
-        dest = self._dest_ranks(self.parts)
-        sched = build_lightweight_schedule(self.ctx, dest, category="remap")
-        ids, pos, vel = scatter_append_multi(
-            self.ctx, sched,
-            [[ps.ids for ps in self.parts],
-             [ps.positions for ps in self.parts],
-             [ps.velocities for ps in self.parts]],
-            category="remap",
-        )
-        self.parts = [
-            ParticleSet(ids=i, positions=x, velocities=v)
-            for i, x, v in zip(ids, pos, vel)
-        ]
+        self._migrate_lightweight(self.particles, self.sizes, "remap", "remap")
 
     # ------------------------------------------------------------------
     def run(self, n_steps: int, remap_every: int | None = None,
@@ -338,10 +302,7 @@ class ParallelDSMC:
     # ------------------------------------------------------------------
     def canonical_state(self):
         """Global (ids, positions, velocities) sorted by id."""
-        merged = ParticleSet.empty(self.grid.dim)
-        for ps in self.parts:
-            merged = merged.concat(ps)
-        return merged.state_tuple()
+        return self.particles.state_tuple()
 
     def load_balance(self) -> float:
         return load_balance_index(

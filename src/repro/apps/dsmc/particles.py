@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.dsmc.grid import CartesianGrid
-from repro.util.prng import hash_uniform
+from repro.util.prng import _fold, _unit, hash_uniform
 
 
 @dataclass
@@ -44,10 +44,17 @@ class ParticleSet:
         return self.positions.shape[1]
 
     def select(self, mask_or_idx) -> "ParticleSet":
+        idx = np.asarray(mask_or_idx)
+        if idx.dtype == bool:
+            if idx.shape != (self.n,):
+                raise IndexError(f"mask of shape {idx.shape} for {self.n} "
+                                 "particles")
+            idx = np.flatnonzero(idx)
+        # take() is numpy's fast row gather (2-D fancy indexing is not)
         return ParticleSet(
-            ids=self.ids[mask_or_idx],
-            positions=self.positions[mask_or_idx],
-            velocities=self.velocities[mask_or_idx],
+            ids=self.ids.take(idx),
+            positions=self.positions.take(idx, axis=0),
+            velocities=self.velocities.take(idx, axis=0),
         )
 
     def concat(self, other: "ParticleSet") -> "ParticleSet":
@@ -91,20 +98,23 @@ class FlowConfig:
             raise ValueError("speeds must be non-negative")
 
 
-def _hash_normal(*keys) -> np.ndarray:
-    """Deterministic standard normals (Box-Muller over hash uniforms)."""
-    u1 = np.maximum(hash_uniform(*keys, 7), 1e-12)
-    u2 = hash_uniform(*keys, 11)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
 def make_velocities(ids: np.ndarray, dim: int, flow: FlowConfig) -> np.ndarray:
     """Deterministic velocities for the given particle ids."""
     ids = np.asarray(ids, dtype=np.int64)
+    # every uniform is hash_uniform(seed, ids, *tags): fold (seed, ids) once
+    prefix = _fold((flow.seed, ids))
+
+    def uniform(*tags):
+        return _unit(_fold(tags, 2, prefix))
+
     v = np.empty((ids.size, dim))
     for k in range(dim):
-        v[:, k] = flow.thermal_speed * _hash_normal(flow.seed, ids, 1000 + k)
-    drifting = hash_uniform(flow.seed, ids, 17) < flow.drift_fraction
+        # Box-Muller standard normals
+        u1 = np.maximum(uniform(1000 + k, 7), 1e-12)
+        u2 = uniform(1000 + k, 11)
+        v[:, k] = flow.thermal_speed * (
+            np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+    drifting = uniform(17) < flow.drift_fraction
     v[:, 0] += np.where(drifting, flow.drift_speed, 0.0)
     return v
 

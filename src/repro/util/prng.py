@@ -70,8 +70,19 @@ def _combine(*keys) -> np.ndarray:
     """
     if not keys:
         raise ValueError("need at least one key")
-    acc = None
-    for i, k in enumerate(keys):
+    return _as_uint64(_fold(keys))
+
+
+def _fold(keys, start: int = 0, acc=None):
+    """Continue :func:`_combine`'s left-to-right fold: ``acc`` is the fold
+    of the first ``start`` keys (``None`` when ``start == 0``) and
+    ``keys`` take positions ``start, start + 1, ...``.
+
+    ``_fold(b, len(a), _fold(a))`` equals ``_fold(a + b)`` bit for bit,
+    so streams drawn under one shared key prefix fold the prefix once.
+    The result is a Python int while every key folded was a scalar.
+    """
+    for i, k in enumerate(keys, start):
         # the int64 -> uint64 round trip defines how negative and
         # >= 2**63 keys wrap, for scalars and arrays alike
         arr = np.asarray(k, dtype=np.int64).astype(np.uint64)
@@ -85,7 +96,14 @@ def _combine(*keys) -> np.ndarray:
             acc = _splitmix64_int(acc ^ h)
         else:
             acc = splitmix64(_as_uint64(acc) ^ _as_uint64(h))
-    return _as_uint64(acc)
+    return acc
+
+
+def _unit(h) -> np.ndarray:
+    """Uniforms in [0, 1) from the low 53 bits of a hash (a fold's int
+    or uint64 array)."""
+    bits = _as_uint64(h) & _U53
+    return bits.astype(np.float64) / float(1 << 53)
 
 
 def hash_uniform(*keys) -> np.ndarray:
@@ -94,8 +112,7 @@ def hash_uniform(*keys) -> np.ndarray:
     ``hash_uniform(seed, step, ids)`` broadcasts like numpy: any key may
     be an array.
     """
-    bits = _combine(*keys) & _U53
-    return bits.astype(np.float64) / float(1 << 53)
+    return _unit(_combine(*keys))
 
 
 def hash_permutation_key(*keys) -> np.ndarray:
@@ -113,8 +130,9 @@ def hash_unit_vector(dim: int, *keys) -> np.ndarray:
         theta = 2.0 * np.pi * hash_uniform(*keys, 101)
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     if dim == 3:
-        z = 2.0 * hash_uniform(*keys, 211) - 1.0
-        phi = 2.0 * np.pi * hash_uniform(*keys, 223)
+        prefix, n = _fold(keys), len(keys)
+        z = 2.0 * _unit(_fold((211,), n, prefix)) - 1.0
+        phi = 2.0 * np.pi * _unit(_fold((223,), n, prefix))
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
     raise ValueError(f"unsupported dimension {dim}")

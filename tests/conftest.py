@@ -7,6 +7,7 @@ import ALL_BACKENDS``) instead of repeating the tuple per file.
 grow with the rank count).
 """
 
+import gc
 import sys
 from collections import Counter
 
@@ -20,9 +21,14 @@ from repro.sim import Machine
 ALL_BACKENDS = ("serial", "vectorized", "threaded", "multiprocess")
 
 
+#: modules whose direct C calls ``count_calls`` also reports under a prefix
+_TAGGED = {"lang/program.py": "lang:", "dsmc/parallel.py": "dsmc:"}
+
+
 def count_calls(fn):
     """C-level calls made while ``fn()`` runs, by name; the ones made
-    directly from ``lang/program.py`` also under ``"lang:" + name``."""
+    directly from ``lang/program.py`` (``dsmc/parallel.py``) also under
+    ``"lang:" + name`` (``"dsmc:" + name``)."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -31,14 +37,22 @@ def count_calls(fn):
             name = ("ufunc." if isinstance(owner, np.ufunc) else "") \
                 + arg.__name__
             calls[name] += 1
-            if frame.f_code.co_filename.endswith("lang/program.py"):
-                calls["lang:" + name] += 1
+            for path, prefix in _TAGGED.items():
+                if frame.f_code.co_filename.endswith(path):
+                    calls[prefix + name] += 1
 
+    # a collection inside fn() would run the finalizers of earlier tests'
+    # garbage (backend resources close through weakref.finalize) and
+    # count their calls: no collection while counting
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return calls
 
 

@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import ALL_BACKENDS, count_calls
 from repro.apps.dsmc import (
     CartesianGrid,
     DSMCConfig,
+    FlowConfig,
     ParallelDSMC,
     SequentialDSMC,
+    collide_cells,
 )
+from repro.apps.dsmc import parallel as parallel_module
+from repro.core import ExecutionContext
 from repro.partitioners import RCB, ChainPartitioner
 from repro.sim import Machine
 
@@ -141,3 +148,159 @@ class TestValidation:
         for k in ("execution", "computation", "communication", "inspector",
                   "partition", "remap", "load_balance"):
             assert k in rep
+
+
+# =====================================================================
+# the rank-major stream: oracle over the configuration space, pinned
+# simulated cost, host work independent of the rank count
+# =====================================================================
+@settings(max_examples=40, deadline=None)
+@given(
+    backend=st.sampled_from(ALL_BACKENDS),
+    n_ranks=st.sampled_from([1, 3, 16]),
+    shape=st.sampled_from([(6, 4), (3, 2), (4, 3, 2), (2, 2, 2)]),
+    migration=st.sampled_from(["lightweight", "regular"]),
+    remap_every=st.sampled_from([None, 2]),
+    n_initial=st.sampled_from([0, 1, 2, 40, 150]),
+    inflow=st.sampled_from([0, 1, 12]),
+    seed=st.integers(0, 1000),
+)
+@example(backend="vectorized", n_ranks=3, shape=(6, 4),
+         migration="lightweight", remap_every=None, n_initial=0, inflow=0,
+         seed=0)  # vacuum
+@example(backend="serial", n_ranks=16, shape=(3, 2), migration="regular",
+         remap_every=2, n_initial=0, inflow=12, seed=1)  # inflow only
+@example(backend="vectorized", n_ranks=16, shape=(2, 2, 2),
+         migration="lightweight", remap_every=2, n_initial=150, inflow=12,
+         seed=2)  # more ranks than cells
+def test_matches_sequential_oracle(backend, n_ranks, shape, migration,
+                                   remap_every, n_initial, inflow, seed):
+    """``ParallelDSMC`` is ``SequentialDSMC`` byte for byte, state and
+    trace, whatever the rank count (empty ranks included), migration
+    mode, remapping, grid dimension and backend."""
+    grid = CartesianGrid(shape)
+    cfg = DSMCConfig(n_initial=n_initial, inflow_rate=inflow, dt=0.4,
+                     flow=FlowConfig(seed=seed), collision_seed=seed + 7)
+    seq = SequentialDSMC(grid, cfg)
+    seq.run(5)
+    with ParallelDSMC(grid, ExecutionContext.resolve(Machine(n_ranks),
+                                                     backend),
+                      cfg, migration=migration) as par:
+        par.run(5, remap_every=remap_every,
+                remap_partitioner=ChainPartitioner(axis=0))
+        assert par.trace == seq.trace
+        for a, b in zip(seq.canonical_state(), par.canonical_state()):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert par.local_counts().sum() == seq.particles.n
+        assert np.array_equal(par.cell_loads(), seq.cell_loads())
+
+
+@pytest.mark.parametrize("migration", ["lightweight", "regular"])
+def test_everything_flows_out(migration):
+    grid = CartesianGrid((4, 4), (4.0, 4.0))
+    cfg = DSMCConfig(n_initial=100, inflow_rate=0, dt=2.0,
+                     flow=FlowConfig(drift_fraction=1.0, drift_speed=5.0,
+                                     thermal_speed=0.0))
+    par = ParallelDSMC(grid, Machine(2), cfg, migration=migration)
+    par.run(10)
+    assert par.total_particles() == 0
+    assert par.trace.n_particles[-1] == 0
+    ids, pos, vel = par.canonical_state()
+    assert ids.shape == (0,) and pos.shape == vel.shape == (0, 2)
+
+
+class TestPinnedSimulatedCost:
+    """Messages, bytes, virtual time and clock categories of two small
+    runs, recorded at 9d50887 (the ParallelDSMC that walked ranks in
+    Python) before the rank-major stream replaced it: it may get faster
+    on the host, its simulated cost may not move."""
+
+    CATEGORIES = ("compute", "comm", "inspector", "remap", "partition")
+
+    def check(self, machine, n_messages, total_bytes, seconds, means,
+              names):
+        assert machine.traffic.n_messages == n_messages
+        assert machine.traffic.total_bytes == total_bytes
+        assert machine.execution_time() == pytest.approx(seconds, rel=1e-12)
+        for cat, mean in zip(self.CATEGORIES, means):
+            assert machine.clocks.mean_category(cat) == pytest.approx(
+                mean, rel=1e-12), cat
+        assert [sorted(c.snapshot()) for c in machine.clocks] == \
+            [sorted(names + ("idle", "total"))] * machine.n_ranks
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_lightweight_with_chain_remaps(self, backend):
+        m = Machine(16)
+        cfg = DSMCConfig(n_initial=40, inflow_rate=2, dt=0.4,
+                         initial_profile="plume")
+        with ParallelDSMC(CartesianGrid((8, 4)),
+                          ExecutionContext.resolve(m, backend), cfg) as par:
+            par.run(7, remap_every=3,
+                    remap_partitioner=ChainPartitioner(axis=0))
+            assert (par.local_counts() == 0).any()  # empty ranks covered
+        self.check(m, 404, 19848, 0.0085128,
+                   (0.00020149999999999996, 0.0010024968749999996,
+                    0.0008472825, 0.0007536306249999997, 0.00245256),
+                   self.CATEGORIES)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_regular_migration(self, backend):
+        m = Machine(5)
+        cfg = DSMCConfig(n_initial=40, inflow_rate=3, dt=0.4)
+        with ParallelDSMC(CartesianGrid((4, 3, 3)),
+                          ExecutionContext.resolve(m, backend), cfg,
+                          migration="regular") as par:
+            par.run(4)
+        self.check(m, 167, 12672, 0.007472220000000001,
+                   (0.0002924, 0.0, 0.0008249959999999999,
+                    0.0024663719999999997, 0.0018305999999999995),
+                   ("compute", "inspector", "remap", "partition"))
+
+
+class TestStepShape:
+    """ParallelDSMC holds the particles as one rank-major stream, so a
+    step's host work does not grow with the rank count: the same
+    particles on 4 and on 64 ranks cost the same number of C calls, and
+    the collisions are one call over the whole stream."""
+
+    def make(self, n_ranks, migration="lightweight"):
+        par = ParallelDSMC(
+            CartesianGrid((16, 8)),
+            ExecutionContext.resolve(Machine(n_ranks), "vectorized"),
+            DSMCConfig(n_initial=3000, inflow_rate=60), migration=migration)
+        par.step()  # warm the plan caches
+        return par
+
+    def test_lightweight_step_calls_independent_of_ranks(self):
+        few = count_calls(self.make(4).step)
+        many = count_calls(self.make(64).step)
+        assert few == many
+
+    @pytest.mark.parametrize("migration", ["lightweight", "regular"])
+    def test_own_calls_independent_of_ranks(self, migration):
+        """The calls ``parallel.py`` itself makes in ``step`` and
+        ``remap_cells`` (the partitioner, translation-table and
+        distribution constructors it calls are outside it)."""
+        def own(n_ranks):
+            par = self.make(n_ranks, migration)
+            calls = count_calls(par.step)
+            calls.update(count_calls(
+                lambda: par.remap_cells(ChainPartitioner(axis=0))))
+            return {k: v for k, v in calls.items() if k.startswith("dsmc:")}
+
+        few, many = own(4), own(64)
+        assert few and few == many
+
+    @pytest.mark.parametrize("n_ranks", [4, 64])
+    def test_collisions_are_one_call(self, n_ranks, monkeypatch):
+        par = self.make(n_ranks)
+        seen = []
+
+        def spy(ids, *args):
+            seen.append(ids.size)
+            return collide_cells(ids, *args)
+
+        monkeypatch.setattr(parallel_module, "collide_cells", spy)
+        par.step()
+        assert seen == [par.total_particles()]

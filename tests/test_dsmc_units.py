@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.dsmc import (
     CartesianGrid,
@@ -17,6 +19,8 @@ from repro.apps.dsmc import (
     remove_outflow,
     uniform_population,
 )
+from repro.apps.dsmc.collisions import _pair_order
+from repro.util import hash_permutation_key
 
 
 class TestGrid:
@@ -191,11 +195,12 @@ class TestCollisions:
         new_vel, _ = collide_cells(ids, cells, vel, step=5)
         perm = rng.permutation(ids.size)
         new_vel_p, _ = collide_cells(ids[perm], cells[perm], vel[perm], step=5)
-        assert np.allclose(new_vel[perm], new_vel_p)
+        assert np.array_equal(new_vel[perm], new_vel_p)
 
     def test_subset_closed_under_cells_identical(self, rng):
         """Computing per cell-subset (as ranks do) matches the global
-        computation — the parallelization-correctness property."""
+        computation bit for bit — the parallelization-correctness
+        property ParallelDSMC's single whole-stream call rests on."""
         ids, cells, vel = self.make_population(rng)
         global_vel, _ = collide_cells(ids, cells, vel, step=2)
         out = np.empty_like(vel)
@@ -203,7 +208,40 @@ class TestCollisions:
             sel = cells == c
             sub_vel, _ = collide_cells(ids[sel], cells[sel], vel[sel], step=2)
             out[sel] = sub_vel
-        assert np.allclose(global_vel, out)
+        assert np.array_equal(global_vel, out)
+
+    def test_duplicate_ids_rejected(self, rng):
+        ids, cells, vel = self.make_population(rng)
+        ids[7] = ids[100]
+        with pytest.raises(ValueError, match="duplicate"):
+            collide_cells(ids, cells, vel, step=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pair_order_is_the_lexsort(self, data):
+        """The key sort + stable cell sort is ``np.lexsort((hkey,
+        cells))`` exactly: empty and tiny sets, one cell, all-singleton
+        cells, and cell ids past ``uint16`` (the int64 sort)."""
+        n = data.draw(st.integers(0, 60), label="n")
+        layout = data.draw(st.sampled_from(
+            ["random", "one", "singletons", "wide"]), label="layout")
+        ids = np.array(data.draw(st.lists(
+            st.integers(-2**40, 2**40), min_size=n, max_size=n,
+            unique=True)), dtype=np.int64)
+        if layout == "one":
+            cells = np.full(n, data.draw(st.integers(0, 2**16 - 1)))
+        elif layout == "singletons":
+            cells = np.arange(n) * 3
+        else:
+            hi = 2**20 if layout == "wide" else 8
+            cells = np.array(data.draw(st.lists(
+                st.integers(0, hi), min_size=n, max_size=n)), dtype=np.int64)
+            if layout == "wide" and n:
+                cells[0] = 2**16 + data.draw(st.integers(0, 5))
+        hkey = hash_permutation_key(data.draw(st.integers(0, 99)), 71,
+                                    data.draw(st.integers(0, 9)), ids)
+        assert np.array_equal(_pair_order(hkey, cells),
+                              np.lexsort((hkey, cells)))
 
     def test_different_steps_different_outcomes(self, rng):
         ids, cells, vel = self.make_population(rng)

@@ -1,5 +1,6 @@
 """Coverage for less-traveled paths: empty systems, vacuum DSMC runs,
-bond-free MD, recorded traffic, multi-rhs reductions."""
+bond-free MD, recorded traffic, multi-rhs reductions.  (The outflow-only
+DSMC run lives in ``test_dsmc_parallel``.)"""
 
 import numpy as np
 
@@ -49,20 +50,6 @@ class TestVacuumDSMC:
         par.run(6)
         a, b = seq.canonical_state(), par.canonical_state()
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_everything_flows_out(self):
-        grid = CartesianGrid((4, 4), (4.0, 4.0))
-        from repro.apps.dsmc import FlowConfig
-
-        cfg = DSMCConfig(
-            n_initial=100, inflow_rate=0, dt=2.0,
-            flow=FlowConfig(drift_fraction=1.0, drift_speed=5.0,
-                            thermal_speed=0.0),
-        )
-        m = Machine(2)
-        par = ParallelDSMC(grid, m, cfg)
-        par.run(10)
-        assert par.total_particles() == 0
 
 
 class TestBondFreeMD:

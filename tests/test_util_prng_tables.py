@@ -64,6 +64,11 @@ def _reference_combine(*keys):
     return acc
 
 
+def _reference_uniform(*keys):
+    bits = _reference_combine(*keys) & np.uint64((1 << 53) - 1)
+    return bits.astype(np.float64) / float(1 << 53)
+
+
 _IDS = np.arange(200, dtype=np.int64) * 7 - 300
 _HUGE = np.array([2**63, 2**64 - 1, 5], dtype=np.uint64)
 
@@ -96,12 +101,39 @@ class TestCombineMatchesReference:
         assert np.array_equal(hash_uniform(*keys),
                               bits.astype(np.float64) / float(1 << 53))
 
+    @pytest.mark.parametrize("keys", [
+        (3, 4, 5), (_IDS, 3, 101), (1, 2, _IDS, 101),
+        (7, _IDS, -2, _IDS * 3, 9), (-5, _HUGE, 2**63 - 1),
+    ])
+    def test_prefix_fold_continues_bit_identically(self, keys):
+        """Folding a prefix once and continuing from it, at every cut,
+        is the one-shot fold."""
+        from repro.util.prng import _fold
+
+        ref = _reference_combine(*keys)
+        for cut in range(len(keys) + 1):
+            got = _fold(keys[cut:], cut, _fold(keys[:cut]))
+            assert np.array_equal(np.asarray(got, dtype=np.uint64), ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_velocities_use_the_same_streams(self, dim):
+        from repro.apps.dsmc import FlowConfig, make_velocities
+
+        flow = FlowConfig(seed=5)
+        uniform = _reference_uniform
+        expect = np.empty((_IDS.size, dim))
+        for k in range(dim):
+            u1 = np.maximum(uniform(flow.seed, _IDS, 1000 + k, 7), 1e-12)
+            u2 = uniform(flow.seed, _IDS, 1000 + k, 11)
+            expect[:, k] = flow.thermal_speed * (
+                np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+        drifting = uniform(flow.seed, _IDS, 17) < flow.drift_fraction
+        expect[:, 0] += np.where(drifting, flow.drift_speed, 0.0)
+        assert np.array_equal(make_velocities(_IDS, dim, flow), expect)
+
     @pytest.mark.parametrize("keys", [(4, 9), (4, _IDS), (_IDS, 9, 2)])
     def test_unit_vectors_use_the_same_streams(self, keys):
-        def uniform(*k):
-            bits = _reference_combine(*k) & np.uint64((1 << 53) - 1)
-            return bits.astype(np.float64) / float(1 << 53)
-
+        uniform = _reference_uniform
         theta = 2.0 * np.pi * uniform(*keys, 101)
         assert np.array_equal(
             hash_unit_vector(2, *keys),
