@@ -1,9 +1,10 @@
 """Force kernels: harmonic bonded terms, LJ + Coulomb non-bonded terms.
 
-Pure numpy, written so the same pairwise kernel evaluates sequentially
-(over global arrays) and in the parallel executor (over gathered local +
-ghost arrays with localized indices) — bitwise-identical physics either
-way, which is what the parallel-vs-sequential oracle tests rely on.
+Pure numpy.  Both drivers call the one non-bonded kernel: over the global
+positions (sequential) or one rank's stacked local + ghost positions with
+localized indices (parallel), it gathers with ``take``, computes in place
+in a few buffers and folds per atom with ``bincount`` -- bitwise-identical
+physics either way, which the parallel-vs-sequential oracle relies on.
 
 Abstract work-unit costs per interaction are exported so drivers charge
 consistent virtual compute time.
@@ -46,58 +47,72 @@ def bond_pair_forces(
 
 
 def nonbond_pair_forces(
-    pos_i: np.ndarray,
-    pos_j: np.ndarray,
-    q_i: np.ndarray,
-    q_j: np.ndarray,
+    positions: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    qq: np.ndarray,
+    ij: np.ndarray,
     ff: ForceField,
     box: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair LJ + Coulomb force on atom ``i`` and pair energies.
+) -> tuple[np.ndarray, float]:
+    """LJ + Coulomb forces of the pairs ``(i[k], j[k])`` of ``positions``
+    summed per atom, and their total energy.
 
-    Truncated (not shifted) at the cutoff; pairs beyond the cutoff get
-    exactly zero so a slightly-stale neighbor list still computes correct
-    forces for in-range pairs.
+    ``qq = ff.coulomb_k * q[i] * q[j]`` and ``ij = i || j`` are invariants
+    of the list.  Truncated (not shifted) at the cutoff: pairs beyond it
+    add exactly zero, so a slightly stale list is still correct.  The
+    operations, and their order, are those of the per-pair formula.
     """
-    d = minimum_image(pos_i - pos_j, box)
-    r2 = np.einsum("ij,ij->i", d, d)
-    cut2 = ff.cutoff * ff.cutoff
-    in_range = r2 <= cut2
+    m = i.size
+    d = positions.take(i, axis=0)
+    t = positions.take(j, axis=0)
+    d -= t
+    # minimum image: d -= box * round(d / box)
+    d -= np.multiply(np.round(np.divide(d, box, out=t), out=t), box, out=t)
+    r2, s2, s6, s12, c, u = np.empty((6, m))
+    np.einsum("ij,ij->i", d, d, out=r2)
+    far = np.logical_not(r2 <= ff.cutoff * ff.cutoff)
     # soft core: bounded forces even for overlapping synthetic coords
-    r2_safe = r2 + ff.softening * ff.lj_sigma * ff.lj_sigma
-    inv_r2 = 1.0 / r2_safe
-    s2 = (ff.lj_sigma * ff.lj_sigma) * inv_r2
-    s6 = s2 * s2 * s2
-    s12 = s6 * s6
+    r2 += ff.softening * ff.lj_sigma * ff.lj_sigma
+    inv_r2 = np.divide(1.0, r2, out=r2)
+    np.multiply(ff.lj_sigma * ff.lj_sigma, inv_r2, out=s2)
+    np.multiply(s2, s2, out=s6)
+    s6 *= s2
+    np.multiply(s6, s6, out=s12)
     # F = (24 eps (2 s12 - s6) / r^2 + k q_i q_j / r^3) * d
-    lj_mag = 24.0 * ff.lj_epsilon * (2.0 * s12 - s6) * inv_r2
-    inv_r = np.sqrt(inv_r2)
-    coul_mag = ff.coulomb_k * q_i * q_j * inv_r * inv_r2
-    mag = np.where(in_range, lj_mag + coul_mag, 0.0)
-    f_i = mag[:, None] * d
-    energy = np.where(
-        in_range,
-        4.0 * ff.lj_epsilon * (s12 - s6) + ff.coulomb_k * q_i * q_j * inv_r,
-        0.0,
-    )
-    return f_i, energy
+    mag = np.subtract(np.multiply(2.0, s12, out=s2), s6, out=s2)
+    mag *= 24.0 * ff.lj_epsilon
+    mag *= inv_r2
+    np.multiply(qq, np.sqrt(inv_r2, out=u), out=c)  # k q_i q_j / r
+    mag += np.multiply(c, inv_r2, out=u)
+    np.copyto(mag, 0.0, where=far)
+    # E = 4 eps (s12 - s6) + k q_i q_j / r
+    energy = np.multiply(4.0 * ff.lj_epsilon,
+                         np.subtract(s12, s6, out=s12), out=s12)
+    energy += c
+    np.copyto(energy, 0.0, where=far)
+    # +f onto i, -f onto j, as columns of i || j
+    weights = np.empty((3, 2 * m))
+    np.multiply(mag, d.T, out=weights[:, :m])
+    np.negative(weights[:, :m], out=weights[:, m:])
+    return _fold(positions.shape[0], ij, weights), float(energy.sum())
 
 
 def accumulate_pair_forces(
     n: int, i: np.ndarray, j: np.ndarray, f_i: np.ndarray
 ) -> np.ndarray:
     """Sum pair forces into a fresh ``(n, 3)`` array: ``+f_i[k]`` onto atom
-    ``i[k]``, ``-f_i[k]`` onto atom ``j[k]`` (Newton's third law).
+    ``i[k]``, ``-f_i[k]`` onto atom ``j[k]`` (Newton's third law)."""
+    return _fold(n, np.concatenate((i, j)),
+                 np.concatenate((f_i.T, -f_i.T), axis=1))
 
-    ``bincount`` folds each atom's contributions in element order starting
-    from 0.0 -- all of ``i`` first, then all of ``j`` -- so the sums are
-    bitwise those of an unbuffered scatter-add (``ufunc.at``) of ``f_i`` at
-    ``i`` followed by one of ``-f_i`` at ``j`` onto a zero array, at a
-    fraction of the cost.
-    """
-    idx = np.concatenate((i, j))
-    weights = np.concatenate((f_i.T, -f_i.T), axis=1)
-    forces = np.empty((n, f_i.shape[1]))
+
+def _fold(n: int, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``forces[a, c]`` = sum of ``weights[c, k]`` over ``idx[k] == a``,
+    folded in element order from 0.0: with ``idx = i || j`` and ``weights
+    = f || -f``, bitwise an unbuffered scatter-add (``ufunc.at``) of ``f``
+    at ``i`` then of ``-f`` at ``j``, at a fraction of the cost."""
+    forces = np.empty((n, weights.shape[0]))
     for c, w in enumerate(weights):
         forces[:, c] = np.bincount(idx, weights=w, minlength=n)
     return forces
@@ -127,17 +142,10 @@ def compute_nonbonded_forces(
     box: float,
 ) -> tuple[np.ndarray, float]:
     """Sequential non-bonded forces from a CSR half list."""
-    if jnb.size == 0:
-        return np.zeros_like(positions), 0.0
-    i_idx = np.repeat(
-        np.arange(inblo.size - 1, dtype=np.int64), np.diff(inblo)
-    )
-    f_i, energy = nonbond_pair_forces(
-        positions[i_idx], positions[jnb], charges[i_idx], charges[jnb],
-        ff, box,
-    )
-    forces = accumulate_pair_forces(positions.shape[0], i_idx, jnb, f_i)
-    return forces, float(energy.sum())
+    i_idx = expand_csr_rows(inblo)
+    qq = ff.coulomb_k * charges.take(i_idx) * charges.take(jnb)
+    return nonbond_pair_forces(positions, i_idx, jnb, qq,
+                               np.concatenate((i_idx, jnb)), ff, box)
 
 
 def expand_csr_rows(inblo: np.ndarray) -> np.ndarray:

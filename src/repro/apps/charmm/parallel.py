@@ -261,14 +261,20 @@ class ParallelMD:
         # static ghost data: charges (atoms' charges never change); in
         # multiple mode both schedules fill one table-wide ghost buffer,
         # fused into a single pass
-        self.charge_ghost = allocate_ghosts(self.sched_nb, self.charge)
-        phases = [gather_phase(self.sched_nb, self.charge,
-                               self.charge_ghost)]
+        charge_ghost = allocate_ghosts(self.sched_nb, self.charge)
+        phases = [gather_phase(self.sched_nb, self.charge, charge_ghost)]
         if self.schedule_mode == "multiple":
             phases.append(gather_phase(self.sched_bonded, self.charge,
-                                       self.charge_ghost))
+                                       charge_ghost))
         run_pipeline(self.ctx, phases, category="comm",
                      loop_id="charmm:charge_gather")
+        # the non-bonded list's invariants, once per list: k q_i q_j, i || j
+        k = self.system.forcefield.coulomb_k
+        self._nb_qq = [k * q.take(i) * q.take(j) for q, i, j in zip(
+            stack_local_ghost(self.charge, charge_ghost),
+            self.nb_i_loc, self.nb_j_loc)]
+        self._nb_ij = [np.concatenate(ij)
+                      for ij in zip(self.nb_i_loc, self.nb_j_loc)]
 
     # ==================================================================
     # adaptive: non-bonded list regeneration (stamp reuse)
@@ -354,7 +360,6 @@ class ParallelMD:
         run_pipeline(self.ctx, phases, category="comm",
                      loop_id="charmm:pos_gather")
         pos_stacked = stack_local_ghost(self.pos, pos_ghost)
-        charge_stacked = stack_local_ghost(self.charge, self.charge_ghost)
 
         force_local = [np.zeros_like(self.pos[p]) for p in m.ranks()]
         force_ghost_nb = allocate_ghosts(self.sched_nb, self.pos)
@@ -366,7 +371,6 @@ class ParallelMD:
 
         for p in m.ranks():
             ps = pos_stacked[p]
-            qs = charge_stacked[p]
             n_local = self.pos[p].shape[0]
 
             fb_stack = np.zeros_like(ps)
@@ -380,11 +384,9 @@ class ParallelMD:
             fn_stack = np.zeros_like(ps)
             i_l, j_l = self.nb_i_loc[p], self.nb_j_loc[p]
             if i_l.size:
-                f_i, en = nonbond_pair_forces(
-                    ps[i_l], ps[j_l], qs[i_l], qs[j_l], ff, s.box
-                )
-                fn_stack = accumulate_pair_forces(ps.shape[0], i_l, j_l, f_i)
-                energy += float(en.sum())
+                fn_stack, en = nonbond_pair_forces(
+                    ps, i_l, j_l, self._nb_qq[p], self._nb_ij[p], ff, s.box)
+                energy += en
                 m.charge_compute(p, NONBOND_OPS * i_l.size, "compute")
 
             force_local[p] += fb_stack[:n_local] + fn_stack[:n_local]

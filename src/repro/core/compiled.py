@@ -47,26 +47,12 @@ import numpy as np
 # ---------------------------------------------------------------------
 # CSR layout helpers
 # ---------------------------------------------------------------------
-def concat_csr(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate arrays into a ``(flat, offsets)`` CSR pair: ``flat``
-    is int64, ``offsets`` delimits one segment per part."""
-    sizes = np.array([np.asarray(a).size for a in parts], dtype=np.int64)
-    offsets = offsets_from_counts(sizes)
-    if offsets[-1]:
-        flat = np.concatenate(
-            [np.asarray(a, dtype=np.int64).ravel() for a in parts]
-        )
-    else:
-        flat = np.zeros(0, dtype=np.int64)
-    return flat, offsets
-
-
 def split_csr(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
     """Split a CSR-flattened array into its per-segment views.
 
     ``offsets`` is the ``(n_segments + 1,)`` delimiter vector; segment
-    ``i`` is ``flat[offsets[i]:offsets[i + 1]]``.  The inverse of
-    :func:`concat_csr`; returns views, not copies.
+    ``i`` is ``flat[offsets[i]:offsets[i + 1]]``.  Returns views, not
+    copies.
     """
     bounds = offsets.tolist()
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

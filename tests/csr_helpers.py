@@ -5,9 +5,8 @@ flat send / placement streams; the nested constructors
 (``from_pair_lists``) and accessors (``send_pairs`` et al.) were deleted
 from ``src/`` long ago.  Tests that want to build a plan from one small
 array per ``(p, q)`` pair — or to compare the flat buffers against their
-nested presentation — use these helpers, which concatenate through the
-public CSR layout function and split through the plans' own per-pair
-views.
+nested presentation — use these helpers, which concatenate the pairs
+sender-major and split through the plans' own per-pair views.
 """
 
 from __future__ import annotations
@@ -15,13 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import LightweightSchedule, RemapPlan, Schedule
-from repro.core.compiled import concat_csr
 
 
 def _flat_pairs(pairs: list[list[np.ndarray]]):
     """Nested ``[p][q]`` arrays -> ``(flat stream, (P, P) sizes)``."""
-    flat, offsets = concat_csr([a for row in pairs for a in row])
-    return flat, np.diff(offsets).reshape(len(pairs), len(pairs))
+    parts = [np.asarray(a, dtype=np.int64).ravel()
+             for row in pairs for a in row]
+    sizes = np.array([a.size for a in parts], dtype=np.int64)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+    return flat, sizes.reshape(len(pairs), len(pairs))
 
 
 def _check_transposed(sizes: np.ndarray, counts: np.ndarray, what: str):

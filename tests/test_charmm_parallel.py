@@ -1,9 +1,13 @@
 """Integration tests: CHAOS-parallel CHARMM vs the sequential oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import ALL_BACKENDS
 
 from repro.apps.charmm import ParallelMD, SequentialMD, build_small_system
+from repro.core import ExecutionContext
 from repro.partitioners import RCB, RIB, BlockPartitioner
 from repro.sim import Machine
 
@@ -114,6 +118,42 @@ class TestPaperEffects:
                     "schedule_regen", "load_balance"):
             assert key in rep
         assert rep["execution"] >= rep["computation"]
+
+
+class TestPinnedSimulatedCost:
+    """Virtual time, messages, bytes and the sha256 of the trajectory and
+    both energy traces of one small run, recorded at a313d7e (per-pair
+    temporaries in the non-bonded kernel, one fixed cell grid) before the
+    in-place kernel and the input-sized grids replaced them: the force
+    step may get faster on the host, its bits and its simulated cost may
+    not move."""
+
+    @staticmethod
+    def sha(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_rcb_then_rib_repartition(self, backend):
+        m = Machine(4)
+        with ParallelMD(build_small_system(200, seed=7),
+                        ExecutionContext.resolve(m, backend), dt=0.002,
+                        update_every=3, partitioner=RCB()) as md:
+            md.run(8, remap_every=5, remap_partitioners=[RIB()])
+            assert m.execution_time() == pytest.approx(0.14433613000000012,
+                                                       rel=1e-12)
+            assert m.traffic.n_messages == 664
+            assert m.traffic.total_bytes == 363360
+            assert md.trace.nb_pairs_history == [4011, 3581, 3493]
+            assert [self.sha(a) for a in (
+                md.global_positions(), md.global_velocities(),
+                np.asarray(md.trace.potential_energy),
+                np.asarray(md.trace.kinetic_energy),
+            )] == [
+                "8747ac8db3605f2ed54a5747dc6b884908735d9e1908097b18c23d4c6b0b2c56",
+                "128ad0036fe0f07e902c7c30aea1e45f5380a23db4aa6dd5528900e14dfec280",
+                "5eca9364a0221ce7c658dbc9d972893bb9d80117a979ceaa5b339dc6370fa6be",
+                "da97eb8cf6b35a2ee2a21bc4ffb7b6c52ff6fd3fa1fdb6b7a2fca2381449b142",
+            ]
 
 
 class TestValidation:

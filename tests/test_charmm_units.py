@@ -3,7 +3,7 @@ integrator)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.charmm import (
@@ -23,6 +23,7 @@ from repro.apps.charmm.forces import (
     nonbond_pair_forces,
 )
 from repro.apps.charmm.integrator import verlet_drift, verlet_half_kick
+from repro.apps.charmm.neighbors import _grid
 
 
 class TestForceField:
@@ -103,6 +104,21 @@ class TestMolecularSystem:
         assert not np.array_equal(s.positions, c.positions)
 
 
+# (box, cutoff, cells per dimension and reach of the grid the list builder
+# selects, atoms added to the drawn ones).  Coarse grids of 1-5 cells: 1
+# and 2 alias the neighbour offsets at reach 1.  Fine grids of 3 and 4
+# cells alias at reach 2, 5 is the full 63-offset half shell; they take a
+# few hundred atoms to be selected (a fine grid of 1 or 2 cells never is:
+# the coarse single cell costs less).  (4, 2) and (4, 1) put the cutoff
+# exactly on a multiple of box / cells for both grids.
+_GRIDS = [
+    (4.0, 2.5, 1, 1, 0), (4.0, 2.0, 1, 1, 0), (4.0, 1.9, 2, 1, 0),
+    (6.0, 1.9, 3, 1, 0), (4.0, 1.0, 3, 1, 0), (5.0, 1.2, 4, 1, 0),
+    (5.0, 0.9, 5, 1, 0),
+    (4.0, 2.0, 3, 2, 300), (4.0, 1.9, 4, 2, 450), (5.0, 1.9, 5, 2, 560),
+]
+
+
 class TestNeighborList:
     def test_matches_brute_force(self, rng):
         pos = rng.random((120, 3)) * 8.0
@@ -140,32 +156,43 @@ class TestNeighborList:
         with pytest.raises(ValueError, match="got -5.0"):
             build_nonbonded_list(np.zeros((3, 3)), 1.0, -5.0)
 
-    # (box, cutoff, cells per dimension).  One and two cells alias the
-    # periodic neighbour offsets; (4, 2), (4, 1) put the cutoff exactly on
-    # the cell width.  Every cell width is a dyadic number, so positions
-    # on the eighth-of-a-cell lattice below have exact distances and pairs
-    # at exactly the cutoff exercise the ``<=``.
-    @pytest.mark.parametrize("box, cutoff, n_cells", [
-        (4.0, 2.5, 1), (4.0, 1.9, 2), (4.0, 2.0, 2), (6.0, 1.9, 3),
-        (4.0, 1.0, 4), (5.0, 0.9, 5),
-    ])
-    @settings(max_examples=60, deadline=None)
+    def test_cutoff_exactly_one_cell_wide(self):
+        """Cells exactly one cutoff wide put these two atoms two cells
+        apart although their computed distance is exactly the cutoff."""
+        pos = np.array([[0.9999999999999999, 0, 0], [2.0, 0, 0]])
+        inblo, jnb = build_nonbonded_list(pos, 1.0, 4.0)
+        assert inblo.tolist() == [0, 1, 1] and jnb.tolist() == [1]
+        ref_inblo, ref_jnb = brute_force_nonbonded_list(pos, 1.0, 4.0)
+        assert np.array_equal(inblo, ref_inblo)
+        assert np.array_equal(jnb, ref_jnb)
+
+    @pytest.mark.parametrize("box, cutoff, n_cells, reach, bulk", _GRIDS,
+                             ids=[f"{b}-{c}-{n}" + "-fine" * (r == 2)
+                                  for b, c, n, r, _ in _GRIDS])
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_matches_brute_force_property(self, box, cutoff, n_cells, data):
+    def test_matches_brute_force_property(self, box, cutoff, n_cells, reach,
+                                          bulk, data):
         """Exact ``(inblo, jnb)`` equality with the O(n^2) reference: 0-2
         atoms, empty cells, atoms on cell faces and the box edge, positions
-        outside ``[0, box)``, and off-lattice atoms."""
-        assert int(np.floor(box / cutoff)) == n_cells
+        outside ``[0, box)``, and off-lattice atoms, on the grid the
+        builder selects."""
         # lattice coordinate k -> k/8 of a cell, over [-box, 2 * box]
         coord = st.integers(-8 * n_cells, 16 * n_cells)
         atoms = data.draw(st.lists(
             st.tuples(coord, coord, coord, st.booleans()), max_size=40))
-        lattice = np.array([a[:3] for a in atoms], dtype=np.float64)
-        pos = lattice.reshape(-1, 3) * (box / n_cells / 8)
-        off_lattice = np.array([a[3] for a in atoms], dtype=bool)
-        jitter = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        pos[off_lattice] += jitter.uniform(0, box / n_cells / 8,
-                                           (int(off_lattice.sum()), 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        lattice = np.concatenate([
+            np.array([a[:3] for a in atoms], dtype=np.float64).reshape(-1, 3),
+            rng.integers(-8 * n_cells, 16 * n_cells, (bulk, 3), endpoint=True),
+        ])
+        off_lattice = np.concatenate([
+            np.array([a[3] for a in atoms], dtype=bool), rng.random(bulk) < 0.5,
+        ])
+        pos = lattice * (box / n_cells / 8)
+        pos[off_lattice] += rng.uniform(0, box / n_cells / 8,
+                                        (int(off_lattice.sum()), 3))
+        assert _grid(len(pos), cutoff, box) == (n_cells, reach)
         inblo, jnb = build_nonbonded_list(pos, cutoff, box)
         ref_inblo, ref_jnb = brute_force_nonbonded_list(pos, cutoff, box)
         assert inblo.dtype == ref_inblo.dtype and jnb.dtype == ref_jnb.dtype
@@ -241,29 +268,96 @@ class TestForces:
         assert np.allclose(f, 0.0, atol=1e-12)
         assert e == pytest.approx(0.0)
 
+    @staticmethod
+    def one_pair(ff, x_j, q_i=1.0, q_j=1.0):
+        """Forces and energy of atom 0 at the origin and atom 1 at x_j."""
+        pos = np.array([[0.0, 0, 0], [x_j, 0, 0]])
+        i, j = np.array([0]), np.array([1])
+        qq = np.array([ff.coulomb_k * q_i * q_j])
+        return nonbond_pair_forces(pos, i, j, qq, np.array([0, 1]), ff, 100.0)
+
     def test_cutoff_zeroes_far_pairs(self):
-        ff = ForceField(cutoff=2.0)
-        f, e = nonbond_pair_forces(
-            np.array([[0.0, 0, 0]]), np.array([[3.0, 0, 0]]),
-            np.array([1.0]), np.array([1.0]), ff, 100.0,
-        )
-        assert np.allclose(f, 0.0) and e[0] == 0.0
+        f, e = self.one_pair(ForceField(cutoff=2.0), 3.0)
+        assert np.allclose(f, 0.0) and e == 0.0
 
     def test_like_charges_repel(self):
-        ff = ForceField(cutoff=5.0, lj_epsilon=1e-9)
-        f, _ = nonbond_pair_forces(
-            np.array([[0.0, 0, 0]]), np.array([[2.0, 0, 0]]),
-            np.array([1.0]), np.array([1.0]), ff, 100.0,
-        )
+        f, _ = self.one_pair(ForceField(cutoff=5.0, lj_epsilon=1e-9), 2.0)
         assert f[0, 0] < 0  # force on i points away from j
 
     def test_energy_finite_on_overlap(self):
-        ff = ForceField()
-        f, e = nonbond_pair_forces(
-            np.zeros((1, 3)), np.zeros((1, 3)),
-            np.array([0.0]), np.array([0.0]), ff, 100.0,
-        )
-        assert np.all(np.isfinite(f)) and np.all(np.isfinite(e))
+        f, e = self.one_pair(ForceField(), 0.0, q_i=0.0, q_j=0.0)
+        assert np.all(np.isfinite(f)) and np.isfinite(e)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(0, 5000),
+           seed=st.integers(0, 2**32 - 1), overlap=st.floats(0, 1),
+           zero_q=st.floats(0, 1), same_every=st.integers(1, 9),
+           cutoff=st.sampled_from([0.5, 2.5, 4.0]),
+           softening=st.sampled_from([0.1, 1e-9, 0.5]))
+    @example(n=300, m=5000, seed=1, overlap=0.3, zero_q=0.3, same_every=7,
+             cutoff=2.5, softening=0.1)
+    def test_kernel_matches_per_pair_reference(self, n, m, seed, overlap,
+                                               zero_q, same_every, cutoff,
+                                               softening):
+        """Forces and energy sum byte for byte those of the per-pair
+        expression plus scatter-add it replaced: pairs inside and beyond
+        the cutoff, overlapping atoms, zero charges, indices repeated
+        within and shared between ``i`` and ``j`` (including
+        ``i[k] == j[k]``), positions outside the box."""
+        rng = np.random.default_rng(seed)
+        box = 6.0
+        pos = rng.uniform(-box, 2 * box, (n, 3))
+        dup = np.flatnonzero(rng.random(n) < overlap)
+        pos[dup] = pos[rng.integers(0, n, dup.size)]
+        q = rng.normal(size=n)
+        q[rng.random(n) < zero_q] = 0.0
+        i = rng.integers(0, n, m)
+        j = rng.integers(0, n, m)
+        j[::same_every] = i[::same_every]
+        ff = ForceField(cutoff=cutoff, softening=softening)
+        f_i, e = _reference_nonbond(pos[i], pos[j], q[i], q[j], ff, box)
+        ref = _reference_accumulate(n, i, j, f_i)
+        got, energy = nonbond_pair_forces(
+            pos, i, j, ff.coulomb_k * q[i] * q[j], np.concatenate((i, j)),
+            ff, box)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert type(energy) is float
+        assert np.float64(energy).tobytes() == np.float64(e.sum()).tobytes()
+
+
+def _reference_nonbond(pos_i, pos_j, q_i, q_j, ff, box):
+    """The per-pair kernel the in-place one replaced, verbatim."""
+    d = pos_i - pos_j
+    d = d - box * np.round(d / box)
+    r2 = np.einsum("ij,ij->i", d, d)
+    cut2 = ff.cutoff * ff.cutoff
+    in_range = r2 <= cut2
+    r2_safe = r2 + ff.softening * ff.lj_sigma * ff.lj_sigma
+    inv_r2 = 1.0 / r2_safe
+    s2 = (ff.lj_sigma * ff.lj_sigma) * inv_r2
+    s6 = s2 * s2 * s2
+    s12 = s6 * s6
+    lj_mag = 24.0 * ff.lj_epsilon * (2.0 * s12 - s6) * inv_r2
+    inv_r = np.sqrt(inv_r2)
+    coul_mag = ff.coulomb_k * q_i * q_j * inv_r * inv_r2
+    mag = np.where(in_range, lj_mag + coul_mag, 0.0)
+    f_i = mag[:, None] * d
+    energy = np.where(
+        in_range,
+        4.0 * ff.lj_epsilon * (s12 - s6) + ff.coulomb_k * q_i * q_j * inv_r,
+        0.0,
+    )
+    return f_i, energy
+
+
+def _reference_accumulate(n, i, j, f_i):
+    """The scatter-add of the per-pair kernel's forces, verbatim."""
+    idx = np.concatenate((i, j))
+    weights = np.concatenate((f_i.T, -f_i.T), axis=1)
+    forces = np.empty((n, f_i.shape[1]))
+    for c, w in enumerate(weights):
+        forces[:, c] = np.bincount(idx, weights=w, minlength=n)
+    return forces
 
 
 class TestIntegrator:
