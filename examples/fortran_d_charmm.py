@@ -75,20 +75,20 @@ def main() -> None:
     assert err < 1e-10
 
     loop_id = program.loop_ids()[0]
-    hits, builds = inst.cache.stats(loop_id)
-    print(f"schedule cache after first run: hits={hits} builds={builds}")
+    st = inst.cache_stats(loop_id)
+    print(f"schedule cache after first run: hits={st.hits} builds={st.builds}")
 
     # re-run unchanged: schedule reused (the §5.3.1 record sees no change)
     inst.run_loop(loop_id)
-    hits, builds = inst.cache.stats(loop_id)
-    print(f"after unchanged re-run:         hits={hits} builds={builds}")
+    st = inst.cache_stats(loop_id)
+    print(f"after unchanged re-run:         hits={st.hits} builds={st.builds}")
 
     # modify the non-bonded list: the record triggers regeneration
     inst.set_array("jnb", rng.integers(1, N_ATOMS + 1,
                                        bindings["jnb"].size))
     inst.run_loop(loop_id)
-    hits, builds = inst.cache.stats(loop_id)
-    print(f"after jnb modification:         hits={hits} builds={builds}")
+    st = inst.cache_stats(loop_id)
+    print(f"after jnb modification:         hits={st.hits} builds={st.builds}")
     print("OK")
 
 

@@ -96,9 +96,9 @@ def main() -> None:
              gather_phase(sched, w.local, allocate_ghosts(sched, w.local))],
             loop_id="example:field_gather",
         )
-    hits, builds = rt.cache_stats("example:field_gather", fused=True)
+    st = rt.cache_stats("example:field_gather", fused=True)
     print(f"\nfused plan cache after 3 iterations: "
-          f"{hits} hits, {builds} builds")
+          f"{st.hits} hits, {st.builds} builds")
 
     # re-hash stamp a (the mesh adapted): the next pipeline run detects
     # the stale chain and rebuilds the fused plan exactly once
@@ -111,10 +111,10 @@ def main() -> None:
          gather_phase(sched, w.local, allocate_ghosts(sched, w.local))],
         loop_id="example:field_gather",
     )
-    hits, builds = rt.cache_stats("example:field_gather", fused=True)
+    st = rt.cache_stats("example:field_gather", fused=True)
     print(f"after a stamp change + rebuild:      "
-          f"{hits} hits, {builds} builds")
-    assert (hits, builds) == (2, 2)
+          f"{st.hits} hits, {st.builds} builds")
+    assert (st.hits, st.builds) == (2, 2)
 
     # incremental delta rebuilds: an adapt() that names the *touched
     # positions* repairs the cached schedule in place (rehash_delta +

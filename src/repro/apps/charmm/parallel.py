@@ -121,8 +121,8 @@ class ParallelMD:
     # lifecycle
     # ==================================================================
     def close(self) -> None:
-        """Tear down the context's backend resources (idempotent)."""
-        self.ctx.close()
+        """No-op, kept with ``with`` support for existing callers: a
+        context holds no resources, so there is nothing to release."""
 
     def __enter__(self) -> "ParallelMD":
         return self

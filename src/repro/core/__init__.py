@@ -67,14 +67,11 @@ from repro.core.remap import (
 )
 from repro.core.backends import (
     Backend,
-    BackendResources,
     SerialBackend,
-    ThreadedBackend,
     VectorizedBackend,
     available_backends,
     default_backend,
     get_backend,
-    register_backend,
     resolve_backend,
     set_default_backend,
     use_backend,
@@ -158,14 +155,11 @@ __all__ = [
     "remap_global_values",
     "remap_phase",
     "Backend",
-    "BackendResources",
     "SerialBackend",
-    "ThreadedBackend",
     "VectorizedBackend",
     "available_backends",
     "default_backend",
     "get_backend",
-    "register_backend",
     "resolve_backend",
     "set_default_backend",
     "use_backend",

@@ -123,26 +123,18 @@ class DistributedArray:
         """Phase B: move to a new distribution (charged remap).
 
         ``ctx`` defaults to a context resolved from this array's
-        machine with the process default backend; a context created
-        here is also closed here, so the backend's per-context
-        resources cannot outlive the call.
+        machine with the process default backend.
         """
-        owned = ctx is None
-        if owned:
+        if ctx is None:
             ctx = ExecutionContext.resolve(self.machine)
         elif not isinstance(ctx, ExecutionContext):
             raise TypeError(
                 f"redistribute: ctx must be an ExecutionContext, got "
                 f"{ctx!r}"
             )
-        try:
-            plan = remap(ctx, self.ttable.dist, new_ttable.dist,
-                         category=category)
-            new_local = remap_array(ctx, plan, self.local,
-                                    category=category)
-        finally:
-            if owned:
-                ctx.close()
+        plan = remap(ctx, self.ttable.dist, new_ttable.dist,
+                     category=category)
+        new_local = remap_array(ctx, plan, self.local, category=category)
         return DistributedArray(self.machine, new_ttable, new_local)
 
     def copy(self) -> "DistributedArray":
@@ -164,14 +156,11 @@ class ChaosRuntime:
     default backend is resolved at init.  The context's backend runs
     every phase — index analysis, schedule generation, translation
     lookups, and executor data transport; hash tables are created with
-    its key store, so serial vs vectorized vs threaded is selectable
-    end-to-end.
+    its key store, so serial vs vectorized is selectable end-to-end.
 
-    The runtime *owns the context's lifecycle*: :meth:`close` (or use
-    as a ``with`` block) tears down the backend's per-context resources
-    — the threaded backend's worker pool first of all.  Closing is
-    idempotent; runtimes sharing one context share its resources, so
-    whichever owner closes first closes for all.
+    :meth:`close` and use as a ``with`` block are kept for callers
+    written against them; they release nothing, because a context owns
+    no resources.
 
     Note that the schedule cache is *per context*: two runtimes built
     from the same context share it, so cache keys (caller-chosen loop
@@ -194,8 +183,7 @@ class ChaosRuntime:
 
     # ---- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Tear down the context's backend resources (idempotent)."""
-        self.ctx.close()
+        """No-op: the runtime holds nothing that needs releasing."""
 
     def __enter__(self) -> "ChaosRuntime":
         return self
@@ -209,9 +197,8 @@ class ChaosRuntime:
         Mirrors :meth:`repro.lang.program.ProgramInstance.cache_stats`
         so both entry points report schedule-reuse counters uniformly;
         ``key`` is the caller-chosen loop id handed to the cache.  The
-        returned :class:`~repro.core.reuse.CacheStats` compares equal to
-        and unpacks as the historical ``(hits, builds)`` tuple, and
-        additionally carries ``delta_rebuilds``, ``evictions`` and
+        returned :class:`~repro.core.reuse.CacheStats` carries ``hits``,
+        ``builds``, ``delta_rebuilds``, ``evictions`` and
         ``resident_bytes``.  With ``fused=True`` it reports the loop's
         *fused-plan* entry instead (the chain cached by
         ``run_pipeline(..., loop_id=key)``), so fusion effectiveness is

@@ -1,53 +1,39 @@
-"""Pluggable executor backends.
+"""Executor backends.
 
-Importing this package registers the four built-in backends:
+Importing this package builds the two backends:
 
 * ``serial`` — reference pair-loop semantics,
-* ``vectorized`` — flat plans moved by fused numpy kernels (the default),
-* ``threaded`` — vectorized kernels with the rank loops fanned out over
-  a per-context worker *thread* pool,
-* ``multiprocess`` — the same kernels shipped to worker *processes*
-  over shared-memory views of the plans' index buffers.
+* ``vectorized`` — flat plans moved by fused numpy kernels (the default).
 
 Selection happens through the
 :class:`~repro.core.context.ExecutionContext` every primitive takes
 first: ``ExecutionContext.resolve(machine, "serial")`` for an explicit
 choice, or ``ExecutionContext.resolve(machine)`` to follow the
 process-wide default (:func:`set_default_backend` / ``REPRO_BACKEND``
-env var, temporarily overridable with :func:`use_backend`).  Backends
-own their per-context resources through :meth:`Backend.open` /
-:meth:`Backend.close`; the handle rides on ``ctx.resources``.
+env var, temporarily overridable with :func:`use_backend`).
 """
 
 from repro.core.backends.base import (
     BACKEND_ENV_VAR,
     Backend,
-    BackendResources,
     available_backends,
     default_backend,
     get_backend,
-    register_backend,
     resolve_backend,
     set_default_backend,
     use_backend,
 )
-from repro.core.backends.multiprocess import MultiprocessBackend
 from repro.core.backends.serial import SerialBackend
-from repro.core.backends.threaded import ThreadedBackend
 from repro.core.backends.vectorized import VectorizedBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "Backend",
-    "BackendResources",
-    "MultiprocessBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "VectorizedBackend",
     "available_backends",
     "default_backend",
     "get_backend",
-    "register_backend",
     "resolve_backend",
     "set_default_backend",
     "use_backend",

@@ -1,4 +1,4 @@
-"""Phase-complete backend protocol and registry.
+"""Phase-complete backend protocol and the backend set.
 
 A :class:`Backend` implements every interpreter-bound step of the CHAOS
 pipeline, spanning both halves of the inspector/executor split:
@@ -20,7 +20,7 @@ so every backend sees pre-validated inputs and only has to do the work
 and charge the machine.  Backend methods receive that same context as
 their first argument (``ctx.machine`` is the machine to charge).
 
-Four implementations ship with the runtime:
+Two implementations ship with the runtime, and they are the whole set:
 
 * ``serial`` — the reference semantics: a Python dict operation per hash
   key, a Python loop per communicating ``(p, q)`` rank pair, one
@@ -31,20 +31,10 @@ Four implementations ship with the runtime:
   (:meth:`Machine.exchange_compiled`) with one array charge per charge
   kind per stage, and one flat move per stage column — a composed index
   pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
-  :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks;
-* ``threaded`` — the same kernel with its rank ranges (one contiguous
-  range per worker) fanned out over a per-context thread pool;
-* ``multiprocess`` — the same kernel over the same ranges in a
-  per-context *process* pool, on shared-memory views of the index pair
-  and the two flat buffers of each move, sidestepping the GIL
-  entirely.
+  :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks.
 
-Backends are also *resource owners*: :meth:`Backend.open` creates a
-per-context :class:`BackendResources` handle (thread pools, scratch
-buffers) when an :class:`~repro.core.context.ExecutionContext` is
-constructed, and :meth:`Backend.close` tears it down deterministically
-when the owning component closes the context.  The default handle owns
-nothing, so the serial and vectorized backends pay no lifecycle cost.
+Both are stateless singletons built once at import: a backend owns no
+per-context resources, so a context needs no lifecycle.
 
 Backends must be *observationally identical*: same results bitwise
 (localized indices, ghost-slot assignment, schedules, executor data),
@@ -53,16 +43,13 @@ same traffic statistics message-for-message, same virtual-time totals
 ``tests/conftest.py:ALL_BACKENDS`` (``test_backends.py``,
 ``test_inspector_backends.py``, ``test_fused.py``,
 ``test_adaptive_delta.py``, the CHARMM/DSMC parallel suites, ...)
-enforce this on randomized workloads.  New execution strategies
-(sharded, alternative transports) plug in via :func:`register_backend`
-without touching applications.
+enforce this on randomized workloads.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 
@@ -72,139 +59,6 @@ from repro.core.hashtable import group_of, split_stream, stream_of
 
 #: environment variable consulted for the initial default backend
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-def pool_width(n_ranks: int) -> int:
-    """Worker count for a rank pool: one per rank, capped by the host."""
-    return max(1, min(int(n_ranks), os.cpu_count() or 1))
-
-
-def chunk_ranks(n_ranks: int, width: int) -> list[range]:
-    """Contiguous rank ranges, one per worker, balanced to ±1."""
-    width = max(1, min(int(width), int(n_ranks)))
-    base, extra = divmod(n_ranks, width)
-    stops = np.cumsum([base + (i < extra) for i in range(width)]).tolist()
-    return [range(lo, hi) for lo, hi in zip([0] + stops, stops)]
-
-
-def collect_futures(futures) -> list:
-    """Await futures in submission order; clean up if any kernel fails.
-
-    On the first failure the not-yet-started futures are cancelled and
-    the in-flight ones drained, so no worker is still writing into the
-    caller's arrays (or shared buffers) after the exception propagates.
-    """
-    try:
-        return [f.result() for f in futures]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        for f in futures:
-            if not f.cancelled():
-                f.exception()
-        raise
-
-
-class BackendResources:
-    """Per-context resource handle created by :meth:`Backend.open`.
-
-    One handle is opened when an
-    :class:`~repro.core.context.ExecutionContext` is constructed and
-    closed exactly once — by ``ctx.close()`` (usually via the owning
-    component's ``close()``), or as a garbage-collection safety net for
-    handles whose subclass registers a finalizer.  ``close()`` is
-    idempotent.  The base handle owns nothing; backends with real
-    resources (e.g. the threaded backend's worker pool) subclass it and
-    override :meth:`_release`.
-    """
-
-    __slots__ = ("backend", "_closed", "__weakref__")
-
-    def __init__(self, backend: "Backend"):
-        self.backend = backend
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Release owned resources; safe to call more than once."""
-        if not self._closed:
-            self._closed = True
-            self._release()
-
-    def _release(self) -> None:
-        """Subclass hook: actually free the owned resources."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "closed" if self._closed else "open"
-        return (f"{type(self).__name__}(backend={self.backend.name!r}, "
-                f"{state})")
-
-
-class PooledResources(BackendResources):
-    """Per-context worker pool plus its GC safety-net finalizer.
-
-    One audited implementation of the pool lifecycle shared by the
-    threaded and multiprocess backends: subclasses provide
-    :meth:`_make_pool`; the pool is created through :meth:`ensure_pool`
-    (eagerly at construction unless ``eager=False`` — process pools
-    defer the expensive worker launch until first use).  Deterministic
-    teardown is ``ctx.close()``; a :func:`weakref.finalize` callback
-    backs it up so a context dropped without ``close()`` cannot leak OS
-    threads or processes.  The finalizer closes over a small shared
-    state dict — never over ``self``, which would make the handle
-    immortal.  Subclasses owning more than the pool stash it in
-    ``_state`` and override :meth:`_emergency` / :meth:`_release_extra`.
-    """
-
-    __slots__ = ("n_workers", "_state", "_finalizer")
-
-    def __init__(self, owner: "Backend", n_ranks: int, eager: bool = True):
-        super().__init__(owner)
-        self.n_workers = pool_width(n_ranks)
-        self._state: dict = {"pool": None}
-        self._finalizer = weakref.finalize(
-            self, type(self)._emergency, self._state
-        )
-        if eager:
-            self.ensure_pool()
-
-    @property
-    def pool(self):
-        """The worker pool, or ``None`` when created lazily and unused."""
-        return self._state["pool"]
-
-    def ensure_pool(self):
-        """Create the pool on first use; idempotent thereafter."""
-        pool = self._state["pool"]
-        if pool is None:
-            pool = self._state["pool"] = self._make_pool()
-        return pool
-
-    def _make_pool(self):
-        """Subclass hook: build the executor the rank loops fan over."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _shutdown_pool(state: dict, wait: bool) -> None:
-        pool = state.get("pool")
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=not wait)
-
-    @classmethod
-    def _emergency(cls, state: dict) -> None:
-        """GC safety net (must not touch any resource-handle object)."""
-        cls._shutdown_pool(state, wait=False)
-
-    def _release(self) -> None:
-        self._finalizer.detach()
-        self._shutdown_pool(self._state, wait=True)
-        self._release_extra()
-
-    def _release_extra(self) -> None:
-        """Subclass hook: free non-pool resources after pool shutdown."""
 
 
 class Backend(ABC):
@@ -217,43 +71,8 @@ class Backend(ABC):
     exactly as the serial reference does.
     """
 
-    #: registry key; subclasses override
+    #: key in the backend set; subclasses override
     name: str = "abstract"
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def open(self, ctx) -> BackendResources:
-        """Create this backend's per-context resources.
-
-        Called once from :class:`ExecutionContext` construction; the
-        returned handle rides on ``ctx.resources`` and is torn down by
-        :meth:`close` when the owning component closes the context.
-        Default: an empty handle (no pools, no buffers).
-        """
-        return BackendResources(self)
-
-    def close(self, resources: BackendResources) -> None:
-        """Tear down a handle produced by :meth:`open` (idempotent)."""
-        resources.close()
-
-    def _owned_resources(self, ctx, cls: type) -> BackendResources:
-        """The context's resource handle, verified owned, open, and of
-        type ``cls`` — the shared entry check of every resource-backed
-        ``_run_ranks`` (rank-range fan-out) implementation."""
-        res = ctx.resources
-        if not isinstance(res, cls) or res.backend is not self:
-            raise RuntimeError(
-                f"{self.name} backend invoked on a context whose resources "
-                f"it does not own; build the context with "
-                f"ExecutionContext.resolve(machine, {self.name!r})"
-            )
-        if res.closed:
-            raise RuntimeError(
-                "ExecutionContext already closed: its worker pool was shut "
-                "down; create a fresh context for new work"
-            )
-        return res
 
     # ------------------------------------------------------------------
     # inspector phase
@@ -333,62 +152,42 @@ class Backend(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-_REGISTRY: dict[str, type[Backend]] = {}
-_INSTANCES: dict[str, Backend] = {}
+#: the backend set, one instance per name, built as the two backend
+#: modules are imported (``ExecutionContext`` compares backends by
+#: identity)
+_BACKENDS: dict[str, Backend] = {}
 _default_name: str | None = None
-#: guards the registry, the instance cache, and the process default —
-#: the multi-tenant server resolves backends from many threads at once,
-#: and the one-instance-per-name invariant (ExecutionContext compares
-#: backends by identity) must hold under that concurrency.  Reentrant:
-#: set_default_backend/default_backend call get_backend under the lock.
-_REGISTRY_LOCK = threading.RLock()
+#: guards the process default — the multi-tenant server resolves
+#: backends from many threads at once
+_DEFAULT_LOCK = threading.Lock()
 
 
-def register_backend(cls: type[Backend]) -> type[Backend]:
-    """Register a backend class under ``cls.name`` (usable as decorator)."""
-    name = getattr(cls, "name", None)
-    if not name or name == Backend.name:
-        raise ValueError(f"backend class {cls!r} must define a unique name")
-    with _REGISTRY_LOCK:
-        _REGISTRY[name] = cls
-        _INSTANCES.pop(name, None)
+def _builtin(cls: type[Backend]) -> type[Backend]:
+    """Class decorator: add one instance of ``cls`` to the backend set."""
+    _BACKENDS[cls.name] = cls()
     return cls
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (a copy: safe to iterate while
-    other threads register)."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
+    """Backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def get_backend(name: str) -> Backend:
-    """Instantiate (once) and return the backend registered as ``name``.
-
-    Thread-safe: concurrent callers racing on an uninstantiated name
-    all receive the same instance (double-checked under the module
-    lock), so backend identity comparisons stay sound.
-    """
-    inst = _INSTANCES.get(name)  # fast path: steady state, no lock
-    if inst is not None:
-        return inst
-    with _REGISTRY_LOCK:
-        if name not in _REGISTRY:
-            raise KeyError(
-                f"unknown backend {name!r}; available: "
-                f"{available_backends()}"
-            )
-        inst = _INSTANCES.get(name)
-        if inst is None:
-            inst = _INSTANCES[name] = _REGISTRY[name]()
-        return inst
+    """The backend named ``name``."""
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown backend {name!r}; available: {available_backends()}"
+        ) from None
 
 
 def set_default_backend(name: str) -> None:
     """Select the process-wide default backend by name (thread-safe)."""
     global _default_name
-    with _REGISTRY_LOCK:
-        get_backend(name)  # validate eagerly
+    get_backend(name)  # validate eagerly
+    with _DEFAULT_LOCK:
         _default_name = name
 
 
@@ -398,10 +197,8 @@ def default_backend() -> Backend:
     Resolution order: :func:`set_default_backend`, then the
     ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
     """
-    with _REGISTRY_LOCK:
-        name = (_default_name or os.environ.get(BACKEND_ENV_VAR)
-                or "vectorized")
-        return get_backend(name)
+    return get_backend(_default_name or os.environ.get(BACKEND_ENV_VAR)
+                       or "vectorized")
 
 
 def resolve_backend(backend) -> Backend:
@@ -427,13 +224,13 @@ def use_backend(name: str):
     backends explicitly per job instead of toggling the default.
     """
     global _default_name
-    with _REGISTRY_LOCK:
-        previous = _default_name
-        set_default_backend(name)
+    backend = get_backend(name)
+    with _DEFAULT_LOCK:
+        previous, _default_name = _default_name, name
     try:
-        yield get_backend(name)
+        yield backend
     finally:
-        with _REGISTRY_LOCK:
+        with _DEFAULT_LOCK:
             _default_name = previous
 
 

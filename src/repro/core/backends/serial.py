@@ -23,11 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.backends.base import Backend, register_backend
+from repro.core.backends.base import Backend, _builtin
 from repro.core.hashtable import DictKeyStore
 
 
-@register_backend
+@_builtin
 class SerialBackend(Backend):
     """Reference per-key / per-rank-pair implementation of every phase."""
 

@@ -46,16 +46,11 @@ wholesale to the serial reference.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.backends.base import (
-    Backend,
-    get_backend,
-    register_backend,
-)
+from repro.core.backends.base import Backend, _builtin, get_backend
 from repro.core.compiled import (
     RankArena,
     as_arena,
@@ -87,34 +82,32 @@ class _Move(NamedTuple):
 
     src_index: np.ndarray
     dst_index: np.ndarray | None
-    bounds: np.ndarray
     op: object
     src: np.ndarray
     dst: np.ndarray | None
     staged: list | None = None
 
 
-def fused_apply(move: _Move, lo: int, hi: int) -> None:
-    """The one executor kernel: destination ranks ``[lo, hi)`` of one
-    column move.
+def fused_apply(move: _Move) -> None:
+    """The one executor kernel: one column move over the whole machine.
 
     A covering forward move is a single ``take`` into its destination
-    slice; an indexed move walks its stream share in cache-sized slices,
-    in stream order — the combiner's fold order bit for bit.
+    prefix; an indexed move walks its stream in cache-sized slices, in
+    stream order — the combiner's fold order bit for bit.
     """
-    src_index, dst_index, bounds, op, src, dst, _ = move
-    a, b = int(bounds[lo]), int(bounds[hi])
+    src_index, dst_index, op, src, dst, _ = move
+    n = src_index.size
     if dst_index is None:
         if src.dtype == dst.dtype:
             # straight into the output, no temporary: only the
             # non-raising modes of take() write unbuffered, and
             # _prepare has bounded the indices already
-            src.take(src_index[a:b], out=dst[a:b], mode="clip")
+            src.take(src_index, out=dst[:n], mode="clip")
         else:
-            dst[a:b] = src.take(src_index[a:b])
+            dst[:n] = src.take(src_index)
         return
-    for i in range(a, b, _STREAM_BLOCK):
-        j = min(i + _STREAM_BLOCK, b)
+    for i in range(0, n, _STREAM_BLOCK):
+        j = min(i + _STREAM_BLOCK, n)
         seg = src.take(src_index[i:j])
         if op is None:
             dst[dst_index[i:j]] = seg
@@ -137,32 +130,12 @@ def _copy_back(dests: list, staged: np.ndarray) -> None:
         lo += a.size
 
 
-@register_backend
+@_builtin
 class VectorizedBackend(Backend):
     """Batched inspector + compiled-plan executor (no per-key or
     per-pair Python loops)."""
 
     name = "vectorized"
-
-    # ------------------------------------------------------------------
-    # rank-range execution hook
-    # ------------------------------------------------------------------
-    def _run_ranks(self, ctx, fn) -> list:
-        """Run ``fn(lo, hi)`` over rank ranges that partition the
-        machine; one result per range, in rank order.
-
-        The executor's kernel — ``partial(fused_apply, move)`` — goes
-        through this hook so the pooled backends can fan the ranges out
-        over the workers in ``ctx.resources`` (a process backend ships
-        the move it reads off the partial, not the closure); returning
-        is the barrier between one move and the next.  The kernel is
-        *pure*: it reads shared inputs, writes only outputs owned by
-        the ranks of its range, and never touches ``ctx.machine`` — all
-        charging stays with the caller, so accounting is
-        bitwise-identical however the ranges execute.  Here: the whole
-        machine in one call.
-        """
-        return [fn(0, ctx.machine.n_ranks)]
 
     # ------------------------------------------------------------------
     # inspector phase: index analysis
@@ -301,8 +274,7 @@ class VectorizedBackend(Backend):
                 out, dsizes = bind.dests, dlayout[0]
                 if stage.kind in ("append", "remap"):
                     dsizes = tuple(plan.extent.tolist())
-                src_index, dst_index, bounds = plan.move(
-                    stage.kind, sizes, dsizes, k)
+                src_index, dst_index = plan.move(stage.kind, sizes, dsizes, k)
                 if out is None:
                     # rows no arrival covers read as zero
                     alloc = np.empty if dst_index is None else np.zeros
@@ -310,7 +282,7 @@ class VectorizedBackend(Backend):
                                           dtype=dtype), dsizes)
                 arena, dest = as_arena(col), as_arena(out)
                 moves.append(_Move(
-                    src_index, dst_index, bounds, stage.op,
+                    src_index, dst_index, stage.op,
                     _concat(col) if arena is None else arena.flat.reshape(-1),
                     None if dest is None else dest.flat.reshape(-1),
                     None if dest is not None else out))
@@ -337,7 +309,7 @@ class VectorizedBackend(Backend):
                 if held is None:
                     held = (mv.staged, _concat(mv.staged))
                 mv = mv._replace(dst=held[1])
-            self._run_ranks(ctx, partial(fused_apply, mv))
+            fused_apply(mv)
         if held is not None:
             _copy_back(*held)
         return results

@@ -16,8 +16,7 @@ Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
 transport: ``serial`` reproduces the historical pair-loop semantics,
 ``vectorized`` (the default) moves the plan's flat streams with fused
-numpy operations, ``threaded`` and ``multiprocess`` fan rank ranges of
-the same kernel out over the context's worker pool.
+numpy operations.
 
 **One path.**  A schedule is a precomputed pack → exchange → place
 plan, and every primitive is that plan run in one direction or the
@@ -299,7 +298,7 @@ def fusable(phases) -> tuple[bool, str]:
     chain runs phase-by-phase instead):
 
     * combiners must be *named numpy ufuncs* (``np.add``, ...), the only
-      ops every backend can apply — and ship across process boundaries;
+      ops every backend can apply;
     * no stage may *read* an array any stage *writes* (compared by
       owning memory): the fused executor binds every stage's sources
       before applying any stage, so a later stage reading an earlier

@@ -33,13 +33,9 @@ from typing import Any, Callable
 FUSED_SUFFIX = "::fused"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CacheStats:
     """Structured cache counters.
-
-    Compares equal to, and unpacks as, the historical ``(hits, builds)``
-    tuple so every caller written against the two-counter shape keeps
-    working; the richer counters ride along:
 
     ``hits``            entries served without any rebuild,
     ``builds``          full builder runs,
@@ -53,24 +49,6 @@ class CacheStats:
     delta_rebuilds: int = 0
     evictions: int = 0
     resident_bytes: int = 0
-
-    def __iter__(self):
-        # tuple-unpacking compatibility: ``hits, builds = cache.stats(k)``
-        yield self.hits
-        yield self.builds
-
-    def __eq__(self, other):
-        if isinstance(other, CacheStats):
-            return (
-                self.hits == other.hits
-                and self.builds == other.builds
-                and self.delta_rebuilds == other.delta_rebuilds
-                and self.evictions == other.evictions
-                and self.resident_bytes == other.resident_bytes
-            )
-        if isinstance(other, tuple):
-            return (self.hits, self.builds) == other
-        return NotImplemented
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         if not isinstance(other, CacheStats):

@@ -348,8 +348,8 @@ class ProgramInstance:
     # lifecycle
     # ==================================================================
     def close(self) -> None:
-        """Tear down the context's backend resources (idempotent)."""
-        self.ctx.close()
+        """No-op, kept with ``with`` support for existing callers: a
+        context holds no resources, so there is nothing to release."""
 
     def __enter__(self) -> "ProgramInstance":
         return self
@@ -701,8 +701,7 @@ class ProgramInstance:
 
     def cache_stats(self, loop_id: str) -> "CacheStats":
         """Structured counters of this instance's cached value for a loop
-        (a :class:`~repro.core.reuse.CacheStats`; compares equal to and
-        unpacks as the historical ``(hits, builds)`` tuple)."""
+        (a :class:`~repro.core.reuse.CacheStats`)."""
         return self.cache.stats(self.cache_key(loop_id))
 
     def total_cache_stats(self) -> "CacheStats":

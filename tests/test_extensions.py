@@ -167,14 +167,14 @@ C$ ALIGN x WITH reg
         inst.execute()
         after_first = inst.get_array("x").copy()
         loop_id = prog.loop_ids()[0]
-        _, builds0 = inst.cache_stats(loop_id)
+        builds0 = inst.cache_stats(loop_id).builds
         # redistribute irregularly; values must survive, schedule must
         # regenerate on the next loop execution
         inst.set_array("map", rng.integers(0, 4, n))
         inst.redistribute("reg", "map")
         assert np.allclose(inst.get_array("x"), after_first)
         inst.run_loop(loop_id)
-        _, builds1 = inst.cache_stats(loop_id)
+        builds1 = inst.cache_stats(loop_id).builds
         assert builds1 == builds0 + 1
         expected = after_first.copy()
         np.add.at(expected, np.asarray(inst.get_array("ia"),

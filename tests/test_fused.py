@@ -4,14 +4,14 @@ The fusion contract is the backend contract one level up: a fused chain
 must be *observationally identical* to running its phases through the
 ordinary primitives — bitwise-equal results and ghosts, the exact same
 traffic (message counts, bytes, tags, per-message records) and per-rank
-clocks (to float round-off) — on every registered backend.  Fusion only
+clocks (to float round-off) — on every backend.  Fusion only
 changes how fast the data moves, never what moves or what it costs.
 
 Covered here:
 
 * randomized gather + scatter_op chains (the CHARMM force pattern) and
   multi-phase remaps over one plan (the DSMC / CHARMM Phase-B pattern),
-  fused vs unfused, four ways;
+  fused vs unfused, on every backend;
 * the "multiple schedule mode" shape: two gathers from two schedules
   filling one shared table-wide ghost buffer in one pass;
 * legality fallbacks — a non-ufunc combiner and a chain whose scatter
@@ -22,6 +22,7 @@ Covered here:
 * empty machines, empty schedules and zero-size plans;
 * fused-plan cache counters under a ``loop_id`` (hits, builds, and the
   hit-preserving rebuild when a schedule is re-inspected);
+* a kernel that raises surfaces its error and leaves the context usable;
 * the flat-move differential: every primitive over every buffer shape
   the executor distinguishes (arena, plain list, degraded arena,
   oversize or shared ghost buffers, another dtype, empty ranks) equals
@@ -29,9 +30,7 @@ Covered here:
 """
 
 import gc
-import os
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,7 +59,6 @@ from repro.core import (
     scatter_op_phase,
     split_by_block,
 )
-from repro.core.backends.multiprocess import SHIP_THRESHOLD_ENV_VAR
 from repro.core.reuse import FUSED_SUFFIX
 from repro.sim import Machine
 
@@ -116,25 +114,22 @@ def _gather_scatter(backend, fused, seed, n_ranks, n, n_ref, trailing):
     """One gather + one scatter_op over the same schedule; observe all."""
     m, x, sched, rng = _schedule_env(seed, n_ranks, n, n_ref, trailing)
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        ghosts = allocate_ghosts(sched, x.local)
-        contrib = None
-        if fused:
-            run_pipeline(ctx, [gather_phase(sched, x.local, ghosts)],
-                         loop_id="gs:g")
-            contrib = [1.5 * g + 0.25 for g in ghosts]
-            run_pipeline(
-                ctx,
-                [scatter_op_phase(sched, x.local, contrib, np.add)],
-                loop_id="gs:s",
-            )
-        else:
-            gather(ctx, sched, x.local, ghosts)
-            contrib = [1.5 * g + 0.25 for g in ghosts]
-            scatter_op(ctx, sched, x.local, contrib, np.add)
-        return _observe(m, ghosts, x.local)
-    finally:
-        ctx.close()
+    ghosts = allocate_ghosts(sched, x.local)
+    contrib = None
+    if fused:
+        run_pipeline(ctx, [gather_phase(sched, x.local, ghosts)],
+                     loop_id="gs:g")
+        contrib = [1.5 * g + 0.25 for g in ghosts]
+        run_pipeline(
+            ctx,
+            [scatter_op_phase(sched, x.local, contrib, np.add)],
+            loop_id="gs:s",
+        )
+    else:
+        gather(ctx, sched, x.local, ghosts)
+        contrib = [1.5 * g + 0.25 for g in ghosts]
+        scatter_op(ctx, sched, x.local, contrib, np.add)
+    return _observe(m, ghosts, x.local)
 
 
 @settings(max_examples=15, deadline=None)
@@ -166,25 +161,22 @@ def _remap_pipeline(backend, fused, seed, n_ranks, n, trailing):
     b = rt.distribute(rng.integers(0, 1000, n), old_tt)
     c = rt.distribute(rng.standard_normal(n), old_tt)
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        plan = remap(ctx, old_tt.dist, new_tt.dist)
-        m.reset_clocks()
-        m.reset_traffic()
-        if fused:
-            ra, rb, rc = run_pipeline(
-                ctx,
-                [remap_phase(plan, a.local),
-                 remap_phase(plan, b.local),
-                 remap_phase(plan, c.local)],
-                category="remap", loop_id="rm",
-            )
-        else:
-            ra = remap_array(ctx, plan, a.local)
-            rb = remap_array(ctx, plan, b.local)
-            rc = remap_array(ctx, plan, c.local)
-        return _observe(m, ra, rb, rc)
-    finally:
-        ctx.close()
+    plan = remap(ctx, old_tt.dist, new_tt.dist)
+    m.reset_clocks()
+    m.reset_traffic()
+    if fused:
+        ra, rb, rc = run_pipeline(
+            ctx,
+            [remap_phase(plan, a.local),
+             remap_phase(plan, b.local),
+             remap_phase(plan, c.local)],
+            category="remap", loop_id="rm",
+        )
+    else:
+        ra = remap_array(ctx, plan, a.local)
+        rb = remap_array(ctx, plan, b.local)
+        rc = remap_array(ctx, plan, c.local)
+    return _observe(m, ra, rb, rc)
 
 
 @settings(max_examples=10, deadline=None)
@@ -235,21 +227,17 @@ def test_fused_shared_ghost_double_gather(backend):
     gather(ctx, s1, x.local, ghosts_ref)
     gather(ctx, s2, x.local, ghosts_ref)
     ref = _observe(m, ghosts_ref)
-    ctx.close()
 
     m, x, s1, s2 = _two_schedule_env()
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        ghosts = allocate_ghosts(s1, x.local)
-        run_pipeline(
-            ctx,
-            [gather_phase(s1, x.local, ghosts),
-             gather_phase(s2, x.local, ghosts)],
-            loop_id="multi",
-        )
-        _assert_same(ref, _observe(m, ghosts))
-    finally:
-        ctx.close()
+    ghosts = allocate_ghosts(s1, x.local)
+    run_pipeline(
+        ctx,
+        [gather_phase(s1, x.local, ghosts),
+         gather_phase(s2, x.local, ghosts)],
+        loop_id="multi",
+    )
+    _assert_same(ref, _observe(m, ghosts))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -266,28 +254,24 @@ def test_fused_shared_dest_double_scatter(backend):
     scatter_op(ctx, s1, x.local, c1, np.add)
     scatter_op(ctx, s2, x.local, c2, np.maximum)
     ref = _observe(m, x.local)
-    ctx.close()
 
     for backend_name in (backend,):
         m, x, s1, s2 = _two_schedule_env(seed=11)
         ctx = ExecutionContext.resolve(m, backend_name)
-        try:
-            g = allocate_ghosts(s1, x.local)
-            gather(ctx, s1, x.local, g)
-            c1 = [1.5 * a + 0.25 for a in g]
-            c2 = [2.0 * a for a in g]
-            m.reset_clocks()
-            m.reset_traffic()
-            out = run_pipeline(
-                ctx,
-                [scatter_op_phase(s1, x.local, c1, np.add),
-                 scatter_op_phase(s2, x.local, c2, np.maximum)],
-                loop_id="fs",
-            )
-            assert out == [None, None]
-            _assert_same(ref, _observe(m, x.local))
-        finally:
-            ctx.close()
+        g = allocate_ghosts(s1, x.local)
+        gather(ctx, s1, x.local, g)
+        c1 = [1.5 * a + 0.25 for a in g]
+        c2 = [2.0 * a for a in g]
+        m.reset_clocks()
+        m.reset_traffic()
+        out = run_pipeline(
+            ctx,
+            [scatter_op_phase(s1, x.local, c1, np.add),
+             scatter_op_phase(s2, x.local, c2, np.maximum)],
+            loop_id="fs",
+        )
+        assert out == [None, None]
+        _assert_same(ref, _observe(m, x.local))
 
 
 class _OddCombiner:
@@ -315,23 +299,19 @@ def test_non_ufunc_combiner_falls_back(backend):
     m.reset_traffic()
     scatter_op(ctx, sched, x.local, c, op)
     ref = _observe(m, x.local)
-    ctx.close()
 
     m, x, sched, rng = _schedule_env(23, 4, 70, 140, ())
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        g = allocate_ghosts(sched, x.local)
-        gather(ctx, sched, x.local, g)
-        c = [0.5 * a for a in g]
-        phases = [scatter_op_phase(sched, x.local, c, op)]
-        ok, reason = fusable(phases)
-        assert not ok and "ufunc" in reason
-        m.reset_clocks()
-        m.reset_traffic()
-        run_pipeline(ctx, phases)
-        _assert_same(ref, _observe(m, x.local))
-    finally:
-        ctx.close()
+    g = allocate_ghosts(sched, x.local)
+    gather(ctx, sched, x.local, g)
+    c = [0.5 * a for a in g]
+    phases = [scatter_op_phase(sched, x.local, c, op)]
+    ok, reason = fusable(phases)
+    assert not ok and "ufunc" in reason
+    m.reset_clocks()
+    m.reset_traffic()
+    run_pipeline(ctx, phases)
+    _assert_same(ref, _observe(m, x.local))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -343,20 +323,16 @@ def test_read_write_overlap_falls_back(backend):
     gather(ctx, sched, x.local, g)
     scatter_op(ctx, sched, x.local, g, np.add)
     ref = _observe(m, g, x.local)
-    ctx.close()
 
     m, x, sched, rng = _schedule_env(31, 4, 60, 120, (3,))
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        g = allocate_ghosts(sched, x.local)
-        phases = [gather_phase(sched, x.local, g),
-                  scatter_op_phase(sched, x.local, g, np.add)]
-        ok, reason = fusable(phases)
-        assert not ok and "reads" in reason
-        run_pipeline(ctx, phases)
-        _assert_same(ref, _observe(m, g, x.local))
-    finally:
-        ctx.close()
+    g = allocate_ghosts(sched, x.local)
+    phases = [gather_phase(sched, x.local, g),
+              scatter_op_phase(sched, x.local, g, np.add)]
+    ok, reason = fusable(phases)
+    assert not ok and "reads" in reason
+    run_pipeline(ctx, phases)
+    _assert_same(ref, _observe(m, g, x.local))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -368,27 +344,24 @@ def test_illegal_chain_equals_primitives_one_by_one(backend):
     for chained in (False, True):
         m, x, sched, rng = _schedule_env(47, 4, 60, 130, (3,))
         ctx = ExecutionContext.resolve(m, backend)
-        try:
-            rt = ChaosRuntime(ctx)
-            new_tt = rt.irregular_table(rng.integers(0, 4, 60))
-            plan = remap(ctx, x.ttable.dist, new_tt.dist)
-            m.reset_clocks()
-            m.reset_traffic()
-            g = allocate_ghosts(sched, x.local)
-            if chained:
-                phases = [gather_phase(sched, x.local, g),
-                          scatter_op_phase(sched, x.local, g, np.add),
-                          remap_phase(plan, x.local)]
-                assert not fusable(phases)[0]
-                _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
-                assert none is None
-            else:
-                gather(ctx, sched, x.local, g)
-                scatter_op(ctx, sched, x.local, g, np.add)
-                moved = remap_array(ctx, plan, x.local, category="comm")
-            observed.append(_observe(m, g, x.local, moved))
-        finally:
-            ctx.close()
+        rt = ChaosRuntime(ctx)
+        new_tt = rt.irregular_table(rng.integers(0, 4, 60))
+        plan = remap(ctx, x.ttable.dist, new_tt.dist)
+        m.reset_clocks()
+        m.reset_traffic()
+        g = allocate_ghosts(sched, x.local)
+        if chained:
+            phases = [gather_phase(sched, x.local, g),
+                      scatter_op_phase(sched, x.local, g, np.add),
+                      remap_phase(plan, x.local)]
+            assert not fusable(phases)[0]
+            _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
+            assert none is None
+        else:
+            gather(ctx, sched, x.local, g)
+            scatter_op(ctx, sched, x.local, g, np.add)
+            moved = remap_array(ctx, plan, x.local, category="comm")
+        observed.append(_observe(m, g, x.local, moved))
     _assert_same(observed[0], observed[1])
     assert observed[0][3] == observed[1][3]  # same backend: clocks exact
 
@@ -402,30 +375,27 @@ def test_three_column_append_stage_in_a_chain(backend):
     for chained in (False, True):
         m, x, sched, rng = _schedule_env(53, 4, 50, 110, ())
         ctx = ExecutionContext.resolve(m, backend)
-        try:
-            n_per = [12, 0, 7, 20]  # rank 1 sends nothing
-            lw = build_lightweight_schedule(
-                ctx, [rng.integers(0, 4, c) for c in n_per])
-            cols = [
-                [np.arange(c, dtype=np.int64) + 100 * p
-                 for p, c in enumerate(n_per)],
-                [rng.standard_normal((c, 3)) for c in n_per],
-                [rng.standard_normal(c) for c in n_per],
-            ]
-            m.reset_clocks()
-            m.reset_traffic()
-            g = allocate_ghosts(sched, x.local)
-            if chained:
-                _, out = run_pipeline(
-                    ctx, [gather_phase(sched, x.local, g),
-                          PipelinePhase("append", lw, cols)])
-            else:
-                gather(ctx, sched, x.local, g)
-                out = scatter_append_multi(ctx, lw, cols)
-            assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
-            observed.append(_observe(m, g, *out))
-        finally:
-            ctx.close()
+        n_per = [12, 0, 7, 20]  # rank 1 sends nothing
+        lw = build_lightweight_schedule(
+            ctx, [rng.integers(0, 4, c) for c in n_per])
+        cols = [
+            [np.arange(c, dtype=np.int64) + 100 * p
+             for p, c in enumerate(n_per)],
+            [rng.standard_normal((c, 3)) for c in n_per],
+            [rng.standard_normal(c) for c in n_per],
+        ]
+        m.reset_clocks()
+        m.reset_traffic()
+        g = allocate_ghosts(sched, x.local)
+        if chained:
+            _, out = run_pipeline(
+                ctx, [gather_phase(sched, x.local, g),
+                      PipelinePhase("append", lw, cols)])
+        else:
+            gather(ctx, sched, x.local, g)
+            out = scatter_append_multi(ctx, lw, cols)
+        assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
+        observed.append(_observe(m, g, *out))
     _assert_same(observed[0], observed[1])
     assert observed[0][3] == observed[1][3]
     # three columns, one message per communicating pair
@@ -445,10 +415,7 @@ def test_fused_empty_and_tiny(backend, n_ranks, n, n_ref):
     # an entirely empty phase list is a no-op returning no results
     m = Machine(n_ranks)
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        assert run_pipeline(ctx, []) == []
-    finally:
-        ctx.close()
+    assert run_pipeline(ctx, []) == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -475,7 +442,27 @@ def test_dropped_schedules_die_by_refcount(backend):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
-        ctx.close()
+
+
+def test_failing_rank_kernel_propagates_cleanly(monkeypatch):
+    """The executor kernel raising mid-call surfaces its own error from
+    the primitive, and the same context runs the next call normally."""
+    from repro.core.backends import vectorized
+
+    m, x, sched, rng = _schedule_env(67, 4, 50, 110, ())
+    ctx = ExecutionContext.resolve(m, "vectorized")
+
+    def boom(move):
+        raise ValueError("kernel failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vectorized, "fused_apply", boom)
+        with pytest.raises(ValueError, match="kernel failed"):
+            gather(ctx, sched, x.local)
+    got = gather(ctx, sched, x.local)
+    ref = gather(ExecutionContext.resolve(m, "serial"), sched, x.local)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_fused_cache_stats_and_rebuild():
@@ -489,13 +476,17 @@ def test_fused_cache_stats_and_rebuild():
     sched = rt.build_schedule(tt, "s")
     ghosts = allocate_ghosts(sched, x.local)
 
-    assert rt.cache_stats("loop", fused=True) == (0, 0)
+    def counts():
+        st = rt.cache_stats("loop", fused=True)
+        return st.hits, st.builds
+
+    assert counts() == (0, 0)
     run_pipeline(rt.ctx, [gather_phase(sched, x.local, ghosts)],
                  loop_id="loop")
-    assert rt.cache_stats("loop", fused=True) == (0, 1)
+    assert counts() == (0, 1)
     run_pipeline(rt.ctx, [gather_phase(sched, x.local, ghosts)],
                  loop_id="loop")
-    assert rt.cache_stats("loop", fused=True) == (1, 1)
+    assert counts() == (1, 1)
 
     # re-inspect: a new schedule under the same loop id forces a rebuild
     # of the fused plan without resetting the hit counter
@@ -506,14 +497,16 @@ def test_fused_cache_stats_and_rebuild():
     ghosts2 = allocate_ghosts(sched2, x.local)
     run_pipeline(rt.ctx, [gather_phase(sched2, x.local, ghosts2)],
                  loop_id="loop")
-    assert rt.cache_stats("loop", fused=True) == (1, 2)
+    assert counts() == (1, 2)
     run_pipeline(rt.ctx, [gather_phase(sched2, x.local, ghosts2)],
                  loop_id="loop")
-    assert rt.cache_stats("loop", fused=True) == (2, 2)
+    assert counts() == (2, 2)
     # the fused entry lives under its own suffixed key, so the unfused
     # schedule-cache slot for the same loop id is untouched
-    assert rt.cache_stats("loop") == (0, 0)
-    assert rt.schedule_cache.stats("loop" + FUSED_SUFFIX) == (2, 2)
+    unfused = rt.cache_stats("loop")
+    assert (unfused.hits, unfused.builds) == (0, 0)
+    assert (rt.schedule_cache.stats("loop" + FUSED_SUFFIX)
+            == rt.cache_stats("loop", fused=True))
 
 
 # ---------------------------------------------------------------------
@@ -551,59 +544,56 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
                                            m), "b")
     sched, sched_b = rt.build_schedule(tt, "a"), rt.build_schedule(tt, "b")
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        data = _shape_buffers(shape, rng, x.local)
-        if op.startswith("append"):
-            sizes = rng.integers(0, 9, n_ranks)
-            if shape == "empty_ranks":
-                sizes[::2] = 0
-            lw = build_lightweight_schedule(
-                ctx, [rng.integers(0, n_ranks, c) for c in sizes])
-            cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
-                                                         else c)
-                                     for c in sizes]),
-                    RankArena.adopt([np.arange(c) + 100 * p
-                                     for p, c in enumerate(sizes)]),
-                    RankArena.adopt([rng.standard_normal(c) for c in sizes])]
-            cols = [_shape_buffers(shape, rng, c)
-                    for c in cols[:int(op[-1])]]
-        elif op == "remap":
-            plan = remap(ctx, tt.dist, rt.irregular_table(
-                rng.integers(0, n_ranks, n)).dist)
-        ghosts = allocate_ghosts(sched, x.local)
-        if shape == "oversize":   # tails must survive every primitive
-            ghosts = RankArena(
-                np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
-                        .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
-        elif shape == "other_dtype":
-            ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
-        ghosts = _shape_buffers(shape, rng, ghosts)
-        if op != "gather":   # give the scatters something to return
-            for g in ghosts:
-                g[...] = rng.standard_normal(g.shape)
-        m.reset_clocks()
-        m.reset_traffic()
-        out = []
-        if op == "gather" and shape == "shared_ghosts":
-            run_pipeline(ctx, [gather_phase(sched, data, ghosts),
-                               gather_phase(sched_b, data, ghosts)])
-        elif op == "gather":
-            gather(ctx, sched, data, ghosts)
-        elif op == "scatter":
-            scatter(ctx, sched, data, ghosts)
-        elif op.startswith("scatter_"):
-            scatter_op(ctx, sched, data, ghosts,
-                       np.add if op == "scatter_add" else np.maximum)
-        elif op == "remap":
-            out = [remap_array(ctx, plan, data)]
-        else:
-            out = scatter_append_multi(ctx, lw, cols)
-        arrays = [*data, *ghosts, *(a for o in out for a in o)]
-        return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
-                m.traffic.snapshot(), list(m.traffic.messages),
-                _clock_snapshots(m))
-    finally:
-        ctx.close()
+    data = _shape_buffers(shape, rng, x.local)
+    if op.startswith("append"):
+        sizes = rng.integers(0, 9, n_ranks)
+        if shape == "empty_ranks":
+            sizes[::2] = 0
+        lw = build_lightweight_schedule(
+            ctx, [rng.integers(0, n_ranks, c) for c in sizes])
+        cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
+                                                     else c)
+                                 for c in sizes]),
+                RankArena.adopt([np.arange(c) + 100 * p
+                                 for p, c in enumerate(sizes)]),
+                RankArena.adopt([rng.standard_normal(c) for c in sizes])]
+        cols = [_shape_buffers(shape, rng, c)
+                for c in cols[:int(op[-1])]]
+    elif op == "remap":
+        plan = remap(ctx, tt.dist, rt.irregular_table(
+            rng.integers(0, n_ranks, n)).dist)
+    ghosts = allocate_ghosts(sched, x.local)
+    if shape == "oversize":   # tails must survive every primitive
+        ghosts = RankArena(
+            np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
+                    .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
+    elif shape == "other_dtype":
+        ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
+    ghosts = _shape_buffers(shape, rng, ghosts)
+    if op != "gather":   # give the scatters something to return
+        for g in ghosts:
+            g[...] = rng.standard_normal(g.shape)
+    m.reset_clocks()
+    m.reset_traffic()
+    out = []
+    if op == "gather" and shape == "shared_ghosts":
+        run_pipeline(ctx, [gather_phase(sched, data, ghosts),
+                           gather_phase(sched_b, data, ghosts)])
+    elif op == "gather":
+        gather(ctx, sched, data, ghosts)
+    elif op == "scatter":
+        scatter(ctx, sched, data, ghosts)
+    elif op.startswith("scatter_"):
+        scatter_op(ctx, sched, data, ghosts,
+                   np.add if op == "scatter_add" else np.maximum)
+    elif op == "remap":
+        out = [remap_array(ctx, plan, data)]
+    else:
+        out = scatter_append_multi(ctx, lw, cols)
+    arrays = [*data, *ghosts, *(a for o in out for a in o)]
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+            m.traffic.snapshot(), list(m.traffic.messages),
+            _clock_snapshots(m))
 
 
 @settings(max_examples=30, deadline=None)
@@ -617,11 +607,9 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
     k=st.sampled_from([1, 3]),
 )
 def test_flat_moves_equal_serial(op, shape, seed, n_ranks, n, n_ref, k):
-    # threshold 0: the multiprocess backend really ships every move
-    with mock.patch.dict(os.environ, {SHIP_THRESHOLD_ENV_VAR: "0"}):
-        ref = _flat_case("serial", op, shape, seed, n_ranks, n, n_ref, k)
-        flat = [_flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k)
-                for backend in BACKENDS[1:]]
+    ref = _flat_case("serial", op, shape, seed, n_ranks, n, n_ref, k)
+    flat = [_flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k)
+            for backend in BACKENDS[1:]]
     for backend, got in zip(BACKENDS[1:], flat):
         assert got[:3] == ref[:3], backend   # bytes, traffic: exact
         # the pair loop charges message by message, the flat path once

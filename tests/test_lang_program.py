@@ -93,11 +93,11 @@ class TestCharmmTemplate:
         inst = ProgramInstance(prog, Machine(4), copy_bindings(b))
         inst.execute()
         loop_id = prog.loop_ids()[0]
-        hits0, builds0 = inst.cache_stats(loop_id)
+        st0 = inst.cache_stats(loop_id)
         inst.run_loop(loop_id)
-        hits1, builds1 = inst.cache_stats(loop_id)
-        assert builds1 == builds0  # no rebuild
-        assert hits1 == hits0 + 1
+        st1 = inst.cache_stats(loop_id)
+        assert st1.builds == st0.builds  # no rebuild
+        assert st1.hits == st0.hits + 1
 
     def test_modified_indirection_triggers_rebuild(self, rng):
         n = 40
@@ -107,13 +107,13 @@ class TestCharmmTemplate:
         inst = ProgramInstance(prog, Machine(4), copy_bindings(b))
         inst.execute()
         loop_id = prog.loop_ids()[0]
-        _, builds0 = inst.cache_stats(loop_id)
+        builds0 = inst.cache_stats(loop_id).builds
         jnb2 = rng.integers(1, n + 1, b["jnb"].size)
         inst.set_array("jnb", jnb2)
         inst.set_array("dx", np.zeros(n))
         inst.set_array("dy", np.zeros(n))
         inst.run_loop(loop_id)
-        _, builds1 = inst.cache_stats(loop_id)
+        builds1 = inst.cache_stats(loop_id).builds
         assert builds1 == builds0 + 1
         b2 = copy_bindings(b)
         b2["jnb"], b2["dx"], b2["dy"] = jnb2, np.zeros(n), np.zeros(n)

@@ -1,4 +1,4 @@
-"""Unit tests: regular and graph partitioners, quality metrics."""
+"""Unit tests: regular partitioners, quality metrics."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,11 @@ import pytest
 from repro.partitioners import (
     BlockPartitioner,
     CyclicPartitioner,
-    GreedyGraphGrowing,
-    SpectralBisection,
     communication_volume,
     degree_weights,
-    edge_cut,
-    edges_to_csr,
     imbalance,
     part_weights,
 )
-
-
-def ring_edges(n):
-    return np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
 
 
 class TestRegular:
@@ -33,71 +25,6 @@ class TestRegular:
     def test_empty(self):
         res = BlockPartitioner().partition(np.zeros((0, 3)), 4)
         assert res.labels.size == 0
-
-
-class TestGraphHelpers:
-    def test_edges_to_csr_symmetric(self):
-        a = edges_to_csr(4, np.array([[0, 1], [1, 2]]))
-        assert a[0, 1] == 1 and a[1, 0] == 1
-        assert a[2, 1] == 1
-        assert a[0, 3] == 0
-
-    def test_self_loops_dropped(self):
-        a = edges_to_csr(3, np.array([[1, 1], [0, 2]]))
-        assert a[1, 1] == 0
-
-    def test_duplicate_edges_collapse(self):
-        a = edges_to_csr(3, np.array([[0, 1], [0, 1], [1, 0]]))
-        assert a[0, 1] == 1
-
-    def test_bad_edges_rejected(self):
-        with pytest.raises(IndexError):
-            edges_to_csr(3, np.array([[0, 3]]))
-        with pytest.raises(ValueError):
-            edges_to_csr(3, np.array([0, 1, 2]))
-
-    def test_edge_cut(self):
-        labels = np.array([0, 0, 1, 1])
-        edges = np.array([[0, 1], [1, 2], [2, 3]])
-        assert edge_cut(labels, edges) == 1
-        assert edge_cut(labels, np.zeros((0, 2), dtype=int)) == 0
-
-
-class TestGraphPartitioners:
-    def test_greedy_covers_all(self, rng):
-        n = 100
-        edges = ring_edges(n)
-        res = GreedyGraphGrowing(edges).partition(rng.random((n, 2)), 4)
-        assert np.all(res.labels >= 0)
-        counts = np.bincount(res.labels, minlength=4)
-        assert counts.min() > 0
-
-    def test_greedy_handles_disconnected(self, rng):
-        # two disjoint rings
-        e1 = ring_edges(20)
-        e2 = ring_edges(20) + 20
-        edges = np.concatenate([e1, e2])
-        res = GreedyGraphGrowing(edges).partition(rng.random((40, 2)), 2)
-        assert np.all(res.labels >= 0)
-
-    def test_spectral_ring_cut_is_small(self, rng):
-        """Bisecting a ring optimally cuts exactly 2 edges; spectral should
-        come close."""
-        n = 64
-        edges = ring_edges(n)
-        res = SpectralBisection(edges).partition(rng.random((n, 2)), 2)
-        assert edge_cut(res.labels, edges) <= 6
-
-    def test_spectral_beats_cyclic_on_rings(self, rng):
-        n = 64
-        edges = ring_edges(n)
-        spec = SpectralBisection(edges).partition(rng.random((n, 2)), 4)
-        cyc = CyclicPartitioner().partition(rng.random((n, 2)), 4)
-        assert edge_cut(spec.labels, edges) < edge_cut(cyc.labels, edges)
-
-    def test_single_part(self, rng):
-        res = SpectralBisection(ring_edges(8)).partition(rng.random((8, 2)), 1)
-        assert np.all(res.labels == 0)
 
 
 class TestQualityMetrics:
