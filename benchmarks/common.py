@@ -12,7 +12,7 @@ Set ``REPRO_BENCH_FULL=1`` for paper-sized runs.
 
 Executor backend selection: pass ``--backend=NAME`` to any table script
 (or set ``REPRO_BENCH_BACKEND``) to run its data transport through a
-specific executor backend (``serial`` or ``vectorized``); importing
+specific executor backend (``serial``, ``vectorized``, ...); importing
 this module applies the selection process-wide, so every bench script
 honours it uniformly.
 

@@ -6,7 +6,7 @@ trajectory, a DSMC flow, one tenant that crashes mid-run, and one that
 blows its deadline — then shows the soft-failure contract in action:
 every tenant gets a recorded verdict, the failures never touch their
 neighbours (the survivors' results are bitwise-identical to solo
-runs), and the graceful drain rejects late submissions.
+runs), and the graceful drain leaves no backend resources open.
 
 Run:  python examples/serve_demo.py
 """
@@ -96,7 +96,8 @@ async def main() -> None:
             print(f"  {v.tenant}/{v.name}: bitwise identical = {same}")
 
         await server.drain()
-        print(f"\ndrained; stats: {server.stats()}")
+        print(f"\ndrained; leaked contexts: {server.leaked_contexts()}")
+        print(f"stats: {server.stats()}")
         try:
             await server.submit(figure8_spec(seed=1))
         except ServerClosed as exc:

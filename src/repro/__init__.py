@@ -9,7 +9,7 @@ Subpackages
     The CHAOS runtime: inspector/executor, stamped hash tables,
     communication schedules, translation tables, remapping.
 ``repro.partitioners``
-    RCB, RIB, chain and block/cyclic partitioners.
+    RCB, RIB, chain, Morton and block/cyclic partitioners.
 ``repro.apps``
     The paper's evaluation applications: mini-CHARMM and DSMC.
 ``repro.lang``

@@ -121,8 +121,8 @@ class ParallelMD:
     # lifecycle
     # ==================================================================
     def close(self) -> None:
-        """No-op, kept with ``with`` support for existing callers: a
-        context holds no resources, so there is nothing to release."""
+        """Tear down the context's backend resources (idempotent)."""
+        self.ctx.close()
 
     def __enter__(self) -> "ParallelMD":
         return self

@@ -123,18 +123,26 @@ class DistributedArray:
         """Phase B: move to a new distribution (charged remap).
 
         ``ctx`` defaults to a context resolved from this array's
-        machine with the process default backend.
+        machine with the process default backend; a context created
+        here is also closed here, so the backend's per-context
+        resources cannot outlive the call.
         """
-        if ctx is None:
+        owned = ctx is None
+        if owned:
             ctx = ExecutionContext.resolve(self.machine)
         elif not isinstance(ctx, ExecutionContext):
             raise TypeError(
                 f"redistribute: ctx must be an ExecutionContext, got "
                 f"{ctx!r}"
             )
-        plan = remap(ctx, self.ttable.dist, new_ttable.dist,
-                     category=category)
-        new_local = remap_array(ctx, plan, self.local, category=category)
+        try:
+            plan = remap(ctx, self.ttable.dist, new_ttable.dist,
+                         category=category)
+            new_local = remap_array(ctx, plan, self.local,
+                                    category=category)
+        finally:
+            if owned:
+                ctx.close()
         return DistributedArray(self.machine, new_ttable, new_local)
 
     def copy(self) -> "DistributedArray":
@@ -156,11 +164,14 @@ class ChaosRuntime:
     default backend is resolved at init.  The context's backend runs
     every phase — index analysis, schedule generation, translation
     lookups, and executor data transport; hash tables are created with
-    its key store, so serial vs vectorized is selectable end-to-end.
+    its key store, so serial vs vectorized vs threaded is selectable
+    end-to-end.
 
-    :meth:`close` and use as a ``with`` block are kept for callers
-    written against them; they release nothing, because a context owns
-    no resources.
+    The runtime *owns the context's lifecycle*: :meth:`close` (or use
+    as a ``with`` block) tears down the backend's per-context resources
+    — the threaded backend's worker pool first of all.  Closing is
+    idempotent; runtimes sharing one context share its resources, so
+    whichever owner closes first closes for all.
 
     Note that the schedule cache is *per context*: two runtimes built
     from the same context share it, so cache keys (caller-chosen loop
@@ -183,7 +194,8 @@ class ChaosRuntime:
 
     # ---- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """No-op: the runtime holds nothing that needs releasing."""
+        """Tear down the context's backend resources (idempotent)."""
+        self.ctx.close()
 
     def __enter__(self) -> "ChaosRuntime":
         return self

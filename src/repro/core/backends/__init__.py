@@ -1,21 +1,26 @@
-"""Executor backends.
+"""Pluggable executor backends.
 
-Importing this package builds the two backends:
+Importing this package builds the three backends:
 
 * ``serial`` — reference pair-loop semantics,
-* ``vectorized`` — flat plans moved by fused numpy kernels (the default).
+* ``vectorized`` — flat plans moved by fused numpy kernels (the default),
+* ``threaded`` — vectorized kernels with the rank loops fanned out over
+  a per-context worker *thread* pool.
 
 Selection happens through the
 :class:`~repro.core.context.ExecutionContext` every primitive takes
 first: ``ExecutionContext.resolve(machine, "serial")`` for an explicit
 choice, or ``ExecutionContext.resolve(machine)`` to follow the
 process-wide default (:func:`set_default_backend` / ``REPRO_BACKEND``
-env var, temporarily overridable with :func:`use_backend`).
+env var, temporarily overridable with :func:`use_backend`).  Backends
+own their per-context resources through :meth:`Backend.open` /
+:meth:`Backend.close`; the handle rides on ``ctx.resources``.
 """
 
 from repro.core.backends.base import (
     BACKEND_ENV_VAR,
     Backend,
+    BackendResources,
     available_backends,
     default_backend,
     get_backend,
@@ -24,12 +29,15 @@ from repro.core.backends.base import (
     use_backend,
 )
 from repro.core.backends.serial import SerialBackend
+from repro.core.backends.threaded import ThreadedBackend
 from repro.core.backends.vectorized import VectorizedBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "Backend",
+    "BackendResources",
     "SerialBackend",
+    "ThreadedBackend",
     "VectorizedBackend",
     "available_backends",
     "default_backend",

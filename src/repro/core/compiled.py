@@ -410,8 +410,8 @@ class CommPlan:
     def move(self, kind: str, src_sizes: tuple[int, ...],
              dst_sizes: tuple[int, ...], k: int) -> tuple:
         """One column of a ``kind`` stage as a single composed pass:
-        ``(src_index, dst_index)`` over the raveled rank-major source
-        and destination buffers.
+        ``(src_index, dst_index, bounds)`` over the raveled rank-major
+        source and destination buffers.
 
         *Forward kinds* give every slot one writer, so the stream is
         ordered by destination (one inverse scatter at row level, no
@@ -424,7 +424,10 @@ class CommPlan:
         folds, so stream order is part of the result: the pair is in
         receive-stream order, where each element's contributions arrive
         requester-ascending exactly as the pair loop delivers them, and
-        which needs no inverse permutation.  Holds arrays only — a
+        which needs no inverse permutation.  Destination ranks
+        ``[lo, hi)`` own stream positions ``[bounds[lo], bounds[hi])``;
+        a scatter cannot be split by destination rank, so its bounds
+        put the whole stream in rank 0's share.  Holds arrays only — a
         cached entry must not keep a plan alive.
         """
         def build():
@@ -432,10 +435,10 @@ class CommPlan:
                 # local data, send order → receive stream → placement
                 src = self._rows(self.send, self.send_base,
                                  src_sizes)[self.perm]
-                dst = None
+                n_dst = sum(dst_sizes)
+                dst, bounds = None, self.recv_base
                 if kind != "append":    # appends land contiguously
                     dst = self._rows(self.place, self.recv_base, dst_sizes)
-                    n_dst = sum(dst_sizes)
                     if dst.size == n_dst:
                         by_slot = np.full(n_dst, -1, dtype=np.int64)
                         by_slot[dst] = src
@@ -443,12 +446,17 @@ class CommPlan:
                         # n_dst distinct rows: the stage is a bijection
                         if by_slot.min(initial=0) >= 0:
                             src, dst = by_slot, None
+                            bounds = offsets_from_counts(
+                                np.asarray(dst_sizes, dtype=np.int64))
             else:
                 # ghost data, receive order → owners' local elements
                 src = self._rows(self.place, self.recv_base, src_sizes)
                 dst = self._rows(self.send, self.send_base,
                                  dst_sizes)[self.perm]
-            return _expand(src, k), None if dst is None else _expand(dst, k)
+                bounds = np.full(self.n_ranks + 1, src.size, dtype=np.int64)
+                bounds[0] = 0
+            return (_expand(src, k), None if dst is None else _expand(dst, k),
+                    bounds * k)
         key = (kind, src_sizes, dst_sizes, k)
         out = self._moves.get(key)
         if out is None:

@@ -348,8 +348,8 @@ class ProgramInstance:
     # lifecycle
     # ==================================================================
     def close(self) -> None:
-        """No-op, kept with ``with`` support for existing callers: a
-        context holds no resources, so there is nothing to release."""
+        """Tear down the context's backend resources (idempotent)."""
+        self.ctx.close()
 
     def __enter__(self) -> "ProgramInstance":
         return self

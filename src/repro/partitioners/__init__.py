@@ -1,4 +1,4 @@
-"""Data partitioners: RCB, RIB, chain, block/cyclic."""
+"""Data partitioners: RCB, RIB, chain, block/cyclic, Morton curve."""
 
 from repro.partitioners.base import Partitioner, PartitionResult, run_partitioner
 from repro.partitioners.geometric import (
@@ -9,6 +9,7 @@ from repro.partitioners.geometric import (
 )
 from repro.partitioners.chain import ChainPartitioner, chain_boundaries
 from repro.partitioners.regular import BlockPartitioner, CyclicPartitioner
+from repro.partitioners.sfc import MortonPartitioner, morton_keys
 from repro.partitioners.util import (
     communication_volume,
     degree_weights,
@@ -28,6 +29,8 @@ __all__ = [
     "chain_boundaries",
     "BlockPartitioner",
     "CyclicPartitioner",
+    "MortonPartitioner",
+    "morton_keys",
     "communication_volume",
     "degree_weights",
     "imbalance",

@@ -64,8 +64,8 @@ class JobSpec(ABC):
     """One submittable unit of work.
 
     Subclasses implement :meth:`run`; everything else — building the
-    per-job machine and context, stats collection, failure isolation —
-    is the server's job.  ``backend=None`` falls through
+    per-job machine and context, closing it, stats collection, failure
+    isolation — is the server's job.  ``backend=None`` falls through
     the usual default chain (``set_default_backend`` →
     ``REPRO_BACKEND`` → ``"vectorized"``), so one deployment-wide
     environment variable retargets every job that doesn't pin one.
@@ -88,10 +88,12 @@ class JobSpec(ABC):
 
     @abstractmethod
     def run(self, ctx: ExecutionContext, control: JobControl) -> Any:
-        """Execute against a fresh per-job context.
+        """Execute against a context the caller owns and will close.
 
-        Implementations should call ``control.check()`` at natural step
-        boundaries so timeouts and cancellations take effect promptly.
+        Implementations must *not* close ``ctx`` (lifecycle belongs to
+        the server / :func:`run_job_inline`) and should call
+        ``control.check()`` at natural step boundaries so timeouts and
+        cancellations take effect promptly.
         """
 
 
@@ -170,4 +172,8 @@ def run_job_inline(spec: JobSpec, control: JobControl | None = None) -> Any:
     whatever its neighbours did.
     """
     control = control if control is not None else JobControl()
-    return spec.run(build_job_context(spec), control)
+    ctx = build_job_context(spec)
+    try:
+        return spec.run(ctx, control)
+    finally:
+        ctx.close()

@@ -8,7 +8,7 @@ exception, deadline overrun, or cancellation produces a recorded
 :class:`~repro.serve.verdict.JobVerdict` and never takes down the
 event loop or another tenant.  Backend work executes on a dedicated
 thread pool via ``run_in_executor`` so the loop stays responsive while
-kernels grind.
+kernels (and the threaded backend's own workers) grind.
 
 Concurrency structure
 ---------------------
@@ -25,11 +25,13 @@ Concurrency structure
   cannot); they flip the job's cooperative
   :class:`~repro.serve.job.JobControl`, record the verdict
   immediately, and park the thread's future as a *straggler* that
-  ``drain()`` awaits.
+  ``drain()`` awaits so its context still closes deterministically.
 
-``drain()`` rejects new admissions, lets admitted jobs finish (or hit
-their deadline) and awaits stragglers.  ``close()`` drains and then
-shuts the server's own thread pool down.
+Shutdown rides the backend lifecycle hooks: ``drain()`` rejects new
+admissions, lets admitted jobs finish (or hit their deadline), awaits
+stragglers, then force-closes any context a crashed path left open,
+worker pools included.  ``close()`` drains
+and then shuts the server's own thread pool down.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.backends.base import resolve_backend
+from repro.core.context import ExecutionContext
 from repro.serve.config import ServerConfig
 from repro.serve.job import (
     JobCancelled,
@@ -52,15 +54,6 @@ from repro.serve.job import (
     collect_stats,
 )
 from repro.serve.verdict import TERMINAL_STATES, JobStatus, JobVerdict
-
-
-def _backend_name(backend: str | None) -> str | None:
-    """The name a spec's ``backend`` resolves to; an unknown name stays
-    as given (building that job's context fails as a tenant failure)."""
-    try:
-        return resolve_backend(backend).name
-    except (KeyError, TypeError):
-        return backend
 
 
 class ServerClosed(RuntimeError):
@@ -86,6 +79,8 @@ class _Job:
     thread_future: asyncio.Future | None = None
     started_at: float | None = None
     verdict: JobVerdict | None = None
+    #: set from the worker thread once the per-job context exists
+    ctx: ExecutionContext | None = None
 
 
 class JobHandle:
@@ -364,6 +359,7 @@ class ProgramServer:
         if fut.cancelled():
             return
         fut.exception()  # consume, isolation already recorded the verdict
+        self._audit_job(job)
 
     def _finish(self, job: _Job) -> None:
         if job.verdict is None:  # belt and braces: every path records
@@ -377,11 +373,14 @@ class ProgramServer:
     # worker-thread side
     # ------------------------------------------------------------------
     def _execute_in_thread(self, job: _Job):
-        """Build the per-job context and run the spec.
+        """Build the per-job context, run the spec, close deterministically.
 
         Runs on the server's thread pool.  Never raises: the outcome
         tuple ``(status, result, error, traceback, stats)`` carries
-        tenant failures back to the loop.
+        tenant failures back to the loop.  The context is closed in the
+        ``finally`` even when the verdict was already recorded (timeout
+        / cancel), so straggler threads still release their backend
+        resources.
         """
         spec = job.spec
         try:
@@ -389,16 +388,21 @@ class ProgramServer:
         except Exception as exc:
             return (JobStatus.FAILED, None, repr(exc),
                     _traceback.format_exc(), {})
+        job.ctx = ctx
         try:
-            result = spec.run(ctx, job.control)
-            status, error, tb = JobStatus.DONE, None, None
-        except JobCancelled as exc:
-            result, status = None, JobStatus.CANCELLED
-            error, tb = repr(exc), None
-        except Exception as exc:
-            result, status = None, JobStatus.FAILED
-            error, tb = repr(exc), _traceback.format_exc()
-        return (status, result, error, tb, collect_stats(ctx))
+            try:
+                result = spec.run(ctx, job.control)
+                status, error, tb = JobStatus.DONE, None, None
+            except JobCancelled as exc:
+                result, status = None, JobStatus.CANCELLED
+                error, tb = repr(exc), None
+            except Exception as exc:
+                result, status = None, JobStatus.FAILED
+                error, tb = repr(exc), _traceback.format_exc()
+            stats = collect_stats(ctx)
+            return (status, result, error, tb, stats)
+        finally:
+            ctx.close()
 
     # ------------------------------------------------------------------
     # verdicts
@@ -410,12 +414,14 @@ class ProgramServer:
         if job.verdict is not None:
             return
         job.status = status
+        ctx = job.ctx
         job.verdict = JobVerdict(
             job_id=job.id,
             name=job.spec.name,
             tenant=job.spec.tenant,
             status=status,
-            backend=_backend_name(job.spec.backend),
+            backend=(ctx.backend.name if ctx is not None
+                     else job.spec.backend),
             seed=job.spec.seed,
             result=result,
             error=error,
@@ -424,7 +430,22 @@ class ProgramServer:
             submitted_at=job.submitted_at,
             started_at=job.started_at,
             finished_at=time.monotonic(),
+            resources_closed=(ctx is not None and ctx.closed),
         )
+
+    def _audit_job(self, job: _Job) -> None:
+        """Refresh a verdict's resource audit after its thread exited."""
+        if job.verdict is None:
+            return
+        ctx = job.ctx
+        job.verdict.resources_closed = ctx is None or ctx.closed
+
+    def leaked_contexts(self) -> list[int]:
+        """Ids of jobs whose backend resources are still open."""
+        return [
+            j.id for j in self._jobs.values()
+            if j.ctx is not None and not j.ctx.closed
+        ]
 
     # ------------------------------------------------------------------
     # drain / shutdown
@@ -432,9 +453,11 @@ class ProgramServer:
     async def drain(self) -> None:
         """Graceful wind-down: reject new admissions, finish the rest.
 
-        Admitted jobs run to completion (or their deadline), and
-        straggler threads from timed-out/cancelled jobs are awaited.
-        Idempotent.
+        Admitted jobs run to completion (or their deadline); straggler
+        threads from timed-out/cancelled jobs are awaited so their
+        contexts close; finally every per-job context is verified (and,
+        defensively, forced) closed and each verdict's resource audit
+        is refreshed.  Idempotent.
         """
         self._closing = True
         self._room.set()  # wake backpressured submitters → ServerClosed
@@ -447,6 +470,10 @@ class ProgramServer:
             except BaseException:
                 pass  # verdicts were recorded when the jobs were abandoned
         self._stragglers.clear()
+        for job in self._jobs.values():
+            if job.ctx is not None and not job.ctx.closed:
+                job.ctx.close()
+            self._audit_job(job)
 
     async def close(self) -> None:
         """Drain, then shut the server's worker thread pool down."""

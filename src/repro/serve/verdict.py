@@ -39,8 +39,10 @@ class JobVerdict:
     machine's accounting at completion: the traffic snapshot
     (message/byte counters by tag), virtual-clock totals, and schedule-
     cache occupancy — each tenant has its own machine, so the numbers
-    are exact and unpolluted by neighbours.  ``backend`` is the name the
-    spec's backend resolved to.
+    are exact and unpolluted by neighbours.
+
+    The resource audit closes the isolation loop: after ``drain()``
+    the server guarantees ``resources_closed`` is true for every job.
     """
 
     job_id: int
@@ -56,6 +58,7 @@ class JobVerdict:
     submitted_at: float | None = None
     started_at: float | None = None
     finished_at: float | None = None
+    resources_closed: bool = False
 
     @property
     def ok(self) -> bool:

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-``ALL_BACKENDS`` is the single source of truth for the backend names
-the equivalence suites sweep; import it (``from conftest import
-ALL_BACKENDS``) instead of repeating the tuple per file.
+``ALL_BACKENDS`` is the single source of truth for the registered
+backend names the equivalence suites sweep; import it (``from conftest
+import ALL_BACKENDS``) instead of repeating the tuple per file.
 ``count_calls`` is the probe of the shape tests (host work that must not
 grow with the rank count).
 """
@@ -18,7 +18,7 @@ from repro.core import ExecutionContext
 from repro.sim import Machine
 
 #: every built-in backend, serial (the reference semantics) first
-ALL_BACKENDS = ("serial", "vectorized")
+ALL_BACKENDS = ("serial", "vectorized", "threaded")
 
 
 #: modules whose direct C calls ``count_calls`` also reports under a prefix
@@ -42,7 +42,8 @@ def count_calls(fn):
                     calls[prefix + name] += 1
 
     # a collection inside fn() would run the finalizers of earlier tests'
-    # garbage and count their calls: no collection while counting
+    # garbage (backend resources close through weakref.finalize) and
+    # count their calls: no collection while counting
     was_enabled = gc.isenabled()
     gc.disable()
     sys.setprofile(profile)
@@ -70,7 +71,7 @@ def pytest_addoption(parser):
 
 @pytest.fixture(params=ALL_BACKENDS)
 def backend_name(request) -> str:
-    """Parametrizes a test over every backend name."""
+    """Parametrizes a test over every registered backend name."""
     return request.param
 
 

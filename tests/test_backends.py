@@ -1,8 +1,9 @@
-"""Backend equivalence: SerialBackend vs VectorizedBackend.
+"""Backend equivalence: SerialBackend vs every other backend.
 
 The serial pair loop defines the semantics; the vectorized compiled-plan
-path must be observationally identical on randomized schedules (the
-sweep is ``conftest.ALL_BACKENDS``):
+path — and the threaded backend fanning its rank loops over a worker
+pool — must be observationally identical on randomized
+schedules (the sweep is ``conftest.ALL_BACKENDS``):
 
 * bitwise-identical ghosts / local results for gather, scatter,
   scatter_op (add and maximum), scatter_append(_multi), remap_array,
@@ -216,7 +217,7 @@ def test_integer_data_equivalence(rng):
 # ---------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_backends() == ("serial", "vectorized")
+        assert available_backends() == ("serial", "threaded", "vectorized")
 
     def test_get_backend_instances(self):
         assert isinstance(get_backend("serial"), SerialBackend)
@@ -225,7 +226,7 @@ class TestRegistry:
 
     def test_one_executor_path(self):
         """Transport is ``run_fused`` and nothing else: no per-primitive
-        method on the compiled-plan backend."""
+        method on the compiled-plan backends."""
         primitives = {"gather", "scatter", "scatter_append",
                       "scatter_append_multi", "remap_array"}
         assert "run_fused" in Backend.__abstractmethods__
@@ -235,8 +236,8 @@ class TestRegistry:
         assert primitives - set(vars(SerialBackend)) == {"scatter_append"}
 
     def test_one_flat_kernel(self):
-        """No per-rank kernel beside the flat one: ``fused_apply`` moves
-        one column over the whole machine in one call."""
+        """No per-rank kernel beside the flat one: every backend runs
+        ``fused_apply`` over a rank range."""
         import inspect
         import pathlib
 
@@ -247,7 +248,7 @@ class TestRegistry:
         assert not [p for p in src.rglob("*.py")
                     if "apply_rank" in p.read_text()]
         assert list(inspect.signature(vectorized.fused_apply).parameters) \
-            == ["move"]
+            == ["move", "lo", "hi"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):

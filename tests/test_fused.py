@@ -22,7 +22,6 @@ Covered here:
 * empty machines, empty schedules and zero-size plans;
 * fused-plan cache counters under a ``loop_id`` (hits, builds, and the
   hit-preserving rebuild when a schedule is re-inspected);
-* a kernel that raises surfaces its error and leaves the context usable;
 * the flat-move differential: every primitive over every buffer shape
   the executor distinguishes (arena, plain list, degraded arena,
   oversize or shared ghost buffers, another dtype, empty ranks) equals
@@ -114,22 +113,25 @@ def _gather_scatter(backend, fused, seed, n_ranks, n, n_ref, trailing):
     """One gather + one scatter_op over the same schedule; observe all."""
     m, x, sched, rng = _schedule_env(seed, n_ranks, n, n_ref, trailing)
     ctx = ExecutionContext.resolve(m, backend)
-    ghosts = allocate_ghosts(sched, x.local)
-    contrib = None
-    if fused:
-        run_pipeline(ctx, [gather_phase(sched, x.local, ghosts)],
-                     loop_id="gs:g")
-        contrib = [1.5 * g + 0.25 for g in ghosts]
-        run_pipeline(
-            ctx,
-            [scatter_op_phase(sched, x.local, contrib, np.add)],
-            loop_id="gs:s",
-        )
-    else:
-        gather(ctx, sched, x.local, ghosts)
-        contrib = [1.5 * g + 0.25 for g in ghosts]
-        scatter_op(ctx, sched, x.local, contrib, np.add)
-    return _observe(m, ghosts, x.local)
+    try:
+        ghosts = allocate_ghosts(sched, x.local)
+        contrib = None
+        if fused:
+            run_pipeline(ctx, [gather_phase(sched, x.local, ghosts)],
+                         loop_id="gs:g")
+            contrib = [1.5 * g + 0.25 for g in ghosts]
+            run_pipeline(
+                ctx,
+                [scatter_op_phase(sched, x.local, contrib, np.add)],
+                loop_id="gs:s",
+            )
+        else:
+            gather(ctx, sched, x.local, ghosts)
+            contrib = [1.5 * g + 0.25 for g in ghosts]
+            scatter_op(ctx, sched, x.local, contrib, np.add)
+        return _observe(m, ghosts, x.local)
+    finally:
+        ctx.close()
 
 
 @settings(max_examples=15, deadline=None)
@@ -161,22 +163,25 @@ def _remap_pipeline(backend, fused, seed, n_ranks, n, trailing):
     b = rt.distribute(rng.integers(0, 1000, n), old_tt)
     c = rt.distribute(rng.standard_normal(n), old_tt)
     ctx = ExecutionContext.resolve(m, backend)
-    plan = remap(ctx, old_tt.dist, new_tt.dist)
-    m.reset_clocks()
-    m.reset_traffic()
-    if fused:
-        ra, rb, rc = run_pipeline(
-            ctx,
-            [remap_phase(plan, a.local),
-             remap_phase(plan, b.local),
-             remap_phase(plan, c.local)],
-            category="remap", loop_id="rm",
-        )
-    else:
-        ra = remap_array(ctx, plan, a.local)
-        rb = remap_array(ctx, plan, b.local)
-        rc = remap_array(ctx, plan, c.local)
-    return _observe(m, ra, rb, rc)
+    try:
+        plan = remap(ctx, old_tt.dist, new_tt.dist)
+        m.reset_clocks()
+        m.reset_traffic()
+        if fused:
+            ra, rb, rc = run_pipeline(
+                ctx,
+                [remap_phase(plan, a.local),
+                 remap_phase(plan, b.local),
+                 remap_phase(plan, c.local)],
+                category="remap", loop_id="rm",
+            )
+        else:
+            ra = remap_array(ctx, plan, a.local)
+            rb = remap_array(ctx, plan, b.local)
+            rc = remap_array(ctx, plan, c.local)
+        return _observe(m, ra, rb, rc)
+    finally:
+        ctx.close()
 
 
 @settings(max_examples=10, deadline=None)
@@ -227,17 +232,21 @@ def test_fused_shared_ghost_double_gather(backend):
     gather(ctx, s1, x.local, ghosts_ref)
     gather(ctx, s2, x.local, ghosts_ref)
     ref = _observe(m, ghosts_ref)
+    ctx.close()
 
     m, x, s1, s2 = _two_schedule_env()
     ctx = ExecutionContext.resolve(m, backend)
-    ghosts = allocate_ghosts(s1, x.local)
-    run_pipeline(
-        ctx,
-        [gather_phase(s1, x.local, ghosts),
-         gather_phase(s2, x.local, ghosts)],
-        loop_id="multi",
-    )
-    _assert_same(ref, _observe(m, ghosts))
+    try:
+        ghosts = allocate_ghosts(s1, x.local)
+        run_pipeline(
+            ctx,
+            [gather_phase(s1, x.local, ghosts),
+             gather_phase(s2, x.local, ghosts)],
+            loop_id="multi",
+        )
+        _assert_same(ref, _observe(m, ghosts))
+    finally:
+        ctx.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -254,24 +263,28 @@ def test_fused_shared_dest_double_scatter(backend):
     scatter_op(ctx, s1, x.local, c1, np.add)
     scatter_op(ctx, s2, x.local, c2, np.maximum)
     ref = _observe(m, x.local)
+    ctx.close()
 
     for backend_name in (backend,):
         m, x, s1, s2 = _two_schedule_env(seed=11)
         ctx = ExecutionContext.resolve(m, backend_name)
-        g = allocate_ghosts(s1, x.local)
-        gather(ctx, s1, x.local, g)
-        c1 = [1.5 * a + 0.25 for a in g]
-        c2 = [2.0 * a for a in g]
-        m.reset_clocks()
-        m.reset_traffic()
-        out = run_pipeline(
-            ctx,
-            [scatter_op_phase(s1, x.local, c1, np.add),
-             scatter_op_phase(s2, x.local, c2, np.maximum)],
-            loop_id="fs",
-        )
-        assert out == [None, None]
-        _assert_same(ref, _observe(m, x.local))
+        try:
+            g = allocate_ghosts(s1, x.local)
+            gather(ctx, s1, x.local, g)
+            c1 = [1.5 * a + 0.25 for a in g]
+            c2 = [2.0 * a for a in g]
+            m.reset_clocks()
+            m.reset_traffic()
+            out = run_pipeline(
+                ctx,
+                [scatter_op_phase(s1, x.local, c1, np.add),
+                 scatter_op_phase(s2, x.local, c2, np.maximum)],
+                loop_id="fs",
+            )
+            assert out == [None, None]
+            _assert_same(ref, _observe(m, x.local))
+        finally:
+            ctx.close()
 
 
 class _OddCombiner:
@@ -299,19 +312,23 @@ def test_non_ufunc_combiner_falls_back(backend):
     m.reset_traffic()
     scatter_op(ctx, sched, x.local, c, op)
     ref = _observe(m, x.local)
+    ctx.close()
 
     m, x, sched, rng = _schedule_env(23, 4, 70, 140, ())
     ctx = ExecutionContext.resolve(m, backend)
-    g = allocate_ghosts(sched, x.local)
-    gather(ctx, sched, x.local, g)
-    c = [0.5 * a for a in g]
-    phases = [scatter_op_phase(sched, x.local, c, op)]
-    ok, reason = fusable(phases)
-    assert not ok and "ufunc" in reason
-    m.reset_clocks()
-    m.reset_traffic()
-    run_pipeline(ctx, phases)
-    _assert_same(ref, _observe(m, x.local))
+    try:
+        g = allocate_ghosts(sched, x.local)
+        gather(ctx, sched, x.local, g)
+        c = [0.5 * a for a in g]
+        phases = [scatter_op_phase(sched, x.local, c, op)]
+        ok, reason = fusable(phases)
+        assert not ok and "ufunc" in reason
+        m.reset_clocks()
+        m.reset_traffic()
+        run_pipeline(ctx, phases)
+        _assert_same(ref, _observe(m, x.local))
+    finally:
+        ctx.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -323,16 +340,20 @@ def test_read_write_overlap_falls_back(backend):
     gather(ctx, sched, x.local, g)
     scatter_op(ctx, sched, x.local, g, np.add)
     ref = _observe(m, g, x.local)
+    ctx.close()
 
     m, x, sched, rng = _schedule_env(31, 4, 60, 120, (3,))
     ctx = ExecutionContext.resolve(m, backend)
-    g = allocate_ghosts(sched, x.local)
-    phases = [gather_phase(sched, x.local, g),
-              scatter_op_phase(sched, x.local, g, np.add)]
-    ok, reason = fusable(phases)
-    assert not ok and "reads" in reason
-    run_pipeline(ctx, phases)
-    _assert_same(ref, _observe(m, g, x.local))
+    try:
+        g = allocate_ghosts(sched, x.local)
+        phases = [gather_phase(sched, x.local, g),
+                  scatter_op_phase(sched, x.local, g, np.add)]
+        ok, reason = fusable(phases)
+        assert not ok and "reads" in reason
+        run_pipeline(ctx, phases)
+        _assert_same(ref, _observe(m, g, x.local))
+    finally:
+        ctx.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -344,24 +365,27 @@ def test_illegal_chain_equals_primitives_one_by_one(backend):
     for chained in (False, True):
         m, x, sched, rng = _schedule_env(47, 4, 60, 130, (3,))
         ctx = ExecutionContext.resolve(m, backend)
-        rt = ChaosRuntime(ctx)
-        new_tt = rt.irregular_table(rng.integers(0, 4, 60))
-        plan = remap(ctx, x.ttable.dist, new_tt.dist)
-        m.reset_clocks()
-        m.reset_traffic()
-        g = allocate_ghosts(sched, x.local)
-        if chained:
-            phases = [gather_phase(sched, x.local, g),
-                      scatter_op_phase(sched, x.local, g, np.add),
-                      remap_phase(plan, x.local)]
-            assert not fusable(phases)[0]
-            _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
-            assert none is None
-        else:
-            gather(ctx, sched, x.local, g)
-            scatter_op(ctx, sched, x.local, g, np.add)
-            moved = remap_array(ctx, plan, x.local, category="comm")
-        observed.append(_observe(m, g, x.local, moved))
+        try:
+            rt = ChaosRuntime(ctx)
+            new_tt = rt.irregular_table(rng.integers(0, 4, 60))
+            plan = remap(ctx, x.ttable.dist, new_tt.dist)
+            m.reset_clocks()
+            m.reset_traffic()
+            g = allocate_ghosts(sched, x.local)
+            if chained:
+                phases = [gather_phase(sched, x.local, g),
+                          scatter_op_phase(sched, x.local, g, np.add),
+                          remap_phase(plan, x.local)]
+                assert not fusable(phases)[0]
+                _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
+                assert none is None
+            else:
+                gather(ctx, sched, x.local, g)
+                scatter_op(ctx, sched, x.local, g, np.add)
+                moved = remap_array(ctx, plan, x.local, category="comm")
+            observed.append(_observe(m, g, x.local, moved))
+        finally:
+            ctx.close()
     _assert_same(observed[0], observed[1])
     assert observed[0][3] == observed[1][3]  # same backend: clocks exact
 
@@ -375,27 +399,30 @@ def test_three_column_append_stage_in_a_chain(backend):
     for chained in (False, True):
         m, x, sched, rng = _schedule_env(53, 4, 50, 110, ())
         ctx = ExecutionContext.resolve(m, backend)
-        n_per = [12, 0, 7, 20]  # rank 1 sends nothing
-        lw = build_lightweight_schedule(
-            ctx, [rng.integers(0, 4, c) for c in n_per])
-        cols = [
-            [np.arange(c, dtype=np.int64) + 100 * p
-             for p, c in enumerate(n_per)],
-            [rng.standard_normal((c, 3)) for c in n_per],
-            [rng.standard_normal(c) for c in n_per],
-        ]
-        m.reset_clocks()
-        m.reset_traffic()
-        g = allocate_ghosts(sched, x.local)
-        if chained:
-            _, out = run_pipeline(
-                ctx, [gather_phase(sched, x.local, g),
-                      PipelinePhase("append", lw, cols)])
-        else:
-            gather(ctx, sched, x.local, g)
-            out = scatter_append_multi(ctx, lw, cols)
-        assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
-        observed.append(_observe(m, g, *out))
+        try:
+            n_per = [12, 0, 7, 20]  # rank 1 sends nothing
+            lw = build_lightweight_schedule(
+                ctx, [rng.integers(0, 4, c) for c in n_per])
+            cols = [
+                [np.arange(c, dtype=np.int64) + 100 * p
+                 for p, c in enumerate(n_per)],
+                [rng.standard_normal((c, 3)) for c in n_per],
+                [rng.standard_normal(c) for c in n_per],
+            ]
+            m.reset_clocks()
+            m.reset_traffic()
+            g = allocate_ghosts(sched, x.local)
+            if chained:
+                _, out = run_pipeline(
+                    ctx, [gather_phase(sched, x.local, g),
+                          PipelinePhase("append", lw, cols)])
+            else:
+                gather(ctx, sched, x.local, g)
+                out = scatter_append_multi(ctx, lw, cols)
+            assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
+            observed.append(_observe(m, g, *out))
+        finally:
+            ctx.close()
     _assert_same(observed[0], observed[1])
     assert observed[0][3] == observed[1][3]
     # three columns, one message per communicating pair
@@ -415,7 +442,10 @@ def test_fused_empty_and_tiny(backend, n_ranks, n, n_ref):
     # an entirely empty phase list is a no-op returning no results
     m = Machine(n_ranks)
     ctx = ExecutionContext.resolve(m, backend)
-    assert run_pipeline(ctx, []) == []
+    try:
+        assert run_pipeline(ctx, []) == []
+    finally:
+        ctx.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -442,27 +472,7 @@ def test_dropped_schedules_die_by_refcount(backend):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
-
-
-def test_failing_rank_kernel_propagates_cleanly(monkeypatch):
-    """The executor kernel raising mid-call surfaces its own error from
-    the primitive, and the same context runs the next call normally."""
-    from repro.core.backends import vectorized
-
-    m, x, sched, rng = _schedule_env(67, 4, 50, 110, ())
-    ctx = ExecutionContext.resolve(m, "vectorized")
-
-    def boom(move):
-        raise ValueError("kernel failed")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(vectorized, "fused_apply", boom)
-        with pytest.raises(ValueError, match="kernel failed"):
-            gather(ctx, sched, x.local)
-    got = gather(ctx, sched, x.local)
-    ref = gather(ExecutionContext.resolve(m, "serial"), sched, x.local)
-    for a, b in zip(got, ref):
-        np.testing.assert_array_equal(a, b)
+        ctx.close()
 
 
 def test_fused_cache_stats_and_rebuild():
@@ -544,56 +554,59 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
                                            m), "b")
     sched, sched_b = rt.build_schedule(tt, "a"), rt.build_schedule(tt, "b")
     ctx = ExecutionContext.resolve(m, backend)
-    data = _shape_buffers(shape, rng, x.local)
-    if op.startswith("append"):
-        sizes = rng.integers(0, 9, n_ranks)
-        if shape == "empty_ranks":
-            sizes[::2] = 0
-        lw = build_lightweight_schedule(
-            ctx, [rng.integers(0, n_ranks, c) for c in sizes])
-        cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
-                                                     else c)
-                                 for c in sizes]),
-                RankArena.adopt([np.arange(c) + 100 * p
-                                 for p, c in enumerate(sizes)]),
-                RankArena.adopt([rng.standard_normal(c) for c in sizes])]
-        cols = [_shape_buffers(shape, rng, c)
-                for c in cols[:int(op[-1])]]
-    elif op == "remap":
-        plan = remap(ctx, tt.dist, rt.irregular_table(
-            rng.integers(0, n_ranks, n)).dist)
-    ghosts = allocate_ghosts(sched, x.local)
-    if shape == "oversize":   # tails must survive every primitive
-        ghosts = RankArena(
-            np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
-                    .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
-    elif shape == "other_dtype":
-        ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
-    ghosts = _shape_buffers(shape, rng, ghosts)
-    if op != "gather":   # give the scatters something to return
-        for g in ghosts:
-            g[...] = rng.standard_normal(g.shape)
-    m.reset_clocks()
-    m.reset_traffic()
-    out = []
-    if op == "gather" and shape == "shared_ghosts":
-        run_pipeline(ctx, [gather_phase(sched, data, ghosts),
-                           gather_phase(sched_b, data, ghosts)])
-    elif op == "gather":
-        gather(ctx, sched, data, ghosts)
-    elif op == "scatter":
-        scatter(ctx, sched, data, ghosts)
-    elif op.startswith("scatter_"):
-        scatter_op(ctx, sched, data, ghosts,
-                   np.add if op == "scatter_add" else np.maximum)
-    elif op == "remap":
-        out = [remap_array(ctx, plan, data)]
-    else:
-        out = scatter_append_multi(ctx, lw, cols)
-    arrays = [*data, *ghosts, *(a for o in out for a in o)]
-    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
-            m.traffic.snapshot(), list(m.traffic.messages),
-            _clock_snapshots(m))
+    try:
+        data = _shape_buffers(shape, rng, x.local)
+        if op.startswith("append"):
+            sizes = rng.integers(0, 9, n_ranks)
+            if shape == "empty_ranks":
+                sizes[::2] = 0
+            lw = build_lightweight_schedule(
+                ctx, [rng.integers(0, n_ranks, c) for c in sizes])
+            cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
+                                                         else c)
+                                     for c in sizes]),
+                    RankArena.adopt([np.arange(c) + 100 * p
+                                     for p, c in enumerate(sizes)]),
+                    RankArena.adopt([rng.standard_normal(c) for c in sizes])]
+            cols = [_shape_buffers(shape, rng, c)
+                    for c in cols[:int(op[-1])]]
+        elif op == "remap":
+            plan = remap(ctx, tt.dist, rt.irregular_table(
+                rng.integers(0, n_ranks, n)).dist)
+        ghosts = allocate_ghosts(sched, x.local)
+        if shape == "oversize":   # tails must survive every primitive
+            ghosts = RankArena(
+                np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
+                        .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
+        elif shape == "other_dtype":
+            ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
+        ghosts = _shape_buffers(shape, rng, ghosts)
+        if op != "gather":   # give the scatters something to return
+            for g in ghosts:
+                g[...] = rng.standard_normal(g.shape)
+        m.reset_clocks()
+        m.reset_traffic()
+        out = []
+        if op == "gather" and shape == "shared_ghosts":
+            run_pipeline(ctx, [gather_phase(sched, data, ghosts),
+                               gather_phase(sched_b, data, ghosts)])
+        elif op == "gather":
+            gather(ctx, sched, data, ghosts)
+        elif op == "scatter":
+            scatter(ctx, sched, data, ghosts)
+        elif op.startswith("scatter_"):
+            scatter_op(ctx, sched, data, ghosts,
+                       np.add if op == "scatter_add" else np.maximum)
+        elif op == "remap":
+            out = [remap_array(ctx, plan, data)]
+        else:
+            out = scatter_append_multi(ctx, lw, cols)
+        arrays = [*data, *ghosts, *(a for o in out for a in o)]
+        return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+                m.traffic.snapshot(), list(m.traffic.messages),
+                _clock_snapshots(m))
+    finally:
+        ctx.close()
 
 
 @settings(max_examples=30, deadline=None)

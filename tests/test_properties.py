@@ -291,6 +291,24 @@ def test_built_artifacts_pass_validators(n, p, seed):
 
 
 # ---------------------------------------------------------------------
+# Morton keys: identical points share keys; order is deterministic
+# ---------------------------------------------------------------------
+@given(st.integers(2, 120), st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_morton_keys_properties(n, dim, seed):
+    from repro.partitioners import morton_keys
+
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, dim))
+    keys = morton_keys(pts)
+    assert keys.shape == (n,)
+    # duplicated point -> duplicated key
+    pts2 = np.concatenate([pts, pts[:1]])
+    keys2 = morton_keys(pts2)
+    assert keys2[-1] == keys2[0]
+
+
+# ---------------------------------------------------------------------
 # multi-attribute append preserves row alignment across attributes
 # ---------------------------------------------------------------------
 @given(ranks, st.integers(0, 40), st.integers(0, 10**6))

@@ -1,14 +1,13 @@
-"""Drain / shutdown semantics and crash isolation.
+"""Drain / shutdown semantics and the per-job resource audit.
 
 The acceptance contract: after ``drain()`` no new submissions are
-admitted, running jobs finish (or hit their deadline), a finished job's
-machine is not held by the server, and a crashing tenant leaves its
-neighbours' results bitwise-identical to solo runs.
+admitted, running jobs finish (or hit their deadline), *every* per-job
+``BackendResources`` handle is closed — threaded worker pools
+included — and a crashing tenant leaves its neighbours' results
+bitwise-identical to solo runs.
 """
 
 import asyncio
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from serve_helpers import (
     assert_verdict_results_equal,
     figure8_job,
     halo_job,
+    serve_threads_alive,
     sleeper_job,
 )
 
@@ -93,25 +93,81 @@ class TestDrainAdmission:
         assert v.status is JobStatus.TIMEOUT
         assert stats["stragglers"] == 0
 
-    def test_finished_job_machine_is_released(self):
-        """The server keeps a finished job's verdict, not its machine:
-        the per-job context is garbage as soon as the job is done, not
-        when the server closes."""
-        machines = []
 
-        def keep_ref(ctx, control):
-            machines.append(weakref.ref(ctx.machine))
-            return 1
+class TestResourceAudit:
+    def test_every_context_closed_after_close(self):
+        async def main():
+            cfg = ServerConfig(max_concurrency=3)
+            async with ProgramServer(cfg) as srv:
+                handles = [
+                    await srv.submit(halo_job(seed=s, tenant=f"t{s}"))
+                    for s in range(4)
+                ]
+                handles.append(await srv.submit(
+                    halo_job(seed=9, tenant="bad", crash=True)
+                ))
+                handles.append(await srv.submit(
+                    sleeper_job(30, tenant="late", timeout=0.2)
+                ))
+                verdicts = [await h.wait() for h in handles]
+            return srv, verdicts
 
+        srv, verdicts = run(main())
+        assert srv.leaked_contexts() == []
+        assert all(v.resources_closed for v in verdicts)
+        assert srv.stats()["stragglers"] == 0
+        assert serve_threads_alive() == []
+
+    def test_explicit_backend_contexts_closed(self):
         async def main():
             async with ProgramServer() as srv:
-                v = await (await srv.submit(
-                    CallableJob(fn=keep_ref, name="short"))).wait()
-                gc.collect()
-                return v, machines[0]() is None
+                hs = [
+                    await srv.submit(
+                        halo_job(seed=i, tenant=be, backend=be)
+                    )
+                    for i, be in enumerate(
+                        ("serial", "vectorized", "threaded")
+                    )
+                ]
+                return srv, [await h.wait() for h in hs]
 
-        v, released = run(main())
-        assert v.ok and released
+        srv, verdicts = run(main())
+        assert [v.backend for v in verdicts] == [
+            "serial", "vectorized", "threaded"
+        ]
+        assert all(v.ok and v.resources_closed for v in verdicts)
+        assert srv.leaked_contexts() == []
+
+    def test_straggler_context_closed_after_drain(self):
+        """A timed-out uncooperative thread still releases its context:
+        drain awaits the straggler and refreshes the verdict audit."""
+        import threading
+
+        release = threading.Event()
+
+        def stubborn(ctx, control):
+            release.wait(10)  # ignores its control entirely
+            return "finally"
+
+        async def main():
+            srv = ProgramServer()
+            h = await srv.submit(
+                CallableJob(fn=stubborn, name="stubborn", timeout=0.1)
+            )
+            v = await h.wait()
+            assert v.status is JobStatus.TIMEOUT
+            recorded_early = v.resources_closed
+            release.set()
+            await srv.close()
+            return srv, v, recorded_early
+
+        srv, v, recorded_early = run(main())
+        # at verdict time the thread was still holding the context ...
+        assert not recorded_early
+        # ... but drain awaited it and the audit now shows it closed
+        assert v.resources_closed
+        assert srv.leaked_contexts() == []
+        assert serve_threads_alive() == []
 
 
 class TestCrashIsolation:

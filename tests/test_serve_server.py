@@ -121,6 +121,7 @@ class TestLifecycle:
         assert v.stats["clock"]["execution"] > 0.0
         # raw runtime-API calls bypass the plan-layer schedule cache
         assert v.stats["cache"]["entries"] >= 0
+        assert v.resources_closed
         line = v.summary()
         assert "done" in line and "msgs=" in line
 
@@ -479,7 +480,6 @@ class TestValidation:
         vbad, vok = run(main())
         assert vbad.status is JobStatus.FAILED
         assert "no-such" in vbad.error
-        assert vbad.backend == "no-such"
         assert vok.ok
 
     def test_result_survives_numpy_payloads(self):

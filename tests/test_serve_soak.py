@@ -5,10 +5,12 @@ every job family (mini-Fortran-D programs, CHARMM MD, DSMC, raw
 runtime-API callables) with at least one tenant raising mid-run and
 one exceeding its deadline.  Every surviving tenant's result must be
 bitwise-identical to a solo run of the same spec, and shutdown must
-leave no straggler threads.
+leave no open contexts, straggler threads, or child processes.
 
-The fleet pins ``vectorized`` explicitly; the second soak follows
-whichever default backend the environment selects.
+CI runs this file under ``REPRO_BACKEND=vectorized`` and
+``REPRO_BACKEND=threaded`` (the server job's matrix); locally it
+exercises whichever default backend the environment selects, plus the
+explicit parametrization below.
 """
 
 import asyncio
@@ -57,7 +59,7 @@ def _tenant_fleet(backend):
     return specs
 
 
-@pytest.mark.parametrize("backend", ["vectorized"])
+@pytest.mark.parametrize("backend", ["vectorized", "threaded"])
 def test_soak_mixed_tenants(backend):
     specs = _tenant_fleet(backend)
 
@@ -86,8 +88,9 @@ def test_soak_mixed_tenants(backend):
         solo = run_job_inline(spec)
         assert_verdict_results_equal(v.result, solo)
 
-    # the failed tenants still carry complete verdicts
-    assert all(v.backend == backend for v in verdicts)
+    # the failed tenants still carry complete, audited verdicts
+    assert all(v.resources_closed for v in verdicts)
+    assert srv.leaked_contexts() == []
     stats = srv.stats()
     assert stats["admitted"] == len(specs)
     assert stats["pending"] == 0
@@ -120,4 +123,5 @@ def test_soak_two_waves_with_backpressure():
     for v in verdicts:
         solo = run_job_inline(halo_job(seed=v.seed))
         assert_verdict_results_equal(v.result, solo)
+    assert srv.leaked_contexts() == []
     assert serve_threads_alive() == []

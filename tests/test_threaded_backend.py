@@ -1,18 +1,14 @@
-"""Pooled backends: four-way equivalence + thread-pool lifecycle.
+"""Threaded backend: three-way equivalence + thread-pool lifecycle.
 
 Every backend must be observationally identical to the serial
 reference — bitwise-equal localized indices, schedules, executor
 results, and exact traffic on the CHARMM and DSMC end-to-end
-pipelines.  The sweep covers all of ``ALL_BACKENDS`` with the
-multiprocess ship threshold forced to zero, so the shared-memory
-process path is exercised on real workloads, not just big ones.  The
-lifecycle half covers the threaded backend's per-context worker pool:
-created once per context, shut down on ``close()``, never leaked
-across contexts (the multiprocess variants live in
-``test_multiprocess_backend.py``).
+pipelines; the sweep covers all of ``ALL_BACKENDS``.  The lifecycle
+half covers the threaded backend's per-context worker pool: created
+once per context, shut down on ``close()``, never leaked across
+contexts, and fed rank ranges that partition the machine.
 """
 
-import os
 import threading
 
 import numpy as np
@@ -35,26 +31,12 @@ from repro.core import (
     scatter_op,
     split_by_block,
 )
-from repro.core.backends.multiprocess import SHIP_THRESHOLD_ENV_VAR
-from repro.core.backends.threaded import ThreadedResources
+from repro.core.backends.threaded import ThreadedResources, chunk_ranks
 from repro.core.translation import TranslationTable
 from repro.lang.program import ProgramInstance, compile_program
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _ship_everything():
-    """Force the multiprocess backend to ship every kernel, however
-    small, so the equivalence sweep covers the shared-memory path."""
-    old = os.environ.get(SHIP_THRESHOLD_ENV_VAR)
-    os.environ[SHIP_THRESHOLD_ENV_VAR] = "0"
-    yield
-    if old is None:
-        os.environ.pop(SHIP_THRESHOLD_ENV_VAR, None)
-    else:
-        os.environ[SHIP_THRESHOLD_ENV_VAR] = old
 
 
 def _rank_threads() -> list[threading.Thread]:
@@ -294,3 +276,12 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="resources"):
             get_backend("threaded")._run_ranks(ctx, lambda p: p)
         ctx.close()
+
+
+def test_chunk_ranks_covers_every_rank_once():
+    for n in (1, 3, 7, 16):
+        for width in (1, 2, 5, 16, 40):
+            chunks = chunk_ranks(n, width)
+            flat = [p for chunk in chunks for p in chunk]
+            assert flat == list(range(n))
+            assert len(chunks) == min(n, max(1, min(width, n)))
