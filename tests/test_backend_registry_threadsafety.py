@@ -96,18 +96,26 @@ class TestRegistryHammer:
 
 class TestConcurrentContexts:
     def test_concurrent_context_builds_share_backend_singletons(self):
-        """Sixteen threads building contexts at once — the server's
-        steady state — share one backend instance."""
-        backends = []
+        """Sixteen threads building (and closing) contexts at once —
+        the server's steady state — share one backend instance and
+        never cross resource handles."""
+        results = []
         lock = threading.Lock()
 
         def worker(i):
             ctx = ExecutionContext.resolve(
                 Machine(2), "vectorized", seed=i
             )
-            with lock:
-                backends.append(ctx.backend)
+            try:
+                # keep strong refs: id() alone could be reused after GC
+                with lock:
+                    results.append((ctx.backend, ctx.resources))
+            finally:
+                ctx.close()
+            assert ctx.closed
 
         _run_threads(worker)
-        assert len(backends) == N_THREADS
-        assert all(b is get_backend("vectorized") for b in backends)
+        assert len(results) == N_THREADS
+        assert all(b is get_backend("vectorized") for b, _ in results)
+        resources = [r for _, r in results]
+        assert len({id(r) for r in resources}) == len(resources)

@@ -7,10 +7,9 @@ one exceeding its deadline.  Every surviving tenant's result must be
 bitwise-identical to a solo run of the same spec, and shutdown must
 leave no open contexts, straggler threads, or child processes.
 
-CI runs this file under ``REPRO_BACKEND=vectorized`` and
-``REPRO_BACKEND=threaded`` (the server job's matrix); locally it
-exercises whichever default backend the environment selects, plus the
-explicit parametrization below.
+CI runs this file under ``REPRO_BACKEND=vectorized`` (the server job);
+locally it exercises whichever default backend the environment
+selects, plus the explicit parametrization below.
 """
 
 import asyncio
@@ -59,7 +58,7 @@ def _tenant_fleet(backend):
     return specs
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "threaded"])
+@pytest.mark.parametrize("backend", ["vectorized"])
 def test_soak_mixed_tenants(backend):
     specs = _tenant_fleet(backend)
 
