@@ -141,8 +141,6 @@ def bench_delta_speedup(cfg: dict, seed: int = 23,
                 "full rebuild"
             )
         idx = new_idx
-    for ctx in ctxs:
-        ctx.close()
     return {
         "t_full_s": t_full,
         "t_delta_s": t_delta,
@@ -207,7 +205,6 @@ def bench_paged_budget(cfg: dict, seed: int = 31) -> dict[str, float]:
         chaos_hash(ctx, hts, tt, _split(refs), f"nb{r}")
     stats = tt.page_stats()
     resident = max(tt.page_resident_bytes(p) for p in range(N_RANKS))
-    ctx.close()
     if resident > PAGE_BUDGET_BYTES:
         raise AssertionError(
             f"resident page bytes {resident} exceed the "

@@ -1,4 +1,4 @@
-"""Backend ablation: serial vs vectorized vs threaded.
+"""Backend ablation: serial vs vectorized.
 
 Times the *executor phase* (the per-step data transport that dominates
 every paper table) under each backend, on four workloads:
@@ -17,20 +17,15 @@ every paper table) under each backend, on four workloads:
   is not faster than the chain;
 * the rank-count column, ``sweep_p64``: the e2e ``static_sweep`` shape at
   quarter size on 64 ranks (``(n, 3)`` gather + scalar gather +
-  ``scatter_add`` over one windowed schedule), serial vs vectorized
-  only.  At P=16 a Python loop over ranks hides inside the numpy work;
-  at P=64 it is most of a round, so this ratio is what fails if the
-  flat executor ever grows a rank loop again.
+  ``scatter_add`` over one windowed schedule).  At P=16 a Python loop
+  over ranks hides inside the numpy work; at P=64 it is most of a
+  round, so this ratio is what fails if the flat executor ever grows a
+  rank loop again.
 
-All backends charge identical virtual time — the difference measured
+Both backends charge identical virtual time — the difference measured
 here is pure wall-clock interpreter cost: the serial backend walks every
 ``(p, q)`` rank pair in Python, the vectorized backend executes a
-compiled flat plan — one flat move per stage column, no loop over ranks
-— and the threaded backend fans rank ranges of that kernel over its
-per-context worker pool (GIL-bound).  The threaded ratios are advisory
-— they exercise the resource-owning backend seam end-to-end, and their
-wall-clock win scales with the cores of the benchmarking host, which CI
-does not pin.
+compiled flat plan — one flat move per stage column, no loop over ranks.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from repro.core import (  # noqa: E402
 from repro.sim import Machine  # noqa: E402
 
 N_RANKS = 16
-BACKENDS = ("serial", "vectorized", "threaded")
+BACKENDS = ("serial", "vectorized")
 
 
 def charmm_env():
@@ -225,14 +220,12 @@ def generate_table(rounds: int = 5):
     sw_ctx0, sw_sched, sw_arrays = sweep_env()
     times: dict[str, dict[str, float]] = {}
     for backend in BACKENDS:
-        # one context per backend for all of its timings, so warm-up
-        # spins up the same worker pool the timed rounds use; close it
-        # afterwards unless with_backend handed back a shared context
+        # one context per backend for all of its timings
         md_ctx = md.ctx.with_backend(backend)
         lw_ctx = ctx.with_backend(backend)
         fu_ctx = fu_ctx0.with_backend(backend)
-        # warm once so plan compilation (and thread spin-up) is
-        # excluded from per-round times
+        sw_ctx = sw_ctx0.with_backend(backend)
+        # warm once so plan compilation is excluded from per-round times
         time_gather_scatter(md, md_ctx, 1)
         time_scatter_append(lw_ctx, lw_sched, values, 1)
         phases = time_gather_scatter(md, md_ctx, rounds)
@@ -240,42 +233,20 @@ def generate_table(rounds: int = 5):
             lw_ctx, lw_sched, values, rounds
         )
         phases.update(time_halo(fu_ctx, fu_sched, fu_fields, rounds))
-        derived = [(md_ctx, md.ctx), (lw_ctx, ctx), (fu_ctx, fu_ctx0)]
-        if backend in ("serial", "vectorized"):
-            sw_ctx = sw_ctx0.with_backend(backend)
-            derived.append((sw_ctx, sw_ctx0))
-            time_sweep(sw_ctx, sw_sched, sw_arrays, 1)   # compose once
-            phases["sweep_p64"] = time_sweep(sw_ctx, sw_sched, sw_arrays,
-                                             rounds)
+        time_sweep(sw_ctx, sw_sched, sw_arrays, 1)   # compose once
+        phases["sweep_p64"] = time_sweep(sw_ctx, sw_sched, sw_arrays, rounds)
         times[backend] = phases
-        for ctx_b, base in derived:
-            if ctx_b is not base:
-                ctx_b.close()
     columns = ("gather", "scatter_op", "gather_scatter", "scatter_append",
                "halo_x4", "sweep_p64")
-    rows = [
-        [backend] + [times[backend][col] * 1e3 if col in times[backend]
-                     else "" for col in columns]
-        for backend in BACKENDS
-    ]
-    # one speedup row per non-reference backend; the vectorized keys
-    # stay unsuffixed because the regression gate reads them by name,
-    # and only the round-level metrics carry speedups (the per-phase
-    # columns are attribution detail, not gates)
+    rows = [[backend] + [times[backend][col] * 1e3 for col in columns]
+            for backend in BACKENDS]
+    # only the round-level metrics carry speedups (the per-phase columns
+    # are attribution detail, not gates)
     gated = ("gather_scatter", "scatter_append", "halo_x4", "sweep_p64")
-    speedups: dict[str, float] = {}
-    for backend in BACKENDS:
-        if backend == "serial":
-            continue
-        suffix = "" if backend == "vectorized" else f"_{backend}"
-        for phase in gated:
-            if phase in times[backend]:
-                speedups[f"{phase}{suffix}"] = (
-                    times["serial"][phase]
-                    / max(times[backend][phase], 1e-12))
-        rows.append([f"speedup {backend} (x)", "", ""]
-                    + [speedups.get(f"{phase}{suffix}", "")
-                       for phase in gated])
+    speedups = {phase: times["serial"][phase]
+                / max(times["vectorized"][phase], 1e-12) for phase in gated}
+    rows.append(["speedup vectorized (x)", "", ""]
+                + [speedups[phase] for phase in gated])
     print_table(
         f"Backend ablation: executor wall-clock at P={N_RANKS}, last "
         f"column P=64 (ms per round, best of {rounds})",

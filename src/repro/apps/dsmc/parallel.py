@@ -120,8 +120,8 @@ class ParallelDSMC:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down the context's backend resources (idempotent)."""
-        self.ctx.close()
+        """No-op, kept with ``with`` support for existing callers: a
+        context holds no resources, so there is nothing to release."""
 
     def __enter__(self) -> "ParallelDSMC":
         return self

@@ -67,9 +67,7 @@ from repro.core.remap import (
 )
 from repro.core.backends import (
     Backend,
-    BackendResources,
     SerialBackend,
-    ThreadedBackend,
     VectorizedBackend,
     available_backends,
     default_backend,
@@ -157,9 +155,7 @@ __all__ = [
     "remap_global_values",
     "remap_phase",
     "Backend",
-    "BackendResources",
     "SerialBackend",
-    "ThreadedBackend",
     "VectorizedBackend",
     "available_backends",
     "default_backend",

@@ -20,7 +20,7 @@ so every backend sees pre-validated inputs and only has to do the work
 and charge the machine.  Backend methods receive that same context as
 their first argument (``ctx.machine`` is the machine to charge).
 
-Three implementations ship with the runtime, and they are the whole set:
+Two implementations ship with the runtime, and they are the whole set:
 
 * ``serial`` — the reference semantics: a Python dict operation per hash
   key, a Python loop per communicating ``(p, q)`` rank pair, one
@@ -31,18 +31,10 @@ Three implementations ship with the runtime, and they are the whole set:
   (:meth:`Machine.exchange_compiled`) with one array charge per charge
   kind per stage, and one flat move per stage column — a composed index
   pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
-  :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks;
-* ``threaded`` — the same kernel with its rank ranges (one contiguous
-  range per worker) fanned out over a per-context thread pool.
+  :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks.
 
-Each is a stateless singleton built once at import.  Backends are also
-*resource owners*: :meth:`Backend.open` creates a per-context
-:class:`BackendResources` handle when an
-:class:`~repro.core.context.ExecutionContext` is constructed, and
-:meth:`Backend.close` tears it down deterministically when the owning
-component closes the context.  Only the threaded backend's handle owns
-anything (its thread pool); the default handle owns nothing, so the
-serial and vectorized backends pay no lifecycle cost.
+Each is a stateless singleton built once at import; a backend owns no
+per-context resources, so there is nothing to open or close.
 
 Backends must be *observationally identical*: same results bitwise
 (localized indices, ghost-slot assignment, schedules, executor data),
@@ -69,44 +61,6 @@ from repro.core.hashtable import group_of, split_stream, stream_of
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-class BackendResources:
-    """Per-context resource handle created by :meth:`Backend.open`.
-
-    One handle is opened when an
-    :class:`~repro.core.context.ExecutionContext` is constructed and
-    closed exactly once — by ``ctx.close()`` (usually via the owning
-    component's ``close()``), or as a garbage-collection safety net for
-    handles whose subclass registers a finalizer.  ``close()`` is
-    idempotent.  The base handle owns nothing; backends with real
-    resources (e.g. the threaded backend's worker pool) subclass it and
-    override :meth:`_release`.
-    """
-
-    __slots__ = ("backend", "_closed", "__weakref__")
-
-    def __init__(self, backend: "Backend"):
-        self.backend = backend
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Release owned resources; safe to call more than once."""
-        if not self._closed:
-            self._closed = True
-            self._release()
-
-    def _release(self) -> None:
-        """Subclass hook: actually free the owned resources."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "closed" if self._closed else "open"
-        return (f"{type(self).__name__}(backend={self.backend.name!r}, "
-                f"{state})")
-
-
 class Backend(ABC):
     """Inspector + executor execution strategy.
 
@@ -119,41 +73,6 @@ class Backend(ABC):
 
     #: backend-set key; subclasses override
     name: str = "abstract"
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def open(self, ctx) -> BackendResources:
-        """Create this backend's per-context resources.
-
-        Called once from :class:`ExecutionContext` construction; the
-        returned handle rides on ``ctx.resources`` and is torn down by
-        :meth:`close` when the owning component closes the context.
-        Default: an empty handle (no pools, no buffers).
-        """
-        return BackendResources(self)
-
-    def close(self, resources: BackendResources) -> None:
-        """Tear down a handle produced by :meth:`open` (idempotent)."""
-        resources.close()
-
-    def _owned_resources(self, ctx, cls: type) -> BackendResources:
-        """The context's resource handle, verified owned, open, and of
-        type ``cls`` — the shared entry check of every resource-backed
-        ``_run_ranks`` (rank-range fan-out) implementation."""
-        res = ctx.resources
-        if not isinstance(res, cls) or res.backend is not self:
-            raise RuntimeError(
-                f"{self.name} backend invoked on a context whose resources "
-                f"it does not own; build the context with "
-                f"ExecutionContext.resolve(machine, {self.name!r})"
-            )
-        if res.closed:
-            raise RuntimeError(
-                "ExecutionContext already closed: its worker pool was shut "
-                "down; create a fresh context for new work"
-            )
-        return res
 
     # ------------------------------------------------------------------
     # inspector phase

@@ -3,7 +3,7 @@
 The CHAOS runtime of the paper is a *library* with ambient state: every
 primitive (hash, localize, schedule build, gather/scatter, remap) runs
 against the machine, its translation caches, and its traffic accounting.
-Earlier revisions of this reproduction threaded that state by hand — a
+Earlier revisions of this reproduction passed that state by hand — a
 loose ``(machine, ..., backend=)`` tail on every primitive, with each
 layer re-resolving defaults independently.  :class:`ExecutionContext`
 collapses the plumbing:
@@ -12,10 +12,6 @@ collapses the plumbing:
   traffic statistics, collectives);
 * ``backend`` — the *resolved* :class:`~repro.core.backends.Backend`
   executing every pipeline phase (never ``None``, never a bare name);
-* ``resources`` — the backend's per-context
-  :class:`~repro.core.backends.base.BackendResources` handle (worker
-  pools, scratch buffers), opened once at context construction and torn
-  down deterministically by :meth:`ExecutionContext.close`;
 * per-run services — a :class:`~repro.core.reuse.ModificationRecord`,
   the :class:`~repro.core.reuse.ScheduleCache` built over it, and the
   run's RNG ``seed``.
@@ -34,10 +30,10 @@ Every core primitive takes a context as its first argument::
 
 The runtime components (:class:`~repro.core.api.ChaosRuntime`,
 ``ProgramInstance``, ``ParallelMD``, ``ParallelDSMC``) construct one
-context at init and *own its lifecycle*: their ``close()`` (or use as a
-``with`` block) releases the backend resources.  The pre-context
-machine-first signatures with a ``backend`` keyword, deprecated for one
-release, have been removed.
+context at init.  A context holds no resources — backends are stateless
+singletons — so it has nothing to close and is simply dropped.  The
+pre-context machine-first signatures with a ``backend`` keyword,
+deprecated for one release, have been removed.
 
 Concurrency contract (audited for the multi-tenant server)
 ----------------------------------------------------------
@@ -47,14 +43,13 @@ be handed to another thread without defensive copying.  Backend
 resolution is thread-safe (the backend set is built once at import and
 the process default lives behind a module lock, see
 :mod:`repro.core.backends.base`) and backend instances are
-process-wide singletons compared by identity.  What is
-**not** shareable across concurrently-running tenants are the mutable
-services a context carries — the machine's clocks/traffic, the
-modification record, the schedule cache, the backend resource handle.
-The server therefore gives every job its own machine + context
-(:func:`repro.serve.job.build_job_context`); sharing one context
-between sequential runs remains fine (instance-scoped cache keys keep
-programs from cross-hitting).
+process-wide singletons compared by identity.  What is **not**
+shareable across concurrently-running tenants are the mutable services
+a context carries — the machine's clocks/traffic, the modification
+record, the schedule cache.  The server therefore gives every job its
+own machine + context (:func:`repro.serve.job.build_job_context`);
+sharing one context between sequential runs remains fine
+(instance-scoped cache keys keep programs from cross-hitting).
 """
 
 from __future__ import annotations
@@ -63,11 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.backends.base import (
-    Backend,
-    BackendResources,
-    resolve_backend,
-)
+from repro.core.backends.base import Backend, resolve_backend
 from repro.core.reuse import ModificationRecord, ScheduleCache
 from repro.sim.machine import Machine
 
@@ -78,12 +69,9 @@ class ExecutionContext:
 
     The carrier itself is immutable (fields cannot be rebound); the
     services it carries — the machine's clocks/traffic, the modification
-    record, the schedule cache, the backend's resource handle — are of
-    course mutable objects.  Use :meth:`with_backend` / :meth:`derive`
-    to obtain variants sharing the same machine and services; variants
-    that keep the backend share its resource handle too, while
-    retargeting to a different backend opens a fresh handle (closing one
-    context never tears down a sibling running on another backend).
+    record, the schedule cache — are of course mutable objects.  Use
+    :meth:`with_backend` / :meth:`derive` to obtain variants sharing the
+    same machine and services.
     """
 
     machine: Machine
@@ -91,7 +79,6 @@ class ExecutionContext:
     seed: int = 0
     record: ModificationRecord | None = None
     schedule_cache: ScheduleCache | None = None
-    resources: BackendResources | None = None
     #: per-rank byte budget for paged translation caches (``None`` =
     #: unbounded); carried frozen so every lookup in a run sees one policy
     page_budget_bytes: int | None = None
@@ -118,9 +105,6 @@ class ExecutionContext:
             object.__setattr__(
                 self, "schedule_cache", ScheduleCache(self.record)
             )
-        if (self.resources is None
-                or self.resources.backend is not self.backend):
-            object.__setattr__(self, "resources", self.backend.open(self))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -170,40 +154,9 @@ class ExecutionContext:
         )
 
     # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Tear down the backend's per-context resources (idempotent).
-
-        Derived variants sharing this context's backend share the handle
-        too, so closing any one of them closes it for all — deterministic
-        teardown belongs to whichever component owns the context.
-        """
-        self.backend.close(self.resources)
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run on this context's resources."""
-        return self.resources.closed
-
-    def __enter__(self) -> "ExecutionContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     def with_backend(self, backend) -> "ExecutionContext":
-        """Variant running on ``backend``, sharing machine + services.
-
-        Same backend returns ``self``; a different backend opens its own
-        fresh :class:`BackendResources` handle (``__post_init__`` sees
-        the stale handle's backend mismatch and re-opens).
-        """
-        be = resolve_backend(backend)
-        if be is self.backend:
-            return self
-        return replace(self, backend=be)
+        """Variant running on ``backend``, sharing machine + services."""
+        return replace(self, backend=resolve_backend(backend))
 
     def derive(self, **changes) -> "ExecutionContext":
         """``dataclasses.replace`` with backend names resolved."""
@@ -253,8 +206,7 @@ def resolve_component(ctx, who: str = "this component") -> ExecutionContext:
     Components (:class:`ChaosRuntime`, ``ProgramInstance``,
     ``ParallelMD``, ``ParallelDSMC``) accept an :class:`ExecutionContext`
     (preferred) or a bare :class:`Machine` — constructing one context at
-    init is exactly their job.  Either way, the component owns the
-    resulting context's lifecycle (``component.close()`` closes it).
+    init is exactly their job.
     """
     if isinstance(ctx, (ExecutionContext, Machine)):
         return ExecutionContext.resolve(ctx)

@@ -16,8 +16,7 @@ Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
 transport: ``serial`` reproduces the historical pair-loop semantics,
 ``vectorized`` (the default) moves the plan's flat streams with fused
-numpy operations, ``threaded`` fans rank ranges of the same kernel
-out over the context's worker pool.
+numpy operations.
 
 **One path.**  A schedule is a precomputed pack → exchange → place
 plan, and every primitive is that plan run in one direction or the

@@ -30,7 +30,7 @@ every arena, one-rank streams): the serial reference,
 
 Two key stores implement the stream interface; callers choose the rows,
 so the choice is invisible above: :class:`RankKeyArena`, a rank-segmented
-open-addressed int64 table (every backend but ``serial``), and
+open-addressed int64 table (``vectorized``), and
 :class:`DictKeyStore`, one Python dict operation per key — ``serial``'s
 semantics oracle.
 """

@@ -262,7 +262,7 @@ def delta_rebuild_schedule(
 
     Selects the entries that *entered* ``expr``'s selection (scratch-
     stamps them and builds a small delta schedule through the backend
-    seam — all four backends for free), collects the ghost slots of
+    seam — both backends for free), collects the ghost slots of
     entries that *left*, and splices both into ``base_schedule``.  The
     result is bitwise-identical to a cold ``build_schedule`` over the
     updated tables; cost scales with the touched subset plus one

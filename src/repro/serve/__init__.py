@@ -8,7 +8,7 @@ concurrent programs the way a production deployment would:
 * :class:`ProgramServer` — an asyncio admission/work queue over
   submitted :class:`JobSpec`\\ s.  Every job runs under its own
   per-tenant :class:`~repro.core.context.ExecutionContext` (own
-  simulated machine, own backend resources, own RNG seed) inside a
+  simulated machine, own schedule cache, own RNG seed) inside a
   soft-failure wrapper: a tenant that raises, times out, or is
   cancelled produces a recorded :class:`JobVerdict` and never takes
   down the event loop or perturbs another tenant's bitwise results.
@@ -19,15 +19,12 @@ concurrent programs the way a production deployment would:
   application-shaped specs (CHARMM, DSMC) live in
   :mod:`repro.apps.jobs`.
 * :class:`JobVerdict` — the per-job record: terminal status, result or
-  error + traceback, traffic/virtual-clock/cache statistics, and the
-  resource audit (context closed).
+  error + traceback, and traffic/virtual-clock/cache statistics.
 
 Backend work executes on a thread pool via ``run_in_executor`` so the
 event loop stays responsive; admission is bounded with configurable
-backpressure; ``drain()``/``close()`` finish running jobs, reject new
-submissions, and deterministically close every context's backend
-resources — the threaded backend's worker pools included — riding
-the backend lifecycle hooks (``open``/``close``).
+backpressure; ``drain()``/``close()`` reject new submissions, finish
+running jobs and await straggler threads.
 """
 
 from repro.serve.config import ServerConfig

@@ -39,10 +39,9 @@ class JobVerdict:
     machine's accounting at completion: the traffic snapshot
     (message/byte counters by tag), virtual-clock totals, and schedule-
     cache occupancy — each tenant has its own machine, so the numbers
-    are exact and unpolluted by neighbours.
-
-    The resource audit closes the isolation loop: after ``drain()``
-    the server guarantees ``resources_closed`` is true for every job.
+    are exact and unpolluted by neighbours.  ``backend`` is the name the
+    spec's backend resolved to (the spec's own value if the job's
+    context was never built).
     """
 
     job_id: int
@@ -58,7 +57,6 @@ class JobVerdict:
     submitted_at: float | None = None
     started_at: float | None = None
     finished_at: float | None = None
-    resources_closed: bool = False
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,4 @@
-"""Shared job builders and audit helpers for the serve test suite.
+"""Shared job builders and check helpers for the serve test suite.
 
 Not a test module (no ``test_`` prefix); imported by
 ``test_serve_server.py`` / ``test_serve_drain.py`` /
@@ -59,7 +59,7 @@ def make_halo_fn(n=48, crash=False):
     def fn(ctx, control):
         from repro.core.api import ChaosRuntime
 
-        rt = ChaosRuntime(ctx)  # shares ctx; its owner closes it
+        rt = ChaosRuntime(ctx)  # shares the job's context
         tt = rt.block_table(n)
         rng = ctx.rng()
         idx = [rng.integers(0, n, size=n // 2) for _ in ctx.ranks()]

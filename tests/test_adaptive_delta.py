@@ -4,7 +4,7 @@ The contract of :func:`rehash_delta` + :func:`delta_rebuild_schedule` is
 *bitwise equivalence*: after any touched-subset update, the spliced
 schedule, the localized indices, and the table occupancy must be
 indistinguishable from running the full clear/rehash/rebuild path over
-the same tables — under every registered backend, including updates
+the same tables — under every backend, including updates
 that introduce never-seen global indices (fresh ghost slots) and ones
 that drop the last reference to an index (ghost-slot retirement).
 
@@ -270,65 +270,61 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
         a[t] = v
     ctx_f = ExecutionContext.resolve(Machine(n_ranks), backend)
     ctx_d = ExecutionContext.resolve(Machine(n_ranks), backend)
-    try:
-        tt_f, hts_f = _hashed_env(ctx_f, owner, idx, case == "purged_rows")
-        tt_d, hts_d = _hashed_env(ctx_d, owner, idx, case == "purged_rows")
-        base = build_schedule(ctx_d, hts_d, "s")
-        old_capacity = [ht.ghost_capacity() for ht in hts_d]
+    tt_f, hts_f = _hashed_env(ctx_f, owner, idx, case == "purged_rows")
+    tt_d, hts_d = _hashed_env(ctx_d, owner, idx, case == "purged_rows")
+    base = build_schedule(ctx_d, hts_d, "s")
+    old_capacity = [ht.ghost_capacity() for ht in hts_d]
 
-        clear_stamp(ctx_f, hts_f, "s")
-        chaos_hash(ctx_f, hts_f, tt_f, nxt, "s")
-        cold = build_schedule(ctx_f, hts_f, "s")
+    clear_stamp(ctx_f, hts_f, "s")
+    chaos_hash(ctx_f, hts_f, tt_f, nxt, "s")
+    cold = build_schedule(ctx_f, hts_f, "s")
 
-        # bracket the one splice call: clocks and traffic around it
-        m = ctx_d.machine
-        seen = {}
-        splice = schedule_mod.splice_schedules
+    # bracket the one splice call: clocks and traffic around it
+    m = ctx_d.machine
+    seen = {}
+    splice = schedule_mod.splice_schedules
 
-        def bracketed(*args, **kwargs):
-            seen["clock"] = [c.time for c in m.clocks]
-            seen["traffic"] = m.traffic.snapshot()
-            seen["entries"] = [ht.n_entries for ht in hts_d]
-            out = splice(*args, **kwargs)
-            seen["after"] = [c.time for c in m.clocks]
-            return out
+    def bracketed(*args, **kwargs):
+        seen["clock"] = [c.time for c in m.clocks]
+        seen["traffic"] = m.traffic.snapshot()
+        seen["entries"] = [ht.n_entries for ht in hts_d]
+        out = splice(*args, **kwargs)
+        seen["after"] = [c.time for c in m.clocks]
+        return out
 
-        with mock.patch.object(schedule_mod, "splice_schedules", bracketed):
-            rehash = rehash_delta(ctx_d, hts_d, tt_d, "s",
-                                  [a[t] for a, t in zip(idx, pos)], new)
-            got = delta_rebuild_schedule(ctx_d, hts_d, "s", base, rehash)
-        _assert_schedule_equal(cold, got)
-        assert m.traffic.snapshot() == seen["traffic"]
-        for p in range(n_ranks):
-            t = seen["clock"][p]
-            t += m.cost_model.memory_time(seen["entries"][p])
-            t += m.cost_model.memory_time(got.recv_slots[p].size)
-            assert seen["after"][p] == t
+    with mock.patch.object(schedule_mod, "splice_schedules", bracketed):
+        rehash = rehash_delta(ctx_d, hts_d, tt_d, "s",
+                              [a[t] for a, t in zip(idx, pos)], new)
+        got = delta_rebuild_schedule(ctx_d, hts_d, "s", base, rehash)
+    _assert_schedule_equal(cold, got)
+    assert m.traffic.snapshot() == seen["traffic"]
+    for p in range(n_ranks):
+        t = seen["clock"][p]
+        t += m.cost_model.memory_time(seen["entries"][p])
+        t += m.cost_model.memory_time(got.recv_slots[p].size)
+        assert seen["after"][p] == t
 
-        # each named case really exercises what it is named after
-        before, after = base.counts, got.counts
-        if case == "empty_delta":
-            assert np.array_equal(before, after)
-        if n_ranks > 1:
-            if case == "drop_only":
-                assert (after <= before).all() and after.sum() < before.sum()
-            if case == "insert_only":
-                assert (after >= before).all() and after.sum() > before.sum()
-            if case == "segment_emptied":
-                assert (before[-1, 0], after[-1, 0]) == (1, 0)
-            if case == "segment_created":
-                assert (before[-1, 0], after[-1, 0]) == (0, 1)
-            if case == "empty_rank":
-                assert hts_d[-1].n_entries == 0
-            if case == "fresh_ghosts":
-                assert any(ht.ghost_capacity() > cap
-                           for ht, cap in zip(hts_d, old_capacity))
-            if case == "purged_rows":
-                assert any((ht.buf[:ht.n_entries] < 0).any()
-                           and len(ht) < ht.n_entries for ht in hts_d)
-    finally:
-        ctx_f.close()
-        ctx_d.close()
+    # each named case really exercises what it is named after
+    before, after = base.counts, got.counts
+    if case == "empty_delta":
+        assert np.array_equal(before, after)
+    if n_ranks > 1:
+        if case == "drop_only":
+            assert (after <= before).all() and after.sum() < before.sum()
+        if case == "insert_only":
+            assert (after >= before).all() and after.sum() > before.sum()
+        if case == "segment_emptied":
+            assert (before[-1, 0], after[-1, 0]) == (1, 0)
+        if case == "segment_created":
+            assert (before[-1, 0], after[-1, 0]) == (0, 1)
+        if case == "empty_rank":
+            assert hts_d[-1].n_entries == 0
+        if case == "fresh_ghosts":
+            assert any(ht.ghost_capacity() > cap
+                       for ht, cap in zip(hts_d, old_capacity))
+        if case == "purged_rows":
+            assert any((ht.buf[:ht.n_entries] < 0).any()
+                       and len(ht) < ht.n_entries for ht in hts_d)
 
 
 def test_splice_never_walks_rank_pairs(monkeypatch):

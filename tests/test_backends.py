@@ -1,9 +1,8 @@
 """Backend equivalence: SerialBackend vs every other backend.
 
 The serial pair loop defines the semantics; the vectorized compiled-plan
-path — and the threaded backend fanning its rank loops over a worker
-pool — must be observationally identical on randomized
-schedules (the sweep is ``conftest.ALL_BACKENDS``):
+path must be observationally identical on randomized schedules (the
+sweep is ``conftest.ALL_BACKENDS``):
 
 * bitwise-identical ghosts / local results for gather, scatter,
   scatter_op (add and maximum), scatter_append(_multi), remap_array,
@@ -217,7 +216,7 @@ def test_integer_data_equivalence(rng):
 # ---------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_backends() == ("serial", "threaded", "vectorized")
+        assert available_backends() == ("serial", "vectorized")
 
     def test_get_backend_instances(self):
         assert isinstance(get_backend("serial"), SerialBackend)
@@ -236,8 +235,8 @@ class TestRegistry:
         assert primitives - set(vars(SerialBackend)) == {"scatter_append"}
 
     def test_one_flat_kernel(self):
-        """No per-rank kernel beside the flat one: every backend runs
-        ``fused_apply`` over a rank range."""
+        """No per-rank kernel beside the flat one: the executor runs
+        ``fused_apply`` over one whole-machine move."""
         import inspect
         import pathlib
 
@@ -248,7 +247,7 @@ class TestRegistry:
         assert not [p for p in src.rglob("*.py")
                     if "apply_rank" in p.read_text()]
         assert list(inspect.signature(vectorized.fused_apply).parameters) \
-            == ["move", "lo", "hi"]
+            == ["move"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):

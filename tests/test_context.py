@@ -10,9 +10,9 @@ down its contract:
 * the kwarg-era surface deprecated in PR 4 (machine-first signatures,
   ``backend=`` keywords, nested pair accessors, ``from_pair_lists``)
   is *gone* — the former shim call shapes now raise :class:`TypeError`;
-* serial and vectorized contexts stay *bitwise equal* end-to-end on the
-  CHARMM and DSMC pipelines (results and traffic; the threaded backend
-  joins the comparison in ``test_threaded_backend.py``).
+* the backend set is exactly ``serial`` and ``vectorized``, and the two
+  contexts stay *bitwise equal* end-to-end on the CHARMM and DSMC
+  pipelines (results and traffic).
 """
 
 import dataclasses
@@ -58,11 +58,11 @@ class TestResolutionOrder:
         ctx = ExecutionContext.resolve(machine4)
         assert ctx.backend.name == "serial"
         # a name outside the backend set fails loudly, listing the set
-        monkeypatch.setenv(base.BACKEND_ENV_VAR, "multiprocess")
-        with pytest.raises(
-            KeyError, match=r"\('serial', 'threaded', 'vectorized'\)"
-        ):
-            ExecutionContext.resolve(machine4)
+        for gone in ("multiprocess", "threaded"):
+            monkeypatch.setenv(base.BACKEND_ENV_VAR, gone)
+            with pytest.raises(KeyError,
+                               match=r"\('serial', 'vectorized'\)"):
+                ExecutionContext.resolve(machine4)
 
     def test_vectorized_is_final_fallback(self, machine4, monkeypatch):
         import repro.core.backends.base as base
@@ -153,12 +153,15 @@ class TestCarrier:
         assert rng1.integers(0, 1 << 30) == rng2.integers(0, 1 << 30)
 
     def test_runtime_exposes_context_services(self, ctx4):
-        rt = ChaosRuntime(ctx4)
-        assert rt.ctx is ctx4
-        assert rt.machine is ctx4.machine
-        assert rt.backend is ctx4.backend
-        assert rt.schedule_cache is ctx4.schedule_cache
-        assert rt.modification_record is ctx4.record
+        with ChaosRuntime(ctx4) as rt:
+            assert rt.ctx is ctx4
+            assert rt.machine is ctx4.machine
+            assert rt.backend is ctx4.backend
+            assert rt.schedule_cache is ctx4.schedule_cache
+            assert rt.modification_record is ctx4.record
+        # close() releases nothing: the context stays usable
+        rt.close()
+        assert ChaosRuntime(ctx4).block_table(8).dist.n_global == 8
 
 
 # ---------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Unit tests: DistributedArray, ChaosRuntime facade, IrregularReduction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ChaosRuntime,
     DistributedArray,
+    ExecutionContext,
     IrregularReduction,
     split_by_block,
 )
 from repro.sim import Machine
+
+from conftest import ALL_BACKENDS
 
 
 class TestDistributedArray:
@@ -289,3 +294,58 @@ class TestIrregularReduction:
         expected = x_g.copy()
         np.add.at(expected, ia_g, y_g[ib_g])
         assert np.allclose(x.to_global(), expected)
+
+
+class TestPinnedSimulatedCost:
+    """Virtual time, messages, bytes and the sha256 of the result of an
+    ``IrregularReduction`` static sweep and of one targeted ``adapt``
+    round, recorded while the executor kernel still ran over rank-range
+    bounds and contexts still owned resources: those went without
+    changing a charge, and later changes must not move one either."""
+
+    N, E, P = 200, 800, 8
+
+    def check(self, machine, x, n_messages, total_bytes, seconds, sha):
+        assert machine.traffic.n_messages == n_messages
+        assert machine.traffic.total_bytes == total_bytes
+        assert machine.execution_time() == pytest.approx(seconds, rel=1e-12)
+        assert hashlib.sha256(x.to_global().tobytes()).hexdigest() == sha
+
+    def make(self, backend):
+        rng = np.random.default_rng(2801)
+        m = Machine(self.P)
+        rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+        tt = rt.irregular_table(rng.integers(0, self.P, self.N))
+        x = rt.distribute(rng.standard_normal(self.N), tt)
+        y = rt.distribute(rng.standard_normal(self.N), tt)
+        ib = split_by_block(rng.integers(0, self.N, self.E), m)
+        loop = IrregularReduction(rt, tt, "sweep").bind(
+            ia=split_by_block(rng.integers(0, self.N, self.E), m), ib=ib)
+        loop.setup()
+        return rng, m, rt, loop, x, y, ib
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_static_sweep(self, backend):
+        _, m, _, loop, x, y, _ = self.make(backend)
+        for _ in range(3):
+            loop.execute(x, "ia", lambda v: 0.5 * v, {"y": (y, "ib")})
+        self.check(m, x, 472, 60424, 0.015717759999999997,
+                   "083dc86659f8f3294a264d6c812c7266"
+                   "bbe7e8db85f010efb40e939a0aa5ceba")
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_adapt_touched_delta_round(self, backend):
+        rng, m, rt, loop, x, y, ib = self.make(backend)
+        loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+        touched = [rng.choice(a.size, size=a.size // 10, replace=False)
+                   for a in ib]
+        nxt = [a.copy() for a in ib]
+        for a, pos in zip(nxt, touched):
+            a[pos] = rng.integers(0, self.N, pos.size)
+        loop.adapt("ib", nxt, touched=touched)
+        st = rt.cache_stats("sweep")
+        assert (st.builds, st.delta_rebuilds) == (1, 1)
+        loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+        self.check(m, x, 398, 46744, 0.01325693,
+                   "834a7f330a22e3718526e8a2a9696db5"
+                   "9c614afcf3f6bb60458641b02aeb20f9")

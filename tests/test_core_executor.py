@@ -69,7 +69,6 @@ class TestGather:
         ghosts = gather(ctx, sched, [a.tolist() for a in x.local])
         for got, ref in zip(ghosts, rt.gather(sched, x)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        ctx.close()
 
     def test_gather_2d_rows(self, rng):
         m = Machine(4)
@@ -193,7 +192,6 @@ class TestScatterBounds:
                 call()
         for a, b in zip(before, x.local):
             assert np.array_equal(a, b)
-        ctx.close()
 
     def test_short_local_array_rejected(self, rng, backend_name):
         m, rt, tt, x, x_g, idx_g, loc, sched = env(rng)
@@ -203,7 +201,6 @@ class TestScatterBounds:
         for call in self._calls(ctx, sched, short, ghosts):
             with pytest.raises(IndexError):
                 call()
-        ctx.close()
 
 
     def test_slots_past_the_buffer_rejected(self, rng, backend_name):
@@ -223,7 +220,6 @@ class TestScatterBounds:
             plan, extent=[max(0, n - 1) for n in plan.new_sizes])
         with pytest.raises(ValueError, match="plan extent"):
             remap_array(ctx, lying, x.local)
-        ctx.close()
 
 
 class TestStacking:

@@ -156,7 +156,6 @@ class TestScatterAppend:
         ctx = ExecutionContext.resolve(Machine(2), backend_name)
         with pytest.raises(IndexError):
             scatter_append(ctx, sched, [np.arange(2.0), np.arange(1.0)])
-        ctx.close()
 
     @pytest.mark.parametrize("trailing", [(), (3,)])
     def test_single_is_the_one_column_multi(self, backend_name, trailing):
@@ -181,6 +180,5 @@ class TestScatterAppend:
                 m.traffic.snapshot(), list(m.traffic.messages),
                 [c.snapshot() for c in m.clocks],
             ))
-            ctx.close()
         assert observed[0] == observed[1]
         assert sum(shape[0] for _, shape, _ in observed[0][0]) == 29

@@ -1,5 +1,5 @@
-"""Tests for second-round extensions: Morton partitioner, multi-array
-scatter_append, Fortran-D intrinsic functions, the CHARMM thermostat."""
+"""Tests for second-round extensions: multi-array scatter_append,
+Fortran-D intrinsic functions, the CHARMM thermostat."""
 
 import numpy as np
 import pytest
@@ -10,83 +10,7 @@ from repro.core import (
     scatter_append,
     scatter_append_multi,
 )
-from repro.partitioners import MortonPartitioner, RCB, morton_keys
 from repro.sim import Machine
-
-
-class TestMortonKeys:
-    def test_locality(self, rng):
-        """Points close in space get close Morton keys (statistically)."""
-        pts = rng.random((500, 2))
-        keys = morton_keys(pts)
-        order = np.argsort(keys)
-        # consecutive points along the curve are spatially close on average
-        d_curve = np.linalg.norm(np.diff(pts[order], axis=0), axis=1).mean()
-        d_random = np.linalg.norm(
-            pts[rng.permutation(500)][:-1] - pts[rng.permutation(500)][1:],
-            axis=1,
-        ).mean()
-        assert d_curve < d_random / 2
-
-    def test_deterministic(self, rng):
-        pts = rng.random((100, 3))
-        assert np.array_equal(morton_keys(pts), morton_keys(pts))
-
-    def test_1d_accepted(self):
-        keys = morton_keys(np.array([0.1, 0.9, 0.5]))
-        assert keys.argsort().tolist() == [0, 2, 1]
-
-    def test_4d_rejected(self):
-        with pytest.raises(ValueError):
-            morton_keys(np.zeros((3, 4)))
-
-    def test_empty(self):
-        assert morton_keys(np.zeros((0, 2))).size == 0
-
-
-class TestMortonPartitioner:
-    def test_all_assigned_balanced(self, rng):
-        coords = rng.random((400, 3))
-        w = rng.random(400) + 0.1
-        res = MortonPartitioner().partition(coords, 8, w)
-        assert res.labels.shape == (400,)
-        assert res.imbalance(w) < 1.35
-
-    def test_spatial_compactness(self, rng):
-        coords = rng.random((600, 2))
-        res = MortonPartitioner().partition(coords, 4)
-        global_spread = coords.std(axis=0).mean()
-        intra = [coords[res.labels == k].std(axis=0).mean() for k in range(4)]
-        assert np.mean(intra) < global_spread
-
-    def test_cost_between_chain_and_rcb(self):
-        from repro.partitioners import ChainPartitioner
-
-        m = Machine(64)
-        chain = sum(ChainPartitioner().parallel_cost(50000, 64, m))
-        morton = sum(MortonPartitioner().parallel_cost(50000, 64, m))
-        rcb = sum(RCB().parallel_cost(50000, 64, m))
-        assert chain < morton < rcb
-
-    def test_bad_bits(self):
-        with pytest.raises(ValueError):
-            MortonPartitioner(bits=0)
-
-    def test_single_part(self, rng):
-        res = MortonPartitioner().partition(rng.random((10, 2)), 1)
-        assert np.all(res.labels == 0)
-
-    def test_charmm_runs_with_morton(self):
-        from repro.apps.charmm import ParallelMD, SequentialMD, build_small_system
-
-        a = build_small_system(180, seed=2)
-        b = a.copy()
-        seq = SequentialMD(a, update_every=3)
-        seq.run(5)
-        par = ParallelMD(b, Machine(4), update_every=3,
-                         partitioner=MortonPartitioner())
-        par.run(5)
-        assert np.abs(par.global_positions() - a.positions).max() < 1e-9
 
 
 class TestScatterAppendMulti:

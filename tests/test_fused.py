@@ -19,6 +19,8 @@ Covered here:
   results; a three-stage illegal chain equals its primitives called one
   by one on the same backend, clocks exactly;
 * a three-column append stage sharing a chain with a gather stage;
+* a raising executor kernel, alone and inside a chain: its own
+  exception surfaces and the context stays usable;
 * empty machines, empty schedules and zero-size plans;
 * fused-plan cache counters under a ``loop_id`` (hits, builds, and the
   hit-preserving rebuild when a schedule is re-inspected);
@@ -113,25 +115,22 @@ def _gather_scatter(backend, fused, seed, n_ranks, n, n_ref, trailing):
     """One gather + one scatter_op over the same schedule; observe all."""
     m, x, sched, rng = _schedule_env(seed, n_ranks, n, n_ref, trailing)
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        ghosts = allocate_ghosts(sched, x.local)
-        contrib = None
-        if fused:
-            run_pipeline(ctx, [gather_phase(sched, x.local, ghosts)],
-                         loop_id="gs:g")
-            contrib = [1.5 * g + 0.25 for g in ghosts]
-            run_pipeline(
-                ctx,
-                [scatter_op_phase(sched, x.local, contrib, np.add)],
-                loop_id="gs:s",
-            )
-        else:
-            gather(ctx, sched, x.local, ghosts)
-            contrib = [1.5 * g + 0.25 for g in ghosts]
-            scatter_op(ctx, sched, x.local, contrib, np.add)
-        return _observe(m, ghosts, x.local)
-    finally:
-        ctx.close()
+    ghosts = allocate_ghosts(sched, x.local)
+    contrib = None
+    if fused:
+        run_pipeline(ctx, [gather_phase(sched, x.local, ghosts)],
+                     loop_id="gs:g")
+        contrib = [1.5 * g + 0.25 for g in ghosts]
+        run_pipeline(
+            ctx,
+            [scatter_op_phase(sched, x.local, contrib, np.add)],
+            loop_id="gs:s",
+        )
+    else:
+        gather(ctx, sched, x.local, ghosts)
+        contrib = [1.5 * g + 0.25 for g in ghosts]
+        scatter_op(ctx, sched, x.local, contrib, np.add)
+    return _observe(m, ghosts, x.local)
 
 
 @settings(max_examples=15, deadline=None)
@@ -163,25 +162,22 @@ def _remap_pipeline(backend, fused, seed, n_ranks, n, trailing):
     b = rt.distribute(rng.integers(0, 1000, n), old_tt)
     c = rt.distribute(rng.standard_normal(n), old_tt)
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        plan = remap(ctx, old_tt.dist, new_tt.dist)
-        m.reset_clocks()
-        m.reset_traffic()
-        if fused:
-            ra, rb, rc = run_pipeline(
-                ctx,
-                [remap_phase(plan, a.local),
-                 remap_phase(plan, b.local),
-                 remap_phase(plan, c.local)],
-                category="remap", loop_id="rm",
-            )
-        else:
-            ra = remap_array(ctx, plan, a.local)
-            rb = remap_array(ctx, plan, b.local)
-            rc = remap_array(ctx, plan, c.local)
-        return _observe(m, ra, rb, rc)
-    finally:
-        ctx.close()
+    plan = remap(ctx, old_tt.dist, new_tt.dist)
+    m.reset_clocks()
+    m.reset_traffic()
+    if fused:
+        ra, rb, rc = run_pipeline(
+            ctx,
+            [remap_phase(plan, a.local),
+             remap_phase(plan, b.local),
+             remap_phase(plan, c.local)],
+            category="remap", loop_id="rm",
+        )
+    else:
+        ra = remap_array(ctx, plan, a.local)
+        rb = remap_array(ctx, plan, b.local)
+        rc = remap_array(ctx, plan, c.local)
+    return _observe(m, ra, rb, rc)
 
 
 @settings(max_examples=10, deadline=None)
@@ -232,21 +228,17 @@ def test_fused_shared_ghost_double_gather(backend):
     gather(ctx, s1, x.local, ghosts_ref)
     gather(ctx, s2, x.local, ghosts_ref)
     ref = _observe(m, ghosts_ref)
-    ctx.close()
 
     m, x, s1, s2 = _two_schedule_env()
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        ghosts = allocate_ghosts(s1, x.local)
-        run_pipeline(
-            ctx,
-            [gather_phase(s1, x.local, ghosts),
-             gather_phase(s2, x.local, ghosts)],
-            loop_id="multi",
-        )
-        _assert_same(ref, _observe(m, ghosts))
-    finally:
-        ctx.close()
+    ghosts = allocate_ghosts(s1, x.local)
+    run_pipeline(
+        ctx,
+        [gather_phase(s1, x.local, ghosts),
+         gather_phase(s2, x.local, ghosts)],
+        loop_id="multi",
+    )
+    _assert_same(ref, _observe(m, ghosts))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -263,28 +255,24 @@ def test_fused_shared_dest_double_scatter(backend):
     scatter_op(ctx, s1, x.local, c1, np.add)
     scatter_op(ctx, s2, x.local, c2, np.maximum)
     ref = _observe(m, x.local)
-    ctx.close()
 
     for backend_name in (backend,):
         m, x, s1, s2 = _two_schedule_env(seed=11)
         ctx = ExecutionContext.resolve(m, backend_name)
-        try:
-            g = allocate_ghosts(s1, x.local)
-            gather(ctx, s1, x.local, g)
-            c1 = [1.5 * a + 0.25 for a in g]
-            c2 = [2.0 * a for a in g]
-            m.reset_clocks()
-            m.reset_traffic()
-            out = run_pipeline(
-                ctx,
-                [scatter_op_phase(s1, x.local, c1, np.add),
-                 scatter_op_phase(s2, x.local, c2, np.maximum)],
-                loop_id="fs",
-            )
-            assert out == [None, None]
-            _assert_same(ref, _observe(m, x.local))
-        finally:
-            ctx.close()
+        g = allocate_ghosts(s1, x.local)
+        gather(ctx, s1, x.local, g)
+        c1 = [1.5 * a + 0.25 for a in g]
+        c2 = [2.0 * a for a in g]
+        m.reset_clocks()
+        m.reset_traffic()
+        out = run_pipeline(
+            ctx,
+            [scatter_op_phase(s1, x.local, c1, np.add),
+             scatter_op_phase(s2, x.local, c2, np.maximum)],
+            loop_id="fs",
+        )
+        assert out == [None, None]
+        _assert_same(ref, _observe(m, x.local))
 
 
 class _OddCombiner:
@@ -312,23 +300,19 @@ def test_non_ufunc_combiner_falls_back(backend):
     m.reset_traffic()
     scatter_op(ctx, sched, x.local, c, op)
     ref = _observe(m, x.local)
-    ctx.close()
 
     m, x, sched, rng = _schedule_env(23, 4, 70, 140, ())
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        g = allocate_ghosts(sched, x.local)
-        gather(ctx, sched, x.local, g)
-        c = [0.5 * a for a in g]
-        phases = [scatter_op_phase(sched, x.local, c, op)]
-        ok, reason = fusable(phases)
-        assert not ok and "ufunc" in reason
-        m.reset_clocks()
-        m.reset_traffic()
-        run_pipeline(ctx, phases)
-        _assert_same(ref, _observe(m, x.local))
-    finally:
-        ctx.close()
+    g = allocate_ghosts(sched, x.local)
+    gather(ctx, sched, x.local, g)
+    c = [0.5 * a for a in g]
+    phases = [scatter_op_phase(sched, x.local, c, op)]
+    ok, reason = fusable(phases)
+    assert not ok and "ufunc" in reason
+    m.reset_clocks()
+    m.reset_traffic()
+    run_pipeline(ctx, phases)
+    _assert_same(ref, _observe(m, x.local))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -340,20 +324,69 @@ def test_read_write_overlap_falls_back(backend):
     gather(ctx, sched, x.local, g)
     scatter_op(ctx, sched, x.local, g, np.add)
     ref = _observe(m, g, x.local)
-    ctx.close()
 
     m, x, sched, rng = _schedule_env(31, 4, 60, 120, (3,))
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        g = allocate_ghosts(sched, x.local)
-        phases = [gather_phase(sched, x.local, g),
-                  scatter_op_phase(sched, x.local, g, np.add)]
-        ok, reason = fusable(phases)
-        assert not ok and "reads" in reason
-        run_pipeline(ctx, phases)
-        _assert_same(ref, _observe(m, g, x.local))
-    finally:
-        ctx.close()
+    g = allocate_ghosts(sched, x.local)
+    phases = [gather_phase(sched, x.local, g),
+              scatter_op_phase(sched, x.local, g, np.add)]
+    ok, reason = fusable(phases)
+    assert not ok and "reads" in reason
+    run_pipeline(ctx, phases)
+    _assert_same(ref, _observe(m, g, x.local))
+
+
+class _KernelFault(Exception):
+    """Raised by a deliberately failing executor kernel."""
+
+
+class _FailingCombiner(_OddCombiner):
+    __name__ = "failing_combiner"
+
+    @staticmethod
+    def at(target, idx, values):
+        raise _KernelFault("combiner failed")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failing_rank_kernel_propagates_cleanly(backend, monkeypatch):
+    """A stage whose kernel raises surfaces that exception, from a single
+    call and from a two-stage chain (on ``vectorized`` also from a fused
+    chain whose ``fused_apply`` raises), and leaves its context usable:
+    the next call gives the bytes, traffic and clocks of a fresh one."""
+    from repro.core.backends import vectorized
+
+    def follow_up(ctx, m, x, sched):
+        g = gather(ctx, sched, x.local)
+        scatter_op(ctx, sched, x.local, [0.5 * a for a in g], np.add)
+        return _observe(m, g, x.local)
+
+    m, x, sched, _ = _schedule_env(71, 4, 60, 130, ())
+    ctx = ExecutionContext.resolve(m, backend)
+    g = gather(ctx, sched, x.local)
+    with pytest.raises(_KernelFault):
+        scatter_op(ctx, sched, x.local, g, _FailingCombiner())
+    with pytest.raises(_KernelFault):
+        run_pipeline(ctx, [
+            gather_phase(sched, x.local, g),
+            scatter_op_phase(sched, x.local, g, _FailingCombiner())])
+    if backend == "vectorized":
+        def failing(move):
+            raise _KernelFault("kernel failed")
+
+        chain = [gather_phase(sched, x.local), gather_phase(sched, x.local)]
+        assert fusable(chain)[0]
+        monkeypatch.setattr(vectorized, "fused_apply", failing)
+        with pytest.raises(_KernelFault):
+            run_pipeline(ctx, chain)
+        monkeypatch.undo()
+    m.reset_clocks()
+    m.reset_traffic()
+    got = follow_up(ctx, m, x, sched)
+
+    m, x, sched, _ = _schedule_env(71, 4, 60, 130, ())
+    _assert_same(follow_up(ExecutionContext.resolve(m, backend), m, x, sched),
+                 got)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -365,27 +398,24 @@ def test_illegal_chain_equals_primitives_one_by_one(backend):
     for chained in (False, True):
         m, x, sched, rng = _schedule_env(47, 4, 60, 130, (3,))
         ctx = ExecutionContext.resolve(m, backend)
-        try:
-            rt = ChaosRuntime(ctx)
-            new_tt = rt.irregular_table(rng.integers(0, 4, 60))
-            plan = remap(ctx, x.ttable.dist, new_tt.dist)
-            m.reset_clocks()
-            m.reset_traffic()
-            g = allocate_ghosts(sched, x.local)
-            if chained:
-                phases = [gather_phase(sched, x.local, g),
-                          scatter_op_phase(sched, x.local, g, np.add),
-                          remap_phase(plan, x.local)]
-                assert not fusable(phases)[0]
-                _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
-                assert none is None
-            else:
-                gather(ctx, sched, x.local, g)
-                scatter_op(ctx, sched, x.local, g, np.add)
-                moved = remap_array(ctx, plan, x.local, category="comm")
-            observed.append(_observe(m, g, x.local, moved))
-        finally:
-            ctx.close()
+        rt = ChaosRuntime(ctx)
+        new_tt = rt.irregular_table(rng.integers(0, 4, 60))
+        plan = remap(ctx, x.ttable.dist, new_tt.dist)
+        m.reset_clocks()
+        m.reset_traffic()
+        g = allocate_ghosts(sched, x.local)
+        if chained:
+            phases = [gather_phase(sched, x.local, g),
+                      scatter_op_phase(sched, x.local, g, np.add),
+                      remap_phase(plan, x.local)]
+            assert not fusable(phases)[0]
+            _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
+            assert none is None
+        else:
+            gather(ctx, sched, x.local, g)
+            scatter_op(ctx, sched, x.local, g, np.add)
+            moved = remap_array(ctx, plan, x.local, category="comm")
+        observed.append(_observe(m, g, x.local, moved))
     _assert_same(observed[0], observed[1])
     assert observed[0][3] == observed[1][3]  # same backend: clocks exact
 
@@ -399,30 +429,27 @@ def test_three_column_append_stage_in_a_chain(backend):
     for chained in (False, True):
         m, x, sched, rng = _schedule_env(53, 4, 50, 110, ())
         ctx = ExecutionContext.resolve(m, backend)
-        try:
-            n_per = [12, 0, 7, 20]  # rank 1 sends nothing
-            lw = build_lightweight_schedule(
-                ctx, [rng.integers(0, 4, c) for c in n_per])
-            cols = [
-                [np.arange(c, dtype=np.int64) + 100 * p
-                 for p, c in enumerate(n_per)],
-                [rng.standard_normal((c, 3)) for c in n_per],
-                [rng.standard_normal(c) for c in n_per],
-            ]
-            m.reset_clocks()
-            m.reset_traffic()
-            g = allocate_ghosts(sched, x.local)
-            if chained:
-                _, out = run_pipeline(
-                    ctx, [gather_phase(sched, x.local, g),
-                          PipelinePhase("append", lw, cols)])
-            else:
-                gather(ctx, sched, x.local, g)
-                out = scatter_append_multi(ctx, lw, cols)
-            assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
-            observed.append(_observe(m, g, *out))
-        finally:
-            ctx.close()
+        n_per = [12, 0, 7, 20]  # rank 1 sends nothing
+        lw = build_lightweight_schedule(
+            ctx, [rng.integers(0, 4, c) for c in n_per])
+        cols = [
+            [np.arange(c, dtype=np.int64) + 100 * p
+             for p, c in enumerate(n_per)],
+            [rng.standard_normal((c, 3)) for c in n_per],
+            [rng.standard_normal(c) for c in n_per],
+        ]
+        m.reset_clocks()
+        m.reset_traffic()
+        g = allocate_ghosts(sched, x.local)
+        if chained:
+            _, out = run_pipeline(
+                ctx, [gather_phase(sched, x.local, g),
+                      PipelinePhase("append", lw, cols)])
+        else:
+            gather(ctx, sched, x.local, g)
+            out = scatter_append_multi(ctx, lw, cols)
+        assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
+        observed.append(_observe(m, g, *out))
     _assert_same(observed[0], observed[1])
     assert observed[0][3] == observed[1][3]
     # three columns, one message per communicating pair
@@ -442,10 +469,7 @@ def test_fused_empty_and_tiny(backend, n_ranks, n, n_ref):
     # an entirely empty phase list is a no-op returning no results
     m = Machine(n_ranks)
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        assert run_pipeline(ctx, []) == []
-    finally:
-        ctx.close()
+    assert run_pipeline(ctx, []) == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -472,7 +496,6 @@ def test_dropped_schedules_die_by_refcount(backend):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
-        ctx.close()
 
 
 def test_fused_cache_stats_and_rebuild():
@@ -554,59 +577,56 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
                                            m), "b")
     sched, sched_b = rt.build_schedule(tt, "a"), rt.build_schedule(tt, "b")
     ctx = ExecutionContext.resolve(m, backend)
-    try:
-        data = _shape_buffers(shape, rng, x.local)
-        if op.startswith("append"):
-            sizes = rng.integers(0, 9, n_ranks)
-            if shape == "empty_ranks":
-                sizes[::2] = 0
-            lw = build_lightweight_schedule(
-                ctx, [rng.integers(0, n_ranks, c) for c in sizes])
-            cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
-                                                         else c)
-                                     for c in sizes]),
-                    RankArena.adopt([np.arange(c) + 100 * p
-                                     for p, c in enumerate(sizes)]),
-                    RankArena.adopt([rng.standard_normal(c) for c in sizes])]
-            cols = [_shape_buffers(shape, rng, c)
-                    for c in cols[:int(op[-1])]]
-        elif op == "remap":
-            plan = remap(ctx, tt.dist, rt.irregular_table(
-                rng.integers(0, n_ranks, n)).dist)
-        ghosts = allocate_ghosts(sched, x.local)
-        if shape == "oversize":   # tails must survive every primitive
-            ghosts = RankArena(
-                np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
-                        .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
-        elif shape == "other_dtype":
-            ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
-        ghosts = _shape_buffers(shape, rng, ghosts)
-        if op != "gather":   # give the scatters something to return
-            for g in ghosts:
-                g[...] = rng.standard_normal(g.shape)
-        m.reset_clocks()
-        m.reset_traffic()
-        out = []
-        if op == "gather" and shape == "shared_ghosts":
-            run_pipeline(ctx, [gather_phase(sched, data, ghosts),
-                               gather_phase(sched_b, data, ghosts)])
-        elif op == "gather":
-            gather(ctx, sched, data, ghosts)
-        elif op == "scatter":
-            scatter(ctx, sched, data, ghosts)
-        elif op.startswith("scatter_"):
-            scatter_op(ctx, sched, data, ghosts,
-                       np.add if op == "scatter_add" else np.maximum)
-        elif op == "remap":
-            out = [remap_array(ctx, plan, data)]
-        else:
-            out = scatter_append_multi(ctx, lw, cols)
-        arrays = [*data, *ghosts, *(a for o in out for a in o)]
-        return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
-                m.traffic.snapshot(), list(m.traffic.messages),
-                _clock_snapshots(m))
-    finally:
-        ctx.close()
+    data = _shape_buffers(shape, rng, x.local)
+    if op.startswith("append"):
+        sizes = rng.integers(0, 9, n_ranks)
+        if shape == "empty_ranks":
+            sizes[::2] = 0
+        lw = build_lightweight_schedule(
+            ctx, [rng.integers(0, n_ranks, c) for c in sizes])
+        cols = [RankArena.adopt([rng.standard_normal((c, k) if k > 1
+                                                     else c)
+                                 for c in sizes]),
+                RankArena.adopt([np.arange(c) + 100 * p
+                                 for p, c in enumerate(sizes)]),
+                RankArena.adopt([rng.standard_normal(c) for c in sizes])]
+        cols = [_shape_buffers(shape, rng, c)
+                for c in cols[:int(op[-1])]]
+    elif op == "remap":
+        plan = remap(ctx, tt.dist, rt.irregular_table(
+            rng.integers(0, n_ranks, n)).dist)
+    ghosts = allocate_ghosts(sched, x.local)
+    if shape == "oversize":   # tails must survive every primitive
+        ghosts = RankArena(
+            np.full((sum(sched.ghost_size) + 3 * n_ranks,) + x.local[0]
+                    .shape[1:], -7.0), np.asarray(sched.ghost_size) + 3)
+    elif shape == "other_dtype":
+        ghosts = RankArena(ghosts.flat.astype(np.float32), ghosts.sizes)
+    ghosts = _shape_buffers(shape, rng, ghosts)
+    if op != "gather":   # give the scatters something to return
+        for g in ghosts:
+            g[...] = rng.standard_normal(g.shape)
+    m.reset_clocks()
+    m.reset_traffic()
+    out = []
+    if op == "gather" and shape == "shared_ghosts":
+        run_pipeline(ctx, [gather_phase(sched, data, ghosts),
+                           gather_phase(sched_b, data, ghosts)])
+    elif op == "gather":
+        gather(ctx, sched, data, ghosts)
+    elif op == "scatter":
+        scatter(ctx, sched, data, ghosts)
+    elif op.startswith("scatter_"):
+        scatter_op(ctx, sched, data, ghosts,
+                   np.add if op == "scatter_add" else np.maximum)
+    elif op == "remap":
+        out = [remap_array(ctx, plan, data)]
+    else:
+        out = scatter_append_multi(ctx, lw, cols)
+    arrays = [*data, *ghosts, *(a for o in out for a in o)]
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+            m.traffic.snapshot(), list(m.traffic.messages),
+            _clock_snapshots(m))
 
 
 @settings(max_examples=30, deadline=None)

