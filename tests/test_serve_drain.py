@@ -2,12 +2,15 @@
 
 The acceptance contract: after ``drain()`` no new submissions are
 admitted, running jobs finish (or hit their deadline), straggler
-threads of timed-out jobs have been awaited, and a crashing tenant
-leaves its neighbours' results bitwise-identical to solo runs.
+threads of timed-out jobs have been awaited, no job's context outlives
+its thread, and a crashing tenant leaves its neighbours' results
+bitwise-identical to solo runs.
 """
 
 import asyncio
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.serve import (
     ServerConfig,
     run_job_inline,
 )
+from repro.serve import server as server_module
 
 pytestmark = pytest.mark.serve
 
@@ -80,8 +84,87 @@ class TestDrainAdmission:
         assert v.ok and v.result == "slept"
 
     def test_drain_honours_deadlines(self):
-        """A timed-out thread that ignores its control is a straggler
-        until it exits; drain awaits it, and close leaves no thread."""
+        async def main():
+            srv = ProgramServer()
+            h = await srv.submit(
+                sleeper_job(30, name="overdue", timeout=0.2)
+            )
+            await asyncio.sleep(0.05)
+            await srv.close()
+            return h.verdict, srv.stats()
+
+        v, stats = run(main())
+        assert v.status is JobStatus.TIMEOUT
+        assert stats["stragglers"] == 0
+
+
+@pytest.fixture
+def built_contexts(monkeypatch):
+    """Weak references to every context the server builds for a job."""
+    refs = []
+    build = server_module.build_job_context
+
+    def recording(spec):
+        ctx = build(spec)
+        refs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(server_module, "build_job_context", recording)
+    return refs
+
+
+def released(refs) -> bool:
+    gc.collect()
+    return all(ref() is None for ref in refs)
+
+
+class TestResourceAudit:
+    """The server keeps only each job's backend *name*: once a job's
+    thread has exited, nothing the server holds keeps its context (and
+    with it the job's machine and caches) alive."""
+
+    def test_every_context_closed_after_close(self, built_contexts):
+        async def main():
+            cfg = ServerConfig(max_concurrency=3)
+            async with ProgramServer(cfg) as srv:
+                handles = [
+                    await srv.submit(halo_job(seed=s, tenant=f"t{s}"))
+                    for s in range(4)
+                ]
+                handles.append(await srv.submit(
+                    halo_job(seed=9, tenant="bad", crash=True)
+                ))
+                handles.append(await srv.submit(
+                    sleeper_job(30, tenant="late", timeout=0.2)
+                ))
+                verdicts = [await h.wait() for h in handles]
+            return srv, verdicts
+
+        srv, verdicts = run(main())
+        assert len(built_contexts) == len(verdicts)
+        assert released(built_contexts)
+        assert srv.stats()["stragglers"] == 0
+        assert serve_threads_alive() == []
+
+    def test_explicit_backend_contexts_closed(self, built_contexts):
+        async def main():
+            async with ProgramServer() as srv:
+                hs = [
+                    await srv.submit(
+                        halo_job(seed=i, tenant=be, backend=be)
+                    )
+                    for i, be in enumerate(("serial", "vectorized"))
+                ]
+                return srv, [await h.wait() for h in hs]
+
+        srv, verdicts = run(main())
+        assert [v.backend for v in verdicts] == ["serial", "vectorized"]
+        assert all(v.ok for v in verdicts)
+        assert released(built_contexts)
+
+    def test_straggler_context_closed_after_drain(self, built_contexts):
+        """A timed-out thread that ignores its control holds its context
+        until it exits; drain awaits it, and then nothing holds it."""
         release, finished = threading.Event(), threading.Event()
 
         def stubborn(ctx, control):
@@ -92,24 +175,25 @@ class TestDrainAdmission:
         async def main():
             srv = ProgramServer()
             h = await srv.submit(
-                sleeper_job(30, name="overdue", timeout=0.2)
-            )
-            hs = await srv.submit(
                 CallableJob(fn=stubborn, name="stubborn", timeout=0.1)
             )
-            vs = await hs.wait()
-            assert vs.status is JobStatus.TIMEOUT
-            assert srv.stats()["stragglers"] >= 1
+            v = await h.wait()
+            assert v.status is JobStatus.TIMEOUT
+            assert srv.stats()["stragglers"] == 1
+            held_early = not released(built_contexts)
             release.set()
             await srv.drain()
             assert finished.is_set()
             assert srv.stats()["stragglers"] == 0
             await srv.close()
-            return h.verdict, srv.stats()
+            return srv, held_early
 
-        v, stats = run(main())
-        assert v.status is JobStatus.TIMEOUT
-        assert stats["stragglers"] == 0
+        # the server stays referenced: only what it holds is tested
+        srv, held_early = run(main())
+        # at verdict time the thread was still holding the context ...
+        assert held_early
+        # ... but drain awaited it and nothing holds the context now
+        assert released(built_contexts)
         assert serve_threads_alive() == []
 
 
