@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.compiled import RankArena
+from repro.core.compiled import RankArena, offsets_from_counts
 from repro.core.context import ExecutionContext, resolve_component
 from repro.core.distribution import (
     BlockDistribution,
@@ -38,7 +38,7 @@ from repro.core.executor import (
     scatter_op,
     stack_local_ghost,
 )
-from repro.core.hashtable import IndexHashTable, StampExpr
+from repro.core.hashtable import IndexHashTable, StampExpr, stream_of
 from repro.core.inspector import (
     chaos_hash,
     clear_stamp,
@@ -332,7 +332,17 @@ class IrregularReduction:
     records a delta payload and repairs the cached schedule incrementally
     (``rehash_delta`` + ``delta_rebuild_schedule`` — bitwise-identical to
     a full rebuild, cost proportional to the touched subset); an
-    untargeted ``adapt`` falls back to the full clear/rehash/rebuild.
+    untargeted ``adapt`` rebuilds the schedule in full, but clears and
+    re-hashes only the array that changed (paper §3.2.2: each array's
+    entries carry its own stamp).
+
+    ``bind`` and ``adapt`` mark the array they change; a hash, or a fully
+    applied delta chain, clears the mark.  A full build keeps an unmarked
+    array's stamp and localized indices only while the live tables still
+    hold its reference counts, so an external ``clear_stamp``, a
+    ``drop_hash_tables`` or a delta chain that raised half-way all force
+    its re-hash.  Indirection arrays and localized indices are held as
+    :class:`~repro.core.compiled.RankArena` streams.
     """
 
     def __init__(self, runtime: ChaosRuntime, ttable: TranslationTable,
@@ -340,8 +350,9 @@ class IrregularReduction:
         self.rt = runtime
         self.ttable = ttable
         self.name = name
-        self._indirections: dict[str, list[np.ndarray]] = {}
-        self._localized: dict[str, list[np.ndarray]] = {}
+        self._indirections: dict[str, RankArena] = {}
+        self._localized: dict[str, RankArena] = {}
+        self._changed: set[str] = set()  # bound but not hashed as bound
         self._schedule: Schedule | None = None
         self._stamps: list[str] = []
 
@@ -352,8 +363,8 @@ class IrregularReduction:
         """Bind named indirection arrays (per-rank global-index slices)."""
         for nm, per_rank in indirections.items():
             self.rt.machine.check_per_rank(per_rank, f"indirection {nm!r}")
-            self._indirections[nm] = [np.asarray(a, dtype=np.int64)
-                                      for a in per_rank]
+            self._indirections[nm] = RankArena(*stream_of(per_rank))
+            self._changed.add(nm)
             # payload-less touch: a (re)bound array invalidates any
             # cached schedule and breaks pending delta chains
             self.rt.modification_record.touch(self._stamp_of(nm))
@@ -377,42 +388,66 @@ class IrregularReduction:
         ``touched`` (optional) gives per-rank *positions* into the
         array's slices that may differ from the currently bound values
         (repeats are ignored, positions outside a slice are a
-        ``ValueError``); all other positions must be unchanged.  With
-        it, the update is recorded as a delta payload and the cached
-        schedule is repaired incrementally; without it the whole array
-        is re-hashed and the schedule rebuilt from scratch.  Either way
-        the result is identical to a cold inspector run over the new
-        values.
+        ``ValueError``); all other positions must be unchanged, and a
+        changed one is a ``ValueError`` naming its rank and position.
+        With it, the update is recorded as a delta payload and the cached
+        schedule is repaired incrementally; without it the array is
+        re-hashed and the schedule rebuilt from scratch.  Either way the
+        result is identical to a cold inspector run over the new values.
         """
         if name not in self._indirections:
             raise KeyError(f"unknown indirection array {name!r}")
         m = self.rt.machine
         stamp = self._stamp_of(name)
-        old = self._indirections[name]
-        new = [np.asarray(a, dtype=np.int64) for a in new_per_rank]
-        m.check_per_rank(new, f"indirection {name!r}")
+        m.check_per_rank(new_per_rank, f"indirection {name!r}")
+        new = RankArena(*stream_of(new_per_rank))
         if touched is None:
             self.rt.modification_record.touch(stamp)
         else:
             m.check_per_rank(touched, f"touched positions for {name!r}")
-            # a position listed twice would move its stamp references
-            # twice in rehash_delta
-            pos = [np.unique(np.asarray(t, dtype=np.int64)) for t in touched]
-            for p in m.ranks():
-                if pos[p].size and not (
-                        0 <= pos[p][0] and pos[p][-1] < old[p].size):
-                    raise ValueError(
-                        f"rank {p}: touched positions of {name!r} must lie "
-                        f"in [0, {old[p].size})"
-                    )
-            payload = (
-                pos,
-                [old[p][pos[p]] for p in m.ranks()],
-                [new[p][pos[p]] for p in m.ranks()],
-            )
+            payload = self._payload(name, self._indirections[name], new,
+                                    touched)
             self.rt.modification_record.touch(stamp, delta=payload)
         self._indirections[name] = new
+        self._changed.add(name)
         return self._rebuild()
+
+    @staticmethod
+    def _payload(name: str, old: RankArena, new: RankArena, touched):
+        """The delta payload of a targeted adapt — ``(positions in the
+        stream, old values, new values)`` at the touched positions —
+        validated machine-wide."""
+        if (old.sizes != new.sizes).any():
+            p = int(np.flatnonzero(old.sizes != new.sizes)[0])
+            raise ValueError(
+                f"rank {p}: a targeted adapt keeps the slice of {name!r} "
+                f"at {old.sizes[p]} positions, got {new.sizes[p]}")
+        t, n_t = stream_of(touched)
+        ranks = np.repeat(np.arange(old.sizes.size), n_t)
+        outside = (t < 0) | (t >= old.sizes[ranks])
+        if outside.any():
+            p = int(ranks[outside][0])
+            raise ValueError(
+                f"rank {p}: touched positions of {name!r} must lie "
+                f"in [0, {old.sizes[p]})"
+            )
+        # one unique over rank-offset positions: a position listed twice
+        # would move its stamp references twice in rehash_delta
+        starts = offsets_from_counts(old.sizes)
+        pos = np.unique(t + starts[ranks])
+        # a changed position outside ``touched`` would silently leave
+        # its old value's references in the tables
+        untouched = old.flat != new.flat
+        untouched[pos] = False
+        if untouched.any():
+            i = int(untouched.argmax())
+            p = int(starts.searchsorted(i, side="right")) - 1
+            raise ValueError(
+                f"rank {p}: position {i - starts[p]} of {name!r} changed "
+                "but is not among the touched positions")
+        n_pos = np.diff(pos.searchsorted(starts))
+        return (pos, RankArena(old.flat[pos], n_pos),
+                RankArena(new.flat[pos], n_pos))
 
     # -- cached inspector ------------------------------------------------
     def _rebuild(self) -> Schedule:
@@ -431,15 +466,18 @@ class IrregularReduction:
         return sched
 
     def _build_full(self) -> Schedule:
-        """Cold inspector: clear + re-hash every array, build merged."""
-        registry = self.rt.hash_tables(self.ttable)[0].registry
-        for nm in self._indirections:
+        """Full inspector: clear + re-hash every changed array (and every
+        array whose stamp lost its reference counts), build merged."""
+        group = self.rt.hash_tables(self.ttable)[0].group
+        for nm, indices in self._indirections.items():
             stamp = self._stamp_of(nm)
-            if stamp in registry:
+            if nm not in self._changed and group.counted(stamp):
+                continue  # its stamp and localized indices still hold
+            if stamp in group.registry:
                 self.rt.clear_stamp(self.ttable, stamp)
             self._localized[nm] = self.rt.hash_indirection(
-                self.ttable, self._indirections[nm], stamp
-            )
+                self.ttable, indices, stamp)
+            self._changed.discard(nm)
         expr = self.rt.stamp_expr(self.ttable, *self._stamps)
         return self.rt.build_schedule(self.ttable, expr)
 
@@ -452,6 +490,7 @@ class IrregularReduction:
             # stamp is f"{self.name}:{nm}" — strip the loop-name prefix
             # wholesale (the loop name itself may contain colons)
             nm = stamp[len(self.name) + 1:]
+            loc = self._localized[nm] = RankArena.adopt(self._localized[nm])
             for positions, old_vals, new_vals in chain:
                 try:
                     rehash = rehash_delta(
@@ -464,12 +503,11 @@ class IrregularReduction:
                 except (KeyError, ValueError, RuntimeError) as e:
                     # e.g. the stamp lost its reference counts (tables
                     # purged/manipulated outside this loop) — the full
-                    # inspector is always a correct recovery
+                    # inspector is always a correct recovery; the array
+                    # stays marked, so it is re-hashed there
                     raise DeltaFallback(str(e)) from e
-                loc = self._localized[nm]
-                for p in self.rt.machine.ranks():
-                    if positions[p].size:
-                        loc[p][positions[p]] = rehash.localized[p]
+                loc.flat[positions] = rehash.localized.flat
+            self._changed.discard(nm)  # its whole chain is applied
         return sched
 
     @property
@@ -478,7 +516,7 @@ class IrregularReduction:
             raise RuntimeError("setup() has not been run")
         return self._schedule
 
-    def localized(self, name: str) -> list[np.ndarray]:
+    def localized(self, name: str) -> RankArena:
         """Per-rank localized indices for one indirection array."""
         if name not in self._localized:
             raise KeyError(f"indirection array {name!r} not hashed")

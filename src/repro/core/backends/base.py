@@ -5,7 +5,10 @@ pipeline, spanning both halves of the inspector/executor split:
 
 * **inspector phase** — index analysis (``chaos_hash`` probing/insertion
   via the backend's key store), localization, schedule generation from
-  stamped hash tables, and translation-table lookup accounting;
+  stamped hash tables, and translation-table lookup accounting.  Index
+  arguments are per-rank sequences read as one rank-major stream
+  (:func:`~repro.core.hashtable.stream_of`), and localized indices come
+  back as a :class:`~repro.core.compiled.RankArena`, which is both forms;
 * **executor phase** — :meth:`Backend.run_fused`: a *stage list*, each
   stage one precomputed pack → exchange → place plan.  ``gather``,
   ``scatter``, ``scatter_op``, ``scatter_append(_multi)`` and
@@ -55,7 +58,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.hashtable import group_of, split_stream, stream_of
+from repro.core.compiled import RankArena
+from repro.core.hashtable import group_of, stream_of
 
 #: environment variable consulted for the initial default backend
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -88,12 +92,14 @@ class Backend(ABC):
                    category: str):
         """Index analysis: enter one indirection array into the hash
         tables (translating only unseen indices), stamp every touched
-        entry, return per-rank localized index arrays.  ``idx`` is
-        pre-normalized to one int64 array per rank."""
+        entry, return the localized indices as a
+        :class:`~repro.core.compiled.RankArena`.  ``idx`` holds one index
+        sequence per rank (see :func:`~repro.core.hashtable.stream_of`)."""
 
     def localize(self, ctx, htables, idx, category: str):
         """Pure-lookup localization of already-hashed indirection
-        arrays (the unchanged-array fast path).
+        arrays (the unchanged-array fast path); ``idx`` and the result
+        as for :meth:`chaos_hash`.
 
         Concrete: the only backend-specific structure is the key store
         already behind the tables, so one implementation — every rank's
@@ -109,7 +115,7 @@ class Backend(ABC):
         if rows.size and rows.min() < 0:
             raise KeyError(
                 f"global index {int(keys[rows < 0][0])} not hashed yet")
-        return split_stream(group.localize(rows, sizes), sizes)
+        return RankArena(group.localize(rows, sizes), sizes)
 
     @abstractmethod
     def build_schedule(self, ctx, htables, expr, category: str):
@@ -121,7 +127,9 @@ class Backend(ABC):
                            ) -> None:
         """Charge the communication of a collective translation-table
         dereference under the table's storage policy (replicated /
-        distributed / paged), including page-cache updates."""
+        distributed / paged), including page-cache updates.  ``qs``
+        holds one checked index sequence per rank (in practice the
+        :class:`~repro.core.compiled.RankArena` of the query stream)."""
 
     # ------------------------------------------------------------------
     # executor phase

@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.backends.base import Backend, _builtin
-from repro.core.hashtable import DictKeyStore
+from repro.core.compiled import RankArena
+from repro.core.hashtable import DictKeyStore, stream_of
 
 
 @_builtin
@@ -43,6 +44,7 @@ class SerialBackend(Backend):
         from repro.core.inspector import _INSERT_COST, _PROBE_COST
 
         machine = ctx.machine
+        idx = RankArena(*stream_of(idx))  # one int64 array per rank
         # Step 1: probe; find the uniques each rank has never seen.
         new_per_rank: list[np.ndarray] = []
         for p in machine.ranks():
@@ -70,7 +72,7 @@ class SerialBackend(Backend):
             else:
                 ht.registry.acquire(stamp)  # stamp exists on empty ranks
                 localized.append(np.zeros(0, dtype=np.int64))
-        return localized
+        return RankArena.adopt(localized)
 
     # ------------------------------------------------------------------
     # inspector phase: schedule generation
@@ -150,6 +152,7 @@ class SerialBackend(Backend):
         from repro.core.translation import _ENTRY_BYTES
 
         m = ctx.machine
+        qs = RankArena(*stream_of(qs))
         if ttable.storage == "replicated":
             for p in m.ranks():
                 m.charge_memops(p, qs[p].size, category)

@@ -57,12 +57,7 @@ from repro.core.compiled import (
     rank_layout,
     stream_perm,
 )
-from repro.core.hashtable import (
-    RankKeyArena,
-    group_of,
-    split_stream,
-    stream_of,
-)
+from repro.core.hashtable import RankKeyArena, group_of, stream_of
 
 #: scalars per slice of an indexed stream walk: the gathered segment
 #: stays cache-resident between its read and its write or fold
@@ -166,7 +161,7 @@ class VectorizedBackend(Backend):
         distinct = group.stamp_references(stamp, rows, sizes)
         machine.charge_memops_vec(_INSERT_COST * n_new, category)
         machine.charge_memops_vec(distinct, category, mask=sizes > 0)
-        return split_stream(group.localize(rows, sizes), sizes)
+        return RankArena(group.localize(rows, sizes), sizes)
 
     # ------------------------------------------------------------------
     # inspector phase: schedule generation
@@ -205,21 +200,26 @@ class VectorizedBackend(Backend):
         from repro.core.translation import _ENTRY_BYTES
 
         m = ctx.machine
+        keys, sizes = stream_of(qs)
         if ttable.storage == "replicated":
-            m.charge_memops_vec([q.size for q in qs], category)
+            m.charge_memops_vec(sizes, category)
             return
         n = m.n_ranks
-        counts = np.zeros((n, n), dtype=np.int64)  # requests p -> home
-        for p in m.ranks():
-            q = qs[p]
-            if q.size == 0:
-                continue
-            if ttable.storage == "paged":
+        if ttable.storage == "distributed":
+            # requests p -> home: one bincount over the whole stream
+            homes = ttable._table_dist.owner(keys)
+            counts = np.bincount(np.repeat(np.arange(n) * n, sizes) + homes,
+                                 minlength=n * n).reshape(n, n)
+        else:  # paged: rank by rank through each rank's LRU page cache
+            counts = np.zeros((n, n), dtype=np.int64)  # requests p -> home
+            for p, q in enumerate(RankArena(keys, sizes)):
+                if q.size == 0:
+                    continue
                 uniq_pages = np.unique(q // ttable.page_size)
-                cache = ttable._page_cache[p]
                 # same admit path as the serial reference: identical
                 # cache state, identical re-fetch traffic under a budget
-                missing = cache.admit(uniq_pages, ttable.page_budget(ctx))
+                missing = ttable._page_cache[p].admit(
+                    uniq_pages, ttable.page_budget(ctx))
                 if missing.size:
                     starts = np.minimum(missing * ttable.page_size,
                                         ttable.dist.n_global - 1)
@@ -227,9 +227,6 @@ class VectorizedBackend(Backend):
                     counts[p] = (np.bincount(homes, minlength=n)
                                  * ttable.page_size)
                 m.charge_memops(p, q.size, category)  # local cache probes
-            else:
-                homes = ttable._table_dist.owner(q)
-                counts[p] = np.bincount(homes, minlength=n)
         # request: 8 bytes/index; reply: _ENTRY_BYTES per entry, shipped
         # as whole int64 words exactly like the serial reference
         m.exchange_compiled(counts, 8, tag="ttable_lookup_req",

@@ -60,7 +60,8 @@ def split_csr(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
 
 class RankArena(list):
     """Per-rank arrays that are views of one rank-major buffer — the
-    executor's counterpart of :func:`repro.core.hashtable.split_stream`.
+    executor's buffers and the inspector's index streams
+    (:func:`repro.core.hashtable.stream_of` is the inverse).
 
     Callers see an ordinary per-rank list; the executor addresses the
     whole column as ``flat`` (C-contiguous, rank 0's rows first) with no

@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiled import offsets_from_counts, split_csr
+from repro.core.compiled import as_arena, offsets_from_counts
 
 _GROW = 1024
+_NO_INDICES = np.zeros(0, dtype=np.int64)  # a ``None`` rank's stream part
 
 #: stream elements per cache block (see :func:`_blocks`)
 _BLOCK = 1 << 15
@@ -86,16 +87,16 @@ def _blocks(sizes: np.ndarray):
         r0, lo = r1, hi
 
 
-def stream_of(per_rank: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank arrays as one rank-major stream: ``(flat, sizes)``."""
-    sizes = np.array([a.size for a in per_rank], dtype=np.int64)
-    return np.concatenate(per_rank), sizes
-
-
-def split_stream(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """The per-rank views of a rank-major stream (undoes
-    :func:`stream_of`)."""
-    return split_csr(flat, offsets_from_counts(sizes))
+def stream_of(per_rank) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank index sequences (``None``: none) as one int64 rank-major
+    stream ``(flat, sizes)``: an intact int64 arena in place, anything
+    else by one concatenate (``RankArena(flat, sizes)`` undoes it)."""
+    arena = as_arena(per_rank)
+    if arena is not None and arena.layout[1:] == ((), 1, np.int64):
+        return arena.flat, arena.sizes
+    parts = [_NO_INDICES if a is None else a for a in per_rank]
+    return (np.concatenate(parts, dtype=np.int64, casting="unsafe"),
+            np.fromiter(map(len, parts), np.int64, len(parts)))
 
 
 class StampRegistry:

@@ -21,6 +21,11 @@ The adaptive steps below (:func:`clear_stamp`, :func:`rehash_delta`,
 :class:`~repro.core.hashtable.HashTableGroup` behind the tables: a
 constant number of machine-wide passes whatever the rank count, with the
 simulated work still charged rank by rank.
+
+Index arguments are per-rank sequences, handled as one rank-major
+stream (:func:`~repro.core.hashtable.stream_of`: an intact
+:class:`~repro.core.compiled.RankArena` in place, a list with one
+concatenate); index results are arenas, so they are both forms.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiled import offsets_from_counts
+from repro.core.compiled import RankArena, offsets_from_counts
 from repro.core.context import ensure_context
 from repro.core.hashtable import (
     HashTableGroup,
     IndexHashTable,
     StampExpr,
     group_of,
-    split_stream,
     stream_of,
 )
 from repro.core.translation import TranslationTable
@@ -76,9 +80,10 @@ def translate_missing(ctx, group, ttable, keys, sizes, miss, category):
     ``miss`` are the positions, in the rank-major stream ``keys`` of
     per-rank ``sizes``, of the references a lookup did not find.  Each
     rank's distinct missing keys are translated (one collective
-    dereference) and inserted in ascending order — the order that fixes
-    slot and ghost assignment.  Returns ``(rows of the missing
-    references, new entries per rank)``; the caller charges the inserts.
+    dereference of one stream) and inserted in ascending order — the
+    order that fixes slot and ghost assignment.  Returns ``(rows of the
+    missing references, new entries per rank)``; the caller charges the
+    inserts.
     """
     n, span = group.n_ranks, max(1, ttable.dist.n_global)
     new = ttable.dist.check_indices(keys[miss])
@@ -89,19 +94,10 @@ def translate_missing(ctx, group, ttable, keys, sizes, miss, category):
     new, inverse = np.unique(new, return_inverse=True)
     n_new = np.diff(new.searchsorted(base))
     new -= np.repeat(base[:n], n_new)
-    owners, offsets = ttable.dereference(
-        ctx, split_stream(new, n_new), category=category)
-    rows = group.insert(new, n_new, np.concatenate(owners),
-                        np.concatenate(offsets))
+    owners, offsets = ttable.dereference(ctx, RankArena(new, n_new),
+                                         category=category)
+    rows = group.insert(new, n_new, owners.flat, offsets.flat)
     return rows[inverse], n_new
-
-
-def _normalize(indices: list[np.ndarray | None]) -> list[np.ndarray]:
-    return [
-        np.zeros(0, dtype=np.int64) if x is None
-        else np.asarray(x, dtype=np.int64)
-        for x in indices
-    ]
 
 
 def chaos_hash(
@@ -111,7 +107,7 @@ def chaos_hash(
     indices: list[np.ndarray | None],
     stamp: str,
     category: str = "inspector",
-) -> list[np.ndarray]:
+) -> RankArena:
     """Hash one indirection array into the tables; return localized copy.
 
     ``indices[p]`` is rank ``p``'s slice of the indirection array (global
@@ -119,15 +115,16 @@ def chaos_hash(
     absent from the hash table are translated through the translation
     table — re-hashing a mostly-unchanged indirection array is cheap.
 
-    Returns per-rank localized index arrays: owned references become local
-    offsets, off-processor references become ``n_local + buffer_slot``.
+    Returns the localized indices, one stream of per-rank views: owned
+    references become local offsets, off-processor ones ``n_local +
+    buffer_slot``.
     """
     ctx = ensure_context(ctx, "chaos_hash")
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
     m.check_per_rank(indices, "indices")
-    idx = _normalize(indices)
-    return ctx.backend.chaos_hash(ctx, htables, ttable, idx, stamp, category)
+    return ctx.backend.chaos_hash(ctx, htables, ttable, indices, stamp,
+                                  category)
 
 
 def clear_stamp(
@@ -164,19 +161,20 @@ def clear_stamp(
 
 @dataclass
 class DeltaRehash:
-    """Result of :func:`rehash_delta`: what a subset update touched.
+    """Result of :func:`rehash_delta`: what a subset update touched, as
+    rank-major streams.
 
-    ``affected_slots[p]`` — hash-table slots whose stamp state may have
-    changed on rank ``p`` (union of old and new value slots);
-    ``pre_masks[p]`` — those slots' stamp masks *before* the update;
-    ``localized[p]`` — the new values at the touched positions, already
-    localized.  Feed into :func:`delta_rebuild_schedule` to repair a
-    cached schedule.
+    ``affected_slots`` — the hash-table slots whose stamp state may have
+    changed (union of old and new value slots), an arena whose ``sizes``
+    count them per rank; ``pre_masks`` — their stamp masks *before* the
+    update, aligned with ``affected_slots.flat``; ``localized`` — an
+    arena of the new values at the touched positions, localized.  Feed
+    into :func:`delta_rebuild_schedule` to repair a cached schedule.
     """
 
-    affected_slots: list[np.ndarray]
-    pre_masks: list[np.ndarray]
-    localized: list[np.ndarray]
+    affected_slots: RankArena
+    pre_masks: np.ndarray
+    localized: RankArena
 
 
 def rehash_delta(
@@ -210,8 +208,8 @@ def rehash_delta(
     m.check_per_rank(old_indices, "old indices")
     m.check_per_rank(new_indices, "new indices")
     group = group_of(htables)
-    old, n_old = stream_of(_normalize(old_indices))
-    new, n_new = stream_of(_normalize(new_indices))
+    old, n_old = stream_of(old_indices)
+    new, n_new = stream_of(new_indices)
     if np.any(n_old != n_new):
         p = int(np.flatnonzero(n_old != n_new)[0])
         raise ValueError(
@@ -244,10 +242,8 @@ def rehash_delta(
     m.charge_memops_vec(_INSERT_COST * inserted, category)
     m.charge_memops_vec(n_aff, category)
     return DeltaRehash(
-        affected_slots=split_stream(aff_rows, n_aff),
-        pre_masks=split_stream(pre, n_aff),
-        localized=split_stream(group.localize(rows_new, n_new), n_new),
-    )
+        affected_slots=RankArena(aff_rows, n_aff), pre_masks=pre,
+        localized=RankArena(group.localize(rows_new, n_new), n_new))
 
 
 def delta_rebuild_schedule(
@@ -285,12 +281,12 @@ def delta_rebuild_schedule(
     ranks = np.repeat(np.arange(group.n_ranks), n_aff)
     at = group.flat(ranks, rows)
     mask = group.mask.ravel()
-    was = sel.matches(np.concatenate(rehash.pre_masks))
+    was = sel.matches(rehash.pre_masks)
     now = sel.matches(mask[at])
     offp = group.proc.ravel()[at] != ranks
     newly = at[now & ~was & offp]
     left = was & ~now & offp
-    dropped_bufs = split_stream(
+    dropped_bufs = RankArena(
         group.buf.ravel()[at[left]],
         np.bincount(ranks[left], minlength=group.n_ranks))
     m.charge_memops_vec(n_aff, category)
@@ -313,15 +309,15 @@ def localize_only(
     htables: list[IndexHashTable],
     indices: list[np.ndarray | None],
     category: str = "inspector",
-) -> list[np.ndarray]:
+) -> RankArena:
     """Localize indirection arrays already fully present in the tables.
 
     This is the fast path for *unchanged* indirection arrays: a pure
-    lookup, no translation-table traffic at all.
+    lookup, no translation-table traffic at all.  Returns a
+    :class:`~repro.core.compiled.RankArena`, like :func:`chaos_hash`.
     """
     ctx = ensure_context(ctx, "localize_only")
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
     m.check_per_rank(indices, "indices")
-    idx = _normalize(indices)
-    return ctx.backend.localize(ctx, htables, idx, category)
+    return ctx.backend.localize(ctx, htables, indices, category)

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.compiled import RankArena
 from repro.core.context import ensure_context
 from repro.core.distribution import (
     BlockDistribution,
     Distribution,
     IrregularDistribution,
 )
+from repro.core.hashtable import stream_of
 from repro.sim.machine import Machine
 
 _ENTRY_BYTES = 12  # (proc: int32, offset: int64) per table entry
@@ -261,17 +263,18 @@ class TranslationTable:
     def dereference(
         self,
         ctx,
-        queries: list[np.ndarray | None],
+        queries,
         category: str = "inspector",
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Collective lookup: each rank presents global indices, receives
-        (owner, offset) arrays aligned with its query order.
-
-        ``queries[p]`` may be ``None`` (no lookups on rank ``p``).  The
-        lookup cost under this table's storage policy is charged by the
-        context's *backend* (:mod:`repro.core.backends`): serial walks
-        rank pairs and pages in Python, vectorized (the default) builds
-        bincount request matrices; both charge identical traffic.
+    ) -> tuple[RankArena, RankArena]:
+        """Collective lookup: each rank presents global indices (one
+        sequence per rank, ``None``: none), receives (owner, offset)
+        arrays aligned with its query order — two
+        :class:`~repro.core.compiled.RankArena` streams, one check and one
+        gather each.  The lookup cost under this table's storage policy
+        is charged by the context's *backend* (:mod:`repro.core.backends`):
+        serial walks rank pairs and pages in Python, vectorized (the
+        default) builds the request matrix with one bincount; both charge
+        identical traffic.
         """
         ctx = ensure_context(ctx, "TranslationTable.dereference")
         m = self.machine
@@ -280,15 +283,12 @@ class TranslationTable:
                 "context machine differs from the table's machine"
             )
         m.check_per_rank(queries, "queries")
-        qs = [
-            np.zeros(0, dtype=np.int64) if q is None
-            else self.dist.check_indices(q)
-            for q in queries
-        ]
-        ctx.backend.translation_lookup(ctx, self, qs, category)
-        owners = [self._owners[q] for q in qs]
-        offsets = [self._offsets[q] for q in qs]
-        return owners, offsets
+        keys, sizes = stream_of(queries)
+        keys = self.dist.check_indices(keys)
+        ctx.backend.translation_lookup(ctx, self, RankArena(keys, sizes),
+                                       category)
+        return (RankArena(self._owners[keys], sizes),
+                RankArena(self._offsets[keys], sizes))
 
     # ------------------------------------------------------------------
     def owner_local(self, indices) -> np.ndarray:

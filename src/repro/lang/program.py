@@ -56,7 +56,7 @@ from repro.core.distribution import (
     IrregularDistribution,
 )
 from repro.core.executor import gather, scatter_op
-from repro.core.hashtable import split_stream, stream_of
+from repro.core.hashtable import stream_of
 from repro.core.inspector import chaos_hash, clear_stamp, make_hash_tables
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.lightweight import build_lightweight_schedule, scatter_append
@@ -675,10 +675,10 @@ class ProgramInstance:
             stamp = plan.stamp_for(pat)
             if stamp in hts[0].registry:
                 clear_stamp(self.ctx, hts, stamp, category="inspector")
-            pos[pat.key()] = np.concatenate(chaos_hash(
-                self.ctx, hts, tt, split_stream(gidx[pat.key()], n_iter),
+            pos[pat.key()] = chaos_hash(
+                self.ctx, hts, tt, RankArena(gidx[pat.key()], n_iter),
                 stamp, category="inspector",
-            ))
+            ).flat
         expr = hts[0].expr(*[plan.stamp_for(p) for p in plan.index_patterns])
         sched = build_schedule(self.ctx, hts, expr, category="inspector")
         # rebase the localized indices (owned: local offset, ghost:
@@ -823,7 +823,7 @@ class ProgramInstance:
         m.charge_memops_vec(2 * n_iter, "inspector")
 
         sched = build_lightweight_schedule(
-            self.ctx, split_stream(tt.owner_local(dest_cell), n_iter),
+            self.ctx, RankArena(tt.owner_local(dest_cell), n_iter),
             category="inspector")
         vals = RankArena.adopt(scatter_append(
             self.ctx, sched, RankArena(values, n_iter), category="comm"))

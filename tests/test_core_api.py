@@ -211,6 +211,27 @@ class TestIrregularReduction:
             loop.adapt("ia", ia, touched=[none, none, np.array([0, bad]),
                                           none])
 
+    def test_adapt_change_outside_touched_rejected(self, rng):
+        """A wrong ``touched`` used to corrupt the schedule silently: the
+        changed position's old value kept its stamp references."""
+        m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng, n=40, e=40)
+        ib = split_by_block(ib_g, m)
+        loop = IrregularReduction(rt, tt, "L").bind(ib=ib)
+        sched = loop.setup()
+        nxt = [a.copy() for a in ib]
+        nxt[1][2] = (nxt[1][2] + 1) % 40
+        nxt[2][0] = (nxt[2][0] + 1) % 40   # touched, so allowed
+        nxt[2][5] = (nxt[2][5] + 1) % 40   # the first untouched change
+        none = np.zeros(0, np.int64)
+        with pytest.raises(ValueError, match="rank 2: position 5 of 'ib'"):
+            loop.adapt("ib", nxt, touched=[none, np.array([2]),
+                                           np.array([0]), none])
+        with pytest.raises(ValueError, match="rank 3: a targeted adapt"):
+            loop.adapt("ib", ib[:3] + [ib[3][:-1]], touched=[none] * 4)
+        # a rejected adapt changes nothing: the cached schedule still holds
+        assert rt.cache_stats("L").builds == 1
+        assert loop.setup() is sched
+
     def test_adapt_untouched_positions_must_not_change(self, rng):
         m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng)
         loop = IrregularReduction(rt, tt, "L").bind(
@@ -296,12 +317,148 @@ class TestIrregularReduction:
         assert np.allclose(x.to_global(), expected)
 
 
+class TestPerArrayReuse:
+    """A full rebuild clears and re-hashes only the arrays that changed.
+
+    Each test drives one hazard that must (or need not) force a re-hash
+    of an array that did not change, then checks the loop against a cold
+    ``IrregularReduction`` over the same final arrays: schedule streams,
+    localized indices and one ``execute`` result bitwise equal, and the
+    ``chaos_hash`` calls made.  New values permute each rank's slice
+    (all of it, or the touched positions), so every rank references the
+    same indices before and after and a cold build is comparable slot
+    for slot."""
+
+    N, E, P = 120, 480, 4
+
+    @pytest.fixture
+    def world(self, backend_name, monkeypatch):
+        import repro.core.api as api
+
+        rng = np.random.default_rng(2901)
+        owner = rng.integers(0, self.P, self.N)
+        m = Machine(self.P)
+        rt = ChaosRuntime(ExecutionContext.resolve(m, backend_name))
+        tt = rt.irregular_table(owner)
+        arrays = {nm: split_by_block(rng.integers(0, self.N, self.E), m)
+                  for nm in ("ia", "ib")}
+        loop = IrregularReduction(rt, tt, "nb").bind(**arrays)
+        loop.setup()
+        hashed = []   # the stamp of every chaos_hash of rt after set-up
+        real = api.chaos_hash
+
+        def counted(*args, **kwargs):
+            if args[0] is rt.ctx:
+                hashed.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(api, "chaos_hash", counted)
+        return rng, owner, rt, tt, loop, arrays, hashed
+
+    def check_cold(self, world):
+        rng, owner, rt, tt, loop, arrays, _ = world
+        cold_rt = ChaosRuntime(ExecutionContext.resolve(Machine(self.P),
+                                                        rt.backend))
+        cold_tt = cold_rt.irregular_table(owner)
+        cold = IrregularReduction(cold_rt, cold_tt, "nb").bind(**arrays)
+        cold.setup()
+        for part in ("counts", "send", "place", "extent"):
+            assert np.array_equal(getattr(loop.schedule, part),
+                                  getattr(cold.schedule, part)), part
+        for nm in arrays:
+            for a, b in zip(loop.localized(nm), cold.localized(nm)):
+                assert np.array_equal(a, b), nm
+        y_g = np.random.default_rng(7).standard_normal(self.N)
+        out = []
+        for r, t, lp in ((rt, tt, loop), (cold_rt, cold_tt, cold)):
+            x = r.zeros_like_table(t)
+            lp.execute(x, "ia", lambda v: v, {"y": (r.distribute(y_g, t),
+                                                    "ib")})
+            out.append(x.to_global())
+        assert out[0].tobytes() == out[1].tobytes()
+
+    @staticmethod
+    def shuffled(rng, per_rank):
+        return [rng.permutation(a) for a in per_rank]
+
+    def test_rebind(self, world):
+        rng, _, _, _, loop, arrays, hashed = world
+        arrays["ia"] = self.shuffled(rng, arrays["ia"])
+        loop.bind(ia=arrays["ia"])
+        loop.setup()
+        assert hashed == ["nb:ia"]
+        self.check_cold(world)
+
+    @pytest.mark.parametrize("purge", [False, True])
+    def test_external_clear_stamp(self, world, purge):
+        rng, _, rt, tt, loop, arrays, hashed = world
+        rt.clear_stamp(tt, "nb:ia", purge=purge)
+        arrays["ib"] = self.shuffled(rng, arrays["ib"])
+        loop.adapt("ib", arrays["ib"])
+        assert hashed == ["nb:ia", "nb:ib"]
+        self.check_cold(world)
+
+    def test_drop_hash_tables(self, world):
+        rng, _, rt, tt, loop, arrays, hashed = world
+        rt.drop_hash_tables(tt)
+        arrays["ib"] = self.shuffled(rng, arrays["ib"])
+        loop.adapt("ib", arrays["ib"])
+        assert hashed == ["nb:ia", "nb:ib"]
+        self.check_cold(world)
+
+    def test_delta_fallback_after_partly_applied_chain(self, world,
+                                                       monkeypatch):
+        """The splice raises after ``rehash_delta`` moved ``ib``'s
+        reference counts: ``ib`` stays marked and is re-hashed in full,
+        ``ia`` is not."""
+        import repro.core.api as api
+
+        rng, _, rt, _, loop, arrays, hashed = world
+        touched, nxt = [], []
+        for a in arrays["ib"]:
+            pos = rng.choice(a.size, size=a.size // 4, replace=False)
+            b = a.copy()
+            b[pos] = a[rng.permutation(pos)]
+            touched.append(pos)
+            nxt.append(b)
+        arrays["ib"] = nxt
+
+        def splice_fails(*args, **kwargs):
+            raise RuntimeError("injected splice failure")
+
+        monkeypatch.setattr(api, "delta_rebuild_schedule", splice_fails)
+        loop.adapt("ib", nxt, touched=touched)
+        st = rt.cache_stats("nb")
+        assert (st.builds, st.delta_rebuilds) == (2, 0)
+        assert hashed == ["nb:ib"]
+        self.check_cold(world)
+
+    def test_untargeted_adapt_of_each_array_in_turn(self, world):
+        rng, _, _, _, loop, arrays, hashed = world
+        for nm in ("ia", "ib"):
+            arrays[nm] = self.shuffled(rng, arrays[nm])
+            loop.adapt(nm, arrays[nm])
+            assert hashed[-1:] == [f"nb:{nm}"]
+            self.check_cold(world)
+        assert hashed == ["nb:ia", "nb:ib"]
+
+    def test_cache_eviction_then_setup(self, world):
+        _, _, rt, _, loop, _, hashed = world
+        rt.schedule_cache.invalidate("nb")
+        loop.setup()
+        assert rt.cache_stats("nb").builds == 2
+        assert hashed == []
+        self.check_cold(world)
+
+
 class TestPinnedSimulatedCost:
     """Virtual time, messages, bytes and the sha256 of the result of an
     ``IrregularReduction`` static sweep and of one targeted ``adapt``
     round, recorded while the executor kernel still ran over rank-range
     bounds and contexts still owned resources: those went without
-    changing a charge, and later changes must not move one either."""
+    changing a charge, and later changes must not move one either.  The
+    untargeted ``adapt`` round was recorded when a full rebuild stopped
+    re-hashing the arrays that had not changed."""
 
     N, E, P = 200, 800, 8
 
@@ -349,3 +506,18 @@ class TestPinnedSimulatedCost:
         self.check(m, x, 398, 46744, 0.01325693,
                    "834a7f330a22e3718526e8a2a9696db5"
                    "9c614afcf3f6bb60458641b02aeb20f9")
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_adapt_untargeted_round(self, backend):
+        """A payload-less adapt clears and re-hashes ``ib`` only.  While
+        it re-hashed ``ia`` as well the same round took 0.01577793 s, with
+        the same messages, bytes and result."""
+        rng, m, rt, loop, x, y, ib = self.make(backend)
+        loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+        loop.adapt("ib", [rng.integers(0, self.N, a.size) for a in ib])
+        st = rt.cache_stats("sweep")
+        assert (st.builds, st.delta_rebuilds) == (2, 0)
+        loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
+        self.check(m, x, 472, 54264, 0.01562338,
+                   "6c42ac40639f10b1d5809eab2d47013a"
+                   "cd37317aa9424aff4568410cbda01c9e")

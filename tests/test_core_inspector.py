@@ -1,17 +1,29 @@
 """Unit tests: chaos_hash, localize_only, stamp clearing, hash reuse."""
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.core import (
     ChaosRuntime,
+    ExecutionContext,
+    IrregularReduction,
+    RankArena,
+    TranslationTable,
+    build_schedule,
     chaos_hash,
     clear_stamp,
+    delta_rebuild_schedule,
     localize_only,
     make_hash_tables,
+    rehash_delta,
     split_by_block,
 )
 from repro.sim import Machine
+
+from conftest import count_calls
 
 
 def env(rng, n=30, p=4):
@@ -162,3 +174,116 @@ class TestChaosRuntimeFacade:
             localize_only(rt.ctx, hts, shared)[0],
             chaos_hash(rt.ctx, hts, tt, shared, "a")[0],
         )
+
+
+@contextmanager
+def _quiet_key_store():
+    """The key store's lookups and inserts counted as one call each.
+
+    Their probe rounds, batch collisions and compactions depend on how
+    the keys hash into each rank's table, whose load differs when the
+    same data is shared among more ranks; the store walks its stream in
+    blocks of the data, not per rank, either way."""
+    from repro.core.hashtable import RankKeyArena
+
+    def quiet(real):
+        def run(*args, **kwargs):
+            profile = sys.getprofile()
+            sys.setprofile(None)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                sys.setprofile(profile)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("lookup", "insert"):
+            patch.setattr(RankKeyArena, name,
+                          quiet(getattr(RankKeyArena, name)))
+        yield
+
+
+class TestInspectorSeamShape:
+    """The inspector seam is rank-major: with ``vectorized``, each call
+    makes the same C-level calls at 16 and at 128 ranks on the same data
+    volume (a loop over ranks would multiply them by the rank count),
+    whether the indices arrive as per-rank lists or as an arena."""
+
+    N = 4096  # elements, and references per indirection array
+
+    def _world(self, n_ranks, storage="replicated"):
+        rng = np.random.default_rng(29)
+        ctx = ExecutionContext.resolve(Machine(n_ranks), "vectorized")
+        ctx.machine.hop_matrix()  # the machine's own one-time set-up
+        tt = TranslationTable.from_map(
+            ctx.machine, rng.integers(0, n_ranks, self.N), storage=storage)
+        idx = split_by_block(rng.integers(0, self.N, self.N), ctx.machine)
+        return rng, ctx, tt, make_hash_tables(ctx, tt), idx
+
+    def _same_at_16_and_128(self, run, storage="replicated",
+                            prepare=None):
+        """``run(rng, ctx, tt, hts, idx, *prepare(...))`` is counted; a
+        first pass runs one-time lazy initialisation (imports, regex
+        compilation) out of the way."""
+        calls = []
+        for n_ranks in (4, 16, 128):
+            world = self._world(n_ranks, storage)
+            extra = prepare(*world) if prepare else ()
+            with _quiet_key_store():
+                calls.append(count_calls(lambda: run(*world, *extra)))
+        assert calls[1] == calls[2]
+
+    @staticmethod
+    def _hashed(rng, ctx, tt, hts, idx):
+        chaos_hash(ctx, hts, tt, idx, "s")
+        return (build_schedule(ctx, hts, "s"),)
+
+    def test_chaos_hash(self):
+        self._same_at_16_and_128(
+            lambda rng, ctx, tt, hts, idx: chaos_hash(ctx, hts, tt, idx, "s"))
+
+    def test_chaos_hash_of_an_arena(self):
+        self._same_at_16_and_128(
+            lambda rng, ctx, tt, hts, idx, arena: chaos_hash(
+                ctx, hts, tt, arena, "s"),
+            prepare=lambda rng, ctx, tt, hts, idx: (RankArena.adopt(idx),))
+
+    def test_localize_only(self):
+        self._same_at_16_and_128(
+            lambda rng, ctx, tt, hts, idx, base: localize_only(ctx, hts, idx),
+            prepare=self._hashed)
+
+    def test_rehash_delta_and_splice(self):
+        def prepare(rng, ctx, tt, hts, idx):
+            old = [a[:a.size // 8] for a in idx]
+            new = [rng.integers(0, self.N, a.size) for a in old]
+            return (*self._hashed(rng, ctx, tt, hts, idx), old, new)
+
+        def run(rng, ctx, tt, hts, idx, base, old, new):
+            rehash = rehash_delta(ctx, hts, tt, "s", old, new)
+            return delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+
+        self._same_at_16_and_128(run, prepare=prepare)
+
+    @pytest.mark.parametrize("storage", ["replicated", "distributed"])
+    def test_dereference(self, storage):
+        self._same_at_16_and_128(
+            lambda rng, ctx, tt, hts, idx: tt.dereference(ctx, idx), storage)
+
+    def test_irregular_reduction_adapt_touched(self):
+        def prepare(rng, ctx, tt, hts, idx):
+            rt = ChaosRuntime(ctx)
+            loop = IrregularReduction(rt, tt, "L").bind(ia=idx, ib=idx)
+            loop.setup()
+            touched = [rng.choice(a.size, a.size // 8, replace=False)
+                       for a in idx]
+            new = [a.copy() for a in idx]
+            for a, t in zip(new, touched):
+                a[t] = rng.integers(0, self.N, t.size)
+            return rt, loop, new, touched
+
+        def run(rng, ctx, tt, hts, idx, rt, loop, new, touched):
+            loop.adapt("ib", new, touched=touched)
+            assert rt.cache_stats("L").delta_rebuilds == 1
+
+        self._same_at_16_and_128(run, prepare=prepare)
