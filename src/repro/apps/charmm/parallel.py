@@ -166,7 +166,18 @@ class ParallelMD:
             category="remap", loop_id="charmm:atoms_remap",
         )
 
-        # Phase C/D for the bonded loop.
+        self._partition_and_inspect()
+        # per-step list regeneration cadence bookkeeping
+        self.trace.nb_list_updates += 1
+        self.trace.nb_pairs_history.append(int(self.jnb.size))
+
+    def _partition_and_inspect(self) -> None:
+        """Phases C-E on the current distribution: the bonded iterations
+        partitioned almost-owner-computes with ``ib``/``jb`` remapped to
+        them, fresh hash tables, the bonded and non-bonded hashes and
+        the schedules."""
+        s = self.system
+        m = self.machine
         ib_g, jb_g = (
             (s.bonds[:, 0], s.bonds[:, 1]) if s.n_bonds
             else (np.zeros(0, dtype=np.int64),) * 2
@@ -180,7 +191,6 @@ class ParallelMD:
         self.ib = assign.remap_iteration_data(self.ctx, split_by_block(ib_g, m))
         self.jb = assign.remap_iteration_data(self.ctx, split_by_block(jb_g, m))
 
-        # Phase E: hash tables and schedules.
         self.htables = make_hash_tables(self.ctx, self.ttable)
         self.ib_loc = chaos_hash(self.ctx, self.htables, self.ttable, self.ib,
                                  "bonds", category="inspector")
@@ -188,9 +198,6 @@ class ParallelMD:
                                  "bonds", category="inspector")
         self._hash_nonbonded(category="inspector")
         self._build_schedules(category="inspector")
-        # per-step list regeneration cadence bookkeeping
-        self.trace.nb_list_updates += 1
-        self.trace.nb_pairs_history.append(int(self.jnb.size))
 
     # ------------------------------------------------------------------
     def _atom_weights(self) -> np.ndarray:
@@ -317,27 +324,7 @@ class ParallelMD:
             category="remap", loop_id="charmm:atoms_remap",
         )
         self.ttable = new_ttable
-
-        ib_g, jb_g = (
-            (self.system.bonds[:, 0], self.system.bonds[:, 1])
-            if self.system.n_bonds else (np.zeros(0, dtype=np.int64),) * 2
-        )
-        assign = partition_iterations(
-            self.ctx, self.ttable,
-            [[a, b] for a, b in zip(split_by_block(ib_g, m),
-                                    split_by_block(jb_g, m))],
-            rule="almost-owner-computes", category="partition"
-        )
-        self.ib = assign.remap_iteration_data(self.ctx, split_by_block(ib_g, m))
-        self.jb = assign.remap_iteration_data(self.ctx, split_by_block(jb_g, m))
-
-        self.htables = make_hash_tables(self.ctx, self.ttable)
-        self.ib_loc = chaos_hash(self.ctx, self.htables, self.ttable, self.ib,
-                                 "bonds", category="inspector")
-        self.jb_loc = chaos_hash(self.ctx, self.htables, self.ttable, self.jb,
-                                 "bonds", category="inspector")
-        self._hash_nonbonded(category="inspector")
-        self._build_schedules(category="inspector")
+        self._partition_and_inspect()
 
     # ==================================================================
     # executor: one force evaluation + integration step

@@ -20,6 +20,7 @@ the facade keeps simple irregular loops (Figure 1) to a few lines — see
 from __future__ import annotations
 
 import copy
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -145,7 +146,7 @@ class DistributedArray:
 class ChaosRuntime:
     """Convenience binding of an execution context to the CHAOS primitives.
 
-    Owns one hash-table group per translation table and exposes the
+    Owns one hash-table group per live translation table and exposes the
     context's modification record + schedule cache, so adaptive
     applications get stamp reuse and schedule reuse without extra
     bookkeeping.
@@ -172,7 +173,9 @@ class ChaosRuntime:
         ctx = resolve_component(ctx, "ChaosRuntime")
         self.ctx = ctx
         self.machine = ctx.machine
-        self._htables: dict[int, list[IndexHashTable]] = {}
+        #: weak keys: a group dies with its table, never passing to a
+        #: table created later at the freed table's address
+        self._htables = weakref.WeakKeyDictionary()
         self.modification_record = ctx.record
         self.schedule_cache = ctx.schedule_cache
 
@@ -250,13 +253,14 @@ class ChaosRuntime:
 
     # ---- Phase E: inspector --------------------------------------------
     def hash_tables(self, ttable: TranslationTable) -> list[IndexHashTable]:
-        key = id(ttable)
-        if key not in self._htables:
-            self._htables[key] = make_hash_tables(self.ctx, ttable)
-        return self._htables[key]
+        htables = self._htables.get(ttable)
+        if htables is None:
+            htables = self._htables[ttable] = make_hash_tables(self.ctx,
+                                                               ttable)
+        return htables
 
     def drop_hash_tables(self, ttable: TranslationTable) -> None:
-        self._htables.pop(id(ttable), None)
+        self._htables.pop(ttable, None)
 
     def hash_indirection(
         self,
@@ -471,9 +475,11 @@ class IrregularReduction:
         group = self.rt.hash_tables(self.ttable)[0].group
         for nm, indices in self._indirections.items():
             stamp = self._stamp_of(nm)
-            if nm not in self._changed and group.counted(stamp):
-                continue  # its stamp and localized indices still hold
-            if stamp in group.registry:
+            # ``_rebuild`` registered every stamp; only a counted one was
+            # hashed and has entries worth a clearing scan
+            if group.counted(stamp):
+                if nm not in self._changed:
+                    continue  # its stamp and localized indices still hold
                 self.rt.clear_stamp(self.ttable, stamp)
             self._localized[nm] = self.rt.hash_indirection(
                 self.ttable, indices, stamp)

@@ -30,8 +30,8 @@ class ReductionPlan:
 
     ``gather_arrays`` are read via indirection (need ghost prefetch);
     ``reduce_targets`` maps each REDUCE statement index to its target ref.
-    ``stamps`` name the hash-table stamps this loop owns — one per distinct
-    indirection pattern — so adaptivity clears/rehashes only what changed.
+    Each distinct subscript pattern in ``index_patterns`` is hashed under
+    a stamp of its own, so adaptivity clears/rehashes only what changed.
     """
 
     nest: LoopNest
@@ -43,9 +43,6 @@ class ReductionPlan:
     @property
     def loop_id(self) -> str:
         return self.nest.loop_id
-
-    def stamp_for(self, pattern: SubscriptPattern) -> str:
-        return f"{self.loop_id}:{pattern.key()}"
 
     def dependency_names(self) -> tuple[str, ...]:
         """Arrays whose modification forces schedule regeneration."""

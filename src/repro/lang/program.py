@@ -7,10 +7,10 @@ compiler-generated code has:
 
 * ``DISTRIBUTE`` statements build translation tables and (on
   redistribution) embed CHAOS ``remap`` calls for every aligned array;
-* each irregular loop runs as inspector + executor, with a
-  :class:`~repro.core.reuse.ScheduleCache` consulted first — the §5.3.1
-  record of "whether any indirection array used in the loop has been
-  modified since the last time the inspector was invoked";
+* each reduction loop's inspector is the hand-written code's driver, an
+  :class:`~repro.core.api.IrregularReduction` over its subscript patterns,
+  re-bound only when the §5.3.1 record shows an indirection array (or the
+  distribution) modified "since the last time the inspector was invoked";
 * ``REDUCE(APPEND, …)`` nests lower to light-weight schedules and
   ``scatter_append`` (§5.2.1).
 
@@ -42,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.api import ChaosRuntime, IrregularReduction
 from repro.core.compiled import (
     RankArena,
     grouped_arange,
@@ -57,12 +58,11 @@ from repro.core.distribution import (
 )
 from repro.core.executor import gather, scatter_op
 from repro.core.hashtable import stream_of
-from repro.core.inspector import chaos_hash, clear_stamp, make_hash_tables
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.lightweight import build_lightweight_schedule, scatter_append
 from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats
-from repro.core.schedule import build_schedule
+from repro.core.schedule import Schedule
 from repro.core.translation import TranslationTable
 from repro.lang.analysis import Analyzer, analyze, classify_subscript
 from repro.lang.ast_nodes import (
@@ -266,8 +266,6 @@ def _lower_expr(expr: Expr, leaf, host: dict):
 class _DecompState:
     size: int
     ttable: TranslationTable | None = None
-    htables: list | None = None
-    version: int = 0
     #: rank-major index of the distribution: ``order[k]`` is the global
     #: element at position ``k`` of the axis-0 concatenation of the
     #: per-rank local arrays, ``counts[p]`` how many rank ``p`` owns
@@ -279,6 +277,20 @@ class _DecompState:
         order (a rank may own nothing, which rules out ``reduceat``)."""
         running = offsets_from_counts(per_element)
         return np.diff(running[offsets_from_counts(self.counts)])
+
+
+@dataclass
+class _LoopState:
+    """A reduction loop's inspector, the record versions and global-index
+    streams (by pattern key) it was bound from, and the executor's
+    stacked-buffer positions for the schedule it returned."""
+
+    loop: IrregularReduction
+    versions: dict[str, int]
+    gidx: dict[str, np.ndarray]
+    n_iter: np.ndarray
+    schedule: Schedule | None = None
+    pos: dict[str, np.ndarray] | None = None
 
 
 class ProgramInstance:
@@ -319,7 +331,10 @@ class ProgramInstance:
             for name, d in self.symbols.decomps.items()
         }
         self.record = ctx.record
-        self.cache = ctx.schedule_cache
+        #: every reduction loop's inspector runs through it (one hash-table
+        #: group per distribution); their state by loop id (`_inspect`)
+        self.runtime = ChaosRuntime(ctx)
+        self._loops: dict[str, _LoopState] = {}
         #: unique cache namespace: loop ids are program-relative, so two
         #: instances sharing one context (and hence one ScheduleCache)
         #: must not collide on "loop1"-style keys; a process-wide counter
@@ -373,12 +388,6 @@ class ProgramInstance:
                 f"decomposition {decomp!r} used before DISTRIBUTE"
             )
         return st.ttable
-
-    def _htables(self, decomp: str):
-        st = self.decomps[decomp]
-        if st.htables is None:
-            st.htables = make_hash_tables(self.ctx, st.ttable)
-        return st.htables
 
     def _aligned_arrays(self, decomp: str) -> list[str]:
         return [
@@ -484,13 +493,12 @@ class ProgramInstance:
         st.ttable = TranslationTable(m, dist, storage=self.ttable_storage)
         st.order, st.counts = stream_of(
             [dist.global_indices(p) for p in m.ranks()])
-        st.version += 1
-        st.htables = None
         self.record.touch(f"__decomp__:{stmt.target}")
         if old is None:
             for name in self._aligned_arrays(stmt.target):
                 self._distribute_array(name)
         else:
+            self.runtime.drop_hash_tables(old)
             # redistribution: one remap plan moves every aligned array
             # (ragged arrays are global CSR: nothing to move)
             plan = remap(self.ctx, old.dist, dist, category="remap")
@@ -648,51 +656,47 @@ class ProgramInstance:
         return gidx, n_iter
 
     # ---- inspector -----------------------------------------------------
-    def _inspect(self, plan: ReductionPlan) -> dict[str, Any]:
-        """The loop's inspector state, through the schedule cache: rebuilt
-        only when an indirection array or the distribution was touched."""
-        deps = plan.dependency_names() + (
-            f"__decomp__:{plan.nest.decomposition}",)
-        value, _rebuilt = self.cache.get_or_build(
-            self.cache_key(plan.loop_id), deps,
-            lambda: self._run_inspector(plan),
-        )
-        return value
-
-    def _run_inspector(self, plan: ReductionPlan) -> dict[str, Any]:
-        """Hash every subscript pattern and build the loop's schedule.
-        Returns the schedule, the per-rank iteration counts and, per
-        pattern, two rank-major streams: ``gidx`` (global indices) and
-        ``pos`` (positions in the executor's stacked buffer, see
-        :meth:`_exec_reduction`)."""
+    def _inspect(self, plan: ReductionPlan) -> _LoopState:
+        """The loop's :class:`IrregularReduction` (named :meth:`cache_key`)
+        over its subscript patterns.  After a touch, on the same tables and
+        iteration counts only the patterns whose stream changed are
+        re-bound, so only they are re-hashed (none changed: a cache hit)."""
         decomp = plan.nest.decomposition
         tt = self._ttable(decomp)
-        hts = self._htables(decomp)
-        st = self.decomps[decomp]
-        gidx, n_iter = self._iteration_space(plan)
-        pos: dict[str, np.ndarray] = {}
-        for pat in plan.index_patterns:
-            stamp = plan.stamp_for(pat)
-            if stamp in hts[0].registry:
-                clear_stamp(self.ctx, hts, stamp, category="inspector")
-            pos[pat.key()] = chaos_hash(
-                self.ctx, hts, tt, RankArena(gidx[pat.key()], n_iter),
-                stamp, category="inspector",
-            ).flat
-        expr = hts[0].expr(*[plan.stamp_for(p) for p in plan.index_patterns])
-        sched = build_schedule(self.ctx, hts, expr, category="inspector")
-        # rebase the localized indices (owned: local offset, ghost:
-        # n_local + slot), once, onto the stacked buffer: every rank's
-        # local part, then every rank's ghost part
-        n_ghost = np.asarray(sched.ghost_size, dtype=np.int64)
-        n_local = np.repeat(st.counts, n_iter)
-        own_base = np.repeat(offsets_from_counts(st.counts)[:-1], n_iter)
-        ghost_base = np.repeat(
-            st.size + offsets_from_counts(n_ghost)[:-1] - st.counts, n_iter)
-        for loc in pos.values():
-            loc += np.where(loc < n_local, own_base, ghost_base)
-        return {"schedule": sched, "pos": pos, "gidx": gidx,
-                "n_iter": n_iter}
+        versions = self.record.versions_of(
+            plan.dependency_names() + (f"__decomp__:{decomp}",))
+        state = self._loops.get(plan.loop_id)
+        if state is None or state.versions != versions:
+            gidx, n_iter = self._iteration_space(plan)
+            fresh = state is None or state.loop.ttable is not tt
+            loop = IrregularReduction(self.runtime, tt, self.cache_key(
+                plan.loop_id)) if fresh else state.loop
+            bound = ({} if fresh or not np.array_equal(state.n_iter, n_iter)
+                     else state.gidx)
+            loop.bind(**{key: RankArena(g, n_iter) for key, g in gidx.items()
+                         if key not in bound
+                         or not np.array_equal(g, bound[key])})
+            state = self._loops[plan.loop_id] = _LoopState(
+                loop, versions, gidx, n_iter)
+        sched = state.loop.setup()
+        if sched is not state.schedule:
+            # rebase the localized indices (owned: local offset, ghost:
+            # n_local + slot) onto the stacked buffer: every rank's
+            # local part, then every rank's ghost part
+            st, n_iter = self.decomps[decomp], state.n_iter
+            n_ghost = np.asarray(sched.ghost_size, dtype=np.int64)
+            n_local = np.repeat(st.counts, n_iter)
+            own_base = np.repeat(offsets_from_counts(st.counts)[:-1], n_iter)
+            ghost_base = np.repeat(
+                st.size + offsets_from_counts(n_ghost)[:-1] - st.counts,
+                n_iter)
+            state.pos = {}
+            for key in state.gidx:
+                loc = state.loop.localized(key).flat
+                state.pos[key] = loc + np.where(loc < n_local, own_base,
+                                                ghost_base)
+            state.schedule = sched
+        return state
 
     def cache_key(self, loop_id: str) -> str:
         """This instance's ScheduleCache key for one of its loops (the
@@ -702,11 +706,11 @@ class ProgramInstance:
     def cache_stats(self, loop_id: str) -> "CacheStats":
         """Structured counters of this instance's cached value for a loop
         (a :class:`~repro.core.reuse.CacheStats`)."""
-        return self.cache.stats(self.cache_key(loop_id))
+        return self.runtime.cache_stats(self.cache_key(loop_id))
 
     def total_cache_stats(self) -> "CacheStats":
         """Aggregate :class:`CacheStats` over this instance's loops."""
-        return self.cache.total_stats(prefix=f"{self._cache_scope}:")
+        return self.runtime.total_cache_stats(f"{self._cache_scope}:")
 
     # ---- reduction executor ----------------------------------------------
     def _exec_reduction(self, plan: ReductionPlan) -> None:
@@ -717,7 +721,7 @@ class ProgramInstance:
             raise ExecutionError("reduction loop touches no distributed array",
                                  line)
         state = self._inspect(plan)
-        sched, pos, gidx = state["schedule"], state["pos"], state["gidx"]
+        sched, pos, gidx = state.schedule, state.pos, state.gidx
         lowered = self._bodies.get(plan.loop_id)
         if lowered is None:
             lowered = self._bodies[plan.loop_id] = _lower_reduction(
@@ -760,7 +764,7 @@ class ProgramInstance:
                for name, (_, identity) in targets.items()}
         for ufunc, name, key, value in body:
             ufunc.at(acc[name], pos[key], value(read))
-        m.charge_compute_vec(plan.compute_ops_per_iter * state["n_iter"],
+        m.charge_compute_vec(plan.compute_ops_per_iter * state.n_iter,
                              "compute")
 
         # fold accumulators into owners: local part elementwise, ghost part

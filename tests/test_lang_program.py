@@ -666,3 +666,96 @@ class TestLoopShape:
         inst.set_array("map", rng.integers(0, 4, n))
         inst.redistribute("reg", "map")
         inst.run_loop(loop)
+
+
+# =====================================================================
+# the inspector: one IrregularReduction per reduction loop
+# =====================================================================
+class TestLoopInspector:
+    @pytest.fixture
+    def figure10(self, rng, backend_name):
+        n = 40
+        b = charmm_bindings(rng, n)
+        prog = compile_program(charmm_source(n, b["jnb"].size, n + 1))
+        inst = ProgramInstance(
+            prog, ExecutionContext.resolve(Machine(4), backend_name),
+            copy_bindings(b))
+        inst.execute()
+        return n, b, prog, inst, prog.loop_ids()[0]
+
+    @staticmethod
+    def rerun(inst, loop, n, **arrays):
+        """Set ``arrays``, zero the targets, run the loop once."""
+        for name, value in dict(arrays, dx=np.zeros(n),
+                                dy=np.zeros(n)).items():
+            inst.set_array(name, value)
+        inst.run_loop(loop)
+
+    @staticmethod
+    def check_oracle(inst, prog, bindings):
+        seq = interpret_sequential(prog, copy_bindings(bindings))
+        for name in ("dx", "dy"):
+            assert np.allclose(inst.get_array(name), seq[name],
+                               rtol=1e-9, atol=1e-9), name
+
+    def test_only_changed_patterns_are_rehashed(self, rng, figure10,
+                                                monkeypatch):
+        """A new ``jnb`` keeps the tables and the iteration counts: only
+        ``ind:jnb(j)`` is re-hashed, ``var:i`` keeps its stamp.  The same
+        ``jnb`` again re-hashes nothing and is a cache hit."""
+        import repro.core.api as api
+
+        n, b, prog, inst, loop = figure10
+        hashed, real = [], api.chaos_hash
+
+        def counted(*args, **kwargs):
+            hashed.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(api, "chaos_hash", counted)
+        jnb = rng.integers(1, n + 1, b["jnb"].size)
+        self.rerun(inst, loop, n, jnb=jnb)
+        assert hashed == [f"{inst.cache_key(loop)}:ind:jnb(j)"]
+        self.check_oracle(inst, prog, dict(b, jnb=jnb))
+        before = inst.cache_stats(loop)
+        self.rerun(inst, loop, n, jnb=jnb.copy())
+        after = inst.cache_stats(loop)
+        assert len(hashed) == 1
+        assert (after.builds, after.hits) == (before.builds, before.hits + 1)
+        self.check_oracle(inst, prog, dict(b, jnb=jnb))
+
+    @pytest.mark.parametrize("trigger", ["indirection", "redistribute"])
+    def test_failed_translation_in_an_inspection(self, rng, figure10,
+                                                 trigger, monkeypatch):
+        """A translation-table lookup that raises while ``run_loop``
+        re-inspects propagates; the next ``run_loop`` builds and matches
+        the oracle.  After a redistribute both patterns are hashed into
+        new tables and the second one's lookup fails."""
+        from repro.core.translation import TranslationTable
+
+        n, b, prog, inst, loop = figure10
+        final = copy_bindings(b)
+        if trigger == "indirection":
+            final["jnb"] = rng.integers(1, n + 1, b["jnb"].size)
+            inst.set_array("jnb", final["jnb"])
+            fail_at = 1
+        else:
+            inst.set_array("map", rng.integers(0, 4, n))
+            inst.redistribute("reg", "map")
+            fail_at = 2
+        builds = inst.cache_stats(loop).builds
+        real, calls = TranslationTable.dereference, []
+
+        def fails_once(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise RuntimeError("injected lookup failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TranslationTable, "dereference", fails_once)
+        with pytest.raises(RuntimeError, match="injected"):
+            self.rerun(inst, loop, n)
+        assert inst.cache_stats(loop).builds == builds
+        inst.run_loop(loop)
+        assert inst.cache_stats(loop).builds == builds + 1
+        self.check_oracle(inst, prog, final)
