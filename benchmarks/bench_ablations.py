@@ -21,12 +21,13 @@ import sys
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
-from common import bench_context, print_table  # noqa: E402
+from common import print_table  # noqa: E402
 
 import numpy as np
 
 from repro.core import (
     ChaosRuntime,
+    ExecutionContext,
     TranslationTable,
     build_schedule,
     chaos_hash,
@@ -71,7 +72,7 @@ def ablate_hash_reuse():
 
     def with_reuse():
         m = Machine(P)
-        ctx = bench_context(m)
+        ctx = ExecutionContext.resolve(m)
         tt = TranslationTable.from_map(m, maparr, storage="distributed")
         hts = make_hash_tables(ctx, tt)
         m.reset_clocks()
@@ -84,7 +85,7 @@ def ablate_hash_reuse():
 
     def without_reuse():
         m = Machine(P)
-        ctx = bench_context(m)
+        ctx = ExecutionContext.resolve(m)
         tt = TranslationTable.from_map(m, maparr, storage="distributed")
         m.reset_clocks()
         for upd in updates:
@@ -142,7 +143,7 @@ def ablate_translation_storage():
         m = Machine(P)
         tt = TranslationTable.from_map(m, maparr, storage=storage,
                                        page_size=256)
-        ctx = bench_context(m)
+        ctx = ExecutionContext.resolve(m)
         m.reset_clocks()
         tt.dereference(ctx, queries)
         first = m.execution_time()

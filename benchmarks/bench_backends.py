@@ -37,11 +37,13 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 import numpy as np  # noqa: E402
 
-from common import bench_context, charmm_config, print_table  # noqa: E402
+from common import print_table  # noqa: E402
+from tables import config  # noqa: E402
 
 from repro.apps.charmm import ParallelMD, build_solvated_system  # noqa: E402
 from repro.core import (  # noqa: E402
     ChaosRuntime,
+    ExecutionContext,
     allocate_ghosts,
     build_lightweight_schedule,
     gather,
@@ -59,7 +61,7 @@ BACKENDS = ("serial", "vectorized")
 
 def charmm_env():
     """Table-1 CHARMM state at 16 ranks (schedule already built)."""
-    cfg = charmm_config()
+    cfg = config()["charmm"]
     system = build_solvated_system(
         n_protein=cfg["n_protein"], n_waters=cfg["n_waters"],
         density=cfg["density"], seed=42,
@@ -72,7 +74,7 @@ def charmm_env():
 def lightweight_env(n_particles: int = 200_000, seed: int = 7):
     """DSMC-style migration: particles bucketed to random destinations."""
     rng = np.random.default_rng(seed)
-    ctx = bench_context(Machine(N_RANKS))
+    ctx = ExecutionContext.resolve(Machine(N_RANKS))
     per = n_particles // N_RANKS
     dest = [rng.integers(0, N_RANKS, per) for _ in range(N_RANKS)]
     sched = build_lightweight_schedule(ctx, dest)

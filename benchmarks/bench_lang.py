@@ -18,12 +18,14 @@ depends on the machine:
   left grows with the cell count as data: ``len`` of every bound row,
   hash tables over four times the keys).
 * ``fig10_reinspect_p32`` (advisory) — the same oracle time / a
-  ``run_loop`` whose indirection array was touched, so the inspector
-  (iteration space, hashing, schedule) reruns.
+  ``run_loop`` after ``set_array`` swapped ``jnb`` for a copy with ~2 %
+  of its partners moved (and back, alternately), so every round the
+  inspector (iteration space, hashing, schedule) reruns.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 
@@ -31,10 +33,10 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 import numpy as np  # noqa: E402
 
-from bench_table6_compiler_charmm import figure10_source  # noqa: E402
-from bench_table7_compiler_dsmc import FIGURE11_SRC  # noqa: E402
-from common import bench_context, print_table  # noqa: E402
+from common import print_table  # noqa: E402
+from tables import FIGURE11_SRC, figure10_source  # noqa: E402
 
+from repro.core import ExecutionContext  # noqa: E402
 from repro.lang import (  # noqa: E402
     ProgramInstance,
     compile_program,
@@ -72,10 +74,15 @@ def figure10_cases(rng) -> dict:
     bindings = dict(x=rng.standard_normal(n), y=rng.standard_normal(n),
                     dx=np.zeros(n), dy=np.zeros(n), jnb=jnb, inblo=inblo,
                     map=np.arange(n) * NB_RANKS // n)
-    inst = ProgramInstance(prog, bench_context(Machine(NB_RANKS)),
+    inst = ProgramInstance(prog, ExecutionContext.resolve(Machine(NB_RANKS)),
                            dict(bindings))
     inst.execute()
     loop = prog.loop_ids()[0]
+    # ~2 % of the entries point at another atom, so each swap re-inspects
+    moved = jnb.copy()
+    at = rng.choice(jnb.size, jnb.size // 50, replace=False)
+    moved[at] = (moved[at] - 1 + rng.integers(1, n, at.size)) % n + 1
+    versions = itertools.cycle((moved, jnb))
 
     def run_loop():
         inst.run_loop(loop)
@@ -85,7 +92,7 @@ def figure10_cases(rng) -> dict:
             (lambda: interpret_sequential(prog, bindings), lambda: None),
         f"Figure 10 run_loop, P={NB_RANKS}": (run_loop, lambda: None),
         "Figure 10 run_loop + inspector":
-            (run_loop, lambda: inst.set_array("jnb", jnb)),
+            (run_loop, lambda: inst.set_array("jnb", next(versions))),
     }
 
 
@@ -95,7 +102,8 @@ def figure11_case(rng, nc: int) -> tuple:
     cells = rng.integers(0, nc, PARTICLES)
     sizes = np.bincount(cells, minlength=nc)
     prog = compile_program(FIGURE11_SRC.format(nc=nc))
-    inst = ProgramInstance(prog, bench_context(Machine(MV_RANKS)), dict(
+    ctx = ExecutionContext.resolve(Machine(MV_RANKS))
+    inst = ProgramInstance(prog, ctx, dict(
         size=sizes, new_size=np.zeros(nc),
         vel=np.split(rng.random(PARTICLES), np.cumsum(sizes)[:-1]),
         icell=np.split(rng.integers(1, nc + 1, PARTICLES),

@@ -44,10 +44,10 @@ Usage::
     python benchmarks/check_regression.py --update   # refresh baselines
                                                      # (main branch only)
 
-``--run`` executes the gated benchmark scripts first; they build one
-shared :class:`~repro.core.context.ExecutionContext` per machine (see
-``benchmarks/common.py``), so fresh results and committed baselines
-measure the same context-resolved pipeline.
+``--run`` executes the gated benchmark scripts first.  The paper's
+tables are not gated here: their cells are exact, and
+``benchmarks/tables.py`` plus ``git diff --exit-code --
+BENCH_tables.json`` gates them.
 """
 
 from __future__ import annotations
@@ -302,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
                          "results (only where the gated ratios improved) "
                          "instead of gating")
     ap.add_argument("--run", action="store_true",
-                    help="run the gated benchmark scripts first (they share "
-                         "one ExecutionContext per machine), then gate")
+                    help="run the gated benchmark scripts first, then gate")
     args = ap.parse_args(argv)
     if args.run:
         run_gated_benches()
