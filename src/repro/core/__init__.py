@@ -51,12 +51,12 @@ from repro.core.executor import (
     gather,
     gather_phase,
     run_pipeline,
+    run_reduction,
     scatter,
     scatter_op,
     scatter_op_phase,
     scatter_phase,
     stack_local_ghost,
-    split_local_ghost,
 )
 from repro.core.remap import (
     RemapPlan,
@@ -143,12 +143,12 @@ __all__ = [
     "gather",
     "gather_phase",
     "run_pipeline",
+    "run_reduction",
     "scatter",
     "scatter_op",
     "scatter_op_phase",
     "scatter_phase",
     "stack_local_ghost",
-    "split_local_ghost",
     "RemapPlan",
     "remap",
     "remap_array",

@@ -27,28 +27,21 @@ import numpy as np
 
 from repro.core.compiled import RankArena, offsets_from_counts
 from repro.core.context import ExecutionContext, resolve_component
-from repro.core.distribution import (
-    BlockDistribution,
-    CyclicDistribution,
-    Distribution,
-)
+from repro.core.distribution import BlockDistribution, CyclicDistribution
 from repro.core.executor import (
     allocate_ghosts,
     gather,
-    scatter,
+    run_reduction,
     scatter_op,
-    stack_local_ghost,
 )
 from repro.core.hashtable import IndexHashTable, StampExpr, stream_of
 from repro.core.inspector import (
     chaos_hash,
     clear_stamp,
     delta_rebuild_schedule,
-    localize_only,
     make_hash_tables,
     rehash_delta,
 )
-from repro.core.lightweight import build_lightweight_schedule, scatter_append
 from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats, DeltaFallback
 from repro.core.schedule import Schedule, build_schedule
@@ -237,10 +230,6 @@ class ChaosRuntime:
             self.machine, map_array, storage=storage, page_size=page_size
         )
 
-    def table_for(self, dist: Distribution, storage: str = "replicated"
-                  ) -> TranslationTable:
-        return TranslationTable(self.machine, dist, storage=storage)
-
     # ---- distributed arrays -------------------------------------------
     def distribute(self, global_array: np.ndarray, ttable: TranslationTable
                    ) -> DistributedArray:
@@ -272,10 +261,6 @@ class ChaosRuntime:
         return chaos_hash(self.ctx, self.hash_tables(ttable), ttable,
                           indices, stamp)
 
-    def localize(self, ttable: TranslationTable,
-                 indices: list[np.ndarray | None]) -> list[np.ndarray]:
-        return localize_only(self.ctx, self.hash_tables(ttable), indices)
-
     def clear_stamp(self, ttable: TranslationTable, stamp: str,
                     release: bool = False,
                     purge: bool | None = None) -> int:
@@ -296,30 +281,13 @@ class ChaosRuntime:
                ghosts: list[np.ndarray] | None = None) -> list[np.ndarray]:
         return gather(self.ctx, sched, x.local, ghosts)
 
-    def scatter(self, sched: Schedule, x: DistributedArray,
-                ghosts: list[np.ndarray]) -> None:
-        scatter(self.ctx, sched, x.local, ghosts)
-
     def scatter_add(self, sched: Schedule, x: DistributedArray,
                     ghosts: list[np.ndarray]) -> None:
         scatter_op(self.ctx, sched, x.local, ghosts, np.add)
 
-    def scatter_reduce(self, sched: Schedule, x: DistributedArray,
-                       ghosts: list[np.ndarray], op) -> None:
-        scatter_op(self.ctx, sched, x.local, ghosts, op)
-
     def ghosts_for(self, sched: Schedule, x: DistributedArray
                    ) -> list[np.ndarray]:
         return allocate_ghosts(sched, x.local)
-
-    # ---- light-weight path ----------------------------------------------
-    def lightweight_schedule(self, dest_ranks: list[np.ndarray]):
-        return build_lightweight_schedule(self.ctx, dest_ranks)
-
-    def scatter_append(self, lw_sched, values: list[np.ndarray]
-                       ) -> list[np.ndarray]:
-        return scatter_append(self.ctx, lw_sched, values)
-
 
 class IrregularReduction:
     """The canonical Figure-1 loop, fully orchestrated.
@@ -329,7 +297,10 @@ class IrregularReduction:
     *global* indices into arrays distributed like ``ttable``.
 
     ``setup()`` runs the inspector once (hash + schedule); ``execute()``
-    runs the executor any number of times; ``adapt()`` re-hashes a changed
+    runs the executor — :func:`~repro.core.executor.run_reduction`, the
+    one compiled loops use too — any number of times, folding every
+    rank's iterations in one pass into identity-initialised
+    accumulators; ``adapt()`` re-hashes a changed
     indirection array, reusing unchanged index analysis.  Both route
     through the context's :class:`~repro.core.reuse.ScheduleCache` under
     loop id ``name``: an ``adapt`` that names the *touched positions*
@@ -537,15 +508,18 @@ class IrregularReduction:
         op=np.add,
         compute_ops_per_iter: float = 1.0,
     ) -> None:
-        """Executor: gather, compute per rank, scatter-reduce.
+        """Executor: gather, compute, fold, in one pass over the machine.
 
         ``kernel(*rhs_values)`` receives the gathered right-hand-side
-        element values (one array per entry of ``rhs``, in dict order) and
-        must return the per-iteration contribution to
-        ``lhs[lhs_index[i]]``.
+        element values (one array per entry of ``rhs``, in dict order,
+        one value per iteration) and returns each iteration's
+        contribution to ``lhs[lhs_index[i]]``.  The kernel must be
+        elementwise: it may see any number of ranks' iterations at once
+        (today every rank's, in one call).  ``op`` is ``np.add``,
+        ``np.multiply``, ``np.maximum`` or ``np.minimum``: anything else
+        is a ``TypeError`` raised before anything moves.  A kernel that
+        raises leaves ``lhs`` untouched.
         """
-        m = self.rt.machine
-        sched = self.schedule
         # the localized indices address this loop's distribution: an
         # array laid out otherwise would be read and folded at the wrong
         # elements without any error
@@ -558,26 +532,14 @@ class IrregularReduction:
                     f"{what} is not distributed like the loop "
                     f"{self.name!r}: build it on the loop's translation "
                     "table (or an equal distribution)")
-        # gather every distinct rhs array once
-        stacked: dict[int, list[np.ndarray]] = {}
-        for da, _ in rhs.values():
-            if id(da) not in stacked:
-                g = self.rt.gather(sched, da)
-                stacked[id(da)] = stack_local_ghost(da.local, g)
-        lhs_ghosts = self.rt.ghosts_for(sched, lhs)
-        lhs_stacked = stack_local_ghost(lhs.local, lhs_ghosts)
-        lhs_idx = self.localized(lhs_index)
-        for p in m.ranks():
-            args = [stacked[id(da)][p][self.localized(idx_name)[p]]
-                    for da, idx_name in rhs.values()]
-            contrib = kernel(*args) if args else kernel()
-            op.at(lhs_stacked[p], lhs_idx[p], contrib)
-        m.charge_compute_vec(
-            compute_ops_per_iter * np.array([i.size for i in lhs_idx]))
-        # write back: local part mutated in place via views? stacking copies,
-        # so split explicitly:
-        for p in m.ranks():
-            n_local = lhs.local[p].shape[0]
-            lhs.local[p][...] = lhs_stacked[p][:n_local]
-            lhs_ghosts[p][...] = lhs_stacked[p][n_local:]
-        self.rt.scatter_reduce(sched, lhs, lhs_ghosts, op)
+        reads = {id(da): da.local for da, _ in rhs.values()}
+        localized = {nm: self.localized(nm) for nm in
+                     {lhs_index, *(idx for _, idx in rhs.values())}}
+
+        def body(take):
+            args = [take(id(da), idx) for da, idx in rhs.values()]
+            yield "lhs", lhs_index, kernel(*args)
+
+        run_reduction(self.rt.ctx, self.schedule, localized, reads,
+                      {"lhs": (lhs.local, op)}, body,
+                      compute_ops_per_iter * localized[lhs_index].sizes)

@@ -56,8 +56,6 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 
-import numpy as np
-
 from repro.core.compiled import RankArena
 from repro.core.hashtable import group_of, stream_of
 
@@ -239,11 +237,3 @@ def use_backend(name: str):
     finally:
         with _DEFAULT_LOCK:
             _default_name = previous
-
-
-def row_nbytes(a: np.ndarray) -> int:
-    """Bytes per element row of ``a`` — one moved element's wire size."""
-    n = a.dtype.itemsize
-    for dim in a.shape[1:]:
-        n *= int(dim)
-    return n

@@ -60,9 +60,6 @@ class Distribution(ABC):
             )
         return arr
 
-    def owner_and_offset(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        return self.owner(indices), self.local_index(indices)
-
     def local_sizes(self) -> np.ndarray:
         return np.array([self.local_size(p) for p in range(self.n_ranks)],
                         dtype=np.int64)

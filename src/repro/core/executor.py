@@ -11,6 +11,8 @@ can serve many schedules.
 ``scatter``  — ghost values return to their owners, overwriting.
 ``scatter_op`` — ghost values return and are *combined* (np.add etc.),
                the irregular-reduction path for ``x(ia(i)) += ...``.
+``run_reduction`` — that whole loop: gather, fold, ``scatter_op`` (the
+               one executor of the runtime facade and compiled loops).
 
 Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
@@ -52,10 +54,13 @@ from repro.core.compiled import (
     StageBind,
     as_arena,
     is_named_ufunc,
+    offsets_from_counts,
     rank_layout,
     root_of,
+    split_csr,
 )
 from repro.core.context import ensure_context
+from repro.core.hashtable import stream_of
 from repro.core.reuse import FUSED_SUFFIX
 from repro.core.schedule import Schedule
 
@@ -152,15 +157,99 @@ def stack_local_ghost(
     return [np.concatenate([d, g], axis=0) for d, g in zip(data, ghosts)]
 
 
-def split_local_ghost(
-    stacked: list[np.ndarray], n_locals: list[int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Inverse of :func:`stack_local_ghost`."""
-    if len(stacked) != len(n_locals):
-        raise ValueError("stacked/n_locals rank-count mismatch")
-    data = [s[:n] for s, n in zip(stacked, n_locals)]
-    ghosts = [s[n:] for s, n in zip(stacked, n_locals)]
-    return data, ghosts
+# ----------------------------------------------------------------------
+# the irregular-reduction executor
+# ----------------------------------------------------------------------
+#: the ops a reduction folds, with the identity its accumulators start at
+_IDENTITY = {np.add: 0.0, np.multiply: 1.0, np.maximum: -np.inf,
+             np.minimum: np.inf}
+
+
+def run_reduction(ctx, sched: Schedule, localized: dict, reads: dict,
+                  targets: dict, body: Callable, work: np.ndarray) -> None:
+    """The executor of an irregular reduction ``x(ia(i)) op= f(y(ib(i)))``
+    (paper Figure 1, Phase F): one pass over the whole machine in the
+    *stacked layout*, every rank's local rows and then every rank's
+    ghost rows.
+
+    Each of ``reads`` (name → per-rank arrays) is gathered once; each of
+    ``targets`` (name → ``(per-rank arrays, op)``) gets an accumulator
+    filled with ``op``'s identity.  ``body(take)`` yields ``(target,
+    key, contributions)`` per statement, ``take(name, key)`` being
+    ``reads[name]`` at every iteration's ``localized[key]`` (per-rank
+    local offsets, ``n_local + ghost slot`` off-processor; rebased once
+    per ``sched`` and cached on it); each folds with ``op.at`` in stream
+    order.  ``work[p]`` ops are charged to rank ``p``, then each
+    accumulator folds into its target locally and into the owners by one
+    :func:`scatter_op`.  Ranks' positions are disjoint, so this is the
+    rank-by-rank loop bit for bit.  An ``op`` other than ``np.add``,
+    ``np.multiply``, ``np.maximum``, ``np.minimum`` (``TypeError``) or
+    arrays with different rows per rank (``ValueError``) fail before
+    anything moves; a raising ``body`` leaves every target untouched.
+    """
+    ctx = ensure_context(ctx, "run_reduction")
+    for name, (_, op) in targets.items():
+        if op not in _IDENTITY:
+            raise TypeError(f"target {name!r}: op {op!r} is not np.add, "
+                            "np.multiply, np.maximum or np.minimum")
+    n_local, *rest = [_leading(ctx.machine, arrays, "reduction array")
+                      for arrays in [*(a for a, _ in targets.values()),
+                                     *reads.values()]]
+    if any((n != n_local).any() for n in rest):
+        raise ValueError("reduction arrays differ in rows per rank")
+    n_own, n_ghost = int(n_local.sum()), sched.ghost_size
+    stacked = {name: np.concatenate(
+        [*arrays, *gather(ctx, sched, arrays)])
+        for name, arrays in reads.items()}
+
+    def positions(key):
+        return _stacked_positions(sched, key, localized[key], n_local)
+
+    def take(name, key):
+        return stacked[name].take(positions(key), axis=0)
+
+    acc = {}
+    for name, (arrays, op) in targets.items():
+        first = np.asarray(arrays[0])
+        acc[name] = np.full((n_own + int(n_ghost.sum()),) + first.shape[1:],
+                            _IDENTITY[op],
+                            dtype=np.result_type(first.dtype, np.float64))
+    for name, key, contributions in body(take):
+        targets[name][1].at(acc[name], positions(key), contributions)
+        # free the stream-sized temporary before the next statement
+        # allocates its own (holding it slowed Figure 10's loop ~10 %)
+        del contributions
+    ctx.machine.charge_compute_vec(work, "compute")
+
+    for name, (arrays, op) in targets.items():
+        folded = acc[name].astype(np.asarray(arrays[0]).dtype, copy=False)
+        if as_arena(arrays) is not None:
+            op(arrays.flat, folded[:n_own], out=arrays.flat)
+        else:  # a degraded arena: one fold per rank
+            for a, part in zip(arrays, split_csr(
+                    folded[:n_own], offsets_from_counts(n_local))):
+                op(a, part, out=a)
+        scatter_op(ctx, sched, arrays, RankArena(folded[n_own:], n_ghost), op)
+
+
+def _stacked_positions(sched: Schedule, key, localized,
+                       n_local: np.ndarray) -> np.ndarray:
+    """``localized`` rebased onto :func:`run_reduction`'s stacked layout,
+    cached on ``sched`` while ``localized`` is the same object: rank
+    ``p``'s local row ``i`` sits at ``own_start[p] + i``, its ghost slot
+    ``s`` (index ``n_local[p] + s``) at ``ghost_start[p] + s``."""
+    cache_key = ("stacked", key, n_local.tobytes())
+    hit = sched._moves.get(cache_key)
+    if hit is not None and hit[0] is localized:
+        return hit[1]
+    loc, n_iter = stream_of(localized)
+    own_start = offsets_from_counts(n_local)
+    ghost_start = own_start[-1] + offsets_from_counts(sched.ghost_size)
+    pos = loc + np.where(loc < np.repeat(n_local, n_iter),
+                         np.repeat(own_start[:-1], n_iter),
+                         np.repeat(ghost_start[:-1] - n_local, n_iter))
+    sched._moves[cache_key] = (localized, pos)
+    return pos
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ compiler-generated code has:
 * each reduction loop's inspector is the hand-written code's driver, an
   :class:`~repro.core.api.IrregularReduction` over its subscript patterns,
   re-bound only when the §5.3.1 record shows an indirection array (or the
-  distribution) modified "since the last time the inspector was invoked";
+  distribution) modified "since the last time the inspector was invoked",
+  and its executor is that driver's too,
+  :func:`~repro.core.executor.run_reduction`;
 * ``REDUCE(APPEND, …)`` nests lower to light-weight schedules and
   ``scatter_append`` (§5.2.1).
 
@@ -56,13 +58,12 @@ from repro.core.distribution import (
     Distribution,
     IrregularDistribution,
 )
-from repro.core.executor import gather, scatter_op
+from repro.core.executor import run_reduction
 from repro.core.hashtable import stream_of
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.lightweight import build_lightweight_schedule, scatter_append
 from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats
-from repro.core.schedule import Schedule
 from repro.core.translation import TranslationTable
 from repro.lang.analysis import Analyzer, analyze, classify_subscript
 from repro.lang.ast_nodes import (
@@ -89,12 +90,8 @@ from repro.lang.plans import AppendPlan, LocalPlan, ReductionPlan
 #: monotonically increasing ProgramInstance ids for cache scoping
 _PROGRAM_COUNTER = itertools.count()
 
-_REDUCE_OPS = {
-    "SUM": (np.add, 0.0),
-    "MAX": (np.maximum, -np.inf),
-    "MIN": (np.minimum, np.inf),
-    "PROD": (np.multiply, 1.0),
-}
+_REDUCE_OPS = {"SUM": np.add, "MAX": np.maximum, "MIN": np.minimum,
+               "PROD": np.multiply}
 
 _BINOPS = {
     "+": operator.add,
@@ -166,13 +163,13 @@ def _check_ragged_bounds(name: str, sizes: np.ndarray, lens: np.ndarray,
 
 def _lower_reduction(plan: ReductionPlan, symbols, host: dict) -> tuple:
     """A reduction nest's body, resolved once per plan: ``(reads, targets,
-    body)`` — the distributed arrays to gather, ``{target: (ufunc,
-    identity)}`` and one ``(ufunc, target, pattern key, value)`` per
-    REDUCE, where ``value(read)`` evaluates the statement over the whole
-    stream given ``read(array, pattern key)``.  Subscripts are classified
-    here, never while running.  The instance caches the result, so nothing
-    in it may refer back to the instance (scalars are looked up in
-    ``host``): that would be a cycle only the collector can free."""
+    body)`` — the distributed arrays to gather, ``{target: ufunc}`` and
+    one ``(target, pattern key, value)`` per REDUCE, where ``value(read)``
+    evaluates the statement over the whole stream given ``read(array,
+    pattern key)``.  Subscripts are classified here, never while running.
+    The instance caches the result, so nothing in it may refer back to
+    the instance (scalars are looked up in ``host``): that would be a
+    cycle only the collector can free."""
     nest = plan.nest
     loop_vars = {nest.outer.var} | ({nest.inner.var} if nest.inner else set())
     keys = {pat.key() for pat in plan.index_patterns}
@@ -220,7 +217,7 @@ def _lower_reduction(plan: ReductionPlan, symbols, host: dict) -> tuple:
         if targets.setdefault(stmt.target.name, op) is not op:
             raise ExecutionError("mixed reduction ops on one target",
                                  stmt.line)
-        body.append((op[0], stmt.target.name, pattern_of(stmt.target),
+        body.append((stmt.target.name, pattern_of(stmt.target),
                      _lower_expr(stmt.value, leaf, host)))
     return sorted(reads), targets, body
 
@@ -281,16 +278,13 @@ class _DecompState:
 
 @dataclass
 class _LoopState:
-    """A reduction loop's inspector, the record versions and global-index
-    streams (by pattern key) it was bound from, and the executor's
-    stacked-buffer positions for the schedule it returned."""
+    """A reduction loop's inspector and the record versions and
+    global-index streams (by pattern key) it was bound from."""
 
     loop: IrregularReduction
     versions: dict[str, int]
     gidx: dict[str, np.ndarray]
     n_iter: np.ndarray
-    schedule: Schedule | None = None
-    pos: dict[str, np.ndarray] | None = None
 
 
 class ProgramInstance:
@@ -678,24 +672,6 @@ class ProgramInstance:
                          or not np.array_equal(g, bound[key])})
             state = self._loops[plan.loop_id] = _LoopState(
                 loop, versions, gidx, n_iter)
-        sched = state.loop.setup()
-        if sched is not state.schedule:
-            # rebase the localized indices (owned: local offset, ghost:
-            # n_local + slot) onto the stacked buffer: every rank's
-            # local part, then every rank's ghost part
-            st, n_iter = self.decomps[decomp], state.n_iter
-            n_ghost = np.asarray(sched.ghost_size, dtype=np.int64)
-            n_local = np.repeat(st.counts, n_iter)
-            own_base = np.repeat(offsets_from_counts(st.counts)[:-1], n_iter)
-            ghost_base = np.repeat(
-                st.size + offsets_from_counts(n_ghost)[:-1] - st.counts,
-                n_iter)
-            state.pos = {}
-            for key in state.gidx:
-                loc = state.loop.localized(key).flat
-                state.pos[key] = loc + np.where(loc < n_local, own_base,
-                                                ghost_base)
-            state.schedule = sched
         return state
 
     def cache_key(self, loop_id: str) -> str:
@@ -721,61 +697,40 @@ class ProgramInstance:
             raise ExecutionError("reduction loop touches no distributed array",
                                  line)
         state = self._inspect(plan)
-        sched, pos, gidx = state.schedule, state.pos, state.gidx
+        sched, gidx = state.loop.setup(), state.gidx
         lowered = self._bodies.get(plan.loop_id)
         if lowered is None:
             lowered = self._bodies[plan.loop_id] = _lower_reduction(
                 plan, self.symbols, self.host)
-        reads, targets, body = lowered
-        n_own = self.decomps[nest.decomposition].size
-        n_ghost = sum(sched.ghost_size)
+        reads, targets, statements = lowered
 
-        # one stacked buffer per distributed array read in the loop:
-        # every rank's local part, then every rank's gathered ghosts —
-        # the layout ``pos`` addresses
-        stacked: dict[str, np.ndarray] = {}
-        for name in reads:
-            local = self._arena(name, line)
-            ghosts = RankArena.adopt(
-                gather(self.ctx, sched, local, category="comm"))
-            stacked[name] = np.concatenate([local.flat, ghosts.flat])
+        def body(take):
+            taken: dict[tuple, np.ndarray] = {}
 
-        taken: dict[tuple, np.ndarray] = {}
+            def read(name, key):
+                # one ``(array, pattern)`` value stream, taken once per
+                # execution however often the statements name it
+                got = taken.get((name, key))
+                if got is None:
+                    if name is None:  # the loop variable's (1-based) value
+                        got = gidx[key].astype(np.float64) + 1.0
+                    elif name in reads:
+                        got = take(name, key)
+                    else:  # replicated array: index by global values
+                        got = np.asarray(self.get_array(name))[gidx[key]]
+                    taken[name, key] = got
+                return got
 
-        def read(name, key):
-            """The value stream of one ``(array, pattern)`` reference,
-            taken once per execution however often the body names it."""
-            got = taken.get((name, key))
-            if got is None:
-                if name is None:  # the loop variable's own (1-based) value
-                    got = gidx[key].astype(np.float64) + 1.0
-                elif name in stacked:
-                    got = stacked[name].take(pos[key], axis=0)
-                else:  # replicated array: index by global values
-                    got = np.asarray(self.get_array(name))[gidx[key]]
-                taken[name, key] = got
-            return got
+            for name, key, value in statements:
+                yield name, key, value(read)
 
-        # accumulate per target array into an identity-initialized buffer
-        # of the stacked layout: stream order keeps every rank's
-        # iterations in order and ranks' positions are disjoint, so each
-        # fold is the rank-by-rank fold bit for bit
-        acc = {name: np.full(n_own + n_ghost, identity, dtype=np.float64)
-               for name, (_, identity) in targets.items()}
-        for ufunc, name, key, value in body:
-            ufunc.at(acc[name], pos[key], value(read))
-        m.charge_compute_vec(plan.compute_ops_per_iter * state.n_iter,
-                             "compute")
-
-        # fold accumulators into owners: local part elementwise, ghost part
-        # via scatter_op
-        for name, (ufunc, _) in targets.items():
-            local = self._arena(name, line)
-            folded = acc[name].astype(local.flat.dtype, copy=False)
-            ufunc(local.flat, folded[:n_own], out=local.flat)
-            scatter_op(self.ctx, sched, local,
-                       RankArena(folded[n_own:], sched.ghost_size), ufunc,
-                       category="comm")
+        run_reduction(
+            self.ctx, sched,
+            {key: state.loop.localized(key) for key in gidx},
+            {name: self._arena(name, line) for name in reads},
+            {name: (self._arena(name, line), op)
+             for name, op in targets.items()},
+            body, plan.compute_ops_per_iter * state.n_iter)
         m.barrier()
 
     # ---- local loops ------------------------------------------------------
@@ -993,7 +948,7 @@ def interpret_sequential(compiled: CompiledProgram,
         # with the inner variable's positions.  Every statement is a
         # REDUCE: analysis rejects assignments in a nest that has one.
         for stmt in nest.statements:
-            ufunc, _ = _REDUCE_OPS[stmt.op]
+            ufunc = _REDUCE_OPS[stmt.op]
             tgt_idx = ref_index(stmt.target, idx_env)
             contrib = eval_expr(stmt.value, idx_env)
             if np.ndim(contrib) == 0:

@@ -22,13 +22,13 @@ ALL_BACKENDS = ("serial", "vectorized")
 
 
 #: modules whose direct C calls ``count_calls`` also reports under a prefix
-_TAGGED = {"lang/program.py": "lang:", "dsmc/parallel.py": "dsmc:"}
+_TAGGED = {"core/executor.py": "executor:", "dsmc/parallel.py": "dsmc:"}
 
 
 def count_calls(fn):
     """C-level calls made while ``fn()`` runs, by name; the ones made
-    directly from ``lang/program.py`` (``dsmc/parallel.py``) also under
-    ``"lang:" + name`` (``"dsmc:" + name``)."""
+    directly from ``core/executor.py`` (``dsmc/parallel.py``) also under
+    ``"executor:" + name`` (``"dsmc:" + name``)."""
     calls = Counter()
 
     def profile(frame, event, arg):

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.sim import Machine
 
-from conftest import ALL_BACKENDS
+from conftest import ALL_BACKENDS, count_calls
 
 
 class TestDistributedArray:
@@ -391,6 +391,112 @@ class TestIrregularReduction:
         assert got.tobytes() == want.tobytes()
 
 
+class TestReductionExecutor:
+    """``IrregularReduction.execute`` through the one reduction
+    executor: every op folds only real contributions, a bad op or a
+    raising kernel changes nothing, and the host work does not grow
+    with the rank count."""
+
+    def tiny(self, backend, start):
+        """Two ranks, ``owner = [0, 0, 1, 1]``: rank 0's one iteration
+        reads element 2, which only its rhs subscript references."""
+        m = Machine(2)
+        rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+        tt = rt.irregular_table(np.array([0, 0, 1, 1]))
+        loop = IrregularReduction(rt, tt, "tiny").bind(
+            ia=[np.array([0]), np.array([3])],
+            ib=[np.array([2]), np.array([3])])
+        loop.setup()
+        y = rt.distribute(np.full(4, start), tt)
+        x = rt.distribute(np.array([1.0, 2.0, 3.0, 4.0]), tt)
+        return m, loop, x, y
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("op, start", [(np.maximum, -10.0),
+                                           (np.minimum, 10.0),
+                                           (np.multiply, 2.0)])
+    def test_non_add_ops_fold_only_real_contributions(self, backend, op,
+                                                      start):
+        """A ghost slot no iteration wrote must fold as ``op``'s
+        identity, not as 0: element 2 keeps its value."""
+        _, loop, x, y = self.tiny(backend, start)
+        loop.execute(y, "ia", lambda v: v, {"x": (x, "ib")}, op=op)
+        expected = np.full(4, start)
+        op.at(expected, [0, 3], [3.0, 4.0])
+        assert y.to_global().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_unsupported_op_raises_before_anything_moves(self, backend):
+        m, loop, x, y = self.tiny(backend, -10.0)
+        before = y.to_global().tobytes()
+        messages, clock = m.traffic.n_messages, m.execution_time()
+        with pytest.raises(TypeError, match="np.add"):
+            loop.execute(y, "ia", lambda v: v, {"x": (x, "ib")},
+                         op=np.subtract)
+        assert y.to_global().tobytes() == before
+        assert (m.traffic.n_messages, m.execution_time()) == (messages,
+                                                              clock)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_raising_kernel_leaves_lhs_then_next_equals_cold(self, rng,
+                                                             backend):
+        n, e, p = 60, 240, 4
+        owner = rng.integers(0, p, n)
+        x_g, y_g = rng.standard_normal(n), rng.standard_normal(n)
+        ia_g, ib_g = rng.integers(0, n, e), rng.integers(0, n, e)
+        runs = []
+        for fail_first in (True, False):
+            m = Machine(p)
+            rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+            tt = rt.irregular_table(owner)
+            loop = IrregularReduction(rt, tt, "L").bind(
+                ia=split_by_block(ia_g, m), ib=split_by_block(ib_g, m))
+            loop.setup()
+            x, y = rt.distribute(x_g, tt), rt.distribute(y_g, tt)
+            if fail_first:
+                def boom(v):
+                    raise RuntimeError("kernel failed")
+                with pytest.raises(RuntimeError, match="kernel failed"):
+                    loop.execute(x, "ia", boom, {"y": (y, "ib")})
+                assert x.to_global().tobytes() == x_g.tobytes()
+            loop.execute(x, "ia", lambda v: 2.0 * v, {"y": (y, "ib")})
+            runs.append(x.to_global().tobytes())
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_degraded_lhs_folds_into_the_rebound_arrays(self, backend):
+        """An ``lhs`` whose per-rank list had an element rebound is no
+        longer one buffer: the fold reaches the arrays it now holds."""
+        _, loop, x, y = self.tiny(backend, 1.0)
+        y.local[1] = y.local[1].copy()
+        loop.execute(y, "ia", lambda v: v, {"x": (x, "ib")})
+        assert y.to_global().tolist() == [4.0, 1.0, 1.0, 5.0]
+
+    def test_execute_calls_do_not_grow_with_ranks(self):
+        """The same stream at 4 and at 64 ranks: one pass over the
+        machine, no loop over ranks."""
+        n, e = 2048, 8192
+        calls = []
+        for p in (4, 64):
+            rng = np.random.default_rng(11)
+            m = Machine(p)
+            rt = ChaosRuntime(ExecutionContext.resolve(m, "vectorized"))
+            m.hop_matrix()  # the machine's own one-time set-up
+            tt = rt.irregular_table(rng.integers(0, p, n))
+            x = rt.distribute(rng.standard_normal(n), tt)
+            y = rt.distribute(rng.standard_normal(n), tt)
+            loop = IrregularReduction(rt, tt, "L").bind(
+                ia=split_by_block(rng.integers(0, n, e), m),
+                ib=split_by_block(rng.integers(0, n, e), m))
+            loop.setup()
+
+            def run():
+                loop.execute(x, "ia", lambda v: 0.5 * v, {"y": (y, "ib")})
+            run()  # first call: the per-schedule caches fill
+            calls.append(count_calls(run))
+        assert calls[0] == calls[1]
+
+
 class TestPerArrayReuse:
     """A full rebuild clears and re-hashes only the arrays that changed.
 
@@ -537,7 +643,11 @@ class TestPinnedSimulatedCost:
     tables for a stamp that was never hashed (``ib``'s, on the fresh
     tables ``ia`` was just hashed into): each fell by exactly 4.0e-5 s
     (0.01571776, 0.01325693 and 0.01562338 s before), with the same
-    messages, bytes and results."""
+    messages, bytes and results.  All three results were re-recorded when
+    the executor began folding into identity-initialised accumulators
+    (the compiled loops' order) instead of into a copy of the target:
+    ``083dc866…``, ``834a7f33…`` and ``6c42ac40…`` before, with the same
+    messages, bytes and times."""
 
     N, E, P = 200, 800, 8
 
@@ -566,8 +676,8 @@ class TestPinnedSimulatedCost:
         for _ in range(3):
             loop.execute(x, "ia", lambda v: 0.5 * v, {"y": (y, "ib")})
         self.check(m, x, 472, 60424, 0.015677759999999995,
-                   "083dc86659f8f3294a264d6c812c7266"
-                   "bbe7e8db85f010efb40e939a0aa5ceba")
+                   "2a515ae68fb17b747f52511f4236bfc4"
+                   "53fbb3b9e9067722552093b25ceafc14")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_adapt_touched_delta_round(self, backend):
@@ -583,8 +693,8 @@ class TestPinnedSimulatedCost:
         assert (st.builds, st.delta_rebuilds) == (1, 1)
         loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
         self.check(m, x, 398, 46744, 0.01321693,
-                   "834a7f330a22e3718526e8a2a9696db5"
-                   "9c614afcf3f6bb60458641b02aeb20f9")
+                   "18b6e9467cacfae45c5a9eb06aa71ef4"
+                   "c34dc73a5896cfb6e7ceb56b17e8c412")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_adapt_untargeted_round(self, backend):
@@ -598,5 +708,5 @@ class TestPinnedSimulatedCost:
         assert (st.builds, st.delta_rebuilds) == (2, 0)
         loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
         self.check(m, x, 472, 54264, 0.015583379999999997,
-                   "6c42ac40639f10b1d5809eab2d47013a"
-                   "cd37317aa9424aff4568410cbda01c9e")
+                   "c21c12c71b15e8868f7a1477e76f513c"
+                   "3f904bcbd85013922d0caab55be4c847")

@@ -18,7 +18,6 @@ from repro.core import (
     scatter_op,
     scatter_op_phase,
     scatter_phase,
-    split_local_ghost,
     stack_local_ghost,
 )
 from repro.sim import Machine
@@ -227,15 +226,12 @@ class TestStacking:
         data = [rng.standard_normal(5), rng.standard_normal(3)]
         ghosts = [rng.standard_normal(2), rng.standard_normal(4)]
         stacked = stack_local_ghost(data, ghosts)
-        d2, g2 = split_local_ghost(stacked, [5, 3])
-        assert np.array_equal(d2[0], data[0])
-        assert np.array_equal(g2[1], ghosts[1])
+        assert np.array_equal(stacked[0][:5], data[0])
+        assert np.array_equal(stacked[1][3:], ghosts[1])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             stack_local_ghost([np.zeros(1)], [])
-        with pytest.raises(ValueError):
-            split_local_ghost([np.zeros(1)], [1, 2])
 
 
 class TestRankArena:

@@ -618,7 +618,7 @@ class TestLoopShape:
             inst.execute()
             calls = count_calls(lambda: inst.run_loop(loop))
             # the body: one fold per REDUCE statement, not per rank
-            assert calls["lang:ufunc.at"] == 4
+            assert calls["executor:ufunc.at"] == 4
             folds[p] = calls["ufunc.at"]
         # with the executor's scatter folds and the machine's charging
         assert folds[4] == folds[32]

@@ -128,26 +128,21 @@ def test_scatter_add_equals_np_add_at_property(n, n_ref, p, seed):
     tt = rt.irregular_table(rng.integers(0, p, n))
     x_g = rng.standard_normal(n)
     idx_g = rng.integers(0, n, n_ref)
-    vals_g = rng.standard_normal(n_ref)
+    jdx_g = rng.integers(0, n, n_ref)
+    vals_g = rng.standard_normal(n)
     x = rt.distribute(x_g, tt)
     from repro.core import IrregularReduction
 
     loop = IrregularReduction(rt, tt, "prop").bind(
-        ia=split_by_block(idx_g, m), ib=split_by_block(idx_g, m)
+        ia=split_by_block(idx_g, m), ib=split_by_block(jdx_g, m)
     )
     loop.setup()
-    y = rt.distribute(np.zeros(n), tt)  # dummy rhs
-    vals_parts = split_by_block(vals_g, m)
-    counter = {"p": 0}
-
-    def kernel(yv):
-        part = vals_parts[counter["p"]]
-        counter["p"] += 1
-        return part
-
-    loop.execute(x, "ia", kernel, {"y": (y, "ib")})
+    # the contributions travel in a distributed rhs array: the kernel is
+    # elementwise, whatever number of ranks' iterations it is handed
+    vals = rt.distribute(vals_g, tt)
+    loop.execute(x, "ia", lambda v: v, {"vals": (vals, "ib")})
     expected = x_g.copy()
-    np.add.at(expected, idx_g, vals_g)
+    np.add.at(expected, idx_g, vals_g[jdx_g])
     assert np.allclose(x.to_global(), expected, atol=1e-9)
 
 
