@@ -16,8 +16,9 @@ work per *rank* shows):
 Both backends charge identical virtual time and traffic — the difference
 measured here is pure wall-clock interpreter cost: the serial backend
 walks a Python dict one key at a time and visits every rank pair, the
-vectorized engine probes every rank's keys as one stream through the
-table group's key arena and charges exchanges from count matrices.
+vectorized engine looks every rank's keys up as one stream in the
+table group's direct-address key map and charges exchanges from count
+matrices.
 
 The JSON result records the combined ``chaos_hash + build_schedule``
 speedup at 16 ranks (the PR-2 acceptance metric: >= 3x) and at 128 ranks

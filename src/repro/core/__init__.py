@@ -17,9 +17,9 @@ from repro.core.distribution import (
 from repro.core.translation import TranslationTable
 from repro.core.hashtable import (
     DictKeyStore,
+    DirectKeyStore,
     HashTableGroup,
     IndexHashTable,
-    RankKeyArena,
     StampExpr,
     StampRegistry,
 )
@@ -117,9 +117,9 @@ __all__ = [
     "IrregularDistribution",
     "TranslationTable",
     "DictKeyStore",
+    "DirectKeyStore",
     "HashTableGroup",
     "IndexHashTable",
-    "RankKeyArena",
     "StampExpr",
     "StampRegistry",
     "Schedule",

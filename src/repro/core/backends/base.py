@@ -29,8 +29,8 @@ Two implementations ship with the runtime, and they are the whole set:
   key, a Python loop per communicating ``(p, q)`` rank pair, one
   per-primitive method per stage kind;
 * ``vectorized`` — the default: every rank's indices as one stream
-  through the table group's key arena, one stable sort per schedule
-  build, count-matrix communication accounting
+  through the table group's direct-address key map, one stable sort per
+  schedule build, count-matrix communication accounting
   (:meth:`Machine.exchange_compiled`) with one array charge per charge
   kind per stage, and one flat move per stage column — a composed index
   pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
@@ -80,10 +80,11 @@ class Backend(ABC):
     # inspector phase
     # ------------------------------------------------------------------
     @abstractmethod
-    def make_key_store(self, n_ranks: int):
+    def make_key_store(self, n_ranks: int, n_keys: int):
         """Fresh key store for the hash-table group of an ``n_ranks``
-        machine (the global-index → slot map this backend analyses
-        indices with; see :mod:`repro.core.hashtable`)."""
+        machine over the global indices ``[0, n_keys)`` (the global-index
+        → slot map this backend analyses indices with; see
+        :mod:`repro.core.hashtable`)."""
 
     @abstractmethod
     def chaos_hash(self, ctx, htables, ttable, idx, stamp,
@@ -117,7 +118,9 @@ class Backend(ABC):
 
     @abstractmethod
     def build_schedule(self, ctx, htables, expr, category: str):
-        """``CHAOS_schedule``: group stamped off-processor entries by
+        """``CHAOS_schedule``: group the off-processor entries ``expr``
+        selects (a stamp expression or name, or a
+        :class:`~repro.core.compiled.RankArena` of each rank's rows) by
         owner and run the request exchange; returns a Schedule."""
 
     @abstractmethod

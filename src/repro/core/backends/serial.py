@@ -37,8 +37,8 @@ class SerialBackend(Backend):
     # ------------------------------------------------------------------
     # inspector phase: index analysis
     # ------------------------------------------------------------------
-    def make_key_store(self, n_ranks):
-        return DictKeyStore(n_ranks)
+    def make_key_store(self, n_ranks, n_keys):
+        return DictKeyStore(n_ranks, n_keys)
 
     def chaos_hash(self, ctx, htables, ttable, idx, stamp, category):
         from repro.core.inspector import _INSERT_COST, _PROBE_COST
@@ -97,11 +97,11 @@ class SerialBackend(Backend):
 
         for p in machine.ranks():
             ht = htables[p]
-            if isinstance(expr, str):
-                sel_expr = ht.expr(expr)
+            if isinstance(expr, RankArena):
+                slots = expr[p]  # the selection itself
             else:
-                sel_expr = expr
-            slots = ht.select(sel_expr, off_processor_only=True)
+                slots = ht.select(ht.expr(expr) if isinstance(expr, str)
+                                  else expr, off_processor_only=True)
             machine.charge_memops(p, ht.n_entries + 2 * slots.size, category)
             ghost_size[p] = ht.ghost_capacity()
             if slots.size == 0:

@@ -1,14 +1,15 @@
 """Vectorized backend: batched inspector engine + compiled executor plans.
 
 **Inspector half.**  The hash tables of all ranks are one group
-(:class:`~repro.core.hashtable.HashTableGroup`) behind a rank-segmented
-key arena: ``chaos_hash`` probes every rank's references as one
-rank-major stream, translates and inserts only the distinct missing keys,
-and stamps, counts and localizes row by row — in cache-sized blocks of
-ranks, with no Python loop over ranks.  Schedule generation takes the
-stamped entries grouped by ``(requester, owner)`` with one stable sort
-per block and emits the flat :class:`~repro.core.schedule.Schedule`
-streams directly — the owner-grouped request stream *is* the receive
+(:class:`~repro.core.hashtable.HashTableGroup`) behind one direct-address
+key map: ``chaos_hash`` looks every rank's references up as one
+rank-major stream (one ``take``), translates and inserts (one scatter)
+only the distinct missing keys, and stamps, counts and localizes row by
+row — in cache-sized blocks of ranks, with no Python loop over ranks.
+Schedule generation takes the stamped entries grouped by ``(requester,
+owner)`` with one stable sort per block and emits the flat
+:class:`~repro.core.schedule.Schedule` streams directly — the
+owner-grouped request stream *is* the receive
 stream, and its :func:`~repro.core.compiled.stream_perm` transposition
 the send stream, so no per-rank or per-pair list is ever assembled —
 while charging the size/request exchanges straight from count matrices
@@ -57,7 +58,7 @@ from repro.core.compiled import (
     rank_layout,
     stream_perm,
 )
-from repro.core.hashtable import RankKeyArena, group_of, stream_of
+from repro.core.hashtable import DirectKeyStore, group_of, stream_of
 
 #: scalars per slice of an indexed stream walk: the gathered segment
 #: stays cache-resident between its read and its write or fold
@@ -135,8 +136,8 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     # inspector phase: index analysis
     # ------------------------------------------------------------------
-    def make_key_store(self, n_ranks):
-        return RankKeyArena(n_ranks)
+    def make_key_store(self, n_ranks, n_keys):
+        return DirectKeyStore(n_ranks, n_keys)
 
     def chaos_hash(self, ctx, htables, ttable, idx, stamp, category):
         from repro.core.inspector import (
@@ -171,11 +172,14 @@ class VectorizedBackend(Backend):
 
         machine = ctx.machine
         group = group_of(htables)
-        if isinstance(expr, str):
-            expr = htables[0].expr(expr)
-        # the stamped off-processor entries, each rank's grouped by
+        # the selected off-processor entries, each rank's grouped by
         # owner: that stream *is* the receive storage
-        counts, requests, recv_slots = group.requests(expr)
+        if isinstance(expr, RankArena):  # the selected rows themselves
+            counts, requests, recv_slots = group.requests_of(
+                *stream_of(expr))
+        else:
+            counts, requests, recv_slots = group.requests(
+                htables[0].expr(expr) if isinstance(expr, str) else expr)
         n_sel = counts.sum(axis=1)
         machine.charge_memops_vec(group.n_entries + 2 * n_sel, category)
 

@@ -29,10 +29,11 @@ every arena, one-rank streams): the serial reference,
 :mod:`repro.core.verify` and the tests read tables through it.
 
 Two key stores implement the stream interface; callers choose the rows,
-so the choice is invisible above: :class:`RankKeyArena`, a rank-segmented
-open-addressed int64 table (``vectorized``), and
-:class:`DictKeyStore`, one Python dict operation per key — ``serial``'s
-semantics oracle.
+so the choice is invisible above: :class:`DirectKeyStore`, one flat
+int32 map addressed by ``rank * n_keys + global index`` (``vectorized``),
+and :class:`DictKeyStore`, one Python dict operation per key —
+``serial``'s semantics oracle.  A store is a pure map: row and ghost-slot
+assignment happen in the group.
 """
 
 from __future__ import annotations
@@ -183,11 +184,13 @@ class StampExpr:
 class DictKeyStore:
     """Reference key store: one dict per rank, one dict operation per key
     — the historical (interpreter-bound) index-analysis path, kept by the
-    serial backend as the semantics oracle of :class:`RankKeyArena`."""
+    serial backend as the semantics oracle of :class:`DirectKeyStore`,
+    under the same contract (keys in ``[0, n_keys)``)."""
 
     kind = "dict"
 
-    def __init__(self, n_ranks: int) -> None:
+    def __init__(self, n_ranks: int, n_keys: int) -> None:
+        self.n_keys = int(n_keys)
         self._row_of: list[dict[int, int]] = [{} for _ in range(n_ranks)]
 
     def _segments(self, keys: np.ndarray, sizes: np.ndarray):
@@ -207,12 +210,14 @@ class DictKeyStore:
 
     def insert(self, keys: np.ndarray, sizes: np.ndarray,
                rows: np.ndarray) -> None:
-        """Map each key to its row; a duplicate (within its rank's
-        segment or against the store) is an error and leaves the store
-        untouched."""
+        """Map each key to its row; a key outside ``[0, n_keys)`` or a
+        duplicate (within its rank's segment or against the store) is an
+        error and leaves the store untouched."""
         for d, seg in self._segments(keys, sizes):
             seen: set[int] = set()
             for k in seg:
+                if not 0 <= k < self.n_keys:
+                    raise ValueError(_outside(k, self.n_keys))
                 if k in d or k in seen:
                     raise ValueError(f"duplicate insert of global index {k}")
                 seen.add(k)
@@ -225,226 +230,120 @@ class DictKeyStore:
         return sum(d.pop(k, None) is not None
                    for d, seg in self._segments(keys, sizes) for k in seg)
 
-    def compact(self) -> None:
-        """No-op: a dict never holds tombstones."""
-
     def live(self) -> np.ndarray:
         """Live keys per rank."""
         return np.array([len(d) for d in self._row_of], dtype=np.int64)
 
 
-class RankKeyArena:
-    """Rank-segmented open-addressed int64 hash table (linear probing).
+def _outside(key: int, n_keys: int) -> str:
+    return f"global index {key} outside the key range [0, {n_keys})"
 
-    One flat ``n_ranks * cap`` key array and value array: rank ``p`` owns
-    the slots ``[p * cap, (p + 1) * cap)`` and every rank has the same
-    power-of-two ``cap``.  A key of rank ``p`` starts probing at
-    ``p * cap + (hash & (cap - 1))`` and steps with ``(pos & ~(cap - 1))
-    | ((pos + 1) & (cap - 1))`` — absolute positions, so a block of a
-    rank-major stream is probed by one sequence of numpy passes (expected
-    O(1) rounds at load factor <= 1/2) with no per-rank table to look up.
 
-    Keys must be non-negative (-1 is the empty-slot sentinel, -2 the
-    tombstone left by :meth:`delete`); global array indices always are.
-    Deletion writes tombstones so probe chains through the deleted key
-    stay intact; tombstones count toward a rank's load factor (probing
-    must still terminate) and are swept out by :meth:`compact`, which
-    runs automatically once they outnumber the live entries — the arena
-    *shrinks* back toward its live size instead of leaking slots across
-    adaptive steps.  Growth is the same rehash with a larger capacity.
+class DirectKeyStore:
+    """Direct-address key store: one flat int32 map of ``n_ranks *
+    n_keys`` entries, where entry ``rank * n_keys + key`` holds the key's
+    row on that rank plus one, or 0 when the key is absent.
+
+    Lookup is one ``take``, insert one scatter, delete one scatter of 0:
+    no hashing, probing, tombstones, compaction or growth.  The price is
+    memory fixed at construction, ``4 * n_ranks * n_keys`` bytes.  Absent
+    is 0 so that the map starts as one zeroed allocation, not a fill.
+
+    Contract:
+
+    * keys are global indices in ``[0, n_keys)``;
+    * a lookup of any other key, negative included, returns -1 and never
+      aliases into another rank's slice (the inspector looks raw
+      references up *before* the translation table bounds-checks them,
+      so a bad index must stay a miss and reach that check);
+    * inserting such a key is a ``ValueError``, and so is a duplicate
+      (within a rank's segment or against the store) or a row whose
+      entry would not fit int32 (``row + 1 >= 2**31``) — each leaves the
+      store untouched;
+    * :meth:`delete` takes distinct keys.
     """
 
-    kind = "open-addressed"
-    MIN_CAP = 64  # power of two
-    _TOMB = -2  # deleted-slot sentinel (probe skips, insert never reuses)
+    kind = "direct"
 
-    def __init__(self, n_ranks: int) -> None:
-        self.n_ranks = int(n_ranks)
-        self._live = np.zeros(self.n_ranks, dtype=np.int64)
-        self._tombs = np.zeros(self.n_ranks, dtype=np.int64)
-        self._allocate(self.MIN_CAP)
+    def __init__(self, n_ranks: int, n_keys: int) -> None:
+        self.n_ranks, self.n_keys = int(n_ranks), int(n_keys)
+        # one spare entry past the map, never written: out-of-range
+        # keys are looked up there
+        self._rows = np.zeros(self.n_ranks * self.n_keys + 1,
+                              dtype=np.int32)
+        self._base = np.arange(self.n_ranks, dtype=np.int64) * self.n_keys
 
-    def _allocate(self, cap: int) -> None:
-        self._cap = cap
-        self._keys = np.full(self.n_ranks * cap, -1, dtype=np.int64)
-        self._vals = np.zeros(self.n_ranks * cap, dtype=np.int64)
-
-    def _home(self, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        # splitmix64 finalizer: avalanches low/high bits so sequential
-        # global indices spread uniformly; uint64 arithmetic wraps.
-        h = keys.astype(np.uint64)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-        h &= np.uint64(self._cap - 1)
-        return h.astype(np.int64) + ranks * self._cap
-
-    def _step(self, pos: np.ndarray) -> np.ndarray:
-        capmask = self._cap - 1
-        return (pos & ~capmask) | ((pos + 1) & capmask)
-
-    def _stream(self, keys: np.ndarray, sizes: np.ndarray):
-        """The stream's keys and per-rank sizes, checked and coerced."""
+    def _positions(self, keys, sizes):
+        """``(map entry of each key, out-of-range mask or None)`` for a
+        stream, checked; out-of-range keys' entries are meaningless."""
         keys = np.asarray(keys, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.size != self.n_ranks or sizes.sum() != keys.size:
             raise ValueError("sizes must split the stream over the ranks")
-        return keys, sizes
-
-    def _probe(self, keys: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """Position of each key's slot, or of the first empty slot hit.
-
-        Tombstones are passed over (the sought key may live beyond
-        them).  A rank's live entries plus tombstones never exceed half
-        the capacity, so probing terminates.
-        """
-        table = self._keys
-        pos = self._home(keys, ranks)
-        tk = table[pos]
-        pending = np.flatnonzero((tk != keys) & (tk != -1))
-        while pending.size:
-            at = self._step(pos[pending])
-            pos[pending] = at
-            tk = table[at]
-            pending = pending[(tk != keys[pending]) & (tk != -1)]
-        return pos
+        pos = np.repeat(self._base, sizes)
+        pos += keys
+        # negative keys wrap to huge unsigned ones: one bound for both ends
+        outside = None
+        if keys.size and keys.view(np.uint64).max() >= self.n_keys:
+            outside = keys.view(np.uint64) >= self.n_keys
+        return pos, outside
 
     def lookup(self, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Row of each key, -1 where absent."""
-        keys, sizes = self._stream(keys, sizes)
-        out = np.empty(keys.size, dtype=np.int64)
-        for r0, r1, lo, hi in _blocks(sizes):
-            k = keys[lo:hi]
-            pos = self._probe(k, _rank_of(sizes, r0, r1))
-            out[lo:hi] = np.where(self._keys[pos] == k, self._vals[pos], -1)
-        if keys.size and keys.min() < 0:
-            # negative keys can never be stored, but a probe for a
-            # sentinel value "finds" it in an empty or deleted slot
-            out[keys < 0] = -1
-        return out
+        pos, outside = self._positions(keys, sizes)
+        if outside is not None:
+            pos[outside] = self._rows.size - 1
+        rows = self._rows.take(pos).astype(np.int64)
+        rows -= 1
+        return rows
 
     def insert(self, keys: np.ndarray, sizes: np.ndarray,
                rows: np.ndarray) -> None:
-        """Map each key to its row; a duplicate (within its rank's
-        segment or against the store) is an error and leaves the store
-        untouched."""
-        keys, sizes = self._stream(keys, sizes)
+        """Map each key to its row; a key outside ``[0, n_keys)``, a
+        duplicate (within its rank's segment or against the store) or a
+        row whose entry would not fit int32 is an error and leaves the
+        store untouched."""
+        pos, outside = self._positions(keys, sizes)
+        if outside is not None:
+            raise ValueError(_outside(int(np.asarray(keys)[outside][0]),
+                                      self.n_keys))
         rows = np.asarray(rows, dtype=np.int64)
-        if keys.size == 0:
+        if rows.size != pos.size:
+            raise ValueError("one row per key")
+        if pos.size == 0:
             return
-        if keys.min() < 0:
-            raise ValueError(
-                "open-addressed key store requires non-negative keys"
-            )
-        # uniqueness within each rank's segment: adjacent check (the
-        # inspector always passes sorted uniques, so the sort rarely runs)
-        rising = keys[1:] > keys[:-1]
-        starts = _starts(sizes)
-        rising[starts[(starts > 0) & (sizes > 0)] - 1] = True  # next rank
-        if not rising.all():
-            ranks = _rank_of(sizes)
-            order = np.lexsort((keys, ranks))
-            sk, sr = keys[order], ranks[order]
-            dup = sk[1:][(sk[1:] == sk[:-1]) & (sr[1:] == sr[:-1])]
+        if rows.min() < 0 or rows.max() >= np.iinfo(np.int32).max:
+            raise ValueError("rows must fit int32")
+        # (rank, key) pairs are distinct iff their entries are; a stream
+        # of sorted per-rank uniques (what the inspector passes) has
+        # rising entries, so the sort rarely runs
+        if not (pos[1:] > pos[:-1]).all():
+            at = np.sort(pos)
+            dup = at[1:][at[1:] == at[:-1]]
             if dup.size:
-                raise ValueError(
-                    f"duplicate insert of global index {int(dup[0])}"
-                )
-        # tombstones occupy probe positions, so they count toward the
-        # load factor; rehashing (grow) sweeps them out
-        if np.any((self._live + self._tombs + sizes) * 2 > self._cap):
-            self.compact(int((self._live + sizes).max()))
-        placed: list[np.ndarray] = []
-        try:
-            for r0, r1, lo, hi in _blocks(sizes):
-                self._place(keys[lo:hi], _rank_of(sizes, r0, r1),
-                            rows[lo:hi], placed)
-        except ValueError:
-            # the slots written were empty before (tombstones are never
-            # reused): emptying them again restores the store exactly
-            for pos in placed:
-                self._keys[pos] = -1
-            raise
-        self._live += sizes
-
-    def _place(self, keys, ranks, rows, placed: list) -> None:
-        """Place unique keys; resolves collisions within the batch by
-        write-then-verify rounds (losers of a contended slot re-probe).
-        Meeting an equal stored key while probing means the key is
-        already present — the duplicate-insert error, detected for free.
-        Every position written is appended to ``placed``.
-        """
-        table = self._keys
-        at = self._home(keys, ranks)
-        while keys.size:
-            tk = table[at]
-            clash = tk == keys
-            if clash.any():
-                raise ValueError(
-                    f"duplicate insert of global index {int(keys[clash][0])}"
-                )
-            free = tk == -1
-            table[at[free]] = keys[free]  # last write wins
-            won = table[at] == keys
-            placed.append(at[won])
-            self._vals[placed[-1]] = rows[won]
-            lost = ~won
-            keys, rows, at = keys[lost], rows[lost], self._step(at[lost])
+                raise ValueError(f"duplicate insert of global index "
+                                 f"{int(dup[0] % self.n_keys)}")
+        held = self._rows[pos] != 0
+        if held.any():
+            raise ValueError(f"duplicate insert of global index "
+                             f"{int(pos[held][0] % self.n_keys)}")
+        self._rows[pos] = rows + 1
 
     def delete(self, keys: np.ndarray, sizes: np.ndarray) -> int:
-        """Tombstone the given (distinct) keys; returns how many were
-        present.  Compacts once tombstones outnumber live entries."""
-        keys, sizes = self._stream(keys, sizes)
-        removed = 0
-        for r0, r1, lo, hi in _blocks(sizes):
-            k, ranks = keys[lo:hi], _rank_of(sizes, r0, r1)
-            pos = self._probe(k, ranks)
-            hit = (self._keys[pos] == k) & (k >= 0)
-            self._keys[pos[hit]] = self._TOMB
-            gone = np.bincount(ranks[hit], minlength=self.n_ranks)
-            self._live -= gone
-            self._tombs += gone
-            removed += int(gone.sum())
-        if self._tombs.sum() > max(self._live.sum(),
-                                   self.n_ranks * self.MIN_CAP // 2):
-            self.compact()
-        return removed
-
-    def compact(self, need: int | None = None) -> None:
-        """Rehash the live entries into the smallest arena that fits
-        ``need`` keys per rank (default: the fullest rank's live count)
-        at load factor <= 1/2.
-
-        Drops every tombstone; shrinks the common capacity back toward
-        the live size (never below ``MIN_CAP``) — the release half of
-        the adaptive clear/rehash cycle — or grows it for an insert.
-        """
-        need = int(self._live.max()) if need is None else need
-        cap = self.MIN_CAP
-        while need * 2 > cap:
-            cap *= 2
-        old_keys, old_vals = self._keys, self._vals
-        at = np.flatnonzero(old_keys >= 0)  # skips empties and tombstones
-        self._allocate(cap)
-        self._tombs[:] = 0
-        for r0, r1, lo, hi in _blocks(self._live):
-            blk = at[lo:hi]
-            self._place(old_keys[blk], _rank_of(self._live, r0, r1),
-                        old_vals[blk], [])
+        """Forget the given (distinct) keys; returns how many were
+        present."""
+        pos, outside = self._positions(keys, sizes)
+        if outside is not None:
+            pos = pos[~outside]
+        present = int(np.count_nonzero(self._rows[pos]))
+        self._rows[pos] = 0
+        return present
 
     def live(self) -> np.ndarray:
-        """Live keys per rank."""
-        return self._live.copy()
-
-    @property
-    def capacity(self) -> int:
-        """Slots per rank."""
-        return self._cap
-
-    @property
-    def tombstones(self) -> np.ndarray:
-        """Tombstones per rank."""
-        return self._tombs.copy()
+        """Live keys per rank (the nonzero entries of each rank's
+        slice)."""
+        return np.count_nonzero(
+            self._rows[:-1].reshape(self.n_ranks, self.n_keys), axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -457,9 +356,9 @@ class HashTableGroup:
     mask) live in ``(n_ranks, rows_cap)`` arenas — row ``p`` is rank
     ``p``'s table, ``n_entries[p]`` its high-water row count; the
     global-index → row map is ``store`` (see module docstring; backends
-    choose it via ``Backend.make_key_store(n_ranks)``).  The store only
-    affects wall-clock speed — row assignment and every observable
-    result are identical across stores.
+    choose it via ``Backend.make_key_store(n_ranks, n_keys)``).  The
+    store only affects wall-clock speed — row assignment and every
+    observable result are identical across stores.
 
     ``n_local[p]`` is rank ``p``'s local size of the data array the
     tables index: localized off-processor references are numbered
@@ -648,9 +547,9 @@ class HashTableGroup:
         """Remove a stamp's bit from every entry of every rank and drop
         its refcounts; returns how many entries carried it.  ``purge``
         also *deletes* the entries left with an empty mask: their keys
-        are tombstoned (the store compacts itself) and their rows and
-        ghost slots recycled by later inserts, so clearing shrinks the
-        tables instead of leaking slots."""
+        leave the store and their rows and ghost slots are recycled by
+        later inserts, so clearing shrinks the tables instead of leaking
+        slots."""
         bit = self.registry.mask_of(name)
         live = self.mask[:, :int(self.n_entries.max())]
         carried = (live & bit) != 0
@@ -709,17 +608,31 @@ class HashTableGroup:
             sel &= self.proc[r0:r1] != np.arange(r0, r1)[:, None]
             at = np.flatnonzero(sel)  # rows ascending, rank by rank
             at += r0 * self.rows_cap
-            pair = (np.repeat(np.arange(r1 - r0), sel.sum(axis=1)) * n
-                    + self.proc.ravel()[at])
-            # a stable sort groups by owner; the keys are small, and a
-            # narrow dtype makes the radix sort several times cheaper
-            narrow = np.uint16 if (r1 - r0) * n <= 1 << 16 else np.int64
-            at = at[np.argsort(pair.astype(narrow), kind="stable")]
-            counts[r0:r1] = np.bincount(
-                pair, minlength=(r1 - r0) * n).reshape(-1, n)
-            offs.append(self.off.ravel()[at])
-            bufs.append(self.buf.ravel()[at])
+            counts[r0:r1], off, buf = self._by_owner(
+                np.repeat(np.arange(r1 - r0), sel.sum(axis=1)), at, r1 - r0)
+            offs.append(off)
+            bufs.append(buf)
         return counts, np.concatenate(offs), np.concatenate(bufs)
+
+    def requests_of(self, rows, sizes):
+        """:meth:`requests` for an explicit selection: a rank-major
+        stream of off-processor rows, each rank's ascending, taken as
+        it is."""
+        ranks = _rank_of(sizes)
+        return self._by_owner(ranks, self.flat(ranks, rows), self.n_ranks)
+
+    def _by_owner(self, ranks, at, width):
+        """:meth:`requests` for the entries at arena positions ``at``, of
+        ``width`` consecutive ranks (``ranks`` theirs, counted from the
+        first; rank-major, rows ascending within a rank)."""
+        n = self.n_ranks
+        pair = ranks * n + self.proc.ravel()[at]
+        # a stable sort groups by owner; the keys are small, and a
+        # narrow dtype makes the radix sort several times cheaper
+        narrow = np.uint16 if width * n <= 1 << 16 else np.int64
+        at = at[np.argsort(pair.astype(narrow), kind="stable")]
+        counts = np.bincount(pair, minlength=width * n).reshape(-1, n)
+        return counts, self.off.ravel()[at], self.buf.ravel()[at]
 
     def free_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per rank: purged rows and ghost slots awaiting recycling

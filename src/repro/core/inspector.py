@@ -14,8 +14,9 @@ Every function takes an :class:`~repro.core.context.ExecutionContext`
 first: the context carries the machine and the resolved *backend*
 (:mod:`repro.core.backends`) executing the analysis — ``serial``
 analyses indices rank by rank, one dict operation per key (the reference
-semantics); ``vectorized`` (the default) probes and inserts every rank's
-indices as one rank-major stream through the table group's key arena.
+semantics); ``vectorized`` (the default) looks up and inserts every
+rank's indices as one rank-major stream through the table group's
+direct-address key map.
 The adaptive steps below (:func:`clear_stamp`, :func:`rehash_delta`,
 :func:`delta_rebuild_schedule`) are written once, on the
 :class:`~repro.core.hashtable.HashTableGroup` behind the tables: a
@@ -49,10 +50,6 @@ from repro.core.translation import TranslationTable
 _PROBE_COST = 1
 _INSERT_COST = 3
 
-#: scratch stamp used to build delta schedules; acquired and released
-#: within one delta_rebuild_schedule call
-_DELTA_STAMP = "__delta__"
-
 
 def make_hash_tables(
     ctx, ttable: TranslationTable
@@ -63,14 +60,15 @@ def make_hash_tables(
     :class:`~repro.core.hashtable.HashTableGroup` (one stamp registry, so
     stamp names mean the same thing on every rank).  The context's
     backend selects the key store behind the group (dict reference vs
-    the rank-segmented arena); every store assigns identical slots, so
-    the choice only affects wall-clock speed.
+    the direct-address map over ``ttable``'s global indices); every
+    store assigns identical slots, so the choice only affects wall-clock
+    speed.
     """
     ctx = ensure_context(ctx, "make_hash_tables")
     n = ctx.machine.n_ranks
     return HashTableGroup(
         [ttable.dist.local_size(p) for p in range(n)],
-        store=ctx.backend.make_key_store(n),
+        store=ctx.backend.make_key_store(n, ttable.dist.n_global),
     ).views()
 
 
@@ -139,8 +137,8 @@ def clear_stamp(
     non-bonded list, its old entries are cleared and the stamp reused).
 
     ``purge`` (default: follows ``release``) deletes entries whose stamp
-    mask becomes empty — their key-store keys are tombstoned and their
-    rows/ghost slots recycled, so releasing a stamp shrinks the tables
+    mask becomes empty — their keys leave the key store and their
+    rows/ghost slots are recycled, so releasing a stamp shrinks the tables
     instead of growing them monotonically across adaptive steps.
     Returns the total number of entries that carried the stamp.
     """
@@ -256,8 +254,8 @@ def delta_rebuild_schedule(
 ):
     """Repair a cached schedule after a :func:`rehash_delta`.
 
-    Selects the entries that *entered* ``expr``'s selection (scratch-
-    stamps them and builds a small delta schedule through the backend
+    Selects the entries that *entered* ``expr``'s selection (and builds
+    a small delta schedule of exactly those rows through the backend
     seam — both backends for free), collects the ghost slots of
     entries that *left*, and splices both into ``base_schedule``.  The
     result is bitwise-identical to a cold ``build_schedule`` over the
@@ -270,38 +268,25 @@ def delta_rebuild_schedule(
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
     group = group_of(htables)
-    registry = group.registry
-    if _DELTA_STAMP in registry:
-        raise RuntimeError(
-            "delta_rebuild_schedule is not re-entrant (scratch stamp "
-            f"{_DELTA_STAMP!r} is live)"
-        )
     sel = htables[0].expr(expr) if isinstance(expr, str) else expr
     rows, n_aff = stream_of(rehash.affected_slots)
-    ranks = np.repeat(np.arange(group.n_ranks), n_aff)
+    n = group.n_ranks
+    ranks = np.repeat(np.arange(n), n_aff)
     at = group.flat(ranks, rows)
-    mask = group.mask.ravel()
     was = sel.matches(rehash.pre_masks)
-    now = sel.matches(mask[at])
+    now = sel.matches(group.mask.ravel()[at])
     offp = group.proc.ravel()[at] != ranks
-    newly = at[now & ~was & offp]
+    newly = now & ~was & offp
     left = was & ~now & offp
-    dropped_bufs = RankArena(
-        group.buf.ravel()[at[left]],
-        np.bincount(ranks[left], minlength=group.n_ranks))
+    dropped_bufs = RankArena(group.buf.ravel()[at[left]],
+                             np.bincount(ranks[left], minlength=n))
     m.charge_memops_vec(n_aff, category)
-    bit = registry.acquire(_DELTA_STAMP)
-    try:
-        mask[newly] |= bit
-        delta = build_schedule(ctx, htables, _DELTA_STAMP,
-                               category=category)
-        return splice_schedules(ctx, htables, base_schedule, delta,
-                                dropped_bufs, category=category)
-    finally:
-        # the bit was set on exactly these slots (the arenas do not grow
-        # in between: nothing is inserted)
-        mask[newly] &= ~bit
-        registry.release(_DELTA_STAMP)
+    delta = build_schedule(
+        ctx, htables,
+        RankArena(rows[newly], np.bincount(ranks[newly], minlength=n)),
+        category=category)
+    return splice_schedules(ctx, htables, base_schedule, delta,
+                            dropped_bufs, category=category)
 
 
 def localize_only(

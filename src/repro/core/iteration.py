@@ -159,6 +159,11 @@ def block_iteration_slices(n_iterations: int, machine: Machine) -> list[slice]:
 
 
 def split_by_block(array: np.ndarray, machine: Machine) -> list[np.ndarray]:
-    """Split a global per-iteration array into BLOCK per-rank slices."""
+    """Split a global per-iteration array into BLOCK per-rank slices.
+
+    Every slice is C-contiguous — a view of a C-contiguous ``array``, a
+    copy of a strided one (a column of a 2-D array, say) — so the
+    slices take the executor's flat rank-major path."""
     arr = np.asarray(array)
-    return [arr[s] for s in block_iteration_slices(arr.shape[0], machine)]
+    return [np.ascontiguousarray(arr[s])
+            for s in block_iteration_slices(arr.shape[0], machine)]

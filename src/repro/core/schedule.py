@@ -28,9 +28,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compiled import CommPlan, offsets_from_counts
+from repro.core.compiled import CommPlan, RankArena, offsets_from_counts
 from repro.core.context import ensure_context
-from repro.core.hashtable import IndexHashTable, StampExpr, group_of
+from repro.core.hashtable import (
+    IndexHashTable,
+    StampExpr,
+    group_of,
+    stream_of,
+)
 
 
 class Schedule(CommPlan):
@@ -76,7 +81,7 @@ class Schedule(CommPlan):
 def build_schedule(
     ctx,
     htables: list[IndexHashTable],
-    expr: StampExpr | str,
+    expr: StampExpr | str | RankArena,
     category: str = "inspector",
 ) -> Schedule:
     """Construct a communication schedule from stamped hash tables.
@@ -86,10 +91,36 @@ def build_schedule(
     incremental (``b - a``) schedules.  This is the paper's
     ``CHAOS_schedule`` primitive (Figure 6).  The context's backend
     selects the schedule-generation strategy (see module docstring).
+
+    ``expr`` may also be the selection itself: a
+    :class:`~repro.core.compiled.RankArena` of each rank's off-processor
+    rows, strictly ascending (what a delta rebuild already holds; no
+    stamp is matched).  The charges are the same as for a stamp
+    expression selecting those rows.  A row that is out of order, not
+    in use or not a live off-processor entry is a ``ValueError``.
     """
     ctx = ensure_context(ctx, "build_schedule")
     ctx.machine.check_per_rank(htables, "hash tables")
+    if isinstance(expr, RankArena):
+        ctx.machine.check_per_rank(expr, "selected rows")
+        _check_selection(group_of(htables), *stream_of(expr))
     return ctx.backend.build_schedule(ctx, htables, expr, category)
+
+
+def _check_selection(group, rows, sizes) -> None:
+    """Reject an explicit row selection unless each rank's rows ascend
+    strictly over its rows in use and name live off-processor entries
+    (the entries holding a ghost slot)."""
+    if rows.size == 0:
+        return
+    if (rows.min() < 0
+            or (rows >= np.repeat(group.n_entries, sizes)).any()):
+        raise ValueError("selected row outside its rank's rows in use")
+    at = group.flat(np.repeat(np.arange(group.n_ranks), sizes), rows)
+    if (at[1:] <= at[:-1]).any():
+        raise ValueError("selected rows must ascend strictly per rank")
+    if (group.buf.ravel()[at] < 0).any():
+        raise ValueError("selected row is not a live off-processor entry")
 
 
 def splice_schedules(
@@ -219,12 +250,5 @@ _STALE = ("base schedule does not match the live tables (built against "
 def _edited(old, drop, ins, values):
     """``old`` without the positions ``drop`` and with ``values`` put in
     before the (ascending) positions ``ins``."""
-    keep = np.ones(old.size, dtype=bool)
-    keep[drop] = False
-    at = ins - np.sort(drop).searchsorted(ins) + np.arange(ins.size)
-    out = np.empty(old.size - drop.size + ins.size, dtype=np.int64)
-    out[at] = values
-    kept = np.ones(out.size, dtype=bool)
-    kept[at] = False
-    out[kept] = old[keep]
-    return out
+    return np.insert(np.delete(old, drop),
+                     ins - np.sort(drop).searchsorted(ins), values)

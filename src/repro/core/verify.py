@@ -125,19 +125,14 @@ def check_hash_tables(htables: list[IndexHashTable]) -> list[str]:
     row's key probes back to its row; ghost slots are distinct and below
     ``n_ghost``; recycled rows and ghost slots are disjoint from live
     ones; a counted stamp's refcount is positive exactly where its bit
-    is set; the key store holds one key per live row and (open
-    addressing) keeps live keys plus tombstones within half its
-    capacity."""
+    is set; the key store holds exactly one key per live row (rank by
+    rank, the store's present keys number the live rows)."""
     problems: list[str] = []
     group = group_of(htables)
-    store = group.store
     free_rows, free_bufs = group.free_lists()
-    if np.any(store.live() != group.n_entries - [a.size for a in free_rows]):
+    if np.any(group.store.live()
+              != group.n_entries - [a.size for a in free_rows]):
         problems.append("key store and tables disagree on the live counts")
-    if hasattr(store, "capacity") and np.any(
-            (store.live() + store.tombstones) * 2 > store.capacity):
-        problems.append("a rank's live keys + tombstones exceed half the "
-                        "key-store capacity")
     for p, ht in enumerate(htables):
         ne = ht.n_entries
         live = np.flatnonzero(ht.g[:ne] >= 0)

@@ -41,13 +41,10 @@ class Topology(ABC):
             default=0,
         )
 
+    @abstractmethod
     def hop_matrix(self) -> np.ndarray:
-        """Dense (n_ranks, n_ranks) matrix of hop counts."""
-        m = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
-        for a in range(self.n_ranks):
-            for b in range(self.n_ranks):
-                m[a, b] = self.hops(a, b)
-        return m
+        """Dense (n_ranks, n_ranks) int64 matrix of hop counts, equal to
+        :meth:`hops` at every pair."""
 
 
 class Hypercube(Topology):
@@ -74,6 +71,15 @@ class Hypercube(Topology):
 
     def diameter(self) -> int:
         return self.dimension
+
+    def hop_matrix(self) -> np.ndarray:
+        # popcount of every label pair's XOR, one bit plane at a time
+        r = np.arange(self.n_ranks, dtype=np.int64)
+        x = r[:, None] ^ r[None, :]
+        m = np.zeros_like(x)
+        for d in range(self.dimension):
+            m += (x >> d) & 1
+        return m
 
     @staticmethod
     def gray_code(i: int) -> int:
@@ -119,6 +125,12 @@ class Mesh2D(Topology):
     def diameter(self) -> int:
         return (self.rows - 1) + (self.cols - 1)
 
+    def hop_matrix(self) -> np.ndarray:
+        row, col = np.divmod(np.arange(self.n_ranks, dtype=np.int64),
+                             self.cols)
+        return (np.abs(row[:, None] - row[None, :])
+                + np.abs(col[:, None] - col[None, :]))
+
 
 class FullCrossbar(Topology):
     """Idealized single-hop network between every pair of ranks."""
@@ -130,6 +142,9 @@ class FullCrossbar(Topology):
 
     def diameter(self) -> int:
         return 0 if self.n_ranks == 1 else 1
+
+    def hop_matrix(self) -> np.ndarray:
+        return 1 - np.eye(self.n_ranks, dtype=np.int64)
 
 
 def default_topology(n_ranks: int) -> Topology:

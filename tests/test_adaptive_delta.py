@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ExecutionContext,
+    RankArena,
     TranslationTable,
     allocate_ghosts,
     build_schedule,
@@ -381,11 +382,8 @@ def test_base_slot_past_its_ghost_slots_is_rejected(rank):
 
 
 def test_rejected_splice_leaves_no_scratch_stamp_behind():
-    """The scratch stamp marks only the newly selected entries and is
-    taken off exactly those again -- also when the splice raises -- so a
-    later delta rebuild is neither blocked nor polluted."""
-    from repro.core.inspector import _DELTA_STAMP
-
+    """A splice that raises leaves the tables' stamps and masks as they
+    were, so a later delta rebuild is neither blocked nor polluted."""
     ctx = ExecutionContext.resolve(Machine(4), "vectorized")
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
     stale = type(base).empty(4)
@@ -393,15 +391,53 @@ def test_rejected_splice_leaves_no_scratch_stamp_behind():
                                         60, 0.5)
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
     masks = [ht.mask[:ht.n_entries].copy() for ht in hts]
+    stamps = hts[0].registry.names()
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", stale, rehash)
-    assert _DELTA_STAMP not in hts[0].registry
+    assert hts[0].registry.names() == stamps
     for ht, before in zip(hts, masks):
         assert np.array_equal(ht.mask[:ht.n_entries], before)
     # the same rehash still splices into the right base
     _assert_schedule_equal(
         delta_rebuild_schedule(ctx, hts, "s", base, rehash),
         build_schedule(ctx, hts, "s"))
+
+
+def _selection(hts, edit=None):
+    """Each rank's off-processor rows of stamp ``s`` as a RankArena;
+    ``edit(ht, rows)`` may alter rank 1's."""
+    rows = [ht.select(ht.expr("s"), off_processor_only=True) for ht in hts]
+    if edit is not None:
+        rows[1] = edit(hts[1], rows[1])
+    return RankArena(np.concatenate(rows), [r.size for r in rows])
+
+
+BAD_SELECTIONS = {
+    "descending": lambda ht, r: r[::-1],
+    "duplicate": lambda ht, r: np.insert(r, 0, r[0]),
+    "negative": lambda ht, r: np.insert(r, 0, -1),
+    "past_rows_in_use": lambda ht, r: np.append(r, ht.n_entries),
+    "on_processor": lambda ht, r: np.sort(np.append(
+        r, np.flatnonzero(ht.proc[:ht.n_entries] == ht.rank)[0])),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad", sorted(BAD_SELECTIONS))
+def test_explicit_row_selection_is_checked(bad, backend):
+    """``build_schedule`` over an explicit row selection equals the stamp
+    expression selecting the same rows, and a selection that is out of
+    order, outside the rows in use or not a live off-processor entry is
+    rejected before anything is charged (the vectorized backend would
+    otherwise read another rank's arena or emit a ghost slot of -1)."""
+    ctx = ExecutionContext.resolve(Machine(4), backend)
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    _assert_schedule_equal(build_schedule(ctx, hts, _selection(hts)), base)
+    m = ctx.machine
+    before = (m.execution_time(), m.mean_category_time("inspector"))
+    with pytest.raises(ValueError, match="selected row"):
+        build_schedule(ctx, hts, _selection(hts, BAD_SELECTIONS[bad]))
+    assert (m.execution_time(), m.mean_category_time("inspector")) == before
 
 
 def test_purge_between_build_and_delta_falls_back_to_full_build():

@@ -156,6 +156,23 @@ class TestPinnedSimulatedCost:
             ]
 
 
+def test_vectorized_run_never_falls_back_to_serial(monkeypatch):
+    """Set-up, steps and a repartition under ``vectorized`` hand no
+    executor call to the serial reference (the bonded iteration blocks
+    are split from columns of the bond array, which must still come out
+    contiguous)."""
+    from repro.core.backends.serial import SerialBackend
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vectorized run_fused fell back to serial")
+
+    monkeypatch.setattr(SerialBackend, "run_fused", refuse)
+    with ParallelMD(build_small_system(200, seed=7),
+                    ExecutionContext.resolve(Machine(4), "vectorized"),
+                    dt=0.002, update_every=3) as md:
+        md.run(2, remap_every=1, remap_partitioners=[RIB()])
+
+
 class TestValidation:
     def test_bad_schedule_mode(self):
         s = build_small_system(60, seed=0)

@@ -1,7 +1,7 @@
 """Unit tests: stamped index hash tables and stamp algebra.
 
 ``TestIndexHashTable`` runs once per key store — the dict *reference*
-and the rank-segmented arena behind every real table *group* — the
+and the direct-address map behind every real table *group* — the
 store must be invisible to table behaviour.
 """
 
@@ -10,9 +10,9 @@ import pytest
 
 from repro.core import (
     DictKeyStore,
+    DirectKeyStore,
     HashTableGroup,
     IndexHashTable,
-    RankKeyArena,
     StampExpr,
     StampRegistry,
 )
@@ -74,7 +74,11 @@ class TestStampExpr:
         assert np.array_equal(e.matches(masks), [True, True, False, True])
 
 
-@pytest.fixture(params=[DictKeyStore, RankKeyArena],
+#: the global-index range of the tables below
+KEYS = 5000
+
+
+@pytest.fixture(params=[DictKeyStore, DirectKeyStore],
                 ids=["reference", "group"])
 def store_cls(request):
     return request.param
@@ -100,7 +104,7 @@ class TestIndexHashTable:
     def make(self, rank=0, n_local=10):
         n_ranks = 3
         group = HashTableGroup([n_local] * n_ranks,
-                               store=self.store_cls(n_ranks))
+                               store=self.store_cls(n_ranks, KEYS))
         return group.views()[rank]
 
     def test_insert_and_lookup(self):
@@ -263,21 +267,23 @@ class TestIndexHashTable:
 
     def test_bad_init(self):
         with pytest.raises(ValueError):
-            HashTableGroup([], store=self.store_cls(0))
+            HashTableGroup([], store=self.store_cls(0, KEYS))
         with pytest.raises(ValueError):
-            HashTableGroup([3, -1], store=self.store_cls(2))
+            HashTableGroup([3, -1], store=self.store_cls(2, KEYS))
         with pytest.raises(ValueError):
             IndexHashTable(self.make().group, 7)
 
 
 # ----------------------------------------------------------------------
-# key-store deletion / compaction properties
+# key-store deletion properties
 # ----------------------------------------------------------------------
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 N_RANKS = 3
-UNIVERSE = np.arange(201, dtype=np.int64)
+N_KEYS = 201
+#: every key of the stores below, and a few on either side of the range
+UNIVERSE = np.arange(-3, N_KEYS + 3, dtype=np.int64)
 
 
 def _stream(per_rank):
@@ -294,16 +300,16 @@ def _lookup_universe(store):
 
 @st.composite
 def _store_op_sequences(draw):
-    """Random insert/delete/compact programs over a small key universe,
-    each step one rank-major stream (ranks may be empty).
+    """Random insert/delete programs over a small key universe, each
+    step one rank-major stream (ranks may be empty).
 
     Small universe on purpose: re-inserting a previously deleted key is
-    the interesting case (the arena must probe *past* its tombstone on
-    lookup yet never resurrect the tombstoned slot).
+    the interesting case (its entry must read absent after the delete,
+    and the new row after the re-insert).
     """
-    keys = st.lists(st.integers(0, 200), max_size=40)
+    keys = st.lists(st.integers(0, N_KEYS - 1), max_size=40)
     return draw(st.lists(
-        st.tuples(st.sampled_from(["insert", "delete", "compact"]),
+        st.tuples(st.sampled_from(["insert", "delete"]),
                   st.tuples(*[keys] * N_RANKS)),
         min_size=1, max_size=8))
 
@@ -318,75 +324,47 @@ def _apply(store, kind, per_rank, next_row):
                                       np.split(fresh, np.cumsum(sizes)[:-1]))])
         store.insert(keys, sizes, next_row + np.arange(keys.size))
         return keys.size
-    if kind == "delete":
-        return store.delete(keys, sizes)
-    store.compact()
-    return 0
+    return store.delete(keys, sizes)
 
 
 class TestKeyStoreDeleteCompact:
-    """The arena under churn, with the dict store as the executable
-    model — any divergence in lookups, sizes, or delete counts is a
-    probe-chain bug."""
+    """The direct-address map under churn, with the dict store as the
+    executable model — any divergence in lookups, sizes, or delete
+    counts is a bug."""
 
     @given(ops=_store_op_sequences())
     @settings(max_examples=60, deadline=None)
     def test_arena_matches_dict_reference(self, ops):
-        arena, ref = RankKeyArena(N_RANKS), DictKeyStore(N_RANKS)
+        direct = DirectKeyStore(N_RANKS, N_KEYS)
+        ref = DictKeyStore(N_RANKS, N_KEYS)
         next_row = 0
         for kind, per_rank in ops:
-            n = _apply(arena, kind, per_rank, next_row)
+            n = _apply(direct, kind, per_rank, next_row)
             assert n == _apply(ref, kind, per_rank, next_row)
             if kind == "insert":
                 next_row += n
-            assert np.array_equal(arena.live(), ref.live())
-            # automatic compaction bounds the tombstones, and no rank
-            # ever fills more than half its segment
-            assert arena.tombstones.sum() <= max(
-                arena.live().sum(), N_RANKS * RankKeyArena.MIN_CAP // 2)
-            assert np.all((arena.live() + arena.tombstones) * 2
-                          <= arena.capacity)
-            assert np.array_equal(_lookup_universe(arena),
+            assert np.array_equal(direct.live(), ref.live())
+            assert np.array_equal(_lookup_universe(direct),
                                   _lookup_universe(ref))
 
-    @given(ops=_store_op_sequences())
-    @settings(max_examples=30, deadline=None)
-    def test_compact_is_a_lookup_noop(self, ops):
-        arena = RankKeyArena(N_RANKS)
-        next_row = 0
-        for kind, per_rank in ops:
-            n = _apply(arena, "insert" if kind == "insert" else "delete",
-                       per_rank, next_row)
-            if kind == "insert":
-                next_row += n
-        before = _lookup_universe(arena)
-        arena.compact()
-        assert arena.tombstones.sum() == 0
-        assert arena.live().max() * 2 <= arena.capacity
-        assert np.array_equal(_lookup_universe(arena), before)
-
-    @given(keys=st.lists(st.integers(0, 10_000), min_size=1,
-                         max_size=300, unique=True))
+    @given(keys=st.lists(st.integers(0, N_KEYS - 1), min_size=1,
+                         max_size=150, unique=True))
     @settings(max_examples=40, deadline=None)
-    def test_delete_all_then_compact_shrinks(self, keys):
-        arena = RankKeyArena(N_RANKS)
+    def test_delete_all_empties_the_map(self, keys):
+        store = DirectKeyStore(N_RANKS, N_KEYS)
         arr, sizes = _stream([keys, [], keys[:7]])
-        arena.insert(arr, sizes, np.arange(arr.size))
-        grown = arena.capacity
-        assert arena.delete(arr, sizes) == arr.size
-        arena.compact()
-        assert arena.live().sum() == 0
-        assert arena.tombstones.sum() == 0
-        assert arena.capacity == RankKeyArena.MIN_CAP
-        assert arena.capacity <= grown
-        assert np.all(arena.lookup(arr, sizes) == -1)
+        store.insert(arr, sizes, np.arange(arr.size))
+        assert store.delete(arr, sizes) == arr.size
+        assert store.live().sum() == 0
+        assert np.all(_lookup_universe(store) == -1)
+        assert store.delete(arr, sizes) == 0
 
     def test_reinsert_after_tombstone_gets_new_mapping(self):
-        arena = RankKeyArena(1)
-        arena.insert(np.array([7, 8, 9]), np.array([3]), np.array([0, 1, 2]))
-        assert arena.delete(np.array([8]), np.array([1])) == 1
-        assert arena.lookup(np.array([8]), np.array([1]))[0] == -1
-        arena.insert(np.array([8]), np.array([1]), np.array([5]))
-        assert np.array_equal(arena.lookup(np.array([7, 8, 9]),
+        store = DirectKeyStore(1, 10)
+        store.insert(np.array([7, 8, 9]), np.array([3]), np.array([0, 1, 2]))
+        assert store.delete(np.array([8]), np.array([1])) == 1
+        assert store.lookup(np.array([8]), np.array([1]))[0] == -1
+        store.insert(np.array([8]), np.array([1]), np.array([5]))
+        assert np.array_equal(store.lookup(np.array([7, 8, 9]),
                                            np.array([3])),
                               np.array([0, 5, 2]))

@@ -2,9 +2,9 @@
 
 The serial backend (dict key store, per-rank and per-pair Python loops)
 defines the semantics; the vectorized inspector engine (one rank-major
-stream through the group's key arena, one stable sort per schedule,
-count-matrix accounting) must be
-observationally identical on randomized adaptive workloads:
+stream through the group's direct-address key map, one stable sort per
+schedule, count-matrix accounting) must be observationally identical on
+randomized adaptive workloads:
 
 * bitwise-identical localized indices, ghost-slot assignment, and
   hash-table entry state (``g``/``proc``/``off``/``buf``/``mask``);
@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core import (
     DictKeyStore,
+    DirectKeyStore,
     ExecutionContext,
-    RankKeyArena,
     StampRegistry,
     TranslationTable,
     build_schedule,
@@ -325,19 +325,17 @@ def test_group_tracks_independent_dict_tables(seed, n_ranks, shape,
 
 def test_kernel_entries_do_not_depend_on_the_rank_count(monkeypatch):
     """The "no Python loop over ranks" guarantee, stated as a test: the
-    same workload (same references, same table) enters the arena's probe
-    and placement kernels equally often on 4 and on 64 ranks."""
-    from repro.core import RankKeyArena
-
+    same workload (same references, same table) enters the key store's
+    lookup and insert equally often on 4 and on 64 ranks."""
     def kernel_entries(n_ranks):
-        calls = {"_probe": 0, "_place": 0}
+        calls = {"lookup": 0, "insert": 0}
         for name in calls:
-            kernel = getattr(RankKeyArena, name)
+            kernel = getattr(DirectKeyStore, name)
 
             def counted(self, *args, _name=name, _kernel=kernel):
                 calls[_name] += 1
                 return _kernel(self, *args)
-            monkeypatch.setattr(RankKeyArena, name, counted)
+            monkeypatch.setattr(DirectKeyStore, name, counted)
         rng = np.random.default_rng(5)
         n, refs = 2560, 2816
         m = Machine(n_ranks)
@@ -358,12 +356,19 @@ def test_kernel_entries_do_not_depend_on_the_rank_count(monkeypatch):
 
     few, many = kernel_entries(4), kernel_entries(64)
     assert few == many
-    assert few["_probe"] >= 5 and few["_place"] >= 2
+    assert few["lookup"] >= 4 and few["insert"] >= 2
 
 
 # ---------------------------------------------------------------------
 # key stores
 # ---------------------------------------------------------------------
+#: the global-index range of the key stores below
+N_KEYS = 1 << 16
+#: keys no store holds: below the range, at its end, and far above it
+OUTSIDE = np.array([-(1 << 62), -2, -1, N_KEYS, N_KEYS + 1, 1 << 40,
+                    (1 << 62) + 3])
+
+
 def _random_stream(rng, n_ranks, batch, key_bits, distinct):
     """A rank-major stream with uneven (possibly empty) rank segments."""
     parts = [rng.integers(0, 1 << key_bits, rng.integers(0, batch + 1))
@@ -380,13 +385,15 @@ def _random_stream(rng, n_ranks, batch, key_bits, distinct):
     n_ranks=st.sampled_from([1, 3, 16]),
     n_batches=st.integers(1, 5),
     batch=st.integers(0, 200),
-    key_bits=st.sampled_from([4, 16, 40, 62]),
+    key_bits=st.sampled_from([4, 10, 16]),
 )
 def test_key_stores_agree(seed, n_ranks, n_batches, batch, key_bits):
-    """The arena returns exactly what the dict reference does, across
-    growth, collisions, empty ranks and arbitrary key magnitudes."""
+    """The direct map returns exactly what the dict reference does,
+    across empty ranks, dense and sparse keys, and lookups of keys
+    outside the stores' range mixed into every probe."""
     rng = np.random.default_rng(seed)
-    ref, fast = DictKeyStore(n_ranks), RankKeyArena(n_ranks)
+    ref = DictKeyStore(n_ranks, N_KEYS)
+    fast = DirectKeyStore(n_ranks, N_KEYS)
     next_row = 0
     for _ in range(n_batches):
         keys, sizes = _random_stream(rng, n_ranks, batch, key_bits, True)
@@ -398,56 +405,79 @@ def test_key_stores_agree(seed, n_ranks, n_batches, batch, key_bits):
         next_row += new.size
         ref.insert(new, n_new, rows)
         fast.insert(new, n_new, rows)
-        probe = _random_stream(rng, n_ranks, batch, key_bits, False)
-        assert np.array_equal(ref.lookup(*probe), fast.lookup(*probe))
+        probe, n_probe = _random_stream(rng, n_ranks, batch, key_bits, False)
+        # a few out-of-range keys into every rank's segment
+        stray = rng.choice(OUTSIDE, (n_ranks, 2))
+        probe = np.concatenate([np.concatenate([seg, s]) for seg, s in zip(
+            np.split(probe, np.cumsum(n_probe)[:-1]), stray)])
+        n_probe = n_probe + 2
+        got = fast.lookup(probe, n_probe)
+        assert np.array_equal(ref.lookup(probe, n_probe), got)
+        assert np.all(got[np.isin(probe, OUTSIDE)] == -1)
         assert np.array_equal(ref.live(), fast.live())
 
 
+@pytest.mark.parametrize("store_cls", [DictKeyStore, DirectKeyStore])
+@pytest.mark.parametrize("key", OUTSIDE.tolist())
+def test_out_of_range_insert_rejected(store_cls, key):
+    """Inserting a key outside ``[0, n_keys)`` is an error on both
+    stores, and the valid keys of the batch do not land either."""
+    s = store_cls(2, N_KEYS)
+    with pytest.raises(ValueError, match="outside the key range"):
+        s.insert(np.array([3, key, 5]), np.array([1, 2]), np.arange(3))
+    assert s.live().tolist() == [0, 0]
+    assert s.lookup(np.array([3, 5]), np.array([1, 1])).tolist() == [-1, -1]
+
+
 class TestRankKeyArena:
+    """The direct-address key store's contract, on its own."""
+
     ONE = np.array([1])
 
     def test_growth_preserves_entries(self):
-        s = RankKeyArena(2)
+        s = DirectKeyStore(2, 10_000)
         keys = np.arange(0, 10_000, 7, dtype=np.int64)
         sizes = np.array([keys.size, 0])
         s.insert(keys, sizes, np.arange(keys.size, dtype=np.int64))
-        assert s.capacity > RankKeyArena.MIN_CAP  # grew, for every rank
         assert np.array_equal(s.lookup(keys, sizes),
                               np.arange(keys.size, dtype=np.int64))
         assert s.lookup(np.array([1, 8, 15]), np.array([3, 0]))[0] == -1
-        # the other rank's segment holds none of them
+        # the other rank's slice holds none of them
         assert np.all(s.lookup(keys, sizes[::-1]) == -1)
 
     def test_duplicate_insert_rejected(self):
-        s = RankKeyArena(1)
+        s = DirectKeyStore(1, 10)
         s.insert(np.array([5]), self.ONE, np.array([0]))
         with pytest.raises(ValueError, match="duplicate insert"):
             s.insert(np.array([5]), self.ONE, np.array([1]))
 
     def test_intra_batch_duplicate_rejected(self):
-        s = RankKeyArena(2)
+        s = DirectKeyStore(2, 10)
         with pytest.raises(ValueError, match="duplicate insert"):
             s.insert(np.array([3, 4, 3]), np.array([3, 0]), np.arange(3))
+        assert s.live().tolist() == [0, 0]
         # the same key on two ranks is two keys
         s.insert(np.array([3, 4, 3]), np.array([2, 1]), np.arange(3))
         assert s.live().tolist() == [2, 1]
 
     def test_negative_keys_rejected(self):
-        s = RankKeyArena(1)
-        with pytest.raises(ValueError, match="non-negative"):
+        s = DirectKeyStore(1, 10)
+        with pytest.raises(ValueError, match="outside the key range"):
             s.insert(np.array([-1]), self.ONE, np.array([0]))
 
     def test_negative_keys_lookup_absent(self):
-        # -1 / -2 are the empty-slot and tombstone sentinels: a probe
-        # for them must not match such a slot and report a stale row
-        s = RankKeyArena(1)
-        s.insert(np.array([5, 7, 9]), np.array([3]), np.array([0, 1, 2]))
-        s.delete(np.array([7]), self.ONE)
-        assert s.lookup(np.array([-1, 5, -2, 9]),
-                        np.array([4])).tolist() == [-1, 0, -1, 2]
+        # rank 1's key 8 sits at entry 1 * 10 + 8 of the map, which is
+        # where rank 2's key -2 would land: a lookup of an out-of-range
+        # key must not alias into another rank's slice
+        s = DirectKeyStore(3, 10)
+        s.insert(np.array([5, 7, 9, 8]), np.array([3, 1, 0]),
+                 np.array([0, 1, 2, 3]))
+        s.delete(np.array([7]), np.array([1, 0, 0]))
+        assert s.lookup(np.array([-1, 5, -2, 9, 10, -2]),
+                        np.array([5, 0, 1])).tolist() == [-1, 0, -1, 2, -1, -1]
 
     def test_empty_ops(self):
-        s = RankKeyArena(3)
+        s = DirectKeyStore(3, 10)
         empty = np.zeros(0, dtype=np.int64)
         none = np.zeros(3, dtype=np.int64)
         s.insert(empty, none, empty)
@@ -456,12 +486,62 @@ class TestRankKeyArena:
         assert s.live().tolist() == [0, 0, 0]
 
     def test_lookup_before_any_insert(self):
-        s = RankKeyArena(2)
+        s = DirectKeyStore(2, 100)
         assert s.lookup(np.array([0, 99]), np.array([1, 1])).tolist() == [-1, -1]
 
     def test_sizes_must_cover_the_stream(self):
         with pytest.raises(ValueError, match="sizes"):
-            RankKeyArena(2).lookup(np.array([1, 2, 3]), np.array([1, 1]))
+            DirectKeyStore(2, 10).lookup(np.array([1, 2, 3]), np.array([1, 1]))
+
+    def test_rows_must_fit_int32(self):
+        # an entry holds row + 1
+        s = DirectKeyStore(1, 10)
+        for big in (1 << 31, (1 << 31) - 1):
+            with pytest.raises(ValueError, match="int32"):
+                s.insert(np.array([1, 2]), np.array([2]),
+                         np.array([0, big]))
+            assert s.live().tolist() == [0]
+        s.insert(np.array([3]), np.array([1]), np.array([(1 << 31) - 2]))
+        assert s.lookup(np.array([3]), np.array([1])).tolist() == [(1 << 31) - 2]
+
+    def test_empty_key_range(self):
+        s = DirectKeyStore(2, 0)
+        assert s.lookup(np.array([0, -1, 5]), np.array([2, 1])).tolist() \
+            == [-1, -1, -1]
+        with pytest.raises(ValueError, match="outside the key range"):
+            s.insert(np.array([0]), np.array([1, 0]), np.array([0]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad", [40, 10**12, -1])
+def test_out_of_range_reference_reaches_the_bounds_check(backend, bad):
+    """``chaos_hash`` looks raw references up before the translation
+    table bounds-checks them: an index outside the table must stay a
+    miss and raise there, not alias into a stored key."""
+    m = Machine(4)
+    ctx = ExecutionContext.resolve(m, backend)
+    tt = TranslationTable.from_map(m, np.arange(40) % 4)
+    hts = make_hash_tables(ctx, tt)
+    chaos_hash(ctx, hts, tt, [np.arange(40) for _ in range(4)], "s")
+    idx = [np.array([1, 2]), np.array([bad]), np.array([3]), None]
+    with pytest.raises(IndexError, match="out of range"):
+        chaos_hash(ctx, hts, tt, idx, "t")
+    with pytest.raises(KeyError, match="not hashed"):
+        localize_only(ctx, hts, idx)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_localize_only_of_an_unhashed_index_rejected(backend):
+    m = Machine(2)
+    ctx = ExecutionContext.resolve(m, backend)
+    tt = TranslationTable.from_map(m, np.arange(10) % 2)
+    hts = make_hash_tables(ctx, tt)
+    chaos_hash(ctx, hts, tt, [np.array([1, 2]), np.array([3])], "s")
+    with pytest.raises(KeyError, match="not hashed"):
+        localize_only(ctx, hts, [np.array([1, 2]), np.array([4])])
+    # a key hashed on one rank is not hashed on another
+    with pytest.raises(KeyError, match="not hashed"):
+        localize_only(ctx, hts, [np.array([3]), np.array([3])])
 
 
 def test_make_hash_tables_uses_backend_key_store():
@@ -470,7 +550,7 @@ def test_make_hash_tables_uses_backend_key_store():
     serial = make_hash_tables(ExecutionContext.resolve(m, "serial"), tt)
     vec = make_hash_tables(ExecutionContext.resolve(m, "vectorized"), tt)
     assert serial[0].group.store.kind == "dict"
-    assert vec[0].group.store.kind == "open-addressed"
+    assert vec[0].group.store.kind == "direct"
     # one group (and so one registry) behind the per-rank views
     assert all(ht.group is serial[0].group for ht in serial)
     assert [ht.rank for ht in vec] == [0, 1, 2]

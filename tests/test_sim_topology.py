@@ -107,3 +107,28 @@ class TestDefaults:
         assert m.shape == (4, 4)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0)
+
+
+def _scalar_hop_matrix(topo):
+    return np.array([[topo.hops(a, b) for b in range(topo.n_ranks)]
+                     for a in range(topo.n_ranks)], dtype=np.int64)
+
+
+TOPOLOGIES = {
+    **{f"hypercube-{p}": (Hypercube, p) for p in (1, 2, 8, 128)},
+    **{f"crossbar-{p}": (FullCrossbar, p) for p in (1, 2, 8, 128)},
+    **{f"mesh-{r}x{c}": (Mesh2D, r, c)
+       for r, c in ((1, 1), (1, 2), (2, 4), (8, 16), (5, 3))},
+}
+
+
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_hop_matrix_array_form_equals_scalar_hops(name):
+    """Each topology's array-form ``hop_matrix`` is exactly the matrix of
+    its scalar ``hops``."""
+    cls, *dims = TOPOLOGIES[name]
+    topo = cls(*dims)
+    m = topo.hop_matrix()
+    assert m.dtype == np.int64
+    assert np.array_equal(m, _scalar_hop_matrix(topo))
+    assert int(m.max()) == topo.diameter()
