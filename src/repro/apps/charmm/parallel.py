@@ -9,10 +9,15 @@ Implements the full six-phase flow on the simulated machine:
   and indirection arrays (``ib``, ``jb``) remapped; non-bonded outer-loop
   iterations follow the owner-computes rule (iteration i runs where atom i
   lives), so its rows need no remap.
-* **Phase E** — indirection arrays hashed with stamps (``bonds``, ``nb``);
-  schedules built merged (one gather per step) or separate (Table 3's
-  comparison).  When the non-bonded list regenerates, only its stamp is
-  cleared and re-hashed — unchanged bonded analysis is reused.
+* **Phase E** — the inspector is :class:`~repro.core.api.IrregularReduction`
+  on a :class:`~repro.core.api.ChaosRuntime` over the run's context, which
+  owns the hash tables, the stamps and the schedules.  ``"merged"`` binds
+  ``ib``, ``jb``, ``nb_i`` and ``nb_j`` into one loop (one schedule, one
+  gather per step); ``"multiple"`` runs a bonded and a non-bonded loop on
+  the shared table group (Table 3's comparison).  When the non-bonded
+  list regenerates, ``nb_i``/``nb_j`` are re-bound: only their stamps are
+  cleared, in one table scan, and re-hashed — unchanged bonded analysis
+  (and in ``"multiple"`` mode the bonded schedule) is reused.
 * **Phase F** — gather coordinates, compute forces locally, scatter-add
   force contributions, integrate owned atoms.
 
@@ -23,6 +28,8 @@ the rows of the paper's Tables 1 and 2.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from repro.apps.charmm.forces import (
 from repro.apps.charmm.neighbors import build_nonbonded_list, take_csr_rows
 from repro.apps.charmm.sequential import MDTrace
 from repro.apps.charmm.system import MolecularSystem
+from repro.core.api import ChaosRuntime, IrregularReduction
 from repro.core.context import resolve_component
 from repro.core.distribution import BlockDistribution
 from repro.core.executor import (
@@ -46,14 +54,18 @@ from repro.core.executor import (
     scatter_op_phase,
     stack_local_ghost,
 )
-from repro.core.inspector import chaos_hash, clear_stamp, make_hash_tables
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.remap import remap, remap_phase
-from repro.core.schedule import Schedule, build_schedule
+from repro.core.schedule import Schedule
 from repro.core.translation import TranslationTable
 from repro.partitioners.base import Partitioner, run_partitioner
 from repro.partitioners.geometric import RCB
 from repro.sim.metrics import load_balance_index
+
+#: instances sharing one context share its ScheduleCache, so loop ids are
+#: scoped per instance by a process-wide counter (never recycled, unlike
+#: ``id()``)
+_MD_COUNTER = itertools.count()
 
 
 class ParallelMD:
@@ -108,13 +120,10 @@ class ParallelMD:
         self.partitioner = partitioner if partitioner is not None else RCB()
         self.schedule_mode = schedule_mode
         self.ttable_storage = ttable_storage
+        self._runtime = ChaosRuntime(ctx)
+        self._scope = f"charmm{next(_MD_COUNTER)}"
         self.trace = MDTrace()
         self.step_count = 0
-
-        # global-side copies of adaptive state
-        self.inblo: np.ndarray | None = None
-        self.jnb: np.ndarray | None = None
-
         self._setup()
 
     # ==================================================================
@@ -163,7 +172,7 @@ class ParallelMD:
              remap_phase(plan, split(s.velocities)),
              remap_phase(plan, split(s.masses)),
              remap_phase(plan, split(s.charges))],
-            category="remap", loop_id="charmm:atoms_remap",
+            category="remap", loop_id=f"{self._scope}:atoms_remap",
         )
 
         self._partition_and_inspect()
@@ -174,8 +183,7 @@ class ParallelMD:
     def _partition_and_inspect(self) -> None:
         """Phases C-E on the current distribution: the bonded iterations
         partitioned almost-owner-computes with ``ib``/``jb`` remapped to
-        them, fresh hash tables, the bonded and non-bonded hashes and
-        the schedules."""
+        them, then fresh loops on the current translation table."""
         s = self.system
         m = self.machine
         ib_g, jb_g = (
@@ -188,16 +196,17 @@ class ParallelMD:
                                     split_by_block(jb_g, m))],
             rule="almost-owner-computes", category="partition"
         )
-        self.ib = assign.remap_iteration_data(self.ctx, split_by_block(ib_g, m))
-        self.jb = assign.remap_iteration_data(self.ctx, split_by_block(jb_g, m))
-
-        self.htables = make_hash_tables(self.ctx, self.ttable)
-        self.ib_loc = chaos_hash(self.ctx, self.htables, self.ttable, self.ib,
-                                 "bonds", category="inspector")
-        self.jb_loc = chaos_hash(self.ctx, self.htables, self.ttable, self.jb,
-                                 "bonds", category="inspector")
-        self._hash_nonbonded(category="inspector")
-        self._build_schedules(category="inspector")
+        bonds = {nm: assign.remap_iteration_data(self.ctx,
+                                                 split_by_block(g, m))
+                 for nm, g in (("ib", ib_g), ("jb", jb_g))}
+        names = (("merged",) if self.schedule_mode == "merged"
+                 else ("bonded", "nonbonded"))
+        loops = [IrregularReduction(self._runtime, self.ttable,
+                                    f"{self._scope}:{nm}") for nm in names]
+        self._loop_b, self._loop_nb = loops[0].bind(**bonds), loops[-1]
+        if len(loops) > 1:
+            self._loop_b.setup()
+        self._inspect_nonbonded()
 
     # ------------------------------------------------------------------
     def _atom_weights(self) -> np.ndarray:
@@ -230,41 +239,27 @@ class ParallelMD:
             )
         m.barrier()
 
-    def _owned_atoms(self, p: int) -> np.ndarray:
-        return self.ttable.dist.global_indices(p)
+    @property
+    def sched_nb(self) -> Schedule:
+        """The non-bonded loop's schedule (the merged one in ``"merged"``
+        mode); its ghost extent is table-wide."""
+        return self._loop_nb.schedule
 
-    def _hash_nonbonded(self, category: str) -> None:
-        """Hash the (current) non-bonded rows of every rank's owned atoms."""
-        m = self.machine
-        i_per, j_per = [], []
-        for p in m.ranks():
-            rows = self._owned_atoms(p)
-            i_exp, j_vals = take_csr_rows(self.inblo, self.jnb, rows)
-            i_per.append(i_exp)
-            j_per.append(j_vals)
-        self.nb_i = i_per
-        self.nb_j = j_per
-        self.nb_i_loc = chaos_hash(self.ctx, self.htables, self.ttable, i_per,
-                                   "nb", category=category)
-        self.nb_j_loc = chaos_hash(self.ctx, self.htables, self.ttable, j_per,
-                                   "nb", category=category)
+    @property
+    def sched_bonded(self) -> Schedule:
+        return self._loop_b.schedule
 
-    def _build_schedules(self, category: str) -> None:
-        expr = self.htables[0].expr
-        if self.schedule_mode == "merged":
-            self.sched: Schedule = build_schedule(
-                self.ctx, self.htables, expr("bonds", "nb"), category=category
-            )
-            self.sched_bonded = self.sched
-            self.sched_nb = self.sched
-        else:
-            self.sched_bonded = build_schedule(
-                self.ctx, self.htables, expr("bonds"), category=category
-            )
-            self.sched_nb = build_schedule(
-                self.ctx, self.htables, expr("nb"), category=category
-            )
-            self.sched = self.sched_nb  # ghost capacity is table-wide
+    def _inspect_nonbonded(self) -> None:
+        """Bind the current non-bonded list — every rank's rows of the
+        atoms it owns — and run the inspector; then gather the static
+        ghost charges and the list's per-pair invariants."""
+        dist = self.ttable.dist
+        i_per, j_per = zip(*(
+            take_csr_rows(self.inblo, self.jnb, dist.global_indices(p))
+            for p in self.machine.ranks()))
+        self._loop_nb.bind(nb_i=list(i_per), nb_j=list(j_per))
+        del i_per, j_per  # the loop holds the list as one stream
+        self._loop_nb.setup()
         # static ghost data: charges (atoms' charges never change); in
         # multiple mode both schedules fill one table-wide ghost buffer,
         # fused into a single pass
@@ -274,29 +269,28 @@ class ParallelMD:
             phases.append(gather_phase(self.sched_bonded, self.charge,
                                        charge_ghost))
         run_pipeline(self.ctx, phases, category="comm",
-                     loop_id="charmm:charge_gather")
+                     loop_id=f"{self._scope}:charge_gather")
         # the non-bonded list's invariants, once per list: k q_i q_j, i || j
         k = self.system.forcefield.coulomb_k
+        nb_i = self._loop_nb.localized("nb_i")
+        nb_j = self._loop_nb.localized("nb_j")
         self._nb_qq = [k * q.take(i) * q.take(j) for q, i, j in zip(
-            stack_local_ghost(self.charge, charge_ghost),
-            self.nb_i_loc, self.nb_j_loc)]
-        self._nb_ij = [np.concatenate(ij)
-                      for ij in zip(self.nb_i_loc, self.nb_j_loc)]
+            stack_local_ghost(self.charge, charge_ghost), nb_i, nb_j)]
+        self._nb_ij = [np.concatenate(ij) for ij in zip(nb_i, nb_j)]
 
     # ==================================================================
     # adaptive: non-bonded list regeneration (stamp reuse)
     # ==================================================================
     def refresh_nonbonded_list(self) -> None:
-        """Regenerate the list, re-hash only its stamp, rebuild schedules."""
+        """Regenerate the list and re-bind it: only its stamps are cleared
+        and re-hashed, only schedules that include it are rebuilt."""
         s = self.system
         self._sync_positions_to_system()
         self.inblo, self.jnb = build_nonbonded_list(
             s.positions, s.forcefield.cutoff, s.box
         )
         self._charge_nb_update()
-        clear_stamp(self.ctx, self.htables, "nb", category="schedule_regen")
-        self._hash_nonbonded(category="schedule_regen")
-        self._build_schedules(category="schedule_regen")
+        self._inspect_nonbonded()
         self.trace.nb_list_updates += 1
         self.trace.nb_pairs_history.append(int(self.jnb.size))
 
@@ -321,7 +315,7 @@ class ParallelMD:
              remap_phase(plan, self.vel),
              remap_phase(plan, self.mass),
              remap_phase(plan, self.charge)],
-            category="remap", loop_id="charmm:atoms_remap",
+            category="remap", loop_id=f"{self._scope}:atoms_remap",
         )
         self.ttable = new_ttable
         self._partition_and_inspect()
@@ -345,7 +339,7 @@ class ParallelMD:
             phases.append(gather_phase(self.sched_bonded, self.pos,
                                        pos_ghost))
         run_pipeline(self.ctx, phases, category="comm",
-                     loop_id="charmm:pos_gather")
+                     loop_id=f"{self._scope}:pos_gather")
         pos_stacked = stack_local_ghost(self.pos, pos_ghost)
 
         force_local = [np.zeros_like(self.pos[p]) for p in m.ranks()]
@@ -355,13 +349,15 @@ class ParallelMD:
             else allocate_ghosts(self.sched_bonded, self.pos)
         )
         energy = 0.0
+        ib, jb = (self._loop_b.localized(nm) for nm in ("ib", "jb"))
+        nb_i, nb_j = (self._loop_nb.localized(nm) for nm in ("nb_i", "nb_j"))
 
         for p in m.ranks():
             ps = pos_stacked[p]
             n_local = self.pos[p].shape[0]
 
             fb_stack = np.zeros_like(ps)
-            ib_l, jb_l = self.ib_loc[p], self.jb_loc[p]
+            ib_l, jb_l = ib[p], jb[p]
             if ib_l.size:
                 f_i, eb = bond_pair_forces(ps[ib_l], ps[jb_l], ff, s.box)
                 fb_stack = accumulate_pair_forces(ps.shape[0], ib_l, jb_l, f_i)
@@ -369,7 +365,7 @@ class ParallelMD:
                 m.charge_compute(p, BOND_OPS * ib_l.size, "compute")
 
             fn_stack = np.zeros_like(ps)
-            i_l, j_l = self.nb_i_loc[p], self.nb_j_loc[p]
+            i_l, j_l = nb_i[p], nb_j[p]
             if i_l.size:
                 fn_stack, en = nonbond_pair_forces(
                     ps, i_l, j_l, self._nb_qq[p], self._nb_ij[p], ff, s.box)
@@ -386,7 +382,7 @@ class ParallelMD:
             phases.append(scatter_op_phase(self.sched_bonded, force_local,
                                            force_ghost_b, np.add))
         run_pipeline(self.ctx, phases, category="comm",
-                     loop_id="charmm:force_scatter")
+                     loop_id=f"{self._scope}:force_scatter")
         m.barrier()
         return force_local, energy
 

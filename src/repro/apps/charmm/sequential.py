@@ -29,9 +29,6 @@ class MDTrace:
     nb_list_updates: int = 0
     nb_pairs_history: list[int] = field(default_factory=list)
 
-    def total_energy(self) -> np.ndarray:
-        return np.asarray(self.potential_energy) + np.asarray(self.kinetic_energy)
-
 
 class SequentialMD:
     """Reference in-order MD simulation."""

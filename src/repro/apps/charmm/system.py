@@ -93,10 +93,6 @@ class MolecularSystem:
     def n_bonds(self) -> int:
         return self.bonds.shape[0]
 
-    def wrap_positions(self) -> None:
-        """Fold positions back into the periodic box, in place."""
-        np.mod(self.positions, self.box, out=self.positions)
-
     def minimum_image(self, dx: np.ndarray) -> np.ndarray:
         """Minimum-image displacement vectors (in place safe on a copy)."""
         return dx - self.box * np.round(dx / self.box)

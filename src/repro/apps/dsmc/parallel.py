@@ -130,10 +130,6 @@ class ParallelDSMC:
         self.close()
 
     # ------------------------------------------------------------------
-    @property
-    def cell_dist(self):
-        return self.cell_table.dist
-
     def local_counts(self) -> np.ndarray:
         return self.sizes.copy()
 

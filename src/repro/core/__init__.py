@@ -73,8 +73,6 @@ from repro.core.backends import (
     default_backend,
     get_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.core.compiled import (
     CommPlan,
@@ -161,8 +159,6 @@ __all__ = [
     "default_backend",
     "get_backend",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "CommPlan",
     "FusedPlan",
     "FusedStage",

@@ -261,11 +261,8 @@ class ChaosRuntime:
         return chaos_hash(self.ctx, self.hash_tables(ttable), ttable,
                           indices, stamp)
 
-    def clear_stamp(self, ttable: TranslationTable, stamp: str,
-                    release: bool = False,
-                    purge: bool | None = None) -> int:
-        return clear_stamp(self.ctx, self.hash_tables(ttable), stamp,
-                           release=release, purge=purge)
+    def clear_stamp(self, ttable: TranslationTable, stamp: str) -> int:
+        return clear_stamp(self.ctx, self.hash_tables(ttable), stamp)
 
     def build_schedule(self, ttable: TranslationTable,
                        expr: StampExpr | str) -> Schedule:
@@ -441,26 +438,36 @@ class IrregularReduction:
         return sched
 
     def _build_full(self) -> Schedule:
-        """Full inspector: clear + re-hash every changed array (and every
-        array whose stamp lost its reference counts), build merged."""
-        group = self.rt.hash_tables(self.ttable)[0].group
-        for nm, indices in self._indirections.items():
-            stamp = self._stamp_of(nm)
-            # ``_rebuild`` registered every stamp; only a counted one was
-            # hashed and has entries worth a clearing scan
-            if group.counted(stamp):
-                if nm not in self._changed:
-                    continue  # its stamp and localized indices still hold
-                self.rt.clear_stamp(self.ttable, stamp)
-            self._localized[nm] = self.rt.hash_indirection(
-                self.ttable, indices, stamp)
+        """Full inspector: clear the stamps of every changed array (and
+        of every array whose stamp lost its reference counts) in one
+        table scan, re-hash those arrays, build merged.  The loop's first
+        build is charged to ``"inspector"``, every later one to
+        ``"schedule_regen"`` (Table 2's two rows)."""
+        ctx, htables = self.rt.ctx, self.rt.hash_tables(self.ttable)
+        group = htables[0].group
+        category = "inspector" if self._schedule is None else "schedule_regen"
+        # ``_rebuild`` registered every stamp; only a counted one was
+        # hashed, and an unchanged counted one still holds
+        stale = [nm for nm in self._indirections if nm in self._changed
+                 or not group.counted(self._stamp_of(nm))]
+        counted = [s for s in map(self._stamp_of, stale) if group.counted(s)]
+        if counted:
+            clear_stamp(ctx, htables, *counted, category=category)
+        for nm in stale:
+            self._localized[nm] = chaos_hash(
+                ctx, htables, self.ttable, self._indirections[nm],
+                self._stamp_of(nm), category)
             self._changed.discard(nm)
-        expr = self.rt.stamp_expr(self.ttable, *self._stamps)
-        return self.rt.build_schedule(self.ttable, expr)
+        return build_schedule(ctx, htables, htables[0].expr(*self._stamps),
+                              category=category)
 
     def _apply_deltas(self, base: Schedule, moved) -> Schedule:
         """Replay touch payloads: subset re-hash + schedule splice."""
         htables = self.rt.hash_tables(self.ttable)
+        if not all(map(htables[0].group.counted, self._stamps)):
+            # a stamp cleared outside this loop: entries may have left
+            # the selection unseen, so ``base`` no longer describes it
+            raise DeltaFallback("a stamp of the loop lost its counts")
         expr = self.rt.stamp_expr(self.ttable, *self._stamps)
         sched = base
         for stamp, (_mask, chain) in moved.items():
@@ -472,14 +479,14 @@ class IrregularReduction:
                 try:
                     rehash = rehash_delta(
                         self.rt.ctx, htables, self.ttable, stamp,
-                        old_vals, new_vals,
+                        old_vals, new_vals, "schedule_regen",
                     )
                     sched = delta_rebuild_schedule(
-                        self.rt.ctx, htables, expr, sched, rehash
+                        self.rt.ctx, htables, expr, sched, rehash,
+                        "schedule_regen",
                     )
                 except (KeyError, ValueError, RuntimeError) as e:
-                    # e.g. the stamp lost its reference counts (tables
-                    # purged/manipulated outside this loop) — the full
+                    # e.g. the splice found a stale base — the full
                     # inspector is always a correct recovery; the array
                     # stays marked, so it is re-hashed there
                     raise DeltaFallback(str(e)) from e

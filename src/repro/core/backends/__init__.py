@@ -8,9 +8,8 @@ Importing this package builds the two backends:
 Selection happens through the
 :class:`~repro.core.context.ExecutionContext` every primitive takes
 first: ``ExecutionContext.resolve(machine, "serial")`` for an explicit
-choice, or ``ExecutionContext.resolve(machine)`` to follow the
-process-wide default (:func:`set_default_backend` / ``REPRO_BACKEND``
-env var, temporarily overridable with :func:`use_backend`).
+choice, or ``ExecutionContext.resolve(machine)`` for the default (the
+``REPRO_BACKEND`` environment variable, else ``vectorized``).
 """
 
 from repro.core.backends.base import (
@@ -20,8 +19,6 @@ from repro.core.backends.base import (
     default_backend,
     get_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.core.backends.serial import SerialBackend
 from repro.core.backends.vectorized import VectorizedBackend
@@ -35,6 +32,4 @@ __all__ = [
     "default_backend",
     "get_backend",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]

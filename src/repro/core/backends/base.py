@@ -52,9 +52,7 @@ enforce this on randomized workloads.
 from __future__ import annotations
 
 import os
-import threading
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 
 from repro.core.compiled import RankArena
 from repro.core.hashtable import group_of, stream_of
@@ -164,10 +162,6 @@ class Backend(ABC):
 #: the backend set, one instance per name, built as the backend modules
 #: are imported (``ExecutionContext`` compares backends by identity)
 _BACKENDS: dict[str, Backend] = {}
-_default_name: str | None = None
-#: guards the process default — the multi-tenant server resolves
-#: backends from many threads at once
-_DEFAULT_LOCK = threading.Lock()
 
 
 def _builtin(cls: type[Backend]) -> type[Backend]:
@@ -191,22 +185,9 @@ def get_backend(name: str) -> Backend:
         ) from None
 
 
-def set_default_backend(name: str) -> None:
-    """Select the process-wide default backend by name (thread-safe)."""
-    global _default_name
-    get_backend(name)  # validate eagerly
-    with _DEFAULT_LOCK:
-        _default_name = name
-
-
 def default_backend() -> Backend:
-    """The current default backend.
-
-    Resolution order: :func:`set_default_backend`, then the
-    ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
-    """
-    return get_backend(_default_name or os.environ.get(BACKEND_ENV_VAR)
-                       or "vectorized")
+    """The backend ``REPRO_BACKEND`` names, else ``"vectorized"``."""
+    return get_backend(os.environ.get(BACKEND_ENV_VAR) or "vectorized")
 
 
 def resolve_backend(backend) -> Backend:
@@ -220,23 +201,3 @@ def resolve_backend(backend) -> Backend:
     raise TypeError(
         f"backend must be None, a name, or a Backend, got {backend!r}"
     )
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch the default backend (tests, benchmarks).
-
-    The swap and restore are lock-protected; the *default itself* is
-    still process-wide state, so concurrent ``use_backend`` blocks in
-    different threads interleave their defaults — server code passes
-    backends explicitly per job instead of toggling the default.
-    """
-    global _default_name
-    backend = get_backend(name)
-    with _DEFAULT_LOCK:
-        previous, _default_name = _default_name, name
-    try:
-        yield backend
-    finally:
-        with _DEFAULT_LOCK:
-            _default_name = previous

@@ -69,8 +69,9 @@ class SerialBackend(Backend):
                 ht.stamp_slots(slots, stamp, counts=cnt)
                 machine.charge_memops(p, uniq.size, category)
                 localized.append(ht.localize(idx[p]))
-            else:
-                ht.registry.acquire(stamp)  # stamp exists on empty ranks
+            else:  # the stamp exists, counted, on empty ranks too
+                ht.registry.acquire(stamp)
+                ht.group.ref_plane(stamp)
                 localized.append(np.zeros(0, dtype=np.int64))
         return RankArena.adopt(localized)
 

@@ -18,9 +18,7 @@ collapses the plumbing:
 
 Default resolution happens in exactly one place,
 :meth:`ExecutionContext.resolve`: an explicit ``backend`` argument wins,
-then the process-wide runtime default
-(:func:`~repro.core.backends.set_default_backend`), then the
-``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
+then the ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
 
 Every core primitive takes a context as its first argument::
 
@@ -126,10 +124,8 @@ class ExecutionContext:
         one; combining a context with ``seed``/``record``/
         ``schedule_cache``/``page_budget_bytes`` is an error — use
         :meth:`derive`).  ``backend`` may be ``None``, a backend name,
-        or a :class:`Backend` instance; ``None`` falls through the
-        default chain — runtime default (:func:`set_default_backend`),
-        then the ``REPRO_BACKEND`` environment variable, then
-        ``"vectorized"``.
+        or a :class:`Backend` instance; ``None`` falls through to the
+        ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
         """
         if isinstance(machine, ExecutionContext):
             if seed is not None or record is not None \

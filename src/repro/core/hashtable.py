@@ -34,6 +34,12 @@ int32 map addressed by ``rank * n_keys + global index`` (``vectorized``),
 and :class:`DictKeyStore`, one Python dict operation per key —
 ``serial``'s semantics oracle.  A store is a pure map: row and ghost-slot
 assignment happen in the group.
+
+**Entries are never deleted.**  Clearing a stamp removes its bit and its
+reference counts; the entries keep their rows, translated addresses and
+ghost slots, so a value that comes back is found without a translation
+and a cached schedule's ghost slots stay valid.  A group grows with the
+distinct indices hashed into it and dies with its translation table.
 """
 
 from __future__ import annotations
@@ -49,10 +55,6 @@ _NO_INDICES = np.zeros(0, dtype=np.int64)  # a ``None`` rank's stream part
 
 #: stream elements per cache block (see :func:`_blocks`)
 _BLOCK = 1 << 15
-
-#: free rows / ghost slots are kept as sorted ``rank << 32 | id`` words
-_RANK_SHIFT = 32
-_ID_MASK = (1 << _RANK_SHIFT) - 1
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -103,44 +105,31 @@ def stream_of(per_rank) -> tuple[np.ndarray, np.ndarray]:
 class StampRegistry:
     """Assigns stamp bits to names; shared by the ranks of one table group.
 
-    At most 63 live stamps (bits of an int64 mask).  Clearing a stamp
-    frees its bit for reuse — the paper reuses the non-bonded list's stamp
-    after clearing it on each list regeneration.  Free bits are kept in a
-    single int bitmask; acquire always hands out the lowest free bit.
+    At most 63 stamps (bits of an int64 mask), handed out in order of
+    first use.  A stamp keeps its bit for the life of the group: clearing
+    it removes the bit from the entries, and the next hash under the same
+    name reuses it — the paper reuses the non-bonded list's stamp on each
+    list regeneration.
     """
 
     MAX_STAMPS = 63
 
     def __init__(self) -> None:
         self._bits: dict[str, int] = {}
-        self._free_mask: int = (1 << self.MAX_STAMPS) - 1
 
     def acquire(self, name: str) -> int:
         """Get (or create) the bit for stamp ``name``; returns the mask."""
-        if name in self._bits:
-            return 1 << self._bits[name]
-        if not self._free_mask:
-            raise RuntimeError(
-                f"out of stamp bits ({self.MAX_STAMPS} in use); "
-                "release stamps you no longer need"
-            )
-        bit = (self._free_mask & -self._free_mask).bit_length() - 1
-        self._free_mask &= ~(1 << bit)
-        self._bits[name] = bit
-        return 1 << bit
+        if name not in self._bits:
+            if len(self._bits) == self.MAX_STAMPS:
+                raise RuntimeError(
+                    f"out of stamp bits ({self.MAX_STAMPS} in use)")
+            self._bits[name] = len(self._bits)
+        return 1 << self._bits[name]
 
     def mask_of(self, name: str) -> int:
         if name not in self._bits:
             raise KeyError(f"unknown stamp {name!r}")
         return 1 << self._bits[name]
-
-    def release(self, name: str) -> int:
-        """Forget ``name`` and free its bit; returns the freed mask."""
-        bit = self._bits.pop(name, None)
-        if bit is None:
-            raise KeyError(f"unknown stamp {name!r}")
-        self._free_mask |= 1 << bit
-        return 1 << bit
 
     def names(self) -> list[str]:
         return sorted(self._bits)
@@ -225,11 +214,6 @@ class DictKeyStore:
         for d, seg in self._segments(keys, sizes):
             d.update(zip(seg, rows))
 
-    def delete(self, keys: np.ndarray, sizes: np.ndarray) -> int:
-        """Forget the given keys; returns how many were present."""
-        return sum(d.pop(k, None) is not None
-                   for d, seg in self._segments(keys, sizes) for k in seg)
-
     def live(self) -> np.ndarray:
         """Live keys per rank."""
         return np.array([len(d) for d in self._row_of], dtype=np.int64)
@@ -244,8 +228,8 @@ class DirectKeyStore:
     n_keys`` entries, where entry ``rank * n_keys + key`` holds the key's
     row on that rank plus one, or 0 when the key is absent.
 
-    Lookup is one ``take``, insert one scatter, delete one scatter of 0:
-    no hashing, probing, tombstones, compaction or growth.  The price is
+    Lookup is one ``take``, insert one scatter: no hashing, probing,
+    tombstones, compaction or growth.  The price is
     memory fixed at construction, ``4 * n_ranks * n_keys`` bytes.  Absent
     is 0 so that the map starts as one zeroed allocation, not a fill.
 
@@ -259,8 +243,7 @@ class DirectKeyStore:
     * inserting such a key is a ``ValueError``, and so is a duplicate
       (within a rank's segment or against the store) or a row whose
       entry would not fit int32 (``row + 1 >= 2**31``) — each leaves the
-      store untouched;
-    * :meth:`delete` takes distinct keys.
+      store untouched.
     """
 
     kind = "direct"
@@ -329,16 +312,6 @@ class DirectKeyStore:
                              f"{int(pos[held][0] % self.n_keys)}")
         self._rows[pos] = rows + 1
 
-    def delete(self, keys: np.ndarray, sizes: np.ndarray) -> int:
-        """Forget the given (distinct) keys; returns how many were
-        present."""
-        pos, outside = self._positions(keys, sizes)
-        if outside is not None:
-            pos = pos[~outside]
-        present = int(np.count_nonzero(self._rows[pos]))
-        self._rows[pos] = 0
-        return present
-
     def live(self) -> np.ndarray:
         """Live keys per rank (the nonzero entries of each rank's
         slice)."""
@@ -386,10 +359,6 @@ class HashTableGroup:
         self.buf = np.full((n, _GROW), -1, dtype=np.int64)  # ghost slot or -1
         self.mask = np.zeros((n, _GROW), dtype=np.int64)   # stamp bits
         self._refs: dict[str, np.ndarray] = {}  # see ref_plane
-        # rows/ghost slots freed by a purging clear_stamp, recycled
-        # (ascending per rank) before fresh ones are appended
-        self._free_rows = np.zeros(0, dtype=np.int64)
-        self._free_bufs = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _grow_rows(self, need: int) -> None:
@@ -424,23 +393,11 @@ class HashTableGroup:
         return ranks * self.rows_cap + rows
 
     @staticmethod
-    def _take(free, sizes, high):
-        """Ids for a rank-major stream of ``sizes`` new items per rank:
-        each rank's recycled ids first (ascending), then fresh ones above
-        its high-water mark.  Returns ``(ids, remaining free list, new
-        high-water marks)``."""
-        count = np.arange(sizes.sum(), dtype=np.int64)
-        if free.size == 0:
-            return (count + np.repeat(high - _starts(sizes), sizes), free,
-                    high + sizes)
-        owner = free >> _RANK_SHIFT
-        n_free = np.bincount(owner, minlength=sizes.size)
-        take = np.minimum(n_free, sizes)
-        taken = (np.arange(free.size) - _starts(n_free)[owner]) < take[owner]
-        within = count - np.repeat(_starts(sizes), sizes)
-        ids = within + np.repeat(high - take, sizes)
-        ids[within < np.repeat(take, sizes)] = free[taken] & _ID_MASK
-        return ids, free[~taken], high + sizes - take
+    def _take(sizes, high):
+        """Fresh ids for a rank-major stream of ``sizes`` new items per
+        rank, counted up from each rank's high-water mark ``high``."""
+        return (np.arange(sizes.sum(), dtype=np.int64)
+                + np.repeat(high - _starts(sizes), sizes))
 
     def insert(self, keys, sizes, owners, offsets) -> np.ndarray:
         """Insert a rank-major stream of new (already-translated)
@@ -458,23 +415,20 @@ class HashTableGroup:
         if not (keys.size == owners.size == offsets.size == sizes.sum()):
             raise ValueError("gidx/owners/offsets length mismatch")
         ranks = _rank_of(sizes)
-        rows, free_rows, n_entries = self._take(
-            self._free_rows, sizes, self.n_entries)
+        rows = self._take(sizes, self.n_entries)
         ghost = np.flatnonzero(owners != ranks)
-        bufs, free_bufs, n_ghost = self._take(
-            self._free_bufs,
-            np.diff(ghost.searchsorted(offsets_from_counts(sizes))),
-            self.n_ghost)
-        self._grow_rows(int(n_entries.max()))
+        n_new_ghost = np.diff(ghost.searchsorted(offsets_from_counts(sizes)))
+        bufs = self._take(n_new_ghost, self.n_ghost)
+        self._grow_rows(int((self.n_entries + sizes).max()))
         self.store.insert(keys, sizes, rows)
         at = self.flat(ranks, rows)
         self.g.ravel()[at] = keys
         self.proc.ravel()[at] = owners
         self.off.ravel()[at] = offsets
         self.buf.ravel()[at[ghost]] = bufs
-        # mask and refcounts of a fresh or recycled row are zero already
-        self._free_rows, self.n_entries = free_rows, n_entries
-        self._free_bufs, self.n_ghost = free_bufs, n_ghost
+        # mask and refcounts of a fresh row are zero already
+        self.n_entries = self.n_entries + sizes
+        self.n_ghost = self.n_ghost + n_new_ghost
         return rows
 
     def ref_plane(self, name: str) -> np.ndarray:
@@ -543,40 +497,18 @@ class HashTableGroup:
         mask[aff] = post
         return aff, pre
 
-    def clear_stamp(self, name: str, purge: bool) -> int:
-        """Remove a stamp's bit from every entry of every rank and drop
-        its refcounts; returns how many entries carried it.  ``purge``
-        also *deletes* the entries left with an empty mask: their keys
-        leave the store and their rows and ghost slots are recycled by
-        later inserts, so clearing shrinks the tables instead of leaking
-        slots."""
-        bit = self.registry.mask_of(name)
+    def clear_stamp(self, *names: str) -> int:
+        """Remove the named stamps' bits from every entry of every rank,
+        in one pass, and drop their refcounts; returns how many entries
+        carried one of them.  The entries themselves stay."""
+        bits = 0
+        for name in names:
+            bits |= self.registry.mask_of(name)
+            self._refs.pop(name, None)
         live = self.mask[:, :int(self.n_entries.max())]
-        carried = (live & bit) != 0
-        live &= ~bit
-        self._refs.pop(name, None)
-        if purge:
-            self._purge(*np.nonzero(carried & (live == 0)))
-        return int(np.count_nonzero(carried))
-
-    def _purge(self, ranks: np.ndarray, rows: np.ndarray) -> None:
-        """Delete fully-unstamped rows (a rank-major stream); recycle
-        their rows and ghost slots."""
-        if rows.size == 0:
-            return
-        at = self.flat(ranks, rows)
-        self.store.delete(self.g.ravel()[at],
-                          np.bincount(ranks, minlength=self.n_ranks))
-        bufs = self.buf.ravel()[at]
-        ghost = bufs >= 0
-        self._free_bufs = np.sort(np.concatenate(
-            [self._free_bufs, ranks[ghost] << _RANK_SHIFT | bufs[ghost]]))
-        self._free_rows = np.sort(np.concatenate(
-            [self._free_rows, ranks << _RANK_SHIFT | rows]))
-        for column in (self.g, self.proc, self.off, self.buf):
-            column.ravel()[at] = -1
-        for plane in self._refs.values():  # the rows' masks are zero
-            plane.ravel()[at] = 0
+        carried = int(np.count_nonzero(live & bits))
+        live &= ~bits
+        return carried
 
     def localize(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Local/localized index of each row of a rank-major stream:
@@ -633,13 +565,6 @@ class HashTableGroup:
         at = at[np.argsort(pair.astype(narrow), kind="stable")]
         counts = np.bincount(pair, minlength=width * n).reshape(-1, n)
         return counts, self.off.ravel()[at], self.buf.ravel()[at]
-
-    def free_lists(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per rank: purged rows and ghost slots awaiting recycling
-        (ascending, the order they are handed out again)."""
-        cuts = np.arange(1, self.n_ranks) << _RANK_SHIFT
-        return tuple(np.split(free & _ID_MASK, np.searchsorted(free, cuts))
-                     for free in (self._free_rows, self._free_bufs))
 
 
 def group_of(htables: list["IndexHashTable"]) -> HashTableGroup:
@@ -764,9 +689,7 @@ class IndexHashTable:
         return self.n_ghost
 
     def __len__(self) -> int:
-        # live entries: the high-water row count minus purged rows
-        # awaiting recycling
-        return self.n_entries - self.group.free_lists()[0][self.rank].size
+        return self.n_entries
 
     def __contains__(self, gidx: int) -> bool:
         return bool(self.lookup_slots(np.array([gidx]))[0] >= 0)

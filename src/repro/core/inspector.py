@@ -128,33 +128,24 @@ def chaos_hash(
 def clear_stamp(
     ctx,
     htables: list[IndexHashTable],
-    stamp: str,
-    release: bool = False,
-    purge: bool | None = None,
+    *stamps: str,
     category: str = "inspector",
 ) -> int:
-    """Clear a stamp on every rank (paper: before re-hashing a regenerated
-    non-bonded list, its old entries are cleared and the stamp reused).
+    """Clear stamps on every rank, all in one table scan (paper: before
+    re-hashing a regenerated non-bonded list, its old entries are
+    cleared and the stamp reused).
 
-    ``purge`` (default: follows ``release``) deletes entries whose stamp
-    mask becomes empty — their keys leave the key store and their
-    rows/ghost slots are recycled, so releasing a stamp shrinks the tables
-    instead of growing them monotonically across adaptive steps.
-    Returns the total number of entries that carried the stamp.
+    The entries stay in the tables with their rows and ghost slots, so a
+    value that comes back is found without a translation; a stamp keeps
+    its bit.  Unknown stamps are skipped.  Returns the total number of
+    entries that carried one of the stamps.
     """
     ctx = ensure_context(ctx, "clear_stamp")
     m = ctx.machine
     m.check_per_rank(htables, "hash tables")
     group = group_of(htables)
-    if purge is None:
-        purge = release
     m.charge_memops_vec(group.n_entries, category)
-    if stamp not in group.registry:
-        return 0
-    total = group.clear_stamp(stamp, purge=purge)
-    if release:
-        group.registry.release(stamp)
-    return total
+    return group.clear_stamp(*[s for s in stamps if s in group.registry])
 
 
 @dataclass

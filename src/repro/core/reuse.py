@@ -76,9 +76,9 @@ class DeltaFallback(Exception):
 
     ``get_or_build`` catches it and runs the full ``builder`` instead
     (counted as a build, not a delta rebuild).  Use it when the cached
-    value's substrate turned out to be unusable — e.g. the hash tables
-    were purged since the schedule was cached, so a splice would target
-    recycled ghost slots.
+    value's substrate turned out to be unusable — e.g. a stamp was
+    cleared outside the loop since the schedule was cached, so its
+    reference counts are gone.
     """
 
 

@@ -151,11 +151,11 @@ def splice_schedules(
     shifted segment by segment, apply to the send stream: one edit per
     buffer, no iteration over ranks or rank pairs.
 
-    ``base`` must describe the live tables as they were before the
-    update, with no purge in between (a purge recycles ghost slots).
-    That is checked where the edit script sees it: a ghost slot of
-    ``base`` that is no longer live (or out of order), or a dropped
-    entry that is not found at its own position, raises ``ValueError``.
+    ``base`` must describe the same tables as they were before the
+    update.  That is checked where the edit script sees it: a ghost
+    slot of ``base`` that no entry holds (or out of order), or a
+    dropped entry that is not found at its own position, raises
+    ``ValueError``.
     """
     ctx = ensure_context(ctx, "splice_schedules")
     machine = ctx.machine
@@ -170,8 +170,8 @@ def splice_schedules(
     # ghost slot -> (receiver, owner, row) key of the entry holding it,
     # one region per receiver (slot s of rank p at region[p] + 1 + s).
     # The arenas' rows in use are walked whole: rows without a ghost
-    # slot (buf == -1: on-processor or purged) all land in their
-    # region's spare first position, which no slot reads.
+    # slot (buf == -1: on-processor, or past the rank's entries) all
+    # land in their region's spare first position, which no slot reads.
     rows_cap, used = group.rows_cap, int(group.n_entries.max())
     span = n * rows_cap                     # the keys of one receiver
     # keys below 2**31 move as int32: half the bytes to write and search
@@ -244,7 +244,7 @@ def splice_schedules(
 
 
 _STALE = ("base schedule does not match the live tables (built against "
-          "other tables, or purged since)")
+          "other tables)")
 
 
 def _edited(old, drop, ins, values):

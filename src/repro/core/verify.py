@@ -121,36 +121,26 @@ def check_schedule_against_hash_tables(
 
 
 def check_hash_tables(htables: list[IndexHashTable]) -> list[str]:
-    """Internal invariants of a table group, rank by rank: every live
-    row's key probes back to its row; ghost slots are distinct and below
-    ``n_ghost``; recycled rows and ghost slots are disjoint from live
-    ones; a counted stamp's refcount is positive exactly where its bit
-    is set; the key store holds exactly one key per live row (rank by
-    rank, the store's present keys number the live rows)."""
+    """Internal invariants of a table group, rank by rank: every row's
+    key probes back to its row; ghost slots are distinct and below
+    ``n_ghost``; a counted stamp's refcount is positive exactly where its
+    bit is set; the key store holds exactly one key per row."""
     problems: list[str] = []
     group = group_of(htables)
-    free_rows, free_bufs = group.free_lists()
-    if np.any(group.store.live()
-              != group.n_entries - [a.size for a in free_rows]):
+    if np.any(group.store.live() != group.n_entries):
         problems.append("key store and tables disagree on the live counts")
     for p, ht in enumerate(htables):
         ne = ht.n_entries
-        live = np.flatnonzero(ht.g[:ne] >= 0)
-        if not np.array_equal(np.setdiff1d(np.arange(ne), live),
-                              free_rows[p]):
-            problems.append(f"rank {p}: free rows are not exactly the "
-                            "purged rows")
-        if not np.array_equal(ht.lookup_slots(ht.g[live]), live):
-            problems.append(f"rank {p}: a live row's key does not probe "
-                            "back to its row")
-        bufs = ht.buf[live]
+        if not np.array_equal(ht.lookup_slots(ht.g[:ne]), np.arange(ne)):
+            problems.append(f"rank {p}: a row's key does not probe back "
+                            "to its row")
+        bufs = ht.buf[:ne]
         bufs = bufs[bufs >= 0]
-        ghost = np.concatenate([bufs, free_bufs[p]])
-        if ghost.size and (ghost.max() >= ht.n_ghost
-                           or np.unique(ghost).size != ghost.size):
-            problems.append(f"rank {p}: ghost slots (live + free) are not "
-                            f"distinct ids below {ht.n_ghost}")
-        if np.any((ht.proc[live] == p) != (ht.buf[live] < 0)):
+        if bufs.size and (bufs.max() >= ht.n_ghost
+                          or np.unique(bufs).size != bufs.size):
+            problems.append(f"rank {p}: ghost slots are not distinct ids "
+                            f"below {ht.n_ghost}")
+        if np.any((ht.proc[:ne] == p) != (ht.buf[:ne] < 0)):
             problems.append(f"rank {p}: ghost slot on an owned entry, or "
                             "none on an off-processor one")
         for name in filter(group.counted, group.registry.names()):

@@ -47,9 +47,6 @@ class Token:
     line: int
     col: int
 
-    def is_kw(self, *names: str) -> bool:
-        return self.kind is TokKind.IDENT and self.text.upper() in names
-
     def is_op(self, *ops: str) -> bool:
         return self.kind is TokKind.OP and self.text in ops
 

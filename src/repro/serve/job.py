@@ -66,9 +66,9 @@ class JobSpec(ABC):
     Subclasses implement :meth:`run`; everything else — building the
     per-job machine and context, stats collection, failure isolation —
     is the server's job.  ``backend=None`` falls through
-    the usual default chain (``set_default_backend`` →
-    ``REPRO_BACKEND`` → ``"vectorized"``), so one deployment-wide
-    environment variable retargets every job that doesn't pin one.
+    the usual default chain (``REPRO_BACKEND`` → ``"vectorized"``), so
+    one deployment-wide environment variable retargets every job that
+    doesn't pin one.
     """
 
     name: str = "job"

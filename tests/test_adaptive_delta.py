@@ -185,7 +185,7 @@ def test_delta_schedule_traffic_identity(backend):
 # ---------------------------------------------------------------------
 SPLICE_CASES = (
     "empty_delta", "drop_only", "insert_only", "segment_emptied",
-    "segment_created", "empty_rank", "fresh_ghosts", "purged_rows",
+    "segment_created", "empty_rank", "fresh_ghosts", "cleared_rows",
     "mixed",
 )
 
@@ -237,18 +237,18 @@ def _splice_scenario(case, n_ranks, seed):
     return np.arange(n) % P, idx, pos, new
 
 
-def _hashed_env(ctx, owner, idx, purged):
+def _hashed_env(ctx, owner, idx, cleared):
     tt = TranslationTable.from_map(ctx.machine, owner)
     hts = make_hash_tables(ctx, tt)
     chaos_hash(ctx, hts, tt, [a.copy() for a in idx], "s")
-    if purged:
-        # a released stamp over never-seen values leaves purged rows
-        # (buf == -1) and free ghost slots behind
+    if cleared:
+        # a cleared stamp over never-seen values leaves unstamped rows
+        # holding ghost slots that no schedule reads
         half = owner.size // 2
         extra = [half + (p + np.arange(40)) % half
                  for p in range(ctx.n_ranks)]
         chaos_hash(ctx, hts, tt, extra, "t")
-        clear_stamp(ctx, hts, "t", release=True)
+        clear_stamp(ctx, hts, "t")
     return tt, hts
 
 
@@ -271,8 +271,8 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
         a[t] = v
     ctx_f = ExecutionContext.resolve(Machine(n_ranks), backend)
     ctx_d = ExecutionContext.resolve(Machine(n_ranks), backend)
-    tt_f, hts_f = _hashed_env(ctx_f, owner, idx, case == "purged_rows")
-    tt_d, hts_d = _hashed_env(ctx_d, owner, idx, case == "purged_rows")
+    tt_f, hts_f = _hashed_env(ctx_f, owner, idx, case == "cleared_rows")
+    tt_d, hts_d = _hashed_env(ctx_d, owner, idx, case == "cleared_rows")
     base = build_schedule(ctx_d, hts_d, "s")
     old_capacity = [ht.ghost_capacity() for ht in hts_d]
 
@@ -323,9 +323,10 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
         if case == "fresh_ghosts":
             assert any(ht.ghost_capacity() > cap
                        for ht, cap in zip(hts_d, old_capacity))
-        if case == "purged_rows":
-            assert any((ht.buf[:ht.n_entries] < 0).any()
-                       and len(ht) < ht.n_entries for ht in hts_d)
+        if case == "cleared_rows":
+            assert any(((ht.mask[:ht.n_entries] == 0)
+                        & (ht.buf[:ht.n_entries] >= 0)).any()
+                       for ht in hts_d)
 
 
 def test_splice_never_walks_rank_pairs(monkeypatch):
@@ -351,12 +352,12 @@ def test_splice_never_walks_rank_pairs(monkeypatch):
 
 
 def test_stale_base_schedule_is_rejected():
-    """A base that no longer describes the live tables (its rows were
-    purged and their ghost slots recycled after it was built) must not
-    be spliced."""
+    """A base that does not describe the live tables (it was built
+    against other tables, which assigned the ghost slots differently)
+    must not be spliced."""
     ctx = ExecutionContext.resolve(Machine(4), "vectorized")
-    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
-    clear_stamp(ctx, hts, "s", purge=True)
+    tt, _, idx, base = _cold_env(ctx, 3, 60, 30)
+    hts = make_hash_tables(ctx, tt)
     fresh = [np.arange(p, 60, 4) for p in range(4)]
     chaos_hash(ctx, hts, tt, fresh, "s")
     _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), fresh,
@@ -440,10 +441,11 @@ def test_explicit_row_selection_is_checked(bad, backend):
     assert (m.execution_time(), m.mean_category_time("inspector")) == before
 
 
-def test_purge_between_build_and_delta_falls_back_to_full_build():
-    """Through the facade the rejected splice is a ``DeltaFallback``:
-    the adapt recovers through the full inspector, the result is right,
-    and the cache counts a build, not a delta rebuild."""
+def test_external_clear_between_build_and_delta_falls_back_to_full_build():
+    """A stamp of the loop cleared behind its back between a build and a
+    targeted adapt is a ``DeltaFallback``: the adapt recovers through the
+    full inspector, the result is right, and the cache counts a build,
+    not a delta rebuild."""
     from repro.core import ChaosRuntime, IrregularReduction, split_by_block
 
     rng = np.random.default_rng(11)
@@ -456,8 +458,8 @@ def test_purge_between_build_and_delta_falls_back_to_full_build():
     loop = IrregularReduction(rt, tt, "nb").bind(
         ia=split_by_block(ia_g, m), ib=[a.copy() for a in ib])
     loop.setup()
-    # the cached schedule covers ia | ib; purge ia's rows behind its back
-    rt.clear_stamp(tt, "nb:ia", purge=True)
+    # the cached schedule covers ia | ib; clear ia's stamp behind its back
+    rt.clear_stamp(tt, "nb:ia")
     touched = []
     for a in ib:
         pos = rng.choice(a.size, size=5, replace=False)

@@ -1,37 +1,18 @@
-"""Regression: backend lookup and the process default under many threads.
+"""Regression: backend lookup under many threads.
 
 The multi-tenant server resolves backends from worker threads, so
 ``get_backend`` must hand every thread the one instance per name
-(``ExecutionContext`` compares backends by identity), and
-``set_default_backend`` / ``use_backend`` must leave a default that is
-always one of the backends.
+(``ExecutionContext`` compares backends by identity).
 """
 
 import threading
 
-import pytest
-
-from repro.core.backends import base
-from repro.core.backends.base import (
-    available_backends,
-    get_backend,
-    set_default_backend,
-)
+from repro.core.backends.base import available_backends, get_backend
 from repro.core.context import ExecutionContext
 from repro.sim.machine import Machine
 
 N_THREADS = 16
 ROUNDS = 200
-
-
-@pytest.fixture
-def registry_sandbox():
-    """Snapshot/restore the process default around a mutating test."""
-    saved_default = base._default_name
-    try:
-        yield
-    finally:
-        base._default_name = saved_default
 
 
 def _run_threads(worker, n=N_THREADS):
@@ -72,26 +53,6 @@ class TestRegistryHammer:
 
         _run_threads(worker)
         assert all(len(ids) == 1 for ids in seen.values())
-
-    def test_set_default_rejects_unknown_under_concurrency(
-        self, registry_sandbox
-    ):
-        def worker(i):
-            for _ in range(ROUNDS):
-                if i % 2:
-                    set_default_backend("serial")
-                else:
-                    with pytest.raises(KeyError):
-                        set_default_backend("_never_registered")
-                assert base.default_backend().name in available_backends()
-
-        _run_threads(worker)
-
-    def test_use_backend_restores_previous_default(self, registry_sandbox):
-        set_default_backend("serial")
-        with base.use_backend("vectorized"):
-            assert base.default_backend().name == "vectorized"
-        assert base.default_backend().name == "serial"
 
 
 class TestConcurrentContexts:

@@ -34,9 +34,7 @@ from repro.core import (
     scatter_append,
     scatter_append_multi,
     scatter_op,
-    set_default_backend,
     split_by_block,
-    use_backend,
 )
 from repro.core.backends import Backend, SerialBackend, VectorizedBackend
 from repro.sim import Machine
@@ -252,8 +250,6 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             get_backend("quantum")
-        with pytest.raises(KeyError):
-            set_default_backend("quantum")
 
     def test_resolve_variants(self):
         be = get_backend("serial")
@@ -264,19 +260,11 @@ class TestRegistry:
             resolve_backend(42)
 
     def test_vectorized_is_default(self, monkeypatch):
-        # absent an explicit choice (env var / set_default_backend), the
-        # compiled-plan backend is the default
+        # absent an explicit choice (env var), the compiled-plan
+        # backend is the default
         import repro.core.backends.base as base
         monkeypatch.delenv(base.BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(base, "_default_name", None)
         assert default_backend().name == "vectorized"
-
-    def test_use_backend_restores(self):
-        before = default_backend().name
-        with use_backend("serial") as be:
-            assert be.name == "serial"
-            assert default_backend().name == "serial"
-        assert default_backend().name == before
 
 
 class TestExchangeCompiled:

@@ -156,6 +156,81 @@ class TestPinnedSimulatedCost:
             ]
 
 
+class TestInspectorWiring:
+    """Phase E runs through ``IrregularReduction`` on the run's context."""
+
+    @staticmethod
+    def builds(md, loop):
+        return md._runtime.cache_stats(loop.name).builds
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_two_runs_on_one_context_stay_apart(self, backend):
+        """Two drivers sharing one context (and so one ScheduleCache)
+        keep their own cache entries, and each matches its own run on a
+        context of its own, refresh for refresh."""
+        kw = [dict(update_every=3), dict(update_every=2,
+                                         schedule_mode="multiple")]
+        shared = ExecutionContext.resolve(Machine(4), backend)
+        pair = [ParallelMD(build_small_system(200, seed=7 + k), shared,
+                           **kw[k]) for k in range(2)]
+        alone = [ParallelMD(build_small_system(200, seed=7 + k),
+                            ExecutionContext.resolve(Machine(4), backend),
+                            **kw[k]) for k in range(2)]
+        for steps in (4, 3):
+            for md in pair + alone:
+                md.run(steps)
+        names = [{lp.name for lp in (md._loop_b, md._loop_nb)}
+                 for md in pair]
+        assert not names[0] & names[1]
+        for md, cold in zip(pair, alone):
+            assert md.trace == cold.trace
+            assert md.global_positions().tobytes() == \
+                cold.global_positions().tobytes()
+            for a, b in ((md._loop_b, cold._loop_b),
+                         (md._loop_nb, cold._loop_nb)):
+                assert md._runtime.cache_stats(a.name) == \
+                    cold._runtime.cache_stats(b.name)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_refresh_rebuilds_only_the_nonbonded_loop(self, backend):
+        md = ParallelMD(build_small_system(200, seed=7),
+                        ExecutionContext.resolve(Machine(4), backend),
+                        update_every=3, schedule_mode="multiple")
+        bonded = md.sched_bonded
+        md.run(10)
+        n = md.trace.nb_list_updates - 1
+        assert n == 3
+        assert self.builds(md, md._loop_b) == 1
+        assert self.builds(md, md._loop_nb) == 1 + n
+        assert md.sched_bonded is bonded
+
+    def test_apps_and_lang_do_not_import_the_inspector(self):
+        """Layering: drivers and compiled programs reach the inspector
+        through ``IrregularReduction`` only."""
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in [*root.joinpath("apps").rglob("*.py"),
+                     *root.joinpath("lang").rglob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    mods = [f"{node.module}.{a.name}" for a in node.names]
+                    mods.append(node.module or "")
+                else:
+                    continue
+                if any(m == "repro.core.inspector"
+                       or m.startswith("repro.core.inspector.")
+                       for m in mods):
+                    offenders.append(str(path.relative_to(root)))
+        assert offenders == []
+
+
 def test_vectorized_run_never_falls_back_to_serial(monkeypatch):
     """Set-up, steps and a repartition under ``vectorized`` hand no
     executor call to the serial reference (the bonded iteration blocks

@@ -29,7 +29,6 @@ from repro.core import (
     gather,
     get_backend,
     split_by_block,
-    use_backend,
 )
 from repro.core.context import ensure_context
 from repro.sim import Machine
@@ -39,21 +38,14 @@ from repro.sim import Machine
 # resolution order
 # ---------------------------------------------------------------------
 class TestResolutionOrder:
-    def test_explicit_argument_wins(self, machine4):
-        with use_backend("serial"):
-            ctx = ExecutionContext.resolve(machine4, "vectorized")
-        assert ctx.backend.name == "vectorized"
-
-    def test_runtime_default_beats_env(self, machine4, monkeypatch):
+    def test_explicit_argument_wins(self, machine4, monkeypatch):
         import repro.core.backends.base as base
-        monkeypatch.setenv(base.BACKEND_ENV_VAR, "vectorized")
-        with use_backend("serial"):
-            ctx = ExecutionContext.resolve(machine4)
-        assert ctx.backend.name == "serial"
+        monkeypatch.setenv(base.BACKEND_ENV_VAR, "serial")
+        ctx = ExecutionContext.resolve(machine4, "vectorized")
+        assert ctx.backend.name == "vectorized"
 
     def test_env_beats_builtin_default(self, machine4, monkeypatch):
         import repro.core.backends.base as base
-        monkeypatch.setattr(base, "_default_name", None)
         monkeypatch.setenv(base.BACKEND_ENV_VAR, "serial")
         ctx = ExecutionContext.resolve(machine4)
         assert ctx.backend.name == "serial"
@@ -66,7 +58,6 @@ class TestResolutionOrder:
 
     def test_vectorized_is_final_fallback(self, machine4, monkeypatch):
         import repro.core.backends.base as base
-        monkeypatch.setattr(base, "_default_name", None)
         monkeypatch.delenv(base.BACKEND_ENV_VAR, raising=False)
         ctx = ExecutionContext.resolve(machine4)
         assert ctx.backend.name == "vectorized"

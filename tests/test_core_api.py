@@ -89,6 +89,23 @@ class TestIrregularReduction:
         ib_g = rng.integers(0, n, e)
         return m, rt, tt, x_g, y_g, ia_g, ib_g
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_delta_beside_an_array_with_no_references(self, backend, rng):
+        """An array no rank references is still hashed with counts, so a
+        targeted adapt of another array is spliced on every backend."""
+        m, _, tt, _, _, _, ib_g = self.make(rng)
+        rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+        ib = split_by_block(ib_g, m)
+        loop = IrregularReduction(rt, tt, "e").bind(
+            ia=[np.zeros(0, dtype=np.int64)] * 4, ib=ib)
+        loop.setup()
+        nxt = [a.copy() for a in ib]
+        for a in nxt:
+            a[0] = (a[0] + 1) % 40
+        loop.adapt("ib", nxt, touched=[np.array([0])] * 4)
+        st = rt.cache_stats("e")
+        assert (st.builds, st.delta_rebuilds) == (1, 1)
+
     def test_figure1_loop(self, rng):
         """x(ia(i)) += y(ib(i)) — the paper's canonical irregular loop."""
         m, rt, tt, x_g, y_g, ia_g, ib_g = self.make(rng)
@@ -569,13 +586,54 @@ class TestPerArrayReuse:
         assert hashed == ["nb:ia"]
         self.check_cold(world)
 
-    @pytest.mark.parametrize("purge", [False, True])
-    def test_external_clear_stamp(self, world, purge):
-        rng, _, rt, tt, loop, arrays, hashed = world
-        rt.clear_stamp(tt, "nb:ia", purge=purge)
-        arrays["ib"] = self.shuffled(rng, arrays["ib"])
-        loop.adapt("ib", arrays["ib"])
+    def test_rebind_of_two_arrays_is_one_clearing_scan(self, world,
+                                                       monkeypatch):
+        """Re-binding k > 1 arrays at once clears their stamps in one
+        scan of the tables; a loop's first build is charged to
+        ``"inspector"``, every later one to ``"schedule_regen"``."""
+        import repro.core.api as api
+
+        rng, _, rt, _, loop, arrays, hashed = world
+        m = rt.machine
+        scans = []
+        real = api.clear_stamp
+
+        def counted(ctx, htables, *stamps, **kwargs):
+            before = np.array([c.time for c in m.clocks])
+            n_entries = htables[0].group.n_entries.copy()
+            out = real(ctx, htables, *stamps, **kwargs)
+            scans.append((stamps, kwargs["category"], n_entries,
+                          np.array([c.time for c in m.clocks]) - before))
+            return out
+
+        monkeypatch.setattr(api, "clear_stamp", counted)
+        inspector = m.mean_category_time("inspector")
+        assert m.mean_category_time("schedule_regen") == 0
+        for nm in arrays:
+            arrays[nm] = self.shuffled(rng, arrays[nm])
+        loop.bind(**arrays)
+        loop.setup()
         assert hashed == ["nb:ia", "nb:ib"]
+        [(stamps, category, n_entries, charged)] = scans
+        assert (stamps, category) == (("nb:ia", "nb:ib"), "schedule_regen")
+        assert charged == pytest.approx(
+            [m.cost_model.memory_time(n) for n in n_entries])
+        assert m.mean_category_time("inspector") == inspector
+        assert m.mean_category_time("schedule_regen") > 0
+        self.check_cold(world)
+
+    @pytest.mark.parametrize("targeted", [False, True])
+    def test_external_clear_stamp(self, world, targeted):
+        """A targeted adapt cannot splice once ``ia``'s stamp lost its
+        counts: it falls back to the full build, like an untargeted one."""
+        rng, _, rt, tt, loop, arrays, hashed = world
+        rt.clear_stamp(tt, "nb:ia")
+        arrays["ib"] = self.shuffled(rng, arrays["ib"])
+        touched = [np.arange(a.size) for a in arrays["ib"]]
+        loop.adapt("ib", arrays["ib"], touched=touched if targeted else None)
+        assert hashed == ["nb:ia", "nb:ib"]
+        st = rt.cache_stats("nb")
+        assert (st.builds, st.delta_rebuilds) == (2, 0)
         self.check_cold(world)
 
     def test_drop_hash_tables(self, world):

@@ -29,17 +29,6 @@ class TestStampRegistry:
         r = StampRegistry()
         assert r.acquire("a") != r.acquire("b")
 
-    def test_release_frees_bit(self):
-        r = StampRegistry()
-        m = r.acquire("a")
-        r.release("a")
-        assert "a" not in r
-        assert r.acquire("fresh") == m  # lowest bit reused
-
-    def test_release_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            StampRegistry().release("nope")
-
     def test_mask_of_unknown_rejected(self):
         with pytest.raises(KeyError):
             StampRegistry().mask_of("nope")
@@ -88,11 +77,9 @@ def _table_state(ht):
     """Everything observable about one rank's table."""
     n = ht.n_entries
     group = ht.group
-    free_rows, free_bufs = group.free_lists()
     return (n, ht.n_ghost, len(ht),
             *(getattr(group, c)[ht.rank, :n].tolist()
               for c in group._COLUMNS),
-            free_rows[ht.rank].tolist(), free_bufs[ht.rank].tolist(),
             group.store.live().tolist())
 
 
@@ -147,7 +134,7 @@ class TestIndexHashTable:
     @pytest.mark.parametrize("batch", [[9, 7], [9, 9], [11, 9, 7, 12]])
     def test_failed_insert_changes_nothing(self, batch):
         """A rejected batch (a key already present, or repeated within
-        the batch) must leave table, free lists and key store exactly as
+        the batch) must leave table, stamps and key store exactly as
         they were: the retry of its valid part then behaves as if the
         failure never happened."""
         def prepared():
@@ -156,7 +143,7 @@ class TestIndexHashTable:
                                      np.array([3, 5, 7]))
             ht.stamp_slots(s[:1], "gone")
             ht.stamp_slots(s[1:], "kept")
-            ht.group.clear_stamp("gone", purge=True)  # a free row + ghost
+            ht.group.clear_stamp("gone")  # an unstamped row + ghost
             return ht
 
         failed, clean = prepared(), prepared()
@@ -226,25 +213,23 @@ class TestIndexHashTable:
         ht = self.make()
         s = ht.insert_translated(np.array([9]), np.array([1]), np.array([0]))
         ht.stamp_slots(s, "nb")
-        n = ht.group.clear_stamp("nb", purge=False)
+        n = ht.group.clear_stamp("nb")
         assert n == 1
         assert ht.select(ht.expr("nb")).size == 0
         assert len(ht) == 1  # entry retained for reuse
         assert ht.ghost_capacity() == 1  # slot retained
 
-    def test_purging_clear_recycles_row_and_ghost_slot(self):
+    def test_clear_several_stamps_in_one_pass(self):
         ht = self.make()
-        s = ht.insert_translated(np.array([9, 4]), np.array([1, 1]),
-                                 np.array([0, 1]))
-        ht.stamp_slots(s[:1], "nb")
-        ht.stamp_slots(s[1:], "kept")
-        assert ht.group.clear_stamp("nb", purge=True) == 1
-        assert len(ht) == 1 and 9 not in ht and 4 in ht
-        assert ht.ghost_capacity() == 2  # high-water mark stays
-        again = ht.insert_translated(np.array([30]), np.array([1]),
-                                     np.array([5]))
-        assert again.tolist() == [0] and ht.buf[0] == 0  # both recycled
-        assert ht.n_entries == 2 and ht.ghost_capacity() == 2
+        s = ht.insert_translated(np.array([9, 4, 6]), np.array([1, 1, 2]),
+                                 np.array([0, 1, 2]))
+        for slot, name in zip(s, ("a", "b", "kept")):
+            ht.stamp_slots([slot], name, counts=np.array([1]))
+        assert ht.group.clear_stamp("a", "b") == 2
+        assert ht.mask[:3].tolist() == [0, 0, ht.registry.mask_of("kept")]
+        assert not ht.group.counted("a") and not ht.group.counted("b")
+        assert ht.group.counted("kept")
+        assert len(ht) == 3 and ht.ghost_capacity() == 3
 
     def test_uncounted_stamp_drops_refcounts(self):
         ht = self.make()
@@ -272,99 +257,3 @@ class TestIndexHashTable:
             HashTableGroup([3, -1], store=self.store_cls(2, KEYS))
         with pytest.raises(ValueError):
             IndexHashTable(self.make().group, 7)
-
-
-# ----------------------------------------------------------------------
-# key-store deletion properties
-# ----------------------------------------------------------------------
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-N_RANKS = 3
-N_KEYS = 201
-#: every key of the stores below, and a few on either side of the range
-UNIVERSE = np.arange(-3, N_KEYS + 3, dtype=np.int64)
-
-
-def _stream(per_rank):
-    """Per-rank key lists -> (rank-major distinct keys, sizes)."""
-    parts = [np.unique(np.asarray(k, dtype=np.int64)) for k in per_rank]
-    return (np.concatenate(parts),
-            np.array([a.size for a in parts], dtype=np.int64))
-
-
-def _lookup_universe(store):
-    return store.lookup(np.tile(UNIVERSE, N_RANKS),
-                        np.full(N_RANKS, UNIVERSE.size))
-
-
-@st.composite
-def _store_op_sequences(draw):
-    """Random insert/delete programs over a small key universe, each
-    step one rank-major stream (ranks may be empty).
-
-    Small universe on purpose: re-inserting a previously deleted key is
-    the interesting case (its entry must read absent after the delete,
-    and the new row after the re-insert).
-    """
-    keys = st.lists(st.integers(0, N_KEYS - 1), max_size=40)
-    return draw(st.lists(
-        st.tuples(st.sampled_from(["insert", "delete"]),
-                  st.tuples(*[keys] * N_RANKS)),
-        min_size=1, max_size=8))
-
-
-def _apply(store, kind, per_rank, next_row):
-    """One program step; inserts skip keys already present."""
-    keys, sizes = _stream(per_rank)
-    if kind == "insert":
-        fresh = store.lookup(keys, sizes) < 0
-        keys, sizes = _stream(
-            [seg[f] for seg, f in zip(np.split(keys, np.cumsum(sizes)[:-1]),
-                                      np.split(fresh, np.cumsum(sizes)[:-1]))])
-        store.insert(keys, sizes, next_row + np.arange(keys.size))
-        return keys.size
-    return store.delete(keys, sizes)
-
-
-class TestKeyStoreDeleteCompact:
-    """The direct-address map under churn, with the dict store as the
-    executable model — any divergence in lookups, sizes, or delete
-    counts is a bug."""
-
-    @given(ops=_store_op_sequences())
-    @settings(max_examples=60, deadline=None)
-    def test_arena_matches_dict_reference(self, ops):
-        direct = DirectKeyStore(N_RANKS, N_KEYS)
-        ref = DictKeyStore(N_RANKS, N_KEYS)
-        next_row = 0
-        for kind, per_rank in ops:
-            n = _apply(direct, kind, per_rank, next_row)
-            assert n == _apply(ref, kind, per_rank, next_row)
-            if kind == "insert":
-                next_row += n
-            assert np.array_equal(direct.live(), ref.live())
-            assert np.array_equal(_lookup_universe(direct),
-                                  _lookup_universe(ref))
-
-    @given(keys=st.lists(st.integers(0, N_KEYS - 1), min_size=1,
-                         max_size=150, unique=True))
-    @settings(max_examples=40, deadline=None)
-    def test_delete_all_empties_the_map(self, keys):
-        store = DirectKeyStore(N_RANKS, N_KEYS)
-        arr, sizes = _stream([keys, [], keys[:7]])
-        store.insert(arr, sizes, np.arange(arr.size))
-        assert store.delete(arr, sizes) == arr.size
-        assert store.live().sum() == 0
-        assert np.all(_lookup_universe(store) == -1)
-        assert store.delete(arr, sizes) == 0
-
-    def test_reinsert_after_tombstone_gets_new_mapping(self):
-        store = DirectKeyStore(1, 10)
-        store.insert(np.array([7, 8, 9]), np.array([3]), np.array([0, 1, 2]))
-        assert store.delete(np.array([8]), np.array([1])) == 1
-        assert store.lookup(np.array([8]), np.array([1]))[0] == -1
-        store.insert(np.array([8]), np.array([1]), np.array([5]))
-        assert np.array_equal(store.lookup(np.array([7, 8, 9]),
-                                           np.array([3])),
-                              np.array([0, 5, 2]))

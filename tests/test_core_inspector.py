@@ -101,11 +101,30 @@ class TestClearStamp:
         uniq = sum(len({int(g) for g in part}) for part in idx)
         assert total == uniq
 
-    def test_release_once_globally(self, rng):
-        m, rt, tt, hts = env(rng)
-        chaos_hash(rt.ctx, hts, tt, [np.array([1])] + [None] * 3, "s")
-        clear_stamp(rt.ctx, hts, "s", release=True)
-        assert "s" not in hts[0].registry
+    def test_several_stamps_in_one_scan(self, rng):
+        """Clearing k stamps charges one scan of the tables, not k, and
+        leaves the same masks as clearing them one by one; the count is
+        of entries carrying any of them."""
+        idx = {name: rng.integers(0, 30, 40) for name in ("a", "b", "c")}
+        masks, clocks = [], []
+        for together in (True, False):
+            m, rt, tt, hts = env(np.random.default_rng(3))
+            for name, g in idx.items():
+                chaos_hash(rt.ctx, hts, tt, split_by_block(g, m), name)
+            either = hts[0].group.mask & hts[0].expr("a", "b").include
+            t0 = np.array([c.time for c in m.clocks])
+            if together:
+                total = clear_stamp(rt.ctx, hts, "a", "b", "unknown")
+                assert total == np.count_nonzero(either)
+            else:
+                clear_stamp(rt.ctx, hts, "a")
+                clear_stamp(rt.ctx, hts, "b")
+            masks.append(hts[0].group.mask.tolist())
+            clocks.append(np.array([c.time for c in m.clocks]) - t0)
+            scan = [m.cost_model.memory_time(ht.n_entries) for ht in hts]
+        assert masks[0] == masks[1]
+        assert clocks[0] == pytest.approx(scan)
+        assert clocks[1] == pytest.approx(2 * np.array(scan))
 
     def test_clear_then_rehash_reuses_entries(self, rng):
         """The paper's non-bonded-list update pattern: clear + rehash a
@@ -140,29 +159,17 @@ class TestChaosRuntimeFacade:
         # each stamp fetched one off-processor element on each of 2 ranks
         assert sched.total_elements() == 4
 
-    def test_release_purges_and_shrinks_occupancy(self, rng):
-        """``release=True`` deletes entries whose stamp mask went empty
-        and recycles their rows: key-store occupancy drops to nothing."""
-        m, rt, tt, hts = env(rng, n=3000)
-        idx = split_by_block(rng.integers(0, 3000, 4000), m)
-        chaos_hash(rt.ctx, hts, tt, idx, "nb")
-        occupied = [len(ht) for ht in hts]
-        store = hts[0].group.store
-        assert any(n > 0 for n in occupied)
-        clear_stamp(rt.ctx, hts, "nb", release=True)
-        assert all(len(ht) == 0 for ht in hts)
-        assert not store.live().any()
-
-    def test_release_keeps_entries_under_other_stamps(self, rng):
+    def test_clear_keeps_entries_under_other_stamps(self, rng):
         m, rt, tt, hts = env(rng)
         shared = [np.array([0, 1, 2]), None, None, None]
         chaos_hash(rt.ctx, hts, tt, shared, "a")
         chaos_hash(rt.ctx, hts, tt, shared, "b")
         chaos_hash(rt.ctx, hts, tt, [np.array([3, 4]), None, None, None],
                    "b")
-        clear_stamp(rt.ctx, hts, "b", release=True)
-        # entries stamped only by "b" were purged, shared ones survive
-        assert len(hts[0]) == 3
+        clear_stamp(rt.ctx, hts, "b")
+        # every entry stays; only "a" still selects
+        assert len(hts[0]) == 5
+        assert hts[0].select(hts[0].expr("b"), False).size == 0
         assert np.array_equal(
             localize_only(rt.ctx, hts, shared)[0],
             chaos_hash(rt.ctx, hts, tt, shared, "a")[0],

@@ -10,7 +10,7 @@ randomized adaptive workloads:
   hash-table entry state (``g``/``proc``/``off``/``buf``/``mask``);
 * bitwise-identical schedules (send lists, permutation lists, sizes)
   for plain, merged (``a | b``) and incremental (``b - a``) stamp
-  expressions, through stamp clear/release/reacquire cycles;
+  expressions, through stamp clear/re-hash cycles;
 * identical traffic statistics, message-for-message, under every
   translation-table storage policy (replicated / distributed / paged);
 * per-rank virtual clocks equal to float round-off (the vectorized path
@@ -153,9 +153,9 @@ def test_inspector_pipeline_equivalence(seed, n_ranks, n, n_ref, storage):
     n=st.integers(1, 100),
     rounds=st.integers(1, 3),
 )
-def test_stamp_release_reacquire_cycles_agree(seed, n_ranks, n, rounds):
-    """The paper's stamp-reuse pattern: clear + release the non-bonded
-    stamp each regeneration, reacquire the freed bit, rebuild merged and
+def test_stamp_clear_rehash_cycles_agree(seed, n_ranks, n, rounds):
+    """The paper's stamp-reuse pattern: clear the non-bonded stamp each
+    regeneration, re-hash the new list under it, rebuild merged and
     incremental schedules — identical across backends every round."""
     results = {}
     for backend in BACKENDS:
@@ -176,7 +176,7 @@ def test_stamp_release_reacquire_cycles_agree(seed, n_ranks, n, rounds):
             )
             per_round.append((loc, _schedule_state(merged),
                               _schedule_state(inc)))
-            clear_stamp(ctx, hts, "nb", release=True)
+            clear_stamp(ctx, hts, "nb")
         results[backend] = (per_round, m.traffic.snapshot(),
                             _clock_snapshots(m))
     a = results["serial"]
@@ -195,7 +195,7 @@ def test_stamp_release_reacquire_cycles_agree(seed, n_ranks, n, rounds):
 # the table group against P independent dict tables, step by step
 # ---------------------------------------------------------------------
 SHAPES = ("even", "empty_ranks", "one_huge")
-STEPS = ("hash", "delta", "purge", "release")
+STEPS = ("hash", "delta", "clear")
 
 
 def _rank_sizes(rng, n_ranks, shape, per_rank):
@@ -247,9 +247,8 @@ class _World:
             _assert_schedules_equal(_schedule_state(spliced),
                                     _schedule_state(cold))
             out.append(_schedule_state(spliced))
-        elif kind in ("purge", "release") and stamp in hts[0].registry:
-            clear_stamp(ctx, hts, stamp, release=kind == "release",
-                        purge=True)
+        elif kind == "clear" and stamp in hts[0].registry:
+            clear_stamp(ctx, hts, stamp)
             self.arrays.pop(stamp, None)
         live = sorted(self.arrays)
         self.schedules = {s: build_schedule(ctx, hts, s) for s in live}
@@ -295,12 +294,12 @@ def _assert_same(a, b):
 )
 def test_group_tracks_independent_dict_tables(seed, n_ranks, shape,
                                               per_rank, steps):
-    """Interleaved hashes, delta re-hashes, purging clears and stamp
-    releases: after every step the group behind the vectorized backend
-    must equal P dict-backed tables driven rank by rank through serial
-    -- rows, ghost slots, masks, refcounts, localized arrays, built and
-    spliced schedules, clocks and traffic -- and satisfy its own
-    invariants (probe-back, free lists, load factor)."""
+    """Interleaved hashes, delta re-hashes and stamp clears: after every
+    step the group behind the vectorized backend must equal P
+    dict-backed tables driven rank by rank through serial -- rows, ghost
+    slots, masks, refcounts, localized arrays, built and spliced
+    schedules, clocks and traffic -- and satisfy its own invariants
+    (probe-back, ghost slots, refcounts)."""
     n = 40 * n_ranks
     rng = np.random.default_rng(seed)
     ref = _World("serial", n_ranks, n, seed)
@@ -350,7 +349,7 @@ def test_kernel_entries_do_not_depend_on_the_rank_count(monkeypatch):
         rehash = rehash_delta(ctx, hts, tt, "s", old,
                               [(a + 7) % n for a in old])
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
-        clear_stamp(ctx, hts, "s", release=True)
+        clear_stamp(ctx, hts, "s")
         monkeypatch.undo()
         return calls
 
@@ -472,7 +471,6 @@ class TestRankKeyArena:
         s = DirectKeyStore(3, 10)
         s.insert(np.array([5, 7, 9, 8]), np.array([3, 1, 0]),
                  np.array([0, 1, 2, 3]))
-        s.delete(np.array([7]), np.array([1, 0, 0]))
         assert s.lookup(np.array([-1, 5, -2, 9, 10, -2]),
                         np.array([5, 0, 1])).tolist() == [-1, 0, -1, 2, -1, -1]
 
@@ -482,7 +480,6 @@ class TestRankKeyArena:
         none = np.zeros(3, dtype=np.int64)
         s.insert(empty, none, empty)
         assert s.lookup(empty, none).size == 0
-        assert s.delete(empty, none) == 0
         assert s.live().tolist() == [0, 0, 0]
 
     def test_lookup_before_any_insert(self):
@@ -569,7 +566,7 @@ def test_tables_of_two_groups_cannot_be_mixed():
 
 
 # ---------------------------------------------------------------------
-# stamp registry free-bit bookkeeping
+# stamp registry bit bookkeeping
 # ---------------------------------------------------------------------
 class TestStampRegistryBits:
     def test_lowest_free_bit_first(self):
@@ -577,34 +574,15 @@ class TestStampRegistryBits:
         assert r.acquire("a") == 1 << 0
         assert r.acquire("b") == 1 << 1
         assert r.acquire("c") == 1 << 2
-        r.release("b")
-        assert r.acquire("d") == 1 << 1  # freed bit reused first
-        assert r.acquire("e") == 1 << 3
-
-    def test_release_reacquire_cycles(self):
-        r = StampRegistry()
-        for cycle in range(200):
-            assert r.acquire("nb") == 1 << 0
-            assert r.release("nb") == 1 << 0
-        assert r.acquire("other") == 1 << 0
-
-    def test_interleaved_release_order(self):
-        r = StampRegistry()
-        for i in range(10):
-            r.acquire(f"s{i}")
-        for name in ("s7", "s2", "s5"):
-            r.release(name)
-        # lowest-first regardless of release order
-        assert r.acquire("x") == 1 << 2
-        assert r.acquire("y") == 1 << 5
-        assert r.acquire("z") == 1 << 7
+        assert r.acquire("b") == 1 << 1  # a known stamp keeps its bit
+        assert r.acquire("d") == 1 << 3
 
     def test_exhaustion_after_churn(self):
         r = StampRegistry()
         for i in range(StampRegistry.MAX_STAMPS):
             r.acquire(f"s{i}")
-        r.release("s30")
-        r.acquire("replacement")
+        for _ in range(200):  # re-acquiring a known stamp takes no bit
+            assert r.acquire("s30") == 1 << 30
         with pytest.raises(RuntimeError):
             r.acquire("one-too-many")
 
