@@ -31,8 +31,8 @@ Two implementations ship with the runtime, and they are the whole set:
 * ``vectorized`` — the default: every rank's indices as one stream
   through the table group's direct-address key map, one stable sort per
   schedule build, count-matrix communication accounting
-  (:meth:`Machine.exchange_compiled`) with one array charge per charge
-  kind per stage, and one flat move per stage column — a composed index
+  (:meth:`Machine.exchange_compiled`) with each stage's charges priced
+  once per plan, and one flat move per stage column — a composed index
   pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
   :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks.
 

@@ -233,8 +233,13 @@ class SerialBackend(Backend):
     # regular schedules
     # ------------------------------------------------------------------
     def gather(self, ctx, sched, data, ghosts, category):
-        """Fill ``ghosts`` with off-processor elements; returns ``ghosts``."""
+        """Fill ``ghosts`` (fresh zeroed buffers when ``None``) with
+        off-processor elements; returns ``ghosts``."""
+        from repro.core.executor import allocate_ghosts
+
         machine = ctx.machine
+        if ghosts is None:
+            ghosts = allocate_ghosts(sched, data)
         n = machine.n_ranks
         send = [[None] * n for _ in machine.ranks()]
         for p in machine.ranks():

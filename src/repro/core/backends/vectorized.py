@@ -28,17 +28,22 @@ Because the simulated machine holds every rank's data in one process, a
 column of a collective is ONE flat move between two rank-major buffers
 (:class:`~repro.core.compiled.RankArena`; a plain per-rank list is
 concatenated on the way in and staged on the way out).  The plan caches
-the *composed* index pair — pack selection ∘ global permutation ∘
-placement ∘ row→scalar expansion — keyed by the two layouts, so a
-steady-state gather is one ``take`` straight into the ghost arena and a
-scatter one blocked ``ufunc.at`` walk, whatever the rank count.
+one *composed* index pair per pair of layouts — pack selection ∘ global
+permutation ∘ placement, in ghost-slot order — that gather and scatter
+both read, so a steady-state gather is one ``take`` of whole rows
+straight into the ghost arena and a scatter one blocked ``ufunc.at``
+walk over contiguous slices of the ghost buffer, whatever the rank
+count.
 
-Accounting goes through :meth:`Machine.exchange_compiled` and the
-machine's array charges: one call per charge kind per stage.  Results
-are bitwise identical to :class:`SerialBackend` — each element's
-contributions fold in the same requester-ascending order the pair loop
-uses, and flattening rows to scalars preserves each scalar's fold order
-— and traffic statistics match message-for-message.  Inputs the flat
+Accounting is derived once per plan, stage kind, columns, row bytes,
+cost model and topology — the pack and placement copy charges and the
+priced exchange (:meth:`Machine.exchange_compiled`'s two halves) — and
+cached on the plan, so a call charges three clock adds, one traffic add
+and the barrier.  Results are bitwise identical to
+:class:`SerialBackend` — each element's contributions fold in the same
+requester-ascending order the pair loop uses, and flattening rows to
+scalars preserves each scalar's fold order — and traffic statistics
+match message-for-message.  Inputs the flat
 layout cannot express without changing semantics (per-rank dtype or
 row-shape mismatches, where concatenation would promote values;
 non-contiguous arrays, where raveling would copy) are delegated
@@ -72,39 +77,44 @@ _STAGE_TAGS = {"gather": "gather", "scatter": "scatter",
 
 class _Move(NamedTuple):
     """One column of one stage, bound for this call: the plan's composed
-    :meth:`~repro.core.compiled.CommPlan.move`, the stage's combiner
-    and the raveled source and destination buffers.  ``dst`` is ``None``
-    until a plain destination list (``staged``) has its staging buffer."""
+    :meth:`~repro.core.compiled.CommPlan.move`, the stage's combiner,
+    the raveled source and destination buffers and their row width.
+    ``dst`` is ``None`` until a plain destination list (``staged``) has
+    its staging buffer."""
 
-    src_index: np.ndarray
+    src_index: np.ndarray | None
     dst_index: np.ndarray | None
     op: object
     src: np.ndarray
     dst: np.ndarray | None
+    k: int
     staged: list | None = None
 
 
 def fused_apply(move: _Move) -> None:
     """The one executor kernel: one column move over the whole machine.
 
-    A covering forward move is a single ``take`` into its destination
-    prefix; an indexed move walks its stream in cache-sized slices, in
-    stream order — the combiner's fold order bit for bit.
+    A covering forward move is a single ``take`` of whole rows into its
+    destination prefix; an indexed move walks its stream in cache-sized
+    slices, in stream order — the combiner's fold order bit for bit —
+    reading a covered source in order (no ``take``).
     """
-    src_index, dst_index, op, src, dst, _ = move
-    n = src_index.size
+    src_index, dst_index, op, src, dst, k, _ = move
     if dst_index is None:
+        n = src_index.size
+        rows, out = src.reshape(-1, k), dst.reshape(-1, k)[:n]
         if src.dtype == dst.dtype:
             # straight into the output, no temporary: only the
             # non-raising modes of take() write unbuffered, and
             # _prepare has bounded the indices already
-            src.take(src_index, out=dst[:n], mode="clip")
+            rows.take(src_index, axis=0, out=out, mode="clip")
         else:
-            dst[:n] = src.take(src_index)
+            out[...] = rows.take(src_index, axis=0)
         return
+    n = dst_index.size
     for i in range(0, n, _STREAM_BLOCK):
         j = min(i + _STREAM_BLOCK, n)
-        seg = src.take(src_index[i:j])
+        seg = src[i:j] if src_index is None else src.take(src_index[i:j])
         if op is None:
             dst[dst_index[i:j]] = seg
         else:
@@ -273,7 +283,7 @@ class VectorizedBackend(Backend):
                         ctx, fused, binds, category)
                 sizes, trailing, k, dtype = layout
                 out, dsizes = bind.dests, dlayout[0]
-                if stage.kind in ("append", "remap"):
+                if out is None:   # the stage allocates its output
                     dsizes = tuple(plan.extent.tolist())
                 src_index, dst_index = plan.move(stage.kind, sizes, dsizes, k)
                 if out is None:
@@ -285,7 +295,7 @@ class VectorizedBackend(Backend):
                 moves.append(_Move(
                     src_index, dst_index, stage.op,
                     _concat(col) if arena is None else arena.flat.reshape(-1),
-                    None if dest is None else dest.flat.reshape(-1),
+                    None if dest is None else dest.flat.reshape(-1), k,
                     None if dest is not None else out))
                 outs.append(out)
                 row_bytes += k * dtype.itemsize
@@ -319,24 +329,40 @@ class VectorizedBackend(Backend):
     def _charge_stage(machine, stage, n_cols, row_bytes, category) -> None:
         """Charge one stage as the serial reference does: pack copyops,
         the compiled exchange, placement copyops — one set of messages
-        per stage, however many columns it binds, one array call per
-        charge."""
-        plan = stage.plan
-        counts = plan.counts
-        packed = np.diff(plan.send_base)
-        placed = np.diff(plan.recv_base)
-        if stage.kind == "append":
-            # kept-local rows arrive without a copy
-            placed = placed - counts.diagonal()
-        if stage.kind == "scatter":
-            packed, placed, counts = placed, packed, counts.T
-        # an append packs every rank's rows, an empty rank's too
-        machine.charge_copyops_vec(
-            n_cols * packed, category,
-            mask=None if stage.kind == "append" else packed > 0)
-        machine.exchange_compiled(counts, row_bytes,
-                                  tag=_STAGE_TAGS[stage.kind],
-                                  category=category)
-        machine.charge_copyops_vec(n_cols * placed, category,
-                                   mask=placed > 0)
+        per stage, however many columns it binds.
 
+        The charges depend on the plan, the stage kind, the columns,
+        the row bytes, the cost model and the topology only, so they
+        are derived once and cached on the plan under those (arrays,
+        the cost model and the topology — never the machine); a call
+        is three clock adds, one traffic add and the barrier."""
+        plan = stage.plan
+        key = (stage.kind, n_cols, row_bytes, machine.cost_model,
+               machine.topology)
+        charge = plan._charges.get(key)
+        if charge is None:
+            charge = plan._charges[key] = _stage_charges(
+                machine, plan, stage.kind, n_cols, row_bytes)
+        (pack, pack_mask), exchange, (place, place_mask) = charge
+        machine.clocks.advance(pack, category, pack_mask)
+        machine._apply_exchange(exchange, _STAGE_TAGS[stage.kind], category)
+        machine.clocks.advance(place, category, place_mask)
+
+
+def _stage_charges(machine, plan, kind, n_cols, row_bytes) -> tuple:
+    """A stage's ``(pack, exchange, place)`` charges: per-rank copy
+    seconds with the ranks they land on, and the priced exchange."""
+    counts = plan.counts
+    packed = np.diff(plan.send_base)
+    placed = np.diff(plan.recv_base)
+    if kind == "append":
+        # kept-local rows arrive without a copy
+        placed = placed - counts.diagonal()
+    if kind == "scatter":
+        packed, placed, counts = placed, packed, counts.T
+    copyop = machine.cost_model.copyop
+    # an append packs every rank's rows, an empty rank's too
+    return ((machine._vec_seconds(copyop, n_cols * packed),
+             None if kind == "append" else packed > 0),
+            machine._exchange_cost(counts, row_bytes),
+            (machine._vec_seconds(copyop, n_cols * placed), placed > 0))

@@ -13,7 +13,8 @@ and cached on the plan: per-rank offsets and per-rank / per-pair views
 (for the serial reference, the validators and tests — views of the flat
 buffers, never copies), stream bases, the send → receive stream
 permutation, the per-rank index maxima the executor bounds-checks
-against, and the composed index pairs of :meth:`CommPlan.move`.  With
+against, the composed index pairs of :meth:`CommPlan.move` and the
+vectorized executor's stage charges.  With
 those an executor backend moves all data of a collective with a handful
 of fused numpy operations, however many rank pairs communicate.
 
@@ -303,6 +304,7 @@ class CommPlan:
             raise ValueError("an append plan's extents must be its "
                              "arrival totals")
         self._moves: dict = {}
+        self._charges: dict = {}
 
     # -- derived layout (cached) ----------------------------------------
     @property
@@ -393,11 +395,11 @@ class CommPlan:
     # The simulated machine holds every rank's data in one process, so a
     # column of a collective is ONE flat move between two rank-major
     # buffers.  The composition below folds the pack selection, the
-    # global permutation, the placement and the row→scalar expansion
-    # into one index pair, keyed by the two buffer layouts and the row
-    # width ``k`` — all stable across executor calls in steady state.
-    # Only the pair is cached: its factors are as large again and
-    # nothing else reads them.
+    # global permutation and the placement into one (slot, row) pair per
+    # pair of buffer layouts — placed row, local row — that a forward
+    # stage reads one way and a scatter the other; its row→scalar
+    # expansion for a row width k > 1 is cached beside it.  The factors
+    # are not kept: they are as large again and nothing else reads them.
 
     @staticmethod
     def _rows(stream: np.ndarray, base: np.ndarray,
@@ -408,52 +410,86 @@ class CommPlan:
         start = offsets_from_counts(np.asarray(sizes, dtype=np.int64))
         return stream + np.repeat(start[:-1], np.diff(base))
 
+    def _compose(self, local: tuple[int, ...], placed: tuple[int, ...]
+                 ) -> tuple:
+        """``(slots, rows)``: element ``i`` of the plan joins local row
+        ``rows[i]`` and placed row ``slots[i]`` (rows of the rank-major
+        concatenations of buffers of leading lengths ``local`` and
+        ``placed``); ``slots`` is ``None`` when element ``i`` is placed
+        row ``i``.
+
+        An append's arrivals land in order.  Otherwise the pair is in
+        slot order when that folds like the receive stream: the placed
+        buffer is receiver-major, so slot order visits each local row's
+        contributions receiver-ascending, as the pair loop does, unless
+        one receiver names a row in two slots out of order — so it is
+        used only when the slots are distinct and ascend inside every
+        (receiver, source) segment, one O(n) check here.  When they
+        fill the buffer exactly once the slots are dropped.  Otherwise
+        the pair stays in receive-stream order.
+        """
+        rows = self._rows(self.send, self.send_base, local)[self.perm]
+        if self.place is None:
+            return None, rows
+        slots = self._rows(self.place, self.recv_base, placed)
+        segment_start = np.zeros(slots.size + 1, dtype=bool)
+        segment_start[(self.recv_base[:-1, None]
+                       + self.place_offsets[:, :-1]).ravel()] = True
+        descents = np.flatnonzero(slots[1:] <= slots[:-1]) + 1
+        if not segment_start[descents].all():
+            return slots, rows
+        by_slot = np.full(sum(placed), -1, dtype=np.int64)
+        by_slot[slots] = rows
+        live = np.flatnonzero(by_slot >= 0)
+        if live.size < slots.size:      # two elements share a slot
+            return slots, rows
+        if live.size == by_slot.size:
+            return None, by_slot
+        return live, by_slot[live]
+
+    def _pairs(self, local: tuple[int, ...], placed: tuple[int, ...],
+               k: int) -> tuple:
+        """:meth:`_compose`'s pair as scalar indices of raveled ``(n,
+        k)`` buffers, cached per layout pair and ``k``."""
+        key = ("pairs", local, placed, k)
+        out = self._moves.get(key)
+        if out is None:
+            if k == 1:
+                out = self._compose(local, placed)
+            else:
+                slots, rows = self._pairs(local, placed, 1)
+                out = (None if slots is None else _expand(slots, k),
+                       _expand(rows, k))
+            self._moves[key] = out
+        return out
+
     def move(self, kind: str, src_sizes: tuple[int, ...],
              dst_sizes: tuple[int, ...], k: int) -> tuple:
         """One column of a ``kind`` stage as a single composed pass:
         ``(src_index, dst_index)`` over the raveled rank-major source
-        and destination buffers.
+        and destination buffers, from the one pair :meth:`_compose`
+        builds per ``(local sizes, placed sizes)`` — the same arrays
+        whichever direction reads them.
 
-        *Forward kinds* give every slot one writer, so the stream is
-        ordered by destination (one inverse scatter at row level, no
-        sort).  When it covers every destination row exactly once —
-        checked here, slots unique included — ``dst_index`` is ``None``
-        and position ``i`` of ``src_index`` feeds destination scalar
-        ``i``; a stage that covers only part of its buffer (two gathers
-        sharing one ghost list, oversize buffers whose tails must
-        survive) keeps the pair in receive-stream order.  *Scatter*
-        folds, so stream order is part of the result: the pair is in
-        receive-stream order, where each element's contributions arrive
-        requester-ascending exactly as the pair loop delivers them, and
-        which needs no inverse permutation.  Holds arrays only — a
+        *Forward kinds* read the local buffer at the rows and write the
+        slots.  When the slots cover the destination exactly once
+        ``dst_index`` is ``None`` and ``src_index`` holds *row* indices:
+        destination row ``i`` is source row ``src_index[i]``, one
+        ``take`` of whole rows.  *Scatter* reads the slots and writes
+        (or folds into) the rows; a covered ghost buffer is read in
+        order and ``src_index`` is ``None``.  Holds arrays only — a
         cached entry must not keep a plan alive.
         """
-        def build():
-            if kind in FORWARD_KINDS:
-                # local data, send order → receive stream → placement
-                src = self._rows(self.send, self.send_base,
-                                 src_sizes)[self.perm]
-                dst = None
-                if kind != "append":    # appends land contiguously
-                    dst = self._rows(self.place, self.recv_base, dst_sizes)
-                    n_dst = sum(dst_sizes)
-                    if dst.size == n_dst:
-                        by_slot = np.full(n_dst, -1, dtype=np.int64)
-                        by_slot[dst] = src
-                        # n_dst writes that leave no row unwritten hit
-                        # n_dst distinct rows: the stage is a bijection
-                        if by_slot.min(initial=0) >= 0:
-                            src, dst = by_slot, None
-            else:
-                # ghost data, receive order → owners' local elements
-                src = self._rows(self.place, self.recv_base, src_sizes)
-                dst = self._rows(self.send, self.send_base,
-                                 dst_sizes)[self.perm]
-            return _expand(src, k), None if dst is None else _expand(dst, k)
         key = (kind, src_sizes, dst_sizes, k)
         out = self._moves.get(key)
         if out is None:
-            out = self._moves[key] = build()
+            if kind == "scatter":
+                out = self._pairs(dst_sizes, src_sizes, k)
+            else:
+                slots, rows = self._pairs(src_sizes, dst_sizes, 1)
+                out = ((rows, None) if slots is None
+                       else self._pairs(src_sizes, dst_sizes, k)[::-1])
+            self._moves[key] = out
         return out
 
 

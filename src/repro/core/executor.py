@@ -294,9 +294,10 @@ class PipelinePhase:
         """The one validation site of every transport call: every row
         the plan packs exists in the arrays it packs from, and every
         row it places fits its destination — the ghost buffers of a
-        gather or scatter, the plan's own extents for the arrays an
-        append or remap allocates.  In the flat layout a violation
-        would silently address the next rank's rows."""
+        gather or scatter, the plan's own extents for the arrays the
+        backend allocates (an append's, a remap's, and a gather's
+        without ghosts).  In the flat layout a violation would silently
+        address the next rank's rows."""
         if self.kind not in STAGE_KINDS:
             raise ValueError(f"unknown pipeline phase kind {self.kind!r}")
         if self.op is not None and not hasattr(self.op, "at"):
@@ -318,11 +319,10 @@ class PipelinePhase:
                 raise IndexError(
                     f"rank {p}: plan wants element {plan.send_max[p]} "
                     f"but local array has {n_rows[p]}")
-        if self.kind == "gather" and self.dests is None:
-            self.dests = allocate_ghosts(plan, self.sources)
         ghosts = self.sources if scatter else self.dests
-        if ghosts is None:
-            room, what = plan.extent, "plan extent"
+        if ghosts is None:   # the backend allocates the plan's extents
+            room = plan.extent
+            what = "ghost buffer" if self.kind == "gather" else "plan extent"
         else:
             room, what = _leading(machine, ghosts, "ghosts"), "ghost buffer"
         need = np.maximum(plan.extent, plan.place_max + 1)

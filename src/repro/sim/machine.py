@@ -20,7 +20,7 @@ loosely-synchronous execution model of CHAOS applications.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +49,20 @@ def _payload_bytes(obj: Any) -> int:
     if isinstance(obj, dict):
         return sum(_payload_bytes(k) + _payload_bytes(v) for k, v in obj.items())
     return 64
+
+
+class _ExchangeCost(NamedTuple):
+    """One compiled exchange, priced (:meth:`Machine._exchange_cost`):
+    the per-rank seconds and the ranks they are charged on, every
+    message's sender, receiver and bytes, and the totals."""
+
+    seconds: np.ndarray
+    charged: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    nbytes: np.ndarray
+    n_messages: int
+    total_bytes: int
 
 
 class Machine:
@@ -132,14 +146,19 @@ class Machine:
         self.check_rank(rank)
         self.clocks[rank].advance(seconds, category)
 
-    def _charge_vec(self, unit: float, ops, category: str, mask) -> None:
+    def _vec_seconds(self, unit: float, ops) -> np.ndarray:
+        """Per-rank seconds of ``ops[p]`` operations at ``unit`` seconds
+        each, validated: the pure half of the array charges."""
         ops = np.asarray(ops, dtype=np.float64)
         if ops.shape != (self.n_ranks,):
             raise ValueError(
                 f"need one op count per rank, got shape {ops.shape}")
         if ops.min() < 0:
             raise ValueError(f"negative op count: {ops.min()}")
-        self.clocks.advance(unit * ops, category, mask)
+        return unit * ops
+
+    def _charge_vec(self, unit: float, ops, category: str, mask) -> None:
+        self.clocks.advance(self._vec_seconds(unit, ops), category, mask)
 
     def charge_compute_vec(self, ops, category: str = "compute",
                            mask=None) -> None:
@@ -206,8 +225,19 @@ class Machine:
         same message count, bytes, tags, and per-rank time — followed by
         the same barrier.  The data itself moves inside the executor
         backend with fused numpy operations; this method only performs
-        the accounting.
+        the accounting: :meth:`_exchange_cost` prices the exchange,
+        :meth:`_apply_exchange` charges that price.
         """
+        self._apply_exchange(self._exchange_cost(counts, elem_nbytes),
+                             tag, category, sync)
+
+    def _exchange_cost(self, counts, elem_nbytes) -> _ExchangeCost:
+        """The pure half of :meth:`exchange_compiled`: validation, the
+        non-empty off-rank pairs (row-major, the order :meth:`alltoallv`
+        records them in), their bytes and hops, the per-rank seconds and
+        the message and byte totals.  It depends on the arguments, the
+        cost model and the topology only, so a caller holding those
+        fixed may keep it and charge it again."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self.n_ranks, self.n_ranks):
             raise ValueError(
@@ -224,25 +254,32 @@ class Machine:
         mask = counts > 0
         np.fill_diagonal(mask, False)  # self-deliveries are free local copies
         src, dst = np.nonzero(mask)  # row-major: same order as alltoallv
-        if src.size:
-            nbytes = counts[src, dst] * eb[src]
-            hops = np.maximum(1, self.hop_matrix()[src, dst])
-            cm = self.cost_model
-            dts = (cm.alpha + cm.beta * nbytes.astype(np.float64)
-                   + cm.gamma * (hops - 1).astype(np.float64))
-            per_rank = np.zeros(self.n_ranks)
-            np.add.at(per_rank, src, dts)
-            np.add.at(per_rank, dst, dts)
-            self.clocks.advance(per_rank, category, mask=per_rank != 0)
+        nbytes = counts[src, dst] * eb[src]
+        hops = np.maximum(1, self.hop_matrix()[src, dst])
+        cm = self.cost_model
+        dts = (cm.alpha + cm.beta * nbytes.astype(np.float64)
+               + cm.gamma * (hops - 1).astype(np.float64))
+        per_rank = np.zeros(self.n_ranks)
+        np.add.at(per_rank, src, dts)
+        np.add.at(per_rank, dst, dts)
+        return _ExchangeCost(per_rank, per_rank != 0, src, dst, nbytes,
+                             int(src.size), int(nbytes.sum()))
+
+    def _apply_exchange(self, cost: _ExchangeCost, tag: str,
+                        category: str, sync: bool = True) -> None:
+        """Charge a priced exchange: one clock add, one traffic add (the
+        individual records only when the traffic log keeps them), then
+        the barrier."""
+        if cost.n_messages:
+            self.clocks.advance(cost.seconds, category, mask=cost.charged)
             records = None
             if self.traffic.record:
                 records = [
                     Message(src=int(s), dst=int(d), nbytes=int(b), tag=tag)
-                    for s, d, b in zip(src, dst, nbytes)
+                    for s, d, b in zip(cost.src, cost.dst, cost.nbytes)
                 ]
-            self.traffic.add_bulk(
-                int(src.size), int(nbytes.sum()), tag, records
-            )
+            self.traffic.add_bulk(cost.n_messages, cost.total_bytes, tag,
+                                  records)
         if sync:
             self.barrier()
 

@@ -37,7 +37,7 @@ from repro.core import (
     split_by_block,
 )
 from repro.core.backends import Backend, SerialBackend, VectorizedBackend
-from repro.sim import Machine
+from repro.sim import PARAGON, FullCrossbar, Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
 
@@ -295,3 +295,99 @@ class TestExchangeCompiled:
         assert m1.traffic.messages == m2.traffic.messages
         for c1, c2 in zip(m1.clocks, m2.clocks):
             assert c1.time == pytest.approx(c2.time, rel=1e-12)
+
+
+def _charge_afresh(machine, stage, n_cols, row_bytes, category):
+    """A stage's charges derived on every call, through
+    ``exchange_compiled`` and the machine's array charges."""
+    plan, kind = stage.plan, stage.kind
+    counts = plan.counts
+    packed, placed = np.diff(plan.send_base), np.diff(plan.recv_base)
+    if kind == "append":
+        placed = placed - counts.diagonal()
+    if kind == "scatter":
+        packed, placed, counts = placed, packed, counts.T
+    machine.charge_copyops_vec(n_cols * packed, category,
+                               mask=None if kind == "append" else packed > 0)
+    machine.exchange_compiled(
+        counts, row_bytes, category=category,
+        tag={"append": "scatter_append", "remap": "remap_data"}.get(kind,
+                                                                    kind))
+    machine.charge_copyops_vec(n_cols * placed, category, mask=placed > 0)
+
+
+class TestStageChargeCache:
+    """The vectorized executor derives a stage's charges once per plan,
+    kind, columns, row bytes, cost model and topology; charging from
+    that cache must equal deriving them on every call, exactly."""
+
+    N_CALLS = 3
+
+    @staticmethod
+    def _plans(seed=5, n_ranks=4, n=70):
+        rng = np.random.default_rng(seed)
+        m = Machine(n_ranks)
+        rt = ChaosRuntime(m)
+        tt = rt.irregular_table(rng.integers(0, n_ranks, n))
+        x = rt.distribute(rng.standard_normal(n), tt)
+        x3 = rt.distribute(rng.standard_normal((n, 3)), tt)
+        rt.hash_indirection(tt, split_by_block(rng.integers(0, n, 160), m),
+                            "s")
+        sched = rt.build_schedule(tt, "s")
+        plan = remap(rt.ctx, tt.dist, rt.irregular_table(
+            rng.integers(0, n_ranks, n)).dist)
+        lw = build_lightweight_schedule(
+            rt.ctx, [rng.integers(0, n_ranks, c)
+                     for c in rng.integers(0, 9, n_ranks)])
+        cols = [[rng.standard_normal(c) for c in lw.send_base[1:]
+                 - lw.send_base[:-1]]]
+        return sched, plan, lw, cols, x, x3
+
+    def _observe(self, machine, sched, plan, lw, cols, x, x3):
+        ctx = ExecutionContext.resolve(machine, "vectorized")
+        x, x3 = [a.copy() for a in x.local], [a.copy() for a in x3.local]
+        out = []
+        for _ in range(self.N_CALLS):
+            g, g3 = gather(ctx, sched, x), gather(ctx, sched, x3)
+            scatter(ctx, sched, x, g)
+            scatter_op(ctx, sched, x3, g3, np.add)
+            scatter_op(ctx, sched, x, g, np.maximum)
+            out += remap_array(ctx, plan, x3)
+            out += scatter_append_multi(ctx, lw, cols)[0]
+        clocks = machine.clocks
+        return ([a.tobytes() for a in x + x3 + out],
+                clocks.time.tobytes(),
+                {name: (v.tobytes(), c.tobytes())
+                 for name, (v, c) in clocks._cats.items()},
+                machine.traffic.snapshot(), list(machine.traffic.messages))
+
+    def test_cached_charges_equal_fresh_ones(self, monkeypatch):
+        plans = self._plans()
+        with monkeypatch.context() as mp:
+            mp.setattr(VectorizedBackend, "_charge_stage",
+                       staticmethod(_charge_afresh))
+            ref = self._observe(Machine(4, record_messages=True), *plans)
+        assert not plans[0]._charges   # nothing cached yet
+        got = self._observe(Machine(4, record_messages=True), *plans)
+        assert got == ref
+        # gather, scatter at k=1 and k=3; scatter_op(np.maximum) shares
+        # the k=1 scatter entry
+        assert len(plans[0]._charges) == 4
+
+    @pytest.mark.parametrize("machine_kw", [
+        {"cost_model": PARAGON}, {"topology": FullCrossbar(4)}],
+        ids=["cost_model", "topology"])
+    def test_one_plan_charges_each_machine_its_own_costs(
+            self, machine_kw, monkeypatch):
+        plans = self._plans()
+        self._observe(Machine(4), *plans)   # the caches hold this machine
+        with monkeypatch.context() as mp:
+            mp.setattr(VectorizedBackend, "_charge_stage",
+                       staticmethod(_charge_afresh))
+            ref = self._observe(Machine(4, record_messages=True,
+                                        **machine_kw), *plans)
+        got = self._observe(Machine(4, record_messages=True, **machine_kw),
+                            *plans)
+        assert got == ref
+        assert got != self._observe(Machine(4, record_messages=True),
+                                    *plans)

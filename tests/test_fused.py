@@ -26,8 +26,12 @@ Covered here:
   hit-preserving rebuild when a schedule is re-inspected);
 * the flat-move differential: every primitive over every buffer shape
   the executor distinguishes (arena, plain list, degraded arena,
-  oversize or shared ghost buffers, another dtype, empty ranks) equals
-  ``serial`` byte for byte, message for message, clock for clock.
+  oversize or shared ghost buffers, dead ghost slots, another dtype,
+  empty ranks) equals ``serial`` byte for byte, message for message,
+  clock for clock;
+* hand-built plans that slot order would fold differently from the
+  pair loop (descending slots in one segment, one slot shared by two
+  sources) keep their receive-stream order.
 """
 
 import gc
@@ -35,7 +39,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -43,6 +47,7 @@ from repro.core import (
     ExecutionContext,
     PipelinePhase,
     RankArena,
+    Schedule,
     allocate_ghosts,
     as_arena,
     build_lightweight_schedule,
@@ -548,7 +553,7 @@ def test_fused_cache_stats_and_rebuild():
 _OPS = ("gather", "scatter", "scatter_add", "scatter_max", "append1",
         "append2", "append3", "remap")
 _SHAPES = ("arena", "plain", "rebound", "oversize", "shared_ghosts",
-           "other_dtype", "empty_ranks")
+           "dead_slots", "other_dtype", "empty_ranks")
 
 
 def _shape_buffers(shape, rng, seq):
@@ -572,9 +577,16 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
     live = max(1, n_ranks // 2) if shape == "empty_ranks" else n_ranks
     tt = rt.irregular_table(rng.integers(0, live, n))
     x = rt.distribute(rng.standard_normal((n, k) if k > 1 else n), tt)
-    rt.hash_indirection(tt, split_by_block(rng.integers(0, n, n_ref), m), "a")
+    refs_a = rng.integers(0, n, n_ref)
+    rt.hash_indirection(tt, split_by_block(refs_a, m), "a")
     rt.hash_indirection(tt, split_by_block(rng.integers(0, n, n_ref // 2 + 1),
                                            m), "b")
+    if shape == "dead_slots":
+        # "a" re-hashed over part of its references, as after an
+        # untargeted adapt: the slots of the entries it dropped stay in
+        # the ghost buffer, which its schedule now covers only in part
+        clear_stamp(rt.ctx, rt.hash_tables(tt), "a")
+        rt.hash_indirection(tt, split_by_block(refs_a[:n_ref // 2], m), "a")
     sched, sched_b = rt.build_schedule(tt, "a"), rt.build_schedule(tt, "b")
     ctx = ExecutionContext.resolve(m, backend)
     data = _shape_buffers(shape, rng, x.local)
@@ -609,16 +621,21 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
     m.reset_clocks()
     m.reset_traffic()
     out = []
+    combiner = {"scatter_add": np.add, "scatter_max": np.maximum}.get(op)
     if op == "gather" and shape == "shared_ghosts":
         run_pipeline(ctx, [gather_phase(sched, data, ghosts),
                            gather_phase(sched_b, data, ghosts)])
+    elif op.startswith("scatter") and shape == "shared_ghosts":
+        # both schedules return their part of one table-wide ghost list
+        run_pipeline(ctx, [PipelinePhase("scatter", s, ghosts, dests=data,
+                                         op=combiner)
+                           for s in (sched, sched_b)])
     elif op == "gather":
         gather(ctx, sched, data, ghosts)
     elif op == "scatter":
         scatter(ctx, sched, data, ghosts)
     elif op.startswith("scatter_"):
-        scatter_op(ctx, sched, data, ghosts,
-                   np.add if op == "scatter_add" else np.maximum)
+        scatter_op(ctx, sched, data, ghosts, combiner)
     elif op == "remap":
         out = [remap_array(ctx, plan, data)]
     else:
@@ -630,6 +647,19 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
 
 
 @settings(max_examples=30, deadline=None)
+# every scatter kind over dead slots and over a shared ghost list, always
+@example(op="scatter", shape="dead_slots", seed=1, n_ranks=4, n=40,
+         n_ref=90, k=1)
+@example(op="scatter_add", shape="dead_slots", seed=2, n_ranks=3, n=30,
+         n_ref=80, k=3)
+@example(op="scatter_max", shape="dead_slots", seed=3, n_ranks=5, n=40,
+         n_ref=90, k=1)
+@example(op="scatter", shape="shared_ghosts", seed=4, n_ranks=4, n=40,
+         n_ref=90, k=3)
+@example(op="scatter_add", shape="shared_ghosts", seed=5, n_ranks=3,
+         n=30, n_ref=80, k=1)
+@example(op="scatter_max", shape="shared_ghosts", seed=6, n_ranks=5,
+         n=40, n_ref=90, k=1)
 @given(
     op=st.sampled_from(_OPS),
     shape=st.sampled_from(_SHAPES),
@@ -653,3 +683,34 @@ def test_flat_moves_equal_serial(op, shape, seed, n_ranks, n, n_ref, k):
                 == [set(c) - {"idle"} for c in ref[3]])
         _assert_clocks_match(ref[3], got[3])
         assert got == flat[0], backend       # one kernel: clocks exact
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_descending_slots_fold_in_receive_order(backend):
+    """A hand-built plan whose one (receiver, source) segment names one
+    element in two slots, descending: slot order would fold 1e16 last
+    and lose the 1.0, so the plan keeps its receive-order pair."""
+    m = Machine(2)
+    ctx = ExecutionContext.resolve(m, backend)
+    sched = Schedule(counts=[[0, 2], [0, 0]], send=[0, 0], place=[1, 0],
+                     extent=[0, 2])
+    data = RankArena.adopt([np.array([-1e16]), np.zeros(0)])
+    ghosts = RankArena.adopt([np.zeros(0), np.array([1.0, 1e16])])
+    scatter_op(ctx, sched, data, ghosts, np.add)
+    assert data[0][0] == 1.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_shared_slot_reaches_every_owner(backend):
+    """Two sources placed in one ghost slot: a gather keeps the last
+    arrival, a scatter returns the slot to both owners — the plan keeps
+    its receive-order pair, which slot order would collapse to one."""
+    m = Machine(3)
+    ctx = ExecutionContext.resolve(m, backend)
+    sched = Schedule(counts=[[0, 0, 1], [0, 0, 1], [0, 0, 0]], send=[0, 0],
+                     place=[0, 0], extent=[0, 0, 1])
+    data = RankArena.adopt([np.array([1.0]), np.array([2.0]), np.zeros(0)])
+    assert gather(ctx, sched, data)[2].tolist() == [2.0]
+    ghosts = RankArena.adopt([np.zeros(0), np.zeros(0), np.array([10.0])])
+    scatter_op(ctx, sched, data, ghosts, np.add)
+    assert [a.tolist() for a in data] == [[11.0], [12.0], []]

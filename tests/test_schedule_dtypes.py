@@ -124,3 +124,12 @@ def test_compiled_plan_cached_on_schedule():
     assert sched.send_indices is sched.send_indices
     assert sched.move("gather", (2, 3), (2, 2), 1) \
         is sched.move("gather", (2, 3), (2, 2), 1)
+    # one composed pair serves both directions: at k=1 a covering
+    # scatter folds into the very rows the gather reads
+    covering = Schedule(counts=[[0, 2], [1, 0]], send=[0, 1, 2],
+                        place=[0, 0, 1], extent=[1, 2])
+    src, slots = covering.move("gather", (2, 3), (1, 2), 1)
+    ghosts, dst = covering.move("scatter", (1, 2), (2, 3), 1)
+    assert slots is None and ghosts is None
+    assert dst is src
+    assert src.tolist() == [4, 0, 1]
