@@ -71,13 +71,13 @@ def collide_cells(
     hkey = hash_permutation_key(seed, 71, step, ids)
     order = _pair_order(hkey, cells)
     sc = cells.take(order)
-    # segment-local index of each particle within its cell
-    same_as_next = np.append(sc[1:] == sc[:-1], False)
-    pos = np.arange(n, dtype=np.int64)
-    seg_start = np.maximum.accumulate(
-        np.where(np.insert(same_as_next[:-1], 0, False), 0, pos))
-    # pair k = (local 2k, local 2k+1); odd leftover skips
-    first = np.flatnonzero(((pos - seg_start) % 2 == 0) & same_as_next)
+    # runs of equal cells: a run's pairs are its local (0, 1), (2, 3), ...
+    # and an odd leftover sits out
+    head = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
+    pairs = np.diff(head, append=n) // 2
+    before = np.cumsum(pairs) - pairs  # pairs in the runs before
+    first = np.arange(0, 2 * pairs.sum(), 2, dtype=np.int64)
+    first += np.repeat(head - 2 * before, pairs)
     a = order.take(first)
     b = order.take(first + 1)
 
@@ -89,11 +89,21 @@ def collide_cells(
     id_hi = np.maximum(ids_a, ids_b)
     v1, v2 = vel.take(a, axis=0), vel.take(b, axis=0)
     vcm = 0.5 * (v1 + v2)
-    vrel = np.linalg.norm(v1 - v2, axis=1)
+    # |v1 - v2| summed column by column, as np.linalg.norm adds them
+    d = v1 - v2
+    d *= d
+    vrel = d[:, 0].copy()
+    for k in range(1, d.shape[1]):
+        vrel += d[:, k]
+    np.sqrt(vrel, out=vrel)
     direction = hash_unit_vector(vel.shape[1], seed, 83, step, id_lo, id_hi)
     half = 0.5 * vrel[:, None] * direction
-    new_vel[a] = vcm + half
-    new_vel[b] = vcm - half
+    # rows as single (8 * dim)-byte items: a 1-D put moves the same bytes
+    # as a 2-D row store, in half the time
+    row = np.dtype((np.void, new_vel.itemsize * new_vel.shape[1]))
+    rows = new_vel.view(row).reshape(n)
+    rows.put(a, (vcm + half).view(row).reshape(a.size))
+    rows.put(b, (vcm - half).view(row).reshape(a.size))
     return new_vel, int(a.size)
 
 

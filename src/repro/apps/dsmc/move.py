@@ -5,6 +5,10 @@ walls, leave the domain through the outflow boundary (x >= L), and a
 deterministic inflow enters near x = 0 each step.  The functions here are
 pure — both the sequential oracle and each parallel rank call the same
 code on their own particle arrays, guaranteeing identical physics.
+
+The wall fold touches only the rows near a wall: a drifted coordinate
+strictly inside ``(0, L (1 - 1e-12))`` is its own fold, bit for bit, so
+the other rows are not visited.
 """
 
 from __future__ import annotations
@@ -22,23 +26,31 @@ def advance_positions(
 
     x (axis 0) is the flow direction: particles may leave through either
     end (handled by :func:`remove_outflow`).  Transverse axes reflect
-    elastically off the walls.
+    elastically off the walls: a drifted coordinate ``x`` folds into
+    ``[0, L]`` as ``np.mod(x, 2L)`` mirrored about ``L``, and the
+    velocity flips when ``floor(x / L)`` is odd.
+
+    Only the rows with ``x <= 0`` or ``x >= L (1 - 1e-12)`` are folded.
+    For ``0 < x < L (1 - 1e-12)`` the fold is the identity bit for bit
+    (``np.mod(x, 2L)`` is ``x`` and ``floor(x / L)`` is 0); ``-0.0`` is
+    in the folded set because ``np.mod(-0.0, 2L)`` is ``+0.0``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    pos = pset.positions + dt * pset.velocities
+    pos = dt * pset.velocities
+    np.add(pset.positions, pos, out=pos)
     vel = pset.velocities.copy()
     for k in range(1, grid.dim):
         length = grid.lengths[k]
-        # reflect (possibly multiple times for fast particles)
+        x = pos[:, k]
+        near = np.flatnonzero((x <= 0.0) | (x >= length * (1 - 1e-12)))
+        drifted = x.take(near)
         period = 2.0 * length
-        folded = np.mod(pos[:, k], period)
-        reflect = folded > length
-        pos[:, k] = np.where(reflect, period - folded, folded)
+        folded = np.mod(drifted, period)
+        x[near] = np.where(folded > length, period - folded, folded)
         # velocity flips once per odd number of wall hits
-        crossings = np.floor((pset.positions[:, k] + dt * vel[:, k]) / length)
-        vel[:, k] = np.where(crossings.astype(np.int64) % 2 != 0,
-                             -vel[:, k], vel[:, k])
+        odd = near[np.floor(drifted / length).astype(np.int64) % 2 != 0]
+        vel[odd, k] = -vel[odd, k]
     return ParticleSet(ids=pset.ids, positions=pos, velocities=vel)
 
 

@@ -151,15 +151,15 @@ class ParallelDSMC:
 
         # --- 1. move (drift + transverse reflection + outflow) ----------
         moved = advance_positions(self.particles, grid, cfg.dt)
-        keep = outflow_keep(moved, grid)
-        labels = np.repeat(np.arange(m.n_ranks), self.sizes)[keep]
-        moved = moved.select(keep)
+        rows = np.flatnonzero(outflow_keep(moved, grid))
+        labels = np.repeat(np.arange(m.n_ranks), self.sizes).take(rows)
         sizes = np.bincount(labels, minlength=m.n_ranks)
         m.charge_compute_vec(MOVE_OPS * sizes, "compute")
 
         # --- inflow: deterministic; each new molecule starts on the rank
         # owning its cell (boundary cells belong to somebody), after that
-        # rank's moved particles --------------------------------------
+        # rank's moved particles: one row selection into the moved and
+        # incoming stream keeps, drops and orders them at once ----------
         if cfg.inflow_rate > 0:
             incoming = inflow_particles(
                 grid, self.step_count, cfg.inflow_rate, self.next_id, cfg.flow
@@ -167,9 +167,12 @@ class ParallelDSMC:
             self.next_id += cfg.inflow_rate
             labels = np.concatenate((labels, self.cell_table.owner_local(
                 grid.cell_of(incoming.positions))))
-            moved = moved.concat(incoming).select(
+            new_rows = np.arange(moved.n, moved.n + incoming.n)
+            rows = np.concatenate((rows, new_rows)).take(
                 np.argsort(labels, kind="stable"))
+            moved = moved.concat(incoming)
             sizes = np.bincount(labels, minlength=m.n_ranks)
+        moved = moved.select(rows)
 
         # --- 2. migration to new cell owners ----------------------------
         if self.migration == "lightweight":

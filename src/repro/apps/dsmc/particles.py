@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.dsmc.grid import CartesianGrid
-from repro.util.prng import _fold, _unit, hash_uniform
+from repro.util.prng import _fold, _unit
 
 
 @dataclass
@@ -98,16 +98,26 @@ class FlowConfig:
             raise ValueError("speeds must be non-negative")
 
 
-def make_velocities(ids: np.ndarray, dim: int, flow: FlowConfig) -> np.ndarray:
-    """Deterministic velocities for the given particle ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    # every uniform is hash_uniform(seed, ids, *tags): fold (seed, ids) once
+def _uniforms(ids: np.ndarray, flow: FlowConfig):
+    """``uniform(*tags)`` is ``hash_uniform(flow.seed, ids, *tags)`` bit
+    for bit, with the shared ``(seed, ids)`` prefix folded once."""
     prefix = _fold((flow.seed, ids))
 
     def uniform(*tags):
         return _unit(_fold(tags, 2, prefix))
 
-    v = np.empty((ids.size, dim))
+    return uniform
+
+
+def make_velocities(ids: np.ndarray, dim: int, flow: FlowConfig) -> np.ndarray:
+    """Deterministic velocities for the given particle ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return _velocities(_uniforms(ids, flow), ids.size, dim, flow)
+
+
+def _velocities(uniform, n: int, dim: int, flow: FlowConfig) -> np.ndarray:
+    """:func:`make_velocities` from the ids' :func:`_uniforms`."""
+    v = np.empty((n, dim))
     for k in range(dim):
         # Box-Muller standard normals
         u1 = np.maximum(uniform(1000 + k, 7), 1e-12)
@@ -127,10 +137,11 @@ def uniform_population(
     if n_particles < 0:
         raise ValueError("negative particle count")
     ids = np.arange(n_particles, dtype=np.int64)
+    uniform = _uniforms(ids, flow)
     pos = np.empty((n_particles, grid.dim))
     for k in range(grid.dim):
-        pos[:, k] = hash_uniform(flow.seed, ids, 2000 + k) * grid.lengths[k]
-    vel = make_velocities(ids, grid.dim, flow)
+        pos[:, k] = uniform(2000 + k) * grid.lengths[k]
+    vel = _velocities(uniform, n_particles, grid.dim, flow)
     return ParticleSet(ids=ids, positions=pos, velocities=vel)
 
 
@@ -151,17 +162,18 @@ def plume_population(
     if decay_fraction <= 0:
         raise ValueError("decay_fraction must be positive")
     ids = np.arange(n_particles, dtype=np.int64)
+    uniform = _uniforms(ids, flow)
     pos = np.empty((n_particles, grid.dim))
     lx = grid.lengths[0]
     scale = decay_fraction * lx
-    u = np.maximum(hash_uniform(flow.seed, ids, 2100), 1e-12)
+    u = np.maximum(uniform(2100), 1e-12)
     # inverse-CDF sample of a truncated exponential on [0, lx)
     trunc = 1.0 - np.exp(-lx / scale)
     pos[:, 0] = -scale * np.log(1.0 - u * trunc)
     np.clip(pos[:, 0], 0.0, np.nextafter(lx, 0.0), out=pos[:, 0])
     for k in range(1, grid.dim):
-        pos[:, k] = hash_uniform(flow.seed, ids, 2000 + k) * grid.lengths[k]
-    vel = make_velocities(ids, grid.dim, flow)
+        pos[:, k] = uniform(2000 + k) * grid.lengths[k]
+    vel = _velocities(uniform, n_particles, grid.dim, flow)
     return ParticleSet(ids=ids, positions=pos, velocities=vel)
 
 
@@ -181,11 +193,12 @@ def inflow_particles(
     if count < 0:
         raise ValueError("negative inflow count")
     ids = np.arange(next_id, next_id + count, dtype=np.int64)
+    uniform = _uniforms(ids, flow)
     pos = np.empty((count, grid.dim))
     depth = inflow_depth * grid.cell_size[0]
-    pos[:, 0] = hash_uniform(flow.seed, ids, 31, step) * depth
+    pos[:, 0] = uniform(31, step) * depth
     for k in range(1, grid.dim):
-        pos[:, k] = hash_uniform(flow.seed, ids, 3000 + k, step) * grid.lengths[k]
-    vel = make_velocities(ids, grid.dim, flow)
+        pos[:, k] = uniform(3000 + k, step) * grid.lengths[k]
+    vel = _velocities(uniform, count, grid.dim, flow)
     vel[:, 0] = np.abs(vel[:, 0]) + 0.05  # inflow must move downstream
     return ParticleSet(ids=ids, positions=pos, velocities=vel)

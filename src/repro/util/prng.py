@@ -6,6 +6,12 @@ in memory or which rank owns a cell.  Object-style RNGs can't give that
 (their streams depend on draw order), so we derive every random quantity
 from a pure hash of logical coordinates — (seed, step, particle ids) —
 with SplitMix64, fully vectorized over uint64 numpy arrays.
+
+Scalar keys fold in Python integers.  An array key is hashed into a
+fresh array that the fold then owns: later keys are XORed and mixed into
+it in place (``_mix``, one temporary per mix).  A folded prefix can be
+shared by several streams, because a fold never writes to its keys or to
+the prefix it continues from.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ _GAMMA = np.uint64(_GAMMA_INT)
 _M1 = np.uint64(_M1_INT)
 _M2 = np.uint64(_M2_INT)
 _U53 = np.uint64((1 << 53) - 1)
+_ULP53 = 2.0 ** -53
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray:
@@ -31,12 +39,21 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray:
     uint64 wraparound is the algorithm; numpy only warns for 0-d inputs,
     so everything is promoted to at least 1-d and squeezed back.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.uint64))
-    z = (arr + _GAMMA).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    z = z ^ (z >> np.uint64(31))
+    z = _mix(np.array(x, dtype=np.uint64, ndmin=1))
     return z if np.ndim(x) else z[0]
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 on a uint64 array the caller owns, in place, with one
+    temporary; returns ``z``."""
+    t = np.empty_like(z)
+    z += _GAMMA
+    z ^= np.right_shift(z, _S30, out=t)
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=t)
+    return z
 
 
 def _splitmix64_int(x: int) -> int:
@@ -81,29 +98,51 @@ def _fold(keys, start: int = 0, acc=None):
     ``_fold(b, len(a), _fold(a))`` equals ``_fold(a + b)`` bit for bit,
     so streams drawn under one shared key prefix fold the prefix once.
     The result is a Python int while every key folded was a scalar.
+
+    Every array key is hashed into a fresh array, and the accumulator is
+    XORed into that array (or into an accumulator this call allocated)
+    and mixed in place.  A new array is allocated only when the two
+    broadcast to a shape neither has, or when a scalar key continues an
+    ``acc`` passed in.  Neither the caller's keys nor an ``acc`` passed
+    in (a prefix several streams share) is ever written.
     """
+    owned = False  # acc is an array this call allocated
     for i, k in enumerate(keys, start):
-        # the int64 -> uint64 round trip defines how negative and
+        # reading the int64 key as uint64 defines how negative and
         # >= 2**63 keys wrap, for scalars and arrays alike
-        arr = np.asarray(k, dtype=np.int64).astype(np.uint64)
+        arr = np.asarray(k, dtype=np.int64)
+        salt = _position_salt(i)
         if arr.ndim == 0:
-            h = _splitmix64_int(int(arr) ^ _position_salt(i))
+            h = _splitmix64_int((int(arr) & _MASK64) ^ salt)
         else:
-            h = splitmix64(arr ^ np.uint64(_position_salt(i)))
+            h = _mix(arr.view(np.uint64) ^ np.uint64(salt))
         if acc is None:
             acc = h
         elif isinstance(acc, int) and isinstance(h, int):
             acc = _splitmix64_int(acc ^ h)
+        elif isinstance(h, np.ndarray) and _fits(h, acc):
+            h ^= _as_uint64(acc)
+            acc = _mix(h)
+        elif owned and _fits(acc, h):
+            acc ^= _as_uint64(h)
+            acc = _mix(acc)
         else:
-            acc = splitmix64(_as_uint64(acc) ^ _as_uint64(h))
+            acc = _mix(_as_uint64(acc) ^ _as_uint64(h))
+        owned = isinstance(acc, np.ndarray)
     return acc
+
+
+def _fits(into: np.ndarray, other) -> bool:
+    """Whether ``into ^= other`` keeps ``into``'s shape."""
+    return np.ndim(other) == 0 or into.shape == np.broadcast_shapes(
+        into.shape, other.shape)
 
 
 def _unit(h) -> np.ndarray:
     """Uniforms in [0, 1) from the low 53 bits of a hash (a fold's int
     or uint64 array)."""
-    bits = _as_uint64(h) & _U53
-    return bits.astype(np.float64) / float(1 << 53)
+    # scaling by 2**-53 is exact, so this is the division by 2**53
+    return (_as_uint64(h) & _U53) * _ULP53
 
 
 def hash_uniform(*keys) -> np.ndarray:

@@ -20,7 +20,7 @@ from repro.apps.dsmc import (
     uniform_population,
 )
 from repro.apps.dsmc.collisions import _pair_order
-from repro.util import hash_permutation_key
+from repro.util import hash_permutation_key, hash_unit_vector
 
 
 class TestGrid:
@@ -169,6 +169,210 @@ class TestMove:
         assert out.n == 5
         assert next_id == 12
         assert np.array_equal(out.ids, np.arange(7, 12))
+
+
+def _reference_advance_positions(pset, grid, dt):
+    """``advance_positions`` as it stood at 213b988, verbatim: every
+    transverse coordinate folded through ``np.mod``."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    pos = pset.positions + dt * pset.velocities
+    vel = pset.velocities.copy()
+    for k in range(1, grid.dim):
+        length = grid.lengths[k]
+        # reflect (possibly multiple times for fast particles)
+        period = 2.0 * length
+        folded = np.mod(pos[:, k], period)
+        reflect = folded > length
+        pos[:, k] = np.where(reflect, period - folded, folded)
+        # velocity flips once per odd number of wall hits
+        crossings = np.floor((pset.positions[:, k] + dt * vel[:, k]) / length)
+        vel[:, k] = np.where(crossings.astype(np.int64) % 2 != 0,
+                             -vel[:, k], vel[:, k])
+    return ParticleSet(ids=pset.ids, positions=pos, velocities=vel)
+
+
+def _wall_coordinates(length):
+    """Coordinates on and around the walls of ``[0, length]``: both
+    zeros, the largest coordinate below ``length``, the edge of the
+    near-wall band, ``length`` and its multiples."""
+    band = length * (1 - 1e-12)
+    return st.sampled_from([
+        0.0, -0.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+        np.nextafter(length, 0.0), length, np.nextafter(length, 2 * length),
+        band, np.nextafter(band, 0.0), np.nextafter(band, length),
+        -length, 2 * length, -2 * length, 3 * length, 7 * length,
+    ])
+
+
+class TestAdvanceMatchesReference:
+    """The near-wall fold changes no byte of today's full-stream fold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal(self, data):
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        lengths = tuple(data.draw(st.sampled_from([1.0, 3.0, 0.7, 6.0, 2.5]))
+                        for _ in range(dim))
+        grid = CartesianGrid((4,) * dim, lengths)
+        dt = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.7, 1.0, 2.0]) |
+                       st.floats(1e-3, 5.0), label="dt")
+        n = data.draw(st.integers(0, 40), label="n")
+        pos = np.empty((n, dim))
+        vel = np.empty((n, dim))
+        for k in range(dim):
+            length = lengths[k]
+            speed = 4 * length / dt  # several periods in one step
+            pos[:, k] = data.draw(st.lists(
+                _wall_coordinates(length) | st.floats(-length, 2 * length),
+                min_size=n, max_size=n))
+            vel[:, k] = data.draw(st.lists(
+                st.sampled_from([0.0, -0.0]) | st.floats(-speed, speed),
+                min_size=n, max_size=n))
+        pset = ParticleSet(ids=np.arange(n), positions=pos, velocities=vel)
+        got = advance_positions(pset, grid, dt)
+        ref = _reference_advance_positions(pset, grid, dt)
+        assert got.ids.tobytes() == ref.ids.tobytes()
+        assert got.positions.tobytes() == ref.positions.tobytes()
+        assert got.velocities.tobytes() == ref.velocities.tobytes()
+        # the input set is left as it was
+        assert pset.positions.tobytes() == pos.tobytes()
+        assert pset.velocities.tobytes() == vel.tobytes()
+
+    def test_signed_zero_on_the_wall(self):
+        """``np.mod(-0.0, p)`` is ``+0.0``: a coordinate sitting on the
+        lower wall as ``-0.0`` leaves as ``+0.0``, as it always did."""
+        g = CartesianGrid((4, 4), (4.0, 4.0))
+        p = ParticleSet(ids=np.arange(2),
+                        positions=np.array([[1.0, -0.0], [1.0, 0.0]]),
+                        velocities=np.array([[0.0, -0.0], [0.0, -0.0]]))
+        out = advance_positions(p, g, dt=0.5)
+        ref = _reference_advance_positions(p, g, 0.5)
+        assert np.signbit(out.positions[:, 1]).tolist() == [False, False]
+        assert out.positions.tobytes() == ref.positions.tobytes()
+        assert out.velocities.tobytes() == ref.velocities.tobytes()
+
+
+def _reference_pair_order(hkey, cells):
+    """``_pair_order`` as it stood at 213b988, verbatim."""
+    by_key = np.argsort(hkey)
+    sorted_keys = hkey[by_key]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise ValueError("duplicate particle ids")
+    c = cells[by_key]
+    if c.size and c.min() >= 0 and c.max() < 1 << 16:
+        c = c.astype(np.uint16)
+    return by_key[np.argsort(c, kind="stable")]
+
+
+def _reference_collide_cells(ids, cells, velocities, step, seed=0):
+    """``collide_cells`` as it stood at 213b988, verbatim: a
+    ``maximum.accumulate`` segment walk and ``np.linalg.norm``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    vel = np.asarray(velocities, dtype=np.float64)
+    n = ids.size
+    if cells.shape != (n,) or vel.shape[0] != n:
+        raise ValueError("ids/cells/velocities length mismatch")
+    if n < 2:
+        return vel.copy(), 0
+
+    hkey = hash_permutation_key(seed, 71, step, ids)
+    order = _reference_pair_order(hkey, cells)
+    sc = cells.take(order)
+    # segment-local index of each particle within its cell
+    same_as_next = np.append(sc[1:] == sc[:-1], False)
+    pos = np.arange(n, dtype=np.int64)
+    seg_start = np.maximum.accumulate(
+        np.where(np.insert(same_as_next[:-1], 0, False), 0, pos))
+    # pair k = (local 2k, local 2k+1); odd leftover skips
+    first = np.flatnonzero(((pos - seg_start) % 2 == 0) & same_as_next)
+    a = order.take(first)
+    b = order.take(first + 1)
+
+    new_vel = vel.copy()
+    if a.size == 0:
+        return new_vel, 0
+    ids_a, ids_b = ids.take(a), ids.take(b)
+    id_lo = np.minimum(ids_a, ids_b)
+    id_hi = np.maximum(ids_a, ids_b)
+    v1, v2 = vel.take(a, axis=0), vel.take(b, axis=0)
+    vcm = 0.5 * (v1 + v2)
+    vrel = np.linalg.norm(v1 - v2, axis=1)
+    direction = hash_unit_vector(vel.shape[1], seed, 83, step, id_lo, id_hi)
+    half = 0.5 * vrel[:, None] * direction
+    new_vel[a] = vcm + half
+    new_vel[b] = vcm - half
+    return new_vel, int(a.size)
+
+
+class TestCollideMatchesReference:
+    """Pairs from cell run lengths and the column-sum speed change no
+    byte of the segment walk and ``np.linalg.norm``, for any int64 cell
+    ids."""
+
+    @staticmethod
+    def check(ids, cells, vel, step, seed):
+        got, n_got = collide_cells(ids, cells, vel, step, seed)
+        ref, n_ref = _reference_collide_cells(ids, cells, vel, step, seed)
+        assert n_got == n_ref
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal(self, data):
+        n = data.draw(st.integers(0, 70), label="n")
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        layout = data.draw(st.sampled_from(
+            ["dense", "negative", "wide", "sparse", "singletons", "one"]),
+            label="layout")
+        if layout == "dense":
+            pool = st.integers(0, 5)
+        elif layout == "negative":
+            pool = st.integers(-6, 3)
+        elif layout == "wide":
+            pool = st.integers(2**16 - 2, 2**16 + 2)
+        elif layout == "sparse":
+            pool = st.sampled_from([-2**62, -70_001, 3, 3 + 2**32, 2**20 + 1,
+                                    2**40, 2**63 - 1])
+        else:
+            pool = st.integers(-2**63, 2**63 - 1)
+        cells = np.array(data.draw(st.lists(pool, min_size=n, max_size=n)),
+                         dtype=np.int64)
+        if layout == "singletons":
+            cells = np.arange(n, dtype=np.int64) * 5 - 7
+        elif layout == "one":
+            cells = np.full(n, cells[0] if n else 0, dtype=np.int64)
+        ids = np.array(data.draw(st.lists(
+            st.integers(-2**40, 2**40), min_size=n, max_size=n,
+            unique=True)), dtype=np.int64)
+        vel = np.array(data.draw(st.lists(
+            st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]),
+            min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+        self.check(ids, cells, vel, data.draw(st.integers(0, 9)),
+                   data.draw(st.integers(0, 99)))
+
+    @pytest.mark.parametrize("cells", [
+        [-3, -3, -3, 7, 7, -3, 2**16, 2**16, 2**16 + 9],  # negative, wide
+        [5, 2**40, 5, 5, 2**40, -2**62, 5],               # sparse, odd runs
+        [7, 7 + 2**32, 7, 7 + 2**32, 7],                  # 2**32 apart
+        [0, 1, 2, 3, 4, 5],                               # all singletons
+        [9] * 7,                                          # one odd cell
+    ])
+    def test_cell_id_layouts(self, rng, cells):
+        cells = np.array(cells, dtype=np.int64)
+        ids = rng.permutation(1000)[:cells.size]
+        vel = rng.standard_normal((cells.size, 3))
+        self.check(ids, cells, vel, 4, 17)
+
+    def test_stream_sized(self, rng):
+        """Thousands of particles over a 12x6x6 grid's cell ids."""
+        n = 5000
+        cells = rng.integers(0, 432, n)
+        ids = rng.permutation(4 * n)[:n]
+        vel = rng.standard_normal((n, 3)) * 2.0
+        self.check(ids, cells, vel, 3, 12346)
 
 
 class TestCollisions:

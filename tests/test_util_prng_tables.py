@@ -71,6 +71,9 @@ def _reference_uniform(*keys):
 
 _IDS = np.arange(200, dtype=np.int64) * 7 - 300
 _HUGE = np.array([2**63, 2**64 - 1, 5], dtype=np.uint64)
+_IDS32 = _IDS.astype(np.int32)
+_HIGH = np.arange(2**63, 2**63 + 40, 3, dtype=np.uint64)  # all >= 2**63
+_NEG = -np.arange(1, 60, dtype=np.int64) * 2**40             # all < 0
 
 
 class TestCombineMatchesReference:
@@ -87,6 +90,10 @@ class TestCombineMatchesReference:
         (_IDS[:5, None], 4, _IDS[None, :7]),           # broadcasting
         (_HUGE, 1), (-5, _HUGE, 2**63 - 1),            # >= 2**63, negative
         (0,) * 12 + (_IDS,),                           # many positions
+        (_IDS32,), (9, _IDS32, 101), (_IDS32, _IDS),   # int32 arrays
+        (_HIGH,), (4, _HIGH, 2), (_HIGH, _HIGH[::-1].copy()),
+        (_NEG,), (_NEG, 8, -9), (3, _NEG, _NEG[::-1].copy()),
+        (np.array([-1, -2**63, 2**63 - 1]), 6),        # int64 extremes
     ])
     def test_bit_identical(self, keys):
         from repro.util.prng import _combine
@@ -144,6 +151,41 @@ class TestCombineMatchesReference:
         assert np.array_equal(
             hash_unit_vector(3, *keys),
             np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1))
+
+    @pytest.mark.parametrize("ids", [_IDS, _IDS32, _HIGH, _NEG])
+    def test_shared_prefix_is_not_written(self, ids):
+        """Two streams drawn from one folded prefix: the prefix and the
+        caller's ids are left as they were, and each stream is the
+        from-scratch fold."""
+        from repro.util.prng import _combine, _fold
+
+        ids_before = ids.copy()
+        prefix = _fold((5, ids))
+        prefix_before = prefix.copy()
+        streams = [_fold((31, 7), 2, prefix), _fold((3001, 7), 2, prefix),
+                   _fold((ids, 1), 2, prefix)]
+        assert np.array_equal(ids, ids_before) and ids.dtype == ids_before.dtype
+        assert np.array_equal(prefix, prefix_before)
+        for got, tags in zip(streams, [(31, 7), (3001, 7), (ids, 1)]):
+            assert np.array_equal(got, _combine(5, ids, *tags))
+            assert np.array_equal(got, _reference_combine(5, ids, *tags))
+            assert not np.shares_memory(got, prefix)
+            assert not np.shares_memory(got, ids)
+
+    def test_broadcast_fold_leaves_its_keys_alone(self):
+        """A fold whose keys broadcast to a larger shape allocates its
+        result instead of writing into either key's hash."""
+        from repro.util.prng import _combine, _fold
+
+        col, row = _IDS[:5, None].copy(), _IDS[None, :7].copy()
+        col_prefix = _fold((4, col))
+        before = col_prefix.copy()
+        got = _fold((row,), 2, col_prefix)
+        assert got.shape == (5, 7)
+        assert np.array_equal(col_prefix, before)
+        assert np.array_equal(got, _combine(4, col, row))
+        assert np.array_equal(col, _IDS[:5, None])
+        assert np.array_equal(row, _IDS[None, :7])
 
     def test_python_int_beyond_int64_still_rejected(self):
         with pytest.raises(OverflowError):
