@@ -10,11 +10,11 @@ every paper table) under each backend, on four workloads:
 * a DSMC-style particle migration — one ``scatter_append`` per round
   over a light-weight schedule;
 * a four-field halo exchange — the same irregular gather over four
-  ``(n, 3)`` float64 fields as one :func:`run_pipeline` chain (one
-  four-stage plan).  Four separate ``gather`` calls are four one-stage
-  plans through the same executor, so there is no second path to
-  compare against; the script only asserts that splitting the chain up
-  is not faster than the chain;
+  ``(n, 3)`` float64 fields as one :func:`run_pipeline` chain.  The
+  chain and four separate ``gather`` calls are one path — four stages
+  through ``Backend.run_stage`` either way — so there is no second path
+  to compare against; the script only asserts that splitting the chain
+  up is not faster than the chain;
 * the rank-count column, ``sweep_p64``: the e2e ``static_sweep`` shape at
   quarter size on 64 ranks (``(n, 3)`` gather + scalar gather +
   ``scatter_add`` over one windowed schedule).  At P=16 a Python loop
@@ -277,9 +277,8 @@ def test_backend_ablation():
 
 
 def check_chain_not_slower(times) -> None:
-    """One four-stage plan must not lose to four one-stage plans (it
-    does the same moves with one validation and one rank loop); 10 %
-    covers best-of-N timer noise."""
+    """The four-stage chain must not lose to the four calls (it runs
+    the same four stages); 10 % covers best-of-N timer noise."""
     v = times["vectorized"]
     assert v["halo_x4"] <= 1.1 * v["halo_x4_calls"], v
 

@@ -16,9 +16,9 @@ against data array y distributed with elements 1..5 on processor 0 and
     merged_shedABC (stamp a+b+c)  -> gathers elements 7, 9, 8, 10
 
 then runs an adaptive gather loop through :func:`run_pipeline` with a
-``loop_id``, showing the fused-plan cache reusing one compiled chain
-across iterations — and rebuilding it exactly once after a stamp is
-cleared and re-hashed.
+``loop_id``, showing the chain-reuse counter hit while the chain's
+plans stay the same across iterations — and rebuild exactly once after
+a stamp is cleared and re-hashed.
 
 Run:  python examples/schedule_reuse.py
 """
@@ -83,9 +83,9 @@ def main() -> None:
           f"({len(ht0) - entries_before} new), "
           f"sched_B now gathers {sorted(fetched(e('b')))}")
 
-    # fused pipelines in an adaptive loop: two gathers over sched_A,
-    # compiled into one single-permutation pass and cached under the
-    # loop id.  Iteration 1 builds the fused plan, iterations 2-3 hit.
+    # a pipeline in an adaptive loop: two gathers over sched_A, run
+    # stage after stage and counted under the loop id.  Iteration 1
+    # builds the chain entry, iterations 2-3 hit.
     y = rt.distribute(np.arange(1.0, 11.0), ttable)
     w = rt.distribute(np.arange(1.0, 11.0) ** 2, ttable)
     sched = rt.build_schedule(ttable, e("a"))
@@ -97,11 +97,11 @@ def main() -> None:
             loop_id="example:field_gather",
         )
     st = rt.cache_stats("example:field_gather", fused=True)
-    print(f"\nfused plan cache after 3 iterations: "
+    print(f"\npipeline chain reuse after 3 iterations: "
           f"{st.hits} hits, {st.builds} builds")
 
     # re-hash stamp a (the mesh adapted): the next pipeline run detects
-    # the stale chain and rebuilds the fused plan exactly once
+    # the stale chain and rebuilds its entry exactly once
     rt.clear_stamp(ttable, "a")
     rt.hash_indirection(ttable, to0([1, 3, 7, 9, 2]), "a")
     sched = rt.build_schedule(ttable, e("a"))
@@ -112,7 +112,7 @@ def main() -> None:
         loop_id="example:field_gather",
     )
     st = rt.cache_stats("example:field_gather", fused=True)
-    print(f"after a stamp change + rebuild:      "
+    print(f"after a stamp change + rebuild:          "
           f"{st.hits} hits, {st.builds} builds")
     assert (st.hits, st.builds) == (2, 2)
 

@@ -164,8 +164,8 @@ class ParallelMD:
         block = BlockDistribution(s.n_atoms, m.n_ranks)
         plan = remap(self.ctx, block, dist, category="remap")
         split = lambda a: [a[block.global_indices(p)] for p in m.ranks()]  # noqa: E731
-        # all atom-associated arrays move with one plan (Phase B) — one
-        # fused pack/permute/apply pass instead of four remap rounds
+        # all atom-associated arrays move with one plan (Phase B), as
+        # one chain of four remap stages
         self.pos, self.vel, self.mass, self.charge = run_pipeline(
             self.ctx,
             [remap_phase(plan, split(s.positions)),
@@ -262,7 +262,7 @@ class ParallelMD:
         self._loop_nb.setup()
         # static ghost data: charges (atoms' charges never change); in
         # multiple mode both schedules fill one table-wide ghost buffer,
-        # fused into a single pass
+        # one chain of two gathers
         charge_ghost = allocate_ghosts(self.sched_nb, self.charge)
         phases = [gather_phase(self.sched_nb, self.charge, charge_ghost)]
         if self.schedule_mode == "multiple":

@@ -47,7 +47,6 @@ from repro.core.inspector import (
 from repro.core.executor import (
     PipelinePhase,
     allocate_ghosts,
-    fusable,
     gather,
     gather_phase,
     run_pipeline,
@@ -76,10 +75,7 @@ from repro.core.backends import (
 )
 from repro.core.compiled import (
     CommPlan,
-    FusedPlan,
-    FusedStage,
     RankArena,
-    StageBind,
     as_arena,
 )
 from repro.core.iteration import (
@@ -137,7 +133,6 @@ __all__ = [
     "rehash_delta",
     "PipelinePhase",
     "allocate_ghosts",
-    "fusable",
     "gather",
     "gather_phase",
     "run_pipeline",
@@ -160,10 +155,7 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "CommPlan",
-    "FusedPlan",
-    "FusedStage",
     "RankArena",
-    "StageBind",
     "as_arena",
     "IterationAssignment",
     "block_iteration_slices",

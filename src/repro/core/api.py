@@ -197,8 +197,8 @@ class ChaosRuntime:
         returned :class:`~repro.core.reuse.CacheStats` carries ``hits``,
         ``builds``, ``delta_rebuilds``, ``evictions`` and
         ``resident_bytes``.  With ``fused=True`` it reports the loop's
-        *fused-plan* entry instead (the chain cached by
-        ``run_pipeline(..., loop_id=key)``), so fusion effectiveness is
+        pipeline *chain-reuse* counter instead (the chain counted by
+        ``run_pipeline(..., loop_id=key)``), so chain reuse is
         observable per loop id.
         """
         if fused:

@@ -9,10 +9,10 @@ pipeline, spanning both halves of the inspector/executor split:
   arguments are per-rank sequences read as one rank-major stream
   (:func:`~repro.core.hashtable.stream_of`), and localized indices come
   back as a :class:`~repro.core.compiled.RankArena`, which is both forms;
-* **executor phase** — :meth:`Backend.run_fused`: a *stage list*, each
-  stage one precomputed pack → exchange → place plan.  ``gather``,
-  ``scatter``, ``scatter_op``, ``scatter_append(_multi)`` and
-  ``remap_array`` are that one method run over a one-stage list.
+* **executor phase** — :meth:`Backend.run_stage`: one stage, a
+  precomputed pack → exchange → place plan.  ``gather``, ``scatter``,
+  ``scatter_op``, ``scatter_append(_multi)``, ``remap_array`` and every
+  link of a ``run_pipeline`` chain are that one method.
 
 The module-level functions in :mod:`repro.core.inspector`,
 :mod:`repro.core.schedule`, :mod:`repro.core.translation`,
@@ -134,16 +134,16 @@ class Backend(ABC):
     # executor phase
     # ------------------------------------------------------------------
     @abstractmethod
-    def run_fused(self, ctx, fused, binds, category: str) -> list:
-        """Execute a stage list; returns one result per stage.
+    def run_stage(self, ctx, phase, category: str):
+        """Execute one stage; returns its result.
 
-        ``fused`` is a :class:`~repro.core.compiled.FusedPlan` whose
-        stages the executor layer has already validated and — when
-        there are several — deemed legal to run as one plan; ``binds``
-        aligns one :class:`~repro.core.compiled.StageBind` with each
-        stage.  Stage results: the ghost arrays for gather, ``None`` for
-        scatter, fresh per-rank arrays for remap, and one fresh per-rank
-        list per bound column for append.
+        ``phase`` is a :class:`~repro.core.executor.PipelinePhase` the
+        executor layer has already validated: its ``kind``, ``plan``,
+        combiner ``op``, the per-rank lists it reads (``columns()``)
+        and the ones it writes (``dests``, ``None`` for the kinds whose
+        outputs the backend allocates).  Results: the ghost arrays for
+        gather, ``None`` for scatter, fresh per-rank arrays for remap,
+        and one fresh per-rank list per column for append.
 
         Every backend must stay bitwise-identical to the serial
         reference — same results, same traffic message-for-message,

@@ -207,27 +207,21 @@ class SerialBackend(Backend):
             m.charge_memops(h, served, category)
 
     # ------------------------------------------------------------------
-    # executor phase: the reference multi-pass stage loop
+    # executor phase: one stage through its per-primitive method
     # ------------------------------------------------------------------
-    def run_fused(self, ctx, fused, binds, category):
-        """Each stage through its own per-primitive method below, in
-        order — the semantics every other backend is tested against."""
-        out = []
-        for stage, bind in zip(fused.stages, binds):
-            if stage.kind == "gather":
-                out.append(self.gather(ctx, stage.plan, bind.columns[0],
-                                       bind.dests, category))
-            elif stage.kind == "scatter":
-                self.scatter(ctx, stage.plan, bind.dests, bind.columns[0],
-                             stage.op, category)
-                out.append(None)
-            elif stage.kind == "append":
-                out.append(self.scatter_append_multi(
-                    ctx, stage.plan, bind.columns, category))
-            else:  # remap (FusedPlan validates kinds)
-                out.append(self.remap_array(ctx, stage.plan,
-                                            bind.columns[0], category))
-        return out
+    def run_stage(self, ctx, phase, category):
+        """The stage through its own per-primitive method below — the
+        semantics every other backend is tested against."""
+        plan, columns = phase.plan, phase.columns()
+        if phase.kind == "gather":
+            return self.gather(ctx, plan, columns[0], phase.dests, category)
+        if phase.kind == "scatter":
+            self.scatter(ctx, plan, phase.dests, columns[0], phase.op,
+                         category)
+            return None
+        if phase.kind == "append":
+            return self.scatter_append_multi(ctx, plan, columns, category)
+        return self.remap_array(ctx, plan, columns[0], category)
 
     # ------------------------------------------------------------------
     # regular schedules

@@ -19,8 +19,8 @@ request/reply matrices the same way, with page-miss detection for
 ``paged`` storage done by ``np.isin`` against the sorted page cache.
 
 **Executor half.**  Instead of visiting every ``(p, q)`` rank pair in
-Python, this backend runs every transport primitive as a stage list
-through :meth:`VectorizedBackend.run_fused`, over the plan's own
+Python, this backend runs every stage through
+:meth:`VectorizedBackend.run_stage`, over the plan's own
 machine-wide streams and their send → receive permutation (derived
 once and cached on the :class:`~repro.core.compiled.CommPlan`).
 
@@ -46,8 +46,8 @@ scalars preserves each scalar's fold order — and traffic statistics
 match message-for-message.  Inputs the flat
 layout cannot express without changing semantics (per-rank dtype or
 row-shape mismatches, where concatenation would promote values;
-non-contiguous arrays, where raveling would copy) are delegated
-wholesale to the serial reference.
+non-contiguous arrays, where raveling would copy) send their stage to
+the serial reference; the other stages of a pipeline stay flat.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class _Move(NamedTuple):
     """One column of one stage, bound for this call: the plan's composed
     :meth:`~repro.core.compiled.CommPlan.move`, the stage's combiner,
     the raveled source and destination buffers and their row width.
-    ``dst`` is ``None`` until a plain destination list (``staged``) has
-    its staging buffer."""
+    ``dst`` is ``None`` until a plain destination list has its staging
+    buffer."""
 
     src_index: np.ndarray | None
     dst_index: np.ndarray | None
@@ -88,7 +88,6 @@ class _Move(NamedTuple):
     src: np.ndarray
     dst: np.ndarray | None
     k: int
-    staged: list | None = None
 
 
 def fused_apply(move: _Move) -> None:
@@ -99,7 +98,7 @@ def fused_apply(move: _Move) -> None:
     slices, in stream order — the combiner's fold order bit for bit —
     reading a covered source in order (no ``take``).
     """
-    src_index, dst_index, op, src, dst, k, _ = move
+    src_index, dst_index, op, src, dst, k = move
     if dst_index is None:
         n = src_index.size
         rows, out = src.reshape(-1, k), dst.reshape(-1, k)[:n]
@@ -251,11 +250,11 @@ class VectorizedBackend(Backend):
         m.charge_memops_vec(counts.sum(axis=0), category)
 
     # ------------------------------------------------------------------
-    # executor phase: stage lists
+    # executor phase: one stage
     # ------------------------------------------------------------------
-    def run_fused(self, ctx, fused, binds, category):
-        """Every column of every stage is one flat move, each through
-        the one kernel, :func:`fused_apply`.
+    def run_stage(self, ctx, phase, category):
+        """Every column of the stage is one flat move through the one
+        kernel, :func:`fused_apply`.
 
         Per column the data path is one pass through the composed
         ``pack ∘ permute ∘ place`` index pair — destination scalars
@@ -263,67 +262,48 @@ class VectorizedBackend(Backend):
         from the rank-major source buffer, with no intermediate exchange
         stream.  Arenas are addressed in place; a plain source list is
         concatenated, a plain destination list is staged (concat in,
-        kernel, per-rank copy back).  Accounting is charged per stage in
-        stage order before any data moves.  Inputs the flat layout
-        cannot express fall back to the serial reference for the whole
-        call.
+        kernel, per-rank copy back).  The stage is charged before any
+        data moves.  A stage the flat layout cannot express runs on the
+        serial reference.
         """
-        machine = ctx.machine
-        moves: list[_Move] = []
-        results, charges = [], []
-        for stage, bind in zip(fused.stages, binds):
-            plan, outs, row_bytes = stage.plan, [], 0
-            for col in bind.columns:
-                layout = rank_layout(col)
-                dlayout = (layout if bind.dests is None
-                           else rank_layout(bind.dests))
-                if (layout is None or dlayout is None
-                        or dlayout[1] != layout[1]):
-                    return get_backend("serial").run_fused(
-                        ctx, fused, binds, category)
-                sizes, trailing, k, dtype = layout
-                out, dsizes = bind.dests, dlayout[0]
-                if out is None:   # the stage allocates its output
-                    dsizes = tuple(plan.extent.tolist())
-                src_index, dst_index = plan.move(stage.kind, sizes, dsizes, k)
-                if out is None:
-                    # rows no arrival covers read as zero
-                    alloc = np.empty if dst_index is None else np.zeros
-                    out = RankArena(alloc((sum(dsizes),) + trailing,
-                                          dtype=dtype), dsizes)
-                arena, dest = as_arena(col), as_arena(out)
-                moves.append(_Move(
-                    src_index, dst_index, stage.op,
-                    _concat(col) if arena is None else arena.flat.reshape(-1),
-                    None if dest is None else dest.flat.reshape(-1), k,
-                    None if dest is not None else out))
-                outs.append(out)
-                row_bytes += k * dtype.itemsize
-            results.append(None if stage.kind == "scatter"
-                           else outs if stage.kind == "append" else outs[0])
-            charges.append((stage, len(bind.columns), row_bytes))
+        plan, dests = phase.plan, phase.dests
+        moves, outs, row_bytes = [], [], 0
+        for col in phase.columns():
+            layout = rank_layout(col)
+            dlayout = layout if dests is None else rank_layout(dests)
+            if layout is None or dlayout is None or dlayout[1] != layout[1]:
+                return get_backend("serial").run_stage(ctx, phase, category)
+            sizes, trailing, k, dtype = layout
+            out, dsizes = dests, dlayout[0]
+            if out is None:   # the stage allocates its output
+                dsizes = tuple(plan.extent.tolist())
+            src_index, dst_index = plan.move(phase.kind, sizes, dsizes, k)
+            if out is None:
+                # rows no arrival covers read as zero
+                alloc = np.empty if dst_index is None else np.zeros
+                out = RankArena(alloc((sum(dsizes),) + trailing,
+                                      dtype=dtype), dsizes)
+            arena, dest = as_arena(col), as_arena(out)
+            moves.append((_Move(
+                src_index, dst_index, phase.op,
+                _concat(col) if arena is None else arena.flat.reshape(-1),
+                None if dest is None else dest.flat.reshape(-1), k),
+                out if dest is None else None))
+            outs.append(out)
+            row_bytes += k * dtype.itemsize
 
-        for charge in charges:
-            self._charge_stage(machine, *charge, category)
-
-        # Moves run in stage order with a barrier after each, which
-        # keeps every array's writes in the order fusable() promises.  A
-        # plain destination list is staged; it may alias any other
-        # target, so it is copied back before anything else is written
-        # — consecutive stages into one list share the staging buffer.
-        held = None   # (plain destination list, its staging buffer)
-        for mv in moves:
-            if held is not None and held[0] is not mv.staged:
-                _copy_back(*held)
-                held = None
-            if mv.staged is not None:
-                if held is None:
-                    held = (mv.staged, _concat(mv.staged))
-                mv = mv._replace(dst=held[1])
-            fused_apply(mv)
-        if held is not None:
-            _copy_back(*held)
-        return results
+        self._charge_stage(ctx.machine, phase, len(outs), row_bytes,
+                           category)
+        for move, staged in moves:
+            if staged is None:
+                fused_apply(move)
+            else:   # a plain destination list: staged, then copied back
+                buf = _concat(staged)
+                fused_apply(move._replace(dst=buf))
+                _copy_back(staged, buf)
+        if phase.kind == "scatter":
+            return None
+        return outs if phase.kind == "append" else outs[0]
 
     @staticmethod
     def _charge_stage(machine, stage, n_cols, row_bytes, category) -> None:

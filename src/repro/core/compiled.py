@@ -1,4 +1,4 @@
-"""Communication plans, rank arenas and stage lists.
+"""Communication plans and rank arenas.
 
 One object, :class:`CommPlan`, is the paper's schedule artifact for
 every kind of move (§3.2.1, Tables 4–5): a ``(P, P)`` count matrix, the
@@ -22,16 +22,12 @@ The CSR helpers (:func:`split_csr`, :func:`offsets_from_counts`,
 :func:`grouped_arange`, :func:`stream_perm`) define the layout in one
 place for builders and consumers alike.
 
-On top of single plans sits the *stage list*: a :class:`FusedPlan` is a
-chain of plans — one stage for a single ``gather`` or
-``scatter_append``, several for a loop body's schedule + lightweight +
-remap sequence — executed by ``Backend.run_fused`` as one composed
-source-index / destination-index pair per stage (:meth:`CommPlan.move`)
-over *rank arenas* (:class:`RankArena`: per-rank arrays that are views
-of one rank-major buffer, so a column is addressed as one flat array).
-It is the only way the executor moves data; whether a multi-stage chain
-may run as one list is decided by the executor layer
-(:func:`repro.core.executor.fusable`).
+Every executor stage — one ``gather``, ``scatter``, ``scatter_append``
+or ``remap_array``, or one link of a pipeline — is one plan run by
+``Backend.run_stage`` as one composed source-index / destination-index
+pair per column (:meth:`CommPlan.move`) over *rank arenas*
+(:class:`RankArena`: per-rank arrays that are views of one rank-major
+buffer, so a column is addressed as one flat array).
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -145,14 +141,6 @@ def rank_layout(arrays) -> tuple | None:
             return None
         sizes.append(a.shape[0])
     return tuple(sizes), trailing, math.prod(trailing), dtype
-
-
-def root_of(a: np.ndarray) -> np.ndarray:
-    """The array owning ``a``'s memory (follows the view chain)."""
-    a = np.asarray(a)
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
 
 
 def offsets_from_counts(counts_row: np.ndarray) -> np.ndarray:
@@ -501,102 +489,9 @@ def _expand(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# stage lists
+# stage kinds
 # ---------------------------------------------------------------------
-#: stage kinds whose data flows send stream → receive stream; the rest
-#: ("scatter", with or without a combiner) flow the reverse direction
-FORWARD_KINDS = frozenset({"gather", "append", "remap"})
-
-#: every stage kind a stage list understands
-STAGE_KINDS = FORWARD_KINDS | {"scatter"}
-
-
-def is_named_ufunc(op) -> bool:
-    """Whether ``op`` is a numpy ufunc reachable as ``np.<name>`` — the
-    only combiners a multi-stage chain may carry."""
-    return (isinstance(op, np.ufunc)
-            and getattr(np, op.__name__, None) is op)
-
-
-@dataclass(frozen=True)
-class FusedStage:
-    """One collective of a stage list.
-
-    ``kind`` names the executor primitive (``"gather"``, ``"scatter"``
-    — with ``op`` for the combining variant — ``"append"``,
-    ``"remap"``); ``plan`` is the :class:`CommPlan` it runs, and ``op``
-    the combiner for scatter stages (``None`` overwrites; any object
-    with ``.at`` combines).
-    """
-
-    kind: str
-    plan: CommPlan
-    op: Any = None
-
-
-@dataclass
-class StageBind:
-    """Per-call data binding for one stage.
-
-    A stage is one set of messages; ``columns[c][p]`` are the aligned
-    per-rank arrays that travel in them (local data for the forward
-    kinds, ghost buffers for scatter).  Gather, scatter and remap
-    stages bind exactly one column.  An append stage binds one or more
-    — a particle code ships ids, positions and velocities as one record
-    — so its row's wire size is the sum over columns and its pack /
-    arrival copies are charged ``n_columns ×`` rows, while the data
-    itself moves column by column.  ``dests`` are the arrays the column
-    is written into; ``None`` for the value-returning kinds, whose
-    outputs the backend allocates.
-
-    Stage results: the ghost arrays for gather, ``None`` for scatter,
-    ``out[p]`` for remap, ``out[c][p]`` for append.
-    """
-
-    columns: list
-    dests: list | None = None
-
-
-@dataclass
-class FusedPlan:
-    """A chain of plans executed as one stage list.
-
-    The stages keep their individual count matrices and accounting —
-    traffic and clocks are charged per stage, in stage order — while a
-    backend's executor moves each column's data in a single composed
-    pass (:meth:`CommPlan.move`).  The object is a validated tuple and
-    nothing more: every cached layout lives on the stage's own plan.
-    Never cache one *on* a plan — ``FusedStage.plan`` would close a
-    reference cycle, and a dropped schedule must die by reference count
-    (adaptive loops and particle codes drop one per step, often with the
-    collector off).
-    """
-
-    stages: tuple[FusedStage, ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("a stage list needs at least one stage")
-        n = self.stages[0].plan.n_ranks
-        for stage in self.stages:
-            if stage.kind not in STAGE_KINDS:
-                raise ValueError(f"unknown stage kind {stage.kind!r}")
-            if stage.plan.n_ranks != n:
-                raise ValueError("fused stages span different machines")
-        self.stages = tuple(self.stages)
-
-    @property
-    def n_ranks(self) -> int:
-        return self.stages[0].plan.n_ranks
-
-    def matches(self, stages) -> bool:
-        """Whether this fused plan was built from exactly ``stages``
-        (same plans by identity, same kinds and combiners) — the
-        staleness check for cache layers keyed by loop id."""
-        if len(stages) != len(self.stages):
-            return False
-        return all(
-            mine.plan is theirs.plan and mine.kind == theirs.kind
-            and mine.op is theirs.op
-            for mine, theirs in zip(self.stages, stages)
-        )
+#: every kind of executor stage: "gather", "append" and "remap" move
+#: data send stream → receive stream, "scatter" (with or without a
+#: combiner) the reverse direction
+STAGE_KINDS = frozenset({"gather", "append", "remap", "scatter"})

@@ -38,10 +38,11 @@ Concurrency contract (audited for the multi-tenant server)
 The carrier is a *frozen* dataclass: every field rebind — including
 new attribute names — raises ``FrozenInstanceError``, so a context can
 be handed to another thread without defensive copying.  Backend
-resolution is thread-safe (the backend set is built once at import and
-the process default lives behind a module lock, see
-:mod:`repro.core.backends.base`) and backend instances are
-process-wide singletons compared by identity.  What is **not**
+resolution only reads shared state: the backend set is built once at
+import and never changes, and the default is read from
+``REPRO_BACKEND`` at each resolution (see
+:func:`repro.core.backends.base.default_backend`); backend instances
+are process-wide singletons compared by identity.  What is **not**
 shareable across concurrently-running tenants are the mutable services
 a context carries — the machine's clocks/traffic, the modification
 record, the schedule cache.  The server therefore gives every job its

@@ -25,19 +25,16 @@ plan, and every primitive is that plan run in one direction or the
 other: each function here (and :func:`~repro.core.lightweight.
 scatter_append`, :func:`~repro.core.remap.remap_array`) builds one
 :class:`PipelinePhase`, validates it in :meth:`PipelinePhase._prepare`
-and runs a one-stage list through ``Backend.run_fused``.
+and runs it through ``Backend.run_stage``.
 
-**Pipelines.**  Consecutive collectives in one loop body can run as a
-single plan: wrap each in a phase constructor (:func:`gather_phase`,
-:func:`scatter_phase`, :func:`scatter_op_phase`, plus
-:func:`~repro.core.lightweight.append_phase` and
-:func:`~repro.core.remap.remap_phase`) and hand the chain to
-:func:`run_pipeline`.  When the chain is legal to fuse
-(:func:`fusable`: no stage reads an array another stage writes, only
-named-ufunc combiners) the backend executes it as one stage list
-(:class:`~repro.core.compiled.FusedPlan`); otherwise the stages run as
-consecutive one-stage lists.  Results, traffic and clocks are
-bitwise-identical either way.
+**Pipelines.**  Consecutive collectives of one loop body can be handed
+over as one chain: wrap each in a phase constructor
+(:func:`gather_phase`, :func:`scatter_phase`, :func:`scatter_op_phase`,
+plus :func:`~repro.core.lightweight.append_phase` and
+:func:`~repro.core.remap.remap_phase`) and pass the list to
+:func:`run_pipeline`.  Every phase is validated before anything moves;
+then the phases run in order, each as its own stage — exactly the
+primitives called one by one.
 """
 
 from __future__ import annotations
@@ -48,15 +45,10 @@ import numpy as np
 
 from repro.core.compiled import (
     STAGE_KINDS,
-    FusedPlan,
-    FusedStage,
     RankArena,
-    StageBind,
     as_arena,
-    is_named_ufunc,
     offsets_from_counts,
     rank_layout,
-    root_of,
     split_csr,
 )
 from repro.core.context import ensure_context
@@ -253,7 +245,7 @@ def _stacked_positions(sched: Schedule, key, localized,
 
 
 # ----------------------------------------------------------------------
-# stage lists
+# stages and pipelines
 # ----------------------------------------------------------------------
 class PipelinePhase:
     """One collective: a single primitive call, or one link of a
@@ -290,7 +282,7 @@ class PipelinePhase:
             return list(self.sources)
         return [self.sources]
 
-    def _prepare(self, ctx) -> tuple[FusedStage, StageBind]:
+    def _prepare(self, ctx) -> None:
         """The one validation site of every transport call: every row
         the plan packs exists in the arrays it packs from, and every
         row it places fits its destination — the ghost buffers of a
@@ -330,8 +322,6 @@ class PipelinePhase:
             p = int(np.flatnonzero(room < need)[0])
             raise ValueError(f"rank {p}: {what} {room[p]} < required "
                              f"{need[p]}")
-        return (FusedStage(self.kind, plan, self.op),
-                StageBind(self.columns(), self.dests))
 
 
 def _leading(machine, arrays, what: str) -> np.ndarray:
@@ -372,63 +362,20 @@ def scatter_op_phase(
     return PipelinePhase("scatter", sched, ghosts, dests=data, op=op)
 
 
-def _roots(arrays) -> set[int]:
-    """Identities of the arrays owning the memory behind a per-rank
-    sequence — a single one behind an arena."""
-    if as_arena(arrays) is not None:
-        return {id(root_of(arrays.flat))}
-    return {id(root_of(a)) for a in arrays}
-
-
-def fusable(phases) -> tuple[bool, str]:
-    """Whether a phase chain is legal to fuse; ``(ok, reason)``.
-
-    Legality rules (conservative — a ``False`` here only means the
-    chain runs phase-by-phase instead):
-
-    * combiners must be *named numpy ufuncs* (``np.add``, ...), the only
-      ops every backend can apply;
-    * no stage may *read* an array any stage *writes* (compared by
-      owning memory): the fused executor binds every stage's sources
-      before applying any stage, so a later stage reading an earlier
-      stage's output would see stale data.  Stages may freely *write*
-      the same target (even all of them): the moves run in stage order
-      over the whole machine, preserving the sequential stage order per
-      array.
-    """
-    writes = set()
-    for phase in phases:
-        if phase.op is not None and not is_named_ufunc(phase.op):
-            return False, "combiner is not a named numpy ufunc"
-        if phase.dests is not None:
-            writes |= _roots(phase.dests)
-    for phase in phases:
-        for column in phase.columns():
-            if writes & _roots(column):
-                return False, "a stage reads an array another stage writes"
-    return True, ""
-
-
-def _fused_for(ctx, stages, loop_id) -> FusedPlan:
-    """The chain's :class:`FusedPlan`, through the context's
-    :class:`~repro.core.reuse.ScheduleCache` when a loop id is given."""
-    if loop_id is None:
-        return FusedPlan(stages)
-    cache = ctx.schedule_cache
-    key = loop_id + FUSED_SUFFIX
-    cached = cache.peek(key)
-    if cached is not None and cached.matches(stages):
-        # genuine reuse: route through get_or_build so the hit counts
-        # (the entry's only dep is its own key, so this cannot rebuild)
-        fused, _ = cache.get_or_build(key, (key,), lambda: cached)
-        return fused
-    # first build, or some stage's schedule was rebuilt under the same
-    # loop id: bump the entry's own dep key so get_or_build rebuilds
-    # (builds += 1) without resetting the hit counter the way
-    # invalidate() would — and without the stale probe counting a hit
-    cache.record.touch(key)
-    fused, _ = cache.get_or_build(key, (key,), lambda: FusedPlan(stages))
-    return fused
+def _count_chain(ctx, phases, loop_id: str) -> None:
+    """Count the chain in the context's
+    :class:`~repro.core.reuse.ScheduleCache` under ``loop_id +
+    FUSED_SUFFIX``: a hit when the cached chain has the same plans (by
+    identity), kinds and combiners, otherwise one build."""
+    chain = tuple((phase.kind, phase.plan, phase.op) for phase in phases)
+    cache, key = ctx.schedule_cache, loop_id + FUSED_SUFFIX
+    if cache.peek(key) != chain:   # plans compare by identity
+        # first build, or some stage's plan was rebuilt under the same
+        # loop id: bump the entry's own dep key so get_or_build rebuilds
+        # (builds += 1) without resetting the hit counter the way
+        # invalidate() would
+        cache.record.touch(key)
+    cache.get_or_build(key, (key,), lambda: chain)
 
 
 def run_pipeline(
@@ -437,41 +384,33 @@ def run_pipeline(
     category: str = "comm",
     loop_id: str | None = None,
 ) -> list:
-    """Run a chain of collectives, fused into one pass where legal.
+    """Run a chain of collectives, stage after stage.
 
-    Returns one result per phase, matching the unfused primitives:
-    the ghost arrays for gather, ``None`` for scatter/scatter_op, fresh
-    per-rank arrays for append/remap.  When :func:`fusable` rejects the
-    chain the phases run through their ordinary primitives in order —
-    results, traffic and clocks are identical either way; fusion only
-    changes how fast the data moves.
+    Returns one result per phase, matching the primitives: the ghost
+    arrays for gather, ``None`` for scatter/scatter_op, fresh per-rank
+    arrays for append/remap.  Every phase is validated before any data
+    moves; then the phases run in order, so a later phase sees what an
+    earlier one wrote — results, traffic and clocks are those of the
+    primitives called one by one.
 
-    ``loop_id`` keys the chain's :class:`~repro.core.compiled.FusedPlan`
-    through the context's schedule cache (under
-    ``loop_id + FUSED_SUFFIX``), so adaptive loops reuse the fused plan
-    across iterations and its hit/build counters are observable via
-    ``ScheduleCache.fused_stats`` / ``ChaosRuntime.cache_stats``.
+    ``loop_id`` counts the chain's reuse in the context's schedule cache
+    under ``loop_id + FUSED_SUFFIX`` (see :func:`_count_chain`),
+    observable via ``ScheduleCache.fused_stats`` /
+    ``ChaosRuntime.cache_stats(loop_id, fused=True)``.
     """
     ctx = ensure_context(ctx, "run_pipeline")
     return _run_stages(ctx, list(phases), category, loop_id)
 
 
 def _run_stages(ctx, phases, category, loop_id=None) -> list:
-    """Validate ``phases`` and run them through ``Backend.run_fused``:
-    as one stage list when the chain is legal to fuse, otherwise as
-    consecutive one-stage lists (``loop_id`` keys only a fused chain)."""
+    """Validate every phase, then run each through ``Backend.run_stage``
+    in order (``loop_id``: see :func:`_count_chain`)."""
     if not phases:
         return []
-    prepared = [phase._prepare(ctx) for phase in phases]
-    if fusable(phases)[0]:
-        stages, binds = zip(*prepared)
-        results = ctx.backend.run_fused(
-            ctx, _fused_for(ctx, stages, loop_id), binds, category)
-    else:
-        results = [
-            ctx.backend.run_fused(ctx, FusedPlan((stage,)), (bind,),
-                                  category)[0]
-            for stage, bind in prepared
-        ]
-    return [r[0] if phase.single else r
-            for phase, r in zip(phases, results)]
+    for phase in phases:
+        phase._prepare(ctx)
+    if loop_id is not None:
+        _count_chain(ctx, phases, loop_id)
+    results = [ctx.backend.run_stage(ctx, phase, category)
+               for phase in phases]
+    return [r[0] if phase.single else r for phase, r in zip(phases, results)]

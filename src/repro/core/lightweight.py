@@ -130,6 +130,6 @@ def scatter_append_multi(
 def append_phase(sched: LightweightSchedule, values: list[np.ndarray]):
     """A :func:`scatter_append` as a phase for
     :func:`~repro.core.executor.run_pipeline` — e.g. migrating several
-    aligned particle attributes over one schedule in a single fused
-    pass.  The phase's result slot holds the new per-rank arrays."""
+    particle attributes over one schedule in one chain.  The phase's
+    result slot holds the new per-rank arrays."""
     return PipelinePhase("append", sched, values, single=True)

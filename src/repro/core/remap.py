@@ -108,9 +108,8 @@ def remap_array(
 def remap_phase(plan: RemapPlan, data: list[np.ndarray]):
     """A :func:`remap_array` as a phase for
     :func:`~repro.core.executor.run_pipeline` — the paper remaps all
-    atom-associated arrays with one plan, which fuses into a single
-    pack/permute/apply pass.  The phase's result slot holds the new
-    per-rank arrays."""
+    atom-associated arrays with one plan, one chain of remap stages.
+    The phase's result slot holds the new per-rank arrays."""
     return PipelinePhase("remap", plan, data)
 
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-#: suffix appended to a loop id to key its fused-plan cache entry —
-#: fusion effectiveness stays observable per loop without changing the
-#: shape of :meth:`ScheduleCache.stats`
+#: suffix appended to a loop id to key its pipeline chain-reuse counter
+#: (:func:`repro.core.executor.run_pipeline` with a ``loop_id``) — chain
+#: reuse stays observable per loop without changing the shape of
+#: :meth:`ScheduleCache.stats`
 FUSED_SUFFIX = "::fused"
 
 
@@ -305,12 +306,12 @@ class ScheduleCache:
         )
 
     def fused_stats(self, loop_id: str) -> CacheStats:
-        """Counters of the loop's *fused-plan* cache entry.
+        """Counters of the loop's pipeline *chain-reuse* entry.
 
-        Fused pipelines keyed by ``loop_id`` cache their
-        :class:`~repro.core.compiled.FusedPlan` under
-        ``loop_id + FUSED_SUFFIX``; a hit means the whole stage chain was
-        reused as-is, a build means some stage's schedule changed."""
+        A pipeline run with ``loop_id`` caches its stage chain (each
+        stage's kind, plan and combiner) under ``loop_id +
+        FUSED_SUFFIX``; a hit means the whole chain was reused as-is, a
+        build means some stage's plan changed."""
         return self.stats(loop_id + FUSED_SUFFIX)
 
     def total_stats(self, prefix: str | None = None) -> CacheStats:

@@ -222,11 +222,11 @@ class TestRegistry:
         assert get_backend("serial") is get_backend("serial")
 
     def test_one_executor_path(self):
-        """Transport is ``run_fused`` and nothing else: no per-primitive
+        """Transport is ``run_stage`` and nothing else: no per-primitive
         method on the compiled-plan backends."""
         primitives = {"gather", "scatter", "scatter_append",
                       "scatter_append_multi", "remap_array"}
-        assert "run_fused" in Backend.__abstractmethods__
+        assert "run_stage" in Backend.__abstractmethods__
         assert not primitives & Backend.__abstractmethods__
         assert not primitives & set(vars(VectorizedBackend))
         # the serial reference keeps them; append only in the multi form

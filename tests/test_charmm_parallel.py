@@ -239,9 +239,9 @@ def test_vectorized_run_never_falls_back_to_serial(monkeypatch):
     from repro.core.backends.serial import SerialBackend
 
     def refuse(*args, **kwargs):
-        raise AssertionError("vectorized run_fused fell back to serial")
+        raise AssertionError("vectorized run_stage fell back to serial")
 
-    monkeypatch.setattr(SerialBackend, "run_fused", refuse)
+    monkeypatch.setattr(SerialBackend, "run_stage", refuse)
     with ParallelMD(build_small_system(200, seed=7),
                     ExecutionContext.resolve(Machine(4), "vectorized"),
                     dt=0.002, update_every=3) as md:

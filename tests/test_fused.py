@@ -1,34 +1,34 @@
-"""Fused pipelines (:func:`run_pipeline`) vs the unfused primitives.
+"""Pipelines (:func:`run_pipeline`) vs the primitives called one by one.
 
-The fusion contract is the backend contract one level up: a fused chain
+The pipeline contract is the backend contract one level up: a chain
 must be *observationally identical* to running its phases through the
-ordinary primitives — bitwise-equal results and ghosts, the exact same
-traffic (message counts, bytes, tags, per-message records) and per-rank
-clocks (to float round-off) — on every backend.  Fusion only
-changes how fast the data moves, never what moves or what it costs.
+ordinary primitives in order — bitwise-equal results and ghosts, the
+exact same traffic (message counts, bytes, tags, per-message records)
+and per-rank clocks (to float round-off) — on every backend.
 
 Covered here:
 
 * randomized gather + scatter_op chains (the CHARMM force pattern) and
   multi-phase remaps over one plan (the DSMC / CHARMM Phase-B pattern),
-  fused vs unfused, on every backend;
+  chained vs one by one, on every backend;
 * the "multiple schedule mode" shape: two gathers from two schedules
-  filling one shared table-wide ghost buffer in one pass;
-* legality fallbacks — a non-ufunc combiner and a chain whose scatter
-  reads the ghosts its gather writes both run unfused, with identical
-  results; a three-stage illegal chain equals its primitives called one
-  by one on the same backend, clocks exactly;
+  filling one shared table-wide ghost buffer;
+* a non-ufunc combiner, and chains whose later stages read what earlier
+  stages wrote: a scatter reading the ghosts its gather writes, and a
+  three-stage chain equal to its primitives called one by one on the
+  same backend, clocks exactly;
 * a three-column append stage sharing a chain with a gather stage;
 * a raising executor kernel, alone and inside a chain: its own
   exception surfaces and the context stays usable;
 * empty machines, empty schedules and zero-size plans;
-* fused-plan cache counters under a ``loop_id`` (hits, builds, and the
+* chain-reuse counters under a ``loop_id`` (hits, builds, and the
   hit-preserving rebuild when a schedule is re-inspected);
 * the flat-move differential: every primitive over every buffer shape
   the executor distinguishes (arena, plain list, degraded arena,
-  oversize or shared ghost buffers, dead ghost slots, another dtype,
-  empty ranks) equals ``serial`` byte for byte, message for message,
-  clock for clock;
+  oversize or shared ghost buffers, two stages writing one plain list,
+  dead ghost slots, another dtype, empty ranks, a chain with one stage
+  that has no flat layout) equals ``serial`` byte for byte, message
+  for message, clock for clock;
 * hand-built plans that slot order would fold differently from the
   pair loop (descending slots in one segment, one slot shared by two
   sources) keep their receive-stream order.
@@ -52,7 +52,6 @@ from repro.core import (
     as_arena,
     build_lightweight_schedule,
     clear_stamp,
-    fusable,
     gather,
     gather_phase,
     remap,
@@ -199,7 +198,7 @@ def test_fused_remap_four_ways(seed, n_ranks, n, trailing):
             got = _remap_pipeline(backend, fused, seed, n_ranks, n,
                                   trailing)
             _assert_same(ref, got)
-    # dtype is preserved through the fused path
+    # dtype is preserved through the pipeline
     assert got[0][1][0].dtype == np.int64 if n_ranks else True
 
 
@@ -312,8 +311,6 @@ def test_non_ufunc_combiner_falls_back(backend):
     gather(ctx, sched, x.local, g)
     c = [0.5 * a for a in g]
     phases = [scatter_op_phase(sched, x.local, c, op)]
-    ok, reason = fusable(phases)
-    assert not ok and "ufunc" in reason
     m.reset_clocks()
     m.reset_traffic()
     run_pipeline(ctx, phases)
@@ -322,7 +319,8 @@ def test_non_ufunc_combiner_falls_back(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_read_write_overlap_falls_back(backend):
-    """A scatter reading the ghosts its gather writes cannot fuse."""
+    """A scatter reading the ghosts its gather writes sees them
+    written."""
     m, x, sched, rng = _schedule_env(31, 4, 60, 120, (3,))
     ctx = ExecutionContext.resolve(m, "serial")
     g = allocate_ghosts(sched, x.local)
@@ -335,8 +333,6 @@ def test_read_write_overlap_falls_back(backend):
     g = allocate_ghosts(sched, x.local)
     phases = [gather_phase(sched, x.local, g),
               scatter_op_phase(sched, x.local, g, np.add)]
-    ok, reason = fusable(phases)
-    assert not ok and "reads" in reason
     run_pipeline(ctx, phases)
     _assert_same(ref, _observe(m, g, x.local))
 
@@ -356,8 +352,8 @@ class _FailingCombiner(_OddCombiner):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_failing_rank_kernel_propagates_cleanly(backend, monkeypatch):
     """A stage whose kernel raises surfaces that exception, from a single
-    call and from a two-stage chain (on ``vectorized`` also from a fused
-    chain whose ``fused_apply`` raises), and leaves its context usable:
+    call and from a two-stage chain (on ``vectorized`` also from a chain
+    whose ``fused_apply`` raises), and leaves its context usable:
     the next call gives the bytes, traffic and clocks of a fresh one."""
     from repro.core.backends import vectorized
 
@@ -380,7 +376,6 @@ def test_failing_rank_kernel_propagates_cleanly(backend, monkeypatch):
             raise _KernelFault("kernel failed")
 
         chain = [gather_phase(sched, x.local), gather_phase(sched, x.local)]
-        assert fusable(chain)[0]
         monkeypatch.setattr(vectorized, "fused_apply", failing)
         with pytest.raises(_KernelFault):
             run_pipeline(ctx, chain)
@@ -413,7 +408,6 @@ def test_illegal_chain_equals_primitives_one_by_one(backend):
             phases = [gather_phase(sched, x.local, g),
                       scatter_op_phase(sched, x.local, g, np.add),
                       remap_phase(plan, x.local)]
-            assert not fusable(phases)[0]
             _, none, moved = run_pipeline(ctx, phases, loop_id="ill")
             assert none is None
         else:
@@ -527,7 +521,7 @@ def test_fused_cache_stats_and_rebuild():
     assert counts() == (1, 1)
 
     # re-inspect: a new schedule under the same loop id forces a rebuild
-    # of the fused plan without resetting the hit counter
+    # of the chain entry without resetting the hit counter
     clear_stamp(rt.ctx, rt.hash_tables(tt), "s")
     rt.hash_indirection(tt, split_by_block(rng.integers(0, 50, 90), m),
                         "s")
@@ -539,10 +533,10 @@ def test_fused_cache_stats_and_rebuild():
     run_pipeline(rt.ctx, [gather_phase(sched2, x.local, ghosts2)],
                  loop_id="loop")
     assert counts() == (2, 2)
-    # the fused entry lives under its own suffixed key, so the unfused
+    # the chain entry lives under its own suffixed key, so the
     # schedule-cache slot for the same loop id is untouched
-    unfused = rt.cache_stats("loop")
-    assert (unfused.hits, unfused.builds) == (0, 0)
+    plain = rt.cache_stats("loop")
+    assert (plain.hits, plain.builds) == (0, 0)
     assert (rt.schedule_cache.stats("loop" + FUSED_SUFFIX)
             == rt.cache_stats("loop", fused=True))
 
@@ -553,12 +547,13 @@ def test_fused_cache_stats_and_rebuild():
 _OPS = ("gather", "scatter", "scatter_add", "scatter_max", "append1",
         "append2", "append3", "remap")
 _SHAPES = ("arena", "plain", "rebound", "oversize", "shared_ghosts",
-           "dead_slots", "other_dtype", "empty_ranks")
+           "shared_plain", "dead_slots", "other_dtype", "empty_ranks",
+           "not_flat")
 
 
 def _shape_buffers(shape, rng, seq):
     """``seq`` (an arena) as the buffer shape under test."""
-    if shape == "plain":
+    if shape in ("plain", "shared_plain"):
         return [a.copy() for a in seq]
     if shape == "rebound":   # one element rebound: a degraded arena
         seq = RankArena(seq.flat.copy(), seq.sizes)
@@ -567,6 +562,13 @@ def _shape_buffers(shape, rng, seq):
         assert as_arena(seq) is None
         return seq
     return seq
+
+
+def _rank0_float32(seq) -> list:
+    """``seq`` with rank 0's array cast to float32: with more than one
+    rank the list has no flat layout."""
+    return [np.asarray(a, dtype=np.float32) if p == 0 else a
+            for p, a in enumerate(seq)]
 
 
 def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
@@ -622,14 +624,34 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
     m.reset_traffic()
     out = []
     combiner = {"scatter_add": np.add, "scatter_max": np.maximum}.get(op)
-    if op == "gather" and shape == "shared_ghosts":
+    if op == "gather" and shape.startswith("shared"):
         run_pipeline(ctx, [gather_phase(sched, data, ghosts),
                            gather_phase(sched_b, data, ghosts)])
-    elif op.startswith("scatter") and shape == "shared_ghosts":
+    elif op.startswith("scatter") and shape.startswith("shared"):
         # both schedules return their part of one table-wide ghost list
         run_pipeline(ctx, [PipelinePhase("scatter", s, ghosts, dests=data,
                                          op=combiner)
                            for s in (sched, sched_b)])
+    elif shape == "not_flat":
+        # the op's stage, then the same stage reading a copy whose rank 0
+        # holds float32: that stage alone has no flat layout
+        if op == "gather":
+            first = gather_phase(sched, data, ghosts)
+        elif op.startswith("scatter"):
+            first = PipelinePhase("scatter", sched, ghosts, dests=data,
+                                  op=combiner)
+        elif op == "remap":
+            first = remap_phase(plan, data)
+        else:
+            first = PipelinePhase("append", lw, cols)
+        reads = ([_rank0_float32(c) for c in cols] if first.kind == "append"
+                 else _rank0_float32(first.sources))
+        results = run_pipeline(ctx, [first, PipelinePhase(
+            first.kind, first.plan, reads, first.dests, first.op)])
+        if op == "remap":
+            out = results
+        elif op.startswith("append"):
+            out = results[0] + results[1]
     elif op == "gather":
         gather(ctx, sched, data, ghosts)
     elif op == "scatter":
@@ -660,6 +682,8 @@ def _flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k):
          n=30, n_ref=80, k=1)
 @example(op="scatter_max", shape="shared_ghosts", seed=6, n_ranks=5,
          n=40, n_ref=90, k=1)
+@example(op="scatter_add", shape="shared_plain", seed=7, n_ranks=4,
+         n=40, n_ref=90, k=3)
 @given(
     op=st.sampled_from(_OPS),
     shape=st.sampled_from(_SHAPES),
@@ -674,15 +698,43 @@ def test_flat_moves_equal_serial(op, shape, seed, n_ranks, n, n_ref, k):
     flat = [_flat_case(backend, op, shape, seed, n_ranks, n, n_ref, k)
             for backend in BACKENDS[1:]]
     for backend, got in zip(BACKENDS[1:], flat):
-        assert got[:3] == ref[:3], backend   # bytes, traffic: exact
-        # the pair loop charges message by message, the flat path once
-        # per stage: the same categories on the same ranks (a
-        # round-off-sized wait may or may not exist), values to float
-        # summation order
-        assert ([set(c) - {"idle"} for c in got[3]]
-                == [set(c) - {"idle"} for c in ref[3]])
-        _assert_clocks_match(ref[3], got[3])
+        _assert_equals_serial(ref, got, backend)
         assert got == flat[0], backend       # one kernel: clocks exact
+
+
+def _assert_equals_serial(ref, got, backend):
+    assert got[:3] == ref[:3], backend   # bytes, traffic: exact
+    # the pair loop charges message by message, the flat path once per
+    # stage: the same categories on the same ranks (a round-off-sized
+    # wait may or may not exist), values to float summation order
+    assert ([set(c) - {"idle"} for c in got[3]]
+            == [set(c) - {"idle"} for c in ref[3]])
+    _assert_clocks_match(ref[3], got[3])
+
+
+@pytest.mark.parametrize("op", _OPS)
+@pytest.mark.parametrize("shape,serial_stages", [("not_flat", 1),
+                                                 ("shared_plain", 0)])
+def test_chain_falls_back_per_stage(op, shape, serial_stages, monkeypatch):
+    """On ``vectorized`` a two-stage chain whose second stage has no flat
+    layout sends that stage alone to the serial reference, and two
+    stages writing one plain list each stage it in turn; either way the
+    chain equals ``serial``."""
+    from repro.core.backends.serial import SerialBackend
+
+    args = (op, shape, 8, 4, 40, 90, 3)
+    ref = _flat_case("serial", *args)
+    calls = []
+    run_stage = SerialBackend.run_stage
+
+    def counted(self, ctx, phase, category):
+        calls.append(phase.kind)
+        return run_stage(self, ctx, phase, category)
+
+    monkeypatch.setattr(SerialBackend, "run_stage", counted)
+    got = _flat_case("vectorized", *args)
+    assert len(calls) == serial_stages
+    _assert_equals_serial(ref, got, "vectorized")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
