@@ -78,15 +78,13 @@ _STAGE_TAGS = {"gather": "gather", "scatter": "scatter",
 class _Move(NamedTuple):
     """One column of one stage, bound for this call: the plan's composed
     :meth:`~repro.core.compiled.CommPlan.move`, the stage's combiner,
-    the raveled source and destination buffers and their row width.
-    ``dst`` is ``None`` until a plain destination list has its staging
-    buffer."""
+    the raveled source and destination buffers and their row width."""
 
     src_index: np.ndarray | None
     dst_index: np.ndarray | None
     op: object
     src: np.ndarray
-    dst: np.ndarray | None
+    dst: np.ndarray
     k: int
 
 
@@ -287,7 +285,7 @@ class VectorizedBackend(Backend):
             moves.append((_Move(
                 src_index, dst_index, phase.op,
                 _concat(col) if arena is None else arena.flat.reshape(-1),
-                None if dest is None else dest.flat.reshape(-1), k),
+                _concat(out) if dest is None else dest.flat.reshape(-1), k),
                 out if dest is None else None))
             outs.append(out)
             row_bytes += k * dtype.itemsize
@@ -295,12 +293,9 @@ class VectorizedBackend(Backend):
         self._charge_stage(ctx.machine, phase, len(outs), row_bytes,
                            category)
         for move, staged in moves:
-            if staged is None:
-                fused_apply(move)
-            else:   # a plain destination list: staged, then copied back
-                buf = _concat(staged)
-                fused_apply(move._replace(dst=buf))
-                _copy_back(staged, buf)
+            fused_apply(move)
+            if staged is not None:   # a plain destination list
+                _copy_back(staged, move.dst)
         if phase.kind == "scatter":
             return None
         return outs if phase.kind == "append" else outs[0]
