@@ -18,8 +18,13 @@ import numpy as np
 
 
 def _as_index_array(indices) -> np.ndarray:
-    arr = np.asarray(indices, dtype=np.int64)
-    return arr
+    """``indices`` as int64.  A non-empty array whose dtype is not an
+    integer kind (float, bool, ...) is a ``TypeError``, never truncated;
+    an empty one of any dtype is no indices."""
+    arr = np.asarray(indices)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise TypeError(f"indices must be integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 class Distribution(ABC):

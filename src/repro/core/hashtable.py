@@ -44,6 +44,7 @@ distinct indices hashed into it and dies with its translation table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ from repro.core.compiled import as_arena, offsets_from_counts
 
 _GROW = 1024
 _NO_INDICES = np.zeros(0, dtype=np.int64)  # a ``None`` rank's stream part
+_INTEGER_KINDS = "iu"  # dtype kinds an index array may have
+_kind = operator.attrgetter("dtype.kind")
 
 #: stream elements per cache block (see :func:`_blocks`)
 _BLOCK = 1 << 15
@@ -93,13 +96,27 @@ def _blocks(sizes: np.ndarray):
 def stream_of(per_rank) -> tuple[np.ndarray, np.ndarray]:
     """Per-rank index sequences (``None``: none) as one int64 rank-major
     stream ``(flat, sizes)``: an intact int64 arena in place, anything
-    else by one concatenate (``RankArena(flat, sizes)`` undoes it)."""
+    else by one concatenate (``RankArena(flat, sizes)`` undoes it).
+
+    A non-empty sequence whose dtype is not an integer kind (float, bool,
+    ...) is a ``TypeError``, never truncated; an empty one of any dtype
+    is no indices.  The check is C-speed maps, not a loop over ranks.
+    """
     arena = as_arena(per_rank)
     if arena is not None and arena.layout[1:] == ((), 1, np.int64):
         return arena.flat, arena.sizes
-    parts = [_NO_INDICES if a is None else a for a in per_rank]
-    return (np.concatenate(parts, dtype=np.int64, casting="unsafe"),
-            np.fromiter(map(len, parts), np.int64, len(parts)))
+    parts = list(map(np.asarray, [_NO_INDICES if a is None else a
+                                  for a in per_rank]))
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    integer = np.fromiter(map(_INTEGER_KINDS.__contains__,
+                              map(_kind, parts)), bool, len(parts))
+    if not integer.all():
+        bad = np.flatnonzero(~integer & (sizes > 0))
+        if bad.size:
+            p = int(bad[0])
+            raise TypeError(f"rank {p}: indices must be integers, not "
+                            f"{parts[p].dtype}")
+    return np.concatenate(parts, dtype=np.int64, casting="unsafe"), sizes
 
 
 class StampRegistry:
@@ -369,16 +386,20 @@ class HashTableGroup:
         # doubling, or a quarter of headroom above a larger jump: a cold
         # hash followed by small deltas must not copy every arena again
         cap = max(need + need // 4, old * 2)
+
+        def widen(arena, fill):
+            # each cell written once: the old rows copied, the new tail
+            # filled (no ghost slot -1, everything else 0)
+            wide = np.empty((self.n_ranks, cap), dtype=np.int64)
+            wide[:, :old] = arena
+            wide[:, old:] = fill
+            return wide
+
         for name in self._COLUMNS:
-            wide = (np.full((self.n_ranks, cap), -1, dtype=np.int64)
-                    if name == "buf"
-                    else np.zeros((self.n_ranks, cap), dtype=np.int64))
-            wide[:, :old] = getattr(self, name)
-            setattr(self, name, wide)
+            setattr(self, name,
+                    widen(getattr(self, name), -1 if name == "buf" else 0))
         for name, plane in self._refs.items():
-            wide = np.zeros((self.n_ranks, cap), dtype=np.int64)
-            wide[:, :old] = plane
-            self._refs[name] = wide
+            self._refs[name] = widen(plane, 0)
         self.rows_cap = cap
 
     def views(self) -> list["IndexHashTable"]:
@@ -455,12 +476,13 @@ class HashTableGroup:
         distinct = np.zeros(self.n_ranks, dtype=np.int64)
         for r0, r1, lo, hi in _blocks(sizes):
             count = np.bincount(
-                _rank_of(sizes, r0, r1) * hw + (rows[lo:hi] - r0 * hw),
+                rows[lo:hi] + np.repeat(np.arange(r1 - r0) * hw,
+                                        sizes[r0:r1]),
                 minlength=(r1 - r0) * hw).reshape(-1, hw)
             plane[r0:r1, :hw] += count
             hit = count > 0
-            mask = self.mask[r0:r1, :hw]
-            np.bitwise_or(mask, bit, out=mask, where=hit)
+            # a plain OR of 0 or the bit: a masked ufunc loop is slower
+            self.mask[r0:r1, :hw] |= hit * bit
             distinct[r0:r1] = hit.sum(axis=1)
         return distinct
 
@@ -517,11 +539,14 @@ class HashTableGroup:
         out = np.empty(rows.size, dtype=np.int64)
         off, buf = self.off.ravel(), self.buf.ravel()
         for r0, r1, lo, hi in _blocks(sizes):
-            at = self.flat(_rank_of(sizes, r0, r1), rows[lo:hi])
+            at = rows[lo:hi] + np.repeat(np.arange(r0, r1) * self.rows_cap,
+                                         sizes[r0:r1])
             slot = buf[at]
             np.add(slot, np.repeat(self.n_local[r0:r1], sizes[r0:r1]),
                    out=out[lo:hi])
-            np.copyto(out[lo:hi], off[at], where=slot < 0)
+            # only the owned references read their offset
+            owned = np.flatnonzero(slot < 0)
+            out[lo:hi][owned] = off[at[owned]]
         return out
 
     def requests(self, expr: StampExpr

@@ -82,20 +82,32 @@ def translate_missing(ctx, group, ttable, keys, sizes, miss, category):
     order that fixes slot and ghost assignment.  Returns ``(rows of the
     missing references, new entries per rank)``; the caller charges the
     inserts.
+
+    The distinct keys come from one in-place sort of the rank-offset
+    stream, keeping the first key of each run; the missing references'
+    rows are then read back from the key store, which holds every one of
+    them after the insert (cheaper than carrying a sort inverse).
     """
     n, span = group.n_ranks, max(1, ttable.dist.n_global)
-    new = ttable.dist.check_indices(keys[miss])
-    # rank p's keys made distinct from every other rank's: p * span + key
-    base = np.arange(n + 1) * span
+    missed = keys[miss]
     n_miss = np.diff(miss.searchsorted(offsets_from_counts(sizes)))
-    new += np.repeat(base[:n], n_miss)
-    new, inverse = np.unique(new, return_inverse=True)
+    # rank p's keys made distinct from every other rank's: p * span + key,
+    # in int32 when that fits (the sort is then about a third cheaper)
+    base = np.arange(n + 1) * span
+    narrow = np.int32 if base[n] <= np.iinfo(np.int32).max else np.int64
+    new = ttable.dist.check_indices(missed).astype(narrow)
+    new += np.repeat(base[:n].astype(narrow), n_miss)
+    new.sort()
+    first = np.empty(new.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(new[1:], new[:-1], out=first[1:])
+    new = new[first].astype(np.int64, copy=False)
     n_new = np.diff(new.searchsorted(base))
     new -= np.repeat(base[:n], n_new)
     owners, offsets = ttable.dereference(ctx, RankArena(new, n_new),
                                          category=category)
-    rows = group.insert(new, n_new, owners.flat, offsets.flat)
-    return rows[inverse], n_new
+    group.insert(new, n_new, owners.flat, offsets.flat)
+    return group.store.lookup(missed, n_miss), n_new
 
 
 def chaos_hash(

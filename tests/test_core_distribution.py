@@ -69,6 +69,34 @@ class TestBlock:
         check_invariants(d)
 
 
+class TestIndexDtype:
+    """Float and bool index arrays are a ``TypeError`` on every
+    distribution, never truncated; empty arrays of any dtype are none."""
+
+    DISTS = [BlockDistribution(10, 2), CyclicDistribution(10, 2),
+             BlockCyclicDistribution(10, 2, 3),
+             IrregularDistribution([0, 1] * 5, 2)]
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("bad", [np.array([1.5]), np.array([2.0, 3.0]),
+                                     np.array([True]), [0.5], 2.0],
+                             ids=["float", "whole-float", "bool", "list",
+                                  "scalar"])
+    def test_non_integer_rejected(self, dist, bad):
+        for query in (dist.owner, dist.local_index, dist.check_indices):
+            with pytest.raises(TypeError, match="must be integers"):
+                query(bad)
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
+    def test_empty_and_integer_kinds_accepted(self, dist):
+        for empty in (np.zeros(0), np.zeros(0, dtype=bool), []):
+            assert dist.owner(empty).tolist() == []
+        assert dist.owner(np.array([3], dtype=np.uint8)).tolist() == \
+            dist.owner(np.array([3])).tolist()
+        assert dist.check_indices(np.array([4], dtype=np.int32)).dtype == \
+            np.int64
+
+
 class TestCyclic:
     def test_round_robin(self):
         d = CyclicDistribution(10, 3)

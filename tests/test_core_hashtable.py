@@ -250,6 +250,41 @@ class TestIndexHashTable:
         assert ht.g[:n].tolist() == list(range(n))
         assert len(ht.group.views()[1]) == 0
 
+    def test_growth_keeps_rows_and_fills_the_tail(self):
+        """After a growth, and after a second one: the old rows of every
+        column and refcount plane are intact, and the new tail reads as
+        fresh rows (no ghost slot -1, everything else 0)."""
+        group = HashTableGroup([0] * 3, store=self.store_cls(3, KEYS))
+        rng = np.random.default_rng(5)
+
+        def fill(lo, hi):
+            keys = np.arange(lo, hi)
+            for ht in group.views():
+                slots = ht.insert_translated(keys, rng.integers(0, 3, keys.size),
+                                             keys)
+                ht.stamp_slots(slots[::2], "a",
+                               counts=rng.integers(1, 4, slots[::2].size))
+                ht.stamp_slots(slots[1::3], "b",
+                               counts=np.ones(slots[1::3].size, dtype=int))
+
+        def arenas():
+            return {**{c: getattr(group, c) for c in group._COLUMNS},
+                    **{k: group.ref_plane(k) for k in ("a", "b")}}
+
+        fill(0, 700)
+        for lo, hi in ((700, 1500), (1500, 4000)):
+            old_cap = group.rows_cap
+            before = {k: a.copy() for k, a in arenas().items()}
+            group._grow_rows(hi)
+            assert group.rows_cap >= hi > old_cap
+            for name, arena in arenas().items():
+                assert arena.shape == (3, group.rows_cap)
+                assert np.array_equal(arena[:, :old_cap], before[name])
+                assert (arena[:, old_cap:] == (-1 if name == "buf" else 0)
+                        ).all()
+            fill(lo, hi)
+        assert len(group.views()[2]) == 4000
+
     def test_bad_init(self):
         with pytest.raises(ValueError):
             HashTableGroup([], store=self.store_cls(0, KEYS))

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.api as api
 from repro.core import (
+    BlockDistribution,
     ChaosRuntime,
+    DictKeyStore,
+    DirectKeyStore,
     ExecutionContext,
+    HashTableGroup,
     IrregularReduction,
     RankArena,
     TranslationTable,
@@ -18,9 +25,12 @@ from repro.core import (
     rehash_delta,
     split_by_block,
 )
+from repro.core.compiled import offsets_from_counts
+from repro.core.hashtable import group_of, stream_of
+from repro.core.inspector import translate_missing
 from repro.sim import Machine
 
-from conftest import count_calls
+from conftest import ALL_BACKENDS, count_calls
 
 
 def env(rng, n=30, p=4):
@@ -197,13 +207,15 @@ class TestInspectorSeamShape:
                             prepare=None):
         """``run(rng, ctx, tt, hts, idx, *prepare(...))`` is counted; a
         first pass runs one-time lazy initialisation (imports, regex
-        compilation) out of the way."""
+        compilation) out of the way.  Returns the counts at 4, 16 and
+        128 ranks."""
         calls = []
         for n_ranks in (4, 16, 128):
             world = self._world(n_ranks, storage)
             extra = prepare(*world) if prepare else ()
             calls.append(count_calls(lambda: run(*world, *extra)))
         assert calls[1] == calls[2]
+        return calls
 
     @staticmethod
     def _hashed(rng, ctx, tt, hts, idx):
@@ -211,8 +223,10 @@ class TestInspectorSeamShape:
         return (build_schedule(ctx, hts, "s"),)
 
     def test_chaos_hash(self):
-        self._same_at_16_and_128(
+        calls = self._same_at_16_and_128(
             lambda rng, ctx, tt, hts, idx: chaos_hash(ctx, hts, tt, idx, "s"))
+        # a cold hash dedupes its misses with one sort, no argsort
+        assert [c["argsort"] for c in calls] == [0, 0, 0]
 
     def test_chaos_hash_of_an_arena(self):
         self._same_at_16_and_128(
@@ -259,3 +273,252 @@ class TestInspectorSeamShape:
             assert rt.cache_stats("L").delta_rebuilds == 1
 
         self._same_at_16_and_128(run, prepare=prepare)
+
+
+def _translate_missing_unique(ctx, group, ttable, keys, sizes, miss,
+                              category):
+    """``translate_missing`` as it was before its one-sort dedupe,
+    verbatim: the distinct keys and the missing references' rows from
+    ``np.unique(..., return_inverse=True)``."""
+    n, span = group.n_ranks, max(1, ttable.dist.n_global)
+    new = ttable.dist.check_indices(keys[miss])
+    # rank p's keys made distinct from every other rank's: p * span + key
+    base = np.arange(n + 1) * span
+    n_miss = np.diff(miss.searchsorted(offsets_from_counts(sizes)))
+    new += np.repeat(base[:n], n_miss)
+    new, inverse = np.unique(new, return_inverse=True)
+    n_new = np.diff(new.searchsorted(base))
+    new -= np.repeat(base[:n], n_new)
+    owners, offsets = ttable.dereference(ctx, RankArena(new, n_new),
+                                         category=category)
+    rows = group.insert(new, n_new, owners.flat, offsets.flat)
+    return rows[inverse], n_new
+
+
+@st.composite
+def _streams(draw):
+    """A machine, an owner map and per-rank key streams: duplicates within
+    and across ranks, empty ranks, and the keys 0 and ``n_global - 1``
+    drawn often."""
+    n_ranks = draw(st.integers(1, 5))
+    n_global = draw(st.integers(1, 40))
+    owner = draw(st.lists(st.integers(0, n_ranks - 1), min_size=n_global,
+                          max_size=n_global))
+    key = st.one_of(st.just(0), st.just(n_global - 1),
+                    st.integers(0, n_global - 1))
+    per_rank = st.lists(st.lists(key, max_size=12), min_size=n_ranks,
+                        max_size=n_ranks)
+    return n_ranks, owner, [draw(per_rank), draw(per_rank)]
+
+
+class TestTranslateMissingReference:
+    """The one-sort ``translate_missing`` against the ``np.unique``
+    version it replaced, with both key stores: the same rows, new-entry
+    counts, arenas, ghost slots and key-store contents after every hash,
+    and the same error with an untouched table on a bad key."""
+
+    @staticmethod
+    def _world(store_cls, n_ranks, owner):
+        ctx = ExecutionContext.resolve(Machine(n_ranks), "vectorized")
+        tt = TranslationTable.from_map(ctx.machine, np.array(owner))
+        group = HashTableGroup(
+            [tt.dist.local_size(p) for p in range(n_ranks)],
+            store=store_cls(n_ranks, tt.dist.n_global))
+        return ctx, tt, group
+
+    @staticmethod
+    def _state(ctx, group):
+        n, n_keys = group.n_ranks, group.store.n_keys
+        every_key = np.tile(np.arange(n_keys), n)
+        return (group.rows_cap, group.n_entries.tolist(),
+                group.n_ghost.tolist(),
+                *(getattr(group, c).tolist() for c in group._COLUMNS),
+                group.store.lookup(every_key, np.full(n, n_keys)).tolist(),
+                ctx.machine.traffic.n_messages,
+                [c.time for c in ctx.machine.clocks])
+
+    @staticmethod
+    def _hash(impl, ctx, tt, group, per_rank):
+        keys, sizes = stream_of([np.array(a, dtype=np.int64)
+                                 for a in per_rank])
+        rows = group.store.lookup(keys, sizes)
+        miss = np.flatnonzero(rows < 0)
+        got, n_new = impl(ctx, group, tt, keys, sizes, miss, "inspector")
+        rows[miss] = got
+        return got.tolist(), n_new.tolist(), rows.tolist()
+
+    def _run(self, impl, store_cls, n_ranks, owner, streams):
+        """Hash each stream, then the first again (all hits); the first
+        hash into the empty table is all misses."""
+        ctx, tt, group = self._world(store_cls, n_ranks, owner)
+        return [(self._hash(impl, ctx, tt, group, s), self._state(ctx, group))
+                for s in (*streams, streams[0])]
+
+    @pytest.mark.parametrize("store_cls", [DictKeyStore, DirectKeyStore],
+                             ids=["dict", "direct"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_streams())
+    def test_same_tables_as_unique(self, store_cls, case):
+        assert self._run(translate_missing, store_cls, *case) == \
+            self._run(_translate_missing_unique, store_cls, *case)
+
+    @pytest.mark.parametrize("store_cls", [DictKeyStore, DirectKeyStore],
+                             ids=["dict", "direct"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=_streams(), data=st.data())
+    def test_out_of_range_key_same_error_table_untouched(self, store_cls,
+                                                        case, data):
+        n_ranks, owner, streams = case
+        n_global = len(owner)
+        bad = data.draw(st.one_of(st.integers(n_global, n_global + 5),
+                                  st.integers(-5, -1)))
+        rank = data.draw(st.integers(0, n_ranks - 1))
+        second = [list(a) for a in streams[1]]
+        at = data.draw(st.integers(0, len(second[rank])))
+        second[rank].insert(at, bad)
+        errors = []
+        for impl in (translate_missing, _translate_missing_unique):
+            ctx, tt, group = self._world(store_cls, n_ranks, owner)
+            self._hash(impl, ctx, tt, group, streams[0])
+            before = self._state(ctx, group)
+            with pytest.raises(IndexError) as err:
+                self._hash(impl, ctx, tt, group, second)
+            assert self._state(ctx, group) == before
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
+class _ComputedTable:
+    """What ``translate_missing`` reads of a translation table, for a
+    BLOCK distribution too large to hold a directory for: owners and
+    offsets computed, no traffic charged."""
+
+    def __init__(self, n_global, n_ranks):
+        self.dist = BlockDistribution(n_global, n_ranks)
+
+    def dereference(self, ctx, queries, category):
+        keys = self.dist.check_indices(queries.flat)
+        return (RankArena(self.dist.owner(keys), queries.sizes),
+                RankArena(self.dist.local_index(keys), queries.sizes))
+
+
+class TestTranslateMissingWidth:
+    """The rank-offset keys ``p * n_global + key`` are sorted in int32
+    while they fit, in int64 once they may not: with two ranks the
+    largest key is below 2**31 at ``n_global = 2**30 - 1`` and above it
+    at ``2**30 + 1``, and either way the result equals the ``np.unique``
+    version's."""
+
+    @pytest.mark.parametrize("n_global", [(1 << 30) - 1, (1 << 30) + 1])
+    def test_either_side_of_the_int32_edge(self, n_global):
+        top = n_global - 1
+        per_rank = [np.array([top, 7, 0, top, 7]),
+                    np.array([top, 0, top - 1, top])]
+        keys, sizes = stream_of(per_rank)
+        results = []
+        for impl in (translate_missing, _translate_missing_unique):
+            ctx = ExecutionContext.resolve(Machine(2), "vectorized")
+            tt = _ComputedTable(n_global, 2)
+            group = HashTableGroup([tt.dist.local_size(p) for p in (0, 1)],
+                                   store=DictKeyStore(2, n_global))
+            rows, n_new = impl(ctx, group, tt, keys, sizes,
+                               np.arange(keys.size), "inspector")
+            results.append((rows.tolist(), n_new.tolist(),
+                            group.g[:, :3].tolist(),
+                            group.buf[:, :3].tolist()))
+        assert results[0] == results[1]
+        assert results[0][2] == [[0, 7, top], [0, top - 1, top]]
+
+
+class TestNonIntegerIndices:
+    """A float or bool index array is a ``TypeError`` at every entry
+    point, on every backend, and changes nothing; an empty array of any
+    dtype is no indices."""
+
+    BAD = {
+        "float": [np.array([0.0, 2.9]), np.array([1.5])],
+        "bool": [np.array([0, 2]), np.array([True])],
+        "float-list": [None, [0.5]],
+    }
+
+    @pytest.fixture(params=ALL_BACKENDS)
+    def rt(self, request):
+        return ChaosRuntime(ExecutionContext.resolve(Machine(2),
+                                                     request.param))
+
+    @pytest.fixture(params=sorted(BAD))
+    def bad(self, request):
+        return self.BAD[request.param]
+
+    @staticmethod
+    def _entries(rt, tt):
+        return group_of(rt.hash_tables(tt)).n_entries.tolist()
+
+    def test_hash_indirection(self, rt, bad):
+        tt = rt.irregular_table([0, 1, 0, 1])
+        with pytest.raises(TypeError, match="must be integers"):
+            rt.hash_indirection(tt, bad, "a")
+        assert self._entries(rt, tt) == [0, 0]
+
+    def test_empty_of_any_dtype_is_no_indices(self, rt):
+        tt = rt.irregular_table([0, 1, 0, 1])
+        want = rt.hash_indirection(
+            tt, [np.zeros(0, dtype=np.int64), np.array([2, 3])], "a")
+        for empty in (np.zeros(0), np.zeros(0, dtype=bool), []):
+            got = rt.hash_indirection(tt, [empty, np.array([2, 3])], "b")
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    def test_bind_and_adapt(self, rt, bad):
+        tt = rt.irregular_table([0, 1, 0, 1])
+        loop = IrregularReduction(rt, tt, "L")
+        with pytest.raises(TypeError, match="must be integers"):
+            loop.bind(ia=bad)
+        good = [np.array([0, 2]), np.array([1, 3])]
+        loop.bind(ia=good).setup()
+        before = [a.tolist() for a in loop.localized("ia")]
+        with pytest.raises(TypeError, match="must be integers"):
+            loop.adapt("ia", bad)
+        same_length = [np.array([0.0, 2.0]), np.array([1.0, 3.5])]
+        with pytest.raises(TypeError, match="must be integers"):
+            loop.adapt("ia", same_length,
+                       touched=[np.array([0]), np.array([1])])
+        loop.setup()
+        assert [a.tolist() for a in loop.localized("ia")] == before
+        assert rt.cache_stats("L").builds == 1
+
+    def test_localize_only(self, rt, bad):
+        tt = rt.irregular_table([0, 1, 0, 1])
+        rt.hash_indirection(tt, [np.array([0, 2]), np.array([1, 3])], "a")
+        with pytest.raises(TypeError, match="must be integers"):
+            localize_only(rt.ctx, rt.hash_tables(tt), bad)
+
+
+class TestColdSetupGrowth:
+    """A cold ``setup()`` of two arrays widens the table arenas exactly as
+    often as the growth policy always did: pinned ``rows_cap`` before and
+    after each hash (serial inserts rank by rank, so it grows in other
+    steps than the one machine-wide insert of vectorized)."""
+
+    CAPS = {"serial": [(1024, 9522), (9522, 19044)],
+            "vectorized": [(1024, 9567), (9567, 19134)]}
+
+    def test_rows_cap_per_hash(self, backend_name, monkeypatch):
+        rng = np.random.default_rng(38)
+        m = Machine(4)
+        rt = ChaosRuntime(ExecutionContext.resolve(m, backend_name))
+        n = 12000
+        tt = rt.irregular_table(rng.integers(0, 4, n))
+        caps = []
+
+        def hash_and_record(ctx, hts, *args, **kwargs):
+            group = group_of(hts)
+            before = group.rows_cap
+            out = chaos_hash(ctx, hts, *args, **kwargs)
+            caps.append((before, group.rows_cap))
+            return out
+
+        monkeypatch.setattr(api, "chaos_hash", hash_and_record)
+        IrregularReduction(rt, tt, "g").bind(
+            ia=split_by_block(rng.integers(0, n, 4 * n), m),
+            ib=split_by_block(rng.integers(0, n, 8 * n), m)).setup()
+        assert caps == self.CAPS[backend_name]
