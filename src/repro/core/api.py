@@ -426,13 +426,11 @@ class IrregularReduction:
         registry = self.rt.hash_tables(self.ttable)[0].registry
         for s in self._stamps:
             registry.acquire(s)
-        masks = {s: registry.mask_of(s) for s in self._stamps}
         sched, _ = self.rt.schedule_cache.get_or_build(
             self.name,
             tuple(self._stamps),
             builder=self._build_full,
             delta_builder=self._apply_deltas,
-            dep_masks=masks,
         )
         self._schedule = sched
         return sched
@@ -470,7 +468,7 @@ class IrregularReduction:
             raise DeltaFallback("a stamp of the loop lost its counts")
         expr = self.rt.stamp_expr(self.ttable, *self._stamps)
         sched = base
-        for stamp, (_mask, chain) in moved.items():
+        for stamp, chain in moved.items():
             # stamp is f"{self.name}:{nm}" — strip the loop-name prefix
             # wholesale (the loop name itself may contain colons)
             nm = stamp[len(self.name) + 1:]

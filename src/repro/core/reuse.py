@@ -14,8 +14,7 @@ against; ``get_or_build`` rebuilds only when a dependency moved.
 Adaptive applications rarely rewrite a whole indirection array: the paper's
 premise is that most entries survive between inspector invocations.  The
 cache therefore supports *incremental* rebuilds: a ``touch`` may carry a
-*delta payload* describing exactly which positions changed, an entry may
-record the stamp mask each dependency was hashed under, and
+*delta payload* describing exactly which positions changed, and
 ``get_or_build`` hands a contiguous chain of such payloads to a
 ``delta_builder`` instead of running the full ``builder``.  Delta rebuilds
 are counted separately (:class:`CacheStats`) so reuse effectiveness stays
@@ -24,7 +23,7 @@ observable — and gateable in CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 #: suffix appended to a loop id to key its pipeline chain-reuse counter
@@ -172,7 +171,6 @@ class ModificationRecord:
 class _CacheEntry:
     value: Any
     dep_versions: dict[str, int]
-    dep_masks: dict[str, int] = field(default_factory=dict)
     hits: int = 0
     builds: int = 0
     delta_rebuilds: int = 0
@@ -193,20 +191,16 @@ class ScheduleCache:
         loop_id: str,
         deps: tuple[str, ...],
         builder: Callable[[], Any],
-        delta_builder: Callable[[Any, dict[str, tuple[int, list]]], Any]
-        | None = None,
-        dep_masks: dict[str, int] | None = None,
+        delta_builder: Callable[[Any, dict[str, list]], Any] | None = None,
     ) -> tuple[Any, bool]:
         """Return ``(value, rebuilt)``.
 
         ``builder`` runs only when ``loop_id`` has no cached value or one
         of its dependency arrays has been touched since the value was
         built.  When a ``delta_builder`` is given and *every* moved
-        dependency (a) was registered with a stamp mask via ``dep_masks``
-        on the build that produced the entry and (b) has a contiguous
-        chain of touch payloads in the modification record, the stale
-        value is repaired incrementally instead:
-        ``delta_builder(old_value, {dep: (mask, [payload, ...])})`` must
+        dependency has a contiguous chain of touch payloads in the
+        modification record, the stale value is repaired incrementally
+        instead: ``delta_builder(old_value, {dep: [payload, ...]})`` must
         return the equivalent of a full rebuild.  ``rebuilt`` is ``True``
         for both full and delta rebuilds.
         """
@@ -233,7 +227,6 @@ class ScheduleCache:
         self._entries[loop_id] = _CacheEntry(
             value=value,
             dep_versions=current,
-            dep_masks=dict(dep_masks) if dep_masks else {},
             hits=entry.hits if entry else 0,
             builds=entry.builds + 1 if entry else 1,
             delta_rebuilds=entry.delta_rebuilds if entry else 0,
@@ -244,10 +237,10 @@ class ScheduleCache:
 
     def _movable_deltas(
         self, entry: _CacheEntry, current: dict[str, int]
-    ) -> dict[str, tuple[int, list]] | None:
-        """Per-dep ``(stamp mask, payload chain)`` for every moved dep,
-        or ``None`` when any moved dep is chain-less or mask-less."""
-        moved: dict[str, tuple[int, list]] = {}
+    ) -> dict[str, list] | None:
+        """The payload chain of every moved dep, or ``None`` when any
+        moved dep is chain-less."""
+        moved: dict[str, list] = {}
         for name, version in current.items():
             built_at = entry.dep_versions.get(name)
             if built_at is None:
@@ -256,13 +249,10 @@ class ScheduleCache:
                 continue
             if version < built_at:
                 return None  # record was replaced/rewound
-            mask = entry.dep_masks.get(name)
-            if mask is None:
-                return None
             chain = self.record.delta_chain(name, built_at, version)
             if chain is None:
                 return None
-            moved[name] = (mask, chain)
+            moved[name] = chain
         if set(entry.dep_versions) != set(current):
             return None
         return moved if moved else None

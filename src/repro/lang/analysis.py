@@ -224,11 +224,18 @@ class Analyzer:
                 self.symbols.decomp(stmt.target, stmt.line)
             elif isinstance(stmt, Forall):
                 self.loops.append(self._classify_loop(stmt))
+            else:  # a REDUCE or an assignment outside any FORALL
+                raise AnalysisError(
+                    f"cannot execute statement {type(stmt).__name__}",
+                    stmt.line)
 
     # ------------------------------------------------------------------
     def _classify_loop(self, loop: Forall) -> LoopNest:
         self._loop_counter += 1
         loop_id = f"loop{self._loop_counter}@{loop.line}"
+        for bound in (loop.lower, loop.upper):
+            if not isinstance(bound, (Num, VarRef)):
+                raise AnalysisError("unsupported loop bound", bound.line)
         inner = None
         body = list(loop.body)
         if len(body) == 1 and isinstance(body[0], Forall):
@@ -329,10 +336,7 @@ class Analyzer:
             if isinstance(stmt, Reduce):
                 refs += array_refs(stmt.target) or []
             for ref in refs:
-                info = self.symbols.arrays.get(ref.name)
-                if info is None:
-                    raise AnalysisError(f"undeclared array {ref.name!r}",
-                                        ref.line)
+                info = self.symbols.array(ref.name, ref.line)
                 if info.decomposition is None or info.ragged:
                     continue  # replicated or ragged (indirection) array
                 if len(ref.subscripts) != 1:
@@ -353,10 +357,6 @@ class Analyzer:
                     )
         nest.indirections = indirections
         nest.decomposition = decomp
-        if nest.kind == "flat" and not indirections:
-            nest.kind = "local_assign" if not any(
-                isinstance(s, Reduce) for s in nest.statements
-            ) else nest.kind
 
     def _analyze_append(self, nest: LoopNest, size_arr: str,
                         loop_vars: set[str]) -> None:
@@ -381,10 +381,7 @@ class Analyzer:
                 "REDUCE(APPEND) source must be a single array reference",
                 red.line,
             )
-        info = self.symbols.arrays.get(tgt.name)
-        if info is None:
-            raise AnalysisError(f"undeclared array {tgt.name!r}", tgt.line)
-        nest.decomposition = info.decomposition
+        nest.decomposition = self.symbols.array(tgt.name, tgt.line).decomposition
         nest.csr_offsets = size_arr
 
 

@@ -1,46 +1,56 @@
-"""Lowering: analyzed loop nests → executable plans.
+"""Lowering: analyzed loop nests → executable plans, once per program.
 
-The code generator decides, per loop, what the inspector must hash and
-what the executor must gather/scatter — the paper's compiler
-transformation "embedding appropriate CHAOS runtime procedures" (§5.3).
+The one place the compiler decides which CHAOS calls a loop embeds
+(paper §5.3): the subscript patterns the inspector hashes, the arrays
+the executor gathers, each target's ufunc, and each REDUCE statement as
+a function of the iteration stream.  Every rejection that depends only
+on the program text is an :class:`AnalysisError` with its line, raised
+here or in analysis; an instance only binds data to the plans.
 """
 
 from __future__ import annotations
 
-from repro.lang.analysis import (
-    Analyzer,
-    LoopNest,
-    SubscriptPattern,
-    classify_subscript,
+import operator
+
+import numpy as np
+
+from repro.lang.analysis import Analyzer, LoopNest, classify_subscript
+from repro.lang.ast_nodes import (
+    ArrayRef,
+    BinOp,
+    Call,
+    Expr,
+    FullSlice,
+    Num,
+    UnaryOp,
+    VarRef,
+    array_refs,
+    walk_expr,
 )
-from repro.lang.ast_nodes import Assign, Reduce, array_refs
 from repro.lang.errors import AnalysisError
-from repro.lang.plans import AppendPlan, LocalPlan, RefPlan, ReductionPlan
+from repro.lang.plans import AppendPlan, LocalPlan, ReductionPlan
 
+#: REDUCE ops and the ufunc each folds with (APPEND lowers to AppendPlan)
+REDUCE_OPS = {"SUM": np.add, "MAX": np.maximum, "MIN": np.minimum,
+              "PROD": np.multiply}
 
-def _loop_vars(nest: LoopNest) -> set[str]:
-    vs = {nest.outer.var}
-    if nest.inner is not None:
-        vs.add(nest.inner.var)
-    return vs
+BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "**": operator.pow,
+}
 
-
-def _collect_refs(analyzer: Analyzer, nest: LoopNest) -> list[RefPlan]:
-    """Every distributed-array reference in the nest body, classified."""
-    loop_vars = _loop_vars(nest)
-    refs: list[RefPlan] = []
-    for stmt in nest.statements:
-        all_refs = []
-        if isinstance(stmt, (Reduce, Assign)):
-            all_refs.append(stmt.target)
-            all_refs += array_refs(stmt.value)
-        for ref in all_refs:
-            info = analyzer.symbols.arrays.get(ref.name)
-            if info is None or info.decomposition is None:
-                continue
-            pat = classify_subscript(ref.subscripts[0], loop_vars)
-            refs.append(RefPlan(ref.name, pat))
-    return refs
+INTRINSICS = {
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sign": np.sign,
+}
 
 
 def lower_loop(analyzer: Analyzer, nest: LoopNest):
@@ -56,67 +66,121 @@ def lower_loop(analyzer: Analyzer, nest: LoopNest):
             target=red.target.name,
         )
     if nest.kind == "local_assign":
+        if nest.decomposition is None:
+            raise AnalysisError("local loops must touch a distributed array",
+                                nest.outer.line)
         return LocalPlan(nest=nest)
-    if nest.kind not in ("flat", "csr", "ragged"):
-        raise AnalysisError(f"cannot lower loop kind {nest.kind!r}",
-                            nest.outer.line)
+    return _lower_reduction(analyzer, nest)  # flat, csr or ragged
 
-    refs = _collect_refs(analyzer, nest)
-    patterns: dict[str, SubscriptPattern] = {}
-    gather_arrays: list[str] = []
-    targets: list[RefPlan] = []
+
+def _lower_reduction(analyzer: Analyzer, nest: LoopNest) -> ReductionPlan:
+    """A flat, CSR or ragged reduction nest: its subscript patterns (one
+    stamp each, in order of first reference), the arrays its statements
+    read, and one evaluator per REDUCE."""
+    symbols = analyzer.symbols
+    outer = nest.outer
+    loop_vars = {outer.var} | ({nest.inner.var} if nest.inner else set())
+    patterns = {}
+    # every statement is a REDUCE: analysis rejects assignments in a nest
+    # that has one, and REDUCE-free nests lower to LocalPlan
     for stmt in nest.statements:
-        if isinstance(stmt, Reduce):
-            loop_vars = _loop_vars(nest)
-            info = analyzer.symbols.array(stmt.target.name, stmt.line)
-            if info.decomposition is None:
+        info = symbols.array(stmt.target.name, stmt.line)
+        if info.decomposition is None:
+            raise AnalysisError(
+                f"REDUCE target {stmt.target.name!r} must be distributed",
+                stmt.line)
+        if info.ragged:
+            raise AnalysisError(
+                f"ragged array {stmt.target.name!r} cannot be a REDUCE "
+                "target", stmt.line)
+        for ref in (stmt.target, *array_refs(stmt.value)):
+            if symbols.arrays[ref.name].decomposition is not None:
+                pat = classify_subscript(ref.subscripts[0], loop_vars)
+                patterns.setdefault(pat.key(), pat)
+    # each kind's iteration space builds the outer variable's own value
+    # and one-variable (flat, CSR) or two-variable (ragged) indirections
+    what = "CSR" if nest.kind == "csr" else nest.kind
+    for key, pat in patterns.items():
+        if not (pat.loopvar == outer.var if pat.kind == "loopvar"
+                else (pat.kind == "indirect2") == (nest.kind == "ragged")):
+            raise AnalysisError(f"unsupported pattern {key} in {what} loop",
+                                outer.line)
+
+    reads: set[str] = set()
+
+    def pattern_of(ref: ArrayRef) -> str:
+        key = classify_subscript(ref.subscripts[0], loop_vars).key()
+        if key not in patterns:
+            raise AnalysisError(
+                f"{ref.name!r} is indexed by {key}, which no distributed "
+                "array of the loop uses", ref.line)
+        return key
+
+    def leaf(expr: VarRef | ArrayRef) -> tuple[str | None, str | None]:
+        """What ``read`` is asked for: ``(array, pattern key)``, ``(None,
+        key)`` for a loop variable's own value, ``(name, None)`` for a
+        scalar."""
+        if isinstance(expr, VarRef):
+            if expr.name not in loop_vars:
+                return expr.name, None
+            if f"var:{expr.name}" not in patterns:
                 raise AnalysisError(
-                    f"REDUCE target {stmt.target.name!r} must be distributed",
-                    stmt.line,
-                )
-            pat = classify_subscript(stmt.target.subscripts[0], loop_vars)
-            targets.append(RefPlan(stmt.target.name, pat))
-    for rp in refs:
-        patterns.setdefault(rp.key(), rp.pattern)
-        # arrays read through indirection need gathering; direct refs are
-        # owner-local under owner-computes iteration placement
-        if rp.pattern.kind in ("indirect", "indirect2"):
-            is_target = any(
-                t.array == rp.array and t.key() == rp.key() for t in targets
-            )
-            if not is_target and rp.array not in gather_arrays:
-                gather_arrays.append(rp.array)
-    # arrays that are BOTH gathered and reduce targets must still be
-    # gathered (read-modify-write): include them
-    for t in targets:
-        for rp in refs:
-            if rp.array == t.array and rp.pattern.kind in ("indirect", "indirect2"):
-                read_too = any(
-                    r2.array == rp.array and not (
-                        r2.key() == t.key() and r2.array == t.array
-                    )
-                    for r2 in refs
-                )
-                del read_too
-    # estimated arithmetic per iteration: nodes in statement expressions
+                    f"loop variable {expr.name!r} not available as a value",
+                    expr.line)
+            return None, f"var:{expr.name}"
+        info = symbols.array(expr.name, expr.line)
+        if info.ragged:
+            raise AnalysisError(
+                f"ragged array {expr.name!r} cannot be read in a reduction",
+                expr.line)
+        if info.decomposition is not None:
+            reads.add(expr.name)
+        return expr.name, pattern_of(expr)
+
+    targets = {}
+    statements = []
     n_ops = 0
     for stmt in nest.statements:
-        if isinstance(stmt, (Reduce, Assign)):
-            n_ops += 1 + sum(1 for _ in _expr_nodes(stmt.value))
-    plan = ReductionPlan(
+        op = REDUCE_OPS[stmt.op]
+        if targets.setdefault(stmt.target.name, op) is not op:
+            raise AnalysisError("mixed reduction ops on one target",
+                                stmt.line)
+        statements.append((stmt.target.name, pattern_of(stmt.target),
+                           _lower_expr(stmt.value, leaf)))
+        # estimated arithmetic per iteration: nodes in the expression
+        n_ops += 1 + sum(1 for _ in walk_expr(stmt.value))
+    return ReductionPlan(
         nest=nest,
         index_patterns=list(patterns.values()),
-        gather_arrays=gather_arrays,
-        reduce_targets=targets,
+        reads=tuple(sorted(reads)),
+        targets=targets,
+        statements=statements,
         compute_ops_per_iter=float(max(1, n_ops)),
     )
-    return plan
 
 
-def _expr_nodes(expr):
-    from repro.lang.ast_nodes import walk_expr
-
-    yield from walk_expr(expr)
+def _lower_expr(expr: Expr, leaf):
+    """One statement expression as a function of ``read(array, pattern
+    key)``: the tree is walked here, once, at compile time."""
+    if isinstance(expr, Num):
+        return lambda read: expr.value
+    if isinstance(expr, Call):
+        func = INTRINSICS[expr.func]
+        args = [_lower_expr(a, leaf) for a in expr.args]
+        return lambda read: func(*[a(read) for a in args])
+    if isinstance(expr, UnaryOp):
+        operand = _lower_expr(expr.operand, leaf)
+        return lambda read: -operand(read)
+    if isinstance(expr, BinOp):
+        op = BINOPS[expr.op]
+        a = _lower_expr(expr.left, leaf)
+        b = _lower_expr(expr.right, leaf)
+        return lambda read: op(a(read), b(read))
+    if isinstance(expr, FullSlice):
+        raise AnalysisError("':' only allowed in REDUCE(APPEND) targets",
+                            expr.line)
+    name, key = leaf(expr)
+    return lambda read: read(name, key)
 
 
 def lower_program(analyzer: Analyzer) -> dict[str, object]:

@@ -1,44 +1,40 @@
 """Lowered loop plans: what the compiler emits for each irregular nest.
 
-A plan records the CHAOS calls a loop needs — which indirection arrays to
-hash (and under which stamps), which schedule to build, which arrays to
-gather and scatter — separated from the state of any particular run so the
-same compiled program can execute against different machines.
+A plan records the CHAOS calls a loop needs, separated from the state of
+any particular run, so the same compiled program executes against
+different machines and bindings.  :mod:`repro.lang.codegen` builds every
+plan once; a plan holds nothing of an instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from repro.lang.analysis import LoopNest, SubscriptPattern
-
-
-@dataclass(frozen=True)
-class RefPlan:
-    """One distributed-array reference inside a loop body."""
-
-    array: str
-    pattern: SubscriptPattern
-
-    def key(self) -> str:
-        return self.pattern.key()
 
 
 @dataclass
 class ReductionPlan:
     """Inspector/executor plan for flat, csr and ragged reduction loops.
 
-    ``gather_arrays`` are read via indirection (need ghost prefetch);
-    ``reduce_targets`` maps each REDUCE statement index to its target ref.
     Each distinct subscript pattern in ``index_patterns`` is hashed under
     a stamp of its own, so adaptivity clears/rehashes only what changed.
+    ``reads`` are the distributed arrays the statements read, ``targets``
+    each REDUCE target's ufunc, and ``statements`` one ``(target,
+    pattern key, value)`` per REDUCE: ``value(read)`` evaluates it over
+    the iteration stream through ``read(array, key)``, ``read(None,
+    key)`` (a loop variable's value) and ``read(name, None)`` (a scalar).
     """
 
     nest: LoopNest
-    index_patterns: list[SubscriptPattern] = field(default_factory=list)
-    gather_arrays: list[str] = field(default_factory=list)
-    reduce_targets: list[RefPlan] = field(default_factory=list)
-    compute_ops_per_iter: float = 3.0
+    index_patterns: list[SubscriptPattern]
+    reads: tuple[str, ...]
+    targets: dict[str, np.ufunc]
+    statements: list[tuple[str, str, Callable]]
+    compute_ops_per_iter: float
 
     @property
     def loop_id(self) -> str:

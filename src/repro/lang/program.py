@@ -1,8 +1,12 @@
 """Compiled-program runtime: execute mini-Fortran-D against a machine.
 
-``compile_program`` runs the front end (parse → analyze → lower);
+``compile_program`` runs the front end (parse → analyze → lower) and
+decides everything the program text decides: each loop's plan
+(:mod:`repro.lang.codegen`), or an :class:`AnalysisError` with a line.
 ``ProgramInstance`` binds a compiled program to a simulated machine and
-host arrays, then executes it with the same structure the paper's
+host arrays — an :class:`ExecutionError` is a failure of bindings or
+state: bound values, array lengths, unbound scalars, use before
+``DISTRIBUTE`` — and executes it with the same structure the paper's
 compiler-generated code has:
 
 * ``DISTRIBUTE`` statements build translation tables and (on
@@ -38,7 +42,6 @@ simulated work is charged exactly as a rank-by-rank execution would.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -65,51 +68,26 @@ from repro.core.lightweight import build_lightweight_schedule, scatter_append
 from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats
 from repro.core.translation import TranslationTable
-from repro.lang.analysis import Analyzer, analyze, classify_subscript
+from repro.lang.analysis import Analyzer, analyze
 from repro.lang.ast_nodes import (
     AlignStmt,
-    ArrayDecl,
     ArrayRef,
     BinOp,
     Call,
-    DecompositionStmt,
     DistributeStmt,
-    Expr,
     Forall,
-    FullSlice,
     Num,
     Program,
     UnaryOp,
     VarRef,
 )
-from repro.lang.codegen import lower_program
+from repro.lang.codegen import BINOPS, INTRINSICS, REDUCE_OPS, lower_program
 from repro.lang.errors import ExecutionError
 from repro.lang.parser import parse_program
 from repro.lang.plans import AppendPlan, LocalPlan, ReductionPlan
 
 #: monotonically increasing ProgramInstance ids for cache scoping
 _PROGRAM_COUNTER = itertools.count()
-
-_REDUCE_OPS = {"SUM": np.add, "MAX": np.maximum, "MIN": np.minimum,
-               "PROD": np.multiply}
-
-_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "**": operator.pow,
-}
-
-_INTRINSICS = {
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sign": np.sign,
-}
 
 
 @dataclass
@@ -159,104 +137,6 @@ def _check_ragged_bounds(name: str, sizes: np.ndarray, lens: np.ndarray,
         raise ExecutionError(
             f"ragged array {name!r}: cell {c + 1} holds {int(lens[c])} "
             f"entries, the inner loop bound there is {int(sizes[c])}", line)
-
-
-def _lower_reduction(plan: ReductionPlan, symbols, host: dict) -> tuple:
-    """A reduction nest's body, resolved once per plan: ``(reads, targets,
-    body)`` — the distributed arrays to gather, ``{target: ufunc}`` and
-    one ``(target, pattern key, value)`` per REDUCE, where ``value(read)``
-    evaluates the statement over the whole stream given ``read(array,
-    pattern key)``.  Subscripts are classified here, never while running.
-    The instance caches the result, so nothing in it may refer back to
-    the instance (scalars are looked up in ``host``): that would be a
-    cycle only the collector can free."""
-    nest = plan.nest
-    loop_vars = {nest.outer.var} | ({nest.inner.var} if nest.inner else set())
-    keys = {pat.key() for pat in plan.index_patterns}
-    reads = set(plan.gather_arrays)
-
-    def pattern_of(ref: ArrayRef) -> str:
-        key = classify_subscript(ref.subscripts[0], loop_vars).key()
-        if key not in keys:
-            raise ExecutionError(
-                f"{ref.name!r} is indexed by {key}, which no distributed "
-                "array of the loop uses", ref.line)
-        return key
-
-    def leaf(expr: VarRef | ArrayRef) -> tuple | None:
-        """What ``read`` is asked for: ``(array, pattern key)``, ``(None,
-        key)`` for a loop variable's own value, ``None`` for a scalar."""
-        if isinstance(expr, VarRef):
-            if expr.name not in loop_vars:
-                return None
-            if f"var:{expr.name}" not in keys:
-                raise ExecutionError(
-                    f"loop variable {expr.name!r} not available as a value",
-                    expr.line)
-            return None, f"var:{expr.name}"
-        info = symbols.arrays.get(expr.name)
-        if info is None:
-            raise ExecutionError(f"undeclared array {expr.name!r}", expr.line)
-        if info.ragged:
-            raise ExecutionError(
-                f"ragged array {expr.name!r} cannot be read in a reduction",
-                expr.line)
-        if info.decomposition is not None:
-            reads.add(expr.name)
-        return expr.name, pattern_of(expr)
-
-    targets: dict[str, tuple] = {}
-    body = []
-    # every statement is a REDUCE: analysis rejects assignments in a nest
-    # that has one, and REDUCE-free nests lower to LocalPlan
-    for stmt in nest.statements:
-        if stmt.op not in _REDUCE_OPS:
-            raise ExecutionError(f"unsupported REDUCE op {stmt.op}",
-                                 stmt.line)
-        op = _REDUCE_OPS[stmt.op]
-        if targets.setdefault(stmt.target.name, op) is not op:
-            raise ExecutionError("mixed reduction ops on one target",
-                                 stmt.line)
-        body.append((stmt.target.name, pattern_of(stmt.target),
-                     _lower_expr(stmt.value, leaf, host)))
-    return sorted(reads), targets, body
-
-
-def _lower_expr(expr: Expr, leaf, host: dict):
-    """One statement expression as a function of ``read`` (see
-    :func:`_lower_reduction`): the tree is walked here, once."""
-    if isinstance(expr, Num):
-        return lambda read: expr.value
-    if isinstance(expr, Call):
-        func = _INTRINSICS[expr.func]
-        args = [_lower_expr(a, leaf, host) for a in expr.args]
-        return lambda read: func(*[a(read) for a in args])
-    if isinstance(expr, UnaryOp):
-        operand = _lower_expr(expr.operand, leaf, host)
-        return lambda read: -operand(read)
-    if isinstance(expr, BinOp):
-        if expr.op not in _BINOPS:
-            raise ExecutionError(f"unknown operator {expr.op!r}", expr.line)
-        op = _BINOPS[expr.op]
-        a = _lower_expr(expr.left, leaf, host)
-        b = _lower_expr(expr.right, leaf, host)
-        return lambda read: op(a(read), b(read))
-    if isinstance(expr, (VarRef, ArrayRef)):
-        ref = leaf(expr)
-        if ref is not None:
-            return lambda read: read(*ref)
-
-        def scalar(read):
-            v = host.get(expr.name)
-            if v is None or np.ndim(v) != 0:
-                raise ExecutionError(f"unbound scalar {expr.name!r}",
-                                     expr.line)
-            return float(v)
-        return scalar
-    if isinstance(expr, FullSlice):
-        raise ExecutionError("':' only allowed in REDUCE(APPEND) targets",
-                             expr.line)
-    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
 
 
 @dataclass
@@ -334,9 +214,6 @@ class ProgramInstance:
         #: must not collide on "loop1"-style keys; a process-wide counter
         #: (never recycled, unlike id()) keeps scopes distinct
         self._cache_scope = f"prog{next(_PROGRAM_COUNTER)}"
-        #: reduction bodies, resolved once per plan
-        #: (:func:`_lower_reduction`)
-        self._bodies: dict[str, tuple] = {}
         for k, v in (bindings or {}).items():
             info = self.symbols.arrays.get(k)
             if info is not None and info.ragged:
@@ -427,8 +304,6 @@ class ProgramInstance:
     def execute(self) -> None:
         """Run every statement of the program once, in order."""
         for stmt in self.compiled.ast.statements:
-            if isinstance(stmt, (ArrayDecl, DecompositionStmt)):
-                continue
             if isinstance(stmt, AlignStmt):
                 self._exec_align(stmt)
             elif isinstance(stmt, DistributeStmt):
@@ -439,11 +314,6 @@ class ProgramInstance:
                     if n.outer is stmt
                 )
                 self.run_loop(nest.loop_id)
-            else:
-                raise ExecutionError(
-                    f"cannot execute statement {type(stmt).__name__}",
-                    getattr(stmt, "line", None),
-                )
 
     def redistribute(self, decomp: str, map_array: str) -> None:
         """Re-execute an irregular DISTRIBUTE for ``decomp`` using the
@@ -527,24 +397,35 @@ class ProgramInstance:
             self._exec_local(plan)
         elif isinstance(plan, AppendPlan):
             self._exec_append(plan)
-        elif isinstance(plan, ReductionPlan):
+        else:
             self._exec_reduction(plan)
-        else:  # pragma: no cover - lowering guarantees the cases above
-            raise ExecutionError(f"unknown plan type {type(plan).__name__}")
 
     # ---- bounds ------------------------------------------------------
-    def _bound_value(self, expr: Expr) -> int:
+    def _bound_value(self, expr: Num | VarRef) -> int:
         if isinstance(expr, Num):
             return int(expr.value)
-        if isinstance(expr, VarRef):
-            v = self.host.get(expr.name)
-            if v is None or np.ndim(v) != 0:
-                raise ExecutionError(
-                    f"loop bound {expr.name!r} must be a bound scalar",
-                    expr.line,
-                )
-            return int(v)
-        raise ExecutionError("unsupported loop bound", getattr(expr, "line", None))
+        v = self.host.get(expr.name)
+        if v is None or np.ndim(v) != 0:
+            raise ExecutionError(
+                f"loop bound {expr.name!r} must be a bound scalar",
+                expr.line,
+            )
+        return int(v)
+
+    def _outer_upper(self, nest, st: _DecompState) -> int:
+        """The outer FORALL's upper bound.  Every nest the instance runs
+        starts at 1, and all but a flat reduction span the decomposition:
+        their iteration spaces are whole rows of it."""
+        outer = nest.outer
+        lo, hi = self._bound_value(outer.lower), self._bound_value(outer.upper)
+        if lo != 1:
+            raise ExecutionError("outer FORALL must start at 1", outer.line)
+        if nest.kind != "flat" and hi != st.size:
+            what = {"csr": "CSR", "local_assign": "local",
+                    "cell_append": "append"}.get(nest.kind, nest.kind)
+            raise ExecutionError(
+                f"{what} outer loop must span the decomposition", outer.line)
+        return hi
 
     def _int_array(self, name: str) -> np.ndarray:
         return np.asarray(self.get_array(name), dtype=np.int64)
@@ -571,19 +452,8 @@ class ProgramInstance:
         st = self.decomps[nest.decomposition]
         tt = self._ttable(nest.decomposition)
         outer = nest.outer
-        lo = self._bound_value(outer.lower)
-        hi = self._bound_value(outer.upper)
-        if lo != 1:
-            raise ExecutionError("outer FORALL must start at 1", outer.line)
-        what = "CSR" if nest.kind == "csr" else nest.kind
-        if nest.kind != "flat" and hi != st.size:
-            raise ExecutionError(
-                f"{what} outer loop must span the decomposition", outer.line)
-
-        def unsupported(pat):
-            return ExecutionError(
-                f"unsupported pattern {pat.key()} in {what} loop", outer.line)
-
+        hi = self._outer_upper(nest, st)
+        # compile_program admits only the patterns each kind builds below
         gidx: dict[str, np.ndarray] = {}
         if nest.kind == "csr":
             # 1-based positions -> 0-based CSR offsets, rows rank-major
@@ -594,48 +464,41 @@ class ProgramInstance:
             of_var = {outer.var: np.repeat(st.order, counts),
                       nest.inner.var: grouped_arange(starts, counts)}
             for pat in plan.index_patterns:
-                if pat.kind == "loopvar" and pat.loopvar == outer.var:
+                if pat.kind == "loopvar":
                     gidx[pat.key()] = of_var[outer.var]
-                elif pat.kind == "indirect":
+                else:
                     gidx[pat.key()] = self._int_array(
                         pat.indirection)[of_var[pat.loopvar]] - 1
-                else:
-                    raise unsupported(pat)
             m.charge_memops_vec(2 * n_iter, "inspector")
         elif nest.kind == "ragged":
             sizes = self._int_array(nest.csr_offsets)
             for pat in plan.index_patterns:
-                if pat.kind == "loopvar" and pat.loopvar == outer.var:
+                if pat.kind == "loopvar":
                     gidx[pat.key()] = np.repeat(st.order, sizes[st.order])
-                elif pat.kind == "indirect2":
+                else:
                     gidx[pat.key()] = self._ragged_stream(
                         pat.indirection, sizes, st, outer.line
                     ).astype(np.int64) - 1
-                else:
-                    raise unsupported(pat)
             n_iter = st.per_rank(sizes[st.order])
             m.charge_memops_vec(2 * n_iter, "inspector")
         else:  # flat
-            n_total = hi - lo + 1
             blocks: dict[str, list[np.ndarray]] = {}
             for pat in plan.index_patterns:
                 if pat.kind == "indirect":
                     arr = self._int_array(pat.indirection)
-                    if arr.shape[0] < n_total:
+                    if arr.shape[0] < hi:
                         raise ExecutionError(
                             f"indirection {pat.indirection!r} shorter than "
                             "the loop range", outer.line,
                         )
-                    values = arr[:n_total] - 1
-                elif pat.kind == "loopvar":
-                    if n_total != st.size:
+                    values = arr[:hi] - 1
+                else:
+                    if hi != st.size:
                         raise ExecutionError(
                             "direct references require the loop to span "
                             "the decomposition", outer.line,
                         )
-                    values = np.arange(n_total, dtype=np.int64)
-                else:
-                    raise unsupported(pat)
+                    values = np.arange(hi, dtype=np.int64)
                 blocks[pat.key()] = split_by_block(values, m)
             # Phase C/D: almost-owner-computes over the accessed elements
             assign = partition_iterations(
@@ -690,48 +553,43 @@ class ProgramInstance:
 
     # ---- reduction executor ----------------------------------------------
     def _exec_reduction(self, plan: ReductionPlan) -> None:
-        nest = plan.nest
-        m = self.machine
-        line = nest.outer.line
-        if nest.decomposition is None:
-            raise ExecutionError("reduction loop touches no distributed array",
-                                 line)
+        line = plan.nest.outer.line
         state = self._inspect(plan)
         sched, gidx = state.loop.setup(), state.gidx
-        lowered = self._bodies.get(plan.loop_id)
-        if lowered is None:
-            lowered = self._bodies[plan.loop_id] = _lower_reduction(
-                plan, self.symbols, self.host)
-        reads, targets, statements = lowered
 
         def body(take):
             taken: dict[tuple, np.ndarray] = {}
 
             def read(name, key):
+                if key is None:  # a scalar, bound per instance
+                    v = self.host.get(name)
+                    if v is None or np.ndim(v) != 0:
+                        raise ExecutionError(f"unbound scalar {name!r}", line)
+                    return float(v)
                 # one ``(array, pattern)`` value stream, taken once per
                 # execution however often the statements name it
                 got = taken.get((name, key))
                 if got is None:
                     if name is None:  # the loop variable's (1-based) value
                         got = gidx[key].astype(np.float64) + 1.0
-                    elif name in reads:
+                    elif name in plan.reads:
                         got = take(name, key)
                     else:  # replicated array: index by global values
                         got = np.asarray(self.get_array(name))[gidx[key]]
                     taken[name, key] = got
                 return got
 
-            for name, key, value in statements:
+            for name, key, value in plan.statements:
                 yield name, key, value(read)
 
         run_reduction(
             self.ctx, sched,
             {key: state.loop.localized(key) for key in gidx},
-            {name: self._arena(name, line) for name in reads},
+            {name: self._arena(name, line) for name in plan.reads},
             {name: (self._arena(name, line), op)
-             for name, op in targets.items()},
+             for name, op in plan.targets.items()},
             body, plan.compute_ops_per_iter * state.n_iter)
-        m.barrier()
+        self.machine.barrier()
 
     # ---- local loops ------------------------------------------------------
     def _exec_local(self, plan: LocalPlan) -> None:
@@ -740,16 +598,9 @@ class ProgramInstance:
         nest = plan.nest
         m = self.machine
         decomp = nest.decomposition
-        if decomp is None:
-            raise ExecutionError(
-                "local loops must touch a distributed array", nest.outer.line
-            )
         self._ttable(decomp)  # raises when used before DISTRIBUTE
         st = self.decomps[decomp]
-        if self._bound_value(nest.outer.upper) != st.size:
-            raise ExecutionError(
-                "local loop must span the decomposition", nest.outer.line
-            )
+        self._outer_upper(nest, st)
         for stmt in nest.statements:
             self._arena(stmt.target.name, stmt.line).flat[...] = \
                 stmt.value.value
@@ -764,6 +615,7 @@ class ProgramInstance:
         decomp = self._decomp_of(plan.target)
         tt = self._ttable(decomp)
         st = self.decomps[decomp]
+        self._outer_upper(plan.nest, st)
         sizes = self._int_array(plan.size_array)
         # what travels is int64 cells and float64 values whatever the
         # bound dtypes, so the bytes on the wire do not depend on them
@@ -830,17 +682,17 @@ def interpret_sequential(compiled: CompiledProgram,
                 shape, dtype=np.float64 if info.dtype == "real" else np.int64
             )
 
-    def bound(expr) -> int:
+    def bound(expr: Num | VarRef) -> int:
         if isinstance(expr, Num):
             return int(expr.value)
-        if isinstance(expr, VarRef):
-            return int(state[expr.name])
-        raise ExecutionError("unsupported loop bound")
+        return int(state[expr.name])
 
     def cell_sizes(nest, ragged_names) -> np.ndarray:
-        """The inner-loop bound of every cell, checked against the rows
+        """The inner-loop bound of every cell up to ``hi`` (0 before
+        ``lo``: those cells are not iterated), checked against the rows
         of the ragged arrays the nest walks."""
-        sizes = np.asarray(state[nest.csr_offsets], dtype=np.int64)[:hi]
+        sizes = np.array(state[nest.csr_offsets], dtype=np.int64)[:hi]
+        sizes[:lo - 1] = 0
         for name in ragged_names:
             lens = np.fromiter(map(len, state[name]), dtype=np.int64)
             _check_ragged_bounds(name, sizes, lens[:hi], nest.outer.line)
@@ -850,22 +702,14 @@ def interpret_sequential(compiled: CompiledProgram,
         if isinstance(expr, Num):
             return expr.value
         if isinstance(expr, Call):
-            return _INTRINSICS[expr.func](
+            return INTRINSICS[expr.func](
                 *[eval_expr(a, idx_env) for a in expr.args]
             )
         if isinstance(expr, UnaryOp):
             return -eval_expr(expr.operand, idx_env)
         if isinstance(expr, BinOp):
-            a, b = eval_expr(expr.left, idx_env), eval_expr(expr.right, idx_env)
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                return a / b
-            return a ** b
+            return BINOPS[expr.op](eval_expr(expr.left, idx_env),
+                                   eval_expr(expr.right, idx_env))
         if isinstance(expr, VarRef):
             if expr.name in idx_env:
                 return idx_env[expr.name].astype(np.float64) + 1.0
@@ -896,10 +740,14 @@ def interpret_sequential(compiled: CompiledProgram,
         raise ExecutionError("unsupported subscript")
 
     for nest in compiled.analyzer.loops:
-        hi = bound(nest.outer.upper)
+        lo, hi = bound(nest.outer.lower), bound(nest.outer.upper)
+        if lo < 1:
+            raise ExecutionError("outer FORALL starts below 1",
+                                 nest.outer.line)
+        rows = np.arange(lo - 1, hi, dtype=np.int64)
         if nest.kind == "local_assign":
             for stmt in nest.statements:
-                state[stmt.target.name][:hi] = stmt.value.value
+                state[stmt.target.name][lo - 1:hi] = stmt.value.value
             continue
         if nest.kind == "cell_append":
             plan = compiled.plans[nest.loop_id]
@@ -907,7 +755,7 @@ def interpret_sequential(compiled: CompiledProgram,
             routing = state[plan.routing]
             source = state[plan.source]
             new_rows = [[] for _ in range(hi)]
-            for c in range(hi):
+            for c in range(lo - 1, hi):
                 for s in range(int(sizes[c])):
                     dest = int(routing[c][s]) - 1
                     new_rows[dest].append(float(source[c][s]))
@@ -917,7 +765,6 @@ def interpret_sequential(compiled: CompiledProgram,
         # flat / csr / ragged reductions
         if nest.kind == "csr":
             inblo = np.asarray(state[nest.csr_offsets], dtype=np.int64) - 1
-            rows = np.arange(hi, dtype=np.int64)
             counts = inblo[rows + 1] - inblo[rows]
             i_exp = np.repeat(rows, counts)
             total = int(counts.sum())
@@ -932,7 +779,6 @@ def interpret_sequential(compiled: CompiledProgram,
         elif nest.kind == "ragged":
             sizes = cell_sizes(nest, [n for n in nest.indirections
                                       if isinstance(state.get(n), list)])
-            rows = np.arange(hi, dtype=np.int64)
             cell_exp = np.repeat(rows, sizes[rows])
             slot_exp = (np.arange(cell_exp.size, dtype=np.int64)
                         - np.repeat(np.concatenate(
@@ -941,14 +787,14 @@ def interpret_sequential(compiled: CompiledProgram,
             if nest.inner is not None:
                 idx_env[nest.inner.var] = slot_exp
         else:  # flat
-            idx_env = {nest.outer.var: np.arange(hi, dtype=np.int64)}
+            idx_env = {nest.outer.var: rows}
 
         # In CSR loops, jnb(j) means "value at position j of jnb": our
         # ref_index handles ArrayRef subscripts by indexing the indirection
         # with the inner variable's positions.  Every statement is a
         # REDUCE: analysis rejects assignments in a nest that has one.
         for stmt in nest.statements:
-            ufunc = _REDUCE_OPS[stmt.op]
+            ufunc = REDUCE_OPS[stmt.op]
             tgt_idx = ref_index(stmt.target, idx_env)
             contrib = eval_expr(stmt.value, idx_env)
             if np.ndim(contrib) == 0:

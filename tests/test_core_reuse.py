@@ -235,16 +235,13 @@ class TestDeltaChains:
             return "v2"
 
         cache.get_or_build("L", ("ia",), builder,
-                           delta_builder=delta_builder,
-                           dep_masks={"ia": 0b100})
+                           delta_builder=delta_builder)
         cache.record.touch("ia", delta="p1")
         cache.record.touch("ia", delta="p2")
         v, rebuilt = cache.get_or_build("L", ("ia",), builder,
-                                        delta_builder=delta_builder,
-                                        dep_masks={"ia": 0b100})
+                                        delta_builder=delta_builder)
         assert rebuilt and v == "v2"
-        assert calls == ["full", ("delta", "v1",
-                                  {"ia": (0b100, ["p1", "p2"])})]
+        assert calls == ["full", ("delta", "v1", {"ia": ["p1", "p2"]})]
         st = cache.stats("L")
         assert (st.builds, st.delta_rebuilds, st.hits) == (1, 1, 0)
         # the repaired entry is current: next lookup is a plain hit
@@ -256,23 +253,12 @@ class TestDeltaChains:
         cache = ScheduleCache()
         builds = []
         cache.get_or_build("L", ("ia",), lambda: builds.append(1) or "v1",
-                           delta_builder=lambda *_: "never",
-                           dep_masks={"ia": 1})
+                           delta_builder=lambda *_: "never")
         cache.record.touch("ia")
         v, _ = cache.get_or_build("L", ("ia",),
                                   lambda: builds.append(2) or "v2",
-                                  delta_builder=lambda *_: "never",
-                                  dep_masks={"ia": 1})
-        assert v == "v2" and builds == [1, 2]
-
-    def test_missing_mask_forces_full_build(self):
-        cache = ScheduleCache()
-        cache.get_or_build("L", ("ia",), lambda: "v1",
-                           delta_builder=lambda *_: "never")
-        cache.record.touch("ia", delta="p")
-        v, _ = cache.get_or_build("L", ("ia",), lambda: "v2",
                                   delta_builder=lambda *_: "never")
-        assert v == "v2"
+        assert v == "v2" and builds == [1, 2]
 
     def test_delta_fallback_runs_full_build(self):
         cache = ScheduleCache()
@@ -281,12 +267,10 @@ class TestDeltaChains:
             raise DeltaFallback("substrate purged")
 
         cache.get_or_build("L", ("ia",), lambda: "v1",
-                           delta_builder=delta_builder,
-                           dep_masks={"ia": 1})
+                           delta_builder=delta_builder)
         cache.record.touch("ia", delta="p")
         v, rebuilt = cache.get_or_build("L", ("ia",), lambda: "v2",
-                                        delta_builder=delta_builder,
-                                        dep_masks={"ia": 1})
+                                        delta_builder=delta_builder)
         assert rebuilt and v == "v2"
         st = cache.stats("L")
         assert (st.builds, st.delta_rebuilds) == (2, 0)

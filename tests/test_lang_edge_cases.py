@@ -1,5 +1,7 @@
 """Edge-case coverage for the compiled-program runtime."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ C$ ALIGN x WITH r
         with pytest.raises(ExecutionError):
             inst.execute()
 
-    def test_mixed_reduce_ops_on_one_target_rejected(self, rng):
+    def test_mixed_reduce_ops_on_one_target_rejected(self):
         src = """
           REAL x(6), y(6)
           INTEGER ia(8)
@@ -140,11 +142,10 @@ C$ ALIGN x, y WITH r
             REDUCE(MAX, x(ia(i)), y(ia(i)))
           END DO
 """
-        prog = compile_program(src)
-        inst = ProgramInstance(prog, Machine(2), dict(
-            x=np.zeros(6), y=np.ones(6), ia=rng.integers(1, 7, 8)))
-        with pytest.raises(ExecutionError):
-            inst.execute()
+        with pytest.raises(AnalysisError,
+                           match="mixed reduction ops on one target") as err:
+            compile_program(src)
+        assert err.value.line == 9
 
     def test_non_loop_subscript_rejected_at_compile(self):
         with pytest.raises(AnalysisError):
@@ -363,3 +364,147 @@ class TestRaggedBounds:
                 assert [len(r) for r in moved] == [2, 2, 1, 1]
             cost[dtype] = (m.traffic.snapshot(), m.execution_time())
         assert cost[np.float64] == cost[np.float32]
+
+
+class TestTextOnlyRejections:
+    """Every rejection that depends only on the program text comes from
+    ``compile_program`` as an ``AnalysisError`` with its line; the
+    reduction and local-loop cases used to surface at first execution,
+    as an ``ExecutionError``."""
+
+    HEAD = """REAL x(6), y(6), w(6)
+INTEGER ia(8), ib(8), inblo(7), jnb(6)
+C$ DECOMPOSITION r(6), c(4)
+C$ DISTRIBUTE r(BLOCK)
+C$ DISTRIBUTE c(BLOCK)
+C$ ALIGN x, y WITH r
+C$ ALIGN icell(*,:), vel(*,:), size(:), ns(:) WITH c
+"""
+    FLAT = "FORALL i = 1, 8\n{}\nEND DO\n"
+    CSR = ("FORALL i = 1, 6\n FORALL j = inblo(i), inblo(i+1) - 1\n{}\n"
+           " END DO\nEND DO\n")
+    RAGGED = "FORALL j = 1, 4\n FORALL i = 1, size(j)\n{}\n END DO\nEND DO\n"
+
+    @pytest.mark.parametrize("body, message, line", [
+        pytest.param(FLAT.format("REDUCE(SUM, x(ia(i)), vel(i))"),
+                     "ragged array 'vel' cannot be read in a reduction", 9,
+                     id="ragged-read"),
+        pytest.param(FLAT.format("REDUCE(SUM, x(ia(i)), w(ib(i)))"),
+                     "'w' is indexed by ind:ib(i), which no distributed "
+                     "array of the loop uses", 9, id="unused-pattern"),
+        pytest.param(FLAT.format("REDUCE(SUM, x(ia(i)), i)"),
+                     "loop variable 'i' not available as a value", 9,
+                     id="loop-variable-value"),
+        pytest.param(FLAT.format("REDUCE(SUM, x(ia(i)), y(ia(i)))\n"
+                                 "REDUCE(MIN, x(ia(i)), y(ia(i)))"),
+                     "mixed reduction ops on one target", 10,
+                     id="mixed-ops"),
+        pytest.param(FLAT.format("REDUCE(SUM, x(ia(i)), :)"),
+                     "':' only allowed in REDUCE(APPEND) targets", 9,
+                     id="full-slice"),
+        pytest.param(CSR.format("REDUCE(SUM, x(jnb(j)), x(j))"),
+                     "unsupported pattern var:j in CSR loop", 8,
+                     id="csr-inner-variable"),
+        pytest.param(RAGGED.format("REDUCE(SUM, ns(i), 1)"),
+                     "unsupported pattern var:i in ragged loop", 8,
+                     id="ragged-inner-variable"),
+        pytest.param(RAGGED.format("REDUCE(SUM, ns(ia(j)), 1)"),
+                     "unsupported pattern ind:ia(j) in ragged loop", 8,
+                     id="ragged-indirect"),
+        pytest.param("FORALL i = 1, 4\nREDUCE(SUM, ns(icell(i,i)), 1)\n"
+                     "END DO\n",
+                     "unsupported pattern ind:icell(i,i) in flat loop", 8,
+                     id="flat-ragged-indirect"),
+        pytest.param("FORALL i = 1, 6\nw(i) = 0\nEND DO\n",
+                     "local loops must touch a distributed array", 8,
+                     id="local-replicated"),
+        pytest.param(FLAT.format("REDUCE(SUM, w(ia(i)), 1)"),
+                     "REDUCE target 'w' must be distributed", 9,
+                     id="replicated-target"),
+        pytest.param(FLAT.format("REDUCE(SUM, vel(ia(i)), 1)"),
+                     "ragged array 'vel' cannot be a REDUCE target", 9,
+                     id="ragged-target"),
+        pytest.param("REDUCE(SUM, x(1), 1)\n",
+                     "cannot execute statement Reduce", 8,
+                     id="reduce-outside-forall"),
+        pytest.param("FORALL i = 1, ia(1)\nREDUCE(SUM, x(i), 1)\nEND DO\n",
+                     "unsupported loop bound", 8, id="outer-bound-shape"),
+    ])
+    def test_rejected_at_compile(self, body, message, line):
+        with pytest.raises(AnalysisError, match=re.escape(message)) as err:
+            compile_program(self.HEAD + body)
+        assert err.value.line == line
+
+    def test_unbound_scalar_is_an_execution_error(self):
+        prog = compile_program(
+            self.HEAD + self.FLAT.format("REDUCE(SUM, x(ia(i)), s)"))
+        ia = np.array([1, 2, 3, 4, 5, 6, 1, 2])
+        inst = ProgramInstance(prog, Machine(2), dict(ia=ia))
+        with pytest.raises(ExecutionError, match="unbound scalar 's'") as err:
+            inst.execute()
+        assert err.value.line == 8
+        inst = ProgramInstance(prog, Machine(2), dict(ia=ia, s=2.5))
+        inst.execute()
+        assert inst.get_array("x").tolist() == [5, 5, 2.5, 2.5, 2.5, 2.5]
+
+
+def _rows(*rows):
+    return [np.array(r) for r in rows]
+
+
+class TestOuterLowerBound:
+    """A FORALL that starts past 1: the instance refuses it, the oracle
+    runs it from its lower bound.  Both used to start at 1 silently."""
+
+    ARRAYS = """REAL x(6), a(8)
+INTEGER ia(8), inblo(7), jnb(6)
+C$ DECOMPOSITION r(6), s(8)
+C$ DISTRIBUTE r(BLOCK)
+C$ DISTRIBUTE s(BLOCK)
+C$ ALIGN x WITH r
+C$ ALIGN a WITH s
+"""
+
+    @pytest.mark.parametrize("source, bindings, name, expected", [
+        pytest.param(ARRAYS + "FORALL i = 3, 8\n a(i) = 7\nEND DO",
+                     lambda: dict(a=np.arange(8.0)), "a",
+                     [0, 1, 7, 7, 7, 7, 7, 7], id="local"),
+        pytest.param(ARRAYS + "FORALL i = 3, 8\n REDUCE(SUM, x(ia(i)), 1)\n"
+                     "END DO",
+                     lambda: dict(ia=np.array([1, 2, 3, 4, 5, 6, 1, 2])),
+                     "x", [1, 1, 1, 1, 1, 1], id="flat"),
+        pytest.param(ARRAYS + "FORALL i = 2, 6\n"
+                     " FORALL j = inblo(i), inblo(i+1) - 1\n"
+                     "  REDUCE(SUM, x(jnb(j)), 1)\n END DO\nEND DO",
+                     lambda: dict(inblo=np.arange(1, 8), jnb=np.arange(1, 7)),
+                     "x", [0, 1, 1, 1, 1, 1], id="csr"),
+        pytest.param(COUNT.replace("j = 1, 4", "j = 2, 4"),
+                     lambda: dict(size=np.ones(4, dtype=np.int64),
+                                  icell=_rows([1], [2], [3], [4])),
+                     "new_size", [0, 1, 1, 1], id="ragged"),
+        pytest.param(APPEND.replace("j = 1, 4", "j = 2, 4"),
+                     lambda: dict(size=np.ones(4, dtype=np.int64),
+                                  icell=_rows([1], [1], [1], [1]),
+                                  vel=_rows([.1], [.2], [.3], [.4])),
+                     "vel", [[.2, .3, .4], [], [], []], id="append"),
+    ])
+    def test_instance_refuses_and_oracle_honours(self, source, bindings,
+                                                 name, expected):
+        prog = compile_program(source)
+        inst = ProgramInstance(prog, Machine(2), bindings())
+        with pytest.raises(ExecutionError,
+                           match="outer FORALL must start at 1"):
+            inst.execute()
+        got = interpret_sequential(prog, bindings())[name]
+        if isinstance(got, list):
+            got = [r.tolist() for r in got]
+        else:
+            got = got.tolist()
+        assert got == expected
+
+    def test_oracle_refuses_a_bound_below_one(self):
+        prog = compile_program(
+            self.ARRAYS + "FORALL i = 0, 8\n REDUCE(SUM, x(ia(i)), 1)\n"
+            "END DO")
+        with pytest.raises(ExecutionError, match="starts below 1"):
+            interpret_sequential(prog, dict(ia=np.ones(8, dtype=np.int64)))

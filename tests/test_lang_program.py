@@ -648,17 +648,20 @@ class TestLoopShape:
         assert totals[256] == totals[4096]
 
     def test_subscripts_are_classified_once_per_plan(self, rng, monkeypatch):
+        """Lowering classifies every subscript inside ``compile_program``;
+        executing, re-inspecting and redistributing never do again."""
         n = 30
         b = charmm_bindings(rng, n)
         prog = compile_program(charmm_source(n, b["jnb"].size, n + 1))
-        inst = ProgramInstance(prog, Machine(4), copy_bindings(b))
-        inst.execute()
 
         def classify_again(*args, **kwargs):
             raise AssertionError("classify_subscript called while running")
 
-        monkeypatch.setattr("repro.lang.program.classify_subscript",
-                            classify_again)
+        for module in ("analysis", "codegen"):
+            monkeypatch.setattr(f"repro.lang.{module}.classify_subscript",
+                                classify_again)
+        inst = ProgramInstance(prog, Machine(4), copy_bindings(b))
+        inst.execute()
         loop = prog.loop_ids()[0]
         inst.run_loop(loop)
         inst.set_array("jnb", rng.integers(1, n + 1, b["jnb"].size))
