@@ -74,13 +74,13 @@ def ablate_hash_reuse():
         m = Machine(P)
         ctx = ExecutionContext.resolve(m)
         tt = TranslationTable.from_map(m, maparr, storage="distributed")
-        hts = make_hash_tables(ctx, tt)
+        group = make_hash_tables(ctx, tt)
         m.reset_clocks()
         for upd in updates:
-            if "nb" in hts[0].registry:
-                clear_stamp(ctx, hts, "nb")
-            chaos_hash(ctx, hts, tt, split_by_block(upd, m), "nb")
-            build_schedule(ctx, hts, hts[0].expr("nb"))
+            if "nb" in group.registry:
+                clear_stamp(ctx, group, "nb")
+            chaos_hash(ctx, group, tt, split_by_block(upd, m), "nb")
+            build_schedule(ctx, group, group.expr("nb"))
         return m.clocks.mean_category("inspector")
 
     def without_reuse():
@@ -89,9 +89,9 @@ def ablate_hash_reuse():
         tt = TranslationTable.from_map(m, maparr, storage="distributed")
         m.reset_clocks()
         for upd in updates:
-            hts = make_hash_tables(ctx, tt)  # fresh: all analysis redone
-            chaos_hash(ctx, hts, tt, split_by_block(upd, m), "nb")
-            build_schedule(ctx, hts, hts[0].expr("nb"))
+            group = make_hash_tables(ctx, tt)  # fresh: all analysis redone
+            chaos_hash(ctx, group, tt, split_by_block(upd, m), "nb")
+            build_schedule(ctx, group, group.expr("nb"))
         return m.clocks.mean_category("inspector")
 
     reuse, fresh = with_reuse(), without_reuse()

@@ -97,13 +97,13 @@ def bench_delta_speedup(cfg: dict, seed: int = 23,
         m = Machine(n_ranks)
         ctx = ExecutionContext.resolve(m, BACKEND)
         tt = TranslationTable.from_map(m, owner_map)
-        hts = make_hash_tables(ctx, tt)
+        group = make_hash_tables(ctx, tt)
         ctxs.append(ctx)
         tables.append(tt)
-        groups.append(hts)
+        groups.append(group)
     idx = _split(refs, n_ranks)
-    for ctx, tt, hts in zip(ctxs, tables, groups):
-        chaos_hash(ctx, hts, tt, [a.copy() for a in idx], "nb")
+    for ctx, tt, group in zip(ctxs, tables, groups):
+        chaos_hash(ctx, group, tt, [a.copy() for a in idx], "nb")
     sched_delta = build_schedule(ctxs[1], groups[1], "nb")
 
     t_full = t_delta = 0.0
@@ -199,10 +199,10 @@ def bench_paged_budget(cfg: dict, seed: int = 31) -> dict[str, float]:
                                    page_budget_bytes=PAGE_BUDGET_BYTES)
     tt = TranslationTable.from_map(m, rng.integers(0, N_RANKS, n),
                                    storage="paged")
-    hts = make_hash_tables(ctx, tt)
+    group = make_hash_tables(ctx, tt)
     for r in range(3):
         refs = rng.integers(0, n, cfg["n_refs"] // 4)
-        chaos_hash(ctx, hts, tt, _split(refs), f"nb{r}")
+        chaos_hash(ctx, group, tt, _split(refs), f"nb{r}")
     stats = tt.page_stats()
     resident = max(tt.page_resident_bytes(p) for p in range(N_RANKS))
     if resident > PAGE_BUDGET_BYTES:

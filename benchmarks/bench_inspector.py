@@ -68,17 +68,17 @@ def run_once(backend: str, cfg: dict, seed: int = 11,
     m = Machine(n_ranks)
     ctx = ExecutionContext.resolve(m, backend)
     tt = TranslationTable.from_map(m, rng.integers(0, n_ranks, n))
-    hts = make_hash_tables(ctx, tt)
+    group = make_hash_tables(ctx, tt)
     refs = rng.integers(0, n, n_refs)
     per = n_refs // n_ranks
     idx = [refs[p * per:(p + 1) * per] for p in range(n_ranks)]
 
     t0 = time.perf_counter()
-    chaos_hash(ctx, hts, tt, idx, "nb")
+    chaos_hash(ctx, group, tt, idx, "nb")
     t_hash = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sched = build_schedule(ctx, hts, "nb")
+    sched = build_schedule(ctx, group, "nb")
     t_sched = time.perf_counter() - t0
     del sched
 
@@ -90,19 +90,19 @@ def run_once(backend: str, cfg: dict, seed: int = 11,
         if n_churn:
             b[rng.integers(0, per, n_churn)] = rng.integers(0, n, n_churn)
         idx2.append(b)
-    clear_stamp(ctx, hts, "nb")
+    clear_stamp(ctx, group, "nb")
     t0 = time.perf_counter()
-    chaos_hash(ctx, hts, tt, idx2, "nb")
+    chaos_hash(ctx, group, tt, idx2, "nb")
     t_rehash = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    localize_only(ctx, hts, idx2)
+    localize_only(ctx, group, idx2)
     t_localize = time.perf_counter() - t0
 
     # the same kind of step as a touched-subset update
     pos = rng.choice(per, size=n_churn, replace=False)
     t0 = time.perf_counter()
-    rehash_delta(ctx, hts, tt, "nb", [a[pos] for a in idx2],
+    rehash_delta(ctx, group, tt, "nb", [a[pos] for a in idx2],
                  [rng.integers(0, n, n_churn) for _ in idx2])
     t_delta = time.perf_counter() - t0
 

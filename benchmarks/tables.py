@@ -349,7 +349,7 @@ class HandCodedLoop:
         m = self.m
         wl = self.wl
         dist = self.table.dist
-        self.htables = make_hash_tables(self.ctx, self.table)
+        self.group = make_hash_tables(self.ctx, self.table)
         i_per, j_per = [], []
         offsets0, jnb0 = wl["inblo0"], wl["jnb0"]
         for p in m.ranks():
@@ -363,12 +363,12 @@ class HandCodedLoop:
             i_per.append(np.repeat(rows, counts))
             j_per.append(jnb0[flat])
             m.charge_memops(p, 2 * total, "inspector")
-        self.i_loc = chaos_hash(self.ctx, self.htables, self.table, i_per, "i",
+        self.i_loc = chaos_hash(self.ctx, self.group, self.table, i_per, "i",
                                 category="inspector")
-        self.j_loc = chaos_hash(self.ctx, self.htables, self.table, j_per, "jnb",
+        self.j_loc = chaos_hash(self.ctx, self.group, self.table, j_per, "jnb",
                                 category="inspector")
-        self.sched = build_schedule(self.ctx, self.htables,
-                                    self.htables[0].expr("i", "jnb"),
+        self.sched = build_schedule(self.ctx, self.group,
+                                    self.group.expr("i", "jnb"),
                                     category="inspector")
 
     def execute_once(self):

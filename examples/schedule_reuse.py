@@ -51,16 +51,16 @@ def main() -> None:
     rt.hash_indirection(ttable, to0([1, 3, 7, 9, 2]), "a")
     rt.hash_indirection(ttable, to0([1, 5, 7, 8, 2]), "b")
     rt.hash_indirection(ttable, to0([4, 3, 10, 8, 9]), "c")
-    ht0 = rt.hash_tables(ttable)[0]
-    print(f"processor 0 hash table: {len(ht0)} entries, "
-          f"{ht0.ghost_capacity()} ghost slots, stamps {ht0.registry.names()}")
+    tables = rt.hash_tables(ttable)
+    print(f"processor 0 hash table: {tables.n_entries[0]} entries, "
+          f"{tables.n_ghost[0]} ghost slots, stamps {tables.registry.names()}")
 
     def fetched(expr) -> list[int]:
         sched = rt.build_schedule(ttable, expr)
         # what processor 1 sends to processor 0, as 1-based element ids
         return [6 + int(off) for off in sched.send_view(1, 0)]
 
-    e = ht0.expr
+    e = tables.expr
     cases = [
         ("sched_A   = CHAOS_schedule(stamp = a)", e("a"), [7, 9]),
         ("sched_B   = CHAOS_schedule(stamp = b)", e("b"), [7, 8]),
@@ -76,11 +76,11 @@ def main() -> None:
 
     # the adaptive trick: clear stamp b, rehash a *changed* ib — unchanged
     # entries (1, 7, 2) are reused, only 6 is translated anew
-    entries_before = len(ht0)
+    entries_before = tables.n_entries[0]
     rt.clear_stamp(ttable, "b")
     rt.hash_indirection(ttable, to0([1, 6, 7, 2]), "b")
-    print(f"\nafter re-hashing a modified ib: {len(ht0)} entries "
-          f"({len(ht0) - entries_before} new), "
+    print(f"\nafter re-hashing a modified ib: {tables.n_entries[0]} entries "
+          f"({tables.n_entries[0] - entries_before} new), "
           f"sched_B now gathers {sorted(fetched(e('b')))}")
 
     # a pipeline in an adaptive loop: two gathers over sched_A, run

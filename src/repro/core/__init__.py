@@ -19,7 +19,6 @@ from repro.core.hashtable import (
     DictKeyStore,
     DirectKeyStore,
     HashTableGroup,
-    IndexHashTable,
     StampExpr,
     StampRegistry,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "DictKeyStore",
     "DirectKeyStore",
     "HashTableGroup",
-    "IndexHashTable",
     "StampExpr",
     "StampRegistry",
     "Schedule",

@@ -34,7 +34,7 @@ from repro.core.executor import (
     run_reduction,
     scatter_op,
 )
-from repro.core.hashtable import IndexHashTable, StampExpr, stream_of
+from repro.core.hashtable import HashTableGroup, StampExpr, stream_of
 from repro.core.inspector import (
     chaos_hash,
     clear_stamp,
@@ -168,7 +168,7 @@ class ChaosRuntime:
         self.machine = ctx.machine
         #: weak keys: a group dies with its table, never passing to a
         #: table created later at the freed table's address
-        self._htables = weakref.WeakKeyDictionary()
+        self._groups = weakref.WeakKeyDictionary()
         self.modification_record = ctx.record
         self.schedule_cache = ctx.schedule_cache
 
@@ -241,15 +241,14 @@ class ChaosRuntime:
             ttable.dist.local_sizes(), trailing, dtype))
 
     # ---- Phase E: inspector --------------------------------------------
-    def hash_tables(self, ttable: TranslationTable) -> list[IndexHashTable]:
-        htables = self._htables.get(ttable)
-        if htables is None:
-            htables = self._htables[ttable] = make_hash_tables(self.ctx,
-                                                               ttable)
-        return htables
+    def hash_tables(self, ttable: TranslationTable) -> HashTableGroup:
+        group = self._groups.get(ttable)
+        if group is None:
+            group = self._groups[ttable] = make_hash_tables(self.ctx, ttable)
+        return group
 
     def drop_hash_tables(self, ttable: TranslationTable) -> None:
-        self._htables.pop(ttable, None)
+        self._groups.pop(ttable, None)
 
     def hash_indirection(
         self,
@@ -271,7 +270,7 @@ class ChaosRuntime:
 
     def stamp_expr(self, ttable: TranslationTable, *names: str) -> StampExpr:
         """Union stamp expression (merged schedules) by name."""
-        return self.hash_tables(ttable)[0].expr(*names)
+        return self.hash_tables(ttable).expr(*names)
 
     # ---- Phase F: executor ----------------------------------------------
     def gather(self, sched: Schedule, x: DistributedArray,
@@ -313,7 +312,9 @@ class IrregularReduction:
     array's stamp and localized indices only while the live tables still
     hold its reference counts, so an external ``clear_stamp``, a
     ``drop_hash_tables`` or a delta chain that raised half-way all force
-    its re-hash.  Indirection arrays and localized indices are held as
+    its re-hash; a stamp the live tables do not count invalidates the
+    cached schedule, so the next ``setup`` runs that full build too.
+    Indirection arrays and localized indices are held as
     :class:`~repro.core.compiled.RankArena` streams.
     """
 
@@ -423,9 +424,14 @@ class IrregularReduction:
 
     # -- cached inspector ------------------------------------------------
     def _rebuild(self) -> Schedule:
-        registry = self.rt.hash_tables(self.ttable)[0].registry
+        group = self.rt.hash_tables(self.ttable)
         for s in self._stamps:
-            registry.acquire(s)
+            if not group.counted(s):
+                # not hashed yet, or lost from the live tables (an
+                # external clear_stamp, a drop_hash_tables): a cached
+                # schedule no longer describes them
+                self.rt.modification_record.touch(s)
+                group.registry.acquire(s)
         sched, _ = self.rt.schedule_cache.get_or_build(
             self.name,
             tuple(self._stamps),
@@ -441,8 +447,7 @@ class IrregularReduction:
         table scan, re-hash those arrays, build merged.  The loop's first
         build is charged to ``"inspector"``, every later one to
         ``"schedule_regen"`` (Table 2's two rows)."""
-        ctx, htables = self.rt.ctx, self.rt.hash_tables(self.ttable)
-        group = htables[0].group
+        ctx, group = self.rt.ctx, self.rt.hash_tables(self.ttable)
         category = "inspector" if self._schedule is None else "schedule_regen"
         # ``_rebuild`` registered every stamp; only a counted one was
         # hashed, and an unchanged counted one still holds
@@ -450,23 +455,19 @@ class IrregularReduction:
                  or not group.counted(self._stamp_of(nm))]
         counted = [s for s in map(self._stamp_of, stale) if group.counted(s)]
         if counted:
-            clear_stamp(ctx, htables, *counted, category=category)
+            clear_stamp(ctx, group, *counted, category=category)
         for nm in stale:
             self._localized[nm] = chaos_hash(
-                ctx, htables, self.ttable, self._indirections[nm],
+                ctx, group, self.ttable, self._indirections[nm],
                 self._stamp_of(nm), category)
             self._changed.discard(nm)
-        return build_schedule(ctx, htables, htables[0].expr(*self._stamps),
+        return build_schedule(ctx, group, group.expr(*self._stamps),
                               category=category)
 
     def _apply_deltas(self, base: Schedule, moved) -> Schedule:
         """Replay touch payloads: subset re-hash + schedule splice."""
-        htables = self.rt.hash_tables(self.ttable)
-        if not all(map(htables[0].group.counted, self._stamps)):
-            # a stamp cleared outside this loop: entries may have left
-            # the selection unseen, so ``base`` no longer describes it
-            raise DeltaFallback("a stamp of the loop lost its counts")
-        expr = self.rt.stamp_expr(self.ttable, *self._stamps)
+        group = self.rt.hash_tables(self.ttable)
+        expr = group.expr(*self._stamps)
         sched = base
         for stamp, chain in moved.items():
             # stamp is f"{self.name}:{nm}" — strip the loop-name prefix
@@ -476,11 +477,11 @@ class IrregularReduction:
             for positions, old_vals, new_vals in chain:
                 try:
                     rehash = rehash_delta(
-                        self.rt.ctx, htables, self.ttable, stamp,
+                        self.rt.ctx, group, self.ttable, stamp,
                         old_vals, new_vals, "schedule_regen",
                     )
                     sched = delta_rebuild_schedule(
-                        self.rt.ctx, htables, expr, sched, rehash,
+                        self.rt.ctx, group, expr, sched, rehash,
                         "schedule_regen",
                     )
                 except (KeyError, ValueError, RuntimeError) as e:

@@ -4,9 +4,11 @@ A :class:`Backend` implements every interpreter-bound step of the CHAOS
 pipeline, spanning both halves of the inspector/executor split:
 
 * **inspector phase** — index analysis (``chaos_hash`` probing/insertion
-  via the backend's key store), localization, schedule generation from
-  stamped hash tables, and translation-table lookup accounting.  Index
-  arguments are per-rank sequences read as one rank-major stream
+  via the backend's key store), schedule generation from stamped hash
+  tables, and translation-table lookup accounting.  The tables are one
+  :class:`~repro.core.hashtable.HashTableGroup` (rank ``p``'s table is
+  row ``p`` of its arenas).  Index arguments are per-rank sequences
+  read as one rank-major stream
   (:func:`~repro.core.hashtable.stream_of`), and localized indices come
   back as a :class:`~repro.core.compiled.RankArena`, which is both forms;
 * **executor phase** — :meth:`Backend.run_stage`: one stage, a
@@ -54,8 +56,6 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 
-from repro.core.compiled import RankArena
-from repro.core.hashtable import group_of, stream_of
 
 #: environment variable consulted for the initial default backend
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -85,37 +85,16 @@ class Backend(ABC):
         :mod:`repro.core.hashtable`)."""
 
     @abstractmethod
-    def chaos_hash(self, ctx, htables, ttable, idx, stamp,
+    def chaos_hash(self, ctx, group, ttable, idx, stamp,
                    category: str):
-        """Index analysis: enter one indirection array into the hash
-        tables (translating only unseen indices), stamp every touched
+        """Index analysis: enter one indirection array into the table
+        ``group`` (translating only unseen indices), stamp every touched
         entry, return the localized indices as a
         :class:`~repro.core.compiled.RankArena`.  ``idx`` holds one index
         sequence per rank (see :func:`~repro.core.hashtable.stream_of`)."""
 
-    def localize(self, ctx, htables, idx, category: str):
-        """Pure-lookup localization of already-hashed indirection
-        arrays (the unchanged-array fast path); ``idx`` and the result
-        as for :meth:`chaos_hash`.
-
-        Concrete: the only backend-specific structure is the key store
-        already behind the tables, so one implementation — every rank's
-        indices as one stream through the group — serves every backend.
-        """
-        from repro.core.inspector import _PROBE_COST
-
-        machine = ctx.machine
-        group = group_of(htables)
-        keys, sizes = stream_of(idx)
-        machine.charge_memops_vec(_PROBE_COST * sizes, category)
-        rows = group.store.lookup(keys, sizes)
-        if rows.size and rows.min() < 0:
-            raise KeyError(
-                f"global index {int(keys[rows < 0][0])} not hashed yet")
-        return RankArena(group.localize(rows, sizes), sizes)
-
     @abstractmethod
-    def build_schedule(self, ctx, htables, expr, category: str):
+    def build_schedule(self, ctx, group, expr, category: str):
         """``CHAOS_schedule``: group the off-processor entries ``expr``
         selects (a stamp expression or name, or a
         :class:`~repro.core.compiled.RankArena` of each rank's rows) by

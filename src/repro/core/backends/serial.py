@@ -28,6 +28,14 @@ from repro.core.compiled import RankArena
 from repro.core.hashtable import DictKeyStore, stream_of
 
 
+def _on(group, p: int, k: int) -> np.ndarray:
+    """``sizes`` of a rank-major stream whose ``k`` elements all live on
+    rank ``p`` of ``group``."""
+    sizes = np.zeros(group.n_ranks, dtype=np.int64)
+    sizes[p] = k
+    return sizes
+
+
 @_builtin
 class SerialBackend(Backend):
     """Reference per-key / per-rank-pair implementation of every phase."""
@@ -40,51 +48,58 @@ class SerialBackend(Backend):
     def make_key_store(self, n_ranks, n_keys):
         return DictKeyStore(n_ranks, n_keys)
 
-    def chaos_hash(self, ctx, htables, ttable, idx, stamp, category):
+    def chaos_hash(self, ctx, group, ttable, idx, stamp, category):
         from repro.core.inspector import _INSERT_COST, _PROBE_COST
 
         machine = ctx.machine
+        store = group.store
         idx = RankArena(*stream_of(idx))  # one int64 array per rank
         # Step 1: probe; find the uniques each rank has never seen.
         new_per_rank: list[np.ndarray] = []
         for p in machine.ranks():
             machine.charge_memops(p, _PROBE_COST * idx[p].size, category)
-            new_per_rank.append(htables[p].missing_uniques(idx[p]))
+            uniq = np.unique(idx[p])
+            rows = store.lookup(uniq, _on(group, p, uniq.size))
+            new_per_rank.append(uniq[rows < 0])
 
         # Step 2: translate only the new uniques (collective; the
         # expensive part the hash table amortizes away in adaptive runs).
         owners, offsets = ttable.dereference(ctx, new_per_rank,
                                              category=category)
 
-        # Step 3: insert and stamp.
+        # Step 3: insert and stamp, rank by rank, on row p of the group's
+        # arenas (re-read after each insert: an insert may widen them).
+        bit = group.registry.acquire(stamp)
         localized: list[np.ndarray] = []
         for p in machine.ranks():
-            ht = htables[p]
             new = new_per_rank[p]
             machine.charge_memops(p, _INSERT_COST * new.size, category)
-            ht.insert_translated(new, owners[p], offsets[p])
+            group.insert(new, _on(group, p, new.size), owners[p], offsets[p])
             if idx[p].size:
                 uniq, cnt = np.unique(idx[p], return_counts=True)
-                slots = ht.lookup_slots(uniq)
-                ht.stamp_slots(slots, stamp, counts=cnt)
+                rows = store.lookup(uniq, _on(group, p, uniq.size))
+                group.mask[p, rows] |= bit
+                group.ref_plane(stamp)[p, rows] += cnt
                 machine.charge_memops(p, uniq.size, category)
-                localized.append(ht.localize(idx[p]))
-            else:  # the stamp exists, counted, on empty ranks too
-                ht.registry.acquire(stamp)
-                ht.group.ref_plane(stamp)
+                sizes = _on(group, p, idx[p].size)
+                localized.append(group.localize(store.lookup(idx[p], sizes),
+                                                sizes))
+            else:  # the stamp is counted on empty ranks too
+                group.ref_plane(stamp)
                 localized.append(np.zeros(0, dtype=np.int64))
         return RankArena.adopt(localized)
 
     # ------------------------------------------------------------------
     # inspector phase: schedule generation
     # ------------------------------------------------------------------
-    def build_schedule(self, ctx, htables, expr, category):
+    def build_schedule(self, ctx, group, expr, category):
         from repro.core.compiled import offsets_from_counts
         from repro.core.schedule import Schedule
 
         machine = ctx.machine
         n = machine.n_ranks
-        z = lambda: np.zeros(0, dtype=np.int64)  # noqa: E731
+        if isinstance(expr, str):
+            expr = group.expr(expr)
 
         # Per rank: select stamped off-processor entries, group by owner
         # with a stable argsort, and keep the grouped stream *flat* — the
@@ -94,28 +109,22 @@ class SerialBackend(Backend):
         requests: list[np.ndarray] = []
         recv_slots: list[np.ndarray] = []
         recv_offsets: list[np.ndarray] = []
-        ghost_size = [0] * n
 
         for p in machine.ranks():
-            ht = htables[p]
+            ne = int(group.n_entries[p])
             if isinstance(expr, RankArena):
-                slots = expr[p]  # the selection itself
+                rows = expr[p]  # the selection itself
             else:
-                slots = ht.select(ht.expr(expr) if isinstance(expr, str)
-                                  else expr, off_processor_only=True)
-            machine.charge_memops(p, ht.n_entries + 2 * slots.size, category)
-            ghost_size[p] = ht.ghost_capacity()
-            if slots.size == 0:
-                requests.append(z())
-                recv_slots.append(z())
-                recv_offsets.append(offsets_from_counts(counts[p]))
-                continue
-            owners = ht.proc[slots]
+                sel = expr.matches(group.mask[p, :ne])
+                sel &= group.proc[p, :ne] != p
+                rows = np.flatnonzero(sel)
+            machine.charge_memops(p, ne + 2 * rows.size, category)
+            owners = group.proc[p, rows]
             order = np.argsort(owners, kind="stable")
-            slots = slots[order]
+            rows = rows[order]
             counts[p] = np.bincount(owners[order], minlength=n)
-            requests.append(ht.off[slots].astype(np.int64))
-            recv_slots.append(ht.buf[slots].astype(np.int64))
+            requests.append(group.off[p, rows])
+            recv_slots.append(group.buf[p, rows])
             recv_offsets.append(offsets_from_counts(counts[p]))
 
         # Size exchange (schedule setup), then the request exchange: the
@@ -142,9 +151,9 @@ class SerialBackend(Backend):
                 send_indices.append(np.concatenate(parts))
                 machine.charge_memops(q, int(counts[:, q].sum()), category)
             else:
-                send_indices.append(z())
+                send_indices.append(np.zeros(0, dtype=np.int64))
         return Schedule(counts=counts.T, send=np.concatenate(send_indices),
-                        place=np.concatenate(recv_slots), extent=ghost_size)
+                        place=np.concatenate(recv_slots), extent=group.n_ghost)
 
     # ------------------------------------------------------------------
     # inspector phase: translation-table lookups

@@ -63,7 +63,7 @@ from repro.core.compiled import (
     rank_layout,
     stream_perm,
 )
-from repro.core.hashtable import DirectKeyStore, group_of, stream_of
+from repro.core.hashtable import DirectKeyStore, stream_of
 
 #: scalars per slice of an indexed stream walk: the gathered segment
 #: stays cache-resident between its read and its write or fold
@@ -146,7 +146,7 @@ class VectorizedBackend(Backend):
     def make_key_store(self, n_ranks, n_keys):
         return DirectKeyStore(n_ranks, n_keys)
 
-    def chaos_hash(self, ctx, htables, ttable, idx, stamp, category):
+    def chaos_hash(self, ctx, group, ttable, idx, stamp, category):
         from repro.core.inspector import (
             _INSERT_COST,
             _PROBE_COST,
@@ -154,7 +154,6 @@ class VectorizedBackend(Backend):
         )
 
         machine = ctx.machine
-        group = group_of(htables)
         # Step 1: probe every reference of every rank as one stream.
         keys, sizes = stream_of(idx)
         machine.charge_memops_vec(_PROBE_COST * sizes, category)
@@ -174,11 +173,10 @@ class VectorizedBackend(Backend):
     # ------------------------------------------------------------------
     # inspector phase: schedule generation
     # ------------------------------------------------------------------
-    def build_schedule(self, ctx, htables, expr, category):
+    def build_schedule(self, ctx, group, expr, category):
         from repro.core.schedule import Schedule
 
         machine = ctx.machine
-        group = group_of(htables)
         # the selected off-processor entries, each rank's grouped by
         # owner: that stream *is* the receive storage
         if isinstance(expr, RankArena):  # the selected rows themselves
@@ -186,7 +184,7 @@ class VectorizedBackend(Backend):
                 *stream_of(expr))
         else:
             counts, requests, recv_slots = group.requests(
-                htables[0].expr(expr) if isinstance(expr, str) else expr)
+                group.expr(expr) if isinstance(expr, str) else expr)
         n_sel = counts.sum(axis=1)
         machine.charge_memops_vec(group.n_entries + 2 * n_sel, category)
 

@@ -16,17 +16,16 @@ stamps (Figure 6):
 * ``stamp_b - stamp_a``  → incremental schedule (only what earlier
   schedules did not fetch).
 
-**One group, per-rank views.**  :class:`HashTableGroup` owns the tables of
-every rank of a machine: the entry columns and the per-stamp refcount
-planes are ``(n_ranks, rows_cap)`` arenas, and one *key store* maps
-``(rank, global index)`` to a row.  Its operations take a **rank-major
-stream** — the ranks' keys concatenated in rank order, plus the per-rank
-``sizes`` — and walk it in cache-sized blocks of consecutive ranks, so
-hashing, re-hashing, clearing and schedule building cost a number of
-numpy passes set by the amount of data, not by the rank count.
-:class:`IndexHashTable` is rank ``p``'s *view* of the group (row ``p`` of
-every arena, one-rank streams): the serial reference,
-:mod:`repro.core.verify` and the tests read tables through it.
+**One group.**  :class:`HashTableGroup` owns the tables of every rank of
+a machine: the entry columns and the per-stamp refcount planes are
+``(n_ranks, rows_cap)`` arenas — rank ``p``'s table is row ``p`` of each
+— and one *key store* maps ``(rank, global index)`` to a row.  Its
+operations take a **rank-major stream** — the ranks' keys concatenated
+in rank order, plus the per-rank ``sizes`` — and walk it in cache-sized
+blocks of consecutive ranks, so hashing, re-hashing, clearing and
+schedule building cost a number of numpy passes set by the amount of
+data, not by the rank count.  The group is the one handle the inspector
+primitives, the backends and :mod:`repro.core.verify` take.
 
 Two key stores implement the stream interface; callers choose the rows,
 so the choice is invisible above: :class:`DirectKeyStore`, one flat
@@ -187,38 +186,63 @@ class StampExpr:
 # ----------------------------------------------------------------------
 # key stores: rank-major streams of keys -> rows
 # ----------------------------------------------------------------------
+def _stream(n_ranks: int, keys, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """A key store's stream check: ``(keys, sizes)`` as int64 arrays,
+    where ``sizes`` must split ``keys`` over the ``n_ranks`` ranks."""
+    keys = np.asarray(keys, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes.shape != (n_ranks,) or sizes.sum() != keys.size
+            or (n_ranks and sizes.min() < 0)):
+        raise ValueError("sizes must split the stream over the ranks")
+    return keys, sizes
+
+
+def _insert_rows(rows, n: int) -> np.ndarray:
+    """An insert's rows as int64, checked: one non-negative row per key."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size != n:
+        raise ValueError("one row per key")
+    if n and rows.min() < 0:
+        raise ValueError(f"negative row {int(rows.min())}")
+    return rows
+
+
 class DictKeyStore:
     """Reference key store: one dict per rank, one dict operation per key
     — the historical (interpreter-bound) index-analysis path, kept by the
     serial backend as the semantics oracle of :class:`DirectKeyStore`,
-    under the same contract (keys in ``[0, n_keys)``)."""
+    under the same contract (keys in ``[0, n_keys)``, the same stream
+    checks)."""
 
     kind = "dict"
 
     def __init__(self, n_ranks: int, n_keys: int) -> None:
-        self.n_keys = int(n_keys)
+        self.n_ranks, self.n_keys = int(n_ranks), int(n_keys)
         self._row_of: list[dict[int, int]] = [{} for _ in range(n_ranks)]
 
     def _segments(self, keys: np.ndarray, sizes: np.ndarray):
-        """``(dict, that rank's keys as a list)`` per non-empty rank."""
-        keys = np.asarray(keys, dtype=np.int64)
+        """``(dict, that rank's keys as a list)`` per non-empty rank of a
+        checked stream."""
         lo = 0
-        for d, n in zip(self._row_of, np.asarray(sizes).tolist()):
+        for d, n in zip(self._row_of, sizes.tolist()):
             if n:
                 yield d, keys[lo:lo + n].tolist()
             lo += n
 
     def lookup(self, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Row of each key, -1 where absent."""
+        keys, sizes = _stream(self.n_ranks, keys, sizes)
         return np.array([d.get(k, -1)
                          for d, seg in self._segments(keys, sizes)
                          for k in seg], dtype=np.int64)
 
     def insert(self, keys: np.ndarray, sizes: np.ndarray,
                rows: np.ndarray) -> None:
-        """Map each key to its row; a key outside ``[0, n_keys)`` or a
-        duplicate (within its rank's segment or against the store) is an
-        error and leaves the store untouched."""
+        """Map each key to its row; a key outside ``[0, n_keys)``, a
+        duplicate (within its rank's segment or against the store) or a
+        negative row is an error and leaves the store untouched."""
+        keys, sizes = _stream(self.n_ranks, keys, sizes)
+        rows = _insert_rows(rows, keys.size)
         for d, seg in self._segments(keys, sizes):
             seen: set[int] = set()
             for k in seg:
@@ -227,7 +251,7 @@ class DictKeyStore:
                 if k in d or k in seen:
                     raise ValueError(f"duplicate insert of global index {k}")
                 seen.add(k)
-        rows = iter(np.asarray(rows, dtype=np.int64).tolist())
+        rows = iter(rows.tolist())
         for d, seg in self._segments(keys, sizes):
             d.update(zip(seg, rows))
 
@@ -258,9 +282,11 @@ class DirectKeyStore:
       references up *before* the translation table bounds-checks them,
       so a bad index must stay a miss and reach that check);
     * inserting such a key is a ``ValueError``, and so is a duplicate
-      (within a rank's segment or against the store) or a row whose
-      entry would not fit int32 (``row + 1 >= 2**31``) — each leaves the
-      store untouched.
+      (within a rank's segment or against the store), a negative row or
+      one whose entry would not fit int32 (``row + 1 >= 2**31``) — each
+      leaves the store untouched;
+    * ``sizes`` must split the stream over the ranks, and an insert
+      takes one row per key (both stores share these checks).
     """
 
     kind = "direct"
@@ -275,11 +301,7 @@ class DirectKeyStore:
 
     def _positions(self, keys, sizes):
         """``(map entry of each key, out-of-range mask or None)`` for a
-        stream, checked; out-of-range keys' entries are meaningless."""
-        keys = np.asarray(keys, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.size != self.n_ranks or sizes.sum() != keys.size:
-            raise ValueError("sizes must split the stream over the ranks")
+        checked stream; out-of-range keys' entries are meaningless."""
         pos = np.repeat(self._base, sizes)
         pos += keys
         # negative keys wrap to huge unsigned ones: one bound for both ends
@@ -290,7 +312,7 @@ class DirectKeyStore:
 
     def lookup(self, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Row of each key, -1 where absent."""
-        pos, outside = self._positions(keys, sizes)
+        pos, outside = self._positions(*_stream(self.n_ranks, keys, sizes))
         if outside is not None:
             pos[outside] = self._rows.size - 1
         rows = self._rows.take(pos).astype(np.int64)
@@ -300,19 +322,17 @@ class DirectKeyStore:
     def insert(self, keys: np.ndarray, sizes: np.ndarray,
                rows: np.ndarray) -> None:
         """Map each key to its row; a key outside ``[0, n_keys)``, a
-        duplicate (within its rank's segment or against the store) or a
-        row whose entry would not fit int32 is an error and leaves the
-        store untouched."""
+        duplicate (within its rank's segment or against the store), a
+        negative row or a row whose entry would not fit int32 is an
+        error and leaves the store untouched."""
+        keys, sizes = _stream(self.n_ranks, keys, sizes)
+        rows = _insert_rows(rows, keys.size)
         pos, outside = self._positions(keys, sizes)
         if outside is not None:
-            raise ValueError(_outside(int(np.asarray(keys)[outside][0]),
-                                      self.n_keys))
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size != pos.size:
-            raise ValueError("one row per key")
+            raise ValueError(_outside(int(keys[outside][0]), self.n_keys))
         if pos.size == 0:
             return
-        if rows.min() < 0 or rows.max() >= np.iinfo(np.int32).max:
+        if rows.max() >= np.iinfo(np.int32).max:
             raise ValueError("rows must fit int32")
         # (rank, key) pairs are distinct iff their entries are; a stream
         # of sorted per-rank uniques (what the inspector passes) has
@@ -337,8 +357,17 @@ class DirectKeyStore:
 
 
 # ----------------------------------------------------------------------
-# the group and its per-rank views
+# the group
 # ----------------------------------------------------------------------
+def _check_tables(machine, group) -> None:
+    """Reject tables that are not one group of ``machine``'s rank count
+    (the inspector primitives' one check of their tables)."""
+    if getattr(group, "n_ranks", None) != machine.n_ranks:
+        raise ValueError(
+            f"hash tables must be one HashTableGroup of {machine.n_ranks} "
+            "ranks (as make_hash_tables returns)")
+
+
 class HashTableGroup:
     """The index-analysis tables of every rank of one machine.
 
@@ -358,7 +387,7 @@ class HashTableGroup:
 
     _COLUMNS = ("g", "proc", "off", "buf", "mask")
 
-    def __init__(self, n_local, store, registry: StampRegistry | None = None):
+    def __init__(self, n_local, store):
         self.n_local = np.asarray(n_local, dtype=np.int64)
         if self.n_local.ndim != 1 or self.n_local.size == 0:
             raise ValueError("need one local size per rank")
@@ -366,7 +395,7 @@ class HashTableGroup:
             raise ValueError(f"negative local size {int(self.n_local.min())}")
         self.n_ranks = n = int(self.n_local.size)
         self.store = store
-        self.registry = registry if registry is not None else StampRegistry()
+        self.registry = StampRegistry()
         self.n_entries = np.zeros(n, dtype=np.int64)
         self.n_ghost = np.zeros(n, dtype=np.int64)  # slots assigned
         self.rows_cap = _GROW
@@ -401,12 +430,6 @@ class HashTableGroup:
         for name, plane in self._refs.items():
             self._refs[name] = widen(plane, 0)
         self.rows_cap = cap
-
-    def views(self) -> list["IndexHashTable"]:
-        """One :class:`IndexHashTable` per rank (the group keeps no
-        reference to them: a cycle would outlive its last user until
-        the next garbage collection)."""
-        return [IndexHashTable(self, p) for p in range(self.n_ranks)]
 
     def flat(self, ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Positions of ``(rank, row)`` pairs in the raveled arenas
@@ -461,6 +484,13 @@ class HashTableGroup:
             self._refs[name] = np.zeros((self.n_ranks, self.rows_cap),
                                         dtype=np.int64)
         return self._refs[name]
+
+    def expr(self, *names: str) -> StampExpr:
+        """Union stamp expression over named stamps."""
+        inc = 0
+        for n in names:
+            inc |= self.registry.mask_of(n)
+        return StampExpr(inc)
 
     def counted(self, name: str) -> bool:
         """Whether reference counts are maintained for the stamp."""
@@ -590,131 +620,3 @@ class HashTableGroup:
         at = at[np.argsort(pair.astype(narrow), kind="stable")]
         counts = np.bincount(pair, minlength=width * n).reshape(-1, n)
         return counts, self.off.ravel()[at], self.buf.ravel()[at]
-
-
-def group_of(htables: list["IndexHashTable"]) -> HashTableGroup:
-    """The group whose per-rank views ``htables`` are, in rank order."""
-    group = htables[0].group
-    if len(htables) != group.n_ranks or any(
-            ht.group is not group or ht.rank != p
-            for p, ht in enumerate(htables)):
-        raise ValueError(
-            "hash tables must be the per-rank views of one group, in rank "
-            "order (as returned by make_hash_tables)"
-        )
-    return group
-
-
-class IndexHashTable:
-    """Rank ``rank``'s view of a :class:`HashTableGroup`.
-
-    ``g/proc/off/buf/mask`` are the rank's rows of the group's arenas
-    (writable views, re-read on every access because the arenas may
-    grow); the methods are one-rank streams through the group.
-    """
-
-    __slots__ = ("group", "rank")
-
-    def __init__(self, group: HashTableGroup, rank: int):
-        if not 0 <= rank < group.n_ranks:
-            raise ValueError(f"rank {rank} outside the group's "
-                             f"{group.n_ranks} ranks")
-        self.group = group
-        self.rank = int(rank)
-
-    registry = property(lambda self: self.group.registry)
-    n_local = property(lambda self: int(self.group.n_local[self.rank]))
-    n_entries = property(lambda self: int(self.group.n_entries[self.rank]))
-    n_ghost = property(lambda self: int(self.group.n_ghost[self.rank]))
-    g = property(lambda self: self.group.g[self.rank])
-    proc = property(lambda self: self.group.proc[self.rank])
-    off = property(lambda self: self.group.off[self.rank])
-    buf = property(lambda self: self.group.buf[self.rank])
-    mask = property(lambda self: self.group.mask[self.rank])
-
-    def _sizes(self, n: int) -> np.ndarray:
-        """``sizes`` of a stream that lives entirely on this rank."""
-        sizes = np.zeros(self.group.n_ranks, dtype=np.int64)
-        sizes[self.rank] = n
-        return sizes
-
-    # ------------------------------------------------------------------
-    def lookup_slots(self, gidx: np.ndarray) -> np.ndarray:
-        """Slot of each global index, or -1 if absent."""
-        gidx = np.asarray(gidx, dtype=np.int64)
-        return self.group.store.lookup(gidx, self._sizes(gidx.size))
-
-    def missing_uniques(self, gidx: np.ndarray) -> np.ndarray:
-        """Unique global indices from ``gidx`` not yet in the table."""
-        uniq = np.unique(np.asarray(gidx, dtype=np.int64))
-        return uniq[self.lookup_slots(uniq) < 0]
-
-    def insert_translated(
-        self, gidx: np.ndarray, owners: np.ndarray, offsets: np.ndarray
-    ) -> np.ndarray:
-        """Insert new (already-translated) entries; returns their slots.
-
-        Off-processor entries receive ghost-buffer slots in insertion
-        order.  Duplicate keys are an error (pass uniques) and leave the
-        table untouched.
-        """
-        return self.group.insert(gidx, self._sizes(np.size(gidx)),
-                                 owners, offsets)
-
-    def stamp_slots(self, slots: np.ndarray, stamp_name: str,
-                    counts: np.ndarray | None = None) -> None:
-        """Mark entries at ``slots`` with the stamp's bit.
-
-        ``counts`` (aligned with ``slots``) records how many positions of
-        the indirection array reference each slot; passing it maintains
-        the stamp's reference counts (:meth:`HashTableGroup.ref_plane`).
-        Stamping without counts drops them, on every rank — the stamp
-        falls back to full clear/rehash semantics.
-        """
-        bit = self.registry.acquire(stamp_name)
-        slots = np.asarray(slots, dtype=np.int64)
-        self.mask[slots] |= bit
-        if counts is None:
-            self.group._refs.pop(stamp_name, None)
-        else:
-            self.group.ref_plane(stamp_name)[self.rank, slots] += np.asarray(
-                counts, dtype=np.int64)
-
-    def localize(self, gidx: np.ndarray) -> np.ndarray:
-        """Translate global indices to local/localized indices.
-
-        Owned elements map to their local offset; off-processor elements
-        map to ``n_local + buffer_slot``.  All indices must already be in
-        the table (hash first).
-        """
-        slots = self.lookup_slots(gidx)
-        if np.any(slots < 0):
-            missing = np.asarray(gidx, dtype=np.int64)[slots < 0][0]
-            raise KeyError(f"global index {missing} not hashed yet")
-        return self.group.localize(slots, self._sizes(slots.size))
-
-    def select(self, expr: StampExpr, off_processor_only: bool = True
-               ) -> np.ndarray:
-        """Slots matching a stamp expression (optionally off-proc only)."""
-        sel = expr.matches(self.mask[: self.n_entries])
-        if off_processor_only:
-            sel &= self.proc[: self.n_entries] != self.rank
-        return np.flatnonzero(sel).astype(np.int64)
-
-    def expr(self, *names: str) -> StampExpr:
-        """Union stamp expression over named stamps."""
-        inc = 0
-        for n in names:
-            inc |= self.registry.mask_of(n)
-        return StampExpr(inc)
-
-    # ------------------------------------------------------------------
-    def ghost_capacity(self) -> int:
-        """Ghost-buffer slots assigned so far (size the ghost region)."""
-        return self.n_ghost
-
-    def __len__(self) -> int:
-        return self.n_entries
-
-    def __contains__(self, gidx: int) -> bool:
-        return bool(self.lookup_slots(np.array([gidx]))[0] >= 0)

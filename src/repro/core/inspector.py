@@ -1,9 +1,9 @@
 """The inspector phase: index analysis (``CHAOS_hash``) and localization.
 
 ``chaos_hash`` is the paper's two-step inspector front half (§3.2.2): it
-enters an indirection array's global indices into the per-rank hash
-tables, translating only the indices *not already present* (the adaptive
-reuse win), assigns ghost-buffer slots to new off-processor references,
+enters an indirection array's global indices into the hash tables of
+every rank, translating only the indices *not already present* (the
+adaptive reuse win), assigns ghost-buffer slots to new off-processor references,
 marks every touched entry with the indirection array's stamp, and returns
 the indirection array rewritten to localized indices.
 
@@ -11,17 +11,18 @@ The back half — schedule generation from stamped entries — lives in
 :mod:`repro.core.schedule`.
 
 Every function takes an :class:`~repro.core.context.ExecutionContext`
-first: the context carries the machine and the resolved *backend*
-(:mod:`repro.core.backends`) executing the analysis — ``serial``
-analyses indices rank by rank, one dict operation per key (the reference
-semantics); ``vectorized`` (the default) looks up and inserts every
-rank's indices as one rank-major stream through the table group's
-direct-address key map.
-The adaptive steps below (:func:`clear_stamp`, :func:`rehash_delta`,
-:func:`delta_rebuild_schedule`) are written once, on the
-:class:`~repro.core.hashtable.HashTableGroup` behind the tables: a
-constant number of machine-wide passes whatever the rank count, with the
-simulated work still charged rank by rank.
+first and the tables second: one
+:class:`~repro.core.hashtable.HashTableGroup` holding every rank's
+table, as :func:`make_hash_tables` returns it.  The context carries the
+machine and the resolved *backend* (:mod:`repro.core.backends`)
+executing :func:`chaos_hash` — ``serial`` analyses indices rank by
+rank, one dict operation per key (the reference semantics);
+``vectorized`` (the default) looks up and inserts every rank's indices
+as one rank-major stream through the table group's direct-address key
+map.  The other steps below (:func:`localize_only`, :func:`clear_stamp`,
+:func:`rehash_delta`, :func:`delta_rebuild_schedule`) are written once,
+on the group: a constant number of machine-wide passes whatever the
+rank count, with the simulated work still charged rank by rank.
 
 Index arguments are per-rank sequences, handled as one rank-major
 stream (:func:`~repro.core.hashtable.stream_of`: an intact
@@ -39,9 +40,8 @@ from repro.core.compiled import RankArena, offsets_from_counts
 from repro.core.context import ensure_context
 from repro.core.hashtable import (
     HashTableGroup,
-    IndexHashTable,
     StampExpr,
-    group_of,
+    _check_tables,
     stream_of,
 )
 from repro.core.translation import TranslationTable
@@ -51,25 +51,21 @@ _PROBE_COST = 1
 _INSERT_COST = 3
 
 
-def make_hash_tables(
-    ctx, ttable: TranslationTable
-) -> list[IndexHashTable]:
-    """One hash table per rank for arrays distributed like ``ttable``.
-
-    The tables are the per-rank views of one
-    :class:`~repro.core.hashtable.HashTableGroup` (one stamp registry, so
-    stamp names mean the same thing on every rank).  The context's
-    backend selects the key store behind the group (dict reference vs
-    the direct-address map over ``ttable``'s global indices); every
-    store assigns identical slots, so the choice only affects wall-clock
-    speed.
+def make_hash_tables(ctx, ttable: TranslationTable) -> HashTableGroup:
+    """The hash tables of every rank for arrays distributed like
+    ``ttable``: one :class:`~repro.core.hashtable.HashTableGroup` (one
+    stamp registry, so stamp names mean the same thing on every rank).
+    The context's backend selects the key store behind the group (dict
+    reference vs the direct-address map over ``ttable``'s global
+    indices); every store assigns identical slots, so the choice only
+    affects wall-clock speed.
     """
     ctx = ensure_context(ctx, "make_hash_tables")
     n = ctx.machine.n_ranks
     return HashTableGroup(
         [ttable.dist.local_size(p) for p in range(n)],
         store=ctx.backend.make_key_store(n, ttable.dist.n_global),
-    ).views()
+    )
 
 
 def translate_missing(ctx, group, ttable, keys, sizes, miss, category):
@@ -112,7 +108,7 @@ def translate_missing(ctx, group, ttable, keys, sizes, miss, category):
 
 def chaos_hash(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     ttable: TranslationTable,
     indices: list[np.ndarray | None],
     stamp: str,
@@ -131,15 +127,15 @@ def chaos_hash(
     """
     ctx = ensure_context(ctx, "chaos_hash")
     m = ctx.machine
-    m.check_per_rank(htables, "hash tables")
+    _check_tables(m, group)
     m.check_per_rank(indices, "indices")
-    return ctx.backend.chaos_hash(ctx, htables, ttable, indices, stamp,
+    return ctx.backend.chaos_hash(ctx, group, ttable, indices, stamp,
                                   category)
 
 
 def clear_stamp(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     *stamps: str,
     category: str = "inspector",
 ) -> int:
@@ -154,8 +150,7 @@ def clear_stamp(
     """
     ctx = ensure_context(ctx, "clear_stamp")
     m = ctx.machine
-    m.check_per_rank(htables, "hash tables")
-    group = group_of(htables)
+    _check_tables(m, group)
     m.charge_memops_vec(group.n_entries, category)
     return group.clear_stamp(*[s for s in stamps if s in group.registry])
 
@@ -180,7 +175,7 @@ class DeltaRehash:
 
 def rehash_delta(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     ttable: TranslationTable,
     stamp: str,
     old_indices: list[np.ndarray | None],
@@ -199,16 +194,13 @@ def rehash_delta(
     scales with the touched subset, not the array.
 
     Requires the stamp to have been hashed with reference counts
-    (:func:`chaos_hash` always does) — a stamp manipulated through
-    uncounted :meth:`IndexHashTable.stamp_slots` calls must fall back to
-    the full clear/rehash path.
+    (:func:`chaos_hash` always does; :func:`clear_stamp` drops them).
     """
     ctx = ensure_context(ctx, "rehash_delta")
     m = ctx.machine
-    m.check_per_rank(htables, "hash tables")
+    _check_tables(m, group)
     m.check_per_rank(old_indices, "old indices")
     m.check_per_rank(new_indices, "new indices")
-    group = group_of(htables)
     old, n_old = stream_of(old_indices)
     new, n_new = stream_of(new_indices)
     if np.any(n_old != n_new):
@@ -249,7 +241,7 @@ def rehash_delta(
 
 def delta_rebuild_schedule(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     expr: StampExpr | str,
     base_schedule,
     rehash: DeltaRehash,
@@ -269,9 +261,8 @@ def delta_rebuild_schedule(
 
     ctx = ensure_context(ctx, "delta_rebuild_schedule")
     m = ctx.machine
-    m.check_per_rank(htables, "hash tables")
-    group = group_of(htables)
-    sel = htables[0].expr(expr) if isinstance(expr, str) else expr
+    _check_tables(m, group)
+    sel = group.expr(expr) if isinstance(expr, str) else expr
     rows, n_aff = stream_of(rehash.affected_slots)
     n = group.n_ranks
     ranks = np.repeat(np.arange(n), n_aff)
@@ -285,16 +276,16 @@ def delta_rebuild_schedule(
                              np.bincount(ranks[left], minlength=n))
     m.charge_memops_vec(n_aff, category)
     delta = build_schedule(
-        ctx, htables,
+        ctx, group,
         RankArena(rows[newly], np.bincount(ranks[newly], minlength=n)),
         category=category)
-    return splice_schedules(ctx, htables, base_schedule, delta,
+    return splice_schedules(ctx, group, base_schedule, delta,
                             dropped_bufs, category=category)
 
 
 def localize_only(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     indices: list[np.ndarray | None],
     category: str = "inspector",
 ) -> RankArena:
@@ -303,9 +294,17 @@ def localize_only(
     This is the fast path for *unchanged* indirection arrays: a pure
     lookup, no translation-table traffic at all.  Returns a
     :class:`~repro.core.compiled.RankArena`, like :func:`chaos_hash`.
+    No backend step: the only backend-specific structure is the key
+    store already behind the group, so every rank's indices go through
+    it as one stream whatever the backend.
     """
     ctx = ensure_context(ctx, "localize_only")
     m = ctx.machine
-    m.check_per_rank(htables, "hash tables")
+    _check_tables(m, group)
     m.check_per_rank(indices, "indices")
-    return ctx.backend.localize(ctx, htables, indices, category)
+    keys, sizes = stream_of(indices)
+    m.charge_memops_vec(_PROBE_COST * sizes, category)
+    rows = group.store.lookup(keys, sizes)
+    if rows.size and rows.min() < 0:
+        raise KeyError(f"global index {int(keys[rows < 0][0])} not hashed yet")
+    return RankArena(group.localize(rows, sizes), sizes)

@@ -31,9 +31,9 @@ import numpy as np
 from repro.core.compiled import CommPlan, RankArena, offsets_from_counts
 from repro.core.context import ensure_context
 from repro.core.hashtable import (
-    IndexHashTable,
+    HashTableGroup,
     StampExpr,
-    group_of,
+    _check_tables,
     stream_of,
 )
 
@@ -80,7 +80,7 @@ class Schedule(CommPlan):
 
 def build_schedule(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     expr: StampExpr | str | RankArena,
     category: str = "inspector",
 ) -> Schedule:
@@ -100,11 +100,11 @@ def build_schedule(
     in use or not a live off-processor entry is a ``ValueError``.
     """
     ctx = ensure_context(ctx, "build_schedule")
-    ctx.machine.check_per_rank(htables, "hash tables")
+    _check_tables(ctx.machine, group)
     if isinstance(expr, RankArena):
         ctx.machine.check_per_rank(expr, "selected rows")
-        _check_selection(group_of(htables), *stream_of(expr))
-    return ctx.backend.build_schedule(ctx, htables, expr, category)
+        _check_selection(group, *stream_of(expr))
+    return ctx.backend.build_schedule(ctx, group, expr, category)
 
 
 def _check_selection(group, rows, sizes) -> None:
@@ -125,7 +125,7 @@ def _check_selection(group, rows, sizes) -> None:
 
 def splice_schedules(
     ctx,
-    htables: list[IndexHashTable],
+    group: HashTableGroup,
     base: Schedule,
     delta: Schedule,
     dropped_bufs: list[np.ndarray],
@@ -159,12 +159,11 @@ def splice_schedules(
     """
     ctx = ensure_context(ctx, "splice_schedules")
     machine = ctx.machine
-    machine.check_per_rank(htables, "hash tables")
+    _check_tables(machine, group)
     machine.check_per_rank(dropped_bufs, "dropped slots")
     n = base.n_ranks
     if delta.n_ranks != n:
         raise ValueError("base and delta schedules span different machines")
-    group = group_of(htables)
     machine.charge_memops_vec(group.n_entries, category)
 
     # ghost slot -> (receiver, owner, row) key of the entry holding it,

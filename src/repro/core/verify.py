@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distribution import Distribution
-from repro.core.hashtable import IndexHashTable, group_of
+from repro.core.hashtable import HashTableGroup
 from repro.core.lightweight import LightweightSchedule
 from repro.core.remap import RemapPlan
 from repro.core.schedule import Schedule
@@ -96,20 +96,20 @@ def check_schedule(sched: Schedule, dist: Distribution | None = None
 
 
 def check_schedule_against_hash_tables(
-    sched: Schedule, htables: list[IndexHashTable]
+    sched: Schedule, group: HashTableGroup
 ) -> list[str]:
     """Every ghost slot the schedule fills must exist in the hash table
     (i.e. some localized reference can read it)."""
     problems: list[str] = []
-    for p, ht in enumerate(htables):
-        cap = ht.ghost_capacity()
+    for p in range(group.n_ranks):
+        cap = int(group.n_ghost[p])
         if sched.ghost_size[p] > cap:
             problems.append(
                 f"rank {p}: schedule ghost size {sched.ghost_size[p]} "
                 f"exceeds hash-table capacity {cap}"
             )
         filled = np.unique(sched.recv_slots[p])
-        valid = ht.buf[: ht.n_entries]
+        valid = group.buf[p, : group.n_entries[p]]
         valid = valid[valid >= 0]
         orphan = filled[~np.isin(filled, valid)]
         if orphan.size:
@@ -120,33 +120,37 @@ def check_schedule_against_hash_tables(
     return problems
 
 
-def check_hash_tables(htables: list[IndexHashTable]) -> list[str]:
+def check_hash_tables(group: HashTableGroup) -> list[str]:
     """Internal invariants of a table group, rank by rank: every row's
     key probes back to its row; ghost slots are distinct and below
     ``n_ghost``; a counted stamp's refcount is positive exactly where its
     bit is set; the key store holds exactly one key per row."""
     problems: list[str] = []
-    group = group_of(htables)
     if np.any(group.store.live() != group.n_entries):
         problems.append("key store and tables disagree on the live counts")
-    for p, ht in enumerate(htables):
-        ne = ht.n_entries
-        if not np.array_equal(ht.lookup_slots(ht.g[:ne]), np.arange(ne)):
+    # every rank's keys as one stream: rank p's rows probe back to 0..ne-1
+    keys = np.concatenate([group.g[p, :ne]
+                           for p, ne in enumerate(group.n_entries)])
+    probed = np.split(group.store.lookup(keys, group.n_entries),
+                      np.cumsum(group.n_entries)[:-1])
+    for p, ne in enumerate(group.n_entries.tolist()):
+        if not np.array_equal(probed[p], np.arange(ne)):
             problems.append(f"rank {p}: a row's key does not probe back "
                             "to its row")
-        bufs = ht.buf[:ne]
+        bufs = group.buf[p, :ne]
         bufs = bufs[bufs >= 0]
-        if bufs.size and (bufs.max() >= ht.n_ghost
+        n_ghost = group.n_ghost[p]
+        if bufs.size and (bufs.max() >= n_ghost
                           or np.unique(bufs).size != bufs.size):
             problems.append(f"rank {p}: ghost slots are not distinct ids "
-                            f"below {ht.n_ghost}")
-        if np.any((ht.proc[:ne] == p) != (ht.buf[:ne] < 0)):
+                            f"below {n_ghost}")
+        if np.any((group.proc[p, :ne] == p) != (group.buf[p, :ne] < 0)):
             problems.append(f"rank {p}: ghost slot on an owned entry, or "
                             "none on an off-processor one")
         for name in filter(group.counted, group.registry.names()):
             bit = group.registry.mask_of(name)
             counts = group.ref_plane(name)[p, :ne]
-            if np.any((counts > 0) != ((ht.mask[:ne] & bit) != 0)):
+            if np.any((counts > 0) != ((group.mask[p, :ne] & bit) != 0)):
                 problems.append(f"rank {p}: stamp {name!r} refcounts and "
                                 "mask bits disagree")
     return problems

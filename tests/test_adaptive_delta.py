@@ -117,9 +117,8 @@ def test_delta_rebuild_matches_full_rebuild(seed, n_ranks, n, per_rank,
                 # positions to exactly what a full localize yields
                 assert np.array_equal(rehash.localized[p],
                                       loc_full[p][positions[p]])
-                assert len(hts_f[p]) == len(hts_d[p])
-                assert (hts_f[p].ghost_capacity()
-                        == hts_d[p].ghost_capacity())
+            assert hts_f.n_entries.tolist() == hts_d.n_entries.tolist()
+            assert hts_f.n_ghost.tolist() == hts_d.n_ghost.tolist()
 
 
 @settings(max_examples=10, deadline=None)
@@ -274,7 +273,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
     tt_f, hts_f = _hashed_env(ctx_f, owner, idx, case == "cleared_rows")
     tt_d, hts_d = _hashed_env(ctx_d, owner, idx, case == "cleared_rows")
     base = build_schedule(ctx_d, hts_d, "s")
-    old_capacity = [ht.ghost_capacity() for ht in hts_d]
+    old_capacity = hts_d.n_ghost.copy()
 
     clear_stamp(ctx_f, hts_f, "s")
     chaos_hash(ctx_f, hts_f, tt_f, nxt, "s")
@@ -288,7 +287,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
     def bracketed(*args, **kwargs):
         seen["clock"] = [c.time for c in m.clocks]
         seen["traffic"] = m.traffic.snapshot()
-        seen["entries"] = [ht.n_entries for ht in hts_d]
+        seen["entries"] = hts_d.n_entries.copy()
         out = splice(*args, **kwargs)
         seen["after"] = [c.time for c in m.clocks]
         return out
@@ -319,14 +318,12 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
         if case == "segment_created":
             assert (before[-1, 0], after[-1, 0]) == (0, 1)
         if case == "empty_rank":
-            assert hts_d[-1].n_entries == 0
+            assert hts_d.n_entries[-1] == 0
         if case == "fresh_ghosts":
-            assert any(ht.ghost_capacity() > cap
-                       for ht, cap in zip(hts_d, old_capacity))
+            assert (hts_d.n_ghost > old_capacity).any()
         if case == "cleared_rows":
-            assert any(((ht.mask[:ht.n_entries] == 0)
-                        & (ht.buf[:ht.n_entries] >= 0)).any()
-                       for ht in hts_d)
+            in_use = np.arange(hts_d.rows_cap) < hts_d.n_entries[:, None]
+            assert ((hts_d.mask == 0) & (hts_d.buf >= 0) & in_use).any()
 
 
 def test_splice_never_walks_rank_pairs(monkeypatch):
@@ -377,7 +374,7 @@ def test_base_slot_past_its_ghost_slots_is_rejected(rank):
     _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
     assert base.recv_slots[rank].size
-    base.recv_slots[rank][-1] = hts[rank].ghost_capacity()
+    base.recv_slots[rank][-1] = hts.n_ghost[rank]
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
 
@@ -391,13 +388,12 @@ def test_rejected_splice_leaves_no_scratch_stamp_behind():
     _, old_vals, new_vals, idx = _churn(np.random.default_rng(4), idx,
                                         60, 0.5)
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
-    masks = [ht.mask[:ht.n_entries].copy() for ht in hts]
-    stamps = hts[0].registry.names()
+    masks = hts.mask.copy()
+    stamps = hts.registry.names()
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", stale, rehash)
-    assert hts[0].registry.names() == stamps
-    for ht, before in zip(hts, masks):
-        assert np.array_equal(ht.mask[:ht.n_entries], before)
+    assert hts.registry.names() == stamps
+    assert np.array_equal(hts.mask, masks)
     # the same rehash still splices into the right base
     _assert_schedule_equal(
         delta_rebuild_schedule(ctx, hts, "s", base, rehash),
@@ -406,20 +402,25 @@ def test_rejected_splice_leaves_no_scratch_stamp_behind():
 
 def _selection(hts, edit=None):
     """Each rank's off-processor rows of stamp ``s`` as a RankArena;
-    ``edit(ht, rows)`` may alter rank 1's."""
-    rows = [ht.select(ht.expr("s"), off_processor_only=True) for ht in hts]
+    ``edit(n_entries, proc, rows)`` may alter rank 1's (its rows in use
+    and their owners are passed)."""
+    expr = hts.expr("s")
+    rows = [np.flatnonzero(expr.matches(hts.mask[p, :n])
+                           & (hts.proc[p, :n] != p))
+            for p, n in enumerate(hts.n_entries)]
     if edit is not None:
-        rows[1] = edit(hts[1], rows[1])
+        rows[1] = edit(hts.n_entries[1], hts.proc[1, :hts.n_entries[1]],
+                       rows[1])
     return RankArena(np.concatenate(rows), [r.size for r in rows])
 
 
 BAD_SELECTIONS = {
-    "descending": lambda ht, r: r[::-1],
-    "duplicate": lambda ht, r: np.insert(r, 0, r[0]),
-    "negative": lambda ht, r: np.insert(r, 0, -1),
-    "past_rows_in_use": lambda ht, r: np.append(r, ht.n_entries),
-    "on_processor": lambda ht, r: np.sort(np.append(
-        r, np.flatnonzero(ht.proc[:ht.n_entries] == ht.rank)[0])),
+    "descending": lambda n, proc, r: r[::-1],
+    "duplicate": lambda n, proc, r: np.insert(r, 0, r[0]),
+    "negative": lambda n, proc, r: np.insert(r, 0, -1),
+    "past_rows_in_use": lambda n, proc, r: np.append(r, n),
+    "on_processor": lambda n, proc, r: np.sort(np.append(
+        r, np.flatnonzero(proc == 1)[0])),
 }
 
 
@@ -475,3 +476,58 @@ def test_external_clear_between_build_and_delta_falls_back_to_full_build():
     expected = x_g.copy()
     np.add.at(expected, ia_g, y_g[np.concatenate(ib)])
     assert np.allclose(x.to_global(), expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_validators_hold_after_every_adaptive_step(backend):
+    """The structural validators pass on the live tables and the loop's
+    schedule after each step of an adaptive run: a cold build, a delta
+    splice, an untargeted rebuild, a setup after an external stamp
+    clear and a setup after the tables were dropped."""
+    from repro.core import (
+        ChaosRuntime,
+        IrregularReduction,
+        check_schedule_against_hash_tables,
+        split_by_block,
+    )
+
+    rng = np.random.default_rng(7)
+    n, refs = 60, 120
+    m = Machine(4)
+    rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+    tt = rt.irregular_table(rng.integers(0, 4, n))
+    ib = split_by_block(rng.integers(0, n, refs), m)
+    loop = IrregularReduction(rt, tt, "v").bind(
+        ia=split_by_block(rng.integers(0, n, refs), m), ib=ib)
+
+    def targeted():
+        touched = []
+        for a in ib:
+            pos = rng.choice(a.size, size=5, replace=False)
+            a[pos] = rng.integers(0, n, 5)
+            touched.append(pos)
+        loop.adapt("ib", [a.copy() for a in ib], touched=touched)
+
+    def clear_then_setup():
+        rt.clear_stamp(tt, "v:ia")
+        loop.setup()
+
+    def drop_then_setup():
+        rt.drop_hash_tables(tt)
+        loop.setup()
+
+    steps = [
+        (loop.setup, (1, 0)),
+        (targeted, (1, 1)),
+        (lambda: loop.adapt("ia", split_by_block(
+            rng.integers(0, n, refs), m)), (2, 1)),
+        (clear_then_setup, (3, 1)),
+        (drop_then_setup, (4, 1)),
+    ]
+    for step, (builds, deltas) in steps:
+        step()
+        group = rt.hash_tables(tt)
+        assert check_hash_tables(group) == []
+        assert check_schedule_against_hash_tables(loop.schedule, group) == []
+        st = rt.cache_stats("v")
+        assert (st.builds, st.delta_rebuilds) == (builds, deltas)

@@ -344,7 +344,7 @@ class TestIrregularReduction:
         groups = []
         for k in range(20):
             tt = rt.irregular_table(rng.integers(0, 4, 40))
-            group = rt.hash_tables(tt)[0].group
+            group = rt.hash_tables(tt)
             assert all(group is not g for g in groups), k
             groups.append(group)
             ia_g = rng.integers(0, 40, 100)
@@ -598,10 +598,10 @@ class TestPerArrayReuse:
         scans = []
         real = api.clear_stamp
 
-        def counted(ctx, htables, *stamps, **kwargs):
+        def counted(ctx, group, *stamps, **kwargs):
             before = np.array([c.time for c in m.clocks])
-            n_entries = htables[0].group.n_entries.copy()
-            out = real(ctx, htables, *stamps, **kwargs)
+            n_entries = group.n_entries.copy()
+            out = real(ctx, group, *stamps, **kwargs)
             scans.append((stamps, kwargs["category"], n_entries,
                           np.array([c.time for c in m.clocks]) - before))
             return out

@@ -1,8 +1,9 @@
 """Unit tests: stamped index hash tables and stamp algebra.
 
-``TestIndexHashTable`` runs once per key store — the dict *reference*
-and the direct-address map behind every real table *group* — the
-store must be invisible to table behaviour.
+``TestIndexHashTable`` drives one rank's table of a
+:class:`HashTableGroup` through one-rank streams, once per key store —
+the dict *reference* and the direct-address map — and the store must be
+invisible to table behaviour.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 from repro.core import (
     DictKeyStore,
     DirectKeyStore,
+    ExecutionContext,
     HashTableGroup,
-    IndexHashTable,
     StampExpr,
     StampRegistry,
+    localize_only,
 )
+from repro.sim import Machine
 
 
 class TestStampRegistry:
@@ -73,12 +76,43 @@ def store_cls(request):
     return request.param
 
 
-def _table_state(ht):
+def _on(group, rank, n):
+    """``sizes`` of a stream whose ``n`` elements all live on ``rank``."""
+    sizes = np.zeros(group.n_ranks, dtype=np.int64)
+    sizes[rank] = n
+    return sizes
+
+
+def _insert(group, rank, keys, owners, offsets):
+    keys = np.asarray(keys)
+    return group.insert(keys, _on(group, rank, keys.size), owners, offsets)
+
+
+def _lookup(group, rank, keys):
+    keys = np.asarray(keys)
+    return group.store.lookup(keys, _on(group, rank, keys.size))
+
+
+def _stamp(group, rank, rows, name, counts=None):
+    """Stamp ``rows`` of one rank, each referenced ``counts`` times."""
+    refs = np.repeat(rows, 1 if counts is None else counts)
+    group.stamp_references(name, refs, _on(group, rank, refs.size))
+
+
+def _selected(group, rank, expr, off_processor_only=True):
+    """The rank's rows an expression selects, ascending."""
+    n = group.n_entries[rank]
+    sel = expr.matches(group.mask[rank, :n])
+    if off_processor_only:
+        sel &= group.proc[rank, :n] != rank
+    return np.flatnonzero(sel).tolist()
+
+
+def _table_state(group, rank):
     """Everything observable about one rank's table."""
-    n = ht.n_entries
-    group = ht.group
-    return (n, ht.n_ghost, len(ht),
-            *(getattr(group, c)[ht.rank, :n].tolist()
+    n = group.n_entries[rank]
+    return (n, group.n_ghost[rank],
+            *(getattr(group, c)[rank, :n].tolist()
               for c in group._COLUMNS),
             group.store.live().tolist())
 
@@ -88,48 +122,40 @@ class TestIndexHashTable:
     def _bind_store(self, store_cls):
         self.store_cls = store_cls
 
-    def make(self, rank=0, n_local=10):
+    def make(self, n_local=10):
         n_ranks = 3
-        group = HashTableGroup([n_local] * n_ranks,
-                               store=self.store_cls(n_ranks, KEYS))
-        return group.views()[rank]
+        return HashTableGroup([n_local] * n_ranks,
+                              store=self.store_cls(n_ranks, KEYS))
 
     def test_insert_and_lookup(self):
-        ht = self.make()
-        slots = ht.insert_translated(
-            np.array([5, 17, 3]), np.array([0, 1, 2]), np.array([5, 7, 3])
-        )
-        assert slots.tolist() == [0, 1, 2]
-        assert np.array_equal(ht.lookup_slots(np.array([17, 5])), [1, 0])
-        assert ht.lookup_slots(np.array([99]))[0] == -1
-        assert len(ht) == 3
-        assert 17 in ht and 99 not in ht
+        group = self.make()
+        rows = _insert(group, 0, [5, 17, 3], [0, 1, 2], [5, 7, 3])
+        assert rows.tolist() == [0, 1, 2]
+        assert _lookup(group, 0, [17, 5]).tolist() == [1, 0]
+        assert _lookup(group, 0, [99]).tolist() == [-1]
+        assert group.n_entries.tolist() == [3, 0, 0]
 
     def test_ranks_do_not_see_each_other(self):
-        ht = self.make(rank=1)
-        other = ht.group.views()[0]
-        ht.insert_translated(np.array([4]), np.array([1]), np.array([0]))
-        assert 4 in ht and 4 not in other
-        assert (len(ht), len(other)) == (1, 0)
-        assert other.insert_translated(
-            np.array([4]), np.array([1]), np.array([0])).tolist() == [0]
+        group = self.make()
+        _insert(group, 1, [4], [1], [0])
+        assert _lookup(group, 1, [4]).tolist() == [0]
+        assert _lookup(group, 0, [4]).tolist() == [-1]
+        assert group.n_entries.tolist() == [0, 1, 0]
+        assert _insert(group, 0, [4], [1], [0]).tolist() == [0]
 
     def test_ghost_slots_only_for_offproc(self):
-        ht = self.make(rank=1)
-        ht.insert_translated(
-            np.array([1, 2, 3]), np.array([1, 0, 1]), np.array([0, 0, 1])
-        )
+        group = self.make()
+        _insert(group, 1, [1, 2, 3], [1, 0, 1], [0, 0, 1])
         # element 1, 3 owned by rank1: no ghost slot; element 2 gets slot 0
-        slots = ht.lookup_slots(np.array([1, 2, 3]))
-        assert ht.buf[slots[0]] == -1
-        assert ht.buf[slots[1]] == 0
-        assert ht.n_ghost == 1
+        rows = _lookup(group, 1, [1, 2, 3])
+        assert group.buf[1, rows].tolist() == [-1, 0, -1]
+        assert group.n_ghost.tolist() == [0, 1, 0]
 
     def test_duplicate_insert_rejected(self):
-        ht = self.make()
-        ht.insert_translated(np.array([1]), np.array([0]), np.array([1]))
+        group = self.make()
+        _insert(group, 0, [1], [0], [1])
         with pytest.raises(ValueError):
-            ht.insert_translated(np.array([1]), np.array([0]), np.array([1]))
+            _insert(group, 0, [1], [0], [1])
 
     @pytest.mark.parametrize("batch", [[9, 7], [9, 9], [11, 9, 7, 12]])
     def test_failed_insert_changes_nothing(self, batch):
@@ -138,117 +164,100 @@ class TestIndexHashTable:
         they were: the retry of its valid part then behaves as if the
         failure never happened."""
         def prepared():
-            ht = self.make(rank=1)
-            s = ht.insert_translated(np.array([3, 5, 7]), np.array([0, 1, 2]),
-                                     np.array([3, 5, 7]))
-            ht.stamp_slots(s[:1], "gone")
-            ht.stamp_slots(s[1:], "kept")
-            ht.group.clear_stamp("gone")  # an unstamped row + ghost
-            return ht
+            group = self.make()
+            rows = _insert(group, 1, [3, 5, 7], [0, 1, 2], [3, 5, 7])
+            _stamp(group, 1, rows[:1], "gone")
+            _stamp(group, 1, rows[1:], "kept")
+            group.clear_stamp("gone")  # an unstamped row + ghost
+            return group
 
         failed, clean = prepared(), prepared()
         owners = np.zeros(len(batch), dtype=np.int64)
         with pytest.raises(ValueError, match="duplicate insert"):
-            failed.insert_translated(np.array(batch), owners, owners)
-        assert _table_state(failed) == _table_state(clean)
-        for ht in (failed, clean):
-            ht.insert_translated(np.array([9, 12]), np.array([0, 1]),
-                                 np.array([9, 12]))
-        assert _table_state(failed) == _table_state(clean)
-        assert failed.localize(np.array([9, 12, 7])).tolist() == \
-            clean.localize(np.array([9, 12, 7])).tolist()
+            _insert(failed, 1, batch, owners, owners)
+        assert _table_state(failed, 1) == _table_state(clean, 1)
+        for group in (failed, clean):
+            _insert(group, 1, [9, 12], [0, 1], [9, 12])
+        assert _table_state(failed, 1) == _table_state(clean, 1)
+        localized = [group.localize(_lookup(group, 1, [9, 12, 7]),
+                                    _on(group, 1, 3)).tolist()
+                     for group in (failed, clean)]
+        assert localized[0] == localized[1]
 
     def test_length_mismatch_rejected(self):
-        ht = self.make()
+        group = self.make()
         with pytest.raises(ValueError):
-            ht.insert_translated(np.array([1, 2]), np.array([0]), np.array([1]))
+            _insert(group, 0, [1, 2], [0], [1])
 
     def test_missing_uniques(self):
-        ht = self.make()
-        ht.insert_translated(np.array([4]), np.array([0]), np.array([4]))
-        missing = ht.missing_uniques(np.array([4, 5, 5, 6]))
-        assert missing.tolist() == [5, 6]
+        group = self.make()
+        _insert(group, 0, [4], [0], [4])
+        uniq = np.unique([4, 5, 5, 6])
+        assert uniq[_lookup(group, 0, uniq) < 0].tolist() == [5, 6]
 
     def test_localize_owned_and_ghost(self):
-        ht = self.make(rank=0, n_local=10)
-        ht.insert_translated(
-            np.array([2, 50]), np.array([0, 1]), np.array([2, 7])
-        )
-        out = ht.localize(np.array([2, 50, 2]))
+        group = self.make(n_local=10)
+        _insert(group, 0, [2, 50], [0, 1], [2, 7])
+        out = group.localize(_lookup(group, 0, [2, 50, 2]), _on(group, 0, 3))
         assert out.tolist() == [2, 10, 2]  # 50 -> n_local + slot0
 
     def test_localize_unhashed_rejected(self):
-        ht = self.make()
-        with pytest.raises(KeyError):
-            ht.localize(np.array([1]))
+        group = self.make()
+        ctx = ExecutionContext.resolve(Machine(3), "serial")
+        with pytest.raises(KeyError, match="not hashed"):
+            localize_only(ctx, group, [np.array([1]), None, None])
 
     def test_stamps_and_select(self):
-        ht = self.make(rank=0)
-        s = ht.insert_translated(
-            np.array([20, 21, 22]), np.array([1, 1, 2]), np.array([0, 1, 0])
-        )
-        ht.stamp_slots(s[:2], "a")
-        ht.stamp_slots(s[1:], "b")
-        sel_a = ht.select(ht.expr("a"))
-        sel_b_minus_a = ht.select(ht.expr("b") - ht.expr("a"))
-        sel_union = ht.select(ht.expr("a", "b"))
-        assert sel_a.tolist() == [0, 1]
-        assert sel_b_minus_a.tolist() == [2]
-        assert sel_union.tolist() == [0, 1, 2]
+        group = self.make()
+        rows = _insert(group, 0, [20, 21, 22], [1, 1, 2], [0, 1, 0])
+        _stamp(group, 0, rows[:2], "a")
+        _stamp(group, 0, rows[1:], "b")
+        e = group.expr
+        assert _selected(group, 0, e("a")) == [0, 1]
+        assert _selected(group, 0, e("b") - e("a")) == [2]
+        assert _selected(group, 0, e("a", "b")) == [0, 1, 2]
         # the group's machine-wide selection is the same, owner-grouped
-        counts, off, buf = ht.group.requests(ht.expr("a", "b"))
+        counts, off, buf = group.requests(e("a", "b"))
         assert counts.tolist() == [[0, 2, 1], [0, 0, 0], [0, 0, 0]]
         assert (off.tolist(), buf.tolist()) == ([0, 1, 0], [0, 1, 2])
 
     def test_select_off_processor_only(self):
-        ht = self.make(rank=1)
-        s = ht.insert_translated(
-            np.array([1, 2]), np.array([1, 0]), np.array([0, 0])
-        )
-        ht.stamp_slots(s, "x")
-        assert ht.select(ht.expr("x"), off_processor_only=True).tolist() == [1]
-        assert ht.select(ht.expr("x"), off_processor_only=False).tolist() == [0, 1]
+        group = self.make()
+        rows = _insert(group, 1, [1, 2], [1, 0], [0, 0])
+        _stamp(group, 1, rows, "x")
+        assert _selected(group, 1, group.expr("x")) == [1]
+        assert _selected(group, 1, group.expr("x"), False) == [0, 1]
+        counts, _, buf = group.requests(group.expr("x"))
+        assert (counts[1].tolist(), buf.tolist()) == ([1, 0, 0], [0])
 
     def test_clear_stamp_keeps_entries(self):
-        ht = self.make()
-        s = ht.insert_translated(np.array([9]), np.array([1]), np.array([0]))
-        ht.stamp_slots(s, "nb")
-        n = ht.group.clear_stamp("nb")
-        assert n == 1
-        assert ht.select(ht.expr("nb")).size == 0
-        assert len(ht) == 1  # entry retained for reuse
-        assert ht.ghost_capacity() == 1  # slot retained
+        group = self.make()
+        _stamp(group, 0, _insert(group, 0, [9], [1], [0]), "nb")
+        assert group.clear_stamp("nb") == 1
+        assert _selected(group, 0, group.expr("nb")) == []
+        assert group.n_entries[0] == 1  # entry retained for reuse
+        assert group.n_ghost[0] == 1  # slot retained
 
     def test_clear_several_stamps_in_one_pass(self):
-        ht = self.make()
-        s = ht.insert_translated(np.array([9, 4, 6]), np.array([1, 1, 2]),
-                                 np.array([0, 1, 2]))
-        for slot, name in zip(s, ("a", "b", "kept")):
-            ht.stamp_slots([slot], name, counts=np.array([1]))
-        assert ht.group.clear_stamp("a", "b") == 2
-        assert ht.mask[:3].tolist() == [0, 0, ht.registry.mask_of("kept")]
-        assert not ht.group.counted("a") and not ht.group.counted("b")
-        assert ht.group.counted("kept")
-        assert len(ht) == 3 and ht.ghost_capacity() == 3
-
-    def test_uncounted_stamp_drops_refcounts(self):
-        ht = self.make()
-        s = ht.insert_translated(np.array([9]), np.array([1]), np.array([0]))
-        ht.stamp_slots(s, "nb", counts=np.array([3]))
-        assert ht.group.ref_plane("nb")[ht.rank, s[0]] == 3
-        ht.stamp_slots(s, "nb")
-        assert not ht.group.counted("nb")
+        group = self.make()
+        rows = _insert(group, 0, [9, 4, 6], [1, 1, 2], [0, 1, 2])
+        for row, name in zip(rows, ("a", "b", "kept")):
+            _stamp(group, 0, [row], name)
+        assert group.clear_stamp("a", "b") == 2
+        assert group.mask[0, :3].tolist() == [
+            0, 0, group.registry.mask_of("kept")]
+        assert not group.counted("a") and not group.counted("b")
+        assert group.counted("kept")
+        assert group.n_entries[0] == 3 and group.n_ghost[0] == 3
 
     def test_growth_beyond_initial_capacity(self):
-        ht = self.make(n_local=0)
+        group = self.make(n_local=0)
         n = 5000
-        ht.insert_translated(
-            np.arange(n), np.ones(n, dtype=np.int64), np.arange(n)
-        )
-        assert len(ht) == n
-        assert ht.n_ghost == n
-        assert ht.g[:n].tolist() == list(range(n))
-        assert len(ht.group.views()[1]) == 0
+        _insert(group, 0, np.arange(n), np.ones(n, dtype=np.int64),
+                np.arange(n))
+        assert group.n_entries.tolist() == [n, 0, 0]
+        assert group.n_ghost[0] == n
+        assert group.g[0, :n].tolist() == list(range(n))
 
     def test_growth_keeps_rows_and_fills_the_tail(self):
         """After a growth, and after a second one: the old rows of every
@@ -259,13 +268,12 @@ class TestIndexHashTable:
 
         def fill(lo, hi):
             keys = np.arange(lo, hi)
-            for ht in group.views():
-                slots = ht.insert_translated(keys, rng.integers(0, 3, keys.size),
-                                             keys)
-                ht.stamp_slots(slots[::2], "a",
-                               counts=rng.integers(1, 4, slots[::2].size))
-                ht.stamp_slots(slots[1::3], "b",
-                               counts=np.ones(slots[1::3].size, dtype=int))
+            for rank in range(3):
+                rows = _insert(group, rank, keys,
+                               rng.integers(0, 3, keys.size), keys)
+                _stamp(group, rank, rows[::2], "a",
+                       rng.integers(1, 4, rows[::2].size))
+                _stamp(group, rank, rows[1::3], "b")
 
         def arenas():
             return {**{c: getattr(group, c) for c in group._COLUMNS},
@@ -283,7 +291,7 @@ class TestIndexHashTable:
                 assert (arena[:, old_cap:] == (-1 if name == "buf" else 0)
                         ).all()
             fill(lo, hi)
-        assert len(group.views()[2]) == 4000
+        assert group.n_entries[2] == 4000
 
     def test_bad_init(self):
         with pytest.raises(ValueError):
@@ -291,4 +299,4 @@ class TestIndexHashTable:
         with pytest.raises(ValueError):
             HashTableGroup([3, -1], store=self.store_cls(2, KEYS))
         with pytest.raises(ValueError):
-            IndexHashTable(self.make().group, 7)
+            HashTableGroup([[3, 1]], store=self.store_cls(2, KEYS))

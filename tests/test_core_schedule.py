@@ -85,7 +85,7 @@ class TestFigure6:
         self.rt.hash_indirection(self.tt, self.ia, "a")
         self.rt.hash_indirection(self.tt, self.ib, "b")
         self.rt.hash_indirection(self.tt, self.ic, "c")
-        self.e = self.rt.hash_tables(self.tt)[0].expr
+        self.e = self.rt.hash_tables(self.tt).expr
 
     def fetched(self, expr) -> list[int]:
         s = self.rt.build_schedule(self.tt, expr)
@@ -132,8 +132,7 @@ class TestBuildSchedule:
         m, rt, tt = make_env()
         rt.hash_indirection(tt, [np.array([5, 6, 7]), np.array([0, 1])], "s")
         sched = rt.build_schedule(tt, "s")
-        hts = rt.hash_tables(tt)
-        assert sched.ghost_size[0] == hts[0].ghost_capacity() == 3
+        assert sched.ghost_size[0] == rt.hash_tables(tt).n_ghost[0] == 3
         assert sched.ghost_size[1] == 2
 
     def test_string_expr_accepted(self):

@@ -97,19 +97,19 @@ class TestHashTableChecks:
         assert check_hash_tables(self.make(rng)) == []
 
     @pytest.mark.parametrize("damage, symptom", [
-        (lambda ht, row: ht.g.__setitem__(row, 39 - ht.g[row]),
+        (lambda g, buf, mask, n: g.__setitem__(0, 39 - g[0]),
          "probe back"),
-        (lambda ht, row: ht.buf.__setitem__(
-            np.flatnonzero(ht.buf[:ht.n_entries] >= 0)[:2], 0),
+        (lambda g, buf, mask, n: buf.__setitem__(
+            np.flatnonzero(buf[:n] >= 0)[:2], 0),
          "ghost slots"),
-        (lambda ht, row: ht.mask.__setitem__(slice(0, ht.n_entries), 0),
+        (lambda g, buf, mask, n: mask.__setitem__(slice(0, n), 0),
          "refcounts and mask bits"),
     ])
     def test_damage_is_reported(self, rng, damage, symptom):
-        hts = self.make(rng)
-        ht = hts[1]
-        damage(ht, 0)
-        problems = check_hash_tables(hts)
+        """Damage rank 1's table (its rows of the group's arenas)."""
+        group = self.make(rng)
+        damage(group.g[1], group.buf[1], group.mask[1], group.n_entries[1])
+        problems = check_hash_tables(group)
         assert any("rank 1" in p and symptom in p for p in problems), problems
 
 

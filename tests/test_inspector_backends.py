@@ -38,7 +38,6 @@ from repro.core import (
     rehash_delta,
     split_by_block,
 )
-from repro.core.hashtable import group_of
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
@@ -58,10 +57,11 @@ def _assert_clocks_match(a, b):
             ), key
 
 
-def _table_state(ht):
-    n = ht.n_entries
-    return (ht.g[:n].copy(), ht.proc[:n].copy(), ht.off[:n].copy(),
-            ht.buf[:n].copy(), ht.mask[:n].copy(), ht.n_ghost)
+def _table_state(group, p):
+    n = group.n_entries[p]
+    return (group.g[p, :n].copy(), group.proc[p, :n].copy(),
+            group.off[p, :n].copy(), group.buf[p, :n].copy(),
+            group.mask[p, :n].copy(), group.n_ghost[p])
 
 
 def _schedule_state(sched):
@@ -98,19 +98,17 @@ def _run_pipeline(backend, seed, n_ranks, n, n_ref, storage):
     loc_a = chaos_hash(ctx, hts, tt, idx_a, "a")
     loc_b = chaos_hash(ctx, hts, tt, idx_b, "b")
     sched_a = build_schedule(ctx, hts, "a")
-    merged = build_schedule(ctx, hts, hts[0].expr("a", "b"))
-    incremental = build_schedule(
-        ctx, hts, hts[0].expr("b") - hts[0].expr("a")
-    )
+    merged = build_schedule(ctx, hts, hts.expr("a", "b"))
+    incremental = build_schedule(ctx, hts, hts.expr("b") - hts.expr("a"))
     # adaptive step: array b changes, stamp cleared and re-hashed
     clear_stamp(ctx, hts, "b")
     idx_b2 = split_by_block(rng.integers(0, n, max(0, n_ref // 3)), m)
     loc_b2 = chaos_hash(ctx, hts, tt, idx_b2, "b")
-    merged2 = build_schedule(ctx, hts, hts[0].expr("a", "b"))
+    merged2 = build_schedule(ctx, hts, hts.expr("a", "b"))
     loc_again = localize_only(ctx, hts, idx_a)
     return {
         "loc": (loc_a, loc_b, loc_b2, loc_again),
-        "tables": [_table_state(ht) for ht in hts],
+        "tables": [_table_state(hts, p) for p in m.ranks()],
         "schedules": [_schedule_state(s)
                       for s in (sched_a, merged, incremental, merged2)],
         "traffic": m.traffic.snapshot(),
@@ -170,10 +168,9 @@ def test_stamp_clear_rehash_cycles_agree(seed, n_ranks, n, rounds):
         for _ in range(rounds):
             nb = split_by_block(rng.integers(0, n, 3 * n), m)
             loc = chaos_hash(ctx, hts, tt, nb, "nb")
-            merged = build_schedule(ctx, hts, hts[0].expr("bonds", "nb"))
-            inc = build_schedule(
-                ctx, hts, hts[0].expr("nb") - hts[0].expr("bonds")
-            )
+            merged = build_schedule(ctx, hts, hts.expr("bonds", "nb"))
+            inc = build_schedule(ctx, hts,
+                                 hts.expr("nb") - hts.expr("bonds"))
             per_round.append((loc, _schedule_state(merged),
                               _schedule_state(inc)))
             clear_stamp(ctx, hts, "nb")
@@ -226,7 +223,7 @@ class _World:
         ctx, hts, tt = self.ctx, self.hts, self.tt
         out = []
         if kind == "hash":
-            if stamp in hts[0].registry:
+            if stamp in hts.registry:
                 clear_stamp(ctx, hts, stamp)
             self.arrays[stamp] = [a.copy() for a in fresh]
             out.append(chaos_hash(ctx, hts, tt, fresh, stamp))
@@ -247,25 +244,25 @@ class _World:
             _assert_schedules_equal(_schedule_state(spliced),
                                     _schedule_state(cold))
             out.append(_schedule_state(spliced))
-        elif kind == "clear" and stamp in hts[0].registry:
+        elif kind == "clear" and stamp in hts.registry:
             clear_stamp(ctx, hts, stamp)
             self.arrays.pop(stamp, None)
         live = sorted(self.arrays)
         self.schedules = {s: build_schedule(ctx, hts, s) for s in live}
         if len(live) == 2:
             out.append(_schedule_state(build_schedule(
-                ctx, hts, hts[0].expr(*live))))
+                ctx, hts, hts.expr(*live))))
         return out
 
     def state(self):
-        group = group_of(self.hts)
+        group = self.hts
         # a plane nobody counted into yet (every rank's slice was empty)
         # is the same as no plane
-        refs = [(name, [plane[p, :ht.n_entries].tolist()
-                        for p, ht in enumerate(self.hts)])
+        refs = [(name, [plane[p, :n].tolist()
+                        for p, n in enumerate(group.n_entries)])
                 for name, plane in sorted(group._refs.items())
                 if plane.any()]
-        return ([_table_state(ht) for ht in self.hts], refs,
+        return ([_table_state(group, p) for p in self.m.ranks()], refs,
                 [_schedule_state(s) for _, s in sorted(
                     self.schedules.items())])
 
@@ -428,6 +425,30 @@ def test_out_of_range_insert_rejected(store_cls, key):
     assert s.lookup(np.array([3, 5]), np.array([1, 1])).tolist() == [-1, -1]
 
 
+@pytest.mark.parametrize("store_cls", [DictKeyStore, DirectKeyStore])
+def test_sizes_must_split_the_lookup_stream(store_cls):
+    """Three keys split by one size over two ranks is no stream."""
+    with pytest.raises(ValueError, match="sizes must split the stream"):
+        store_cls(2, 10).lookup(np.array([1, 2, 3]), np.array([1]))
+
+
+@pytest.mark.parametrize("store_cls", [DictKeyStore, DirectKeyStore])
+def test_insert_needs_one_row_per_key(store_cls):
+    s = store_cls(2, 10)
+    with pytest.raises(ValueError, match="one row per key"):
+        s.insert(np.array([1, 2, 3]), np.array([2, 1]), np.arange(2))
+    assert s.live().tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("store_cls", [DictKeyStore, DirectKeyStore])
+def test_negative_row_rejected(store_cls):
+    s = store_cls(2, 10)
+    with pytest.raises(ValueError, match="negative row"):
+        s.insert(np.array([1, 2]), np.array([1, 1]), np.array([0, -1]))
+    assert s.live().tolist() == [0, 0]
+    assert s.lookup(np.array([1, 2]), np.array([1, 1])).tolist() == [-1, -1]
+
+
 class TestRankKeyArena:
     """The direct-address key store's contract, on its own."""
 
@@ -546,23 +567,29 @@ def test_make_hash_tables_uses_backend_key_store():
     tt = TranslationTable.from_map(m, np.array([0, 1, 2, 0, 1, 2]))
     serial = make_hash_tables(ExecutionContext.resolve(m, "serial"), tt)
     vec = make_hash_tables(ExecutionContext.resolve(m, "vectorized"), tt)
-    assert serial[0].group.store.kind == "dict"
-    assert vec[0].group.store.kind == "direct"
-    # one group (and so one registry) behind the per-rank views
-    assert all(ht.group is serial[0].group for ht in serial)
-    assert [ht.rank for ht in vec] == [0, 1, 2]
-    assert serial[0].registry is serial[2].registry
+    assert serial.store.kind == "dict"
+    assert vec.store.kind == "direct"
+    # one group (one registry) holds every rank's table
+    assert serial.n_ranks == vec.n_ranks == 3
 
 
 def test_tables_of_two_groups_cannot_be_mixed():
+    """Every primitive takes one group of the machine's rank count: a
+    list of groups, or a group of another machine, is rejected."""
     m = Machine(2)
     tt = TranslationTable.from_map(m, np.array([0, 1, 0, 1]))
     ctx = ExecutionContext.resolve(m, "vectorized")
     a, b = make_hash_tables(ctx, tt), make_hash_tables(ctx, tt)
-    with pytest.raises(ValueError, match="one group"):
-        chaos_hash(ctx, [a[0], b[1]], tt, [np.array([1]), None], "s")
-    with pytest.raises(ValueError, match="one group"):
-        build_schedule(ctx, a[::-1], "s")
+    with pytest.raises(ValueError, match="one HashTableGroup of 2 ranks"):
+        chaos_hash(ctx, [a, b], tt, [np.array([1]), None], "s")
+    other = make_hash_tables(
+        ExecutionContext.resolve(Machine(3), "vectorized"),
+        TranslationTable.from_map(Machine(3), np.array([0, 1, 2])))
+    for call in (lambda: build_schedule(ctx, other, "s"),
+                 lambda: localize_only(ctx, other, [None, None]),
+                 lambda: clear_stamp(ctx, other, "s")):
+        with pytest.raises(ValueError, match="one HashTableGroup of 2"):
+            call()
 
 
 # ---------------------------------------------------------------------

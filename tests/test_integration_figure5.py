@@ -41,7 +41,7 @@ def setup(rng):
 class TestTwoPhaseIncremental:
     def test_incremental_fetches_only_new_elements(self, setup):
         m, rt, tt, y, y_g, (ia, ib, ic), _ = setup
-        e = rt.hash_tables(tt)[0].expr
+        e = rt.hash_tables(tt).expr
         phase1 = rt.build_schedule(tt, e("a", "b"))
         inc = rt.build_schedule(tt, e("c") - e("a") - e("b"))
         full_c = rt.build_schedule(tt, e("c"))
@@ -56,7 +56,7 @@ class TestTwoPhaseIncremental:
         """Gather phase-1's schedule, then only the incremental one; the
         second loop's localized reads must see correct y values."""
         m, rt, tt, y, y_g, (ia, ib, ic), (loc_a, loc_b, loc_c) = setup
-        e = rt.hash_tables(tt)[0].expr
+        e = rt.hash_tables(tt).expr
         phase1 = rt.build_schedule(tt, e("a", "b"))
         inc = rt.build_schedule(tt, e("c") - e("a") - e("b"))
         ghosts = [np.zeros(g) for g in phase1.ghost_size]
@@ -73,7 +73,7 @@ class TestTwoPhaseIncremental:
         """The incremental gather's traffic is at most the full gather's,
         and strictly less whenever the phases overlap."""
         m, rt, tt, y, y_g, (ia, ib, ic), _ = setup
-        e = rt.hash_tables(tt)[0].expr
+        e = rt.hash_tables(tt).expr
         inc = rt.build_schedule(tt, e("c") - e("a") - e("b"))
         full_c = rt.build_schedule(tt, e("c"))
         before = m.traffic.copy()
@@ -93,7 +93,7 @@ class TestTwoPhaseIncremental:
         z = np.zeros(0, dtype=np.int64)
         rt.hash_indirection(tt, [np.array([7, 8, 9]), z], "big")
         rt.hash_indirection(tt, [np.array([8]), z], "small")
-        e = rt.hash_tables(tt)[0].expr
+        e = rt.hash_tables(tt).expr
         inc = rt.build_schedule(tt, e("small") - e("big"))
         assert inc.total_elements() == 0
         assert inc.total_messages() == 0

@@ -161,17 +161,17 @@ def test_stamp_union_is_set_union(idx_a, idx_b):
     z = np.zeros(0, dtype=np.int64)
     rt.hash_indirection(tt, [np.array(idx_a, dtype=np.int64), z], "a")
     rt.hash_indirection(tt, [np.array(idx_b, dtype=np.int64), z], "b")
-    ht = rt.hash_tables(tt)[0]
+    group = rt.hash_tables(tt)
 
     def fetched(expr):
         sched = rt.build_schedule(tt, expr)
         return set(sched.send_view(1, 0).tolist())
 
-    fa = fetched(ht.expr("a"))
-    fb = fetched(ht.expr("b"))
-    assert fetched(ht.expr("a", "b")) == fa | fb
-    assert fetched(ht.expr("b") - ht.expr("a")) == fb - fa
-    assert fetched(ht.expr("a") - ht.expr("b")) == fa - fb
+    fa = fetched(group.expr("a"))
+    fb = fetched(group.expr("b"))
+    assert fetched(group.expr("a", "b")) == fa | fb
+    assert fetched(group.expr("b") - group.expr("a")) == fb - fa
+    assert fetched(group.expr("a") - group.expr("b")) == fa - fb
 
 
 @given(st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1))

@@ -104,8 +104,7 @@ class TestScheduleCSR:
 
     def test_merged_schedule_csr(self, backend):
         ctx, tt, hts = _pipeline(backend)
-        ht0 = hts[0]
-        merged = build_schedule(ctx, hts, ht0.expr("a", "b"))
+        merged = build_schedule(ctx, hts, hts.expr("a", "b"))
         _check_csr_invariants(merged)
         sa = build_schedule(ctx, hts, "a")
         sb = build_schedule(ctx, hts, "b")
@@ -119,8 +118,7 @@ class TestScheduleCSR:
 
     def test_incremental_schedule_csr(self, backend):
         ctx, tt, hts = _pipeline(backend)
-        ht0 = hts[0]
-        inc = build_schedule(ctx, hts, ht0.expr("b") - ht0.expr("a"))
+        inc = build_schedule(ctx, hts, hts.expr("b") - hts.expr("a"))
         _check_csr_invariants(inc)
         sa = build_schedule(ctx, hts, "a")
         sb = build_schedule(ctx, hts, "b")
