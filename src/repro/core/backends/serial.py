@@ -123,7 +123,9 @@ class SerialBackend(Backend):
             order = np.argsort(owners, kind="stable")
             rows = rows[order]
             counts[p] = np.bincount(owners[order], minlength=n)
-            requests.append(group.off[p, rows])
+            # an int64 request stream: the narrow column's bytes must
+            # not reach the messages
+            requests.append(group.off[p, rows].astype(np.int64))
             recv_slots.append(group.buf[p, rows])
             recv_offsets.append(offsets_from_counts(counts[p]))
 

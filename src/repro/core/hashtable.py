@@ -28,11 +28,19 @@ data, not by the rank count.  The group is the one handle the inspector
 primitives, the backends and :mod:`repro.core.verify` take.
 
 Two key stores implement the stream interface; callers choose the rows,
-so the choice is invisible above: :class:`DirectKeyStore`, one flat
-int32 map addressed by ``rank * n_keys + global index`` (``vectorized``),
-and :class:`DictKeyStore`, one Python dict operation per key —
-``serial``'s semantics oracle.  A store is a pure map: row and ghost-slot
-assignment happen in the group.
+so the choice is invisible above: :class:`DirectKeyStore`, one flat map
+addressed by ``rank * n_keys + global index`` (``vectorized``), and
+:class:`DictKeyStore`, one Python dict operation per key — ``serial``'s
+semantics oracle.  A store is a pure map: row and ghost-slot assignment
+happen in the group.
+
+**Narrow cells.**  The tables live for the whole run, so every cell is
+stored at the width its values need: the direct map as ``uint16`` until
+a rank's rows outgrow it (then ``int32``), the entry columns and the
+refcount planes as ``int32`` (the global index as ``int64`` only for a
+key range past ``2**31``, the stamp mask as ``int64`` for its 63 bits).
+What leaves the tables — localized indices, schedule buffers — is
+``int64``.
 
 **Entries are never deleted.**  Clearing a stamp removes its bit and its
 reference counts; the entries keep their rows, translated addresses and
@@ -44,6 +52,7 @@ distinct indices hashed into it and dies with its translation table.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,20 +268,28 @@ class DictKeyStore:
         """Live keys per rank."""
         return np.array([len(d) for d in self._row_of], dtype=np.int64)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the dicts' own tables (not of the int objects)."""
+        return sum(map(sys.getsizeof, self._row_of))
+
 
 def _outside(key: int, n_keys: int) -> str:
     return f"global index {key} outside the key range [0, {n_keys})"
 
 
 class DirectKeyStore:
-    """Direct-address key store: one flat int32 map of ``n_ranks *
-    n_keys`` entries, where entry ``rank * n_keys + key`` holds the key's
-    row on that rank plus one, or 0 when the key is absent.
+    """Direct-address key store: one flat map of ``n_ranks * n_keys``
+    entries, where entry ``rank * n_keys + key`` holds the key's row on
+    that rank plus one, or 0 when the key is absent.
 
     Lookup is one ``take``, insert one scatter: no hashing, probing,
-    tombstones, compaction or growth.  The price is
-    memory fixed at construction, ``4 * n_ranks * n_keys`` bytes.  Absent
-    is 0 so that the map starts as one zeroed allocation, not a fill.
+    tombstones, compaction or growth.  The price is memory fixed at
+    construction: the map starts as ``uint16`` (``2 * n_ranks * n_keys``
+    bytes), enough while every entry fits (``row + 1 <= 65 535``), and is
+    widened once to ``int32`` by the first insert of a larger row.
+    Absent is 0 so that the map starts as one zeroed allocation, not a
+    fill.
 
     Contract:
 
@@ -296,7 +313,7 @@ class DirectKeyStore:
         # one spare entry past the map, never written: out-of-range
         # keys are looked up there
         self._rows = np.zeros(self.n_ranks * self.n_keys + 1,
-                              dtype=np.int32)
+                              dtype=np.uint16)
         self._base = np.arange(self.n_ranks, dtype=np.int64) * self.n_keys
 
     def _positions(self, keys, sizes):
@@ -324,7 +341,8 @@ class DirectKeyStore:
         """Map each key to its row; a key outside ``[0, n_keys)``, a
         duplicate (within its rank's segment or against the store), a
         negative row or a row whose entry would not fit int32 is an
-        error and leaves the store untouched."""
+        error and leaves the store untouched.  A row whose entry does
+        not fit the ``uint16`` map widens it to ``int32``."""
         keys, sizes = _stream(self.n_ranks, keys, sizes)
         rows = _insert_rows(rows, keys.size)
         pos, outside = self._positions(keys, sizes)
@@ -332,7 +350,8 @@ class DirectKeyStore:
             raise ValueError(_outside(int(keys[outside][0]), self.n_keys))
         if pos.size == 0:
             return
-        if rows.max() >= np.iinfo(np.int32).max:
+        top = rows.max()
+        if top >= np.iinfo(np.int32).max:
             raise ValueError("rows must fit int32")
         # (rank, key) pairs are distinct iff their entries are; a stream
         # of sorted per-rank uniques (what the inspector passes) has
@@ -347,6 +366,8 @@ class DirectKeyStore:
         if held.any():
             raise ValueError(f"duplicate insert of global index "
                              f"{int(pos[held][0] % self.n_keys)}")
+        if top >= np.iinfo(self._rows.dtype).max:
+            self._rows = self._rows.astype(np.int32)
         self._rows[pos] = rows + 1
 
     def live(self) -> np.ndarray:
@@ -355,10 +376,21 @@ class DirectKeyStore:
         return np.count_nonzero(
             self._rows[:-1].reshape(self.n_ranks, self.n_keys), axis=1)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the map."""
+        return self._rows.nbytes
+
 
 # ----------------------------------------------------------------------
 # the group
 # ----------------------------------------------------------------------
+def _holding(bound: int):
+    """The narrowest arena dtype, ``int32`` or ``int64``, that holds the
+    values ``[0, bound)``."""
+    return np.int32 if bound <= 1 << 31 else np.int64
+
+
 def _check_tables(machine, group) -> None:
     """Reject tables that are not one group of ``machine``'s rank count
     (the inspector primitives' one check of their tables)."""
@@ -382,7 +414,13 @@ class HashTableGroup:
     ``n_local[p]`` is rank ``p``'s local size of the data array the
     tables index: localized off-processor references are numbered
     ``n_local[p] + buffer_slot``.  An entry whose translated owner equals
-    its rank is *on-processor* and gets no ghost slot.
+    its rank is *on-processor* and gets no ghost slot.  Rank ``p``'s
+    ghost slots number its off-processor rows in row order: slot ``s``
+    is held by its ``s``-th row with a slot.
+
+    The arenas are ``int32`` (see "Narrow cells" in the module
+    docstring) except ``mask`` and, for key or local ranges past
+    ``2**31``, ``g`` and ``off``.
     """
 
     _COLUMNS = ("g", "proc", "off", "buf", "mask")
@@ -399,12 +437,21 @@ class HashTableGroup:
         self.n_entries = np.zeros(n, dtype=np.int64)
         self.n_ghost = np.zeros(n, dtype=np.int64)  # slots assigned
         self.rows_cap = _GROW
-        self.g = np.zeros((n, _GROW), dtype=np.int64)      # global index
-        self.proc = np.zeros((n, _GROW), dtype=np.int64)   # translated owner
-        self.off = np.zeros((n, _GROW), dtype=np.int64)    # translated offset
-        self.buf = np.full((n, _GROW), -1, dtype=np.int64)  # ghost slot or -1
-        self.mask = np.zeros((n, _GROW), dtype=np.int64)   # stamp bits
+        shape = (n, _GROW)
+        self.g = np.zeros(shape, dtype=_holding(store.n_keys))  # global index
+        self.proc = np.zeros(shape, dtype=np.int32)  # translated owner
+        self.off = np.zeros(shape, dtype=_holding(self.n_local.max()))
+        self.buf = np.full(shape, -1, dtype=np.int32)  # ghost slot or -1
+        self.mask = np.zeros(shape, dtype=np.int64)  # stamp bits
         self._refs: dict[str, np.ndarray] = {}  # see ref_plane
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the tables hold: entry columns, refcount planes and key
+        store."""
+        return (sum(getattr(self, c).nbytes for c in self._COLUMNS)
+                + sum(plane.nbytes for plane in self._refs.values())
+                + self.store.nbytes)
 
     # ------------------------------------------------------------------
     def _grow_rows(self, need: int) -> None:
@@ -419,7 +466,7 @@ class HashTableGroup:
         def widen(arena, fill):
             # each cell written once: the old rows copied, the new tail
             # filled (no ghost slot -1, everything else 0)
-            wide = np.empty((self.n_ranks, cap), dtype=np.int64)
+            wide = np.empty((self.n_ranks, cap), dtype=arena.dtype)
             wide[:, :old] = arena
             wide[:, old:] = fill
             return wide
@@ -482,7 +529,7 @@ class HashTableGroup:
         it is hashed with counts — the basis of exact delta restamping."""
         if name not in self._refs:
             self._refs[name] = np.zeros((self.n_ranks, self.rows_cap),
-                                        dtype=np.int64)
+                                        dtype=np.int32)
         return self._refs[name]
 
     def expr(self, *names: str) -> StampExpr:

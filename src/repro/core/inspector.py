@@ -251,11 +251,11 @@ def delta_rebuild_schedule(
 
     Selects the entries that *entered* ``expr``'s selection (and builds
     a small delta schedule of exactly those rows through the backend
-    seam — both backends for free), collects the ghost slots of
-    entries that *left*, and splices both into ``base_schedule``.  The
-    result is bitwise-identical to a cold ``build_schedule`` over the
-    updated tables; cost scales with the touched subset plus one
-    table scan, not with a full request exchange.
+    seam — both backends for free), collects the rows of entries that
+    *left*, and splices both into ``base_schedule``.  The result is
+    bitwise-identical to a cold ``build_schedule`` over the updated
+    tables; cost scales with the touched subset plus one pass over the
+    base schedule's buffers, not with a full request exchange.
     """
     from repro.core.schedule import build_schedule, splice_schedules
 
@@ -272,15 +272,14 @@ def delta_rebuild_schedule(
     offp = group.proc.ravel()[at] != ranks
     newly = now & ~was & offp
     left = was & ~now & offp
-    dropped_bufs = RankArena(group.buf.ravel()[at[left]],
-                             np.bincount(ranks[left], minlength=n))
+    dropped = RankArena(rows[left], np.bincount(ranks[left], minlength=n))
     m.charge_memops_vec(n_aff, category)
     delta = build_schedule(
         ctx, group,
         RankArena(rows[newly], np.bincount(ranks[newly], minlength=n)),
         category=category)
-    return splice_schedules(ctx, group, base_schedule, delta,
-                            dropped_bufs, category=category)
+    return splice_schedules(ctx, group, base_schedule, delta, dropped,
+                            category=category)
 
 
 def localize_only(

@@ -128,100 +128,94 @@ def splice_schedules(
     group: HashTableGroup,
     base: Schedule,
     delta: Schedule,
-    dropped_bufs: list[np.ndarray],
+    dropped_rows: RankArena,
     category: str = "inspector",
 ) -> Schedule:
     """Graft a delta schedule into a cached base schedule.
 
     ``base`` is the schedule cached before an adaptive subset update,
     ``delta`` a schedule built over only the *newly participating*
-    entries, and ``dropped_bufs[p]`` the ghost-buffer slots of entries
-    that left rank ``p``'s selection.  The result is bitwise-identical
-    to a cold rebuild.
+    entries, and ``dropped_rows[p]`` the table rows (ascending) of the
+    entries that left rank ``p``'s selection.  The result is
+    bitwise-identical to a cold rebuild.
 
     The splice is a positional *edit script* on the flat buffers.  A
     cold build orders the receive stream by ``(receiver, owner,
     hash-table row)`` (``build_schedule`` selects rows ascending and
-    groups them owner-stably), so keying every ghost slot by the entry
-    holding it — one machine-wide inverse over the tables — makes the
-    base's keys ascend along the whole stream.  Where a dropped entry
-    sits and where a delta entry goes in are then one ``searchsorted``
-    each over those keys.  Element ``k`` of ``p``'s segment from ``q``
-    is element ``k`` of ``q``'s segment to ``p``, so the same edits,
-    shifted segment by segment, apply to the send stream: one edit per
-    buffer, no iteration over ranks or rank pairs.
+    groups them owner-stably), and a rank's ghost slots number its
+    off-processor rows in row order, so that order is also
+    ``(receiver, owner, ghost slot)``.  Keying every element of a
+    receive stream by its segment and its slot therefore makes the
+    base's keys ascend along the whole stream, read off the plan alone.
+    Where a dropped entry sits and where a delta entry goes in are then
+    one ``searchsorted`` each over those keys.  Element ``k`` of ``p``'s
+    segment from ``q`` is element ``k`` of ``q``'s segment to ``p``, so
+    the same edits, shifted segment by segment, apply to the send
+    stream: one edit per buffer, no iteration over ranks or rank pairs.
 
     ``base`` must describe the same tables as they were before the
     update.  That is checked where the edit script sees it: a ghost
-    slot of ``base`` that no entry holds (or out of order), or a
-    dropped entry that is not found at its own position, raises
-    ``ValueError``.
+    slot of ``base`` outside its receiver's slots or out of order
+    within its segment, or a dropped entry that is not found at its own
+    position, raises ``ValueError``.
     """
     ctx = ensure_context(ctx, "splice_schedules")
     machine = ctx.machine
     _check_tables(machine, group)
-    machine.check_per_rank(dropped_bufs, "dropped slots")
+    machine.check_per_rank(dropped_rows, "dropped rows")
     n = base.n_ranks
     if delta.n_ranks != n:
         raise ValueError("base and delta schedules span different machines")
+    drows, n_drop = stream_of(dropped_rows)
+    _check_selection(group, drows, n_drop)
     machine.charge_memops_vec(group.n_entries, category)
 
-    # ghost slot -> (receiver, owner, row) key of the entry holding it,
-    # one region per receiver (slot s of rank p at region[p] + 1 + s).
-    # The arenas' rows in use are walked whole: rows without a ghost
-    # slot (buf == -1: on-processor, or past the rank's entries) all
-    # land in their region's spare first position, which no slot reads.
-    rows_cap, used = group.rows_cap, int(group.n_entries.max())
-    span = n * rows_cap                     # the keys of one receiver
-    # keys below 2**31 move as int32: half the bytes to write and search
-    dtype = np.int32 if n * span < 1 << 31 else np.int64
-    region = offsets_from_counts(group.n_ghost + 1)
-    key = np.full(region[-1], -1, dtype=dtype)
-    entry_key = group.proc[:, :used].astype(dtype)
-    entry_key *= rows_cap
-    entry_key += np.arange(used, dtype=dtype)
-    entry_key += np.arange(0, n * span, span, dtype=dtype)[:, None]
-    key[group.buf[:, :used] + (region[:-1, None] + 1)] = entry_key
+    # key (receiver p, owner q, slot) = (p * n + q) * top + slot, where
+    # top bounds every live slot; keys below 2**31 move as int32: half
+    # the bytes to write and search
+    top = max(1, int(group.n_ghost.max()))
+    dtype = np.int32 if n * n * top < 1 << 31 else np.int64
+    pair_base = np.arange(0, n * n * top, top, dtype=dtype)
 
-    def keys_of(slots, per_rank):
-        at = slots + np.repeat(region[:-1] + 1, per_rank)
-        if slots.size and (slots.min() < 0 or at.max() >= key.size):
+    def keys_of(plan):
+        slots = plan.place
+        if slots.size and (slots.min() < 0 or slots.max() >= top):
             raise ValueError(_STALE)
-        return key[at]
+        key = np.repeat(pair_base, plan.counts.T.ravel())
+        key += slots
+        return key
 
-    # a slot past its rank's ghost slots reads another receiver's key, a
-    # slot no entry holds reads -1: the base's keys must ascend, and
-    # start and end every receiver's segment in that receiver's range;
-    # a dropped slot must read its own receiver's key, found in the base
-    base_key = keys_of(base.place, base.counts.sum(axis=0))
-    n_drop = np.fromiter(map(len, dropped_bufs), np.int64, n)
-    dkey = keys_of(np.asarray(np.concatenate(dropped_bufs), dtype=np.int64),
-                   n_drop)
-    first, last = base.recv_base[:-1], base.recv_base[1:] - 1
-    held = np.flatnonzero(first <= last)
+    # the base's slots ascend within each segment and end below their
+    # receiver's ghost slots; a dropped entry's key must be in the base
+    base_key = keys_of(base)
+    recv_seg = offsets_from_counts(base.counts.T.ravel())   # [p * n + q]
+    nonempty = np.flatnonzero(base.counts.T.ravel())
     if ((base_key[1:] <= base_key[:-1]).any()
-            or not np.array_equal(base_key[first[held]] // span, held)
-            or not np.array_equal(base_key[last[held]] // span, held)
-            or not np.array_equal(dkey // span,
-                                  np.repeat(np.arange(n), n_drop))):
+            or (base.place[recv_seg[nonempty + 1] - 1]
+                >= group.n_ghost[nonempty // n]).any()):
         raise ValueError(_STALE)
-    dkey.sort()
+    ranks = np.repeat(np.arange(n), n_drop)
+    at = group.flat(ranks, drows)
+    dkey = ranks * n + group.proc.ravel()[at]
+    dkey *= top
+    dkey += group.buf.ravel()[at]
+    # in the base's dtype: a wider needle would convert the whole base
+    dkey = np.sort(dkey.astype(dtype, copy=False))
     drop_at = base_key.searchsorted(dkey)
     if ((drop_at >= base_key.size).any()
             or (base_key[np.minimum(drop_at, base_key.size - 1)]
                 != dkey).any()):
         raise ValueError(_STALE)
-    ikey = keys_of(delta.place, delta.counts.sum(axis=0))
+    ikey = keys_of(delta)
     ins_at = base_key.searchsorted(ikey)
 
     # the same edits seen by the senders: a key's pair (receiver p,
     # owner q) names the receive segment it sits in, and element k of
     # (p <- q) is element k of (q -> p)
-    recv_seg = offsets_from_counts(base.counts.T.ravel())   # [p * n + q]
     send_seg = offsets_from_counts(base.counts.ravel())     # [q * n + p]
 
     def at_sender(at, keys):
-        pair = keys // rows_cap
+        pair = keys // top
         sender_pair = pair % n * n + pair // n
         return at - recv_seg[pair] + send_seg[sender_pair], sender_pair
 
@@ -248,6 +242,17 @@ _STALE = ("base schedule does not match the live tables (built against "
 
 def _edited(old, drop, ins, values):
     """``old`` without the positions ``drop`` and with ``values`` put in
-    before the (ascending) positions ``ins``."""
-    return np.insert(np.delete(old, drop),
-                     ins - np.sort(drop).searchsorted(ins), values)
+    before the positions ``ins`` (``np.insert``'s order for repeated
+    positions): ``values`` are written to their final places in one
+    result array and the kept elements of ``old`` fill the rest."""
+    at = ins - np.sort(drop).searchsorted(ins)
+    order = np.argsort(at, kind="stable")
+    at[order] += np.arange(at.size)
+    out = np.empty(old.size - drop.size + values.size, dtype=old.dtype)
+    out[at] = values
+    free = np.ones(out.size, dtype=bool)
+    free[at] = False
+    keep = np.ones(old.size, dtype=bool)
+    keep[drop] = False
+    out[free] = old[keep]
+    return out

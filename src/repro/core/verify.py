@@ -122,9 +122,14 @@ def check_schedule_against_hash_tables(
 
 def check_hash_tables(group: HashTableGroup) -> list[str]:
     """Internal invariants of a table group, rank by rank: every row's
-    key probes back to its row; ghost slots are distinct and below
-    ``n_ghost``; a counted stamp's refcount is positive exactly where its
-    bit is set; the key store holds exactly one key per row."""
+    key probes back to its row; every cell holds a value its narrow
+    column can carry (``0 <= g < n_keys``, ``0 <= proc < n_ranks``,
+    ``0 <= off < n_local[proc]``, refcounts ``>= 0``); the off-processor
+    rows, in row order, hold the ghost slots ``0 .. n_ghost - 1`` (the
+    order :func:`~repro.core.schedule.splice_schedules` relies on) and
+    the owned rows none; a counted stamp's refcount is positive exactly
+    where its bit is set; the key store holds exactly one key per
+    row."""
     problems: list[str] = []
     if np.any(group.store.live() != group.n_entries):
         problems.append("key store and tables disagree on the live counts")
@@ -133,23 +138,33 @@ def check_hash_tables(group: HashTableGroup) -> list[str]:
                            for p, ne in enumerate(group.n_entries)])
     probed = np.split(group.store.lookup(keys, group.n_entries),
                       np.cumsum(group.n_entries)[:-1])
+    n_keys = group.store.n_keys
     for p, ne in enumerate(group.n_entries.tolist()):
         if not np.array_equal(probed[p], np.arange(ne)):
             problems.append(f"rank {p}: a row's key does not probe back "
                             "to its row")
-        bufs = group.buf[p, :ne]
-        bufs = bufs[bufs >= 0]
-        n_ghost = group.n_ghost[p]
-        if bufs.size and (bufs.max() >= n_ghost
-                          or np.unique(bufs).size != bufs.size):
-            problems.append(f"rank {p}: ghost slots are not distinct ids "
-                            f"below {n_ghost}")
-        if np.any((group.proc[p, :ne] == p) != (group.buf[p, :ne] < 0)):
-            problems.append(f"rank {p}: ghost slot on an owned entry, or "
-                            "none on an off-processor one")
+        g, proc, off = (group.g[p, :ne], group.proc[p, :ne],
+                        group.off[p, :ne])
+        if ne and (g.min() < 0 or g.max() >= n_keys):
+            problems.append(f"rank {p}: global index outside [0, {n_keys})")
+        if ne and (proc.min() < 0 or proc.max() >= group.n_ranks):
+            problems.append(f"rank {p}: owner outside [0, {group.n_ranks})")
+        elif ne and ((off < 0) | (off >= group.n_local[proc])).any():
+            problems.append(f"rank {p}: offset outside its owner's local "
+                            "size")
+        bufs, ghost = group.buf[p, :ne], proc != p
+        if not np.array_equal(bufs[ghost], np.arange(group.n_ghost[p])):
+            problems.append(f"rank {p}: off-processor rows do not hold "
+                            f"the ghost slots 0..{group.n_ghost[p] - 1} "
+                            "in row order")
+        if (bufs[~ghost] != -1).any():
+            problems.append(f"rank {p}: ghost slot on an owned entry")
         for name in filter(group.counted, group.registry.names()):
             bit = group.registry.mask_of(name)
             counts = group.ref_plane(name)[p, :ne]
+            if ne and counts.min() < 0:
+                problems.append(f"rank {p}: stamp {name!r} has a negative "
+                                "refcount")
             if np.any((counts > 0) != ((group.mask[p, :ne] & bit) != 0)):
                 problems.append(f"rank {p}: stamp {name!r} refcounts and "
                                 "mask bits disagree")

@@ -33,6 +33,7 @@ from repro.core import (
     make_hash_tables,
     rehash_delta,
 )
+from repro.core.compiled import offsets_from_counts
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
@@ -366,8 +367,8 @@ def test_stale_base_schedule_is_rejected():
 
 @pytest.mark.parametrize("rank", [0, 3])
 def test_base_slot_past_its_ghost_slots_is_rejected(rank):
-    """In the machine-wide key inverse a slot past rank p's ghost slots
-    reads the next rank's keys (or past the end): the splice must notice
+    """A slot past rank p's ghost slots is held by none of p's entries
+    (it may be below another rank's count): the splice must notice
     rather than edit another receiver's segment."""
     ctx = ExecutionContext.resolve(Machine(4), "vectorized")
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
@@ -375,6 +376,22 @@ def test_base_slot_past_its_ghost_slots_is_rejected(rank):
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
     assert base.recv_slots[rank].size
     base.recv_slots[rank][-1] = hts.n_ghost[rank]
+    with pytest.raises(ValueError, match="does not match the live tables"):
+        delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+
+
+def test_base_slots_out_of_order_are_rejected():
+    """A cold build lists each (receiver, owner) segment's ghost slots
+    ascending, because slots number a rank's off-processor rows in row
+    order: a base with two slots of one segment swapped does not
+    describe the live tables."""
+    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    seg = base.counts.T.ravel()
+    at = offsets_from_counts(seg)[np.flatnonzero(seg >= 2)[0]]
+    base.place[at:at + 2] = base.place[at:at + 2][::-1].copy()
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
 

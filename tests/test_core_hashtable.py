@@ -3,7 +3,10 @@
 ``TestIndexHashTable`` drives one rank's table of a
 :class:`HashTableGroup` through one-rank streams, once per key store —
 the dict *reference* and the direct-address map — and the store must be
-invisible to table behaviour.
+invisible to table behaviour.  ``TestNarrowKeyMap`` and the tests after
+it hold the tables' cell widths: a ``uint16`` key map widened once to
+``int32``, ``int32`` entry columns and refcount planes, and ``int64``
+for everything that leaves the tables.
 """
 
 import numpy as np
@@ -16,9 +19,17 @@ from repro.core import (
     HashTableGroup,
     StampExpr,
     StampRegistry,
+    TranslationTable,
+    build_schedule,
+    chaos_hash,
+    delta_rebuild_schedule,
     localize_only,
+    make_hash_tables,
+    rehash_delta,
 )
 from repro.sim import Machine
+
+from conftest import ALL_BACKENDS as BACKENDS
 
 
 class TestStampRegistry:
@@ -300,3 +311,171 @@ class TestIndexHashTable:
             HashTableGroup([3, -1], store=self.store_cls(2, KEYS))
         with pytest.raises(ValueError):
             HashTableGroup([[3, 1]], store=self.store_cls(2, KEYS))
+
+
+class TestNarrowKeyMap:
+    """The direct map holds ``row + 1`` as ``uint16`` while every entry
+    fits (rows up to 65 534), and is widened once to ``int32`` by the
+    first insert of a larger row; nothing else about the store moves."""
+
+    N_RANKS, N_KEYS = 2, 10
+    SMALL = (np.array([1, 7, 2]), np.array([2, 1]), np.array([0, 5, 3]))
+    PROBE = (np.array([1, 7, 3, 4, -1, 2]), np.array([5, 1]))
+
+    def make(self):
+        s = DirectKeyStore(self.N_RANKS, self.N_KEYS)
+        s.insert(*self.SMALL)
+        return s
+
+    def map_bytes(self, itemsize):
+        return itemsize * (self.N_RANKS * self.N_KEYS + 1)
+
+    @pytest.mark.parametrize("row, itemsize", [
+        (65_533, 2), (65_534, 2), (65_535, 4)])
+    def test_promotion_boundary(self, row, itemsize):
+        s = self.make()
+        assert s.nbytes == self.map_bytes(2)
+        assert s.lookup(*self.PROBE).tolist() == [0, 5, -1, -1, -1, 3]
+        s.insert(np.array([3]), np.array([1, 0]), np.array([row]))
+        assert s.nbytes == self.map_bytes(itemsize)
+        assert s.lookup(*self.PROBE).tolist() == [0, 5, row, -1, -1, 3]
+        assert s.live().tolist() == [3, 1]
+        # a widened map keeps taking rows, small and large
+        s.insert(np.array([4, 9]), np.array([0, 2]),
+                 np.array([row + 1, 6]))
+        assert s.lookup(np.array([4, 9]), np.array([0, 2])).tolist() \
+            == [row + 1, 6]
+
+    @pytest.mark.parametrize("widened", [False, True])
+    def test_rejected_inserts_change_nothing(self, widened):
+        """The duplicate, negative-row and ``row + 1 >= 2**31`` errors
+        are the same on either width, and a rejected insert neither
+        lands nor widens the map."""
+        s = self.make()
+        if widened:
+            s.insert(np.array([9]), np.array([1, 0]), np.array([70_000]))
+        live, nbytes = s.live().tolist(), s.nbytes
+        probe = s.lookup(*self.PROBE).tolist()
+        for keys, sizes, rows, match in [
+                ([5, 5], [2, 0], [70_000, 70_001], "duplicate insert"),
+                ([1], [1, 0], [70_000], "duplicate insert"),
+                ([4, 6], [0, 2], [70_000, -1], "negative row"),
+                ([4], [1, 0], [(1 << 31) - 1], "int32")]:
+            with pytest.raises(ValueError, match=match):
+                s.insert(np.array(keys), np.array(sizes), np.array(rows))
+            assert s.live().tolist() == live
+            assert s.nbytes == nbytes
+            assert s.lookup(*self.PROBE).tolist() == probe
+        s.insert(np.array([4]), np.array([1, 0]), np.array([(1 << 31) - 2]))
+        assert s.nbytes == self.map_bytes(4)
+        assert s.lookup(np.array([4]), np.array([1, 0])).tolist() \
+            == [(1 << 31) - 2]
+
+
+def _hashed(backend, owner_map, refs, n_ranks):
+    """A machine and its tables after one ``chaos_hash`` of ``refs``."""
+    m = Machine(n_ranks)
+    ctx = ExecutionContext.resolve(m, backend)
+    tt = TranslationTable.from_map(m, owner_map)
+    group = make_hash_tables(ctx, tt)
+    localized = chaos_hash(ctx, group, tt, [a.copy() for a in refs], "s")
+    return m, ctx, tt, group, localized
+
+
+def _buffers(sched):
+    return sched.counts, sched.send, sched.place, sched.extent
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tables_are_narrow_and_what_leaves_them_is_int64(backend):
+    """The tables' cells are int32 (the stamp mask int64); localized
+    indices and every schedule buffer, cold or spliced, are int64."""
+    rng = np.random.default_rng(11)
+    n = 200
+    refs = [rng.integers(0, n, 100) for _ in range(4)]
+    _, ctx, tt, group, localized = _hashed(
+        backend, rng.integers(0, 4, n), refs, 4)
+    assert {c: getattr(group, c).dtype for c in group._COLUMNS} == {
+        "g": np.int32, "proc": np.int32, "off": np.int32,
+        "buf": np.int32, "mask": np.int64}
+    assert group.ref_plane("s").dtype == np.int32
+    base = build_schedule(ctx, group, "s")
+    old = [a[:10] for a in refs]
+    rehash = rehash_delta(ctx, group, tt, "s", old,
+                          [rng.integers(0, n, 10) for _ in old])
+    spliced = delta_rebuild_schedule(ctx, group, "s", base, rehash)
+    for out in (localized.flat, localize_only(ctx, group, refs).flat,
+                rehash.localized.flat):
+        assert out.dtype == np.int64
+    for sched in (base, spliced):
+        for buf in _buffers(sched):
+            assert buf.dtype == np.int64
+
+
+def test_global_index_and_offset_columns_widen_past_int32():
+    """``g`` (``off``) is int64 only when the key range (a local size)
+    does not fit int32."""
+    fits = HashTableGroup([1 << 31, 3], store=DictKeyStore(2, 1 << 31))
+    wide = HashTableGroup([(1 << 31) + 1, 3],
+                          store=DictKeyStore(2, (1 << 31) + 1))
+    assert (fits.g.dtype, fits.off.dtype) == (np.int32, np.int32)
+    assert (wide.g.dtype, wide.off.dtype) == (np.int64, np.int64)
+    assert wide.proc.dtype == wide.buf.dtype == np.int32
+    key = (1 << 31)  # the largest key of the wide range
+    wide.insert(np.array([key]), np.array([0, 1]), np.array([0]),
+                np.array([key]))
+    assert (wide.g[1, 0], wide.off[1, 0]) == (key, key)
+
+
+def test_serial_and_vectorized_agree_past_the_narrow_map():
+    """A rank holding more rows than the uint16 map can number (65 536
+    here) widens the vectorized store; the tables, localized indices,
+    schedules, traffic and clocks still match the serial reference."""
+    rng = np.random.default_rng(3)
+    n = 70_000
+    owner_map = rng.integers(0, 2, n)
+    refs = [rng.permutation(n)[:65_536], rng.integers(0, n, 500)]
+    old = [a[:300] for a in refs]
+    new = [rng.integers(0, n, 300) for _ in old]
+    runs = []
+    for backend in BACKENDS:
+        m, ctx, tt, group, localized = _hashed(backend, owner_map, refs, 2)
+        base = build_schedule(ctx, group, "s")
+        rehash = rehash_delta(ctx, group, tt, "s", old, new)
+        spliced = delta_rebuild_schedule(ctx, group, "s", base, rehash)
+        runs.append((m, group, (localized.flat, rehash.localized.flat,
+                                *_buffers(base), *_buffers(spliced))))
+    (m_ref, ref, ref_out), (m_got, got, got_out) = runs
+    assert got.n_entries[0] > 65_536  # the touches added rows too
+    assert got.store.nbytes == 4 * (2 * n + 1)
+    assert np.array_equal(ref.n_entries, got.n_entries)
+    used = int(got.n_entries.max())
+    for c in ref._COLUMNS:
+        assert np.array_equal(getattr(ref, c)[:, :used],
+                              getattr(got, c)[:, :used]), c
+    for a, b in zip(ref_out, got_out, strict=True):
+        assert np.array_equal(a, b)
+    assert m_ref.traffic.snapshot() == m_got.traffic.snapshot()
+    assert list(m_ref.traffic.messages) == list(m_got.traffic.messages)
+    for ca, cb in zip(m_ref.clocks, m_got.clocks):
+        a, b = ca.snapshot(), cb.snapshot()
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key] == pytest.approx(b[key], rel=1e-9, abs=1e-15), key
+
+
+def test_nbytes_of_a_fixed_configuration():
+    """The tables' resident bytes for one deterministic set-up: four
+    ranks each referencing all 4 000 keys (4 000 rows, growing the
+    arenas once to 5 000 rows), one counted stamp, the vectorized
+    store.  A widened column or map fails here."""
+    n = 4000
+    keys = np.arange(n)
+    *_, group, _ = _hashed("vectorized", keys * 4 // n, [keys] * 4, 4)
+    assert group.rows_cap == 5000
+    cells = 4 * 5000
+    assert group.nbytes == (4 * 4 * cells      # g, proc, off, buf: int32
+                            + 8 * cells        # mask: int64
+                            + 4 * cells        # the stamp's refcounts
+                            + 2 * (4 * n + 1))  # the uint16 key map
+    assert group.nbytes == 592_002

@@ -112,6 +112,32 @@ class TestHashTableChecks:
         problems = check_hash_tables(group)
         assert any("rank 1" in p and symptom in p for p in problems), problems
 
+    @staticmethod
+    def _unorder_slots(group):
+        ghost = np.flatnonzero(group.buf[1, :group.n_entries[1]] >= 0)
+        group.buf[1, ghost[:2]] = group.buf[1, ghost[1::-1]]
+
+    @pytest.mark.parametrize("damage, symptom", [
+        (lambda t: t.g[1].__setitem__(0, t.store.n_keys),
+         "global index outside"),
+        (lambda t: t.g[1].__setitem__(0, -1), "global index outside"),
+        (lambda t: t.proc[1].__setitem__(0, t.n_ranks), "owner outside"),
+        (lambda t: t.off[1].__setitem__(0, t.n_local[t.proc[1, 0]]),
+         "offset outside"),
+        (lambda t: t.off[1].__setitem__(0, -1), "offset outside"),
+        (lambda t: t.ref_plane("s")[1].__setitem__(0, -1),
+         "negative refcount"),
+        (_unorder_slots, "in row order"),
+    ])
+    def test_narrow_column_damage_is_reported(self, rng, damage, symptom):
+        """The value ranges the narrow columns rely on, and the slot
+        order the schedule splice relies on (two ghost slots swapped
+        stay distinct ids below ``n_ghost``)."""
+        group = self.make(rng)
+        damage(group)
+        problems = check_hash_tables(group)
+        assert any("rank 1" in p and symptom in p for p in problems), problems
+
 
 class TestLightweightChecks:
     def test_built_passes(self, ctx4, rng):
