@@ -85,8 +85,6 @@ class ParallelMD:
         non-bonded stamps (one gather per step); ``"multiple"`` builds one
         schedule per loop, duplicating shared elements — the Table 3
         comparison knob.
-    ttable_storage:
-        Translation-table policy (paper used ``"replicated"``).
     """
 
     def __init__(
@@ -97,7 +95,6 @@ class ParallelMD:
         update_every: int = 10,
         partitioner: Partitioner | None = None,
         schedule_mode: str = "merged",
-        ttable_storage: str = "replicated",
         thermostat_temperature: float | None = None,
         thermostat_tau: float = 0.1,
     ):
@@ -119,7 +116,6 @@ class ParallelMD:
         self.update_every = int(update_every)
         self.partitioner = partitioner if partitioner is not None else RCB()
         self.schedule_mode = schedule_mode
-        self.ttable_storage = ttable_storage
         self._runtime = ChaosRuntime(ctx)
         self._scope = f"charmm{next(_MD_COUNTER)}"
         self.trace = MDTrace()
@@ -154,9 +150,7 @@ class ParallelMD:
         weights = self._atom_weights()
         result = run_partitioner(m, self.partitioner, s.positions, weights,
                                  category="partition")
-        self.ttable = TranslationTable(
-            m, result.to_distribution(m.n_ranks), storage=self.ttable_storage
-        )
+        self.ttable = TranslationTable(m, result.to_distribution(m.n_ranks))
         dist = self.ttable.dist
 
         # Phase B: distribute atom arrays (host-side scatter; the initial
@@ -305,9 +299,7 @@ class ParallelMD:
         weights = self._atom_weights()
         result = run_partitioner(m, part, self.system.positions, weights,
                                  category="partition")
-        new_ttable = TranslationTable(
-            m, result.to_distribution(m.n_ranks), storage=self.ttable_storage
-        )
+        new_ttable = TranslationTable(m, result.to_distribution(m.n_ranks))
         plan = remap(self.ctx, self.ttable.dist, new_ttable.dist, category="remap")
         self.pos, self.vel, self.mass, self.charge = run_pipeline(
             self.ctx,

@@ -85,7 +85,6 @@ class ParallelDSMC:
         config: DSMCConfig | None = None,
         migration: str = "lightweight",
         partitioner: Partitioner | None = None,
-        ttable_storage: str = "replicated",
     ):
         ctx = resolve_component(machine, "ParallelDSMC")
         if migration not in ("lightweight", "regular"):
@@ -95,7 +94,6 @@ class ParallelDSMC:
         self.machine = ctx.machine
         self.config = config if config is not None else DSMCConfig()
         self.migration = migration
-        self.ttable_storage = ttable_storage
         self.trace = DSMCTrace()
         self.step_count = 0
         self.next_id = self.config.n_initial
@@ -108,7 +106,7 @@ class ParallelDSMC:
                 m, partitioner, grid.cell_centers(), category="partition"
             )
             dist = res.to_distribution(m.n_ranks)
-        self.cell_table = TranslationTable(m, dist, storage=ttable_storage)
+        self.cell_table = TranslationTable(m, dist)
 
         # initial particles, grouped by cell owner (each rank's in id order)
         init = initial_population(grid, self.config)
@@ -253,7 +251,7 @@ class ParallelDSMC:
         new_dist = IrregularDistribution(owner, m.n_ranks)
         # the slot-indexed new distribution needs a translation table build
         # every step — the dominant regular-schedule overhead
-        TranslationTable(m, new_dist, storage=self.ttable_storage)
+        TranslationTable(m, new_dist)
         plan = remap(self.ctx, old_dist, new_dist, category="inspector")
         self._adopt(run_pipeline(
             self.ctx,
@@ -272,9 +270,7 @@ class ParallelDSMC:
             m, partitioner, self.grid.cell_centers(),
             weights=loads + 0.01, category="partition",
         )
-        self.cell_table = TranslationTable(
-            m, res.to_distribution(m.n_ranks), storage=self.ttable_storage
-        )
+        self.cell_table = TranslationTable(m, res.to_distribution(m.n_ranks))
         # move particles to the new owners of their cells (one message
         # set carries all three attributes)
         self._migrate_lightweight(self.particles, self.sizes, "remap", "remap")

@@ -158,8 +158,7 @@ class ChaosRuntime:
 
     Note that the schedule cache is *per context*: two runtimes built
     from the same context share it, so cache keys (caller-chosen loop
-    ids) must be distinct across them — pass ``ctx.fresh_services()`` to
-    a runtime that needs isolated caches.
+    ids) must be distinct across them.
     """
 
     def __init__(self, ctx):

@@ -44,11 +44,11 @@ per-context resources, so there is nothing to open or close.
 Backends must be *observationally identical*: same results bitwise
 (localized indices, ghost-slot assignment, schedules, executor data),
 same traffic statistics message-for-message, same virtual-time totals
-(up to float summation order).  The suites sweeping
-``tests/conftest.py:ALL_BACKENDS`` (``test_backends.py``,
-``test_inspector_backends.py``, ``test_fused.py``,
-``test_adaptive_delta.py``, the CHARMM/DSMC parallel suites, ...)
-enforce this on randomized workloads.
+(up to float summation order).  ``tests/oracle.py`` is the one place
+this is enforced: it runs each workload of the suite on every backend
+(and, where the workload has them, as chains and as primitives, through
+delta and full rebuilds, under every translation-table storage policy)
+and compares it with the serial reference.
 """
 
 from __future__ import annotations

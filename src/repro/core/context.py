@@ -161,11 +161,6 @@ class ExecutionContext:
             changes["backend"] = resolve_backend(changes["backend"])
         return replace(self, **changes)
 
-    def fresh_services(self) -> "ExecutionContext":
-        """Same machine/backend/seed, new modification record + cache."""
-        rec = ModificationRecord()
-        return replace(self, record=rec, schedule_cache=ScheduleCache(rec))
-
     # ------------------------------------------------------------------
     # machine conveniences
     # ------------------------------------------------------------------

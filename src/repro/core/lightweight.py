@@ -38,7 +38,6 @@ class LightweightSchedule(CommPlan):
     self_first = True
     send_sel = property(lambda self: self.send_rows)
     recv_counts = property(lambda self: self.counts.T)
-    total_moved = CommPlan.elements_moved
 
     def recv_total(self, rank: int) -> int:
         """Total elements rank will hold after the move (incl. kept)."""

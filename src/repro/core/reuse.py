@@ -40,7 +40,7 @@ class CacheStats:
     ``hits``            entries served without any rebuild,
     ``builds``          full builder runs,
     ``delta_rebuilds``  incremental rebuilds from touch deltas,
-    ``evictions``       values dropped by ``invalidate``/``invalidate_all``,
+    ``evictions``       values dropped by ``invalidate``,
     ``resident_bytes``  bytes of live cached values.
     """
 
@@ -276,10 +276,6 @@ class ScheduleCache:
         e.value_bytes = 0
         e.evictions += 1
         return True
-
-    def invalidate_all(self) -> None:
-        for loop_id in list(self._entries):
-            self.invalidate(loop_id)
 
     def stats(self, loop_id: str) -> CacheStats:
         """Counters for one loop id (tuple-compatible, see

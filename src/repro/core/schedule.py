@@ -55,18 +55,6 @@ class Schedule(CommPlan):
     recv_offsets = property(lambda self: self.place_offsets)
     recv_view = CommPlan.place_view
 
-    # -- paper's four components, per rank ------------------------------
-    def send_list(self, rank: int) -> np.ndarray:
-        """All local elements ``rank`` sends, concatenated by destination."""
-        return self.send_rows[rank]
-
-    def permutation_list(self, rank: int) -> np.ndarray:
-        """Ghost-buffer placement order of incoming elements."""
-        return self.place_rows[rank]
-
-    def fetch_sizes(self, rank: int) -> np.ndarray:
-        return self.counts[:, rank]
-
     def total_elements(self) -> int:
         """Off-processor elements moved by one gather with this schedule."""
         return int(self.counts.sum())

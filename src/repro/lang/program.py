@@ -181,7 +181,6 @@ class ProgramInstance:
         compiled: CompiledProgram,
         ctx,
         bindings: dict[str, Any] | None = None,
-        ttable_storage: str = "replicated",
     ):
         ctx = resolve_component(ctx, "ProgramInstance")
         self.compiled = compiled
@@ -190,7 +189,6 @@ class ProgramInstance:
         #: executor data transport; its record/cache drive §5.3.1 reuse
         self.ctx = ctx
         self.machine = ctx.machine
-        self.ttable_storage = ttable_storage
         self.symbols = compiled.analyzer.symbols
         #: replicated arrays, scalars, and the global value a distributed
         #: array was last given host-side
@@ -354,7 +352,7 @@ class ProgramInstance:
             dist = IrregularDistribution(map_values, m.n_ranks)
 
         old = st.ttable
-        st.ttable = TranslationTable(m, dist, storage=self.ttable_storage)
+        st.ttable = TranslationTable(m, dist)
         st.order, st.counts = stream_of(
             [dist.global_indices(p) for p in m.ranks()])
         self.record.touch(f"__decomp__:{stmt.target}")

@@ -17,7 +17,7 @@ class ServerConfig:
     max_concurrency:
         Jobs executing simultaneously across all tenants.  Each running
         job occupies one worker thread, so this also sizes the thread
-        pool unless ``thread_workers`` overrides it.
+        pool.
     per_tenant:
         Jobs one tenant may have running at once; excess jobs from the
         same tenant wait in the queue while other tenants proceed.
@@ -34,11 +34,6 @@ class ServerConfig:
         Per-job wall-clock timeout in seconds applied when a
         :class:`~repro.serve.job.JobSpec` does not carry its own;
         ``None`` means no timeout.
-    thread_workers:
-        Size of the executor thread pool; defaults to
-        ``max_concurrency``.  Raising it above ``max_concurrency``
-        leaves headroom for straggler threads (timed-out or cancelled
-        jobs still winding down cooperatively).
     """
 
     max_concurrency: int = 4
@@ -46,7 +41,6 @@ class ServerConfig:
     queue_limit: int = 64
     admission: str = "wait"
     default_timeout: float | None = None
-    thread_workers: int | None = None
 
     def __post_init__(self):
         if self.max_concurrency < 1:
@@ -70,13 +64,3 @@ class ServerConfig:
             raise ValueError(
                 f"default_timeout must be positive, got {self.default_timeout}"
             )
-        if self.thread_workers is not None and self.thread_workers < 1:
-            raise ValueError(
-                f"thread_workers must be >= 1, got {self.thread_workers}"
-            )
-
-    @property
-    def pool_size(self) -> int:
-        """Executor thread-pool width (``thread_workers`` or the cap)."""
-        return (self.thread_workers if self.thread_workers is not None
-                else self.max_concurrency)

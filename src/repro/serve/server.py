@@ -142,7 +142,7 @@ class ProgramServer:
         self._room = asyncio.Event()
         self._stragglers: dict[int, asyncio.Future] = {}
         self._pool = ThreadPoolExecutor(
-            max_workers=self.config.pool_size,
+            max_workers=self.config.max_concurrency,
             thread_name_prefix="repro-serve",
         )
 

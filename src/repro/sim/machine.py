@@ -459,9 +459,6 @@ class Machine:
     def allreduce_sum(self, values: Sequence[Any], **kw) -> list[Any]:
         return self.allreduce(values, lambda a, b: a + b, tag="allreduce_sum", **kw)
 
-    def allreduce_max(self, values: Sequence[Any], **kw) -> list[Any]:
-        return self.allreduce(values, max, tag="allreduce_max", **kw)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-``ALL_BACKENDS`` is the single source of truth for the backend names
-the equivalence suites sweep; import it (``from conftest import
-ALL_BACKENDS``) instead of repeating the tuple per file.
+``ALL_BACKENDS`` is the single source of truth for the backend names;
+import it (``from conftest import ALL_BACKENDS``) instead of repeating
+the tuple per file.  The backend contract itself is checked in one
+place, the differential oracle in ``tests/oracle.py``.
 ``count_calls`` is the probe of the shape tests (host work that must not
 grow with the rank count).
 """

@@ -1,17 +1,14 @@
-"""Property tests: incremental delta rebuilds vs full inspector reruns.
+"""Incremental delta rebuilds vs full inspector reruns.
 
 The contract of :func:`rehash_delta` + :func:`delta_rebuild_schedule` is
 *bitwise equivalence*: after any touched-subset update, the spliced
 schedule, the localized indices, and the table occupancy must be
 indistinguishable from running the full clear/rehash/rebuild path over
-the same tables — under every backend, including updates
-that introduce never-seen global indices (fresh ghost slots) and ones
-that drop the last reference to an index (ghost-slot retirement).
-
-Because schedules are compared bitwise, executor behaviour is identical
-by construction; ``test_delta_schedule_traffic_identity`` witnesses it
-anyway by running a gather through both schedules and comparing the
-simulated machines' aggregate traffic and per-message logs.
+the same tables — under every backend, including updates that introduce
+never-seen global indices (fresh ghost slots) and ones that drop the
+last reference to an index (ghost-slot retirement).  The oracle
+(``tests/oracle.py``) runs both on its delta axis, and a gather through
+the final schedule moves the same messages either way.
 """
 
 import numpy as np
@@ -20,33 +17,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ChaosRuntime,
     ExecutionContext,
+    IrregularReduction,
     RankArena,
     TranslationTable,
     allocate_ghosts,
     build_schedule,
     chaos_hash,
     check_hash_tables,
+    check_schedule_against_hash_tables,
     clear_stamp,
     delta_rebuild_schedule,
     gather,
     make_hash_tables,
     rehash_delta,
+    split_by_block,
 )
 from repro.core.compiled import offsets_from_counts
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
-
-
-def _assert_schedule_equal(a, b) -> None:
-    assert a.n_ranks == b.n_ranks
-    assert list(a.ghost_size) == list(b.ghost_size)
-    for p in range(a.n_ranks):
-        assert np.array_equal(a.send_indices[p], b.send_indices[p])
-        assert np.array_equal(a.send_offsets[p], b.send_offsets[p])
-        assert np.array_equal(a.recv_slots[p], b.recv_slots[p])
-        assert np.array_equal(a.recv_offsets[p], b.recv_offsets[p])
+from oracle import check, observe
 
 
 def _cold_env(ctx, seed, n, per_rank):
@@ -78,6 +70,22 @@ def _churn(rng, idx, n, frac):
     return positions, old_vals, new_vals, nxt
 
 
+def _churn_round(run, tt, hts, sched, idx, rng, n, frac):
+    """One round of churn through the delta path or the full path (the
+    delta axis): the next slices, the schedule, and the localized
+    indices at the touched positions."""
+    ctx = run.ctx
+    positions, old_vals, new_vals, idx = _churn(rng, idx, n, frac)
+    if run.delta:
+        rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+        return (idx, delta_rebuild_schedule(ctx, hts, "s", sched, rehash),
+                rehash.localized)
+    clear_stamp(ctx, hts, "s")
+    full = chaos_hash(ctx, hts, tt, [a.copy() for a in idx], "s")
+    return (idx, build_schedule(ctx, hts, "s"),
+            [a[t] for a, t in zip(full, positions)])
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -88,38 +96,24 @@ def _churn(rng, idx, n, frac):
 )
 def test_delta_rebuild_matches_full_rebuild(seed, n_ranks, n, per_rank,
                                             frac):
-    """Two rounds of churn: the delta path must track the full path
-    bitwise — schedule, localized indices, and table occupancy — on
-    every backend."""
-    for backend in BACKENDS:
-        m_full = Machine(n_ranks)
-        m_delta = Machine(n_ranks)
-        ctx_f = ExecutionContext.resolve(m_full, backend)
-        ctx_d = ExecutionContext.resolve(m_delta, backend)
-        tt_f, hts_f, idx, _ = _cold_env(ctx_f, seed, n, per_rank)
-        tt_d, hts_d, _, sched_d = _cold_env(ctx_d, seed, n, per_rank)
+    """Two rounds of churn: the delta path tracks the full path bitwise
+    — schedule, the localized indices at the touched positions, and
+    table occupancy — and a gather through the final schedule moves the
+    same messages."""
+    def workload(run):
+        tt, hts, idx, sched = _cold_env(run.ctx, seed, n, per_rank)
         rng = np.random.default_rng(seed + 1)
+        rounds = []
         for _ in range(2):
-            positions, old_vals, new_vals, idx = _churn(rng, idx, n, frac)
+            idx, sched, loc = _churn_round(run, tt, hts, sched, idx, rng, n,
+                                           frac)
+            rounds.append(observe((sched, loc, hts.n_entries, hts.n_ghost)))
+        run.mark()
+        x = [np.random.default_rng(99).standard_normal(
+            tt.dist.local_size(p)) for p in range(n_ranks)]
+        return rounds, gather(run.ctx, sched, x, allocate_ghosts(sched, x))
 
-            clear_stamp(ctx_f, hts_f, "s")
-            loc_full = chaos_hash(ctx_f, hts_f, tt_f,
-                                  [a.copy() for a in idx], "s")
-            sched_f = build_schedule(ctx_f, hts_f, "s")
-
-            rehash = rehash_delta(ctx_d, hts_d, tt_d, "s",
-                                  old_vals, new_vals)
-            sched_d = delta_rebuild_schedule(ctx_d, hts_d, "s",
-                                             sched_d, rehash)
-
-            _assert_schedule_equal(sched_f, sched_d)
-            for p in range(n_ranks):
-                # the rehash's localized values patch the touched
-                # positions to exactly what a full localize yields
-                assert np.array_equal(rehash.localized[p],
-                                      loc_full[p][positions[p]])
-            assert hts_f.n_entries.tolist() == hts_d.n_entries.tolist()
-            assert hts_f.n_ghost.tolist() == hts_d.n_ghost.tolist()
+    check(workload, n_ranks, delta=True)
 
 
 @settings(max_examples=10, deadline=None)
@@ -127,57 +121,73 @@ def test_delta_rebuild_matches_full_rebuild(seed, n_ranks, n, per_rank,
 def test_delta_schedules_identical_across_backends(seed):
     """The spliced schedule (and the rehash's localized patches) must
     not depend on which backend performed the update."""
-    results = {}
-    for backend in BACKENDS:
-        m = Machine(4)
-        ctx = ExecutionContext.resolve(m, backend)
-        tt, hts, idx, sched = _cold_env(ctx, seed, 50, 30)
-        rng = np.random.default_rng(seed + 1)
-        _, old_vals, new_vals, idx = _churn(rng, idx, 50, 0.3)
-        rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
-        sched = delta_rebuild_schedule(ctx, hts, "s", sched, rehash)
-        results[backend] = (sched, rehash.localized)
-    ref_sched, ref_loc = results[BACKENDS[0]]
-    for other in BACKENDS[1:]:
-        sched, loc = results[other]
-        _assert_schedule_equal(ref_sched, sched)
-        for p in range(4):
-            assert np.array_equal(ref_loc[p], loc[p])
+    def workload(run):
+        tt, hts, idx, sched = _cold_env(run.ctx, seed, 50, 30)
+        return _churn_round(run, tt, hts, sched, idx,
+                            np.random.default_rng(seed + 1), 50, 0.3)[1:]
+
+    check(workload, delta=True)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_delta_schedule_traffic_identity(backend):
     """A gather driven by the delta-rebuilt schedule moves exactly the
     bytes (and messages) of one driven by the full rebuild."""
-    seed, n_ranks, n, per_rank = 7, 4, 80, 60
-    m_full = Machine(n_ranks, record_messages=True)
-    m_delta = Machine(n_ranks, record_messages=True)
-    ctx_f = ExecutionContext.resolve(m_full, backend)
-    ctx_d = ExecutionContext.resolve(m_delta, backend)
-    tt_f, hts_f, idx, _ = _cold_env(ctx_f, seed, n, per_rank)
-    tt_d, hts_d, _, sched_d = _cold_env(ctx_d, seed, n, per_rank)
-    rng = np.random.default_rng(seed + 1)
-    _, old_vals, new_vals, idx = _churn(rng, idx, n, 0.25)
+    def workload(run):
+        tt, hts, idx, sched = _cold_env(run.ctx, 7, 80, 60)
+        _, sched, _ = _churn_round(run, tt, hts, sched, idx,
+                                   np.random.default_rng(8), 80, 0.25)
+        run.mark()
+        data_rng = np.random.default_rng(99)
+        x = [data_rng.standard_normal(tt.dist.local_size(p))
+             for p in range(4)]
+        return sched, gather(run.ctx, sched, x, allocate_ghosts(sched, x))
 
-    clear_stamp(ctx_f, hts_f, "s")
-    chaos_hash(ctx_f, hts_f, tt_f, [a.copy() for a in idx], "s")
-    sched_f = build_schedule(ctx_f, hts_f, "s")
-    rehash = rehash_delta(ctx_d, hts_d, tt_d, "s", old_vals, new_vals)
-    sched_d = delta_rebuild_schedule(ctx_d, hts_d, "s", sched_d, rehash)
-    _assert_schedule_equal(sched_f, sched_d)
+    check(workload, backends=[backend], delta=True)
 
-    data_rng = np.random.default_rng(99)
-    sizes = [tt_f.dist.local_size(p) for p in range(n_ranks)]
-    x_f = [data_rng.standard_normal(s) for s in sizes]
-    x_d = [a.copy() for a in x_f]
-    m_full.reset_traffic()
-    m_delta.reset_traffic()
-    g_f = gather(ctx_f, sched_f, x_f, allocate_ghosts(sched_f, x_f))
-    g_d = gather(ctx_d, sched_d, x_d, allocate_ghosts(sched_d, x_d))
-    for p in range(n_ranks):
-        assert np.array_equal(g_f[p], g_d[p])
-    assert m_full.traffic.snapshot() == m_delta.traffic.snapshot()
-    assert list(m_full.traffic.messages) == list(m_delta.traffic.messages)
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), rounds=st.integers(1, 3))
+def test_adaptive_loop_steps_agree(seed, rounds):
+    """An ``IrregularReduction`` through set-up, executes and adapts
+    (targeted or not: the delta axis), a stamp cleared behind its back
+    and its tables dropped, each followed by ``setup``: the loop's
+    schedule is a full build of its live tables after every step."""
+    n, refs = 60, 120
+
+    def workload(run):
+        rng = np.random.default_rng(seed)
+        rt = ChaosRuntime(run.ctx)
+        tt = rt.irregular_table(rng.integers(0, 4, n))
+        ib = split_by_block(rng.integers(0, n, refs), run.machine)
+        loop = IrregularReduction(rt, tt, "v").bind(
+            ia=split_by_block(rng.integers(0, n, refs), run.machine), ib=ib)
+        x = rt.distribute(rng.standard_normal(n), tt)
+        y = rt.distribute(rng.standard_normal(n), tt)
+        seen = []
+
+        def step():
+            loop.execute(x, "ia", lambda v: 0.5 * v, {"y": (y, "ib")})
+            seen.append((observe(loop), x.to_global()))
+
+        loop.setup()
+        step()
+        for _ in range(rounds):
+            touched = [rng.choice(a.size, size=5, replace=False) for a in ib]
+            for a, pos in zip(ib, touched):
+                a[pos] = rng.integers(0, n, 5)
+            loop.adapt("ib", [a.copy() for a in ib],
+                       touched=run.touched(touched))
+            step()
+        rt.clear_stamp(tt, "v:ia")
+        loop.setup()
+        step()
+        rt.drop_hash_tables(tt)
+        loop.setup()
+        step()
+        return seen
+
+    check(workload, delta=True)
 
 
 # ---------------------------------------------------------------------
@@ -297,7 +307,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
         rehash = rehash_delta(ctx_d, hts_d, tt_d, "s",
                               [a[t] for a, t in zip(idx, pos)], new)
         got = delta_rebuild_schedule(ctx_d, hts_d, "s", base, rehash)
-    _assert_schedule_equal(cold, got)
+    assert observe(cold) == observe(got)
     assert m.traffic.snapshot() == seen["traffic"]
     for p in range(n_ranks):
         t = seen["clock"][p]
@@ -412,9 +422,8 @@ def test_rejected_splice_leaves_no_scratch_stamp_behind():
     assert hts.registry.names() == stamps
     assert np.array_equal(hts.mask, masks)
     # the same rehash still splices into the right base
-    _assert_schedule_equal(
-        delta_rebuild_schedule(ctx, hts, "s", base, rehash),
-        build_schedule(ctx, hts, "s"))
+    assert observe(delta_rebuild_schedule(ctx, hts, "s", base, rehash)) \
+        == observe(build_schedule(ctx, hts, "s"))
 
 
 def _selection(hts, edit=None):
@@ -451,7 +460,7 @@ def test_explicit_row_selection_is_checked(bad, backend):
     otherwise read another rank's arena or emit a ghost slot of -1)."""
     ctx = ExecutionContext.resolve(Machine(4), backend)
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
-    _assert_schedule_equal(build_schedule(ctx, hts, _selection(hts)), base)
+    assert observe(build_schedule(ctx, hts, _selection(hts))) == observe(base)
     m = ctx.machine
     before = (m.execution_time(), m.mean_category_time("inspector"))
     with pytest.raises(ValueError, match="selected row"):
@@ -464,8 +473,6 @@ def test_external_clear_between_build_and_delta_falls_back_to_full_build():
     targeted adapt is a ``DeltaFallback``: the adapt recovers through the
     full inspector, the result is right, and the cache counts a build,
     not a delta rebuild."""
-    from repro.core import ChaosRuntime, IrregularReduction, split_by_block
-
     rng = np.random.default_rng(11)
     n, refs = 60, 120
     m = Machine(4)
@@ -501,13 +508,6 @@ def test_validators_hold_after_every_adaptive_step(backend):
     schedule after each step of an adaptive run: a cold build, a delta
     splice, an untargeted rebuild, a setup after an external stamp
     clear and a setup after the tables were dropped."""
-    from repro.core import (
-        ChaosRuntime,
-        IrregularReduction,
-        check_schedule_against_hash_tables,
-        split_by_block,
-    )
-
     rng = np.random.default_rng(7)
     n, refs = 60, 120
     m = Machine(4)

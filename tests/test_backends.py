@@ -1,16 +1,11 @@
-"""Backend equivalence: SerialBackend vs every other backend.
+"""Backend equivalence of the executor primitives, and the backend set.
 
-The serial pair loop defines the semantics; the vectorized compiled-plan
-path must be observationally identical on randomized schedules (the
-sweep is ``conftest.ALL_BACKENDS``):
-
-* bitwise-identical ghosts / local results for gather, scatter,
-  scatter_op (add and maximum), scatter_append(_multi), remap_array,
-  on 1-D and 2-D data;
-* identical :class:`Machine` traffic statistics (message counts, bytes,
-  tags — compared exactly);
-* identical per-rank virtual clock categories (compared to float
-  round-off, as the vectorized path sums message times in bulk).
+The oracle (``tests/oracle.py``) runs each workload below on every
+backend, on randomized schedules and on hand-built plans no inspector
+builds: gather, scatter, scatter_op (add and maximum),
+scatter_append(_multi) and remap_array, on 1-D and 2-D data, integer
+data and strided views.  ``test_fused.py`` runs the same collectives
+as ``run_pipeline`` chains.
 """
 
 import numpy as np
@@ -22,51 +17,29 @@ from repro.core import (
     ChaosRuntime,
     ExecutionContext,
     IrregularDistribution,
+    PipelinePhase,
+    Schedule,
+    append_phase,
     available_backends,
     build_lightweight_schedule,
     default_backend,
     gather,
+    gather_phase,
     get_backend,
     remap,
     remap_array,
     resolve_backend,
     scatter,
-    scatter_append,
     scatter_append_multi,
     scatter_op,
+    scatter_op_phase,
+    scatter_phase,
     split_by_block,
 )
 from repro.core.backends import Backend, SerialBackend, VectorizedBackend
 from repro.sim import PARAGON, FullCrossbar, Machine
 
-from conftest import ALL_BACKENDS as BACKENDS
-
-
-def _clock_snapshots(machine):
-    return [c.snapshot() for c in machine.clocks]
-
-
-def _assert_clocks_match(a, b):
-    for ca, cb in zip(a, b):
-        for key in set(ca) | set(cb):
-            assert ca.get(key, 0.0) == pytest.approx(
-                cb.get(key, 0.0), rel=1e-9, abs=1e-15
-            ), key
-
-
-def _schedule_env(seed, n_ranks, n, n_ref, trailing):
-    rng = np.random.default_rng(seed)
-    m = Machine(n_ranks, record_messages=True)
-    rt = ChaosRuntime(m)
-    tt = rt.irregular_table(rng.integers(0, n_ranks, n))
-    shape = (n,) + trailing
-    x = rt.distribute(rng.standard_normal(shape), tt)
-    idx_g = rng.integers(0, n, n_ref)
-    rt.hash_indirection(tt, split_by_block(idx_g, m), "s")
-    sched = rt.build_schedule(tt, "s")
-    m.reset_clocks()
-    m.reset_traffic()
-    return m, x, sched, rng
+from oracle import check, schedule_env
 
 
 @settings(max_examples=25, deadline=None)
@@ -78,32 +51,17 @@ def _schedule_env(seed, n_ranks, n, n_ref, trailing):
     trailing=st.sampled_from([(), (3,)]),
 )
 def test_gather_scatter_equivalence(seed, n_ranks, n, n_ref, trailing):
-    results = {}
-    for backend in BACKENDS:
-        m, x, sched, rng = _schedule_env(seed, n_ranks, n, n_ref, trailing)
-        ctx = ExecutionContext.resolve(m, backend)
-        ghosts = gather(ctx, sched, x.local)
-        contrib = [1.5 * g + 0.25 for g in ghosts]
-        scatter_op(ctx, sched, x.local, contrib, np.add)
-        scatter_op(ctx, sched, x.local, [2.0 * g for g in ghosts],
+    def workload(run):
+        _, x, sched = schedule_env(run, seed, n, n_ref, trailing)
+        ghosts = gather(run.ctx, sched, x.local)
+        scatter_op(run.ctx, sched, x.local, [1.5 * g + 0.25 for g in ghosts],
+                   np.add)
+        scatter_op(run.ctx, sched, x.local, [2.0 * g for g in ghosts],
                    np.maximum)
-        scatter(ctx, sched, x.local, [0.5 * g for g in ghosts])
-        results[backend] = (
-            ghosts,
-            [a.copy() for a in x.local],
-            m.traffic.snapshot(),
-            [msg for msg in m.traffic.messages],
-            _clock_snapshots(m),
-        )
-    a = results["serial"]
-    for other in BACKENDS[1:]:
-        b = results[other]
-        for p in range(len(a[0])):
-            assert np.array_equal(a[0][p], b[0][p])  # ghosts bitwise
-            assert np.array_equal(a[1][p], b[1][p])  # locals bitwise
-        assert a[2] == b[2]  # aggregate traffic exact
-        assert a[3] == b[3]  # individual messages, in order
-        _assert_clocks_match(a[4], b[4])
+        scatter(run.ctx, sched, x.local, [0.5 * g for g in ghosts])
+        return ghosts, x.local
+
+    check(workload, n_ranks)
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,35 +72,20 @@ def test_gather_scatter_equivalence(seed, n_ranks, n, n_ref, trailing):
     trailing=st.sampled_from([(), (2,)]),
 )
 def test_scatter_append_equivalence(seed, n_ranks, max_per_rank, trailing):
-    rng0 = np.random.default_rng(seed)
-    n_per = [int(v) for v in rng0.integers(0, max_per_rank + 1, n_ranks)]
-    results = {}
-    for backend in BACKENDS:
+    n_per = np.random.default_rng(seed).integers(0, max_per_rank + 1,
+                                                 n_ranks)
+
+    def workload(run):
         rng = np.random.default_rng(seed + 1)
-        m = Machine(n_ranks, record_messages=True)
-        ctx = ExecutionContext.resolve(m, backend)
-        dest = [rng.integers(0, n_ranks, c) for c in n_per]
-        sched = build_lightweight_schedule(ctx, dest)
-        m.reset_clocks()
-        m.reset_traffic()
+        sched = build_lightweight_schedule(
+            run.ctx, [rng.integers(0, n_ranks, c) for c in n_per])
         vals = [rng.standard_normal((c,) + trailing) for c in n_per]
         ids = [np.arange(c, dtype=np.int64) + 1000 * p
                for p, c in enumerate(n_per)]
-        out = scatter_append(ctx, sched, vals)
-        out_multi = scatter_append_multi(ctx, sched, [ids, vals])
-        results[backend] = (out, out_multi, m.traffic.snapshot(),
-                            _clock_snapshots(m))
-    a = results["serial"]
-    for other in BACKENDS[1:]:
-        b = results[other]
-        for p in range(n_ranks):
-            assert np.array_equal(a[0][p], b[0][p])
-            assert a[0][p].dtype == b[0][p].dtype
-            for k in range(2):
-                assert np.array_equal(a[1][k][p], b[1][k][p])
-                assert a[1][k][p].dtype == b[1][k][p].dtype
-        assert a[2] == b[2]
-        _assert_clocks_match(a[3], b[3])
+        return run.stages(append_phase(sched, vals),
+                          PipelinePhase("append", sched, [ids, vals]))
+
+    check(workload, n_ranks, chain=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,60 +96,74 @@ def test_scatter_append_equivalence(seed, n_ranks, max_per_rank, trailing):
     trailing=st.sampled_from([(), (3,)]),
 )
 def test_remap_equivalence(seed, n_ranks, n, trailing):
-    results = {}
-    for backend in BACKENDS:
+    def workload(run):
         rng = np.random.default_rng(seed)
-        m = Machine(n_ranks, record_messages=True)
         old = IrregularDistribution(rng.integers(0, n_ranks, n), n_ranks)
         new = IrregularDistribution(rng.integers(0, n_ranks, n), n_ranks)
-        ctx = ExecutionContext.resolve(m, backend)
-        plan = remap(ctx, old, new)
-        data = [rng.standard_normal((old.local_size(p),) + trailing)
-                for p in range(n_ranks)]
-        m.reset_clocks()
-        m.reset_traffic()
-        out = remap_array(ctx, plan, data)
-        results[backend] = (out, m.traffic.snapshot(), _clock_snapshots(m))
-    a = results["serial"]
-    for other in BACKENDS[1:]:
-        b = results[other]
-        for p in range(n_ranks):
-            assert np.array_equal(a[0][p], b[0][p])
-            assert a[0][p].dtype == b[0][p].dtype
-        assert a[1] == b[1]
-        _assert_clocks_match(a[2], b[2])
+        plan = remap(run.ctx, old, new)
+        return remap_array(run.ctx, plan, [
+            rng.standard_normal((old.local_size(p),) + trailing)
+            for p in range(n_ranks)])
+
+    check(workload, n_ranks)
 
 
-def test_noncontiguous_inputs_fall_back_and_match(rng):
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ranks=st.integers(1, 4),
+       distinct=st.booleans())
+def test_hand_built_plans_equal_serial(seed, n_ranks, distinct):
+    """Plans no inspector builds: repeated send rows inside a segment,
+    ghost slots in any order, shared by several sources (``distinct``
+    off) and spare ones no source fills.  Values span sixteen decades,
+    so a fold in another order shows in the bits."""
+    rng = np.random.default_rng(seed)
+    n_local = rng.integers(1, 4, n_ranks)
+    counts = rng.integers(0, 4, (n_ranks, n_ranks))
+    np.fill_diagonal(counts, 0)
+    recv = counts.sum(axis=0)
+    extent = recv + rng.integers(0, 2, n_ranks)
+    send = np.concatenate([rng.integers(0, n, c)
+                           for n, c in zip(n_local, counts.sum(axis=1))])
+    place = np.concatenate([
+        rng.permutation(e)[:r] if distinct else rng.integers(0, max(e, 1), r)
+        for e, r in zip(extent, recv)])
+
+    def values(rng, sizes):
+        return [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 9, s)
+                for s in sizes]
+
+    def workload(run):
+        rng = np.random.default_rng(seed + 1)
+        sched = Schedule(counts=counts, send=send, place=place, extent=extent)
+        data, ghosts = values(rng, n_local), values(rng, extent)
+        gathered, *_ = run.stages(
+            gather_phase(sched, data),
+            scatter_op_phase(sched, data, ghosts),
+            scatter_op_phase(sched, data, ghosts, np.maximum),
+            scatter_phase(sched, data, ghosts))
+        return gathered, data
+
+    check(workload, n_ranks, chain=True)
+
+
+def test_noncontiguous_inputs_fall_back_and_match():
     """Strided views can't use the flat path; results must still match."""
-    m = Machine(4, record_messages=True)
-    rt = ChaosRuntime(m)
-    tt = rt.irregular_table(rng.integers(0, 4, 30))
-    x = rt.distribute(rng.standard_normal((30, 6)), tt)
-    strided = [a[:, ::2] for a in x.local]
-    rt.hash_indirection(tt, split_by_block(rng.integers(0, 30, 60), m), "s")
-    sched = rt.build_schedule(tt, "s")
-    g_serial = gather(ExecutionContext.resolve(m, "serial"), sched, strided)
-    g_vec = gather(ExecutionContext.resolve(m, "vectorized"), sched, strided)
-    for p in range(4):
-        assert np.array_equal(g_serial[p], g_vec[p])
+    def workload(run):
+        _, x, sched = schedule_env(run, 0, 30, 60, (6,))
+        return gather(run.ctx, sched, [a[:, ::2] for a in x.local])
+
+    check(workload)
 
 
-def test_integer_data_equivalence(rng):
-    m_s, m_v = Machine(4), Machine(4)
-    out = {}
-    for backend, m in (("serial", m_s), ("vectorized", m_v)):
-        rng2 = np.random.default_rng(3)
-        rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
-        tt = rt.irregular_table(rng2.integers(0, 4, 25))
-        x = rt.distribute(rng2.integers(0, 1000, 25).astype(np.int32), tt)
-        rt.hash_indirection(tt, split_by_block(rng2.integers(0, 25, 40), m),
-                            "s")
-        sched = rt.build_schedule(tt, "s")
-        out[backend] = rt.gather(sched, x)
-    for p in range(4):
-        assert np.array_equal(out["serial"][p], out["vectorized"][p])
-        assert out["serial"][p].dtype == out["vectorized"][p].dtype
+def test_integer_data_equivalence():
+    def workload(run):
+        rng = np.random.default_rng(3)
+        rt, x, sched = schedule_env(run, 3, 25, 40)
+        x = rt.distribute(rng.integers(0, 1000, 25).astype(np.int32),
+                          x.ttable)
+        return rt.gather(sched, x)
+
+    check(workload)
 
 
 # ---------------------------------------------------------------------

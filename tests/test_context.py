@@ -12,7 +12,7 @@ down its contract:
   is *gone* — the former shim call shapes now raise :class:`TypeError`;
 * the backend set is exactly ``serial`` and ``vectorized``, and the two
   contexts stay *bitwise equal* end-to-end on the CHARMM and DSMC
-  pipelines (results and traffic).
+  pipelines (results, traffic and clocks, through ``tests/oracle.py``).
 """
 
 import dataclasses
@@ -33,6 +33,7 @@ from repro.core import (
 from repro.core.context import ensure_context
 from repro.sim import Machine
 
+from oracle import check
 
 # ---------------------------------------------------------------------
 # resolution order
@@ -127,12 +128,6 @@ class TestCarrier:
         reseeded = ctx.derive(seed=11)
         assert reseeded.seed == 11
         assert reseeded.backend is ctx.backend
-
-    def test_fresh_services(self, ctx4):
-        fresh = ctx4.fresh_services()
-        assert fresh.record is not ctx4.record
-        assert fresh.schedule_cache is not ctx4.schedule_cache
-        assert fresh.schedule_cache.record is fresh.record
 
     def test_machine_conveniences(self, ctx4, machine4):
         assert ctx4.n_ranks == 4
@@ -287,39 +282,22 @@ class TestRemovedLegacySurface:
 # serial / vectorized contexts bitwise-equal end-to-end
 # ---------------------------------------------------------------------
 class TestEndToEndEquivalence:
-    def _charmm(self, backend):
-        system = build_small_system(120, seed=3)
-        m = Machine(4, record_messages=True)
-        ctx = ExecutionContext.resolve(m, backend)
-        md = ParallelMD(system, ctx, dt=0.002, update_every=3)
-        md.run(6)
-        return md, m
-
     def test_charmm_pipeline_bitwise(self):
-        md_s, m_s = self._charmm("serial")
-        md_v, m_v = self._charmm("vectorized")
-        assert np.array_equal(md_s.global_positions(),
-                              md_v.global_positions())
-        assert np.array_equal(md_s.global_velocities(),
-                              md_v.global_velocities())
-        assert m_s.traffic.snapshot() == m_v.traffic.snapshot()
-        assert m_s.traffic.messages == m_v.traffic.messages
+        def workload(run):
+            md = ParallelMD(build_small_system(120, seed=3), run.ctx,
+                            dt=0.002, update_every=3)
+            md.run(6)
+            return md.global_positions(), md.global_velocities()
 
-    def _dsmc(self, backend):
-        grid = CartesianGrid((8, 8))
-        cfg = DSMCConfig(n_initial=400, inflow_rate=20, dt=0.4)
-        m = Machine(4, record_messages=True)
-        ctx = ExecutionContext.resolve(m, backend)
-        par = ParallelDSMC(grid, ctx, cfg)
-        par.run(8)
-        return par, m
+        check(workload)
 
     def test_dsmc_pipeline_bitwise(self):
-        par_s, m_s = self._dsmc("serial")
-        par_v, m_v = self._dsmc("vectorized")
-        a, b = par_s.canonical_state(), par_v.canonical_state()
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert m_s.traffic.snapshot() == m_v.traffic.snapshot()
-        assert m_s.traffic.messages == m_v.traffic.messages
+        def workload(run):
+            par = ParallelDSMC(CartesianGrid((8, 8)), run.ctx,
+                               DSMCConfig(n_initial=400, inflow_rate=20,
+                                          dt=0.4))
+            par.run(8)
+            return par.canonical_state()
+
+        check(workload)
 

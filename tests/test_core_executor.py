@@ -108,7 +108,7 @@ class TestScatter:
         scatter(rt.ctx, sched, modified, ghosts)
         # every element that was fetched by someone is restored
         for p in m.ranks():
-            sent = sched.send_list(p)
+            sent = sched.send_indices[p]
             if sent.size:
                 assert np.allclose(modified[p][sent], x.local[p][sent])
 

@@ -86,13 +86,6 @@ class TestScheduleCache:
         assert "L" not in cache
         assert not cache.invalidate("L")
 
-    def test_invalidate_all(self):
-        cache = ScheduleCache()
-        cache.get_or_build("A", (), lambda: 1)
-        cache.get_or_build("B", (), lambda: 2)
-        cache.invalidate_all()
-        assert len(cache) == 0
-
     def test_shared_record(self):
         r = ModificationRecord()
         cache = ScheduleCache(r)

@@ -25,8 +25,8 @@ class TestScheduleStructure:
         s = Schedule.empty(3)
         assert s.total_messages() == 0
         assert s.total_elements() == 0
-        assert s.send_list(0).size == 0
-        assert s.permutation_list(1).size == 0
+        assert s.send_indices[0].size == 0
+        assert s.recv_slots[1].size == 0
 
     def test_inconsistent_rejected(self):
         # rank 0 sends 2 elements to rank 1 but rank 1 expects none
@@ -65,8 +65,8 @@ class TestScheduleStructure:
         rt.hash_indirection(tt, [np.array([7, 8]), np.array([1])], "s")
         sched = rt.build_schedule(tt, "s")
         # rank0 fetches 7,8 from rank1; rank1 fetches 1 from rank0
-        assert sched.fetch_sizes(0)[1] == 2
-        assert sched.fetch_sizes(1)[0] == 1
+        assert sched.counts[1, 0] == 2
+        assert sched.counts[0, 1] == 1
         assert sched.send_sizes(1)[0] == 2
         assert sched.total_messages() == 2
         assert sched.total_elements() == 3

@@ -4,17 +4,13 @@ The serial backend (dict key store, per-rank and per-pair Python loops)
 defines the semantics; the vectorized inspector engine (one rank-major
 stream through the group's direct-address key map, one stable sort per
 schedule, count-matrix accounting) must be observationally identical on
-randomized adaptive workloads:
-
-* bitwise-identical localized indices, ghost-slot assignment, and
-  hash-table entry state (``g``/``proc``/``off``/``buf``/``mask``);
-* bitwise-identical schedules (send lists, permutation lists, sizes)
-  for plain, merged (``a | b``) and incremental (``b - a``) stamp
-  expressions, through stamp clear/re-hash cycles;
-* identical traffic statistics, message-for-message, under every
-  translation-table storage policy (replicated / distributed / paged);
-* per-rank virtual clocks equal to float round-off (the vectorized path
-  sums message times in bulk).
+randomized adaptive workloads, through the oracle (``tests/oracle.py``):
+localized indices, ghost-slot assignment, hash-table entry state and
+schedules for plain, merged (``a | b``) and incremental (``b - a``)
+stamp expressions, through stamp clear/re-hash cycles, delta re-hashes
+and splices, under every translation-table storage policy.  The key
+stores, the stamp registry and the translation tables' edge cases are
+checked here on their own.
 """
 
 import numpy as np
@@ -41,80 +37,14 @@ from repro.core import (
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
-
-STORAGES = ("replicated", "distributed", "paged")
-
-
-def _clock_snapshots(machine):
-    return [c.snapshot() for c in machine.clocks]
+from oracle import STORAGES, check, observe
 
 
-def _assert_clocks_match(a, b):
-    for ca, cb in zip(a, b):
-        for key in set(ca) | set(cb):
-            assert ca.get(key, 0.0) == pytest.approx(
-                cb.get(key, 0.0), rel=1e-9, abs=1e-15
-            ), key
-
-
-def _table_state(group, p):
-    n = group.n_entries[p]
-    return (group.g[p, :n].copy(), group.proc[p, :n].copy(),
-            group.off[p, :n].copy(), group.buf[p, :n].copy(),
-            group.mask[p, :n].copy(), group.n_ghost[p])
-
-
-def _schedule_state(sched):
-    return (
-        [a.copy() for a in sched.send_indices],
-        [o.copy() for o in sched.send_offsets],
-        [a.copy() for a in sched.recv_slots],
-        [o.copy() for o in sched.recv_offsets],
-        list(sched.ghost_size),
-    )
-
-
-def _assert_schedules_equal(a, b):
-    *buffers_a, ga = a
-    *buffers_b, gb = b
-    assert ga == gb
-    for per_rank_a, per_rank_b in zip(buffers_a, buffers_b):
-        for x, y in zip(per_rank_a, per_rank_b):
-            assert np.array_equal(x, y)
-
-
-def _run_pipeline(backend, seed, n_ranks, n, n_ref, storage):
-    """Hash two indirection arrays, adapt one, build plain / merged /
-    incremental schedules, localize; return everything observable."""
-    rng = np.random.default_rng(seed)
-    m = Machine(n_ranks, record_messages=True)
-    tt = TranslationTable.from_map(
-        m, rng.integers(0, n_ranks, n), storage=storage, page_size=16
-    )
-    ctx = ExecutionContext.resolve(m, backend)
-    hts = make_hash_tables(ctx, tt)
-    idx_a = split_by_block(rng.integers(0, n, n_ref), m)
-    idx_b = split_by_block(rng.integers(0, n, max(0, n_ref // 2)), m)
-    loc_a = chaos_hash(ctx, hts, tt, idx_a, "a")
-    loc_b = chaos_hash(ctx, hts, tt, idx_b, "b")
-    sched_a = build_schedule(ctx, hts, "a")
-    merged = build_schedule(ctx, hts, hts.expr("a", "b"))
-    incremental = build_schedule(ctx, hts, hts.expr("b") - hts.expr("a"))
-    # adaptive step: array b changes, stamp cleared and re-hashed
-    clear_stamp(ctx, hts, "b")
-    idx_b2 = split_by_block(rng.integers(0, n, max(0, n_ref // 3)), m)
-    loc_b2 = chaos_hash(ctx, hts, tt, idx_b2, "b")
-    merged2 = build_schedule(ctx, hts, hts.expr("a", "b"))
-    loc_again = localize_only(ctx, hts, idx_a)
-    return {
-        "loc": (loc_a, loc_b, loc_b2, loc_again),
-        "tables": [_table_state(hts, p) for p in m.ranks()],
-        "schedules": [_schedule_state(s)
-                      for s in (sched_a, merged, incremental, merged2)],
-        "traffic": m.traffic.snapshot(),
-        "messages": list(m.traffic.messages),
-        "clocks": _clock_snapshots(m),
-    }
+def _table_state(group):
+    """Every rank's entries (g/proc/off/buf/mask) and ghost count."""
+    return [[getattr(group, c)[p, :n] for c in ("g", "proc", "off", "buf",
+                                                 "mask")]
+            + [group.n_ghost[p]] for p, n in enumerate(group.n_entries)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -123,25 +53,32 @@ def _run_pipeline(backend, seed, n_ranks, n, n_ref, storage):
     n_ranks=st.integers(1, 6),
     n=st.integers(1, 120),
     n_ref=st.integers(0, 300),
-    storage=st.sampled_from(STORAGES),
 )
-def test_inspector_pipeline_equivalence(seed, n_ranks, n, n_ref, storage):
-    a = _run_pipeline("serial", seed, n_ranks, n, n_ref, storage)
-    for other in BACKENDS[1:]:
-        b = _run_pipeline(other, seed, n_ranks, n, n_ref, storage)
-        for la, lb in zip(a["loc"], b["loc"]):
-            for x, y in zip(la, lb):
-                assert np.array_equal(x, y)
-                assert x.dtype == y.dtype
-        for ta, tb in zip(a["tables"], b["tables"]):
-            for x, y in zip(ta[:-1], tb[:-1]):
-                assert np.array_equal(x, y)
-            assert ta[-1] == tb[-1]  # n_ghost
-        for sa, sb in zip(a["schedules"], b["schedules"]):
-            _assert_schedules_equal(sa, sb)
-        assert a["traffic"] == b["traffic"]
-        assert a["messages"] == b["messages"]
-        _assert_clocks_match(a["clocks"], b["clocks"])
+def test_inspector_pipeline_equivalence(seed, n_ranks, n, n_ref):
+    """Hash two indirection arrays, adapt one, build plain / merged /
+    incremental schedules, localize."""
+    def workload(run):
+        rng = np.random.default_rng(seed)
+        ctx, m = run.ctx, run.machine
+        tt = TranslationTable.from_map(m, rng.integers(0, n_ranks, n),
+                                       storage=run.storage, page_size=16)
+        hts = make_hash_tables(ctx, tt)
+        idx_a = split_by_block(rng.integers(0, n, n_ref), m)
+        idx_b = split_by_block(rng.integers(0, n, n_ref // 2), m)
+        loc_a = chaos_hash(ctx, hts, tt, idx_a, "a")
+        loc_b = chaos_hash(ctx, hts, tt, idx_b, "b")
+        schedules = [build_schedule(ctx, hts, e) for e in (
+            "a", hts.expr("a", "b"), hts.expr("b") - hts.expr("a"))]
+        # adaptive step: array b changes, stamp cleared and re-hashed
+        clear_stamp(ctx, hts, "b")
+        idx_b2 = split_by_block(rng.integers(0, n, n_ref // 3), m)
+        loc_b2 = chaos_hash(ctx, hts, tt, idx_b2, "b")
+        schedules.append(build_schedule(ctx, hts, hts.expr("a", "b")))
+        loc_again = localize_only(ctx, hts, idx_a)
+        return (loc_a, loc_b, loc_b2, loc_again, _table_state(hts),
+                schedules)
+
+    check(workload, n_ranks, storage=True)
 
 
 @settings(max_examples=15, deadline=None)
@@ -155,37 +92,24 @@ def test_stamp_clear_rehash_cycles_agree(seed, n_ranks, n, rounds):
     """The paper's stamp-reuse pattern: clear the non-bonded stamp each
     regeneration, re-hash the new list under it, rebuild merged and
     incremental schedules — identical across backends every round."""
-    results = {}
-    for backend in BACKENDS:
+    def workload(run):
         rng = np.random.default_rng(seed)
-        m = Machine(n_ranks, record_messages=True)
+        ctx, m = run.ctx, run.machine
         tt = TranslationTable.from_map(m, rng.integers(0, n_ranks, n))
-        ctx = ExecutionContext.resolve(m, backend)
         hts = make_hash_tables(ctx, tt)
-        base = split_by_block(rng.integers(0, n, 2 * n), m)
-        chaos_hash(ctx, hts, tt, base, "bonds")
+        chaos_hash(ctx, hts, tt, split_by_block(rng.integers(0, n, 2 * n),
+                                                m), "bonds")
         per_round = []
         for _ in range(rounds):
             nb = split_by_block(rng.integers(0, n, 3 * n), m)
-            loc = chaos_hash(ctx, hts, tt, nb, "nb")
-            merged = build_schedule(ctx, hts, hts.expr("bonds", "nb"))
-            inc = build_schedule(ctx, hts,
-                                 hts.expr("nb") - hts.expr("bonds"))
-            per_round.append((loc, _schedule_state(merged),
-                              _schedule_state(inc)))
+            per_round.append((
+                chaos_hash(ctx, hts, tt, nb, "nb"),
+                build_schedule(ctx, hts, hts.expr("bonds", "nb")),
+                build_schedule(ctx, hts, hts.expr("nb") - hts.expr("bonds"))))
             clear_stamp(ctx, hts, "nb")
-        results[backend] = (per_round, m.traffic.snapshot(),
-                            _clock_snapshots(m))
-    a = results["serial"]
-    for other in BACKENDS[1:]:
-        b = results[other]
-        for (loc_a, ma, ia), (loc_b, mb, ib) in zip(a[0], b[0]):
-            for x, y in zip(loc_a, loc_b):
-                assert np.array_equal(x, y)
-            _assert_schedules_equal(ma, mb)
-            _assert_schedules_equal(ia, ib)
-        assert a[1] == b[1]
-        _assert_clocks_match(a[2], b[2])
+        return per_round
+
+    check(workload, n_ranks)
 
 
 # ---------------------------------------------------------------------
@@ -204,79 +128,39 @@ def _rank_sizes(rng, n_ranks, shape, per_rank):
     return sizes
 
 
-class _World:
-    """One backend's machine, tables and the arrays hashed so far."""
-
-    def __init__(self, backend, n_ranks, n, seed):
-        self.m = Machine(n_ranks, record_messages=True)
-        self.ctx = ExecutionContext.resolve(self.m, backend)
-        rng = np.random.default_rng(seed)
-        self.tt = TranslationTable.from_map(
-            self.m, rng.integers(0, n_ranks, n))
-        self.hts = make_hash_tables(self.ctx, self.tt)
-        self.arrays = {}     # stamp -> current per-rank global indices
-        self.schedules = {}  # stamp -> schedule built after the last step
-
-    def step(self, kind, stamp, fresh, touched):
-        """Apply one step; returns what it produced (localized indices,
-        a spliced schedule) for comparison."""
-        ctx, hts, tt = self.ctx, self.hts, self.tt
-        out = []
-        if kind == "hash":
-            if stamp in hts.registry:
-                clear_stamp(ctx, hts, stamp)
-            self.arrays[stamp] = [a.copy() for a in fresh]
-            out.append(chaos_hash(ctx, hts, tt, fresh, stamp))
-        elif kind == "delta" and stamp in self.arrays:
-            cur = self.arrays[stamp]
-            pos = [t[t < a.size] for t, a in zip(touched, cur)]
-            # any function of the old values will do: seen and unseen
-            new = [(a[t] * 3 + 1) % tt.dist.n_global
-                   for a, t in zip(cur, pos)]
-            rehash = rehash_delta(ctx, hts, tt, stamp,
-                                  [a[t] for a, t in zip(cur, pos)], new)
-            for a, t, v in zip(cur, pos, new):
-                a[t] = v
-            out.append(rehash.localized)
-            spliced = delta_rebuild_schedule(
-                ctx, hts, stamp, self.schedules[stamp], rehash)
-            cold = build_schedule(ctx, hts, stamp)
-            _assert_schedules_equal(_schedule_state(spliced),
-                                    _schedule_state(cold))
-            out.append(_schedule_state(spliced))
-        elif kind == "clear" and stamp in hts.registry:
+def _step(ctx, tt, hts, arrays, schedules, kind, stamp, fresh, touched):
+    """Apply one step to the tables and the arrays hashed so far (stamp
+    -> per-rank global indices); returns what it produced (localized
+    indices, a spliced schedule)."""
+    out = []
+    if kind == "hash":
+        if stamp in hts.registry:
             clear_stamp(ctx, hts, stamp)
-            self.arrays.pop(stamp, None)
-        live = sorted(self.arrays)
-        self.schedules = {s: build_schedule(ctx, hts, s) for s in live}
-        if len(live) == 2:
-            out.append(_schedule_state(build_schedule(
-                ctx, hts, hts.expr(*live))))
-        return out
-
-    def state(self):
-        group = self.hts
-        # a plane nobody counted into yet (every rank's slice was empty)
-        # is the same as no plane
-        refs = [(name, [plane[p, :n].tolist()
-                        for p, n in enumerate(group.n_entries)])
-                for name, plane in sorted(group._refs.items())
-                if plane.any()]
-        return ([_table_state(group, p) for p in self.m.ranks()], refs,
-                [_schedule_state(s) for _, s in sorted(
-                    self.schedules.items())])
-
-
-def _assert_same(a, b):
-    """Nested lists/tuples of arrays and scalars, equal bit for bit."""
-    if isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            _assert_same(x, y)
-    else:
-        assert a == b
+        arrays[stamp] = [a.copy() for a in fresh]
+        out.append(chaos_hash(ctx, hts, tt, fresh, stamp))
+    elif kind == "delta" and stamp in arrays:
+        cur = arrays[stamp]
+        pos = [t[t < a.size] for t, a in zip(touched, cur)]
+        # any function of the old values will do: seen and unseen
+        new = [(a[t] * 3 + 1) % tt.dist.n_global for a, t in zip(cur, pos)]
+        rehash = rehash_delta(ctx, hts, tt, stamp,
+                              [a[t] for a, t in zip(cur, pos)], new)
+        for a, t, v in zip(cur, pos, new):
+            a[t] = v
+        out.append(rehash.localized)
+        spliced = delta_rebuild_schedule(ctx, hts, stamp, schedules[stamp],
+                                         rehash)
+        assert observe(spliced) == observe(build_schedule(ctx, hts, stamp))
+        out.append(spliced)
+    elif kind == "clear" and stamp in hts.registry:
+        clear_stamp(ctx, hts, stamp)
+        arrays.pop(stamp, None)
+    live = sorted(arrays)
+    schedules.clear()
+    schedules.update((s, build_schedule(ctx, hts, s)) for s in live)
+    if len(live) == 2:
+        out.append(build_schedule(ctx, hts, hts.expr(*live)))
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -295,28 +179,37 @@ def test_group_tracks_independent_dict_tables(seed, n_ranks, shape,
     step the group behind the vectorized backend must equal P
     dict-backed tables driven rank by rank through serial -- rows, ghost
     slots, masks, refcounts, localized arrays, built and spliced
-    schedules, clocks and traffic -- and satisfy its own invariants
-    (probe-back, ghost slots, refcounts)."""
+    schedules, clocks and traffic (one segment per step) -- and satisfy
+    its own invariants (probe-back, ghost slots, refcounts)."""
     n = 40 * n_ranks
-    rng = np.random.default_rng(seed)
-    ref = _World("serial", n_ranks, n, seed)
-    got = _World("vectorized", n_ranks, n, seed)
-    for kind, stamp in [("hash", "a")] + steps:
-        sizes = _rank_sizes(rng, n_ranks, shape, per_rank)
-        fresh = [rng.integers(0, n, k) for k in sizes]
-        for a in fresh[:2]:
-            a[:2] = [0, n - 1][:a.size]  # the extreme keys
-        touched = [np.flatnonzero(rng.random(k) < 0.3) for k in sizes]
-        out_ref = ref.step(kind, stamp, [a.copy() for a in fresh], touched)
-        out_got = got.step(kind, stamp, [a.copy() for a in fresh], touched)
-        _assert_same(out_ref, out_got)
-        _assert_same(ref.state(), got.state())
-        assert ref.m.traffic.snapshot() == got.m.traffic.snapshot()
-        assert list(ref.m.traffic.messages) == list(got.m.traffic.messages)
-        _assert_clocks_match(_clock_snapshots(ref.m),
-                             _clock_snapshots(got.m))
-        assert check_hash_tables(ref.hts) == []
-        assert check_hash_tables(got.hts) == []
+
+    def workload(run):
+        rng = np.random.default_rng(seed)
+        tt = TranslationTable.from_map(
+            run.machine, np.random.default_rng(seed).integers(0, n_ranks, n))
+        hts = make_hash_tables(run.ctx, tt)
+        arrays, schedules, seen = {}, {}, []
+        for kind, stamp in [("hash", "a")] + steps:
+            sizes = _rank_sizes(rng, n_ranks, shape, per_rank)
+            fresh = [rng.integers(0, n, k) for k in sizes]
+            for a in fresh[:2]:
+                a[:2] = [0, n - 1][:a.size]  # the extreme keys
+            touched = [np.flatnonzero(rng.random(k) < 0.3) for k in sizes]
+            out = _step(run.ctx, tt, hts, arrays, schedules, kind, stamp,
+                        fresh, touched)
+            assert check_hash_tables(hts) == []
+            # a plane nobody counted into yet (every rank's slice was
+            # empty) is the same as no plane
+            refs = [(name, [plane[p, :k].tolist()
+                            for p, k in enumerate(hts.n_entries)])
+                    for name, plane in sorted(hts._refs.items())
+                    if plane.any()]
+            seen.append(observe((out, _table_state(hts), refs,
+                                 [schedules[s] for s in sorted(schedules)])))
+            run.mark()
+        return seen
+
+    check(workload, n_ranks)
 
 
 def test_kernel_entries_do_not_depend_on_the_rank_count(monkeypatch):

@@ -173,32 +173,6 @@ C$ ALIGN icell(*,:), vel(*,:), size(:), other(:) WITH c
 """)
 
 
-class TestTtableStorageModes:
-    @pytest.mark.parametrize("storage", ["replicated", "distributed", "paged"])
-    def test_compiled_loop_any_storage(self, storage, rng):
-        n, e = 16, 40
-        src = f"""
-          REAL x({n}), y({n})
-          INTEGER ia({e}), ib({e})
-C$ DECOMPOSITION r({n})
-C$ DISTRIBUTE r(BLOCK)
-C$ ALIGN x, y WITH r
-          FORALL i = 1, {e}
-            REDUCE(SUM, x(ia(i)), y(ib(i)))
-          END DO
-"""
-        prog = compile_program(src)
-        b = dict(x=np.zeros(n), y=rng.standard_normal(n),
-                 ia=rng.integers(1, n + 1, e), ib=rng.integers(1, n + 1, e))
-        inst = ProgramInstance(prog, Machine(4),
-                               {k: v.copy() for k, v in b.items()},
-                               ttable_storage=storage)
-        inst.execute()
-        expected = np.zeros(n)
-        np.add.at(expected, b["ia"] - 1, b["y"][b["ib"] - 1])
-        assert np.allclose(inst.get_array("x"), expected)
-
-
 class TestAssignments:
     """The executors implement one assignment, ``a(i) = constant`` in a
     single FORALL without REDUCE; the rest is refused at compile time

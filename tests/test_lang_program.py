@@ -20,10 +20,8 @@ from repro.lang import (
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS, count_calls
+from oracle import check
 
-#: the backends that execute the compiled flat plans: their virtual
-#: clocks agree exactly (serial's only up to float summation order)
-FLAT_BACKENDS = tuple(b for b in ALL_BACKENDS if b != "serial")
 
 
 def charmm_source(n, n_edges, n_offsets):
@@ -300,44 +298,11 @@ def owner_map(layout, rng, n, p):
     return owners
 
 
-def observe(inst, names):
-    """Everything the backends must agree on after a run."""
-    m = inst.machine
-    values = {}
-    for name in names:
-        v = inst.get_array(name)
-        values[name] = ([r.tobytes() for r in v] if isinstance(v, list)
-                        else np.asarray(v).tobytes())
-    return (values, m.traffic.snapshot(),
-            [c.snapshot() for c in m.clocks])
-
-
-def assert_backends_agree(run, names):
-    """``run(backend)`` drives one instance; returns the serial one's
-    arrays (for the oracle comparison)."""
-    seen, arrays = {}, None
-    for backend in ALL_BACKENDS:
-        inst = run(backend)
-        try:
-            seen[backend] = observe(inst, names)
-            if backend == "serial":
-                arrays = {n: inst.get_array(n) for n in names}
-        finally:
-            inst.close()
-    ref = seen["serial"]
-    for backend in FLAT_BACKENDS:
-        values, traffic, clocks = seen[backend]
-        assert values == ref[0], backend
-        assert traffic == ref[1], backend
-        assert clocks == seen[FLAT_BACKENDS[0]][2], backend
-        # against serial: up to float summation order, which may also
-        # open (or close) an "idle" gap of a few ulps at a barrier
-        for ca, cb in zip(clocks, ref[2]):
-            assert set(ca) - {"idle"} == set(cb) - {"idle"}
-            for key in set(ca) | set(cb):
-                assert ca.get(key, 0.0) == pytest.approx(
-                    cb.get(key, 0.0), rel=1e-9, abs=1e-15), key
-    return arrays
+def run_on(run, make, names):
+    """``make(ctx)`` builds and drives one program instance on ``run``'s
+    context; returns its ``names`` arrays for the oracle."""
+    with make(run.ctx) as inst:
+        return {name: inst.get_array(name) for name in names}
 
 
 LAYOUTS = st.sampled_from(["block", "map", "empty_rank"])
@@ -357,10 +322,8 @@ def test_flat_reduction_differential(seed, p, layout, op):
     owners = owner_map(layout, rng, n, p)
     loop = prog.loop_ids()[0]
 
-    def run(backend):
-        inst = ProgramInstance(
-            prog, ExecutionContext.resolve(Machine(p), backend),
-            copy_bindings(b))
+    def make(ctx):
+        inst = ProgramInstance(prog, ctx, copy_bindings(b))
         inst.execute()
         if owners is not None:
             inst.set_array("map", owners)
@@ -368,7 +331,7 @@ def test_flat_reduction_differential(seed, p, layout, op):
         inst.run_loop(loop)
         return inst
 
-    got = assert_backends_agree(run, ["x", "y"])
+    got = check(lambda run: run_on(run, make, ["x", "y"]), p)
     seq = interpret_sequential(prog, copy_bindings(b))
     seq = interpret_sequential(prog, dict(copy_bindings(b), x=seq["x"]))
     assert np.allclose(got["x"], seq["x"], rtol=1e-9, atol=1e-9)
@@ -387,10 +350,8 @@ def test_csr_reduction_differential(seed, p, layout):
     owners = owner_map(layout, rng, n, p)
     loop = prog.loop_ids()[0]
 
-    def run(backend):
-        inst = ProgramInstance(
-            prog, ExecutionContext.resolve(Machine(p), backend),
-            copy_bindings(b))
+    def make(ctx):
+        inst = ProgramInstance(prog, ctx, copy_bindings(b))
         inst.execute()
         if owners is not None:
             inst.set_array("map", owners)
@@ -398,7 +359,7 @@ def test_csr_reduction_differential(seed, p, layout):
         inst.run_loop(loop)
         return inst
 
-    got = assert_backends_agree(run, ["dx", "dy", "x"])
+    got = check(lambda run: run_on(run, make, ["dx", "dy", "x"]), p)
     seq = interpret_sequential(prog, copy_bindings(b))
     for name in ("dx", "dy"):  # x, y never change: two equal executions
         assert np.allclose(got[name], 2 * seq[name], rtol=1e-9, atol=1e-9)
@@ -430,9 +391,9 @@ def test_append_differential(seed, p, layout, crowd):
         return [(np.abs(r) * 1e3 * (step + 3)).astype(np.int64) % nc + 1
                 for r in rows]
 
-    def run(backend):
+    def make(ctx):
         inst = ProgramInstance(
-            prog, ExecutionContext.resolve(Machine(p), backend),
+            prog, ctx,
             dict(size=sizes.copy(), vel=[r.copy() for r in vel0],
                  icell=routing(0, vel0), new_size=np.zeros(nc)))
         inst.execute()
@@ -446,7 +407,8 @@ def test_append_differential(seed, p, layout, crowd):
                 inst.run_loop(loop)
         return inst
 
-    got = assert_backends_agree(run, ["vel", "new_size", "size"])
+    got = check(lambda run: run_on(run, make, ["vel", "new_size", "size"]),
+                p)
     cur, rows = sizes, vel0
     for step in range(steps):
         seq = interpret_sequential(prog, dict(

@@ -460,10 +460,6 @@ class TestValidation:
             ServerConfig(admission="fifo")
         with pytest.raises(ValueError):
             ServerConfig(default_timeout=0)
-        with pytest.raises(ValueError):
-            ServerConfig(thread_workers=0)
-        assert ServerConfig(thread_workers=9).pool_size == 9
-        assert ServerConfig(max_concurrency=3).pool_size == 3
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -152,10 +152,6 @@ class TestCollectives:
         out = machine4.allreduce_sum([1, 2, 3, 4])
         assert out == [10, 10, 10, 10]
 
-    def test_allreduce_max(self, machine4):
-        out = machine4.allreduce_max([5, 2, 9, 1])
-        assert out == [9, 9, 9, 9]
-
     def test_single_rank_collectives_free(self, machine1):
         machine1.allgather([42])
         machine1.bcast(1)
