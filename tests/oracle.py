@@ -58,7 +58,8 @@ class Run:
     """One configuration of a workload: a fresh machine that records
     every message, a context on it, and the axis values."""
 
-    def __init__(self, n_ranks, backend, chain, delta, storage):
+    def __init__(self, n_ranks, backend, chain=False, delta=False,
+                 storage=STORAGES[0]):
         self.machine = Machine(n_ranks, record_messages=True)
         self.ctx = ExecutionContext.resolve(self.machine, backend)
         self.backend, self.chain = backend, chain
@@ -165,7 +166,7 @@ def assert_same(ref, got, where="") -> None:
         assert ref == got, where
 
 
-def assert_clocks_match(ref, got, where="") -> None:
+def _assert_clocks_match(ref, got, where="") -> None:
     """Per-rank clock categories equal to float summation order (a
     round-off-sized ``idle`` wait may exist on one side only)."""
     assert len(ref) == len(got), where
@@ -179,7 +180,7 @@ def assert_traffic(ref, got, where="") -> None:
     """Two :func:`traffic_of` values equal (clocks to round-off)."""
     assert got[0] == ref[0], f"{where}: traffic"
     assert got[1] == ref[1], f"{where}: messages"
-    assert_clocks_match(ref[2], got[2], f"{where}: clocks")
+    _assert_clocks_match(ref[2], got[2], f"{where}: clocks")
 
 
 def check(workload, n_ranks=4, *, backends=ALL_BACKENDS, chain=False,

@@ -206,7 +206,7 @@ def test_failing_rank_kernel_propagates_cleanly(backend, monkeypatch):
     from repro.core.backends import vectorized
 
     def fresh():
-        run = Run(4, backend, False, False, "replicated")
+        run = Run(4, backend)
         return (run.ctx, *schedule_env(run, 71, 60, 130)[1:])
 
     def follow_up(ctx, x, sched):
@@ -306,7 +306,7 @@ def test_dropped_schedules_die_by_refcount(backend):
     reference cycle: adaptive loops drop a schedule per step, and with
     the collector off (the benchmark's timed regions) a cycle per
     schedule is a leak."""
-    run = Run(4, backend, False, False, "replicated")
+    run = Run(4, backend)
     ctx, rng = run.ctx, np.random.default_rng(62)
     _, x, sched = schedule_env(run, 61, 50, 110)
     lw = build_lightweight_schedule(
