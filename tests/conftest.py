@@ -96,11 +96,6 @@ def ctx4(machine4) -> ExecutionContext:
 
 
 @pytest.fixture
-def ctx8(machine8) -> ExecutionContext:
-    return ExecutionContext.resolve(machine8)
-
-
-@pytest.fixture
 def ctx1(machine1) -> ExecutionContext:
     return ExecutionContext.resolve(machine1)
 
