@@ -1,16 +1,18 @@
 """Pipelines (:func:`run_pipeline`): a chain is its stages run in order.
 
-The workloads here run through the oracle (``tests/oracle.py``) on the
-chain axis — each chain against the same collectives called one by one
-as primitives, on every backend: the "multiple schedule mode" shape
-(two gathers filling one table-wide ghost buffer, two combining
-scatters into one array), a non-ufunc combiner, stages reading what an
-earlier stage wrote, an append stage of three columns, empty machines
-and schedules, every primitive over every buffer shape the executor
-distinguishes, and hand-built plans that slot order would fold
-differently from the pair loop.  What a chain adds over its stages is
-checked directly: a raising kernel leaves its context usable, executed
-plans die by reference count, and the ``loop_id`` chain counter.
+The workloads here run through the oracle (``tests/oracle.py``), most
+on its chain axis — each chain against the same collectives called one
+by one as primitives, on every backend: the CHARMM force and Phase-B
+remap patterns, the "multiple schedule mode" shape (two gathers filling
+one table-wide ghost buffer, two combining scatters into one array), a
+non-ufunc combiner, stages reading what an earlier stage wrote, an
+append stage of three columns, empty machines and schedules, every
+primitive over every buffer shape the executor distinguishes, and
+hand-built plans that slot order would fold differently from the pair
+loop.  What a chain adds over its stages is checked directly: every
+stage is validated before anything moves, a raising kernel leaves its
+context usable, executed plans die by reference count, and the
+``loop_id`` chain counter.
 """
 
 import gc
@@ -298,6 +300,27 @@ def test_fused_empty_and_tiny(backend, n_ranks, n, n_ref):
     # an entirely empty phase list is a no-op returning no results
     assert run_pipeline(ExecutionContext.resolve(Machine(n_ranks), backend),
                         []) == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_chain_validates_every_stage_before_anything_moves(backend):
+    """What a chain adds over its stages called one by one: a chain
+    whose second stage cannot run raises before its first stage moves
+    a row or charges a second."""
+    run = Run(4, backend)
+    _, x, sched = schedule_env(run, 17, 60, 120)
+    ghosts = allocate_ghosts(sched, x.local)
+    short = [a[:1] for a in x.local]
+    chain = [gather_phase(sched, x.local, ghosts),
+             scatter_op_phase(sched, short, ghosts)]
+    before = observe(ghosts), traffic_of(run.machine)
+    with pytest.raises(IndexError):
+        run_pipeline(run.ctx, chain)
+    assert (observe(ghosts), traffic_of(run.machine)) == before
+    # one by one, the gather runs before the scatter raises
+    with pytest.raises(IndexError):
+        run.stages(*chain)
+    assert (observe(ghosts), traffic_of(run.machine)) != before
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
