@@ -23,7 +23,9 @@ of four axes, and a workload opts in only to the axes it has:
 configuration (serial, one by one, full, replicated): results and plans
 always; traffic and clocks against the serial, one-by-one configuration
 of the same delta setting and storage, and, across the delta axis, the
-traffic recorded after the workload's last :meth:`Run.mark`.
+traffic recorded after the workload's last :meth:`Run.mark`.  A chain
+runs on one backend exactly as its stages one by one, so its traffic
+and clocks must equal that backend's one-by-one run exactly.
 """
 
 import itertools
@@ -34,7 +36,6 @@ import pytest
 from repro.core import (
     ChaosRuntime,
     ExecutionContext,
-    IrregularReduction,
     build_schedule,
     gather,
     remap_array,
@@ -128,16 +129,8 @@ def traffic_of(machine):
 
 def observe(x):
     """``x`` as plain comparable values: an array as its dtype, shape and
-    bytes; a plan as its counts/send/place/extent buffers; a loop as its
-    schedule and localized arrays, after checking the schedule against
-    a full build from the loop's live tables; containers element-wise."""
-    if isinstance(x, IrregularReduction):
-        group = x.rt.hash_tables(x.ttable)
-        cold = build_schedule(x.rt.ctx, group, group.expr(*x._stamps))
-        assert observe(x.schedule) == observe(cold), \
-            f"loop {x.name!r}: schedule is not a full build of its tables"
-        return [observe(x.schedule),
-                {nm: observe(x.localized(nm)) for nm in x._localized}]
+    bytes; a plan as its counts/send/place/extent buffers; containers
+    element-wise."""
     if isinstance(x, CommPlan):
         return ["plan", *(observe(getattr(x, b))
                           for b in ("counts", "send", "place", "extent"))]
@@ -148,6 +141,14 @@ def observe(x):
     if isinstance(x, (list, tuple)):
         return [observe(v) for v in x]
     return x
+
+
+def cold_build(rt, ttable, *stamps):
+    """A full build of ``stamps`` from ``rt``'s live tables, charged to a
+    scratch machine so that the run it checks is not charged."""
+    ctx = ExecutionContext.resolve(Machine(rt.ctx.n_ranks), rt.backend)
+    return build_schedule(ctx, rt.hash_tables(ttable),
+                          rt.stamp_expr(ttable, *stamps))
 
 
 def assert_same(ref, got, where="") -> None:
@@ -167,20 +168,25 @@ def assert_same(ref, got, where="") -> None:
 
 
 def _assert_clocks_match(ref, got, where="") -> None:
-    """Per-rank clock categories equal to float summation order (a
-    round-off-sized ``idle`` wait may exist on one side only)."""
+    """Per-rank clocks with the same categories, equal to float summation
+    order (a round-off-sized ``idle`` wait may exist on one side only)."""
     assert len(ref) == len(got), where
     for p, (a, b) in enumerate(zip(ref, got)):
+        assert set(a) - {"idle"} == set(b) - {"idle"}, f"{where} {p}"
         for key in set(a) | set(b):
             assert b.get(key, 0.0) == pytest.approx(
                 a.get(key, 0.0), rel=1e-9, abs=1e-15), f"{where} {p} {key}"
 
 
-def assert_traffic(ref, got, where="") -> None:
-    """Two :func:`traffic_of` values equal (clocks to round-off)."""
+def assert_traffic(ref, got, where="", exact=False) -> None:
+    """Two :func:`traffic_of` values equal (clocks to round-off unless
+    ``exact``)."""
     assert got[0] == ref[0], f"{where}: traffic"
     assert got[1] == ref[1], f"{where}: messages"
-    _assert_clocks_match(ref[2], got[2], f"{where}: clocks")
+    if exact:
+        assert got[2] == ref[2], f"{where}: clocks"
+    else:
+        _assert_clocks_match(ref[2], got[2], f"{where}: clocks")
 
 
 def check(workload, n_ranks=4, *, backends=ALL_BACKENDS, chain=False,
@@ -198,7 +204,7 @@ def check(workload, n_ranks=4, *, backends=ALL_BACKENDS, chain=False,
     configs = [("serial", False, d, s) for d in axes[1] for s in axes[2]]
     configs += [c for c in itertools.product(backends, *axes)
                 if c not in configs]
-    ref, traffic_ref = None, {}
+    ref, one_by_one = None, {}
     for config in configs:
         run = Run(n_ranks, *config)
         out = workload(run)
@@ -206,17 +212,22 @@ def check(workload, n_ranks=4, *, backends=ALL_BACKENDS, chain=False,
         seen = observe(out)
         if ref is None:
             ref, ref_out = seen, out
-        _, _, d, s = config
-        if config[:2] == ("serial", False):
-            traffic_ref[d, s] = traffic
+        backend, chained, d, s = config
+        if not chained:
+            one_by_one[backend, d, s] = traffic
         where = repr(run)
         if seen != ref:
             assert_same(ref, seen, where)
-        same = traffic_ref[d, s]
-        assert len(traffic) == len(same), f"{where}: traffic segments"
-        for i, (a, b) in enumerate(zip(same, traffic)):
+        serial = one_by_one["serial", d, s]
+        assert len(traffic) == len(serial), f"{where}: traffic segments"
+        for i, (a, b) in enumerate(zip(serial, traffic)):
             assert_traffic(a, b, f"{where} segment {i}")
+        if chained:
+            for i, (a, b) in enumerate(zip(one_by_one[backend, d, s],
+                                           traffic)):
+                assert_traffic(a, b, f"{where} segment {i} (own backend)",
+                               exact=True)
         if run._segments:
-            assert_traffic(traffic_ref[False, s][-1], traffic[-1],
+            assert_traffic(one_by_one["serial", False, s][-1], traffic[-1],
                            f"{where} after the last mark")
     return ref_out

@@ -38,7 +38,7 @@ from repro.core.compiled import offsets_from_counts
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
-from oracle import check, observe
+from oracle import check, cold_build, observe
 
 
 def _cold_env(ctx, seed, n, per_rank):
@@ -168,7 +168,10 @@ def test_adaptive_loop_steps_agree(seed, rounds):
 
         def step():
             loop.execute(x, "ia", lambda v: 0.5 * v, {"y": (y, "ib")})
-            seen.append((observe(loop), x.to_global()))
+            assert observe(loop.schedule) == observe(
+                cold_build(rt, tt, "v:ia", "v:ib"))
+            seen.append(observe((loop.schedule, loop.localized("ia"),
+                                 loop.localized("ib"), x.to_global())))
 
         loop.setup()
         step()

@@ -560,7 +560,8 @@ class TestPerArrayReuse:
         cold_tt = cold_rt.irregular_table(owner)
         cold = IrregularReduction(cold_rt, cold_tt, "nb").bind(**arrays)
         cold.setup()
-        assert observe(loop) == observe(cold)
+        assert (observe([loop.schedule, *map(loop.localized, arrays)])
+                == observe([cold.schedule, *map(cold.localized, arrays)]))
         y_g = np.random.default_rng(7).standard_normal(self.N)
         out = []
         for r, t, lp in ((rt, tt, loop), (cold_rt, cold_tt, cold)):

@@ -2,7 +2,8 @@
 
 The workloads here run through the oracle (``tests/oracle.py``), most
 on its chain axis — each chain against the same collectives called one
-by one as primitives, on every backend: the CHARMM force and Phase-B
+by one as primitives, on every backend (on the chain's own backend,
+traffic and clocks exactly): the CHARMM force and Phase-B
 remap patterns, the "multiple schedule mode" shape (two gathers filling
 one table-wide ghost buffer, two combining scatters into one array), a
 non-ufunc combiner, stages reading what an earlier stage wrote, an
@@ -100,7 +101,9 @@ def test_fused_remap_four_ways(seed, n_ranks, n, trailing):
         return run.stages(*(remap_phase(plan, a) for a in arrays),
                           category="remap", loop_id="rm")
 
-    check(workload, n_ranks, chain=True)
+    out = check(workload, n_ranks, chain=True)
+    # the integer array stays integer
+    assert [a.dtype for a in out[1]] == [np.dtype(np.int64)] * n_ranks
 
 
 def _two_schedules(run, seed):
@@ -286,6 +289,8 @@ def test_three_column_append_stage_in_a_chain(backend):
         # three columns, one message per communicating pair
         assert (run.machine.traffic.tag_messages("scatter_append") - sent
                 == lw.total_messages())
+        # each column keeps its dtype
+        assert [o[0].dtype for o in out] == [c[0].dtype for c in cols]
         return g, out
 
     check(workload, backends=[backend], chain=True)
