@@ -25,6 +25,8 @@ from itertools import product
 
 import numpy as np
 
+from repro.core.compiled import grouped_arange
+
 #: sweeping one more offset, beyond its candidates, in candidate distances:
 #: 27 us + 0.04 us per atom against 0.027 us per candidate (2 vCPU x86-64,
 #: numpy 2.4); 2 000 picks the faster grid at 60-6 000 atoms
@@ -78,14 +80,6 @@ def _half_shell_offsets(n_cells: int, reach: int) -> tuple:
     return tuple(offsets)
 
 
-def _csr_flat_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Positions ``starts[r] .. starts[r] + counts[r] - 1`` for every ``r``,
-    concatenated (the flat gather index of a CSR row selection)."""
-    total = int(counts.sum())
-    shift = np.cumsum(counts) - counts
-    return np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
-
-
 def build_nonbonded_list(
     positions: np.ndarray,
     cutoff: float,
@@ -128,7 +122,7 @@ def build_nonbonded_list(
         ) * n_cells + (hz + oz) % n_cells
         counts = cell_counts[there]
         a = np.repeat(order, counts)
-        b = order.take(_csr_flat_index(cell_starts[there], counts))
+        b = order.take(grouped_arange(cell_starts[there], counts))
         # np.take (of rows, and of flatnonzero positions rather than a
         # boolean mask) is several times faster than fancy indexing
         if self_inverse:
@@ -188,5 +182,5 @@ def take_csr_rows(
     """
     rows = np.asarray(rows, dtype=np.int64)
     counts = inblo[rows + 1] - inblo[rows]
-    flat = _csr_flat_index(inblo[rows], counts)
+    flat = grouped_arange(inblo[rows], counts)
     return np.repeat(rows, counts), jnb[flat]

@@ -45,6 +45,7 @@ from repro.apps.charmm.neighbors import build_nonbonded_list, take_csr_rows
 from repro.apps.charmm.sequential import MDTrace
 from repro.apps.charmm.system import MolecularSystem
 from repro.core.api import ChaosRuntime, IrregularReduction
+from repro.core.compiled import RankArena
 from repro.core.context import resolve_component
 from repro.core.distribution import BlockDistribution
 from repro.core.executor import (
@@ -157,15 +158,12 @@ class ParallelMD:
         # scatter from a BLOCK'd source is charged as a remap).
         block = BlockDistribution(s.n_atoms, m.n_ranks)
         plan = remap(self.ctx, block, dist, category="remap")
-        split = lambda a: [a[block.global_indices(p)] for p in m.ranks()]  # noqa: E731
         # all atom-associated arrays move with one plan (Phase B), as
         # one chain of four remap stages
         self.pos, self.vel, self.mass, self.charge = run_pipeline(
             self.ctx,
-            [remap_phase(plan, split(s.positions)),
-             remap_phase(plan, split(s.velocities)),
-             remap_phase(plan, split(s.masses)),
-             remap_phase(plan, split(s.charges))],
+            [remap_phase(plan, split_by_block(a, m)) for a in (
+                s.positions, s.velocities, s.masses, s.charges)],
             category="remap", loop_id=f"{self._scope}:atoms_remap",
         )
 
@@ -184,15 +182,12 @@ class ParallelMD:
             (s.bonds[:, 0], s.bonds[:, 1]) if s.n_bonds
             else (np.zeros(0, dtype=np.int64),) * 2
         )
+        blocks = {"ib": split_by_block(ib_g, m), "jb": split_by_block(jb_g, m)}
         assign = partition_iterations(
-            self.ctx, self.ttable,
-            [[a, b] for a, b in zip(split_by_block(ib_g, m),
-                                    split_by_block(jb_g, m))],
-            rule="almost-owner-computes", category="partition"
-        )
-        bonds = {nm: assign.remap_iteration_data(self.ctx,
-                                                 split_by_block(g, m))
-                 for nm, g in (("ib", ib_g), ("jb", jb_g))}
+            self.ctx, self.ttable, [list(ab) for ab in zip(*blocks.values())],
+            rule="almost-owner-computes", category="partition")
+        bonds = {nm: assign.remap_iteration_data(self.ctx, b)
+                 for nm, b in blocks.items()}
         names = (("merged",) if self.schedule_mode == "merged"
                  else ("bonded", "nonbonded"))
         loops = [IrregularReduction(self._runtime, self.ttable,
@@ -247,12 +242,11 @@ class ParallelMD:
         """Bind the current non-bonded list — every rank's rows of the
         atoms it owns — and run the inspector; then gather the static
         ghost charges and the list's per-pair invariants."""
-        dist = self.ttable.dist
-        i_per, j_per = zip(*(
-            take_csr_rows(self.inblo, self.jnb, dist.global_indices(p))
-            for p in self.machine.ranks()))
-        self._loop_nb.bind(nb_i=list(i_per), nb_j=list(j_per))
-        del i_per, j_per  # the loop holds the list as one stream
+        layout = self.ttable.dist.layout
+        nb_i, nb_j = take_csr_rows(self.inblo, self.jnb, layout.order)
+        sizes = layout.per_rank(np.diff(self.inblo)[layout.order])
+        self._loop_nb.bind(nb_i=RankArena(nb_i, sizes),
+                           nb_j=RankArena(nb_j, sizes))
         self._loop_nb.setup()
         # static ghost data: charges (atoms' charges never change); in
         # multiple mode both schedules fill one table-wide ghost buffer,
@@ -462,11 +456,9 @@ class ParallelMD:
     # ==================================================================
     def _sync_positions_to_system(self) -> None:
         s = self.system
-        dist = self.ttable.dist
-        for p in self.machine.ranks():
-            g = dist.global_indices(p)
-            s.positions[g] = self.pos[p]
-            s.velocities[g] = self.vel[p]
+        order = self.ttable.dist.layout.order
+        s.positions[order] = np.concatenate(self.pos)
+        s.velocities[order] = np.concatenate(self.vel)
 
     def global_positions(self) -> np.ndarray:
         self._sync_positions_to_system()

@@ -8,7 +8,6 @@ transportation primitives, remapping, and iteration partitioning.
 
 from repro.core.context import ExecutionContext
 from repro.core.distribution import (
-    BlockCyclicDistribution,
     BlockDistribution,
     CyclicDistribution,
     Distribution,
@@ -79,7 +78,6 @@ from repro.core.compiled import (
 )
 from repro.core.iteration import (
     IterationAssignment,
-    block_iteration_slices,
     partition_iterations,
     split_by_block,
 )
@@ -103,7 +101,6 @@ from repro.core.verify import (
 
 __all__ = [
     "ExecutionContext",
-    "BlockCyclicDistribution",
     "BlockDistribution",
     "CyclicDistribution",
     "Distribution",
@@ -156,7 +153,6 @@ __all__ = [
     "RankArena",
     "as_arena",
     "IterationAssignment",
-    "block_iteration_slices",
     "partition_iterations",
     "split_by_block",
     "CacheStats",

@@ -87,16 +87,15 @@ class DistributedArray:
                 f"global array has {g.shape[0]} rows, distribution expects "
                 f"{ttable.dist.n_global}"
             )
-        local = [g[ttable.dist.global_indices(p)] for p in machine.ranks()]
-        return cls(machine, ttable, local)
+        layout = ttable.dist.layout
+        return cls(machine, ttable, RankArena(g[layout.order], layout.sizes))
 
     def to_global(self) -> np.ndarray:
         """Assemble the global array on the host (test/verification aid)."""
         dist = self.ttable.dist
         shape = (dist.n_global,) + self.local[0].shape[1:]
         out = np.zeros(shape, dtype=self.local[0].dtype)
-        for p in self.machine.ranks():
-            out[dist.global_indices(p)] = self.local[p]
+        out[dist.layout.order] = np.concatenate(self.local)
         return out
 
     # ------------------------------------------------------------------
@@ -107,9 +106,6 @@ class DistributedArray:
     @property
     def n_global(self) -> int:
         return self.ttable.dist.n_global
-
-    def local_sizes(self) -> np.ndarray:
-        return self.ttable.dist.local_sizes()
 
     def redistribute(self, new_ttable: TranslationTable,
                      category: str = "remap", ctx=None

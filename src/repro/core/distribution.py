@@ -1,11 +1,13 @@
-"""Data distributions: BLOCK, CYCLIC, BLOCK_CYCLIC and irregular.
+"""Data distributions: BLOCK, CYCLIC and irregular.
 
 A distribution maps each global array index to an *owner* rank and a
 *local offset* within that rank's partition.  Regular distributions
 (BLOCK/CYCLIC) are closed-form; irregular distributions are defined by a
 ``map`` array (the Fortran D convention of §5.1.1: ``map(i) == p`` assigns
 element ``i`` to rank ``p``) with local offsets given by ascending global
-index within each owner.
+index within each owner.  A subclass supplies only that rule; the
+rank-major :class:`Layout` it implies is built once and read by every
+module that needs a distribution's order, sizes, owners or offsets.
 
 All index math is vectorized over ``numpy`` int64 arrays.
 """
@@ -13,18 +15,66 @@ All index math is vectorized over ``numpy`` int64 arrays.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro.core.compiled import offsets_from_counts
 
-def _as_index_array(indices) -> np.ndarray:
-    """``indices`` as int64.  A non-empty array whose dtype is not an
-    integer kind (float, bool, ...) is a ``TypeError``, never truncated;
-    an empty one of any dtype is no indices."""
-    arr = np.asarray(indices)
-    if arr.dtype.kind not in "iu" and arr.size:
-        raise TypeError(f"indices must be integers, not {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+
+def block_sizes(n_global: int, n_ranks: int) -> np.ndarray:
+    """HPF BLOCK part sizes, read-only: the first ``n_global % n_ranks``
+    ranks get one extra element (so do CYCLIC's)."""
+    base, extra = divmod(n_global, n_ranks)
+    sizes = np.full(n_ranks, base, dtype=np.int64)
+    sizes[:extra] += 1
+    sizes.flags.writeable = False
+    return sizes
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """A distribution's rank-major layout, the content of its translation
+    table (§3.1): ``order[k]`` is the global index at position ``k`` of
+    the per-rank arrays concatenated (rank 0's first, each in local-offset
+    order), ``starts`` delimits the ranks' ``sizes`` segments of it, and
+    ``owners[g]`` / ``offsets[g]`` place global index ``g``.  Every array
+    is int64 and read-only."""
+
+    order: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    owners: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def build(cls, owners: np.ndarray, n_ranks: int,
+              offsets: np.ndarray | None = None) -> "Layout":
+        """The layout of the owner map ``owners`` (taken, not copied).
+        Without ``offsets`` they ascend with the global index within each
+        owner: one stable sort of the map, narrowed to the smallest type
+        that holds a rank (which numpy radix-sorts)."""
+        n = owners.size
+        sizes = np.bincount(owners, minlength=n_ranks)
+        starts = offsets_from_counts(sizes)
+        if offsets is None:
+            order = np.argsort(owners.astype(np.min_scalar_type(n_ranks - 1)),
+                               kind="stable")
+            offsets = np.empty(n, dtype=np.int64)
+            offsets[order] = np.arange(n) - np.repeat(starts[:-1], sizes)
+        else:
+            order = np.full(n, -1, dtype=np.int64)
+            order[starts[owners] + offsets] = np.arange(n)
+        layout = cls(order, sizes, starts, owners, offsets)
+        for arr in (order, sizes, starts, owners, offsets):
+            arr.flags.writeable = False
+        return layout
+
+    def per_rank(self, per_element: np.ndarray) -> np.ndarray:
+        """Per-rank sums of a count given per element in rank-major
+        order (a rank may own nothing, which rules out ``reduceat``)."""
+        return np.diff(offsets_from_counts(per_element)[self.starts])
 
 
 class Distribution(ABC):
@@ -38,7 +88,7 @@ class Distribution(ABC):
         self.n_global = int(n_global)
         self.n_ranks = int(n_ranks)
 
-    # -- core queries ---------------------------------------------------
+    # -- the rule -------------------------------------------------------
     @abstractmethod
     def owner(self, indices) -> np.ndarray:
         """Owner rank of each global index."""
@@ -47,27 +97,42 @@ class Distribution(ABC):
     def local_index(self, indices) -> np.ndarray:
         """Local offset of each global index within its owner."""
 
-    @abstractmethod
+    # -- the layout it implies ------------------------------------------
+    @cached_property
+    def layout(self) -> Layout:
+        """The rank-major :class:`Layout`, built on first use."""
+        g = np.arange(self.n_global, dtype=np.int64)
+        return Layout.build(self.owner(g), self.n_ranks, self.local_index(g))
+
+    def local_sizes(self) -> np.ndarray:
+        """Elements owned by each rank (read-only)."""
+        return self.layout.sizes
+
     def local_size(self, rank: int) -> int:
         """Number of elements owned by ``rank``."""
+        return int(self.local_sizes()[rank])
 
-    @abstractmethod
     def global_indices(self, rank: int) -> np.ndarray:
-        """Global indices owned by ``rank`` in local-offset order."""
+        """Global indices owned by ``rank`` in local-offset order (a
+        read-only view of the layout's ``order``)."""
+        starts = self.layout.starts
+        return self.layout.order[starts[rank]:starts[rank + 1]]
 
-    # -- derived helpers ------------------------------------------------
     def check_indices(self, indices) -> np.ndarray:
-        arr = _as_index_array(indices)
+        """``indices`` as int64, each in range.  A non-empty array whose
+        dtype is not an integer kind (float, bool, ...) is a
+        ``TypeError``, never truncated; an empty one of any dtype is no
+        indices."""
+        arr = np.asarray(indices)
+        if arr.dtype.kind not in "iu" and arr.size:
+            raise TypeError(f"indices must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n_global):
             bad = arr[(arr < 0) | (arr >= self.n_global)][0]
             raise IndexError(
                 f"global index {bad} out of range [0, {self.n_global})"
             )
         return arr
-
-    def local_sizes(self) -> np.ndarray:
-        return np.array([self.local_size(p) for p in range(self.n_ranks)],
-                        dtype=np.int64)
 
     def to_map_array(self) -> np.ndarray:
         """The Fortran D ``map`` array: owner of each global element."""
@@ -87,20 +152,12 @@ class Distribution(ABC):
 
 
 class BlockDistribution(Distribution):
-    """Contiguous equal-as-possible blocks (HPF BLOCK).
-
-    The first ``n_global % n_ranks`` ranks get one extra element, matching
-    the usual convention.
-    """
+    """Contiguous equal-as-possible blocks (HPF BLOCK)."""
 
     def __init__(self, n_global: int, n_ranks: int):
         super().__init__(n_global, n_ranks)
-        base, extra = divmod(self.n_global, self.n_ranks)
-        counts = np.full(self.n_ranks, base, dtype=np.int64)
-        counts[:extra] += 1
-        self._counts = counts
-        self._starts = np.zeros(self.n_ranks + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._starts[1:])
+        self._sizes = block_sizes(self.n_global, self.n_ranks)
+        self._starts = offsets_from_counts(self._sizes)
 
     def owner(self, indices) -> np.ndarray:
         arr = self.check_indices(indices)
@@ -110,14 +167,8 @@ class BlockDistribution(Distribution):
         arr = self.check_indices(indices)
         return arr - self._starts[self.owner(arr)]
 
-    def local_size(self, rank: int) -> int:
-        return int(self._counts[rank])
-
-    def global_indices(self, rank: int) -> np.ndarray:
-        return np.arange(self._starts[rank], self._starts[rank + 1], dtype=np.int64)
-
-    def block_start(self, rank: int) -> int:
-        return int(self._starts[rank])
+    def local_sizes(self) -> np.ndarray:  # closed form: builds no layout
+        return self._sizes
 
 
 class CyclicDistribution(Distribution):
@@ -131,109 +182,31 @@ class CyclicDistribution(Distribution):
         arr = self.check_indices(indices)
         return arr // self.n_ranks
 
-    def local_size(self, rank: int) -> int:
-        if rank < 0 or rank >= self.n_ranks:
-            raise IndexError(f"rank {rank} out of range")
-        full, rem = divmod(self.n_global, self.n_ranks)
-        return full + (1 if rank < rem else 0)
-
-    def global_indices(self, rank: int) -> np.ndarray:
-        return np.arange(rank, self.n_global, self.n_ranks, dtype=np.int64)
-
-
-class BlockCyclicDistribution(Distribution):
-    """CYCLIC(k): blocks of size ``k`` dealt round-robin."""
-
-    def __init__(self, n_global: int, n_ranks: int, block_size: int):
-        super().__init__(n_global, n_ranks)
-        if block_size < 1:
-            raise ValueError(f"block size must be >= 1, got {block_size}")
-        self.block_size = int(block_size)
-
-    def owner(self, indices) -> np.ndarray:
-        arr = self.check_indices(indices)
-        return (arr // self.block_size) % self.n_ranks
-
-    def local_index(self, indices) -> np.ndarray:
-        arr = self.check_indices(indices)
-        block = arr // self.block_size
-        round_ = block // self.n_ranks
-        return round_ * self.block_size + arr % self.block_size
-
-    def local_size(self, rank: int) -> int:
-        if rank < 0 or rank >= self.n_ranks:
-            raise IndexError(f"rank {rank} out of range")
-        return int(np.count_nonzero(
-            self.owner(np.arange(self.n_global, dtype=np.int64)) == rank
-        ))
-
-    def global_indices(self, rank: int) -> np.ndarray:
-        all_idx = np.arange(self.n_global, dtype=np.int64)
-        return all_idx[self.owner(all_idx) == rank]
+    def local_sizes(self) -> np.ndarray:  # dealt like BLOCK's, no layout
+        return block_sizes(self.n_global, self.n_ranks)
 
 
 class IrregularDistribution(Distribution):
     """Distribution defined by an explicit per-element owner map.
 
     Local offsets follow ascending global index within each owner, the
-    CHAOS/PARTI convention.  Owner and offset lookups are O(1) via
-    precomputed arrays (this class is the *content* of a translation
-    table; the :class:`~repro.core.translation.TranslationTable` decides
-    how that content is physically stored and what lookups cost).
-    """
+    CHAOS/PARTI convention.  The layout is built at construction and
+    owner and offset lookups read it (the
+    :class:`~repro.core.translation.TranslationTable` decides how it is
+    stored and what lookups cost)."""
 
     def __init__(self, map_array, n_ranks: int):
-        owners = np.asarray(map_array, dtype=np.int64)
+        owners = np.array(map_array, dtype=np.int64)
         if owners.ndim != 1:
             raise ValueError(f"map array must be 1-D, got shape {owners.shape}")
         super().__init__(owners.size, n_ranks)
         if owners.size and (owners.min() < 0 or owners.max() >= n_ranks):
             bad = owners[(owners < 0) | (owners >= n_ranks)][0]
             raise ValueError(f"map entry {bad} outside rank range [0, {n_ranks})")
-        self._owners = owners.copy()
-        # local offset of element g = its position among owner's elements
-        # in ascending global order.  One stable counting pass:
-        self._offsets = np.zeros(self.n_global, dtype=np.int64)
-        self._globals_by_rank: list[np.ndarray] = []
-        for p in range(n_ranks):
-            mine = np.flatnonzero(owners == p)
-            self._globals_by_rank.append(mine)
-            self._offsets[mine] = np.arange(mine.size, dtype=np.int64)
-        self._sizes = np.array([g.size for g in self._globals_by_rank],
-                               dtype=np.int64)
+        self.layout = Layout.build(owners, self.n_ranks)
 
     def owner(self, indices) -> np.ndarray:
-        arr = self.check_indices(indices)
-        return self._owners[arr]
+        return self.layout.owners[self.check_indices(indices)]
 
     def local_index(self, indices) -> np.ndarray:
-        arr = self.check_indices(indices)
-        return self._offsets[arr]
-
-    def local_size(self, rank: int) -> int:
-        return int(self._sizes[rank])
-
-    def global_indices(self, rank: int) -> np.ndarray:
-        return self._globals_by_rank[rank]
-
-    def to_map_array(self) -> np.ndarray:
-        return self._owners.copy()
-
-    @classmethod
-    def from_partition_lists(cls, parts: list[np.ndarray], n_global: int
-                             ) -> "IrregularDistribution":
-        """Build from per-rank lists of global indices (a partitioner's
-        natural output).  Every global index must appear exactly once."""
-        owners = np.full(n_global, -1, dtype=np.int64)
-        for p, idx in enumerate(parts):
-            arr = np.asarray(idx, dtype=np.int64)
-            if arr.size and (arr.min() < 0 or arr.max() >= n_global):
-                raise IndexError(f"partition {p} contains out-of-range indices")
-            if np.any(owners[arr] != -1):
-                dup = arr[owners[arr] != -1][0]
-                raise ValueError(f"element {dup} assigned to multiple ranks")
-            owners[arr] = p
-        if np.any(owners == -1):
-            missing = int(np.flatnonzero(owners == -1)[0])
-            raise ValueError(f"element {missing} not assigned to any rank")
-        return cls(owners, len(parts))
+        return self.layout.offsets[self.check_indices(indices)]

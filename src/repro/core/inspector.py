@@ -61,10 +61,10 @@ def make_hash_tables(ctx, ttable: TranslationTable) -> HashTableGroup:
     affects wall-clock speed.
     """
     ctx = ensure_context(ctx, "make_hash_tables")
-    n = ctx.machine.n_ranks
     return HashTableGroup(
-        [ttable.dist.local_size(p) for p in range(n)],
-        store=ctx.backend.make_key_store(n, ttable.dist.n_global),
+        ttable.dist.local_sizes(),
+        store=ctx.backend.make_key_store(ctx.machine.n_ranks,
+                                         ttable.dist.n_global),
     )
 
 

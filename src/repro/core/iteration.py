@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.compiled import RankArena, offsets_from_counts, split_csr
 from repro.core.context import ensure_context
+from repro.core.distribution import block_sizes
+from repro.core.hashtable import stream_of
 from repro.core.lightweight import (
     LightweightSchedule,
     build_lightweight_schedule,
@@ -64,15 +67,9 @@ def _majority_vote(owner_rows: np.ndarray) -> np.ndarray:
     owner-computes fallback.  O(k^2 n), fine for the small k (2–4
     indirection arrays per loop) that irregular loops have.
     """
-    k, n = owner_rows.shape
-    if k == 1:
-        return owner_rows[0].copy()
-    scores = np.zeros((k, n), dtype=np.int64)
-    for j in range(k):
-        for i in range(k):
-            scores[j] += owner_rows[i] == owner_rows[j]
+    scores = (owner_rows[:, None] == owner_rows[None]).sum(axis=1)
     best = np.argmax(scores, axis=0)  # argmax takes first maximum: our tie-break
-    return owner_rows[best, np.arange(n)]
+    return owner_rows[best, np.arange(owner_rows.shape[1])]
 
 
 def partition_iterations(
@@ -104,66 +101,51 @@ def partition_iterations(
     if rule not in ("almost-owner-computes", "owner-computes"):
         raise ValueError(f"unknown iteration-partitioning rule {rule!r}")
     machine.check_per_rank(accesses, "accesses")
+    n = machine.n_ranks
 
-    # Translate every reference to its owner.  (Owner lookups go through
-    # the translation table and are charged accordingly.)
-    flat_queries: list[np.ndarray] = []
-    for p in machine.ranks():
-        arrays = accesses[p]
-        if not arrays:
-            flat_queries.append(np.zeros(0, dtype=np.int64))
-            continue
-        lens = {np.asarray(a).shape[0] for a in arrays}
-        if len(lens) > 1:
-            raise ValueError(
-                f"rank {p}: indirection arrays disagree on iteration count "
-                f"{sorted(lens)}"
-            )
-        flat_queries.append(
-            np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays])
-        )
-    owners_flat, _ = ttable.dereference(ctx, flat_queries, category=category)
+    # Every reference as one stream, rank-major and array-major within a
+    # rank.  (Owner lookups go through the translation table and are
+    # charged accordingly.)
+    n_arrays = np.fromiter(map(len, accesses), np.int64, n)
+    arrays = [a for per_rank in accesses for a in per_rank]
+    refs, lens = stream_of(arrays) if arrays else (np.zeros(0, np.int64),) * 2
+    array_rank = np.repeat(np.arange(n), n_arrays)
+    n_iter = np.zeros(n, dtype=np.int64)
+    np.maximum.at(n_iter, array_rank, lens)
+    bad = np.flatnonzero(lens != n_iter[array_rank])
+    if bad.size:
+        raise ValueError(f"rank {array_rank[bad[0]]}: indirection arrays "
+                         "disagree on iteration count")
+    busy = n_iter > 0
+    k = np.unique(n_arrays[busy])
+    if k.size > 1:
+        raise ValueError("ranks disagree on the number of indirection "
+                         f"arrays {k.tolist()}")
+    k = int(k[0]) if k.size else 1
+    owners, _ = ttable.dereference(
+        ctx, RankArena(refs, n_arrays * n_iter), category=category)
 
-    dest: list[np.ndarray] = []
-    for p in machine.ranks():
-        arrays = accesses[p]
-        if not arrays or np.asarray(arrays[0]).shape[0] == 0:
-            dest.append(np.zeros(0, dtype=np.int64))
-            continue
-        k = len(arrays)
-        n_iter = np.asarray(arrays[0]).shape[0]
-        owner_rows = owners_flat[p].reshape(k, n_iter)
-        machine.charge_memops(p, k * n_iter, category)
-        if rule == "owner-computes":
-            dest.append(owner_rows[0].copy())
-        else:
-            dest.append(_majority_vote(owner_rows))
+    # The vote is per iteration, so one vote over the machine's
+    # iterations: row j of the (k, iterations) owner matrix holds each
+    # iteration's j-th reference, n_iter[p] further along rank p's stream.
+    it_rank = np.repeat(np.arange(n), n_iter)
+    first = (offsets_from_counts(n_arrays * n_iter)[it_rank]
+             + np.arange(it_rank.size) - offsets_from_counts(n_iter)[it_rank])
+    owner_rows = owners.flat[first + np.arange(k)[:, None] * n_iter[it_rank]]
+    machine.charge_memops_vec(k * n_iter, category, mask=busy)
+    dest = RankArena(owner_rows[0].copy() if rule == "owner-computes"
+                     else _majority_vote(owner_rows), n_iter)
 
     schedule = build_lightweight_schedule(ctx, dest, category=category)
-    counts = np.array(
-        [schedule.recv_total(p) for p in machine.ranks()], dtype=np.int64
-    )
-    return IterationAssignment(dest=dest, schedule=schedule, counts=counts)
-
-
-def block_iteration_slices(n_iterations: int, machine: Machine) -> list[slice]:
-    """Initial BLOCK ownership of iterations 0..n-1 (pre-partitioning)."""
-    base, extra = divmod(n_iterations, machine.n_ranks)
-    out = []
-    start = 0
-    for p in machine.ranks():
-        size = base + (1 if p < extra else 0)
-        out.append(slice(start, start + size))
-        start += size
-    return out
+    return IterationAssignment(dest=dest, schedule=schedule,
+                               counts=schedule.extent.copy())
 
 
 def split_by_block(array: np.ndarray, machine: Machine) -> list[np.ndarray]:
-    """Split a global per-iteration array into BLOCK per-rank slices.
-
-    Every slice is C-contiguous — a view of a C-contiguous ``array``, a
-    copy of a strided one (a column of a 2-D array, say) — so the
-    slices take the executor's flat rank-major path."""
-    arr = np.asarray(array)
-    return [np.ascontiguousarray(arr[s])
-            for s in block_iteration_slices(arr.shape[0], machine)]
+    """Split a global per-iteration array into BLOCK per-rank slices:
+    views of ``array``, or of one copy of a strided one (a column of a
+    2-D array, say), so each is C-contiguous and takes the executor's
+    flat rank-major path."""
+    arr = np.ascontiguousarray(array)
+    return split_csr(arr, offsets_from_counts(
+        block_sizes(arr.shape[0], machine.n_ranks)))

@@ -39,10 +39,6 @@ class LightweightSchedule(CommPlan):
     send_sel = property(lambda self: self.send_rows)
     recv_counts = property(lambda self: self.counts.T)
 
-    def recv_total(self, rank: int) -> int:
-        """Total elements rank will hold after the move (incl. kept)."""
-        return int(self.extent[rank])
-
 
 def build_lightweight_schedule(
     ctx,

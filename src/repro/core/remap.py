@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.compiled import (
     CommPlan,
     bucket_by_destination,
-    offsets_from_counts,
     stream_perm,
 )
 from repro.core.context import ensure_context
@@ -52,7 +51,7 @@ def remap(
 
     Both distributions must describe the same global array on the same
     machine.  Cost: one pass over owned elements per rank plus a
-    message-size exchange.  The old distribution's elements are
+    message-size exchange.  The old distribution's layout order is
     bucketed by new owner as one machine-wide stream
     (:func:`~repro.core.compiled.bucket_by_destination`).
     """
@@ -65,25 +64,19 @@ def remap(
         )
     if old_dist.n_ranks != machine.n_ranks or new_dist.n_ranks != machine.n_ranks:
         raise ValueError("distributions sized for a different machine")
-    n = machine.n_ranks
-    # the old distribution's global indices, rank by rank in local order
-    g = np.arange(old_dist.n_global, dtype=np.int64)
-    owner = old_dist.owner(g)
-    sizes = np.bincount(owner, minlength=n)
-    stream = np.empty_like(g)
-    stream[offsets_from_counts(sizes)[owner] + old_dist.local_index(g)] = g
-    machine.charge_memops_vec(sizes, category)
+    old, new = old_dist.layout, new_dist.layout
+    machine.charge_memops_vec(old.sizes, category)
 
-    new_owner = new_dist.owner(stream)
-    order, send, counts = bucket_by_destination(sizes, new_owner)
+    order, send, counts = bucket_by_destination(old.sizes,
+                                                new.owners[old.order])
     machine.alltoall_lengths_compiled(counts, tag="remap_sizes",
                                       category=category)
     return RemapPlan(
         counts=counts,
         send=send,
         # new local offsets of the same elements, receiver-major
-        place=new_dist.local_index(stream[order[stream_perm(counts)]]),
-        extent=np.bincount(new_owner, minlength=n),
+        place=new.offsets[old.order[order[stream_perm(counts)]]],
+        extent=new.sizes,
     )
 
 

@@ -134,8 +134,10 @@ class _PageCache:
 class TranslationTable:
     """Globally accessible (owner, offset) directory for one distribution.
 
-    Construct via :meth:`from_distribution` or :meth:`from_map` so that
-    build-time communication is charged to the machine.
+    Its entries are the distribution's
+    :class:`~repro.core.distribution.Layout`, held centrally by the
+    simulation: the storage policy only affects *charged* communication.
+    Construction charges the build-time communication to the machine.
     """
 
     VALID_STORAGE = ("replicated", "distributed", "paged")
@@ -157,12 +159,6 @@ class TranslationTable:
         self.dist = dist
         self.storage = storage
         self.page_size = int(page_size)
-        # Physical content (simulation holds it centrally; the storage
-        # policy only affects *charged* communication).
-        self._owners = dist.owner(np.arange(dist.n_global, dtype=np.int64)) \
-            if dist.n_global else np.zeros(0, dtype=np.int64)
-        self._offsets = dist.local_index(np.arange(dist.n_global, dtype=np.int64)) \
-            if dist.n_global else np.zeros(0, dtype=np.int64)
         # Table homes for distributed/paged storage: block by global index.
         self._table_dist = BlockDistribution(dist.n_global, machine.n_ranks)
         # Per-rank page caches (paged mode only).
@@ -287,17 +283,18 @@ class TranslationTable:
         keys = self.dist.check_indices(keys)
         ctx.backend.translation_lookup(ctx, self, RankArena(keys, sizes),
                                        category)
-        return (RankArena(self._owners[keys], sizes),
-                RankArena(self._offsets[keys], sizes))
+        layout = self.dist.layout
+        return (RankArena(layout.owners[keys], sizes),
+                RankArena(layout.offsets[keys], sizes))
 
     # ------------------------------------------------------------------
     def owner_local(self, indices) -> np.ndarray:
         """Uncharged owner lookup (host-side convenience for tests/apps)."""
-        return self._owners[self.dist.check_indices(indices)]
+        return self.dist.layout.owners[self.dist.check_indices(indices)]
 
     def offset_local(self, indices) -> np.ndarray:
         """Uncharged offset lookup (host-side convenience)."""
-        return self._offsets[self.dist.check_indices(indices)]
+        return self.dist.layout.offsets[self.dist.check_indices(indices)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

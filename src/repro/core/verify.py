@@ -21,7 +21,9 @@ from repro.core.translation import TranslationTable
 
 
 def check_distribution(dist: Distribution) -> list[str]:
-    """Every global element owned exactly once; offsets bijective."""
+    """Every global element owned exactly once; offsets bijective; the
+    layout's ``order`` a permutation listing each rank's elements in
+    local-offset order (checked against the rule, rank by rank)."""
     problems: list[str] = []
     n = dist.n_global
     if n == 0:
@@ -31,6 +33,9 @@ def check_distribution(dist: Distribution) -> list[str]:
     offsets = dist.local_index(idx)
     if owners.min() < 0 or owners.max() >= dist.n_ranks:
         problems.append("owner outside rank range")
+    order = dist.layout.order
+    if order.shape != idx.shape or not np.array_equal(np.sort(order), idx):
+        problems.append("layout order is not a permutation of the elements")
     total = 0
     for p in range(dist.n_ranks):
         mine = offsets[owners == p]
@@ -49,6 +54,8 @@ def check_distribution(dist: Distribution) -> list[str]:
             problems.append(f"rank {p}: global_indices length mismatch")
         elif g.size and not np.all(dist.owner(g) == p):
             problems.append(f"rank {p}: global_indices contains foreign elements")
+        elif not np.array_equal(dist.local_index(g), np.arange(g.size)):
+            problems.append(f"rank {p}: global_indices out of offset order")
         total += mine.size
     if total != n:
         problems.append(f"{total} elements assigned, expected {n}")

@@ -24,9 +24,10 @@ compiler-generated code has:
 runtime below it uses.  A distributed 1-D array is one
 :class:`~repro.core.compiled.RankArena` — rank 0's elements first, each
 rank's in local-offset order — from the moment its decomposition is
-distributed; the *rank-major index* of a decomposition (``order[k]`` =
-global element at arena position ``k``) turns distribution, assembly and
-the CSR iteration space into single takes/scatters.  A ragged (cell)
+distributed; the *rank-major index* its distribution owns
+(:class:`~repro.core.distribution.Layout` ``order[k]`` = global element
+at arena position ``k``) turns distribution, assembly and the CSR
+iteration space into single takes/scatters.  A ragged (cell)
 array is one CSR pair ``(flat, offsets)`` in *global* cell order, whatever
 the distribution; ``get_array`` hands out its rows as views.  A loop's
 index patterns are rank-major streams over the whole machine's
@@ -60,9 +61,9 @@ from repro.core.distribution import (
     CyclicDistribution,
     Distribution,
     IrregularDistribution,
+    Layout,
 )
 from repro.core.executor import run_reduction
-from repro.core.hashtable import stream_of
 from repro.core.iteration import partition_iterations, split_by_block
 from repro.core.lightweight import build_lightweight_schedule, scatter_append
 from repro.core.remap import remap, remap_array
@@ -143,17 +144,12 @@ def _check_ragged_bounds(name: str, sizes: np.ndarray, lens: np.ndarray,
 class _DecompState:
     size: int
     ttable: TranslationTable | None = None
-    #: rank-major index of the distribution: ``order[k]`` is the global
-    #: element at position ``k`` of the axis-0 concatenation of the
-    #: per-rank local arrays, ``counts[p]`` how many rank ``p`` owns
-    order: np.ndarray | None = None
-    counts: np.ndarray | None = None
 
-    def per_rank(self, per_element: np.ndarray) -> np.ndarray:
-        """Per-rank sums of a count given per element in rank-major
-        order (a rank may own nothing, which rules out ``reduceat``)."""
-        running = offsets_from_counts(per_element)
-        return np.diff(running[offsets_from_counts(self.counts)])
+    @property
+    def layout(self) -> Layout:
+        """The distribution's rank-major layout (``order[k]``: the global
+        element at position ``k`` of an arena)."""
+        return self.ttable.dist.layout
 
 
 @dataclass
@@ -279,7 +275,7 @@ class ProgramInstance:
         if name in self.local:
             flat = self.local[name].flat
             out = np.empty_like(flat)
-            out[self.decomps[self._decomp_of(name)].order] = flat
+            out[self.decomps[self._decomp_of(name)].layout.order] = flat
             return out
         if name in self.host:
             return self.host[name]
@@ -353,8 +349,6 @@ class ProgramInstance:
 
         old = st.ttable
         st.ttable = TranslationTable(m, dist)
-        st.order, st.counts = stream_of(
-            [dist.global_indices(p) for p in m.ranks()])
         self.record.touch(f"__decomp__:{stmt.target}")
         if old is None:
             for name in self._aligned_arrays(stmt.target):
@@ -383,7 +377,7 @@ class ProgramInstance:
                 f"array {name!r} has {g.shape[0]} elements, decomposition "
                 f"expects {st.size}"
             )
-        self.local[name] = RankArena(g[st.order], st.counts)
+        self.local[name] = RankArena(g[st.layout.order], st.layout.sizes)
 
     # ==================================================================
     # loops
@@ -437,7 +431,8 @@ class ProgramInstance:
             raise ExecutionError(f"ragged array {name!r} has no value", line)
         flat, offsets = self.ragged[name]
         _check_ragged_bounds(name, sizes, np.diff(offsets), line)
-        return flat[grouped_arange(offsets[st.order], sizes[st.order])]
+        order = st.layout.order
+        return flat[grouped_arange(offsets[order], sizes[order])]
 
     # ---- index-space construction -------------------------------------
     def _iteration_space(self, plan: ReductionPlan
@@ -453,13 +448,14 @@ class ProgramInstance:
         hi = self._outer_upper(nest, st)
         # compile_program admits only the patterns each kind builds below
         gidx: dict[str, np.ndarray] = {}
+        order = st.layout.order
         if nest.kind == "csr":
             # 1-based positions -> 0-based CSR offsets, rows rank-major
             offsets0 = self._int_array(nest.csr_offsets) - 1
-            starts = offsets0[st.order]
-            counts = offsets0[st.order + 1] - starts
-            n_iter = st.per_rank(counts)
-            of_var = {outer.var: np.repeat(st.order, counts),
+            starts = offsets0[order]
+            counts = offsets0[order + 1] - starts
+            n_iter = st.layout.per_rank(counts)
+            of_var = {outer.var: np.repeat(order, counts),
                       nest.inner.var: grouped_arange(starts, counts)}
             for pat in plan.index_patterns:
                 if pat.kind == "loopvar":
@@ -472,12 +468,12 @@ class ProgramInstance:
             sizes = self._int_array(nest.csr_offsets)
             for pat in plan.index_patterns:
                 if pat.kind == "loopvar":
-                    gidx[pat.key()] = np.repeat(st.order, sizes[st.order])
+                    gidx[pat.key()] = np.repeat(order, sizes[order])
                 else:
                     gidx[pat.key()] = self._ragged_stream(
                         pat.indirection, sizes, st, outer.line
                     ).astype(np.int64) - 1
-            n_iter = st.per_rank(sizes[st.order])
+            n_iter = st.layout.per_rank(sizes[order])
             m.charge_memops_vec(2 * n_iter, "inspector")
         else:  # flat
             blocks: dict[str, list[np.ndarray]] = {}
@@ -602,7 +598,7 @@ class ProgramInstance:
         for stmt in nest.statements:
             self._arena(stmt.target.name, stmt.line).flat[...] = \
                 stmt.value.value
-        m.charge_compute_vec(st.counts, "compute")
+        m.charge_compute_vec(st.layout.sizes, "compute")
         m.barrier()
 
     # ---- append loops -------------------------------------------------------
@@ -628,7 +624,7 @@ class ProgramInstance:
                 f"routing array {plan.routing!r} holds out-of-range cells",
                 line,
             )
-        n_iter = st.per_rank(sizes[st.order])
+        n_iter = st.layout.per_rank(sizes[st.layout.order])
         m.charge_memops_vec(2 * n_iter, "inspector")
 
         sched = build_lightweight_schedule(

@@ -27,9 +27,7 @@ class BlockPartitioner(Partitioner):
         weights: np.ndarray | None = None,
     ) -> PartitionResult:
         c, _ = self._validate(coords, n_parts, weights)
-        dist = BlockDistribution(c.shape[0], n_parts)
-        labels = dist.owner(np.arange(c.shape[0], dtype=np.int64)) \
-            if c.shape[0] else np.zeros(0, dtype=np.int64)
+        labels = BlockDistribution(c.shape[0], n_parts).to_map_array()
         return PartitionResult(labels=labels, n_parts=n_parts)
 
     def parallel_cost(self, n_elements, n_parts, machine: Machine):
@@ -48,9 +46,7 @@ class CyclicPartitioner(Partitioner):
         weights: np.ndarray | None = None,
     ) -> PartitionResult:
         c, _ = self._validate(coords, n_parts, weights)
-        dist = CyclicDistribution(c.shape[0], n_parts)
-        labels = dist.owner(np.arange(c.shape[0], dtype=np.int64)) \
-            if c.shape[0] else np.zeros(0, dtype=np.int64)
+        labels = CyclicDistribution(c.shape[0], n_parts).to_map_array()
         return PartitionResult(labels=labels, n_parts=n_parts)
 
     def parallel_cost(self, n_elements, n_parts, machine: Machine):

@@ -33,6 +33,18 @@ class TestDistributedArray:
         pos = rt.distribute(pos_g, tt)
         assert np.array_equal(pos.to_global(), pos_g)
 
+    def test_round_trip_calls_independent_of_ranks(self, rng):
+        """Scatter and assembly are one take and one put through the
+        layout: the same C calls at P=16 as at P=128."""
+        g = rng.standard_normal((5000, 3))
+        got = []
+        for p in (16, 128):
+            m = Machine(p)
+            tt = ChaosRuntime(m).irregular_table(rng.integers(0, p, 5000))
+            got.append(count_calls(
+                lambda: DistributedArray.from_global(m, tt, g).to_global()))
+        assert got[0] == got[1]
+
     def test_wrong_size_rejected(self, machine4, rng):
         rt = ChaosRuntime(machine4)
         tt = rt.irregular_table(rng.integers(0, 4, 20))

@@ -4,31 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BlockCyclicDistribution,
     BlockDistribution,
     CyclicDistribution,
     IrregularDistribution,
 )
+from repro.core.verify import check_distribution
+
+from conftest import count_calls
 
 
 ALL_IDX = lambda n: np.arange(n, dtype=np.int64)  # noqa: E731
-
-
-def check_invariants(dist):
-    """Every element owned exactly once; offsets form 0..size-1 per rank."""
-    n = dist.n_global
-    owners = dist.owner(ALL_IDX(n))
-    offsets = dist.local_index(ALL_IDX(n))
-    total = 0
-    for p in range(dist.n_ranks):
-        mine = np.flatnonzero(owners == p)
-        assert mine.size == dist.local_size(p)
-        assert np.array_equal(np.sort(offsets[mine]),
-                              np.arange(mine.size))
-        assert np.array_equal(dist.global_indices(p), np.sort(mine)) or \
-            set(dist.global_indices(p).tolist()) == set(mine.tolist())
-        total += mine.size
-    assert total == n
 
 
 class TestBlock:
@@ -49,7 +34,7 @@ class TestBlock:
 
     def test_invariants(self):
         for n, p in [(0, 3), (1, 4), (17, 5), (100, 7)]:
-            check_invariants(BlockDistribution(n, p))
+            assert check_distribution(BlockDistribution(n, p)) == []
 
     def test_out_of_range_rejected(self):
         d = BlockDistribution(10, 2)
@@ -58,15 +43,10 @@ class TestBlock:
         with pytest.raises(IndexError):
             d.owner(np.array([-1]))
 
-    def test_block_start(self):
-        d = BlockDistribution(10, 4)
-        assert d.block_start(0) == 0
-        assert d.block_start(2) == 6
-
     def test_more_ranks_than_elements(self):
         d = BlockDistribution(2, 5)
         assert sum(d.local_size(p) for p in range(5)) == 2
-        check_invariants(d)
+        assert check_distribution(d) == []
 
 
 class TestIndexDtype:
@@ -74,7 +54,6 @@ class TestIndexDtype:
     distribution, never truncated; empty arrays of any dtype are none."""
 
     DISTS = [BlockDistribution(10, 2), CyclicDistribution(10, 2),
-             BlockCyclicDistribution(10, 2, 3),
              IrregularDistribution([0, 1] * 5, 2)]
 
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
@@ -109,39 +88,13 @@ class TestCyclic:
 
     def test_invariants(self):
         for n, p in [(0, 2), (11, 3), (64, 8)]:
-            check_invariants(CyclicDistribution(n, p))
+            assert check_distribution(CyclicDistribution(n, p)) == []
 
     def test_sizes(self):
         d = CyclicDistribution(10, 3)
         assert [d.local_size(p) for p in range(3)] == [4, 3, 3]
         with pytest.raises(IndexError):
             d.local_size(3)
-
-
-class TestBlockCyclic:
-    def test_blocks_dealt(self):
-        d = BlockCyclicDistribution(12, 2, block_size=3)
-        assert np.array_equal(
-            d.owner(ALL_IDX(12)),
-            np.array([0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1]),
-        )
-
-    def test_local_index(self):
-        d = BlockCyclicDistribution(12, 2, block_size=3)
-        # element 7 is the second element of rank0's second block
-        assert d.local_index(np.array([7]))[0] == 4
-
-    def test_invariants(self):
-        check_invariants(BlockCyclicDistribution(23, 4, block_size=3))
-
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            BlockCyclicDistribution(10, 2, block_size=0)
-
-    def test_block_size_one_is_cyclic(self):
-        d1 = BlockCyclicDistribution(10, 3, 1)
-        d2 = CyclicDistribution(10, 3)
-        assert np.array_equal(d1.owner(ALL_IDX(10)), d2.owner(ALL_IDX(10)))
 
 
 class TestIrregular:
@@ -158,7 +111,7 @@ class TestIrregular:
 
     def test_invariants(self, rng):
         labels = rng.integers(0, 6, 100)
-        check_invariants(IrregularDistribution(labels, 6))
+        assert check_distribution(IrregularDistribution(labels, 6)) == []
 
     def test_map_out_of_range(self):
         with pytest.raises(ValueError):
@@ -175,23 +128,6 @@ class TestIrregular:
         with pytest.raises(ValueError):
             IrregularDistribution(np.zeros((2, 2), dtype=int), 2)
 
-    def test_from_partition_lists(self):
-        parts = [np.array([0, 3]), np.array([1, 2])]
-        d = IrregularDistribution.from_partition_lists(parts, 4)
-        assert np.array_equal(d.to_map_array(), [0, 1, 1, 0])
-
-    def test_from_partition_lists_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            IrregularDistribution.from_partition_lists(
-                [np.array([0, 1]), np.array([1])], 2
-            )
-
-    def test_from_partition_lists_missing_rejected(self):
-        with pytest.raises(ValueError):
-            IrregularDistribution.from_partition_lists(
-                [np.array([0]), np.array([2])], 3
-            )
-
     def test_equality(self):
         a = IrregularDistribution([0, 1, 0], 2)
         b = IrregularDistribution([0, 1, 0], 2)
@@ -206,3 +142,21 @@ class TestIrregular:
         blk = BlockDistribution(6, 2)
         irr = IrregularDistribution([0, 0, 0, 1, 1, 1], 2)
         assert blk == irr
+
+    def test_build_calls_independent_of_ranks(self):
+        """One stable sort builds the layout: the same C calls at P=16 as at
+        P=128, not one pass over the map per rank."""
+        rng = np.random.default_rng(4403)
+        got = []
+        for p in (16, 128):
+            labels = rng.integers(0, p, 40_000)
+            got.append(count_calls(lambda: IrregularDistribution(labels, p)))
+        assert got[0] == got[1]
+
+    def test_layout_is_read_only(self):
+        d = IrregularDistribution([1, 0, 1, 0, 2], 3)
+        assert d.global_indices(1).tolist() == [0, 2]
+        for arr in (d.global_indices(1), d.local_sizes(), d.layout.owners,
+                    d.layout.offsets, BlockDistribution(5, 2).local_sizes()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7

@@ -5,11 +5,17 @@ import pytest
 
 from repro.core import (
     ChaosRuntime,
-    block_iteration_slices,
+    ExecutionContext,
+    build_lightweight_schedule,
     partition_iterations,
     split_by_block,
 )
 from repro.sim import Machine
+
+from conftest import count_calls
+from oracle import traffic_of
+
+RULES = ("owner-computes", "almost-owner-computes")
 
 
 def env(rng, n=24, p=4):
@@ -20,13 +26,6 @@ def env(rng, n=24, p=4):
 
 
 class TestBlockSlices:
-    def test_cover_everything(self, machine4):
-        slices = block_iteration_slices(10, machine4)
-        covered = []
-        for s in slices:
-            covered.extend(range(s.start, s.stop))
-        assert covered == list(range(10))
-
     def test_split_by_block(self, machine4):
         arr = np.arange(10)
         parts = split_by_block(arr, machine4)
@@ -144,3 +143,107 @@ class TestValidation:
         m, rt, tt = env(rng)
         assign = partition_iterations(rt.ctx, tt, [[] for _ in range(4)])
         assert assign.counts.sum() == 0
+
+
+def per_rank_vote(rows):
+    """Majority owner of each column of ``rows``, ties to the earliest
+    row that attains the maximum — column by column in Python."""
+    out = []
+    for col in rows.T.tolist():
+        counts = [col.count(v) for v in col]
+        out.append(col[counts.index(max(counts))])
+    return np.array(out, dtype=np.int64)
+
+
+def per_rank_partition(ctx, tt, accesses, rule):
+    """Phases C-D rank by rank: one dereference of each rank's arrays
+    concatenated, then each rank's vote and memop charge, then the
+    light-weight schedule.  Returns ``(dest, counts)``."""
+    queries = [np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+               for arrays in accesses]
+    owners, _ = tt.dereference(ctx, queries, category="partition")
+    dest = []
+    for p, arrays in enumerate(accesses):
+        n_iter = len(arrays[0]) if arrays else 0
+        if n_iter == 0:
+            dest.append(np.zeros(0, np.int64))
+            continue
+        rows = owners[p].reshape(len(arrays), n_iter)
+        ctx.machine.charge_memops(p, rows.size, "partition")
+        dest.append(rows[0].copy() if rule == "owner-computes"
+                    else per_rank_vote(rows))
+    sched = build_lightweight_schedule(ctx, dest, category="partition")
+    return dest, sched.extent
+
+
+class TestRankMajorVote:
+    """One vote over the machine's iterations is the per-rank vote: with
+    some ranks holding k arrays, some k empty ones and some none, dest,
+    counts, traffic and clocks all equal the rank-by-rank reference."""
+
+    # iterations per rank; None: the rank holds no arrays at all
+    ITERATIONS = (7, None, 12, 0, 1, None)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_matches_per_rank_reference(self, backend_name, rule):
+        rng = np.random.default_rng(4401)
+        n, k = 40, 3
+        owner = rng.integers(0, 4, n)  # few owners: majorities and ties
+        accesses = [[] if it is None else
+                    [rng.integers(0, n, it) for _ in range(k)]
+                    for it in self.ITERATIONS]
+        runs = []
+        for run in (partition_iterations, per_rank_partition):
+            ctx = ExecutionContext.resolve(
+                Machine(len(accesses), record_messages=True), backend_name)
+            tt = ChaosRuntime(ctx).irregular_table(owner)
+            if run is partition_iterations:
+                a = run(ctx, tt, accesses, rule=rule)
+                dest, counts = a.dest, a.counts
+            else:
+                dest, counts = run(ctx, tt, accesses, rule)
+            runs.append(([d.tolist() for d in dest], counts.tolist(),
+                         traffic_of(ctx.machine)))
+        assert runs[0] == runs[1]
+        assert sum(runs[0][1]) == 7 + 12 + 1
+
+    def test_ranks_disagreeing_on_array_count_rejected(self, rng):
+        m, rt, tt = env(rng)
+        one, two = [np.array([0])], [np.array([0]), np.array([1])]
+        with pytest.raises(ValueError, match="number of indirection"):
+            partition_iterations(rt.ctx, tt, [one, two, [], []])
+
+
+class TestShape:
+    """Host work of Phases C-D does not grow with the machine: the same
+    C calls at P=16 as at P=128 (run once first so lazy state fills)."""
+
+    @staticmethod
+    def calls(fn):
+        fn()
+        return count_calls(fn)
+
+    def test_split_by_block(self):
+        arr, strided = np.arange(12_005), np.zeros((1000, 3))[:, 1]
+        got = [self.calls(lambda: (split_by_block(arr, m),
+                                   split_by_block(strided, m)))
+               for m in (Machine(16), Machine(128))]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_partition_iterations(self, rule):
+        rng = np.random.default_rng(4402)
+        n = 4000
+        # 2 * 12_005 references: neither 16 nor 128 divides the block
+        # split evenly, so both machines wait at the barriers
+        ia, ib = rng.integers(0, n, (2, 12_005))
+        got = []
+        for p in (16, 128):
+            m = Machine(p)
+            rt = ChaosRuntime(ExecutionContext.resolve(m, "vectorized"))
+            tt = rt.irregular_table(rng.integers(0, p, n))
+            accesses = [list(pair) for pair in zip(split_by_block(ia, m),
+                                                   split_by_block(ib, m))]
+            got.append(self.calls(lambda: partition_iterations(
+                rt.ctx, tt, accesses, rule=rule)))
+        assert got[0] == got[1]

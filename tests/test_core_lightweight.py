@@ -18,7 +18,7 @@ class TestBuild:
         sched = build_lightweight_schedule(ctx4, dest)
         for p in range(4):
             assert sched.send_sizes(p).sum() == 20
-            got = sched.recv_total(p)
+            got = sched.extent[p]
             expected = sum(int(np.count_nonzero(d == p)) for d in dest)
             assert got == expected
 

@@ -1,6 +1,8 @@
 """Tests for the consistency validators (and, transitively, another sweep
 over every builder's invariants)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,34 @@ class TestDistributionChecks:
             IrregularDistribution(rng.integers(0, 5, 40), 5)
         ) == []
         assert check_distribution(BlockDistribution(0, 3)) == []
+
+    def damaged(self, rng, damage):
+        """An irregular distribution whose layout ``order`` went through
+        ``damage(order, lo)`` (``lo``: its largest rank's segment start),
+        and that rank."""
+        dist = IrregularDistribution(rng.integers(0, 4, 40), 4)
+        layout = dist.layout
+        p = int(np.argmax(layout.sizes))
+        order = layout.order.copy()
+        damage(order, int(layout.starts[p]))
+        dist.layout = dataclasses.replace(layout, order=order)
+        return dist, p
+
+    def test_swapped_segment_entries_fail(self, rng):
+        """Two entries of one rank's segment swapped: still that rank's
+        elements and still a permutation, out of local-offset order."""
+        def swap(order, lo):
+            order[[lo, lo + 1]] = order[[lo + 1, lo]]
+        dist, p = self.damaged(rng, swap)
+        assert check_distribution(dist) == [
+            f"rank {p}: global_indices out of offset order"]
+
+    def test_duplicate_entry_fails(self, rng):
+        def duplicate(order, lo):
+            order[lo] = order[lo + 1]
+        dist, _ = self.damaged(rng, duplicate)
+        assert "layout order is not a permutation of the elements" in \
+            check_distribution(dist)
 
     def test_translation_table_passes(self, ctx4, rng):
         rt = ChaosRuntime(ctx4)

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import (
     ExecutionContext,
-    BlockCyclicDistribution,
     BlockDistribution,
     ChaosRuntime,
     CyclicDistribution,
@@ -19,6 +18,7 @@ from repro.core import (
     scatter_append,
     split_by_block,
 )
+from repro.core.verify import check_distribution
 from repro.partitioners import RCB, chain_boundaries
 from repro.sim import Machine, load_balance_index
 from repro.util import hash_uniform
@@ -34,13 +34,11 @@ ranks = st.integers(min_value=1, max_value=6)
 def distribution(draw):
     n = draw(sizes)
     p = draw(ranks)
-    kind = draw(st.sampled_from(["block", "cyclic", "blockcyclic", "irregular"]))
+    kind = draw(st.sampled_from(["block", "cyclic", "irregular"]))
     if kind == "block":
         return BlockDistribution(n, p)
     if kind == "cyclic":
         return CyclicDistribution(n, p)
-    if kind == "blockcyclic":
-        return BlockCyclicDistribution(n, p, draw(st.integers(1, 5)))
     labels = draw(arrays(np.int64, n, elements=st.integers(0, p - 1)))
     return IrregularDistribution(labels, p)
 
@@ -52,17 +50,7 @@ def distribution(draw):
 @settings(max_examples=60, deadline=None)
 def test_distribution_partition_property(dist):
     """Every element owned exactly once; offsets bijective per rank."""
-    n = dist.n_global
-    idx = np.arange(n, dtype=np.int64)
-    owners = dist.owner(idx)
-    offsets = dist.local_index(idx)
-    total = 0
-    for p in range(dist.n_ranks):
-        mine = offsets[owners == p]
-        assert sorted(mine.tolist()) == list(range(mine.size))
-        assert mine.size == dist.local_size(p)
-        total += mine.size
-    assert total == n
+    assert check_distribution(dist) == []
 
 
 @given(distribution())

@@ -9,6 +9,7 @@ pytest-asyncio in the toolchain — each test drives its own loop with
 
 import asyncio
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -384,6 +385,41 @@ class TestCancelAndTimeout:
         # reported its own JobCancelled — both are correct
         assert "running" in v.error or "asked to stop" in v.error
         assert stats["by_status"] == {"cancelled": 1}
+
+    def test_cancel_of_a_job_that_ignores_its_control(self):
+        """The running thread never checks its control: the cancel is
+        recorded at once, the thread parks as a straggler until it is
+        released, and drain() waits for it.  Events order every step."""
+        started, release, finished = (threading.Event() for _ in range(3))
+
+        def stubborn(ctx, control):
+            started.set()
+            release.wait()
+            finished.set()
+            return "late"
+
+        async def main():
+            async with ProgramServer() as srv:
+                try:
+                    h = await srv.submit(CallableJob(fn=stubborn))
+                    await asyncio.to_thread(started.wait)
+                    assert h.cancel()
+                    v = await h.wait()
+                    stragglers = srv.stats()["stragglers"]
+                    drain = asyncio.ensure_future(srv.drain())
+                    await asyncio.sleep(0)
+                    assert not drain.done()  # blocked on the straggler
+                    release.set()
+                    await drain
+                    return v, stragglers, srv.stats()["stragglers"]
+                finally:
+                    release.set()  # never leave close() a blocked thread
+
+        v, before, after = run(main())
+        assert v.status is JobStatus.CANCELLED
+        assert v.error == "cancelled while running"
+        assert (before, after) == (1, 0)
+        assert finished.is_set()
 
     def test_timeout_records_verdict_and_run_continues(self):
         async def main():
