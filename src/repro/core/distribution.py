@@ -109,12 +109,14 @@ class Distribution(ABC):
         return self.layout.sizes
 
     def local_size(self, rank: int) -> int:
-        """Number of elements owned by ``rank``."""
-        return int(self.local_sizes()[rank])
+        """Number of elements owned by ``rank`` (a negative rank wraps,
+        as in :meth:`global_indices`)."""
+        return int(self.local_sizes()[range(self.n_ranks)[rank]])
 
     def global_indices(self, rank: int) -> np.ndarray:
         """Global indices owned by ``rank`` in local-offset order (a
         read-only view of the layout's ``order``)."""
+        rank = range(self.n_ranks)[rank]
         starts = self.layout.starts
         return self.layout.order[starts[rank]:starts[rank + 1]]
 
@@ -167,7 +169,9 @@ class BlockDistribution(Distribution):
         arr = self.check_indices(indices)
         return arr - self._starts[self.owner(arr)]
 
-    def local_sizes(self) -> np.ndarray:  # closed form: builds no layout
+    def local_sizes(self) -> np.ndarray:
+        # closed form, no layout: TranslationTable.memory_per_rank asks
+        # a BLOCK over the whole table for one rank's share
         return self._sizes
 
 
@@ -181,9 +185,6 @@ class CyclicDistribution(Distribution):
     def local_index(self, indices) -> np.ndarray:
         arr = self.check_indices(indices)
         return arr // self.n_ranks
-
-    def local_sizes(self) -> np.ndarray:  # dealt like BLOCK's, no layout
-        return block_sizes(self.n_global, self.n_ranks)
 
 
 class IrregularDistribution(Distribution):

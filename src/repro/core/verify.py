@@ -26,12 +26,10 @@ def check_distribution(dist: Distribution) -> list[str]:
     local-offset order (checked against the rule, rank by rank)."""
     problems: list[str] = []
     n = dist.n_global
-    if n == 0:
-        return problems
     idx = np.arange(n, dtype=np.int64)
     owners = dist.owner(idx)
     offsets = dist.local_index(idx)
-    if owners.min() < 0 or owners.max() >= dist.n_ranks:
+    if owners.size and (owners.min() < 0 or owners.max() >= dist.n_ranks):
         problems.append("owner outside rank range")
     order = dist.layout.order
     if order.shape != idx.shape or not np.array_equal(np.sort(order), idx):

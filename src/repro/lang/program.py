@@ -61,7 +61,6 @@ from repro.core.distribution import (
     CyclicDistribution,
     Distribution,
     IrregularDistribution,
-    Layout,
 )
 from repro.core.executor import run_reduction
 from repro.core.iteration import partition_iterations, split_by_block
@@ -144,12 +143,6 @@ def _check_ragged_bounds(name: str, sizes: np.ndarray, lens: np.ndarray,
 class _DecompState:
     size: int
     ttable: TranslationTable | None = None
-
-    @property
-    def layout(self) -> Layout:
-        """The distribution's rank-major layout (``order[k]``: the global
-        element at position ``k`` of an arena)."""
-        return self.ttable.dist.layout
 
 
 @dataclass
@@ -274,8 +267,9 @@ class ProgramInstance:
             return split_csr(*self.ragged[name])
         if name in self.local:
             flat = self.local[name].flat
+            order = self.decomps[self._decomp_of(name)].ttable.dist.layout.order
             out = np.empty_like(flat)
-            out[self.decomps[self._decomp_of(name)].layout.order] = flat
+            out[order] = flat
             return out
         if name in self.host:
             return self.host[name]
@@ -377,7 +371,8 @@ class ProgramInstance:
                 f"array {name!r} has {g.shape[0]} elements, decomposition "
                 f"expects {st.size}"
             )
-        self.local[name] = RankArena(g[st.layout.order], st.layout.sizes)
+        layout = st.ttable.dist.layout
+        self.local[name] = RankArena(g[layout.order], layout.sizes)
 
     # ==================================================================
     # loops
@@ -431,7 +426,7 @@ class ProgramInstance:
             raise ExecutionError(f"ragged array {name!r} has no value", line)
         flat, offsets = self.ragged[name]
         _check_ragged_bounds(name, sizes, np.diff(offsets), line)
-        order = st.layout.order
+        order = st.ttable.dist.layout.order
         return flat[grouped_arange(offsets[order], sizes[order])]
 
     # ---- index-space construction -------------------------------------
@@ -448,13 +443,14 @@ class ProgramInstance:
         hi = self._outer_upper(nest, st)
         # compile_program admits only the patterns each kind builds below
         gidx: dict[str, np.ndarray] = {}
-        order = st.layout.order
+        layout = tt.dist.layout
+        order = layout.order
         if nest.kind == "csr":
             # 1-based positions -> 0-based CSR offsets, rows rank-major
             offsets0 = self._int_array(nest.csr_offsets) - 1
             starts = offsets0[order]
             counts = offsets0[order + 1] - starts
-            n_iter = st.layout.per_rank(counts)
+            n_iter = layout.per_rank(counts)
             of_var = {outer.var: np.repeat(order, counts),
                       nest.inner.var: grouped_arange(starts, counts)}
             for pat in plan.index_patterns:
@@ -473,7 +469,7 @@ class ProgramInstance:
                     gidx[pat.key()] = self._ragged_stream(
                         pat.indirection, sizes, st, outer.line
                     ).astype(np.int64) - 1
-            n_iter = st.layout.per_rank(sizes[order])
+            n_iter = layout.per_rank(sizes[order])
             m.charge_memops_vec(2 * n_iter, "inspector")
         else:  # flat
             blocks: dict[str, list[np.ndarray]] = {}
@@ -598,7 +594,7 @@ class ProgramInstance:
         for stmt in nest.statements:
             self._arena(stmt.target.name, stmt.line).flat[...] = \
                 stmt.value.value
-        m.charge_compute_vec(st.layout.sizes, "compute")
+        m.charge_compute_vec(st.ttable.dist.layout.sizes, "compute")
         m.barrier()
 
     # ---- append loops -------------------------------------------------------
@@ -624,7 +620,8 @@ class ProgramInstance:
                 f"routing array {plan.routing!r} holds out-of-range cells",
                 line,
             )
-        n_iter = st.layout.per_rank(sizes[st.layout.order])
+        layout = tt.dist.layout
+        n_iter = layout.per_rank(sizes[layout.order])
         m.charge_memops_vec(2 * n_iter, "inspector")
 
         sched = build_lightweight_schedule(

@@ -75,6 +75,17 @@ class TestIndexDtype:
         assert dist.check_indices(np.array([4], dtype=np.int32)).dtype == \
             np.int64
 
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
+    def test_negative_rank_wraps(self, dist):
+        assert dist.local_size(-1) == dist.local_size(1) == 5
+        assert dist.global_indices(-1).tolist() == \
+            dist.global_indices(1).tolist()
+        for bad in (2, -3):
+            with pytest.raises(IndexError):
+                dist.local_size(bad)
+            with pytest.raises(IndexError):
+                dist.global_indices(bad)
+
 
 class TestCyclic:
     def test_round_robin(self):
