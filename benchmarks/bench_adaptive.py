@@ -42,6 +42,7 @@ from common import full_scale, print_table  # noqa: E402
 from repro.core import (  # noqa: E402
     ChaosRuntime,
     ExecutionContext,
+    IrregularDistribution,
     IrregularReduction,
     TranslationTable,
     build_schedule,
@@ -195,10 +196,10 @@ def bench_paged_budget(cfg: dict, seed: int = 31) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     n = cfg["n_global"]
     m = Machine(N_RANKS)
-    ctx = ExecutionContext.resolve(m, BACKEND,
-                                   page_budget_bytes=PAGE_BUDGET_BYTES)
-    tt = TranslationTable.from_map(m, rng.integers(0, N_RANKS, n),
-                                   storage="paged")
+    ctx = ExecutionContext.resolve(m, BACKEND)
+    tt = TranslationTable(
+        m, IrregularDistribution(rng.integers(0, N_RANKS, n), N_RANKS),
+        storage="paged", page_budget_bytes=PAGE_BUDGET_BYTES)
     group = make_hash_tables(ctx, tt)
     for r in range(3):
         refs = rng.integers(0, n, cfg["n_refs"] // 4)

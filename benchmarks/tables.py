@@ -38,9 +38,10 @@ from repro.apps.dsmc import (  # noqa: E402
     CartesianGrid, DSMCConfig, FlowConfig, ParallelDSMC, SequentialDSMC)
 from repro.apps.dsmc.collisions import COLLIDE_OPS, MOVE_OPS  # noqa: E402
 from repro.core import (  # noqa: E402
-    ExecutionContext, TranslationTable, build_lightweight_schedule,
-    build_schedule, chaos_hash, default_backend, gather, make_hash_tables,
-    remap, remap_array, scatter_append, scatter_op, stack_local_ghost)
+    ExecutionContext, RankArena, TranslationTable,
+    build_lightweight_schedule, build_schedule, chaos_hash, default_backend,
+    gather, make_hash_tables, remap, remap_array, scatter_append, scatter_op,
+    split_by_block, stack_local_ghost)
 from repro.core.distribution import BlockDistribution  # noqa: E402
 from repro.lang import ProgramInstance, compile_program  # noqa: E402
 from repro.partitioners import RCB, RIB, ChainPartitioner, run_partitioner  # noqa: E402
@@ -329,13 +330,13 @@ class HandCodedLoop:
         new_table = TranslationTable.from_map(m, map_array)
         if initial:
             block = BlockDistribution(wl["n"], m.n_ranks)
-            TranslationTable.from_distribution(m, block)  # DISTRIBUTE(BLOCK)
+            TranslationTable(m, block)  # DISTRIBUTE(BLOCK)
             plan = remap(self.ctx, block, new_table.dist, category="remap")
             for name, g in (("x", wl["x"]), ("y", wl["y"]),
                             ("dx", np.zeros(wl["n"])),
                             ("dy", np.zeros(wl["n"]))):
-                split = [g[block.global_indices(p)] for p in m.ranks()]
-                self.arrays[name] = remap_array(self.ctx, plan, split,
+                self.arrays[name] = remap_array(self.ctx, plan,
+                                                split_by_block(g, m),
                                                 category="remap")
         else:
             plan = remap(self.ctx, self.table.dist, new_table.dist, category="remap")
@@ -348,21 +349,19 @@ class HandCodedLoop:
     def _inspect(self):
         m = self.m
         wl = self.wl
-        dist = self.table.dist
+        layout = self.table.dist.layout
         self.group = make_hash_tables(self.ctx, self.table)
-        i_per, j_per = [], []
+        # every owned row's pairs, rank-major: rank p's pairs are its
+        # rows' partner lists in local-offset order
         offsets0, jnb0 = wl["inblo0"], wl["jnb0"]
-        for p in m.ranks():
-            rows = dist.global_indices(p)
-            counts = offsets0[rows + 1] - offsets0[rows]
-            total = int(counts.sum())
-            starts = offsets0[rows]
-            shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            flat = (np.repeat(starts - shift, counts)
-                    + np.arange(total, dtype=np.int64))
-            i_per.append(np.repeat(rows, counts))
-            j_per.append(jnb0[flat])
-            m.charge_memops(p, 2 * total, "inspector")
+        rows = layout.order
+        counts = offsets0[rows + 1] - offsets0[rows]
+        sizes = layout.per_rank(counts)
+        flat = (np.repeat(offsets0[rows] - (np.cumsum(counts) - counts),
+                          counts) + np.arange(sizes.sum()))
+        i_per = RankArena(np.repeat(rows, counts), sizes)
+        j_per = RankArena(jnb0[flat], sizes)
+        m.charge_memops_vec(2 * sizes, "inspector")
         self.i_loc = chaos_hash(self.ctx, self.group, self.table, i_per, "i",
                                 category="inspector")
         self.j_loc = chaos_hash(self.ctx, self.group, self.table, j_per, "jnb",
@@ -401,10 +400,8 @@ class HandCodedLoop:
         m.barrier()
 
     def get_global(self, name: str) -> np.ndarray:
-        dist = self.table.dist
         out = np.zeros(self.wl["n"])
-        for p in self.m.ranks():
-            out[dist.global_indices(p)] = self.arrays[name][p]
+        out[self.table.dist.layout.order] = np.concatenate(self.arrays[name])
         return out
 
 
@@ -543,13 +540,10 @@ def run_manual(n_ranks: int, cfg: dict) -> dict:
     nc = grid.n_cells
     m = Machine(n_ranks)
     ctx = ExecutionContext.resolve(m)
-    dist = BlockDistribution(nc, m.n_ranks)
-    table = TranslationTable.from_distribution(m, dist)
+    table = TranslationTable(m, BlockDistribution(nc, m.n_ranks))
+    owned = split_by_block(np.arange(nc), m)  # each rank's cells
     # per-rank ragged state
-    local_rows = [
-        [rows[c] for c in dist.global_indices(p).tolist()]
-        for p in m.ranks()
-    ]
+    local_rows = [[rows[c] for c in cells.tolist()] for cells in owned]
     local_sizes = sizes.copy()
     append_time = 0.0
     for step in range(cfg["n_steps"]):
@@ -557,9 +551,8 @@ def run_manual(n_ranks: int, cfg: dict) -> dict:
         # flatten owned cells per rank
         dest_cell_per, values_per = [], []
         for p in m.ranks():
-            cells_owned = dist.global_indices(p)
             dests, vals = [], []
-            for idx, c in enumerate(cells_owned.tolist()):
+            for idx, c in enumerate(owned[p].tolist()):
                 k = int(local_sizes[c])
                 if k:
                     dests.append(icell[c][:k] - 1)
@@ -584,8 +577,7 @@ def run_manual(n_ranks: int, cfg: dict) -> dict:
         # communication (the primitives "return the new number of
         # particles in each cell")
         new_sizes = np.zeros(nc, dtype=np.int64)
-        for p in m.ranks():
-            cells_owned = dist.global_indices(p)
+        for p, cells_owned in enumerate(owned):
             order = np.argsort(arrived_cells[p], kind="stable")
             sc = arrived_cells[p][order]
             sv = arrived_vals[p][order]

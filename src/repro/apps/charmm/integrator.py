@@ -17,25 +17,3 @@ def verlet_drift(positions: np.ndarray, velocities: np.ndarray,
     positions += dt * velocities
     np.mod(positions, box, out=positions)
 
-
-def verlet_step(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    masses: np.ndarray,
-    forces_old: np.ndarray,
-    compute_forces,
-    dt: float,
-    box: float,
-) -> np.ndarray:
-    """One full velocity-Verlet step; returns the new forces.
-
-    ``compute_forces(positions) -> forces`` is called once, after the
-    drift.  All arrays updated in place.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    verlet_half_kick(velocities, forces_old, masses, dt)
-    verlet_drift(positions, velocities, dt, box)
-    forces_new = compute_forces(positions)
-    verlet_half_kick(velocities, forces_new, masses, dt)
-    return forces_new

@@ -41,6 +41,7 @@ from repro.apps.charmm.forces import (
     bond_pair_forces,
     nonbond_pair_forces,
 )
+from repro.apps.charmm.integrator import verlet_drift, verlet_half_kick
 from repro.apps.charmm.neighbors import build_nonbonded_list, take_csr_rows
 from repro.apps.charmm.sequential import MDTrace
 from repro.apps.charmm.system import MolecularSystem
@@ -375,15 +376,14 @@ class ParallelMD:
     def _integrate_half(self, forces: list[np.ndarray]) -> None:
         m = self.machine
         for p in m.ranks():
-            self.vel[p] += (0.5 * self.dt) * forces[p] / self.mass[p][:, None]
+            verlet_half_kick(self.vel[p], forces[p], self.mass[p], self.dt)
             m.charge_compute(p, INTEGRATE_OPS / 2 * self.vel[p].shape[0],
                              "compute")
 
     def _drift(self) -> None:
         m = self.machine
         for p in m.ranks():
-            self.pos[p] += self.dt * self.vel[p]
-            np.mod(self.pos[p], self.system.box, out=self.pos[p])
+            verlet_drift(self.pos[p], self.vel[p], self.dt, self.system.box)
             m.charge_compute(p, INTEGRATE_OPS / 2 * self.pos[p].shape[0],
                              "compute")
 

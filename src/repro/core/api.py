@@ -295,18 +295,19 @@ class IrregularReduction:
     indirection array, reusing unchanged index analysis.  Both route
     through the context's :class:`~repro.core.reuse.ScheduleCache` under
     loop id ``name``: an ``adapt`` that names the *touched positions*
-    records a delta payload and repairs the cached schedule incrementally
+    repairs the schedule it was taken against incrementally
     (``rehash_delta`` + ``delta_rebuild_schedule`` — bitwise-identical to
-    a full rebuild, cost proportional to the touched subset); an
-    untargeted ``adapt`` rebuilds the schedule in full, but clears and
-    re-hashes only the array that changed (paper §3.2.2: each array's
-    entries carry its own stamp).
+    a full rebuild, cost proportional to the touched subset) when the
+    cached schedule is current but for this one touch; otherwise, or
+    untargeted, the schedule is rebuilt in full, clearing and re-hashing
+    only the arrays that changed (paper §3.2.2: each array's entries
+    carry its own stamp).
 
-    ``bind`` and ``adapt`` mark the array they change; a hash, or a fully
-    applied delta chain, clears the mark.  A full build keeps an unmarked
+    ``bind`` and ``adapt`` mark the array they change; a hash, or an
+    applied repair, clears the mark.  A full build keeps an unmarked
     array's stamp and localized indices only while the live tables still
     hold its reference counts, so an external ``clear_stamp``, a
-    ``drop_hash_tables`` or a delta chain that raised half-way all force
+    ``drop_hash_tables`` or a repair that raised half-way all force
     its re-hash; a stamp the live tables do not count invalidates the
     cached schedule, so the next ``setup`` runs that full build too.
     Indirection arrays and localized indices are held as
@@ -333,8 +334,7 @@ class IrregularReduction:
             self.rt.machine.check_per_rank(per_rank, f"indirection {nm!r}")
             self._indirections[nm] = RankArena(*stream_of(per_rank))
             self._changed.add(nm)
-            # payload-less touch: a (re)bound array invalidates any
-            # cached schedule and breaks pending delta chains
+            # a (re)bound array invalidates any cached schedule
             self.rt.modification_record.touch(self._stamp_of(nm))
         return self
 
@@ -356,12 +356,15 @@ class IrregularReduction:
         ``touched`` (optional) gives per-rank *positions* into the
         array's slices that may differ from the currently bound values
         (repeats are ignored, positions outside a slice are a
-        ``ValueError``); all other positions must be unchanged, and a
-        changed one is a ``ValueError`` naming its rank and position.
-        With it, the update is recorded as a delta payload and the cached
-        schedule is repaired incrementally; without it the array is
-        re-hashed and the schedule rebuilt from scratch.  Either way the
-        result is identical to a cold inspector run over the new values.
+        ``ValueError``); all other positions must be unchanged (a changed
+        one is a ``ValueError`` naming its rank and position), and the
+        new array must not share memory with the bound one (an arena
+        changed in place has lost the old values: ``ValueError``).  With
+        it, the schedule is repaired from the touched positions alone
+        when the cached one is current but for this adapt; otherwise, or
+        without it, the array is re-hashed and the schedule rebuilt from
+        scratch.  Either way the result is identical to a cold inspector
+        run over the new values.
         """
         if name not in self._indirections:
             raise KeyError(f"unknown indirection array {name!r}")
@@ -369,22 +372,28 @@ class IrregularReduction:
         stamp = self._stamp_of(name)
         m.check_per_rank(new_per_rank, f"indirection {name!r}")
         new = RankArena(*stream_of(new_per_rank))
-        if touched is None:
-            self.rt.modification_record.touch(stamp)
-        else:
+        repair = None
+        if touched is not None:
             m.check_per_rank(touched, f"touched positions for {name!r}")
-            payload = self._payload(name, self._indirections[name], new,
-                                    touched)
-            self.rt.modification_record.touch(stamp, delta=payload)
+            delta = self._delta(name, self._indirections[name], new, touched)
+            repair = (stamp,
+                      lambda base: self._apply_delta(name, base, *delta))
+        self.rt.modification_record.touch(stamp)
         self._indirections[name] = new
         self._changed.add(name)
-        return self._rebuild()
+        return self._rebuild(repair)
 
     @staticmethod
-    def _payload(name: str, old: RankArena, new: RankArena, touched):
-        """The delta payload of a targeted adapt — ``(positions in the
-        stream, old values, new values)`` at the touched positions —
-        validated machine-wide."""
+    def _delta(name: str, old: RankArena, new: RankArena, touched):
+        """The delta of a targeted adapt — ``(positions in the stream,
+        old values, new values)`` at the touched positions — validated
+        machine-wide."""
+        if np.may_share_memory(old.flat, new.flat):
+            # an arena mutated in place: its old values, whose references
+            # the tables hold, are gone
+            raise ValueError(
+                f"a targeted adapt of {name!r} needs a new array, not the "
+                "bound one changed in place")
         if (old.sizes != new.sizes).any():
             p = int(np.flatnonzero(old.sizes != new.sizes)[0])
             raise ValueError(
@@ -418,7 +427,7 @@ class IrregularReduction:
                 RankArena(new.flat[pos], n_pos))
 
     # -- cached inspector ------------------------------------------------
-    def _rebuild(self) -> Schedule:
+    def _rebuild(self, repair=None) -> Schedule:
         group = self.rt.hash_tables(self.ttable)
         for s in self._stamps:
             if not group.counted(s):
@@ -431,7 +440,7 @@ class IrregularReduction:
             self.name,
             tuple(self._stamps),
             builder=self._build_full,
-            delta_builder=self._apply_deltas,
+            repair=repair,
         )
         self._schedule = sched
         return sched
@@ -459,33 +468,26 @@ class IrregularReduction:
         return build_schedule(ctx, group, group.expr(*self._stamps),
                               category=category)
 
-    def _apply_deltas(self, base: Schedule, moved) -> Schedule:
-        """Replay touch payloads: subset re-hash + schedule splice."""
-        group = self.rt.hash_tables(self.ttable)
-        expr = group.expr(*self._stamps)
-        sched = base
-        for stamp, chain in moved.items():
-            # stamp is f"{self.name}:{nm}" — strip the loop-name prefix
-            # wholesale (the loop name itself may contain colons)
-            nm = stamp[len(self.name) + 1:]
-            loc = self._localized[nm] = RankArena.adopt(self._localized[nm])
-            for positions, old_vals, new_vals in chain:
-                try:
-                    rehash = rehash_delta(
-                        self.rt.ctx, group, self.ttable, stamp,
-                        old_vals, new_vals, "schedule_regen",
-                    )
-                    sched = delta_rebuild_schedule(
-                        self.rt.ctx, group, expr, sched, rehash,
-                        "schedule_regen",
-                    )
-                except (KeyError, ValueError, RuntimeError) as e:
-                    # e.g. the splice found a stale base — the full
-                    # inspector is always a correct recovery; the array
-                    # stays marked, so it is re-hashed there
-                    raise DeltaFallback(str(e)) from e
-                loc.flat[positions] = rehash.localized.flat
-            self._changed.discard(nm)  # its whole chain is applied
+    def _apply_delta(self, name: str, base: Schedule, positions,
+                     old: RankArena, new: RankArena) -> Schedule:
+        """Repair ``base`` after one targeted adapt of ``name``: subset
+        re-hash + schedule splice."""
+        ctx, group = self.rt.ctx, self.rt.hash_tables(self.ttable)
+        loc = self._localized[name] = RankArena.adopt(self._localized[name])
+        try:
+            rehash = rehash_delta(ctx, group, self.ttable,
+                                  self._stamp_of(name), old, new,
+                                  "schedule_regen")
+            sched = delta_rebuild_schedule(ctx, group,
+                                           group.expr(*self._stamps), base,
+                                           rehash, "schedule_regen")
+        except (KeyError, ValueError, RuntimeError) as e:
+            # e.g. the splice found a stale base — the full inspector is
+            # always a correct recovery; the array stays marked, so it
+            # is re-hashed there
+            raise DeltaFallback(str(e)) from e
+        loc.flat[positions] = rehash.localized.flat
+        self._changed.discard(name)
         return sched
 
     @property

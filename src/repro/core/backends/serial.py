@@ -180,9 +180,9 @@ class SerialBackend(Backend):
                 cache = ttable._page_cache[p]
                 uniq_pages = np.unique(pages)
                 # admit touches residents, returns misses, and evicts
-                # down to the context's byte budget (LRU) — evicted
+                # down to the table's byte budget (LRU) — evicted
                 # pages re-charge their fetch on the next lookup
-                missing = cache.admit(uniq_pages, ttable.page_budget(ctx))
+                missing = cache.admit(uniq_pages)
                 # only missing pages generate requests, whole pages return
                 for pg in missing.tolist():
                     home = int(ttable._table_dist.owner(

@@ -227,8 +227,7 @@ class VectorizedBackend(Backend):
                 uniq_pages = np.unique(q // ttable.page_size)
                 # same admit path as the serial reference: identical
                 # cache state, identical re-fetch traffic under a budget
-                missing = ttable._page_cache[p].admit(
-                    uniq_pages, ttable.page_budget(ctx))
+                missing = ttable._page_cache[p].admit(uniq_pages)
                 if missing.size:
                     starts = np.minimum(missing * ttable.page_size,
                                         ttable.dist.n_global - 1)

@@ -14,7 +14,9 @@ collapses the plumbing:
   executing every pipeline phase (never ``None``, never a bare name);
 * per-run services — a :class:`~repro.core.reuse.ModificationRecord`,
   the :class:`~repro.core.reuse.ScheduleCache` built over it, and the
-  run's RNG ``seed``.
+  run's RNG ``seed``.  Every context ``resolve`` builds gets a fresh
+  record and cache; a :meth:`~ExecutionContext.with_backend` variant
+  shares its parent's.
 
 Default resolution happens in exactly one place,
 :meth:`ExecutionContext.resolve`: an explicit ``backend`` argument wins,
@@ -69,8 +71,8 @@ class ExecutionContext:
     The carrier itself is immutable (fields cannot be rebound); the
     services it carries — the machine's clocks/traffic, the modification
     record, the schedule cache — are of course mutable objects.  Use
-    :meth:`with_backend` / :meth:`derive` to obtain variants sharing the
-    same machine and services.
+    :meth:`with_backend` to obtain a variant sharing the same machine and
+    services.
     """
 
     machine: Machine
@@ -78,20 +80,11 @@ class ExecutionContext:
     seed: int = 0
     record: ModificationRecord | None = None
     schedule_cache: ScheduleCache | None = None
-    #: per-rank byte budget for paged translation caches (``None`` =
-    #: unbounded); carried frozen so every lookup in a run sees one policy
-    page_budget_bytes: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.machine, Machine):
             raise TypeError(
                 f"machine must be a Machine, got {self.machine!r}"
-            )
-        if self.page_budget_bytes is not None \
-                and self.page_budget_bytes < 0:
-            raise ValueError(
-                f"page_budget_bytes must be >= 0 or None, got "
-                f"{self.page_budget_bytes}"
             )
         if not isinstance(self.backend, Backend):
             raise TypeError(
@@ -113,53 +106,32 @@ class ExecutionContext:
         backend=None,
         *,
         seed: int | None = None,
-        record: ModificationRecord | None = None,
-        schedule_cache: ScheduleCache | None = None,
-        page_budget_bytes: int | None = None,
     ) -> "ExecutionContext":
         """The one place defaults are resolved.
 
         ``machine`` may be a :class:`Machine` (a fresh context is built
         for it) or an existing context (returned as-is, or re-targeted
         with :meth:`with_backend` when ``backend`` names a different
-        one; combining a context with ``seed``/``record``/
-        ``schedule_cache``/``page_budget_bytes`` is an error — use
-        :meth:`derive`).  ``backend`` may be ``None``, a backend name,
-        or a :class:`Backend` instance; ``None`` falls through to the
+        one; an existing context keeps its ``seed``, so passing one is an
+        error).  ``backend`` may be ``None``, a backend name, or a
+        :class:`Backend` instance; ``None`` falls through to the
         ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
         """
         if isinstance(machine, ExecutionContext):
-            if seed is not None or record is not None \
-                    or schedule_cache is not None \
-                    or page_budget_bytes is not None:
+            if seed is not None:
                 raise TypeError(
-                    "resolve: cannot combine an existing ExecutionContext "
-                    "with seed/record/schedule_cache/page_budget_bytes "
-                    "overrides; use ctx.derive(...) instead"
-                )
+                    "resolve: an existing ExecutionContext keeps its seed")
             ctx = machine
             if backend is None or resolve_backend(backend) is ctx.backend:
                 return ctx
             return ctx.with_backend(backend)
-        return cls(
-            machine=machine,
-            backend=resolve_backend(backend),
-            seed=0 if seed is None else seed,
-            record=record,
-            schedule_cache=schedule_cache,
-            page_budget_bytes=page_budget_bytes,
-        )
+        return cls(machine=machine, backend=resolve_backend(backend),
+                   seed=0 if seed is None else seed)
 
     # ------------------------------------------------------------------
     def with_backend(self, backend) -> "ExecutionContext":
         """Variant running on ``backend``, sharing machine + services."""
         return replace(self, backend=resolve_backend(backend))
-
-    def derive(self, **changes) -> "ExecutionContext":
-        """``dataclasses.replace`` with backend names resolved."""
-        if "backend" in changes:
-            changes["backend"] = resolve_backend(changes["backend"])
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # machine conveniences

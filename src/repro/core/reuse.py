@@ -12,13 +12,13 @@ artifact) by loop id and remembers the dependency versions they were built
 against; ``get_or_build`` rebuilds only when a dependency moved.
 
 Adaptive applications rarely rewrite a whole indirection array: the paper's
-premise is that most entries survive between inspector invocations.  The
-cache therefore supports *incremental* rebuilds: a ``touch`` may carry a
-*delta payload* describing exactly which positions changed, and
-``get_or_build`` hands a contiguous chain of such payloads to a
-``delta_builder`` instead of running the full ``builder``.  Delta rebuilds
-are counted separately (:class:`CacheStats`) so reuse effectiveness stays
-observable — and gateable in CI.
+premise is that most entries survive between inspector invocations.  A
+caller that knows what its own touch changed may therefore hand
+``get_or_build`` a *repair* for that one touch: when the cached value is
+exactly that touch behind, the repair updates it incrementally instead of
+running the full ``builder``.  Repairs are counted separately
+(:class:`CacheStats`) so reuse effectiveness stays observable — and
+gateable in CI.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class CacheStats:
 
     ``hits``            entries served without any rebuild,
     ``builds``          full builder runs,
-    ``delta_rebuilds``  incremental rebuilds from touch deltas,
+    ``delta_rebuilds``  incremental repairs of a one-touch-old value,
     ``evictions``       values dropped by ``invalidate``,
     ``resident_bytes``  bytes of live cached values.
     """
@@ -72,7 +72,7 @@ class CacheStats:
 
 
 class DeltaFallback(Exception):
-    """Raised by a ``delta_builder`` to decline the incremental path.
+    """Raised by a repair to decline the incremental path.
 
     ``get_or_build`` catches it and runs the full ``builder`` instead
     (counted as a build, not a delta rebuild).  Use it when the cached
@@ -99,40 +99,15 @@ def value_nbytes(value: Any) -> int:
 
 
 class ModificationRecord:
-    """Version counters for named (indirection) arrays.
-
-    A ``touch`` may attach a *delta payload* — an opaque description of
-    exactly what changed (the adaptive caching layer passes per-rank
-    ``(positions, old_values, new_values)`` triples).  Payloads are kept
-    per version so a cache entry lagging several versions behind can
-    replay the contiguous chain; a payload-less touch (meaning "anything
-    may have changed") breaks the chain and forces full rebuilds.
-    """
-
-    #: per-name payload history bound — older deltas age out, breaking
-    #: chains for entries that lag far behind (they full-rebuild anyway)
-    MAX_DELTA_HISTORY = 16
+    """Version counters for named (indirection) arrays."""
 
     def __init__(self) -> None:
         self._versions: dict[str, int] = {}
-        self._deltas: dict[str, dict[int, Any]] = {}
 
-    def touch(self, name: str, delta: Any = None) -> int:
-        """Record that ``name`` may have been modified; bump its version.
-
-        ``delta`` (optional) describes the modification precisely enough
-        for an incremental rebuild; ``None`` invalidates any recorded
-        chain for ``name``.
-        """
+    def touch(self, name: str) -> int:
+        """Record that ``name`` may have been modified; bump its version."""
         v = self._versions.get(name, 0) + 1
         self._versions[name] = v
-        if delta is None:
-            self._deltas.pop(name, None)
-        else:
-            hist = self._deltas.setdefault(name, {})
-            hist[v] = delta
-            while len(hist) > self.MAX_DELTA_HISTORY:
-                del hist[min(hist)]
         return v
 
     def version(self, name: str) -> int:
@@ -140,28 +115,6 @@ class ModificationRecord:
 
     def versions_of(self, names: tuple[str, ...]) -> dict[str, int]:
         return {n: self.version(n) for n in names}
-
-    def delta_chain(self, name: str, since: int,
-                    until: int | None = None) -> list[Any] | None:
-        """Payloads covering versions ``since+1 .. until``, oldest first.
-
-        ``None`` when any version in the range lacks a payload (a
-        payload-less touch happened, or history aged out) — the caller
-        must fall back to a full rebuild.
-        """
-        if until is None:
-            until = self.version(name)
-        if until <= since:
-            return []
-        hist = self._deltas.get(name)
-        if hist is None:
-            return None
-        chain = []
-        for v in range(since + 1, until + 1):
-            if v not in hist:
-                return None
-            chain.append(hist[v])
-        return chain
 
     def names(self) -> list[str]:
         return sorted(self._versions)
@@ -191,32 +144,33 @@ class ScheduleCache:
         loop_id: str,
         deps: tuple[str, ...],
         builder: Callable[[], Any],
-        delta_builder: Callable[[Any, dict[str, list]], Any] | None = None,
+        repair: tuple[str, Callable[[Any], Any]] | None = None,
     ) -> tuple[Any, bool]:
         """Return ``(value, rebuilt)``.
 
         ``builder`` runs only when ``loop_id`` has no cached value or one
         of its dependency arrays has been touched since the value was
-        built.  When a ``delta_builder`` is given and *every* moved
-        dependency has a contiguous chain of touch payloads in the
-        modification record, the stale value is repaired incrementally
-        instead: ``delta_builder(old_value, {dep: [payload, ...]})`` must
-        return the equivalent of a full rebuild.  ``rebuilt`` is ``True``
-        for both full and delta rebuilds.
+        built.  With ``repair=(dep, fn)``, a live value that is current
+        on every other dependency and exactly one touch behind on ``dep``
+        is repaired instead: ``fn(old_value)`` must return the equivalent
+        of a full rebuild, or raise :class:`DeltaFallback` to have the
+        full ``builder`` run.  ``rebuilt`` is ``True`` for both full
+        builds and repairs.
         """
         current = self.record.versions_of(deps)
         entry = self._entries.get(loop_id)
-        if entry is not None and entry.live \
-                and entry.dep_versions == current:
+        live = entry is not None and entry.live
+        if live and entry.dep_versions == current:
             entry.hits += 1
             return entry.value, False
-        if entry is not None and entry.live and delta_builder is not None:
-            deltas = self._movable_deltas(entry, current)
-            if deltas is not None:
+        if live and repair is not None:
+            dep, fn = repair
+            if dep in current and entry.dep_versions == {
+                    **current, dep: current[dep] - 1}:
                 try:
-                    value = delta_builder(entry.value, deltas)
+                    value = fn(entry.value)
                 except DeltaFallback:
-                    pass  # builder declined; run the full build below
+                    pass  # repair declined; run the full build below
                 else:
                     entry.value = value
                     entry.dep_versions = current
@@ -234,28 +188,6 @@ class ScheduleCache:
             value_bytes=value_nbytes(value),
         )
         return value, True
-
-    def _movable_deltas(
-        self, entry: _CacheEntry, current: dict[str, int]
-    ) -> dict[str, list] | None:
-        """The payload chain of every moved dep, or ``None`` when any
-        moved dep is chain-less."""
-        moved: dict[str, list] = {}
-        for name, version in current.items():
-            built_at = entry.dep_versions.get(name)
-            if built_at is None:
-                return None  # dependency set itself changed
-            if version == built_at:
-                continue
-            if version < built_at:
-                return None  # record was replaced/rewound
-            chain = self.record.delta_chain(name, built_at, version)
-            if chain is None:
-                return None
-            moved[name] = chain
-        if set(entry.dep_versions) != set(current):
-            return None
-        return moved if moved else None
 
     def peek(self, loop_id: str) -> Any | None:
         """The cached value without counting a hit; ``None`` if absent."""

@@ -44,12 +44,14 @@ class _PageCache:
     A page→tick map carries recency; :meth:`admit` is the one entry point
     both backends drive, so cache state (and therefore charged re-fetch
     traffic) is identical whichever backend performs the lookups.
+    ``max_pages`` bounds the resident pages (``None``: unbounded).
     """
 
-    __slots__ = ("_arr", "_last_used", "_tick", "hits", "misses",
-                 "evictions")
+    __slots__ = ("max_pages", "_arr", "_last_used", "_tick", "hits",
+                 "misses", "evictions")
 
-    def __init__(self) -> None:
+    def __init__(self, max_pages: int | None) -> None:
+        self.max_pages = max_pages
         self._arr = np.zeros(0, dtype=np.int64)  # sorted resident pages
         self._last_used: dict[int, int] = {}
         self._tick = 0
@@ -63,31 +65,14 @@ class _PageCache:
     def __contains__(self, page: int) -> bool:
         return int(page) in self._last_used
 
-    def update(self, pages) -> None:
-        """Bulk-ingest pages (no recency bump, no eviction)."""
-        pages = np.asarray(
-            pages if isinstance(pages, np.ndarray) else list(pages),
-            dtype=np.int64,
-        )
-        if pages.size == 0:
-            return
-        fresh = np.setdiff1d(pages, self._arr)
-        if fresh.size:
-            self._arr = np.union1d(self._arr, fresh)
-            t = self._tick
-            lu = self._last_used
-            for pg in fresh.tolist():
-                lu[pg] = t
-
-    def admit(self, uniq_pages: np.ndarray,
-              max_pages: int | None) -> np.ndarray:
+    def admit(self, uniq_pages: np.ndarray) -> np.ndarray:
         """One collective lookup: touch resident pages, admit the rest.
 
         ``uniq_pages`` must be sorted unique page ids.  Returns the pages
         that were missing (the ones whose fetch must be charged).  After
-        admitting, evicts least-recently-used pages down to ``max_pages``
-        (``None`` = unbounded) — an evicted page's next lookup misses
-        again and re-charges its fetch traffic.
+        admitting, evicts least-recently-used pages down to
+        ``max_pages`` — an evicted page's next lookup misses again and
+        re-charges its fetch traffic.
         """
         self._tick += 1
         t = self._tick
@@ -104,8 +89,8 @@ class _PageCache:
         self.misses += int(missing.size)
         if missing.size:
             self._arr = np.union1d(self._arr, missing)
-        if max_pages is not None and self._arr.size > max_pages:
-            self._evict_to(max_pages)
+        if self.max_pages is not None and self._arr.size > self.max_pages:
+            self._evict_to(self.max_pages)
         return missing
 
     def _evict_to(self, max_pages: int) -> None:
@@ -122,14 +107,6 @@ class _PageCache:
             del lu[pg]
         self.evictions += n_evict
 
-    def clear(self) -> None:
-        self._arr = np.zeros(0, dtype=np.int64)
-        self._last_used.clear()
-
-    def as_array(self) -> np.ndarray:
-        """Sorted int64 array of cached page ids (the live storage)."""
-        return self._arr
-
 
 class TranslationTable:
     """Globally accessible (owner, offset) directory for one distribution.
@@ -138,6 +115,9 @@ class TranslationTable:
     :class:`~repro.core.distribution.Layout`, held centrally by the
     simulation: the storage policy only affects *charged* communication.
     Construction charges the build-time communication to the machine.
+    ``page_budget_bytes`` bounds each rank's page cache under ``paged``
+    storage (``None``: unbounded); least-recently-used pages are evicted
+    down to it.
     """
 
     VALID_STORAGE = ("replicated", "distributed", "paged")
@@ -148,6 +128,7 @@ class TranslationTable:
         dist: Distribution,
         storage: str = "replicated",
         page_size: int = 1024,
+        page_budget_bytes: int | None = None,
     ):
         if storage not in self.VALID_STORAGE:
             raise ValueError(
@@ -155,15 +136,20 @@ class TranslationTable:
             )
         if page_size < 1:
             raise ValueError(f"page size must be positive, got {page_size}")
+        if page_budget_bytes is not None and page_budget_bytes < 0:
+            raise ValueError(
+                f"page_budget_bytes must be >= 0 or None, got "
+                f"{page_budget_bytes}")
         self.machine = machine
         self.dist = dist
         self.storage = storage
         self.page_size = int(page_size)
         # Table homes for distributed/paged storage: block by global index.
         self._table_dist = BlockDistribution(dist.n_global, machine.n_ranks)
-        # Per-rank page caches (paged mode only).
-        self._page_cache: list[_PageCache] = [_PageCache()
-                                              for _ in machine.ranks()]
+        # Per-rank page caches (paged mode only), LRU in whole pages.
+        max_pages = (None if page_budget_bytes is None else
+                     int(page_budget_bytes) // (self.page_size * _ENTRY_BYTES))
+        self._page_cache = [_PageCache(max_pages) for _ in machine.ranks()]
         self._charge_build()
 
     # ------------------------------------------------------------------
@@ -177,16 +163,6 @@ class TranslationTable:
     ) -> "TranslationTable":
         """Build from a Fortran D ``map`` array (owner per element)."""
         dist = IrregularDistribution(map_array, machine.n_ranks)
-        return cls(machine, dist, storage=storage, page_size=page_size)
-
-    @classmethod
-    def from_distribution(
-        cls,
-        machine: Machine,
-        dist: Distribution,
-        storage: str = "replicated",
-        page_size: int = 1024,
-    ) -> "TranslationTable":
         return cls(machine, dist, storage=storage, page_size=page_size)
 
     # ------------------------------------------------------------------
@@ -222,21 +198,6 @@ class TranslationTable:
             return self._table_dist.local_size(rank) * _ENTRY_BYTES
         cached = len(self._page_cache[rank]) * self.page_size
         return (self._table_dist.local_size(rank) + cached) * _ENTRY_BYTES
-
-    def clear_page_caches(self) -> None:
-        for c in self._page_cache:
-            c.clear()
-
-    def page_budget(self, ctx) -> int | None:
-        """Max resident pages per rank under the context's byte budget.
-
-        ``None`` (no ``page_budget_bytes`` on the context) leaves the
-        caches unbounded — the pre-budget behaviour.
-        """
-        budget = getattr(ctx, "page_budget_bytes", None)
-        if budget is None:
-            return None
-        return int(budget) // (self.page_size * _ENTRY_BYTES)
 
     def page_resident_bytes(self, rank: int) -> int:
         """Bytes of cached (not block-home) table pages held by ``rank``."""

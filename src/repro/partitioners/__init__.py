@@ -9,12 +9,6 @@ from repro.partitioners.geometric import (
 )
 from repro.partitioners.chain import ChainPartitioner, chain_boundaries
 from repro.partitioners.regular import BlockPartitioner, CyclicPartitioner
-from repro.partitioners.util import (
-    communication_volume,
-    degree_weights,
-    imbalance,
-    part_weights,
-)
 
 __all__ = [
     "Partitioner",
@@ -28,8 +22,4 @@ __all__ = [
     "chain_boundaries",
     "BlockPartitioner",
     "CyclicPartitioner",
-    "communication_volume",
-    "degree_weights",
-    "imbalance",
-    "part_weights",
 ]

@@ -59,25 +59,9 @@ class Clock:
         self._array.time[self._rank] += dt
         self._add(dt, category)
 
-    def wait_until(self, t: float) -> float:
-        """Advance to absolute time ``t`` (idle time); no-op if already past.
-
-        Returns the idle time added, recorded under ``"idle"``.
-        """
-        idle = t - self.time
-        if idle > 0:
-            self.time = t
-            self._add(idle, "idle")
-            return idle
-        return 0.0
-
     def category(self, name: str) -> float:
         cat = self._array._cats.get(name)
         return float(cat[0][self._rank]) if cat else 0.0
-
-    def busy_time(self) -> float:
-        """Total time excluding idle (i.e. actual work + communication)."""
-        return self.time - self.category("idle")
 
     def snapshot(self) -> dict[str, float]:
         out = self.categories
@@ -159,12 +143,6 @@ class ClockArray:
     def max_time(self) -> float:
         return float(self.time.max())
 
-    def min_time(self) -> float:
-        return float(self.time.min())
-
-    def mean_time(self) -> float:
-        return sum(self.time.tolist()) / self.time.size
-
     def category_times(self, name: str) -> list[float]:
         cat = self._cats.get(name)
         return cat[0].tolist() if cat else [0.0] * self.time.size
@@ -173,9 +151,6 @@ class ClockArray:
         # Python's left-to-right sum, not numpy's pairwise one: the
         # reported mean is compared bit for bit across backends and PRs
         return sum(self.category_times(name)) / self.time.size
-
-    def max_category(self, name: str) -> float:
-        return max(self.category_times(name))
 
     def reset(self) -> None:
         self.time[:] = 0.0

@@ -20,7 +20,7 @@ irregular kernel, one pairwise force evaluation, ...) into virtual seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,6 @@ class CostModel:
         if ops < 0:
             raise ValueError(f"negative op count: {ops}")
         return self.copyop * float(ops)
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        """Return a copy with some parameters replaced."""
-        return replace(self, **kwargs)
 
 
 #: Intel iPSC/860 era constants: ~75 us startup, ~2.8 MB/s effective

@@ -173,11 +173,6 @@ class Machine:
         """:meth:`charge_memops` for every rank at once."""
         self._charge_vec(self.cost_model.memop, ops, category, mask)
 
-    def charge_copyops_vec(self, ops, category: str = "comm",
-                           mask=None) -> None:
-        """:meth:`charge_copyops` for every rank at once."""
-        self._charge_vec(self.cost_model.copyop, ops, category, mask)
-
     def barrier(self, category: str = "comm") -> float:
         """Synchronize all clocks to the slowest rank."""
         del category  # idle time is recorded under "idle" by the clocks

@@ -29,18 +29,6 @@ class Topology(ABC):
             raise IndexError(f"rank {rank} out of range [0, {self.n_ranks})")
         return int(rank)
 
-    def neighbors(self, rank: int) -> list[int]:
-        """Ranks exactly one hop away."""
-        self._check(rank)
-        return [r for r in range(self.n_ranks) if r != rank and self.hops(rank, r) == 1]
-
-    def diameter(self) -> int:
-        """Maximum hop count over all rank pairs."""
-        return max(
-            (self.hops(a, b) for a in range(self.n_ranks) for b in range(self.n_ranks)),
-            default=0,
-        )
-
     @abstractmethod
     def hop_matrix(self) -> np.ndarray:
         """Dense (n_ranks, n_ranks) int64 matrix of hop counts, equal to
@@ -65,13 +53,6 @@ class Hypercube(Topology):
         dst = self._check(dst)
         return int(src ^ dst).bit_count()
 
-    def neighbors(self, rank: int) -> list[int]:
-        rank = self._check(rank)
-        return [rank ^ (1 << d) for d in range(self.dimension)]
-
-    def diameter(self) -> int:
-        return self.dimension
-
     def hop_matrix(self) -> np.ndarray:
         # popcount of every label pair's XOR, one bit plane at a time
         r = np.arange(self.n_ranks, dtype=np.int64)
@@ -80,22 +61,6 @@ class Hypercube(Topology):
         for d in range(self.dimension):
             m += (x >> d) & 1
         return m
-
-    @staticmethod
-    def gray_code(i: int) -> int:
-        """Binary-reflected Gray code — adjacent codes differ in one bit.
-
-        Used to embed rings/chains in the hypercube so that the chain
-        partitioner's neighbor exchanges stay single-hop, the classic
-        iPSC-era embedding trick.
-        """
-        if i < 0:
-            raise ValueError(f"gray code undefined for negative {i}")
-        return i ^ (i >> 1)
-
-    def ring_embedding(self) -> list[int]:
-        """Rank order forming a Hamiltonian ring (consecutive = 1 hop)."""
-        return [self.gray_code(i) for i in range(self.n_ranks)]
 
 
 class Mesh2D(Topology):
@@ -112,18 +77,10 @@ class Mesh2D(Topology):
         rank = self._check(rank)
         return divmod(rank, self.cols)
 
-    def rank_of(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"({row},{col}) outside {self.rows}x{self.cols} mesh")
-        return row * self.cols + col
-
     def hops(self, src: int, dst: int) -> int:
         r1, c1 = self.coords(src)
         r2, c2 = self.coords(dst)
         return abs(r1 - r2) + abs(c1 - c2)
-
-    def diameter(self) -> int:
-        return (self.rows - 1) + (self.cols - 1)
 
     def hop_matrix(self) -> np.ndarray:
         row, col = np.divmod(np.arange(self.n_ranks, dtype=np.int64),
@@ -139,9 +96,6 @@ class FullCrossbar(Topology):
         src = self._check(src)
         dst = self._check(dst)
         return 0 if src == dst else 1
-
-    def diameter(self) -> int:
-        return 0 if self.n_ranks == 1 else 1
 
     def hop_matrix(self) -> np.ndarray:
         return 1 - np.eye(self.n_ranks, dtype=np.int64)

@@ -471,38 +471,119 @@ def test_explicit_row_selection_is_checked(bad, backend):
     assert (m.execution_time(), m.mean_category_time("inspector")) == before
 
 
-def test_external_clear_between_build_and_delta_falls_back_to_full_build():
-    """A stamp of the loop cleared behind its back between a build and a
-    targeted adapt is a ``DeltaFallback``: the adapt recovers through the
-    full inspector, the result is right, and the cache counts a build,
-    not a delta rebuild."""
-    rng = np.random.default_rng(11)
-    n, refs = 60, 120
+def _nb_loop(seed, n=60, refs=120):
+    """Loop ``nb`` over ``ia`` and ``ib`` on four ranks, set up; the
+    host slices are returned for the caller to change."""
+    rng = np.random.default_rng(seed)
     m = Machine(4)
     rt = ChaosRuntime(ExecutionContext.resolve(m, "vectorized"))
     tt = rt.irregular_table(rng.integers(0, 4, n))
-    ia_g, ib_g = rng.integers(0, n, refs), rng.integers(0, n, refs)
-    ib = [a.copy() for a in split_by_block(ib_g, m)]
+    ia = split_by_block(rng.integers(0, n, refs), m)
+    ib = [a.copy() for a in split_by_block(rng.integers(0, n, refs), m)]
     loop = IrregularReduction(rt, tt, "nb").bind(
-        ia=split_by_block(ia_g, m), ib=[a.copy() for a in ib])
+        ia=ia, ib=[a.copy() for a in ib])
     loop.setup()
-    # the cached schedule covers ia | ib; clear ia's stamp behind its back
-    rt.clear_stamp(tt, "nb:ia")
+    return rng, rt, tt, loop, ia, ib
+
+
+def _adapt_ib(rng, loop, ib, n=60, k=5):
+    """Change ``k`` positions of every rank's ``ib`` slice, then adapt
+    the loop naming them."""
     touched = []
     for a in ib:
-        pos = rng.choice(a.size, size=5, replace=False)
-        a[pos] = rng.integers(0, n, 5)
+        pos = rng.choice(a.size, size=k, replace=False)
+        a[pos] = rng.integers(0, n, k)
         touched.append(pos)
     loop.adapt("ib", [a.copy() for a in ib], touched=touched)
-    st = rt.cache_stats("nb")
-    assert (st.builds, st.delta_rebuilds) == (2, 0)
-    assert check_hash_tables(rt.hash_tables(tt)) == []
+
+
+def _assert_reduces(rt, tt, loop, ia, ib, rng):
+    """``x[ia] += y[ib]`` through the loop equals ``np.add.at``."""
+    n = tt.dist.n_global
     x_g, y_g = rng.standard_normal(n), rng.standard_normal(n)
     x, y = rt.distribute(x_g, tt), rt.distribute(y_g, tt)
     loop.execute(x, "ia", lambda v: v, {"y": (y, "ib")})
-    expected = x_g.copy()
-    np.add.at(expected, ia_g, y_g[np.concatenate(ib)])
-    assert np.allclose(x.to_global(), expected, rtol=1e-10)
+    np.add.at(x_g, np.concatenate(ia), y_g[np.concatenate(ib)])
+    assert np.allclose(x.to_global(), x_g, rtol=1e-10)
+
+
+def _assert_full_build(rt, tt, loop):
+    """The last adapt ran the full build: the loop's schedule is a cold
+    build of its live tables, counted as a build."""
+    st = rt.cache_stats("nb")
+    assert (st.builds, st.delta_rebuilds) == (2, 0)
+    assert observe(loop.schedule) == observe(
+        cold_build(rt, tt, "nb:ia", "nb:ib"))
+    assert check_hash_tables(rt.hash_tables(tt)) == []
+
+
+def test_external_clear_between_build_and_delta_falls_back_to_full_build():
+    """A stamp of the loop cleared behind its back between a build and a
+    targeted adapt moves a second dependency of the cached schedule: the
+    adapt recovers through the full inspector, the result is right, and
+    the cache counts a build, not a delta rebuild."""
+    rng, rt, tt, loop, ia, ib = _nb_loop(11)
+    rt.clear_stamp(tt, "nb:ia")
+    _adapt_ib(rng, loop, ib)
+    _assert_full_build(rt, tt, loop)
+    _assert_reduces(rt, tt, loop, ia, ib, rng)
+
+
+def test_targeted_adapt_after_a_repair_that_raised_runs_full_build(
+        monkeypatch):
+    """A repair that raised (here a ``TypeError``, which is no
+    ``DeltaFallback``) leaves the cached schedule two touches behind the
+    next targeted adapt, which therefore runs the full build."""
+    import repro.core.api as api
+
+    rng, rt, tt, loop, ia, ib = _nb_loop(21)
+
+    def broken(*args, **kwargs):
+        raise TypeError("rehash failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(api, "rehash_delta", broken)
+        with pytest.raises(TypeError, match="rehash failed"):
+            _adapt_ib(rng, loop, ib)
+    _adapt_ib(rng, loop, ib)
+    _assert_full_build(rt, tt, loop)
+    _assert_reduces(rt, tt, loop, ia, ib, rng)
+
+
+def test_targeted_adapt_after_binding_the_other_array_runs_full_build():
+    """A ``bind`` of ``ia`` moves a second dependency of the cached
+    schedule, so a targeted adapt of ``ib`` cannot repair it alone."""
+    rng, rt, tt, loop, _, ib = _nb_loop(22)
+    ia = split_by_block(rng.integers(0, 60, 120), rt.machine)
+    loop.bind(ia=ia)
+    _adapt_ib(rng, loop, ib)
+    _assert_full_build(rt, tt, loop)
+    _assert_reduces(rt, tt, loop, ia, ib, rng)
+
+
+def test_targeted_adapt_of_an_arena_changed_in_place_is_rejected():
+    """A bound arena is held as it is: changed in place, it no longer
+    holds the old values a targeted adapt must remove from the tables,
+    so that adapt is a ``ValueError`` before anything changes.  An
+    untargeted adapt of the same arena is right."""
+    rng = np.random.default_rng(23)
+    n, per, k = 400, 50, 10
+    m = Machine(4)
+    rt = ChaosRuntime(ExecutionContext.resolve(m, "vectorized"))
+    tt = rt.irregular_table(rng.integers(0, 4, n))
+    ia = split_by_block(rng.integers(0, n, 4 * per), m)
+    ib = RankArena(rng.integers(0, n, 4 * per), np.full(4, per))
+    loop = IrregularReduction(rt, tt, "nb").bind(ia=ia, ib=ib)
+    loop.setup()
+    touched = [rng.choice(per, size=k, replace=False) for _ in range(4)]
+    for a, pos in zip(ib, touched):
+        a[pos] = rng.integers(0, n, k)
+    version = rt.modification_record.version("nb:ib")
+    with pytest.raises(ValueError, match="changed in place"):
+        loop.adapt("ib", ib, touched=touched)
+    assert rt.modification_record.version("nb:ib") == version
+    loop.adapt("ib", ib)
+    _assert_reduces(rt, tt, loop, ia, ib, rng)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

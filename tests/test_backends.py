@@ -264,13 +264,18 @@ def _charge_afresh(machine, stage, n_cols, row_bytes, category):
         placed = placed - counts.diagonal()
     if kind == "scatter":
         packed, placed, counts = placed, packed, counts.T
-    machine.charge_copyops_vec(n_cols * packed, category,
-                               mask=None if kind == "append" else packed > 0)
+
+    def copy(ops, mask):
+        machine.clocks.advance(
+            machine._vec_seconds(machine.cost_model.copyop, ops), category,
+            mask)
+
+    copy(n_cols * packed, None if kind == "append" else packed > 0)
     machine.exchange_compiled(
         counts, row_bytes, category=category,
         tag={"append": "scatter_append", "remap": "remap_data"}.get(kind,
                                                                     kind))
-    machine.charge_copyops_vec(n_cols * placed, category, mask=placed > 0)
+    copy(n_cols * placed, placed > 0)
 
 
 class TestStageChargeCache:

@@ -376,13 +376,13 @@ class TestIntegrator:
         assert 0 <= x[0, 0] < 10.0
 
     def test_free_particle_energy_conserved(self):
-        from repro.apps.charmm.integrator import verlet_step
-
         x = np.array([[5.0, 5.0, 5.0]])
         v = np.array([[1.0, 0.5, -0.2]])
         masses = np.ones(1)
         f = np.zeros((1, 3))
         for _ in range(10):
-            f = verlet_step(x, v, masses, f,
-                            lambda pos: np.zeros_like(pos), 0.05, 10.0)
+            verlet_half_kick(v, f, masses, 0.05)
+            verlet_drift(x, v, 0.05, 10.0)
+            verlet_half_kick(v, f, masses, 0.05)
         assert np.allclose(v, [[1.0, 0.5, -0.2]])
+        assert np.allclose(x, [[5.5, 5.25, 4.9]])

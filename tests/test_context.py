@@ -90,13 +90,11 @@ class TestResolutionOrder:
             ExecutionContext.resolve("not a machine")
 
     def test_context_plus_service_overrides_rejected(self, ctx4):
-        # silently dropping the overrides would be worse than an error
-        with pytest.raises(TypeError, match="derive"):
+        # silently dropping the override would be worse than an error
+        with pytest.raises(TypeError, match="keeps its seed"):
             ExecutionContext.resolve(ctx4, seed=42)
-        with pytest.raises(TypeError, match="derive"):
+        with pytest.raises(TypeError):
             ExecutionContext.resolve(ctx4, record=ctx4.record)
-        with pytest.raises(TypeError, match="derive"):
-            ExecutionContext.resolve(ctx4, schedule_cache=ctx4.schedule_cache)
 
 
 # ---------------------------------------------------------------------
@@ -119,15 +117,13 @@ class TestCarrier:
         assert ctx4.schedule_cache.record is ctx4.record
         assert ctx4.seed == 0
 
-    def test_with_backend_and_derive(self, machine4):
+    def test_with_backend_shares_services(self, machine4):
         ctx = ExecutionContext.resolve(machine4, seed=7)
         serial = ctx.with_backend("serial")
         assert serial.backend.name == "serial"
         assert serial.seed == 7
         assert serial.record is ctx.record
-        reseeded = ctx.derive(seed=11)
-        assert reseeded.seed == 11
-        assert reseeded.backend is ctx.backend
+        assert serial.schedule_cache is ctx.schedule_cache
 
     def test_machine_conveniences(self, ctx4, machine4):
         assert ctx4.n_ranks == 4

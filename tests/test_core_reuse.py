@@ -188,82 +188,76 @@ class TestValueNbytes:
 
 
 class TestDeltaChains:
-    def test_chain_replay_in_order(self):
-        r = ModificationRecord()
-        r.touch("ia", delta="d1")
-        r.touch("ia", delta="d2")
-        assert r.delta_chain("ia", 0) == ["d1", "d2"]
-        assert r.delta_chain("ia", 1) == ["d2"]
-        assert r.delta_chain("ia", 2) == []
+    """``repair=(dep, fn)`` updates a value exactly one touch of ``dep``
+    behind; anything else runs the full builder."""
 
-    def test_payloadless_touch_breaks_chain(self):
-        r = ModificationRecord()
-        r.touch("ia", delta="d1")
-        r.touch("ia")  # "anything may have changed"
-        assert r.delta_chain("ia", 0) is None
-        r.touch("ia", delta="d3")
-        assert r.delta_chain("ia", 0) is None  # hole at version 2
-        assert r.delta_chain("ia", 2) == ["d3"]
+    @staticmethod
+    def _cache(deps=("ia",)):
+        cache, calls = ScheduleCache(), []
 
-    def test_history_ages_out(self):
-        r = ModificationRecord()
-        for i in range(ModificationRecord.MAX_DELTA_HISTORY + 4):
-            r.touch("ia", delta=i)
-        assert r.delta_chain("ia", 0) is None  # oldest payloads gone
-        since = r.version("ia") - ModificationRecord.MAX_DELTA_HISTORY
-        chain = r.delta_chain("ia", since)
-        assert chain is not None
-        assert len(chain) == ModificationRecord.MAX_DELTA_HISTORY
+        def build():
+            calls.append("full")
+            return f"v{len(calls)}"
+
+        def repair(old):
+            calls.append(("repair", old))
+            return old + "+"
+
+        cache.get_or_build("L", deps, build)
+        return cache, calls, build, repair
 
     def test_delta_rebuild_path(self):
-        cache = ScheduleCache()
-        calls = []
-
-        def builder():
-            calls.append("full")
-            return "v1"
-
-        def delta_builder(old, moved):
-            calls.append(("delta", old, moved))
-            return "v2"
-
-        cache.get_or_build("L", ("ia",), builder,
-                           delta_builder=delta_builder)
-        cache.record.touch("ia", delta="p1")
-        cache.record.touch("ia", delta="p2")
-        v, rebuilt = cache.get_or_build("L", ("ia",), builder,
-                                        delta_builder=delta_builder)
-        assert rebuilt and v == "v2"
-        assert calls == ["full", ("delta", "v1", {"ia": ["p1", "p2"]})]
+        cache, calls, build, repair = self._cache()
+        cache.record.touch("ia")
+        v, rebuilt = cache.get_or_build("L", ("ia",), build,
+                                        repair=("ia", repair))
+        assert rebuilt and v == "v1+"
+        assert calls == ["full", ("repair", "v1")]
         st = cache.stats("L")
         assert (st.builds, st.delta_rebuilds, st.hits) == (1, 1, 0)
         # the repaired entry is current: next lookup is a plain hit
-        _, rebuilt = cache.get_or_build("L", ("ia",), builder,
-                                        delta_builder=delta_builder)
-        assert not rebuilt
+        v, rebuilt = cache.get_or_build("L", ("ia",), build,
+                                        repair=("ia", repair))
+        assert (v, rebuilt) == ("v1+", False)
 
     def test_payloadless_touch_forces_full_build(self):
-        cache = ScheduleCache()
-        builds = []
-        cache.get_or_build("L", ("ia",), lambda: builds.append(1) or "v1",
-                           delta_builder=lambda *_: "never")
+        cache, calls, build, _ = self._cache()
         cache.record.touch("ia")
-        v, _ = cache.get_or_build("L", ("ia",),
-                                  lambda: builds.append(2) or "v2",
-                                  delta_builder=lambda *_: "never")
-        assert v == "v2" and builds == [1, 2]
+        v, _ = cache.get_or_build("L", ("ia",), build)
+        assert v == "v2" and calls == ["full", "full"]
 
     def test_delta_fallback_runs_full_build(self):
-        cache = ScheduleCache()
+        cache, _, build, _ = self._cache()
 
-        def delta_builder(old, moved):
+        def repair(old):
             raise DeltaFallback("substrate purged")
 
-        cache.get_or_build("L", ("ia",), lambda: "v1",
-                           delta_builder=delta_builder)
-        cache.record.touch("ia", delta="p")
-        v, rebuilt = cache.get_or_build("L", ("ia",), lambda: "v2",
-                                        delta_builder=delta_builder)
+        cache.record.touch("ia")
+        v, rebuilt = cache.get_or_build("L", ("ia",), build,
+                                        repair=("ia", repair))
         assert rebuilt and v == "v2"
         st = cache.stats("L")
         assert (st.builds, st.delta_rebuilds) == (2, 0)
+
+    def test_repair_ignored_two_touches_behind(self):
+        cache, calls, build, repair = self._cache()
+        cache.record.touch("ia")
+        cache.record.touch("ia")
+        v, _ = cache.get_or_build("L", ("ia",), build, repair=("ia", repair))
+        assert v == "v2" and calls == ["full", "full"]
+
+    def test_repair_ignored_when_another_dep_moved(self):
+        cache, calls, build, repair = self._cache(("ia", "ib"))
+        cache.record.touch("ia")
+        cache.record.touch("ib")
+        v, _ = cache.get_or_build("L", ("ia", "ib"), build,
+                                  repair=("ia", repair))
+        assert v == "v2" and calls == ["full", "full"]
+
+    def test_repair_ignored_after_invalidate(self):
+        cache, calls, build, repair = self._cache()
+        cache.invalidate("L")
+        cache.record.touch("ia")
+        v, _ = cache.get_or_build("L", ("ia",), build, repair=("ia", repair))
+        assert v == "v2" and calls == ["full", "full"]
+        assert cache.stats("L").delta_rebuilds == 0

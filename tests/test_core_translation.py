@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import BlockDistribution, ExecutionContext, TranslationTable
+from repro.core import (
+    BlockDistribution,
+    ExecutionContext,
+    IrregularDistribution,
+    TranslationTable,
+)
 from repro.sim import Machine
 
 
@@ -25,6 +30,9 @@ class TestConstruction:
     def test_bad_page_size_rejected(self, machine4, maparr):
         with pytest.raises(ValueError):
             TranslationTable.from_map(machine4, maparr, page_size=0)
+        with pytest.raises(ValueError, match="page_budget_bytes"):
+            TranslationTable(machine4, BlockDistribution(64, 4),
+                             page_budget_bytes=-1)
 
     def test_build_charges_communication(self, maparr):
         m = Machine(4)
@@ -32,9 +40,7 @@ class TestConstruction:
         assert m.execution_time() > 0
 
     def test_from_distribution(self, machine4):
-        tt = TranslationTable.from_distribution(
-            machine4, BlockDistribution(10, 4)
-        )
+        tt = TranslationTable(machine4, BlockDistribution(10, 4))
         assert tt.offset_local(np.array([4]))[0] == 1
 
 
@@ -74,14 +80,6 @@ class TestDereference:
         tt.dereference(ctx, [np.arange(64)] + [None] * 3)
         assert m.traffic.n_messages == 0
 
-    def test_paged_cache_clear(self, maparr):
-        m = Machine(4)
-        tt = TranslationTable.from_map(m, maparr, storage="paged", page_size=16)
-        tt.dereference(ExecutionContext.resolve(m), [np.arange(16)] + [None] * 3)
-        assert len(tt._page_cache[0]) >= 1
-        tt.clear_page_caches()
-        assert len(tt._page_cache[0]) == 0
-
     def test_out_of_range_query_rejected(self, machine4, maparr):
         tt = TranslationTable.from_map(machine4, maparr)
         with pytest.raises(IndexError):
@@ -111,10 +109,10 @@ class TestPageBudget:
 
     def _paged(self, maparr, budget_bytes, page_size=8):
         m = Machine(4)
-        ctx = ExecutionContext.resolve(m, page_budget_bytes=budget_bytes)
-        tt = TranslationTable.from_map(m, maparr, storage="paged",
-                                       page_size=page_size)
-        return m, ctx, tt
+        tt = TranslationTable(m, IrregularDistribution(maparr, 4),
+                              storage="paged", page_size=page_size,
+                              page_budget_bytes=budget_bytes)
+        return m, ExecutionContext.resolve(m), tt
 
     def test_budget_bounds_resident_bytes(self, maparr):
         budget = 2 * 8 * 12  # two 8-entry pages per rank
@@ -164,18 +162,7 @@ class TestPageBudget:
         assert tt.page_resident_bytes(0) == 8 * 8 * 12  # all pages held
 
     def test_page_budget_conversion(self, maparr):
-        m, ctx, tt = self._paged(maparr, 3 * 8 * 12 + 5)
-        assert tt.page_budget(ctx) == 3  # floor to whole pages
-        assert tt.page_budget(ExecutionContext.resolve(Machine(4))) is None
-
-    def test_bulk_update_ingests_without_eviction(self):
-        from repro.core.translation import _PageCache
-        pc = _PageCache()
-        pc.update(np.array([5, 1, 3, 1, 5]))
-        assert len(pc) == 3
-        assert np.array_equal(pc.as_array(), np.array([1, 3, 5]))
-        assert 3 in pc and 2 not in pc
-        # re-ingest is a no-op, counters untouched
-        pc.update([1, 3])
-        assert len(pc) == 3
-        assert (pc.hits, pc.misses, pc.evictions) == (0, 0, 0)
+        _, _, tt = self._paged(maparr, 3 * 8 * 12 + 5)
+        assert tt._page_cache[0].max_pages == 3  # floor to whole pages
+        _, _, tt = self._paged(maparr, None)
+        assert tt._page_cache[0].max_pages is None

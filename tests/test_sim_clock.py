@@ -20,26 +20,6 @@ class TestClock:
         with pytest.raises(ValueError):
             Clock().advance(-0.1)
 
-    def test_wait_until_adds_idle(self):
-        c = Clock()
-        c.advance(1.0)
-        idle = c.wait_until(3.0)
-        assert idle == pytest.approx(2.0)
-        assert c.time == pytest.approx(3.0)
-        assert c.category("idle") == pytest.approx(2.0)
-
-    def test_wait_until_past_is_noop(self):
-        c = Clock()
-        c.advance(5.0)
-        assert c.wait_until(1.0) == 0.0
-        assert c.time == pytest.approx(5.0)
-
-    def test_busy_time_excludes_idle(self):
-        c = Clock()
-        c.advance(2.0, "compute")
-        c.wait_until(10.0)
-        assert c.busy_time() == pytest.approx(2.0)
-
     def test_snapshot_contains_total(self):
         c = Clock()
         c.advance(1.0, "x")
@@ -76,10 +56,7 @@ class TestClockArray:
         for i, c in enumerate(ca):
             c.advance(float(i), "compute")
         assert ca.max_time() == pytest.approx(3.0)
-        assert ca.min_time() == pytest.approx(0.0)
-        assert ca.mean_time() == pytest.approx(1.5)
         assert ca.mean_category("compute") == pytest.approx(1.5)
-        assert ca.max_category("compute") == pytest.approx(3.0)
 
     def test_category_times_list(self):
         ca = ClockArray(2)
@@ -116,6 +93,14 @@ class TestArrayCharges:
                     getattr(m, charge)(p, n, category)
         return [c.snapshot() for c in m.clocks]
 
+    @staticmethod
+    def _vector(m, charge):
+        if charge == "charge_copyops":
+            # the vectorized executor's copy charges: no public form
+            return lambda ops, category, mask: m.clocks.advance(
+                m._vec_seconds(m.cost_model.copyop, ops), category, mask)
+        return getattr(m, charge + "_vec")
+
     @pytest.mark.parametrize("charge", ["charge_compute", "charge_memops",
                                         "charge_copyops"])
     @pytest.mark.parametrize("mask", [None, [True, False, True, True,
@@ -123,7 +108,7 @@ class TestArrayCharges:
     def test_equals_scalar_loop(self, charge, mask):
         m = Machine(len(self.OPS))
         for _ in range(3):
-            getattr(m, charge + "_vec")(
+            self._vector(m, charge)(
                 self.OPS, "x", None if mask is None else np.array(mask))
         assert ([c.snapshot() for c in m.clocks]
                 == self._scalar(charge, self.OPS, "x", mask))
@@ -139,9 +124,9 @@ class TestArrayCharges:
     def test_bad_op_counts_rejected(self):
         m = Machine(3)
         with pytest.raises(ValueError):
-            m.charge_copyops_vec([1, -1, 1])
+            m.charge_memops_vec([1, -1, 1])
         with pytest.raises(ValueError):
-            m.charge_copyops_vec([1, 1])
+            m.charge_memops_vec([1, 1])
         with pytest.raises(ValueError):
             m.clocks.advance(np.array([1.0, -1.0, 0.0]), "x")
 
@@ -153,8 +138,10 @@ class TestArrayCharges:
             for c, dt in zip(ref, step):
                 c.advance(dt, "work")
             assert t == max(c.time for c in ref)
-            for c in ref:
-                c.wait_until(t)
+            for c in ref:   # each waits for the slowest, idle
+                if t > c.time:
+                    c.advance(t - c.time, "idle")
+                    c.time = t
             assert [c.snapshot() for c in ca] == [c.snapshot() for c in ref]
         # the slowest rank of both rounds never waited: no "idle" key
         assert "idle" not in ca[3].snapshot()

@@ -42,12 +42,6 @@ class TestCostModel:
         with pytest.raises(ValueError):
             IPSC860.memory_time(-1)
 
-    def test_with_overrides_replaces_only_given(self):
-        cm = IPSC860.with_overrides(alpha=1.0)
-        assert cm.alpha == 1.0
-        assert cm.beta == IPSC860.beta
-        assert IPSC860.alpha != 1.0  # original untouched
-
     def test_presets_ordering(self):
         # newer machines have lower latency and higher bandwidth
         assert PARAGON.alpha < IPSC860.alpha

@@ -30,14 +30,6 @@ class TestHypercube:
             for b in range(8):
                 assert h.hops(a, b) == h.hops(b, a)
 
-    def test_neighbors(self):
-        h = Hypercube(8)
-        assert sorted(h.neighbors(0)) == [1, 2, 4]
-        assert sorted(h.neighbors(7)) == [3, 5, 6]
-
-    def test_diameter(self):
-        assert Hypercube(32).diameter() == 5
-
     def test_rank_range_checked(self):
         h = Hypercube(4)
         with pytest.raises(IndexError):
@@ -45,42 +37,22 @@ class TestHypercube:
         with pytest.raises(IndexError):
             h.hops(-1, 0)
 
-    def test_gray_code_adjacent_differ_one_bit(self):
-        for i in range(63):
-            g1, g2 = Hypercube.gray_code(i), Hypercube.gray_code(i + 1)
-            assert bin(g1 ^ g2).count("1") == 1
-
-    def test_ring_embedding_single_hop(self):
-        h = Hypercube(16)
-        ring = h.ring_embedding()
-        assert sorted(ring) == list(range(16))
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            assert h.hops(a, b) == 1
-
 
 class TestMesh2D:
     def test_coords_roundtrip(self):
         m = Mesh2D(3, 4)
         for r in range(12):
             row, col = m.coords(r)
-            assert m.rank_of(row, col) == r
+            assert row * 4 + col == r
 
     def test_manhattan_hops(self):
         m = Mesh2D(4, 4)
-        assert m.hops(m.rank_of(0, 0), m.rank_of(3, 3)) == 6
+        assert m.hops(0, 15) == 6  # (0, 0) to (3, 3)
         assert m.hops(5, 5) == 0
-
-    def test_diameter(self):
-        assert Mesh2D(4, 5).diameter() == 7
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             Mesh2D(0, 4)
-
-    def test_rank_of_range(self):
-        m = Mesh2D(2, 2)
-        with pytest.raises(IndexError):
-            m.rank_of(2, 0)
 
 
 class TestFullCrossbar:
@@ -88,10 +60,6 @@ class TestFullCrossbar:
         x = FullCrossbar(5)
         assert x.hops(0, 4) == 1
         assert x.hops(2, 2) == 0
-        assert x.diameter() == 1
-
-    def test_single_rank_diameter(self):
-        assert FullCrossbar(1).diameter() == 0
 
 
 class TestDefaults:
@@ -131,4 +99,3 @@ def test_hop_matrix_array_form_equals_scalar_hops(name):
     m = topo.hop_matrix()
     assert m.dtype == np.int64
     assert np.array_equal(m, _scalar_hop_matrix(topo))
-    assert int(m.max()) == topo.diameter()
