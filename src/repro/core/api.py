@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import copy
 import weakref
+import zlib
 from typing import Callable
 
 import numpy as np
 
-from repro.core.compiled import RankArena, offsets_from_counts
+from repro.core.compiled import RankArena, as_arena, offsets_from_counts
 from repro.core.context import ExecutionContext, resolve_component
 from repro.core.distribution import BlockDistribution, CyclicDistribution
 from repro.core.executor import (
@@ -320,6 +321,8 @@ class IrregularReduction:
         self.ttable = ttable
         self.name = name
         self._indirections: dict[str, RankArena] = {}
+        # CRC-32 of each bound stream held in the caller's own buffer
+        self._prints: dict[str, int] = {}
         self._localized: dict[str, RankArena] = {}
         self._changed: set[str] = set()  # bound but not hashed as bound
         self._schedule: Schedule | None = None
@@ -332,7 +335,7 @@ class IrregularReduction:
         """Bind named indirection arrays (per-rank global-index slices)."""
         for nm, per_rank in indirections.items():
             self.rt.machine.check_per_rank(per_rank, f"indirection {nm!r}")
-            self._indirections[nm] = RankArena(*stream_of(per_rank))
+            self._hold(nm, per_rank)
             self._changed.add(nm)
             # a (re)bound array invalidates any cached schedule
             self.rt.modification_record.touch(self._stamp_of(nm))
@@ -358,8 +361,9 @@ class IrregularReduction:
         (repeats are ignored, positions outside a slice are a
         ``ValueError``); all other positions must be unchanged (a changed
         one is a ``ValueError`` naming its rank and position), and the
-        new array must not share memory with the bound one (an arena
-        changed in place has lost the old values: ``ValueError``).  With
+        bound array must still hold its old values: a bound arena
+        changed in place, whether it or a copy is passed as ``new``, is
+        a ``ValueError`` (see :meth:`_hold`).  With
         it, the schedule is repaired from the touched positions alone
         when the cached one is current but for this adapt; otherwise, or
         without it, the array is re-hashed and the schedule rebuilt from
@@ -375,13 +379,34 @@ class IrregularReduction:
         repair = None
         if touched is not None:
             m.check_per_rank(touched, f"touched positions for {name!r}")
-            delta = self._delta(name, self._indirections[name], new, touched)
+            old = self._indirections[name]
+            crc = self._prints.get(name)
+            if crc is not None and zlib.crc32(old.flat) != crc:
+                raise ValueError(
+                    f"the bound array {name!r} was changed in place: a "
+                    "targeted adapt needs its old values")
+            delta = self._delta(name, old, new, touched)
             repair = (stamp,
                       lambda base: self._apply_delta(name, base, *delta))
         self.rt.modification_record.touch(stamp)
-        self._indirections[name] = new
+        self._hold(name, new_per_rank, new)
         self._changed.add(name)
         return self._rebuild(repair)
+
+    def _hold(self, name: str, per_rank, stream: RankArena | None = None
+              ) -> None:
+        """Bind ``per_rank`` (as ``stream``, its rank-major stream).  An
+        intact int64 arena is held in the caller's own buffer, not
+        copied; its CRC-32 lets a targeted adapt notice a change made to
+        that buffer in place, which would have lost the old values the
+        tables still reference."""
+        if stream is None:
+            stream = RankArena(*stream_of(per_rank))
+        self._indirections[name] = stream
+        if as_arena(per_rank) is not None and per_rank.flat is stream.flat:
+            self._prints[name] = zlib.crc32(stream.flat)
+        else:
+            self._prints.pop(name, None)
 
     @staticmethod
     def _delta(name: str, old: RankArena, new: RankArena, touched):

@@ -6,23 +6,26 @@ key map: ``chaos_hash`` looks every rank's references up as one
 rank-major stream (one ``take``), translates and inserts (one scatter)
 only the distinct missing keys, and stamps, counts and localizes row by
 row — in cache-sized blocks of ranks, with no Python loop over ranks.
-Schedule generation takes the stamped entries grouped by ``(requester,
-owner)`` with one stable sort per block and emits the flat
-:class:`~repro.core.schedule.Schedule` streams directly — the
-owner-grouped request stream *is* the receive
-stream, and its :func:`~repro.core.compiled.stream_perm` transposition
-the send stream, so no per-rank or per-pair list is ever assembled —
-while charging the size/request exchanges straight from count matrices
-via
-:meth:`Machine.exchange_compiled`; translation-table lookups build their
-request/reply matrices the same way, with page-miss detection for
-``paged`` storage done by ``np.isin`` against the sorted page cache.
+Schedule generation reads the stamped off-processor entries in the
+tables' own row order — rank-major, each rank's ghost slots ascending —
+and stores that order as the :class:`~repro.core.schedule.Schedule`
+(:class:`~repro.core.schedule.SlotOrder`: each entry's owner row and
+ghost slot in the rank-major layouts): nothing is sorted and no
+per-rank or per-pair list is ever assembled.  That order is the
+executor's, so a new schedule's first execute composes nothing; the
+paper's send and receive streams are derived from it only when read.
+The size/request exchanges are charged straight from count matrices
+via :meth:`Machine.exchange_compiled`; translation-table lookups build
+their request/reply matrices the same way, with page-miss detection
+for ``paged`` storage done by ``np.isin`` against the sorted page
+cache.
 
 **Executor half.**  Instead of visiting every ``(p, q)`` rank pair in
 Python, this backend runs every stage through
-:meth:`VectorizedBackend.run_stage`, over the plan's own
-machine-wide streams and their send → receive permutation (derived
-once and cached on the :class:`~repro.core.compiled.CommPlan`).
+:meth:`VectorizedBackend.run_stage`, over the plan's composed
+machine-wide index pair (cached on the
+:class:`~repro.core.compiled.CommPlan`; a table-built schedule's is its
+stored order).
 
 Because the simulated machine holds every rank's data in one process, a
 column of a collective is ONE flat move between two rank-major buffers
@@ -57,12 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.backends.base import Backend, _builtin, get_backend
-from repro.core.compiled import (
-    RankArena,
-    as_arena,
-    rank_layout,
-    stream_perm,
-)
+from repro.core.compiled import RankArena, as_arena, rank_layout
 from repro.core.hashtable import DirectKeyStore, stream_of
 
 #: scalars per slice of an indexed stream walk: the gathered segment
@@ -177,21 +175,19 @@ class VectorizedBackend(Backend):
         from repro.core.schedule import Schedule
 
         machine = ctx.machine
-        # the selected off-processor entries, each rank's grouped by
-        # owner: that stream *is* the receive storage
+        # the selected off-processor entries in the tables' own order,
+        # which is the executor's: no owner sort, no stream
         if isinstance(expr, RankArena):  # the selected rows themselves
-            counts, requests, recv_slots = group.requests_of(
-                *stream_of(expr))
+            counts, rows, slots = group.by_slot(stream_of(expr))
         else:
-            counts, requests, recv_slots = group.requests(
+            counts, rows, slots = group.by_slot(
                 group.expr(expr) if isinstance(expr, str) else expr)
         n_sel = counts.sum(axis=1)
         machine.charge_memops_vec(group.n_entries + 2 * n_sel, category)
 
         # Size exchange (schedule setup), then the request exchange --
-        # charged from count matrices; the request data itself becomes
-        # the owners' send lists: the same stream transposed to
-        # owner-major order (requesters ascending), no per-pair list.
+        # charged from count matrices; the owners' send lists are the
+        # same entries, so no per-pair list is ever assembled.
         machine.alltoall_lengths_compiled(counts, tag="sched_sizes",
                                           category=category)
         machine.exchange_compiled(counts, 8, tag="sched_requests",
@@ -199,8 +195,8 @@ class VectorizedBackend(Backend):
         recv_totals = counts.sum(axis=0)
         machine.charge_memops_vec(recv_totals, category,
                                   mask=recv_totals > 0)
-        return Schedule(counts=counts.T, send=requests[stream_perm(counts)],
-                        place=recv_slots, extent=group.n_ghost)
+        return Schedule.from_slot_order(counts.T, rows, slots, group.n_ghost,
+                                        group.n_local)
 
     # ------------------------------------------------------------------
     # inspector phase: translation-table lookups

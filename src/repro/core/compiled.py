@@ -16,7 +16,10 @@ permutation, the per-rank index maxima the executor bounds-checks
 against, the composed index pairs of :meth:`CommPlan.move` and the
 vectorized executor's stage charges.  With
 those an executor backend moves all data of a collective with a handful
-of fused numpy operations, however many rank pairs communicate.
+of fused numpy operations, however many rank pairs communicate.  A
+schedule built from the hash tables turns this around: it stores the
+composed pair's ghost-slot order and derives the two streams from it on
+first read (:class:`~repro.core.schedule.SlotOrder`).
 
 The CSR helpers (:func:`split_csr`, :func:`offsets_from_counts`,
 :func:`grouped_arange`, :func:`stream_perm`) define the layout in one
@@ -330,6 +333,11 @@ class CommPlan:
     def send_max(self) -> np.ndarray:
         """``(P,)`` largest row each rank packs (-1 if none)."""
         return _rank_max(self.send, np.diff(self.send_base))
+
+    def packs_past(self, n_rows: np.ndarray) -> np.ndarray:
+        """``(P,)``: whether each rank packs a row at or past its
+        ``n_rows`` (the executor's bounds check)."""
+        return self.send_max >= n_rows
 
     @cached_property
     def place_max(self) -> np.ndarray:

@@ -306,8 +306,9 @@ class PipelinePhase:
                 raise ValueError(
                     f"rank {p}, column {c}: {n_rows[p]} elements, "
                     f"schedule covers {covered[p]}")
-            if (plan.send_max >= n_rows).any():
-                p = int(np.flatnonzero(plan.send_max >= n_rows)[0])
+            past = plan.packs_past(n_rows)
+            if past.any():
+                p = int(np.flatnonzero(past)[0])
                 raise IndexError(
                     f"rank {p}: plan wants element {plan.send_max[p]} "
                     f"but local array has {n_rows[p]}")

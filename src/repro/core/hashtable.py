@@ -39,8 +39,9 @@ stored at the width its values need: the direct map as ``uint16`` until
 a rank's rows outgrow it (then ``int32``), the entry columns and the
 refcount planes as ``int32`` (the global index as ``int64`` only for a
 key range past ``2**31``, the stamp mask as ``int64`` for its 63 bits).
-What leaves the tables — localized indices, schedule buffers — is
-``int64``.
+What leaves the tables is ``int64`` — localized indices, a schedule's
+streams — but for a schedule's stored slot order
+(:meth:`HashTableGroup.by_slot`), ``int32`` while it fits.
 
 **Entries are never deleted.**  Clearing a stamp removes its bit and its
 reference counts; the entries keep their rows, translated addresses and
@@ -578,10 +579,25 @@ class HashTableGroup:
         """
         bit = self.registry.acquire(name)
         refs, mask = self.ref_plane(name).ravel(), self.mask.ravel()
-        aff, inv = np.unique(np.concatenate([dropped, added]),
-                             return_inverse=True)
-        n_sub = np.bincount(inv[:dropped.size], minlength=aff.size)
-        n_add = np.bincount(inv[dropped.size:], minlength=aff.size)
+        # one sort of the references, each tagged in its low bit as
+        # dropped (0) or added (1): a position's references are then one
+        # run, its first element the distinct position (int32 keys when
+        # they fit: half the bytes to sort)
+        dtype = _holding(2 * refs.size)
+        key = np.empty(dropped.size + added.size, dtype=dtype)
+        np.left_shift(dropped, 1, out=key[:dropped.size], casting="unsafe")
+        np.left_shift(added, 1, out=key[dropped.size:], casting="unsafe")
+        key[dropped.size:] += 1
+        key.sort()
+        tag = key & 1
+        key >>= 1
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        aff = key[starts].astype(np.int64)
+        n_add = np.add.reduceat(tag, starts) if key.size else tag
+        n_sub = np.diff(np.append(starts, key.size)) - n_add
         after = refs[aff] + n_add - n_sub
         if after.size and after.min() < 0:
             rank, row = divmod(int(aff[after < 0][0]), self.rows_cap)
@@ -626,44 +642,54 @@ class HashTableGroup:
             out[lo:hi][owned] = off[at[owned]]
         return out
 
-    def requests(self, expr: StampExpr
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The off-processor entries matching a stamp expression, in the
-        order of a schedule's receive buffers: rank-major, each rank's
-        entries grouped by owner (ascending), rows ascending within an
-        owner.  Returns ``(counts, off, buf)`` — ``counts[p, q]`` entries
-        of rank ``p`` owned by ``q``, and the entries' translated offsets
-        and ghost slots in that order."""
+    def by_slot(self, selection
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Selected off-processor entries in *ghost-slot order*:
+        rank-major, each rank's rows ascending — the order the tables
+        hold them in (a rank's ghost slots number its off-processor rows
+        in row order), so nothing is sorted.
+
+        ``selection`` is a :class:`StampExpr` (its matching off-processor
+        entries) or a rank-major stream ``(rows, sizes)`` of
+        off-processor rows, each rank's ascending, taken as it is.
+        Returns ``(counts, rows, slots)``: ``counts[p, q]`` selected
+        entries of rank ``p`` owned by ``q``; each entry's owner row in
+        the rank-major concatenation of the local arrays (``n_local``)
+        and its slot in the rank-major concatenation of the ghost
+        buffers (``n_ghost``), ``int32`` while those fit."""
         n = self.n_ranks
+        local = offsets_from_counts(self.n_local)
+        ghost = offsets_from_counts(self.n_ghost)
+        local = local.astype(_holding(local[-1]))
+        ghost = ghost.astype(_holding(ghost[-1]))
+        if isinstance(selection, StampExpr):
+            picks = self._matching(selection)
+        else:
+            rows, sizes = selection
+            picks = [(0, n, self.flat(_rank_of(sizes), rows), sizes)]
         counts = np.zeros((n, n), dtype=np.int64)
-        offs, bufs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        parts = [(_NO_INDICES.astype(local.dtype),
+                  _NO_INDICES.astype(ghost.dtype))]
+        for r0, r1, at, sizes in picks:
+            owner = self.proc.ravel()[at]
+            counts[r0:r1] = np.bincount(
+                np.repeat(np.arange(0, (r1 - r0) * n, n), sizes) + owner,
+                minlength=(r1 - r0) * n).reshape(-1, n)
+            rows = local[owner]
+            rows += self.off.ravel()[at]
+            slots = np.repeat(ghost[r0:r1], sizes)
+            slots += self.buf.ravel()[at]
+            parts.append((rows, slots))
+        rows, slots = map(np.concatenate, zip(*parts))
+        return counts, rows, slots
+
+    def _matching(self, expr: StampExpr):
+        """The off-processor entries matching ``expr``, block by block
+        of ranks: ``(r0, r1, arena positions, entries per rank)``, the
+        positions rank-major with rows ascending."""
         for r0, r1, _, _ in _blocks(self.n_entries):
             sel = expr.matches(self.mask[r0:r1])
             sel &= self.proc[r0:r1] != np.arange(r0, r1)[:, None]
-            at = np.flatnonzero(sel)  # rows ascending, rank by rank
+            at = np.flatnonzero(sel)
             at += r0 * self.rows_cap
-            counts[r0:r1], off, buf = self._by_owner(
-                np.repeat(np.arange(r1 - r0), sel.sum(axis=1)), at, r1 - r0)
-            offs.append(off)
-            bufs.append(buf)
-        return counts, np.concatenate(offs), np.concatenate(bufs)
-
-    def requests_of(self, rows, sizes):
-        """:meth:`requests` for an explicit selection: a rank-major
-        stream of off-processor rows, each rank's ascending, taken as
-        it is."""
-        ranks = _rank_of(sizes)
-        return self._by_owner(ranks, self.flat(ranks, rows), self.n_ranks)
-
-    def _by_owner(self, ranks, at, width):
-        """:meth:`requests` for the entries at arena positions ``at``, of
-        ``width`` consecutive ranks (``ranks`` theirs, counted from the
-        first; rank-major, rows ascending within a rank)."""
-        n = self.n_ranks
-        pair = ranks * n + self.proc.ravel()[at]
-        # a stable sort groups by owner; the keys are small, and a
-        # narrow dtype makes the radix sort several times cheaper
-        narrow = np.uint16 if width * n <= 1 << 16 else np.int64
-        at = at[np.argsort(pair.astype(narrow), kind="stable")]
-        counts = np.bincount(pair, minlength=width * n).reshape(-1, n)
-        return counts, self.off.ravel()[at], self.buf.ravel()[at]
+            yield r0, r1, at, sel.sum(axis=1)

@@ -1,9 +1,9 @@
 """Communication schedules (paper §3.2.1) and schedule generation.
 
-A schedule stores exactly what the paper lists: the *send lists* (local
-elements each rank sends to each other rank), the *permutation list*
-(where incoming off-processor elements land in the receiver's ghost
-buffer) and the *send* / *fetch sizes*.  :class:`Schedule` is a
+A schedule holds what the paper lists: the *send lists* (local elements
+each rank sends to each other rank), the *permutation list* (where
+incoming off-processor elements land in the receiver's ghost buffer)
+and the *send* / *fetch sizes*.  :class:`Schedule` is a
 :class:`~repro.core.compiled.CommPlan` — one count matrix, one flat
 sender-major send stream, one flat receiver-major stream of ghost slots
 and the per-rank ghost-buffer sizes — and only names those parts the
@@ -12,19 +12,26 @@ way the paper does (``send_indices[p]``, ``recv_slots[p]``,
 
 Schedules are built collectively from the stamped hash tables
 (:func:`build_schedule`): each rank selects the off-processor entries
-matching a :class:`~repro.core.hashtable.StampExpr`, groups them by owner,
-and a request exchange tells every owner which of its local elements other
-ranks need.  Merged and incremental schedules fall out of the stamp
-algebra for free.
+matching a :class:`~repro.core.hashtable.StampExpr`, and a request
+exchange tells every owner which of its local elements other ranks need.
+Merged and incremental schedules fall out of the stamp algebra for free.
 
 :func:`build_schedule` validates and dispatches to the backend carried
 by its :class:`~repro.core.context.ExecutionContext`: ``serial`` walks
-the stamped entries per rank in Python (the reference), ``vectorized``
-(the default) groups every rank's entries by owner in one stream; both
-produce bitwise-identical schedules and traffic statistics.
+the stamped entries per rank in Python and groups them by owner into
+the paper's streams (the reference); ``vectorized`` (the default) takes
+every rank's entries in the tables' own row order and *stores* that
+order, the :class:`SlotOrder` the executor reads, so the build sorts
+nothing; the streams are derived from it on first read.  Both produce
+bitwise-identical streams and traffic statistics.  A delta repair
+(:func:`splice_schedules`) edits the stored order in place of a
+rebuild.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +41,22 @@ from repro.core.hashtable import (
     HashTableGroup,
     StampExpr,
     _check_tables,
+    _holding,
     stream_of,
 )
+
+
+class SlotOrder(NamedTuple):
+    """A schedule in *ghost-slot order*: rank-major by receiver, each
+    receiver's ghost slots ascending — the order the hash tables hold
+    the entries in and the executor reads them in."""
+
+    #: each element's owner row in the rank-major local layout
+    rows: np.ndarray
+    #: its slot in the rank-major ghost layout (the schedule's extents)
+    slots: np.ndarray
+    #: the local layout: each rank's local size
+    local: tuple[int, ...]
 
 
 class Schedule(CommPlan):
@@ -47,6 +68,12 @@ class Schedule(CommPlan):
     ``p`` is placed, source-ascending and aligned element-wise with the
     senders' segments, delimited by ``recv_offsets[p]``;
     ``ghost_size[p]`` — ghost-buffer slots rank ``p`` must allocate.
+
+    A schedule built from the tables (:meth:`from_slot_order`) stores
+    its :class:`SlotOrder` instead of those streams, and derives
+    ``send`` and ``place`` on first read, by one stable sort each.  For
+    the tables' own layout the stored order *is* the executor's
+    composed pair, so a new schedule's first execute composes nothing.
     """
 
     ghost_size = property(lambda self: self.extent)
@@ -54,6 +81,9 @@ class Schedule(CommPlan):
     recv_slots = property(lambda self: self.place_rows)
     recv_offsets = property(lambda self: self.place_offsets)
     recv_view = CommPlan.place_view
+
+    #: the stored order of a schedule built in it (``None``: streams)
+    order: SlotOrder | None = None
 
     def total_elements(self) -> int:
         """Off-processor elements moved by one gather with this schedule."""
@@ -64,6 +94,109 @@ class Schedule(CommPlan):
         z = np.zeros(0, dtype=np.int64)
         return cls(counts=np.zeros((n_ranks, n_ranks), dtype=np.int64),
                    send=z, place=z, extent=np.zeros(n_ranks, dtype=np.int64))
+
+    @classmethod
+    def from_slot_order(cls, counts, rows, slots, extent, local
+                        ) -> "Schedule":
+        """A schedule stored in ghost-slot order (see :class:`SlotOrder`):
+        ``counts[p, q]`` elements ``p`` sends to ``q``, each element's
+        owner row over the local sizes ``local`` and its slot over the
+        ghost sizes ``extent``; ``rows`` and ``slots`` are kept ``int32``
+        while they fit."""
+        plan = cls.__new__(cls)
+        plan.counts = np.ascontiguousarray(counts, dtype=np.int64)
+        plan.extent = np.array(extent, dtype=np.int64)  # own copy
+        local = np.asarray(local, dtype=np.int64)
+        if not rows.size == slots.size == plan.counts.sum():
+            raise ValueError("one row and one slot per counted element")
+        plan.order = SlotOrder(
+            rows.astype(_holding(local.sum()), copy=False),
+            slots.astype(_holding(plan.extent.sum()), copy=False),
+            tuple(local.tolist()))
+        plan._moves, plan._charges = {}, {}
+        return plan
+
+    # -- the paper's streams, derived from the stored order --------------
+    @cached_property
+    def send(self) -> np.ndarray:
+        """Sender-major send stream (stored-order schedules: derived)."""
+        owner = self._owners
+        return self._by_pair(owner, self._receivers,
+                             self.order.rows - self._local_base[owner])
+
+    @cached_property
+    def place(self) -> np.ndarray:
+        """Receiver-major receive stream (stored-order schedules:
+        derived)."""
+        recv = self._receivers
+        return self._by_pair(
+            recv, self._owners,
+            self.order.slots - offsets_from_counts(self.extent)[recv])
+
+    @cached_property
+    def _local_base(self) -> np.ndarray:
+        """Where each rank's rows begin in the stored local layout."""
+        return offsets_from_counts(np.array(self.order.local))
+
+    @cached_property
+    def _owners(self) -> np.ndarray:
+        """The owner of each element of the stored order."""
+        return self._local_base.searchsorted(self.order.rows, "right") - 1
+
+    @property
+    def _receivers(self) -> np.ndarray:
+        """The receiver of each element, in receive-stream or stored
+        order (both are receiver-major)."""
+        return np.repeat(np.arange(self.n_ranks), np.diff(self.recv_base))
+
+    def _by_pair(self, major, minor, values) -> np.ndarray:
+        """``values`` of the stored order sorted stably by the rank pair
+        ``(major, minor)``: a stream of the paper's."""
+        n = self.n_ranks
+        key = major * n + minor
+        return values[np.argsort(
+            key.astype(np.uint16) if n * n <= 1 << 16 else key,
+            kind="stable")]
+
+    # -- what the executor reads, from the stored order ------------------
+    def packs_past(self, n_rows: np.ndarray) -> np.ndarray:
+        # a stored row lies below its owner's local size: arrays that
+        # long need no maxima (``send_max`` reads the derived stream)
+        if self.order is not None and (n_rows >= self.order.local).all():
+            return np.zeros(self.n_ranks, dtype=bool)
+        return super().packs_past(n_rows)
+
+    @cached_property
+    def place_max(self) -> np.ndarray:
+        if self.order is None:
+            return CommPlan.place_max.func(self)
+        out = np.full(self.n_ranks, -1, dtype=np.int64)
+        placed = np.diff(self.recv_base)
+        some = placed > 0
+        # each receiver's slots ascend: its last is its largest
+        out[some] = (self.order.slots[self.recv_base[1:][some] - 1]
+                     - offsets_from_counts(self.extent)[:-1][some])
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        if self.order is None:
+            return super().nbytes
+        return sum(a.nbytes for a in (self.counts, self.order.rows,
+                                      self.order.slots, self.extent))
+
+    def _compose(self, local, placed) -> tuple:
+        """The stored order, widened to int64, for the tables' own
+        layout (the slots dropped when they cover the ghost buffers);
+        anything else composes from the streams."""
+        order = self.order
+        if (order is None or local != order.local
+                or placed != tuple(self.extent.tolist())):
+            return super()._compose(local, placed)
+        rows = order.rows.astype(np.int64)
+        if rows.size == sum(placed):
+            return None, rows
+        return order.slots.astype(np.int64), rows
 
 
 def build_schedule(
@@ -127,25 +260,24 @@ def splice_schedules(
     entries that left rank ``p``'s selection.  The result is
     bitwise-identical to a cold rebuild.
 
-    The splice is a positional *edit script* on the flat buffers.  A
-    cold build orders the receive stream by ``(receiver, owner,
-    hash-table row)`` (``build_schedule`` selects rows ascending and
-    groups them owner-stably), and a rank's ghost slots number its
-    off-processor rows in row order, so that order is also
-    ``(receiver, owner, ghost slot)``.  Keying every element of a
-    receive stream by its segment and its slot therefore makes the
-    base's keys ascend along the whole stream, read off the plan alone.
-    Where a dropped entry sits and where a delta entry goes in are then
-    one ``searchsorted`` each over those keys.  Element ``k`` of ``p``'s
-    segment from ``q`` is element ``k`` of ``q``'s segment to ``p``, so
-    the same edits, shifted segment by segment, apply to the send
-    stream: one edit per buffer, no iteration over ranks or rank pairs.
+    The splice edits the stored ghost-slot order (:class:`SlotOrder`)
+    directly: a cold build lists every receiver's entries with their
+    ghost slots ascending, and a rank's ghost slots number its rows in
+    row order, so the base's global slots ascend along the whole order.
+    A dropped entry is found there by its global slot (one
+    ``searchsorted``); a delta entry goes in where its slot sorts,
+    clamped into its receiver's segment (a slot the base's extents do
+    not hold yet sorts past it); both arrays take the same edits, and
+    one shift moves the slots to the delta's extents, the live tables'.
+    No stream is sorted and no rank or rank pair is visited.  A base or
+    delta built from streams (the serial backend) is put in slot order
+    first, by one sort of its ghost slots.
 
     ``base`` must describe the same tables as they were before the
-    update.  That is checked where the edit script sees it: a ghost
-    slot of ``base`` outside its receiver's slots or out of order
-    within its segment, or a dropped entry that is not found at its own
-    position, raises ``ValueError``.
+    update.  That is checked where the edit sees it: a ghost slot of
+    ``base`` outside its receiver's slots or out of order, extents past
+    the live tables', or a dropped entry that is not found at its own
+    slot, raises ``ValueError``.
     """
     ctx = ensure_context(ctx, "splice_schedules")
     machine = ctx.machine
@@ -158,68 +290,51 @@ def splice_schedules(
     _check_selection(group, drows, n_drop)
     machine.charge_memops_vec(group.n_entries, category)
 
-    # key (receiver p, owner q, slot) = (p * n + q) * top + slot, where
-    # top bounds every live slot; keys below 2**31 move as int32: half
-    # the bytes to write and search
-    top = max(1, int(group.n_ghost.max()))
-    dtype = np.int32 if n * n * top < 1 << 31 else np.int64
-    pair_base = np.arange(0, n * n * top, top, dtype=dtype)
-
-    def keys_of(plan):
-        slots = plan.place
-        if slots.size and (slots.min() < 0 or slots.max() >= top):
-            raise ValueError(_STALE)
-        key = np.repeat(pair_base, plan.counts.T.ravel())
-        key += slots
-        return key
-
-    # the base's slots ascend within each segment and end below their
-    # receiver's ghost slots; a dropped entry's key must be in the base
-    base_key = keys_of(base)
-    recv_seg = offsets_from_counts(base.counts.T.ravel())   # [p * n + q]
-    nonempty = np.flatnonzero(base.counts.T.ravel())
-    if ((base_key[1:] <= base_key[:-1]).any()
-            or (base.place[recv_seg[nonempty + 1] - 1]
-                >= group.n_ghost[nonempty // n]).any()):
+    # the base's and the delta's ghost layouts; slots move in the
+    # narrowest dtype that holds the delta's, needles as the haystack
+    old = offsets_from_counts(base.extent)
+    new = offsets_from_counts(delta.extent)
+    dtype = _holding(new[-1])
+    rows, slots = _slot_order(base, group)
+    slots = slots.astype(dtype, copy=False)
+    seg = base.recv_base
+    some = np.flatnonzero(np.diff(seg))
+    if ((base.extent > group.n_ghost).any()
+            or (slots[1:] <= slots[:-1]).any()
+            or (slots[seg[some]] < old[some]).any()
+            or (slots[seg[some + 1] - 1] >= old[some + 1]).any()):
         raise ValueError(_STALE)
+
+    # dropped entries by their global slots: a rank's rows ascend, so
+    # do their slots
     ranks = np.repeat(np.arange(n), n_drop)
     at = group.flat(ranks, drows)
-    dkey = ranks * n + group.proc.ravel()[at]
-    dkey *= top
-    dkey += group.buf.ravel()[at]
-    # in the base's dtype: a wider needle would convert the whole base
-    dkey = np.sort(dkey.astype(dtype, copy=False))
-    drop_at = base_key.searchsorted(dkey)
-    if ((drop_at >= base_key.size).any()
-            or (base_key[np.minimum(drop_at, base_key.size - 1)]
-                != dkey).any()):
+    dslot = group.buf.ravel()[at]
+    if (dslot >= base.extent[ranks]).any():
         raise ValueError(_STALE)
-    ikey = keys_of(delta)
-    ins_at = base_key.searchsorted(ikey)
+    dkey = dslot.astype(dtype)
+    dkey += old[:-1].astype(dtype)[ranks]
+    drop_at = slots.searchsorted(dkey)
+    if ((drop_at >= slots.size).any()
+            or (slots[np.minimum(drop_at, slots.size - 1)] != dkey).any()):
+        raise ValueError(_STALE)
 
-    # the same edits seen by the senders: a key's pair (receiver p,
-    # owner q) names the receive segment it sits in, and element k of
-    # (p <- q) is element k of (q -> p)
-    send_seg = offsets_from_counts(base.counts.ravel())     # [q * n + p]
-
-    def at_sender(at, keys):
-        pair = keys // top
-        sender_pair = pair % n * n + pair // n
-        return at - recv_seg[pair] + send_seg[sender_pair], sender_pair
-
-    drop_send, drop_pair = at_sender(drop_at, dkey)
-    ins_send = np.empty_like(ins_at)
-    # the delta's send stream lists its entries sender-major
-    ins_send[delta.perm] = at_sender(ins_at, ikey)[0]
+    # delta entries keyed in the base's layout, clamped into their
+    # receiver's segment
+    d_rows, d_slots = _slot_order(delta, group)
+    shift = (new[:-1] - old[:-1]).astype(dtype)
+    d_recv = delta._receivers
+    ikey = d_slots.astype(dtype)
+    ikey -= shift[d_recv]
+    ins_at = np.minimum(slots.searchsorted(ikey), seg[1:][d_recv])
 
     counts = (base.counts + delta.counts
-              - np.bincount(drop_pair, minlength=n * n).reshape(n, n))
-    spliced = Schedule(
-        counts=counts,
-        send=_edited(base.send, drop_send, ins_send, delta.send),
-        place=_edited(base.place, drop_at, ins_at, delta.place),
-        extent=delta.extent,
-    )
+              - np.bincount(group.proc.ravel()[at] * n + ranks,
+                            minlength=n * n).reshape(n, n))
+    rows, slots = _edited((rows, slots), drop_at, ins_at, (d_rows, ikey))
+    slots += np.repeat(shift, counts.sum(axis=0))
+    spliced = Schedule.from_slot_order(counts, rows, slots, delta.extent,
+                                       group.n_local)
     machine.charge_memops_vec(counts.sum(axis=0), category)
     return spliced
 
@@ -228,19 +343,42 @@ _STALE = ("base schedule does not match the live tables (built against "
           "other tables)")
 
 
-def _edited(old, drop, ins, values):
-    """``old`` without the positions ``drop`` and with ``values`` put in
-    before the positions ``ins`` (``np.insert``'s order for repeated
-    positions): ``values`` are written to their final places in one
-    result array and the kept elements of ``old`` fill the rest."""
-    at = ins - np.sort(drop).searchsorted(ins)
-    order = np.argsort(at, kind="stable")
-    at[order] += np.arange(at.size)
-    out = np.empty(old.size - drop.size + values.size, dtype=old.dtype)
-    out[at] = values
-    free = np.ones(out.size, dtype=bool)
+def _slot_order(plan: Schedule, group) -> tuple[np.ndarray, np.ndarray]:
+    """``plan``'s ``(rows, slots)`` in ghost-slot order over the tables'
+    local layout: stored, or derived from its streams by one sort of
+    its global slots (a slot outside its receiver's is ``_STALE``)."""
+    local = tuple(group.n_local.tolist())
+    if plan.order is not None:
+        if plan.order.local != local:
+            raise ValueError(_STALE)
+        return plan.order.rows, plan.order.slots
+    place = plan.place
+    if place.size and (place.min() < 0
+                       or (place >= plan.extent[plan._receivers]).any()):
+        raise ValueError(_STALE)
+    slots = plan._rows(place, plan.recv_base, tuple(plan.extent.tolist()))
+    rows = plan._rows(plan.send, plan.send_base, local)[plan.perm]
+    order = np.argsort(slots, kind="stable")
+    return rows[order], slots[order]
+
+
+def _edited(olds, drop, ins, values) -> list[np.ndarray]:
+    """Each of the equally long ``olds`` without the positions ``drop``
+    and with its ``values`` put in before the positions ``ins`` (both
+    ascending; ``np.insert``'s order for repeated positions): the
+    values are written to their final places and the kept elements
+    fill the rest, by one set of positions for every array."""
+    at = ins - drop.searchsorted(ins)
+    at += np.arange(at.size)
+    size = olds[0].size - drop.size + ins.size
+    free = np.ones(size, dtype=bool)
     free[at] = False
-    keep = np.ones(old.size, dtype=bool)
+    keep = np.ones(olds[0].size, dtype=bool)
     keep[drop] = False
-    out[free] = old[keep]
-    return out
+    outs = []
+    for old, vals in zip(olds, values):
+        out = np.empty(size, dtype=old.dtype)
+        out[at] = vals
+        out[free] = old[keep]
+        outs.append(out)
+    return outs

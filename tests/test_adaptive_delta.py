@@ -21,6 +21,7 @@ from repro.core import (
     ExecutionContext,
     IrregularReduction,
     RankArena,
+    Schedule,
     TranslationTable,
     allocate_ghosts,
     build_schedule,
@@ -388,25 +389,59 @@ def test_base_slot_past_its_ghost_slots_is_rejected(rank):
     _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
     assert base.recv_slots[rank].size
-    base.recv_slots[rank][-1] = hts.n_ghost[rank]
+    # the stored order's last slot of ``rank``, in the global ghost layout
+    base.order.slots[base.recv_base[rank + 1] - 1] = (
+        offsets_from_counts(base.extent)[rank] + hts.n_ghost[rank])
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
 
 
 def test_base_slots_out_of_order_are_rejected():
-    """A cold build lists each (receiver, owner) segment's ghost slots
-    ascending, because slots number a rank's off-processor rows in row
-    order: a base with two slots of one segment swapped does not
-    describe the live tables."""
+    """A cold build lists each receiver's ghost slots ascending, because
+    slots number a rank's off-processor rows in row order: a base with
+    two slots of one receiver swapped does not describe the live
+    tables."""
     ctx = ExecutionContext.resolve(Machine(4), "vectorized")
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
     _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
     rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
-    seg = base.counts.T.ravel()
-    at = offsets_from_counts(seg)[np.flatnonzero(seg >= 2)[0]]
-    base.place[at:at + 2] = base.place[at:at + 2][::-1].copy()
+    seg = np.diff(base.recv_base)
+    at = base.recv_base[np.flatnonzero(seg >= 2)[0]]
+    slots = base.order.slots
+    slots[at:at + 2] = slots[at:at + 2][::-1].copy()
     with pytest.raises(ValueError, match="does not match the live tables"):
         delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+
+
+def test_stale_base_is_rejected_where_only_its_order_shows_it():
+    """Two stale bases no dropped entry gives away.  Two slots of one
+    receiver swapped, with nothing leaving or entering: only the order
+    check sees them.  A base two updates behind, spliced with an update
+    that drops the entries the skipped one added to rank 0: their slots
+    lie past the base's extents, so looked up in the base they would
+    name rank 1's entries."""
+    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    none = [a[:0] for a in idx]
+    seg = np.diff(base.recv_base)
+    at = base.recv_base[np.flatnonzero(seg >= 2)[0]]
+    slots = base.order.slots.copy()
+    slots[at:at + 2] = slots[at:at + 2][::-1].copy()
+    swapped = Schedule.from_slot_order(base.counts, base.order.rows, slots,
+                                       base.extent, base.order.local)
+    same = rehash_delta(ctx, hts, tt, "s", none, none)
+    with pytest.raises(ValueError, match="does not match the live tables"):
+        delta_rebuild_schedule(ctx, hts, "s", swapped, same)
+
+    fresh = np.setdiff1d(np.arange(60), idx[0])
+    fresh = fresh[tt.dist.owner(fresh) != 0][:3]
+    old = [idx[0][:fresh.size]] + none[1:]
+    new = [fresh] + none[1:]
+    rehash_delta(ctx, hts, tt, "s", old, new)   # never spliced
+    assert hts.n_ghost[0] > base.extent[0]
+    back = rehash_delta(ctx, hts, tt, "s", new, old)
+    with pytest.raises(ValueError, match="does not match the live tables"):
+        delta_rebuild_schedule(ctx, hts, "s", base, back)
 
 
 def test_rejected_splice_leaves_no_scratch_stamp_behind():
@@ -584,6 +619,33 @@ def test_targeted_adapt_of_an_arena_changed_in_place_is_rejected():
     assert rt.modification_record.version("nb:ib") == version
     loop.adapt("ib", ib)
     _assert_reduces(rt, tt, loop, ia, ib, rng)
+
+
+def test_targeted_adapt_of_a_copy_of_an_arena_changed_in_place_is_rejected():
+    """The bound arena changed in place and a *copy* of it passed: the
+    bound buffer no longer holds the old values, though the two arrays
+    share no memory, so the adapt is a ``ValueError`` before anything
+    changes (it used to give a result that disagreed with ``np.add.at``
+    and no error).  An untargeted adapt of the copy is right."""
+    rng = np.random.default_rng(23)
+    n, per, k = 400, 50, 10
+    m = Machine(4)
+    rt = ChaosRuntime(ExecutionContext.resolve(m, "vectorized"))
+    tt = rt.irregular_table(rng.integers(0, 4, n))
+    ia = split_by_block(rng.integers(0, n, 4 * per), m)
+    ib = RankArena(rng.integers(0, n, 4 * per), np.full(4, per))
+    loop = IrregularReduction(rt, tt, "nb").bind(ia=ia, ib=ib)
+    loop.setup()
+    touched = [rng.choice(per, size=k, replace=False) for _ in range(4)]
+    for a, pos in zip(ib, touched):
+        a[pos] = rng.integers(0, n, k)
+    copy = [a.copy() for a in ib]
+    version = rt.modification_record.version("nb:ib")
+    with pytest.raises(ValueError, match="changed in place"):
+        loop.adapt("ib", copy, touched=touched)
+    assert rt.modification_record.version("nb:ib") == version
+    loop.adapt("ib", copy)
+    _assert_reduces(rt, tt, loop, ia, copy, rng)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -228,10 +228,12 @@ class TestIndexHashTable:
         assert _selected(group, 0, e("a")) == [0, 1]
         assert _selected(group, 0, e("b") - e("a")) == [2]
         assert _selected(group, 0, e("a", "b")) == [0, 1, 2]
-        # the group's machine-wide selection is the same, owner-grouped
-        counts, off, buf = group.requests(e("a", "b"))
+        # the group's machine-wide selection is the same, in slot
+        # order: owner rows over the local sizes 10, 10, 10 and global
+        # slots over the ghost sizes 3, 0, 0
+        counts, rows, slots = group.by_slot(e("a", "b"))
         assert counts.tolist() == [[0, 2, 1], [0, 0, 0], [0, 0, 0]]
-        assert (off.tolist(), buf.tolist()) == ([0, 1, 0], [0, 1, 2])
+        assert (rows.tolist(), slots.tolist()) == ([10, 11, 20], [0, 1, 2])
 
     def test_select_off_processor_only(self):
         group = self.make()
@@ -239,8 +241,9 @@ class TestIndexHashTable:
         _stamp(group, 1, rows, "x")
         assert _selected(group, 1, group.expr("x")) == [1]
         assert _selected(group, 1, group.expr("x"), False) == [0, 1]
-        counts, _, buf = group.requests(group.expr("x"))
-        assert (counts[1].tolist(), buf.tolist()) == ([1, 0, 0], [0])
+        counts, rows, slots = group.by_slot(group.expr("x"))
+        assert (counts[1].tolist(), rows.tolist(), slots.tolist()) == (
+            [1, 0, 0], [0], [0])
 
     def test_clear_stamp_keeps_entries(self):
         group = self.make()

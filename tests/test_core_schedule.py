@@ -5,10 +5,20 @@ import pytest
 
 from repro.core import (
     ChaosRuntime,
+    CommPlan,
+    ExecutionContext,
+    RankArena,
     Schedule,
+    TranslationTable,
     build_schedule,
+    chaos_hash,
+    delta_rebuild_schedule,
+    make_hash_tables,
+    rehash_delta,
 )
 from repro.sim import Machine
+
+from oracle import observe
 
 
 def make_env(n_ranks=2, map_array=None):
@@ -141,3 +151,90 @@ class TestBuildSchedule:
         sched = build_schedule(rt.ctx, rt.hash_tables(tt), "s")
         assert sched.total_elements() == 1
 
+
+
+class TestSlotOrder:
+    """A schedule built from the tables stores the executor's ghost-slot
+    order and derives the paper's streams from it: the stored order must
+    be the pair the stream composition gives, and the derived streams
+    the serial builder's, after a cold build (from a stamp expression or
+    from a row selection) and after every splice of a chain — one that
+    empties a (receiver, owner) segment, one that re-activates the rows
+    it dropped, one that adds new entries — with a rank that holds no
+    ghosts, on one rank and on four, under both backends."""
+
+    @staticmethod
+    def check_pair(sched):
+        """The executor pair for the tables' own layout, and for longer
+        local arrays or ghost buffers, is the stream composition's."""
+        if sched.order is None:     # built from streams: nothing stored
+            return
+        local, placed = sched.order.local, tuple(sched.extent.tolist())
+        longer = tuple(n + 1 for n in local), tuple(n + 1 for n in placed)
+        for layout in ((local, placed), (longer[0], placed),
+                       (local, longer[1])):
+            got = sched._compose(*layout)
+            want = CommPlan._compose(sched, *layout)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if g is not None:
+                    assert g.dtype == np.int64 and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n_ranks", [1, 4])
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_stored_order_matches_the_streams(self, backend, n_ranks):
+        rng = np.random.default_rng(5)
+        n = 16 * n_ranks
+        owner = np.arange(n) % n_ranks
+        m = Machine(n_ranks)
+        ctx = ExecutionContext.resolve(m, backend)
+        reference = ExecutionContext.resolve(Machine(n_ranks), "serial")
+        tt = TranslationTable.from_map(m, owner)
+        group = make_hash_tables(ctx, tt)
+        # rank 0 references only elements it owns: it holds no ghosts
+        idx = [rng.choice(np.flatnonzero(owner == 0), 20)] + [
+            rng.integers(0, n, 20) for _ in range(1, n_ranks)]
+        chaos_hash(ctx, group, tt, [a.copy() for a in idx], "s")
+        assert group.n_ghost[0] == 0
+
+        def check(sched):
+            self.check_pair(sched)
+            assert observe(sched) == observe(
+                build_schedule(reference, group, "s"))
+            return sched
+
+        cold = check(build_schedule(ctx, group, "s"))
+        expr = group.expr("s")
+        rows = [np.flatnonzero(expr.matches(group.mask[p, :e])
+                               & (group.proc[p, :e] != p))
+                for p, e in enumerate(group.n_entries)]
+        check(build_schedule(ctx, group, RankArena(
+            np.concatenate(rows), [r.size for r in rows])))
+
+        def splice(sched, new_idx):
+            pos = [np.flatnonzero(a != b) for a, b in zip(idx, new_idx)]
+            rehash = rehash_delta(ctx, group, tt, "s",
+                                  [a[t] for a, t in zip(idx, pos)],
+                                  [b[t] for b, t in zip(new_idx, pos)])
+            return check(delta_rebuild_schedule(ctx, group, "s", sched,
+                                                rehash))
+
+        # rank r's references to owner q all become its own elements
+        r, q = (1, 2) if n_ranks > 1 else (0, 0)
+        emptied = [a.copy() for a in idx]
+        emptied[r][owner[idx[r]] == q] = np.flatnonzero(owner == r)[0]
+        sched = splice(cold, emptied)
+        if n_ranks > 1:
+            assert cold.counts[q, r] > 0 and sched.counts[q, r] == 0
+        idx, saved = emptied, idx
+        # ... and back: the dropped rows come back with their old slots
+        sched = splice(sched, saved)
+        assert observe(sched) == observe(cold)
+        idx = saved
+        # fresh values: new entries, new ghost slots, wider extents
+        grown = [a.copy() for a in idx]
+        for a in grown[1:]:
+            a[:5] = rng.integers(0, n, 5)
+        extent = sched.extent
+        splice(sched, grown)
+        assert n_ranks == 1 or (group.n_ghost > extent).any()
