@@ -24,7 +24,7 @@ from repro.core.hashtable import (
 from repro.core.schedule import (
     Schedule,
     build_schedule,
-    splice_schedules,
+    delta_rebuild_schedule,
 )
 from repro.core.lightweight import (
     LightweightSchedule,
@@ -37,7 +37,6 @@ from repro.core.inspector import (
     DeltaRehash,
     chaos_hash,
     clear_stamp,
-    delta_rebuild_schedule,
     localize_only,
     make_hash_tables,
     rehash_delta,
@@ -113,7 +112,6 @@ __all__ = [
     "StampRegistry",
     "Schedule",
     "build_schedule",
-    "splice_schedules",
     "LightweightSchedule",
     "append_phase",
     "build_lightweight_schedule",

@@ -39,13 +39,16 @@ from repro.core.hashtable import HashTableGroup, StampExpr, stream_of
 from repro.core.inspector import (
     chaos_hash,
     clear_stamp,
-    delta_rebuild_schedule,
     make_hash_tables,
     rehash_delta,
 )
 from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats, DeltaFallback
-from repro.core.schedule import Schedule, build_schedule
+from repro.core.schedule import (
+    Schedule,
+    build_schedule,
+    delta_rebuild_schedule,
+)
 from repro.core.translation import TranslationTable
 from repro.sim.machine import Machine
 

@@ -31,11 +31,12 @@ Two implementations ship with the runtime, and they are the whole set:
   key, a Python loop per communicating ``(p, q)`` rank pair, one
   per-primitive method per stage kind;
 * ``vectorized`` — the default: every rank's indices as one stream
-  through the table group's direct-address key map, one stable sort per
-  schedule build, count-matrix communication accounting
-  (:meth:`Machine.exchange_compiled`) with each stage's charges priced
-  once per plan, and one flat move per stage column — a composed index
-  pair over rank-major buffers (:class:`~repro.core.compiled.RankArena`,
+  through the table group's direct-address key map, schedules built in
+  the tables' own ghost-slot order (no sort), count-matrix communication
+  accounting (:meth:`Machine.exchange_compiled`) with each stage's
+  charges priced once per plan, and one flat move per stage column — a
+  composed index pair over rank-major buffers
+  (:class:`~repro.core.compiled.RankArena`,
   :meth:`~repro.core.compiled.CommPlan.move`), no loop over ranks.
 
 Each is a stateless singleton built once at import; a backend owns no
@@ -95,9 +96,8 @@ class Backend(ABC):
 
     @abstractmethod
     def build_schedule(self, ctx, group, expr, category: str):
-        """``CHAOS_schedule``: group the off-processor entries ``expr``
-        selects (a stamp expression or name, or a
-        :class:`~repro.core.compiled.RankArena` of each rank's rows) by
+        """``CHAOS_schedule``: group the off-processor entries the
+        :class:`~repro.core.hashtable.StampExpr` ``expr`` selects by
         owner and run the request exchange; returns a Schedule."""
 
     @abstractmethod

@@ -98,8 +98,6 @@ class SerialBackend(Backend):
 
         machine = ctx.machine
         n = machine.n_ranks
-        if isinstance(expr, str):
-            expr = group.expr(expr)
 
         # Per rank: select stamped off-processor entries, group by owner
         # with a stable argsort, and keep the grouped stream *flat* — the
@@ -112,12 +110,9 @@ class SerialBackend(Backend):
 
         for p in machine.ranks():
             ne = int(group.n_entries[p])
-            if isinstance(expr, RankArena):
-                rows = expr[p]  # the selection itself
-            else:
-                sel = expr.matches(group.mask[p, :ne])
-                sel &= group.proc[p, :ne] != p
-                rows = np.flatnonzero(sel)
+            sel = expr.matches(group.mask[p, :ne])
+            sel &= group.proc[p, :ne] != p
+            rows = np.flatnonzero(sel)
             machine.charge_memops(p, ne + 2 * rows.size, category)
             owners = group.proc[p, rows]
             order = np.argsort(owners, kind="stable")

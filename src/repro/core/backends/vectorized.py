@@ -172,29 +172,12 @@ class VectorizedBackend(Backend):
     # inspector phase: schedule generation
     # ------------------------------------------------------------------
     def build_schedule(self, ctx, group, expr, category):
-        from repro.core.schedule import Schedule
+        from repro.core.schedule import Schedule, charge_build
 
-        machine = ctx.machine
         # the selected off-processor entries in the tables' own order,
         # which is the executor's: no owner sort, no stream
-        if isinstance(expr, RankArena):  # the selected rows themselves
-            counts, rows, slots = group.by_slot(stream_of(expr))
-        else:
-            counts, rows, slots = group.by_slot(
-                group.expr(expr) if isinstance(expr, str) else expr)
-        n_sel = counts.sum(axis=1)
-        machine.charge_memops_vec(group.n_entries + 2 * n_sel, category)
-
-        # Size exchange (schedule setup), then the request exchange --
-        # charged from count matrices; the owners' send lists are the
-        # same entries, so no per-pair list is ever assembled.
-        machine.alltoall_lengths_compiled(counts, tag="sched_sizes",
-                                          category=category)
-        machine.exchange_compiled(counts, 8, tag="sched_requests",
-                                  category=category)
-        recv_totals = counts.sum(axis=0)
-        machine.charge_memops_vec(recv_totals, category,
-                                  mask=recv_totals > 0)
+        counts, rows, slots = group.by_slot(expr)
+        charge_build(ctx.machine, group, counts, category)
         return Schedule.from_slot_order(counts.T, rows, slots, group.n_ghost,
                                         group.n_local)
 

@@ -7,7 +7,8 @@ adaptive reuse win), assigns ghost-buffer slots to new off-processor references,
 marks every touched entry with the indirection array's stamp, and returns
 the indirection array rewritten to localized indices.
 
-The back half — schedule generation from stamped entries — lives in
+The back half — schedule generation from stamped entries, and the
+repair of a cached schedule after :func:`rehash_delta` — lives in
 :mod:`repro.core.schedule`.
 
 Every function takes an :class:`~repro.core.context.ExecutionContext`
@@ -20,9 +21,9 @@ rank, one dict operation per key (the reference semantics);
 ``vectorized`` (the default) looks up and inserts every rank's indices
 as one rank-major stream through the table group's direct-address key
 map.  The other steps below (:func:`localize_only`, :func:`clear_stamp`,
-:func:`rehash_delta`, :func:`delta_rebuild_schedule`) are written once,
-on the group: a constant number of machine-wide passes whatever the
-rank count, with the simulated work still charged rank by rank.
+:func:`rehash_delta`) are written once, on the group: a constant number
+of machine-wide passes whatever the rank count, with the simulated work
+still charged rank by rank.
 
 Index arguments are per-rank sequences, handled as one rank-major
 stream (:func:`~repro.core.hashtable.stream_of`: an intact
@@ -40,7 +41,6 @@ from repro.core.compiled import RankArena, offsets_from_counts
 from repro.core.context import ensure_context
 from repro.core.hashtable import (
     HashTableGroup,
-    StampExpr,
     _check_tables,
     stream_of,
 )
@@ -165,7 +165,8 @@ class DeltaRehash:
     count them per rank; ``pre_masks`` — their stamp masks *before* the
     update, aligned with ``affected_slots.flat``; ``localized`` — an
     arena of the new values at the touched positions, localized.  Feed
-    into :func:`delta_rebuild_schedule` to repair a cached schedule.
+    into :func:`~repro.core.schedule.delta_rebuild_schedule` to repair
+    a cached schedule.
     """
 
     affected_slots: RankArena
@@ -237,49 +238,6 @@ def rehash_delta(
     return DeltaRehash(
         affected_slots=RankArena(aff_rows, n_aff), pre_masks=pre,
         localized=RankArena(group.localize(rows_new, n_new), n_new))
-
-
-def delta_rebuild_schedule(
-    ctx,
-    group: HashTableGroup,
-    expr: StampExpr | str,
-    base_schedule,
-    rehash: DeltaRehash,
-    category: str = "inspector",
-):
-    """Repair a cached schedule after a :func:`rehash_delta`.
-
-    Selects the entries that *entered* ``expr``'s selection (and builds
-    a small delta schedule of exactly those rows through the backend
-    seam — both backends for free), collects the rows of entries that
-    *left*, and splices both into ``base_schedule``.  The result is
-    bitwise-identical to a cold ``build_schedule`` over the updated
-    tables; cost scales with the touched subset plus one pass over the
-    base schedule's buffers, not with a full request exchange.
-    """
-    from repro.core.schedule import build_schedule, splice_schedules
-
-    ctx = ensure_context(ctx, "delta_rebuild_schedule")
-    m = ctx.machine
-    _check_tables(m, group)
-    sel = group.expr(expr) if isinstance(expr, str) else expr
-    rows, n_aff = stream_of(rehash.affected_slots)
-    n = group.n_ranks
-    ranks = np.repeat(np.arange(n), n_aff)
-    at = group.flat(ranks, rows)
-    was = sel.matches(rehash.pre_masks)
-    now = sel.matches(group.mask.ravel()[at])
-    offp = group.proc.ravel()[at] != ranks
-    newly = now & ~was & offp
-    left = was & ~now & offp
-    dropped = RankArena(rows[left], np.bincount(ranks[left], minlength=n))
-    m.charge_memops_vec(n_aff, category)
-    delta = build_schedule(
-        ctx, group,
-        RankArena(rows[newly], np.bincount(ranks[newly], minlength=n)),
-        category=category)
-    return splice_schedules(ctx, group, base_schedule, delta, dropped,
-                            category=category)
 
 
 def localize_only(

@@ -23,9 +23,14 @@ the paper's streams (the reference); ``vectorized`` (the default) takes
 every rank's entries in the tables' own row order and *stores* that
 order, the :class:`SlotOrder` the executor reads, so the build sorts
 nothing; the streams are derived from it on first read.  Both produce
-bitwise-identical streams and traffic statistics.  A delta repair
-(:func:`splice_schedules`) edits the stored order in place of a
-rebuild.
+bitwise-identical streams and traffic statistics.
+
+A delta repair (:func:`delta_rebuild_schedule`, after an adaptive
+subset update) builds no schedule: it reads the entries that entered
+the selection straight from the tables, charges their request exchange
+(:func:`charge_build`, the charges of the vectorized build) and edits
+the cached schedule's stored order in place — one code path on every
+backend.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.compiled import CommPlan, RankArena, offsets_from_counts
+from repro.core.compiled import CommPlan, offsets_from_counts
 from repro.core.context import ensure_context
 from repro.core.hashtable import (
     HashTableGroup,
@@ -44,6 +49,7 @@ from repro.core.hashtable import (
     _holding,
     stream_of,
 )
+from repro.core.inspector import DeltaRehash
 
 
 class SlotOrder(NamedTuple):
@@ -202,7 +208,7 @@ class Schedule(CommPlan):
 def build_schedule(
     ctx,
     group: HashTableGroup,
-    expr: StampExpr | str | RankArena,
+    expr: StampExpr | str,
     category: str = "inspector",
 ) -> Schedule:
     """Construct a communication schedule from stamped hash tables.
@@ -211,67 +217,124 @@ def build_schedule(
     schedule, or a :class:`StampExpr` for merged (``a | b``) and
     incremental (``b - a``) schedules.  This is the paper's
     ``CHAOS_schedule`` primitive (Figure 6).  The context's backend
-    selects the schedule-generation strategy (see module docstring).
-
-    ``expr`` may also be the selection itself: a
-    :class:`~repro.core.compiled.RankArena` of each rank's off-processor
-    rows, strictly ascending (what a delta rebuild already holds; no
-    stamp is matched).  The charges are the same as for a stamp
-    expression selecting those rows.  A row that is out of order, not
-    in use or not a live off-processor entry is a ``ValueError``.
+    selects the schedule-generation strategy (see module docstring); it
+    is handed the :class:`StampExpr`.
     """
     ctx = ensure_context(ctx, "build_schedule")
     _check_tables(ctx.machine, group)
-    if isinstance(expr, RankArena):
-        ctx.machine.check_per_rank(expr, "selected rows")
-        _check_selection(group, *stream_of(expr))
+    if isinstance(expr, str):
+        expr = group.expr(expr)
+    elif not isinstance(expr, StampExpr):
+        raise TypeError("a schedule selects its entries by a stamp name or "
+                        f"a StampExpr, not {type(expr).__name__}")
     return ctx.backend.build_schedule(ctx, group, expr, category)
 
 
-def _check_selection(group, rows, sizes) -> None:
-    """Reject an explicit row selection unless each rank's rows ascend
-    strictly over its rows in use and name live off-processor entries
-    (the entries holding a ghost slot)."""
-    if rows.size == 0:
-        return
-    if (rows.min() < 0
-            or (rows >= np.repeat(group.n_entries, sizes)).any()):
-        raise ValueError("selected row outside its rank's rows in use")
-    at = group.flat(np.repeat(np.arange(group.n_ranks), sizes), rows)
-    if (at[1:] <= at[:-1]).any():
-        raise ValueError("selected rows must ascend strictly per rank")
-    if (group.buf.ravel()[at] < 0).any():
-        raise ValueError("selected row is not a live off-processor entry")
+def charge_build(machine, group: HashTableGroup, counts: np.ndarray,
+                 category: str) -> None:
+    """Charge a schedule build over the selected entries, ``counts[p, q]``
+    of rank ``p`` owned by ``q``, as the serial reference charges it: the
+    table scan and the selection, the size exchange, the request
+    exchange (charged from the count matrix: the owners' send lists are
+    the requested entries, so no per-pair list is assembled) and the
+    owners' send lists."""
+    machine.charge_memops_vec(group.n_entries + 2 * counts.sum(axis=1),
+                              category)
+    machine.alltoall_lengths_compiled(counts, tag="sched_sizes",
+                                      category=category)
+    machine.exchange_compiled(counts, 8, tag="sched_requests",
+                              category=category)
+    recv_totals = counts.sum(axis=0)
+    machine.charge_memops_vec(recv_totals, category, mask=recv_totals > 0)
 
 
-def splice_schedules(
+def delta_rebuild_schedule(
     ctx,
     group: HashTableGroup,
-    base: Schedule,
-    delta: Schedule,
-    dropped_rows: RankArena,
+    expr: StampExpr | str,
+    base_schedule: Schedule,
+    rehash: DeltaRehash,
     category: str = "inspector",
 ) -> Schedule:
-    """Graft a delta schedule into a cached base schedule.
+    """Repair a cached schedule after a
+    :func:`~repro.core.inspector.rehash_delta`.
 
-    ``base`` is the schedule cached before an adaptive subset update,
-    ``delta`` a schedule built over only the *newly participating*
-    entries, and ``dropped_rows[p]`` the table rows (ascending) of the
-    entries that left rank ``p``'s selection.  The result is
-    bitwise-identical to a cold rebuild.
+    Of the rows ``rehash`` touched, the off-processor entries that
+    *entered* ``expr``'s selection are read straight from the tables,
+    in ghost-slot order (:meth:`~HashTableGroup.by_slot`), and charged
+    as a build over exactly them (:func:`charge_build`: their request
+    exchange, not a full one); the entries that *left* are named by
+    their arena positions.  Both are spliced into ``base_schedule``
+    (:func:`_splice`), the same code on every backend.  The result is
+    bitwise-identical to a cold :func:`build_schedule` over the updated
+    tables; cost scales with the touched subset plus one pass over the
+    base schedule's buffers.
+
+    ``rehash`` must have been taken on these tables: its affected rows
+    ascend strictly per rank, below each rank's rows in use, with
+    ``pre_masks`` aligned to them; ``base_schedule`` must span the
+    tables' ranks.  Anything else is a ``ValueError`` raised before
+    anything is charged.  A base built against other tables is caught
+    by the splice.
+    """
+    ctx = ensure_context(ctx, "delta_rebuild_schedule")
+    machine = ctx.machine
+    _check_tables(machine, group)
+    n = group.n_ranks
+    if base_schedule.n_ranks != n:
+        raise ValueError(f"base schedule spans {base_schedule.n_ranks} "
+                         f"ranks, the tables {n}")
+    sel = group.expr(expr) if isinstance(expr, str) else expr
+    machine.check_per_rank(rehash.affected_slots, "affected slots")
+    rows, n_aff = stream_of(rehash.affected_slots)
+    ranks = np.repeat(np.arange(n), n_aff)
+    if rows.size and (rows.min() < 0
+                      or (rows >= group.n_entries[ranks]).any()):
+        raise ValueError("affected row outside its rank's rows in use "
+                         "(a rehash of other tables)")
+    at = group.flat(ranks, rows)
+    if (at[1:] <= at[:-1]).any():
+        raise ValueError("affected rows must ascend strictly per rank")
+    pre = np.asarray(rehash.pre_masks)
+    if pre.shape != rows.shape:
+        raise ValueError("pre_masks must align with the affected rows")
+    was = sel.matches(pre)
+    now = sel.matches(group.mask.ravel()[at])
+    offp = group.proc.ravel()[at] != ranks
+    newly = now & ~was & offp
+    left = was & ~now & offp
+    machine.charge_memops_vec(n_aff, category)
+    counts, d_rows, d_slots = group.by_slot(
+        (rows[newly], np.bincount(ranks[newly], minlength=n)))
+    charge_build(machine, group, counts, category)
+    return _splice(machine, group, base_schedule, counts.T, d_rows,
+                   d_slots, at[left], category)
+
+
+def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
+            dropped_at, category) -> Schedule:
+    """Splice a subset update into the cached schedule ``base``.
+
+    ``base`` is the schedule cached before an adaptive subset update.
+    The entries that entered its selection come as ``counts[p, q]``
+    (entering entries ``p`` sends to ``q``) and, in ghost-slot order
+    over the live tables, their owner rows ``d_rows`` and ghost slots
+    ``d_slots`` (:meth:`~HashTableGroup.by_slot`); the entries that
+    left as their arena positions ``dropped_at``, ascending.  The result
+    is bitwise-identical to a cold rebuild.
 
     The splice edits the stored ghost-slot order (:class:`SlotOrder`)
     directly: a cold build lists every receiver's entries with their
     ghost slots ascending, and a rank's ghost slots number its rows in
     row order, so the base's global slots ascend along the whole order.
     A dropped entry is found there by its global slot (one
-    ``searchsorted``); a delta entry goes in where its slot sorts,
+    ``searchsorted``); an entering entry goes in where its slot sorts,
     clamped into its receiver's segment (a slot the base's extents do
     not hold yet sorts past it); both arrays take the same edits, and
-    one shift moves the slots to the delta's extents, the live tables'.
-    No stream is sorted and no rank or rank pair is visited.  A base or
-    delta built from streams (the serial backend) is put in slot order
-    first, by one sort of its ghost slots.
+    one shift moves the slots to the live tables' extents.  No stream
+    is sorted and no rank or rank pair is visited.  A base built from
+    streams (the serial backend) is put in slot order first, by one
+    sort of its ghost slots.
 
     ``base`` must describe the same tables as they were before the
     update.  That is checked where the edit sees it: a ghost slot of
@@ -279,21 +342,13 @@ def splice_schedules(
     the live tables', or a dropped entry that is not found at its own
     slot, raises ``ValueError``.
     """
-    ctx = ensure_context(ctx, "splice_schedules")
-    machine = ctx.machine
-    _check_tables(machine, group)
-    machine.check_per_rank(dropped_rows, "dropped rows")
     n = base.n_ranks
-    if delta.n_ranks != n:
-        raise ValueError("base and delta schedules span different machines")
-    drows, n_drop = stream_of(dropped_rows)
-    _check_selection(group, drows, n_drop)
     machine.charge_memops_vec(group.n_entries, category)
 
-    # the base's and the delta's ghost layouts; slots move in the
-    # narrowest dtype that holds the delta's, needles as the haystack
+    # the base's and the live ghost layouts; slots move in the
+    # narrowest dtype that holds the live ones, needles as the haystack
     old = offsets_from_counts(base.extent)
-    new = offsets_from_counts(delta.extent)
+    new = offsets_from_counts(group.n_ghost)
     dtype = _holding(new[-1])
     rows, slots = _slot_order(base, group)
     slots = slots.astype(dtype, copy=False)
@@ -307,9 +362,8 @@ def splice_schedules(
 
     # dropped entries by their global slots: a rank's rows ascend, so
     # do their slots
-    ranks = np.repeat(np.arange(n), n_drop)
-    at = group.flat(ranks, drows)
-    dslot = group.buf.ravel()[at]
+    ranks = dropped_at // group.rows_cap
+    dslot = group.buf.ravel()[dropped_at]
     if (dslot >= base.extent[ranks]).any():
         raise ValueError(_STALE)
     dkey = dslot.astype(dtype)
@@ -319,21 +373,20 @@ def splice_schedules(
             or (slots[np.minimum(drop_at, slots.size - 1)] != dkey).any()):
         raise ValueError(_STALE)
 
-    # delta entries keyed in the base's layout, clamped into their
+    # entering entries keyed in the base's layout, clamped into their
     # receiver's segment
-    d_rows, d_slots = _slot_order(delta, group)
     shift = (new[:-1] - old[:-1]).astype(dtype)
-    d_recv = delta._receivers
+    d_recv = np.repeat(np.arange(n), counts.sum(axis=0))
     ikey = d_slots.astype(dtype)
     ikey -= shift[d_recv]
     ins_at = np.minimum(slots.searchsorted(ikey), seg[1:][d_recv])
 
-    counts = (base.counts + delta.counts
-              - np.bincount(group.proc.ravel()[at] * n + ranks,
+    counts = (base.counts + counts
+              - np.bincount(group.proc.ravel()[dropped_at] * n + ranks,
                             minlength=n * n).reshape(n, n))
     rows, slots = _edited((rows, slots), drop_at, ins_at, (d_rows, ikey))
     slots += np.repeat(shift, counts.sum(axis=0))
-    spliced = Schedule.from_slot_order(counts, rows, slots, delta.extent,
+    spliced = Schedule.from_slot_order(counts, rows, slots, group.n_ghost,
                                        group.n_local)
     machine.charge_memops_vec(counts.sum(axis=0), category)
     return spliced

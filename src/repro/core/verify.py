@@ -131,7 +131,7 @@ def check_hash_tables(group: HashTableGroup) -> list[str]:
     column can carry (``0 <= g < n_keys``, ``0 <= proc < n_ranks``,
     ``0 <= off < n_local[proc]``, refcounts ``>= 0``); the off-processor
     rows, in row order, hold the ghost slots ``0 .. n_ghost - 1`` (the
-    order :func:`~repro.core.schedule.splice_schedules` relies on) and
+    order :func:`~repro.core.schedule.delta_rebuild_schedule` relies on) and
     the owned rows none; a counted stamp's refcount is positive exactly
     where its bit is set; the key store holds exactly one key per
     row."""

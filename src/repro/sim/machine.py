@@ -207,7 +207,6 @@ class Machine:
         elem_nbytes,
         tag: str = "exchange",
         category: str = "comm",
-        sync: bool = True,
     ) -> None:
         """Charge clocks and traffic for one compiled flat exchange.
 
@@ -224,7 +223,7 @@ class Machine:
         :meth:`_apply_exchange` charges that price.
         """
         self._apply_exchange(self._exchange_cost(counts, elem_nbytes),
-                             tag, category, sync)
+                             tag, category)
 
     def _exchange_cost(self, counts, elem_nbytes) -> _ExchangeCost:
         """The pure half of :meth:`exchange_compiled`: validation, the
@@ -261,7 +260,7 @@ class Machine:
                              int(src.size), int(nbytes.sum()))
 
     def _apply_exchange(self, cost: _ExchangeCost, tag: str,
-                        category: str, sync: bool = True) -> None:
+                        category: str) -> None:
         """Charge a priced exchange: one clock add, one traffic add (the
         individual records only when the traffic log keeps them), then
         the barrier."""
@@ -275,15 +274,13 @@ class Machine:
                 ]
             self.traffic.add_bulk(cost.n_messages, cost.total_bytes, tag,
                                   records)
-        if sync:
-            self.barrier()
+        self.barrier()
 
     def alltoallv(
         self,
         sendbufs: Sequence[Sequence[Any]],
         tag: str = "alltoallv",
         category: str = "comm",
-        sync: bool = True,
     ) -> list[list[Any]]:
         """All-to-all exchange of arbitrary per-pair payloads.
 
@@ -307,8 +304,7 @@ class Machine:
                 recv[q][p] = payload
                 if p != q:
                     self._deliver(p, q, payload, tag, category)
-        if sync:
-            self.barrier()
+        self.barrier()
         return recv
 
     def alltoall_lengths(
@@ -316,7 +312,6 @@ class Machine:
         lengths: Sequence[Sequence[int]],
         tag: str = "sizes",
         category: str = "comm",
-        sync: bool = True,
     ) -> list[list[int]]:
         """Exchange message-size metadata (one small int per pair).
 
@@ -335,8 +330,7 @@ class Machine:
                 recv[q][p] = n
                 if n > 0 and p != q:
                     self._deliver(p, q, 8, tag, category)
-        if sync:
-            self.barrier()
+        self.barrier()
         return recv
 
     def alltoall_lengths_compiled(
@@ -344,7 +338,6 @@ class Machine:
         counts,
         tag: str = "sizes",
         category: str = "comm",
-        sync: bool = True,
     ) -> None:
         """Charge a message-size exchange straight from a count matrix.
 
@@ -359,7 +352,6 @@ class Machine:
             raise ValueError("negative length in compiled size exchange")
         self.exchange_compiled(
             (counts > 0).astype(np.int64), 8, tag=tag, category=category,
-            sync=sync,
         )
 
     def allgather(
@@ -367,7 +359,6 @@ class Machine:
         items: Sequence[Any],
         tag: str = "allgather",
         category: str = "comm",
-        sync: bool = True,
     ) -> list[list[Any]]:
         """Every rank contributes one item; every rank receives all items.
 
@@ -393,8 +384,7 @@ class Machine:
                         dst = (p + (1 << r)) % self.n_ranks
                     self.traffic.add(
                         Message(src=p, dst=dst, nbytes=step_bytes, tag=tag))
-        if sync:
-            self.barrier()
+        self.barrier()
         return [list(gathered) for _ in self.ranks()]
 
     def bcast(
@@ -403,7 +393,6 @@ class Machine:
         root: int = 0,
         tag: str = "bcast",
         category: str = "comm",
-        sync: bool = True,
     ) -> list[Any]:
         """Broadcast ``item`` from ``root``; returns one copy per rank.
 
@@ -420,8 +409,7 @@ class Machine:
                 Message(src=root, dst=(root + 1) % self.n_ranks,
                         nbytes=nbytes * (self.n_ranks - 1), tag=tag)
             )
-        if sync:
-            self.barrier()
+        self.barrier()
         return [item for _ in self.ranks()]
 
     def allreduce(
@@ -430,7 +418,6 @@ class Machine:
         op: Callable[[Any, Any], Any],
         tag: str = "allreduce",
         category: str = "comm",
-        sync: bool = True,
     ) -> list[Any]:
         """Reduce one value per rank with ``op``; all ranks get the result.
 
@@ -447,8 +434,7 @@ class Machine:
             for _ in range(rounds):
                 self.clocks.advance(np.full(self.n_ranks, dt), category)
             self.traffic.add(Message(src=0, dst=0, nbytes=nbytes * rounds, tag=tag))
-        if sync:
-            self.barrier()
+        self.barrier()
         return [acc for _ in self.ranks()]
 
     def allreduce_sum(self, values: Sequence[Any], **kw) -> list[Any]:

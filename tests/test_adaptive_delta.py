@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChaosRuntime,
+    DeltaRehash,
     ExecutionContext,
     IrregularReduction,
     RankArena,
@@ -297,7 +298,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
     # bracket the one splice call: clocks and traffic around it
     m = ctx_d.machine
     seen = {}
-    splice = schedule_mod.splice_schedules
+    splice = schedule_mod._splice
 
     def bracketed(*args, **kwargs):
         seen["clock"] = [c.time for c in m.clocks]
@@ -307,7 +308,7 @@ def test_splice_edit_script_matches_cold_build(case, n_ranks, backend, seed):
         seen["after"] = [c.time for c in m.clocks]
         return out
 
-    with mock.patch.object(schedule_mod, "splice_schedules", bracketed):
+    with mock.patch.object(schedule_mod, "_splice", bracketed):
         rehash = rehash_delta(ctx_d, hts_d, tt_d, "s",
                               [a[t] for a, t in zip(idx, pos)], new)
         got = delta_rebuild_schedule(ctx_d, hts_d, "s", base, rehash)
@@ -464,46 +465,132 @@ def test_rejected_splice_leaves_no_scratch_stamp_behind():
         == observe(build_schedule(ctx, hts, "s"))
 
 
-def _selection(hts, edit=None):
-    """Each rank's off-processor rows of stamp ``s`` as a RankArena;
-    ``edit(n_entries, proc, rows)`` may alter rank 1's (its rows in use
-    and their owners are passed)."""
-    expr = hts.expr("s")
-    rows = [np.flatnonzero(expr.matches(hts.mask[p, :n])
-                           & (hts.proc[p, :n] != p))
-            for p, n in enumerate(hts.n_entries)]
-    if edit is not None:
-        rows[1] = edit(hts.n_entries[1], hts.proc[1, :hts.n_entries[1]],
-                       rows[1])
-    return RankArena(np.concatenate(rows), [r.size for r in rows])
+def _rejected_untouched(ctx, hts, repair, match):
+    """``repair()`` raises ``ValueError`` matching ``match`` before it
+    charges the machine or writes the tables."""
+    m = ctx.machine
+    clocks, traffic = [c.time for c in m.clocks], m.traffic.snapshot()
+    tables = [getattr(hts, c).copy() for c in hts._COLUMNS]
+    with pytest.raises(ValueError, match=match):
+        repair()
+    assert [c.time for c in m.clocks] == clocks
+    assert m.traffic.snapshot() == traffic
+    for c, before in zip(hts._COLUMNS, tables):
+        assert np.array_equal(getattr(hts, c), before)
 
 
-BAD_SELECTIONS = {
-    "descending": lambda n, proc, r: r[::-1],
-    "duplicate": lambda n, proc, r: np.insert(r, 0, r[0]),
-    "negative": lambda n, proc, r: np.insert(r, 0, -1),
-    "past_rows_in_use": lambda n, proc, r: np.append(r, n),
-    "on_processor": lambda n, proc, r: np.sort(np.append(
-        r, np.flatnonzero(proc == 1)[0])),
+def _edit_rank1(rehash, edit):
+    """``rehash`` with rank 1's affected rows and their masks replaced by
+    ``edit(rows, masks)``."""
+    rows = list(rehash.affected_slots)
+    masks = np.split(rehash.pre_masks,
+                     np.cumsum(rehash.affected_slots.sizes)[:-1])
+    rows[1], masks[1] = edit(rows[1], masks[1])
+    return DeltaRehash(RankArena(np.concatenate(rows),
+                                 [r.size for r in rows]),
+                       np.concatenate(masks), rehash.localized)
+
+
+def _rehash_of_larger_tables(ctx, tt, hts, rehash):
+    """A rehash taken on a second group of the same translation table
+    that holds every index on every rank: its rows run past ``hts``'s."""
+    other = make_hash_tables(ctx, tt)
+    every = [np.arange(60) for _ in range(ctx.n_ranks)]
+    chaos_hash(ctx, other, tt, every, "s")
+    return rehash_delta(ctx, other, tt, "s", [a[40:] for a in every],
+                        [a[:20] for a in every])
+
+
+BAD_REHASHES = {
+    "other_tables": _rehash_of_larger_tables,
+    "past_rows_in_use": lambda ctx, tt, hts, r: _edit_rank1(
+        r, lambda rows, pre: (np.append(rows, hts.n_entries[1]),
+                              np.append(pre, 1))),
+    "past_rows_cap": lambda ctx, tt, hts, r: _edit_rank1(
+        r, lambda rows, pre: (np.append(rows, hts.rows_cap),
+                              np.append(pre, 1))),
+    "negative": lambda ctx, tt, hts, r: _edit_rank1(
+        r, lambda rows, pre: (np.insert(rows, 0, -1), np.insert(pre, 0, 1))),
+    "descending": lambda ctx, tt, hts, r: _edit_rank1(
+        r, lambda rows, pre: (rows[::-1], pre[::-1])),
+    "duplicate": lambda ctx, tt, hts, r: _edit_rank1(
+        r, lambda rows, pre: (np.insert(rows, 0, rows[0]),
+                              np.insert(pre, 0, pre[0]))),
+    "misaligned_masks": lambda ctx, tt, hts, r: _edit_rank1(
+        r, lambda rows, pre: (rows, pre[1:])),
 }
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("bad", sorted(BAD_SELECTIONS))
-def test_explicit_row_selection_is_checked(bad, backend):
-    """``build_schedule`` over an explicit row selection equals the stamp
-    expression selecting the same rows, and a selection that is out of
-    order, outside the rows in use or not a live off-processor entry is
-    rejected before anything is charged (the vectorized backend would
-    otherwise read another rank's arena or emit a ghost slot of -1)."""
+@pytest.mark.parametrize("bad", sorted(BAD_REHASHES))
+def test_rehash_of_other_tables_is_rejected(bad, backend):
+    """A repair reads the entering entries at the arena positions of the
+    rehash's affected rows, so a rehash that is not of these tables —
+    rows past a rank's rows in use or its arenas, rows out of order, or
+    masks that do not align with them — is rejected before anything is
+    charged or written (a position past a rank's rows would read the
+    next rank's).  The same repair with the real rehash succeeds."""
     ctx = ExecutionContext.resolve(Machine(4), backend)
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
-    assert observe(build_schedule(ctx, hts, _selection(hts))) == observe(base)
-    m = ctx.machine
-    before = (m.execution_time(), m.mean_category_time("inspector"))
-    with pytest.raises(ValueError, match="selected row"):
-        build_schedule(ctx, hts, _selection(hts, BAD_SELECTIONS[bad]))
-    assert (m.execution_time(), m.mean_category_time("inspector")) == before
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    assert rehash.affected_slots[1].size >= 2
+    wrong = BAD_REHASHES[bad](ctx, tt, hts, rehash)
+    _rejected_untouched(
+        ctx, hts, lambda: delta_rebuild_schedule(ctx, hts, "s", base, wrong),
+        "affected row|pre_masks")
+    assert observe(delta_rebuild_schedule(ctx, hts, "s", base, rehash)) \
+        == observe(build_schedule(ctx, hts, "s"))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_base_of_another_rank_count_is_rejected(backend):
+    """A base schedule of another machine is rejected before anything
+    is charged or written."""
+    ctx = ExecutionContext.resolve(Machine(4), backend)
+    tt, hts, idx, _ = _cold_env(ctx, 3, 60, 30)
+    other = _cold_env(ExecutionContext.resolve(Machine(3), backend),
+                      3, 60, 30)[3]
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    _rejected_untouched(
+        ctx, hts, lambda: delta_rebuild_schedule(ctx, hts, "s", other, rehash),
+        "spans 3 ranks")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_repair_sends_the_entering_entries_requests(backend):
+    """The messages a repair adds are the request exchange of exactly the
+    entries that entered the selection, counted here independently of
+    the tables: per (receiver, owner) pair, the ghost slots of the cold
+    rebuild that the base does not hold.  Each non-empty pair sends one
+    8-byte ``sched_sizes`` message and one ``sched_requests`` message of
+    8 bytes per entering entry, receiver to owner, the sizes first, the
+    pairs in row-major order."""
+    m = Machine(4, record_messages=True)
+    ctx = ExecutionContext.resolve(m, backend)
+    tt, hts, idx, base = _cold_env(ctx, 7, 80, 60)
+    _, old_vals, new_vals, _ = _churn(np.random.default_rng(8), idx, 80,
+                                      0.25)
+    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
+    before = len(m.traffic.messages)
+    got = delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+    added = [(msg.src, msg.dst, msg.nbytes, msg.tag)
+             for msg in m.traffic.messages[before:]]
+    cold = build_schedule(ctx, hts, "s")
+    assert observe(got) == observe(cold)
+
+    entering = {}
+    for p in range(4):
+        for q in range(4):
+            k = np.setdiff1d(cold.recv_view(p, q), base.recv_view(p, q)).size
+            if k:
+                entering[p, q] = k
+    assert len(entering) > 1
+    assert added == (
+        [(p, q, 8, "sched_sizes") for p, q in sorted(entering)]
+        + [(p, q, 8 * k, "sched_requests")
+           for (p, q), k in sorted(entering.items())])
 
 
 def _nb_loop(seed, n=60, refs=120):

@@ -7,7 +7,6 @@ from repro.core import (
     ChaosRuntime,
     CommPlan,
     ExecutionContext,
-    RankArena,
     Schedule,
     TranslationTable,
     build_schedule,
@@ -157,11 +156,11 @@ class TestSlotOrder:
     """A schedule built from the tables stores the executor's ghost-slot
     order and derives the paper's streams from it: the stored order must
     be the pair the stream composition gives, and the derived streams
-    the serial builder's, after a cold build (from a stamp expression or
-    from a row selection) and after every splice of a chain — one that
-    empties a (receiver, owner) segment, one that re-activates the rows
-    it dropped, one that adds new entries — with a rank that holds no
-    ghosts, on one rank and on four, under both backends."""
+    the serial builder's, after a cold build and after every delta
+    repair of a chain — one that empties a (receiver, owner) segment, one
+    that re-activates the rows it dropped, one that adds new entries —
+    with a rank that holds no ghosts, on one rank and on four, under both
+    backends."""
 
     @staticmethod
     def check_pair(sched):
@@ -204,12 +203,6 @@ class TestSlotOrder:
             return sched
 
         cold = check(build_schedule(ctx, group, "s"))
-        expr = group.expr("s")
-        rows = [np.flatnonzero(expr.matches(group.mask[p, :e])
-                               & (group.proc[p, :e] != p))
-                for p, e in enumerate(group.n_entries)]
-        check(build_schedule(ctx, group, RankArena(
-            np.concatenate(rows), [r.size for r in rows])))
 
         def splice(sched, new_idx):
             pos = [np.flatnonzero(a != b) for a, b in zip(idx, new_idx)]

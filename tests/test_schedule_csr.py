@@ -292,7 +292,7 @@ class TestPlanBuildShape:
         old = [a[:per // 8] for a in idx]
         rehash = rehash_delta(ctx, hts, tt, "s", old,
                               [rng.integers(0, self.N, a.size) for a in old])
-        real, seen = schedule_mod.splice_schedules, []
+        real, seen = schedule_mod._splice, []
 
         def counted(*args, **kwargs):
             out = []
@@ -300,7 +300,7 @@ class TestPlanBuildShape:
             return out[0]
 
         with monkeypatch.context() as patch:
-            patch.setattr(schedule_mod, "splice_schedules", counted)
+            patch.setattr(schedule_mod, "_splice", counted)
             spliced = delta_rebuild_schedule(ctx, hts, "s", base, rehash)
         assert observe(spliced) == observe(build_schedule(ctx, hts, "s"))
         return seen[0]

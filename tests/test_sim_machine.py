@@ -78,7 +78,7 @@ class TestAlltoallv:
     def test_sync_barrier_applied(self, machine4):
         send = [[None] * 4 for _ in range(4)]
         send[0][1] = np.zeros(1000)
-        machine4.alltoallv(send, sync=True)
+        machine4.alltoallv(send)
         times = [c.time for c in machine4.clocks]
         assert len(set(round(t, 12) for t in times)) == 1
 
