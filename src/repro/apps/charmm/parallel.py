@@ -19,7 +19,15 @@ Implements the full six-phase flow on the simulated machine:
   cleared, in one table scan, and re-hashed — unchanged bonded analysis
   (and in ``"multiple"`` mode the bonded schedule) is reused.
 * **Phase F** — gather coordinates, compute forces locally, scatter-add
-  force contributions, integrate owned atoms.
+  force contributions, integrate owned atoms (NVE: plain velocity
+  Verlet).  Every gather and scatter is one chain with one stage per
+  schedule of :meth:`ParallelMD._schedules`, so both schedule modes run
+  one code path.
+
+The atom arrays (``pos``, ``vel``, ``mass``, ``charge``) and the forces
+are :class:`~repro.core.compiled.RankArena` objects: each rank's owned
+atoms are one slice of one rank-major buffer, so integration and the
+host sync are single array operations on ``flat``.
 
 Virtual-time categories: ``partition``, ``remap``, ``nb_update``,
 ``inspector`` (initial schedule generation), ``schedule_regen``
@@ -87,6 +95,9 @@ class ParallelMD:
         non-bonded stamps (one gather per step); ``"multiple"`` builds one
         schedule per loop, duplicating shared elements — the Table 3
         comparison knob.
+
+    The run is NVE: nothing rescales the velocities, so the total energy
+    of the trace measures the integration error.
     """
 
     def __init__(
@@ -97,20 +108,12 @@ class ParallelMD:
         update_every: int = 10,
         partitioner: Partitioner | None = None,
         schedule_mode: str = "merged",
-        thermostat_temperature: float | None = None,
-        thermostat_tau: float = 0.1,
     ):
         ctx = resolve_component(machine, "ParallelMD")
         if schedule_mode not in ("merged", "multiple"):
             raise ValueError(f"unknown schedule_mode {schedule_mode!r}")
         if update_every < 1:
             raise ValueError(f"update_every must be >= 1, got {update_every}")
-        if thermostat_temperature is not None and thermostat_temperature <= 0:
-            raise ValueError("thermostat temperature must be positive")
-        if thermostat_tau <= 0:
-            raise ValueError("thermostat tau must be positive")
-        self.thermostat_temperature = thermostat_temperature
-        self.thermostat_tau = float(thermostat_tau)
         self.system = system
         self.ctx = ctx
         self.machine = ctx.machine
@@ -159,15 +162,8 @@ class ParallelMD:
         # scatter from a BLOCK'd source is charged as a remap).
         block = BlockDistribution(s.n_atoms, m.n_ranks)
         plan = remap(self.ctx, block, dist, category="remap")
-        # all atom-associated arrays move with one plan (Phase B), as
-        # one chain of four remap stages
-        self.pos, self.vel, self.mass, self.charge = run_pipeline(
-            self.ctx,
-            [remap_phase(plan, split_by_block(a, m)) for a in (
-                s.positions, s.velocities, s.masses, s.charges)],
-            category="remap", loop_id=f"{self._scope}:atoms_remap",
-        )
-
+        self._remap_atoms(plan, [split_by_block(a, m) for a in (
+            s.positions, s.velocities, s.masses, s.charges)])
         self._partition_and_inspect()
         # per-step list regeneration cadence bookkeeping
         self.trace.nb_list_updates += 1
@@ -198,6 +194,14 @@ class ParallelMD:
             self._loop_b.setup()
         self._inspect_nonbonded()
 
+    def _remap_atoms(self, plan, arrays) -> None:
+        """Phase B: all atom-associated arrays move with one plan, as one
+        chain of four remap stages; each result is kept as an arena."""
+        self.pos, self.vel, self.mass, self.charge = (
+            RankArena.adopt(a) for a in run_pipeline(
+                self.ctx, [remap_phase(plan, a) for a in arrays],
+                category="remap", loop_id=f"{self._scope}:atoms_remap"))
+
     # ------------------------------------------------------------------
     def _atom_weights(self) -> np.ndarray:
         """Paper's CHARMM weighting: "the amount of computation associated
@@ -214,19 +218,11 @@ class ParallelMD:
         replicated-coordinate list build the paper's CHARMM uses.
         """
         m = self.machine
-        s = self.system
-        n_pairs = int(self.jnb.size)
-        per_rank_pairs = n_pairs / m.n_ranks
-        coords_share = np.zeros((max(1, s.n_atoms // m.n_ranks), 3))
-        m.allgather([coords_share] * m.n_ranks, tag="nb_coords",
-                    category="nb_update")
-        for p in m.ranks():
-            m.charge_time(
-                p,
-                m.cost_model.compute_time(6.0 * per_rank_pairs
-                                          + 4.0 * s.n_atoms / m.n_ranks),
-                "nb_update",
-            )
+        n_atoms, P = self.system.n_atoms, m.n_ranks
+        coords_share = np.zeros((max(1, n_atoms // P), 3))
+        m.allgather([coords_share] * P, tag="nb_coords", category="nb_update")
+        ops = 6.0 * (int(self.jnb.size) / P) + 4.0 * n_atoms / P
+        m.charge_compute_vec(np.full(P, ops), "nb_update")
         m.barrier()
 
     @property
@@ -239,6 +235,13 @@ class ParallelMD:
     def sched_bonded(self) -> Schedule:
         return self._loop_b.schedule
 
+    def _schedules(self) -> tuple[Schedule, ...]:
+        """Phase F's schedules, the non-bonded (or merged) one first:
+        every gather and scatter runs one stage per schedule."""
+        if self.schedule_mode == "merged":
+            return (self.sched_nb,)
+        return self.sched_nb, self.sched_bonded
+
     def _inspect_nonbonded(self) -> None:
         """Bind the current non-bonded list — every rank's rows of the
         atoms it owns — and run the inspector; then gather the static
@@ -249,16 +252,9 @@ class ParallelMD:
         self._loop_nb.bind(nb_i=RankArena(nb_i, sizes),
                            nb_j=RankArena(nb_j, sizes))
         self._loop_nb.setup()
-        # static ghost data: charges (atoms' charges never change); in
-        # multiple mode both schedules fill one table-wide ghost buffer,
-        # one chain of two gathers
-        charge_ghost = allocate_ghosts(self.sched_nb, self.charge)
-        phases = [gather_phase(self.sched_nb, self.charge, charge_ghost)]
-        if self.schedule_mode == "multiple":
-            phases.append(gather_phase(self.sched_bonded, self.charge,
-                                       charge_ghost))
-        run_pipeline(self.ctx, phases, category="comm",
-                     loop_id=f"{self._scope}:charge_gather")
+        # static ghost data: charges (atoms' charges never change); every
+        # schedule fills the one table-wide ghost buffer
+        charge_ghost = self._gather_ghosts(self.charge, "charge_gather")
         # the non-bonded list's invariants, once per list: k q_i q_j, i || j
         k = self.system.forcefield.coulomb_k
         nb_i = self._loop_nb.localized("nb_i")
@@ -266,6 +262,15 @@ class ParallelMD:
         self._nb_qq = [k * q.take(i) * q.take(j) for q, i, j in zip(
             stack_local_ghost(self.charge, charge_ghost), nb_i, nb_j)]
         self._nb_ij = [np.concatenate(ij) for ij in zip(nb_i, nb_j)]
+
+    def _gather_ghosts(self, data: RankArena, name: str) -> RankArena:
+        """Gather ``data``'s ghosts into one table-wide buffer, one chain
+        with one stage per schedule."""
+        ghosts = allocate_ghosts(self.sched_nb, data)
+        run_pipeline(self.ctx, [gather_phase(sched, data, ghosts)
+                                for sched in self._schedules()],
+                     category="comm", loop_id=f"{self._scope}:{name}")
+        return ghosts
 
     # ==================================================================
     # adaptive: non-bonded list regeneration (stamp reuse)
@@ -296,45 +301,31 @@ class ParallelMD:
                                  category="partition")
         new_ttable = TranslationTable(m, result.to_distribution(m.n_ranks))
         plan = remap(self.ctx, self.ttable.dist, new_ttable.dist, category="remap")
-        self.pos, self.vel, self.mass, self.charge = run_pipeline(
-            self.ctx,
-            [remap_phase(plan, self.pos),
-             remap_phase(plan, self.vel),
-             remap_phase(plan, self.mass),
-             remap_phase(plan, self.charge)],
-            category="remap", loop_id=f"{self._scope}:atoms_remap",
-        )
+        self._remap_atoms(plan, (self.pos, self.vel, self.mass, self.charge))
         self.ttable = new_ttable
         self._partition_and_inspect()
 
     # ==================================================================
     # executor: one force evaluation + integration step
     # ==================================================================
-    def _compute_forces(self) -> tuple[list[np.ndarray], float]:
+    def _compute_forces(self) -> tuple[RankArena, float]:
         """Gather coordinates, run both force loops, scatter-add results.
 
-        Returns per-rank local force arrays (owned atoms) and the global
-        potential energy.
+        Returns the owned atoms' forces (an arena shaped like ``pos``) and
+        the global potential energy.
         """
         m = self.machine
         s = self.system
         ff = s.forcefield
+        scheds = self._schedules()
 
-        pos_ghost = allocate_ghosts(self.sched_nb, self.pos)
-        phases = [gather_phase(self.sched_nb, self.pos, pos_ghost)]
-        if self.schedule_mode == "multiple":
-            phases.append(gather_phase(self.sched_bonded, self.pos,
-                                       pos_ghost))
-        run_pipeline(self.ctx, phases, category="comm",
-                     loop_id=f"{self._scope}:pos_gather")
-        pos_stacked = stack_local_ghost(self.pos, pos_ghost)
-
-        force_local = [np.zeros_like(self.pos[p]) for p in m.ranks()]
-        force_ghost_nb = allocate_ghosts(self.sched_nb, self.pos)
-        force_ghost_b = (
-            force_ghost_nb if self.schedule_mode == "merged"
-            else allocate_ghosts(self.sched_bonded, self.pos)
-        )
+        pos_stacked = stack_local_ghost(
+            self.pos, self._gather_ghosts(self.pos, "pos_gather"))
+        force_local = RankArena.zeros(self.pos.sizes, (3,))
+        # one ghost buffer per schedule (one shared buffer when merged);
+        # bonded forces go to the last, non-bonded ones to the first
+        ghosts = [allocate_ghosts(sched, self.pos) for sched in scheds]
+        force_ghost_nb, force_ghost_b = ghosts[0], ghosts[-1]
         energy = 0.0
         ib, jb = (self._loop_b.localized(nm) for nm in ("ib", "jb"))
         nb_i, nb_j = (self._loop_nb.localized(nm) for nm in ("nb_i", "nb_j"))
@@ -363,29 +354,20 @@ class ParallelMD:
             force_ghost_b[p] += fb_stack[n_local:force_ghost_b[p].shape[0] + n_local]
             force_ghost_nb[p] += fn_stack[n_local:force_ghost_nb[p].shape[0] + n_local]
 
-        phases = [scatter_op_phase(self.sched_nb, force_local,
-                                   force_ghost_nb, np.add)]
-        if self.schedule_mode == "multiple":
-            phases.append(scatter_op_phase(self.sched_bonded, force_local,
-                                           force_ghost_b, np.add))
-        run_pipeline(self.ctx, phases, category="comm",
-                     loop_id=f"{self._scope}:force_scatter")
+        run_pipeline(self.ctx, [
+            scatter_op_phase(sched, force_local, ghost, np.add)
+            for sched, ghost in zip(scheds, ghosts)],
+            category="comm", loop_id=f"{self._scope}:force_scatter")
         m.barrier()
         return force_local, energy
 
-    def _integrate_half(self, forces: list[np.ndarray]) -> None:
-        m = self.machine
-        for p in m.ranks():
-            verlet_half_kick(self.vel[p], forces[p], self.mass[p], self.dt)
-            m.charge_compute(p, INTEGRATE_OPS / 2 * self.vel[p].shape[0],
-                             "compute")
+    def _integrate_half(self, forces: RankArena) -> None:
+        verlet_half_kick(self.vel.flat, forces.flat, self.mass.flat, self.dt)
+        self.machine.charge_compute_vec(INTEGRATE_OPS / 2 * self.vel.sizes)
 
     def _drift(self) -> None:
-        m = self.machine
-        for p in m.ranks():
-            verlet_drift(self.pos[p], self.vel[p], self.dt, self.system.box)
-            m.charge_compute(p, INTEGRATE_OPS / 2 * self.pos[p].shape[0],
-                             "compute")
+        verlet_drift(self.pos.flat, self.vel.flat, self.dt, self.system.box)
+        self.machine.charge_compute_vec(INTEGRATE_OPS / 2 * self.pos.sizes)
 
     # ==================================================================
     def run(self, n_steps: int, remap_every: int | None = None,
@@ -398,7 +380,6 @@ class ParallelMD:
         """
         if n_steps < 0:
             raise ValueError(f"negative step count {n_steps}")
-        m = self.machine
         if not hasattr(self, "_forces"):
             self._forces, self._pe = self._compute_forces()
         remap_idx = 0
@@ -416,40 +397,13 @@ class ParallelMD:
             self._drift()
             self._forces, self._pe = self._compute_forces()
             self._integrate_half(self._forces)
-            if self.thermostat_temperature is not None:
-                self._apply_thermostat()
-            ke = sum(
-                float(0.5 * np.sum(self.mass[p][:, None] * self.vel[p] ** 2))
-                for p in m.ranks()
-            )
+            ke = sum(float(0.5 * np.sum(mass[:, None] * vel ** 2))
+                     for mass, vel in zip(self.mass, self.vel))
             self.trace.potential_energy.append(self._pe)
             self.trace.kinetic_energy.append(ke)
             self.step_count += 1
         self._sync_positions_to_system()
         return self.trace
-
-    def _apply_thermostat(self) -> None:
-        """Berendsen rescale: per-rank kinetic energies are all-reduced
-        (a charged collective), then every rank rescales its atoms with
-        the globally-agreed factor — the standard parallel thermostat."""
-        m = self.machine
-        s = self.system
-        local_ke = [
-            float(0.5 * np.sum(self.mass[p][:, None] * self.vel[p] ** 2))
-            for p in m.ranks()
-        ]
-        ke = m.allreduce_sum(local_ke, category="comm")[0]
-        n = s.n_atoms
-        if n == 0 or ke <= 0:
-            return
-        temperature = 2.0 * ke / (3.0 * n)
-        factor = 1.0 + (self.dt / self.thermostat_tau) * (
-            self.thermostat_temperature / temperature - 1.0
-        )
-        scale = float(np.sqrt(np.clip(factor, 0.25, 4.0)))
-        for p in m.ranks():
-            self.vel[p] *= scale
-            m.charge_compute(p, 3.0 * self.vel[p].shape[0], "compute")
 
     # ==================================================================
     # host-side assembly (verification / list rebuild)
@@ -457,8 +411,8 @@ class ParallelMD:
     def _sync_positions_to_system(self) -> None:
         s = self.system
         order = self.ttable.dist.layout.order
-        s.positions[order] = np.concatenate(self.pos)
-        s.velocities[order] = np.concatenate(self.vel)
+        s.positions[order] = self.pos.flat
+        s.velocities[order] = self.vel.flat
 
     def global_positions(self) -> np.ndarray:
         self._sync_positions_to_system()

@@ -3,6 +3,7 @@
 Runs the Figure-2 structure directly on global arrays: bonded forces every
 step from the static bond list, non-bonded forces from a cutoff list
 regenerated every ``update_every`` steps, velocity-Verlet integration.
+The run is NVE: nothing rescales the velocities.
 """
 
 from __future__ import annotations
@@ -31,23 +32,15 @@ class MDTrace:
 
 
 class SequentialMD:
-    """Reference in-order MD simulation."""
+    """Reference in-order NVE MD simulation on global arrays."""
 
     def __init__(self, system: MolecularSystem, dt: float = 0.002,
-                 update_every: int = 10,
-                 thermostat_temperature: float | None = None,
-                 thermostat_tau: float = 0.1):
+                 update_every: int = 10):
         if update_every < 1:
             raise ValueError(f"update_every must be >= 1, got {update_every}")
-        if thermostat_temperature is not None and thermostat_temperature <= 0:
-            raise ValueError("thermostat temperature must be positive")
-        if thermostat_tau <= 0:
-            raise ValueError("thermostat tau must be positive")
         self.system = system
         self.dt = float(dt)
         self.update_every = int(update_every)
-        self.thermostat_temperature = thermostat_temperature
-        self.thermostat_tau = float(thermostat_tau)
         self.inblo: np.ndarray | None = None
         self.jnb: np.ndarray | None = None
         self.trace = MDTrace()
@@ -88,28 +81,6 @@ class SequentialMD:
             verlet_drift(s.positions, s.velocities, self.dt, s.box)
             self._forces, self._pe = self.compute_forces()
             verlet_half_kick(s.velocities, self._forces, s.masses, self.dt)
-            if self.thermostat_temperature is not None:
-                self._apply_thermostat()
             self.trace.potential_energy.append(self._pe)
             self.trace.kinetic_energy.append(s.kinetic_energy())
         return self.trace
-
-    def _apply_thermostat(self) -> None:
-        """Berendsen weak-coupling rescale toward the target temperature.
-
-        Reduced units: temperature = 2 KE / (3 N).  The scale factor is
-        ``sqrt(1 + (dt/tau)(T0/T - 1))``, clamped to keep early transients
-        stable.
-        """
-        s = self.system
-        ke = s.kinetic_energy()
-        n = s.n_atoms
-        if n == 0 or ke <= 0:
-            return
-        temperature = 2.0 * ke / (3.0 * n)
-        t0 = self.thermostat_temperature
-        factor = 1.0 + (self.dt / self.thermostat_tau) * (
-            t0 / temperature - 1.0
-        )
-        scale = float(np.sqrt(np.clip(factor, 0.25, 4.0)))
-        s.velocities *= scale

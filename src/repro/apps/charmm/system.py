@@ -93,10 +93,6 @@ class MolecularSystem:
     def n_bonds(self) -> int:
         return self.bonds.shape[0]
 
-    def minimum_image(self, dx: np.ndarray) -> np.ndarray:
-        """Minimum-image displacement vectors (in place safe on a copy)."""
-        return dx - self.box * np.round(dx / self.box)
-
     def kinetic_energy(self) -> float:
         return float(0.5 * np.sum(self.masses[:, None] * self.velocities**2))
 

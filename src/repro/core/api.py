@@ -416,12 +416,6 @@ class IrregularReduction:
         """The delta of a targeted adapt — ``(positions in the stream,
         old values, new values)`` at the touched positions — validated
         machine-wide."""
-        if np.may_share_memory(old.flat, new.flat):
-            # an arena mutated in place: its old values, whose references
-            # the tables hold, are gone
-            raise ValueError(
-                f"a targeted adapt of {name!r} needs a new array, not the "
-                "bound one changed in place")
         if (old.sizes != new.sizes).any():
             p = int(np.flatnonzero(old.sizes != new.sizes)[0])
             raise ValueError(

@@ -437,9 +437,6 @@ class Machine:
         self.barrier()
         return [acc for _ in self.ranks()]
 
-    def allreduce_sum(self, values: Sequence[Any], **kw) -> list[Any]:
-        return self.allreduce(values, lambda a, b: a + b, tag="allreduce_sum", **kw)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -736,6 +736,28 @@ def test_targeted_adapt_of_a_copy_of_an_arena_changed_in_place_is_rejected():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_targeted_adapt_passing_the_bound_arena_unchanged_repairs(backend):
+    """The bound arena itself, unchanged, passed with touched positions
+    (which only *may* differ) is a valid targeted adapt: it repairs the
+    schedule, and the repair equals a cold build."""
+    rng = np.random.default_rng(23)
+    n, per, k = 400, 50, 10
+    m = Machine(4)
+    rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+    tt = rt.irregular_table(rng.integers(0, 4, n))
+    ia = split_by_block(rng.integers(0, n, 4 * per), m)
+    ib = RankArena(rng.integers(0, n, 4 * per), np.full(4, per))
+    loop = IrregularReduction(rt, tt, "nb").bind(ia=ia, ib=ib)
+    loop.setup()
+    touched = [rng.choice(per, size=k, replace=False) for _ in range(4)]
+    loop.adapt("ib", ib, touched=touched)
+    assert rt.cache_stats("nb").delta_rebuilds == 1
+    assert observe(loop.schedule) == observe(
+        cold_build(rt, tt, "nb:ia", "nb:ib"))
+    _assert_reduces(rt, tt, loop, ia, ib, rng)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_validators_hold_after_every_adaptive_step(backend):
     """The structural validators pass on the live tables and the loop's
     schedule after each step of an adaptive run: a cold build, a delta

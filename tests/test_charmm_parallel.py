@@ -8,6 +8,7 @@ from conftest import ALL_BACKENDS
 
 from repro.apps.charmm import ParallelMD, SequentialMD, build_small_system
 from repro.core import ExecutionContext
+from repro.core.compiled import as_arena
 from repro.partitioners import RCB, RIB, BlockPartitioner
 from repro.sim import Machine
 
@@ -155,6 +156,32 @@ class TestPinnedSimulatedCost:
                 "da97eb8cf6b35a2ee2a21bc4ffb7b6c52ff6fd3fa1fdb6b7a2fca2381449b142",
             ]
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_multiple_schedule_mode(self, backend):
+        """The same run with one schedule per loop (Table 3's "multiple"
+        mode), recorded before the two modes shared one Phase-F path."""
+        m = Machine(4)
+        with ParallelMD(build_small_system(200, seed=7),
+                        ExecutionContext.resolve(m, backend), dt=0.002,
+                        update_every=3, partitioner=RCB(),
+                        schedule_mode="multiple") as md:
+            md.run(8, remap_every=5, remap_partitioners=[RIB()])
+            assert m.execution_time() == pytest.approx(0.16112989000000025,
+                                                       rel=1e-12)
+            assert m.traffic.n_messages == 976
+            assert m.traffic.total_bytes == 385384
+            assert md.trace.nb_pairs_history == [4011, 3581, 3493]
+            assert [self.sha(a) for a in (
+                md.global_positions(), md.global_velocities(),
+                np.asarray(md.trace.potential_energy),
+                np.asarray(md.trace.kinetic_energy),
+            )] == [
+                "1f6be8921bf78418770be5121ea6cfd1471f6fe9c1c68432de871b4a7cf87fd0",
+                "d18105f6724e4f269f6fa24d4fbd01f01d10b5599c174c10bbed0d346db7c62e",
+                "ee7b7ae83511a7e961df8068d7e241846aceaf495caf925177ebacb36e62eb8b",
+                "ac9512baae786640c1c9bba648ffbfced4aa02d2dfc06507b83be3e6f9542173",
+            ]
+
 
 class TestInspectorWiring:
     """Phase E runs through ``IrregularReduction`` on the run's context."""
@@ -229,6 +256,30 @@ class TestInspectorWiring:
                        for m in mods):
                     offenders.append(str(path.relative_to(root)))
         assert offenders == []
+
+
+@pytest.mark.parametrize("mode", ["merged", "multiple"])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_atoms_and_forces_stay_arenas(backend, mode):
+    """The atom arrays and the forces are intact arenas after set-up, a
+    list refresh and a repartition, so integration and the host sync
+    each run as one operation on the rank-major buffer."""
+    md = ParallelMD(build_small_system(200, seed=7),
+                    ExecutionContext.resolve(Machine(4), backend),
+                    update_every=3, schedule_mode=mode)
+
+    def assert_arenas():
+        forces, _ = md._compute_forces()
+        for x in (md.pos, md.vel, md.mass, md.charge, forces):
+            assert as_arena(x) is x
+        assert (forces.sizes == md.pos.sizes).all()
+
+    assert_arenas()
+    md.run(4)   # refreshes the list at step 3
+    assert md.trace.nb_list_updates == 2
+    assert_arenas()
+    md.repartition(RIB())
+    assert_arenas()
 
 
 def test_vectorized_run_never_falls_back_to_serial(monkeypatch):

@@ -20,6 +20,7 @@ from repro.apps.charmm.forces import (
     accumulate_pair_forces,
     compute_bonded_forces,
     compute_nonbonded_forces,
+    minimum_image,
     nonbond_pair_forces,
 )
 from repro.apps.charmm.integrator import verlet_drift, verlet_half_kick
@@ -90,7 +91,7 @@ class TestMolecularSystem:
     def test_minimum_image(self):
         s = build_small_system(60, seed=0)
         d = np.array([[s.box * 0.9, 0.0, 0.0]])
-        mi = s.minimum_image(d)
+        mi = minimum_image(d, s.box)
         assert abs(mi[0, 0]) <= s.box / 2 + 1e-9
 
     def test_kinetic_energy_nonnegative(self):

@@ -1,5 +1,5 @@
-"""Tests for second-round extensions: multi-array scatter_append,
-Fortran-D intrinsic functions, the CHARMM thermostat."""
+"""Tests for second-round extensions: multi-array scatter_append
+and Fortran-D intrinsic functions."""
 
 import numpy as np
 import pytest
@@ -118,41 +118,3 @@ C$ ALIGN x, y WITH reg
 
         prog = parse_program("x(1) = SQRT(2)")
         assert isinstance(prog.statements[0].value, Call)
-
-
-class TestThermostat:
-    def test_parallel_matches_sequential(self):
-        from repro.apps.charmm import ParallelMD, SequentialMD, build_small_system
-
-        a = build_small_system(180, seed=4)
-        b = a.copy()
-        seq = SequentialMD(a, update_every=3, thermostat_temperature=0.3)
-        seq.run(8)
-        par = ParallelMD(b, Machine(4), update_every=3,
-                         thermostat_temperature=0.3)
-        par.run(8)
-        assert np.abs(par.global_positions() - a.positions).max() < 1e-8
-
-    def test_controls_temperature(self):
-        from repro.apps.charmm import SequentialMD, build_small_system
-
-        a = build_small_system(200, seed=6)
-        b = a.copy()
-        free = SequentialMD(a, update_every=4)
-        free.run(12)
-        damped = SequentialMD(b, update_every=4,
-                              thermostat_temperature=1e-6,
-                              thermostat_tau=0.01)
-        damped.run(12)
-        assert damped.system.kinetic_energy() < free.system.kinetic_energy()
-
-    def test_validation(self):
-        from repro.apps.charmm import SequentialMD, ParallelMD, build_small_system
-
-        s = build_small_system(60, seed=0)
-        with pytest.raises(ValueError):
-            SequentialMD(s, thermostat_temperature=-1)
-        with pytest.raises(ValueError):
-            SequentialMD(s, thermostat_temperature=1.0, thermostat_tau=0)
-        with pytest.raises(ValueError):
-            ParallelMD(s.copy(), Machine(2), thermostat_temperature=0)

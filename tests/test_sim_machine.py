@@ -1,5 +1,7 @@
 """Unit tests: the simulated machine and its collectives."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -149,13 +151,13 @@ class TestCollectives:
         assert all(x == {"k": 1} for x in out)
 
     def test_allreduce_sum(self, machine4):
-        out = machine4.allreduce_sum([1, 2, 3, 4])
+        out = machine4.allreduce([1, 2, 3, 4], operator.add)
         assert out == [10, 10, 10, 10]
 
     def test_single_rank_collectives_free(self, machine1):
         machine1.allgather([42])
         machine1.bcast(1)
-        machine1.allreduce_sum([3])
+        machine1.allreduce([3], operator.add)
         assert machine1.execution_time() == 0.0
 
 
