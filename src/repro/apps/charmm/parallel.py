@@ -2,8 +2,10 @@
 
 Implements the full six-phase flow on the simulated machine:
 
-* **Phase A** — atoms partitioned by RCB/RIB with computational weights
-  proportional to non-bonded list length; replicated translation table.
+* **Phase A** — atoms partitioned once, by RCB/RIB with computational
+  weights proportional to non-bonded list length; replicated translation
+  table.  The partition, the table and the loops built on it are fixed
+  for the run.
 * **Phase B** — all atom-associated arrays remapped with one plan.
 * **Phase C/D** — bonded-loop iterations partitioned almost-owner-computes
   and indirection arrays (``ib``, ``jb``) remapped; non-bonded outer-loop
@@ -119,13 +121,12 @@ class ParallelMD:
         self.machine = ctx.machine
         self.dt = float(dt)
         self.update_every = int(update_every)
-        self.partitioner = partitioner if partitioner is not None else RCB()
         self.schedule_mode = schedule_mode
         self._runtime = ChaosRuntime(ctx)
         self._scope = f"charmm{next(_MD_COUNTER)}"
         self.trace = MDTrace()
         self.step_count = 0
-        self._setup()
+        self._setup(partitioner if partitioner is not None else RCB())
 
     # ==================================================================
     # lifecycle
@@ -143,38 +144,32 @@ class ParallelMD:
     # ==================================================================
     # setup: phases A-E
     # ==================================================================
-    def _setup(self) -> None:
+    def _setup(self, partitioner: Partitioner) -> None:
         s = self.system
         m = self.machine
-        # Initial list (needed for load weights), then partition, then the
-        # paper regenerates the list after redistribution.
+        # Phase A: initial list (needed for load weights), then partition.
         self.inblo, self.jnb = build_nonbonded_list(
             s.positions, s.forcefield.cutoff, s.box
         )
         self._charge_nb_update()
         weights = self._atom_weights()
-        result = run_partitioner(m, self.partitioner, s.positions, weights,
+        result = run_partitioner(m, partitioner, s.positions, weights,
                                  category="partition")
         self.ttable = TranslationTable(m, result.to_distribution(m.n_ranks))
-        dist = self.ttable.dist
 
-        # Phase B: distribute atom arrays (host-side scatter; the initial
-        # scatter from a BLOCK'd source is charged as a remap).
+        # Phase B: all atom-associated arrays move with one plan, as one
+        # chain of four remap stages (the initial scatter from a BLOCK'd
+        # source is charged as a remap); each result is kept as an arena.
         block = BlockDistribution(s.n_atoms, m.n_ranks)
-        plan = remap(self.ctx, block, dist, category="remap")
-        self._remap_atoms(plan, [split_by_block(a, m) for a in (
-            s.positions, s.velocities, s.masses, s.charges)])
-        self._partition_and_inspect()
-        # per-step list regeneration cadence bookkeeping
-        self.trace.nb_list_updates += 1
-        self.trace.nb_pairs_history.append(int(self.jnb.size))
+        plan = remap(self.ctx, block, self.ttable.dist, category="remap")
+        self.pos, self.vel, self.mass, self.charge = (
+            RankArena.adopt(a) for a in run_pipeline(
+                self.ctx, [remap_phase(plan, split_by_block(a, m)) for a in (
+                    s.positions, s.velocities, s.masses, s.charges)],
+                category="remap", loop_id=f"{self._scope}:atoms_remap"))
 
-    def _partition_and_inspect(self) -> None:
-        """Phases C-E on the current distribution: the bonded iterations
-        partitioned almost-owner-computes with ``ib``/``jb`` remapped to
-        them, then fresh loops on the current translation table."""
-        s = self.system
-        m = self.machine
+        # Phase C/D: bonded iterations partitioned almost-owner-computes,
+        # ``ib``/``jb`` remapped to them.
         ib_g, jb_g = (
             (s.bonds[:, 0], s.bonds[:, 1]) if s.n_bonds
             else (np.zeros(0, dtype=np.int64),) * 2
@@ -185,6 +180,8 @@ class ParallelMD:
             rule="almost-owner-computes", category="partition")
         bonds = {nm: assign.remap_iteration_data(self.ctx, b)
                  for nm, b in blocks.items()}
+
+        # Phase E: the loops on the run's translation table.
         names = (("merged",) if self.schedule_mode == "merged"
                  else ("bonded", "nonbonded"))
         loops = [IrregularReduction(self._runtime, self.ttable,
@@ -193,14 +190,9 @@ class ParallelMD:
         if len(loops) > 1:
             self._loop_b.setup()
         self._inspect_nonbonded()
-
-    def _remap_atoms(self, plan, arrays) -> None:
-        """Phase B: all atom-associated arrays move with one plan, as one
-        chain of four remap stages; each result is kept as an arena."""
-        self.pos, self.vel, self.mass, self.charge = (
-            RankArena.adopt(a) for a in run_pipeline(
-                self.ctx, [remap_phase(plan, a) for a in arrays],
-                category="remap", loop_id=f"{self._scope}:atoms_remap"))
+        # per-step list regeneration cadence bookkeeping
+        self.trace.nb_list_updates += 1
+        self.trace.nb_pairs_history.append(int(self.jnb.size))
 
     # ------------------------------------------------------------------
     def _atom_weights(self) -> np.ndarray:
@@ -289,23 +281,6 @@ class ParallelMD:
         self.trace.nb_pairs_history.append(int(self.jnb.size))
 
     # ==================================================================
-    # remapping: full repartition (Table 6's every-25-iterations RCB/RIB)
-    # ==================================================================
-    def repartition(self, partitioner: Partitioner | None = None) -> None:
-        """Phases A-E again: new partition, remap arrays, rebuild analysis."""
-        m = self.machine
-        part = partitioner if partitioner is not None else self.partitioner
-        self._sync_positions_to_system()
-        weights = self._atom_weights()
-        result = run_partitioner(m, part, self.system.positions, weights,
-                                 category="partition")
-        new_ttable = TranslationTable(m, result.to_distribution(m.n_ranks))
-        plan = remap(self.ctx, self.ttable.dist, new_ttable.dist, category="remap")
-        self._remap_atoms(plan, (self.pos, self.vel, self.mass, self.charge))
-        self.ttable = new_ttable
-        self._partition_and_inspect()
-
-    # ==================================================================
     # executor: one force evaluation + integration step
     # ==================================================================
     def _compute_forces(self) -> tuple[RankArena, float]:
@@ -370,26 +345,14 @@ class ParallelMD:
         self.machine.charge_compute_vec(INTEGRATE_OPS / 2 * self.pos.sizes)
 
     # ==================================================================
-    def run(self, n_steps: int, remap_every: int | None = None,
-            remap_partitioners: list[Partitioner] | None = None) -> MDTrace:
-        """Advance ``n_steps`` with the sequential driver's exact cadence.
-
-        ``remap_every`` triggers a full repartition+remap every so many
-        steps (Table 6 redistributes every 25 iterations, alternating RCB
-        and RIB via ``remap_partitioners``).
-        """
+    def run(self, n_steps: int) -> MDTrace:
+        """Advance ``n_steps`` with the sequential driver's exact cadence."""
         if n_steps < 0:
             raise ValueError(f"negative step count {n_steps}")
         if not hasattr(self, "_forces"):
             self._forces, self._pe = self._compute_forces()
-        remap_idx = 0
         for _ in range(n_steps):
             step = self.step_count
-            if remap_every and step > 0 and step % remap_every == 0:
-                parts = remap_partitioners or [self.partitioner]
-                self.repartition(parts[remap_idx % len(parts)])
-                remap_idx += 1
-                self._forces, self._pe = self._compute_forces()
             if step > 0 and step % self.update_every == 0:
                 self.refresh_nonbonded_list()
                 self._forces, self._pe = self._compute_forces()

@@ -278,15 +278,17 @@ class ParallelDSMC:
     # ------------------------------------------------------------------
     def run(self, n_steps: int, remap_every: int | None = None,
             remap_partitioner: Partitioner | None = None) -> DSMCTrace:
-        """Advance ``n_steps``; optionally remap cells every K steps."""
+        """Advance ``n_steps``; optionally remap cells every
+        ``remap_every`` steps with ``remap_partitioner``."""
         if n_steps < 0:
             raise ValueError("negative step count")
         if remap_every is not None and remap_every < 1:
             raise ValueError("remap_every must be >= 1")
+        if remap_every is not None and remap_partitioner is None:
+            raise ValueError("remap_every needs a remap_partitioner")
         for _ in range(n_steps):
             if (
                 remap_every
-                and remap_partitioner is not None
                 and self.step_count > 0
                 and self.step_count % remap_every == 0
             ):

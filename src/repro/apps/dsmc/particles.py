@@ -16,6 +16,11 @@ import numpy as np
 from repro.apps.dsmc.grid import CartesianGrid
 from repro.util.prng import _fold, _unit
 
+#: the plume's e-folding length as a fraction of the domain's x extent
+PLUME_DECAY_FRACTION = 0.35
+#: x-extent (in cell widths) of the inflow's entry slab
+INFLOW_DEPTH = 1.0
+
 
 @dataclass
 class ParticleSet:
@@ -147,25 +152,21 @@ def uniform_population(
 
 def plume_population(
     grid: CartesianGrid, n_particles: int, flow: FlowConfig,
-    decay_fraction: float = 0.35,
 ) -> ParticleSet:
     """Developed-flow initial population: density decays downstream.
 
     Models the steady state a long directional-flow run reaches (dense
     near the inflow, thinning toward the outflow) so short benchmark runs
-    start from the load profile the paper's 1000-step simulations develop.
-    ``decay_fraction`` is the e-folding length as a fraction of the
-    domain's x extent.
+    start from the load profile the paper's 1000-step simulations develop;
+    the e-folding length is :data:`PLUME_DECAY_FRACTION` of the x extent.
     """
     if n_particles < 0:
         raise ValueError("negative particle count")
-    if decay_fraction <= 0:
-        raise ValueError("decay_fraction must be positive")
     ids = np.arange(n_particles, dtype=np.int64)
     uniform = _uniforms(ids, flow)
     pos = np.empty((n_particles, grid.dim))
     lx = grid.lengths[0]
-    scale = decay_fraction * lx
+    scale = PLUME_DECAY_FRACTION * lx
     u = np.maximum(uniform(2100), 1e-12)
     # inverse-CDF sample of a truncated exponential on [0, lx)
     trunc = 1.0 - np.exp(-lx / scale)
@@ -183,11 +184,10 @@ def inflow_particles(
     count: int,
     next_id: int,
     flow: FlowConfig,
-    inflow_depth: float = 1.0,
 ) -> ParticleSet:
     """Deterministic inflow for one step: new molecules enter near x=0.
 
-    ``inflow_depth`` is the x-extent (in cell widths) of the entry slab.
+    They enter a slab :data:`INFLOW_DEPTH` cell widths deep.
     Identical between sequential and parallel drivers by construction.
     """
     if count < 0:
@@ -195,7 +195,7 @@ def inflow_particles(
     ids = np.arange(next_id, next_id + count, dtype=np.int64)
     uniform = _uniforms(ids, flow)
     pos = np.empty((count, grid.dim))
-    depth = inflow_depth * grid.cell_size[0]
+    depth = INFLOW_DEPTH * grid.cell_size[0]
     pos[:, 0] = uniform(31, step) * depth
     for k in range(1, grid.dim):
         pos[:, k] = uniform(3000 + k, step) * grid.lengths[k]

@@ -12,11 +12,10 @@ collapses the plumbing:
   traffic statistics, collectives);
 * ``backend`` — the *resolved* :class:`~repro.core.backends.Backend`
   executing every pipeline phase (never ``None``, never a bare name);
-* per-run services — a :class:`~repro.core.reuse.ModificationRecord`,
-  the :class:`~repro.core.reuse.ScheduleCache` built over it, and the
-  run's RNG ``seed``.  Every context ``resolve`` builds gets a fresh
-  record and cache; a :meth:`~ExecutionContext.with_backend` variant
-  shares its parent's.
+* per-run services — a :class:`~repro.core.reuse.ModificationRecord`
+  and the :class:`~repro.core.reuse.ScheduleCache` built over it.  Every
+  context ``resolve`` builds gets a fresh record and cache; a
+  :meth:`~ExecutionContext.with_backend` variant shares its parent's.
 
 Default resolution happens in exactly one place,
 :meth:`ExecutionContext.resolve`: an explicit ``backend`` argument wins,
@@ -57,8 +56,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.core.backends.base import Backend, resolve_backend
 from repro.core.reuse import ModificationRecord, ScheduleCache
 from repro.sim.machine import Machine
@@ -77,7 +74,6 @@ class ExecutionContext:
 
     machine: Machine
     backend: Backend
-    seed: int = 0
     record: ModificationRecord | None = None
     schedule_cache: ScheduleCache | None = None
 
@@ -104,29 +100,22 @@ class ExecutionContext:
         cls,
         machine: "Machine | ExecutionContext",
         backend=None,
-        *,
-        seed: int | None = None,
     ) -> "ExecutionContext":
         """The one place defaults are resolved.
 
         ``machine`` may be a :class:`Machine` (a fresh context is built
         for it) or an existing context (returned as-is, or re-targeted
         with :meth:`with_backend` when ``backend`` names a different
-        one; an existing context keeps its ``seed``, so passing one is an
-        error).  ``backend`` may be ``None``, a backend name, or a
+        one).  ``backend`` may be ``None``, a backend name, or a
         :class:`Backend` instance; ``None`` falls through to the
         ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
         """
         if isinstance(machine, ExecutionContext):
-            if seed is not None:
-                raise TypeError(
-                    "resolve: an existing ExecutionContext keeps its seed")
             ctx = machine
             if backend is None or resolve_backend(backend) is ctx.backend:
                 return ctx
             return ctx.with_backend(backend)
-        return cls(machine=machine, backend=resolve_backend(backend),
-                   seed=0 if seed is None else seed)
+        return cls(machine=machine, backend=resolve_backend(backend))
 
     # ------------------------------------------------------------------
     def with_backend(self, backend) -> "ExecutionContext":
@@ -153,14 +142,10 @@ class ExecutionContext:
         """The machine's traffic statistics (per-run accounting)."""
         return self.machine.traffic
 
-    def rng(self) -> np.random.Generator:
-        """Fresh deterministic generator from this context's seed."""
-        return np.random.default_rng(self.seed)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ExecutionContext(ranks={self.machine.n_ranks}, "
-            f"backend={self.backend.name!r}, seed={self.seed})"
+            f"backend={self.backend.name!r})"
         )
 
 

@@ -8,7 +8,7 @@ concurrent programs the way a production deployment would:
 * :class:`ProgramServer` — an asyncio admission/work queue over
   submitted :class:`JobSpec`\\ s.  Every job runs under its own
   per-tenant :class:`~repro.core.context.ExecutionContext` (own
-  simulated machine, own schedule cache, own RNG seed) inside a
+  simulated machine, own schedule cache) inside a
   soft-failure wrapper: a tenant that raises, times out, or is
   cancelled produces a recorded :class:`JobVerdict` and never takes
   down the event loop or perturbs another tenant's bitwise results.

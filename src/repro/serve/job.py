@@ -2,8 +2,9 @@
 
 A :class:`JobSpec` is the unit of admission: *what* to run (the
 ``run(ctx, control)`` hook), *where* (simulated machine size + backend
-choice), and *how* (RNG seed, per-job timeout).  The server executes a
-spec on a worker thread under a fresh per-tenant
+choice), and *how* (a ``seed`` the spec's ``run`` builds its inputs
+from, per-job timeout).  The server executes a spec on a worker thread
+under a fresh per-tenant
 :class:`~repro.core.context.ExecutionContext`; the same code path is
 exposed as :func:`run_job_inline` so tests can compare a tenant's
 served result bitwise against a solo run.
@@ -142,7 +143,7 @@ class ProgramJob(JobSpec):
 def build_job_context(spec: JobSpec) -> ExecutionContext:
     """Fresh machine + context for one job, per the spec's knobs."""
     machine = Machine(spec.n_ranks)
-    return ExecutionContext.resolve(machine, spec.backend, seed=spec.seed)
+    return ExecutionContext.resolve(machine, spec.backend)
 
 
 def collect_stats(ctx: ExecutionContext) -> dict:

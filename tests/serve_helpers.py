@@ -47,10 +47,10 @@ C$ ALIGN x, y WITH reg
                       seed=seed, tenant=tenant, name=name, **kw)
 
 
-def make_halo_fn(n=48, crash=False):
+def make_halo_fn(n=48, crash=False, seed=0):
     """A runtime-API workload: hash → schedule → gather, optional crash.
 
-    Deterministic from the context seed, so the served result is
+    Deterministic from ``seed`` (the job's), so the served result is
     bitwise-comparable against ``run_job_inline``.  With ``crash=True``
     the tenant does real backend work first and then raises mid-run —
     the shape the isolation tests need.
@@ -61,7 +61,7 @@ def make_halo_fn(n=48, crash=False):
 
         rt = ChaosRuntime(ctx)  # shares the job's context
         tt = rt.block_table(n)
-        rng = ctx.rng()
+        rng = np.random.default_rng(seed)
         idx = [rng.integers(0, n, size=n // 2) for _ in ctx.ranks()]
         rt.hash_indirection(tt, idx, "halo")
         sched = rt.build_schedule(tt, "halo")
@@ -78,7 +78,7 @@ def make_halo_fn(n=48, crash=False):
 
 def halo_job(*, seed=0, tenant="default", name="halo", crash=False,
              **kw) -> CallableJob:
-    return CallableJob(fn=make_halo_fn(crash=crash), seed=seed,
+    return CallableJob(fn=make_halo_fn(crash=crash, seed=seed), seed=seed,
                        tenant=tenant, name=name, **kw)
 
 

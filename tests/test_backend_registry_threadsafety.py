@@ -63,9 +63,7 @@ class TestConcurrentContexts:
         lock = threading.Lock()
 
         def worker(i):
-            ctx = ExecutionContext.resolve(
-                Machine(2), "vectorized", seed=i
-            )
+            ctx = ExecutionContext.resolve(Machine(2), "vectorized")
             with lock:
                 backends.append(ctx.backend)
 

@@ -67,17 +67,6 @@ class TestOracle:
         err = np.abs(par.global_positions() - seq.system.positions).max()
         assert err < 1e-9
 
-    def test_repartitioning_preserves_trajectory(self):
-        sys_seq = build_small_system(200, seed=3)
-        sys_par = sys_seq.copy()
-        seq = SequentialMD(sys_seq, dt=0.002, update_every=4)
-        seq.run(10)
-        m = Machine(4)
-        par = ParallelMD(sys_par, m, dt=0.002, update_every=4)
-        par.run(10, remap_every=3, remap_partitioners=[RCB(), RIB()])
-        err = np.abs(par.global_positions() - seq.system.positions).max()
-        assert err < 1e-9
-
 
 class TestPaperEffects:
     def test_merged_schedules_cut_communication(self):
@@ -123,63 +112,62 @@ class TestPaperEffects:
 
 class TestPinnedSimulatedCost:
     """Virtual time, messages, bytes and the sha256 of the trajectory and
-    both energy traces of one small run, recorded at a313d7e (per-pair
-    temporaries in the non-bonded kernel, one fixed cell grid) before the
-    in-place kernel and the input-sized grids replaced them: the force
-    step may get faster on the host, its bits and its simulated cost may
-    not move."""
+    both energy traces of one small run on one RCB partition, recorded at
+    e2c7a04, the last commit with a repartition path, on both backends:
+    the force step may get faster on the host, its bits and its
+    simulated cost may not move."""
 
     @staticmethod
     def sha(a):
         return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_rcb_then_rib_repartition(self, backend):
+    def test_merged_schedule_mode(self, backend):
         m = Machine(4)
         with ParallelMD(build_small_system(200, seed=7),
                         ExecutionContext.resolve(m, backend), dt=0.002,
                         update_every=3, partitioner=RCB()) as md:
-            md.run(8, remap_every=5, remap_partitioners=[RIB()])
-            assert m.execution_time() == pytest.approx(0.14433613000000012,
+            md.run(8)
+            assert m.execution_time() == pytest.approx(0.11949697000000024,
                                                        rel=1e-12)
-            assert m.traffic.n_messages == 664
-            assert m.traffic.total_bytes == 363360
+            assert m.traffic.n_messages == 500
+            assert m.traffic.total_bytes == 319232
             assert md.trace.nb_pairs_history == [4011, 3581, 3493]
             assert [self.sha(a) for a in (
                 md.global_positions(), md.global_velocities(),
                 np.asarray(md.trace.potential_energy),
                 np.asarray(md.trace.kinetic_energy),
             )] == [
-                "8747ac8db3605f2ed54a5747dc6b884908735d9e1908097b18c23d4c6b0b2c56",
-                "128ad0036fe0f07e902c7c30aea1e45f5380a23db4aa6dd5528900e14dfec280",
+                "32132885e8ac7edea89b19e0fa55e42725d53e807802ff539e07ababd99229eb",
+                "2a7dfb0cc1372867bb9f4867022bca17ade24f45b545870880c38625e95d253a",
                 "5eca9364a0221ce7c658dbc9d972893bb9d80117a979ceaa5b339dc6370fa6be",
-                "da97eb8cf6b35a2ee2a21bc4ffb7b6c52ff6fd3fa1fdb6b7a2fca2381449b142",
+                "dc1289a5fbb1e7aaaa7f26e70ca15e745f087053daa8ecb80d1e6a4951bce48b",
             ]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_multiple_schedule_mode(self, backend):
         """The same run with one schedule per loop (Table 3's "multiple"
-        mode), recorded before the two modes shared one Phase-F path."""
+        mode)."""
         m = Machine(4)
         with ParallelMD(build_small_system(200, seed=7),
                         ExecutionContext.resolve(m, backend), dt=0.002,
                         update_every=3, partitioner=RCB(),
                         schedule_mode="multiple") as md:
-            md.run(8, remap_every=5, remap_partitioners=[RIB()])
-            assert m.execution_time() == pytest.approx(0.16112989000000025,
+            md.run(8)
+            assert m.execution_time() == pytest.approx(0.13085933000000027,
                                                        rel=1e-12)
-            assert m.traffic.n_messages == 976
-            assert m.traffic.total_bytes == 385384
+            assert m.traffic.n_messages == 716
+            assert m.traffic.total_bytes == 333328
             assert md.trace.nb_pairs_history == [4011, 3581, 3493]
             assert [self.sha(a) for a in (
                 md.global_positions(), md.global_velocities(),
                 np.asarray(md.trace.potential_energy),
                 np.asarray(md.trace.kinetic_energy),
             )] == [
-                "1f6be8921bf78418770be5121ea6cfd1471f6fe9c1c68432de871b4a7cf87fd0",
-                "d18105f6724e4f269f6fa24d4fbd01f01d10b5599c174c10bbed0d346db7c62e",
-                "ee7b7ae83511a7e961df8068d7e241846aceaf495caf925177ebacb36e62eb8b",
-                "ac9512baae786640c1c9bba648ffbfced4aa02d2dfc06507b83be3e6f9542173",
+                "46de1778fd5fac4015c8e37d8961df8a98b2d3b946e1de46845580639bd20314",
+                "af8b61f18163ee5f80fad69ce9991d7c7ec5eeb4c802c356f5e23a38816061c7",
+                "856049c0e4b894e01a7863d3cb31e0d882353eed232badb59b3f461347272bab",
+                "f26d2618b1fcc132c25cd5aa2375474e56c5e2afe6e5089b9f1cd055dd64c822",
             ]
 
 
@@ -261,9 +249,10 @@ class TestInspectorWiring:
 @pytest.mark.parametrize("mode", ["merged", "multiple"])
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_atoms_and_forces_stay_arenas(backend, mode):
-    """The atom arrays and the forces are intact arenas after set-up, a
-    list refresh and a repartition, so integration and the host sync
-    each run as one operation on the rank-major buffer."""
+    """The atom arrays and the forces are intact arenas after set-up
+    (whose Phase-B remap chain builds them) and a list refresh, so
+    integration and the host sync each run as one operation on the
+    rank-major buffer."""
     md = ParallelMD(build_small_system(200, seed=7),
                     ExecutionContext.resolve(Machine(4), backend),
                     update_every=3, schedule_mode=mode)
@@ -278,15 +267,13 @@ def test_atoms_and_forces_stay_arenas(backend, mode):
     md.run(4)   # refreshes the list at step 3
     assert md.trace.nb_list_updates == 2
     assert_arenas()
-    md.repartition(RIB())
-    assert_arenas()
 
 
 def test_vectorized_run_never_falls_back_to_serial(monkeypatch):
-    """Set-up, steps and a repartition under ``vectorized`` hand no
-    executor call to the serial reference (the bonded iteration blocks
-    are split from columns of the bond array, which must still come out
-    contiguous)."""
+    """Set-up (its Phase-B remap chain included), steps and a list
+    refresh under ``vectorized`` hand no executor call to the serial
+    reference (the bonded iteration blocks are split from columns of the
+    bond array, which must still come out contiguous)."""
     from repro.core.backends.serial import SerialBackend
 
     def refuse(*args, **kwargs):
@@ -295,8 +282,9 @@ def test_vectorized_run_never_falls_back_to_serial(monkeypatch):
     monkeypatch.setattr(SerialBackend, "run_stage", refuse)
     with ParallelMD(build_small_system(200, seed=7),
                     ExecutionContext.resolve(Machine(4), "vectorized"),
-                    dt=0.002, update_every=3) as md:
-        md.run(2, remap_every=1, remap_partitioners=[RIB()])
+                    dt=0.002, update_every=1) as md:
+        md.run(2)
+        assert md.trace.nb_list_updates == 2
 
 
 class TestValidation:

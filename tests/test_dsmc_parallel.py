@@ -144,6 +144,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             par.run(5, remap_every=0, remap_partitioner=RCB())
 
+    def test_remap_every_without_partitioner(self):
+        """A cadence with nothing to remap with is an error before any
+        step runs, not a run that silently never remaps."""
+        par = ParallelDSMC(CartesianGrid((4, 4)), Machine(2))
+        with pytest.raises(ValueError, match="remap_partitioner"):
+            par.run(5, remap_every=2)
+        assert par.step_count == 0
+
     def test_time_report_keys(self):
         _, par, _ = run_pair(steps=3)
         rep = par.time_report()

@@ -38,11 +38,6 @@ class TestPlumePopulation:
         b = plume_population(grid, 100, FlowConfig(seed=3))
         assert np.array_equal(a.positions, b.positions)
 
-    def test_bad_decay_rejected(self):
-        with pytest.raises(ValueError):
-            plume_population(CartesianGrid((4, 4)), 10, FlowConfig(),
-                             decay_fraction=0.0)
-
     def test_config_profile_dispatch(self):
         grid = CartesianGrid((10, 4))
         cfg_u = DSMCConfig(n_initial=500, initial_profile="uniform")
