@@ -8,7 +8,9 @@ loops, and the executor packs one small numpy payload per pair through
 (results, traffic statistics, clock charges) of every other backend is
 defined as "whatever this one does".  The *plans* it emits are the
 same flat plans every backend builds: per-pair payloads are zero-copy
-views of their streams, never nested Python lists.
+views of their streams, never nested Python lists.  Its schedules are
+stored in ghost-slot order and keep the streams its request exchange
+builds.
 
 Like every backend, it receives a pre-validated
 :class:`~repro.core.context.ExecutionContext` plus arguments: the
@@ -98,12 +100,15 @@ class SerialBackend(Backend):
 
         machine = ctx.machine
         n = machine.n_ranks
+        local_start = offsets_from_counts(group.n_local)
+        ghost_start = offsets_from_counts(group.n_ghost)
 
-        # Per rank: select stamped off-processor entries, group by owner
-        # with a stable argsort, and keep the grouped stream *flat* — the
-        # owner-ascending request stream is already the CSR receive
-        # storage, so no per-pair list assembly happens here.
+        # Per rank: select stamped off-processor entries (in row order:
+        # the stored ghost-slot order), group by owner with a stable
+        # argsort, and keep the grouped stream *flat* — the owner-ascending
+        # request stream is already the CSR receive storage.
         counts = np.zeros((n, n), dtype=np.int64)  # [p][q]: p requests of q
+        stored: list[tuple[np.ndarray, np.ndarray]] = []
         requests: list[np.ndarray] = []
         recv_slots: list[np.ndarray] = []
         recv_offsets: list[np.ndarray] = []
@@ -115,13 +120,15 @@ class SerialBackend(Backend):
             rows = np.flatnonzero(sel)
             machine.charge_memops(p, ne + 2 * rows.size, category)
             owners = group.proc[p, rows]
+            stored.append((local_start[owners] + group.off[p, rows],
+                           ghost_start[p] + group.buf[p, rows]))
             order = np.argsort(owners, kind="stable")
             rows = rows[order]
             counts[p] = np.bincount(owners[order], minlength=n)
             # an int64 request stream: the narrow column's bytes must
             # not reach the messages
             requests.append(group.off[p, rows].astype(np.int64))
-            recv_slots.append(group.buf[p, rows])
+            recv_slots.append(group.buf[p, rows].astype(np.int64))
             recv_offsets.append(offsets_from_counts(counts[p]))
 
         # Size exchange (schedule setup), then the request exchange: the
@@ -149,8 +156,13 @@ class SerialBackend(Backend):
                 machine.charge_memops(q, int(counts[:, q].sum()), category)
             else:
                 send_indices.append(np.zeros(0, dtype=np.int64))
-        return Schedule(counts=counts.T, send=np.concatenate(send_indices),
-                        place=np.concatenate(recv_slots), extent=group.n_ghost)
+        sched = Schedule.from_slot_order(
+            counts.T, *map(np.concatenate, zip(*stored)), group.n_ghost,
+            group.n_local)
+        # the reference's own streams: derived ones must equal them
+        sched.send, sched.place = map(np.concatenate, (send_indices,
+                                                       recv_slots))
+        return sched
 
     # ------------------------------------------------------------------
     # inspector phase: translation-table lookups
@@ -254,7 +266,7 @@ class SerialBackend(Backend):
             g = ghosts[p]
             for q in machine.ranks():
                 got = received[p][q]
-                slots = sched.recv_view(p, q)
+                slots = sched.place_view(p, q)
                 if slots.size:
                     g[slots] = got
                     machine.charge_copyops(p, slots.size, category)
@@ -270,7 +282,7 @@ class SerialBackend(Backend):
         for p in machine.ranks():
             g = np.asarray(ghosts[p])
             for q in machine.ranks():
-                slots = sched.recv_view(p, q)
+                slots = sched.place_view(p, q)
                 if slots.size:
                     send[p][q] = g[slots]
                     machine.charge_copyops(p, slots.size, category)

@@ -24,8 +24,8 @@ cache.
 Python, this backend runs every stage through
 :meth:`VectorizedBackend.run_stage`, over the plan's composed
 machine-wide index pair (cached on the
-:class:`~repro.core.compiled.CommPlan`; a table-built schedule's is its
-stored order).
+:class:`~repro.core.compiled.CommPlan`; a schedule's is its stored
+order, shifted into the layouts it runs on).
 
 Because the simulated machine holds every rank's data in one process, a
 column of a collective is ONE flat move between two rank-major buffers

@@ -17,9 +17,10 @@ against, the composed index pairs of :meth:`CommPlan.move` and the
 vectorized executor's stage charges.  With
 those an executor backend moves all data of a collective with a handful
 of fused numpy operations, however many rank pairs communicate.  A
-schedule built from the hash tables turns this around: it stores the
-composed pair's ghost-slot order and derives the two streams from it on
-first read (:class:`~repro.core.schedule.SlotOrder`).
+:class:`~repro.core.schedule.Schedule` turns this around: every
+schedule stores the composed pair's ghost-slot order
+(:class:`~repro.core.schedule.SlotOrder`), composes from it for any
+layout, and derives the two streams from it on first read.
 
 The CSR helpers (:func:`split_csr`, :func:`offsets_from_counts`,
 :func:`grouped_arange`, :func:`stream_perm`) define the layout in one

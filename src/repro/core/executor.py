@@ -65,9 +65,9 @@ def allocate_ghosts(
     ranks, else one array per rank."""
     layout = rank_layout(data)
     if layout is not None:
-        return RankArena.zeros(sched.ghost_size, layout[1], layout[3])
+        return RankArena.zeros(sched.extent, layout[1], layout[3])
     return [np.zeros((g,) + d.shape[1:], dtype=d.dtype)
-            for d, g in zip(map(np.asarray, data), sched.ghost_size)]
+            for d, g in zip(map(np.asarray, data), sched.extent)]
 
 
 def gather(

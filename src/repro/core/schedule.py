@@ -6,9 +6,9 @@ incoming off-processor elements land in the receiver's ghost buffer)
 and the *send* / *fetch sizes*.  :class:`Schedule` is a
 :class:`~repro.core.compiled.CommPlan` — one count matrix, one flat
 sender-major send stream, one flat receiver-major stream of ghost slots
-and the per-rank ghost-buffer sizes — and only names those parts the
-way the paper does (``send_indices[p]``, ``recv_slots[p]``,
-``send_view(p, q)``, ... are views of the flat buffers).
+and the per-rank ghost-buffer sizes — that names those parts the way
+the paper does (``send_indices[p]``, ``recv_slots[p]``,
+``send_view(p, q)``, ... are views of the flat streams).
 
 Schedules are built collectively from the stamped hash tables
 (:func:`build_schedule`): each rank selects the off-processor entries
@@ -17,13 +17,13 @@ exchange tells every owner which of its local elements other ranks need.
 Merged and incremental schedules fall out of the stamp algebra for free.
 
 :func:`build_schedule` validates and dispatches to the backend carried
-by its :class:`~repro.core.context.ExecutionContext`: ``serial`` walks
-the stamped entries per rank in Python and groups them by owner into
-the paper's streams (the reference); ``vectorized`` (the default) takes
-every rank's entries in the tables' own row order and *stores* that
-order, the :class:`SlotOrder` the executor reads, so the build sorts
-nothing; the streams are derived from it on first read.  Both produce
-bitwise-identical streams and traffic statistics.
+by its :class:`~repro.core.context.ExecutionContext`.  Both backends
+store the :class:`SlotOrder` the executor reads, the selected entries
+in the tables' own row order: ``vectorized`` (the default) sorts
+nothing and derives the paper's streams from it on first read;
+``serial`` (the reference) walks the entries per rank and also builds
+the streams by an owner sort and the request exchange, which its
+schedule keeps, so the derived streams are checked against them.
 
 A delta repair (:func:`delta_rebuild_schedule`, after an adaptive
 subset update) builds no schedule: it reads the entries that entered
@@ -75,11 +75,12 @@ class Schedule(CommPlan):
     senders' segments, delimited by ``recv_offsets[p]``;
     ``ghost_size[p]`` — ghost-buffer slots rank ``p`` must allocate.
 
-    A schedule built from the tables (:meth:`from_slot_order`) stores
-    its :class:`SlotOrder` instead of those streams, and derives
-    ``send`` and ``place`` on first read, by one stable sort each.  For
-    the tables' own layout the stored order *is* the executor's
-    composed pair, so a new schedule's first execute composes nothing.
+    A schedule stores its :class:`SlotOrder` instead of those streams
+    and is built by :meth:`from_slot_order` (from streams it is a
+    ``TypeError``: that is a plain :class:`~repro.core.compiled.CommPlan`);
+    it derives ``send`` and ``place`` on first read, by one stable sort
+    each.  The executor's pair is the stored order, shifted into its
+    layouts.
     """
 
     ghost_size = property(lambda self: self.extent)
@@ -88,8 +89,12 @@ class Schedule(CommPlan):
     recv_offsets = property(lambda self: self.place_offsets)
     recv_view = CommPlan.place_view
 
-    #: the stored order of a schedule built in it (``None``: streams)
-    order: SlotOrder | None = None
+    #: the stored ghost-slot order
+    order: SlotOrder
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Schedule with Schedule.from_slot_order; "
+                        "a plan from streams is a CommPlan")
 
     def total_elements(self) -> int:
         """Off-processor elements moved by one gather with this schedule."""
@@ -97,9 +102,8 @@ class Schedule(CommPlan):
 
     @classmethod
     def empty(cls, n_ranks: int) -> "Schedule":
-        z = np.zeros(0, dtype=np.int64)
-        return cls(counts=np.zeros((n_ranks, n_ranks), dtype=np.int64),
-                   send=z, place=z, extent=np.zeros(n_ranks, dtype=np.int64))
+        z, none = np.zeros(0, np.int64), np.zeros(n_ranks, np.int64)
+        return cls.from_slot_order(np.zeros((n_ranks,) * 2), z, z, none, none)
 
     @classmethod
     def from_slot_order(cls, counts, rows, slots, extent, local
@@ -125,15 +129,14 @@ class Schedule(CommPlan):
     # -- the paper's streams, derived from the stored order --------------
     @cached_property
     def send(self) -> np.ndarray:
-        """Sender-major send stream (stored-order schedules: derived)."""
+        """Sender-major send stream, derived."""
         owner = self._owners
         return self._by_pair(owner, self._receivers,
                              self.order.rows - self._local_base[owner])
 
     @cached_property
     def place(self) -> np.ndarray:
-        """Receiver-major receive stream (stored-order schedules:
-        derived)."""
+        """Receiver-major receive stream, derived."""
         recv = self._receivers
         return self._by_pair(
             recv, self._owners,
@@ -168,14 +171,12 @@ class Schedule(CommPlan):
     def packs_past(self, n_rows: np.ndarray) -> np.ndarray:
         # a stored row lies below its owner's local size: arrays that
         # long need no maxima (``send_max`` reads the derived stream)
-        if self.order is not None and (n_rows >= self.order.local).all():
+        if (n_rows >= self.order.local).all():
             return np.zeros(self.n_ranks, dtype=bool)
         return super().packs_past(n_rows)
 
     @cached_property
     def place_max(self) -> np.ndarray:
-        if self.order is None:
-            return CommPlan.place_max.func(self)
         out = np.full(self.n_ranks, -1, dtype=np.int64)
         placed = np.diff(self.recv_base)
         some = placed > 0
@@ -186,23 +187,27 @@ class Schedule(CommPlan):
 
     @property
     def nbytes(self) -> int:
-        if self.order is None:
-            return super().nbytes
         return sum(a.nbytes for a in (self.counts, self.order.rows,
                                       self.order.slots, self.extent))
 
     def _compose(self, local, placed) -> tuple:
-        """The stored order, widened to int64, for the tables' own
-        layout (the slots dropped when they cover the ghost buffers);
-        anything else composes from the streams."""
+        """The stored order, widened to int64, each row shifted by its
+        owner's start in ``local`` and each slot by its receiver's in
+        ``placed`` (a receiver's slots ascend: the pair the streams give);
+        the slots dropped when they cover the ghost buffers."""
         order = self.order
-        if (order is None or local != order.local
-                or placed != tuple(self.extent.tolist())):
-            return super()._compose(local, placed)
         rows = order.rows.astype(np.int64)
+        if local != order.local:
+            start = offsets_from_counts(np.array(local, dtype=np.int64))
+            rows += (start - self._local_base)[self._owners]
         if rows.size == sum(placed):
             return None, rows
-        return order.slots.astype(np.int64), rows
+        slots = order.slots.astype(np.int64)
+        if placed != tuple(self.extent.tolist()):
+            start = offsets_from_counts(np.array(placed, dtype=np.int64))
+            start -= offsets_from_counts(self.extent)
+            slots += np.repeat(start[:-1], np.diff(self.recv_base))
+        return slots, rows
 
 
 def build_schedule(
@@ -332,15 +337,14 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
     clamped into its receiver's segment (a slot the base's extents do
     not hold yet sorts past it); both arrays take the same edits, and
     one shift moves the slots to the live tables' extents.  No stream
-    is sorted and no rank or rank pair is visited.  A base built from
-    streams (the serial backend) is put in slot order first, by one
-    sort of its ghost slots.
+    is sorted and no rank or rank pair is visited.
 
     ``base`` must describe the same tables as they were before the
-    update.  That is checked where the edit sees it: a ghost slot of
-    ``base`` outside its receiver's slots or out of order, extents past
-    the live tables', or a dropped entry that is not found at its own
-    slot, raises ``ValueError``.
+    update.  That is checked where the edit sees it: a local layout
+    other than the tables', a ghost slot of ``base`` outside its
+    receiver's slots or out of order, extents past the live tables', or
+    a dropped entry that is not found at its own slot, raises
+    ``ValueError``.
     """
     n = base.n_ranks
     machine.charge_memops_vec(group.n_entries, category)
@@ -350,11 +354,11 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
     old = offsets_from_counts(base.extent)
     new = offsets_from_counts(group.n_ghost)
     dtype = _holding(new[-1])
-    rows, slots = _slot_order(base, group)
-    slots = slots.astype(dtype, copy=False)
+    rows, slots = base.order.rows, base.order.slots.astype(dtype, copy=False)
     seg = base.recv_base
     some = np.flatnonzero(np.diff(seg))
-    if ((base.extent > group.n_ghost).any()
+    if (base.order.local != tuple(group.n_local.tolist())
+            or (base.extent > group.n_ghost).any()
             or (slots[1:] <= slots[:-1]).any()
             or (slots[seg[some]] < old[some]).any()
             or (slots[seg[some + 1] - 1] >= old[some + 1]).any()):
@@ -394,25 +398,6 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
 
 _STALE = ("base schedule does not match the live tables (built against "
           "other tables)")
-
-
-def _slot_order(plan: Schedule, group) -> tuple[np.ndarray, np.ndarray]:
-    """``plan``'s ``(rows, slots)`` in ghost-slot order over the tables'
-    local layout: stored, or derived from its streams by one sort of
-    its global slots (a slot outside its receiver's is ``_STALE``)."""
-    local = tuple(group.n_local.tolist())
-    if plan.order is not None:
-        if plan.order.local != local:
-            raise ValueError(_STALE)
-        return plan.order.rows, plan.order.slots
-    place = plan.place
-    if place.size and (place.min() < 0
-                       or (place >= plan.extent[plan._receivers]).any()):
-        raise ValueError(_STALE)
-    slots = plan._rows(place, plan.recv_base, tuple(plan.extent.tolist()))
-    rows = plan._rows(plan.send, plan.send_base, local)[plan.perm]
-    order = np.argsort(slots, kind="stable")
-    return rows[order], slots[order]
 
 
 def _edited(olds, drop, ins, values) -> list[np.ndarray]:

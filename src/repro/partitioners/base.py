@@ -71,22 +71,13 @@ class Partitioner(ABC):
         """
 
     # -- parallel cost model -------------------------------------------
+    @abstractmethod
     def parallel_cost(
         self, n_elements: int, n_parts: int, machine: Machine
     ) -> tuple[float, float]:
         """(per-rank compute seconds, per-rank comm seconds) estimate for
-        running this partitioner *in parallel* on ``machine``.
-
-        Default model: work is divided over ranks; coordination costs one
-        small all-reduce per bisection level.  Subclasses override to match
-        their actual structure.
-        """
-        cm = machine.cost_model
-        p = machine.n_ranks
-        levels = max(1, int(np.ceil(np.log2(max(2, n_parts)))))
-        compute = cm.compute_time(5.0 * n_elements / p * levels)
-        comm = levels * 3 * cm.message_time(64) * max(1, int(np.log2(max(2, p))))
-        return compute, comm
+        running this partitioner *in parallel* on ``machine``, from the
+        partitioner's own structure."""
 
     @staticmethod
     def _validate(coords: np.ndarray, n_parts: int,

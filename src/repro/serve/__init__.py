@@ -15,9 +15,10 @@ concurrent programs the way a production deployment would:
 * :class:`JobSpec` — the submit-friendly unit of work (program +
   machine size + backend choice + seed + timeout).  Ships with
   :class:`CallableJob` (any ``fn(ctx, control)``) and
-  :class:`ProgramJob` (mini-Fortran-D source + bindings); the
-  application-shaped specs (CHARMM, DSMC) live in
-  :mod:`repro.apps.jobs`.
+  :class:`ProgramJob` (mini-Fortran-D source + bindings), which do not
+  read the seed (it is only recorded in their verdicts); the
+  application-shaped specs (CHARMM, DSMC), which build their inputs
+  from it, live in :mod:`repro.apps.jobs`.
 * :class:`JobVerdict` — the per-job record: terminal status, result or
   error + traceback, and traffic/virtual-clock/cache statistics.
 

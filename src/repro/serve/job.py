@@ -2,9 +2,12 @@
 
 A :class:`JobSpec` is the unit of admission: *what* to run (the
 ``run(ctx, control)`` hook), *where* (simulated machine size + backend
-choice), and *how* (a ``seed`` the spec's ``run`` builds its inputs
-from, per-job timeout).  The server executes a spec on a worker thread
-under a fresh per-tenant
+choice), and *how* (a ``seed``, per-job timeout).  Only the
+application specs of :mod:`repro.apps.jobs` build their inputs from
+the seed; :class:`CallableJob` and :class:`ProgramJob` never read it,
+and for them it is only copied into the
+:class:`~repro.serve.verdict.JobVerdict`.  The server executes a spec
+on a worker thread under a fresh per-tenant
 :class:`~repro.core.context.ExecutionContext`; the same code path is
 exposed as :func:`run_job_inline` so tests can compare a tenant's
 served result bitwise against a solo run.
@@ -69,7 +72,9 @@ class JobSpec(ABC):
     is the server's job.  ``backend=None`` falls through
     the usual default chain (``REPRO_BACKEND`` → ``"vectorized"``), so
     one deployment-wide environment variable retargets every job that
-    doesn't pin one.
+    doesn't pin one.  ``seed`` is the subclass's to read (the CHARMM
+    and DSMC specs build their inputs from it); every job's verdict
+    records it.
     """
 
     name: str = "job"
@@ -98,7 +103,8 @@ class JobSpec(ABC):
 
 @dataclass(kw_only=True)
 class CallableJob(JobSpec):
-    """Wrap any ``fn(ctx, control) -> result`` as a job."""
+    """Wrap any ``fn(ctx, control) -> result`` as a job; ``fn`` does
+    not see the spec's ``seed``."""
 
     fn: Callable[[ExecutionContext, JobControl], Any]
 
@@ -114,7 +120,8 @@ class ProgramJob(JobSpec):
     tenant failures, not server failures), bindings are copied so one
     spec can be executed many times — served and solo — from identical
     initial state, and the arrays named in ``fetch`` are assembled
-    host-side as the job's result.
+    host-side as the job's result.  The bindings are the program's
+    whole input: the spec's ``seed`` is not read.
     """
 
     source: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import LightweightSchedule, RemapPlan, Schedule
+from repro.core import CommPlan, LightweightSchedule, RemapPlan, Schedule
 
 
 def _flat_pairs(pairs: list[list[np.ndarray]]):
@@ -30,19 +30,42 @@ def _check_transposed(sizes: np.ndarray, counts: np.ndarray, what: str):
         raise ValueError(f"{what} pairs disagree with the send pairs")
 
 
+def plan_from_pairs(
+    n_ranks: int,
+    send_indices: list[list[np.ndarray]],
+    recv_slots: list[list[np.ndarray]],
+    extent: list[int],
+) -> CommPlan:
+    """Build a plain :class:`CommPlan` from nested per-pair index lists
+    (``recv_slots[p][q]``: slots on ``p`` for data from ``q``); any
+    slots, shared or descending ones too."""
+    send, counts = _flat_pairs(send_indices)
+    place, recv_sizes = _flat_pairs(recv_slots)
+    plan = CommPlan(counts=counts, send=send, place=place, extent=extent)
+    _check_transposed(recv_sizes, counts, "receive")
+    return plan
+
+
 def schedule_from_pairs(
     n_ranks: int,
     send_indices: list[list[np.ndarray]],
     recv_slots: list[list[np.ndarray]],
     ghost_size: list[int],
+    local: list[int],
 ) -> Schedule:
-    """Build a :class:`Schedule` from nested per-pair index lists
-    (``recv_slots[p][q]``: slots on ``p`` for data from ``q``)."""
-    send, counts = _flat_pairs(send_indices)
-    place, recv_sizes = _flat_pairs(recv_slots)
-    sched = Schedule(counts=counts, send=send, place=place,
-                     extent=ghost_size)
-    _check_transposed(recv_sizes, counts, "receive")
+    """Build a :class:`Schedule` over local sizes ``local`` from nested
+    per-pair index lists: the pairs put in ghost-slot order, which
+    must give them back (each pair's slots ascending, none shared —
+    anything else is a plain plan, :func:`plan_from_pairs`)."""
+    plan = plan_from_pairs(n_ranks, send_indices, recv_slots, ghost_size)
+    slots = plan._rows(plan.place, plan.recv_base, tuple(ghost_size))
+    rows = plan._rows(plan.send, plan.send_base, tuple(local))[plan.perm]
+    by_slot = np.argsort(slots, kind="stable")
+    sched = Schedule.from_slot_order(plan.counts, rows[by_slot],
+                                     slots[by_slot], ghost_size, local)
+    if not (np.array_equal(sched.send, plan.send)
+            and np.array_equal(sched.place, plan.place)):
+        raise ValueError("pairs not in ghost-slot order")
     return sched
 
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChaosRuntime,
+    CommPlan,
     ExecutionContext,
     IrregularDistribution,
     PipelinePhase,
-    Schedule,
     append_phase,
     available_backends,
     build_lightweight_schedule,
@@ -134,7 +134,7 @@ def test_hand_built_plans_equal_serial(seed, n_ranks, distinct):
 
     def workload(run):
         rng = np.random.default_rng(seed + 1)
-        sched = Schedule(counts=counts, send=send, place=place, extent=extent)
+        sched = CommPlan(counts=counts, send=send, place=place, extent=extent)
         data, ghosts = values(rng, n_local), values(rng, extent)
         gathered, *_ = run.stages(
             gather_phase(sched, data),

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import (
     ChaosRuntime,
+    CommPlan,
     ExecutionContext,
     RankArena,
     allocate_ghosts,
@@ -97,6 +98,16 @@ class TestGather:
         before = m.clocks.mean_category("comm")
         rt.gather(sched, x)
         assert m.clocks.mean_category("comm") > before
+
+    def test_plain_plan_gathers_into_fresh_ghosts(self, backend_name):
+        # a plan without the schedule's names, its ghost buffers left to
+        # the executor: rank 1's rows 2 and 0 land in rank 0's slots 1
+        # and 0, and its spare slot 2 reads zero
+        ctx = ExecutionContext.resolve(Machine(2), backend_name)
+        plan = CommPlan(counts=[[0, 0], [2, 0]], send=[2, 0], place=[1, 0],
+                        extent=[3, 0])
+        ghosts = gather(ctx, plan, [np.zeros(1), np.array([5.0, 6.0, 7.0])])
+        assert [g.tolist() for g in ghosts] == [[5.0, 7.0, 0.0], []]
 
 
 class TestScatter:
@@ -210,8 +221,9 @@ class TestScatterBounds:
         from repro.core import remap, remap_array
         m, rt, tt, x, x_g, idx_g, loc, sched = env(rng, n_ref=80)
         ctx = ExecutionContext.resolve(m, backend_name)
-        lying = dataclasses.replace(
-            sched, extent=[max(0, g - 1) for g in sched.ghost_size])
+        lying = CommPlan(counts=sched.counts, send=sched.send,
+                         place=sched.place,
+                         extent=[max(0, g - 1) for g in sched.ghost_size])
         with pytest.raises(ValueError, match="ghost buffer"):
             gather(ctx, lying, x.local)
         plan = remap(ctx, tt.dist, rt.block_table(x.n_global).dist)

@@ -1,19 +1,27 @@
 """Unit tests: communication schedules and the Figure 6 worked example."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.apps.charmm import ParallelMD, build_small_system
 from repro.core import (
     ChaosRuntime,
     CommPlan,
     ExecutionContext,
+    IrregularReduction,
+    RankArena,
     Schedule,
     TranslationTable,
     build_schedule,
     chaos_hash,
     delta_rebuild_schedule,
+    gather,
     make_hash_tables,
     rehash_delta,
+    scatter_op,
+    split_by_block,
 )
 from repro.sim import Machine
 
@@ -48,6 +56,7 @@ class TestScheduleStructure:
                 send_indices=[[z, np.array([1, 2])], [z, z]],
                 recv_slots=[[z, z], [z, z]],
                 ghost_size=[0, 0],
+                local=[3, 0],
             )
 
     def test_csr_offsets_validated(self):
@@ -55,7 +64,7 @@ class TestScheduleStructure:
         counts = np.array([[0, 2], [1, 0]])
         good = dict(counts=counts, send=np.array([0, 1, 2]),
                     place=np.array([0, 0, 1]), extent=np.array([1, 2]))
-        Schedule(**good)
+        CommPlan(**good)
         cases = [
             (dict(counts=np.zeros((2, 3), np.int64)), r"\(P, P\)"),
             (dict(counts=np.array([[0, 4], [-1, 0]])), "negative"),
@@ -67,7 +76,17 @@ class TestScheduleStructure:
         ]
         for bad, message in cases:
             with pytest.raises(ValueError, match=message):
-                Schedule(**{**good, **bad})
+                CommPlan(**{**good, **bad})
+
+    def test_streams_build_no_schedule(self):
+        # a schedule is stored in ghost-slot order: built from streams,
+        # directly or as a modified copy, it is a TypeError
+        good = dict(counts=np.array([[0, 2], [1, 0]]), send=[0, 1, 2],
+                    place=[0, 0, 1], extent=[1, 2])
+        with pytest.raises(TypeError, match="from_slot_order"):
+            Schedule(**good)
+        with pytest.raises(TypeError, match="from_slot_order"):
+            dataclasses.replace(Schedule.empty(2), extent=[1, 1])
 
     def test_sizes(self):
         m, rt, tt = make_env()
@@ -153,7 +172,7 @@ class TestBuildSchedule:
 
 
 class TestSlotOrder:
-    """A schedule built from the tables stores the executor's ghost-slot
+    """A schedule stores the executor's ghost-slot
     order and derives the paper's streams from it: the stored order must
     be the pair the stream composition gives, and the derived streams
     the serial builder's, after a cold build and after every delta
@@ -166,8 +185,6 @@ class TestSlotOrder:
     def check_pair(sched):
         """The executor pair for the tables' own layout, and for longer
         local arrays or ghost buffers, is the stream composition's."""
-        if sched.order is None:     # built from streams: nothing stored
-            return
         local, placed = sched.order.local, tuple(sched.extent.tolist())
         longer = tuple(n + 1 for n in local), tuple(n + 1 for n in placed)
         for layout in ((local, placed), (longer[0], placed),
@@ -231,3 +248,88 @@ class TestSlotOrder:
         extent = sched.extent
         splice(sched, grown)
         assert n_ranks == 1 or (group.n_ghost > extent).any()
+
+
+class TestOneForm:
+    """Every schedule is stored in ghost-slot order and composes the
+    executor's pair from it, whichever backend built it and whatever
+    layout it runs on."""
+
+    @staticmethod
+    def run_both_layouts(ctx, sched):
+        """A gather into fresh ghost buffers and into longer ones (another
+        placed layout), and a ``scatter_op`` from the longer ones."""
+        x = RankArena(np.arange(sum(sched.order.local), dtype=np.float64),
+                      sched.order.local)
+        fresh = gather(ctx, sched, x)
+        longer = RankArena.zeros(sched.extent + 1)
+        gather(ctx, sched, x, longer)
+        for a, b in zip(fresh, longer):
+            assert np.array_equal(a, b[:a.size])
+        scatter_op(ctx, sched, x, longer)
+        return x
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_nothing_composes_from_streams(self, backend, monkeypatch):
+        compose = CommPlan._compose
+
+        def guarded(plan, *layouts):
+            # a remap plan composes its streams; a schedule never does
+            assert not isinstance(plan, Schedule), "composed from streams"
+            return compose(plan, *layouts)
+
+        monkeypatch.setattr(CommPlan, "_compose", guarded)
+        rng = np.random.default_rng(3)
+        n = 64
+        owner = rng.integers(0, 4, n)
+        idx = [rng.integers(0, n, 30) for _ in range(4)]
+        m = Machine(4)
+        ctx = ExecutionContext.resolve(m, backend)
+        results = []
+        for builder in ("serial", "vectorized"):
+            bctx = ctx.with_backend(builder)
+            tt = TranslationTable.from_map(m, owner)
+            group = make_hash_tables(bctx, tt)
+            chaos_hash(bctx, group, tt, [a.copy() for a in idx], "s")
+            results.append(self.run_both_layouts(
+                ctx, build_schedule(bctx, group, "s")))
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+
+        # Table 3's "multiple" mode: the bonded gather fills the longer
+        # ghost buffers of the whole table
+        with ParallelMD(build_small_system(60, seed=7),
+                        ExecutionContext.resolve(Machine(4), backend),
+                        dt=0.002, schedule_mode="multiple") as md:
+            md.run(1)
+
+        # a targeted adapt that repairs a serial-built base
+        rt = ChaosRuntime(ExecutionContext.resolve(Machine(4), "serial"))
+        tt = rt.irregular_table(owner)
+        ib = [a.copy() for a in idx]
+        loop = IrregularReduction(rt, tt, "nb").bind(
+            ia=split_by_block(rng.integers(0, n, 120), rt.machine),
+            ib=[a.copy() for a in ib])
+        loop.setup()
+        touched = [rng.choice(a.size, size=5, replace=False) for a in ib]
+        for a, t in zip(ib, touched):
+            a[t] = rng.integers(0, n, t.size)
+        loop.adapt("ib", ib, touched=touched)
+        assert rt.cache_stats("nb").delta_rebuilds == 1
+        self.run_both_layouts(rt.ctx.with_backend(backend), loop.schedule)
+
+    def test_resident_bytes_agree_across_backends(self):
+        """A cached schedule holds the same buffers whichever backend
+        built it."""
+        rng = np.random.default_rng(9)
+        owner, refs = rng.integers(0, 4, 64), rng.integers(0, 64, (2, 120))
+        resident = []
+        for backend in ("serial", "vectorized"):
+            m = Machine(4)
+            rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+            tt = rt.irregular_table(owner)
+            IrregularReduction(rt, tt, "nb").bind(
+                ia=split_by_block(refs[0], m),
+                ib=split_by_block(refs[1], m)).setup()
+            resident.append(rt.cache_stats("nb").resident_bytes)
+        assert resident[0] == resident[1] > 0

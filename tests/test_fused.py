@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChaosRuntime,
+    CommPlan,
     ExecutionContext,
     PipelinePhase,
     RankArena,
-    Schedule,
     allocate_ghosts,
     as_arena,
     build_lightweight_schedule,
@@ -567,7 +567,7 @@ def test_descending_slots_fold_in_receive_order(backend):
     element in two slots, descending: slot order would fold 1e16 last
     and lose the 1.0, so the plan keeps its receive-order pair."""
     def workload(run):
-        sched = Schedule(counts=[[0, 2], [0, 0]], send=[0, 0], place=[1, 0],
+        sched = CommPlan(counts=[[0, 2], [0, 0]], send=[0, 0], place=[1, 0],
                          extent=[0, 2])
         data = RankArena.adopt([np.array([-1e16]), np.zeros(0)])
         ghosts = RankArena.adopt([np.zeros(0), np.array([1.0, 1e16])])
@@ -583,7 +583,7 @@ def test_shared_slot_reaches_every_owner(backend):
     arrival, a scatter returns the slot to both owners — the plan keeps
     its receive-order pair, which slot order would collapse to one."""
     def workload(run):
-        sched = Schedule(counts=[[0, 0, 1], [0, 0, 1], [0, 0, 0]],
+        sched = CommPlan(counts=[[0, 0, 1], [0, 0, 1], [0, 0, 0]],
                          send=[0, 0], place=[0, 0], extent=[0, 0, 1])
         data = RankArena.adopt([np.array([1.0]), np.array([2.0]),
                                 np.zeros(0)])

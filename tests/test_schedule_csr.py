@@ -1,7 +1,8 @@
 """Property tests: the flat plan layout and its nested views.
 
-A count matrix plus flat int64 send / placement streams are the native
-representation; per-rank and per-pair views (``send_indices[p]``,
+A count matrix plus flat int64 send / placement streams are a plan's
+native representation (a schedule derives them from its ghost-slot
+order); per-rank and per-pair views (``send_indices[p]``,
 ``send_view`` / ``recv_view``, plus the nested test helpers in
 ``csr_helpers.py``) are derived, zero-copy.  These tests pin down that
 the two presentations agree exactly — round-trip through nested pair
@@ -14,6 +15,7 @@ import pytest
 from csr_helpers import (
     lightweight_from_pairs,
     place_pair_views,
+    plan_from_pairs,
     recv_pair_views,
     remap_from_pairs,
     schedule_from_pairs,
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChaosRuntime,
+    CommPlan,
     ExecutionContext,
     Schedule,
     build_lightweight_schedule,
@@ -42,19 +45,19 @@ from conftest import count_calls
 from oracle import check, observe
 
 
-def _check_csr_invariants(sched: Schedule) -> None:
-    n = sched.n_ranks
-    counts = sched.counts
+def _check_csr_invariants(plan: CommPlan) -> None:
+    n = plan.n_ranks
+    counts = plan.counts
     for p in range(n):
-        assert sched.send_offsets[p][0] == 0
-        assert sched.send_offsets[p][-1] == sched.send_indices[p].size
-        assert np.all(np.diff(sched.send_offsets[p]) >= 0)
-        assert sched.send_indices[p].dtype == np.int64
-        assert sched.recv_slots[p].dtype == np.int64
+        assert plan.send_offsets[p][0] == 0
+        assert plan.send_offsets[p][-1] == plan.send_rows[p].size
+        assert np.all(np.diff(plan.send_offsets[p]) >= 0)
+        assert plan.send_rows[p].dtype == np.int64
+        assert plan.place_rows[p].dtype == np.int64
         for q in range(n):
             # symmetry: what p sends q is what q expects from p
-            assert sched.send_view(p, q).size == sched.recv_view(q, p).size
-            assert counts[p, q] == sched.send_view(p, q).size
+            assert plan.send_view(p, q).size == plan.place_view(q, p).size
+            assert counts[p, q] == plan.send_view(p, q).size
 
 
 def _pipeline(backend, n_ranks=4, n=64, n_ref=96, seed=0):
@@ -78,7 +81,7 @@ class TestScheduleCSR:
         _check_csr_invariants(sched)
         rebuilt = schedule_from_pairs(
             sched.n_ranks, send_pair_views(sched), recv_pair_views(sched),
-            list(sched.ghost_size),
+            list(sched.ghost_size), sched.order.local,
         )
         assert observe(sched) == observe(rebuilt)
 
@@ -129,7 +132,7 @@ class TestScheduleCSR:
         pairs = [send_pair_views(s) for s in (sa, sb)]
         recvs = [recv_pair_views(s) for s in (sa, sb)]
         n = ctx.n_ranks
-        merged = schedule_from_pairs(
+        merged = plan_from_pairs(
             n,
             [[np.concatenate([x[p][q] for x in pairs]) for q in range(n)]
              for p in range(n)],
@@ -137,8 +140,8 @@ class TestScheduleCSR:
              for p in range(n)],
             list(np.maximum(sa.ghost_size, sb.ghost_size)))
         _check_csr_invariants(merged)
-        assert merged.total_elements() == (sa.total_elements()
-                                           + sb.total_elements())
+        assert merged.counts.sum() == (sa.total_elements()
+                                       + sb.total_elements())
         for p in range(ctx.n_ranks):
             for q in range(ctx.n_ranks):
                 want = np.concatenate(
@@ -165,7 +168,7 @@ class TestScheduleCSR:
                                   np.zeros(5, dtype=np.int64))
         rebuilt = schedule_from_pairs(
             4, send_pair_views(sched), recv_pair_views(sched),
-            list(sched.ghost_size),
+            list(sched.ghost_size), sched.order.local,
         )
         assert observe(sched) == observe(rebuilt)
 

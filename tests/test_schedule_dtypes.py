@@ -5,8 +5,8 @@ an int32 indirection array produced an int32 schedule, and downstream
 code (the executor's composed moves, fancy indexing) silently depended
 on whatever arrived.  Construction now coerces the count matrix and
 every flat buffer to int64, whether a plan is built directly from flat
-buffers or assembled from nested per-pair lists
-(``tests/csr_helpers.py``).
+buffers (a schedule: from its ghost-slot order) or assembled from
+nested per-pair lists (``tests/csr_helpers.py``).
 """
 
 import numpy as np
@@ -30,8 +30,9 @@ def _sched_2ranks():
     return schedule_from_pairs(
         n_ranks=2,
         send_indices=_rows(2, [[z, np.array([0, 1])], [np.array([2]), z]]),
-        recv_slots=_rows(2, [[z, np.array([0])], [np.array([1, 0]), z]]),
-        ghost_size=[2, 1],
+        recv_slots=_rows(2, [[z, np.array([0])], [np.array([0, 1]), z]]),
+        ghost_size=[1, 2],
+        local=[2, 3],
     )
 
 
@@ -46,9 +47,9 @@ def test_schedule_coerces_int32_indices():
 
 def test_schedule_coerces_int32_csr_buffers():
     i32 = lambda *v: np.asarray(v, dtype=np.int32)  # noqa: E731
-    sched = Schedule(counts=np.array([[0, 2], [1, 0]], dtype=np.int32),
-                     send=i32(0, 1, 2), place=i32(0, 1, 0),
-                     extent=i32(2, 1))
+    sched = Schedule.from_slot_order(
+        np.array([[0, 2], [1, 0]], dtype=np.int32), i32(4, 0, 1),
+        i32(0, 1, 2), i32(1, 2), i32(2, 3))
     for p in range(2):
         assert sched.send_indices[p].dtype == np.int64
         assert sched.recv_slots[p].dtype == np.int64
@@ -126,8 +127,8 @@ def test_compiled_plan_cached_on_schedule():
         is sched.move("gather", (2, 3), (2, 2), 1)
     # one composed pair serves both directions: at k=1 a covering
     # scatter folds into the very rows the gather reads
-    covering = Schedule(counts=[[0, 2], [1, 0]], send=[0, 1, 2],
-                        place=[0, 0, 1], extent=[1, 2])
+    covering = Schedule.from_slot_order([[0, 2], [1, 0]], np.array([4, 0, 1]),
+                                        np.arange(3), [1, 2], [2, 3])
     src, slots = covering.move("gather", (2, 3), (1, 2), 1)
     ghosts, dst = covering.move("scatter", (1, 2), (2, 3), 1)
     assert slots is None and ghosts is None
