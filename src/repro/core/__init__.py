@@ -91,8 +91,6 @@ from repro.core.api import ChaosRuntime, DistributedArray, IrregularReduction
 from repro.core.verify import (
     check_distribution,
     check_hash_tables,
-    check_lightweight,
-    check_remap_plan,
     check_schedule,
     check_schedule_against_hash_tables,
     check_translation_table,
@@ -163,8 +161,6 @@ __all__ = [
     "IrregularReduction",
     "check_distribution",
     "check_hash_tables",
-    "check_lightweight",
-    "check_remap_plan",
     "check_schedule",
     "check_schedule_against_hash_tables",
     "check_translation_table",

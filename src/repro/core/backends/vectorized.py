@@ -9,7 +9,7 @@ row — in cache-sized blocks of ranks, with no Python loop over ranks.
 Schedule generation reads the stamped off-processor entries in the
 tables' own row order — rank-major, each rank's ghost slots ascending —
 and stores that order as the :class:`~repro.core.schedule.Schedule`
-(:class:`~repro.core.schedule.SlotOrder`: each entry's owner row and
+(:class:`~repro.core.compiled.SlotOrder`: each entry's owner row and
 ghost slot in the rank-major layouts): nothing is sorted and no
 per-rank or per-pair list is ever assembled.  That order is the
 executor's, so a new schedule's first execute composes nothing; the
@@ -24,8 +24,8 @@ cache.
 Python, this backend runs every stage through
 :meth:`VectorizedBackend.run_stage`, over the plan's composed
 machine-wide index pair (cached on the
-:class:`~repro.core.compiled.CommPlan`; a schedule's is its stored
-order, shifted into the layouts it runs on).
+:class:`~repro.core.compiled.CommPlan`: every plan's stored slot order,
+shifted into the layouts it runs on).
 
 Because the simulated machine holds every rank's data in one process, a
 column of a collective is ONE flat move between two rank-major buffers

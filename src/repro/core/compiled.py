@@ -1,30 +1,29 @@
 """Communication plans and rank arenas.
 
 One object, :class:`CommPlan`, is the paper's schedule artifact for
-every kind of move (§3.2.1, Tables 4–5): a ``(P, P)`` count matrix, the
-flat *send stream* of pack selections (sender-major, destination-minor),
-the flat *receive stream* of placement slots (receiver-major,
-source-minor; absent for an append, whose arrivals land in order) and a
-``(P,)`` vector of destination extents.  :class:`~repro.core.schedule.
-Schedule`, :class:`~repro.core.lightweight.LightweightSchedule` and
+every kind of move (§3.2.1, Tables 4–5), stored in one form, its *slot
+order* (:class:`SlotOrder`): a ``(P, P)`` count matrix, each element's
+local row and placed slot in the order the executor reads them —
+receiver by receiver, each receiver's slots ascending — and a ``(P,)``
+vector of destination extents.  :class:`~repro.core.schedule.Schedule`,
+:class:`~repro.core.lightweight.LightweightSchedule` and
 :class:`~repro.core.remap.RemapPlan` are thin subclasses that only name
-those parts the way their kind does.  Everything else is derived once
-and cached on the plan: per-rank offsets and per-rank / per-pair views
-(for the serial reference, the validators and tests — views of the flat
-buffers, never copies), stream bases, the send → receive stream
-permutation, the per-rank index maxima the executor bounds-checks
-against, the composed index pairs of :meth:`CommPlan.move` and the
-vectorized executor's stage charges.  With
+those parts the way their kind does; all three are built by
+:meth:`CommPlan.from_slot_order`, which checks what composition relies
+on.  Everything else is derived once and cached on the plan: the
+paper's flat *send stream* (sender-major, destination-minor) and
+*receive stream* (receiver-major, source-minor), per-rank offsets and
+per-rank / per-pair views of them (for the serial reference, the
+validators and tests), the per-rank index maxima the executor
+bounds-checks against, the composed index pairs of
+:meth:`CommPlan.move` — the stored order shifted into the layouts a
+stage runs on — and the vectorized executor's stage charges.  With
 those an executor backend moves all data of a collective with a handful
-of fused numpy operations, however many rank pairs communicate.  A
-:class:`~repro.core.schedule.Schedule` turns this around: every
-schedule stores the composed pair's ghost-slot order
-(:class:`~repro.core.schedule.SlotOrder`), composes from it for any
-layout, and derives the two streams from it on first read.
+of fused numpy operations, however many rank pairs communicate.
 
 The CSR helpers (:func:`split_csr`, :func:`offsets_from_counts`,
-:func:`grouped_arange`, :func:`stream_perm`) define the layout in one
-place for builders and consumers alike.
+:func:`grouped_arange`) define the layout in one place for builders
+and consumers alike.
 
 Every executor stage — one ``gather``, ``scatter``, ``scatter_append``
 or ``remap_array``, or one link of a pipeline — is one plan run by
@@ -40,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -165,8 +164,8 @@ def row_offsets(counts: np.ndarray) -> np.ndarray:
 def grouped_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], starts[i] + sizes[i])``.
 
-    Fully vectorized — the standard "grouped arange" construction used
-    to build stream permutations without a Python loop per rank pair.
+    Fully vectorized — the standard "grouped arange" construction that
+    expands CSR segments without a Python loop per segment.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     total = int(sizes.sum())
@@ -178,53 +177,10 @@ def grouped_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
             + np.arange(total, dtype=np.int64))
 
 
-def stream_perm(counts: np.ndarray, self_first: bool = False) -> np.ndarray:
-    """Sender-major → receiver-major permutation of a global stream.
-
-    ``counts[p, q]`` is the number of elements ``p`` sends to ``q``.  The
-    send stream concatenates each sender's segments destination-ascending;
-    the returned permutation reorders it receiver-major with sources
-    ascending (``self_first=True``: each receiver's own kept-local segment
-    first, then the other sources ascending — append-order semantics).
-    """
-    n = counts.shape[0]
-    send_base = offsets_from_counts(counts.sum(axis=1))
-    # starts[p, q] = global send-stream position of the p -> q segment
-    starts = send_base[:n, None] + row_offsets(counts)[:, :n]
-    if self_first:
-        # source visit order per receiver: itself first, then ascending
-        eye = np.arange(n)
-        src_order = np.argsort(eye[None, :] != eye[:, None],
-                               axis=1, kind="stable")
-        receivers = eye[:, None]
-        sizes = counts[src_order, receivers].ravel()
-        seg_starts = starts[src_order, receivers].ravel()
-    else:
-        sizes = counts.T.ravel()
-        seg_starts = starts.T.ravel()
-    return grouped_arange(seg_starts, sizes)
-
-
-def bucket_by_destination(sizes: np.ndarray, dest: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group a rank-major stream (``sizes[p]`` elements of rank ``p``)
-    by each element's destination rank ``dest``, stably.
-
-    Returns ``(order, local, counts)``: the stream positions in
-    send-stream order (sender-major, destinations ascending, original
-    order within a pair — every rank's elements stay in its own slice),
-    the same positions counted from each rank's slice start (a plan's
-    send stream) and the ``(P, P)`` count matrix.  One sort of
-    ``rank * P + dest`` keys; below 2**16 of them a narrow dtype makes
-    the stable radix argsort several times cheaper than on int64.
-    """
-    n = sizes.size
-    rank = np.repeat(np.arange(n), sizes)
-    key = rank * n + dest
-    order = np.argsort(key.astype(np.uint16) if n * n <= 1 << 16 else key,
-                       kind="stable")
-    local = order - offsets_from_counts(sizes)[rank]
-    return order, local, np.bincount(key, minlength=n * n).reshape(n, n)
+def _holding(bound: int):
+    """The narrowest index dtype, ``int32`` or ``int64``, that holds the
+    values ``[0, bound)``."""
+    return np.int32 if bound <= 1 << 31 else np.int64
 
 
 def _rank_max(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -241,62 +197,111 @@ def _rank_max(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 # the plan
 # ---------------------------------------------------------------------
+class SlotOrder(NamedTuple):
+    """A plan in *slot order*: rank-major by receiver, each receiver's
+    slots ascending — the order the executor reads (and a schedule's
+    hash tables hold their entries in)."""
+
+    #: each element's row in the rank-major local layout
+    rows: np.ndarray
+    #: its slot in the rank-major placed layout (the plan's extents)
+    slots: np.ndarray
+    #: the local layout: each rank's local size
+    local: tuple[int, ...]
+
+
 @dataclass(eq=False)
 class CommPlan:
     """A communication plan, flat and rank-major.
 
     ``counts[p, q]`` — elements rank ``p`` sends to rank ``q``;
-    ``send`` — local rows each sender packs, sender-major with
-    destinations ascending; ``place`` — destination rows where arrivals
-    land, receiver-major with sources ascending, aligned element-wise
-    with the senders' segments (``None`` when arrivals append in
-    order); ``extent[p]`` — destination rows rank ``p`` needs.
+    ``order`` — the :class:`SlotOrder`: each element's local row and
+    placed slot, receiver by receiver, slots ascending; ``extent[p]`` —
+    the rows rank ``p`` places into.  The paper's streams are derived
+    from the stored order on first read: ``send``, the local rows each
+    sender packs (sender-major, destinations ascending), and ``place``,
+    the slots where arrivals land (receiver-major, sources ascending,
+    aligned element-wise with the senders' segments).
 
-    A plan is immutable by convention: everything derived from it is
-    cached on it.  The per-rank and per-pair accessors are views of the
-    flat buffers; a write through one (the validators' tests corrupt
-    plans that way) is a write into the plan.
+    Built by :meth:`from_slot_order` only (from streams it is a
+    ``TypeError``).  A plan is immutable by convention: everything
+    derived from it is cached on it.  The per-rank and per-pair
+    accessors are views of the flat buffers; a write through one (the
+    validators' tests corrupt plans that way) is a write into the plan.
     """
 
     counts: np.ndarray
-    send: np.ndarray
-    place: np.ndarray | None
+    order: SlotOrder
     extent: np.ndarray
 
-    #: receive-stream order: sources ascending, or each receiver's
-    #: kept-local segment first (an append's arrival order)
-    self_first: ClassVar[bool] = False
+    #: whether the plan moves every local row once and fills every
+    #: placed row (a remap or an append), which its constructor checks
+    permutes: ClassVar[bool] = False
 
-    def __post_init__(self):
-        for name in ("counts", "send", "place", "extent"):
-            a = getattr(self, name)
-            if a is not None and np.asarray(a).dtype.kind not in "iu":
-                raise ValueError(f"{name} buffer must hold integers, got "
-                                 f"{np.asarray(a).dtype}")
-        counts = self.counts = np.ascontiguousarray(self.counts,
-                                                    dtype=np.int64)
-        self.send = np.asarray(self.send, dtype=np.int64)
-        if self.place is not None:
-            self.place = np.asarray(self.place, dtype=np.int64)
-        self.extent = np.array(self.extent, dtype=np.int64)  # own copy
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        raise TypeError(f"build a {name} with {name}.from_slot_order: "
+                        "a plan is stored in slot order, not as streams")
+
+    @classmethod
+    def from_slot_order(cls, counts, rows, slots, extent, local):
+        """A plan stored in slot order (see :class:`SlotOrder`):
+        ``counts[p, q]`` elements ``p`` sends to ``q``, each element's
+        row over the local sizes ``local`` and its slot over the extents
+        ``extent``; ``rows`` and ``slots`` are kept ``int32`` while they
+        fit.
+
+        What the composition relies on is checked here (``ValueError``):
+        integer buffers of matching shapes, every row inside the local
+        layout, each receiver's slots ascending strictly inside its
+        extent (so no two elements share a slot), and for a plan that
+        :attr:`permutes`, every local row moved once and every placed
+        row filled."""
+        arrays = dict(counts=counts, rows=rows, slots=slots, extent=extent,
+                      local=local)
+        for name, a in arrays.items():
+            a = arrays[name] = np.asarray(a)
+            if a.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got {a.dtype}")
+        counts, rows, slots, extent, local = arrays.values()
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(
                 f"count matrix must be (P, P), got shape {counts.shape}")
+        n = counts.shape[0]
         if counts.min(initial=0) < 0:
             raise ValueError("negative element count in the count matrix")
-        for name, a in (("send", self.send), ("place", self.place)):
-            if a is not None and (a.ndim != 1 or a.size != counts.sum()):
-                raise ValueError(f"{name} buffer holds {a.size} elements, "
-                                 f"the count matrix {counts.sum()}")
-        if self.extent.shape != (self.n_ranks,):
-            raise ValueError(f"extent vector must have shape "
-                             f"({self.n_ranks},), got {self.extent.shape}")
-        if self.place is None and not np.array_equal(self.extent,
-                                                     counts.sum(axis=0)):
-            raise ValueError("an append plan's extents must be its "
-                             "arrival totals")
-        self._moves: dict = {}
-        self._charges: dict = {}
+        for name, a in (("extent", extent), ("local", local)):
+            if a.shape != (n,) or a.min(initial=0) < 0:
+                raise ValueError(f"{name} vector must hold {n} sizes, got "
+                                 f"{a.tolist()}")
+        if not rows.shape == slots.shape == (counts.sum(),):
+            raise ValueError(f"{rows.size} rows and {slots.size} slots for "
+                             f"{counts.sum()} counted elements")
+        n_local, n_placed = int(local.sum()), int(extent.sum())
+        if rows.size and (rows.min() < 0 or rows.max() >= n_local):
+            raise ValueError("a row outside the local layout")
+        seg = offsets_from_counts(counts.sum(axis=0))
+        start = offsets_from_counts(extent)
+        some = np.flatnonzero(np.diff(seg))
+        if ((slots[1:] <= slots[:-1]).any()
+                or (slots[seg[some]] < start[some]).any()
+                or (slots[seg[some + 1] - 1] >= start[some + 1]).any()):
+            raise ValueError("each receiver's slots must ascend strictly "
+                             "inside its extent")
+        if cls.permutes and not (
+                np.array_equal(counts.sum(axis=1), local)
+                and np.array_equal(counts.sum(axis=0), extent)
+                and (np.bincount(rows, minlength=n_local) == 1).all()):
+            raise ValueError(f"a {cls.__name__} moves every local row once "
+                             "and fills every placed row")
+        plan = cls.__new__(cls)
+        plan.counts = np.ascontiguousarray(counts, dtype=np.int64)
+        plan.extent = extent.astype(np.int64)  # own copy
+        plan.order = SlotOrder(rows.astype(_holding(n_local), copy=False),
+                               slots.astype(_holding(n_placed), copy=False),
+                               tuple(local.tolist()))
+        plan._moves, plan._charges = {}, {}
+        return plan
 
     # -- derived layout (cached) ----------------------------------------
     @property
@@ -322,13 +327,50 @@ class CommPlan:
 
     @cached_property
     def recv_base(self) -> np.ndarray:
-        """``(P + 1,)``: each rank's slice of the receive stream."""
+        """``(P + 1,)``: each rank's slice of the receive stream (and of
+        the stored order)."""
         return offsets_from_counts(self.counts.sum(axis=0))
 
+    # -- the paper's streams, derived from the stored order --------------
     @cached_property
-    def perm(self) -> np.ndarray:
-        """Send stream → receive stream: ``recv = send_stream[perm]``."""
-        return stream_perm(self.counts, self.self_first)
+    def send(self) -> np.ndarray:
+        """Sender-major send stream, derived."""
+        owner = self._owners
+        return self._by_pair(owner, self._receivers,
+                             self.order.rows - self._local_base[owner])
+
+    @cached_property
+    def place(self) -> np.ndarray:
+        """Receiver-major receive stream, derived."""
+        recv = self._receivers
+        return self._by_pair(
+            recv, self._owners,
+            self.order.slots - offsets_from_counts(self.extent)[recv])
+
+    @cached_property
+    def _local_base(self) -> np.ndarray:
+        """Where each rank's rows begin in the stored local layout."""
+        return offsets_from_counts(np.array(self.order.local))
+
+    @cached_property
+    def _owners(self) -> np.ndarray:
+        """The owner of each element of the stored order."""
+        return self._local_base.searchsorted(self.order.rows, "right") - 1
+
+    @property
+    def _receivers(self) -> np.ndarray:
+        """The receiver of each element, in receive-stream or stored
+        order (both are receiver-major)."""
+        return np.repeat(np.arange(self.n_ranks), np.diff(self.recv_base))
+
+    def _by_pair(self, major, minor, values) -> np.ndarray:
+        """``values`` of the stored order sorted stably by the rank pair
+        ``(major, minor)``: a stream of the paper's."""
+        n = self.n_ranks
+        key = major * n + minor
+        return values[np.argsort(
+            key.astype(np.uint16) if n * n <= 1 << 16 else key,
+            kind="stable")]
 
     @cached_property
     def send_max(self) -> np.ndarray:
@@ -338,14 +380,11 @@ class CommPlan:
     def packs_past(self, n_rows: np.ndarray) -> np.ndarray:
         """``(P,)``: whether each rank packs a row at or past its
         ``n_rows`` (the executor's bounds check)."""
+        # a stored row lies below its owner's local size: arrays that
+        # long need no maxima
+        if (n_rows >= self.order.local).all():
+            return np.zeros(self.n_ranks, dtype=bool)
         return self.send_max >= n_rows
-
-    @cached_property
-    def place_max(self) -> np.ndarray:
-        """``(P,)`` largest row placed on each rank (-1 if none)."""
-        if self.place is None:
-            return np.full(self.n_ranks, -1, dtype=np.int64)
-        return _rank_max(self.place, np.diff(self.recv_base))
 
     @cached_property
     def send_rows(self) -> tuple[np.ndarray, ...]:
@@ -360,8 +399,8 @@ class CommPlan:
     @property
     def nbytes(self) -> int:
         """Bytes of the plan's own buffers (caches excluded)."""
-        return sum(a.nbytes for a in (self.counts, self.send, self.place,
-                                      self.extent) if a is not None)
+        return sum(a.nbytes for a in (self.counts, self.order.rows,
+                                      self.order.slots, self.extent))
 
     # -- per-pair views and totals ---------------------------------------
     def send_view(self, rank: int, dest: int) -> np.ndarray:
@@ -391,21 +430,10 @@ class CommPlan:
     #
     # The simulated machine holds every rank's data in one process, so a
     # column of a collective is ONE flat move between two rank-major
-    # buffers.  The composition below folds the pack selection, the
-    # global permutation and the placement into one (slot, row) pair per
-    # pair of buffer layouts — placed row, local row — that a forward
-    # stage reads one way and a scatter the other; its row→scalar
-    # expansion for a row width k > 1 is cached beside it.  The factors
-    # are not kept: they are as large again and nothing else reads them.
-
-    @staticmethod
-    def _rows(stream: np.ndarray, base: np.ndarray,
-              sizes: tuple[int, ...]) -> np.ndarray:
-        """A rank-major index stream (rank slices ``base``) as indices
-        into the axis-0 concatenation of per-rank arrays of leading
-        lengths ``sizes``."""
-        start = offsets_from_counts(np.asarray(sizes, dtype=np.int64))
-        return stream + np.repeat(start[:-1], np.diff(base))
+    # buffers.  The stored order is that move's (slot, row) pair for the
+    # plan's own layouts — placed row, local row — which a forward stage
+    # reads one way and a scatter the other; other layouts shift it, and
+    # its row→scalar expansion for a row width k > 1 is cached beside it.
 
     def _compose(self, local: tuple[int, ...], placed: tuple[int, ...]
                  ) -> tuple:
@@ -415,34 +443,25 @@ class CommPlan:
         ``placed``); ``slots`` is ``None`` when element ``i`` is placed
         row ``i``.
 
-        An append's arrivals land in order.  Otherwise the pair is in
-        slot order when that folds like the receive stream: the placed
-        buffer is receiver-major, so slot order visits each local row's
-        contributions receiver-ascending, as the pair loop does, unless
-        one receiver names a row in two slots out of order — so it is
-        used only when the slots are distinct and ascend inside every
-        (receiver, source) segment, one O(n) check here.  When they
-        fill the buffer exactly once the slots are dropped.  Otherwise
-        the pair stays in receive-stream order.
-        """
-        rows = self._rows(self.send, self.send_base, local)[self.perm]
-        if self.place is None:
+        That is the stored order, widened to int64, each row shifted by
+        its owner's start in ``local`` and each slot by its receiver's
+        in ``placed``.  A receiver's slots ascend and are distinct, so
+        slot order folds each local row's contributions
+        receiver-ascending, as the pair loop does; when the slots fill
+        ``placed`` exactly once they are dropped."""
+        order = self.order
+        rows = order.rows.astype(np.int64)
+        if local != order.local:
+            start = offsets_from_counts(np.array(local, dtype=np.int64))
+            rows += (start - self._local_base)[self._owners]
+        if rows.size == sum(placed):
             return None, rows
-        slots = self._rows(self.place, self.recv_base, placed)
-        segment_start = np.zeros(slots.size + 1, dtype=bool)
-        segment_start[(self.recv_base[:-1, None]
-                       + self.place_offsets[:, :-1]).ravel()] = True
-        descents = np.flatnonzero(slots[1:] <= slots[:-1]) + 1
-        if not segment_start[descents].all():
-            return slots, rows
-        by_slot = np.full(sum(placed), -1, dtype=np.int64)
-        by_slot[slots] = rows
-        live = np.flatnonzero(by_slot >= 0)
-        if live.size < slots.size:      # two elements share a slot
-            return slots, rows
-        if live.size == by_slot.size:
-            return None, by_slot
-        return live, by_slot[live]
+        slots = order.slots.astype(np.int64)
+        if placed != tuple(self.extent.tolist()):
+            start = offsets_from_counts(np.array(placed, dtype=np.int64))
+            start -= offsets_from_counts(self.extent)
+            slots += np.repeat(start[:-1], np.diff(self.recv_base))
+        return slots, rows
 
     def _pairs(self, local: tuple[int, ...], placed: tuple[int, ...],
                k: int) -> tuple:

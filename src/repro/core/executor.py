@@ -284,12 +284,11 @@ class PipelinePhase:
 
     def _prepare(self, ctx) -> None:
         """The one validation site of every transport call: every row
-        the plan packs exists in the arrays it packs from, and every
-        row it places fits its destination — the ghost buffers of a
-        gather or scatter, the plan's own extents for the arrays the
-        backend allocates (an append's, a remap's, and a gather's
-        without ghosts).  In the flat layout a violation would silently
-        address the next rank's rows."""
+        the plan packs exists in the arrays it packs from, and the ghost
+        buffers a gather or scatter is handed hold the plan's extents
+        (the arrays the backend allocates have them, and every slot lies
+        inside them by construction).  In the flat layout a violation
+        would silently address the next rank's rows."""
         if self.kind not in STAGE_KINDS:
             raise ValueError(f"unknown pipeline phase kind {self.kind!r}")
         if self.op is not None and not hasattr(self.op, "at"):
@@ -313,16 +312,13 @@ class PipelinePhase:
                     f"rank {p}: plan wants element {plan.send_max[p]} "
                     f"but local array has {n_rows[p]}")
         ghosts = self.sources if scatter else self.dests
-        if ghosts is None:   # the backend allocates the plan's extents
-            room = plan.extent
-            what = "ghost buffer" if self.kind == "gather" else "plan extent"
-        else:
-            room, what = _leading(machine, ghosts, "ghosts"), "ghost buffer"
-        need = np.maximum(plan.extent, plan.place_max + 1)
-        if (room < need).any():
-            p = int(np.flatnonzero(room < need)[0])
-            raise ValueError(f"rank {p}: {what} {room[p]} < required "
-                             f"{need[p]}")
+        if ghosts is not None:
+            room = _leading(machine, ghosts, "ghosts")
+            short = np.flatnonzero(room < plan.extent)
+            if short.size:
+                p = int(short[0])
+                raise ValueError(f"rank {p}: ghost buffer {room[p]} < "
+                                 f"required {plan.extent[p]}")
 
 
 def _leading(machine, arrays, what: str) -> np.ndarray:

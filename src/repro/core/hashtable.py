@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiled import as_arena, offsets_from_counts
+from repro.core.compiled import _holding, as_arena, offsets_from_counts
 
 _GROW = 1024
 _NO_INDICES = np.zeros(0, dtype=np.int64)  # a ``None`` rank's stream part
@@ -386,12 +386,6 @@ class DirectKeyStore:
 # ----------------------------------------------------------------------
 # the group
 # ----------------------------------------------------------------------
-def _holding(bound: int):
-    """The narrowest arena dtype, ``int32`` or ``int64``, that holds the
-    values ``[0, bound)``."""
-    return np.int32 if bound <= 1 << 31 else np.int64
-
-
 def _check_tables(machine, group) -> None:
     """Reject tables that are not one group of ``machine``'s rank count
     (the inspector primitives' one check of their tables)."""

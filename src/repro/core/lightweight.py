@@ -10,16 +10,17 @@ reorder), which is why ``scatter_append`` beats ``gather``/``scatter`` by
 large factors in DSMC (Table 4).
 
 :class:`LightweightSchedule` is a :class:`~repro.core.compiled.CommPlan`
-without a placement stream: the count matrix, the sender-major stream of
-selections (the bucketing sort's output *is* the storage) and each
-rank's arrival total.
+stored in slot order: the count matrix, each arrival's source row in
+arrival order (its slots cover the receiver's arrivals; the bucketing
+sort's output *is* the storage) and each rank's arrival total.  The
+sender-major stream of selections is derived from that on first read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compiled import CommPlan, bucket_by_destination
+from repro.core.compiled import CommPlan
 from repro.core.context import ensure_context
 from repro.core.executor import PipelinePhase, _run_stages
 
@@ -35,7 +36,7 @@ class LightweightSchedule(CommPlan):
     the other sources ascending.
     """
 
-    self_first = True
+    permutes = True
     send_sel = property(lambda self: self.send_rows)
     recv_counts = property(lambda self: self.counts.T)
 
@@ -51,9 +52,9 @@ def build_lightweight_schedule(
     local arrays must move to.  Cost: one local bucketing pass per rank
     plus a single message-size exchange — no translation table, no hash
     table, no permutation list.  Every rank's elements are bucketed as
-    one machine-wide stream
-    (:func:`~repro.core.compiled.bucket_by_destination`), whose sort
-    order is the send stream.
+    one machine-wide stream, by one stable sort into arrival order: by
+    receiver, then its own elements first and the other sources
+    ascending.
     """
     ctx = ensure_context(ctx, "build_lightweight_schedule")
     machine = ctx.machine
@@ -68,11 +69,16 @@ def build_lightweight_schedule(
         raise ValueError(
             f"destination rank {dest[at]} out of range on rank {p}")
     machine.charge_memops_vec(sizes, category)
-    _, send, counts = bucket_by_destination(sizes, dest)
+    src = np.repeat(np.arange(n), sizes)
+    # a receiver's own elements first, then the other sources ascending
+    key = dest * n + np.where(src == dest, 0, src + (src < dest))
+    rows = np.argsort(key.astype(np.uint16) if n * n <= 1 << 16 else key,
+                      kind="stable")
+    counts = np.bincount(src * n + dest, minlength=n * n).reshape(n, n)
     machine.alltoall_lengths_compiled(counts, tag="lw_sizes",
                                       category=category)
-    return LightweightSchedule(counts=counts, send=send, place=None,
-                               extent=counts.sum(axis=0))
+    return LightweightSchedule.from_slot_order(
+        counts, rows, np.arange(rows.size), counts.sum(axis=0), sizes)
 
 
 def scatter_append(

@@ -6,20 +6,18 @@ of identically-distributed arrays.  The plan is the analogue of a
 communication schedule specialized for a full redistribution: every element
 has exactly one source and one destination.
 
-:class:`RemapPlan` is a :class:`~repro.core.compiled.CommPlan`: the count
-matrix, the sender-major stream of *old* local offsets, the
-receiver-major stream of *new* local offsets and the new local sizes.
+:class:`RemapPlan` is a :class:`~repro.core.compiled.CommPlan` stored in
+slot order: the count matrix, for each row of the new rank-major layout
+the row of the old one it comes from (its slots cover the new layout)
+and the new local sizes.  The streams of *old* and *new* local offsets
+are derived from that on first read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.compiled import (
-    CommPlan,
-    bucket_by_destination,
-    stream_perm,
-)
+from repro.core.compiled import CommPlan
 from repro.core.context import ensure_context
 from repro.core.distribution import Distribution
 from repro.core.executor import PipelinePhase, _run_stages
@@ -36,6 +34,7 @@ class RemapPlan(CommPlan):
     ``place_offsets[p]``.  ``new_sizes[p]`` — new local array length.
     """
 
+    permutes = True
     send_sel = property(lambda self: self.send_rows)
     place_sel = property(lambda self: self.place_rows)
     new_sizes = property(lambda self: self.extent)
@@ -51,9 +50,9 @@ def remap(
 
     Both distributions must describe the same global array on the same
     machine.  Cost: one pass over owned elements per rank plus a
-    message-size exchange.  The old distribution's layout order is
-    bucketed by new owner as one machine-wide stream
-    (:func:`~repro.core.compiled.bucket_by_destination`).
+    message-size exchange.  The plan is stored in the new layout's
+    order: each new rank-major row takes the old rank-major row of the
+    same global element.
     """
     ctx = ensure_context(ctx, "remap")
     machine = ctx.machine
@@ -67,17 +66,16 @@ def remap(
     old, new = old_dist.layout, new_dist.layout
     machine.charge_memops_vec(old.sizes, category)
 
-    order, send, counts = bucket_by_destination(old.sizes,
-                                                new.owners[old.order])
+    n, n_global = machine.n_ranks, old_dist.n_global
+    old_row = np.empty(n_global, dtype=np.int64)  # global index -> old row
+    old_row[old.order] = np.arange(n_global)
+    counts = np.bincount(old.owners * n + new.owners,
+                         minlength=n * n).reshape(n, n)
     machine.alltoall_lengths_compiled(counts, tag="remap_sizes",
                                       category=category)
-    return RemapPlan(
-        counts=counts,
-        send=send,
-        # new local offsets of the same elements, receiver-major
-        place=new.offsets[old.order[order[stream_perm(counts)]]],
-        extent=new.sizes,
-    )
+    return RemapPlan.from_slot_order(counts, old_row[new.order],
+                                     np.arange(n_global), new.sizes,
+                                     old.sizes)
 
 
 def remap_array(

@@ -4,11 +4,11 @@ A schedule holds what the paper lists: the *send lists* (local elements
 each rank sends to each other rank), the *permutation list* (where
 incoming off-processor elements land in the receiver's ghost buffer)
 and the *send* / *fetch sizes*.  :class:`Schedule` is a
-:class:`~repro.core.compiled.CommPlan` — one count matrix, one flat
-sender-major send stream, one flat receiver-major stream of ghost slots
-and the per-rank ghost-buffer sizes — that names those parts the way
-the paper does (``send_indices[p]``, ``recv_slots[p]``,
-``send_view(p, q)``, ... are views of the flat streams).
+:class:`~repro.core.compiled.CommPlan` — one count matrix, the stored
+slot order (each entry's owner row and ghost slot) and the per-rank
+ghost-buffer sizes — that names those parts the way the paper does
+(``send_indices[p]``, ``recv_slots[p]``, ``send_view(p, q)``, ... are
+views of the streams derived from the stored order).
 
 Schedules are built collectively from the stamped hash tables
 (:func:`build_schedule`): each rank selects the off-processor entries
@@ -18,51 +18,33 @@ Merged and incremental schedules fall out of the stamp algebra for free.
 
 :func:`build_schedule` validates and dispatches to the backend carried
 by its :class:`~repro.core.context.ExecutionContext`.  Both backends
-store the :class:`SlotOrder` the executor reads, the selected entries
-in the tables' own row order: ``vectorized`` (the default) sorts
-nothing and derives the paper's streams from it on first read;
-``serial`` (the reference) walks the entries per rank and also builds
-the streams by an owner sort and the request exchange, which its
-schedule keeps, so the derived streams are checked against them.
+store the selected entries in the tables' own row order, which is the
+slot order: ``vectorized`` (the default) sorts nothing and derives the
+paper's streams from it on first read; ``serial`` (the reference) walks
+the entries per rank and also builds the streams by an owner sort and
+the request exchange, which its schedule keeps, so the derived streams
+are checked against them.
 
 A delta repair (:func:`delta_rebuild_schedule`, after an adaptive
 subset update) builds no schedule: it reads the entries that entered
 the selection straight from the tables, charges their request exchange
 (:func:`charge_build`, the charges of the vectorized build) and edits
-the cached schedule's stored order in place — one code path on every
-backend.
+the cached schedule's stored order — one code path on every backend.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple
-
 import numpy as np
 
-from repro.core.compiled import CommPlan, offsets_from_counts
+from repro.core.compiled import CommPlan, _holding, offsets_from_counts
 from repro.core.context import ensure_context
 from repro.core.hashtable import (
     HashTableGroup,
     StampExpr,
     _check_tables,
-    _holding,
     stream_of,
 )
 from repro.core.inspector import DeltaRehash
-
-
-class SlotOrder(NamedTuple):
-    """A schedule in *ghost-slot order*: rank-major by receiver, each
-    receiver's ghost slots ascending — the order the hash tables hold
-    the entries in and the executor reads them in."""
-
-    #: each element's owner row in the rank-major local layout
-    rows: np.ndarray
-    #: its slot in the rank-major ghost layout (the schedule's extents)
-    slots: np.ndarray
-    #: the local layout: each rank's local size
-    local: tuple[int, ...]
 
 
 class Schedule(CommPlan):
@@ -75,12 +57,9 @@ class Schedule(CommPlan):
     senders' segments, delimited by ``recv_offsets[p]``;
     ``ghost_size[p]`` — ghost-buffer slots rank ``p`` must allocate.
 
-    A schedule stores its :class:`SlotOrder` instead of those streams
-    and is built by :meth:`from_slot_order` (from streams it is a
-    ``TypeError``: that is a plain :class:`~repro.core.compiled.CommPlan`);
-    it derives ``send`` and ``place`` on first read, by one stable sort
-    each.  The executor's pair is the stored order, shifted into its
-    layouts.
+    Like every plan it stores its :class:`~repro.core.compiled.SlotOrder`
+    — each entry's owner row and ghost slot, in the order the hash
+    tables hold the entries — and derives those streams on first read.
     """
 
     ghost_size = property(lambda self: self.extent)
@@ -89,13 +68,6 @@ class Schedule(CommPlan):
     recv_offsets = property(lambda self: self.place_offsets)
     recv_view = CommPlan.place_view
 
-    #: the stored ghost-slot order
-    order: SlotOrder
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("build a Schedule with Schedule.from_slot_order; "
-                        "a plan from streams is a CommPlan")
-
     def total_elements(self) -> int:
         """Off-processor elements moved by one gather with this schedule."""
         return int(self.counts.sum())
@@ -103,111 +75,8 @@ class Schedule(CommPlan):
     @classmethod
     def empty(cls, n_ranks: int) -> "Schedule":
         z, none = np.zeros(0, np.int64), np.zeros(n_ranks, np.int64)
-        return cls.from_slot_order(np.zeros((n_ranks,) * 2), z, z, none, none)
-
-    @classmethod
-    def from_slot_order(cls, counts, rows, slots, extent, local
-                        ) -> "Schedule":
-        """A schedule stored in ghost-slot order (see :class:`SlotOrder`):
-        ``counts[p, q]`` elements ``p`` sends to ``q``, each element's
-        owner row over the local sizes ``local`` and its slot over the
-        ghost sizes ``extent``; ``rows`` and ``slots`` are kept ``int32``
-        while they fit."""
-        plan = cls.__new__(cls)
-        plan.counts = np.ascontiguousarray(counts, dtype=np.int64)
-        plan.extent = np.array(extent, dtype=np.int64)  # own copy
-        local = np.asarray(local, dtype=np.int64)
-        if not rows.size == slots.size == plan.counts.sum():
-            raise ValueError("one row and one slot per counted element")
-        plan.order = SlotOrder(
-            rows.astype(_holding(local.sum()), copy=False),
-            slots.astype(_holding(plan.extent.sum()), copy=False),
-            tuple(local.tolist()))
-        plan._moves, plan._charges = {}, {}
-        return plan
-
-    # -- the paper's streams, derived from the stored order --------------
-    @cached_property
-    def send(self) -> np.ndarray:
-        """Sender-major send stream, derived."""
-        owner = self._owners
-        return self._by_pair(owner, self._receivers,
-                             self.order.rows - self._local_base[owner])
-
-    @cached_property
-    def place(self) -> np.ndarray:
-        """Receiver-major receive stream, derived."""
-        recv = self._receivers
-        return self._by_pair(
-            recv, self._owners,
-            self.order.slots - offsets_from_counts(self.extent)[recv])
-
-    @cached_property
-    def _local_base(self) -> np.ndarray:
-        """Where each rank's rows begin in the stored local layout."""
-        return offsets_from_counts(np.array(self.order.local))
-
-    @cached_property
-    def _owners(self) -> np.ndarray:
-        """The owner of each element of the stored order."""
-        return self._local_base.searchsorted(self.order.rows, "right") - 1
-
-    @property
-    def _receivers(self) -> np.ndarray:
-        """The receiver of each element, in receive-stream or stored
-        order (both are receiver-major)."""
-        return np.repeat(np.arange(self.n_ranks), np.diff(self.recv_base))
-
-    def _by_pair(self, major, minor, values) -> np.ndarray:
-        """``values`` of the stored order sorted stably by the rank pair
-        ``(major, minor)``: a stream of the paper's."""
-        n = self.n_ranks
-        key = major * n + minor
-        return values[np.argsort(
-            key.astype(np.uint16) if n * n <= 1 << 16 else key,
-            kind="stable")]
-
-    # -- what the executor reads, from the stored order ------------------
-    def packs_past(self, n_rows: np.ndarray) -> np.ndarray:
-        # a stored row lies below its owner's local size: arrays that
-        # long need no maxima (``send_max`` reads the derived stream)
-        if (n_rows >= self.order.local).all():
-            return np.zeros(self.n_ranks, dtype=bool)
-        return super().packs_past(n_rows)
-
-    @cached_property
-    def place_max(self) -> np.ndarray:
-        out = np.full(self.n_ranks, -1, dtype=np.int64)
-        placed = np.diff(self.recv_base)
-        some = placed > 0
-        # each receiver's slots ascend: its last is its largest
-        out[some] = (self.order.slots[self.recv_base[1:][some] - 1]
-                     - offsets_from_counts(self.extent)[:-1][some])
-        return out
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.counts, self.order.rows,
-                                      self.order.slots, self.extent))
-
-    def _compose(self, local, placed) -> tuple:
-        """The stored order, widened to int64, each row shifted by its
-        owner's start in ``local`` and each slot by its receiver's in
-        ``placed`` (a receiver's slots ascend: the pair the streams give);
-        the slots dropped when they cover the ghost buffers."""
-        order = self.order
-        rows = order.rows.astype(np.int64)
-        if local != order.local:
-            start = offsets_from_counts(np.array(local, dtype=np.int64))
-            rows += (start - self._local_base)[self._owners]
-        if rows.size == sum(placed):
-            return None, rows
-        slots = order.slots.astype(np.int64)
-        if placed != tuple(self.extent.tolist()):
-            start = offsets_from_counts(np.array(placed, dtype=np.int64))
-            start -= offsets_from_counts(self.extent)
-            slots += np.repeat(start[:-1], np.diff(self.recv_base))
-        return slots, rows
+        return cls.from_slot_order(np.zeros((n_ranks,) * 2, np.int64), z, z,
+                                   none, none)
 
 
 def build_schedule(
@@ -328,10 +197,11 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
     left as their arena positions ``dropped_at``, ascending.  The result
     is bitwise-identical to a cold rebuild.
 
-    The splice edits the stored ghost-slot order (:class:`SlotOrder`)
-    directly: a cold build lists every receiver's entries with their
-    ghost slots ascending, and a rank's ghost slots number its rows in
-    row order, so the base's global slots ascend along the whole order.
+    The splice edits the stored slot order
+    (:class:`~repro.core.compiled.SlotOrder`) directly: a cold build
+    lists every receiver's entries with their ghost slots ascending, and
+    a rank's ghost slots number its rows in row order, so the base's
+    global slots ascend along the whole order.
     A dropped entry is found there by its global slot (one
     ``searchsorted``); an entering entry goes in where its slot sorts,
     clamped into its receiver's segment (a slot the base's extents do
@@ -340,10 +210,11 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
     is sorted and no rank or rank pair is visited.
 
     ``base`` must describe the same tables as they were before the
-    update.  That is checked where the edit sees it: a local layout
-    other than the tables', a ghost slot of ``base`` outside its
-    receiver's slots or out of order, extents past the live tables', or
-    a dropped entry that is not found at its own slot, raises
+    update.  Its slots ascend inside its extents by construction
+    (:meth:`~repro.core.compiled.CommPlan.from_slot_order`); against
+    the live tables it is checked where the edit sees it: a local
+    layout other than the tables', extents past the live tables', or a
+    dropped entry that is not found at its own slot, raises
     ``ValueError``.
     """
     n = base.n_ranks
@@ -355,13 +226,8 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
     new = offsets_from_counts(group.n_ghost)
     dtype = _holding(new[-1])
     rows, slots = base.order.rows, base.order.slots.astype(dtype, copy=False)
-    seg = base.recv_base
-    some = np.flatnonzero(np.diff(seg))
     if (base.order.local != tuple(group.n_local.tolist())
-            or (base.extent > group.n_ghost).any()
-            or (slots[1:] <= slots[:-1]).any()
-            or (slots[seg[some]] < old[some]).any()
-            or (slots[seg[some + 1] - 1] >= old[some + 1]).any()):
+            or (base.extent > group.n_ghost).any()):
         raise ValueError(_STALE)
 
     # dropped entries by their global slots: a rank's rows ascend, so
@@ -383,7 +249,7 @@ def _splice(machine, group, base: Schedule, counts, d_rows, d_slots,
     d_recv = np.repeat(np.arange(n), counts.sum(axis=0))
     ikey = d_slots.astype(dtype)
     ikey -= shift[d_recv]
-    ins_at = np.minimum(slots.searchsorted(ikey), seg[1:][d_recv])
+    ins_at = np.minimum(slots.searchsorted(ikey), base.recv_base[1:][d_recv])
 
     counts = (base.counts + counts
               - np.bincount(group.proc.ravel()[dropped_at] * n + ranks,

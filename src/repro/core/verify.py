@@ -5,7 +5,10 @@ produces wrong answers: each function checks the internal invariants of
 one artifact and returns a list of human-readable problems (empty = OK).
 They are pure inspections — no communication is charged — and they
 read the plans through their per-rank views of the flat buffers and
-their count matrices (offset arithmetic and ``np.unique``).
+their count matrices (offset arithmetic and ``np.unique``).  Remap
+plans and light-weight schedules have no validator: what one would check
+(every row moved once, every placed row filled) their constructor,
+:meth:`~repro.core.compiled.CommPlan.from_slot_order`, checks.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import numpy as np
 
 from repro.core.distribution import Distribution
 from repro.core.hashtable import HashTableGroup
-from repro.core.lightweight import LightweightSchedule
-from repro.core.remap import RemapPlan
 from repro.core.schedule import Schedule
 from repro.core.translation import TranslationTable
 
@@ -173,58 +174,6 @@ def check_hash_tables(group: HashTableGroup) -> list[str]:
             if np.any((counts > 0) != ((group.mask[p, :ne] & bit) != 0)):
                 problems.append(f"rank {p}: stamp {name!r} refcounts and "
                                 "mask bits disagree")
-    return problems
-
-
-def check_lightweight(sched: LightweightSchedule) -> list[str]:
-    """Counts symmetric; selections disjoint and covering."""
-    problems: list[str] = []
-    n = sched.n_ranks
-    send_counts = sched.counts
-    for p, q in np.argwhere(send_counts != sched.recv_counts.T):
-        problems.append(f"{p}->{q}: count mismatch")
-    for p in range(n):
-        total = int(send_counts[p].sum())
-        sel = sched.send_sel[p]
-        if sel.size != total:
-            problems.append(
-                f"rank {p}: count mismatch — selection holds {sel.size} "
-                f"elements, offsets delimit {total}"
-            )
-        covered = np.unique(sel).size
-        if sel.size:
-            if sel.min() < 0 or sel.max() >= total:
-                problems.append(f"rank {p}: selection out of range")
-            if covered != sel.size:
-                problems.append(
-                    f"rank {p}: element sent to multiple destinations"
-                )
-        if covered != total:
-            problems.append(
-                f"rank {p}: {total - covered} elements have no destination"
-            )
-    return problems
-
-
-def check_remap_plan(plan: RemapPlan) -> list[str]:
-    """Every new slot filled exactly once; no slot out of range."""
-    problems: list[str] = []
-    n = plan.n_ranks
-    send_counts = plan.counts
-    place_counts = np.diff(plan.place_offsets, axis=1)
-    for p, q in np.argwhere(send_counts != place_counts.T):
-        problems.append(f"{p}->{q}: plan asymmetry")
-    for p in range(n):
-        sel = plan.place_sel[p]
-        if sel.size:
-            if sel.min() < 0 or sel.max() >= plan.new_sizes[p]:
-                problems.append(f"rank {p}: placement out of range")
-        distinct = np.unique(sel).size
-        if sel.size != plan.new_sizes[p] or distinct != plan.new_sizes[p]:
-            problems.append(
-                f"rank {p}: {distinct} distinct slots filled, "
-                f"need {plan.new_sizes[p]}"
-            )
     return problems
 
 

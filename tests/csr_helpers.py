@@ -1,19 +1,23 @@
 """Test-side nested-list helpers for flat communication plans.
 
-The runtime stores every communication plan as one count matrix plus
-flat send / placement streams; the nested constructors
-(``from_pair_lists``) and accessors (``send_pairs`` et al.) were deleted
-from ``src/`` long ago.  Tests that want to build a plan from one small
-array per ``(p, q)`` pair — or to compare the flat buffers against their
-nested presentation — use these helpers, which concatenate the pairs
-sender-major and split through the plans' own per-pair views.
+The runtime stores every communication plan in slot order (one count
+matrix, each element's local row and placed slot, the extents) and
+derives the flat send / placement streams from it; the nested
+constructors (``from_pair_lists``) and accessors (``send_pairs`` et al.)
+were deleted from ``src/`` long ago.  Tests that want to build a plan
+from one small array per ``(p, q)`` pair — or to compare the flat
+buffers against their nested presentation — use these helpers, which
+put the pairs in slot order and read them back through the plans' own
+per-pair views.  :func:`compose_from_streams` is the executor pair
+composed the long way, from the derived streams, as an independent
+reference for :meth:`~repro.core.compiled.CommPlan._compose`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import CommPlan, LightweightSchedule, RemapPlan, Schedule
+from repro.core import LightweightSchedule, RemapPlan, Schedule
 
 
 def _flat_pairs(pairs: list[list[np.ndarray]]):
@@ -30,20 +34,34 @@ def _check_transposed(sizes: np.ndarray, counts: np.ndarray, what: str):
         raise ValueError(f"{what} pairs disagree with the send pairs")
 
 
-def plan_from_pairs(
-    n_ranks: int,
-    send_indices: list[list[np.ndarray]],
-    recv_slots: list[list[np.ndarray]],
-    extent: list[int],
-) -> CommPlan:
-    """Build a plain :class:`CommPlan` from nested per-pair index lists
-    (``recv_slots[p][q]``: slots on ``p`` for data from ``q``); any
-    slots, shared or descending ones too."""
-    send, counts = _flat_pairs(send_indices)
-    place, recv_sizes = _flat_pairs(recv_slots)
-    plan = CommPlan(counts=counts, send=send, place=place, extent=extent)
-    _check_transposed(recv_sizes, counts, "receive")
-    return plan
+def _receive_order(counts: np.ndarray) -> np.ndarray:
+    """Send stream (sender-major) -> receive stream (receiver-major, each
+    pair's elements in order): one stable sort by ``(receiver,
+    sender)``."""
+    n = counts.shape[0]
+    pair = np.arange(n * n).reshape(n, n)
+    return np.argsort(np.repeat(pair.T.ravel(), counts.ravel()),
+                      kind="stable")
+
+
+def _rebased(stream, sizes_per_rank, layout) -> np.ndarray:
+    """A rank-major stream of per-rank offsets (``sizes_per_rank[p]``
+    elements of rank ``p``) as rows of the concatenated ``layout``."""
+    start = np.concatenate([[0], np.cumsum(layout)])
+    return stream + np.repeat(start[:-1], sizes_per_rank)
+
+
+def _plan_from_pairs(cls, send_pairs, place_pairs, extent, local):
+    """A ``cls`` plan from nested send rows and placement slots, the
+    elements put in slot order (``from_slot_order`` checks the rest)."""
+    send, counts = _flat_pairs(send_pairs)
+    place, place_sizes = _flat_pairs(place_pairs)
+    _check_transposed(place_sizes, counts, "placement")
+    rows = _rebased(send, counts.sum(axis=1), local)[_receive_order(counts)]
+    slots = _rebased(place, counts.sum(axis=0), extent)
+    by_slot = np.argsort(slots, kind="stable")
+    return cls.from_slot_order(counts, rows[by_slot], slots[by_slot],
+                               extent, local)
 
 
 def schedule_from_pairs(
@@ -54,18 +72,18 @@ def schedule_from_pairs(
     local: list[int],
 ) -> Schedule:
     """Build a :class:`Schedule` over local sizes ``local`` from nested
-    per-pair index lists: the pairs put in ghost-slot order, which
-    must give them back (each pair's slots ascending, none shared —
-    anything else is a plain plan, :func:`plan_from_pairs`)."""
-    plan = plan_from_pairs(n_ranks, send_indices, recv_slots, ghost_size)
-    slots = plan._rows(plan.place, plan.recv_base, tuple(ghost_size))
-    rows = plan._rows(plan.send, plan.send_base, tuple(local))[plan.perm]
-    by_slot = np.argsort(slots, kind="stable")
-    sched = Schedule.from_slot_order(plan.counts, rows[by_slot],
-                                     slots[by_slot], ghost_size, local)
-    if not (np.array_equal(sched.send, plan.send)
-            and np.array_equal(sched.place, plan.place)):
-        raise ValueError("pairs not in ghost-slot order")
+    per-pair index lists (``recv_slots[p][q]``: slots on ``p`` for data
+    from ``q``): the pairs put in ghost-slot order, which must give them
+    back — each pair's slots ascending, none shared."""
+    sched = _plan_from_pairs(Schedule, send_indices, recv_slots,
+                             ghost_size, local)
+    for p in range(n_ranks):
+        for q in range(n_ranks):
+            if not (np.array_equal(sched.send_view(p, q),
+                                   send_indices[p][q])
+                    and np.array_equal(sched.recv_view(p, q),
+                                       recv_slots[p][q])):
+                raise ValueError("pairs not in ghost-slot order")
     return sched
 
 
@@ -75,13 +93,20 @@ def lightweight_from_pairs(
     recv_counts: np.ndarray,
 ) -> LightweightSchedule:
     """Build a :class:`LightweightSchedule` from nested selection lists
-    (``recv_counts[p][q]``: elements ``p`` receives from ``q``)."""
-    send, counts = _flat_pairs(send_sel)
+    (``recv_counts[p][q]``: elements ``p`` receives from ``q``); arrivals
+    land kept-local first, then by source ascending."""
     recv_counts = np.asarray(recv_counts)
-    sched = LightweightSchedule(counts=counts, send=send, place=None,
-                                extent=recv_counts.sum(axis=1))
+    _, counts = _flat_pairs(send_sel)
     _check_transposed(recv_counts, counts, "receive-count")
-    return sched
+    # arrival positions: per receiver, its own segment, then the others
+    place = [[None] * n_ranks for _ in range(n_ranks)]
+    for p in range(n_ranks):
+        at = 0
+        for q in [p] + [q for q in range(n_ranks) if q != p]:
+            place[p][q] = np.arange(at, at + counts[q, p])
+            at += counts[q, p]
+    return _plan_from_pairs(LightweightSchedule, send_sel, place,
+                            recv_counts.sum(axis=1), counts.sum(axis=1))
 
 
 def remap_from_pairs(
@@ -91,11 +116,23 @@ def remap_from_pairs(
     new_sizes: list[int],
 ) -> RemapPlan:
     """Build a :class:`RemapPlan` from nested selection/placement lists."""
-    send, counts = _flat_pairs(send_sel)
-    place, place_sizes = _flat_pairs(place_sel)
-    plan = RemapPlan(counts=counts, send=send, place=place, extent=new_sizes)
-    _check_transposed(place_sizes, counts, "placement")
-    return plan
+    _, counts = _flat_pairs(send_sel)
+    return _plan_from_pairs(RemapPlan, send_sel, place_sel, new_sizes,
+                            counts.sum(axis=1))
+
+
+def compose_from_streams(plan, local, placed) -> tuple:
+    """The executor pair of ``plan`` for buffers of leading lengths
+    ``local`` and ``placed``, composed from its derived streams: each
+    element's local row and placed row, put in placed-row order (the
+    slots are distinct); the slots ``None`` when they fill ``placed``."""
+    rows = _rebased(plan.send, plan.counts.sum(axis=1), local)
+    rows = rows[_receive_order(plan.counts)]
+    slots = _rebased(plan.place, plan.counts.sum(axis=0), placed)
+    by_slot = np.argsort(slots)
+    if slots.size == sum(placed):
+        return None, rows[by_slot]
+    return slots[by_slot], rows[by_slot]
 
 
 def send_pair_views(plan) -> list[list[np.ndarray]]:

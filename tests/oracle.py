@@ -26,6 +26,12 @@ of the same delta setting and storage, and, across the delta axis, the
 traffic recorded after the workload's last :meth:`Run.mark`.  A chain
 runs on one backend exactly as its stages one by one, so its traffic
 and clocks must equal that backend's one-by-one run exactly.
+
+Every backend reads the same stored plans, so a wrong plan gives them
+all the same wrong answer.  Where a move's result follows from the
+global data alone — a remap, an append — :func:`remap_reference` and
+:func:`append_reference` compute it without any plan, a reference
+outside the backend pair.
 """
 
 import itertools
@@ -104,6 +110,25 @@ def schedule_env(run, seed, n, n_ref, trailing=()):
     rt.hash_indirection(
         tt, split_by_block(rng.integers(0, n, n_ref), run.machine), "s")
     return rt, x, rt.build_schedule(tt, "s")
+
+
+def remap_reference(x_global, new_dist) -> list:
+    """What a remap to ``new_dist`` yields, from the global array alone:
+    the elements in the new layout's order, split by its sizes."""
+    layout = new_dist.layout
+    return np.split(np.asarray(x_global)[layout.order], layout.starts[1:-1])
+
+
+def append_reference(values, dest_ranks) -> list:
+    """What a ``scatter_append`` yields, from the per-rank values and
+    destinations alone: per receiver, its own kept elements in their
+    original order, then each other source's, sources ascending (each in
+    its original order)."""
+    ranks = range(len(values))
+    return [np.concatenate([np.asarray(values[p])[np.asarray(dest_ranks[p])
+                                                  == q]
+                            for p in [q, *(p for p in ranks if p != q)]])
+            for q in ranks]
 
 
 def _primitive(ctx, phase, category):

@@ -383,57 +383,44 @@ def test_stale_base_schedule_is_rejected():
 @pytest.mark.parametrize("rank", [0, 3])
 def test_base_slot_past_its_ghost_slots_is_rejected(rank):
     """A slot past rank p's ghost slots is held by none of p's entries
-    (it may be below another rank's count): the splice must notice
-    rather than edit another receiver's segment."""
+    (it may be below another rank's count): such a base cannot be
+    built, so the splice never edits another receiver's segment."""
     ctx = ExecutionContext.resolve(Machine(4), "vectorized")
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
-    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
-    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
     assert base.recv_slots[rank].size
     # the stored order's last slot of ``rank``, in the global ghost layout
-    base.order.slots[base.recv_base[rank + 1] - 1] = (
+    slots = base.order.slots.copy()
+    slots[base.recv_base[rank + 1] - 1] = (
         offsets_from_counts(base.extent)[rank] + hts.n_ghost[rank])
-    with pytest.raises(ValueError, match="does not match the live tables"):
-        delta_rebuild_schedule(ctx, hts, "s", base, rehash)
+    with pytest.raises(ValueError, match="inside its extent"):
+        Schedule.from_slot_order(base.counts, base.order.rows, slots,
+                                 base.extent, base.order.local)
 
 
 def test_base_slots_out_of_order_are_rejected():
     """A cold build lists each receiver's ghost slots ascending, because
     slots number a rank's off-processor rows in row order: a base with
-    two slots of one receiver swapped does not describe the live
-    tables."""
+    two slots of one receiver swapped cannot be built."""
     ctx = ExecutionContext.resolve(Machine(4), "vectorized")
     tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
-    _, old_vals, new_vals, _ = _churn(np.random.default_rng(4), idx, 60, 0.3)
-    rehash = rehash_delta(ctx, hts, tt, "s", old_vals, new_vals)
-    seg = np.diff(base.recv_base)
-    at = base.recv_base[np.flatnonzero(seg >= 2)[0]]
-    slots = base.order.slots
-    slots[at:at + 2] = slots[at:at + 2][::-1].copy()
-    with pytest.raises(ValueError, match="does not match the live tables"):
-        delta_rebuild_schedule(ctx, hts, "s", base, rehash)
-
-
-def test_stale_base_is_rejected_where_only_its_order_shows_it():
-    """Two stale bases no dropped entry gives away.  Two slots of one
-    receiver swapped, with nothing leaving or entering: only the order
-    check sees them.  A base two updates behind, spliced with an update
-    that drops the entries the skipped one added to rank 0: their slots
-    lie past the base's extents, so looked up in the base they would
-    name rank 1's entries."""
-    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
-    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
-    none = [a[:0] for a in idx]
     seg = np.diff(base.recv_base)
     at = base.recv_base[np.flatnonzero(seg >= 2)[0]]
     slots = base.order.slots.copy()
     slots[at:at + 2] = slots[at:at + 2][::-1].copy()
-    swapped = Schedule.from_slot_order(base.counts, base.order.rows, slots,
-                                       base.extent, base.order.local)
-    same = rehash_delta(ctx, hts, tt, "s", none, none)
-    with pytest.raises(ValueError, match="does not match the live tables"):
-        delta_rebuild_schedule(ctx, hts, "s", swapped, same)
+    with pytest.raises(ValueError, match="ascend strictly"):
+        Schedule.from_slot_order(base.counts, base.order.rows, slots,
+                                 base.extent, base.order.local)
 
+
+def test_stale_base_is_rejected_where_only_its_order_shows_it():
+    """A stale base no dropped entry gives away: a base two updates
+    behind, spliced with an update that drops the entries the skipped
+    one added to rank 0.  Their slots lie past the base's extents, so
+    looked up in the base they would name rank 1's entries.  (A base
+    whose own slots are out of order cannot be built.)"""
+    ctx = ExecutionContext.resolve(Machine(4), "vectorized")
+    tt, hts, idx, base = _cold_env(ctx, 3, 60, 30)
+    none = [a[:0] for a in idx]
     fresh = np.setdiff1d(np.arange(60), idx[0])
     fresh = fresh[tt.dist.owner(fresh) != 0][:3]
     old = [idx[0][:fresh.size]] + none[1:]

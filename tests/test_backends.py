@@ -4,8 +4,9 @@ The oracle (``tests/oracle.py``) runs each workload below on every
 backend, on randomized schedules and on hand-built plans no inspector
 builds: gather, scatter, scatter_op (add and maximum),
 scatter_append(_multi) and remap_array, on 1-D and 2-D data, integer
-data and strided views.  ``test_fused.py`` runs the same collectives
-as ``run_pipeline`` chains.
+data and strided views; remaps and appends also against references
+computed from the global data alone.  ``test_fused.py`` runs the same
+collectives as ``run_pipeline`` chains.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    BlockDistribution,
     ChaosRuntime,
     CommPlan,
+    CyclicDistribution,
     ExecutionContext,
     IrregularDistribution,
     PipelinePhase,
@@ -30,6 +33,7 @@ from repro.core import (
     remap_array,
     resolve_backend,
     scatter,
+    scatter_append,
     scatter_append_multi,
     scatter_op,
     scatter_op_phase,
@@ -37,9 +41,10 @@ from repro.core import (
     split_by_block,
 )
 from repro.core.backends import Backend, SerialBackend, VectorizedBackend
+from repro.core.compiled import offsets_from_counts
 from repro.sim import PARAGON, FullCrossbar, Machine
 
-from oracle import check, schedule_env
+from oracle import append_reference, check, remap_reference, schedule_env
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,25 +113,78 @@ def test_remap_equivalence(seed, n_ranks, n, trailing):
     check(workload, n_ranks)
 
 
+_DISTRIBUTIONS = ("block", "cyclic", "irregular")
+
+
+def _distribution(kind, n, n_ranks, rng):
+    """A ``kind`` distribution of ``n`` elements; an irregular one leaves
+    its last rank empty half the time."""
+    if kind == "block":
+        return BlockDistribution(n, n_ranks)
+    if kind == "cyclic":
+        return CyclicDistribution(n, n_ranks)
+    top = n_ranks - 1 if n_ranks > 1 and rng.integers(0, 2) else n_ranks
+    return IrregularDistribution(rng.integers(0, top, n), n_ranks)
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n_ranks=st.integers(1, 4),
-       distinct=st.booleans())
-def test_hand_built_plans_equal_serial(seed, n_ranks, distinct):
+@given(
+    seed=st.integers(0, 10_000),
+    n_ranks=st.integers(1, 5),
+    n=st.integers(0, 50),
+    kinds=st.tuples(st.sampled_from(_DISTRIBUTIONS),
+                    st.sampled_from(_DISTRIBUTIONS)),
+    trailing=st.sampled_from([(), (2,)]),
+)
+def test_remap_and_append_match_the_global_reference(seed, n_ranks, n,
+                                                     kinds, trailing):
+    """A remap and an append equal what the global data alone says they
+    yield (``oracle.remap_reference`` / ``append_reference``), on every
+    backend: a wrong stored order fails here even if both backends
+    share it.  Empty ranks come from small Block/Cyclic arrays, from
+    the irregular owner draw, and as append receivers (the last rank
+    receives nothing half the time)."""
+    def workload(run):
+        rng = np.random.default_rng(seed)
+        old, new = (_distribution(k, n, n_ranks, rng) for k in kinds)
+        x = rng.standard_normal((n,) + trailing)
+        local = np.split(x[old.layout.order], old.layout.starts[1:-1])
+        moved = remap_array(run.ctx, remap(run.ctx, old, new), local)
+        for got, want in zip(moved, remap_reference(x, new), strict=True):
+            assert np.array_equal(got, want)
+        top = n_ranks - 1 if n_ranks > 1 and rng.integers(0, 2) else n_ranks
+        dest = [rng.integers(0, top, a.shape[0]) for a in local]
+        appended = scatter_append(
+            run.ctx, build_lightweight_schedule(run.ctx, dest), local)
+        for got, want in zip(appended, append_reference(local, dest),
+                             strict=True):
+            assert np.array_equal(got, want)
+        return moved, appended
+
+    check(workload, n_ranks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_ranks=st.integers(1, 4))
+def test_hand_built_plans_equal_serial(seed, n_ranks):
     """Plans no inspector builds: repeated send rows inside a segment,
-    ghost slots in any order, shared by several sources (``distinct``
-    off) and spare ones no source fills.  Values span sixteen decades,
-    so a fold in another order shows in the bits."""
+    each receiver's sources interleaved at random over a random subset
+    of its ghost slots, and spare slots no source fills.  Values span
+    sixteen decades, so a fold in another order shows in the bits."""
     rng = np.random.default_rng(seed)
     n_local = rng.integers(1, 4, n_ranks)
     counts = rng.integers(0, 4, (n_ranks, n_ranks))
     np.fill_diagonal(counts, 0)
     recv = counts.sum(axis=0)
     extent = recv + rng.integers(0, 2, n_ranks)
-    send = np.concatenate([rng.integers(0, n, c)
-                           for n, c in zip(n_local, counts.sum(axis=1))])
-    place = np.concatenate([
-        rng.permutation(e)[:r] if distinct else rng.integers(0, max(e, 1), r)
-        for e, r in zip(extent, recv)])
+    owners = np.concatenate([
+        rng.permutation(np.repeat(np.arange(n_ranks), counts[:, q]))
+        for q in range(n_ranks)])
+    rows = (offsets_from_counts(n_local)[owners]
+            + rng.integers(0, n_local[owners]))
+    slots = np.concatenate([
+        start + np.sort(rng.permutation(e)[:r])
+        for start, e, r in zip(offsets_from_counts(extent), extent, recv)])
 
     def values(rng, sizes):
         return [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 9, s)
@@ -134,7 +192,8 @@ def test_hand_built_plans_equal_serial(seed, n_ranks, distinct):
 
     def workload(run):
         rng = np.random.default_rng(seed + 1)
-        sched = CommPlan(counts=counts, send=send, place=place, extent=extent)
+        sched = CommPlan.from_slot_order(counts, rows, slots, extent,
+                                         n_local)
         data, ghosts = values(rng, n_local), values(rng, extent)
         gathered, *_ = run.stages(
             gather_phase(sched, data),

@@ -104,8 +104,8 @@ class TestGather:
         # the executor: rank 1's rows 2 and 0 land in rank 0's slots 1
         # and 0, and its spare slot 2 reads zero
         ctx = ExecutionContext.resolve(Machine(2), backend_name)
-        plan = CommPlan(counts=[[0, 0], [2, 0]], send=[2, 0], place=[1, 0],
-                        extent=[3, 0])
+        plan = CommPlan.from_slot_order([[0, 0], [2, 0]], np.array([1, 3]),
+                                        np.array([0, 1]), [3, 0], [1, 3])
         ghosts = gather(ctx, plan, [np.zeros(1), np.array([5.0, 6.0, 7.0])])
         assert [g.tolist() for g in ghosts] == [[5.0, 7.0, 0.0], []]
 
@@ -215,22 +215,23 @@ class TestScatterBounds:
 
     def test_slots_past_the_buffer_rejected(self, rng, backend_name):
         # a schedule (or remap plan) that understates the room it needs
-        # would make the flat layout write into the next rank's buffer
-        import dataclasses
-
-        from repro.core import remap, remap_array
+        # would make the flat layout write into the next rank's buffer:
+        # it cannot be built, and a ghost buffer shorter than the plan's
+        # extents is rejected before anything moves
+        from repro.core import remap
         m, rt, tt, x, x_g, idx_g, loc, sched = env(rng, n_ref=80)
         ctx = ExecutionContext.resolve(m, backend_name)
-        lying = CommPlan(counts=sched.counts, send=sched.send,
-                         place=sched.place,
-                         extent=[max(0, g - 1) for g in sched.ghost_size])
-        with pytest.raises(ValueError, match="ghost buffer"):
-            gather(ctx, lying, x.local)
         plan = remap(ctx, tt.dist, rt.block_table(x.n_global).dist)
-        lying = dataclasses.replace(
-            plan, extent=[max(0, n - 1) for n in plan.new_sizes])
-        with pytest.raises(ValueError, match="plan extent"):
-            remap_array(ctx, lying, x.local)
+        for lying in (sched, plan):
+            short = np.maximum(lying.extent - 1, 0)
+            with pytest.raises(ValueError, match="inside its extent"):
+                type(lying).from_slot_order(lying.counts, *lying.order[:2],
+                                            short, lying.order.local)
+        ghosts = allocate_ghosts(sched, x.local)
+        p = int(np.flatnonzero(sched.ghost_size)[0])
+        ghosts[p] = ghosts[p][:-1]
+        with pytest.raises(ValueError, match="ghost buffer"):
+            gather(ctx, sched, x.local, ghosts)
 
 
 class TestStacking:

@@ -143,19 +143,27 @@ class TestScatterAppend:
 
     def test_selection_past_the_array_rejected(self, backend_name):
         """A hand-built schedule selecting a row its rank does not hold
-        is an error on every backend (the flat layout would otherwise
-        read the next rank's rows)."""
+        cannot be built, and a schedule run on arrays shorter than it
+        covers is an error on every backend (the flat layout would
+        otherwise read the next rank's rows)."""
         from csr_helpers import lightweight_from_pairs
 
         z = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="every local row once"):
+            lightweight_from_pairs(
+                n_ranks=2,
+                send_sel=[[np.array([0]), np.array([2])],
+                          [z, np.array([0])]],
+                recv_counts=np.array([[1, 0], [1, 1]]),
+            )
         sched = lightweight_from_pairs(
             n_ranks=2,
-            send_sel=[[np.array([0]), np.array([2])], [z, np.array([0])]],
+            send_sel=[[np.array([0]), np.array([1])], [z, np.array([0])]],
             recv_counts=np.array([[1, 0], [1, 1]]),
         )
         ctx = ExecutionContext.resolve(Machine(2), backend_name)
-        with pytest.raises(IndexError):
-            scatter_append(ctx, sched, [np.arange(2.0), np.arange(1.0)])
+        with pytest.raises(ValueError, match="schedule covers"):
+            scatter_append(ctx, sched, [np.arange(1.0), np.arange(1.0)])
 
     @pytest.mark.parametrize("trailing", [(), (3,)])
     def test_single_is_the_one_column_multi(self, backend_name, trailing):

@@ -161,7 +161,7 @@ class TestValueNbytes:
         assert value_nbytes(42) == 0
 
     def test_cached_plans_count_their_buffers(self, ctx4, rng):
-        """Every plan kind is resident with its flat buffers, count
+        """Every plan kind is resident with its stored order, count
         matrix and extents — not only the kinds a duck-typed attribute
         list happens to name."""
         from repro.core import (
@@ -178,13 +178,13 @@ class TestValueNbytes:
         cache = ScheduleCache()
         cache.get_or_build("remap", (), lambda: plan)
         cache.get_or_build("lw", (), lambda: lw)
-        # 40 selections, 40 placements, a 4 x 4 count matrix, 4 extents
-        assert cache.stats("remap").resident_bytes == 8 * (40 + 40 + 16 + 4)
+        # 40 int32 rows and slots, a 4 x 4 count matrix, 4 extents
         assert cache.stats("remap").resident_bytes == (
-            plan.send.nbytes + plan.place.nbytes + plan.counts.nbytes
-            + plan.extent.nbytes)
-        assert cache.stats("lw").resident_bytes == (
-            lw.send.nbytes + lw.counts.nbytes + lw.extent.nbytes)
+            4 * (40 + 40) + 8 * (16 + 4))
+        for key, p in (("remap", plan), ("lw", lw)):
+            assert cache.stats(key).resident_bytes == (
+                p.order.rows.nbytes + p.order.slots.nbytes
+                + p.counts.nbytes + p.extent.nbytes)
 
 
 class TestDeltaChains:

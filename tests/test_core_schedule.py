@@ -7,24 +7,32 @@ import pytest
 
 from repro.apps.charmm import ParallelMD, build_small_system
 from repro.core import (
+    BlockDistribution,
     ChaosRuntime,
     CommPlan,
+    CyclicDistribution,
     ExecutionContext,
+    IrregularDistribution,
     IrregularReduction,
+    LightweightSchedule,
     RankArena,
+    RemapPlan,
     Schedule,
     TranslationTable,
+    build_lightweight_schedule,
     build_schedule,
     chaos_hash,
     delta_rebuild_schedule,
     gather,
     make_hash_tables,
     rehash_delta,
+    remap,
     scatter_op,
     split_by_block,
 )
 from repro.sim import Machine
 
+from csr_helpers import compose_from_streams
 from oracle import observe
 
 
@@ -61,30 +69,39 @@ class TestScheduleStructure:
 
     def test_csr_offsets_validated(self):
         # one malformed plan per message of the constructor's validation
-        counts = np.array([[0, 2], [1, 0]])
-        good = dict(counts=counts, send=np.array([0, 1, 2]),
-                    place=np.array([0, 0, 1]), extent=np.array([1, 2]))
-        CommPlan(**good)
+        good = dict(counts=np.array([[0, 2], [1, 0]]),
+                    rows=np.array([2, 0, 1]), slots=np.array([0, 1, 2]),
+                    extent=np.array([1, 2]), local=np.array([2, 3]))
+        Schedule.from_slot_order(**good)
         cases = [
             (dict(counts=np.zeros((2, 3), np.int64)), r"\(P, P\)"),
             (dict(counts=np.array([[0, 4], [-1, 0]])), "negative"),
-            (dict(send=np.array([0, 1])), "send buffer holds 2"),
-            (dict(place=np.arange(4)), "place buffer holds 4"),
+            (dict(rows=np.array([0, 1])), "2 rows and 3 slots"),
+            (dict(slots=np.arange(4)), "3 rows and 4 slots"),
             (dict(extent=np.array([1, 2, 3])), "extent vector"),
-            (dict(send=np.array([0.0, 1.0, 2.0])), "integers"),
-            (dict(place=np.array([True, False, True])), "integers"),
+            (dict(local=np.array([2, -1])), "local vector"),
+            (dict(rows=np.array([0.0, 1.0, 2.0])), "integers"),
+            (dict(slots=np.array([True, False, True])), "integers"),
+            (dict(rows=np.array([2, 0, 5])), "outside the local layout"),
+            # descending, shared and out-of-extent slots
+            (dict(slots=np.array([0, 2, 1])), "ascend strictly"),
+            (dict(slots=np.array([0, 1, 1])), "ascend strictly"),
+            (dict(slots=np.array([0, 1, 3])), "ascend strictly"),
+            # rank 1's first slot is rank 0's last
+            (dict(extent=np.array([2, 2])), "ascend strictly"),
         ]
         for bad, message in cases:
             with pytest.raises(ValueError, match=message):
-                CommPlan(**{**good, **bad})
+                Schedule.from_slot_order(**{**good, **bad})
 
     def test_streams_build_no_schedule(self):
-        # a schedule is stored in ghost-slot order: built from streams,
+        # every plan is stored in slot order: built from streams,
         # directly or as a modified copy, it is a TypeError
         good = dict(counts=np.array([[0, 2], [1, 0]]), send=[0, 1, 2],
                     place=[0, 0, 1], extent=[1, 2])
-        with pytest.raises(TypeError, match="from_slot_order"):
-            Schedule(**good)
+        for kind in (CommPlan, Schedule, RemapPlan, LightweightSchedule):
+            with pytest.raises(TypeError, match="from_slot_order"):
+                kind(**good)
         with pytest.raises(TypeError, match="from_slot_order"):
             dataclasses.replace(Schedule.empty(2), extent=[1, 1])
 
@@ -172,29 +189,42 @@ class TestBuildSchedule:
 
 
 class TestSlotOrder:
-    """A schedule stores the executor's ghost-slot
-    order and derives the paper's streams from it: the stored order must
-    be the pair the stream composition gives, and the derived streams
-    the serial builder's, after a cold build and after every delta
-    repair of a chain — one that empties a (receiver, owner) segment, one
-    that re-activates the rows it dropped, one that adds new entries —
-    with a rank that holds no ghosts, on one rank and on four, under both
-    backends."""
+    """A plan stores the executor's slot order and derives the paper's
+    streams from it: the stored order must be the pair the streams
+    compose to, and a schedule's derived streams the serial builder's,
+    after a cold build and after every delta repair of a chain — one
+    that empties a (receiver, owner) segment, one that re-activates the
+    rows it dropped, one that adds new entries — with a rank that holds
+    no ghosts, on one rank and on four, under both backends."""
 
     @staticmethod
-    def check_pair(sched):
-        """The executor pair for the tables' own layout, and for longer
-        local arrays or ghost buffers, is the stream composition's."""
-        local, placed = sched.order.local, tuple(sched.extent.tolist())
+    def check_pair(plan):
+        """The executor pair for the plan's own layouts, and for longer
+        local arrays or placed buffers, is the one composed from its
+        streams."""
+        local, placed = plan.order.local, tuple(plan.extent.tolist())
         longer = tuple(n + 1 for n in local), tuple(n + 1 for n in placed)
         for layout in ((local, placed), (longer[0], placed),
                        (local, longer[1])):
-            got = sched._compose(*layout)
-            want = CommPlan._compose(sched, *layout)
+            got = plan._compose(*layout)
+            want = compose_from_streams(plan, *layout)
             for g, w in zip(got, want):
                 assert (g is None) == (w is None)
                 if g is not None:
                     assert g.dtype == np.int64 and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n_ranks", [1, 4])
+    def test_remap_and_append_pairs_are_their_streams(self, n_ranks):
+        """The other two plan kinds, the last of four ranks empty."""
+        rng = np.random.default_rng(6)
+        ctx = ExecutionContext.resolve(Machine(n_ranks))
+        some = IrregularDistribution(
+            rng.integers(0, max(1, n_ranks - 1), 50), n_ranks)
+        for old, new in ((some, BlockDistribution(50, n_ranks)),
+                         (CyclicDistribution(50, n_ranks), some)):
+            self.check_pair(remap(ctx, old, new))
+        self.check_pair(build_lightweight_schedule(
+            ctx, [rng.integers(0, n_ranks, n) for n in some.layout.sizes]))
 
     @pytest.mark.parametrize("n_ranks", [1, 4])
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
@@ -251,9 +281,9 @@ class TestSlotOrder:
 
 
 class TestOneForm:
-    """Every schedule is stored in ghost-slot order and composes the
-    executor's pair from it, whichever backend built it and whatever
-    layout it runs on."""
+    """Every plan is stored in slot order and composes the executor's
+    pair from it, whichever backend built it and whatever layout it runs
+    on."""
 
     @staticmethod
     def run_both_layouts(ctx, sched):
@@ -270,15 +300,18 @@ class TestOneForm:
         return x
 
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-    def test_nothing_composes_from_streams(self, backend, monkeypatch):
-        compose = CommPlan._compose
+    def test_nothing_composes_from_streams(self, backend):
+        # one composition, the stored order's: no plan kind composes or
+        # stores streams of its own
+        kinds, seen = [CommPlan], set()
+        while kinds:
+            kind = kinds.pop()
+            seen.add(kind)
+            kinds += kind.__subclasses__()
+        assert {Schedule, RemapPlan, LightweightSchedule} <= seen
+        for kind in seen - {CommPlan}:
+            assert not {"_compose", "send", "place"} & set(vars(kind))
 
-        def guarded(plan, *layouts):
-            # a remap plan composes its streams; a schedule never does
-            assert not isinstance(plan, Schedule), "composed from streams"
-            return compose(plan, *layouts)
-
-        monkeypatch.setattr(CommPlan, "_compose", guarded)
         rng = np.random.default_rng(3)
         n = 64
         owner = rng.integers(0, 4, n)

@@ -1,5 +1,7 @@
 """Tests for the consistency validators (and, transitively, another sweep
-over every builder's invariants)."""
+over every builder's invariants).  Light-weight schedules and remap
+plans have no validator: their constructor checks what one would, and
+the tests of those checks stay here."""
 
 import dataclasses
 
@@ -10,6 +12,8 @@ from repro.core import (
     BlockDistribution,
     ChaosRuntime,
     IrregularDistribution,
+    LightweightSchedule,
+    RemapPlan,
     Schedule,
     build_lightweight_schedule,
     remap,
@@ -18,8 +22,6 @@ from repro.core import (
 from repro.core.verify import (
     check_distribution,
     check_hash_tables,
-    check_lightweight,
-    check_remap_plan,
     check_schedule,
     check_schedule_against_hash_tables,
     check_translation_table,
@@ -170,20 +172,27 @@ class TestHashTableChecks:
 
 
 class TestLightweightChecks:
+    """What a validator checked of a light-weight schedule — counts
+    symmetric, every element selected once — is a constructor check."""
+
     def test_built_passes(self, ctx4, rng):
         dest = [rng.integers(0, 4, 12) for _ in range(4)]
         sched = build_lightweight_schedule(ctx4, dest)
-        assert check_lightweight(sched) == []
+        again = LightweightSchedule.from_slot_order(
+            sched.counts, *sched.order[:2], sched.extent, sched.order.local)
+        assert np.array_equal(again.send, sched.send)
 
     def test_count_mismatch_detected(self, ctx4, rng):
         dest = [rng.integers(0, 4, 12) for _ in range(4)]
         sched = build_lightweight_schedule(ctx4, dest)
-        # drop one element from the selection: its last entry now
+        # one element dropped from the selection: its last entry now
         # repeats the first, the counts still promise all twelve
-        sel = sched.send_sel[0]
-        sel[-1] = sel[0]
-        problems = check_lightweight(sched)
-        assert problems  # count mismatch and/or undelivered element
+        rows = sched.order.rows.copy()
+        rows[rows == 11] = 0
+        with pytest.raises(ValueError, match="every local row once"):
+            LightweightSchedule.from_slot_order(
+                sched.counts, rows, sched.order.slots, sched.extent,
+                sched.order.local)
 
     def test_double_send_detected(self, ctx4, rng):
         dest = [rng.integers(0, 4, 12) for _ in range(4)]
@@ -201,23 +210,29 @@ class TestLightweightChecks:
                 break
         from csr_helpers import lightweight_from_pairs
 
-        bad = lightweight_from_pairs(4, pairs, recv_counts)
-        problems = check_lightweight(bad)
-        assert any("multiple destinations" in msg for msg in problems)
+        with pytest.raises(ValueError, match="every local row once"):
+            lightweight_from_pairs(4, pairs, recv_counts)
 
 
 class TestRemapChecks:
+    """What a validator checked of a remap plan — every new row filled
+    exactly once — is a constructor check."""
+
     def test_built_plan_passes(self, ctx4, rng):
         old = BlockDistribution(30, 4)
         new = IrregularDistribution(rng.integers(0, 4, 30), 4)
         plan = remap(ctx4, old, new)
-        assert check_remap_plan(plan) == []
+        again = RemapPlan.from_slot_order(
+            plan.counts, *plan.order[:2], plan.new_sizes, plan.order.local)
+        assert np.array_equal(again.place, plan.place)
 
     def test_unfilled_slot_detected(self, ctx4, rng):
         old = BlockDistribution(30, 4)
         new = IrregularDistribution(rng.integers(0, 4, 30), 4)
         plan = remap(ctx4, old, new)
-        # pretend a rank expects one more element than it is sent
-        plan.new_sizes[0] += 1
-        problems = check_remap_plan(plan)
-        assert any("distinct slots filled" in msg for msg in problems)
+        # the last rank expects one more element than it is sent
+        sizes = plan.new_sizes.copy()
+        sizes[-1] += 1
+        with pytest.raises(ValueError, match="fills every placed row"):
+            RemapPlan.from_slot_order(plan.counts, *plan.order[:2], sizes,
+                                      plan.order.local)

@@ -7,13 +7,12 @@ traffic and clocks exactly): the CHARMM force and Phase-B
 remap patterns, the "multiple schedule mode" shape (two gathers filling
 one table-wide ghost buffer, two combining scatters into one array), a
 non-ufunc combiner, stages reading what an earlier stage wrote, an
-append stage of three columns, empty machines and schedules, every
-primitive over every buffer shape the executor distinguishes, and
-hand-built plans that slot order would fold differently from the pair
-loop.  What a chain adds over its stages is checked directly: every
-stage is validated before anything moves, a raising kernel leaves its
-context usable, executed plans die by reference count, and the
-``loop_id`` chain counter.
+append stage of three columns, empty machines and schedules, and every
+primitive over every buffer shape the executor distinguishes.  What a
+chain adds over its stages is checked directly: every stage is
+validated before anything moves, a raising kernel leaves its context
+usable, executed plans die by reference count, and the ``loop_id``
+chain counter.
 """
 
 import gc
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChaosRuntime,
-    CommPlan,
     ExecutionContext,
     PipelinePhase,
     RankArena,
@@ -559,40 +557,3 @@ def test_chain_falls_back_per_stage(op, shape, serial_stages, monkeypatch):
     check(_flat_case(op, shape, 8, 4, 40, 90, 3),
           backends=["vectorized"])
     assert len(calls) == serial_stages
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_descending_slots_fold_in_receive_order(backend):
-    """A hand-built plan whose one (receiver, source) segment names one
-    element in two slots, descending: slot order would fold 1e16 last
-    and lose the 1.0, so the plan keeps its receive-order pair."""
-    def workload(run):
-        sched = CommPlan(counts=[[0, 2], [0, 0]], send=[0, 0], place=[1, 0],
-                         extent=[0, 2])
-        data = RankArena.adopt([np.array([-1e16]), np.zeros(0)])
-        ghosts = RankArena.adopt([np.zeros(0), np.array([1.0, 1e16])])
-        run.stages(scatter_op_phase(sched, data, ghosts))
-        return data
-
-    assert check(workload, 2, backends=[backend], chain=True)[0][0] == 1.0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_shared_slot_reaches_every_owner(backend):
-    """Two sources placed in one ghost slot: a gather keeps the last
-    arrival, a scatter returns the slot to both owners — the plan keeps
-    its receive-order pair, which slot order would collapse to one."""
-    def workload(run):
-        sched = CommPlan(counts=[[0, 0, 1], [0, 0, 1], [0, 0, 0]],
-                         send=[0, 0], place=[0, 0], extent=[0, 0, 1])
-        data = RankArena.adopt([np.array([1.0]), np.array([2.0]),
-                                np.zeros(0)])
-        ghosts = RankArena.adopt([np.zeros(0), np.zeros(0),
-                                  np.array([10.0])])
-        gathered, _ = run.stages(gather_phase(sched, data),
-                                 scatter_op_phase(sched, data, ghosts))
-        return gathered, data
-
-    gathered, data = check(workload, 3, backends=[backend], chain=True)
-    assert gathered[2].tolist() == [2.0]
-    assert [a.tolist() for a in data] == [[11.0], [12.0], []]

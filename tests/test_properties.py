@@ -247,9 +247,6 @@ def test_hash_uniform_deterministic_and_bounded(a, b):
 @settings(max_examples=30, deadline=None)
 def test_built_artifacts_pass_validators(n, p, seed):
     from repro.core import (
-        IrregularDistribution as ID,
-        check_lightweight,
-        check_remap_plan,
         check_schedule,
         check_schedule_against_hash_tables,
         check_translation_table,
@@ -265,12 +262,6 @@ def test_built_artifacts_pass_validators(n, p, seed):
     sched = rt.build_schedule(tt, "s")
     assert check_schedule(sched, tt.dist) == []
     assert check_schedule_against_hash_tables(sched, rt.hash_tables(tt)) == []
-    dest = split_by_block(rng.integers(0, p, n), m)
-    lw = build_lightweight_schedule(ExecutionContext.resolve(m), dest)
-    assert check_lightweight(lw) == []
-    new = ID(rng.integers(0, p, n), p)
-    plan = remap(ExecutionContext.resolve(m), tt.dist, new)
-    assert check_remap_plan(plan) == []
 
 
 # ---------------------------------------------------------------------

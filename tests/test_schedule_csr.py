@@ -1,8 +1,7 @@
 """Property tests: the flat plan layout and its nested views.
 
-A count matrix plus flat int64 send / placement streams are a plan's
-native representation (a schedule derives them from its ghost-slot
-order); per-rank and per-pair views (``send_indices[p]``,
+A plan stores its slot order and derives flat int64 send / placement
+streams from it; per-rank and per-pair views (``send_indices[p]``,
 ``send_view`` / ``recv_view``, plus the nested test helpers in
 ``csr_helpers.py``) are derived, zero-copy.  These tests pin down that
 the two presentations agree exactly — round-trip through nested pair
@@ -15,7 +14,6 @@ import pytest
 from csr_helpers import (
     lightweight_from_pairs,
     place_pair_views,
-    plan_from_pairs,
     recv_pair_views,
     remap_from_pairs,
     schedule_from_pairs,
@@ -125,29 +123,23 @@ class TestScheduleCSR:
 
     def test_concatenation_merge_csr(self, backend):
         # a duplicate-keeping merge (each pair's segments concatenated)
-        # is an ordinary plan: the layout holds repeated slots
+        # names the slots both stamps share twice: no plan holds that
+        # (the stamp union of test_merged_schedule_csr is the merge)
         ctx, tt, hts = _pipeline(backend)
         sa = build_schedule(ctx, hts, "a")
         sb = build_schedule(ctx, hts, "b")
+        assert np.intersect1d(sa.order.slots, sb.order.slots).size
         pairs = [send_pair_views(s) for s in (sa, sb)]
         recvs = [recv_pair_views(s) for s in (sa, sb)]
         n = ctx.n_ranks
-        merged = plan_from_pairs(
-            n,
-            [[np.concatenate([x[p][q] for x in pairs]) for q in range(n)]
-             for p in range(n)],
-            [[np.concatenate([x[p][q] for x in recvs]) for q in range(n)]
-             for p in range(n)],
-            list(np.maximum(sa.ghost_size, sb.ghost_size)))
-        _check_csr_invariants(merged)
-        assert merged.counts.sum() == (sa.total_elements()
-                                       + sb.total_elements())
-        for p in range(ctx.n_ranks):
-            for q in range(ctx.n_ranks):
-                want = np.concatenate(
-                    [sa.send_view(p, q), sb.send_view(p, q)]
-                )
-                assert np.array_equal(merged.send_view(p, q), want)
+        with pytest.raises(ValueError, match="ascend strictly"):
+            schedule_from_pairs(
+                n,
+                [[np.concatenate([x[p][q] for x in pairs]) for q in range(n)]
+                 for p in range(n)],
+                [[np.concatenate([x[p][q] for x in recvs]) for q in range(n)]
+                 for p in range(n)],
+                list(hts.n_ghost), sa.order.local)
 
     def test_empty_rank_edges(self, backend):
         # all references live on rank 0's slice; ranks 2..3 hash nothing

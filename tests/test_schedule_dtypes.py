@@ -4,9 +4,9 @@ Callers historically controlled the dtype of the schedule index buffers —
 an int32 indirection array produced an int32 schedule, and downstream
 code (the executor's composed moves, fancy indexing) silently depended
 on whatever arrived.  Construction now coerces the count matrix and
-every flat buffer to int64, whether a plan is built directly from flat
-buffers (a schedule: from its ghost-slot order) or assembled from
-nested per-pair lists (``tests/csr_helpers.py``).
+the extents to int64, and every stream derived from the stored slot
+order is int64, whether a plan is built directly from its slot order or
+assembled from nested per-pair lists (``tests/csr_helpers.py``).
 """
 
 import numpy as np
@@ -95,11 +95,10 @@ def test_remap_plan_coerces_int32_indices():
 
 
 def test_compiled_plans_are_int64():
-    # the machine-wide view every executor reads: flat streams,
-    # permutation, bases
+    # the machine-wide view every executor reads: flat streams, bases
     sched = _sched_2ranks()
-    for a in (sched.send, sched.place, sched.perm, sched.counts,
-              sched.send_base, sched.recv_base):
+    for a in (sched.send, sched.place, sched.counts, sched.send_base,
+              sched.recv_base):
         assert a.dtype == np.int64
 
     lw = lightweight_from_pairs(
@@ -107,7 +106,7 @@ def test_compiled_plans_are_int64():
         send_sel=[[np.array([0, 1], dtype=np.int32)]],
         recv_counts=np.array([[2]]),
     )
-    assert lw.send.dtype == lw.perm.dtype == np.int64
+    assert lw.send.dtype == lw.place.dtype == np.int64
 
     rp = remap_from_pairs(
         n_ranks=1,
@@ -121,7 +120,7 @@ def test_compiled_plans_are_int64():
 def test_compiled_plan_cached_on_schedule():
     # derived views are computed once and cached on the plan itself
     sched = _sched_2ranks()
-    assert sched.perm is sched.perm
+    assert sched.send is sched.send
     assert sched.send_indices is sched.send_indices
     assert sched.move("gather", (2, 3), (2, 2), 1) \
         is sched.move("gather", (2, 3), (2, 2), 1)
