@@ -124,11 +124,13 @@ def append_reference(values, dest_ranks) -> list:
     destinations alone: per receiver, its own kept elements in their
     original order, then each other source's, sources ascending (each in
     its original order)."""
-    ranks = range(len(values))
-    return [np.concatenate([np.asarray(values[p])[np.asarray(dest_ranks[p])
-                                                  == q]
-                            for p in [q, *(p for p in ranks if p != q)]])
-            for q in ranks]
+    out = []
+    for q in range(len(values)):
+        sources = [q] + [p for p in range(len(values)) if p != q]
+        out.append(np.concatenate([
+            np.asarray(values[p])[np.asarray(dest_ranks[p]) == q]
+            for p in sources]))
+    return out
 
 
 def _primitive(ctx, phase, category):
