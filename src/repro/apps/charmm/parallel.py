@@ -132,14 +132,8 @@ class ParallelMD:
     # lifecycle
     # ==================================================================
     def close(self) -> None:
-        """No-op, kept with ``with`` support for existing callers: a
-        context holds no resources, so there is nothing to release."""
-
-    def __enter__(self) -> "ParallelMD":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        """No-op, kept for existing callers: a context holds no
+        resources, so there is nothing to release."""
 
     # ==================================================================
     # setup: phases A-E

@@ -5,11 +5,10 @@ from repro.apps.dsmc.particles import (
     FlowConfig,
     ParticleSet,
     inflow_particles,
-    make_velocities,
     plume_population,
     uniform_population,
 )
-from repro.apps.dsmc.collisions import collide_cells, collision_pair_count
+from repro.apps.dsmc.collisions import collide_cells
 from repro.apps.dsmc.move import advance_positions, move_phase, remove_outflow
 from repro.apps.dsmc.sequential import (
     DSMCConfig,
@@ -24,12 +23,10 @@ __all__ = [
     "FlowConfig",
     "ParticleSet",
     "inflow_particles",
-    "make_velocities",
     "uniform_population",
     "plume_population",
     "initial_population",
     "collide_cells",
-    "collision_pair_count",
     "advance_positions",
     "move_phase",
     "remove_outflow",

@@ -105,9 +105,3 @@ def collide_cells(
     rows.put(a, (vcm + half).view(row).reshape(a.size))
     rows.put(b, (vcm - half).view(row).reshape(a.size))
     return new_vel, int(a.size)
-
-
-def collision_pair_count(cells: np.ndarray) -> int:
-    """Pairs the collision phase will process (for work estimates)."""
-    counts = np.bincount(np.asarray(cells, dtype=np.int64))
-    return int((counts // 2).sum())

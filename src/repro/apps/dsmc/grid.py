@@ -76,11 +76,3 @@ class CartesianGrid:
         """(n_cells, dim) physical center of every cell."""
         coords = self.cell_coords(np.arange(self.n_cells, dtype=np.int64))
         return (coords + 0.5) * np.asarray(self.cell_size)
-
-    def contains(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean: inside the domain box (before clipping)."""
-        pos = np.asarray(positions, dtype=np.float64)
-        ok = np.ones(pos.shape[0], dtype=bool)
-        for k in range(self.dim):
-            ok &= (pos[:, k] >= 0) & (pos[:, k] < self.lengths[k])
-        return ok

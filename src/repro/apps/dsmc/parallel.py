@@ -54,7 +54,6 @@ from repro.core.executor import run_pipeline
 from repro.core.remap import remap, remap_phase
 from repro.core.translation import TranslationTable
 from repro.partitioners.base import Partitioner, run_partitioner
-from repro.sim.metrics import load_balance_index
 
 
 class ParallelDSMC:
@@ -118,14 +117,8 @@ class ParallelDSMC:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """No-op, kept with ``with`` support for existing callers: a
-        context holds no resources, so there is nothing to release."""
-
-    def __enter__(self) -> "ParallelDSMC":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        """No-op, kept for existing callers: a context holds no
+        resources, so there is nothing to release."""
 
     # ------------------------------------------------------------------
     def local_counts(self) -> np.ndarray:
@@ -300,20 +293,3 @@ class ParallelDSMC:
     def canonical_state(self):
         """Global (ids, positions, velocities) sorted by id."""
         return self.particles.state_tuple()
-
-    def load_balance(self) -> float:
-        return load_balance_index(
-            self.machine.clocks.category_times("compute")
-        )
-
-    def time_report(self) -> dict[str, float]:
-        c = self.machine.clocks
-        return {
-            "execution": self.machine.execution_time(),
-            "computation": c.mean_category("compute"),
-            "communication": c.mean_category("comm"),
-            "inspector": c.mean_category("inspector"),
-            "partition": c.mean_category("partition"),
-            "remap": c.mean_category("remap"),
-            "load_balance": self.load_balance(),
-        }

@@ -44,10 +44,6 @@ class ParticleSet:
     def n(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
     def select(self, mask_or_idx) -> "ParticleSet":
         idx = np.asarray(mask_or_idx)
         if idx.dtype == bool:
@@ -67,14 +63,6 @@ class ParticleSet:
             ids=np.concatenate([self.ids, other.ids]),
             positions=np.concatenate([self.positions, other.positions]),
             velocities=np.concatenate([self.velocities, other.velocities]),
-        )
-
-    @classmethod
-    def empty(cls, dim: int) -> "ParticleSet":
-        return cls(
-            ids=np.zeros(0, dtype=np.int64),
-            positions=np.zeros((0, dim)),
-            velocities=np.zeros((0, dim)),
         )
 
     def sorted_by_id(self) -> "ParticleSet":
@@ -114,14 +102,9 @@ def _uniforms(ids: np.ndarray, flow: FlowConfig):
     return uniform
 
 
-def make_velocities(ids: np.ndarray, dim: int, flow: FlowConfig) -> np.ndarray:
-    """Deterministic velocities for the given particle ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    return _velocities(_uniforms(ids, flow), ids.size, dim, flow)
-
-
 def _velocities(uniform, n: int, dim: int, flow: FlowConfig) -> np.ndarray:
-    """:func:`make_velocities` from the ids' :func:`_uniforms`."""
+    """Deterministic velocities of ``n`` particles from their ids'
+    :func:`_uniforms`."""
     v = np.empty((n, dim))
     for k in range(dim):
         # Box-Muller standard normals

@@ -105,11 +105,6 @@ class SequentialDSMC:
             self.step()
         return self.trace
 
-    def cell_loads(self) -> np.ndarray:
-        """Current particles per cell."""
-        cells = self.grid.cell_of(self.particles.positions)
-        return np.bincount(cells, minlength=self.grid.n_cells)
-
     def canonical_state(self):
         """(ids, positions, velocities) sorted by id, for oracle checks."""
         return self.particles.state_tuple()

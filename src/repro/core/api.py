@@ -4,7 +4,8 @@ This module wires the lower-level pieces (translation tables, hash tables,
 schedules, executors) into the workflow of Figure 4:
 
   A. data partitioning      → :meth:`ChaosRuntime.irregular_table` et al.
-  B. data remapping         → :meth:`DistributedArray.redistribute`
+  B. data remapping         → :func:`repro.core.remap.remap` /
+                              :func:`repro.core.remap.remap_array`
   C. iteration partitioning → :func:`repro.core.iteration.partition_iterations`
   D. iteration remapping    → :meth:`IterationAssignment.remap_iteration_data`
   E. inspector              → :meth:`ChaosRuntime.hash_indirection` /
@@ -19,7 +20,6 @@ the facade keeps simple irregular loops (Figure 1) to a few lines — see
 
 from __future__ import annotations
 
-import copy
 import weakref
 import zlib
 from typing import Callable
@@ -27,8 +27,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.compiled import RankArena, as_arena, offsets_from_counts
-from repro.core.context import ExecutionContext, resolve_component
-from repro.core.distribution import BlockDistribution, CyclicDistribution
+from repro.core.context import resolve_component
 from repro.core.executor import (
     allocate_ghosts,
     gather,
@@ -42,7 +41,6 @@ from repro.core.inspector import (
     make_hash_tables,
     rehash_delta,
 )
-from repro.core.remap import remap, remap_array
 from repro.core.reuse import CacheStats, DeltaFallback
 from repro.core.schedule import (
     Schedule,
@@ -102,39 +100,6 @@ class DistributedArray:
         out[dist.layout.order] = np.concatenate(self.local)
         return out
 
-    # ------------------------------------------------------------------
-    @property
-    def dtype(self):
-        return self.local[0].dtype
-
-    @property
-    def n_global(self) -> int:
-        return self.ttable.dist.n_global
-
-    def redistribute(self, new_ttable: TranslationTable,
-                     category: str = "remap", ctx=None
-                     ) -> "DistributedArray":
-        """Phase B: move to a new distribution (charged remap).
-
-        ``ctx`` defaults to a context resolved from this array's
-        machine with the process default backend.
-        """
-        if ctx is None:
-            ctx = ExecutionContext.resolve(self.machine)
-        elif not isinstance(ctx, ExecutionContext):
-            raise TypeError(
-                f"redistribute: ctx must be an ExecutionContext, got "
-                f"{ctx!r}"
-            )
-        plan = remap(ctx, self.ttable.dist, new_ttable.dist,
-                     category=category)
-        new_local = remap_array(ctx, plan, self.local, category=category)
-        return DistributedArray(self.machine, new_ttable, new_local)
-
-    def copy(self) -> "DistributedArray":
-        return DistributedArray(   # an arena copies as one buffer
-            self.machine, self.ttable, copy.deepcopy(self.local))
-
 
 class ChaosRuntime:
     """Convenience binding of an execution context to the CHAOS primitives.
@@ -152,9 +117,8 @@ class ChaosRuntime:
     lookups, and executor data transport; hash tables are created with
     its key store, so serial vs vectorized is selectable end-to-end.
 
-    :meth:`close` and use as a ``with`` block are kept for callers
-    written against them; they release nothing, because a context owns
-    no resources.
+    :meth:`close` is kept for callers written against it; it releases
+    nothing, because a context owns no resources.
 
     Note that the schedule cache is *per context*: two runtimes built
     from the same context share it, so cache keys (caller-chosen loop
@@ -171,21 +135,10 @@ class ChaosRuntime:
         self.modification_record = ctx.record
         self.schedule_cache = ctx.schedule_cache
 
-    @property
-    def backend(self):
-        """The resolved backend this runtime executes with."""
-        return self.ctx.backend
-
     # ---- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """No-op, kept with ``with`` support for existing callers: a
-        context holds no resources, so there is nothing to release."""
-
-    def __enter__(self) -> "ChaosRuntime":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        """No-op, kept for existing callers: a context holds no
+        resources, so there is nothing to release."""
 
     def cache_stats(self, key: str, fused: bool = False) -> CacheStats:
         """Structured counters of the context's :class:`ScheduleCache` entry.
@@ -208,21 +161,7 @@ class ChaosRuntime:
         """Aggregate :class:`CacheStats` over every cached loop id."""
         return self.schedule_cache.total_stats(prefix)
 
-    # ---- Phase A: distributions/translation tables --------------------
-    def block_table(self, n_global: int, storage: str = "replicated"
-                    ) -> TranslationTable:
-        return TranslationTable(
-            self.machine, BlockDistribution(n_global, self.machine.n_ranks),
-            storage=storage,
-        )
-
-    def cyclic_table(self, n_global: int, storage: str = "replicated"
-                     ) -> TranslationTable:
-        return TranslationTable(
-            self.machine, CyclicDistribution(n_global, self.machine.n_ranks),
-            storage=storage,
-        )
-
+    # ---- Phase A: translation tables ------------------------------------
     def irregular_table(self, map_array, storage: str = "replicated",
                         page_size: int = 1024) -> TranslationTable:
         return TranslationTable.from_map(
@@ -550,9 +489,12 @@ class IrregularReduction:
         # elements without any error
         operands = [("lhs", lhs)] + [(f"rhs[{k!r}]", da)
                                      for k, (da, _) in rhs.items()]
+        mine = self.ttable.dist.layout
         for what, da in operands:
-            if (da.ttable is not self.ttable
-                    and da.ttable.dist != self.ttable.dist):
+            theirs = da.ttable.dist.layout
+            if theirs is not mine and not (
+                    np.array_equal(theirs.sizes, mine.sizes)
+                    and np.array_equal(theirs.order, mine.order)):
                 raise ValueError(
                     f"{what} is not distributed like the loop "
                     f"{self.name!r}: build it on the loop's translation "

@@ -422,10 +422,6 @@ class CommPlan:
         np.fill_diagonal(off_diag, 0)
         return int(np.count_nonzero(off_diag))
 
-    def elements_moved(self) -> int:
-        """Elements that change ranks (excludes kept-local ones)."""
-        return int(self.counts.sum() - self.counts.trace())
-
     # -- composed flat moves (cached per data layout) -------------------
     #
     # The simulated machine holds every rank's data in one process, so a

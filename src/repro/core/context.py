@@ -129,9 +129,6 @@ class ExecutionContext:
     def n_ranks(self) -> int:
         return self.machine.n_ranks
 
-    def ranks(self):
-        return self.machine.ranks()
-
     @property
     def clocks(self):
         """The machine's per-rank virtual clocks (per-run accounting)."""

@@ -78,7 +78,10 @@ class Layout:
 
 
 class Distribution(ABC):
-    """Mapping from global indices to (owner rank, local offset)."""
+    """Mapping from global indices to (owner rank, local offset).
+
+    Distributions compare by identity; code that needs two of them to be
+    laid out alike compares their :attr:`layout` arrays."""
 
     def __init__(self, n_global: int, n_ranks: int):
         if n_global < 0:
@@ -135,22 +138,6 @@ class Distribution(ABC):
                 f"global index {bad} out of range [0, {self.n_global})"
             )
         return arr
-
-    def to_map_array(self) -> np.ndarray:
-        """The Fortran D ``map`` array: owner of each global element."""
-        return self.owner(np.arange(self.n_global, dtype=np.int64))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return (
-            self.n_global == other.n_global
-            and self.n_ranks == other.n_ranks
-            and bool(np.array_equal(self.to_map_array(), other.to_map_array()))
-        )
-
-    def __hash__(self):  # distributions are mutable-free but big; id-hash
-        return id(self)
 
 
 class BlockDistribution(Distribution):

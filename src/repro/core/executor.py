@@ -369,8 +369,7 @@ def _count_chain(ctx, phases, loop_id: str) -> None:
     if cache.peek(key) != chain:   # plans compare by identity
         # first build, or some stage's plan was rebuilt under the same
         # loop id: bump the entry's own dep key so get_or_build rebuilds
-        # (builds += 1) without resetting the hit counter the way
-        # invalidate() would
+        # (builds += 1) and keeps the hit counter
         cache.record.touch(key)
     cache.get_or_build(key, (key,), lambda: chain)
 

@@ -12,7 +12,8 @@ a cheap lookup instead of a translation-table round trip.
 Schedules are built from *stamp expressions* — logical combinations of
 stamps (Figure 6):
 
-* ``stamp_a | stamp_b``  → merged schedule (gathers the union),
+* ``stamp_a | stamp_b``  → merged schedule (gathers the union;
+  :meth:`HashTableGroup.expr` of both names),
 * ``stamp_b - stamp_a``  → incremental schedule (only what earlier
   schedules did not fetch).
 
@@ -53,7 +54,6 @@ distinct indices hashed into it and dies with its translation table.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +175,6 @@ class StampExpr:
     include: int
     exclude: int = 0
 
-    def __or__(self, other: "StampExpr") -> "StampExpr":
-        """Union of selections → merged schedules."""
-        return StampExpr(self.include | other.include,
-                         self.exclude | other.exclude)
-
     def __sub__(self, other: "StampExpr") -> "StampExpr":
         """Difference → incremental schedules (mine, minus theirs)."""
         return StampExpr(self.include, self.exclude | other.include)
@@ -268,11 +263,6 @@ class DictKeyStore:
     def live(self) -> np.ndarray:
         """Live keys per rank."""
         return np.array([len(d) for d in self._row_of], dtype=np.int64)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the dicts' own tables (not of the int objects)."""
-        return sum(map(sys.getsizeof, self._row_of))
 
 
 def _outside(key: int, n_keys: int) -> str:
@@ -377,11 +367,6 @@ class DirectKeyStore:
         return np.count_nonzero(
             self._rows[:-1].reshape(self.n_ranks, self.n_keys), axis=1)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the map."""
-        return self._rows.nbytes
-
 
 # ----------------------------------------------------------------------
 # the group
@@ -439,14 +424,6 @@ class HashTableGroup:
         self.buf = np.full(shape, -1, dtype=np.int32)  # ghost slot or -1
         self.mask = np.zeros(shape, dtype=np.int64)  # stamp bits
         self._refs: dict[str, np.ndarray] = {}  # see ref_plane
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the tables hold: entry columns, refcount planes and key
-        store."""
-        return (sum(getattr(self, c).nbytes for c in self._COLUMNS)
-                + sum(plane.nbytes for plane in self._refs.values())
-                + self.store.nbytes)
 
     # ------------------------------------------------------------------
     def _grow_rows(self, need: int) -> None:

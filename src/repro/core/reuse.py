@@ -40,7 +40,8 @@ class CacheStats:
     ``hits``            entries served without any rebuild,
     ``builds``          full builder runs,
     ``delta_rebuilds``  incremental repairs of a one-touch-old value,
-    ``evictions``       values dropped by ``invalidate``,
+    ``evictions``       always 0: nothing drops a cached value (the
+                        field stays for readers of the counters),
     ``resident_bytes``  bytes of live cached values.
     """
 
@@ -116,9 +117,6 @@ class ModificationRecord:
     def versions_of(self, names: tuple[str, ...]) -> dict[str, int]:
         return {n: self.version(n) for n in names}
 
-    def names(self) -> list[str]:
-        return sorted(self._versions)
-
 
 @dataclass
 class _CacheEntry:
@@ -127,9 +125,7 @@ class _CacheEntry:
     hits: int = 0
     builds: int = 0
     delta_rebuilds: int = 0
-    evictions: int = 0
     value_bytes: int = 0
-    live: bool = True
 
 
 class ScheduleCache:
@@ -159,11 +155,10 @@ class ScheduleCache:
         """
         current = self.record.versions_of(deps)
         entry = self._entries.get(loop_id)
-        live = entry is not None and entry.live
-        if live and entry.dep_versions == current:
+        if entry is not None and entry.dep_versions == current:
             entry.hits += 1
             return entry.value, False
-        if live and repair is not None:
+        if entry is not None and repair is not None:
             dep, fn = repair
             if dep in current and entry.dep_versions == {
                     **current, dep: current[dep] - 1}:
@@ -184,7 +179,6 @@ class ScheduleCache:
             hits=entry.hits if entry else 0,
             builds=entry.builds + 1 if entry else 1,
             delta_rebuilds=entry.delta_rebuilds if entry else 0,
-            evictions=entry.evictions if entry else 0,
             value_bytes=value_nbytes(value),
         )
         return value, True
@@ -192,22 +186,7 @@ class ScheduleCache:
     def peek(self, loop_id: str) -> Any | None:
         """The cached value without counting a hit; ``None`` if absent."""
         e = self._entries.get(loop_id)
-        return e.value if e is not None and e.live else None
-
-    def invalidate(self, loop_id: str) -> bool:
-        """Drop one loop's cached value; True if a live value existed.
-
-        Cumulative hit/build/delta counters survive the eviction (the CI
-        reuse-rate gate cannot be dodged by invalidating an entry).
-        """
-        e = self._entries.get(loop_id)
-        if e is None or not e.live:
-            return False
-        e.live = False
-        e.value = None
-        e.value_bytes = 0
-        e.evictions += 1
-        return True
+        return e.value if e is not None else None
 
     def stats(self, loop_id: str) -> CacheStats:
         """Counters for one loop id (tuple-compatible, see
@@ -219,8 +198,7 @@ class ScheduleCache:
             hits=e.hits,
             builds=e.builds,
             delta_rebuilds=e.delta_rebuilds,
-            evictions=e.evictions,
-            resident_bytes=e.value_bytes if e.live else 0,
+            resident_bytes=e.value_bytes,
         )
 
     def fused_stats(self, loop_id: str) -> CacheStats:
@@ -241,9 +219,5 @@ class ScheduleCache:
                 total = total + self.stats(loop_id)
         return total
 
-    def __contains__(self, loop_id: str) -> bool:
-        e = self._entries.get(loop_id)
-        return e is not None and e.live
-
     def __len__(self) -> int:
-        return sum(1 for e in self._entries.values() if e.live)
+        return len(self._entries)

@@ -72,12 +72,6 @@ class Schedule(CommPlan):
         """Off-processor elements moved by one gather with this schedule."""
         return int(self.counts.sum())
 
-    @classmethod
-    def empty(cls, n_ranks: int) -> "Schedule":
-        z, none = np.zeros(0, np.int64), np.zeros(n_ranks, np.int64)
-        return cls.from_slot_order(np.zeros((n_ranks,) * 2, np.int64), z, z,
-                                   none, none)
-
 
 def build_schedule(
     ctx,

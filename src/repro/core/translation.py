@@ -62,9 +62,6 @@ class _PageCache:
     def __len__(self) -> int:
         return int(self._arr.size)
 
-    def __contains__(self, page: int) -> bool:
-        return int(page) in self._last_used
-
     def admit(self, uniq_pages: np.ndarray) -> np.ndarray:
         """One collective lookup: touch resident pages, admit the rest.
 

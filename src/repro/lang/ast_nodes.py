@@ -19,9 +19,6 @@ class Num:
     value: float
     line: int = 0
 
-    def is_integer(self) -> bool:
-        return float(self.value).is_integer()
-
 
 @dataclass(frozen=True)
 class VarRef:
@@ -159,12 +156,6 @@ Statement = Union[
 @dataclass
 class Program:
     statements: list[Statement] = field(default_factory=list)
-
-    def declarations(self) -> list[ArrayDecl]:
-        return [s for s in self.statements if isinstance(s, ArrayDecl)]
-
-    def loops(self) -> list[Forall]:
-        return [s for s in self.statements if isinstance(s, Forall)]
 
 
 def walk_expr(expr: Expr):

@@ -63,17 +63,9 @@ class AppendPlan:
     source: str
     target: str
 
-    @property
-    def loop_id(self) -> str:
-        return self.nest.loop_id
-
 
 @dataclass
 class LocalPlan:
     """Loops with only direct (owner-local) references: no communication."""
 
     nest: LoopNest
-
-    @property
-    def loop_id(self) -> str:
-        return self.nest.loop_id

@@ -1,4 +1,4 @@
-"""Data partitioners: RCB, RIB, chain, block/cyclic."""
+"""Data partitioners: RCB, RIB, chain."""
 
 from repro.partitioners.base import Partitioner, PartitionResult, run_partitioner
 from repro.partitioners.geometric import (
@@ -8,7 +8,6 @@ from repro.partitioners.geometric import (
     RecursiveInertialBisection,
 )
 from repro.partitioners.chain import ChainPartitioner, chain_boundaries
-from repro.partitioners.regular import BlockPartitioner, CyclicPartitioner
 
 __all__ = [
     "Partitioner",
@@ -20,6 +19,4 @@ __all__ = [
     "RecursiveInertialBisection",
     "ChainPartitioner",
     "chain_boundaries",
-    "BlockPartitioner",
-    "CyclicPartitioner",
 ]

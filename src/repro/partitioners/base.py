@@ -23,7 +23,7 @@ from repro.sim.machine import Machine
 
 @dataclass
 class PartitionResult:
-    """Labels plus quality diagnostics."""
+    """One part label per element."""
 
     labels: np.ndarray  # rank per element
     n_parts: int
@@ -34,20 +34,6 @@ class PartitionResult:
             self.labels.min() < 0 or self.labels.max() >= self.n_parts
         ):
             raise ValueError("labels outside [0, n_parts)")
-
-    def part_weights(self, weights: np.ndarray | None = None) -> np.ndarray:
-        w = (
-            np.ones(self.labels.size)
-            if weights is None
-            else np.asarray(weights, dtype=float)
-        )
-        return np.bincount(self.labels, weights=w, minlength=self.n_parts)
-
-    def imbalance(self, weights: np.ndarray | None = None) -> float:
-        """max part weight / mean part weight (1.0 = perfect)."""
-        pw = self.part_weights(weights)
-        mean = pw.mean()
-        return float(pw.max() / mean) if mean > 0 else 1.0
 
     def to_distribution(self, n_ranks: int | None = None) -> IrregularDistribution:
         return IrregularDistribution(self.labels, n_ranks or self.n_parts)

@@ -44,7 +44,7 @@ from repro.serve.server import (
     ProgramServer,
     ServerClosed,
 )
-from repro.serve.verdict import TERMINAL_STATES, JobStatus, JobVerdict
+from repro.serve.verdict import JobStatus, JobVerdict
 
 __all__ = [
     "AdmissionFull",
@@ -59,7 +59,6 @@ __all__ = [
     "ProgramServer",
     "ServerClosed",
     "ServerConfig",
-    "TERMINAL_STATES",
     "build_job_context",
     "run_job_inline",
 ]

@@ -48,10 +48,6 @@ class JobControl:
         """Ask the job to wind down (idempotent)."""
         self._stop.set()
 
-    @property
-    def stopped(self) -> bool:
-        return self._stop.is_set()
-
     def check(self) -> None:
         """Cooperative cancellation point: raise if a stop was requested."""
         if self._stop.is_set():

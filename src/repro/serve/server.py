@@ -4,7 +4,7 @@
 :class:`~repro.serve.job.JobSpec`\\ s and runs each under its own
 per-tenant :class:`~repro.core.context.ExecutionContext` inside a
 soft-failure wrapper (:meth:`ProgramServer._soft_run`): one tenant's
-exception, deadline overrun, or cancellation produces a recorded
+exception, deadline overrun, or cancelled task produces a recorded
 :class:`~repro.serve.verdict.JobVerdict` and never takes down the
 event loop or another tenant.  Backend work executes on a dedicated
 thread pool via ``run_in_executor`` so the loop stays responsive while
@@ -21,7 +21,7 @@ Concurrency structure
   (``config.max_concurrency``) — tenant-first ordering keeps one
   flooding tenant's queued jobs from camping on global slots other
   tenants could use;
-* timeouts and cancellations never kill the worker thread (Python
+* timeouts and cancelled tasks never kill the worker thread (Python
   cannot); they flip the job's cooperative
   :class:`~repro.serve.job.JobControl`, record the verdict
   immediately, and park the thread's future as a *straggler* that
@@ -29,7 +29,10 @@ Concurrency structure
 
 ``drain()`` rejects new admissions, lets admitted jobs finish (or hit
 their deadline) and awaits stragglers.  ``close()`` drains and then
-shuts the server's own thread pool down.
+shuts the server's own thread pool down.  A job's task is cancelled only
+when its event loop tears down with the job still pending
+(``asyncio.run`` cancels every task left when its coroutine returns);
+the job is then recorded ``CANCELLED``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.serve.job import (
     build_job_context,
     collect_stats,
 )
-from repro.serve.verdict import TERMINAL_STATES, JobStatus, JobVerdict
+from repro.serve.verdict import JobStatus, JobVerdict
 
 
 class ServerClosed(RuntimeError):
@@ -70,7 +73,6 @@ class _Job:
     submitted_at: float
     status: JobStatus = JobStatus.QUEUED
     control: JobControl = field(default_factory=JobControl)
-    cancel_event: asyncio.Event = field(default_factory=asyncio.Event)
     done: asyncio.Event = field(default_factory=asyncio.Event)
     task: asyncio.Task | None = None
     started_at: float | None = None
@@ -81,21 +83,13 @@ class _Job:
 
 
 class JobHandle:
-    """Caller-side view of one admitted job (status / wait / cancel)."""
+    """Caller-side view of one admitted job (verdict / wait)."""
 
     __slots__ = ("_server", "job_id")
 
     def __init__(self, server: "ProgramServer", job_id: int):
         self._server = server
         self.job_id = job_id
-
-    @property
-    def spec(self) -> JobSpec:
-        return self._server._job(self.job_id).spec
-
-    @property
-    def status(self) -> JobStatus:
-        return self._server.status(self.job_id)
 
     @property
     def verdict(self) -> JobVerdict | None:
@@ -107,13 +101,6 @@ class JobHandle:
         await job.done.wait()
         assert job.verdict is not None
         return job.verdict
-
-    def cancel(self) -> bool:
-        """Request cancellation; False if the job already finished."""
-        return self._server.cancel(self.job_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"JobHandle(id={self.job_id}, status={self.status.value})"
 
 
 class ProgramServer:
@@ -150,7 +137,7 @@ class ProgramServer:
     # admission
     # ------------------------------------------------------------------
     async def submit(self, spec: JobSpec) -> JobHandle:
-        """Admit one job; returns a handle for status/wait/cancel.
+        """Admit one job; returns a handle for its verdict.
 
         Raises :class:`ServerClosed` once draining started and
         :class:`AdmissionFull` when the queue is at its bound under the
@@ -183,20 +170,12 @@ class ProgramServer:
         return JobHandle(self, job.id)
 
     def _task_done(self, job: _Job, task: asyncio.Task) -> None:
-        """Backstop for tasks torn down before ``_run_job`` ever ran.
-
-        A task cancelled before its first step never enters the
-        coroutine, so ``_run_job``'s own finally cannot record the
-        verdict; this callback closes that gap (and any other path
-        that kills the task without running it).
-        """
-        if job.done.is_set():
-            return
-        job.control.stop()
-        if task.cancelled():
-            self._record(job, JobStatus.CANCELLED,
-                         error="cancelled while queued")
-        self._finish(job)  # records FAILED if still verdict-less
+        """Backstop for a task torn down before ``_run_job`` ever ran:
+        the coroutine's own finally never ran, so the job is finished
+        here (``FAILED``, without a verdict of its own)."""
+        if not job.done.is_set():
+            job.control.stop()
+            self._finish(job)
 
     def _check_open(self) -> None:
         if self._closing:
@@ -205,7 +184,7 @@ class ProgramServer:
             )
 
     # ------------------------------------------------------------------
-    # status queries
+    # queries
     # ------------------------------------------------------------------
     def _job(self, job_id: int) -> _Job:
         job = self._jobs.get(job_id)
@@ -213,19 +192,9 @@ class ProgramServer:
             raise KeyError(f"unknown job id {job_id}")
         return job
 
-    def status(self, job_id: int) -> JobStatus:
-        return self._job(job_id).status
-
     def verdict(self, job_id: int) -> JobVerdict | None:
         """The job's verdict, or ``None`` while it is still pending."""
         return self._job(job_id).verdict
-
-    def jobs(self, tenant: str | None = None) -> list[JobHandle]:
-        """Handles of every admitted job, optionally one tenant's."""
-        return [
-            JobHandle(self, j.id) for j in self._jobs.values()
-            if tenant is None or j.spec.tenant == tenant
-        ]
 
     def stats(self) -> dict:
         """Server-level counters (admissions, per-status counts)."""
@@ -239,30 +208,6 @@ class ProgramServer:
             "draining": self._closing,
             "by_status": by_status,
         }
-
-    @property
-    def draining(self) -> bool:
-        return self._closing
-
-    # ------------------------------------------------------------------
-    # cancellation
-    # ------------------------------------------------------------------
-    def cancel(self, job_id: int) -> bool:
-        """Request cancellation of one job.
-
-        Queued jobs are cancelled before they start; running jobs get a
-        cooperative stop (their worker thread winds down as a straggler
-        if the spec ignores the control).  Returns ``False`` when the
-        job already reached a terminal state.
-        """
-        job = self._job(job_id)
-        if job.status in TERMINAL_STATES:
-            return False
-        job.control.stop()
-        job.cancel_event.set()
-        if job.status is JobStatus.QUEUED and job.task is not None:
-            job.task.cancel()
-        return True
 
     # ------------------------------------------------------------------
     # the per-job task
@@ -281,13 +226,10 @@ class ProgramServer:
             # on their own semaphore without camping on global slots
             async with self._tenant_sem(job.spec.tenant):
                 async with self._global_sem:
-                    if job.cancel_event.is_set():
-                        self._record(job, JobStatus.CANCELLED,
-                                     error="cancelled while queued")
-                        return
                     await self._soft_run(job)
         except asyncio.CancelledError:
-            # task cancelled while queued (waiting on a semaphore)
+            # the loop tore down while the job was queued (waiting on a
+            # semaphore)
             job.control.stop()
             self._record(job, JobStatus.CANCELLED,
                          error="cancelled while queued")
@@ -299,30 +241,23 @@ class ProgramServer:
 
         Every exit of this coroutine leaves a recorded verdict and
         never propagates a tenant failure: exceptions become ``FAILED``
-        verdicts, deadline overruns ``TIMEOUT``, cancellations
-        ``CANCELLED``.  Threads that outlive their verdict (timeout /
-        cancel) are parked in ``self._stragglers`` for ``drain()``.
+        verdicts, deadline overruns ``TIMEOUT``, a cancelled task
+        ``CANCELLED``.  Threads that outlive their verdict are parked in
+        ``self._stragglers`` for ``drain()``.
         """
         loop = asyncio.get_running_loop()
         job.status = JobStatus.RUNNING
         job.started_at = time.monotonic()
         fut = loop.run_in_executor(self._pool, self._execute_in_thread, job)
-        cancel_waiter = asyncio.ensure_future(job.cancel_event.wait())
         timeout = (job.spec.timeout if job.spec.timeout is not None
                    else self.config.default_timeout)
-        hard_cancel = False
+        cancelled = False
         try:
-            done, _ = await asyncio.wait(
-                {fut, cancel_waiter}, timeout=timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            done, _ = await asyncio.wait({fut}, timeout=timeout)
         except asyncio.CancelledError:
-            # hard task cancellation raced the queued→running transition
-            # (or the surrounding loop is tearing down): same treatment
-            # as a cooperative cancel, thread parked as a straggler
-            done, hard_cancel = set(), True
-        finally:
-            cancel_waiter.cancel()
+            # the surrounding loop is tearing down: the thread is asked
+            # to stop and parked as a straggler
+            done, cancelled = set(), True
         if fut in done:
             self._settle(job, fut)
             return
@@ -331,7 +266,7 @@ class ProgramServer:
         fut.add_done_callback(
             lambda f, job=job: self._straggler_done(job, f)
         )
-        if hard_cancel or job.cancel_event.is_set():
+        if cancelled:
             self._record(job, JobStatus.CANCELLED,
                          error="cancelled while running")
         else:

@@ -21,13 +21,6 @@ class JobStatus(str, enum.Enum):
         return self.value
 
 
-#: states a job never leaves once recorded
-TERMINAL_STATES = frozenset(
-    {JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED,
-     JobStatus.TIMEOUT}
-)
-
-
 @dataclass
 class JobVerdict:
     """Everything the server recorded about one finished job.

@@ -15,7 +15,7 @@ even though absolute seconds differ from 1994 hardware.
 """
 
 from repro.sim.cost_model import CostModel, IPSC860, PARAGON, MODERN_CLUSTER
-from repro.sim.topology import Topology, Hypercube, Mesh2D, FullCrossbar
+from repro.sim.topology import Topology, Hypercube, FullCrossbar
 from repro.sim.clock import Clock, ClockArray
 from repro.sim.message import Message, TrafficStats
 from repro.sim.machine import Machine
@@ -28,7 +28,6 @@ __all__ = [
     "MODERN_CLUSTER",
     "Topology",
     "Hypercube",
-    "Mesh2D",
     "FullCrossbar",
     "Clock",
     "ClockArray",

@@ -27,7 +27,7 @@ import numpy as np
 from repro.sim.clock import ClockArray
 from repro.sim.cost_model import CostModel, IPSC860
 from repro.sim.message import Message, TrafficStats
-from repro.sim.topology import Topology, default_topology
+from repro.sim.topology import default_topology
 
 
 def _payload_bytes(obj: Any) -> int:
@@ -75,9 +75,6 @@ class Machine:
     cost_model:
         :class:`~repro.sim.cost_model.CostModel` converting messages and
         work units into virtual time.  Defaults to iPSC/860 constants.
-    topology:
-        Interconnect; defaults to a hypercube for power-of-two rank
-        counts, otherwise a single-hop crossbar.
     record_messages:
         Keep individual :class:`Message` records in ``traffic.messages``
         (useful for tests).
@@ -87,19 +84,15 @@ class Machine:
         self,
         n_ranks: int,
         cost_model: CostModel = IPSC860,
-        topology: Topology | None = None,
         record_messages: bool = False,
     ) -> None:
         if n_ranks < 1:
             raise ValueError(f"need at least 1 rank, got {n_ranks}")
         self.n_ranks = int(n_ranks)
         self.cost_model = cost_model
-        self.topology = topology if topology is not None else default_topology(n_ranks)
-        if self.topology.n_ranks != self.n_ranks:
-            raise ValueError(
-                f"topology is sized for {self.topology.n_ranks} ranks, "
-                f"machine has {self.n_ranks}"
-            )
+        #: the interconnect: a hypercube for power-of-two rank counts,
+        #: otherwise a single-hop crossbar
+        self.topology = default_topology(self.n_ranks)
         self.clocks = ClockArray(self.n_ranks)
         self.traffic = TrafficStats(record=record_messages)
         self._hop_matrix_cache: np.ndarray | None = None

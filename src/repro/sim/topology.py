@@ -1,8 +1,8 @@
 """Network topologies for the simulated machine.
 
 A topology answers one question the cost model needs: how many hops
-separate two ranks.  The iPSC/860 is a binary hypercube; we also provide a
-2-D mesh (Paragon-style) and an idealized full crossbar for ablations.
+separate two ranks.  The iPSC/860 is a binary hypercube; a rank count
+that is not a power of two gets an idealized full crossbar.
 """
 
 from __future__ import annotations
@@ -61,32 +61,6 @@ class Hypercube(Topology):
         for d in range(self.dimension):
             m += (x >> d) & 1
         return m
-
-
-class Mesh2D(Topology):
-    """2-D mesh with dimension-ordered (Manhattan) routing."""
-
-    def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"mesh dims must be positive, got {rows}x{cols}")
-        super().__init__(rows * cols)
-        self.rows = int(rows)
-        self.cols = int(cols)
-
-    def coords(self, rank: int) -> tuple[int, int]:
-        rank = self._check(rank)
-        return divmod(rank, self.cols)
-
-    def hops(self, src: int, dst: int) -> int:
-        r1, c1 = self.coords(src)
-        r2, c2 = self.coords(dst)
-        return abs(r1 - r2) + abs(c1 - c2)
-
-    def hop_matrix(self) -> np.ndarray:
-        row, col = np.divmod(np.arange(self.n_ranks, dtype=np.int64),
-                             self.cols)
-        return (np.abs(row[:, None] - row[None, :])
-                + np.abs(col[:, None] - col[None, :]))
 
 
 class FullCrossbar(Topology):

@@ -4,12 +4,10 @@ from repro.util.prng import (
     hash_permutation_key,
     hash_uniform,
     hash_unit_vector,
-    splitmix64,
 )
 from repro.util.tables import format_table
 
 __all__ = [
-    "splitmix64",
     "hash_uniform",
     "hash_unit_vector",
     "hash_permutation_key",

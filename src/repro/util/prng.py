@@ -33,19 +33,10 @@ _ULP53 = 2.0 ** -53
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def splitmix64(x: np.ndarray | int) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (or scalar).
-
-    uint64 wraparound is the algorithm; numpy only warns for 0-d inputs,
-    so everything is promoted to at least 1-d and squeezed back.
-    """
-    z = _mix(np.array(x, dtype=np.uint64, ndmin=1))
-    return z if np.ndim(x) else z[0]
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 on a uint64 array the caller owns, in place, with one
-    temporary; returns ``z``."""
+    """The SplitMix64 finalizer on a uint64 array the caller owns, in
+    place, with one temporary (uint64 wraparound is the algorithm);
+    returns ``z``."""
     t = np.empty_like(z)
     z += _GAMMA
     z ^= np.right_shift(z, _S30, out=t)
@@ -57,7 +48,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def _splitmix64_int(x: int) -> int:
-    """``splitmix64`` on one Python integer (wraps at 64 bits by masking)."""
+    """:func:`_mix` on one Python integer (wraps at 64 bits by masking)."""
     z = (x + _GAMMA_INT) & _MASK64
     z = ((z ^ (z >> 30)) * _M1_INT) & _MASK64
     z = ((z ^ (z >> 27)) * _M2_INT) & _MASK64
@@ -83,7 +74,7 @@ def _combine(*keys) -> np.ndarray:
     Most keys are scalars (seed, step, stream tags).  Those are folded in
     Python integer arithmetic, which costs a fraction of a numpy call on a
     0-d array; only array keys, and the folds after the first of them,
-    go through the vectorized ``splitmix64``.
+    go through the vectorized :func:`_mix`.
     """
     if not keys:
         raise ValueError("need at least one key")

@@ -5,7 +5,8 @@ import it (``from conftest import ALL_BACKENDS``) instead of repeating
 the tuple per file.  The backend contract itself is checked in one
 place, the differential oracle in ``tests/oracle.py``.
 ``count_calls`` is the probe of the shape tests (host work that must not
-grow with the rank count).
+grow with the rank count); ``block_table`` and ``cyclic_table`` build the
+regular translation tables tests use as fixtures.
 """
 
 import gc
@@ -15,7 +16,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import ExecutionContext
+from repro.core import ExecutionContext, TranslationTable
+from repro.core.distribution import BlockDistribution, CyclicDistribution
 from repro.sim import Machine
 
 #: every built-in backend, serial (the reference semantics) first
@@ -31,8 +33,13 @@ def count_calls(fn):
     directly from ``core/executor.py`` (``dsmc/parallel.py``) also under
     ``"executor:" + name`` (``"dsmc:" + name``)."""
     calls = Counter()
+    # an outer profiler (a coverage or reach recorder) keeps seeing every
+    # event and is put back afterwards
+    outer = sys.getprofile()
 
     def profile(frame, event, arg):
+        if outer is not None:
+            outer(frame, event, arg)
         if event == "c_call":
             owner = getattr(arg, "__self__", None)
             name = ("ufunc." if isinstance(owner, np.ufunc) else "") \
@@ -50,10 +57,23 @@ def count_calls(fn):
     try:
         fn()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
         if was_enabled:
             gc.enable()
     return calls
+
+
+def block_table(machine, n_global: int, storage: str = "replicated"
+                ) -> TranslationTable:
+    """A translation table of BLOCK over ``machine``'s ranks."""
+    return TranslationTable(
+        machine, BlockDistribution(n_global, machine.n_ranks), storage=storage)
+
+
+def cyclic_table(machine, n_global: int) -> TranslationTable:
+    """A translation table of CYCLIC over ``machine``'s ranks."""
+    return TranslationTable(machine,
+                            CyclicDistribution(n_global, machine.n_ranks))
 
 
 def pytest_addoption(parser):

@@ -8,7 +8,8 @@ were deleted from ``src/`` long ago.  Tests that want to build a plan
 from one small array per ``(p, q)`` pair — or to compare the flat
 buffers against their nested presentation — use these helpers, which
 put the pairs in slot order and read them back through the plans' own
-per-pair views.  :func:`compose_from_streams` is the executor pair
+per-pair views; :func:`empty_schedule` is the schedule that moves
+nothing.  :func:`compose_from_streams` is the executor pair
 composed the long way, from the derived streams, as an independent
 reference for :meth:`~repro.core.compiled.CommPlan._compose`.
 """
@@ -62,6 +63,13 @@ def _plan_from_pairs(cls, send_pairs, place_pairs, extent, local):
     by_slot = np.argsort(slots, kind="stable")
     return cls.from_slot_order(counts, rows[by_slot], slots[by_slot],
                                extent, local)
+
+
+def empty_schedule(n_ranks: int) -> Schedule:
+    """A :class:`Schedule` of ``n_ranks`` ranks that moves nothing."""
+    none, no_rows = np.zeros(n_ranks, np.int64), np.zeros(0, np.int64)
+    return Schedule.from_slot_order(np.zeros((n_ranks,) * 2, np.int64),
+                                    no_rows, no_rows, none, none)
 
 
 def schedule_from_pairs(

@@ -173,7 +173,7 @@ def observe(x):
 def cold_build(rt, ttable, *stamps):
     """A full build of ``stamps`` from ``rt``'s live tables, charged to a
     scratch machine so that the run it checks is not charged."""
-    ctx = ExecutionContext.resolve(Machine(rt.ctx.n_ranks), rt.backend)
+    ctx = ExecutionContext.resolve(Machine(rt.ctx.n_ranks), rt.ctx.backend)
     return build_schedule(ctx, rt.hash_tables(ttable),
                           rt.stamp_expr(ttable, *stamps))
 

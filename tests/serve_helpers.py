@@ -11,6 +11,8 @@ import threading
 
 import numpy as np
 
+from conftest import block_table
+
 from repro.serve import CallableJob, ProgramJob
 
 #: thread-name prefix of the server's executor pool (see server.py)
@@ -60,9 +62,9 @@ def make_halo_fn(n=48, crash=False, seed=0):
         from repro.core.api import ChaosRuntime
 
         rt = ChaosRuntime(ctx)  # shares the job's context
-        tt = rt.block_table(n)
+        tt = block_table(rt.machine, n)
         rng = np.random.default_rng(seed)
-        idx = [rng.integers(0, n, size=n // 2) for _ in ctx.ranks()]
+        idx = [rng.integers(0, n, size=n // 2) for _ in range(ctx.n_ranks)]
         rt.hash_indirection(tt, idx, "halo")
         sched = rt.build_schedule(tt, "halo")
         x = rt.distribute(np.arange(n, dtype=np.float64), tt)
@@ -96,6 +98,17 @@ def sleeper_job(seconds, *, tenant="default", name="sleeper",
         return "slept"
 
     return CallableJob(fn=fn, tenant=tenant, name=name, **kw)
+
+
+def gated_job(release, *, name="gated", **kw) -> CallableJob:
+    """A job that holds its worker until the test sets the
+    ``threading.Event`` ``release`` (30 s at most)."""
+
+    def fn(ctx, control):
+        release.wait(30)
+        return "released"
+
+    return CallableJob(fn=fn, name=name, **kw)
 
 
 def serve_threads_alive() -> list[str]:

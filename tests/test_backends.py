@@ -400,15 +400,21 @@ class TestStageChargeCache:
         ids=["cost_model", "topology"])
     def test_one_plan_charges_each_machine_its_own_costs(
             self, machine_kw, monkeypatch):
+        def machine():
+            kw = dict(machine_kw)
+            topology = kw.pop("topology", None)
+            m = Machine(4, record_messages=True, **kw)
+            if topology is not None:   # the constructor picks a hypercube
+                m.topology = topology
+            return m
+
         plans = self._plans()
         self._observe(Machine(4), *plans)   # the caches hold this machine
         with monkeypatch.context() as mp:
             mp.setattr(VectorizedBackend, "_charge_stage",
                        staticmethod(_charge_afresh))
-            ref = self._observe(Machine(4, record_messages=True,
-                                        **machine_kw), *plans)
-        got = self._observe(Machine(4, record_messages=True, **machine_kw),
-                            *plans)
+            ref = self._observe(machine(), *plans)
+        got = self._observe(machine(), *plans)
         assert got == ref
         assert got != self._observe(Machine(4, record_messages=True),
                                     *plans)

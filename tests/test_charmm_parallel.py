@@ -9,8 +9,24 @@ from conftest import ALL_BACKENDS
 from repro.apps.charmm import ParallelMD, SequentialMD, build_small_system
 from repro.core import ExecutionContext
 from repro.core.compiled import as_arena
-from repro.partitioners import RCB, RIB, BlockPartitioner
+from repro.core.distribution import block_sizes
+from repro.partitioners import RCB, RIB, Partitioner, PartitionResult
 from repro.sim import Machine
+
+
+class BlockPartitioner(Partitioner):
+    """Naive BLOCK, the paper's §4.1 baseline: contiguous index blocks,
+    blind to geometry and load, at one small message of parallel cost."""
+
+    name = "block"
+
+    def partition(self, coords, n_parts, weights=None):
+        c, _ = self._validate(coords, n_parts, weights)
+        labels = np.repeat(np.arange(n_parts), block_sizes(len(c), n_parts))
+        return PartitionResult(labels=labels, n_parts=n_parts)
+
+    def parallel_cost(self, n_elements, n_parts, machine):
+        return 0.0, machine.cost_model.message_time(16)
 
 
 def run_pair(n_atoms=200, n_ranks=4, steps=8, update_every=3, seed=7, **kw):
@@ -124,51 +140,51 @@ class TestPinnedSimulatedCost:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_merged_schedule_mode(self, backend):
         m = Machine(4)
-        with ParallelMD(build_small_system(200, seed=7),
+        md = ParallelMD(build_small_system(200, seed=7),
                         ExecutionContext.resolve(m, backend), dt=0.002,
-                        update_every=3, partitioner=RCB()) as md:
-            md.run(8)
-            assert m.execution_time() == pytest.approx(0.11949697000000024,
-                                                       rel=1e-12)
-            assert m.traffic.n_messages == 500
-            assert m.traffic.total_bytes == 319232
-            assert md.trace.nb_pairs_history == [4011, 3581, 3493]
-            assert [self.sha(a) for a in (
-                md.global_positions(), md.global_velocities(),
-                np.asarray(md.trace.potential_energy),
-                np.asarray(md.trace.kinetic_energy),
-            )] == [
-                "32132885e8ac7edea89b19e0fa55e42725d53e807802ff539e07ababd99229eb",
-                "2a7dfb0cc1372867bb9f4867022bca17ade24f45b545870880c38625e95d253a",
-                "5eca9364a0221ce7c658dbc9d972893bb9d80117a979ceaa5b339dc6370fa6be",
-                "dc1289a5fbb1e7aaaa7f26e70ca15e745f087053daa8ecb80d1e6a4951bce48b",
-            ]
+                        update_every=3, partitioner=RCB())
+        md.run(8)
+        assert m.execution_time() == pytest.approx(0.11949697000000024,
+                                                   rel=1e-12)
+        assert m.traffic.n_messages == 500
+        assert m.traffic.total_bytes == 319232
+        assert md.trace.nb_pairs_history == [4011, 3581, 3493]
+        assert [self.sha(a) for a in (
+            md.global_positions(), md.global_velocities(),
+            np.asarray(md.trace.potential_energy),
+            np.asarray(md.trace.kinetic_energy),
+        )] == [
+            "32132885e8ac7edea89b19e0fa55e42725d53e807802ff539e07ababd99229eb",
+            "2a7dfb0cc1372867bb9f4867022bca17ade24f45b545870880c38625e95d253a",
+            "5eca9364a0221ce7c658dbc9d972893bb9d80117a979ceaa5b339dc6370fa6be",
+            "dc1289a5fbb1e7aaaa7f26e70ca15e745f087053daa8ecb80d1e6a4951bce48b",
+        ]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_multiple_schedule_mode(self, backend):
         """The same run with one schedule per loop (Table 3's "multiple"
         mode)."""
         m = Machine(4)
-        with ParallelMD(build_small_system(200, seed=7),
+        md = ParallelMD(build_small_system(200, seed=7),
                         ExecutionContext.resolve(m, backend), dt=0.002,
                         update_every=3, partitioner=RCB(),
-                        schedule_mode="multiple") as md:
-            md.run(8)
-            assert m.execution_time() == pytest.approx(0.13085933000000027,
-                                                       rel=1e-12)
-            assert m.traffic.n_messages == 716
-            assert m.traffic.total_bytes == 333328
-            assert md.trace.nb_pairs_history == [4011, 3581, 3493]
-            assert [self.sha(a) for a in (
-                md.global_positions(), md.global_velocities(),
-                np.asarray(md.trace.potential_energy),
-                np.asarray(md.trace.kinetic_energy),
-            )] == [
-                "46de1778fd5fac4015c8e37d8961df8a98b2d3b946e1de46845580639bd20314",
-                "af8b61f18163ee5f80fad69ce9991d7c7ec5eeb4c802c356f5e23a38816061c7",
-                "856049c0e4b894e01a7863d3cb31e0d882353eed232badb59b3f461347272bab",
-                "f26d2618b1fcc132c25cd5aa2375474e56c5e2afe6e5089b9f1cd055dd64c822",
-            ]
+                        schedule_mode="multiple")
+        md.run(8)
+        assert m.execution_time() == pytest.approx(0.13085933000000027,
+                                                   rel=1e-12)
+        assert m.traffic.n_messages == 716
+        assert m.traffic.total_bytes == 333328
+        assert md.trace.nb_pairs_history == [4011, 3581, 3493]
+        assert [self.sha(a) for a in (
+            md.global_positions(), md.global_velocities(),
+            np.asarray(md.trace.potential_energy),
+            np.asarray(md.trace.kinetic_energy),
+        )] == [
+            "46de1778fd5fac4015c8e37d8961df8a98b2d3b946e1de46845580639bd20314",
+            "af8b61f18163ee5f80fad69ce9991d7c7ec5eeb4c802c356f5e23a38816061c7",
+            "856049c0e4b894e01a7863d3cb31e0d882353eed232badb59b3f461347272bab",
+            "f26d2618b1fcc132c25cd5aa2375474e56c5e2afe6e5089b9f1cd055dd64c822",
+        ]
 
 
 class TestInspectorWiring:
@@ -280,11 +296,11 @@ def test_vectorized_run_never_falls_back_to_serial(monkeypatch):
         raise AssertionError("vectorized run_stage fell back to serial")
 
     monkeypatch.setattr(SerialBackend, "run_stage", refuse)
-    with ParallelMD(build_small_system(200, seed=7),
+    md = ParallelMD(build_small_system(200, seed=7),
                     ExecutionContext.resolve(Machine(4), "vectorized"),
-                    dt=0.002, update_every=1) as md:
-        md.run(2)
-        assert md.trace.nb_list_updates == 2
+                    dt=0.002, update_every=1)
+    md.run(2)
+    assert md.trace.nb_list_updates == 2
 
 
 class TestValidation:

@@ -131,28 +131,33 @@ class TestIrregular:
             IrregularDistribution([-1, 0], 2)
 
     def test_to_map_array_roundtrip(self, rng):
+        """The layout's owner of every element is the map it was built
+        from."""
         labels = rng.integers(0, 4, 50)
         d = IrregularDistribution(labels, 4)
-        assert np.array_equal(d.to_map_array(), labels)
+        assert np.array_equal(d.layout.owners, labels)
 
     def test_2d_map_rejected(self):
         with pytest.raises(ValueError):
             IrregularDistribution(np.zeros((2, 2), dtype=int), 2)
 
     def test_equality(self):
+        """Distributions compare by identity; two built from one map are
+        laid out alike, element for element."""
         a = IrregularDistribution([0, 1, 0], 2)
         b = IrregularDistribution([0, 1, 0], 2)
         c = IrregularDistribution([1, 1, 0], 2)
-        assert a == b
-        assert a != c
-        assert a != BlockDistribution(3, 2) or np.array_equal(
-            a.to_map_array(), BlockDistribution(3, 2).to_map_array()
-        )
+        assert a == a and a != b
+        assert np.array_equal(a.layout.order, b.layout.order)
+        assert not np.array_equal(a.layout.order, c.layout.order)
 
     def test_block_equals_equivalent_irregular(self):
+        """BLOCK and the map that spells it out have one layout."""
         blk = BlockDistribution(6, 2)
         irr = IrregularDistribution([0, 0, 0, 1, 1, 1], 2)
-        assert blk == irr
+        for field in ("order", "sizes", "owners", "offsets"):
+            assert np.array_equal(getattr(blk.layout, field),
+                                  getattr(irr.layout, field))
 
     def test_build_calls_independent_of_ranks(self):
         """One stable sort builds the layout: the same C calls at P=16 as at

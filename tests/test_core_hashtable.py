@@ -63,10 +63,6 @@ class TestStampRegistry:
 
 
 class TestStampExpr:
-    def test_union(self):
-        e = StampExpr(0b01) | StampExpr(0b10)
-        assert e.include == 0b11
-
     def test_difference(self):
         e = StampExpr(0b10) - StampExpr(0b01)
         masks = np.array([0b01, 0b10, 0b11, 0b00])
@@ -338,10 +334,10 @@ class TestNarrowKeyMap:
         (65_533, 2), (65_534, 2), (65_535, 4)])
     def test_promotion_boundary(self, row, itemsize):
         s = self.make()
-        assert s.nbytes == self.map_bytes(2)
+        assert s._rows.nbytes == self.map_bytes(2)
         assert s.lookup(*self.PROBE).tolist() == [0, 5, -1, -1, -1, 3]
         s.insert(np.array([3]), np.array([1, 0]), np.array([row]))
-        assert s.nbytes == self.map_bytes(itemsize)
+        assert s._rows.nbytes == self.map_bytes(itemsize)
         assert s.lookup(*self.PROBE).tolist() == [0, 5, row, -1, -1, 3]
         assert s.live().tolist() == [3, 1]
         # a widened map keeps taking rows, small and large
@@ -358,7 +354,7 @@ class TestNarrowKeyMap:
         s = self.make()
         if widened:
             s.insert(np.array([9]), np.array([1, 0]), np.array([70_000]))
-        live, nbytes = s.live().tolist(), s.nbytes
+        live, nbytes = s.live().tolist(), s._rows.nbytes
         probe = s.lookup(*self.PROBE).tolist()
         for keys, sizes, rows, match in [
                 ([5, 5], [2, 0], [70_000, 70_001], "duplicate insert"),
@@ -368,10 +364,10 @@ class TestNarrowKeyMap:
             with pytest.raises(ValueError, match=match):
                 s.insert(np.array(keys), np.array(sizes), np.array(rows))
             assert s.live().tolist() == live
-            assert s.nbytes == nbytes
+            assert s._rows.nbytes == nbytes
             assert s.lookup(*self.PROBE).tolist() == probe
         s.insert(np.array([4]), np.array([1, 0]), np.array([(1 << 31) - 2]))
-        assert s.nbytes == self.map_bytes(4)
+        assert s._rows.nbytes == self.map_bytes(4)
         assert s.lookup(np.array([4]), np.array([1, 0])).tolist() \
             == [(1 << 31) - 2]
 
@@ -452,7 +448,7 @@ def test_serial_and_vectorized_agree_past_the_narrow_map():
         spliced = delta_rebuild_schedule(ctx, group, "s", base, rehash)
         if run.backend == "vectorized":
             assert group.n_entries[0] > 65_536  # the touches added rows too
-            assert group.store.nbytes == 4 * (2 * n + 1)
+            assert group.store._rows.nbytes == 4 * (2 * n + 1)
         used = int(group.n_entries.max())
         return (localized, rehash.localized, base, spliced, group.n_entries,
                 [getattr(group, c)[:, :used] for c in group._COLUMNS])
@@ -461,17 +457,21 @@ def test_serial_and_vectorized_agree_past_the_narrow_map():
 
 
 def test_nbytes_of_a_fixed_configuration():
-    """The tables' resident bytes for one deterministic set-up: four
-    ranks each referencing all 4 000 keys (4 000 rows, growing the
-    arenas once to 5 000 rows), one counted stamp, the vectorized
-    store.  A widened column or map fails here."""
+    """The tables' resident bytes (entry columns, refcount planes and
+    key map) for one deterministic set-up: four ranks each referencing
+    all 4 000 keys (4 000 rows, growing the arenas once to 5 000 rows),
+    one counted stamp, the vectorized store.  A widened column or map
+    fails here."""
     n = 4000
     keys = np.arange(n)
     *_, group, _ = _hashed("vectorized", keys * 4 // n, [keys] * 4, 4)
     assert group.rows_cap == 5000
     cells = 4 * 5000
-    assert group.nbytes == (4 * 4 * cells      # g, proc, off, buf: int32
-                            + 8 * cells        # mask: int64
-                            + 4 * cells        # the stamp's refcounts
-                            + 2 * (4 * n + 1))  # the uint16 key map
-    assert group.nbytes == 592_002
+    nbytes = (sum(getattr(group, c).nbytes for c in group._COLUMNS)
+              + sum(plane.nbytes for plane in group._refs.values())
+              + group.store._rows.nbytes)
+    assert nbytes == (4 * 4 * cells      # g, proc, off, buf: int32
+                      + 8 * cells        # mask: int64
+                      + 4 * cells        # the stamp's refcounts
+                      + 2 * (4 * n + 1))  # the uint16 key map
+    assert nbytes == 592_002

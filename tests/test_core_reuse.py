@@ -25,12 +25,6 @@ class TestModificationRecord:
         r.touch("a")
         assert r.versions_of(("a", "b")) == {"a": 1, "b": 0}
 
-    def test_names(self):
-        r = ModificationRecord()
-        r.touch("z")
-        r.touch("a")
-        assert r.names() == ["a", "z"]
-
 
 class TestScheduleCache:
     def test_builds_once_then_hits(self):
@@ -78,14 +72,6 @@ class TestScheduleCache:
         _, r2 = cache.get_or_build("L2", ("b",), lambda: 20)
         assert r1 and not r2
 
-    def test_invalidate(self):
-        cache = ScheduleCache()
-        cache.get_or_build("L", (), lambda: 1)
-        assert "L" in cache
-        assert cache.invalidate("L")
-        assert "L" not in cache
-        assert not cache.invalidate("L")
-
     def test_shared_record(self):
         r = ModificationRecord()
         cache = ScheduleCache(r)
@@ -93,20 +79,6 @@ class TestScheduleCache:
         r.touch("x")
         _, rebuilt = cache.get_or_build("L", ("x",), lambda: 2)
         assert rebuilt
-
-    def test_invalidate_preserves_counters(self):
-        cache = ScheduleCache()
-        cache.get_or_build("L", (), lambda: 1)
-        cache.get_or_build("L", (), lambda: 1)  # hit
-        st = cache.stats("L")
-        assert (st.hits, st.builds) == (1, 1)
-        assert cache.invalidate("L")
-        st = cache.stats("L")
-        # eviction drops the value (and its bytes) but not the history
-        assert (st.hits, st.builds, st.evictions) == (1, 1, 1)
-        assert st.resident_bytes == 0
-        cache.get_or_build("L", (), lambda: 2)
-        assert cache.stats("L").builds == 2
 
     def test_peek_does_not_count_hit(self):
         cache = ScheduleCache()
@@ -253,11 +225,3 @@ class TestDeltaChains:
         v, _ = cache.get_or_build("L", ("ia", "ib"), build,
                                   repair=("ia", repair))
         assert v == "v2" and calls == ["full", "full"]
-
-    def test_repair_ignored_after_invalidate(self):
-        cache, calls, build, repair = self._cache()
-        cache.invalidate("L")
-        cache.record.touch("ia")
-        v, _ = cache.get_or_build("L", ("ia",), build, repair=("ia", repair))
-        assert v == "v2" and calls == ["full", "full"]
-        assert cache.stats("L").delta_rebuilds == 0

@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.sim import Machine
 
-from csr_helpers import compose_from_streams
+from csr_helpers import compose_from_streams, empty_schedule
 from oracle import observe
 
 
@@ -47,7 +47,7 @@ def make_env(n_ranks=2, map_array=None):
 
 class TestScheduleStructure:
     def test_empty(self):
-        s = Schedule.empty(3)
+        s = empty_schedule(3)
         assert s.total_messages() == 0
         assert s.total_elements() == 0
         assert s.send_indices[0].size == 0
@@ -103,7 +103,7 @@ class TestScheduleStructure:
             with pytest.raises(TypeError, match="from_slot_order"):
                 kind(**good)
         with pytest.raises(TypeError, match="from_slot_order"):
-            dataclasses.replace(Schedule.empty(2), extent=[1, 1])
+            dataclasses.replace(empty_schedule(2), extent=[1, 1])
 
     def test_sizes(self):
         m, rt, tt = make_env()
@@ -331,10 +331,10 @@ class TestOneForm:
 
         # Table 3's "multiple" mode: the bonded gather fills the longer
         # ghost buffers of the whole table
-        with ParallelMD(build_small_system(60, seed=7),
+        md = ParallelMD(build_small_system(60, seed=7),
                         ExecutionContext.resolve(Machine(4), backend),
-                        dt=0.002, schedule_mode="multiple") as md:
-            md.run(1)
+                        dt=0.002, schedule_mode="multiple")
+        md.run(1)
 
         # a targeted adapt that repairs a serial-built base
         rt = ChaosRuntime(ExecutionContext.resolve(Machine(4), "serial"))

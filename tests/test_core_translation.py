@@ -148,8 +148,7 @@ class TestPageBudget:
         tt.dereference(ctx, one(8))   # page 1
         tt.dereference(ctx, one(0))   # page 0 most recent
         tt.dereference(ctx, one(16))  # page 2 evicts LRU = page 1
-        cache = tt._page_cache[0]
-        assert 0 in cache and 2 in cache and 1 not in cache
+        assert tt._page_cache[0]._arr.tolist() == [0, 2]
 
     def test_no_budget_never_evicts(self, maparr):
         m = Machine(4)

@@ -14,7 +14,6 @@ from repro.core import (
     IrregularDistribution,
     LightweightSchedule,
     RemapPlan,
-    Schedule,
     build_lightweight_schedule,
     remap,
     split_by_block,
@@ -27,6 +26,8 @@ from repro.core.verify import (
     check_translation_table,
 )
 from repro.sim import Machine
+
+from csr_helpers import empty_schedule
 
 
 class TestDistributionChecks:
@@ -89,7 +90,7 @@ class TestScheduleChecks:
         ) == []
 
     def test_empty_schedule_passes(self):
-        assert check_schedule(Schedule.empty(3)) == []
+        assert check_schedule(empty_schedule(3)) == []
 
     def test_corrupted_slot_detected(self, rng):
         m, rt, tt, sched = self.make(rng)
@@ -101,6 +102,17 @@ class TestScheduleChecks:
                 assert any("out of range" in msg for msg in problems)
                 return
         pytest.skip("no off-processor traffic in this draw")
+
+    def test_repeated_slot_within_one_source_detected(self, rng):
+        """A slot written twice inside one source's segment is caught;
+        the check used to allow repeats within a source."""
+        m, rt, tt, sched = self.make(rng, refs=400)
+        recv_counts = np.diff(sched.recv_offsets, axis=1)
+        p, q = np.argwhere(recv_counts >= 2)[0]
+        seg = sched.recv_slots[p][sched.recv_offsets[p, q]:][:2]
+        seg[1] = seg[0]
+        problems = check_schedule(sched, tt.dist)
+        assert any("repeated" in msg for msg in problems), problems
 
     def test_send_index_range_detected(self, rng):
         m, rt, tt, sched = self.make(rng)

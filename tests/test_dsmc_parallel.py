@@ -152,13 +152,6 @@ class TestValidation:
             par.run(5, remap_every=2)
         assert par.step_count == 0
 
-    def test_time_report_keys(self):
-        _, par, _ = run_pair(steps=3)
-        rep = par.time_report()
-        for k in ("execution", "computation", "communication", "inspector",
-                  "partition", "remap", "load_balance"):
-            assert k in rep
-
 
 # =====================================================================
 # the rank-major stream: oracle over the configuration space, pinned
@@ -193,17 +186,18 @@ def test_matches_sequential_oracle(backend, n_ranks, shape, migration,
                      flow=FlowConfig(seed=seed), collision_seed=seed + 7)
     seq = SequentialDSMC(grid, cfg)
     seq.run(5)
-    with ParallelDSMC(grid, ExecutionContext.resolve(Machine(n_ranks),
-                                                     backend),
-                      cfg, migration=migration) as par:
-        par.run(5, remap_every=remap_every,
-                remap_partitioner=ChainPartitioner(axis=0))
-        assert par.trace == seq.trace
-        for a, b in zip(seq.canonical_state(), par.canonical_state()):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-        assert par.local_counts().sum() == seq.particles.n
-        assert np.array_equal(par.cell_loads(), seq.cell_loads())
+    par = ParallelDSMC(grid, ExecutionContext.resolve(Machine(n_ranks),
+                                                      backend),
+                       cfg, migration=migration)
+    par.run(5, remap_every=remap_every,
+            remap_partitioner=ChainPartitioner(axis=0))
+    assert par.trace == seq.trace
+    for a, b in zip(seq.canonical_state(), par.canonical_state()):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert par.local_counts().sum() == seq.particles.n
+    assert np.array_equal(par.cell_loads(), np.bincount(
+        grid.cell_of(seq.particles.positions), minlength=grid.n_cells))
 
 
 @pytest.mark.parametrize("migration", ["lightweight", "regular"])
@@ -244,11 +238,11 @@ class TestPinnedSimulatedCost:
         m = Machine(16)
         cfg = DSMCConfig(n_initial=40, inflow_rate=2, dt=0.4,
                          initial_profile="plume")
-        with ParallelDSMC(CartesianGrid((8, 4)),
-                          ExecutionContext.resolve(m, backend), cfg) as par:
-            par.run(7, remap_every=3,
-                    remap_partitioner=ChainPartitioner(axis=0))
-            assert (par.local_counts() == 0).any()  # empty ranks covered
+        par = ParallelDSMC(CartesianGrid((8, 4)),
+                           ExecutionContext.resolve(m, backend), cfg)
+        par.run(7, remap_every=3,
+                remap_partitioner=ChainPartitioner(axis=0))
+        assert (par.local_counts() == 0).any()  # empty ranks covered
         self.check(m, 404, 19848, 0.0085128,
                    (0.00020149999999999996, 0.0010024968749999996,
                     0.0008472825, 0.0007536306249999997, 0.00245256),
@@ -258,10 +252,10 @@ class TestPinnedSimulatedCost:
     def test_regular_migration(self, backend):
         m = Machine(5)
         cfg = DSMCConfig(n_initial=40, inflow_rate=3, dt=0.4)
-        with ParallelDSMC(CartesianGrid((4, 3, 3)),
-                          ExecutionContext.resolve(m, backend), cfg,
-                          migration="regular") as par:
-            par.run(4)
+        par = ParallelDSMC(CartesianGrid((4, 3, 3)),
+                           ExecutionContext.resolve(m, backend), cfg,
+                           migration="regular")
+        par.run(4)
         self.check(m, 167, 12672, 0.007472220000000001,
                    (0.0002924, 0.0, 0.0008249959999999999,
                     0.0024663719999999997, 0.0018305999999999995),
@@ -329,12 +323,12 @@ class TestPinnedState:
     def run(backend, grid, n_ranks, cfg, steps, migration="lightweight",
             **run_kw):
         ctx = ExecutionContext.resolve(Machine(n_ranks), backend)
-        with ParallelDSMC(grid, ctx, cfg, migration=migration) as par:
-            par.run(steps, **run_kw)
-            digest = hashlib.sha256()
-            for a in par.canonical_state():
-                digest.update(a.tobytes())
-            return par, digest.hexdigest()
+        par = ParallelDSMC(grid, ctx, cfg, migration=migration)
+        par.run(steps, **run_kw)
+        digest = hashlib.sha256()
+        for a in par.canonical_state():
+            digest.update(a.tobytes())
+        return par, digest.hexdigest()
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_plume_3d_lightweight_with_chain_remaps(self, backend):

@@ -14,7 +14,7 @@ from repro.apps.dsmc import (
     initial_population,
     plume_population,
 )
-from repro.sim import IPSC860, MODERN_CLUSTER, PARAGON, Machine, Mesh2D
+from repro.sim import IPSC860, MODERN_CLUSTER, PARAGON, Machine
 from repro.sim.cost_model import CostModel
 
 
@@ -30,7 +30,8 @@ class TestPlumePopulation:
     def test_positions_inside_domain(self):
         grid = CartesianGrid((8, 8, 8))
         p = plume_population(grid, 5000, FlowConfig(seed=2))
-        assert np.all(grid.contains(p.positions))
+        assert np.all((p.positions >= 0)
+                      & (p.positions < np.asarray(grid.lengths)))
 
     def test_deterministic(self):
         grid = CartesianGrid((10, 10))
@@ -106,35 +107,6 @@ class TestCostModelSensitivity:
         old = self.run_charmm(IPSC860)
         mid = self.run_charmm(PARAGON)
         assert mid["execution"] < old["execution"]
-
-
-class TestMeshTopologyRuns:
-    def test_charmm_on_mesh(self):
-        """Full application run over a 2-D mesh topology (hop-dependent
-        message costs) still matches the sequential oracle."""
-        from repro.apps.charmm import ParallelMD, SequentialMD, build_small_system
-
-        sys_a = build_small_system(200, seed=8)
-        sys_b = sys_a.copy()
-        seq = SequentialMD(sys_a, update_every=3)
-        seq.run(5)
-        m = Machine(6, topology=Mesh2D(2, 3))
-        par = ParallelMD(sys_b, m, update_every=3)
-        par.run(5)
-        assert np.abs(par.global_positions() - sys_a.positions).max() < 1e-9
-
-    def test_mesh_hops_charged(self):
-        m = Machine(9, topology=Mesh2D(3, 3))
-        send = [[None] * 9 for _ in range(9)]
-        send[0][8] = np.zeros(100)  # 4 hops corner to corner
-        m.alltoallv(send)
-        t_far = m.clocks[0].category("comm")
-        m2 = Machine(9, topology=Mesh2D(3, 3))
-        send = [[None] * 9 for _ in range(9)]
-        send[0][1] = np.zeros(100)  # 1 hop
-        m2.alltoallv(send)
-        t_near = m2.clocks[0].category("comm")
-        assert t_far > t_near
 
 
 class TestProgramRedistribute:

@@ -285,11 +285,10 @@ class TestRaggedBounds:
 
     def both_refuse(self, backend, source, bindings, match):
         prog = compile_program(source)
-        with ProgramInstance(
-                prog, ExecutionContext.resolve(Machine(2), backend),
-                bindings) as inst:
-            with pytest.raises(ExecutionError, match=match):
-                inst.execute()
+        inst = ProgramInstance(
+            prog, ExecutionContext.resolve(Machine(2), backend), bindings)
+        with pytest.raises(ExecutionError, match=match):
+            inst.execute()
         with pytest.raises(ExecutionError, match=match):
             interpret_sequential(prog, bindings)
 
@@ -327,15 +326,15 @@ class TestRaggedBounds:
             b["vel"] = [r.astype(dtype) for r in b["vel"]]
             b["icell"] = [r.astype(np.int32) for r in b["icell"]]
             m = Machine(2)
-            with ProgramInstance(
-                    prog, ExecutionContext.resolve(m, backend), b) as inst:
-                assert all(r.dtype == dtype for r in inst.get_array("vel"))
-                inst.execute()
-                assert all(r.dtype == np.int32
-                           for r in inst.get_array("icell"))
-                moved = inst.get_array("vel")
-                assert all(r.dtype == np.float64 for r in moved)
-                assert [len(r) for r in moved] == [2, 2, 1, 1]
+            inst = ProgramInstance(
+                prog, ExecutionContext.resolve(m, backend), b)
+            assert all(r.dtype == dtype for r in inst.get_array("vel"))
+            inst.execute()
+            assert all(r.dtype == np.int32
+                       for r in inst.get_array("icell"))
+            moved = inst.get_array("vel")
+            assert all(r.dtype == np.float64 for r in moved)
+            assert [len(r) for r in moved] == [2, 2, 1, 1]
             cost[dtype] = (m.traffic.snapshot(), m.execution_time())
         assert cost[np.float64] == cost[np.float32]
 

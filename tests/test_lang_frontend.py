@@ -12,6 +12,7 @@ from repro.lang import (
 )
 from repro.lang.ast_nodes import (
     AlignStmt,
+    ArrayDecl,
     ArrayRef,
     BinOp,
     DecompositionStmt,
@@ -57,7 +58,7 @@ class TestTokenizer:
 class TestParser:
     def test_declarations_multiple_names(self):
         prog = parse_program("REAL*8 x(10), y(10)\nINTEGER k(5)")
-        decls = prog.declarations()
+        decls = [s for s in prog.statements if isinstance(s, ArrayDecl)]
         assert [d.name for d in decls] == ["x", "y", "k"]
         assert decls[2].dtype == "integer"
         assert decls[0].shape == (10,)
@@ -94,7 +95,7 @@ class TestParser:
             "FORALL i = 1, 10\n  FORALL j = 1, 5\n    x(j) = 1\n"
             "  END DO\nEND DO"
         )
-        outer = prog.loops()[0]
+        outer, = prog.statements
         assert outer.var == "i"
         inner = outer.body[0]
         assert isinstance(inner, Forall) and inner.var == "j"
@@ -103,7 +104,7 @@ class TestParser:
         prog = parse_program(
             "FORALL i = 1, 4\n  REDUCE(SUM, x(ia(i)), y(ib(i)) * 2)\nEND DO"
         )
-        red = prog.loops()[0].body[0]
+        red = prog.statements[0].body[0]
         assert isinstance(red, Reduce) and red.op == "SUM"
         assert isinstance(red.target, ArrayRef)
         assert isinstance(red.value, BinOp)

@@ -301,8 +301,8 @@ def owner_map(layout, rng, n, p):
 def run_on(run, make, names):
     """``make(ctx)`` builds and drives one program instance on ``run``'s
     context; returns its ``names`` arrays for the oracle."""
-    with make(run.ctx) as inst:
-        return {name: inst.get_array(name) for name in names}
+    inst = make(run.ctx)
+    return {name: inst.get_array(name) for name in names}
 
 
 LAYOUTS = st.sampled_from(["block", "map", "empty_rank"])
@@ -446,17 +446,19 @@ class TestPinnedSimulatedCost:
         jnb = rng.integers(1, n + 1, int(deg.sum()))
         prog = compile_program(charmm_source(n, jnb.size, n + 1))
         m = Machine(p)
-        with ProgramInstance(prog, ExecutionContext.resolve(m, backend), dict(
-                x=rng.standard_normal(n), y=rng.standard_normal(n),
-                dx=np.zeros(n), dy=np.zeros(n), map=rng.integers(0, p, n),
-                jnb=jnb, inblo=inblo)) as inst:
-            inst.execute()
-            loop = prog.loop_ids()[0]
-            inst.run_loop(loop)
-            inst.set_array("map", rng.integers(0, p, n))
-            inst.redistribute("reg", "map")
-            inst.run_loop(loop)
-            inst.run_loop(loop)
+        inst = ProgramInstance(prog, ExecutionContext.resolve(m, backend),
+                               dict(x=rng.standard_normal(n),
+                                    y=rng.standard_normal(n),
+                                    dx=np.zeros(n), dy=np.zeros(n),
+                                    map=rng.integers(0, p, n),
+                                    jnb=jnb, inblo=inblo))
+        inst.execute()
+        loop = prog.loop_ids()[0]
+        inst.run_loop(loop)
+        inst.set_array("map", rng.integers(0, p, n))
+        inst.redistribute("reg", "map")
+        inst.run_loop(loop)
+        inst.run_loop(loop)
         self.check(m, 384, 24584, 0.02066273)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -466,19 +468,20 @@ class TestPinnedSimulatedCost:
         sizes = rng.integers(0, 7, nc).astype(np.int64)
         prog = compile_program(TestDsmcTemplate.SRC.format(nc=nc))
         m = Machine(p)
-        with ProgramInstance(prog, ExecutionContext.resolve(m, backend), dict(
-                size=sizes, vel=[rng.standard_normal(s) for s in sizes],
-                icell=[rng.integers(1, nc + 1, s) for s in sizes],
-                new_size=np.zeros(nc))) as inst:
-            inst.execute()
-            for _ in range(2):
-                sizes = np.asarray(inst.get_array("new_size"),
-                                   dtype=np.int64)
-                inst.set_array("size", sizes)
-                inst.set_array("icell", [rng.integers(1, nc + 1, s)
-                                         for s in sizes])
-                for loop in prog.loop_ids():
-                    inst.run_loop(loop)
+        inst = ProgramInstance(
+            prog, ExecutionContext.resolve(m, backend),
+            dict(size=sizes, vel=[rng.standard_normal(s) for s in sizes],
+                 icell=[rng.integers(1, nc + 1, s) for s in sizes],
+                 new_size=np.zeros(nc)))
+        inst.execute()
+        for _ in range(2):
+            sizes = np.asarray(inst.get_array("new_size"),
+                               dtype=np.int64)
+            inst.set_array("size", sizes)
+            inst.set_array("icell", [rng.integers(1, nc + 1, s)
+                                     for s in sizes])
+            for loop in prog.loop_ids():
+                inst.run_loop(loop)
         self.check(m, 224, 5952, 0.010246289999999995)
 
 

@@ -9,11 +9,12 @@ from repro.apps.dsmc import CartesianGrid, DSMCConfig, ParallelDSMC, SequentialD
 from repro.core import (
     ChaosRuntime,
     IrregularReduction,
-    Schedule,
     gather,
     split_by_block,
 )
 from repro.sim import Machine
+
+from csr_helpers import empty_schedule
 
 
 class TestEmptySchedule:
@@ -21,7 +22,7 @@ class TestEmptySchedule:
         rt = ChaosRuntime(machine4)
         tt = rt.irregular_table(rng.integers(0, 4, 10))
         x = rt.distribute(rng.standard_normal(10), tt)
-        sched = Schedule.empty(4)
+        sched = empty_schedule(4)
         machine4.reset_traffic()
         ghosts = gather(rt.ctx, sched, x.local)
         assert machine4.traffic.n_messages == 0

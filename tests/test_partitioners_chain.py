@@ -75,7 +75,8 @@ class TestChainPartitioner:
         coords = rng.random((500, 2))
         w = rng.random(500) + 0.1
         res = ChainPartitioner(axis=0).partition(coords, 8, w)
-        assert res.imbalance(w) < 1.35
+        part = np.bincount(res.labels, weights=w, minlength=8)
+        assert part.max() / part.mean() < 1.35
 
     def test_bad_axis_rejected(self, rng):
         with pytest.raises(ValueError):

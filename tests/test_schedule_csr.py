@@ -12,6 +12,7 @@ lists, merged and incremental schedules, empty ranks and
 import numpy as np
 import pytest
 from csr_helpers import (
+    empty_schedule,
     lightweight_from_pairs,
     place_pair_views,
     recv_pair_views,
@@ -26,7 +27,6 @@ from repro.core import (
     ChaosRuntime,
     CommPlan,
     ExecutionContext,
-    Schedule,
     build_lightweight_schedule,
     build_schedule,
     chaos_hash,
@@ -175,7 +175,7 @@ class TestScheduleCSR:
         _check_csr_invariants(sched)
         assert sched.total_elements() == 0
         assert sched.total_messages() == 0
-        assert observe(sched) == observe(Schedule.empty(4))
+        assert observe(sched) == observe(empty_schedule(4))
 
 
 class TestLightweightCSR:

@@ -45,7 +45,7 @@ class TestDrainAdmission:
             srv = ProgramServer()
             h = await srv.submit(halo_job(seed=1))
             await srv.drain()
-            assert srv.draining
+            assert srv.stats()["draining"]
             with pytest.raises(ServerClosed):
                 await srv.submit(halo_job(seed=2))
             v = h.verdict
@@ -76,7 +76,7 @@ class TestDrainAdmission:
             srv = ProgramServer()
             h = await srv.submit(sleeper_job(0.3, name="finisher"))
             await asyncio.sleep(0.05)
-            assert h.status is JobStatus.RUNNING
+            assert srv.stats()["by_status"] == {"running": 1}
             await srv.close()
             return h.verdict
 

@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from repro.sim import IPSC860, Machine, Mesh2D, TrafficStats
+from repro.sim import IPSC860, Machine, TrafficStats
 from repro.sim.message import Message
 
 
@@ -13,10 +13,6 @@ class TestMachineBasics:
     def test_needs_positive_ranks(self):
         with pytest.raises(ValueError):
             Machine(0)
-
-    def test_topology_size_checked(self):
-        with pytest.raises(ValueError):
-            Machine(4, topology=Mesh2D(3, 3))
 
     def test_check_rank(self, machine4):
         assert machine4.check_rank(3) == 3
@@ -93,6 +89,18 @@ class TestAlltoallv:
         send[1][0] = np.ones((5, 3))
         recv = machine4.alltoallv(send)
         assert recv[0][1].shape == (5, 3)
+
+    def test_hypercube_hops_charged(self):
+        """A message between hypercube labels that differ in three bits
+        pays two more hops than one to a neighbour."""
+        times = {}
+        for dst in (1, 7):
+            m = Machine(8)
+            send = [[None] * 8 for _ in range(8)]
+            send[0][dst] = np.zeros(100)
+            m.alltoallv(send)
+            times[dst] = m.clocks[0].category("comm")
+        assert times[7] - times[1] == pytest.approx(2 * IPSC860.gamma)
 
 
 class TestLengthExchange:

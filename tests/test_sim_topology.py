@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import FullCrossbar, Hypercube, Mesh2D
+from repro.sim import FullCrossbar, Hypercube
 from repro.sim.topology import default_topology
 
 
@@ -38,23 +38,6 @@ class TestHypercube:
             h.hops(-1, 0)
 
 
-class TestMesh2D:
-    def test_coords_roundtrip(self):
-        m = Mesh2D(3, 4)
-        for r in range(12):
-            row, col = m.coords(r)
-            assert row * 4 + col == r
-
-    def test_manhattan_hops(self):
-        m = Mesh2D(4, 4)
-        assert m.hops(0, 15) == 6  # (0, 0) to (3, 3)
-        assert m.hops(5, 5) == 0
-
-    def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            Mesh2D(0, 4)
-
-
 class TestFullCrossbar:
     def test_single_hop(self):
         x = FullCrossbar(5)
@@ -85,8 +68,6 @@ def _scalar_hop_matrix(topo):
 TOPOLOGIES = {
     **{f"hypercube-{p}": (Hypercube, p) for p in (1, 2, 8, 128)},
     **{f"crossbar-{p}": (FullCrossbar, p) for p in (1, 2, 8, 128)},
-    **{f"mesh-{r}x{c}": (Mesh2D, r, c)
-       for r, c in ((1, 1), (1, 2), (2, 4), (8, 16), (5, 3))},
 }
 
 

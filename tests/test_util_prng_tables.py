@@ -8,24 +8,31 @@ from repro.util import (
     hash_permutation_key,
     hash_uniform,
     hash_unit_vector,
-    splitmix64,
 )
+from repro.util.prng import _mix, _splitmix64_int
+
+
+def _splitmix64(n: int) -> np.ndarray:
+    """The SplitMix64 finalizer of ``0 .. n-1`` on a fresh array."""
+    return _mix(np.arange(n, dtype=np.uint64))
 
 
 class TestSplitMix:
     def test_deterministic(self):
-        assert splitmix64(42) == splitmix64(42)
-        a = splitmix64(np.arange(10))
-        b = splitmix64(np.arange(10))
-        assert np.array_equal(a, b)
+        assert _splitmix64_int(42) == _splitmix64_int(42)
+        assert np.array_equal(_splitmix64(10), _splitmix64(10))
+        assert np.array_equal(_splitmix64(10),
+                              splitmix64(np.arange(10, dtype=np.uint64)))
 
     def test_scalar_vs_array_consistent(self):
-        arr = splitmix64(np.array([7]))
-        assert splitmix64(7) == arr[0]
+        """The Python-int path folds scalar keys; it must be the array
+        path bit for bit."""
+        arr = _splitmix64(1000)
+        assert [_splitmix64_int(k) for k in (0, 7, 999)] \
+            == arr[[0, 7, 999]].tolist()
 
     def test_different_inputs_differ(self):
-        vals = splitmix64(np.arange(1000))
-        assert np.unique(vals).size == 1000
+        assert np.unique(_splitmix64(1000)).size == 1000
 
 
 class TestHashUniform:
@@ -52,6 +59,16 @@ class TestHashUniform:
     def test_mean_near_half(self):
         u = hash_uniform(3, np.arange(100000))
         assert abs(u.mean() - 0.5) < 0.01
+
+
+def splitmix64(x):
+    """Reference SplitMix64 over uint64 values (a scalar gives a scalar),
+    written out from the published constants."""
+    z = np.array(x, dtype=np.uint64, ndmin=1) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return z if np.ndim(x) else z[0]
 
 
 def _reference_combine(*keys):
@@ -124,7 +141,8 @@ class TestCombineMatchesReference:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_velocities_use_the_same_streams(self, dim):
-        from repro.apps.dsmc import FlowConfig, make_velocities
+        from repro.apps.dsmc import FlowConfig
+        from repro.apps.dsmc.particles import _uniforms, _velocities
 
         flow = FlowConfig(seed=5)
         uniform = _reference_uniform
@@ -136,7 +154,8 @@ class TestCombineMatchesReference:
                 np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
         drifting = uniform(flow.seed, _IDS, 17) < flow.drift_fraction
         expect[:, 0] += np.where(drifting, flow.drift_speed, 0.0)
-        assert np.array_equal(make_velocities(_IDS, dim, flow), expect)
+        got = _velocities(_uniforms(_IDS, flow), _IDS.size, dim, flow)
+        assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("keys", [(4, 9), (4, _IDS), (_IDS, 9, 2)])
     def test_unit_vectors_use_the_same_streams(self, keys):
