@@ -156,19 +156,6 @@ ALLOWLIST: dict[str, str] = {
         "repro.core.distribution:CyclicDistribution.owner",
         "repro.core.distribution:CyclicDistribution.local_index",
     ),
-    # core/verify.py and the accessors only it reaches
-    **_each(
-        "roadmap-4a",
-        "repro.core.verify:check_distribution",
-        "repro.core.verify:check_schedule",
-        "repro.core.verify:check_schedule_against_hash_tables",
-        "repro.core.verify:check_hash_tables",
-        "repro.core.verify:check_translation_table",
-        "repro.core.distribution:Distribution.global_indices",
-        "repro.core.hashtable:DictKeyStore.live",
-        "repro.core.hashtable:DirectKeyStore.live",
-        "repro.core.translation:TranslationTable.offset_local",
-    ),
     "repro.core.backends.serial:SerialBackend.remap_array": "roadmap-8",
     # the clock and traffic accessors of the trace/metrics spine
     **_each(

@@ -88,13 +88,6 @@ from repro.core.reuse import (
     value_nbytes,
 )
 from repro.core.api import ChaosRuntime, DistributedArray, IrregularReduction
-from repro.core.verify import (
-    check_distribution,
-    check_hash_tables,
-    check_schedule,
-    check_schedule_against_hash_tables,
-    check_translation_table,
-)
 
 __all__ = [
     "ExecutionContext",
@@ -159,9 +152,4 @@ __all__ = [
     "ChaosRuntime",
     "DistributedArray",
     "IrregularReduction",
-    "check_distribution",
-    "check_hash_tables",
-    "check_schedule",
-    "check_schedule_against_hash_tables",
-    "check_translation_table",
 ]

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.backends.base import Backend, _builtin
-from repro.core.compiled import RankArena
+from repro.core.compiled import RankArena, _read_only
 from repro.core.hashtable import DictKeyStore, stream_of
 
 
@@ -160,8 +160,8 @@ class SerialBackend(Backend):
             counts.T, *map(np.concatenate, zip(*stored)), group.n_ghost,
             group.n_local)
         # the reference's own streams: derived ones must equal them
-        sched.send, sched.place = map(np.concatenate, (send_indices,
-                                                       recv_slots))
+        sched.send, sched.place = (_read_only(np.concatenate(s))
+                                   for s in (send_indices, recv_slots))
         return sched
 
     # ------------------------------------------------------------------

@@ -13,8 +13,8 @@ those parts the way their kind does; all three are built by
 on.  Everything else is derived once and cached on the plan: the
 paper's flat *send stream* (sender-major, destination-minor) and
 *receive stream* (receiver-major, source-minor), per-rank offsets and
-per-rank / per-pair views of them (for the serial reference, the
-validators and tests), the per-rank index maxima the executor
+per-rank / per-pair views of them (for the serial reference and
+tests), the per-rank index maxima the executor
 bounds-checks against, the composed index pairs of
 :meth:`CommPlan.move` — the stored order shifted into the layouts a
 stage runs on — and the vectorized executor's stage charges.  With
@@ -183,6 +183,12 @@ def _holding(bound: int):
     return np.int32 if bound <= 1 << 31 else np.int64
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only (a plan's buffers and derived streams)."""
+    a.flags.writeable = False
+    return a
+
+
 def _rank_max(flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Largest entry of each rank's segment of a rank-major stream
     (-1 for an empty segment)."""
@@ -224,10 +230,11 @@ class CommPlan:
     aligned element-wise with the senders' segments).
 
     Built by :meth:`from_slot_order` only (from streams it is a
-    ``TypeError``).  A plan is immutable by convention: everything
-    derived from it is cached on it.  The per-rank and per-pair
-    accessors are views of the flat buffers; a write through one (the
-    validators' tests corrupt plans that way) is a write into the plan.
+    ``TypeError``).  A plan is immutable: its buffers, the streams and
+    offsets derived from them and the per-rank and per-pair views of
+    those are read-only, so a write through any of them is a
+    ``ValueError``, and everything derived from the plan is cached on
+    it.
     """
 
     counts: np.ndarray
@@ -295,11 +302,13 @@ class CommPlan:
             raise ValueError(f"a {cls.__name__} moves every local row once "
                              "and fills every placed row")
         plan = cls.__new__(cls)
-        plan.counts = np.ascontiguousarray(counts, dtype=np.int64)
-        plan.extent = extent.astype(np.int64)  # own copy
-        plan.order = SlotOrder(rows.astype(_holding(n_local), copy=False),
-                               slots.astype(_holding(n_placed), copy=False),
-                               tuple(local.tolist()))
+        plan.counts = _read_only(np.ascontiguousarray(counts,
+                                                      dtype=np.int64))
+        plan.extent = _read_only(extent.astype(np.int64))  # own copy
+        plan.order = SlotOrder(
+            _read_only(rows.astype(_holding(n_local), copy=False)),
+            _read_only(slots.astype(_holding(n_placed), copy=False)),
+            tuple(local.tolist()))
         plan._moves, plan._charges = {}, {}
         return plan
 
@@ -312,40 +321,40 @@ class CommPlan:
     def send_offsets(self) -> np.ndarray:
         """``(P, P + 1)``: row ``p`` delimits rank ``p``'s send segment
         for each destination."""
-        return row_offsets(self.counts)
+        return _read_only(row_offsets(self.counts))
 
     @cached_property
     def place_offsets(self) -> np.ndarray:
         """``(P, P + 1)``: row ``p`` delimits rank ``p``'s placement
         segment from each source."""
-        return row_offsets(self.counts.T)
+        return _read_only(row_offsets(self.counts.T))
 
     @cached_property
     def send_base(self) -> np.ndarray:
         """``(P + 1,)``: each rank's slice of the send stream."""
-        return offsets_from_counts(self.counts.sum(axis=1))
+        return _read_only(offsets_from_counts(self.counts.sum(axis=1)))
 
     @cached_property
     def recv_base(self) -> np.ndarray:
         """``(P + 1,)``: each rank's slice of the receive stream (and of
         the stored order)."""
-        return offsets_from_counts(self.counts.sum(axis=0))
+        return _read_only(offsets_from_counts(self.counts.sum(axis=0)))
 
     # -- the paper's streams, derived from the stored order --------------
     @cached_property
     def send(self) -> np.ndarray:
         """Sender-major send stream, derived."""
         owner = self._owners
-        return self._by_pair(owner, self._receivers,
-                             self.order.rows - self._local_base[owner])
+        return _read_only(self._by_pair(
+            owner, self._receivers, self.order.rows - self._local_base[owner]))
 
     @cached_property
     def place(self) -> np.ndarray:
         """Receiver-major receive stream, derived."""
         recv = self._receivers
-        return self._by_pair(
+        return _read_only(self._by_pair(
             recv, self._owners,
-            self.order.slots - offsets_from_counts(self.extent)[recv])
+            self.order.slots - offsets_from_counts(self.extent)[recv]))
 
     @cached_property
     def _local_base(self) -> np.ndarray:

@@ -54,8 +54,15 @@ class Layout:
         """The layout of the owner map ``owners`` (taken, not copied).
         Without ``offsets`` they ascend with the global index within each
         owner: one stable sort of the map, narrowed to the smallest type
-        that holds a rank (which numpy radix-sorts)."""
+        that holds a rank (which numpy radix-sorts).  Given ``offsets``
+        (a rule's), an owner outside ``[0, n_ranks)``, an offset outside
+        its owner's ``[0, size)`` or two elements at one offset is a
+        ``ValueError``."""
         n = owners.size
+        if offsets is not None and (owners.min(initial=0) < 0
+                                    or owners.max(initial=0) >= n_ranks):
+            raise ValueError(
+                f"an owner outside the rank range [0, {n_ranks})")
         sizes = np.bincount(owners, minlength=n_ranks)
         starts = offsets_from_counts(sizes)
         if offsets is None:
@@ -64,8 +71,12 @@ class Layout:
             offsets = np.empty(n, dtype=np.int64)
             offsets[order] = np.arange(n) - np.repeat(starts[:-1], sizes)
         else:
+            if ((offsets < 0) | (offsets >= sizes[owners])).any():
+                raise ValueError("a local offset outside its owner's size")
             order = np.full(n, -1, dtype=np.int64)
             order[starts[owners] + offsets] = np.arange(n)
+            if (order < 0).any():
+                raise ValueError("two elements at one local offset")
         layout = cls(order, sizes, starts, owners, offsets)
         for arr in (order, sizes, starts, owners, offsets):
             arr.flags.writeable = False
@@ -113,15 +124,8 @@ class Distribution(ABC):
 
     def local_size(self, rank: int) -> int:
         """Number of elements owned by ``rank`` (a negative rank wraps,
-        as in :meth:`global_indices`)."""
+        as in a sequence; past the ranks it is an ``IndexError``)."""
         return int(self.local_sizes()[range(self.n_ranks)[rank]])
-
-    def global_indices(self, rank: int) -> np.ndarray:
-        """Global indices owned by ``rank`` in local-offset order (a
-        read-only view of the layout's ``order``)."""
-        rank = range(self.n_ranks)[rank]
-        starts = self.layout.starts
-        return self.layout.order[starts[rank]:starts[rank + 1]]
 
     def check_indices(self, indices) -> np.ndarray:
         """``indices`` as int64, each in range.  A non-empty array whose
@@ -178,13 +182,18 @@ class IrregularDistribution(Distribution):
     """Distribution defined by an explicit per-element owner map.
 
     Local offsets follow ascending global index within each owner, the
-    CHAOS/PARTI convention.  The layout is built at construction and
-    owner and offset lookups read it (the
+    CHAOS/PARTI convention.  A non-empty map that is not integer (float,
+    bool, ...) is a ``TypeError``, never truncated.  The layout is built
+    at construction and owner and offset lookups read it (the
     :class:`~repro.core.translation.TranslationTable` decides how it is
     stored and what lookups cost)."""
 
     def __init__(self, map_array, n_ranks: int):
-        owners = np.array(map_array, dtype=np.int64)
+        owners = np.asarray(map_array)
+        if owners.dtype.kind not in "iu" and owners.size:
+            raise TypeError(
+                f"map entries must be integers, not {owners.dtype}")
+        owners = owners.astype(np.int64)  # own copy: the layout takes it
         if owners.ndim != 1:
             raise ValueError(f"map array must be 1-D, got shape {owners.shape}")
         super().__init__(owners.size, n_ranks)

@@ -26,7 +26,7 @@ in rank order, plus the per-rank ``sizes`` — and walk it in cache-sized
 blocks of consecutive ranks, so hashing, re-hashing, clearing and
 schedule building cost a number of numpy passes set by the amount of
 data, not by the rank count.  The group is the one handle the inspector
-primitives, the backends and :mod:`repro.core.verify` take.
+primitives and the backends take.
 
 Two key stores implement the stream interface; callers choose the rows,
 so the choice is invisible above: :class:`DirectKeyStore`, one flat map
@@ -260,10 +260,6 @@ class DictKeyStore:
         for d, seg in self._segments(keys, sizes):
             d.update(zip(seg, rows))
 
-    def live(self) -> np.ndarray:
-        """Live keys per rank."""
-        return np.array([len(d) for d in self._row_of], dtype=np.int64)
-
 
 def _outside(key: int, n_keys: int) -> str:
     return f"global index {key} outside the key range [0, {n_keys})"
@@ -360,12 +356,6 @@ class DirectKeyStore:
         if top >= np.iinfo(self._rows.dtype).max:
             self._rows = self._rows.astype(np.int32)
         self._rows[pos] = rows + 1
-
-    def live(self) -> np.ndarray:
-        """Live keys per rank (the nonzero entries of each rank's
-        slice)."""
-        return np.count_nonzero(
-            self._rows[:-1].reshape(self.n_ranks, self.n_keys), axis=1)
 
 
 # ----------------------------------------------------------------------

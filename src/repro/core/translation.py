@@ -250,10 +250,6 @@ class TranslationTable:
         """Uncharged owner lookup (host-side convenience for tests/apps)."""
         return self.dist.layout.owners[self.dist.check_indices(indices)]
 
-    def offset_local(self, indices) -> np.ndarray:
-        """Uncharged offset lookup (host-side convenience)."""
-        return self.dist.layout.offsets[self.dist.check_indices(indices)]
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"TranslationTable(n={self.dist.n_global}, storage={self.storage!r},"

@@ -6,7 +6,8 @@ the tuple per file.  The backend contract itself is checked in one
 place, the differential oracle in ``tests/oracle.py``.
 ``count_calls`` is the probe of the shape tests (host work that must not
 grow with the rank count); ``block_table`` and ``cyclic_table`` build the
-regular translation tables tests use as fixtures.
+regular translation tables tests use as fixtures; ``global_indices`` and
+``assert_layout_follows_rule`` read a distribution's layout.
 """
 
 import gc
@@ -74,6 +75,26 @@ def cyclic_table(machine, n_global: int) -> TranslationTable:
     """A translation table of CYCLIC over ``machine``'s ranks."""
     return TranslationTable(machine,
                             CyclicDistribution(n_global, machine.n_ranks))
+
+
+def global_indices(dist, rank: int) -> np.ndarray:
+    """The global indices ``rank`` owns, in local-offset order: its
+    segment of the layout's ``order``."""
+    starts = dist.layout.starts
+    return dist.layout.order[starts[rank]:starts[rank + 1]]
+
+
+def assert_layout_follows_rule(dist) -> None:
+    """``dist``'s layout places every element where its rule does, lists
+    each rank's elements in local-offset order and has the rule's local
+    sizes."""
+    g = np.arange(dist.n_global, dtype=np.int64)
+    layout = dist.layout
+    assert np.array_equal(layout.owners, dist.owner(g))
+    assert np.array_equal(layout.offsets, dist.local_index(g))
+    assert np.array_equal(dist.local_sizes(), layout.sizes)
+    assert np.array_equal(
+        layout.order[layout.starts[layout.owners] + layout.offsets], g)
 
 
 def pytest_addoption(parser):

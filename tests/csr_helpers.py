@@ -12,11 +12,14 @@ per-pair views; :func:`empty_schedule` is the schedule that moves
 nothing.  :func:`compose_from_streams` is the executor pair
 composed the long way, from the derived streams, as an independent
 reference for :meth:`~repro.core.compiled.CommPlan._compose`.
+:func:`assert_read_only` writes through every buffer and per-rank view
+of a plan.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core import LightweightSchedule, RemapPlan, Schedule
 
@@ -156,3 +159,23 @@ def recv_pair_views(plan) -> list[list[np.ndarray]]:
 
 
 place_pair_views = recv_pair_views
+
+
+def assert_read_only(plan, send="send_rows", place="place_rows") -> None:
+    """A write through any of ``plan``'s buffers, offsets or per-rank
+    views (``send`` and ``place`` name the views its kind reads) raises
+    ``ValueError`` and leaves the plan as it was.  ``plan`` must move
+    something."""
+    def buffers():
+        return (plan.counts, plan.extent, *plan.order[:2], plan.send,
+                plan.place, plan.send_offsets, plan.place_offsets)
+
+    before = [a.copy() for a in buffers()]
+    sender = int(np.argmax(plan.counts.sum(axis=1)))
+    receiver = int(np.argmax(plan.counts.sum(axis=0)))
+    for a in (getattr(plan, send)[sender], getattr(plan, place)[receiver],
+              *buffers()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0] + 1
+    for a, b in zip(before, buffers()):
+        assert np.array_equal(a, b)

@@ -31,7 +31,11 @@ Every backend reads the same stored plans, so a wrong plan gives them
 all the same wrong answer.  Where a move's result follows from the
 global data alone — a remap, an append — :func:`remap_reference` and
 :func:`append_reference` compute it without any plan, a reference
-outside the backend pair.
+outside the backend pair; so does :func:`fetch_reference` for what a
+schedule fetches (:func:`assert_fetches`), from the global index arrays
+hashed under its stamps.  :func:`check_hash_tables` checks the
+invariants of a table group after any sequence of hashes, delta
+re-hashes and clears.
 """
 
 import itertools
@@ -131,6 +135,97 @@ def append_reference(values, dest_ranks) -> list:
             np.asarray(values[p])[np.asarray(dest_ranks[p]) == q]
             for p in sources]))
     return out
+
+
+def fetch_reference(dist, selected, excluded=()) -> list:
+    """What a schedule of the stamps ``selected`` minus the stamps
+    ``excluded`` fetches, from the global index arrays and the layout
+    alone: per rank ``p``, ascending, the distinct global indices that
+    some array of ``selected`` references on ``p`` and no array of
+    ``excluded`` does, owned by another rank.  Each array is a list of
+    per-rank global index arrays (an indirection array as hashed)."""
+    def on(arrays, p):
+        return np.unique(np.concatenate(
+            [np.zeros(0, np.int64)]
+            + [np.asarray(a[p], dtype=np.int64) for a in arrays]))
+    out = []
+    for p in range(dist.n_ranks):
+        refs = np.setdiff1d(on(selected, p), on(excluded, p))
+        out.append(refs[dist.layout.owners[refs] != p])
+    return out
+
+
+def assert_fetches(sched, dist, selected, excluded=()) -> None:
+    """``sched`` fetches exactly :func:`fetch_reference`'s set: per
+    receiver, the global indices of its entries' owner rows hold no
+    duplicate and are the distinct off-processor references."""
+    want = fetch_reference(dist, selected, excluded)
+    base = sched.recv_base
+    for p in range(dist.n_ranks):
+        got = dist.layout.order[sched.order.rows[base[p]:base[p + 1]]]
+        assert np.unique(got).size == got.size, \
+            f"rank {p} fetches an element twice"
+        assert np.array_equal(np.sort(got), want[p]), \
+            f"rank {p} fetches {np.sort(got)}, not {want[p]}"
+
+
+def live_keys(store, below=None) -> np.ndarray:
+    """A key store's live keys per rank, by looking up every key of
+    every rank (every key ``< below``, if given)."""
+    n, k = store.n_ranks, store.n_keys if below is None else below
+    rows = store.lookup(np.tile(np.arange(k), n), np.full(n, k))
+    return np.count_nonzero(rows.reshape(n, k) >= 0, axis=1)
+
+
+def check_hash_tables(group) -> list[str]:
+    """Internal invariants of a table group, rank by rank: every row's
+    key probes back to its row; every cell holds a value its narrow
+    column can carry (``0 <= g < n_keys``, ``0 <= proc < n_ranks``,
+    ``0 <= off < n_local[proc]``, refcounts ``>= 0``); the off-processor
+    rows, in row order, hold the ghost slots ``0 .. n_ghost - 1`` (the
+    order :func:`~repro.core.schedule.delta_rebuild_schedule` relies on) and
+    the owned rows none; a counted stamp's refcount is positive exactly
+    where its bit is set; the key store holds exactly one key per
+    row.  Returns the problems found (empty = OK)."""
+    problems: list[str] = []
+    if np.any(live_keys(group.store) != group.n_entries):
+        problems.append("key store and tables disagree on the live counts")
+    # every rank's keys as one stream: rank p's rows probe back to 0..ne-1
+    keys = np.concatenate([group.g[p, :ne]
+                           for p, ne in enumerate(group.n_entries)])
+    probed = np.split(group.store.lookup(keys, group.n_entries),
+                      np.cumsum(group.n_entries)[:-1])
+    n_keys = group.store.n_keys
+    for p, ne in enumerate(group.n_entries.tolist()):
+        if not np.array_equal(probed[p], np.arange(ne)):
+            problems.append(f"rank {p}: a row's key does not probe back "
+                            "to its row")
+        g, proc, off = (group.g[p, :ne], group.proc[p, :ne],
+                        group.off[p, :ne])
+        if ne and (g.min() < 0 or g.max() >= n_keys):
+            problems.append(f"rank {p}: global index outside [0, {n_keys})")
+        if ne and (proc.min() < 0 or proc.max() >= group.n_ranks):
+            problems.append(f"rank {p}: owner outside [0, {group.n_ranks})")
+        elif ne and ((off < 0) | (off >= group.n_local[proc])).any():
+            problems.append(f"rank {p}: offset outside its owner's local "
+                            "size")
+        bufs, ghost = group.buf[p, :ne], proc != p
+        if not np.array_equal(bufs[ghost], np.arange(group.n_ghost[p])):
+            problems.append(f"rank {p}: off-processor rows do not hold "
+                            f"the ghost slots 0..{group.n_ghost[p] - 1} "
+                            "in row order")
+        if (bufs[~ghost] != -1).any():
+            problems.append(f"rank {p}: ghost slot on an owned entry")
+        for name in filter(group.counted, group.registry.names()):
+            bit = group.registry.mask_of(name)
+            counts = group.ref_plane(name)[p, :ne]
+            if ne and counts.min() < 0:
+                problems.append(f"rank {p}: stamp {name!r} has a negative "
+                                "refcount")
+            if np.any((counts > 0) != ((group.mask[p, :ne] & bit) != 0)):
+                problems.append(f"rank {p}: stamp {name!r} refcounts and "
+                                "mask bits disagree")
+    return problems
 
 
 def _primitive(ctx, phase, category):

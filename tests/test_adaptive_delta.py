@@ -27,8 +27,6 @@ from repro.core import (
     allocate_ghosts,
     build_schedule,
     chaos_hash,
-    check_hash_tables,
-    check_schedule_against_hash_tables,
     clear_stamp,
     delta_rebuild_schedule,
     gather,
@@ -41,7 +39,13 @@ from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
 from csr_helpers import empty_schedule
-from oracle import check, cold_build, observe
+from oracle import (
+    assert_fetches,
+    check,
+    check_hash_tables,
+    cold_build,
+    observe,
+)
 
 
 def _cold_env(ctx, seed, n, per_rank):
@@ -617,14 +621,16 @@ def _assert_reduces(rt, tt, loop, ia, ib, rng):
     assert np.allclose(x.to_global(), x_g, rtol=1e-10)
 
 
-def _assert_full_build(rt, tt, loop):
+def _assert_full_build(rt, tt, loop, ia, ib):
     """The last adapt ran the full build: the loop's schedule is a cold
-    build of its live tables, counted as a build."""
+    build of its live tables, counted as a build, and fetches the
+    distinct off-processor references of ``ia`` and ``ib``."""
     st = rt.cache_stats("nb")
     assert (st.builds, st.delta_rebuilds) == (2, 0)
     assert observe(loop.schedule) == observe(
         cold_build(rt, tt, "nb:ia", "nb:ib"))
     assert check_hash_tables(rt.hash_tables(tt)) == []
+    assert_fetches(loop.schedule, tt.dist, [ia, ib])
 
 
 def test_external_clear_between_build_and_delta_falls_back_to_full_build():
@@ -635,7 +641,7 @@ def test_external_clear_between_build_and_delta_falls_back_to_full_build():
     rng, rt, tt, loop, ia, ib = _nb_loop(11)
     rt.clear_stamp(tt, "nb:ia")
     _adapt_ib(rng, loop, ib)
-    _assert_full_build(rt, tt, loop)
+    _assert_full_build(rt, tt, loop, ia, ib)
     _assert_reduces(rt, tt, loop, ia, ib, rng)
 
 
@@ -656,7 +662,7 @@ def test_targeted_adapt_after_a_repair_that_raised_runs_full_build(
         with pytest.raises(TypeError, match="rehash failed"):
             _adapt_ib(rng, loop, ib)
     _adapt_ib(rng, loop, ib)
-    _assert_full_build(rt, tt, loop)
+    _assert_full_build(rt, tt, loop, ia, ib)
     _assert_reduces(rt, tt, loop, ia, ib, rng)
 
 
@@ -667,7 +673,7 @@ def test_targeted_adapt_after_binding_the_other_array_runs_full_build():
     ia = split_by_block(rng.integers(0, 60, 120), rt.machine)
     loop.bind(ia=ia)
     _adapt_ib(rng, loop, ib)
-    _assert_full_build(rt, tt, loop)
+    _assert_full_build(rt, tt, loop, ia, ib)
     _assert_reduces(rt, tt, loop, ia, ib, rng)
 
 
@@ -747,18 +753,19 @@ def test_targeted_adapt_passing_the_bound_arena_unchanged_repairs(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_validators_hold_after_every_adaptive_step(backend):
-    """The structural validators pass on the live tables and the loop's
-    schedule after each step of an adaptive run: a cold build, a delta
-    splice, an untargeted rebuild, a setup after an external stamp
-    clear and a setup after the tables were dropped."""
+    """The oracle's table invariants hold on the live tables, and the
+    loop's schedule fetches the distinct off-processor references of
+    its current arrays, after each step of an adaptive run: a cold
+    build, a delta splice, an untargeted rebuild, a setup after an
+    external stamp clear and a setup after the tables were dropped."""
     rng = np.random.default_rng(7)
     n, refs = 60, 120
     m = Machine(4)
     rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
     tt = rt.irregular_table(rng.integers(0, 4, n))
     ib = split_by_block(rng.integers(0, n, refs), m)
-    loop = IrregularReduction(rt, tt, "v").bind(
-        ia=split_by_block(rng.integers(0, n, refs), m), ib=ib)
+    arrays = {"ia": split_by_block(rng.integers(0, n, refs), m), "ib": ib}
+    loop = IrregularReduction(rt, tt, "v").bind(**arrays)
 
     def targeted():
         touched = []
@@ -767,6 +774,10 @@ def test_validators_hold_after_every_adaptive_step(backend):
             a[pos] = rng.integers(0, n, 5)
             touched.append(pos)
         loop.adapt("ib", [a.copy() for a in ib], touched=touched)
+
+    def untargeted():
+        arrays["ia"] = split_by_block(rng.integers(0, n, refs), m)
+        loop.adapt("ia", arrays["ia"])
 
     def clear_then_setup():
         rt.clear_stamp(tt, "v:ia")
@@ -779,15 +790,13 @@ def test_validators_hold_after_every_adaptive_step(backend):
     steps = [
         (loop.setup, (1, 0)),
         (targeted, (1, 1)),
-        (lambda: loop.adapt("ia", split_by_block(
-            rng.integers(0, n, refs), m)), (2, 1)),
+        (untargeted, (2, 1)),
         (clear_then_setup, (3, 1)),
         (drop_then_setup, (4, 1)),
     ]
     for step, (builds, deltas) in steps:
         step()
-        group = rt.hash_tables(tt)
-        assert check_hash_tables(group) == []
-        assert check_schedule_against_hash_tables(loop.schedule, group) == []
+        assert check_hash_tables(rt.hash_tables(tt)) == []
+        assert_fetches(loop.schedule, tt.dist, list(arrays.values()))
         st = rt.cache_stats("v")
         assert (st.builds, st.delta_rebuilds) == (builds, deltas)

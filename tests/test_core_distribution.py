@@ -6,11 +6,11 @@ import pytest
 from repro.core import (
     BlockDistribution,
     CyclicDistribution,
+    Distribution,
     IrregularDistribution,
 )
-from repro.core.verify import check_distribution
 
-from conftest import count_calls
+from conftest import assert_layout_follows_rule, count_calls
 
 
 ALL_IDX = lambda n: np.arange(n, dtype=np.int64)  # noqa: E731
@@ -34,7 +34,7 @@ class TestBlock:
 
     def test_invariants(self):
         for n, p in [(0, 3), (1, 4), (17, 5), (100, 7)]:
-            assert check_distribution(BlockDistribution(n, p)) == []
+            assert_layout_follows_rule(BlockDistribution(n, p))
 
     def test_out_of_range_rejected(self):
         d = BlockDistribution(10, 2)
@@ -46,7 +46,7 @@ class TestBlock:
     def test_more_ranks_than_elements(self):
         d = BlockDistribution(2, 5)
         assert sum(d.local_size(p) for p in range(5)) == 2
-        assert check_distribution(d) == []
+        assert_layout_follows_rule(d)
 
 
 class TestIndexDtype:
@@ -78,13 +78,9 @@ class TestIndexDtype:
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: type(d).__name__)
     def test_negative_rank_wraps(self, dist):
         assert dist.local_size(-1) == dist.local_size(1) == 5
-        assert dist.global_indices(-1).tolist() == \
-            dist.global_indices(1).tolist()
         for bad in (2, -3):
             with pytest.raises(IndexError):
                 dist.local_size(bad)
-            with pytest.raises(IndexError):
-                dist.global_indices(bad)
 
 
 class TestCyclic:
@@ -99,7 +95,7 @@ class TestCyclic:
 
     def test_invariants(self):
         for n, p in [(0, 2), (11, 3), (64, 8)]:
-            assert check_distribution(CyclicDistribution(n, p)) == []
+            assert_layout_follows_rule(CyclicDistribution(n, p))
 
     def test_sizes(self):
         d = CyclicDistribution(10, 3)
@@ -122,7 +118,7 @@ class TestIrregular:
 
     def test_invariants(self, rng):
         labels = rng.integers(0, 6, 100)
-        assert check_distribution(IrregularDistribution(labels, 6)) == []
+        assert_layout_follows_rule(IrregularDistribution(labels, 6))
 
     def test_map_out_of_range(self):
         with pytest.raises(ValueError):
@@ -136,6 +132,20 @@ class TestIrregular:
         labels = rng.integers(0, 4, 50)
         d = IrregularDistribution(labels, 4)
         assert np.array_equal(d.layout.owners, labels)
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.7, 1.2, 0.0],
+                                     np.array([0.0, np.nan]),
+                                     np.array([True, False])],
+                             ids=["float", "nan", "bool"])
+    def test_non_integer_map_rejected(self, bad):
+        """A float, NaN or bool map is a ``TypeError``, never truncated
+        to owners; an empty map of any dtype is no elements."""
+        with pytest.raises(TypeError, match="must be integers"):
+            IrregularDistribution(bad, 2)
+        for empty in ([], np.zeros(0), np.zeros(0, dtype=bool)):
+            assert IrregularDistribution(empty, 2).n_global == 0
+        assert IrregularDistribution(np.array([1, 0], dtype=np.uint8),
+                                     2).layout.owners.tolist() == [1, 0]
 
     def test_2d_map_rejected(self):
         with pytest.raises(ValueError):
@@ -171,8 +181,47 @@ class TestIrregular:
 
     def test_layout_is_read_only(self):
         d = IrregularDistribution([1, 0, 1, 0, 2], 3)
-        assert d.global_indices(1).tolist() == [0, 2]
-        for arr in (d.global_indices(1), d.local_sizes(), d.layout.owners,
+        assert d.layout.order[:2].tolist() == [1, 3]
+        for arr in (d.layout.order, d.local_sizes(), d.layout.owners,
                     d.layout.offsets, BlockDistribution(5, 2).local_sizes()):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 7
+
+
+class _Rule(Distribution):
+    """Two ranks whose owners and offsets are given element by element:
+    a rule no closed form checks."""
+
+    def __init__(self, owners, offsets):
+        super().__init__(len(owners), 2)
+        self._owners, self._offsets = np.array(owners), np.array(offsets)
+
+    def owner(self, indices):
+        return self._owners[self.check_indices(indices)]
+
+    def local_index(self, indices):
+        return self._offsets[self.check_indices(indices)]
+
+
+class TestLayoutOfARule:
+    """A rule's layout is checked where it is built: every element at
+    its own offset inside its owner's size."""
+
+    def test_valid_rule_builds(self):
+        assert_layout_follows_rule(_Rule([1, 0, 1, 0], [1, 1, 0, 0]))
+
+    def test_duplicate_offsets_rejected(self):
+        with pytest.raises(ValueError, match="two elements at one"):
+            _Rule([0, 0, 1, 1], [0, 0, 0, 1]).layout
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 0, 1], [0, 1, 0, -1]],
+                             ids=["past", "negative"])
+    def test_offset_overrunning_its_rank_rejected(self, offsets):
+        with pytest.raises(ValueError, match="outside its owner's size"):
+            _Rule([0, 0, 1, 1], offsets).layout
+
+    @pytest.mark.parametrize("owners", [[0, 0, 1, 2], [0, -1, 1, 1]],
+                             ids=["past", "negative"])
+    def test_owner_outside_the_ranks_rejected(self, owners):
+        with pytest.raises(ValueError, match="outside the rank range"):
+            _Rule(owners, [0, 1, 0, 1]).layout

@@ -30,7 +30,7 @@ from repro.core import (
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS as BACKENDS
-from oracle import check
+from oracle import check, live_keys
 
 
 class TestStampRegistry:
@@ -122,7 +122,7 @@ def _table_state(group, rank):
     return (n, group.n_ghost[rank],
             *(getattr(group, c)[rank, :n].tolist()
               for c in group._COLUMNS),
-            group.store.live().tolist())
+            live_keys(group.store).tolist())
 
 
 class TestIndexHashTable:
@@ -339,7 +339,7 @@ class TestNarrowKeyMap:
         s.insert(np.array([3]), np.array([1, 0]), np.array([row]))
         assert s._rows.nbytes == self.map_bytes(itemsize)
         assert s.lookup(*self.PROBE).tolist() == [0, 5, row, -1, -1, 3]
-        assert s.live().tolist() == [3, 1]
+        assert live_keys(s).tolist() == [3, 1]
         # a widened map keeps taking rows, small and large
         s.insert(np.array([4, 9]), np.array([0, 2]),
                  np.array([row + 1, 6]))
@@ -354,7 +354,7 @@ class TestNarrowKeyMap:
         s = self.make()
         if widened:
             s.insert(np.array([9]), np.array([1, 0]), np.array([70_000]))
-        live, nbytes = s.live().tolist(), s._rows.nbytes
+        live, nbytes = live_keys(s).tolist(), s._rows.nbytes
         probe = s.lookup(*self.PROBE).tolist()
         for keys, sizes, rows, match in [
                 ([5, 5], [2, 0], [70_000, 70_001], "duplicate insert"),
@@ -363,7 +363,7 @@ class TestNarrowKeyMap:
                 ([4], [1, 0], [(1 << 31) - 1], "int32")]:
             with pytest.raises(ValueError, match=match):
                 s.insert(np.array(keys), np.array(sizes), np.array(rows))
-            assert s.live().tolist() == live
+            assert live_keys(s).tolist() == live
             assert s._rows.nbytes == nbytes
             assert s.lookup(*self.PROBE).tolist() == probe
         s.insert(np.array([4]), np.array([1, 0]), np.array([(1 << 31) - 2]))

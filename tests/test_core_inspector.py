@@ -52,7 +52,7 @@ class TestChaosHash:
         for p in m.ranks():
             part = split_by_block(idx_g, m)[p]
             owners = tt.owner_local(part)
-            offsets = tt.offset_local(part)
+            offsets = tt.dist.layout.offsets[part]
             n_local = tt.dist.local_size(p)
             owned = owners == p
             assert np.array_equal(loc[p][owned], offsets[owned])

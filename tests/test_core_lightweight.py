@@ -5,11 +5,14 @@ import pytest
 
 from repro.core import (
     ExecutionContext,
+    LightweightSchedule,
     build_lightweight_schedule,
     scatter_append,
     scatter_append_multi,
 )
 from repro.sim import Machine
+
+from csr_helpers import assert_read_only
 
 
 class TestBuild:
@@ -190,3 +193,51 @@ class TestScatterAppend:
             ))
         assert observed[0] == observed[1]
         assert sum(shape[0] for _, shape, _ in observed[0][0]) == 29
+
+
+class TestLightweightChecks:
+    """What a validator checked of a light-weight schedule — counts
+    symmetric, every element selected once — is a constructor check, and
+    the built schedule is read-only."""
+
+    def test_built_passes(self, ctx4, rng):
+        dest = [rng.integers(0, 4, 12) for _ in range(4)]
+        sched = build_lightweight_schedule(ctx4, dest)
+        again = LightweightSchedule.from_slot_order(
+            sched.counts, *sched.order[:2], sched.extent, sched.order.local)
+        assert np.array_equal(again.send, sched.send)
+
+    def test_count_mismatch_detected(self, ctx4, rng):
+        dest = [rng.integers(0, 4, 12) for _ in range(4)]
+        sched = build_lightweight_schedule(ctx4, dest)
+        # one element dropped from the selection: its last entry now
+        # repeats the first, the counts still promise all twelve
+        rows = sched.order.rows.copy()
+        rows[rows == 11] = 0
+        with pytest.raises(ValueError, match="every local row once"):
+            LightweightSchedule.from_slot_order(
+                sched.counts, rows, sched.order.slots, sched.extent,
+                sched.order.local)
+
+    def test_double_send_detected(self, ctx4, rng):
+        dest = [rng.integers(0, 4, 12) for _ in range(4)]
+        sched = build_lightweight_schedule(ctx4, dest)
+        # send element 0 of rank 0 to a second destination too
+        pairs = [[sched.send_view(p, q).copy() for q in range(4)]
+                 for p in range(4)]
+        recv_counts = sched.recv_counts.copy()
+        for q in range(4):
+            if not np.any(pairs[0][q] == 0):
+                pairs[0][q] = np.concatenate(
+                    [pairs[0][q], np.array([0], dtype=np.int64)]
+                )
+                recv_counts[q][0] += 1
+                break
+        from csr_helpers import lightweight_from_pairs
+
+        with pytest.raises(ValueError, match="every local row once"):
+            lightweight_from_pairs(4, pairs, recv_counts)
+
+    def test_built_is_read_only(self, ctx4, rng):
+        dest = [rng.integers(0, 4, 12) for _ in range(4)]
+        assert_read_only(build_lightweight_schedule(ctx4, dest), "send_sel")

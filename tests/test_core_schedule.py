@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.sim import Machine
 
-from csr_helpers import compose_from_streams, empty_schedule
+from csr_helpers import assert_read_only, compose_from_streams, empty_schedule
 from oracle import observe
 
 
@@ -115,6 +115,28 @@ class TestScheduleStructure:
         assert sched.send_sizes(1)[0] == 2
         assert sched.total_messages() == 2
         assert sched.total_elements() == 3
+
+
+class TestReadOnly:
+    """A schedule is immutable: a write through its buffers or per-rank
+    views (a slot past the ghost buffer, a repeated slot, a send row past
+    the local size) raises, so what its constructor checked stays true."""
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_built_and_repaired_schedules(self, backend):
+        rng = np.random.default_rng(5)
+        rt = ChaosRuntime(ExecutionContext.resolve(Machine(4), backend))
+        tt = rt.irregular_table(rng.integers(0, 4, 60))
+        ib = split_by_block(rng.integers(0, 60, 120), rt.machine)
+        loop = IrregularReduction(rt, tt, "r").bind(
+            ib=[a.copy() for a in ib])
+        assert_read_only(loop.setup(), "send_indices", "recv_slots")
+        touched = [rng.choice(a.size, size=5, replace=False) for a in ib]
+        for a, t in zip(ib, touched):
+            a[t] = rng.integers(0, 60, t.size)
+        loop.adapt("ib", ib, touched=touched)
+        assert rt.cache_stats("r").delta_rebuilds == 1
+        assert_read_only(loop.schedule, "send_indices", "recv_slots")
 
 
 class TestFigure6:

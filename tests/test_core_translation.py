@@ -41,7 +41,7 @@ class TestConstruction:
 
     def test_from_distribution(self, machine4):
         tt = TranslationTable(machine4, BlockDistribution(10, 4))
-        assert tt.offset_local(np.array([4]))[0] == 1
+        assert tt.dist.layout.offsets[4] == 1
 
 
 class TestDereference:

@@ -18,10 +18,12 @@ from repro.core import (
     scatter_append,
     split_by_block,
 )
-from repro.core.verify import check_distribution
 from repro.partitioners import RCB, chain_boundaries
 from repro.sim import Machine, load_balance_index
 from repro.util import hash_uniform
+
+from conftest import assert_layout_follows_rule, global_indices
+from oracle import assert_fetches
 
 # ---------------------------------------------------------------------
 # strategies
@@ -50,14 +52,14 @@ def distribution(draw):
 @settings(max_examples=60, deadline=None)
 def test_distribution_partition_property(dist):
     """Every element owned exactly once; offsets bijective per rank."""
-    assert check_distribution(dist) == []
+    assert_layout_follows_rule(dist)
 
 
 @given(distribution())
 @settings(max_examples=40, deadline=None)
 def test_distribution_global_indices_consistent(dist):
     for p in range(dist.n_ranks):
-        g = dist.global_indices(p)
+        g = global_indices(dist, p)
         if g.size:
             assert np.all(dist.owner(g) == p)
             assert np.array_equal(dist.local_index(g),
@@ -75,7 +77,7 @@ def test_remap_roundtrip_property(n, p, seed):
     d1 = IrregularDistribution(rng.integers(0, p, n), p)
     d2 = IrregularDistribution(rng.integers(0, p, n), p)
     x = rng.standard_normal(n)
-    data = [x[d1.global_indices(q)] for q in range(p)]
+    data = [x[global_indices(d1, q)] for q in range(p)]
     plan = remap(ExecutionContext.resolve(m), d1, d2)
     out = remap_array(ExecutionContext.resolve(m), plan, data)
     plan_back = remap(ExecutionContext.resolve(m), d2, d1)
@@ -241,27 +243,28 @@ def test_hash_uniform_deterministic_and_bounded(a, b):
 
 
 # ---------------------------------------------------------------------
-# validators: every randomly-built artifact passes its invariant check
+# schedules fetch what their stamps reference, from the global arrays
 # ---------------------------------------------------------------------
 @given(st.integers(1, 40), ranks, st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
-def test_built_artifacts_pass_validators(n, p, seed):
-    from repro.core import (
-        check_schedule,
-        check_schedule_against_hash_tables,
-        check_translation_table,
-    )
-
+def test_built_schedules_fetch_distinct_off_processor_refs(n, p, seed):
+    """A plain (``a``), merged (``a | b``) and incremental (``b - a``)
+    schedule each fetch exactly the distinct off-processor references
+    of their stamps (:func:`oracle.fetch_reference`)."""
     rng = np.random.default_rng(seed)
     m = Machine(p)
     rt = ChaosRuntime(m)
     tt = rt.irregular_table(rng.integers(0, p, n))
-    assert check_translation_table(tt) == []
-    idx = split_by_block(rng.integers(0, n, 2 * n), m)
-    rt.hash_indirection(tt, idx, "s")
-    sched = rt.build_schedule(tt, "s")
-    assert check_schedule(sched, tt.dist) == []
-    assert check_schedule_against_hash_tables(sched, rt.hash_tables(tt)) == []
+    a = split_by_block(rng.integers(0, n, 2 * n), m)
+    b = split_by_block(rng.integers(0, n, n), m)
+    rt.hash_indirection(tt, a, "a")
+    rt.hash_indirection(tt, b, "b")
+    for expr, selected, excluded in [
+            (rt.stamp_expr(tt, "a"), [a], []),
+            (rt.stamp_expr(tt, "a", "b"), [a, b], []),
+            (rt.stamp_expr(tt, "b") - rt.stamp_expr(tt, "a"), [b], [a])]:
+        assert_fetches(rt.build_schedule(tt, expr), tt.dist, selected,
+                       excluded)
 
 
 # ---------------------------------------------------------------------
