@@ -116,6 +116,9 @@ ALLOWLIST: dict[str, str] = {
         # the default copy detaches them, and the executor would read
         # the stale buffer
         "repro.core.compiled:RankArena.__reduce__",
+        # a copied plan is rebuilt through from_slot_order; the default
+        # copy would unpickle its buffers writeable
+        "repro.core.compiled:CommPlan.__reduce__",
     ),
     # tracer.py's PROBES and COUNTERS name these
     **_each(
@@ -130,6 +133,7 @@ ALLOWLIST: dict[str, str] = {
     **_each(
         "error-path",
         "repro.core.compiled:CommPlan.__init__",
+        "repro.core.distribution:Layout.__init__",
         "repro.core.compiled:CommPlan.send_max",
         "repro.core.compiled:_rank_max",
         "repro.core.hashtable:_outside",

@@ -121,22 +121,36 @@ def main() -> None:
     # delta_rebuild_schedule) instead of re-running the full inspector.
     # ia changes one entry per step — exactly the paper's few-percent
     # non-bonded-list churn, at toy scale.
-    loop = IrregularReduction(rt, ttable, "example:adaptive")
-    ia = to0([1, 3, 7, 9, 2])
+    # Each execute is checked against np.add.at over the global arrays.
+    # The loop hashes into tables of its own (same distribution), so 8
+    # and 10 enter as new ghost slots of processor 0 and move processor
+    # 1's ghosts (it references elements 1 and 3) in the stacked layout.
+    loop = IrregularReduction(rt, rt.irregular_table([0] * 5 + [1] * 5),
+                              "example:adaptive")
+    ia = [to0([1, 3, 7, 9, 2])[0], np.array([0, 2])]
+    y_ref, w_ref = y.to_global(), w.to_global()
+
+    def execute() -> None:
+        loop.execute(y, "ia", lambda wv: wv, {"w": (w, "ia")})
+        refs = np.concatenate(ia)
+        np.add.at(y_ref, refs, w_ref[refs])
+        assert np.array_equal(y.to_global(), y_ref)
+
     loop.bind(ia=ia)
     loop.setup()                      # cold build
-    loop.execute(y, "ia", lambda wv: wv, {"w": (w, "ia")})
+    execute()
     for step, replacement in enumerate([8, 10, 4]):
-        nxt = [ia[0].copy(), z]
+        nxt = [ia[0].copy(), ia[1]]
         nxt[0][step] = replacement - 1          # one touched position
         loop.adapt("ia", nxt, touched=[np.array([step]), z])
-        loop.execute(y, "ia", lambda wv: wv, {"w": (w, "ia")})
         ia = nxt
+        execute()
     st = rt.cache_stats("example:adaptive")
     print(f"\nadaptive loop cache: {st.builds} full build, "
           f"{st.delta_rebuilds} delta rebuilds "
           f"({st.resident_bytes} cached bytes)")
     assert (st.builds, st.delta_rebuilds) == (1, 3)
+    print("every execute equals np.add.at over the global arrays")
     print("OK")
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.compiled import RankArena, as_arena, offsets_from_counts
 from repro.core.context import resolve_component
 from repro.core.executor import (
+    StackedPositions,
     allocate_ghosts,
     gather,
     run_reduction,
@@ -255,6 +256,13 @@ class IrregularReduction:
     cached schedule, so the next ``setup`` runs that full build too.
     Indirection arrays and localized indices are held as
     :class:`~repro.core.compiled.RankArena` streams.
+
+    The loop also keeps each localized stream's positions in the
+    executor's stacked layout (:meth:`positions`), since only it knows
+    when they change: a re-hash lays them out afresh, a repair rewrites
+    the touched references, and a schedule with other ghost extents
+    only shifts the ghost references (slots keep their numbers while
+    the loop keeps their stream).
     """
 
     def __init__(self, runtime: ChaosRuntime, ttable: TranslationTable,
@@ -266,6 +274,7 @@ class IrregularReduction:
         # CRC-32 of each bound stream held in the caller's own buffer
         self._prints: dict[str, int] = {}
         self._localized: dict[str, RankArena] = {}
+        self._positions: dict[str, StackedPositions] = {}
         self._changed: set[str] = set()  # bound but not hashed as bound
         self._schedule: Schedule | None = None
         self._stamps: list[str] = []
@@ -425,6 +434,7 @@ class IrregularReduction:
             self._localized[nm] = chaos_hash(
                 ctx, group, self.ttable, self._indirections[nm],
                 self._stamp_of(nm), category)
+            self._positions.pop(nm, None)  # laid out afresh when used
             self._changed.discard(nm)
         return build_schedule(ctx, group, group.expr(*self._stamps),
                               category=category)
@@ -448,6 +458,8 @@ class IrregularReduction:
             # is re-hashed there
             raise DeltaFallback(str(e)) from e
         loc.flat[positions] = rehash.localized.flat
+        if name in self._positions:
+            self._positions[name].patch(positions, rehash.localized)
         self._changed.discard(name)
         return sched
 
@@ -462,6 +474,18 @@ class IrregularReduction:
         if name not in self._localized:
             raise KeyError(f"indirection array {name!r} not hashed")
         return self._localized[name]
+
+    def positions(self, name: str) -> StackedPositions:
+        """One indirection array's localized indices in the executor's
+        stacked layout, laid out for the current schedule: computed on
+        first use after a hash, then kept by the loop and updated in
+        place by later steps."""
+        extent = self.schedule.extent
+        laid = self._positions.get(name)
+        if laid is None:
+            laid = self._positions[name] = StackedPositions(
+                self.localized(name), self.ttable.dist.layout.sizes, extent)
+        return laid.lay_out(extent)
 
     def execute(
         self,
@@ -500,13 +524,13 @@ class IrregularReduction:
                     f"{self.name!r}: build it on the loop's translation "
                     "table (or an equal distribution)")
         reads = {id(da): da.local for da, _ in rhs.values()}
-        localized = {nm: self.localized(nm) for nm in
+        positions = {nm: self.positions(nm) for nm in
                      {lhs_index, *(idx for _, idx in rhs.values())}}
 
         def body(take):
             args = [take(id(da), idx) for da, idx in rhs.values()]
             yield "lhs", lhs_index, kernel(*args)
 
-        run_reduction(self.rt.ctx, self.schedule, localized, reads,
+        run_reduction(self.rt.ctx, self.schedule, positions, reads,
                       {"lhs": (lhs.local, op)}, body,
-                      compute_ops_per_iter * localized[lhs_index].sizes)
+                      compute_ops_per_iter * positions[lhs_index].sizes)

@@ -230,11 +230,11 @@ class CommPlan:
     aligned element-wise with the senders' segments).
 
     Built by :meth:`from_slot_order` only (from streams it is a
-    ``TypeError``).  A plan is immutable: its buffers, the streams and
-    offsets derived from them and the per-rank and per-pair views of
-    those are read-only, so a write through any of them is a
-    ``ValueError``, and everything derived from the plan is cached on
-    it.
+    ``TypeError``; a copy or a pickle is rebuilt through it).  A plan is
+    immutable: its buffers, the streams and offsets derived from them
+    and the per-rank and per-pair views of those are read-only, so a
+    write through any of them is a ``ValueError``, and everything
+    derived from the plan is cached on it.
     """
 
     counts: np.ndarray
@@ -311,6 +311,13 @@ class CommPlan:
             tuple(local.tolist()))
         plan._moves, plan._charges = {}, {}
         return plan
+
+    def __reduce__(self):
+        # a copy or an unpickled plan is rebuilt, so checked and
+        # read-only like the original (numpy unpickles arrays writeable)
+        return type(self).from_slot_order, (
+            self.counts, self.order.rows, self.order.slots, self.extent,
+            self.order.local)
 
     # -- derived layout (cached) ----------------------------------------
     @property

@@ -40,13 +40,19 @@ class Layout:
     the per-rank arrays concatenated (rank 0's first, each in local-offset
     order), ``starts`` delimits the ranks' ``sizes`` segments of it, and
     ``owners[g]`` / ``offsets[g]`` place global index ``g``.  Every array
-    is int64 and read-only."""
+    is int64 and read-only.  Built by :meth:`build` only, which checks
+    it (``Layout(...)`` and ``dataclasses.replace`` are a
+    ``TypeError``)."""
 
     order: np.ndarray
     sizes: np.ndarray
     starts: np.ndarray
     owners: np.ndarray
     offsets: np.ndarray
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Layout with Layout.build, which checks "
+                        "its owners and offsets")
 
     @classmethod
     def build(cls, owners: np.ndarray, n_ranks: int,
@@ -77,9 +83,11 @@ class Layout:
             order[starts[owners] + offsets] = np.arange(n)
             if (order < 0).any():
                 raise ValueError("two elements at one local offset")
-        layout = cls(order, sizes, starts, owners, offsets)
-        for arr in (order, sizes, starts, owners, offsets):
+        layout = cls.__new__(cls)
+        for name, arr in dict(order=order, sizes=sizes, starts=starts,
+                              owners=owners, offsets=offsets).items():
             arr.flags.writeable = False
+            object.__setattr__(layout, name, arr)  # frozen
         return layout
 
     def per_rank(self, per_element: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ can serve many schedules.
 ``scatter_op`` — ghost values return and are *combined* (np.add etc.),
                the irregular-reduction path for ``x(ia(i)) += ...``.
 ``run_reduction`` — that whole loop: gather, fold, ``scatter_op`` (the
-               one executor of the runtime facade and compiled loops).
+               one executor of the runtime facade and compiled loops),
+               reading each pattern at the :class:`StackedPositions`
+               its loop keeps.
 
 Every function takes an :class:`~repro.core.context.ExecutionContext`
 first; the context's *backend* (:mod:`repro.core.backends`) executes the
@@ -46,6 +48,7 @@ import numpy as np
 from repro.core.compiled import (
     STAGE_KINDS,
     RankArena,
+    _holding,
     as_arena,
     offsets_from_counts,
     rank_layout,
@@ -157,27 +160,29 @@ _IDENTITY = {np.add: 0.0, np.multiply: 1.0, np.maximum: -np.inf,
              np.minimum: np.inf}
 
 
-def run_reduction(ctx, sched: Schedule, localized: dict, reads: dict,
+def run_reduction(ctx, sched: Schedule, positions: dict, reads: dict,
                   targets: dict, body: Callable, work: np.ndarray) -> None:
     """The executor of an irregular reduction ``x(ia(i)) op= f(y(ib(i)))``
     (paper Figure 1, Phase F): one pass over the whole machine in the
     *stacked layout*, every rank's local rows and then every rank's
     ghost rows.
 
-    Each of ``reads`` (name → per-rank arrays) is gathered once; each of
-    ``targets`` (name → ``(per-rank arrays, op)``) gets an accumulator
-    filled with ``op``'s identity.  ``body(take)`` yields ``(target,
-    key, contributions)`` per statement, ``take(name, key)`` being
-    ``reads[name]`` at every iteration's ``localized[key]`` (per-rank
-    local offsets, ``n_local + ghost slot`` off-processor; rebased once
-    per ``sched`` and cached on it); each folds with ``op.at`` in stream
-    order.  ``work[p]`` ops are charged to rank ``p``, then each
-    accumulator folds into its target locally and into the owners by one
-    :func:`scatter_op`.  Ranks' positions are disjoint, so this is the
-    rank-by-rank loop bit for bit.  An ``op`` other than ``np.add``,
-    ``np.multiply``, ``np.maximum``, ``np.minimum`` (``TypeError``) or
-    arrays with different rows per rank (``ValueError``) fail before
-    anything moves; a raising ``body`` leaves every target untouched.
+    Each of ``reads`` (name → per-rank arrays) is gathered once, straight
+    into the ghost rows of its stacked buffer; each of ``targets`` (name
+    → ``(per-rank arrays, op)``) gets an accumulator filled with ``op``'s
+    identity.  ``body(take)`` yields ``(target, key, contributions)``
+    per statement, ``take(name, key)`` being ``reads[name]`` at every
+    iteration's stacked position ``positions[key]`` (a
+    :class:`StackedPositions`, laid out for the arrays' rows and
+    ``sched``'s extents: anything else is a ``ValueError``); each folds
+    with ``op.at`` in stream order.  ``work[p]`` ops are charged to rank
+    ``p``, then each accumulator folds into its target locally and into
+    the owners by one :func:`scatter_op`.  Ranks' positions are
+    disjoint, so this is the rank-by-rank loop bit for bit.  An ``op``
+    other than ``np.add``, ``np.multiply``, ``np.maximum``,
+    ``np.minimum`` (``TypeError``) or arrays with different rows per
+    rank (``ValueError``) fail before anything moves; a raising ``body``
+    leaves every target untouched.
     """
     ctx = ensure_context(ctx, "run_reduction")
     for name, (_, op) in targets.items():
@@ -189,25 +194,36 @@ def run_reduction(ctx, sched: Schedule, localized: dict, reads: dict,
                                      *reads.values()]]
     if any((n != n_local).any() for n in rest):
         raise ValueError("reduction arrays differ in rows per rank")
-    n_own, n_ghost = int(n_local.sum()), sched.ghost_size
-    stacked = {name: np.concatenate(
-        [*arrays, *gather(ctx, sched, arrays)])
-        for name, arrays in reads.items()}
-
-    def positions(key):
-        return _stacked_positions(sched, key, localized[key], n_local)
+    n_ghost = sched.ghost_size
+    for key, laid in positions.items():
+        if not (np.array_equal(laid.n_local, n_local)
+                and np.array_equal(laid.extent, n_ghost)):
+            raise ValueError(
+                f"positions {key!r} are laid out for local rows "
+                f"{laid.n_local.tolist()} and ghost extents "
+                f"{laid.extent.tolist()}, not the arrays' "
+                f"{n_local.tolist()} and the schedule's {n_ghost.tolist()}")
+    n_own = int(n_local.sum())
+    n_rows = n_own + int(n_ghost.sum())
+    stacked = {}
+    for name, arrays in reads.items():
+        first = np.asarray(arrays[0])
+        buf = stacked[name] = np.empty((n_rows,) + first.shape[1:],
+                                       dtype=np.result_type(*arrays))
+        np.concatenate(arrays, out=buf[:n_own])
+        # dead ghost rows stay unwritten: no position addresses them
+        gather(ctx, sched, arrays, RankArena(buf[n_own:], n_ghost))
 
     def take(name, key):
-        return stacked[name].take(positions(key), axis=0)
+        return stacked[name].take(positions[key].flat, axis=0)
 
     acc = {}
     for name, (arrays, op) in targets.items():
         first = np.asarray(arrays[0])
-        acc[name] = np.full((n_own + int(n_ghost.sum()),) + first.shape[1:],
-                            _IDENTITY[op],
+        acc[name] = np.full((n_rows,) + first.shape[1:], _IDENTITY[op],
                             dtype=np.result_type(first.dtype, np.float64))
     for name, key, contributions in body(take):
-        targets[name][1].at(acc[name], positions(key), contributions)
+        targets[name][1].at(acc[name], positions[key].flat, contributions)
         # free the stream-sized temporary before the next statement
         # allocates its own (holding it slowed Figure 10's loop ~10 %)
         del contributions
@@ -224,24 +240,60 @@ def run_reduction(ctx, sched: Schedule, localized: dict, reads: dict,
         scatter_op(ctx, sched, arrays, RankArena(folded[n_own:], n_ghost), op)
 
 
-def _stacked_positions(sched: Schedule, key, localized,
-                       n_local: np.ndarray) -> np.ndarray:
-    """``localized`` rebased onto :func:`run_reduction`'s stacked layout,
-    cached on ``sched`` while ``localized`` is the same object: rank
-    ``p``'s local row ``i`` sits at ``own_start[p] + i``, its ghost slot
-    ``s`` (index ``n_local[p] + s``) at ``ghost_start[p] + s``."""
-    cache_key = ("stacked", key, n_local.tobytes())
-    hit = sched._moves.get(cache_key)
-    if hit is not None and hit[0] is localized:
-        return hit[1]
-    loc, n_iter = stream_of(localized)
-    own_start = offsets_from_counts(n_local)
-    ghost_start = own_start[-1] + offsets_from_counts(sched.ghost_size)
-    pos = loc + np.where(loc < np.repeat(n_local, n_iter),
-                         np.repeat(own_start[:-1], n_iter),
-                         np.repeat(ghost_start[:-1] - n_local, n_iter))
-    sched._moves[cache_key] = (localized, pos)
-    return pos
+class StackedPositions:
+    """A localized index stream rebased onto :func:`run_reduction`'s
+    stacked layout, with the layout it is laid out for: rank ``p``'s
+    local row ``i`` sits at ``own_start[p] + i`` and its ghost slot
+    ``s`` (localized ``n_local[p] + s``) at ``n_own + ghost_start[p] +
+    s``, the starts being the offsets of ``n_local`` and ``extent``.
+
+    ``flat`` holds one position per reference, ``sizes`` the references
+    per rank.  The stream's owner keeps it in step with its localized
+    indices: :meth:`patch` rewrites the references an adapt changed, and
+    :meth:`lay_out` moves it to another schedule's extents.  A ghost
+    slot keeps its number while the hash tables live, so the move only
+    shifts each ghost reference by its rank's ghost-start change.
+    """
+
+    __slots__ = ("flat", "sizes", "n_local", "extent")
+
+    def __init__(self, localized, n_local: np.ndarray, extent: np.ndarray):
+        loc, self.sizes = stream_of(localized)
+        self.n_local, self.extent = n_local, extent
+        self.flat = self._placed(loc, self.sizes)
+
+    def _placed(self, loc: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The stacked positions of localized indices ``loc``, ``sizes``
+        of them per rank."""
+        own_start = offsets_from_counts(self.n_local)
+        ghost_start = own_start[-1] + offsets_from_counts(self.extent)
+        return loc + np.where(
+            loc < np.repeat(self.n_local, sizes),
+            np.repeat(own_start[:-1], sizes),
+            np.repeat(ghost_start[:-1] - self.n_local, sizes))
+
+    def patch(self, at: np.ndarray, localized) -> None:
+        """Rewrite the references at stream positions ``at`` (ascending)
+        from their new localized indices, per rank (an arena)."""
+        self.flat[at] = self._placed(*stream_of(localized))
+
+    def lay_out(self, extent: np.ndarray) -> "StackedPositions":
+        """Lay the positions out for the ghost extents ``extent`` (in
+        place; O(P) when they already are).  Each ghost reference moves
+        by the ghost-start change of the rank whose stream segment holds
+        it, never of the rank its old position falls in: a patched
+        reference may address a slot past its rank's old extent."""
+        if not np.array_equal(extent, self.extent):
+            shift = (offsets_from_counts(extent)
+                     - offsets_from_counts(self.extent))[:-1]
+            # a multiply, not a masked add (about twice as fast), in the
+            # narrowest dtype that holds the shifts
+            moved = np.repeat(shift.astype(_holding(abs(shift).max() + 1)),
+                              self.sizes)
+            moved *= self.flat >= self.n_local.sum()
+            self.flat += moved
+        self.extent = extent
+        return self
 
 
 # ----------------------------------------------------------------------

@@ -568,7 +568,7 @@ class ProgramInstance:
 
         run_reduction(
             self.ctx, sched,
-            {key: state.loop.localized(key) for key in gidx},
+            {key: state.loop.positions(key) for key in gidx},
             {name: self._arena(name, line) for name in plan.reads},
             {name: (self._arena(name, line), op)
              for name, op in plan.targets.items()},

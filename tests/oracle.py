@@ -33,9 +33,10 @@ global data alone — a remap, an append — :func:`remap_reference` and
 :func:`append_reference` compute it without any plan, a reference
 outside the backend pair; so does :func:`fetch_reference` for what a
 schedule fetches (:func:`assert_fetches`), from the global index arrays
-hashed under its stamps.  :func:`check_hash_tables` checks the
-invariants of a table group after any sequence of hashes, delta
-re-hashes and clears.
+hashed under its stamps, and :func:`stacked_reference` for where the
+reduction executor reads each localized index.
+:func:`check_hash_tables` checks the invariants of a table group after
+any sequence of hashes, delta re-hashes and clears.
 """
 
 import itertools
@@ -167,6 +168,20 @@ def assert_fetches(sched, dist, selected, excluded=()) -> None:
             f"rank {p} fetches an element twice"
         assert np.array_equal(np.sort(got), want[p]), \
             f"rank {p} fetches {np.sort(got)}, not {want[p]}"
+
+
+def stacked_reference(localized, n_local, extent) -> np.ndarray:
+    """Where :func:`~repro.core.run_reduction`'s stacked layout puts
+    each localized index, from the per-rank localized arrays, the local
+    sizes and the ghost extents alone: every rank's local rows first,
+    rank by rank, then every rank's ghost rows, rank by rank; rank
+    ``p``'s ghost slot ``s`` is its localized index ``n_local[p] + s``."""
+    parts, own, ghost = [np.zeros(0, np.int64)], 0, int(np.sum(n_local))
+    for loc, n, g in zip(localized, n_local, extent):
+        loc = np.asarray(loc, dtype=np.int64)
+        parts.append(np.where(loc < n, own + loc, ghost + loc - n))
+        own, ghost = own + int(n), ghost + int(g)
+    return np.concatenate(parts)
 
 
 def live_keys(store, below=None) -> np.ndarray:

@@ -45,6 +45,7 @@ from oracle import (
     check_hash_tables,
     cold_build,
     observe,
+    stacked_reference,
 )
 
 
@@ -800,3 +801,101 @@ def test_validators_hold_after_every_adaptive_step(backend):
         assert_fetches(loop.schedule, tt.dist, list(arrays.values()))
         st = rt.cache_stats("v")
         assert (st.builds, st.delta_rebuilds) == (builds, deltas)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_loop_positions_follow_every_step(backend):
+    """The loop keeps each localized stream's stacked positions itself:
+    after every step of an adaptive run they equal the oracle's, laid
+    out for the current schedule, and the reduction equals a fresh
+    loop's over the same arrays bit for bit.  The steps: a cold build,
+    a hit, a targeted adapt into fresh ghost slots (its new references
+    lie past their ranks' old extents), an untargeted adapt, a repair
+    declined on a stale base, a setup after an external stamp clear, a
+    setup after the tables were dropped, and a targeted adapt of a
+    degraded localized arena."""
+    rng = np.random.default_rng(31)
+    n, per, k = 400, 40, 5
+    m = Machine(4)
+    rt = ChaosRuntime(ExecutionContext.resolve(m, backend))
+    owner = rng.integers(0, 4, n)
+    tt = rt.irregular_table(owner)
+    # ``ib`` starts on the low quarter, so a targeted adapt to the upper
+    # half enters fresh ghost slots
+    arrays = {"ia": split_by_block(rng.integers(0, n, 4 * per), m),
+              "ib": split_by_block(rng.integers(0, n // 4, 4 * per), m)}
+    x_g = rng.standard_normal(n)
+    loop = IrregularReduction(rt, tt, "v").bind(**arrays)
+
+    def targeted():
+        touched = [rng.choice(per, size=k, replace=False) for _ in range(4)]
+        new = [a.copy() for a in arrays["ib"]]
+        for a, t in zip(new, touched):
+            a[t] = rng.integers(n // 2, n, k)
+        arrays["ib"] = new
+        loop.adapt("ib", [a.copy() for a in new], touched=touched)
+
+    def untargeted():
+        arrays["ia"] = split_by_block(rng.integers(0, n, 4 * per), m)
+        loop.adapt("ia", arrays["ia"])
+
+    def stale_base():
+        # the cached schedule replaced by one of other tables: the
+        # repair's splice rejects it and the full build runs
+        rt.modification_record.touch("v:ia")
+        rt.schedule_cache.get_or_build("v", ("v:ia", "v:ib"),
+                                       lambda: empty_schedule(4))
+        targeted()
+
+    def clear_then_setup():
+        rt.clear_stamp(tt, "v:ia")
+        loop.setup()
+
+    def drop_then_setup():
+        rt.drop_hash_tables(tt)
+        loop.setup()
+
+    def degraded_then_targeted():
+        loc = loop.localized("ib")
+        loc[1] = loc[1].copy()
+        targeted()
+
+    def reduce(a_loop, runtime, ttable):
+        y = runtime.zeros_like_table(ttable)
+        a_loop.execute(y, "ia", np.sin, {"x": (runtime.distribute(
+            x_g, ttable), "ib")})
+        return y.to_global()
+
+    steps = [
+        (loop.setup, (0, 1, 0)),
+        (loop.setup, (1, 1, 0)),
+        (targeted, (1, 1, 1)),
+        (untargeted, (1, 2, 1)),
+        (stale_base, (1, 4, 1)),
+        (clear_then_setup, (1, 5, 1)),
+        (drop_then_setup, (1, 6, 1)),
+        (degraded_then_targeted, (1, 6, 2)),
+    ]
+    extents = []
+    for step, counts in steps:
+        step()
+        st = rt.cache_stats("v")
+        assert (st.hits, st.builds, st.delta_rebuilds) == counts, step
+        extent = loop.schedule.extent
+        for name in arrays:
+            laid = loop.positions(name)
+            assert laid.extent is extent
+            assert np.array_equal(laid.flat, stacked_reference(
+                loop.localized(name), tt.dist.layout.sizes, extent)), \
+                (step, name)
+        fresh_rt = ChaosRuntime(ExecutionContext.resolve(Machine(4),
+                                                         backend))
+        fresh_tt = fresh_rt.irregular_table(owner)
+        fresh = IrregularReduction(fresh_rt, fresh_tt, "v").bind(**arrays)
+        fresh.setup()
+        assert reduce(loop, rt, tt).tobytes() == reduce(
+            fresh, fresh_rt, fresh_tt).tobytes(), step
+        extents.append(extent)
+    # the targeted and the untargeted adapt moved ghost starts
+    assert (extents[2] > extents[1]).any()
+    assert (extents[3] > extents[2]).any()

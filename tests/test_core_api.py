@@ -12,8 +12,10 @@ from repro.core import (
     IrregularReduction,
     remap,
     remap_array,
+    run_reduction,
     split_by_block,
 )
+from repro.core.executor import StackedPositions
 from repro.sim import Machine
 
 from conftest import ALL_BACKENDS, block_table, count_calls, cyclic_table
@@ -454,6 +456,28 @@ class TestReductionExecutor:
         assert y.to_global().tobytes() == before
         assert (m.traffic.n_messages, m.execution_time()) == (messages,
                                                               clock)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("wrong", ["n_local", "extent"])
+    def test_positions_of_another_layout_are_rejected(self, backend, wrong):
+        """Positions laid out for other local rows or other ghost
+        extents would read and fold the wrong rows: ``run_reduction``
+        raises before anything moves."""
+        m, loop, x, y = self.tiny(backend, 0.0)
+        n_local, extent = x.local.sizes, loop.schedule.extent
+        layout = {"n_local": (n_local + 1, extent),
+                  "extent": (n_local, extent + 1)}[wrong]
+        positions = {nm: StackedPositions(loop.localized(nm), *layout)
+                     for nm in ("ia", "ib")}
+        before = y.to_global().tobytes()
+        messages = m.traffic.n_messages
+        with pytest.raises(ValueError, match="laid out for"):
+            run_reduction(loop.rt.ctx, loop.schedule, positions,
+                          {"x": x.local}, {"y": (y.local, np.add)},
+                          lambda take: iter([("y", "ia", take("x", "ib"))]),
+                          np.ones(2))
+        assert y.to_global().tobytes() == before
+        assert m.traffic.n_messages == messages
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_raising_kernel_leaves_lhs_then_next_equals_cold(self, rng,

@@ -1,5 +1,7 @@
 """Unit tests: distributions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core import (
     Distribution,
     IrregularDistribution,
 )
+from repro.core.distribution import Layout
 
 from conftest import assert_layout_follows_rule, count_calls
 
@@ -186,6 +189,17 @@ class TestIrregular:
                     d.layout.offsets, BlockDistribution(5, 2).local_sizes()):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 7
+
+    def test_layout_is_built_only_through_build(self):
+        """The dataclass constructor would skip ``Layout.build``'s
+        checks: replacing an order by one that holds element 0 twice, or
+        constructing a layout directly, is a ``TypeError``."""
+        layout = IrregularDistribution([0, 1, 0, 1], 2).layout
+        with pytest.raises(TypeError, match="Layout.build"):
+            dataclasses.replace(layout, order=np.array([0, 0, 1, 3]))
+        with pytest.raises(TypeError, match="Layout.build"):
+            Layout(layout.order, layout.sizes, layout.starts,
+                   layout.owners, layout.offsets)
 
 
 class _Rule(Distribution):

@@ -1,6 +1,8 @@
 """Unit tests: communication schedules and the Figure 6 worked example."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -137,6 +139,34 @@ class TestReadOnly:
         loop.adapt("ib", ib, touched=touched)
         assert rt.cache_stats("r").delta_rebuilds == 1
         assert_read_only(loop.schedule, "send_indices", "recv_slots")
+
+    @pytest.mark.parametrize("copy_of", ["pickle", "deepcopy"])
+    def test_copies_are_checked_and_read_only(self, copy_of):
+        """A pickled or deep-copied plan of each kind is rebuilt through
+        ``from_slot_order``: equal buffers, the same kind, read-only."""
+        rng = np.random.default_rng(6)
+        ctx = ExecutionContext.resolve(Machine(4))
+        rt = ChaosRuntime(ctx)
+        tt = rt.irregular_table(rng.integers(0, 4, 60))
+        rt.hash_indirection(
+            tt, split_by_block(rng.integers(0, 60, 120), rt.machine), "s")
+        dist = IrregularDistribution(rng.integers(0, 4, 50), 4)
+        plans = [
+            rt.build_schedule(tt, "s"),
+            remap(ctx, dist, BlockDistribution(50, 4)),
+            build_lightweight_schedule(
+                ctx, [rng.integers(0, 4, n) for n in dist.layout.sizes]),
+        ]
+        copied = {"pickle": lambda p: pickle.loads(pickle.dumps(p)),
+                  "deepcopy": copy.deepcopy}[copy_of]
+        for plan in plans:
+            twin = copied(plan)
+            assert type(twin) is type(plan) and twin is not plan
+            assert twin.order.local == plan.order.local
+            for a, b in zip((plan.counts, plan.extent, *plan.order[:2]),
+                            (twin.counts, twin.extent, *twin.order[:2])):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert_read_only(twin)
 
 
 class TestFigure6:
